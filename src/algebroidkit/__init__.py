@@ -28,13 +28,11 @@ from .linfty import (
     AlgebraDerivation,
     LInftyAlgebra,
     LInftyMorphism,
-    LInftyOneAlgebra,
     ShiftedDerDGLA,
     build_shifted_der_dgla,
     decalage,
     decalage_inverse,
     jacobi_residual,
-    jacobi_residual_skew,
     morphism_residual,
 )
 from .algebroid import (
@@ -88,7 +86,6 @@ __all__ = [
     "conjugate",
     "mc_residual",
     "LInftyAlgebra",
-    "LInftyOneAlgebra",
     "LInftyMorphism",
     "AlgebraDerivation",
     "ShiftedDerDGLA",
@@ -96,7 +93,6 @@ __all__ = [
     "decalage",
     "decalage_inverse",
     "jacobi_residual",
-    "jacobi_residual_skew",
     "morphism_residual",
     "AlgebroidStructure",
     "ce_differential",

@@ -35,10 +35,11 @@ from .errors import CapError, DegreeError, KitError
 from .linfty import (
     AlgebraDerivation,
     LInftyMorphism,
-    LInftyOneAlgebra,
     ShiftedDerDGLA,
+    _tables_equal,
     build_shifted_der_dgla,
     canonicalize_key,
+    jacobi_residual,
     morphism_residual,
     multilinear_extend,
     sorted_tuples,
@@ -57,6 +58,8 @@ GenKey = Tuple[int, ...]
 
 class AlgebroidStructure:
     """Brackets plus multi-anchors over a fixed dga; one side of the duality."""
+
+    symmetric = True  # bracket sign convention, read by linfty.jacobi_residual
 
     def __init__(
         self,
@@ -84,7 +87,7 @@ class AlgebroidStructure:
             if not value.is_zero():
                 raise KitError(f"bracket value on vanishing tuple {tuple(key)}")
             return
-        stored = value.scale(sign_scalar(0 if sign == 1 else 1))
+        stored = value.scale(sign)
         table = self.brackets.setdefault(n, {})
         if stored.is_zero():
             table.pop(ckey, None)
@@ -101,7 +104,7 @@ class AlgebroidStructure:
             if not value.is_zero():
                 raise KitError(f"anchor value on vanishing tuple {tuple(key)}")
             return
-        stored = value.scale(sign_scalar(0 if sign == 1 else 1))
+        stored = value.scale(sign)
         table = self.anchors.setdefault(n, {})
         if stored.is_zero():
             table.pop((ckey, basis_idx), None)
@@ -115,7 +118,7 @@ class AlgebroidStructure:
         got = self.brackets.get(n, {}).get(ckey)
         if got is None:
             return self.carrier.zero()
-        return got.scale(sign_scalar(0 if sign == 1 else 1))
+        return got.scale(sign)
 
     def anchor_table_value(self, n: int, key: GenKey, basis_idx: int) -> AlgebraElement:
         ckey, sign, vanishes = canonicalize_key(key, self.carrier.degrees, True)
@@ -124,7 +127,7 @@ class AlgebroidStructure:
         got = self.anchors.get(n, {}).get((ckey, basis_idx))
         if got is None:
             return self.base.zero()
-        return got.scale(sign_scalar(0 if sign == 1 else 1))
+        return got.scale(sign)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -254,6 +257,17 @@ class AlgebroidStructure:
 
         rec(0, 0, None, (), 0)
         return total
+
+    def __eq__(self, other) -> bool:
+        """Same tables (arities, keys, coefficients); caps are not compared."""
+        if not isinstance(other, AlgebroidStructure):
+            return NotImplemented
+        return (
+            self.brackets.keys() == other.brackets.keys()
+            and self.anchors.keys() == other.anchors.keys()
+            and all(_tables_equal(t, other.brackets[n]) for n, t in self.brackets.items())
+            and all(_tables_equal(t, other.anchors[n]) for n, t in self.anchors.items())
+        )
 
     def max_bracket_arity(self) -> int:
         return max(self.brackets, default=1)
@@ -482,17 +496,9 @@ def extract_structure(
 
 def algebroid_jacobi_residual(S: AlgebroidStructure, n: int) -> Dict[GenKey, ModuleElement]:
     """Symmetric higher Jacobi residual using the algebroid extension policy."""
-    from .linfty import jacobi_residual as _generic
-
-    class _Provider:
-        carrier = S.carrier
-        arity_cap = S.bracket_cap
-
-        @staticmethod
-        def bracket(m, args):
-            return S.bracket(m, args)
-
-    return _generic(_Provider, n)
+    if n > S.bracket_cap:
+        raise CapError(f"arity {n} exceeds cap")
+    return jacobi_residual(S, n)
 
 
 def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], ModuleElement]:
@@ -521,14 +527,7 @@ def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], 
 def anchor_morphism(S: AlgebroidStructure) -> Tuple[LInftyMorphism, ShiftedDerDGLA]:
     """The anchor components as a morphism into the shifted derivation DGLA."""
     target = build_shifted_der_dgla(S.base)
-    outer = S
-
-    class _SourceView(LInftyOneAlgebra):
-        def bracket(self, m, args):
-            return outer.bracket(m, args)
-
-    view = _SourceView(S.carrier, arity_cap=S.bracket_cap)
-    f = LInftyMorphism(view, target, target.zero())
+    f = LInftyMorphism(S, target, target.zero())
     for m in range(1, S.anchor_cap):
         for key in sorted_tuples(S.carrier.rank, m):
             _, _, vanishes = canonicalize_key(key, S.carrier.degrees, True)

@@ -5,19 +5,13 @@ per check; the process exits 0 when everything passes, 1 when any residual
 is found and 2 on input errors.  Reports are deterministic: exact
 coefficients, canonical ordering, and the (non-deterministic) timings are
 excluded from the canonical JSON written by --json.
-
-The ALGEBROIDKIT_WORKERS environment variable sets the worker-thread count
-used to fan out independent checks; report assembly order is fixed no matter
-how the workers finish.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from .algebra import validate_base_algebra
 from .algebroid import (
@@ -42,10 +36,10 @@ from .geometry import (
     transport_lemma_residual,
     validate_geometric_model,
 )
+from .linfty import LInftyAlgebra, decalage, decalage_inverse
 from .modelio import parse_model
 from .modules import validate_module
 from .reports import (
-    CheckResult,
     Report,
     ResidualEntry,
     residuals_from_algebra,
@@ -56,24 +50,6 @@ from .reports import (
 from .symtensor import conjugate, d0_derivation, mc_residual, square_components
 
 EXIT_INPUT_ERROR = 2
-
-
-def worker_count() -> int:
-    raw = os.environ.get("ALGEBROIDKIT_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_checks(thunks: List[Callable[[], CheckResult]]) -> List[CheckResult]:
-    """Evaluate independent checks, possibly on worker threads, in a fixed order."""
-    n = worker_count()
-    if n <= 1 or len(thunks) <= 1:
-        return [t() for t in thunks]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(t) for t in thunks]
-        return [f.result() for f in futures]
 
 
 def _structure_of(model, caps) -> AlgebroidStructure:
@@ -100,24 +76,6 @@ def _derivation_entries(D) -> List[ResidualEntry]:
     return out
 
 
-def _structures_equal(S1: AlgebroidStructure, S2: AlgebroidStructure) -> bool:
-    if set(S1.brackets) != set(S2.brackets) or set(S1.anchors) != set(S2.anchors):
-        return False
-    for n in S1.brackets:
-        if S1.brackets[n].keys() != S2.brackets[n].keys():
-            return False
-        for key in S1.brackets[n]:
-            if S1.brackets[n][key].items() != S2.brackets[n][key].items():
-                return False
-    for n in S1.anchors:
-        if S1.anchors[n].keys() != S2.anchors[n].keys():
-            return False
-        for key in S1.anchors[n]:
-            if S1.anchors[n][key].items() != S2.anchors[n][key].items():
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -125,90 +83,62 @@ def _structures_equal(S1: AlgebroidStructure, S2: AlgebroidStructure) -> bool:
 
 def cmd_validate(model, caps, args) -> Report:
     report = Report("validate", caps)
-
-    def base_check():
-        with timed_check("base-algebra") as t:
-            problems = validate_base_algebra(model.base)
-            return t.finish(not problems, detail="; ".join(problems[:5]))
-
-    thunks = [base_check]
+    with timed_check("base-algebra") as t:
+        problems = validate_base_algebra(model.base)
+        report.add(t.finish(not problems, detail="; ".join(problems[:5])))
     if isinstance(model, AlgebroidStructure):
-        def carrier_check():
-            with timed_check("carrier-module") as t:
-                problems = validate_module(model.carrier)
-                return t.finish(not problems, detail="; ".join(problems[:5]))
-
-        def structure_check():
-            with timed_check("structure-tables") as t:
-                problems = model.validate()
-                return t.finish(not problems, detail="; ".join(problems[:5]))
-
-        thunks += [carrier_check, structure_check]
+        with timed_check("carrier-module") as t:
+            problems = validate_module(model.carrier)
+            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
+        with timed_check("structure-tables") as t:
+            problems = model.validate()
+            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
     else:
-        def modules_check():
-            with timed_check("tangent-and-normal-modules") as t:
-                problems = validate_module(model.tangent) + validate_module(model.normal)
-                return t.finish(not problems, detail="; ".join(problems[:5]))
-
-        def geometry_check():
-            with timed_check("geometric-tensors") as t:
-                problems = validate_geometric_model(model)
-                return t.finish(not problems, detail="; ".join(problems[:5]))
-
-        thunks += [modules_check, geometry_check]
-    for result in run_checks(thunks):
-        report.add(result)
+        with timed_check("tangent-and-normal-modules") as t:
+            problems = validate_module(model.tangent) + validate_module(model.normal)
+            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
+        with timed_check("geometric-tensors") as t:
+            problems = validate_geometric_model(model)
+            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
     return report
 
 
-def _arities(args, cap) -> List[int]:
-    if args.arity is not None:
-        return [args.arity]
-    return list(range(1, cap + 1))
+def _arities(args, top) -> List[int]:
+    if args.arity is None:
+        return list(range(1, top + 1))
+    if args.arity < 1:
+        raise KitError(f"--arity must be at least 1, got {args.arity}")
+    return [args.arity]
 
 
 def cmd_jacobi(model, caps, args) -> Report:
     report = Report("jacobi", caps)
     S = _structure_of(model, caps)
-
-    def check(n):
-        def thunk():
-            with timed_check(f"jacobi[n={n}]") as t:
-                res = algebroid_jacobi_residual(S, n)
-                entries = []
-                for key in sorted(res):
-                    label = "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")"
-                    entries.extend(residuals_from_module(label, res[key]))
-                return t.finish(not res, entries)
-
-        return thunk
-
-    for result in run_checks([check(n) for n in _arities(args, S.bracket_cap)]):
-        report.add(result)
+    for n in _arities(args, S.bracket_cap):
+        with timed_check(f"jacobi[n={n}]") as t:
+            res = algebroid_jacobi_residual(S, n)
+            entries = []
+            for key in sorted(res):
+                label = "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")"
+                entries.extend(residuals_from_module(label, res[key]))
+            report.add(t.finish(not res, entries))
     return report
 
 
 def cmd_leibniz(model, caps, args) -> Report:
     report = Report("leibniz", caps)
     S = _structure_of(model, caps)
-
-    def check(n):
-        def thunk():
-            with timed_check(f"leibniz[n={n}]") as t:
-                res = leibniz_residual(S, n)
-                entries = []
-                for (key, b) in sorted(res):
-                    label = (
-                        "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")|"
-                        + S.base.names[b]
-                    )
-                    entries.extend(residuals_from_module(label, res[(key, b)]))
-                return t.finish(not res, entries)
-
-        return thunk
-
-    for result in run_checks([check(n) for n in _arities(args, S.bracket_cap)]):
-        report.add(result)
+    for n in _arities(args, S.bracket_cap):
+        with timed_check(f"leibniz[n={n}]") as t:
+            res = leibniz_residual(S, n)
+            entries = []
+            for (key, b) in sorted(res):
+                label = (
+                    "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")|"
+                    + S.base.names[b]
+                )
+                entries.extend(residuals_from_module(label, res[(key, b)]))
+            report.add(t.finish(not res, entries))
     return report
 
 
@@ -216,29 +146,19 @@ def cmd_anchor(model, caps, args) -> Report:
     report = Report("anchor", caps)
     S = _structure_of(model, caps)
     top = min(S.bracket_cap - 1, S.anchor_cap - 1)
-    arities = [args.arity] if args.arity is not None else list(range(1, max(top, 1) + 1))
-
-    def check(n):
-        def thunk():
-            with timed_check(f"anchor-morphism[n={n}]") as t:
-                res = anchor_morphism_residual(S, n)
-                entries = []
-                for key in sorted(res):
-                    label = "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")"
-                    der = res[key]
-                    for b, val in enumerate(der.values):
-                        if not val.is_zero():
-                            entries.extend(
-                                residuals_from_algebra(
-                                    f"{label} on {S.base.names[b]}", val
-                                )
-                            )
-                return t.finish(not res, entries)
-
-        return thunk
-
-    for result in run_checks([check(n) for n in arities]):
-        report.add(result)
+    for n in _arities(args, max(top, 1)):
+        with timed_check(f"anchor-morphism[n={n}]") as t:
+            res = anchor_morphism_residual(S, n)
+            entries = []
+            for key in sorted(res):
+                label = "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")"
+                der = res[key]
+                for b, val in enumerate(der.values):
+                    if not val.is_zero():
+                        entries.extend(
+                            residuals_from_algebra(f"{label} on {S.base.names[b]}", val)
+                        )
+            report.add(t.finish(not res, entries))
     return report
 
 
@@ -287,36 +207,21 @@ def cmd_roundtrip(model, caps, args) -> Report:
             S2 = extract_structure(
                 D, model.carrier, bracket_cap=model.bracket_cap, anchor_cap=model.anchor_cap
             )
-            report.add(t.finish(_structures_equal(model, S2)))
+            report.add(t.finish(model == S2))
         with timed_check("degree-shift dictionary round trip on the bracket tables") as t:
-            from .linfty import LInftyOneAlgebra, decalage, decalage_inverse
-
-            view = LInftyOneAlgebra(model.carrier, arity_cap=model.bracket_cap)
+            view = LInftyAlgebra(model.carrier, arity_cap=model.bracket_cap, symmetric=True)
             for n, table in model.brackets.items():
                 for key, val in table.items():
                     view.set_bracket(n, key, val)
             back = decalage(decalage_inverse(view))
-            same = set(back.tables) == set(view.tables)
-            if same:
-                for n in view.tables:
-                    if view.tables[n].values.keys() != back.tables[n].values.keys():
-                        same = False
-                        break
-                    for key in view.tables[n].values:
-                        if (
-                            view.tables[n].values[key].items()
-                            != back.tables[n].values[key].items()
-                        ):
-                            same = False
-                            break
-            report.add(t.finish(same))
+            report.add(t.finish(back.tables == view.tables))
     else:
         with timed_check("recursion == extraction") as t:
             S1 = structure_from_geometry(model)
             S2 = extract_structure(
                 build_frakD(model), model.normal, bracket_cap=model.cap, anchor_cap=model.cap + 1
             )
-            report.add(t.finish(_structures_equal(S1, S2)))
+            report.add(t.finish(S1 == S2))
     return report
 
 
@@ -364,33 +269,17 @@ def cmd_kapranov(model, caps, args) -> Report:
 def cmd_lemmas(model, caps, args) -> Report:
     g = _require_geometric(model)
     report = Report("lemmas", caps)
-
-    def retraction():
-        with timed_check("retraction: normal projection of the expansion is the identity") as t:
-            res = retraction_residual(g)
+    for title, residual in (
+        ("retraction: normal projection of the expansion is the identity", retraction_residual),
+        ("projection commutator equals the Kodaira-Spencer substitution", commutator_lemma_residual),
+        ("single-tangent transport identity and its iterate", transport_lemma_residual),
+    ):
+        with timed_check(title) as t:
+            res = residual(g)
             entries = []
             for label, el in res:
                 entries.extend(residuals_from_sym(label, el))
-            return t.finish(not res, entries)
-
-    def commutator():
-        with timed_check("projection commutator equals the Kodaira-Spencer substitution") as t:
-            res = commutator_lemma_residual(g)
-            entries = []
-            for label, el in res:
-                entries.extend(residuals_from_sym(label, el))
-            return t.finish(not res, entries)
-
-    def transport():
-        with timed_check("single-tangent transport identity and its iterate") as t:
-            res = transport_lemma_residual(g)
-            entries = []
-            for label, el in res:
-                entries.extend(residuals_from_sym(label, el))
-            return t.finish(not res, entries)
-
-    for result in run_checks([retraction, commutator, transport]):
-        report.add(result)
+            report.add(t.finish(not res, entries))
     return report
 
 

@@ -395,20 +395,6 @@ class GeometricModel:
         )
         return der.apply(el)
 
-    def rperp_tilde(self, k: int, el: SymElement) -> SymElement:
-        """Normal-curvature derivation on the normal algebra."""
-        table = self.curv_perp.get(k)
-        if not table:
-            return self.nor.zero()
-        der = DerivationD(
-            self.nor,
-            {},
-            {j: v for j, v in table.items()},
-            degree=1,
-            check=False,
-        )
-        return der.apply(el)
-
     def ambient_d0(self, beta_override: Optional[Mapping[int, SymElement]] = None) -> DerivationD:
         """The ambient differential: d_A on coefficients, block-triangular on
         letters with the Kodaira-Spencer tensor as the off-diagonal block."""
@@ -815,31 +801,18 @@ def build_kapranov(
 # ---------------------------------------------------------------------------
 
 
-def _tm_from_dual_values(g: GeometricModel, values: Mapping[int, AlgebraElement]) -> ModuleElement:
-    """The tangent element T with xi_i(T) = values[i]."""
+def _from_dual_values(target: FreeModule, values: Mapping[int, AlgebraElement]) -> ModuleElement:
+    """The element T of target with g_i^vee(T) = values[i]."""
     coeffs: Dict[int, AlgebraElement] = {}
     for i, val in values.items():
         if val.is_zero():
             continue
-        letter_degree = g.amb.letter_degrees[i]
-        acc = g.base.zero()
+        letter_degree = -target.degrees[i]
+        acc = target.base.zero()
         for d, hp in val.homogeneous_parts().items():
             acc = acc + hp.scale(sign_scalar(d * letter_degree))
         coeffs[i] = acc
-    return ModuleElement(g.tangent, coeffs)
-
-
-def _nm_from_dual_values(g: GeometricModel, values: Mapping[int, AlgebraElement]) -> ModuleElement:
-    coeffs: Dict[int, AlgebraElement] = {}
-    for j, val in values.items():
-        if val.is_zero():
-            continue
-        letter_degree = g.nor.letter_degrees[j]
-        acc = g.base.zero()
-        for d, hp in val.homogeneous_parts().items():
-            acc = acc + hp.scale(sign_scalar(d * letter_degree))
-        coeffs[j] = acc
-    return ModuleElement(g.normal, coeffs)
+    return ModuleElement(target, coeffs)
 
 
 def _embed_tangent(g: GeometricModel, v: ModuleElement) -> ModuleElement:
@@ -850,54 +823,36 @@ def _embed_normal(g: GeometricModel, v: ModuleElement) -> ModuleElement:
     return ModuleElement(g.ambient_module, {g.a + i: c for i, c in v.items()})
 
 
-def beta_transpose(g: GeometricModel, v: ModuleElement) -> ModuleElement:
-    """The module-side Kodaira-Spencer map Nm -> Tm."""
-    values = {}
-    for i in range(g.a):
-        pairing = evaluate(g.to_amb(g.beta[i]), [_embed_normal(g, v)], g.ambient_module)
-        values[i] = pairing.scale(sign_scalar(g.amb.letter_degrees[i]))
-    return _tm_from_dual_values(g, values)
+def _transpose(
+    g: GeometricModel,
+    table: Mapping[int, SymElement],
+    target: FreeModule,
+    twist: int,
+    args: Sequence[ModuleElement],
+) -> ModuleElement:
+    """Module-side form Nm^{x len(args)} -> target of a letter-substitution
+    tensor over the normal letters, table[i] being the image of target letter i.
 
-
-def rtan_transpose(g: GeometricModel, p: int, args: Sequence[ModuleElement]) -> ModuleElement:
-    """Module-side p-th tangential curvature: Nm^{x p} -> Tm."""
-    if p == 1:
-        return beta_transpose(g, args[0])
-    table = g.curv_tan.get(p, {})
-    values = {}
+    Pairing i is scaled by (-1)^{|letter i| + twist}: twist 0 for the tangent
+    families (beta, Rtan), twist 1 for Rperp, which carries the -(-1)^{|eta|}
+    twist that relates letter substitution to the bracket recovery formula.
+    """
     emb = [_embed_normal(g, v) for v in args]
-    for i in range(g.a):
+    values = {}
+    for i in range(target.rank):
         el = table.get(i)
         if el is None or el.is_zero():
             continue
         pairing = evaluate(g.to_amb(el), emb, g.ambient_module)
-        values[i] = pairing.scale(sign_scalar(g.amb.letter_degrees[i]))
-    return _tm_from_dual_values(g, values)
-
-
-def rperp_transpose(g: GeometricModel, k: int, args: Sequence[ModuleElement]) -> ModuleElement:
-    """Module-side k-th normal curvature: Nm^{x k} -> Nm.
-
-    Carries the -(-1)^{|eta|} twist that relates letter substitution to the
-    bracket recovery formula.
-    """
-    table = g.curv_perp.get(k, {})
-    values = {}
-    emb = [_embed_normal(g, v) for v in args]
-    for j in range(g.b):
-        el = table.get(j)
-        if el is None or el.is_zero():
-            continue
-        pairing = evaluate(g.to_amb(el), emb, g.ambient_module)
-        values[j] = pairing.scale(sign_scalar(g.nor.letter_degrees[j] + 1))
-    return _nm_from_dual_values(g, values)
+        values[i] = pairing.scale(sign_scalar(twist - target.degrees[i]))
+    return _from_dual_values(target, values)
 
 
 def shape_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> ModuleElement:
     """S_N contraction: (tangent direction, normal argument) -> tangent.
 
     Signless: the anchor-recursion bookkeeping cancels every Koszul factor
-    here (the analogous curvature transposes carry (-1)^{|xi|}).
+    here (the analogous tangent-valued transposes carry (-1)^{|xi|}).
     """
     values = {}
     for i in range(g.a):
@@ -907,13 +862,13 @@ def shape_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> Modu
         values[i] = evaluate(
             el, [_embed_tangent(g, V), _embed_normal(g, nu)], g.ambient_module
         )
-    return _tm_from_dual_values(g, values)
+    return _from_dual_values(g.tangent, values)
 
 
 def gamma_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> ModuleElement:
     """Normal-connection contraction nabla^perp_V nu on generators.
 
-    Shares the -(-1)^{|eta|} bracket-recovery twist with rperp_transpose.
+    Shares the -(-1)^{|eta|} bracket-recovery twist with the Rperp transpose.
     """
     values = {}
     for j in range(g.b):
@@ -924,7 +879,7 @@ def gamma_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> Modu
             el, [_embed_tangent(g, V), _embed_normal(g, nu)], g.ambient_module
         )
         values[j] = pairing.scale(Scalar(-1))
-    return _nm_from_dual_values(g, values)
+    return _from_dual_values(g.normal, values)
 
 
 def vector_action(g: GeometricModel, V: ModuleElement, a: AlgebraElement) -> AlgebraElement:
@@ -972,7 +927,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
         got = alpha_tables.get(m, {}).get(ckey)
         if got is None:
             return g.tangent.zero()
-        return got.scale(sign_scalar(0 if sign == 1 else 1))
+        return got.scale(sign)
 
     for m in range(1, cap + 1):
         table: Dict[Word, ModuleElement] = {}
@@ -983,9 +938,9 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
             gens = [g.normal.generator(i) for i in key]
             degs = [degrees[i] for i in key]
             if m == 1:
-                val = beta_transpose(g, gens[0])
+                val = _transpose(g, g.beta, g.tangent, 0, gens)
             else:
-                val = rtan_transpose(g, m, gens)
+                val = _transpose(g, g.curv_tan.get(m, {}), g.tangent, 0, gens)
                 for sigma in enumerate_unshuffles(m - 1, 1):
                     perm = sigma.permute(list(range(m)))
                     sign = sym_sign(sigma, degs)
@@ -1003,7 +958,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
                 continue
             gens = [g.normal.generator(i) for i in key]
             degs = [degrees[i] for i in key]
-            val = rperp_transpose(g, n, gens)
+            val = _transpose(g, g.curv_perp.get(n, {}), g.normal, 1, gens)
             for sigma in enumerate_unshuffles(n - 1, 1):
                 perm = sigma.permute(list(range(n)))
                 sign = sym_sign(sigma, degs)

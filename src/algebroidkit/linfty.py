@@ -1,15 +1,16 @@
 """Homotopy Lie structures on free modules and the shifted derivation DGLA.
 
-Two bracket flavors are supported on a free graded module:
+``LInftyAlgebra`` stores the brackets of one homotopy Lie structure on a free
+graded module in either sign convention, chosen by its ``symmetric`` flag:
 
-* ``LInftyAlgebra``: graded skew brackets l_n of degree 2-n (chi signs);
-* ``LInftyOneAlgebra``: graded symmetric brackets ell_n of degree +1
-  (alpha signs), the shifted picture used everywhere downstream.
+* skew (the default): graded skew brackets l_n of degree 2-n (chi signs);
+* symmetric: graded symmetric brackets ell_n of degree +1 (alpha signs),
+  the shifted picture used everywhere downstream.
 
 Brackets are stored by values on sorted generator tuples and extended
 A-multilinearly with Koszul signs; the unary bracket is always the carrier
 differential (a Leibniz derivation, not A-linear).  The degree-shift
-dictionary (decalage) converts between the two flavors with the sign
+dictionary (decalage) converts between the two conventions with the sign
 
     {v_1..v_n} = (-1)^{(n-1)|v_1| + (n-2)|v_2| + ... + |v_{n-1}|} [v_1..v_n]
 
@@ -45,12 +46,13 @@ GenKey = Tuple[int, ...]
 
 def canonicalize_key(
     key: Sequence[int], degrees: Sequence[int], symmetric: bool
-) -> Tuple[GenKey, int, bool]:
+) -> Tuple[GenKey, Scalar, bool]:
     """Sort a generator tuple, returning (key, sign, vanishes).
 
-    sign is the Koszul factor relating the value on the input order to the
-    value on the sorted order; vanishes marks tuples killed by the symmetry
-    (repeated odd entries for symmetric brackets, repeated even for skew).
+    sign is the Koszul factor (ONE or MINUS_ONE) relating the value on the
+    input order to the value on the sorted order; vanishes marks tuples
+    killed by the symmetry (repeated odd entries for symmetric brackets,
+    repeated even for skew).
     """
     items = list(key)
     exponent = 0
@@ -62,9 +64,7 @@ def canonicalize_key(
             swaps += 1
             items[j - 1], items[j] = items[j], items[j - 1]
             j -= 1
-    sign = (-1) ** exponent
-    if not symmetric:
-        sign *= (-1) ** swaps
+    sign = sign_scalar(exponent if symmetric else exponent + swaps)
     for a, b in zip(items, items[1:]):
         if a == b:
             parity = degrees[a] % 2
@@ -90,7 +90,7 @@ class BracketTable:
             if not value.is_zero():
                 raise KitError(f"value prescribed on a vanishing tuple {tuple(key)}")
             return
-        stored = value.scale(sign_scalar(0 if sign == 1 else 1))
+        stored = value.scale(sign)
         if stored.is_zero():
             self.values.pop(ckey, None)
         else:
@@ -103,16 +103,21 @@ class BracketTable:
         got = self.values.get(ckey)
         if got is None:
             return self.module.zero()
-        return got.scale(sign_scalar(0 if sign == 1 else 1))
+        return got.scale(sign)
 
     def is_zero(self) -> bool:
         return not self.values
 
-    def copy_into(self, module: FreeModule, transform) -> "BracketTable":
-        out = BracketTable(module, self.arity, self.symmetric)
-        for key, val in self.values.items():
-            out.values[key] = transform(key, val)
-        return out
+    def __eq__(self, other) -> bool:
+        """Same keys with the same coefficients; the carrier module may differ."""
+        if not isinstance(other, BracketTable):
+            return NotImplemented
+        return _tables_equal(self.values, other.values)
+
+
+def _tables_equal(t1: Mapping, t2: Mapping) -> bool:
+    """Equal key sets and, per key, equal coefficients (``items()``)."""
+    return t1.keys() == t2.keys() and all(t1[k].items() == t2[k].items() for k in t1)
 
 
 def sorted_tuples(rank: int, n: int) -> List[GenKey]:
@@ -167,74 +172,31 @@ def multilinear_extend(
 
 
 # ---------------------------------------------------------------------------
-# the two structure flavors
+# the structure, in either sign convention
 # ---------------------------------------------------------------------------
 
 
-class LInftyOneAlgebra:
-    """Graded symmetric brackets of degree +1 on a free module; ell_1 = d_L."""
-
-    symmetric = True
-
-    def __init__(self, carrier: FreeModule, arity_cap: int = 4):
-        self.carrier = carrier
-        self.arity_cap = arity_cap
-        self.tables: Dict[int, BracketTable] = {}
-
-    def set_bracket(self, n: int, key: Sequence[int], value: ModuleElement):
-        if n < 2 or n > self.arity_cap:
-            raise CapError(f"bracket arity {n} outside 2..{self.arity_cap}")
-        self.tables.setdefault(n, BracketTable(self.carrier, n, True)).set(key, value)
-
-    def bracket(self, n: int, args: Sequence[ModuleElement]) -> ModuleElement:
-        if len(args) != n:
-            raise KitError("bracket arity does not match argument count")
-        if n == 1:
-            return args[0].d()
-        if n > self.arity_cap:
-            raise CapError(f"arity {n} exceeds cap {self.arity_cap}")
-        table = self.tables.get(n)
-        if table is None:
-            return self.carrier.zero()
-        return multilinear_extend(
-            lambda gens: table.get(gens),
-            1,
-            args,
-            self.carrier.degrees,
-            self.carrier.zero(),
-        )
-
-    def validate(self) -> List[str]:
-        problems = []
-        for n, table in self.tables.items():
-            for key, val in table.values.items():
-                want = sum(self.carrier.degrees[i] for i in key) + 1
-                try:
-                    got = val.degree()
-                except DegreeError:
-                    problems.append(f"bracket {n} value at {key} inhomogeneous")
-                    continue
-                if got is not None and got != want:
-                    problems.append(
-                        f"bracket {n} at {key} has degree {got}, expected {want}"
-                    )
-        return problems
-
-
 class LInftyAlgebra:
-    """Graded skew brackets of degree 2-n on a free module; l_1 = d_L."""
+    """Brackets on a free module; l_1 = d_L.
 
-    symmetric = False
+    Skew brackets of degree 2-n by default; with symmetric=True, graded
+    symmetric brackets of degree +1.
+    """
 
-    def __init__(self, carrier: FreeModule, arity_cap: int = 4):
+    def __init__(self, carrier: FreeModule, arity_cap: int = 4, symmetric: bool = False):
         self.carrier = carrier
         self.arity_cap = arity_cap
+        self.symmetric = symmetric
         self.tables: Dict[int, BracketTable] = {}
+
+    def bracket_degree(self, n: int) -> int:
+        return 1 if self.symmetric else 2 - n
 
     def set_bracket(self, n: int, key: Sequence[int], value: ModuleElement):
         if n < 2 or n > self.arity_cap:
             raise CapError(f"bracket arity {n} outside 2..{self.arity_cap}")
-        self.tables.setdefault(n, BracketTable(self.carrier, n, False)).set(key, value)
+        table = self.tables.setdefault(n, BracketTable(self.carrier, n, self.symmetric))
+        table.set(key, value)
 
     def bracket(self, n: int, args: Sequence[ModuleElement]) -> ModuleElement:
         if len(args) != n:
@@ -248,7 +210,7 @@ class LInftyAlgebra:
             return self.carrier.zero()
         return multilinear_extend(
             lambda gens: table.get(gens),
-            (2 - n) % 2,
+            self.bracket_degree(n) % 2,
             args,
             self.carrier.degrees,
             self.carrier.zero(),
@@ -258,7 +220,7 @@ class LInftyAlgebra:
         problems = []
         for n, table in self.tables.items():
             for key, val in table.values.items():
-                want = sum(self.carrier.degrees[i] for i in key) + 2 - n
+                want = sum(self.carrier.degrees[i] for i in key) + self.bracket_degree(n)
                 try:
                     got = val.degree()
                 except DegreeError:
@@ -277,34 +239,16 @@ class LInftyAlgebra:
 
 
 def jacobi_residual(L, n: int) -> Dict[GenKey, ModuleElement]:
-    """Symmetric higher Jacobi residual at total arity n on generator tuples.
+    """Higher Jacobi residual at total arity n on generator tuples.
+
+    L is any structure with ``carrier``, ``symmetric`` and ``bracket``.  In
+    the symmetric convention
 
     sum_{i+j=n} sum_{Sh(i,j)} alpha(sigma, v)
-        { {v_s(1)..v_s(i)}, v_s(i+1), ..., v_s(n) } = 0 for genuine structures.
+        { {v_s(1)..v_s(i)}, v_s(i+1), ..., v_s(n) } = 0 for genuine structures;
+
+    the skew convention uses chi signs and an extra (-1)^{i j} factor.
     """
-    if n > getattr(L, "arity_cap", n):
-        raise CapError(f"arity {n} exceeds cap")
-    carrier = L.carrier
-    out: Dict[GenKey, ModuleElement] = {}
-    for key in sorted_tuples(carrier.rank, n):
-        degs = [carrier.degrees[i] for i in key]
-        gens = [carrier.generator(i) for i in key]
-        total = carrier.zero()
-        for i in range(1, n + 1):
-            for sigma in unshuffles_with_tail(n, i):
-                perm = sigma.permute(list(range(n)))
-                sign = sym_sign(sigma, degs)
-                inner = L.bracket(i, [gens[p] for p in perm[:i]])
-                outer_args = [inner] + [gens[p] for p in perm[i:]]
-                term = L.bracket(n - i + 1, outer_args)
-                total = total + term.scale(sign_scalar(0 if sign == 1 else 1))
-        if not total.is_zero():
-            out[key] = total
-    return out
-
-
-def jacobi_residual_skew(L, n: int) -> Dict[GenKey, ModuleElement]:
-    """Skew higher Jacobi residual with chi signs and the (-1)^{i j} factor."""
     if n > getattr(L, "arity_cap", n):
         raise CapError(f"arity {n} exceeds cap")
     carrier = L.carrier
@@ -317,11 +261,14 @@ def jacobi_residual_skew(L, n: int) -> Dict[GenKey, ModuleElement]:
             j = n - i
             for sigma in unshuffles_with_tail(n, i):
                 perm = sigma.permute(list(range(n)))
-                sign = skew_sign(sigma, degs)
+                if L.symmetric:
+                    exponent = 0 if sym_sign(sigma, degs) == 1 else 1
+                else:
+                    exponent = i * j + (0 if skew_sign(sigma, degs) == 1 else 1)
                 inner = L.bracket(i, [gens[p] for p in perm[:i]])
                 outer_args = [inner] + [gens[p] for p in perm[i:]]
                 term = L.bracket(j + 1, outer_args)
-                total = total + term.scale(sign_scalar((i * j) + (0 if sign == 1 else 1)))
+                total = total + term.scale(sign_scalar(exponent))
         if not total.is_zero():
             out[key] = total
     return out
@@ -353,28 +300,28 @@ def _decalage_exponent(key: GenKey, degrees: Sequence[int]) -> int:
     return sum((n - pos) * degrees[i] for pos, i in enumerate(key, start=1))
 
 
-def decalage(L: LInftyAlgebra) -> LInftyOneAlgebra:
-    """Shift a skew structure to the symmetric picture on the shifted module."""
-    shifted = _shift_module(L.carrier, 1, "[1]")
-    out = LInftyOneAlgebra(shifted, arity_cap=L.arity_cap)
+def _shift_structure(L: LInftyAlgebra, shift: int, name_suffix: str) -> LInftyAlgebra:
+    """Carry L to the module shifted by shift: +1 lands in the symmetric
+    convention, -1 in the skew one."""
+    shifted = _shift_module(L.carrier, shift, name_suffix)
+    unshifted_degrees = L.carrier.degrees if shift == 1 else shifted.degrees
+    out = LInftyAlgebra(shifted, arity_cap=L.arity_cap, symmetric=shift == 1)
     for n, table in L.tables.items():
         for key, val in table.values.items():
-            exponent = _decalage_exponent(key, L.carrier.degrees)
+            exponent = _decalage_exponent(key, unshifted_degrees)
             new_val = ModuleElement(shifted, dict(val.items())).scale(sign_scalar(exponent))
             out.set_bracket(n, key, new_val)
     return out
 
 
-def decalage_inverse(L1: LInftyOneAlgebra) -> LInftyAlgebra:
+def decalage(L: LInftyAlgebra) -> LInftyAlgebra:
+    """Shift a skew structure to the symmetric picture on the shifted module."""
+    return _shift_structure(L, 1, "[1]")
+
+
+def decalage_inverse(L1: LInftyAlgebra) -> LInftyAlgebra:
     """Inverse dictionary: unshifted degrees are the shifted ones plus one."""
-    unshifted = _shift_module(L1.carrier, -1, "[-1]")
-    out = LInftyAlgebra(unshifted, arity_cap=L1.arity_cap)
-    for n, table in L1.tables.items():
-        for key, val in table.values.items():
-            exponent = _decalage_exponent(key, unshifted.degrees)
-            new_val = ModuleElement(unshifted, dict(val.items())).scale(sign_scalar(exponent))
-            out.set_bracket(n, key, new_val)
-    return out
+    return _shift_structure(L1, -1, "[-1]")
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +572,14 @@ def build_shifted_der_dgla(base: BaseAlgebra) -> ShiftedDerDGLA:
 class LInftyMorphism:
     """Degree-0 graded symmetric components f_n from a symmetric structure.
 
+    The source is anything symmetric with a ``carrier`` and ``bracket``: an
+    ``LInftyAlgebra`` with symmetric=True or an ``AlgebroidStructure``.
     Component values live in the target structure's element type: module
     elements for a module-carried target, concrete algebra derivations for
     the shifted derivation DGLA.
     """
 
-    def __init__(self, source: LInftyOneAlgebra, target, zero_value):
+    def __init__(self, source, target, zero_value):
         self.source = source
         self.target = target
         self.zero_value = zero_value
@@ -642,10 +591,7 @@ class LInftyMorphism:
         )
         if vanishes:
             return
-        self.tables.setdefault(n, {})[ckey] = value.scale(sign_scalar(0 if sign == 1 else 1))
-
-    def max_arity(self) -> int:
-        return max(self.tables, default=0)
+        self.tables.setdefault(n, {})[ckey] = value.scale(sign)
 
     def component(self, n: int, args: Sequence[ModuleElement]):
         table = self.tables.get(n)
@@ -661,14 +607,14 @@ class LInftyMorphism:
             got = table.get(ckey)
             if got is None:
                 return None
-            return got.scale(sign_scalar(0 if sign == 1 else 1))
+            return got.scale(sign)
 
         return multilinear_extend(
             lookup, 0, args, self.source.carrier.degrees, self.zero_value
         )
 
 
-def identity_morphism(L: LInftyOneAlgebra) -> LInftyMorphism:
+def identity_morphism(L: LInftyAlgebra) -> LInftyMorphism:
     f = LInftyMorphism(L, L, L.carrier.zero())
     for i in range(L.carrier.rank):
         f.set_component(1, (i,), L.carrier.generator(i))
@@ -676,7 +622,7 @@ def identity_morphism(L: LInftyOneAlgebra) -> LInftyMorphism:
 
 
 def morphism_residual(
-    f: LInftyMorphism, L: LInftyOneAlgebra, target, n: int
+    f: LInftyMorphism, L, target, n: int
 ) -> Dict[GenKey, object]:
     """Defect of the structure-morphism identity at total arity n.
 

@@ -313,6 +313,10 @@ def parse_model(
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     top_allowed = [
         "schema",
         "kind",

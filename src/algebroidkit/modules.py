@@ -165,9 +165,6 @@ class FreeModule:
         """Used when a module and its differential must be built in two steps."""
         self._differential = {i: v for i, v in differential.items() if not v.is_zero()}
 
-    def dual_letter_degrees(self) -> Tuple[int, ...]:
-        return tuple(-d for d in self.degrees)
-
     def __repr__(self) -> str:
         return f"FreeModule({self.name}, rank={self.rank})"
 

@@ -50,9 +50,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -76,9 +73,6 @@ class Scalar:
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
-
-    def times_int(self, k: int) -> "Scalar":
-        return Scalar(self.re * k, self.im * k)
 
     def div_int(self, k: int) -> "Scalar":
         if k == 0:

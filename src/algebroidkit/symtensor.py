@@ -438,14 +438,6 @@ class DerivationD:
         got = self.on_letters.get(i)
         return got.weight_part(n + 1) if got is not None else self.algebra.zero()
 
-    def max_component(self) -> int:
-        n = 0
-        for v in self.on_algebra.values():
-            n = max(n, v.max_weight())
-        for v in self.on_letters.values():
-            n = max(n, max((w - 1 for w in v.weights()), default=0))
-        return n
-
     def weight_component(self, n: int) -> "DerivationD":
         return DerivationD(
             self.algebra,

@@ -49,10 +49,10 @@ from algebroidkit.geometry import (
     transport_lemma_residual,
 )
 from algebroidkit.linfty import (
+    BracketTable,
     decalage,
     decalage_inverse,
     jacobi_residual,
-    jacobi_residual_skew,
 )
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE
@@ -145,11 +145,11 @@ def test_criterion_2_decalage():
                     ok = False
     for L in (matrix_dgla(), cone_dgla()):
         for n in range(1, 5):
-            if jacobi_residual_skew(L, n) != {}:
+            if jacobi_residual(L, n) != {}:
                 ok = False
             if jacobi_residual(decalage(L), n) != {}:
                 ok = False
-            if jacobi_residual_skew(decalage_inverse(decalage(L)), n) != {}:
+            if jacobi_residual(decalage_inverse(decalage(L)), n) != {}:
                 ok = False
     announce(2, ok, "degree-shift dictionary: 50 random round trips exact; Jacobi preserved both ways on matrix DGLAs", time.perf_counter() - t0, 5)
 
@@ -182,6 +182,45 @@ def all_residuals_empty(S):
         and all(leibniz_residual(S, m) == {} for m in range(1, 5))
         and all(anchor_morphism_residual(S, m) == {} for m in range(1, 4))
     )
+
+
+def copy_structure(S, with_anchors=True):
+    out = AlgebroidStructure(S.base, S.carrier, S.bracket_cap, S.anchor_cap)
+    out.brackets = {n: dict(t) for n, t in S.brackets.items()}
+    if with_anchors:
+        out.anchors = {n: dict(t) for n, t in S.anchors.items()}
+    return out
+
+
+def bracket_tables(S):
+    tables = {}
+    for n, table in S.brackets.items():
+        tables[n] = BracketTable(S.carrier, n, symmetric=True)
+        tables[n].values.update(table)
+    return tables
+
+
+def test_structure_equality_agrees_with_oracle():
+    """__eq__ of AlgebroidStructure and BracketTable matches structures_equal,
+    on an equal pair and on pairs that differ in one place."""
+    S = structure_from_geometry(fixture_corpus()["rank2.geometric"])
+    n, key = min((n, k) for n, t in S.brackets.items() for k in t)
+    m, akey = min((m, k) for m, t in S.anchors.items() for k in t)
+
+    equal = copy_structure(S)
+    bracket_bumped = copy_structure(S)
+    bracket_bumped.brackets[n][key] = S.brackets[n][key] + S.carrier.generator(0)
+    anchor_bumped = copy_structure(S)
+    anchor_bumped.anchors[m][akey] = S.anchors[m][akey] + S.base.one()
+    extra_arity = copy_structure(S)
+    extra_arity.brackets[max(S.brackets) + 1] = {}
+
+    for S2, same in [(equal, True), (bracket_bumped, False), (anchor_bumped, False), (extra_arity, False)]:
+        assert structures_equal(S, S2) is same
+        assert (S == S2) is same and (S2 == S) is same
+        same_brackets = structures_equal(copy_structure(S, False), copy_structure(S2, False))
+        assert (bracket_tables(S) == bracket_tables(S2)) is same_brackets
+    assert bracket_tables(S) == bracket_tables(anchor_bumped)
 
 
 def test_criterion_3_ce_duality():

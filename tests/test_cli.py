@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -109,21 +108,11 @@ def test_json_report_is_canonical_and_timing_free(model_dir, tmp_path):
     assert doc["caps"] == {"arity": 4, "weight": 4}
 
 
-def test_worker_env_does_not_change_report(model_dir, tmp_path):
-    out1 = tmp_path / "w1.json"
-    out2 = tmp_path / "w4.json"
-    old = os.environ.get("ALGEBROIDKIT_WORKERS")
-    try:
-        os.environ["ALGEBROIDKIT_WORKERS"] = "1"
-        run(["lemmas", model_dir / "rank2.geometric.json", "--json", out1])
-        os.environ["ALGEBROIDKIT_WORKERS"] = "4"
-        run(["lemmas", model_dir / "rank2.geometric.json", "--json", out2])
-    finally:
-        if old is None:
-            os.environ.pop("ALGEBROIDKIT_WORKERS", None)
-        else:
-            os.environ["ALGEBROIDKIT_WORKERS"] = old
-    assert out1.read_bytes() == out2.read_bytes()
+@pytest.mark.parametrize("arity", [0, -1])
+@pytest.mark.parametrize("command", ["jacobi", "leibniz", "anchor"])
+def test_arity_below_one_exits_2(model_dir, capsys, command, arity):
+    assert run([command, model_dir / "conjugated.algebroid.json", "--arity", arity]) == 2
+    assert "--arity" in capsys.readouterr().err
 
 
 def test_weight_override_recorded(model_dir, tmp_path, capsys):

@@ -12,7 +12,6 @@ from algebroidkit.fixtures import (
 )
 from algebroidkit.linfty import (
     LInftyAlgebra,
-    LInftyOneAlgebra,
     LInftyMorphism,
     algebra_derivation_basis,
     build_shifted_der_dgla,
@@ -22,7 +21,6 @@ from algebroidkit.linfty import (
     decalage_inverse,
     identity_morphism,
     jacobi_residual,
-    jacobi_residual_skew,
     morphism_residual,
     sorted_tuples,
 )
@@ -33,13 +31,13 @@ from algebroidkit.scalars import ONE, Scalar
 def test_matrix_dgla_jacobi_skew():
     L = matrix_dgla()
     for n in range(1, 5):
-        assert jacobi_residual_skew(L, n) == {}
+        assert jacobi_residual(L, n) == {}
 
 
 def test_cone_dgla_jacobi_skew():
     L = cone_dgla()
     for n in range(1, 5):
-        assert jacobi_residual_skew(L, n) == {}
+        assert jacobi_residual(L, n) == {}
 
 
 def test_perturbed_matrix_dgla_fails_jacobi():
@@ -48,7 +46,7 @@ def test_perturbed_matrix_dgla_fails_jacobi():
     # plant a wrong entry: [E11, E12] += E21
     bad = ModuleElement(L.carrier, {2: base.one()})
     L.set_bracket(2, (0, 1), L.tables[2].get((0, 1)) + bad)
-    assert jacobi_residual_skew(L, 3) != {}
+    assert jacobi_residual(L, 3) != {}
 
 
 def test_decalage_preserves_jacobi_both_ways():
@@ -58,7 +56,7 @@ def test_decalage_preserves_jacobi_both_ways():
             assert jacobi_residual(L1, n) == {}
         back = decalage_inverse(L1)
         for n in range(1, 5):
-            assert jacobi_residual_skew(back, n) == {}
+            assert jacobi_residual(back, n) == {}
 
 
 def random_skew_tables(rng, carrier, arity_cap=4):
@@ -170,7 +168,7 @@ def test_transported_structure_morphism_residual():
     carrier = L.carrier
     # target: same module, brackets transported through f1(g_i) = c_i g_i
     scalars = [Scalar(rng.randint(1, 3)) for _ in range(carrier.rank)]
-    target = LInftyOneAlgebra(carrier, arity_cap=L.arity_cap)
+    target = LInftyAlgebra(carrier, arity_cap=L.arity_cap, symmetric=True)
     table = L.tables.get(2)
     for key, val in table.values.items():
         ci, cj = scalars[key[0]], scalars[key[1]]
@@ -215,5 +213,5 @@ def test_decalage_conjugates_jacobi_failure():
     base = L.carrier.base
     bad = ModuleElement(L.carrier, {2: base.one()})
     L.set_bracket(2, (0, 1), L.tables[2].get((0, 1)) + bad)
-    assert jacobi_residual_skew(L, 3) != {}
+    assert jacobi_residual(L, 3) != {}
     assert jacobi_residual(decalage(L), 3) != {}

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.errors import ParseError
-from algebroidkit.fixtures import fixture_corpus
+from algebroidkit.fixtures import fixture_corpus, write_fixture_corpus
 from algebroidkit.geometry import GeometricModel, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
 
@@ -74,6 +75,30 @@ def test_float_coefficient_rejected(corpus):
     with pytest.raises(ParseError) as err:
         parse_model(json.dumps(doc))
     assert "integer" in str(err.value)
+
+
+def test_deeply_nested_json_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_model("[" * 100_000)
+    assert "invalid JSON" in str(err.value)
+
+
+def test_integer_past_digit_limit_rejected(corpus):
+    doc = json.loads(serialize_model(corpus["rank1_curved.geometric"]))
+    entry = doc["tensors"]["curv_perp"][0]["value"][0]["terms"][0]
+    entry["coeff"]["num"] = "HUGE"
+    text = json.dumps(doc).replace('"HUGE"', "1" * 5000)
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert "invalid JSON" in str(err.value)
+
+
+def test_shipped_fixtures_match_generator(tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "fixtures"
+    written = [Path(p) for p in write_fixture_corpus(str(tmp_path))]
+    assert sorted(p.name for p in written) == sorted(p.name for p in shipped.glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (shipped / path.name).read_bytes(), path.name
 
 
 def test_truncated_file_gives_location():

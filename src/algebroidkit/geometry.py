@@ -946,7 +946,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
                     sign = sym_sign(sigma, degs)
                     inner = alpha_eval(m - 1, tuple(key[p] for p in perm[: m - 1]))
                     term = shape_action(g, inner, gens[perm[m - 1]])
-                    val = val + term.scale(sign_scalar(0 if sign == 1 else 1))
+                    val = val + term.scale(Scalar(sign))
             if not val.is_zero():
                 table[key] = val
         alpha_tables[m] = table
@@ -964,7 +964,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
                 sign = sym_sign(sigma, degs)
                 inner = alpha_eval(n - 1, tuple(key[p] for p in perm[: n - 1]))
                 term = gamma_action(g, inner, gens[perm[n - 1]])
-                val = val + term.scale(sign_scalar(0 if sign == 1 else 1))
+                val = val + term.scale(Scalar(sign))
             if not val.is_zero():
                 S.set_bracket(n, key, val)
 

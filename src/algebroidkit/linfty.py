@@ -546,7 +546,7 @@ class ShiftedDerDGLA:
                     sign = sym_sign(sigma, degs)
                     inner = self.bracket(i, [elems[p] for p in perm[:i]])
                     term = self.bracket(n - i + 1, [inner] + [elems[p] for p in perm[i:]])
-                    total = total + term.scale(sign_scalar(0 if sign == 1 else 1))
+                    total = total + term.scale(Scalar(sign))
             if not total.is_zero():
                 out[key] = total
         return out
@@ -642,7 +642,7 @@ def morphism_residual(
                 sign = sym_sign(sigma, degs)
                 inner = L.bracket(i, [gens[p] for p in perm[:i]])
                 term = f.component(n - i + 1, [inner] + [gens[p] for p in perm[i:]])
-                lhs = lhs + term.scale(sign_scalar(0 if sign == 1 else 1))
+                lhs = lhs + term.scale(Scalar(sign))
         rhs = f.zero_value
         for blocks in canonical_partitions(n):
             sigma = partition_permutation(blocks)
@@ -651,7 +651,7 @@ def morphism_residual(
                 f.component(len(b), [gens[x - 1] for x in b]) for b in blocks
             ]
             term = target.bracket(len(blocks), values)
-            rhs = rhs + term.scale(sign_scalar(0 if sign == 1 else 1))
+            rhs = rhs + term.scale(Scalar(sign))
         residual = lhs + rhs.scale(Scalar(-1))
         if not residual.is_zero():
             out[key] = residual

@@ -14,6 +14,17 @@ product formula
 
 so the stored-word view and the multilinear-map view convert exactly into
 each other (``evaluate`` / ``from_values``).
+
+The conversion reads the word table directly.  A sorted word w evaluated on
+its own generators g_{w_1}, ..., g_{w_r} gives the nonzero integer
+
+    kappa(w) = prod_j m_j! * (-1)^{o(o-1)/2}
+
+(m_j the multiplicity of letter j, o the number of odd letters) and vanishes
+on the generators of any other word.  So ``from_values`` divides each value
+by kappa(w), and ``evaluate`` on unit generators is one table read times
+kappa and the Koszul sign of sorting the arguments; only general arguments
+(non-unit coefficients, sums) go through the unshuffle sum ``_eval_word``.
 """
 
 from __future__ import annotations
@@ -277,6 +288,12 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
     The letters of element.algebra must be the dual generators of module
     (in order).  Evaluation is graded symmetric and A-multilinear in the
     Koszul sense fixed by the product formula.
+
+    When every argument is a unit generator g_i of module, the value is read
+    off the table: sorting the indices gives a word w and a Koszul sign, and
+    only w is nonzero there, so the value is sign * kappa(w) * (coefficient
+    of w).  Any other argument is split into homogeneous pieces and each
+    word is summed over unshuffles by ``_eval_word``.
     """
     alg = element.algebra
     base = alg.base
@@ -285,6 +302,14 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
         raise CapError(f"cannot evaluate {r} arguments at weight cap {alg.cap}")
     if module.rank != alg.n_letters:
         raise BaseMismatch("module generators do not match algebra letters")
+    one = base.one()
+    if all(v.module is module and len(v.coeffs) == 1 and v.coeffs[0][1] == one for v in args):
+        sorted_word = alg.word(v.coeffs[0][0] for v in args)
+        if sorted_word.is_zero():  # a repeated odd generator
+            return base.zero()
+        ((w, sign),) = sorted_word.items()
+        a = element.data.get(w, base.zero())
+        return a.scale(sign.coefficient(base.unit) * _word_constant(alg, w))
     total = base.zero()
     part = element.weight_part(r)
     if part.is_zero():
@@ -337,6 +362,25 @@ def _eval_word(
     return acc
 
 
+def _word_constant(alg: SymAlgebra, word: Word) -> Scalar:
+    """kappa(w): the sorted word w evaluated on its own generators, in order.
+
+    kappa(w) = prod_j m_j! * (-1)^{o(o-1)/2}, where m_j is the multiplicity
+    of letter j in w and o the number of odd letters.  A run of m equal
+    letters (even, or the word would vanish) pairs with its m generators in
+    m! ways, all with the same sign, and each letter's generator is moved
+    past the later letters, one sign for every pair of odd letters.
+    """
+    kappa = 1
+    run = 0
+    odd = 0
+    for k, letter in enumerate(word):
+        run = run + 1 if k and word[k - 1] == letter else 1
+        kappa *= run
+        odd += alg.letter_degrees[letter] % 2
+    return Scalar(-kappa if odd * (odd - 1) // 2 % 2 else kappa)
+
+
 def from_values(
     alg: SymAlgebra,
     module: FreeModule,
@@ -348,7 +392,9 @@ def from_values(
     value_fn receives (generator index tuple, generator elements) for every
     sorted multiset of generators without odd repeats and must return the
     value of the desired symmetric A-multilinear map there.  Requires the
-    module to be free with the letters as its dual basis.
+    module to be free with the letters as its dual basis.  A word w takes
+    the value kappa(w) on its own generators (``_word_constant``), a nonzero
+    integer, so its coefficient is value / kappa(w).
     """
     if weight > alg.cap:
         raise CapError("weight above cap")
@@ -356,26 +402,11 @@ def from_values(
         return alg.scalar(value_fn((), []))
     acc: Dict[Word, AlgebraElement] = {}
     for word in alg.words_of_weight(weight):
-        gens = [module.generator(i) for i in word]
-        degs = [module.degrees[i] for i in word]
-        kappa = _eval_word(alg, module, word, gens, degs)
-        scal = _extract_scalar(kappa, alg.base)
-        if scal.is_zero():
-            raise KitError(f"degenerate pairing for word {word}")
-        value = value_fn(word, gens)
+        value = value_fn(word, [module.generator(i) for i in word])
         if value.is_zero():
             continue
-        acc[word] = value.scale(scal.inverse())
+        acc[word] = value.scale(_word_constant(alg, word).inverse())
     return SymElement(alg, acc)
-
-
-def _extract_scalar(a: AlgebraElement, base: BaseAlgebra) -> Scalar:
-    if a.is_zero():
-        return Scalar.zero()
-    items = a.items()
-    if len(items) != 1 or items[0][0] != base.unit:
-        raise KitError("expected a scalar multiple of the unit")
-    return items[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -564,22 +595,8 @@ def dual_differential_letter(algebra: SymAlgebra, module: FreeModule, letter: in
         # d_A(eta(g_j)) = d_A(delta) = 0 on basis duals
         if val.is_zero():
             continue
-        acc = acc + _weight_one_from_values(algebra, module, {j: val})
+        acc = acc + algebra.letter(j, val)
     return acc
-
-
-def _weight_one_from_values(
-    algebra: SymAlgebra, module: FreeModule, values: Mapping[int, AlgebraElement]
-) -> SymElement:
-    """Weight-1 element f with f(g_j) = values[j] (coefficients solved exactly)."""
-    acc: Dict[Word, AlgebraElement] = {}
-    for j, val in values.items():
-        if val.is_zero():
-            continue
-        kappa = _eval_word(algebra, module, (j,), [module.generator(j)], [module.degrees[j]])
-        scal = _extract_scalar(kappa, algebra.base)
-        acc[(j,)] = val.scale(scal.inverse())
-    return SymElement(algebra, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -123,3 +123,25 @@ def test_weight_override_recorded(model_dir, tmp_path, capsys):
     # lowering below the stored data is an input error
     assert run(["duality", model_dir / "generic.geometric.json", "--weight", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400", "true"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        ("tensors", "curv_perp", 0, "value", 0, "terms", 0, "coeff", "num"),
+        ("base", "basis", 1, "degree"),
+        ("normal", "generators", 0, "degree"),
+    ],
+    ids=["coeff", "base-degree", "generator-degree"],
+)
+def test_non_integer_json_number_exits_2(model_dir, tmp_path, capsys, literal, field):
+    doc = json.loads((model_dir / "rank1_curved.geometric.json").read_text())
+    slot = doc
+    for key in field[:-1]:
+        slot = slot[key]
+    slot[field[-1]] = "PLACEHOLDER"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    assert run(["validate", bad]) == 2
+    assert "expected an integer" in capsys.readouterr().err

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
-from algebroidkit.errors import CapError
+from algebroidkit.errors import BaseMismatch, CapError
 from algebroidkit.fixtures import Rng, lambda_eps, nontrivial_dga, standard_module
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
@@ -13,6 +15,7 @@ from algebroidkit.symtensor import (
     DerivationD,
     FilteredAutomorphism,
     SymAlgebra,
+    SymElement,
     conjugate,
     d0_derivation,
     evaluate,
@@ -20,6 +23,8 @@ from algebroidkit.symtensor import (
     from_values,
     mc_residual,
     square_components,
+    _eval_word,
+    _word_constant,
     zero_derivation,
 )
 
@@ -133,7 +138,7 @@ def test_evaluation_graded_symmetry():
             sigma = Permutation(sigma_images)
             permuted = list(sigma.permute(args))
             sign = sym_sign(sigma, degs)
-            assert evaluate(eta, permuted, module) == base_val.scale(sign_scalar(0 if sign == 1 else 1))
+            assert evaluate(eta, permuted, module) == base_val.scale(Scalar(sign))
 
 
 def test_evaluation_a_multilinearity_first_slot():
@@ -197,6 +202,87 @@ def test_representation_round_trip():
             alg, module, weight, lambda word, gens: evaluate(el, gens, module)
         )
         assert rebuilt == el
+
+
+# module degree patterns with even, odd, negative and repeated letters
+DEGREE_PATTERNS = [(0, 1, 0, -1), (1, 1, -1), (0, 0, 2), (-1, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("degrees", DEGREE_PATTERNS)
+def test_word_constant_matches_unshuffle_oracle(degrees):
+    """kappa(w) in closed form equals w on its own generators, summed over unshuffles."""
+    base = nontrivial_dga()
+    module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    alg = SymAlgebra.over_module(module, cap=6)
+    for weight in range(alg.cap + 1):
+        for word in alg.words_of_weight(weight):
+            gens = [module.generator(i) for i in word]
+            degs = [module.degrees[i] for i in word]
+            oracle = _eval_word(alg, module, word, gens, degs)
+            assert oracle == base.one().scale(_word_constant(alg, word)), word
+
+
+def dense_sym_element(rng, alg):
+    """Every word up to the cap, each with a nonzero random coefficient."""
+    data = {}
+    for r in range(alg.cap + 1):
+        for w in alg.words_of_weight(r):
+            data[w] = rng.algebra_element(alg.base, zero_chance=0.0)
+    return SymElement(alg, data)
+
+
+def _unshuffle_sum(el, args, module):
+    """sum_w a_w * w(args) through the unshuffle oracle, for homogeneous args."""
+    alg = el.algebra
+    degs = [v.degree() for v in args]
+    total = alg.base.zero()
+    for w, a in el.weight_part(len(args)).items():
+        total = total + a * _eval_word(alg, module, w, list(args), degs)
+    return total
+
+
+@pytest.mark.parametrize("degrees", [(0, 1, -1), (2, -1, 1)])
+def test_evaluate_on_generators_matches_unshuffle_oracle(degrees):
+    """Every ordered generator tuple up to weight 5: unsorted, repeated even,
+    repeated odd and absent words all included."""
+    base = nontrivial_dga()
+    module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    alg = SymAlgebra.over_module(module, cap=5)
+    el = dense_sym_element(Rng(14), alg)
+    gens = [module.generator(i) for i in range(module.rank)]
+    for weight in range(alg.cap + 1):
+        for idx in product(range(module.rank), repeat=weight):
+            args = [gens[i] for i in idx]
+            assert evaluate(el, args, module) == _unshuffle_sum(el, args, module), idx
+
+
+def test_evaluate_general_arguments_agree_with_generators():
+    """Non-unit coefficients and sums stay on the unshuffle path and agree."""
+    base = nontrivial_dga()
+    module = FreeModule(base, [("g0", 0), ("g1", 1), ("g2", -1)])
+    alg = SymAlgebra.over_module(module, cap=3)
+    el = dense_sym_element(Rng(15), alg)
+    g = [module.generator(i) for i in range(module.rank)]
+    e = base.basis_element(1)  # degree 1
+    for idx in product(range(module.rank), repeat=3):
+        args = [g[i] for i in idx]
+        # a non-unit homogeneous coefficient in the first slot
+        scaled = [g[idx[0]].a_mul(e)] + args[1:]
+        assert evaluate(el, scaled, module) == _unshuffle_sum(el, scaled, module), idx
+        doubled = [g[idx[0]].scale(Scalar(2))] + args[1:]
+        assert evaluate(el, doubled, module) == evaluate(el, args, module).scale(Scalar(2))
+        # a sum of two generators in the last slot
+        for k in range(module.rank):
+            summed = args[:2] + [g[idx[2]] + g[k]]
+            split = evaluate(el, args, module) + evaluate(el, args[:2] + [g[k]], module)
+            assert evaluate(el, summed, module) == split, (idx, k)
+
+
+def test_evaluate_rejects_generator_of_another_module():
+    base, module, alg = make_setup()
+    other = FreeModule(base, [(name, deg) for name, deg in zip(module.gen_names, module.degrees)])
+    with pytest.raises(BaseMismatch):
+        evaluate(alg.letter(0), [other.generator(0)], module)
 
 
 def test_evaluate_arity_above_cap():

@@ -22,7 +22,7 @@ from .algebroid import (
     extract_structure,
     leibniz_residual,
 )
-from .errors import KitError, ParseError
+from .errors import KitError
 from .fixtures import Rng, random_unipotent
 from .geometry import (
     GeometricModel,
@@ -369,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     arity_override = args.arity if args.command not in ("jacobi", "leibniz", "anchor") else None
     try:
         model = parse_model(text, weight_override=args.weight, arity_override=arity_override)
-    except ParseError as exc:
+    except KitError as exc:  # ParseError, or a model the constructors refuse
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if isinstance(model, GeometricModel):
@@ -379,17 +379,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "arity": model.bracket_cap}
     try:
         report = COMMANDS[args.command](model, caps, args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except KitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     for line in report.human_lines():
         print(line)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.canonical_json())
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(report.canonical_json())
+        except OSError as exc:
+            print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     return report.exit_code
 
 

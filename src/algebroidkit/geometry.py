@@ -699,16 +699,14 @@ def transport_lemma_residual(
         if not residual.is_zero():
             out.append((f"operator @ {el!r}", residual))
     for el in _nor_spanning(g):
-        amb_el = g.to_amb(el)
+        # nabla_bar^s(el) and shape^(s-1)(nabla_perp(el)), each carried from s - 1
+        power = g.to_amb(el)
+        iterated = g.nabla_perp_bar(el)
         for s in range(1, g.cap + 1):
-            power = amb_el
-            for _ in range(s):
-                power = g.nabla_bar(power).truncate(g.cap)
-            lhs = g.p1(power)
-            iterated = g.nabla_perp_bar(el)
-            for _ in range(s - 1):
+            power = g.nabla_bar(power).truncate(g.cap)
+            if s > 1:
                 iterated = shape_der(iterated).truncate(g.cap)
-            residual = lhs - iterated
+            residual = g.p1(power) - iterated
             if not residual.is_zero():
                 out.append((f"iterate s={s} @ {el!r}", residual))
     return out

@@ -52,18 +52,23 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
+    # Fraction arithmetic on Fractions returns Fractions, so these results go
+    # through _from_fractions instead of being converted again.
+
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        return _from_fractions(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        return _from_fractions(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _from_fractions(-self.re, -self.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar(a * c - b * d, a * d + b * c)
+        if not b and not d:
+            return _from_fractions(a * c, _FRACTION_ZERO)
+        return _from_fractions(a * c - b * d, a * d + b * c)
 
     def inverse(self) -> "Scalar":
         n = self.re * self.re + self.im * self.im
@@ -114,6 +119,17 @@ class Scalar:
     @staticmethod
     def from_quadruple(q: dict) -> "Scalar":
         return Scalar(Fraction(q["num"], q["den"]), Fraction(q["inum"], q["iden"]))
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _from_fractions(re: Fraction, im: Fraction) -> Scalar:
+    """A Scalar from two Fractions, stored as they are (no Fraction() call)."""
+    out = object.__new__(Scalar)
+    object.__setattr__(out, "re", re)
+    object.__setattr__(out, "im", im)
+    return out
 
 
 _ZERO = Scalar(0)

@@ -25,6 +25,24 @@ on the generators of any other word.  So ``from_values`` divides each value
 by kappa(w), and ``evaluate`` on unit generators is one table read times
 kappa and the Koszul sign of sorting the arguments; only general arguments
 (non-unit coefficients, sums) go through the unshuffle sum ``_eval_word``.
+
+The product and ``DerivationD.apply`` form each output term once: the
+concatenated letters are sorted with their Koszul sign (``_sort_word``: one
+factor -1 per pair of odd letters moved past each other, zero on a repeated
+odd letter) and the coefficient is added basis element by basis element
+(``_add_product``).  For base elements e_i, e_j and words w1, w2
+
+    (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
+
+and a degree-k derivation D with D(x) = sum (c e_j) v substitutes the letter
+x of w = prefix x rest as
+
+    (-1)^(k (|e_i| + |prefix|) + |e_j||prefix| + s) (a c e_i e_j) sort(prefix v rest),
+
+s the sort sign exponent.  A run of m equal letters (necessarily even) is
+substituted once with weight m.  The untouched letters of the Leibniz rule
+carry the unit coefficient, and multiplying by it is left out: that is exact
+under the unit law of the base algebra.
 """
 
 from __future__ import annotations
@@ -101,19 +119,14 @@ class SymAlgebra:
 
     def word(self, word: Iterable[int], coeff: Optional[AlgebraElement] = None) -> "SymElement":
         """Build c * (sorted word), normalizing the letter order with Koszul signs."""
-        letters = list(word)
+        letters = tuple(word)
         c = coeff if coeff is not None else self.base.one()
-        exponent = 0
-        # insertion sort, tracking letter crossings
-        for i in range(1, len(letters)):
-            j = i
-            while j > 0 and letters[j - 1] > letters[j]:
-                exponent += self.letter_degrees[letters[j - 1]] * self.letter_degrees[letters[j]]
-                letters[j - 1], letters[j] = letters[j], letters[j - 1]
-                j -= 1
-        w = tuple(letters)
-        if self._word_vanishes(w) or len(w) > self.cap:
+        if len(letters) > self.cap:
             return self.zero()
+        merged = _sort_word(self.letter_degrees, letters)
+        if merged is None:
+            return self.zero()
+        w, exponent = merged
         return SymElement(self, {w: c.scale(sign_scalar(exponent))})
 
     def compatible(self, other: "SymAlgebra") -> bool:
@@ -206,27 +219,33 @@ class SymElement:
         return SymElement(self.algebra, {w: a * c for w, c in self.data.items()})
 
     def __mul__(self, other: "SymElement") -> "SymElement":
-        """Graded commutative product; weights above the cap are discarded."""
+        """Graded commutative product; weights above the cap are discarded.
+
+        (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
+        where s is the Koszul sign exponent of sorting the letters of w1 w2;
+        a sorted word with a repeated odd letter is zero.  Each output term is
+        accumulated basis element by basis element.
+        """
         self._check(other)
         alg = self.algebra
-        acc: Dict[Word, AlgebraElement] = {}
-        for w1, d1, a1 in self.homog_terms():
-            deg_w1 = alg.word_degree(w1)
-            for w2, d2, a2 in other.homog_terms():
+        base = alg.base
+        degrees = base.degrees
+        acc: Dict[Word, Dict[int, Scalar]] = {}
+        for w1, a1 in self.data.items():
+            d1 = alg.word_degree(w1)
+            for w2, a2 in other.data.items():
                 if len(w1) + len(w2) > alg.cap:
                     continue
-                # move the右 coefficient a2 (degree d2 - word2) past word1
-                coeff_deg2 = d2 - alg.word_degree(w2)
-                sign = coeff_deg2 * deg_w1
-                merged, merge_sign, vanished = _merge_words(alg, w1, w2)
-                if vanished:
+                merged = _sort_word(alg.letter_degrees, w1 + w2)
+                if merged is None:
                     continue
-                total = a1 * a2
-                total = total.scale(sign_scalar(sign + merge_sign))
-                if total.is_zero():
-                    continue
-                acc[merged] = acc.get(merged, alg.base.zero()) + total
-        return SymElement(alg, acc)
+                word, exponent = merged
+                coeffs = acc.setdefault(word, {})
+                for j, bj in a2.coeffs:
+                    negative = (exponent + degrees[j] * d1) & 1
+                    for i, ai in a1.coeffs:
+                        _add_product(coeffs, base, i, ai, j, bj, negative)
+        return _collect(alg, acc)
 
     def truncate(self, cap: int) -> "SymElement":
         return SymElement(self.algebra, {w: a for w, a in self.data.items() if len(w) <= cap})
@@ -252,29 +271,43 @@ class SymElement:
         return " + ".join(bits)
 
 
-def _merge_words(alg: SymAlgebra, w1: Word, w2: Word) -> Tuple[Word, int, bool]:
-    """Merge two sorted words, returning (word, sign exponent, vanished)."""
-    out: List[int] = []
+def _sort_word(letter_degrees: Sequence[int], letters: Word) -> Optional[Tuple[Word, int]]:
+    """Sort letters into a word; returns (word, Koszul sign exponent).
+
+    The exponent counts the pairs of odd letters that the sort moves past
+    each other.  Returns None when an odd letter repeats: the word is zero.
+    """
     exponent = 0
-    i = j = 0
-    deg = alg.letter_degrees
-    # degree of the not-yet-consumed tail of w1
-    tail = sum(deg[x] for x in w1)
-    while i < len(w1) and j < len(w2):
-        if w1[i] <= w2[j]:
-            tail -= deg[w1[i]]
-            out.append(w1[i])
-            i += 1
-        else:
-            exponent += deg[w2[j]] * tail
-            out.append(w2[j])
-            j += 1
-    out.extend(w1[i:])
-    out.extend(w2[j:])
-    word = tuple(out)
-    if alg._word_vanishes(word):
-        return word, 0, True
-    return word, exponent, False
+    n = len(letters)
+    for p in range(n):
+        x = letters[p]
+        if letter_degrees[x] & 1:
+            for q in range(p + 1, n):
+                y = letters[q]
+                if y == x:
+                    return None
+                if y < x and letter_degrees[y] & 1:
+                    exponent += 1
+    return tuple(sorted(letters)), exponent
+
+
+def _add_product(
+    coeffs: Dict[int, Scalar], base: BaseAlgebra, i: int, ai: Scalar, j: int, bj: Scalar, negative: int
+) -> None:
+    """coeffs += (-1)^negative * ai * bj * (e_i e_j), basis element by basis element."""
+    s = ai * bj
+    if negative:
+        s = -s
+    for k, ck in base.product_basis(i, j).coeffs:
+        t = s * ck
+        old = coeffs.get(k)
+        coeffs[k] = t if old is None else old + t
+
+
+def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> "SymElement":
+    """The SymElement of a {word: {basis index: Scalar}} accumulator."""
+    base = alg.base
+    return SymElement(alg, {w: AlgebraElement(base, coeffs) for w, coeffs in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +319,10 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
     """Evaluate the weight-len(args) part of element on module elements.
 
     The letters of element.algebra must be the dual generators of module
-    (in order).  Evaluation is graded symmetric and A-multilinear in the
-    Koszul sense fixed by the product formula.
+    (in order), and every argument must be an element of module, even where
+    the element has no part of weight len(args) (BaseMismatch otherwise).
+    Evaluation is graded symmetric and A-multilinear in the Koszul sense
+    fixed by the product formula.
 
     When every argument is a unit generator g_i of module, the value is read
     off the table: sorting the indices gives a word w and a Koszul sign, and
@@ -302,8 +337,10 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
         raise CapError(f"cannot evaluate {r} arguments at weight cap {alg.cap}")
     if module.rank != alg.n_letters:
         raise BaseMismatch("module generators do not match algebra letters")
+    if any(v.module is not module for v in args):
+        raise BaseMismatch("evaluation argument from another module")
     one = base.one()
-    if all(v.module is module and len(v.coeffs) == 1 and v.coeffs[0][1] == one for v in args):
+    if all(len(v.coeffs) == 1 and v.coeffs[0][1] == one for v in args):
         sorted_word = alg.word(v.coeffs[0][0] for v in args)
         if sorted_word.is_zero():  # a repeated odd generator
             return base.zero()
@@ -480,36 +517,79 @@ class DerivationD:
 
     # -- application -----------------------------------------------------------
 
-    def apply_coefficient(self, a: AlgebraElement) -> SymElement:
-        alg = self.algebra
-        acc = alg.zero()
-        for i, c in a.items():
-            val = self.on_algebra.get(i)
-            if val is not None:
-                acc = acc + val.scale(c)
-        return acc
-
     def apply(self, element: SymElement) -> SymElement:
-        """Graded Leibniz extension, truncated at the weight cap."""
+        """Graded Leibniz extension, truncated at the weight cap.
+
+        For a term (a e_i) w, D(a e_i) = sum (c e_k) v contributes
+        (a c e_k) sort(v w) with the sort sign only.  For w = prefix x rest
+        and D(x) = sum (c e_j) v, the letter x contributes
+
+            (-1)^(D.degree (|e_i| + |prefix|) + |e_j| |prefix| + s)
+                (a c e_i e_j) sort(prefix v rest),
+
+        s the Koszul sign exponent of the sort.  A run of m equal letters (even,
+        or the word would vanish) gives m equal terms, so it is substituted once,
+        at its first position, with weight m.  Words over the cap or with a
+        repeated odd letter are dropped.  The Leibniz rule multiplies each term
+        by the unit coefficient of the untouched letters; that factor is left
+        out, which is exact under the unit law of the base algebra.
+        """
         alg = self.algebra
         if not alg.compatible(element.algebra):
             raise BaseMismatch("derivation and element over incompatible algebras")
-        acc = alg.zero()
+        base = alg.base
+        degrees = base.degrees
+        letter_degrees = alg.letter_degrees
+        cap = alg.cap
+        acc: Dict[Word, Dict[int, Scalar]] = {}
         for w, a in element.items():
-            acc = acc + self.apply_coefficient(a) * alg.word(w)
-            # letter-by-letter substitution with the prefix sign
-            for pos in range(len(w)):
-                val = self.on_letters.get(w[pos])
+            n = len(w)
+            for i, ai in a.coeffs:
+                val = self.on_algebra.get(i)
                 if val is None:
                     continue
-                prefix_word = w[:pos]
-                rest_word = w[pos + 1 :]
-                for d, ha in a.homogeneous_parts().items():
-                    exponent = self.degree * (d + alg.word_degree(prefix_word))
-                    term = alg.word(prefix_word, ha.scale(sign_scalar(exponent)))
-                    term = term * val * alg.word(rest_word)
-                    acc = acc + term
-        return acc
+                for v, c in val.data.items():
+                    if len(v) + n > cap:
+                        continue
+                    merged = _sort_word(letter_degrees, v + w)
+                    if merged is None:
+                        continue
+                    word, exponent = merged
+                    coeffs = acc.setdefault(word, {})
+                    for k, ck in c.coeffs:
+                        t = ai * ck
+                        if exponent & 1:
+                            t = -t
+                        old = coeffs.get(k)
+                        coeffs[k] = t if old is None else old + t
+            pos = 0
+            while pos < n:
+                x = w[pos]
+                end = pos + 1
+                while end < n and w[end] == x:
+                    end += 1
+                val = self.on_letters.get(x)
+                if val is not None:
+                    prefix, rest = w[:pos], w[pos + 1 :]
+                    prefix_degree = alg.word_degree(prefix)
+                    m = end - pos
+                    terms = a.coeffs if m == 1 else [(i, ai * Scalar(m)) for i, ai in a.coeffs]
+                    for v, c in val.data.items():
+                        if len(v) + n - 1 > cap:
+                            continue
+                        merged = _sort_word(letter_degrees, prefix + v + rest)
+                        if merged is None:
+                            continue
+                        word, exponent = merged
+                        coeffs = acc.setdefault(word, {})
+                        exponent += self.degree * prefix_degree
+                        for j, cj in c.coeffs:
+                            exponent_j = exponent + degrees[j] * prefix_degree
+                            for i, ai in terms:
+                                negative = (exponent_j + self.degree * degrees[i]) & 1
+                                _add_product(coeffs, base, i, ai, j, cj, negative)
+                pos = end
+        return _collect(alg, acc)
 
     # -- algebra of derivations --------------------------------------------------
 

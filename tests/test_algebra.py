@@ -35,6 +35,34 @@ def test_scalar_arithmetic():
     assert Scalar.from_quadruple(q) == a
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Scalar(Fraction(-3, 4)), Scalar(Fraction(2, 9))),  # real-only branch of __mul__
+        (Scalar(Fraction(1, 2), Fraction(-2, 3)), Scalar(Fraction(5, 6), Fraction(1, 7))),
+        (Scalar(Fraction(7, 3)), Scalar(0, Fraction(-1, 2))),
+        (Scalar(Fraction(2, 5), 1), Scalar(Fraction(-2, 5), -1)),  # sums to zero
+    ],
+)
+def test_scalar_results_equal_constructed_scalars(x, y):
+    """Fast-path results equal Scalar(re, im) built from the same Fractions."""
+    a, b, c, d = x.re, x.im, y.re, y.im
+    cases = [
+        (x + y, a + c, b + d),
+        (x - y, a - c, b - d),
+        (-x, -a, -b),
+        (x * y, a * c - b * d, a * d + b * c),
+        (y * x, c * a - d * b, c * b + d * a),
+    ]
+    for got, re, im in cases:
+        want = Scalar(re, im)
+        assert got == want and want == got
+        assert hash(got) == hash(want)
+        assert got.as_quadruple() == want.as_quadruple()
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert got.is_zero() == want.is_zero()
+
+
 def test_standard_bases_validate():
     for base in [trivial_base(), lambda_eps(), eps_square_base(), truncated_poly(), eps_poly_base(), nontrivial_dga()]:
         assert validate_base_algebra(base) == []

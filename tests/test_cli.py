@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from algebroidkit.cli import main
+from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
 from algebroidkit.modelio import serialize_model
 
@@ -145,3 +145,49 @@ def test_non_integer_json_number_exits_2(model_dir, tmp_path, capsys, literal, f
     bad.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
     assert run(["validate", bad]) == 2
     assert "expected an integer" in capsys.readouterr().err
+
+
+def _mutated(model_dir, tmp_path, fixture, name, mutate):
+    doc = json.loads((model_dir / fixture).read_text())
+    mutate(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set(path, value):
+    def mutate(doc):
+        slot = doc
+        for key in path[:-1]:
+            slot = slot[key]
+        slot[path[-1]] = value
+
+    return mutate
+
+
+# Each of these is refused by a constructor (KitError), not by the parser's
+# own ParseError checks.
+REFUSED_MODELS = {
+    "duplicate-basis-name": ("rank1_curved.geometric.json", _set(("base", "basis", 1, "name"), "1")),
+    "unit-of-degree-1": ("rank1_curved.geometric.json", _set(("base", "basis", 0, "degree"), 1)),
+    "bracket-unknown-generator": ("conjugated.algebroid.json", _set(("brackets", 0, "args", 0), "zz")),
+    "dhat-unknown-basis": ("generic.geometric.json", _set(("tensors", "dhat", 0, "basis"), "zz")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_constructor_errors_while_parsing_exit_2(model_dir, tmp_path, capsys, command):
+    for name, (fixture, mutate) in REFUSED_MODELS.items():
+        bad = _mutated(model_dir, tmp_path, fixture, name, mutate)
+        assert run([command, bad]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unwritable_json_path_exits_2(model_dir, tmp_path, capsys, command):
+    out = tmp_path / "no-such-dir" / "out.json"
+    assert run([command, model_dir / "trivial.geometric.json", "--json", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+    assert not out.exists()

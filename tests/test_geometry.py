@@ -23,6 +23,8 @@ from algebroidkit.fixtures import (
 from algebroidkit.geometry import (
     GeometricModel,
     Splitting,
+    _amb_spanning,
+    _nor_spanning,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -38,7 +40,7 @@ from algebroidkit.geometry import (
 )
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
-from algebroidkit.symtensor import SymAlgebra, SymElement, square_components
+from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, square_components
 
 
 def small_random_model(seed, base=None, families=None, cap=4):
@@ -384,6 +386,42 @@ def test_transport_lemma_zero_and_mismatched_shape():
     if cand.degree() == g.amb.letter_degrees[0]:
         override[0] = cand
         assert transport_lemma_residual(g, shape_override=override) != []
+
+
+def reference_transport_lemma_residual(g, shape_override):
+    """The transport lemma with nabla_bar^s and shape^(s-1) recomputed for each s."""
+    der = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False)
+    out = []
+    for el in _amb_spanning(g):
+        lhs = g.p1(g.nabla_bar(el))
+        rhs = g.nabla_perp_bar(g.rho_dual(el)) + der.apply(g.p1(el))
+        residual = lhs - rhs
+        if not residual.is_zero():
+            out.append((f"operator @ {el!r}", residual))
+    for el in _nor_spanning(g):
+        amb_el = g.to_amb(el)
+        for s in range(1, g.cap + 1):
+            power = amb_el
+            for _ in range(s):
+                power = g.nabla_bar(power).truncate(g.cap)
+            lhs = g.p1(power)
+            iterated = g.nabla_perp_bar(el)
+            for _ in range(s - 1):
+                iterated = der.apply(iterated).truncate(g.cap)
+            residual = lhs - iterated
+            if not residual.is_zero():
+                out.append((f"iterate s={s} @ {el!r}", residual))
+    return out
+
+
+@pytest.mark.parametrize("seed, iterate_entries", [(0, 6), (1, 15), (2, 6), (3, 0)])
+def test_transport_iterate_carried_forward_matches_recompute(seed, iterate_entries):
+    """Doubled shape data: same labels, values and order as the from-scratch loop."""
+    g = small_random_model(seed)
+    doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
+    got = transport_lemma_residual(g, shape_override=doubled)
+    assert got == reference_transport_lemma_residual(g, doubled)
+    assert sum(label.startswith("iterate s=") for label, _ in got) == iterate_entries
 
 
 # -- the main differential -------------------------------------------------------------

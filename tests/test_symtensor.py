@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from algebroidkit.errors import BaseMismatch, CapError
-from algebroidkit.fixtures import Rng, lambda_eps, nontrivial_dga, standard_module
+from algebroidkit.fixtures import Rng, kodaira_base, lambda_eps, nontrivial_dga, standard_module
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, enumerate_unshuffles, sym_sign
@@ -285,6 +285,14 @@ def test_evaluate_rejects_generator_of_another_module():
         evaluate(alg.letter(0), [other.generator(0)], module)
 
 
+def test_evaluate_rejects_other_module_where_the_weight_part_is_zero():
+    """The guard runs before the early return for an empty weight part."""
+    base, module, alg = make_setup()
+    other = FreeModule(base, [(name, deg) for name, deg in zip(module.gen_names, module.degrees)])
+    with pytest.raises(BaseMismatch):
+        evaluate(alg.word((0, 1)), [other.generator(0)], module)
+
+
 def test_evaluate_arity_above_cap():
     base, module, alg = make_setup(cap=2)
     with pytest.raises(CapError):
@@ -482,3 +490,122 @@ def test_mc_single_planted_term_is_commutator():
         got = omega.on_letters.get(i, alg.zero())
         assert got == comm_on(alg.letter(i))
     assert mc_residual(D0, Phi) == {}
+
+
+# -- the product and apply kernels against the three-product oracles ---------------
+
+
+def _reference_merge(alg, w1, w2):
+    """Merge two sorted words: (word, sign exponent, vanished)."""
+    out = []
+    exponent = 0
+    i = j = 0
+    deg = alg.letter_degrees
+    tail = sum(deg[x] for x in w1)
+    while i < len(w1) and j < len(w2):
+        if w1[i] <= w2[j]:
+            tail -= deg[w1[i]]
+            out.append(w1[i])
+            i += 1
+        else:
+            exponent += deg[w2[j]] * tail
+            out.append(w2[j])
+            j += 1
+    out.extend(w1[i:])
+    out.extend(w2[j:])
+    word = tuple(out)
+    if any(a == b and deg[a] % 2 for a, b in zip(word, word[1:])):
+        return word, 0, True
+    return word, exponent, False
+
+
+def reference_mul(x, y):
+    """The product split into homogeneous terms, one AlgebraElement product each."""
+    alg = x.algebra
+    acc = {}
+    for w1, d1, a1 in x.homog_terms():
+        for w2, d2, a2 in y.homog_terms():
+            if len(w1) + len(w2) > alg.cap:
+                continue
+            sign = (d2 - alg.word_degree(w2)) * alg.word_degree(w1)
+            merged, merge_sign, vanished = _reference_merge(alg, w1, w2)
+            if vanished:
+                continue
+            total = (a1 * a2).scale(sign_scalar(sign + merge_sign))
+            acc[merged] = acc.get(merged, alg.base.zero()) + total
+    return SymElement(alg, acc)
+
+
+def reference_apply(D, element):
+    """Leibniz rule as three products per substituted letter: prefix * D(x) * rest."""
+    alg = D.algebra
+    base = alg.base
+    acc = alg.zero()
+    for w, a in element.items():
+        coeff = alg.zero()
+        for i, c in a.items():
+            val = D.on_algebra.get(i)
+            if val is not None:
+                coeff = coeff + val.scale(c)
+        acc = acc + reference_mul(coeff, SymElement(alg, {w: base.one()}))
+        for pos in range(len(w)):
+            val = D.on_letters.get(w[pos])
+            if val is None:
+                continue
+            prefix_word, rest_word = w[:pos], w[pos + 1 :]
+            for d, ha in a.homogeneous_parts().items():
+                exponent = D.degree * (d + alg.word_degree(prefix_word))
+                term = SymElement(alg, {prefix_word: ha.scale(sign_scalar(exponent))})
+                term = reference_mul(reference_mul(term, val), SymElement(alg, {rest_word: base.one()}))
+                acc = acc + term
+    return acc
+
+
+def sparse_sym_element(rng, alg, density, min_weight=0):
+    """Random words, each with an inhomogeneous Gaussian-rational coefficient."""
+    data = {}
+    for r in range(min_weight, alg.cap + 1):
+        for w in alg.words_of_weight(r):
+            if rng.random() < density:
+                data[w] = rng.algebra_element(alg.base, zero_chance=0.4)
+    return SymElement(alg, data)
+
+
+def random_derivation(rng, alg, degree):
+    """Random values on every base element and letter; degrees are not checked,
+    the Leibniz formula is linear in them."""
+    base = alg.base
+    on_algebra = {i: sparse_sym_element(rng, alg, 0.3) for i in range(base.dim)}
+    on_letters = {i: sparse_sym_element(rng, alg, 0.3) for i in range(alg.n_letters)}
+    return DerivationD(alg, on_algebra, on_letters, degree=degree, check=False)
+
+
+KERNEL_BASES = {"nontrivial_dga": nontrivial_dga, "kodaira_base": kodaira_base}
+
+
+@pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
+@pytest.mark.parametrize("degrees", DEGREE_PATTERNS)
+def test_product_matches_homogeneous_term_oracle(base_name, degrees):
+    base = KERNEL_BASES[base_name]()
+    module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    alg = SymAlgebra.over_module(module, cap=4)
+    rng = Rng(40 + len(degrees))
+    for _ in range(6):
+        x = sparse_sym_element(rng, alg, 0.35)
+        y = sparse_sym_element(rng, alg, 0.35)
+        assert x * y == reference_mul(x, y)
+
+
+@pytest.mark.parametrize("derivation_degree", [-1, 0, 1])
+@pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
+@pytest.mark.parametrize("degrees", DEGREE_PATTERNS)
+def test_apply_matches_three_product_oracle(base_name, degrees, derivation_degree):
+    """Runs of equal even letters, odd prefixes and odd coefficients all occur."""
+    base = KERNEL_BASES[base_name]()
+    module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    alg = SymAlgebra.over_module(module, cap=4)
+    rng = Rng(50 + 7 * len(degrees) + derivation_degree)
+    for _ in range(3):
+        D = random_derivation(rng, alg, derivation_degree)
+        x = sparse_sym_element(rng, alg, 0.5)
+        assert D.apply(x) == reference_apply(D, x)

@@ -28,7 +28,7 @@ evaluation; the two are exact mutual inverses on canonical tables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import CapError, DegreeError, KitError
@@ -41,10 +41,9 @@ from .linfty import (
     canonicalize_key,
     jacobi_residual,
     morphism_residual,
-    multilinear_extend,
     sorted_tuples,
 )
-from .modules import FreeModule, ModuleElement, pair_dual
+from .modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend, pair_dual
 from .scalars import Scalar, sign_scalar
 from .symtensor import (
     DerivationD,
@@ -216,47 +215,14 @@ class AlgebroidStructure:
         # Leibniz in the last slot: {.., e_b . g} =
         #   {..|e_b}.g + (-1)^{|e_b|(sum head degrees + 1)} e_b . {.., g}
         head_degree = sum(slot_degree(s) for s in head)
-        anchor_part = self._anchor_slots(n, head, base.basis_element(b))
-        term1 = ModuleElement(carrier, {g: anchor_part}) if not anchor_part.is_zero() else carrier.zero()
+        head_args = [ModuleElement(carrier, {gh: base.basis_element(bh)}) for bh, gh in head]
+        anchor_part = self.anchor(n, head_args, base.basis_element(b))
+        term1 = ModuleElement(carrier, {g: anchor_part})
         bracket_rest = self._bracket_slots(n, head + [(unit, g)])
         term2 = bracket_rest.a_mul(base.basis_element(b)).scale(
             sign_scalar(base.degrees[b] * (head_degree + 1))
         )
         return (term1 + term2).scale(sign_scalar(exponent))
-
-    def _anchor_slots(self, n: int, slots: List[Tuple[int, int]], a: AlgebraElement) -> AlgebraElement:
-        """{slots | a}_n with slots as (coefficient basis, generator) pairs."""
-        base = self.base
-        carrier = self.carrier
-        unit = base.unit
-        total = base.zero()
-
-        def rec(k: int, exponent: int, coeff: Optional[AlgebraElement], gens: GenKey, prefix: int):
-            nonlocal total
-            if k == len(slots):
-                val = base.zero()
-                for bb, cc in a.items():
-                    val = val + self.anchor_table_value(n, gens, bb).scale(cc)
-                if coeff is not None:
-                    val = coeff * val
-                total = total + val.scale(sign_scalar(exponent))
-                return
-            b, g = slots[k]
-            gd = carrier.degrees[g]
-            if b == unit:
-                rec(k + 1, exponent, coeff, gens + (g,), prefix + gd)
-            else:
-                bd = base.degrees[b]
-                new_exp = exponent + bd * (1 + prefix)
-                new_coeff = (
-                    base.basis_element(b)
-                    if coeff is None
-                    else coeff * base.basis_element(b)
-                )
-                rec(k + 1, new_exp, new_coeff, gens + (g,), prefix + gd + bd)
-
-        rec(0, 0, None, (), 0)
-        return total
 
     def __eq__(self, other) -> bool:
         """Same tables (arities, keys, coefficients); caps are not compared."""
@@ -453,7 +419,7 @@ def extract_structure(
                 continue
             gens = [carrier.generator(i) for i in key]
             degs = [carrier.degrees[i] for i in key]
-            coeffs: Dict[int, AlgebraElement] = {}
+            paired: Dict[int, AlgebraElement] = {}
             for i in range(carrier.rank):
                 eta_degree = -carrier.degrees[i]
                 # first sum of the recovery formula: D_{n-1}(eta(v_k)) terms
@@ -475,15 +441,8 @@ def extract_structure(
                     )
                 comp = D.component_on_letter(n - 1, i)
                 second = evaluate(comp, gens, carrier) if not comp.is_zero() else base.zero()
-                paired = (first - second).scale(sign_scalar(eta_degree))
-                if paired.is_zero():
-                    continue
-                # invert eta(c.g) = (-1)^{|c||eta|} c per homogeneous part
-                c_val = base.zero()
-                for d, hp in paired.homogeneous_parts().items():
-                    c_val = c_val + hp.scale(sign_scalar(d * eta_degree))
-                coeffs[i] = c_val
-            value = ModuleElement(carrier, coeffs)
+                paired[i] = (first - second).scale(sign_scalar(eta_degree))
+            value = from_dual_values(carrier, paired)
             if not value.is_zero():
                 S.set_bracket(n, key, value)
     return S

@@ -10,6 +10,7 @@ excluded from the canonical JSON written by --json.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -377,17 +378,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         caps = {"weight": args.weight if args.weight is not None else model.bracket_cap,
                 "arity": model.bracket_cap}
+    try:  # open the report file first, so an unwritable path costs no work
+        out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
+    except OSError as exc:
+        print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    report = None
     try:
         report = COMMANDS[args.command](model, caps, args)
     except KitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if report is None and out is not None:  # a refused check leaves no report
+            out.close()
+            if os.path.isfile(args.json_out):  # never a device such as /dev/null
+                os.remove(args.json_out)
     for line in report.human_lines():
         print(line)
-    if args.json_out:
+    if out is not None:
         try:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(report.canonical_json())
+            with out:
+                out.write(report.canonical_json())
         except OSError as exc:
             print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR

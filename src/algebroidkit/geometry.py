@@ -51,7 +51,7 @@ from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .linfty import canonicalize_key, sorted_tuples
-from .modules import FreeModule, ModuleElement, pair_dual
+from .modules import FreeModule, ModuleElement, from_dual_values
 from .scalars import Scalar, sign_scalar
 from .signs import enumerate_unshuffles, sym_sign
 from .symtensor import (
@@ -799,20 +799,6 @@ def build_kapranov(
 # ---------------------------------------------------------------------------
 
 
-def _from_dual_values(target: FreeModule, values: Mapping[int, AlgebraElement]) -> ModuleElement:
-    """The element T of target with g_i^vee(T) = values[i]."""
-    coeffs: Dict[int, AlgebraElement] = {}
-    for i, val in values.items():
-        if val.is_zero():
-            continue
-        letter_degree = -target.degrees[i]
-        acc = target.base.zero()
-        for d, hp in val.homogeneous_parts().items():
-            acc = acc + hp.scale(sign_scalar(d * letter_degree))
-        coeffs[i] = acc
-    return ModuleElement(target, coeffs)
-
-
 def _embed_tangent(g: GeometricModel, v: ModuleElement) -> ModuleElement:
     return ModuleElement(g.ambient_module, dict(v.items()))
 
@@ -843,7 +829,7 @@ def _transpose(
             continue
         pairing = evaluate(g.to_amb(el), emb, g.ambient_module)
         values[i] = pairing.scale(sign_scalar(twist - target.degrees[i]))
-    return _from_dual_values(target, values)
+    return from_dual_values(target, values)
 
 
 def shape_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> ModuleElement:
@@ -860,7 +846,7 @@ def shape_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> Modu
         values[i] = evaluate(
             el, [_embed_tangent(g, V), _embed_normal(g, nu)], g.ambient_module
         )
-    return _from_dual_values(g.tangent, values)
+    return from_dual_values(g.tangent, values)
 
 
 def gamma_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> ModuleElement:
@@ -877,7 +863,7 @@ def gamma_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> Modu
             el, [_embed_tangent(g, V), _embed_normal(g, nu)], g.ambient_module
         )
         values[j] = pairing.scale(Scalar(-1))
-    return _from_dual_values(g.normal, values)
+    return from_dual_values(g.normal, values)
 
 
 def vector_action(g: GeometricModel, V: ModuleElement, a: AlgebraElement) -> AlgebraElement:
@@ -889,18 +875,10 @@ def vector_action(g: GeometricModel, V: ModuleElement, a: AlgebraElement) -> Alg
     if dhat_a.is_zero():
         return acc
     for dv, hv in V.homogeneous_parts().items():
-        for da, ha in _sym_homog(dhat_a):
+        for da, ha in dhat_a.homogeneous_parts().items():
             pairing = evaluate(ha, [_embed_tangent(g, hv)], g.ambient_module)
             acc = acc + pairing.scale(sign_scalar(dv * da))
     return acc
-
-
-def _sym_homog(el: SymElement):
-    parts: Dict[int, Dict[Word, AlgebraElement]] = {}
-    for w, d, c in el.homog_terms():
-        slot = parts.setdefault(d, {})
-        slot[w] = slot[w] + c if w in slot else c
-    return [(d, SymElement(el.algebra, m)) for d, m in sorted(parts.items())]
 
 
 def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:

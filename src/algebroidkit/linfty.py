@@ -20,15 +20,14 @@ where degrees are taken in the unshifted module.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import CapError, DegreeError, KitError
 from .linalg import nullspace
-from .modules import FreeModule, ModuleElement
+from .modules import FreeModule, ModuleElement, multilinear_extend
 from .scalars import Scalar, sign_scalar
 from .signs import (
-    Permutation,
     canonical_partitions,
     partition_permutation,
     skew_sign,
@@ -122,53 +121,6 @@ def _tables_equal(t1: Mapping, t2: Mapping) -> bool:
 
 def sorted_tuples(rank: int, n: int) -> List[GenKey]:
     return list(combinations_with_replacement(range(rank), n))
-
-
-# ---------------------------------------------------------------------------
-# generic multilinear extension
-# ---------------------------------------------------------------------------
-
-
-def multilinear_extend(
-    table_fn: Callable[[GenKey], object],
-    op_degree: int,
-    args: Sequence[ModuleElement],
-    gen_degrees: Sequence[int],
-    zero,
-):
-    """A-multilinear Koszul extension of a map stored on generator tuples.
-
-    Coefficients are peeled slot by slot from the left:
-    f(a_1 g_1, ..., a_n g_n) = (-1)^{sum_k |a_k| (op_degree + |g_1|+..+|g_{k-1}|)}
-                               (a_1 ... a_n) . f(g_1, ..., g_n).
-    Values must support .a_mul and .scale and addition; zero is the zero value.
-    """
-    result = zero
-    terms_per_arg = []
-    for v in args:
-        terms = []
-        for i, a in v.items():
-            for d, ha in a.homogeneous_parts().items():
-                terms.append((ha, d, i))
-        terms_per_arg.append(terms)
-
-    def rec(k: int, exponent: int, coeff: Optional[AlgebraElement], gens: Tuple[int, ...], prefix_deg: int):
-        nonlocal result
-        if k == len(args):
-            val = table_fn(gens)
-            if val is None:
-                return
-            if coeff is not None:
-                val = val.a_mul(coeff)
-            result = result + val.scale(sign_scalar(exponent))
-            return
-        for ha, d, i in terms_per_arg[k]:
-            new_exp = exponent + d * (op_degree + prefix_deg)
-            new_coeff = ha if coeff is None else coeff * ha
-            rec(k + 1, new_exp, new_coeff, gens + (i,), prefix_deg + gen_degrees[i])
-
-    rec(0, 0, None, (), 0)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ entry order), and parse -> serialize is byte-identical on canonical files.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure
-from .errors import ParseError
+from .errors import KitError, ParseError
 from .geometry import GeometricModel, Splitting
 from .modules import FreeModule, ModuleElement
 from .scalars import Scalar
@@ -59,6 +59,16 @@ def _expect_int(value, path: str) -> int:
     return value
 
 
+def _index_of(space: Union[BaseAlgebra, FreeModule], value, path: str) -> int:
+    """The index in space of the name given by the string at path; an unknown
+    name is a ParseError at path."""
+    name = _expect_str(value, path)
+    try:
+        return space.index_of(name)
+    except KitError as exc:
+        raise ParseError(str(exc), path) from None
+
+
 def _parse_scalar(value, path: str) -> Scalar:
     d = _expect_dict(value, path, ["num", "den", "inum", "iden"], ["num", "den", "inum", "iden"])
     for k in ("num", "den", "inum", "iden"):
@@ -81,11 +91,7 @@ def _parse_terms(value, path: str, base: BaseAlgebra) -> AlgebraElement:
     out: Dict[int, Scalar] = {}
     for k, item in enumerate(_expect_list(value, path)):
         d = _expect_dict(item, f"{path}[{k}]", ["basis", "coeff"], ["basis", "coeff"])
-        name = _expect_str(d["basis"], f"{path}[{k}].basis")
-        try:
-            idx = base.index_of(name)
-        except Exception:
-            raise ParseError(f"unknown basis element {name!r}", f"{path}[{k}].basis") from None
+        idx = _index_of(base, d["basis"], f"{path}[{k}].basis")
         coeff = _parse_scalar(d["coeff"], f"{path}[{k}].coeff")
         out[idx] = out.get(idx, Scalar.zero()) + coeff
     return AlgebraElement(base, out)
@@ -115,21 +121,16 @@ def _parse_base(value, path: str) -> BaseAlgebra:
     products: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for k, item in enumerate(_expect_list(d["products"], f"{path}.products")):
         e = _expect_dict(item, f"{path}.products[{k}]", ["left", "right", "terms"], ["left", "right", "terms"])
-        left = _expect_str(e["left"], f"{path}.products[{k}].left")
-        right = _expect_str(e["right"], f"{path}.products[{k}].right")
-        for nm in (left, right):
-            if nm not in names:
-                raise ParseError(f"unknown basis element {nm!r}", f"{path}.products[{k}]")
+        left = _index_of(probe, e["left"], f"{path}.products[{k}].left")
+        right = _index_of(probe, e["right"], f"{path}.products[{k}].right")
         val = _parse_terms(e["terms"], f"{path}.products[{k}].terms", probe)
-        products[(names.index(left), names.index(right))] = dict(val.items())
+        products[(left, right)] = dict(val.items())
     differential: Dict[int, Dict[int, Scalar]] = {}
     for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):
         e = _expect_dict(item, f"{path}.differential[{k}]", ["basis", "terms"], ["basis", "terms"])
-        nm = _expect_str(e["basis"], f"{path}.differential[{k}].basis")
-        if nm not in names:
-            raise ParseError(f"unknown basis element {nm!r}", f"{path}.differential[{k}].basis")
+        idx = _index_of(probe, e["basis"], f"{path}.differential[{k}].basis")
         val = _parse_terms(e["terms"], f"{path}.differential[{k}].terms", probe)
-        differential[names.index(nm)] = dict(val.items())
+        differential[idx] = dict(val.items())
     return BaseAlgebra(basis, unit=names.index(unit_name), products=products, differential=differential)
 
 
@@ -168,11 +169,7 @@ def _parse_module_value(value, path: str, module: FreeModule) -> ModuleElement:
     out: Dict[int, AlgebraElement] = {}
     for k, item in enumerate(_expect_list(value, path)):
         d = _expect_dict(item, f"{path}[{k}]", ["generator", "terms"], ["generator", "terms"])
-        name = _expect_str(d["generator"], f"{path}[{k}].generator")
-        try:
-            idx = module.index_of(name)
-        except Exception:
-            raise ParseError(f"unknown generator {name!r}", f"{path}[{k}].generator") from None
+        idx = _index_of(module, d["generator"], f"{path}[{k}].generator")
         coeff = _parse_terms(d["terms"], f"{path}[{k}].terms", module.base)
         out[idx] = out.get(idx, module.base.zero()) + coeff
     return ModuleElement(module, out)
@@ -196,8 +193,7 @@ def _parse_module(value, path: str, base: BaseAlgebra, name: str) -> FreeModule:
     differential = {}
     for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):
         e = _expect_dict(item, f"{path}.differential[{k}]", ["generator", "value"], ["generator", "value"])
-        nm = _expect_str(e["generator"], f"{path}.differential[{k}].generator")
-        idx = module.index_of(nm)
+        idx = _index_of(module, e["generator"], f"{path}.differential[{k}].generator")
         differential[idx] = _parse_module_value(e["value"], f"{path}.differential[{k}].value", module)
     module.set_differential(differential)
     return module
@@ -359,7 +355,7 @@ def parse_model(
             e = _expect_dict(item, f"$.brackets[{k}]", ["arity", "args", "value"], ["arity", "args", "value"])
             n = _expect_int(e["arity"], f"$.brackets[{k}].arity")
             args = [
-                carrier.index_of(_expect_str(x, f"$.brackets[{k}].args[{m}]"))
+                _index_of(carrier, x, f"$.brackets[{k}].args[{m}]")
                 for m, x in enumerate(_expect_list(e["args"], f"$.brackets[{k}].args"))
             ]
             if len(args) != n:
@@ -373,13 +369,12 @@ def parse_model(
             e = _expect_dict(item, f"$.anchors[{k}]", ["arity", "args", "on", "terms"], ["arity", "args", "on", "terms"])
             n = _expect_int(e["arity"], f"$.anchors[{k}].arity")
             args = [
-                carrier.index_of(_expect_str(x, f"$.anchors[{k}].args[{m}]"))
+                _index_of(carrier, x, f"$.anchors[{k}].args[{m}]")
                 for m, x in enumerate(_expect_list(e["args"], f"$.anchors[{k}].args"))
             ]
             if len(args) != n - 1:
                 raise ParseError("anchor args must have arity-1 entries", f"$.anchors[{k}]")
-            on = _expect_str(e["on"], f"$.anchors[{k}].on")
-            bidx = base.index_of(on)
+            bidx = _index_of(base, e["on"], f"$.anchors[{k}].on")
             value = _parse_terms(e["terms"], f"$.anchors[{k}].terms", base)
             try:
                 S.set_anchor(n, tuple(args), bidx, value)
@@ -422,8 +417,8 @@ def parse_model(
         dhat = {}
         for k, item in enumerate(_expect_list(tensors.get("dhat", []), "$.tensors.dhat")):
             e = _expect_dict(item, f"$.tensors.dhat[{k}]", ["basis", "value"], ["basis", "value"])
-            nm = _expect_str(e["basis"], f"$.tensors.dhat[{k}].basis")
-            dhat[base.index_of(nm)] = _parse_sym(e["value"], f"$.tensors.dhat[{k}].value", probe.amb)
+            idx = _index_of(base, e["basis"], f"$.tensors.dhat[{k}].basis")
+            dhat[idx] = _parse_sym(e["value"], f"$.tensors.dhat[{k}].value", probe.amb)
         gamma_raw = parse_letter_table("gamma", probe.amb, amb_letters, "$.tensors.gamma")
         gamma = {}
         for idx, v in gamma_raw.items():

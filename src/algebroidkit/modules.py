@@ -10,11 +10,11 @@ Koszul rule  g^vee(a.g') = (-1)^{|a||g^vee|} a delta_{g,g'}.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import BaseMismatch, DegreeError, KitError
-from .scalars import ONE, Scalar, sign_scalar
+from .scalars import Scalar, sign_scalar
 
 
 class ModuleElement:
@@ -176,11 +176,92 @@ def pair_dual(module: FreeModule, letter: int, v: ModuleElement) -> AlgebraEleme
     a = v.coefficient(letter)
     if a.is_zero():
         return module.base.zero()
-    letter_degree = -module.degrees[letter]
-    acc = module.base.zero()
+    return _koszul_twist(a, -module.degrees[letter])
+
+
+def from_dual_values(module: FreeModule, values: Mapping[int, AlgebraElement]) -> ModuleElement:
+    """The inverse of ``pair_dual``: the element T with g_i^vee(T) = values[i].
+
+    The pairing multiplies each homogeneous part of degree d by
+    (-1)^{d |g_i^vee|}, and so does its inverse.
+    """
+    return ModuleElement(
+        module,
+        {i: _koszul_twist(a, -module.degrees[i]) for i, a in values.items() if not a.is_zero()},
+    )
+
+
+def _koszul_twist(a: AlgebraElement, degree: int) -> AlgebraElement:
+    """a with its homogeneous part of degree d scaled by (-1)^{d * degree}."""
+    if degree % 2 == 0:
+        return a
+    acc = a.algebra.zero()
     for deg, ha in a.homogeneous_parts().items():
-        acc = acc + ha.scale(sign_scalar(deg * letter_degree))
+        acc = acc + (ha if deg % 2 == 0 else -ha)
     return acc
+
+
+def multilinear_extend(
+    table_fn: Callable[[Tuple[int, ...]], object],
+    op_degree: int,
+    args: Sequence[ModuleElement],
+    gen_degrees: Sequence[int],
+    zero,
+):
+    """A-multilinear Koszul extension of a map f stored on generator tuples.
+
+    This is the one implementation of the rule in the package: brackets,
+    anchors, L-infinity morphism components and the evaluation of stored
+    words all go through it.  With every argument split into homogeneous
+    terms a_k g_k, the coefficients are pulled out slot by slot from the left:
+
+        f(a_1 g_1, ..., a_n g_n)
+            = (-1)^{sum_k |a_k| (op_degree + |g_1| + .. + |g_{k-1}|)}
+              (a_1 ... a_n) . f(g_1, ..., g_n),
+
+    op_degree being the degree of f (only its parity matters): a_k moves
+    past f and g_1, ..., g_{k-1} and lands right of a_1 ... a_{k-1}.  This
+    is multilinearity in the Koszul sense, which assumes the base algebra is
+    graded commutative (a coefficient acts from either side up to that
+    sign).  table_fn(gens) returns f(g_1, ..., g_n), or None where it
+    vanishes; values must support ``a_mul``, negation and addition, and zero
+    is returned when no term survives.  A unit coefficient is not multiplied
+    in: that is exact under the unit law of the base algebra, and it keeps a
+    call on unit generators a plain table read.
+    """
+    slots = []
+    for v in args:
+        one = v.module.base.one()
+        terms = []
+        for i, a in v.items():
+            for d, ha in a.homogeneous_parts().items():
+                terms.append((None if ha == one else ha, d, i))
+        slots.append(terms)
+    n = len(slots)
+    total = None
+
+    def rec(k: int, exponent: int, coeff: Optional[AlgebraElement], gens: Tuple[int, ...], prefix: int):
+        nonlocal total
+        if k == n:
+            val = table_fn(gens)
+            if val is None:
+                return
+            if coeff is not None:
+                val = val.a_mul(coeff)
+            if exponent & 1:
+                val = -val
+            total = val if total is None else total + val
+            return
+        for ha, d, i in slots[k]:
+            if ha is not None:
+                exponent_k = exponent + d * (op_degree + prefix)
+                coeff_k = ha if coeff is None else coeff * ha
+            else:
+                exponent_k, coeff_k = exponent, coeff
+            rec(k + 1, exponent_k, coeff_k, gens + (i,), prefix + gen_degrees[i])
+
+    rec(0, 0, None, (), 0)
+    return zero if total is None else total
 
 
 def validate_module(module: FreeModule) -> list[str]:

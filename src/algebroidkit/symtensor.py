@@ -22,9 +22,11 @@ its own generators g_{w_1}, ..., g_{w_r} gives the nonzero integer
 
 (m_j the multiplicity of letter j, o the number of odd letters) and vanishes
 on the generators of any other word.  So ``from_values`` divides each value
-by kappa(w), and ``evaluate`` on unit generators is one table read times
-kappa and the Koszul sign of sorting the arguments; only general arguments
-(non-unit coefficients, sums) go through the unshuffle sum ``_eval_word``.
+by kappa(w), and ``evaluate`` on generators is one table read times kappa
+and the Koszul sign of sorting the arguments.  General arguments
+(coefficients, sums) take the same read: each total-degree part of the
+element is a map of that degree, extended A-multilinearly by
+``modules.multilinear_extend``.
 
 The product and ``DerivationD.apply`` form each output term once: the
 concatenated letters are sorted with their Koszul sign (``_sort_word``: one
@@ -54,7 +56,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import BaseMismatch, CapError, DegreeError, KitError
-from .modules import FreeModule, ModuleElement, pair_dual
+from .modules import FreeModule, ModuleElement, multilinear_extend, pair_dual
 from .scalars import Scalar, sign_scalar
 
 Word = Tuple[int, ...]
@@ -183,14 +185,14 @@ class SymElement:
             raise DegreeError(f"SymElement not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def homog_terms(self) -> List[Tuple[Word, int, AlgebraElement]]:
-        """Flatten into (word, total degree, homogeneous coefficient) triples."""
-        out = []
+    def homogeneous_parts(self) -> Dict[int, "SymElement"]:
+        """Split by total degree (coefficient degree plus word degree)."""
+        parts: Dict[int, Dict[Word, AlgebraElement]] = {}
         for w, a in self.data.items():
             wd = self.algebra.word_degree(w)
             for d, ha in a.homogeneous_parts().items():
-                out.append((w, d + wd, ha))
-        return out
+                parts.setdefault(d + wd, {})[w] = ha
+        return {d: SymElement(self.algebra, m) for d, m in sorted(parts.items())}
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -321,14 +323,12 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
     The letters of element.algebra must be the dual generators of module
     (in order), and every argument must be an element of module, even where
     the element has no part of weight len(args) (BaseMismatch otherwise).
-    Evaluation is graded symmetric and A-multilinear in the Koszul sense
-    fixed by the product formula.
 
-    When every argument is a unit generator g_i of module, the value is read
-    off the table: sorting the indices gives a word w and a Koszul sign, and
-    only w is nonzero there, so the value is sign * kappa(w) * (coefficient
-    of w).  Any other argument is split into homogeneous pieces and each
-    word is summed over unshuffles by ``_eval_word``.
+    Each total-degree part of the weight-r piece is a graded symmetric map
+    of that degree, extended from generator tuples by ``multilinear_extend``.
+    On generators the value is read off the table: sorting the indices gives
+    a word w and a Koszul sign, and only w is nonzero there, so the value is
+    sign * kappa(w) * (coefficient of w).
     """
     alg = element.algebra
     base = alg.base
@@ -339,64 +339,21 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
         raise BaseMismatch("module generators do not match algebra letters")
     if any(v.module is not module for v in args):
         raise BaseMismatch("evaluation argument from another module")
-    one = base.one()
-    if all(len(v.coeffs) == 1 and v.coeffs[0][1] == one for v in args):
-        sorted_word = alg.word(v.coeffs[0][0] for v in args)
-        if sorted_word.is_zero():  # a repeated odd generator
-            return base.zero()
-        ((w, sign),) = sorted_word.items()
-        a = element.data.get(w, base.zero())
-        return a.scale(sign.coefficient(base.unit) * _word_constant(alg, w))
     total = base.zero()
-    part = element.weight_part(r)
-    if part.is_zero():
-        return total
-    # decompose arguments into homogeneous pieces (multilinearity over K)
-    pieces = [list(v.homogeneous_parts().items()) for v in args]
+    for degree, part in element.weight_part(r).homogeneous_parts().items():
 
-    def rec_args(k: int, chosen: List[Tuple[int, ModuleElement]]):
-        nonlocal total
-        if k == r:
-            degs = [d for d, _ in chosen]
-            vals = [v for _, v in chosen]
-            for w, a in part.data.items():
-                total = total + a * _eval_word(alg, module, w, vals, degs)
-            return
-        for d, hv in pieces[k]:
-            rec_args(k + 1, chosen + [(d, hv)])
+        def read(gens: Word, data=part.data) -> Optional[AlgebraElement]:
+            sorted_word = alg.word(gens)
+            if sorted_word.is_zero():  # a repeated odd generator
+                return None
+            ((w, sign),) = sorted_word.items()
+            a = data.get(w)
+            if a is None:
+                return None
+            return a.scale(sign.coefficient(base.unit) * _word_constant(alg, w))
 
-    rec_args(0, [])
+        total = total + multilinear_extend(read, degree, args, module.degrees, base.zero())
     return total
-
-
-def _eval_word(
-    alg: SymAlgebra,
-    module: FreeModule,
-    word: Word,
-    args: List[ModuleElement],
-    degs: List[int],
-) -> AlgebraElement:
-    """(unit coefficient word)(args) via the recursive product formula."""
-    base = alg.base
-    if not word:
-        return base.one()
-    head = word[0]
-    rest = word[1:]
-    rest_degree = alg.word_degree(rest)
-    acc = base.zero()
-    prefix = 0
-    for k in range(len(args)):
-        # sign: alpha moving args[k] to the front, then |rest|*|v_{sigma(1)}|
-        exponent = degs[k] * prefix + rest_degree * degs[k]
-        paired = pair_dual(module, head, args[k])
-        prefix += degs[k]
-        if paired.is_zero():
-            continue
-        rest_val = _eval_word(alg, module, rest, args[:k] + args[k + 1 :], degs[:k] + degs[k + 1 :])
-        if rest_val.is_zero():
-            continue
-        acc = acc + (paired * rest_val).scale(sign_scalar(exponent))
-    return acc
 
 
 def _word_constant(alg: SymAlgebra, word: Word) -> Scalar:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from algebroidkit.algebroid import (
@@ -16,6 +18,7 @@ from algebroidkit.errors import KitError
 from algebroidkit.fixtures import (
     Rng,
     conjugation_oracle_structure,
+    exterior_base,
     lambda_eps,
     mixed_module,
     nontrivial_dga,
@@ -242,3 +245,33 @@ def test_leibniz_residual_unit_is_zero():
         res = leibniz_residual(S, n)
         for (key, b), val in res.items():
             assert b != base.unit
+
+
+def test_bracket_with_odd_coefficients_is_graded_symmetric():
+    """{a_1 g_1, a_2 g_2, a_3 g_3} with an odd coefficient in every slot obeys
+    the Koszul sign of every permutation of its arguments, so the anchor
+    terms of the Leibniz rule see each pulled-out coefficient exactly once."""
+    base = exterior_base([("x", 1), ("y", 1), ("z", 1)])
+    odd = [b for b in range(base.dim) if base.degrees[b] % 2]
+    permutations = [Permutation(images) for images in itertools.permutations((1, 2, 3))][1:]
+    checked = 0
+    for seed in range(3):
+        carrier = mixed_module(base, [0, 1, -1], seed=seed)
+        S = random_algebroid(Rng(40 + seed), base, carrier)
+        for gens in itertools.product(range(carrier.rank), repeat=3):
+            for coeffs in itertools.product(odd, repeat=3):
+                args = [
+                    ModuleElement(carrier, {g: base.basis_element(b)})
+                    for g, b in zip(gens, coeffs)
+                ]
+                degs = [carrier.degrees[g] + base.degrees[b] for g, b in zip(gens, coeffs)]
+                value = S.bracket(3, args)
+                if value.is_zero():
+                    continue
+                checked += 1
+                for sigma in permutations:
+                    permuted = S.bracket(3, list(sigma.permute(args)))
+                    assert permuted == value.scale(Scalar(sym_sign(sigma, degs))), (
+                        seed, gens, coeffs, sigma
+                    )
+    assert checked > 0

@@ -170,9 +170,54 @@ def _set(path, value):
 REFUSED_MODELS = {
     "duplicate-basis-name": ("rank1_curved.geometric.json", _set(("base", "basis", 1, "name"), "1")),
     "unit-of-degree-1": ("rank1_curved.geometric.json", _set(("base", "basis", 0, "degree"), 1)),
-    "bracket-unknown-generator": ("conjugated.algebroid.json", _set(("brackets", 0, "args", 0), "zz")),
-    "dhat-unknown-basis": ("generic.geometric.json", _set(("tensors", "dhat", 0, "basis"), "zz")),
 }
+
+
+def _add_anchor(args, on):
+    def mutate(doc):
+        doc["anchors"] = [{"arity": len(args) + 1, "args": args, "on": on, "terms": []}]
+
+    return mutate
+
+
+# Every name lookup of the parser: (fixture, mutation, JSON path of the name).
+ALG = "conjugated.algebroid.json"
+UNKNOWN_NAMES = {
+    "product-left": (ALG, _set(("base", "products", 0, "left"), "zz"), "$.base.products[0].left"),
+    "product-right": (ALG, _set(("base", "products", 0, "right"), "zz"), "$.base.products[0].right"),
+    "base-differential": (
+        ALG, _set(("base", "differential", 0, "basis"), "zz"), "$.base.differential[0].basis"
+    ),
+    "terms-basis": (
+        ALG,
+        _set(("brackets", 0, "value", 0, "terms", 0, "basis"), "zz"),
+        "$.brackets[0].value[0].terms[0].basis",
+    ),
+    "value-generator": (
+        ALG, _set(("brackets", 0, "value", 0, "generator"), "zz"), "$.brackets[0].value[0].generator"
+    ),
+    "carrier-differential": (
+        "perturbed.algebroid.json",
+        _set(("carrier", "differential", 0, "generator"), "zz"),
+        "$.carrier.differential[0].generator",
+    ),
+    "bracket-args": (ALG, _set(("brackets", 0, "args", 0), "zz"), "$.brackets[0].args[0]"),
+    "anchor-args": (ALG, _add_anchor(["g0", "zz"], "x"), "$.anchors[0].args[1]"),
+    "anchor-on": (ALG, _add_anchor(["g0"], "zz"), "$.anchors[0].on"),
+    "dhat-basis": (
+        "generic.geometric.json", _set(("tensors", "dhat", 0, "basis"), "zz"), "$.tensors.dhat[0].basis"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNKNOWN_NAMES))
+def test_unknown_name_exits_2_with_json_path(model_dir, tmp_path, capsys, site):
+    fixture, mutate, path = UNKNOWN_NAMES[site]
+    bad = _mutated(model_dir, tmp_path, fixture, site, mutate)
+    assert run(["validate", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'zz'" in err and f"(at {path})" in err, err
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -190,4 +235,24 @@ def test_unwritable_json_path_exits_2(model_dir, tmp_path, capsys, command):
     assert run([command, model_dir / "trivial.geometric.json", "--json", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_unwritable_json_path_runs_no_work(model_dir, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the command ran before the report path was checked")
+
+    monkeypatch.setitem(COMMANDS, "duality", fail)
+    out = tmp_path / "no-such-dir" / "out.json"
+    assert run(["duality", model_dir / "trivial.geometric.json", "--json", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
+
+def test_refused_check_leaves_no_report(model_dir, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("stale report of an earlier run")
+    assert run(["frakd-build", model_dir / "abelian.algebroid.json", "--json", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algebroidkit.errors import BaseMismatch, CapError
-from algebroidkit.fixtures import Rng, kodaira_base, lambda_eps, nontrivial_dga, standard_module
-from algebroidkit.modules import FreeModule, ModuleElement
+from algebroidkit.fixtures import (
+    Rng,
+    exterior_base,
+    kodaira_base,
+    lambda_eps,
+    nontrivial_dga,
+    standard_module,
+)
+from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
@@ -23,10 +34,34 @@ from algebroidkit.symtensor import (
     from_values,
     mc_residual,
     square_components,
-    _eval_word,
     _word_constant,
     zero_derivation,
 )
+
+
+def _eval_word(alg, module, word, args, degs):
+    """(unit-coefficient word)(homogeneous args of degrees degs) through the
+    recursive unshuffle product formula: the oracle for ``evaluate``."""
+    base = alg.base
+    if not word:
+        return base.one()
+    head = word[0]
+    rest = word[1:]
+    rest_degree = alg.word_degree(rest)
+    acc = base.zero()
+    prefix = 0
+    for k in range(len(args)):
+        # sign: alpha moving args[k] to the front, then |rest|*|v_{sigma(1)}|
+        exponent = degs[k] * prefix + rest_degree * degs[k]
+        paired = pair_dual(module, head, args[k])
+        prefix += degs[k]
+        if paired.is_zero():
+            continue
+        rest_val = _eval_word(alg, module, rest, args[:k] + args[k + 1 :], degs[:k] + degs[k + 1 :])
+        if rest_val.is_zero():
+            continue
+        acc = acc + (paired * rest_val).scale(sign_scalar(exponent))
+    return acc
 
 
 def make_setup(seed=0, rank=2, cap=4):
@@ -63,12 +98,8 @@ def test_unit_and_commutativity():
         # graded commutativity per homogeneous piece
         lhs = x * y
         rhs = alg.zero()
-        for wx, dx, ax in x.homog_terms():
-            from algebroidkit.symtensor import SymElement
-
-            xe = SymElement(alg, {wx: ax})
-            for wy, dy, ay in y.homog_terms():
-                ye = SymElement(alg, {wy: ay})
+        for dx, xe in x.homogeneous_parts().items():
+            for dy, ye in y.homogeneous_parts().items():
                 rhs = rhs + (ye * xe).scale(sign_scalar(dx * dy))
         assert lhs == rhs
 
@@ -232,12 +263,16 @@ def dense_sym_element(rng, alg):
 
 
 def _unshuffle_sum(el, args, module):
-    """sum_w a_w * w(args) through the unshuffle oracle, for homogeneous args."""
+    """sum_w a_w * w(args) through the unshuffle oracle, multilinear over K:
+    every argument is split into its homogeneous parts."""
     alg = el.algebra
-    degs = [v.degree() for v in args]
     total = alg.base.zero()
-    for w, a in el.weight_part(len(args)).items():
-        total = total + a * _eval_word(alg, module, w, list(args), degs)
+    pieces = [list(v.homogeneous_parts().items()) for v in args]
+    for chosen in product(*pieces):
+        degs = [d for d, _ in chosen]
+        vals = [v for _, v in chosen]
+        for w, a in el.weight_part(len(args)).items():
+            total = total + a * _eval_word(alg, module, w, vals, degs)
     return total
 
 
@@ -276,6 +311,88 @@ def test_evaluate_general_arguments_agree_with_generators():
             summed = args[:2] + [g[idx[2]] + g[k]]
             split = evaluate(el, args, module) + evaluate(el, args[:2] + [g[k]], module)
             assert evaluate(el, summed, module) == split, (idx, k)
+
+
+ORACLE_BASES = {
+    "nontrivial_dga": nontrivial_dga(),
+    "kodaira_base": kodaira_base(),
+    "exterior_xyz": exterior_base([("x", 1), ("y", 1), ("z", 1)]),
+}
+# generator degrees: even, odd, negative and repeated
+ORACLE_PATTERNS = [(0, 1, -1), (2, -1, 1), (0, 0, 1)]
+
+
+# Gaussian rationals: unit, integer, fractional and imaginary values
+SCALARS = st.sampled_from(
+    [
+        Scalar(1),
+        Scalar(-1),
+        Scalar(2),
+        Scalar(Fraction(1, 3)),
+        Scalar(Fraction(-3, 2)),
+        Scalar(0, 1),
+        Scalar(1, -1),
+        Scalar(Fraction(-2, 3), Fraction(1, 2)),
+    ]
+)
+
+
+def algebra_elements(base):
+    """Nonzero, inhomogeneous in general: any basis elements, any degrees."""
+    return st.dictionaries(
+        st.integers(0, base.dim - 1), SCALARS, min_size=1, max_size=3
+    ).map(base.element)
+
+
+def module_elements(module):
+    return st.dictionaries(
+        st.integers(0, module.rank - 1), algebra_elements(module.base), min_size=1, max_size=3
+    ).map(module.element)
+
+
+def sym_elements(alg, weight):
+    """A nonzero weight part to evaluate, mixed with words of every weight."""
+    words = [w for r in range(alg.cap + 1) for w in alg.words_of_weight(r)]
+    coefficients = algebra_elements(alg.base)
+    return st.tuples(
+        st.dictionaries(st.sampled_from(alg.words_of_weight(weight)), coefficients, min_size=1, max_size=4),
+        st.dictionaries(st.sampled_from(words), coefficients, max_size=4),
+    ).map(lambda parts: SymElement(alg, {**parts[1], **parts[0]}))
+
+
+@lru_cache(maxsize=None)
+def oracle_case(base_name, degrees, weight):
+    """(module, strategy of (element, arguments)) for one oracle setting."""
+    base = ORACLE_BASES[base_name]
+    module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    alg = SymAlgebra.over_module(module, cap=3)
+    args = st.tuples(*[module_elements(module)] * weight).map(list)
+    return module, st.tuples(sym_elements(alg, weight), args)
+
+
+@pytest.mark.parametrize("degrees", ORACLE_PATTERNS)
+@pytest.mark.parametrize("base_name", sorted(ORACLE_BASES))
+@pytest.mark.parametrize("weight", range(4))
+@given(data=st.data())
+def test_evaluate_matches_unshuffle_oracle_on_general_arguments(base_name, degrees, weight, data):
+    """Inhomogeneous elements on inhomogeneous, non-unit arguments (sums,
+    coefficients of every degree, repeated generators) agree with the
+    unshuffle sum over the homogeneous parts of the arguments."""
+    module, case = oracle_case(base_name, degrees, weight)
+    el, args = data.draw(case)
+    assert evaluate(el, args, module) == _unshuffle_sum(el, args, module)
+
+
+def test_homogeneous_parts_split_by_total_degree():
+    base, module, alg = make_setup(seed=20)
+    el = random_sym_element(Rng(21), alg)
+    parts = el.homogeneous_parts()
+    total = alg.zero()
+    for d, part in parts.items():
+        assert part.degree() == d
+        total = total + part
+    assert total == el
+    assert alg.zero().homogeneous_parts() == {}
 
 
 def test_evaluate_rejects_generator_of_another_module():
@@ -327,23 +444,15 @@ def test_derivation_leibniz():
     on_letters = {}
     for i in range(alg.n_letters):
         val = random_sym_element(rng, alg, 3)
-        parts = {}
-        for w, d, a in val.homog_terms():
-            if d == alg.letter_degrees[i] + 1 and len(w) >= 1:
-                parts[w] = parts.get(w, base.zero()) + a
-        from algebroidkit.symtensor import SymElement
-
-        on_letters[i] = SymElement(alg, parts)
+        part = val.homogeneous_parts().get(alg.letter_degrees[i] + 1, alg.zero())
+        on_letters[i] = SymElement(alg, {w: a for w, a in part.items() if len(w) >= 1})
     D = D0 + extend_derivation(alg, {}, on_letters)
     for _ in range(10):
         x = random_sym_element(rng, alg, 2)
         y = random_sym_element(rng, alg, 2)
         lhs = D.apply(x * y)
         rhs = D.apply(x) * y
-        for wx, dx, ax in x.homog_terms():
-            from algebroidkit.symtensor import SymElement
-
-            xe = SymElement(alg, {wx: ax})
+        for dx, xe in x.homogeneous_parts().items():
             rhs = rhs + (xe * D.apply(y)).scale(sign_scalar(dx))
         assert lhs == rhs
 
@@ -519,12 +628,17 @@ def _reference_merge(alg, w1, w2):
     return word, exponent, False
 
 
+def homogeneous_terms(el):
+    """(word, total degree, homogeneous coefficient) triples of el."""
+    return [(w, d, a) for d, part in el.homogeneous_parts().items() for w, a in part.items()]
+
+
 def reference_mul(x, y):
     """The product split into homogeneous terms, one AlgebraElement product each."""
     alg = x.algebra
     acc = {}
-    for w1, d1, a1 in x.homog_terms():
-        for w2, d2, a2 in y.homog_terms():
+    for w1, d1, a1 in homogeneous_terms(x):
+        for w2, d2, a2 in homogeneous_terms(y):
             if len(w1) + len(w2) > alg.cap:
                 continue
             sign = (d2 - alg.word_degree(w2)) * alg.word_degree(w1)

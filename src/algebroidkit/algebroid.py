@@ -2,15 +2,16 @@
 
 An AlgebroidStructure stores, over a fixed base dga A and free carrier L:
 
-* graded symmetric brackets  {v_1..v_n}_n  (n >= 2) of degree +1, stored on
-  sorted generator tuples and extended through the anchor Leibniz rule
+* graded symmetric brackets  {v_1..v_n}_n  (n >= 2) of degree +1, stored in
+  ``linfty.BracketTable``s (whose docstring states the storage rule) and
+  extended through the anchor Leibniz rule
 
       {v_1..v_{n-1}, a.v_n} = {v_1..v_{n-1}|a}.v_n
                               + (-1)^{|a|(|v_1|+..+|v_{n-1}|+1)} a.{v_1..v_n};
 
 * multi-anchors  {v_1..v_{n-1}|-}_n  (n >= 2) of degree +1, A-multilinear in
-  the module slots and a derivation in the algebra slot, stored on
-  (sorted generator tuple, basis element) pairs.
+  the module slots and a derivation in the algebra slot, stored in tables
+  keyed by (sorted generator tuple, basis element) pairs.
 
 The unary operations are fixed by the dga: {|-}_1 = d_A, {.}_1 = d_L.
 
@@ -36,21 +37,17 @@ from .linfty import (
     AlgebraDerivation,
     LInftyMorphism,
     ShiftedDerDGLA,
-    _tables_equal,
+    BracketTable,
+    _nonvanishing_keys,
     build_shifted_der_dgla,
-    canonicalize_key,
     jacobi_residual,
     morphism_residual,
+    same_tables,
     sorted_tuples,
 )
 from .modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend, pair_dual
 from .scalars import Scalar, sign_scalar
-from .symtensor import (
-    DerivationD,
-    SymAlgebra,
-    evaluate,
-    from_values,
-)
+from .symtensor import DerivationD, SymAlgebra, SymElement, evaluate, from_values
 
 GenKey = Tuple[int, ...]
 
@@ -73,60 +70,22 @@ class AlgebroidStructure:
         self.carrier = carrier
         self.bracket_cap = bracket_cap
         self.anchor_cap = anchor_cap
-        self.brackets: Dict[int, Dict[GenKey, ModuleElement]] = {}
-        self.anchors: Dict[int, Dict[Tuple[GenKey, int], AlgebraElement]] = {}
+        self.brackets: Dict[int, BracketTable] = {}
+        self.anchors: Dict[int, BracketTable] = {}
 
     # -- table management -----------------------------------------------------
 
     def set_bracket(self, n: int, key: Sequence[int], value: ModuleElement):
         if n < 2 or n > self.bracket_cap:
             raise CapError(f"bracket arity {n} outside 2..{self.bracket_cap}")
-        ckey, sign, vanishes = canonicalize_key(key, self.carrier.degrees, True)
-        if vanishes:
-            if not value.is_zero():
-                raise KitError(f"bracket value on vanishing tuple {tuple(key)}")
-            return
-        stored = value.scale(sign)
-        table = self.brackets.setdefault(n, {})
-        if stored.is_zero():
-            table.pop(ckey, None)
-        else:
-            table[ckey] = stored
+        self.brackets.setdefault(n, BracketTable(self.carrier.degrees)).set(key, value)
 
     def set_anchor(self, n: int, key: Sequence[int], basis_idx: int, value: AlgebraElement):
         if n < 2 or n > self.anchor_cap:
             raise CapError(f"anchor arity {n} outside 2..{self.anchor_cap}")
         if len(key) != n - 1:
             raise KitError("anchor key must have n-1 generators")
-        ckey, sign, vanishes = canonicalize_key(key, self.carrier.degrees, True)
-        if vanishes:
-            if not value.is_zero():
-                raise KitError(f"anchor value on vanishing tuple {tuple(key)}")
-            return
-        stored = value.scale(sign)
-        table = self.anchors.setdefault(n, {})
-        if stored.is_zero():
-            table.pop((ckey, basis_idx), None)
-        else:
-            table[(ckey, basis_idx)] = stored
-
-    def bracket_table_value(self, n: int, key: GenKey) -> ModuleElement:
-        ckey, sign, vanishes = canonicalize_key(key, self.carrier.degrees, True)
-        if vanishes:
-            return self.carrier.zero()
-        got = self.brackets.get(n, {}).get(ckey)
-        if got is None:
-            return self.carrier.zero()
-        return got.scale(sign)
-
-    def anchor_table_value(self, n: int, key: GenKey, basis_idx: int) -> AlgebraElement:
-        ckey, sign, vanishes = canonicalize_key(key, self.carrier.degrees, True)
-        if vanishes:
-            return self.base.zero()
-        got = self.anchors.get(n, {}).get((ckey, basis_idx))
-        if got is None:
-            return self.base.zero()
-        return got.scale(sign)
+        self.anchors.setdefault(n, BracketTable(self.carrier.degrees)).set(key, value, basis_idx)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -139,9 +98,12 @@ class AlgebroidStructure:
         if n > self.anchor_cap:
             raise CapError(f"anchor arity {n} exceeds cap {self.anchor_cap}")
         total = self.base.zero()
+        table = self.anchors.get(n)
+        if not table:
+            return total
         for b, c in a.items():
             val = multilinear_extend(
-                lambda gens: self.anchor_table_value(n, gens, b),
+                lambda gens: table.lookup(gens, b),
                 1,
                 args,
                 self.carrier.degrees,
@@ -151,10 +113,11 @@ class AlgebroidStructure:
         return total
 
     def anchor_derivation(self, n: int, key: GenKey) -> AlgebraDerivation:
-        """alpha_{n-1}(key) as a concrete derivation of the base algebra."""
+        """alpha_{n-1}(key) as a concrete derivation of the base algebra; key is
+        a sorted generator tuple."""
+        table = self.anchors.get(n, {})
         return AlgebraDerivation(
-            self.base,
-            {b: self.anchor_table_value(n, key, b) for b in range(self.base.dim)},
+            self.base, {b: table[(key, b)] for b in range(self.base.dim) if (key, b) in table}
         )
 
     def bracket(self, n: int, args: Sequence[ModuleElement]) -> ModuleElement:
@@ -203,7 +166,9 @@ class AlgebroidStructure:
 
         composite = [k for k, (b, _) in enumerate(slots) if b != unit]
         if not composite:
-            return self.bracket_table_value(n, tuple(i for _, i in slots))
+            table = self.brackets.get(n)
+            got = table.lookup(tuple(i for _, i in slots)) if table else None
+            return carrier.zero() if got is None else got
         k = composite[0]
         # rotate slot k past the tail
         tail = slots[k + 1 :]
@@ -225,21 +190,18 @@ class AlgebroidStructure:
         return (term1 + term2).scale(sign_scalar(exponent))
 
     def __eq__(self, other) -> bool:
-        """Same tables (arities, keys, coefficients); caps are not compared."""
+        """Same nonzero tables (arities, keys, coefficients); caps are not compared."""
         if not isinstance(other, AlgebroidStructure):
             return NotImplemented
-        return (
-            self.brackets.keys() == other.brackets.keys()
-            and self.anchors.keys() == other.anchors.keys()
-            and all(_tables_equal(t, other.brackets[n]) for n, t in self.brackets.items())
-            and all(_tables_equal(t, other.anchors[n]) for n, t in self.anchors.items())
+        return same_tables(self.brackets, other.brackets) and same_tables(
+            self.anchors, other.anchors
         )
 
     def max_bracket_arity(self) -> int:
-        return max(self.brackets, default=1)
+        return max((n for n, t in self.brackets.items() if t), default=1)
 
     def max_anchor_arity(self) -> int:
-        return max(self.anchors, default=1)
+        return max((n for n, t in self.anchors.items() if t), default=1)
 
     # -- validation -------------------------------------------------------------------
 
@@ -367,6 +329,12 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
 # ---------------------------------------------------------------------------
 
 
+def _nonzero_components(component, n: int, count: int) -> Dict[int, SymElement]:
+    """{i: component(n, i)} for i < count, the zero ones left out."""
+    comps = {i: component(n, i) for i in range(count)}
+    return {i: c for i, c in comps.items() if not c.is_zero()}
+
+
 def extract_structure(
     D: DerivationD,
     carrier: FreeModule,
@@ -393,16 +361,11 @@ def extract_structure(
         weight = n - 1
         if weight > algebra.cap:
             break
-        for key in sorted_tuples(carrier.rank, weight):
-            _, _, vanishes = canonicalize_key(key, carrier.degrees, True)
-            if vanishes:
-                continue
+        on_algebra = _nonzero_components(D.component_on_algebra, weight, base.dim)
+        for key in _nonvanishing_keys(carrier.degrees, weight):
             gens = [carrier.generator(i) for i in key]
             total_deg = sum(carrier.degrees[i] for i in key)
-            for b in range(base.dim):
-                comp = D.component_on_algebra(weight, b)
-                if comp.is_zero():
-                    continue
+            for b, comp in on_algebra.items():
                 value = evaluate(comp, gens, carrier).scale(
                     sign_scalar(base.degrees[b] * total_deg)
                 )
@@ -413,10 +376,9 @@ def extract_structure(
         weight = n
         if weight > algebra.cap:
             break
-        for key in sorted_tuples(carrier.rank, n):
-            _, _, vanishes = canonicalize_key(key, carrier.degrees, True)
-            if vanishes:
-                continue
+        on_algebra = _nonzero_components(D.component_on_algebra, n - 1, base.dim)
+        on_letter = _nonzero_components(D.component_on_letter, n - 1, carrier.rank)
+        for key in _nonvanishing_keys(carrier.degrees, n):
             gens = [carrier.generator(i) for i in key]
             degs = [carrier.degrees[i] for i in key]
             paired: Dict[int, AlgebraElement] = {}
@@ -430,8 +392,8 @@ def extract_structure(
                         continue
                     inner = base.zero()
                     for b, c in eta_vk.items():
-                        comp = D.component_on_algebra(n - 1, b)
-                        if comp.is_zero():
+                        comp = on_algebra.get(b)
+                        if comp is None:
                             continue
                         inner = inner + evaluate(
                             comp, gens[:k] + gens[k + 1 :], carrier
@@ -439,8 +401,8 @@ def extract_structure(
                     first = first + inner.scale(
                         sign_scalar(degs[k] * sum(degs[:k]))
                     )
-                comp = D.component_on_letter(n - 1, i)
-                second = evaluate(comp, gens, carrier) if not comp.is_zero() else base.zero()
+                comp = on_letter.get(i)
+                second = evaluate(comp, gens, carrier) if comp is not None else base.zero()
                 paired[i] = (first - second).scale(sign_scalar(eta_degree))
             value = from_dual_values(carrier, paired)
             if not value.is_zero():
@@ -488,10 +450,7 @@ def anchor_morphism(S: AlgebroidStructure) -> Tuple[LInftyMorphism, ShiftedDerDG
     target = build_shifted_der_dgla(S.base)
     f = LInftyMorphism(S, target, target.zero())
     for m in range(1, S.anchor_cap):
-        for key in sorted_tuples(S.carrier.rank, m):
-            _, _, vanishes = canonicalize_key(key, S.carrier.degrees, True)
-            if vanishes:
-                continue
+        for key in _nonvanishing_keys(S.carrier.degrees, m):
             der = S.anchor_derivation(m + 1, key)
             if not der.is_zero():
                 f.set_component(m, key, der)

@@ -37,7 +37,7 @@ from .geometry import (
     transport_lemma_residual,
     validate_geometric_model,
 )
-from .linfty import LInftyAlgebra, decalage, decalage_inverse
+from .linfty import LInftyAlgebra, decalage, decalage_inverse, same_tables
 from .modelio import parse_model
 from .modules import validate_module
 from .reports import (
@@ -215,7 +215,7 @@ def cmd_roundtrip(model, caps, args) -> Report:
                 for key, val in table.items():
                     view.set_bracket(n, key, val)
             back = decalage(decalage_inverse(view))
-            report.add(t.finish(back.tables == view.tables))
+            report.add(t.finish(same_tables(back.tables, view.tables)))
     else:
         with timed_check("recursion == extraction") as t:
             S1 = structure_from_geometry(model)

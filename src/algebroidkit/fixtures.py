@@ -319,14 +319,11 @@ def random_algebroid(
     ``validate`` demands; without it the raw tables are filled freely.
     """
     from .algebroid import AlgebroidStructure
-    from .linfty import canonicalize_key, sorted_tuples
+    from .linfty import _nonvanishing_keys
 
     S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
     for n in range(2, bracket_cap + 1):
-        for key in sorted_tuples(carrier.rank, n):
-            _, _, vanishes = canonicalize_key(key, carrier.degrees, True)
-            if vanishes:
-                continue
+        for key in _nonvanishing_keys(carrier.degrees, n):
             if rng.random() > density:
                 continue
             want = sum(carrier.degrees[i] for i in key) + 1
@@ -336,10 +333,7 @@ def random_algebroid(
     lo, hi = base.degree_range()
     der_cache = {}
     for n in range(2, anchor_cap + 1):
-        for key in sorted_tuples(carrier.rank, n - 1):
-            _, _, vanishes = canonicalize_key(key, carrier.degrees, True)
-            if vanishes:
-                continue
+        for key in _nonvanishing_keys(carrier.degrees, n - 1):
             if rng.random() > density:
                 continue
             op_degree = sum(carrier.degrees[i] for i in key) + 1
@@ -357,7 +351,7 @@ def random_algebroid(
                     for b in range(base.dim):
                         val = coeff * delta.value_on(b)
                         if not val.is_zero():
-                            val = val + S.anchor_table_value(n, key, b)
+                            val = val + S.anchors.get(n, {}).get((key, b), base.zero())
                             S.set_anchor(n, key, b, val)
             else:
                 for b in range(base.dim):
@@ -663,7 +657,8 @@ def fixture_corpus():
     carrier2 = mixed_module(base, [0, -1], seed=11)
     S2, _, _ = conjugation_oracle_structure(Rng(35), base, carrier2, cap=4)
     bump = ModuleElement(carrier2, {0: base.basis_element(0)})
-    S2.set_bracket(3, (0, 0, 1), S2.bracket_table_value(3, (0, 0, 1)) + bump)
+    old = S2.brackets.get(3, {}).get((0, 0, 1), carrier2.zero())
+    S2.set_bracket(3, (0, 0, 1), old + bump)
     corpus["perturbed.algebroid"] = S2
     return corpus
 

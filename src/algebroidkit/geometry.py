@@ -50,7 +50,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
 from .errors import BaseMismatch, CapError, DegreeError, KitError
-from .linfty import canonicalize_key, sorted_tuples
+from .linfty import BracketTable, _nonvanishing_keys
 from .modules import FreeModule, ModuleElement, from_dual_values
 from .scalars import Scalar, sign_scalar
 from .signs import enumerate_unshuffles, sym_sign
@@ -894,23 +894,10 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     S = AlgebroidStructure(g.base, g.normal, bracket_cap=cap, anchor_cap=cap + 1)
     degrees = g.normal.degrees
 
-    alpha_tables: Dict[int, Dict[Word, ModuleElement]] = {}
-
-    def alpha_eval(m: int, key: Word) -> ModuleElement:
-        ckey, sign, vanishes = canonicalize_key(key, degrees, True)
-        if vanishes:
-            return g.tangent.zero()
-        got = alpha_tables.get(m, {}).get(ckey)
-        if got is None:
-            return g.tangent.zero()
-        return got.scale(sign)
-
+    alpha_tables: Dict[int, BracketTable] = {}
     for m in range(1, cap + 1):
-        table: Dict[Word, ModuleElement] = {}
-        for key in sorted_tuples(g.b, m):
-            ckey, _, vanishes = canonicalize_key(key, degrees, True)
-            if vanishes or ckey != key:
-                continue
+        table = alpha_tables[m] = BracketTable(degrees)
+        for key in _nonvanishing_keys(degrees, m):
             gens = [g.normal.generator(i) for i in key]
             degs = [degrees[i] for i in key]
             if m == 1:
@@ -919,28 +906,25 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
                 val = _transpose(g, g.curv_tan.get(m, {}), g.tangent, 0, gens)
                 for sigma in enumerate_unshuffles(m - 1, 1):
                     perm = sigma.permute(list(range(m)))
-                    sign = sym_sign(sigma, degs)
-                    inner = alpha_eval(m - 1, tuple(key[p] for p in perm[: m - 1]))
+                    inner = alpha_tables[m - 1].lookup(tuple(key[p] for p in perm[: m - 1]))
+                    if inner is None:
+                        continue
                     term = shape_action(g, inner, gens[perm[m - 1]])
-                    val = val + term.scale(Scalar(sign))
-            if not val.is_zero():
-                table[key] = val
-        alpha_tables[m] = table
+                    val = val + term.scale(Scalar(sym_sign(sigma, degs)))
+            table.set(key, val)
 
     for n in range(2, cap + 1):
-        for key in sorted_tuples(g.b, n):
-            ckey, _, vanishes = canonicalize_key(key, degrees, True)
-            if vanishes or ckey != key:
-                continue
+        for key in _nonvanishing_keys(degrees, n):
             gens = [g.normal.generator(i) for i in key]
             degs = [degrees[i] for i in key]
             val = _transpose(g, g.curv_perp.get(n, {}), g.normal, 1, gens)
             for sigma in enumerate_unshuffles(n - 1, 1):
                 perm = sigma.permute(list(range(n)))
-                sign = sym_sign(sigma, degs)
-                inner = alpha_eval(n - 1, tuple(key[p] for p in perm[: n - 1]))
+                inner = alpha_tables[n - 1].lookup(tuple(key[p] for p in perm[: n - 1]))
+                if inner is None:
+                    continue
                 term = gamma_action(g, inner, gens[perm[n - 1]])
-                val = val + term.scale(Scalar(sign))
+                val = val + term.scale(Scalar(sym_sign(sigma, degs)))
             if not val.is_zero():
                 S.set_bracket(n, key, val)
 

@@ -7,7 +7,8 @@ graded module in either sign convention, chosen by its ``symmetric`` flag:
 * symmetric: graded symmetric brackets ell_n of degree +1 (alpha signs),
   the shifted picture used everywhere downstream.
 
-Brackets are stored by values on sorted generator tuples and extended
+Brackets are stored in ``BracketTable``s, whose docstring states the storage
+rule of every graded-symmetric table in the kit, and are extended
 A-multilinearly with Koszul signs; the unary bracket is always the carrier
 differential (a Leibniz derivation, not A-linear).  The degree-shift
 dictionary (decalage) converts between the two conventions with the sign
@@ -26,7 +27,7 @@ from .algebra import AlgebraElement, BaseAlgebra
 from .errors import CapError, DegreeError, KitError
 from .linalg import nullspace
 from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import Scalar, sign_scalar
+from .scalars import ONE, Scalar, sign_scalar
 from .signs import (
     canonical_partitions,
     partition_permutation,
@@ -50,8 +51,7 @@ def canonicalize_key(
 
     sign is the Koszul factor (ONE or MINUS_ONE) relating the value on the
     input order to the value on the sorted order; vanishes marks tuples
-    killed by the symmetry (repeated odd entries for symmetric brackets,
-    repeated even for skew).
+    killed by the symmetry (see ``BracketTable``).
     """
     items = list(key)
     exponent = 0
@@ -64,59 +64,93 @@ def canonicalize_key(
             items[j - 1], items[j] = items[j], items[j - 1]
             j -= 1
     sign = sign_scalar(exponent if symmetric else exponent + swaps)
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            parity = degrees[a] % 2
-            if symmetric and parity == 1:
-                return tuple(items), sign, True
-            if not symmetric and parity == 0:
-                return tuple(items), sign, True
-    return tuple(items), sign, False
+    return tuple(items), sign, _vanishes(items, degrees, symmetric)
 
 
-class BracketTable:
-    """Sparse canonical storage for one arity of a (skew or sym) bracket."""
+def _vanishes(key: Sequence[int], degrees: Sequence[int], symmetric: bool) -> bool:
+    """A sorted tuple repeating an odd generator (symmetric) or an even one (skew)."""
+    killed = 1 if symmetric else 0
+    return any(a == b and degrees[a] % 2 == killed for a, b in zip(key, key[1:]))
 
-    def __init__(self, module: FreeModule, arity: int, symmetric: bool):
-        self.module = module
-        self.arity = arity
+
+def _nonvanishing_keys(degrees: Sequence[int], n: int) -> List[GenKey]:
+    """The sorted generator tuples of length n on which a graded-symmetric map
+    can be nonzero, in lexicographic order."""
+    return [
+        key
+        for key in combinations_with_replacement(range(len(degrees)), n)
+        if not _vanishes(key, degrees, True)
+    ]
+
+
+class BracketTable(dict):
+    """One graded-symmetric (or skew) map on generator tuples, as the dict
+    ``{canonical key: value}``.
+
+    This is the storage rule of every such map in the kit: L-infinity
+    brackets, algebroid brackets and multi-anchors, L-infinity morphism
+    components and the alpha_n of ``structure_from_geometry``.
+
+    * Only sorted generator tuples are keys.  The value on any other order is
+      the stored one times the Koszul sign of the sorting permutation (its
+      parity included in the skew convention).
+    * A tuple repeating an odd generator (an even one in the skew convention)
+      vanishes: nothing is stored there, and a nonzero value is refused.
+    * Zero values are not stored, so an empty table is the zero map.
+    * An anchor table passes slot, the index of the algebra argument: its key
+      is (canonical generator tuple, slot), and only the tuple is sorted.
+
+    Values may be any type with ``scale`` and ``is_zero``.  Two tables are
+    equal when they have the same keys and, per key, the same coefficients
+    (``items()``), so tables over different carrier objects can compare equal.
+    """
+
+    __slots__ = ("degrees", "symmetric")
+
+    def __init__(self, degrees: Sequence[int], symmetric: bool = True):
+        super().__init__()
+        self.degrees = degrees
         self.symmetric = symmetric
-        self.values: Dict[GenKey, ModuleElement] = {}
 
-    def set(self, key: Sequence[int], value: ModuleElement):
-        ckey, sign, vanishes = canonicalize_key(key, self.module.degrees, self.symmetric)
+    def set(self, gens: Sequence[int], value, slot: Optional[int] = None):
+        ckey, sign, vanishes = canonicalize_key(gens, self.degrees, self.symmetric)
         if vanishes:
             if not value.is_zero():
-                raise KitError(f"value prescribed on a vanishing tuple {tuple(key)}")
+                raise KitError(f"value prescribed on a vanishing tuple {tuple(gens)}")
             return
+        key = ckey if slot is None else (ckey, slot)
         stored = value.scale(sign)
         if stored.is_zero():
-            self.values.pop(ckey, None)
+            self.pop(key, None)
         else:
-            self.values[ckey] = stored
+            self[key] = stored
 
-    def get(self, key: Sequence[int]) -> ModuleElement:
-        ckey, sign, vanishes = canonicalize_key(key, self.module.degrees, self.symmetric)
+    def lookup(self, gens: Sequence[int], slot: Optional[int] = None):
+        """The value on gens in the given order, or None where the map
+        vanishes: the ``table_fn`` of ``modules.multilinear_extend``."""
+        ckey, sign, vanishes = canonicalize_key(gens, self.degrees, self.symmetric)
         if vanishes:
-            return self.module.zero()
-        got = self.values.get(ckey)
-        if got is None:
-            return self.module.zero()
+            return None
+        got = self.get(ckey if slot is None else (ckey, slot))
+        if got is None or sign is ONE:
+            return got
         return got.scale(sign)
 
-    def is_zero(self) -> bool:
-        return not self.values
-
     def __eq__(self, other) -> bool:
-        """Same keys with the same coefficients; the carrier module may differ."""
-        if not isinstance(other, BracketTable):
+        if not isinstance(other, dict):
             return NotImplemented
-        return _tables_equal(self.values, other.values)
+        return self.keys() == other.keys() and all(
+            v.items() == other[k].items() for k, v in self.items()
+        )
+
+    def __ne__(self, other) -> bool:  # dict.__ne__ would bypass __eq__
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
 
-def _tables_equal(t1: Mapping, t2: Mapping) -> bool:
-    """Equal key sets and, per key, equal coefficients (``items()``)."""
-    return t1.keys() == t2.keys() and all(t1[k].items() == t2[k].items() for k in t1)
+def same_tables(t1: Mapping[int, Mapping], t2: Mapping[int, Mapping]) -> bool:
+    """Equal tables arity by arity; an empty table equals a missing one."""
+    return {n: t for n, t in t1.items() if t} == {n: t for n, t in t2.items() if t}
 
 
 def sorted_tuples(rank: int, n: int) -> List[GenKey]:
@@ -147,7 +181,7 @@ class LInftyAlgebra:
     def set_bracket(self, n: int, key: Sequence[int], value: ModuleElement):
         if n < 2 or n > self.arity_cap:
             raise CapError(f"bracket arity {n} outside 2..{self.arity_cap}")
-        table = self.tables.setdefault(n, BracketTable(self.carrier, n, self.symmetric))
+        table = self.tables.setdefault(n, BracketTable(self.carrier.degrees, self.symmetric))
         table.set(key, value)
 
     def bracket(self, n: int, args: Sequence[ModuleElement]) -> ModuleElement:
@@ -161,7 +195,7 @@ class LInftyAlgebra:
         if table is None:
             return self.carrier.zero()
         return multilinear_extend(
-            lambda gens: table.get(gens),
+            table.lookup,
             self.bracket_degree(n) % 2,
             args,
             self.carrier.degrees,
@@ -171,7 +205,7 @@ class LInftyAlgebra:
     def validate(self) -> List[str]:
         problems = []
         for n, table in self.tables.items():
-            for key, val in table.values.items():
+            for key, val in table.items():
                 want = sum(self.carrier.degrees[i] for i in key) + self.bracket_degree(n)
                 try:
                     got = val.degree()
@@ -259,7 +293,7 @@ def _shift_structure(L: LInftyAlgebra, shift: int, name_suffix: str) -> LInftyAl
     unshifted_degrees = L.carrier.degrees if shift == 1 else shifted.degrees
     out = LInftyAlgebra(shifted, arity_cap=L.arity_cap, symmetric=shift == 1)
     for n, table in L.tables.items():
-        for key, val in table.values.items():
+        for key, val in table.items():
             exponent = _decalage_exponent(key, unshifted_degrees)
             new_val = ModuleElement(shifted, dict(val.items())).scale(sign_scalar(exponent))
             out.set_bracket(n, key, new_val)
@@ -535,34 +569,18 @@ class LInftyMorphism:
         self.source = source
         self.target = target
         self.zero_value = zero_value
-        self.tables: Dict[int, Dict[GenKey, object]] = {}
+        self.tables: Dict[int, BracketTable] = {}
 
     def set_component(self, n: int, key: Sequence[int], value):
-        ckey, sign, vanishes = canonicalize_key(
-            key, self.source.carrier.degrees, symmetric=True
-        )
-        if vanishes:
-            return
-        self.tables.setdefault(n, {})[ckey] = value.scale(sign)
+        table = self.tables.setdefault(n, BracketTable(self.source.carrier.degrees))
+        table.set(key, value)
 
     def component(self, n: int, args: Sequence[ModuleElement]):
         table = self.tables.get(n)
         if table is None:
             return self.zero_value
-
-        def lookup(gens: GenKey):
-            ckey, sign, vanishes = canonicalize_key(
-                gens, self.source.carrier.degrees, symmetric=True
-            )
-            if vanishes:
-                return None
-            got = table.get(ckey)
-            if got is None:
-                return None
-            return got.scale(sign)
-
         return multilinear_extend(
-            lookup, 0, args, self.source.carrier.degrees, self.zero_value
+            table.lookup, 0, args, self.source.carrier.degrees, self.zero_value
         )
 
 

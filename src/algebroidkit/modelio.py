@@ -114,9 +114,13 @@ def _parse_base(value, path: str) -> BaseAlgebra:
         basis.append((_expect_str(e["name"], f"{path}.basis[{k}].name"),
                       _expect_int(e["degree"], f"{path}.basis[{k}].degree")))
     names = [n for n, _ in basis]
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate basis names", f"{path}.basis")
     unit_name = _expect_str(d["unit"], f"{path}.unit")
     if unit_name not in names:
         raise ParseError(f"unit {unit_name!r} is not a basis element", f"{path}.unit")
+    if basis[names.index(unit_name)][1] != 0:
+        raise ParseError("unit must have degree 0", f"{path}.unit")
     probe = BaseAlgebra(basis, unit=names.index(unit_name), products={})
     products: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for k, item in enumerate(_expect_list(d["products"], f"{path}.products")):
@@ -189,6 +193,8 @@ def _parse_module(value, path: str, base: BaseAlgebra, name: str) -> FreeModule:
         e = _expect_dict(item, f"{path}.generators[{k}]", ["name", "degree"], ["name", "degree"])
         gens.append((_expect_str(e["name"], f"{path}.generators[{k}].name"),
                      _expect_int(e["degree"], f"{path}.generators[{k}].degree")))
+    if len({n for n, _ in gens}) != len(gens):
+        raise ParseError("duplicate generator names", f"{path}.generators")
     module = FreeModule(base, gens, name=name)
     differential = {}
     for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):

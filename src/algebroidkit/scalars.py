@@ -79,11 +79,6 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
 
-    def div_int(self, k: int) -> "Scalar":
-        if k == 0:
-            raise ZeroDivisionError("division of Scalar by 0")
-        return Scalar(self.re / k, self.im / k)
-
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -170,9 +170,6 @@ class SymElement:
     def weight_part(self, r: int) -> "SymElement":
         return SymElement(self.algebra, {w: a for w, a in self.data.items() if len(w) == r})
 
-    def max_weight(self) -> int:
-        return max((len(w) for w in self.data), default=0)
-
     def degree(self) -> Optional[int]:
         degs = set()
         for w, a in self.data.items():
@@ -851,7 +848,3 @@ def mc_residual(D0: DerivationD, Phi: FilteredAutomorphism) -> Dict[str, SymElem
             out[alg.letter_names[i]] = val
     return out
 
-
-def deficiency_derivation(D0: DerivationD, Phi: FilteredAutomorphism) -> DerivationD:
-    """omega = (Phi o D0 - D0 o Phi) o Phi^{-1} as a degree-1 derivation."""
-    return conjugate(Phi, D0) - D0

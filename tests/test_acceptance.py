@@ -53,6 +53,7 @@ from algebroidkit.linfty import (
     decalage,
     decalage_inverse,
     jacobi_residual,
+    same_tables,
 )
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE
@@ -133,10 +134,8 @@ def test_criterion_2_decalage():
                     L.set_bracket(n, key, val)
         back = decalage_inverse(decalage(L))
         for n in range(2, 5):
-            t1 = L.tables.get(n)
-            t2 = back.tables.get(n)
-            v1 = t1.values if t1 else {}
-            v2 = t2.values if t2 else {}
+            v1 = L.tables.get(n, {})
+            v2 = back.tables.get(n, {})
             if set(v1) != set(v2):
                 ok = False
                 continue
@@ -154,21 +153,22 @@ def test_criterion_2_decalage():
     announce(2, ok, "degree-shift dictionary: 50 random round trips exact; Jacobi preserved both ways on matrix DGLAs", time.perf_counter() - t0, 5)
 
 
+def nonzero_tables(tables):
+    return {n: t for n, t in tables.items() if t}
+
+
 def structures_equal(S1, S2):
-    if set(S1.brackets) != set(S2.brackets) or set(S1.anchors) != set(S2.anchors):
-        return False
-    for n in S1.brackets:
-        if S1.brackets[n].keys() != S2.brackets[n].keys():
+    """Same nonzero tables: an empty table counts as a missing one."""
+    for t1, t2 in [(S1.brackets, S2.brackets), (S1.anchors, S2.anchors)]:
+        t1, t2 = nonzero_tables(t1), nonzero_tables(t2)
+        if set(t1) != set(t2):
             return False
-        for key in S1.brackets[n]:
-            if S1.brackets[n][key].items() != S2.brackets[n][key].items():
+        for n in t1:
+            if t1[n].keys() != t2[n].keys():
                 return False
-    for n in S1.anchors:
-        if S1.anchors[n].keys() != S2.anchors[n].keys():
-            return False
-        for key in S1.anchors[n]:
-            if S1.anchors[n][key].items() != S2.anchors[n][key].items():
-                return False
+            for key in t1[n]:
+                if t1[n][key].items() != t2[n][key].items():
+                    return False
     return True
 
 
@@ -195,14 +195,15 @@ def copy_structure(S, with_anchors=True):
 def bracket_tables(S):
     tables = {}
     for n, table in S.brackets.items():
-        tables[n] = BracketTable(S.carrier, n, symmetric=True)
-        tables[n].values.update(table)
+        tables[n] = BracketTable(S.carrier.degrees)
+        tables[n].update(table)
     return tables
 
 
 def test_structure_equality_agrees_with_oracle():
-    """__eq__ of AlgebroidStructure and BracketTable matches structures_equal,
-    on an equal pair and on pairs that differ in one place."""
+    """__eq__ of AlgebroidStructure and BracketTable (through same_tables)
+    matches structures_equal, on equal pairs and on pairs that differ in one
+    place; an extra empty table changes nothing."""
     S = structure_from_geometry(fixture_corpus()["rank2.geometric"])
     n, key = min((n, k) for n, t in S.brackets.items() for k in t)
     m, akey = min((m, k) for m, t in S.anchors.items() for k in t)
@@ -213,13 +214,24 @@ def test_structure_equality_agrees_with_oracle():
     anchor_bumped = copy_structure(S)
     anchor_bumped.anchors[m][akey] = S.anchors[m][akey] + S.base.one()
     extra_arity = copy_structure(S)
-    extra_arity.brackets[max(S.brackets) + 1] = {}
+    extra_arity.brackets[max(S.brackets) + 1] = {(0,) * (max(S.brackets) + 1): S.carrier.generator(0)}
+    empty_arity = copy_structure(S)
+    empty_arity.brackets[max(S.brackets) + 1] = {}
+    empty_arity.anchors[max(S.anchors) + 1] = {}
 
-    for S2, same in [(equal, True), (bracket_bumped, False), (anchor_bumped, False), (extra_arity, False)]:
+    cases = [
+        (equal, True),
+        (bracket_bumped, False),
+        (anchor_bumped, False),
+        (extra_arity, False),
+        (empty_arity, True),
+    ]
+    for S2, same in cases:
         assert structures_equal(S, S2) is same
         assert (S == S2) is same and (S2 == S) is same
+        assert (S != S2) is not same
         same_brackets = structures_equal(copy_structure(S, False), copy_structure(S2, False))
-        assert (bracket_tables(S) == bracket_tables(S2)) is same_brackets
+        assert same_tables(bracket_tables(S), bracket_tables(S2)) is same_brackets
     assert bracket_tables(S) == bracket_tables(anchor_bumped)
 
 
@@ -270,7 +282,7 @@ def test_criterion_3_ce_duality():
                     if base.degrees[b] + carrier.degrees[g] != want or tried >= 16:
                         continue
                     bump = ModuleElement(carrier, {g: base.basis_element(b)})
-                    old = S.bracket_table_value(n, key)
+                    old = S.brackets.get(n, {}).get(key, carrier.zero())
                     S.set_bracket(n, key, old + bump)
                     sq_empty = square_components(ce_differential(S, weight_cap=4)) == {}
                     res_empty = all_residuals_empty(S)

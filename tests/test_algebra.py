@@ -30,7 +30,6 @@ def test_scalar_arithmetic():
     assert a * b == Scalar(Fraction(4, 3), Fraction(1, 6))
     assert (a / b) * b == a
     assert Scalar.i() * Scalar.i() == Scalar(-1)
-    assert Scalar(3).div_int(2) == Scalar(Fraction(3, 2))
     q = a.as_quadruple()
     assert Scalar.from_quadruple(q) == a
 

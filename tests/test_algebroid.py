@@ -174,7 +174,7 @@ def test_equivalence_square_iff_residuals():
 
     broke_some = False
     for n, key, bump in single_entry_perturbations(S, limit=12):
-        old = S.bracket_table_value(n, key)
+        old = S.brackets.get(n, {}).get(key, carrier.zero())
         S.set_bracket(n, key, old + bump)
         sq_empty = square_components(ce_differential(S, weight_cap=4)) == {}
         res_empty = all_residuals_empty(S)

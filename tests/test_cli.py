@@ -165,11 +165,31 @@ def _set(path, value):
     return mutate
 
 
-# Each of these is refused by a constructor (KitError), not by the parser's
-# own ParseError checks.
+def _append(path, value):
+    def mutate(doc):
+        slot = doc
+        for key in path:
+            slot = slot[key]
+        slot.append(value)
+
+    return mutate
+
+
+# Input the BaseAlgebra / FreeModule constructors would refuse; the parser
+# refuses it first: (fixture, mutation, JSON path of the refusal).
+GEO = "rank1_curved.geometric.json"
 REFUSED_MODELS = {
-    "duplicate-basis-name": ("rank1_curved.geometric.json", _set(("base", "basis", 1, "name"), "1")),
-    "unit-of-degree-1": ("rank1_curved.geometric.json", _set(("base", "basis", 0, "degree"), 1)),
+    "duplicate-basis-name": (GEO, _set(("base", "basis", 1, "name"), "1"), "$.base.basis"),
+    "unit-of-degree-1": (GEO, _set(("base", "basis", 0, "degree"), 1), "$.base.unit"),
+    "duplicate-carrier-generator": (
+        "abelian.algebroid.json", _set(("carrier", "generators", 1, "name"), "g0"), "$.carrier.generators"
+    ),
+    "duplicate-tangent-generator": (
+        GEO, _append(("tangent", "generators"), {"name": "t0", "degree": 1}), "$.tangent.generators"
+    ),
+    "duplicate-normal-generator": (
+        GEO, _append(("normal", "generators"), {"name": "n0", "degree": 1}), "$.normal.generators"
+    ),
 }
 
 
@@ -222,11 +242,21 @@ def test_unknown_name_exits_2_with_json_path(model_dir, tmp_path, capsys, site):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_constructor_errors_while_parsing_exit_2(model_dir, tmp_path, capsys, command):
-    for name, (fixture, mutate) in REFUSED_MODELS.items():
+    for name, (fixture, mutate, _) in REFUSED_MODELS.items():
         bad = _mutated(model_dir, tmp_path, fixture, name, mutate)
         assert run([command, bad]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+
+
+@pytest.mark.parametrize("site", sorted(REFUSED_MODELS))
+def test_constructor_refusals_name_json_path(model_dir, tmp_path, capsys, site):
+    fixture, mutate, path = REFUSED_MODELS[site]
+    bad = _mutated(model_dir, tmp_path, fixture, site, mutate)
+    assert run(["validate", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith(f"(at {path})\n"), err
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -256,3 +286,29 @@ def test_refused_check_leaves_no_report(model_dir, tmp_path, capsys):
     assert run(["frakd-build", model_dir / "abelian.algebroid.json", "--json", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def _abelian_with(model_dir, tmp_path, name, **entries):
+    """The abelian fixture with extra top-level entries (brackets, anchors)."""
+    doc = json.loads((model_dir / "abelian.algebroid.json").read_text())
+    doc.update(entries)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_zero_anchor_entry_is_no_entry(model_dir, tmp_path, capsys):
+    zero = {"arity": 2, "args": ["g0"], "on": "x", "terms": []}
+    model = _abelian_with(model_dir, tmp_path, "zero-anchor", anchors=[zero])
+    assert run(["roundtrip", model]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_zero_bracket_entry_does_not_raise_the_arity(model_dir, tmp_path, capsys):
+    zero = {"arity": 3, "args": ["g0", "g0", "g1"], "value": []}
+    model = _abelian_with(model_dir, tmp_path, "zero-bracket", brackets=[zero])
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    assert run(["ce-build", model, "--weight", "2", "--json", got]) == 0
+    assert run(["ce-build", model_dir / "abelian.algebroid.json", "--weight", "2", "--json", want]) == 0
+    assert got.read_bytes() == want.read_bytes()
+    capsys.readouterr()

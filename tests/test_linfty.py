@@ -84,10 +84,8 @@ def test_decalage_round_trip_fifty_random_tables():
         back = decalage_inverse(decalage(L))
         assert back.carrier.degrees == carrier.degrees
         for n in range(2, 5):
-            t1 = L.tables.get(n)
-            t2 = back.tables.get(n)
-            v1 = t1.values if t1 else {}
-            v2 = t2.values if t2 else {}
+            v1 = L.tables.get(n, {})
+            v2 = back.tables.get(n, {})
             assert set(v1) == set(v2)
             for key in v1:
                 assert v1[key].items() == v2[key].items()
@@ -170,7 +168,7 @@ def test_transported_structure_morphism_residual():
     scalars = [Scalar(rng.randint(1, 3)) for _ in range(carrier.rank)]
     target = LInftyAlgebra(carrier, arity_cap=L.arity_cap, symmetric=True)
     table = L.tables.get(2)
-    for key, val in table.values.items():
+    for key, val in table.items():
         ci, cj = scalars[key[0]], scalars[key[1]]
         transported = ModuleElement(
             carrier,

@@ -127,7 +127,7 @@ def test_cap_truncation_in_product():
     lam0 = alg.letter(0)
     lam1 = alg.letter(1)
     prod = lam0 * lam1
-    assert prod.max_weight() <= 2
+    assert max(prod.weights(), default=0) <= 2
     assert (prod * lam0).is_zero()  # weight 3 discarded
 
 
@@ -577,7 +577,7 @@ def test_mc_single_planted_term_is_commutator():
     e = base.from_names({"e": ONE})
     module.set_differential({1: ModuleElement(module, {1: e})})
     alg = SymAlgebra.over_module(module, cap=4)
-    from algebroidkit.symtensor import DerivationD, SymElement, deficiency_derivation
+    from algebroidkit.symtensor import DerivationD, SymElement
 
     phi = DerivationD(
         alg, {}, {0: SymElement(alg, {(1, 1): base.one()})}, degree=0, check=False
@@ -586,7 +586,7 @@ def test_mc_single_planted_term_is_commutator():
     assert phi.apply(phi.apply(alg.letter(0))).is_zero()
     Phi = FilteredAutomorphism.from_exponential(phi)
     D0 = d0_derivation(alg, module)
-    omega = deficiency_derivation(D0, Phi)
+    omega = conjugate(Phi, D0) - D0
     # commutator [phi, D0] on generators
     def comm_on(x):
         return phi.apply(D0.apply(x)) - D0.apply(phi.apply(x))

@@ -13,7 +13,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import BaseMismatch, DegreeError, KitError
-from .scalars import ONE, Scalar, sign_scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, sign_scalar
+
+# A structure constant equal to +-1 is stored as one of these objects, so the
+# products can add +-s instead of multiplying s by it (tested with ``is``).
+_SIGNS = {ONE: ONE, MINUS_ONE: MINUS_ONE}
 
 
 class AlgebraElement:
@@ -78,6 +82,10 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs})
 
     def scale(self, s: Scalar) -> "AlgebraElement":
+        if s is ONE:
+            return self
+        if s is MINUS_ONE:
+            return -self
         return AlgebraElement(self.algebra, {i: c * s for i, c in self.coeffs})
 
     def a_mul(self, a: "AlgebraElement") -> "AlgebraElement":
@@ -90,10 +98,10 @@ class AlgebraElement:
         alg = self.algebra
         for i, ci in self.coeffs:
             for j, cj in other.coeffs:
-                prod = alg.product_basis(i, j)
                 s = ci * cj
-                for k, ck in prod.coeffs:
-                    acc[k] = acc.get(k, Scalar.zero()) + s * ck
+                for k, ck in alg.product_basis(i, j).coeffs:
+                    t = s if ck is ONE else -s if ck is MINUS_ONE else s * ck
+                    acc[k] = acc.get(k, ZERO) + t
         return AlgebraElement(alg, acc)
 
     def d(self) -> "AlgebraElement":
@@ -130,7 +138,9 @@ class BaseAlgebra:
     products maps ordered basis pairs (i, j) to sparse coefficient maps; only
     nonzero products need to be supplied, and both orders may be given (the
     validator checks graded commutativity).  Missing pairs multiply to zero,
-    except pairs involving the unit which default to the unit law.
+    except pairs involving the unit which default to the unit law, and pairs
+    whose mirror (j, i) is given, which follow graded commutativity.  The
+    table of all dim^2 basis products is filled once, here.
     """
 
     def __init__(
@@ -149,9 +159,24 @@ class BaseAlgebra:
         if self.degrees[unit] != 0:
             raise DegreeError("unit must have degree 0")
         self.unit = unit
+        stored = {key: dict(val) for key, val in products.items()}
+        n = len(self.names)
         self._products: Dict[Tuple[int, int], AlgebraElement] = {}
-        for (i, j), val in products.items():
-            self._products[(i, j)] = AlgebraElement(self, dict(val))
+        for i in range(n):
+            for j in range(n):
+                coeffs = stored.get((i, j))
+                if coeffs is None:
+                    if i == unit:
+                        coeffs = {j: ONE}
+                    elif j == unit:
+                        coeffs = {i: ONE}
+                    elif (j, i) in stored:
+                        sign = sign_scalar(self.degrees[i] * self.degrees[j])
+                        coeffs = {k: c * sign for k, c in stored[(j, i)].items()}
+                    else:
+                        coeffs = {}
+                marked = {k: _SIGNS.get(c, c) for k, c in coeffs.items()}
+                self._products[(i, j)] = AlgebraElement(self, marked)
         self._differential: Dict[int, AlgebraElement] = {}
         for i, val in (differential or {}).items():
             self._differential[i] = AlgebraElement(self, dict(val))
@@ -184,18 +209,7 @@ class BaseAlgebra:
         return AlgebraElement(self, {self.index_of(n): c for n, c in mapping.items()})
 
     def product_basis(self, i: int, j: int) -> AlgebraElement:
-        got = self._products.get((i, j))
-        if got is not None:
-            return got
-        if i == self.unit:
-            return self.basis_element(j)
-        if j == self.unit:
-            return self.basis_element(i)
-        # fall back to graded commutativity if only the mirror pair is stored
-        mirror = self._products.get((j, i))
-        if mirror is not None:
-            return mirror.scale(sign_scalar(self.degrees[i] * self.degrees[j]))
-        return self.zero()
+        return self._products[(i, j)]
 
     def differential_basis(self, i: int) -> AlgebraElement:
         return self._differential.get(i, self.zero())

@@ -47,7 +47,7 @@ from .linfty import (
 )
 from .modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend, pair_dual
 from .scalars import Scalar, sign_scalar
-from .symtensor import DerivationD, SymAlgebra, SymElement, evaluate, from_values
+from .symtensor import DerivationD, SymAlgebra, SymElement, _evaluate_parts, from_values
 
 GenKey = Tuple[int, ...]
 
@@ -329,10 +329,11 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_components(component, n: int, count: int) -> Dict[int, SymElement]:
-    """{i: component(n, i)} for i < count, the zero ones left out."""
-    comps = {i: component(n, i) for i in range(count)}
-    return {i: c for i, c in comps.items() if not c.is_zero()}
+def _component_parts(component, n: int, count: int, r: int) -> Dict[int, Dict[int, SymElement]]:
+    """{i: total-degree parts of the weight-r piece of component(n, i)} for
+    i < count, the zero ones left out: each is split once for ``_evaluate_parts``."""
+    parts = {i: component(n, i).weight_part(r).homogeneous_parts() for i in range(count)}
+    return {i: p for i, p in parts.items() if p}
 
 
 def extract_structure(
@@ -361,12 +362,12 @@ def extract_structure(
         weight = n - 1
         if weight > algebra.cap:
             break
-        on_algebra = _nonzero_components(D.component_on_algebra, weight, base.dim)
+        on_algebra = _component_parts(D.component_on_algebra, weight, base.dim, weight)
         for key in _nonvanishing_keys(carrier.degrees, weight):
             gens = [carrier.generator(i) for i in key]
             total_deg = sum(carrier.degrees[i] for i in key)
-            for b, comp in on_algebra.items():
-                value = evaluate(comp, gens, carrier).scale(
+            for b, parts in on_algebra.items():
+                value = _evaluate_parts(algebra, parts, gens, carrier).scale(
                     sign_scalar(base.degrees[b] * total_deg)
                 )
                 if not value.is_zero():
@@ -376,8 +377,8 @@ def extract_structure(
         weight = n
         if weight > algebra.cap:
             break
-        on_algebra = _nonzero_components(D.component_on_algebra, n - 1, base.dim)
-        on_letter = _nonzero_components(D.component_on_letter, n - 1, carrier.rank)
+        on_algebra = _component_parts(D.component_on_algebra, n - 1, base.dim, n - 1)
+        on_letter = _component_parts(D.component_on_letter, n - 1, carrier.rank, n)
         for key in _nonvanishing_keys(carrier.degrees, n):
             gens = [carrier.generator(i) for i in key]
             degs = [carrier.degrees[i] for i in key]
@@ -392,17 +393,19 @@ def extract_structure(
                         continue
                     inner = base.zero()
                     for b, c in eta_vk.items():
-                        comp = on_algebra.get(b)
-                        if comp is None:
+                        parts = on_algebra.get(b)
+                        if parts is None:
                             continue
-                        inner = inner + evaluate(
-                            comp, gens[:k] + gens[k + 1 :], carrier
+                        inner = inner + _evaluate_parts(
+                            algebra, parts, gens[:k] + gens[k + 1 :], carrier
                         ).scale(c)
                     first = first + inner.scale(
                         sign_scalar(degs[k] * sum(degs[:k]))
                     )
-                comp = on_letter.get(i)
-                second = evaluate(comp, gens, carrier) if comp is not None else base.zero()
+                parts = on_letter.get(i)
+                second = (
+                    _evaluate_parts(algebra, parts, gens, carrier) if parts is not None else base.zero()
+                )
                 paired[i] = (first - second).scale(sign_scalar(eta_degree))
             value = from_dual_values(carrier, paired)
             if not value.is_zero():

@@ -2,9 +2,11 @@
 
 Every subcommand loads a model file, runs exact checks and prints one line
 per check; the process exits 0 when everything passes, 1 when any residual
-is found and 2 on input errors.  Reports are deterministic: exact
-coefficients, canonical ordering, and the (non-deterministic) timings are
-excluded from the canonical JSON written by --json.
+is found, 2 on input errors and 3 on an internal error (any other exception,
+reported as one line on stderr, never as a traceback).  Reports are
+deterministic: exact coefficients, canonical ordering, and the
+(non-deterministic) timings are excluded from the canonical JSON written by
+--json.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .reports import (
 from .symtensor import conjugate, d0_derivation, mc_residual, square_components
 
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _structure_of(model, caps) -> AlgebroidStructure:
@@ -359,12 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # a fault of the kit, not of the input
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+
+
+def _run(args) -> int:
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.model}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     arity_override = args.arity if args.command not in ("jacobi", "leibniz", "anchor") else None
@@ -383,23 +394,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = None
+    report = canonical = None
     try:
         report = COMMANDS[args.command](model, caps, args)
+        lines = report.human_lines()
+        canonical = report.canonical_json() if out is not None else None
     except KitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:
-        if report is None and out is not None:  # a refused check leaves no report
+        if canonical is None and out is not None:  # a refused check leaves no report
             out.close()
             if os.path.isfile(args.json_out):  # never a device such as /dev/null
                 os.remove(args.json_out)
-    for line in report.human_lines():
+    for line in lines:
         print(line)
     if out is not None:
         try:
             with out:
-                out.write(report.canonical_json())
+                out.write(canonical)
         except OSError as exc:
             print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR

@@ -44,7 +44,6 @@ the plain transpose.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
@@ -338,7 +337,7 @@ class GeometricModel:
             m = self.tangent_count(w)
             if m == 0:
                 raise KitError("nabla_bar produced a word without tangent letters")
-            out[w] = c.scale(Scalar(Fraction(1, m)))
+            out[w] = c.scale(Scalar.rational(1, m))
         return SymElement(self.amb, out)
 
     def nabla_perp_bar(self, el: SymElement) -> SymElement:
@@ -609,7 +608,7 @@ def sym_bar(g: GeometricModel, m: int, n: int, direction: int, word: Word,
             f"word has {g.tangent_count(word)} tangent letters, expected m-1 = {m - 1}"
         )
     el = g.amb.word((direction,) + tuple(word), coeff)
-    return el.scale(Scalar(Fraction(1, m)))
+    return el.scale(Scalar.rational(1, m))
 
 
 # ---------------------------------------------------------------------------

@@ -3,27 +3,39 @@
 The ground field of the whole kit is Q(i): every coefficient is a + b*i with
 a, b rational.  Plain rationals embed with b = 0.  Arithmetic never rounds,
 equality is decidable, and i*i = -1.
+
+A Scalar is stored as three ints, (n_re + n_im*i) / den, over one common
+denominator.  The triple is always reduced: den > 0 and
+gcd(n_re, n_im, den) == 1.  So every value has exactly one triple (zero is
+(0, 0, 1)), and equality and hashing compare triples.  Arithmetic works on
+ints only and reduces with one three-argument gcd, skipped when the
+denominator is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
 
 class Scalar:
-    """A Gaussian rational a + b*i, immutable and hashable."""
+    """A Gaussian rational a + b*i, hashable and never mutated.
 
-    __slots__ = ("re", "im")
+    The fields n_re, n_im, den hold the reduced triple and are not assigned
+    after construction (the hash depends on them); ``re`` and ``im`` are
+    read-only views as Fractions.
+    """
+
+    __slots__ = ("n_re", "n_im", "den")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+        # ints and Fractions both carry numerator and denominator, so an int
+        # argument builds no Fraction
+        q, s = re.denominator, im.denominator
+        self.n_re, self.n_im, self.den = _reduced(re.numerator * s, im.numerator * q, q * s)
 
     # -- constructors ------------------------------------------------------
 
@@ -45,36 +57,63 @@ class Scalar:
             return value
         return Scalar(value)
 
+    @staticmethod
+    def rational(num: int, den: int = 1) -> "Scalar":
+        """num/den from two ints, without building a Fraction.
+
+        +1 and -1 come back as the shared ONE and MINUS_ONE, which the
+        products recognise with ``is`` and do not multiply by.
+        """
+        n_re, _, den = _reduced(num, 0, den)
+        if den == 1 and n_re * n_re == 1:
+            return ONE if n_re == 1 else MINUS_ONE
+        return _triple(n_re, 0, den)
+
+    # -- parts ---------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.n_re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.n_im, self.den)
+
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.n_re and not self.n_im
 
     # -- arithmetic --------------------------------------------------------
 
-    # Fraction arithmetic on Fractions returns Fractions, so these results go
-    # through _from_fractions instead of being converted again.
-
     def __add__(self, other: "Scalar") -> "Scalar":
-        return _from_fractions(self.re + other.re, self.im + other.im)
+        d, f = self.den, other.den
+        if d == f:
+            return _reduce(self.n_re + other.n_re, self.n_im + other.n_im, d)
+        return _reduce(self.n_re * f + other.n_re * d, self.n_im * f + other.n_im * d, d * f)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return _from_fractions(self.re - other.re, self.im - other.im)
+        d, f = self.den, other.den
+        if d == f:
+            return _reduce(self.n_re - other.n_re, self.n_im - other.n_im, d)
+        return _reduce(self.n_re * f - other.n_re * d, self.n_im * f - other.n_im * d, d * f)
 
     def __neg__(self) -> "Scalar":
-        return _from_fractions(-self.re, -self.im)
+        return _triple(-self.n_re, -self.n_im, self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return _from_fractions(a * c, _FRACTION_ZERO)
-        return _from_fractions(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.n_re, self.n_im, other.n_re, other.n_im
+        if not b and not e:
+            return _reduce(a * c, 0, self.den * other.den)
+        return _reduce(a * c - b * e, a * e + b * c, self.den * other.den)
 
     def inverse(self) -> "Scalar":
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2), a positive denominator
+        a, b, d = self.n_re, self.n_im, self.den
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(self.re / n, -self.im / n)
+        return _reduce(d * a, -d * b, n)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -84,9 +123,12 @@ class Scalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.n_re == other.n_re and self.n_im == other.n_im and self.den == other.den
 
     def __hash__(self) -> int:
+        # the hash of the (re, im) Fraction pair; hash(Fraction(n)) == hash(n)
+        if self.den == 1:
+            return hash((self.n_re, self.n_im))
         return hash((self.re, self.im))
 
     # -- presentation --------------------------------------------------------
@@ -94,37 +136,68 @@ class Scalar:
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
+        re, im = self.re, self.im
         parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            sign = "-" if self.im < 0 else ("+" if parts else "")
-            parts.append(f"{sign}{abs(self.im)}i" if parts or sign == "-" else f"{self.im}i")
+        if re:
+            parts.append(str(re))
+        if im:
+            sign = "-" if im < 0 else ("+" if parts else "")
+            parts.append(f"{sign}{abs(im)}i" if parts or sign == "-" else f"{im}i")
         return "".join(parts)
 
     def as_quadruple(self) -> dict:
-        """Serialize as the {num, den, inum, iden} integer quadruple."""
+        """Serialize as the {num, den, inum, iden} integer quadruple.
+
+        The real and imaginary parts are reduced separately (0 is 0/1).
+        """
+        g = gcd(self.n_re, self.den)
+        h = gcd(self.n_im, self.den)
         return {
-            "num": self.re.numerator,
-            "den": self.re.denominator,
-            "inum": self.im.numerator,
-            "iden": self.im.denominator,
+            "num": self.n_re // g,
+            "den": self.den // g,
+            "inum": self.n_im // h,
+            "iden": self.den // h,
         }
 
     @staticmethod
     def from_quadruple(q: dict) -> "Scalar":
-        return Scalar(Fraction(q["num"], q["den"]), Fraction(q["inum"], q["iden"]))
+        den, iden = q["den"], q["iden"]
+        return _triple(*_reduced(q["num"] * iden, q["inum"] * den, den * iden))
 
 
-_FRACTION_ZERO = Fraction(0)
+_new = object.__new__
 
 
-def _from_fractions(re: Fraction, im: Fraction) -> Scalar:
-    """A Scalar from two Fractions, stored as they are (no Fraction() call)."""
-    out = object.__new__(Scalar)
-    object.__setattr__(out, "re", re)
-    object.__setattr__(out, "im", im)
+def _triple(n_re: int, n_im: int, den: int) -> Scalar:
+    """The Scalar of a triple that is already reduced."""
+    out = _new(Scalar)
+    out.n_re = n_re
+    out.n_im = n_im
+    out.den = den
     return out
+
+
+def _reduce(n_re: int, n_im: int, den: int) -> Scalar:
+    """The Scalar of a triple with den > 0: one gcd, none when den == 1."""
+    if den != 1:
+        g = gcd(n_re, n_im, den)
+        if g != 1:
+            n_re //= g
+            n_im //= g
+            den //= g
+    return _triple(n_re, n_im, den)
+
+
+def _reduced(n_re: int, n_im: int, den: int) -> Tuple[int, int, int]:
+    """The reduced triple of (n_re + n_im i) / den for any nonzero den."""
+    if not den:
+        raise ZeroDivisionError("Scalar with zero denominator")
+    if den < 0:
+        n_re, n_im, den = -n_re, -n_im, -den
+    if den == 1:
+        return n_re, n_im, 1
+    g = gcd(n_re, n_im, den)
+    return n_re // g, n_im // g, den // g
 
 
 _ZERO = Scalar(0)

@@ -49,7 +49,6 @@ under the unit law of the base algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -57,7 +56,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .modules import FreeModule, ModuleElement, multilinear_extend, pair_dual
-from .scalars import Scalar, sign_scalar
+from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 
 Word = Tuple[int, ...]
 
@@ -293,12 +292,16 @@ def _sort_word(letter_degrees: Sequence[int], letters: Word) -> Optional[Tuple[W
 def _add_product(
     coeffs: Dict[int, Scalar], base: BaseAlgebra, i: int, ai: Scalar, j: int, bj: Scalar, negative: int
 ) -> None:
-    """coeffs += (-1)^negative * ai * bj * (e_i e_j), basis element by basis element."""
+    """coeffs += (-1)^negative * ai * bj * (e_i e_j), basis element by basis element.
+
+    A structure constant +-1 (marked by the base algebra's product table) adds
+    +-ai*bj without a multiplication.
+    """
     s = ai * bj
     if negative:
         s = -s
     for k, ck in base.product_basis(i, j).coeffs:
-        t = s * ck
+        t = s if ck is ONE else -s if ck is MINUS_ONE else s * ck
         old = coeffs.get(k)
         coeffs[k] = t if old is None else old + t
 
@@ -327,8 +330,20 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
     a word w and a Koszul sign, and only w is nonzero there, so the value is
     sign * kappa(w) * (coefficient of w).
     """
-    alg = element.algebra
+    parts = element.weight_part(len(args)).homogeneous_parts()
+    return _evaluate_parts(element.algebra, parts, args, module)
+
+
+def _evaluate_parts(
+    alg: SymAlgebra, parts: Mapping[int, SymElement], args: Sequence[ModuleElement], module: FreeModule
+) -> AlgebraElement:
+    """``evaluate`` on the total-degree parts {degree: part} of a weight-len(args) piece.
+
+    A caller that evaluates one element on many argument tuples splits it
+    once and passes the same parts every time.
+    """
     base = alg.base
+    letter_degrees = alg.letter_degrees
     r = len(args)
     if r > alg.cap:
         raise CapError(f"cannot evaluate {r} arguments at weight cap {alg.cap}")
@@ -337,17 +352,18 @@ def evaluate(element: SymElement, args: Sequence[ModuleElement], module: FreeMod
     if any(v.module is not module for v in args):
         raise BaseMismatch("evaluation argument from another module")
     total = base.zero()
-    for degree, part in element.weight_part(r).homogeneous_parts().items():
+    for degree, part in parts.items():
 
         def read(gens: Word, data=part.data) -> Optional[AlgebraElement]:
-            sorted_word = alg.word(gens)
-            if sorted_word.is_zero():  # a repeated odd generator
+            merged = _sort_word(letter_degrees, gens)
+            if merged is None:  # a repeated odd generator
                 return None
-            ((w, sign),) = sorted_word.items()
+            w, exponent = merged
             a = data.get(w)
             if a is None:
                 return None
-            return a.scale(sign.coefficient(base.unit) * _word_constant(alg, w))
+            value = a.scale(_word_constant(alg, w))
+            return -value if exponent & 1 else value
 
         total = total + multilinear_extend(read, degree, args, module.degrees, base.zero())
     return total
@@ -369,7 +385,7 @@ def _word_constant(alg: SymAlgebra, word: Word) -> Scalar:
         run = run + 1 if k and word[k - 1] == letter else 1
         kappa *= run
         odd += alg.letter_degrees[letter] % 2
-    return Scalar(-kappa if odd * (odd - 1) // 2 % 2 else kappa)
+    return Scalar.rational(-kappa if odd * (odd - 1) // 2 % 2 else kappa)
 
 
 def from_values(
@@ -793,7 +809,7 @@ def _exp_apply(phi: DerivationD, element: SymElement) -> SymElement:
         term = phi.apply(term)
         if term.is_zero():
             break
-        acc = acc + term.scale(Scalar(Fraction(1, factorial(k))))
+        acc = acc + term.scale(Scalar.rational(1, factorial(k)))
         k += 1
     return acc
 

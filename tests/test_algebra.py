@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algebroidkit.algebra import AlgebraElement, BaseAlgebra, validate_base_algebra
 from algebroidkit.errors import DegreeError
@@ -60,6 +63,93 @@ def test_scalar_results_equal_constructed_scalars(x, y):
         assert got.as_quadruple() == want.as_quadruple()
         assert type(got.re) is Fraction and type(got.im) is Fraction
         assert got.is_zero() == want.is_zero()
+
+
+# -- the integer triple against a Fraction-pair oracle -------------------------
+#
+# The oracle is the former implementation: a Gaussian rational as a pair of
+# Fractions (re, im), hashed as the pair and printed part by part.
+
+
+def _oracle_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _oracle_inverse(x):
+    a, b = x
+    n = a * a + b * b
+    if not n:
+        raise ZeroDivisionError("inverse of zero")
+    return a / n, -b / n
+
+
+def _oracle_repr(x):
+    re, im = x
+    if not re and not im:
+        return "0"
+    parts = []
+    if re:
+        parts.append(str(re))
+    if im:
+        sign = "-" if im < 0 else ("+" if parts else "")
+        parts.append(f"{sign}{abs(im)}i" if parts or sign == "-" else f"{im}i")
+    return "".join(parts)
+
+
+def _canonical_triple(x):
+    """(n_re, n_im, den): both parts over the least common denominator."""
+    re, im = x
+    den = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def _assert_matches(got, want):
+    assert (got.n_re, got.n_im, got.den) == _canonical_triple(want)
+    assert (got.re, got.im) == want
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert hash(got) == hash(want)
+    assert repr(got) == _oracle_repr(want)
+    re, im = want
+    assert got.as_quadruple() == {
+        "num": re.numerator, "den": re.denominator, "inum": im.numerator, "iden": im.denominator,
+    }
+    assert got.is_zero() == (not re and not im)
+
+
+_INT = st.one_of(st.integers(-6, 6), st.integers(-(2**80), 2**80))
+_DEN = st.one_of(st.integers(1, 6), st.integers(1, 2**80))
+_PART = st.one_of(st.just(Fraction(0)), st.builds(Fraction, _INT, _DEN))
+_PAIR = st.tuples(_PART, _PART)  # zero, real-only and purely imaginary included
+
+
+@settings(max_examples=400)
+@given(x=_PAIR, y=_PAIR, k=st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)).filter(bool))
+@example(x=(Fraction(0), Fraction(0)), y=(Fraction(0), Fraction(-2**65, 3)), k=-1)
+@example(x=(Fraction(2**65 + 1, 2**64), Fraction(0)), y=(Fraction(-1, 2**64), Fraction(0)), k=2)
+def test_scalar_triple_matches_fraction_oracle(x, y, k):
+    a, b = Scalar(*x), Scalar(*y)
+    _assert_matches(a, x)
+    _assert_matches(-a, (-x[0], -x[1]))
+    _assert_matches(a + b, (x[0] + y[0], x[1] + y[1]))
+    _assert_matches(a - b, (x[0] - y[0], x[1] - y[1]))
+    _assert_matches(a * b, _oracle_mul(x, y))
+    for u, v, ov in ((a, b, y), (b, a, x)):
+        if not ov[0] and not ov[1]:
+            with pytest.raises(ZeroDivisionError):
+                v.inverse()
+            with pytest.raises(ZeroDivisionError):
+                u / v
+        else:
+            _assert_matches(v.inverse(), _oracle_inverse(ov))
+            _assert_matches(u / v, _oracle_mul((u.re, u.im), _oracle_inverse(ov)))
+    assert (a == b) == (x == y) and (a != b) == (x != y)
+    # one value reached in several ways: identical triples, equal hashes
+    q = a.as_quadruple()
+    scaled = {"num": q["num"] * k, "den": q["den"] * k, "inum": q["inum"] * -k, "iden": q["iden"] * -k}
+    for same in ((a + b) - b, a * Scalar.one(), Scalar.from_quadruple(scaled), Scalar.from_quadruple(q)):
+        assert same == a and hash(same) == hash(a)
+        assert (same.n_re, same.n_im, same.den) == (a.n_re, a.n_im, a.den)
 
 
 def test_standard_bases_validate():

@@ -9,6 +9,7 @@ import pytest
 from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
 from algebroidkit.modelio import serialize_model
+from algebroidkit.scalars import Scalar
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +313,37 @@ def test_zero_bracket_entry_does_not_raise_the_arity(model_dir, tmp_path, capsys
     assert run(["ce-build", model_dir / "abelian.algebroid.json", "--weight", "2", "--json", want]) == 0
     assert got.read_bytes() == want.read_bytes()
     capsys.readouterr()
+
+
+def test_internal_error_exits_3_with_one_line(model_dir, tmp_path, capsys, monkeypatch):
+    """Any exception that is not a KitError exits 3 with one stderr line and no report."""
+
+    def boom(*args):
+        raise RuntimeError("command failed\non two lines")
+
+    monkeypatch.setitem(COMMANDS, "validate", boom)
+    out = tmp_path / "validate.json"
+    assert run(["validate", model_dir / "trivial.geometric.json", "--json", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: command failed on two lines\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+    def divide_by_zero(self, other):
+        raise ZeroDivisionError("scalar product")
+
+    monkeypatch.setattr(Scalar, "__mul__", divide_by_zero)
+    out = tmp_path / "lemmas.json"
+    assert run(["lemmas", model_dir / "generic.geometric.json", "--json", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: ZeroDivisionError: scalar product\n"
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+def test_non_utf8_model_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1, err

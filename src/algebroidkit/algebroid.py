@@ -329,10 +329,11 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
 # ---------------------------------------------------------------------------
 
 
-def _component_parts(component, n: int, count: int, r: int) -> Dict[int, Dict[int, SymElement]]:
-    """{i: total-degree parts of the weight-r piece of component(n, i)} for
-    i < count, the zero ones left out: each is split once for ``_evaluate_parts``."""
-    parts = {i: component(n, i).weight_part(r).homogeneous_parts() for i in range(count)}
+def _component_parts(component, n: int, count: int) -> Dict[int, Dict[int, SymElement]]:
+    """{i: total-degree parts of component(n, i)} for i < count, the zero ones
+    left out.  A component has one weight, and each is split once here for
+    the many ``_evaluate_parts`` calls on that many arguments."""
+    parts = {i: component(n, i).homogeneous_parts() for i in range(count)}
     return {i: p for i, p in parts.items() if p}
 
 
@@ -362,7 +363,7 @@ def extract_structure(
         weight = n - 1
         if weight > algebra.cap:
             break
-        on_algebra = _component_parts(D.component_on_algebra, weight, base.dim, weight)
+        on_algebra = _component_parts(D.component_on_algebra, weight, base.dim)
         for key in _nonvanishing_keys(carrier.degrees, weight):
             gens = [carrier.generator(i) for i in key]
             total_deg = sum(carrier.degrees[i] for i in key)
@@ -377,8 +378,8 @@ def extract_structure(
         weight = n
         if weight > algebra.cap:
             break
-        on_algebra = _component_parts(D.component_on_algebra, n - 1, base.dim, n - 1)
-        on_letter = _component_parts(D.component_on_letter, n - 1, carrier.rank, n)
+        on_algebra = _component_parts(D.component_on_algebra, n - 1, base.dim)
+        on_letter = _component_parts(D.component_on_letter, n - 1, carrier.rank)
         for key in _nonvanishing_keys(carrier.degrees, n):
             gens = [carrier.generator(i) for i in key]
             degs = [carrier.degrees[i] for i in key]

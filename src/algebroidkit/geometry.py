@@ -21,9 +21,11 @@ The main constructions:
 * ``nabla_bar``: symmetrized covariant derivative; the unnormalized
   substitution operator is a genuine degree-0 derivation and the 1/m
   weighting is a per-word rescale by the tangent-letter count of the
-  output.
+  output, folded into the rows of the model's nabla_bar row table.
 * ``pi_tilde``: sum of iterated nabla_bar, a right inverse to the normal
-  projection (``retraction_residual`` checks this exactly).
+  projection (``retraction_residual`` checks this exactly).  The iterates
+  of each normal grid element are computed once per model and shared by
+  the retraction and the transport iterate.
 * ``build_frakD``: the degree-1 derivation
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
@@ -51,12 +53,15 @@ from .algebroid import AlgebroidStructure, ce_differential
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .linfty import BracketTable, _nonvanishing_keys
 from .modules import FreeModule, ModuleElement, from_dual_values
-from .scalars import Scalar, sign_scalar
+from .scalars import MINUS_ONE, Scalar, sign_scalar
 from .signs import enumerate_unshuffles, sym_sign
 from .symtensor import (
     DerivationD,
+    Row,
     SymAlgebra,
     SymElement,
+    _apply_rows,
+    _normalized,
     d0_derivation,
     dual_differential_letter,
     evaluate,
@@ -263,6 +268,10 @@ class GeometricModel:
         }
         if 1 in self.curv_tan:
             raise KitError("curv_tan[1] is reserved: it is the beta tensor")
+        # operators and tables built on first use
+        self._rtan: Dict[int, DerivationD] = {}
+        self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
+        self._normal_powers: Dict[Tuple[Word, int], List[SymElement]] = {}
 
     # -- bidegree helpers ----------------------------------------------------
 
@@ -274,10 +283,10 @@ class GeometricModel:
         return p, len(word) - p
 
     def project_bidegree(self, el: SymElement, p: int) -> SymElement:
-        return SymElement(
-            self.amb,
-            {w: c for w, c in el.items() if self.tangent_count(w) == p},
-        )
+        data = {w: c for w, c in el.items() if self.tangent_count(w) == p}
+        if el.algebra is self.amb:
+            return _normalized(self.amb, data)
+        return SymElement(self.amb, data)
 
     def p0(self, el: SymElement) -> SymElement:
         """Projection onto pure normal words (kept inside the ambient algebra)."""
@@ -288,13 +297,17 @@ class GeometricModel:
         return self.project_bidegree(el, 1)
 
     def to_amb(self, el: SymElement) -> SymElement:
+        if el.algebra is self.amb:
+            return el
         if el.algebra.letter_names == self.amb.letter_names:
             return SymElement(self.amb, el.data)
         if el.algebra.letter_names != self.nor.letter_names:
             raise BaseMismatch("element is over neither the ambient nor the normal letters")
-        return SymElement(
-            self.amb, {tuple(self.a + i for i in w): c for w, c in el.items()}
-        )
+        data = {tuple(self.a + i for i in w): c for w, c in el.items()}
+        # the normal letters keep their order and degrees after the tangent ones
+        if el.algebra is self.nor:
+            return _normalized(self.amb, data)
+        return SymElement(self.amb, data)
 
     def to_nor(self, el: SymElement) -> SymElement:
         """Relabel a pure-normal ambient element into the normal algebra."""
@@ -303,6 +316,8 @@ class GeometricModel:
             if self.tangent_count(w) != 0:
                 raise KitError("element has tangent letters; cannot move to the normal algebra")
             data[tuple(i - self.a for i in w)] = c
+        if el.algebra is self.amb:
+            return _normalized(self.nor, data)
         return SymElement(self.nor, data)
 
     def rho_dual(self, el: SymElement) -> SymElement:
@@ -330,15 +345,31 @@ class GeometricModel:
         return self._nabla_hat
 
     def nabla_bar(self, el: SymElement) -> SymElement:
-        """Symmetrized covariant derivative with the 1/m output weighting."""
-        raw = self.nabla_hat().apply(el)
-        out: Dict[Word, AlgebraElement] = {}
-        for w, c in raw.items():
-            m = self.tangent_count(w)
-            if m == 0:
+        """Symmetrized covariant derivative with the 1/m output weighting.
+
+        Read from a row table: the row of e_i w is the nabla_hat row with the
+        coefficients of each word divided by its tangent-letter count m.  A
+        word with m = 0 keeps its coefficients, and a summed output that
+        still has one is refused.
+        """
+        if not self.amb.compatible(el.algebra):
+            raise BaseMismatch("derivation and element over incompatible algebras")
+        out = _apply_rows(self.amb, el, self._nabla_bar_rows, self._nabla_bar_row)
+        for w in out.data:
+            if not w or w[0] >= self.a:  # sorted: tangent letters come first
                 raise KitError("nabla_bar produced a word without tangent letters")
-            out[w] = c.scale(Scalar.rational(1, m))
-        return SymElement(self.amb, out)
+        return out
+
+    def _nabla_bar_row(self, w: Word, i: int) -> Row:
+        """nabla_hat(e_i w) with each word's coefficients divided by m (m > 1)."""
+        row = []
+        for v, coeffs in self.nabla_hat()._row(w, i):
+            m = self.tangent_count(v)
+            if m > 1:
+                inv = Scalar.rational(1, m)
+                coeffs = tuple((k, c * inv) for k, c in coeffs)
+            row.append((v, coeffs))
+        return tuple(row)
 
     def nabla_perp_bar(self, el: SymElement) -> SymElement:
         """Normal-connection derivative: Gamma plus dhat only, no rescale."""
@@ -385,13 +416,15 @@ class GeometricModel:
         table = self.curv_tan.get(p)
         if not table:
             return self.amb.zero()
-        der = DerivationD(
-            self.amb,
-            {},
-            {i: self.to_amb(v) for i, v in table.items()},
-            degree=1,
-            check=False,
-        )
+        der = self._rtan.get(p)
+        if der is None:
+            der = self._rtan[p] = DerivationD(
+                self.amb,
+                {},
+                {i: self.to_amb(v) for i, v in table.items()},
+                degree=1,
+                check=False,
+            )
         return der.apply(el)
 
     def ambient_d0(self, beta_override: Optional[Mapping[int, SymElement]] = None) -> DerivationD:
@@ -621,18 +654,37 @@ def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
     current = g.to_amb(mu) if mu.algebra is g.nor else mu
     acc = current
     for _ in range(g.cap):
-        current = g.nabla_bar(current).truncate(g.cap)
+        current = g.nabla_bar(current)
         if current.is_zero():
             break
         acc = acc + current
     return acc
 
 
-def _nor_spanning(g: GeometricModel):
+def _normal_powers(g: GeometricModel, w: Word, b: int) -> List[SymElement]:
+    """[nabla_bar^s(e_b w) for s = 1..cap], w a word of the normal letters.
+
+    Kept on the model: the retraction and the transport iterate both read
+    them.
+    """
+    key = (w, b)
+    powers = g._normal_powers.get(key)
+    if powers is None:
+        power = g.to_amb(SymElement(g.nor, {w: g.base.basis_element(b)}))
+        powers = []
+        for _ in range(g.cap):
+            power = g.nabla_bar(power)
+            powers.append(power)
+        g._normal_powers[key] = powers
+    return powers
+
+
+def _nor_grid(g: GeometricModel):
+    """(word, basis index) of every normal grid element up to the cap."""
     for r in range(g.cap + 1):
         for w in g.nor.words_of_weight(r):
             for b in range(g.base.dim):
-                yield SymElement(g.nor, {w: g.base.basis_element(b)})
+                yield w, b
 
 
 def _amb_spanning(g: GeometricModel):
@@ -645,8 +697,12 @@ def _amb_spanning(g: GeometricModel):
 def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     """rho-dual o pi-tilde - id on a spanning set of the normal algebra."""
     out = []
-    for el in _nor_spanning(g):
-        residual = g.rho_dual(pi_tilde(g, el)) - el
+    for w, b in _nor_grid(g):
+        el = SymElement(g.nor, {w: g.base.basis_element(b)})
+        expansion = g.to_amb(el)
+        for power in _normal_powers(g, w, b):
+            expansion = expansion + power
+        residual = g.rho_dual(expansion) - el
         if not residual.is_zero():
             out.append((repr(el), residual))
     return out
@@ -697,14 +753,14 @@ def transport_lemma_residual(
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((f"operator @ {el!r}", residual))
-    for el in _nor_spanning(g):
-        # nabla_bar^s(el) and shape^(s-1)(nabla_perp(el)), each carried from s - 1
-        power = g.to_amb(el)
+    for w, b in _nor_grid(g):
+        # nabla_bar^s(el), shared with the retraction, and shape^(s-1)(nabla_perp(el)),
+        # carried from s - 1
+        el = SymElement(g.nor, {w: g.base.basis_element(b)})
         iterated = g.nabla_perp_bar(el)
-        for s in range(1, g.cap + 1):
-            power = g.nabla_bar(power).truncate(g.cap)
+        for s, power in enumerate(_normal_powers(g, w, b), start=1):
             if s > 1:
-                iterated = shape_der(iterated).truncate(g.cap)
+                iterated = shape_der(iterated)
             residual = g.p1(power) - iterated
             if not residual.is_zero():
                 out.append((f"iterate s={s} @ {el!r}", residual))
@@ -731,7 +787,7 @@ def build_frakD(g: GeometricModel) -> DerivationD:
                     term = g.rtan_tilde(p, current)
                     if not term.is_zero():
                         val = val + g.rho_dual(term)
-                current = g.shape_tilde(current).truncate(cap)
+                current = g.shape_tilde(current)
                 if current.is_zero():
                     break
         if not val.is_zero():
@@ -755,7 +811,7 @@ def build_frakD(g: GeometricModel) -> DerivationD:
                     term = g.rtan_tilde(p, current)
                     if not term.is_zero():
                         val = val + g.rho_dual(term)
-                current = g.shape_tilde(current).truncate(cap)
+                current = g.shape_tilde(current)
                 if current.is_zero():
                     break
         if not val.is_zero():
@@ -861,7 +917,7 @@ def gamma_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> Modu
         pairing = evaluate(
             el, [_embed_tangent(g, V), _embed_normal(g, nu)], g.ambient_module
         )
-        values[j] = pairing.scale(Scalar(-1))
+        values[j] = pairing.scale(MINUS_ONE)
     return from_dual_values(g.normal, values)
 
 

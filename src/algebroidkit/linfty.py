@@ -27,7 +27,7 @@ from .algebra import AlgebraElement, BaseAlgebra
 from .errors import CapError, DegreeError, KitError
 from .linalg import nullspace
 from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import ONE, Scalar, sign_scalar
+from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from .signs import (
     canonical_partitions,
     partition_permutation,
@@ -368,10 +368,10 @@ class AlgebraDerivation:
         )
 
     def __sub__(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
-        return self + other.scale(Scalar(-1))
+        return self + other.scale(MINUS_ONE)
 
     def __neg__(self) -> "AlgebraDerivation":
-        return self.scale(Scalar(-1))
+        return self.scale(MINUS_ONE)
 
     def scale(self, s: Scalar) -> "AlgebraDerivation":
         return AlgebraDerivation(self.base, {i: self.values[i].scale(s) for i in range(self.base.dim)})
@@ -622,7 +622,7 @@ def morphism_residual(
             ]
             term = target.bracket(len(blocks), values)
             rhs = rhs + term.scale(Scalar(sign))
-        residual = lhs + rhs.scale(Scalar(-1))
+        residual = lhs + rhs.scale(MINUS_ONE)
         if not residual.is_zero():
             out[key] = residual
     return out

@@ -28,7 +28,7 @@ and the Koszul sign of sorting the arguments.  General arguments
 element is a map of that degree, extended A-multilinearly by
 ``modules.multilinear_extend``.
 
-The product and ``DerivationD.apply`` form each output term once: the
+The product and the Leibniz rule form each output term once: the
 concatenated letters are sorted with their Koszul sign (``_sort_word``: one
 factor -1 per pair of odd letters moved past each other, zero on a repeated
 odd letter) and the coefficient is added basis element by basis element
@@ -45,6 +45,15 @@ s the sort sign exponent.  A run of m equal letters (necessarily even) is
 substituted once with weight m.  The untouched letters of the Leibniz rule
 carry the unit coefficient, and multiplying by it is left out: that is exact
 under the unit law of the base algebra.
+
+The operators (``DerivationD``, ``FilteredAutomorphism`` and its inverse)
+are Q(i)-linear, so each reads a row table that it owns: a row is the image
+of one grid element e_i w (basis element e_i, sorted word w), kept as its
+(word, coefficients) pairs and made the first time it is read.  ``apply``
+adds s times the row of (w, i) for every term s e_i w of its argument
+(``_apply_rows``).  Rows are exact values, so results do not depend on which
+rows were made before, and a table holds at most one row per grid element:
+sum_r |words_of_weight(r)| * dim A.
 """
 
 from __future__ import annotations
@@ -134,6 +143,7 @@ class SymAlgebra:
         return (
             self.base is other.base
             and self.letter_names == other.letter_names
+            and self.letter_degrees == other.letter_degrees
             and self.cap == other.cap
         )
 
@@ -167,7 +177,7 @@ class SymElement:
         return sorted({len(w) for w in self.data})
 
     def weight_part(self, r: int) -> "SymElement":
-        return SymElement(self.algebra, {w: a for w, a in self.data.items() if len(w) == r})
+        return _normalized(self.algebra, {w: a for w, a in self.data.items() if len(w) == r})
 
     def degree(self) -> Optional[int]:
         degs = set()
@@ -200,17 +210,20 @@ class SymElement:
         self._check(other)
         acc = dict(self.data)
         for w, a in other.data.items():
-            acc[w] = acc.get(w, self.algebra.base.zero()) + a
-        return SymElement(self.algebra, acc)
+            old = acc.get(w)
+            acc[w] = a if old is None else old + a
+        return _normalized(self.algebra, acc)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
         return self + (-other)
 
     def __neg__(self) -> "SymElement":
-        return SymElement(self.algebra, {w: -a for w, a in self.data.items()})
+        return _normalized(self.algebra, {w: -a for w, a in self.data.items()})
 
     def scale(self, s: Scalar) -> "SymElement":
-        return SymElement(self.algebra, {w: a.scale(s) for w, a in self.data.items()})
+        if s is ONE:
+            return self
+        return _normalized(self.algebra, {w: a.scale(s) for w, a in self.data.items()})
 
     def a_mul(self, a: AlgebraElement) -> "SymElement":
         """Left multiplication by a weight-0 coefficient."""
@@ -242,11 +255,12 @@ class SymElement:
                 for j, bj in a2.coeffs:
                     negative = (exponent + degrees[j] * d1) & 1
                     for i, ai in a1.coeffs:
-                        _add_product(coeffs, base, i, ai, j, bj, negative)
+                        s = ai * bj
+                        _add_product(coeffs, base, i, j, -s if negative else s)
         return _collect(alg, acc)
 
     def truncate(self, cap: int) -> "SymElement":
-        return SymElement(self.algebra, {w: a for w, a in self.data.items() if len(w) <= cap})
+        return _normalized(self.algebra, {w: a for w, a in self.data.items() if len(w) <= cap})
 
     def __eq__(self, other) -> bool:
         return (
@@ -289,27 +303,90 @@ def _sort_word(letter_degrees: Sequence[int], letters: Word) -> Optional[Tuple[W
     return tuple(sorted(letters)), exponent
 
 
-def _add_product(
-    coeffs: Dict[int, Scalar], base: BaseAlgebra, i: int, ai: Scalar, j: int, bj: Scalar, negative: int
-) -> None:
-    """coeffs += (-1)^negative * ai * bj * (e_i e_j), basis element by basis element.
+def _add_product(coeffs: Dict[int, Scalar], base: BaseAlgebra, i: int, j: int, s: Scalar) -> None:
+    """coeffs += s * (e_i e_j), basis element by basis element.
 
     A structure constant +-1 (marked by the base algebra's product table) adds
-    +-ai*bj without a multiplication.
+    +-s without a multiplication.
     """
-    s = ai * bj
-    if negative:
-        s = -s
     for k, ck in base.product_basis(i, j).coeffs:
         t = s if ck is ONE else -s if ck is MINUS_ONE else s * ck
         old = coeffs.get(k)
         coeffs[k] = t if old is None else old + t
 
 
-def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> "SymElement":
-    """The SymElement of a {word: {basis index: Scalar}} accumulator."""
+_new = object.__new__
+
+
+def _normalized(alg: SymAlgebra, data: Mapping[Word, AlgebraElement]) -> SymElement:
+    """The SymElement of {word: coefficient} whose words are already sorted,
+    non-vanishing words of alg within its cap: zero coefficients are dropped
+    and the words ordered, nothing else is checked."""
+    out = _new(SymElement)
+    object.__setattr__(out, "algebra", alg)
+    object.__setattr__(out, "data", dict(sorted((w, a) for w, a in data.items() if a.coeffs)))
+    return out
+
+
+def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> SymElement:
+    """The SymElement of a {word: {basis index: Scalar}} accumulator whose
+    words ``_sort_word`` produced within the cap."""
     base = alg.base
-    return SymElement(alg, {w: AlgebraElement(base, coeffs) for w, coeffs in acc.items()})
+    return _normalized(alg, {w: AlgebraElement(base, coeffs) for w, coeffs in acc.items()})
+
+
+# ---------------------------------------------------------------------------
+# row tables
+# ---------------------------------------------------------------------------
+
+# The image of one grid element e_i w under a Q(i)-linear operator: its
+# (word, coefficients) pairs in word order, the coefficients as the sorted
+# (basis index, Scalar) pairs of an AlgebraElement.
+Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
+
+
+def _row_of(el: SymElement) -> Row:
+    return tuple((w, a.coeffs) for w, a in el.data.items())
+
+
+def _row_from(acc: Mapping[Word, Mapping[int, Scalar]]) -> Row:
+    """The row of a {word: {basis index: Scalar}} accumulator (as ``_collect``)."""
+    row = []
+    for w in sorted(acc):
+        coeffs = tuple(sorted((k, c) for k, c in acc[w].items() if not c.is_zero()))
+        if coeffs:
+            row.append((w, coeffs))
+    return tuple(row)
+
+
+def _apply_rows(
+    alg: SymAlgebra,
+    element: SymElement,
+    rows: Dict[Tuple[Word, int], Row],
+    build: Callable[[Word, int], Row],
+) -> SymElement:
+    """A Q(i)-linear operator on element, read from its row table.
+
+    rows maps grid elements (w, i) to their images; a missing row is made by
+    build(w, i) and kept.  Each term s e_i w of element adds s times the row
+    of (w, i) into one {word: {basis index: Scalar}} accumulator.
+    """
+    acc: Dict[Word, Dict[int, Scalar]] = {}
+    for w, a in element.data.items():
+        for i, s in a.coeffs:
+            key = (w, i)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = build(w, i)
+            for v, coeffs in row:
+                out = acc.get(v)
+                if out is None:
+                    out = acc[v] = {}
+                for k, c in coeffs:
+                    t = c if s is ONE else c * s
+                    old = out.get(k)
+                    out[k] = t if old is None else old + t
+    return _collect(alg, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +504,8 @@ class DerivationD:
     on_algebra maps base-basis indices to SymElements (all weights mixed);
     on_letters maps letter indices likewise.  The weight-n component D_n acts
     on the base with weight-n values and on letters with weight-(n+1) values.
+    ``apply`` fills a row table from these values, so they are never changed
+    after construction.
     """
 
     def __init__(
@@ -445,6 +524,7 @@ class DerivationD:
         self.on_letters = {
             i: v for i, v in on_letters.items() if not v.is_zero()
         }
+        self._rows: Dict[Tuple[Word, int], Row] = {}
         if check:
             self._check_degrees()
 
@@ -490,12 +570,22 @@ class DerivationD:
     def apply(self, element: SymElement) -> SymElement:
         """Graded Leibniz extension, truncated at the weight cap.
 
-        For a term (a e_i) w, D(a e_i) = sum (c e_k) v contributes
-        (a c e_k) sort(v w) with the sort sign only.  For w = prefix x rest
-        and D(x) = sum (c e_j) v, the letter x contributes
+        D is Q(i)-linear, so it is read from the row table (``_apply_rows``):
+        the row of e_i w is D(e_i w), made once by ``_row``.
+        """
+        if not self.algebra.compatible(element.algebra):
+            raise BaseMismatch("derivation and element over incompatible algebras")
+        return _apply_rows(self.algebra, element, self._rows, self._row)
+
+    def _row(self, w: Word, i: int) -> Row:
+        """D(e_i w) by the Leibniz rule.
+
+        D(e_i) = sum (c e_k) v contributes (c e_k) sort(v w) with the sort sign
+        only.  For w = prefix x rest and D(x) = sum (c e_j) v, the letter x
+        contributes
 
             (-1)^(D.degree (|e_i| + |prefix|) + |e_j| |prefix| + s)
-                (a c e_i e_j) sort(prefix v rest),
+                (c e_i e_j) sort(prefix v rest),
 
         s the Koszul sign exponent of the sort.  A run of m equal letters (even,
         or the word would vanish) gives m equal terms, so it is substituted once,
@@ -505,61 +595,53 @@ class DerivationD:
         out, which is exact under the unit law of the base algebra.
         """
         alg = self.algebra
-        if not alg.compatible(element.algebra):
-            raise BaseMismatch("derivation and element over incompatible algebras")
         base = alg.base
         degrees = base.degrees
         letter_degrees = alg.letter_degrees
         cap = alg.cap
+        n = len(w)
         acc: Dict[Word, Dict[int, Scalar]] = {}
-        for w, a in element.items():
-            n = len(w)
-            for i, ai in a.coeffs:
-                val = self.on_algebra.get(i)
-                if val is None:
+        val = self.on_algebra.get(i)
+        if val is not None:
+            for v, c in val.data.items():
+                if len(v) + n > cap:
                     continue
+                merged = _sort_word(letter_degrees, v + w)
+                if merged is None:
+                    continue
+                word, exponent = merged
+                coeffs = acc.setdefault(word, {})
+                for k, ck in c.coeffs:
+                    t = -ck if exponent & 1 else ck
+                    old = coeffs.get(k)
+                    coeffs[k] = t if old is None else old + t
+        pos = 0
+        while pos < n:
+            x = w[pos]
+            end = pos + 1
+            while end < n and w[end] == x:
+                end += 1
+            val = self.on_letters.get(x)
+            if val is not None:
+                prefix, rest = w[:pos], w[pos + 1 :]
+                prefix_degree = alg.word_degree(prefix)
+                m = Scalar.rational(end - pos)
                 for v, c in val.data.items():
-                    if len(v) + n > cap:
+                    if len(v) + n - 1 > cap:
                         continue
-                    merged = _sort_word(letter_degrees, v + w)
+                    merged = _sort_word(letter_degrees, prefix + v + rest)
                     if merged is None:
                         continue
                     word, exponent = merged
                     coeffs = acc.setdefault(word, {})
-                    for k, ck in c.coeffs:
-                        t = ai * ck
-                        if exponent & 1:
+                    exponent += self.degree * (degrees[i] + prefix_degree)
+                    for j, cj in c.coeffs:
+                        t = cj if m is ONE else cj * m
+                        if (exponent + degrees[j] * prefix_degree) & 1:
                             t = -t
-                        old = coeffs.get(k)
-                        coeffs[k] = t if old is None else old + t
-            pos = 0
-            while pos < n:
-                x = w[pos]
-                end = pos + 1
-                while end < n and w[end] == x:
-                    end += 1
-                val = self.on_letters.get(x)
-                if val is not None:
-                    prefix, rest = w[:pos], w[pos + 1 :]
-                    prefix_degree = alg.word_degree(prefix)
-                    m = end - pos
-                    terms = a.coeffs if m == 1 else [(i, ai * Scalar(m)) for i, ai in a.coeffs]
-                    for v, c in val.data.items():
-                        if len(v) + n - 1 > cap:
-                            continue
-                        merged = _sort_word(letter_degrees, prefix + v + rest)
-                        if merged is None:
-                            continue
-                        word, exponent = merged
-                        coeffs = acc.setdefault(word, {})
-                        exponent += self.degree * prefix_degree
-                        for j, cj in c.coeffs:
-                            exponent_j = exponent + degrees[j] * prefix_degree
-                            for i, ai in terms:
-                                negative = (exponent_j + self.degree * degrees[i]) & 1
-                                _add_product(coeffs, base, i, ai, j, cj, negative)
-                pos = end
-        return _collect(alg, acc)
+                        _add_product(coeffs, base, i, j, t)
+            pos = end
+        return _row_from(acc)
 
     # -- algebra of derivations --------------------------------------------------
 
@@ -575,7 +657,7 @@ class DerivationD:
         return DerivationD(self.algebra, on_a, on_l, degree=self.degree, check=False)
 
     def __sub__(self, other: "DerivationD") -> "DerivationD":
-        return self + other.scale(Scalar(-1))
+        return self + other.scale(MINUS_ONE)
 
     def scale(self, s: Scalar) -> "DerivationD":
         return DerivationD(
@@ -687,8 +769,14 @@ class FilteredAutomorphism:
     identity on the associated weight-graded algebra.
 
     Stored by images of base basis elements and letters; each image is the
-    element itself plus terms of strictly higher weight.  The inverse is
-    computed order by order in weight (Neumann series of Phi - id).
+    element itself plus terms of strictly higher weight, and they are never
+    changed after construction.  Phi and Phi^{-1} are Q(i)-linear, so each
+    is read from its own row table (``_apply_rows``): the row of e_i w is
+    Phi(e_i) Phi(w_1) ... Phi(w_r), and the inverse row is the Neumann
+    series sum_{k <= cap + 1} (id - Phi)^k run on e_i w alone.  Phi - id
+    raises the weight, so the series is Phi^{-1} under the cap; it is a
+    linear map (it stops early only where every later term is zero), so
+    summing the rows of the terms of an element gives its value exactly.
     """
 
     def __init__(
@@ -701,6 +789,8 @@ class FilteredAutomorphism:
         self.algebra = algebra
         self.on_algebra = dict(on_algebra)
         self.on_letters = dict(on_letters)
+        self._rows: Dict[Tuple[Word, int], Row] = {}
+        self._inverse_rows: Dict[Tuple[Word, int], Row] = {}
         if check:
             self._check_unipotent()
 
@@ -743,41 +833,42 @@ class FilteredAutomorphism:
             on_letters[i] = _exp_apply(phi, alg.letter(i))
         return FilteredAutomorphism(alg, on_algebra, on_letters)
 
-    def image_of_coefficient(self, a: AlgebraElement) -> SymElement:
-        alg = self.algebra
-        acc = alg.zero()
-        for i, c in a.items():
-            img = self.on_algebra.get(i)
-            if img is None:
-                img = alg.scalar(alg.base.basis_element(i))
-            acc = acc + img.scale(c)
-        return acc
+    def _check(self, element: SymElement) -> None:
+        if not self.algebra.compatible(element.algebra):
+            raise BaseMismatch("automorphism and element over incompatible algebras")
 
     def apply(self, element: SymElement) -> SymElement:
         """Multiplicative extension, truncated at the cap."""
+        self._check(element)
+        return _apply_rows(self.algebra, element, self._rows, self._row)
+
+    def _row(self, w: Word, i: int) -> Row:
+        """Phi(e_i w) = Phi(e_i) Phi(w_1) ... Phi(w_r)."""
         alg = self.algebra
-        acc = alg.zero()
-        for w, a in element.items():
-            term = self.image_of_coefficient(a)
-            for letter in w:
-                img = self.on_letters.get(letter)
-                if img is None:
-                    img = alg.letter(letter)
-                term = term * img
-            acc = acc + term
-        return acc
+        term = self.on_algebra.get(i)
+        if term is None:
+            term = alg.scalar(alg.base.basis_element(i))
+        for letter in w:
+            img = self.on_letters.get(letter)
+            term = term * (img if img is not None else alg.letter(letter))
+        return _row_of(term)
 
     def apply_inverse(self, element: SymElement) -> SymElement:
-        """Neumann series: Phi^{-1} = sum_k (id - Phi)^k, finite under the cap."""
+        """Phi^{-1} = sum_k (id - Phi)^k, finite under the cap."""
+        self._check(element)
+        return _apply_rows(self.algebra, element, self._inverse_rows, self._inverse_row)
+
+    def _inverse_row(self, w: Word, i: int) -> Row:
+        """The Neumann series on the single grid element e_i w."""
         alg = self.algebra
-        acc = element
-        current = element
+        current = _normalized(alg, {w: alg.base.basis_element(i)})
+        acc = current
         for _ in range(alg.cap + 1):
             current = current - self.apply(current)
             if current.is_zero():
                 break
             acc = acc + current
-        return acc
+        return _row_of(acc)
 
     def validate(self) -> list[str]:
         """Spot-check multiplicativity on base basis pairs and invertibility."""

@@ -24,7 +24,8 @@ from algebroidkit.geometry import (
     GeometricModel,
     Splitting,
     _amb_spanning,
-    _nor_spanning,
+    _nor_grid,
+    _normal_powers,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -41,6 +42,11 @@ from algebroidkit.geometry import (
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, square_components
+
+
+def _nor_spanning(g):
+    for w, b in _nor_grid(g):
+        yield SymElement(g.nor, {w: g.base.basis_element(b)})
 
 
 def small_random_model(seed, base=None, families=None, cap=4):
@@ -612,3 +618,34 @@ def test_conditional_identity_square_iff_structure_residuals():
         if not sq_empty:
             found_defective = True
     assert found_defective
+
+
+def test_normal_powers_are_the_pi_tilde_iterates_and_shared():
+    """The stored nabla_bar^s of each normal grid element are pi_tilde's terms,
+    and the transport iterate reads them without adding any."""
+    g = small_random_model(14)
+    assert retraction_residual(g) == []
+    stored = dict(g._normal_powers)
+    assert len(stored) == sum(1 for _ in _nor_grid(g))
+    for (w, b), powers in stored.items():
+        el = SymElement(g.nor, {w: g.base.basis_element(b)})
+        manual = g.to_amb(el)
+        total = manual
+        for s in range(g.cap):
+            manual = g.nabla_bar(manual)
+            assert powers[s] == manual
+            total = total + manual
+        assert pi_tilde(g, el) == total
+        assert _normal_powers(g, w, b) is powers
+    assert transport_lemma_residual(g) == []
+    assert g._normal_powers == stored
+
+
+def test_rtan_derivations_built_once():
+    g = small_random_model(15)
+    first = build_frakD(g)
+    ders = dict(g._rtan)
+    assert ders
+    assert set(ders) == {p for p, table in g.curv_tan.items() if table}
+    assert build_frakD(g) == first
+    assert all(g._rtan[p] is der for p, der in ders.items())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algebroidkit.errors import BaseMismatch, CapError
+from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.fixtures import (
     Rng,
     exterior_base,
@@ -723,3 +723,249 @@ def test_apply_matches_three_product_oracle(base_name, degrees, derivation_degre
         D = random_derivation(rng, alg, derivation_degree)
         x = sparse_sym_element(rng, alg, 0.5)
         assert D.apply(x) == reference_apply(D, x)
+
+
+# -- row tables against the whole-element oracles ------------------------------------
+
+
+def reference_automorphism_apply(Phi, element):
+    """Phi(a) Phi(w_1) ... Phi(w_r) formed term by term, one letter at a time:
+    the oracle for ``FilteredAutomorphism.apply``."""
+    alg = Phi.algebra
+    acc = alg.zero()
+    for w, a in element.items():
+        term = alg.zero()
+        for i, c in a.items():
+            img = Phi.on_algebra.get(i)
+            if img is None:
+                img = alg.scalar(alg.base.basis_element(i))
+            term = term + img.scale(c)
+        for letter in w:
+            img = Phi.on_letters.get(letter)
+            term = term * (img if img is not None else alg.letter(letter))
+        acc = acc + term
+    return acc
+
+
+def reference_apply_inverse(Phi, element):
+    """The Neumann series sum_k (id - Phi)^k run on the whole element: the
+    oracle for ``FilteredAutomorphism.apply_inverse``."""
+    acc = current = element
+    for _ in range(Phi.algebra.cap + 1):
+        current = current - reference_automorphism_apply(Phi, current)
+        if current.is_zero():
+            break
+        acc = acc + current
+    return acc
+
+
+def grid_bound(alg):
+    """sum_r |words_of_weight(r)| * dim A: the most rows a table can hold."""
+    return sum(len(alg.words_of_weight(r)) for r in range(alg.cap + 1)) * alg.base.dim
+
+
+@pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
+@pytest.mark.parametrize("degrees", DEGREE_PATTERNS)
+def test_automorphism_rows_match_whole_element_oracles(base_name, degrees):
+    """Inhomogeneous elements with non-unit Gaussian-rational coefficients,
+    several per automorphism, so later elements read rows built for earlier ones."""
+    base = KERNEL_BASES[base_name]()
+    module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    alg = SymAlgebra.over_module(module, cap=4)
+    rng = Rng(60 + len(degrees))
+    for _ in range(2):
+        Phi = random_unipotent(rng, alg)
+        for _ in range(3):
+            x = sparse_sym_element(rng, alg, 0.4)
+            assert Phi.apply(x) == reference_automorphism_apply(Phi, x)
+            assert Phi.apply_inverse(x) == reference_apply_inverse(Phi, x)
+        assert len(Phi._rows) <= grid_bound(alg)
+        assert len(Phi._inverse_rows) <= grid_bound(alg)
+
+
+def test_apply_sums_rows_with_their_scalars():
+    """One grid element taken with coefficients 1, -1, 2/3 and 1 + i, alone and
+    in sums: each result is the scalar times the row of the unit element."""
+    base, module, alg = make_setup(seed=61, cap=3)
+    rng = Rng(62)
+    D = random_derivation(rng, alg, 1)
+    Phi = random_unipotent(rng, alg)
+    e = base.basis_element(1)
+    unit = SymElement(alg, {(0, 1): e})
+    other = SymElement(alg, {(1,): base.one()})
+    for op in (D.apply, Phi.apply, Phi.apply_inverse):
+        row = op(unit)
+        for s in (Scalar(1), Scalar(-1), Scalar(Fraction(2, 3)), Scalar(1, 1)):
+            assert op(unit.scale(s)) == row.scale(s)
+            assert op(unit.scale(s) + other) == row.scale(s) + op(other)
+
+
+def test_second_conjugate_builds_no_rows():
+    base, module, alg = make_setup(seed=63, cap=4)
+    D0 = d0_derivation(alg, module)
+    Phi = random_unipotent(Rng(64), alg)
+    first = conjugate(Phi, D0)
+    sizes = (len(Phi._rows), len(Phi._inverse_rows), len(D0._rows))
+    assert all(sizes)
+    assert conjugate(Phi, D0) == first
+    assert (len(Phi._rows), len(Phi._inverse_rows), len(D0._rows)) == sizes
+
+
+def _generated_model(name, seed):
+    """A generated benchmark model, drawn as ``perfbench/workloads.py`` draws it."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from algebroidkit.modelio import parse_model
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    return parse_model(workloads.generate_model_text(name, seed))
+
+
+def test_mc_check_builds_one_row_per_touched_grid_element():
+    """The two checks of ``mc`` on gen_a3_b4_w5 (seed 0) build exactly one Phi
+    row per distinct grid element that Phi is applied to, and read most rows
+    more than once."""
+    g = _generated_model("gen_a3_b4_w5.geometric", 0)
+    alg = SymAlgebra.over_module(g.normal, cap=g.cap)
+    D0 = d0_derivation(alg, g.normal)
+    Phi = random_unipotent(Rng(0), alg)
+    touched = set()
+    reads = 0
+    apply = Phi.apply
+
+    def recording(element):
+        nonlocal reads
+        for w, a in element.items():
+            for i, _ in a.items():
+                touched.add((w, i))
+                reads += 1
+        return apply(element)
+
+    Phi.apply = recording  # the inverse rows reach Phi.apply through the instance too
+    assert mc_residual(D0, Phi) == {}
+    assert square_components(conjugate(Phi, D0)) == {}
+    assert set(Phi._rows) == touched
+    assert len(Phi._rows) <= grid_bound(alg)
+    assert reads > 2 * len(touched)
+
+
+def test_private_constructor_agrees_with_public_one():
+    """Every result built without the public checks has the data the public
+    constructor gives for the same mapping: sorted words, nonzero coefficients."""
+    base, module, alg = make_setup(seed=65, cap=3)
+    rng = Rng(66)
+    D = random_derivation(rng, alg, 1)
+
+    def same_as_public(el):
+        public = SymElement(el.algebra, el.data)
+        assert list(el.data.items()) == list(public.data.items())
+        return el
+
+    for _ in range(5):
+        x = sparse_sym_element(rng, alg, 0.5)
+        y = sparse_sym_element(rng, alg, 0.5)
+        total = same_as_public(x + y)
+        want = {w: x.data.get(w, base.zero()) + y.data.get(w, base.zero()) for w in set(x.data) | set(y.data)}
+        assert total == SymElement(alg, want)
+        assert same_as_public(x - y) == SymElement(
+            alg, {w: x.data.get(w, base.zero()) - y.data.get(w, base.zero()) for w in set(x.data) | set(y.data)}
+        )
+        assert same_as_public(x - x).is_zero()
+        assert same_as_public(x + (-x)).is_zero()
+        assert same_as_public(-x) == SymElement(alg, {w: -a for w, a in x.items()})
+        for s in (Scalar(0), Scalar(-1), Scalar(Fraction(3, 2), 1)):
+            assert same_as_public(x.scale(s)) == SymElement(alg, {w: a.scale(s) for w, a in x.items()})
+        for r in range(alg.cap + 1):
+            assert same_as_public(x.weight_part(r)) == SymElement(
+                alg, {w: a for w, a in x.items() if len(w) == r}
+            )
+            assert same_as_public(x.truncate(r)) == SymElement(
+                alg, {w: a for w, a in x.items() if len(w) <= r}
+            )
+        same_as_public(x * y)  # _collect
+        assert same_as_public(D.apply(x)) == reference_apply(D, x)  # _collect of a row sum
+
+
+def test_automorphism_rejects_elements_of_another_algebra():
+    """Row keys carry no algebra: a weight-0 element of another algebra, a
+    letter past Phi's letters and another cap are refused, not misread."""
+    base, module, alg = make_setup(seed=67, cap=3)
+    Phi = random_unipotent(Rng(68), alg)
+    wider = SymAlgebra(base, [(n, d) for n, d in zip(alg.letter_names, alg.letter_degrees)] + [("h^", 0)], cap=3)
+    taller = SymAlgebra(base, list(zip(alg.letter_names, alg.letter_degrees)), cap=4)
+    other_base = SymAlgebra(kodaira_base(), list(zip(alg.letter_names, alg.letter_degrees)), cap=3)
+    for el in (
+        wider.one(),
+        wider.letter(alg.n_letters),
+        taller.letter(0),
+        other_base.one(),
+    ):
+        with pytest.raises(BaseMismatch):
+            Phi.apply(el)
+        with pytest.raises(BaseMismatch):
+            Phi.apply_inverse(el)
+
+
+# -- nabla_bar rows ------------------------------------------------------------------
+
+
+def reference_nabla_bar(g, el):
+    """nabla_hat on the whole element, then the 1/m rescale of every output word."""
+    raw = g.nabla_hat().apply(el)
+    out = {}
+    for w, c in raw.items():
+        m = g.tangent_count(w)
+        if m == 0:
+            raise KitError("nabla_bar produced a word without tangent letters")
+        out[w] = c.scale(Scalar(Fraction(1, m)))
+    return SymElement(g.amb, out)
+
+
+def test_nabla_bar_rows_match_rescaled_nabla_hat():
+    from algebroidkit.fixtures import random_geometric_model
+
+    for seed in range(2):
+        g = random_geometric_model(
+            Rng(70 + seed), nontrivial_dga(), [0, 1], [0, -1, 0], cap=4, seed_modules=70 + seed
+        )
+        rng = Rng(72 + seed)
+        for _ in range(6):
+            x = sparse_sym_element(rng, g.amb, 0.3)
+            assert g.nabla_bar(x) == reference_nabla_bar(g, x)
+        assert 0 < len(g._nabla_bar_rows) <= grid_bound(g.amb)
+
+
+def test_nabla_bar_refuses_exactly_the_outputs_the_rescale_refuses():
+    """Gamma values without tangent letters: a single letter's output keeps
+    such a word and is refused; in nu_0 + nu_1 the two cancel and it is not."""
+    from algebroidkit.geometry import GeometricModel
+
+    base = nontrivial_dga()
+    Tm = FreeModule(base, [("t0", 0)], name="Tm")
+    Nm = FreeModule(base, [("n0", 0), ("n1", 0), ("n2", 0)], name="Nm")
+    probe = GeometricModel(base, Tm, Nm, cap=3)
+    e = base.from_names({"e": ONE})
+    pure = SymElement(probe.amb, {(3, 3): e})
+    gamma = {
+        0: SymElement(probe.amb, {(0, 1): base.one()}) + pure,
+        1: pure.scale(Scalar(-1)),
+    }
+    g = GeometricModel(base, Tm, Nm, cap=3, gamma=gamma)
+    nu0, nu1, nu2 = (g.amb.letter(1 + j) for j in range(3))
+    for el in (nu0, nu1, nu0 + nu1, nu0 + nu1.scale(Scalar(2)), nu0 * nu2 + nu1 * nu2, nu2, nu0 * nu1):
+        try:
+            want = reference_nabla_bar(g, el)
+        except KitError:
+            with pytest.raises(KitError, match="without tangent letters"):
+                g.nabla_bar(el)
+        else:
+            assert g.nabla_bar(el) == want
+    with pytest.raises(KitError):
+        g.nabla_bar(nu0)
+    assert g.nabla_bar(nu0 + nu1) == reference_nabla_bar(g, nu0 + nu1)

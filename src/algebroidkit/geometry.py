@@ -23,9 +23,9 @@ The main constructions:
   weighting is a per-word rescale by the tangent-letter count of the
   output, folded into the rows of the model's nabla_bar row table.
 * ``pi_tilde``: sum of iterated nabla_bar, a right inverse to the normal
-  projection (``retraction_residual`` checks this exactly).  The iterates
-  of each normal grid element are computed once per model and shared by
-  the retraction and the transport iterate.
+  projection (``retraction_residual`` checks this exactly).  It adds up the
+  iterates of each grid term of its argument, which are computed once per
+  model and also read by the transport iterate.
 * ``build_frakD``: the degree-1 derivation
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
@@ -271,7 +271,7 @@ class GeometricModel:
         # operators and tables built on first use
         self._rtan: Dict[int, DerivationD] = {}
         self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
-        self._normal_powers: Dict[Tuple[Word, int], List[SymElement]] = {}
+        self._nabla_bar_iterates: Dict[Tuple[Word, int], List[SymElement]] = {}
 
     # -- bidegree helpers ----------------------------------------------------
 
@@ -283,10 +283,9 @@ class GeometricModel:
         return p, len(word) - p
 
     def project_bidegree(self, el: SymElement, p: int) -> SymElement:
-        data = {w: c for w, c in el.items() if self.tangent_count(w) == p}
-        if el.algebra is self.amb:
-            return _normalized(self.amb, data)
-        return SymElement(self.amb, data)
+        if not self.amb.compatible(el.algebra):
+            raise BaseMismatch("element is not over the ambient algebra")
+        return _normalized(self.amb, {w: c for w, c in el.items() if self.tangent_count(w) == p})
 
     def p0(self, el: SymElement) -> SymElement:
         """Projection onto pure normal words (kept inside the ambient algebra)."""
@@ -297,28 +296,23 @@ class GeometricModel:
         return self.project_bidegree(el, 1)
 
     def to_amb(self, el: SymElement) -> SymElement:
-        if el.algebra is self.amb:
-            return el
-        if el.algebra.letter_names == self.amb.letter_names:
-            return SymElement(self.amb, el.data)
-        if el.algebra.letter_names != self.nor.letter_names:
-            raise BaseMismatch("element is over neither the ambient nor the normal letters")
-        data = {tuple(self.a + i for i in w): c for w, c in el.items()}
+        if self.amb.compatible(el.algebra):
+            return _normalized(self.amb, el.data)
+        if not self.nor.compatible(el.algebra):
+            raise BaseMismatch("element is over neither the ambient nor the normal algebra")
         # the normal letters keep their order and degrees after the tangent ones
-        if el.algebra is self.nor:
-            return _normalized(self.amb, data)
-        return SymElement(self.amb, data)
+        return _normalized(self.amb, {tuple(self.a + i for i in w): c for w, c in el.items()})
 
     def to_nor(self, el: SymElement) -> SymElement:
         """Relabel a pure-normal ambient element into the normal algebra."""
+        if not self.amb.compatible(el.algebra):
+            raise BaseMismatch("element is not over the ambient algebra")
         data = {}
         for w, c in el.items():
             if self.tangent_count(w) != 0:
                 raise KitError("element has tangent letters; cannot move to the normal algebra")
             data[tuple(i - self.a for i in w)] = c
-        if el.algebra is self.amb:
-            return _normalized(self.nor, data)
-        return SymElement(self.nor, data)
+        return _normalized(self.nor, data)
 
     def rho_dual(self, el: SymElement) -> SymElement:
         """The algebra-map extension of the normal projection: kills every
@@ -650,32 +644,34 @@ def sym_bar(g: GeometricModel, m: int, n: int, direction: int, word: Word,
 
 
 def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
-    """Sum of iterated symmetrized derivatives, truncated at the weight cap."""
-    current = g.to_amb(mu) if mu.algebra is g.nor else mu
-    acc = current
-    for _ in range(g.cap):
-        current = g.nabla_bar(current)
-        if current.is_zero():
-            break
-        acc = acc + current
-    return acc
+    """Sum of iterated symmetrized derivatives, truncated at the weight cap.
 
-
-def _normal_powers(g: GeometricModel, w: Word, b: int) -> List[SymElement]:
-    """[nabla_bar^s(e_b w) for s = 1..cap], w a word of the normal letters.
-
-    Kept on the model: the retraction and the transport iterate both read
-    them.
+    pi_tilde is Q(i)-linear: each term s e_i w of mu adds s times e_i w and
+    its iterates nabla_bar^k(e_i w), k = 1..cap, which are made once per
+    model (``_nabla_bar_iterates``) and shared with the transport iterate.
+    So nabla_bar's KitError is raised when an iterate of a single term of mu
+    has a word without tangent letters.
     """
-    key = (w, b)
-    powers = g._normal_powers.get(key)
+    mu = g.to_amb(mu)
+    total = mu
+    for w, a in mu.items():
+        for i, s in a.coeffs:
+            for power in _nabla_bar_iterates(g, w, i):
+                total = total + power.scale(s)
+    return total
+
+
+def _nabla_bar_iterates(g: GeometricModel, w: Word, i: int) -> List[SymElement]:
+    """[nabla_bar^k(e_i w) for k = 1..cap], w an ambient word, kept on the model."""
+    key = (w, i)
+    powers = g._nabla_bar_iterates.get(key)
     if powers is None:
-        power = g.to_amb(SymElement(g.nor, {w: g.base.basis_element(b)}))
+        power = _normalized(g.amb, {w: g.base.basis_element(i)})
         powers = []
         for _ in range(g.cap):
             power = g.nabla_bar(power)
             powers.append(power)
-        g._normal_powers[key] = powers
+        g._nabla_bar_iterates[key] = powers
     return powers
 
 
@@ -699,10 +695,7 @@ def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     out = []
     for w, b in _nor_grid(g):
         el = SymElement(g.nor, {w: g.base.basis_element(b)})
-        expansion = g.to_amb(el)
-        for power in _normal_powers(g, w, b):
-            expansion = expansion + power
-        residual = g.rho_dual(expansion) - el
+        residual = g.rho_dual(pi_tilde(g, el)) - el
         if not residual.is_zero():
             out.append((repr(el), residual))
     return out
@@ -754,11 +747,12 @@ def transport_lemma_residual(
         if not residual.is_zero():
             out.append((f"operator @ {el!r}", residual))
     for w, b in _nor_grid(g):
-        # nabla_bar^s(el), shared with the retraction, and shape^(s-1)(nabla_perp(el)),
-        # carried from s - 1
+        # nabla_bar^s(el), shared with pi_tilde, and shape^(s-1)(nabla_perp(el)),
+        # carried from s - 1; the normal letters follow the a tangent ones
         el = SymElement(g.nor, {w: g.base.basis_element(b)})
         iterated = g.nabla_perp_bar(el)
-        for s, power in enumerate(_normal_powers(g, w, b), start=1):
+        powers = _nabla_bar_iterates(g, tuple(g.a + k for k in w), b)
+        for s, power in enumerate(powers, start=1):
             if s > 1:
                 iterated = shape_der(iterated)
             residual = g.p1(power) - iterated

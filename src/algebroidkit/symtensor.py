@@ -140,7 +140,7 @@ class SymAlgebra:
         return SymElement(self, {w: c.scale(sign_scalar(exponent))})
 
     def compatible(self, other: "SymAlgebra") -> bool:
-        return (
+        return self is other or (
             self.base is other.base
             and self.letter_names == other.letter_names
             and self.letter_degrees == other.letter_degrees
@@ -341,7 +341,10 @@ def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> SymEl
 
 # The image of one grid element e_i w under a Q(i)-linear operator: its
 # (word, coefficients) pairs in word order, the coefficients as the sorted
-# (basis index, Scalar) pairs of an AlgebraElement.
+# (basis index, Scalar) pairs of an AlgebraElement.  Plain tuples rather than
+# SymElements: building the derivation and nabla_bar rows as SymElements
+# (an AlgebraElement per word) measured about 4 % slower on the operator
+# checks.
 Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from algebroidkit.algebroid import extract_structure
-from algebroidkit.errors import KitError
+from algebroidkit.errors import BaseMismatch, KitError
 from algebroidkit.fixtures import (
     Rng,
     diagonal_model,
@@ -24,8 +24,8 @@ from algebroidkit.geometry import (
     GeometricModel,
     Splitting,
     _amb_spanning,
+    _nabla_bar_iterates,
     _nor_grid,
-    _normal_powers,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -620,25 +620,58 @@ def test_conditional_identity_square_iff_structure_residuals():
     assert found_defective
 
 
-def test_normal_powers_are_the_pi_tilde_iterates_and_shared():
-    """The stored nabla_bar^s of each normal grid element are pi_tilde's terms,
+def reference_pi_tilde(g, mu):
+    """pi_tilde iterated on the whole element: sum_k nabla_bar^k(mu)."""
+    current = g.to_amb(mu)
+    acc = current
+    for _ in range(g.cap):
+        current = g.nabla_bar(current)
+        acc = acc + current
+    return acc
+
+
+def test_pi_tilde_matches_whole_element_iteration():
+    """pi_tilde adds the iterates of each term with its scalar: inhomogeneous
+    elements with non-unit coefficients, normal and ambient."""
+    for seed in (16, 17):
+        g = small_random_model(seed)
+        rng = Rng(seed)
+        for _ in range(4):
+            for alg in (g.nor, g.amb):
+                data = {}
+                for r in range(g.cap + 1):
+                    words = alg.words_of_weight(r)
+                    if words:
+                        data[rng.choice(words)] = rng.algebra_element(g.base, zero_chance=0.0)
+                mu = SymElement(alg, data)
+                assert pi_tilde(g, mu) == reference_pi_tilde(g, mu)
+
+
+def test_nabla_bar_iterates_are_pi_tilde_terms_and_shared():
+    """The kept nabla_bar^k of each normal grid element are pi_tilde's terms,
     and the transport iterate reads them without adding any."""
     g = small_random_model(14)
     assert retraction_residual(g) == []
-    stored = dict(g._normal_powers)
+    stored = dict(g._nabla_bar_iterates)
     assert len(stored) == sum(1 for _ in _nor_grid(g))
     for (w, b), powers in stored.items():
-        el = SymElement(g.nor, {w: g.base.basis_element(b)})
-        manual = g.to_amb(el)
-        total = manual
-        for s in range(g.cap):
+        manual = SymElement(g.amb, {w: g.base.basis_element(b)})
+        for k in range(g.cap):
             manual = g.nabla_bar(manual)
-            assert powers[s] == manual
-            total = total + manual
-        assert pi_tilde(g, el) == total
-        assert _normal_powers(g, w, b) is powers
+            assert powers[k] == manual
+        assert _nabla_bar_iterates(g, w, b) is powers
     assert transport_lemma_residual(g) == []
-    assert g._normal_powers == stored
+    assert g._nabla_bar_iterates == stored
+
+
+def test_retraction_reads_pi_tilde(monkeypatch):
+    """retraction_residual checks the exported pi_tilde itself."""
+    import algebroidkit.geometry as geometry
+
+    g = small_random_model(14)
+    assert retraction_residual(g) == []
+    monkeypatch.setattr(geometry, "pi_tilde", lambda g, mu: g.to_amb(mu).scale(Scalar(2)))
+    assert len(retraction_residual(g)) == sum(1 for _ in _nor_grid(g))
 
 
 def test_rtan_derivations_built_once():
@@ -649,3 +682,49 @@ def test_rtan_derivations_built_once():
     assert set(ders) == {p for p, table in g.curv_tan.items() if table}
     assert build_frakD(g) == first
     assert all(g._rtan[p] is der for p, der in ders.items())
+
+
+def test_projections_match_public_constructor_and_refuse_other_algebras():
+    """p0/p1/project_bidegree, to_amb and to_nor give what the public
+    constructor gives, over the model's own algebras, also for an element of
+    a compatible copy; an element of an algebra with the same letter names but
+    another cap or base is refused instead of relabelled."""
+    g = small_random_model(18)
+    rng = Rng(18)
+
+    def random_element(alg):
+        data = {}
+        for r in range(g.cap + 1):
+            for w in alg.words_of_weight(r):
+                if rng.random() < 0.5:
+                    data[w] = rng.algebra_element(g.base)
+        return SymElement(alg, data)
+
+    def same_as_public(el, alg):
+        assert el.algebra is alg
+        assert list(el.data.items()) == list(SymElement(alg, el.data).data.items())
+        return el
+
+    amb_copy = SymAlgebra(g.base, list(zip(g.amb.letter_names, g.amb.letter_degrees)), cap=g.cap)
+    for _ in range(4):
+        x = random_element(g.amb)
+        y = random_element(g.nor)
+        for p in range(g.cap + 1):
+            assert same_as_public(g.project_bidegree(x, p), g.amb) == SymElement(
+                g.amb, {w: c for w, c in x.items() if g.tangent_count(w) == p}
+            )
+        assert same_as_public(g.to_amb(x), g.amb) == x
+        assert same_as_public(g.to_amb(SymElement(amb_copy, x.data)), g.amb) == x
+        moved = same_as_public(g.to_amb(y), g.amb)
+        assert moved == SymElement(g.amb, {tuple(g.a + i for i in w): c for w, c in y.items()})
+        assert same_as_public(g.to_nor(moved), g.nor) == y
+        assert same_as_public(g.rho_dual(x), g.nor) == SymElement(
+            g.nor, {tuple(i - g.a for i in w): c for w, c in x.items() if g.tangent_count(w) == 0}
+        )
+    taller = SymAlgebra(g.base, list(zip(g.amb.letter_names, g.amb.letter_degrees)), cap=g.cap + 1)
+    taller_nor = SymAlgebra(g.base, list(zip(g.nor.letter_names, g.nor.letter_degrees)), cap=g.cap + 1)
+    other_base = SymAlgebra(kodaira_base(), list(zip(g.amb.letter_names, g.amb.letter_degrees)), cap=g.cap)
+    for el in (taller.letter(g.a), other_base.one(), taller_nor.letter(0)):
+        for op in (g.p0, g.p1, g.to_amb, g.to_nor):
+            with pytest.raises(BaseMismatch):
+                op(el)

@@ -4,11 +4,15 @@ A GeometricModel is a desk-scale stand-in for the Dolbeault data of a
 submanifold sitting inside an ambient manifold: a base dga A (functions/forms
 on the submanifold), free modules Tm and Nm (tangent and normal directions),
 a splitting of the ambient frame, a (1,0)-differential dhat on A valued in
-tangent letters, connection blocks, the dual Kodaira-Spencer tensor beta, a
-shape tensor, and two curvature families
+tangent letters, connection blocks, a shape tensor, and two curvature
+families
 
     curv_perp[k] : Nm-dual -> S^k(Nm-dual)   (k >= 2, degree +1)
-    curv_tan[p]  : Tm-dual -> S^p(Nm-dual)   (p >= 2, degree +1; p = 1 is beta).
+    Rtan_p       : Tm-dual -> S^p(Nm-dual)   (p >= 1, degree +1).
+
+The Rtan family is one map {p: tensor table} (``rtan_tables``): its
+weight-one member Rtan_1 is the dual Kodaira-Spencer tensor beta, the
+members p >= 2 are ``curv_tan``.
 
 Everything operates on two truncated symmetric algebras: the ambient one over
 the split frame (tangent letters first, then normal letters) and the normal
@@ -16,7 +20,9 @@ one over the normal letters alone.  Words carry a bidegree (p, q) = (number
 of tangent letters, number of normal letters); P0 keeps (0, *) words, P1
 keeps (1, *) words.
 
-The main constructions:
+The substitution derivations of the ambient algebra (nabla_hat, nabla_perp,
+Shape and Rtan_p for every p, beta at p = 1) are built once, when the model
+is constructed.  The main constructions:
 
 * ``nabla_bar``: symmetrized covariant derivative; the unnormalized
   substitution operator is a genuine degree-0 derivation and the 1/m
@@ -36,9 +42,11 @@ The main constructions:
       alpha_1 = beta,   alpha_n = Rtan_n + sum_{Sh(n-1,1)} Shape o (alpha_{n-1} x 1) o sigma
       ell_n   = Rperp_n + sum_{Sh(n-1,1)} nabla_perp o (alpha_{n-1} x 1) o sigma
 
-  emitted as an AlgebroidStructure whose Chevalley-Eilenberg derivation
-  coincides with ``build_frakD`` identically (the central duality check,
-  valid whether or not D squares to zero).
+  one recursion step applied to the two (curvature family, contraction)
+  pairs (Rtan, Shape) and (Rperp, nabla_perp), emitted as an
+  AlgebroidStructure whose Chevalley-Eilenberg derivation coincides with
+  ``build_frakD`` identically (the central duality check, valid whether or
+  not D squares to zero).
 
 Splitting matrices are restricted to degree-0 entries, so dualizing them is
 the plain transpose.
@@ -46,14 +54,14 @@ the plain transpose.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .linfty import BracketTable, _nonvanishing_keys
 from .modules import FreeModule, ModuleElement, from_dual_values
-from .scalars import MINUS_ONE, Scalar, sign_scalar
+from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from .signs import enumerate_unshuffles, sym_sign
 from .symtensor import (
     DerivationD,
@@ -222,54 +230,50 @@ class GeometricModel:
         self.splitting = splitting if splitting is not None else Splitting(base, self.a, self.b)
         self.closed_beta = closed_beta
 
-        def amb_of(el: SymElement) -> SymElement:
-            if el.algebra.letter_names != self.amb.letter_names or el.algebra.base is not base:
-                raise BaseMismatch("tensor not expressed over the ambient letters")
-            return SymElement(self.amb, el.data)
+        def over(alg: SymAlgebra, table: Optional[Mapping[int, SymElement]],
+                 size: Optional[int] = None) -> Dict[int, SymElement]:
+            """The tensors of table over alg; with size, every index below it
+            (zero where table has none)."""
+            table = table or {}
+            out = {}
+            for i in (table if size is None else range(size)):
+                el = table.get(i)
+                if el is None:
+                    out[i] = alg.zero()
+                elif el.algebra.letter_names != alg.letter_names or el.algebra.base is not base:
+                    which = "ambient" if alg is self.amb else "normal"
+                    raise BaseMismatch(f"tensor not expressed over the {which} letters")
+                else:
+                    out[i] = SymElement(alg, el.data)
+            return out
 
-        def nor_of(el: SymElement) -> SymElement:
-            if el.algebra.letter_names != self.nor.letter_names or el.algebra.base is not base:
-                raise BaseMismatch("tensor not expressed over the normal letters")
-            return SymElement(self.nor, el.data)
-
-        zero_amb = self.amb.zero()
-        zero_nor = self.nor.zero()
-        self.dhat = {
-            i: amb_of(dhat[i]) if dhat and i in dhat else zero_amb
-            for i in range(base.dim)
-        }
-        self.gamma = {
-            j: amb_of(gamma[j]) if gamma and j in gamma else zero_amb
-            for j in range(self.b)
-        }
-        self.beta = {
-            i: nor_of(beta[i]) if beta and i in beta else zero_nor
-            for i in range(self.a)
-        }
-        self.shape = {
-            i: amb_of(shape[i]) if shape and i in shape else zero_amb
-            for i in range(self.a)
-        }
-        self.conn_tan = {
-            i: amb_of(conn_tan[i]) if conn_tan and i in conn_tan else zero_amb
-            for i in range(self.a)
-        }
-        self.second_form = {
-            j: amb_of(second_form[j]) if second_form and j in second_form else zero_amb
-            for j in range(self.b)
-        }
-        self.curv_perp = {
-            k: {j: nor_of(v) for j, v in table.items()}
-            for k, table in (curv_perp or {}).items()
-        }
-        self.curv_tan = {
-            p: {i: nor_of(v) for i, v in table.items()}
-            for p, table in (curv_tan or {}).items()
-        }
+        self.dhat = over(self.amb, dhat, base.dim)
+        self.gamma = over(self.amb, gamma, self.b)
+        self.beta = over(self.nor, beta, self.a)
+        self.shape = over(self.amb, shape, self.a)
+        self.conn_tan = over(self.amb, conn_tan, self.a)
+        self.second_form = over(self.amb, second_form, self.b)
+        self.curv_perp = {k: over(self.nor, t) for k, t in (curv_perp or {}).items()}
+        self.curv_tan = {p: over(self.nor, t) for p, t in (curv_tan or {}).items()}
         if 1 in self.curv_tan:
             raise KitError("curv_tan[1] is reserved: it is the beta tensor")
-        # operators and tables built on first use
-        self._rtan: Dict[int, DerivationD] = {}
+        # the Rtan family over the normal letters: beta is its weight-one member
+        self.rtan_tables = {1: self.beta, **self.curv_tan}
+
+        # the substitution derivations, each built once
+        a = self.a
+        nabla_letters = {i: self.conn_tan[i] + self.shape[i] for i in range(a)}
+        nabla_letters.update({a + j: self.second_form[j] + self.gamma[j] for j in range(self.b)})
+        perp_letters = {a + j: self.gamma[j] for j in range(self.b)}
+        self._nabla_hat = DerivationD(self.amb, self.dhat, nabla_letters, degree=0, check=False)
+        self._nabla_perp = DerivationD(self.amb, self.dhat, perp_letters, degree=0, check=False)
+        self._shape = DerivationD(self.amb, {}, self.shape, degree=0, check=False)
+        self._rtan = {
+            p: DerivationD(self.amb, {}, {i: self.to_amb(v) for i, v in table.items()},
+                           degree=1, check=False)
+            for p, table in self.rtan_tables.items()
+        }
+        # row tables filled on first use
         self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
         self._nabla_bar_iterates: Dict[Tuple[Word, int], List[SymElement]] = {}
 
@@ -316,26 +320,21 @@ class GeometricModel:
 
     def rho_dual(self, el: SymElement) -> SymElement:
         """The algebra-map extension of the normal projection: kills every
-        word containing a tangent letter."""
-        return self.to_nor(self.p0(el))
+        word containing a tangent letter.
 
-    # -- cached operators ---------------------------------------------------------
+        Words are sorted with the tangent letters first, so the kept words are
+        the empty one and those that start with a normal letter."""
+        if not self.amb.compatible(el.algebra):
+            raise BaseMismatch("element is not over the ambient algebra")
+        a = self.a
+        return _normalized(
+            self.nor, {tuple(i - a for i in w): c for w, c in el.data.items() if not w or w[0] >= a}
+        )
 
-    def _beta_amb(self, i: int) -> SymElement:
-        return self.to_amb(self.beta[i])
+    # -- the substitution derivations ---------------------------------------------
 
     def nabla_hat(self) -> DerivationD:
         """Unnormalized symmetrized connection: a degree-0 derivation."""
-        if not hasattr(self, "_nabla_hat"):
-            on_algebra = {i: self.dhat[i] for i in range(self.base.dim)}
-            on_letters = {}
-            for i in range(self.a):
-                on_letters[i] = self.conn_tan[i] + self.shape[i]
-            for j in range(self.b):
-                on_letters[self.a + j] = self.second_form[j] + self.gamma[j]
-            self._nabla_hat = DerivationD(
-                self.amb, on_algebra, on_letters, degree=0, check=False
-            )
         return self._nabla_hat
 
     def nabla_bar(self, el: SymElement) -> SymElement:
@@ -357,7 +356,7 @@ class GeometricModel:
     def _nabla_bar_row(self, w: Word, i: int) -> Row:
         """nabla_hat(e_i w) with each word's coefficients divided by m (m > 1)."""
         row = []
-        for v, coeffs in self.nabla_hat()._row(w, i):
+        for v, coeffs in self._nabla_hat._row(w, i):
             m = self.tangent_count(v)
             if m > 1:
                 inv = Scalar.rational(1, m)
@@ -369,57 +368,17 @@ class GeometricModel:
         """Normal-connection derivative: Gamma plus dhat only, no rescale."""
         if el.algebra.letter_names == self.nor.letter_names:
             el = self.to_amb(el)
-        if not hasattr(self, "_nabla_perp"):
-            on_letters = {self.a + j: self.gamma[j] for j in range(self.b)}
-            self._nabla_perp = DerivationD(
-                self.amb,
-                {i: self.dhat[i] for i in range(self.base.dim)},
-                on_letters,
-                degree=0,
-                check=False,
-            )
         return self._nabla_perp.apply(el)
 
     def shape_tilde(self, el: SymElement) -> SymElement:
         """Shape-operator substitution on the single tangent letter."""
-        if not hasattr(self, "_shape_der"):
-            self._shape_der = DerivationD(
-                self.amb,
-                {},
-                {i: self.shape[i] for i in range(self.a)},
-                degree=0,
-                check=False,
-            )
-        return self._shape_der.apply(el)
-
-    def beta_tilde(self, el: SymElement) -> SymElement:
-        if not hasattr(self, "_beta_der"):
-            self._beta_der = DerivationD(
-                self.amb,
-                {},
-                {i: self._beta_amb(i) for i in range(self.a)},
-                degree=1,
-                check=False,
-            )
-        return self._beta_der.apply(el)
+        return self._shape.apply(el)
 
     def rtan_tilde(self, p: int, el: SymElement) -> SymElement:
-        """Curvature substitution of the tangent letter by p normal letters."""
-        if p == 1:
-            return self.beta_tilde(el)
-        table = self.curv_tan.get(p)
-        if not table:
-            return self.amb.zero()
+        """Curvature substitution of the tangent letter by p normal letters;
+        p = 1 substitutes beta."""
         der = self._rtan.get(p)
-        if der is None:
-            der = self._rtan[p] = DerivationD(
-                self.amb,
-                {},
-                {i: self.to_amb(v) for i, v in table.items()},
-                degree=1,
-                check=False,
-            )
-        return der.apply(el)
+        return der.apply(el) if der is not None else self.amb.zero()
 
     def ambient_d0(self, beta_override: Optional[Mapping[int, SymElement]] = None) -> DerivationD:
         """The ambient differential: d_A on coefficients, block-triangular on
@@ -542,7 +501,7 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
         for i in range(g.a):
             dt = dual_differential_letter(tan_alg, g.tangent, i)
             dt_amb = SymElement(g.amb, {w: c for w, c in dt.items()})
-            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.beta_tilde(dt_amb))
+            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.rtan_tilde(1, dt_amb))
             if not residual.is_zero():
                 problems.append(f"closed flag set but d(beta) != 0 at tangent letter {i}")
     return problems
@@ -594,28 +553,22 @@ def split_curvature(
             acc = acc + term
         return acc
 
-    curv_perp_n: Dict[int, SymElement] = {}
-    for beta_idx in range(g.b):
-        # p-dual(nu_beta) = sum_j p[beta][j] . y_j
-        arg = frame_alg.zero()
-        for j in range(g.a + g.b):
-            entry = g.splitting.p[j].get(beta_idx)
-            if entry is not None and not entry.is_zero():
-                arg = arg + frame_alg.letter(j, entry)
-        val = rho_dual_letterwise(rn_of(arg))
-        if not val.is_zero():
-            curv_perp_n[beta_idx] = val
-    curv_tan_n: Dict[int, SymElement] = {}
-    for i in range(g.a):
-        arg = frame_alg.zero()
-        for j in range(g.a + g.b):
-            entry = g.splitting.tau[j].get(i)
-            if entry is not None and not entry.is_zero():
-                arg = arg + frame_alg.letter(j, entry)
-        val = rho_dual_letterwise(rn_of(arg))
-        if not val.is_zero():
-            curv_tan_n[i] = val
-    return curv_perp_n, curv_tan_n
+    # rho-dual o R_n o p-dual on the normal letters, then o tau-dual on the tangent ones
+    blocks: List[Dict[int, SymElement]] = []
+    for matrix, rank in ((g.splitting.p, g.b), (g.splitting.tau, g.a)):
+        block = {}
+        for idx in range(rank):
+            # the dual of matrix at letter idx: sum_j matrix[j][idx] . y_j
+            arg = frame_alg.zero()
+            for j in range(g.a + g.b):
+                entry = matrix[j].get(idx)
+                if entry is not None and not entry.is_zero():
+                    arg = arg + frame_alg.letter(j, entry)
+            val = rho_dual_letterwise(rn_of(arg))
+            if not val.is_zero():
+                block[idx] = val
+        blocks.append(block)
+    return blocks[0], blocks[1]
 
 
 def sym_bar(g: GeometricModel, m: int, n: int, direction: int, word: Word,
@@ -675,25 +628,18 @@ def _nabla_bar_iterates(g: GeometricModel, w: Word, i: int) -> List[SymElement]:
     return powers
 
 
-def _nor_grid(g: GeometricModel):
-    """(word, basis index) of every normal grid element up to the cap."""
-    for r in range(g.cap + 1):
-        for w in g.nor.words_of_weight(r):
-            for b in range(g.base.dim):
+def _grid(alg: SymAlgebra):
+    """(word, basis index) of every grid element e_b w of alg up to its cap."""
+    for r in range(alg.cap + 1):
+        for w in alg.words_of_weight(r):
+            for b in range(alg.base.dim):
                 yield w, b
-
-
-def _amb_spanning(g: GeometricModel):
-    for r in range(g.cap + 1):
-        for w in g.amb.words_of_weight(r):
-            for b in range(g.base.dim):
-                yield SymElement(g.amb, {w: g.base.basis_element(b)})
 
 
 def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     """rho-dual o pi-tilde - id on a spanning set of the normal algebra."""
     out = []
-    for w, b in _nor_grid(g):
+    for w, b in _grid(g.nor):
         el = SymElement(g.nor, {w: g.base.basis_element(b)})
         residual = g.rho_dual(pi_tilde(g, el)) - el
         if not residual.is_zero():
@@ -715,9 +661,10 @@ def commutator_lemma_residual(
     D0a = g.ambient_d0(ambient_beta)
     D0n = g.normal_d0()
     out = []
-    for el in _amb_spanning(g):
+    for w, b in _grid(g.amb):
+        el = SymElement(g.amb, {w: g.base.basis_element(b)})
         lhs = g.rho_dual(D0a.apply(el)) - D0n.apply(g.rho_dual(el))
-        rhs = g.rho_dual(g.beta_tilde(g.p1(el)))
+        rhs = g.rho_dual(g.rtan_tilde(1, g.p1(el)))
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((repr(el), residual))
@@ -740,13 +687,14 @@ def transport_lemma_residual(
         )
         shape_der = der.apply
     out = []
-    for el in _amb_spanning(g):
+    for w, b in _grid(g.amb):
+        el = SymElement(g.amb, {w: g.base.basis_element(b)})
         lhs = g.p1(g.nabla_bar(el))
         rhs = g.nabla_perp_bar(g.rho_dual(el)) + shape_der(g.p1(el))
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((f"operator @ {el!r}", residual))
-    for w, b in _nor_grid(g):
+    for w, b in _grid(g.nor):
         # nabla_bar^s(el), shared with pi_tilde, and shape^(s-1)(nabla_perp(el)),
         # carried from s - 1; the normal letters follow the a tangent ones
         el = SymElement(g.nor, {w: g.base.basis_element(b)})
@@ -766,24 +714,32 @@ def transport_lemma_residual(
 # ---------------------------------------------------------------------------
 
 
+def _tangent_series(g: GeometricModel, start: SymElement, top: int) -> SymElement:
+    """rho-dual of sum_{q >= 0} sum_{p = 1..top - q} Rtan_p(Shape^q(start))."""
+    val = g.nor.zero()
+    current = start  # Shape^q applied cumulatively
+    for q in range(g.cap):
+        if current.is_zero():
+            break
+        for p in range(1, top - q + 1):
+            term = g.rtan_tilde(p, current)
+            if not term.is_zero():
+                val = val + g.rho_dual(term)
+        current = g.shape_tilde(current)
+    return val
+
+
 def build_frakD(g: GeometricModel) -> DerivationD:
-    """Assemble the normal-direction differential from the three families."""
+    """Assemble the normal-direction differential from the three families.
+
+    Both Rtan o Shape^q series stop at weight cap: the one from dhat on the
+    base, and the one from Gamma on the normal letters, whose words already
+    carry one normal letter (so p + q stops at cap - 1)."""
     cap = g.cap
     base = g.base
     on_algebra: Dict[int, SymElement] = {}
     for bidx in range(base.dim):
-        val = g.nor.scalar(base.differential_basis(bidx))
-        start = g.dhat[bidx]
-        if not start.is_zero():
-            current = start  # Shape^q applied cumulatively
-            for q in range(0, cap):
-                for p in range(1, cap - q + 1):
-                    term = g.rtan_tilde(p, current)
-                    if not term.is_zero():
-                        val = val + g.rho_dual(term)
-                current = g.shape_tilde(current)
-                if current.is_zero():
-                    break
+        val = g.nor.scalar(base.differential_basis(bidx)) + _tangent_series(g, g.dhat[bidx], cap)
         if not val.is_zero():
             on_algebra[bidx] = val
 
@@ -797,17 +753,7 @@ def build_frakD(g: GeometricModel) -> DerivationD:
             entry = g.curv_perp[k].get(j)
             if entry is not None:
                 val = val + entry
-        start = g.gamma[j]
-        if not start.is_zero():
-            current = start
-            for q in range(0, cap):
-                for p in range(1, cap - q):
-                    term = g.rtan_tilde(p, current)
-                    if not term.is_zero():
-                        val = val + g.rho_dual(term)
-                current = g.shape_tilde(current)
-                if current.is_zero():
-                    break
+        val = val + _tangent_series(g, g.gamma[j], cap - 1)
         if not val.is_zero():
             on_letters[j] = val
     return DerivationD(g.nor, on_algebra, on_letters, degree=1, check=True)
@@ -881,21 +827,33 @@ def _transpose(
     return from_dual_values(target, values)
 
 
+def _contract(
+    g: GeometricModel,
+    table: Mapping[int, SymElement],
+    target: FreeModule,
+    sign: Scalar,
+    V: ModuleElement,
+    nu: ModuleElement,
+) -> ModuleElement:
+    """The (1,1)-contraction (tangent V, normal nu) -> target of an ambient
+    tensor table, table[i] being the image of target letter i, times sign."""
+    args = [_embed_tangent(g, V), _embed_normal(g, nu)]
+    values = {}
+    for i in range(target.rank):
+        el = table[i]
+        if el.is_zero():
+            continue
+        values[i] = evaluate(el, args, g.ambient_module).scale(sign)
+    return from_dual_values(target, values)
+
+
 def shape_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> ModuleElement:
     """S_N contraction: (tangent direction, normal argument) -> tangent.
 
     Signless: the anchor-recursion bookkeeping cancels every Koszul factor
     here (the analogous tangent-valued transposes carry (-1)^{|xi|}).
     """
-    values = {}
-    for i in range(g.a):
-        el = g.shape[i]
-        if el.is_zero():
-            continue
-        values[i] = evaluate(
-            el, [_embed_tangent(g, V), _embed_normal(g, nu)], g.ambient_module
-        )
-    return from_dual_values(g.tangent, values)
+    return _contract(g, g.shape, g.tangent, ONE, V, nu)
 
 
 def gamma_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> ModuleElement:
@@ -903,16 +861,7 @@ def gamma_action(g: GeometricModel, V: ModuleElement, nu: ModuleElement) -> Modu
 
     Shares the -(-1)^{|eta|} bracket-recovery twist with the Rperp transpose.
     """
-    values = {}
-    for j in range(g.b):
-        el = g.gamma[j]
-        if el.is_zero():
-            continue
-        pairing = evaluate(
-            el, [_embed_tangent(g, V), _embed_normal(g, nu)], g.ambient_module
-        )
-        values[j] = pairing.scale(MINUS_ONE)
-    return from_dual_values(g.normal, values)
+    return _contract(g, g.gamma, g.normal, MINUS_ONE, V, nu)
 
 
 def vector_action(g: GeometricModel, V: ModuleElement, a: AlgebraElement) -> AlgebraElement:
@@ -930,13 +879,43 @@ def vector_action(g: GeometricModel, V: ModuleElement, a: AlgebraElement) -> Alg
     return acc
 
 
+def _recursion_step(
+    g: GeometricModel,
+    key: Sequence[int],
+    curvature: Mapping[int, SymElement],
+    target: FreeModule,
+    twist: int,
+    contraction: Callable[[GeometricModel, ModuleElement, ModuleElement], ModuleElement],
+    previous: Optional[BracketTable],
+) -> ModuleElement:
+    """One step of the alpha/ell recursion at the normal generators of key:
+
+        curvature-transpose + sum_{Sh(n-1,1)} alpha(sigma) contraction(alpha_{n-1}(first), last),
+
+    the sum left out at n = 1 (previous is None)."""
+    n = len(key)
+    gens = [g.normal.generator(i) for i in key]
+    val = _transpose(g, curvature, target, twist, gens)
+    if previous is None:
+        return val
+    degs = [g.normal.degrees[i] for i in key]
+    for sigma in enumerate_unshuffles(n - 1, 1):
+        perm = sigma.permute(list(range(n)))
+        inner = previous.lookup(tuple(key[p] for p in perm[: n - 1]))
+        if inner is None:
+            continue
+        term = contraction(g, inner, gens[perm[n - 1]])
+        val = val + term.scale(Scalar(sym_sign(sigma, degs)))
+    return val
+
+
 def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     """Emit the recursive anchors and brackets of the model.
 
-    alpha_1 = beta-transpose; for n >= 2
+    alpha_1 = Rtan_1 = beta-transpose; for n >= 2
         alpha_n = Rtan_n + sum_{Sh(n-1,1)} alpha(sigma) Shape(alpha_{n-1}(first), last)
         ell_n   = Rperp_n + sum_{Sh(n-1,1)} alpha(sigma) Gamma(alpha_{n-1}(first), last)
-    and the anchor tables are {v_1..v_n | a} = (-1)^{|a| |alpha_n(v)|}-twisted
+    both by ``_recursion_step``; the anchor tables are {v_1..v_n | a} = (-1)^{|a| |alpha_n(v)|}-twisted
     pairings of alpha_n with dhat.
     """
     cap = g.cap
@@ -944,41 +923,22 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     degrees = g.normal.degrees
 
     alpha_tables: Dict[int, BracketTable] = {}
-    for m in range(1, cap + 1):
-        table = alpha_tables[m] = BracketTable(degrees)
-        for key in _nonvanishing_keys(degrees, m):
-            gens = [g.normal.generator(i) for i in key]
-            degs = [degrees[i] for i in key]
-            if m == 1:
-                val = _transpose(g, g.beta, g.tangent, 0, gens)
-            else:
-                val = _transpose(g, g.curv_tan.get(m, {}), g.tangent, 0, gens)
-                for sigma in enumerate_unshuffles(m - 1, 1):
-                    perm = sigma.permute(list(range(m)))
-                    inner = alpha_tables[m - 1].lookup(tuple(key[p] for p in perm[: m - 1]))
-                    if inner is None:
-                        continue
-                    term = shape_action(g, inner, gens[perm[m - 1]])
-                    val = val + term.scale(Scalar(sym_sign(sigma, degs)))
-            table.set(key, val)
-
-    for n in range(2, cap + 1):
+    for n in range(1, cap + 1):
+        alpha = alpha_tables[n] = BracketTable(degrees)
+        previous = alpha_tables.get(n - 1)
         for key in _nonvanishing_keys(degrees, n):
-            gens = [g.normal.generator(i) for i in key]
-            degs = [degrees[i] for i in key]
-            val = _transpose(g, g.curv_perp.get(n, {}), g.normal, 1, gens)
-            for sigma in enumerate_unshuffles(n - 1, 1):
-                perm = sigma.permute(list(range(n)))
-                inner = alpha_tables[n - 1].lookup(tuple(key[p] for p in perm[: n - 1]))
-                if inner is None:
-                    continue
-                term = gamma_action(g, inner, gens[perm[n - 1]])
-                val = val + term.scale(Scalar(sym_sign(sigma, degs)))
-            if not val.is_zero():
-                S.set_bracket(n, key, val)
+            alpha.set(key, _recursion_step(
+                g, key, g.rtan_tables.get(n, {}), g.tangent, 0, shape_action, previous
+            ))
+            if n >= 2:
+                ell = _recursion_step(
+                    g, key, g.curv_perp.get(n, {}), g.normal, 1, gamma_action, previous
+                )
+                if not ell.is_zero():
+                    S.set_bracket(n, key, ell)
 
-    for m in range(1, cap + 1):
-        for key, alpha_val in alpha_tables[m].items():
+    for m, alpha in alpha_tables.items():
+        for key, alpha_val in alpha.items():
             for bidx in range(g.base.dim):
                 a = g.base.basis_element(bidx)
                 paired = vector_action(g, alpha_val, a)

@@ -21,7 +21,7 @@ where degrees are taken in the unshifted module.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import CapError, DegreeError, KitError
@@ -242,22 +242,34 @@ def jacobi_residual(L, n: int) -> Dict[GenKey, ModuleElement]:
     for key in sorted_tuples(carrier.rank, n):
         degs = [carrier.degrees[i] for i in key]
         gens = [carrier.generator(i) for i in key]
-        total = carrier.zero()
-        for i in range(1, n + 1):
-            j = n - i
-            for sigma in unshuffles_with_tail(n, i):
-                perm = sigma.permute(list(range(n)))
-                if L.symmetric:
-                    exponent = 0 if sym_sign(sigma, degs) == 1 else 1
-                else:
-                    exponent = i * j + (0 if skew_sign(sigma, degs) == 1 else 1)
-                inner = L.bracket(i, [gens[p] for p in perm[:i]])
-                outer_args = [inner] + [gens[p] for p in perm[i:]]
-                term = L.bracket(j + 1, outer_args)
-                total = total + term.scale(sign_scalar(exponent))
+        total = _unshuffle_sum(degs, gens, L.bracket, L.bracket, carrier.zero(), L.symmetric)
         if not total.is_zero():
             out[key] = total
     return out
+
+
+def _unshuffle_sum(degs: Sequence[int], gens: Sequence, inner: Callable, outer: Callable,
+                   zero, symmetric: bool):
+    """sum_{i=1..n} sum_{Sh(i,n-i)} sign(sigma) outer(n-i+1, [inner(i, first i), rest])
+
+    on the arguments gens (of degrees degs) permuted by sigma: first i is
+    gens at sigma(1..i), rest the others in order.  inner(k, args) and
+    outer(k, args) are k-ary maps.  sign is alpha(sigma) in the symmetric
+    convention and (-1)^{i(n-i)} chi(sigma) in the skew one.
+    """
+    n = len(gens)
+    total = zero
+    for i in range(1, n + 1):
+        for sigma in unshuffles_with_tail(n, i):
+            perm = sigma.permute(list(range(n)))
+            if symmetric:
+                exponent = 0 if sym_sign(sigma, degs) == 1 else 1
+            else:
+                exponent = i * (n - i) + (0 if skew_sign(sigma, degs) == 1 else 1)
+            first = inner(i, [gens[p] for p in perm[:i]])
+            term = outer(n - i + 1, [first] + [gens[p] for p in perm[i:]])
+            total = total + term.scale(sign_scalar(exponent))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +537,7 @@ class ShiftedDerDGLA:
         for key in sorted_tuples(len(self.basis), n):
             degs = [shifted[i] for i in key]
             elems = [self.basis[i] for i in key]
-            total = self.zero()
-            for i in range(1, n + 1):
-                for sigma in unshuffles_with_tail(n, i):
-                    perm = sigma.permute(list(range(n)))
-                    sign = sym_sign(sigma, degs)
-                    inner = self.bracket(i, [elems[p] for p in perm[:i]])
-                    term = self.bracket(n - i + 1, [inner] + [elems[p] for p in perm[i:]])
-                    total = total + term.scale(Scalar(sign))
+            total = _unshuffle_sum(degs, elems, self.bracket, self.bracket, self.zero(), True)
             if not total.is_zero():
                 out[key] = total
         return out
@@ -605,14 +610,7 @@ def morphism_residual(
     for key in sorted_tuples(carrier.rank, n):
         degs = [carrier.degrees[i] for i in key]
         gens = [carrier.generator(i) for i in key]
-        lhs = f.zero_value
-        for i in range(1, n + 1):
-            for sigma in unshuffles_with_tail(n, i):
-                perm = sigma.permute(list(range(n)))
-                sign = sym_sign(sigma, degs)
-                inner = L.bracket(i, [gens[p] for p in perm[:i]])
-                term = f.component(n - i + 1, [inner] + [gens[p] for p in perm[i:]])
-                lhs = lhs + term.scale(Scalar(sign))
+        lhs = _unshuffle_sum(degs, gens, L.bracket, f.component, f.zero_value, True)
         rhs = f.zero_value
         for blocks in canonical_partitions(n):
             sigma = partition_permutation(blocks)

@@ -270,7 +270,7 @@ class SymElement:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), tuple(sorted(self.data.items(), key=lambda kv: kv[0]))))
+        return hash(tuple(self.data.items()))
 
     def __repr__(self) -> str:
         if not self.data:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -347,3 +350,69 @@ def test_non_utf8_model_exits_2(tmp_path, capsys):
     assert run(["validate", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and err.count("\n") == 1, err
+
+
+# -- seeded mutation fuzz ----------------------------------------------------------
+
+FIXTURES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
+MUTATIONS_PER_FIXTURE = 8
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _nodes(doc[key], path + (key,))
+    elif isinstance(doc, list):
+        for index, item in enumerate(doc):
+            yield from _nodes(item, path + (index,))
+
+
+def _mutate(doc, rng):
+    """Apply one single-node mutation to doc in place; return what it did."""
+    path, value = rng.choice([(p, v) for p, v in _nodes(doc) if p])
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    kinds = ["delete", "swap type"]
+    if isinstance(value, int) and not isinstance(value, bool):
+        kinds.append("change int")
+    if isinstance(value, str):
+        kinds.append("replace string")
+    if isinstance(value, list) and value:
+        kinds.append("duplicate entry")
+    kind = rng.choice(kinds)
+    if kind == "delete":
+        del parent[last]
+    elif kind == "change int":
+        parent[last] = value + rng.choice((-2, -1, 1, 2))
+    elif kind == "replace string":
+        parent[last] = rng.choice(("", "zz", value + "'", value.upper(), "1"))
+    elif kind == "duplicate entry":
+        index = rng.randrange(len(value))
+        value.insert(index, copy.deepcopy(value[index]))
+    else:
+        others = [v for v in (0, "0", 1.5, None, True, [], {}) if type(v) is not type(value)]
+        parent[last] = rng.choice(others)
+    return f"{kind} at {list(path)}"
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.name)
+def test_mutated_fixtures_never_raise(fixture, tmp_path, capsys):
+    """Seeded single-node mutations of a shipped fixture, every command at
+    --weight 3: main returns 0, 1 or 2 and raises nothing."""
+    original = json.loads(fixture.read_text())
+    bad = []
+    for k in range(MUTATIONS_PER_FIXTURE):
+        doc = copy.deepcopy(original)
+        what = _mutate(doc, random.Random(f"{fixture.name}/{k}"))
+        path = tmp_path / f"mutated{k}.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            code = main([command, str(path), "--weight", "3"])
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2):
+                bad.append(f"{command} after {what}: exit {code}: {err.strip()}")
+    assert not bad, "\n".join(bad)

@@ -23,9 +23,8 @@ from algebroidkit.fixtures import (
 from algebroidkit.geometry import (
     GeometricModel,
     Splitting,
-    _amb_spanning,
+    _grid,
     _nabla_bar_iterates,
-    _nor_grid,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -44,9 +43,9 @@ from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, square_components
 
 
-def _nor_spanning(g):
-    for w, b in _nor_grid(g):
-        yield SymElement(g.nor, {w: g.base.basis_element(b)})
+def _spanning(alg):
+    for w, b in _grid(alg):
+        yield SymElement(alg, {w: alg.base.basis_element(b)})
 
 
 def small_random_model(seed, base=None, families=None, cap=4):
@@ -398,13 +397,13 @@ def reference_transport_lemma_residual(g, shape_override):
     """The transport lemma with nabla_bar^s and shape^(s-1) recomputed for each s."""
     der = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False)
     out = []
-    for el in _amb_spanning(g):
+    for el in _spanning(g.amb):
         lhs = g.p1(g.nabla_bar(el))
         rhs = g.nabla_perp_bar(g.rho_dual(el)) + der.apply(g.p1(el))
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((f"operator @ {el!r}", residual))
-    for el in _nor_spanning(g):
+    for el in _spanning(g.nor):
         amb_el = g.to_amb(el)
         for s in range(1, g.cap + 1):
             power = amb_el
@@ -653,7 +652,7 @@ def test_nabla_bar_iterates_are_pi_tilde_terms_and_shared():
     g = small_random_model(14)
     assert retraction_residual(g) == []
     stored = dict(g._nabla_bar_iterates)
-    assert len(stored) == sum(1 for _ in _nor_grid(g))
+    assert len(stored) == sum(1 for _ in _grid(g.nor))
     for (w, b), powers in stored.items():
         manual = SymElement(g.amb, {w: g.base.basis_element(b)})
         for k in range(g.cap):
@@ -671,7 +670,7 @@ def test_retraction_reads_pi_tilde(monkeypatch):
     g = small_random_model(14)
     assert retraction_residual(g) == []
     monkeypatch.setattr(geometry, "pi_tilde", lambda g, mu: g.to_amb(mu).scale(Scalar(2)))
-    assert len(retraction_residual(g)) == sum(1 for _ in _nor_grid(g))
+    assert len(retraction_residual(g)) == sum(1 for _ in _grid(g.nor))
 
 
 def test_rtan_derivations_built_once():
@@ -679,7 +678,7 @@ def test_rtan_derivations_built_once():
     first = build_frakD(g)
     ders = dict(g._rtan)
     assert ders
-    assert set(ders) == {p for p, table in g.curv_tan.items() if table}
+    assert set(ders) == {1} | set(g.curv_tan)
     assert build_frakD(g) == first
     assert all(g._rtan[p] is der for p, der in ders.items())
 
@@ -725,6 +724,6 @@ def test_projections_match_public_constructor_and_refuse_other_algebras():
     taller_nor = SymAlgebra(g.base, list(zip(g.nor.letter_names, g.nor.letter_degrees)), cap=g.cap + 1)
     other_base = SymAlgebra(kodaira_base(), list(zip(g.amb.letter_names, g.amb.letter_degrees)), cap=g.cap)
     for el in (taller.letter(g.a), other_base.one(), taller_nor.letter(0)):
-        for op in (g.p0, g.p1, g.to_amb, g.to_nor):
+        for op in (g.p0, g.p1, g.to_amb, g.to_nor, g.rho_dual):
             with pytest.raises(BaseMismatch):
                 op(el)

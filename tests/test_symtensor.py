@@ -122,6 +122,15 @@ def test_odd_letter_squares_to_zero():
     assert (lam * lam).is_zero()
 
 
+def test_equal_elements_over_compatible_algebras_hash_alike():
+    """== accepts any compatible algebra, so hash may not read which one."""
+    base = nontrivial_dga()
+    x, y = (SymAlgebra(base, [("x^", 0)], cap=3).letter(0) for _ in range(2))
+    assert x.algebra is not y.algebra
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
 def test_cap_truncation_in_product():
     base, module, alg = make_setup(cap=2)
     lam0 = alg.letter(0)

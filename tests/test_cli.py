@@ -401,8 +401,8 @@ def _mutate(doc, rng):
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.name)
 def test_mutated_fixtures_never_raise(fixture, tmp_path, capsys):
-    """Seeded single-node mutations of a shipped fixture, every command at
-    --weight 3: main returns 0, 1 or 2 and raises nothing."""
+    """Seeded single-node mutations of a shipped fixture, every command at the
+    caps stored in the file: main returns 0, 1 or 2 and raises nothing."""
     original = json.loads(fixture.read_text())
     bad = []
     for k in range(MUTATIONS_PER_FIXTURE):
@@ -411,7 +411,7 @@ def test_mutated_fixtures_never_raise(fixture, tmp_path, capsys):
         path = tmp_path / f"mutated{k}.json"
         path.write_text(json.dumps(doc))
         for command in COMMANDS:
-            code = main([command, str(path), "--weight", "3"])
+            code = main([command, str(path)])
             err = capsys.readouterr().err
             if code not in (0, 1, 2):
                 bad.append(f"{command} after {what}: exit {code}: {err.strip()}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -101,6 +102,23 @@ def test_shipped_fixtures_match_generator(tmp_path):
         assert path.read_bytes() == (shipped / path.name).read_bytes(), path.name
 
 
+# SHA-256 of the generated benchmark models' text: a change in the draws of
+# ``random_geometric_model`` shows here and not only at the benchmark's gate.
+GENERATED_SHA256 = {
+    ("gen_a2_b3_w5.geometric", 0): "281ec340a5f4f096ba0a186a16932c804f4ec797bbfcd1c08f7ff20dd5a3d0e9",
+    ("gen_a2_b3_w5.geometric", 5): "237d81c00f7a7b9bf08fa48a53ec238a6f923a13d902e527b413bd3f930bb57b",
+    ("gen_a3_b4_w5.geometric", 0): "d6805a4219163ba0a2a56a73c5c59f608fff9f788c5ed1ac4a416f9fa02d37ef",
+    ("gen_a3_b4_w5.geometric", 5): "610a13a8689111107df1f11e0dc26b3bf835f8f2c640ad502641befe7a47b3a2",
+}
+
+
+def test_generated_models_are_pinned(workloads):
+    assert {(name, seed) for name in workloads.GENERATED for seed in (0, 5)} == set(GENERATED_SHA256)
+    for (name, seed), digest in GENERATED_SHA256.items():
+        text = workloads.generate_model_text(name, seed)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (name, seed)
+
+
 def test_truncated_file_gives_location():
     with pytest.raises(ParseError) as err:
         parse_model('{"schema": "algebroidkit/1", "kind": ')
@@ -127,3 +145,187 @@ def test_cap_override():
     with pytest.raises(ParseError) as err:
         parse_model(text, weight_override=2)
     assert "cap" in str(err.value)
+
+
+# -- per-family parse errors -------------------------------------------------------
+
+GENERIC = Path(__file__).resolve().parent.parent / "fixtures" / "generic.geometric.json"
+
+# One single-fault mutation per tensor family and fault of the shipped
+# ``generic`` model: (family, fault) -> (path under "tensors", new value,
+# message, JSON path of the refusal).
+TENSOR_FAULTS = {
+    ("dhat", "unknown name"): (
+        ("dhat", 0, "basis"), "zz", "no basis element named 'zz'", "$.tensors.dhat[0].basis"
+    ),
+    ("dhat", "index set"): (
+        ("dhat", 0, "basis"), "t0^", "no basis element named 't0^'", "$.tensors.dhat[0].basis"
+    ),
+    ("dhat", "weight cap"): (
+        ("dhat", 0, "value", 0, "word"), ["t0^"] * 5,
+        "word of weight 5 overflows the weight cap 4", "$.tensors.dhat[0].value[0].word",
+    ),
+    ("dhat", "bidegree"): (
+        ("dhat", 0, "value", 0, "word"), ["n0^"], "dhat[e] has a word of bidegree (0, 1)", "$.tensors"
+    ),
+    ("dhat", "degree"): (
+        ("dhat", 0, "value", 0, "word"), ["t1^"], "dhat[e] has degree 0, expected 1", "$.tensors"
+    ),
+    ("gamma", "unknown name"): (
+        ("gamma", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.gamma[0].letter"
+    ),
+    ("gamma", "index set"): (
+        ("gamma", 0, "letter"), "t0^", "gamma is indexed by normal letters", "$.tensors.gamma"
+    ),
+    ("gamma", "weight cap"): (
+        ("gamma", 0, "value", 0, "word"), ["t0^"] + ["n0^"] * 4,
+        "word of weight 5 overflows the weight cap 4", "$.tensors.gamma[0].value[0].word",
+    ),
+    ("gamma", "bidegree"): (
+        ("gamma", 0, "value", 0, "word"), ["n0^", "n0^"],
+        "gamma[0] has a word of bidegree (0, 2)", "$.tensors",
+    ),
+    ("gamma", "degree"): (
+        ("gamma", 1, "value", 0, "terms", 0, "basis"), "x", "gamma[1] has degree 0, expected 1", "$.tensors"
+    ),
+    ("beta", "unknown name"): (
+        ("beta", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.beta[0].letter"
+    ),
+    ("beta", "index set"): (
+        ("beta", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.beta[0].letter"
+    ),
+    ("beta", "weight cap"): (
+        ("beta", 0, "value", 0, "word"), ["n0^"] * 5,
+        "word of weight 5 overflows the weight cap 4", "$.tensors.beta[0].value[0].word",
+    ),
+    ("beta", "bidegree"): (
+        ("beta", 0, "value", 0, "word"), ["t0^"], "unknown letter 't0^'", "$.tensors.beta[0].value[0].word[0]"
+    ),
+    ("beta", "degree"): (
+        ("beta", 0, "value", 0, "terms", 0, "basis"), "e", "beta[1] has degree 1, expected 0", "$.tensors"
+    ),
+    ("beta", "weight"): (
+        ("beta", 0, "value", 0, "word"), ["n0^", "n0^"],
+        "beta[1] has a word of bidegree (0, 2); beta[1] must have weight 1", "$.tensors",
+    ),
+    ("shape", "unknown name"): (
+        ("shape", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.shape[0].letter"
+    ),
+    ("shape", "index set"): (
+        ("shape", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.shape[0].letter"
+    ),
+    ("shape", "weight cap"): (
+        ("shape", 0, "value", 0, "word"), ["t0^"] + ["n0^"] * 4,
+        "word of weight 5 overflows the weight cap 4", "$.tensors.shape[0].value[0].word",
+    ),
+    ("shape", "bidegree"): (
+        ("shape", 0, "value", 0, "word"), ["n0^", "n0^"],
+        "shape[0] has a word of bidegree (0, 2)", "$.tensors",
+    ),
+    ("shape", "degree"): (
+        ("shape", 0, "value", 0, "terms", 0, "basis"), "x*e", "shape[0] is not degree-homogeneous", "$.tensors"
+    ),
+    ("conn_tan", "unknown name"): (
+        ("conn_tan", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.conn_tan[0].letter"
+    ),
+    ("conn_tan", "index set"): (
+        ("conn_tan", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.conn_tan[0].letter"
+    ),
+    ("conn_tan", "weight cap"): (
+        ("conn_tan", 0, "value", 0, "word"), ["t0^"] * 5,
+        "word of weight 5 overflows the weight cap 4", "$.tensors.conn_tan[0].value[0].word",
+    ),
+    ("conn_tan", "bidegree"): (
+        ("conn_tan", 0, "value", 0, "word"), ["t0^", "n0^"],
+        "conn_tan[0] has a word of bidegree (1, 1)", "$.tensors",
+    ),
+    ("conn_tan", "degree"): (
+        ("conn_tan", 0, "value", 0, "terms", 0, "basis"), "e",
+        "conn_tan[0] has degree 1, expected 0", "$.tensors",
+    ),
+    ("second_form", "unknown name"): (
+        ("second_form", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.second_form[0].letter"
+    ),
+    ("second_form", "index set"): (
+        ("second_form", 0, "letter"), "t0^",
+        "second_form is indexed by normal letters", "$.tensors.second_form",
+    ),
+    ("second_form", "weight cap"): (
+        ("second_form", 0, "value", 0, "word"), ["t0^"] * 5,
+        "word of weight 5 overflows the weight cap 4", "$.tensors.second_form[0].value[0].word",
+    ),
+    ("second_form", "bidegree"): (
+        ("second_form", 0, "value", 0, "word"), ["t0^", "n0^"],
+        "second_form[0] has a word of bidegree (1, 1)", "$.tensors",
+    ),
+    ("second_form", "degree"): (
+        ("second_form", 0, "value", 0, "terms", 0, "basis"), "e",
+        "second_form[0] has degree 1, expected 0", "$.tensors",
+    ),
+    ("curv_perp", "unknown name"): (
+        ("curv_perp", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.curv_perp[0].letter"
+    ),
+    ("curv_perp", "index set"): (
+        ("curv_perp", 0, "letter"), "t0^", "unknown letter 't0^'", "$.tensors.curv_perp[0].letter"
+    ),
+    ("curv_perp", "weight cap"): (
+        ("curv_perp", 0, "weight"), 5,
+        "curvature weight 5 overflows the weight cap 4", "$.tensors.curv_perp",
+    ),
+    ("curv_perp", "bidegree"): (
+        ("curv_perp", 0, "value", 0, "word"), ["t0^", "n0^", "n0^", "n0^"],
+        "unknown letter 't0^'", "$.tensors.curv_perp[0].value[0].word[0]",
+    ),
+    ("curv_perp", "degree"): (
+        ("curv_perp", 0, "value", 0, "terms", 0, "basis"), "1",
+        "curv_perp[4][0] has degree 0, expected 1", "$.tensors",
+    ),
+    ("curv_perp", "weight"): (
+        ("curv_perp", 0, "weight"), 3, "curv_perp[3][0] has weights [4]", "$.tensors"
+    ),
+    ("curv_perp", "weight below 2"): (
+        ("curv_perp", 0, "weight"), 1, "curv_perp arity 1 < 2", "$.tensors"
+    ),
+    ("curv_tan", "unknown name"): (
+        ("curv_tan", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.curv_tan[0].letter"
+    ),
+    ("curv_tan", "index set"): (
+        ("curv_tan", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.curv_tan[0].letter"
+    ),
+    ("curv_tan", "weight cap"): (
+        ("curv_tan", 0, "weight"), 5,
+        "curvature weight 5 overflows the weight cap 4", "$.tensors.curv_tan",
+    ),
+    ("curv_tan", "bidegree"): (
+        ("curv_tan", 0, "value", 0, "word"), ["t0^", "n0^"],
+        "unknown letter 't0^'", "$.tensors.curv_tan[0].value[0].word[0]",
+    ),
+    ("curv_tan", "degree"): (
+        ("curv_tan", 0, "value", 0, "terms", 0, "basis"), "x",
+        "curv_tan[2][0] has degree 0, expected 1", "$.tensors",
+    ),
+    ("curv_tan", "weight"): (
+        ("curv_tan", 1, "weight"), 3, "curv_tan[3][1] has weights [2]", "$.tensors"
+    ),
+    ("curv_tan", "weight below 2"): (
+        ("curv_tan", 1, "weight"), 1, "curv_tan[1] is reserved: it is the beta tensor", "$"
+    ),
+}
+
+
+def _with_tensor(path, value) -> str:
+    """The generic model's text with doc["tensors"][path] set to value."""
+    doc = json.loads(GENERIC.read_text())
+    slot = doc["tensors"]
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("family, fault", sorted(TENSOR_FAULTS), ids="-".join)
+def test_tensor_fault_message_and_path(family, fault):
+    path, value, message, location = TENSOR_FAULTS[family, fault]
+    with pytest.raises(ParseError) as err:
+        parse_model(_with_tensor(path, value))
+    assert (str(err.value), err.value.location) == (f"{message} (at {location})", location)

@@ -19,6 +19,7 @@ from algebroidkit.fixtures import (
     nontrivial_dga,
     standard_module,
 )
+from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, enumerate_unshuffles, sym_sign
@@ -820,27 +821,11 @@ def test_second_conjugate_builds_no_rows():
     assert (len(Phi._rows), len(Phi._inverse_rows), len(D0._rows)) == sizes
 
 
-def _generated_model(name, seed):
-    """A generated benchmark model, drawn as ``perfbench/workloads.py`` draws it."""
-    import importlib.util
-    import sys
-    from pathlib import Path
-
-    from algebroidkit.modelio import parse_model
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
-    spec.loader.exec_module(workloads)
-    return parse_model(workloads.generate_model_text(name, seed))
-
-
-def test_mc_check_builds_one_row_per_touched_grid_element():
+def test_mc_check_builds_one_row_per_touched_grid_element(workloads):
     """The two checks of ``mc`` on gen_a3_b4_w5 (seed 0) build exactly one Phi
     row per distinct grid element that Phi is applied to, and read most rows
     more than once."""
-    g = _generated_model("gen_a3_b4_w5.geometric", 0)
+    g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
     alg = SymAlgebra.over_module(g.normal, cap=g.cap)
     D0 = d0_derivation(alg, g.normal)
     Phi = random_unipotent(Rng(0), alg)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
+from .geometry import TENSOR_FAMILIES, GeometricModel
 from .linfty import LInftyAlgebra, algebra_derivation_basis
 from .modules import FreeModule, ModuleElement
 from .scalars import ONE, Scalar, sign_scalar
@@ -422,8 +423,6 @@ def conjugation_oracle_structure(rng: Rng, base: BaseAlgebra, carrier: FreeModul
 def _random_dhat(rng: Rng, base: BaseAlgebra, amb: SymAlgebra, a: int, density: float = 0.6):
     """dhat = sum_i lambda_i . delta_i with delta_i in Der(A) of degree
     -|lambda_i|: a genuine degree-0 Leibniz map valued in tangent letters."""
-    from .symtensor import SymElement
-
     out = {i: amb.zero() for i in range(base.dim)}
     for letter in range(a):
         k = -amb.letter_degrees[letter]
@@ -440,21 +439,18 @@ def _random_dhat(rng: Rng, base: BaseAlgebra, amb: SymAlgebra, a: int, density: 
     return {i: v for i, v in out.items() if not v.is_zero()}
 
 
-def _random_letter_map(
+def _random_table(
     rng: Rng,
     alg: SymAlgebra,
-    source_letters: Sequence[int],
+    degrees: Sequence[int],
     words: Sequence[Tuple[int, ...]],
-    degree_shift: int,
-    density: float = 0.5,
+    density: float,
 ):
-    """Random A-linear letter map: source letter -> span of the given words."""
-    from .symtensor import SymElement
-
+    """Random A-linear table: index i -> span of the given words, of degree
+    degrees[i]; zero values are left out."""
     out = {}
-    for letter in source_letters:
+    for i, want in enumerate(degrees):
         parts = {}
-        want = alg.letter_degrees[letter] + degree_shift
         for w in words:
             if rng.random() > density:
                 continue
@@ -464,7 +460,7 @@ def _random_letter_map(
                 parts[w] = alg.base.basis_element(rng.choice(cands)).scale(rng.scalar())
         el = SymElement(alg, parts)
         if not el.is_zero():
-            out[letter] = el
+            out[i] = el
     return out
 
 
@@ -475,119 +471,43 @@ def random_geometric_model(
     normal_degrees: Sequence[int],
     cap: int = 4,
     density: float = 0.5,
-    families: Sequence[str] = (
-        "dhat",
-        "gamma",
-        "beta",
-        "shape",
-        "conn_tan",
-        "second_form",
-        "curv_perp",
-        "curv_tan",
-    ),
+    families: Sequence[str] = tuple(fam.name for fam in TENSOR_FAMILIES),
     seed_modules: int = 3,
 ):
-    """A generic model: random degree-valid tensors, usually non-integrable."""
-    from .geometry import GeometricModel
+    """A generic model: random degree-valid tensors, usually non-integrable.
 
+    The families are drawn in ``TENSOR_FAMILIES`` order, a weighted one
+    weight by weight up to the cap."""
     tangent = mixed_module(base, tangent_degrees, name="Tm", seed=seed_modules, prefix="t")
     normal = mixed_module(base, normal_degrees, name="Nm", seed=seed_modules + 1, prefix="n")
     probe = GeometricModel(base, tangent, normal, cap=cap)
-    amb, nor = probe.amb, probe.nor
-    a, b = probe.a, probe.b
-    tan_letters = list(range(a))
-    nor_letters = list(range(a, a + b))
-    words_11 = [
-        w for w in amb.words_of_weight(2) if probe.bidegree(w) == (1, 1)
-    ]
-    words_20 = [
-        w for w in amb.words_of_weight(2) if probe.bidegree(w) == (2, 0)
-    ]
-    dhat = _random_dhat(rng, base, amb, a, density) if "dhat" in families else {}
-    gamma = (
-        _random_letter_map(rng, amb, nor_letters, words_11, 0, density)
-        if "gamma" in families
-        else {}
-    )
-    gamma = {j - a: v for j, v in gamma.items()}
-
-    def random_normal_valued(letter_degree_plus, words):
-        parts = {}
-        for w in words:
-            if rng.random() > density:
-                continue
-            need = letter_degree_plus - nor.word_degree(w)
-            cands = [bb for bb in range(base.dim) if base.degrees[bb] == need]
-            if cands:
-                parts[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
-        from .symtensor import SymElement
-
-        return SymElement(nor, parts)
-
-    beta = {}
-    if "beta" in families:
-        for i in range(a):
-            el = random_normal_valued(
-                amb.letter_degrees[i] + 1, nor.words_of_weight(1)
-            )
-            if not el.is_zero():
-                beta[i] = el
-    shape = (
-        _random_letter_map(rng, amb, tan_letters, words_11, 0, density)
-        if "shape" in families
-        else {}
-    )
-    conn_tan = (
-        _random_letter_map(rng, amb, tan_letters, words_20, 0, density)
-        if "conn_tan" in families
-        else {}
-    )
-    second_form = (
-        _random_letter_map(rng, amb, nor_letters, words_20, 0, density)
-        if "second_form" in families
-        else {}
-    )
-    second_form = {j - a: v for j, v in second_form.items()}
-    curv_perp = {}
-    if "curv_perp" in families:
-        for k in range(2, cap + 1):
-            table = _random_letter_map(
-                rng, nor, list(range(b)), nor.words_of_weight(k), 1, density
-            )
+    tangent_letters = set(probe.amb.letter_names[: probe.a])
+    tensors = {}
+    for fam in TENSOR_FAMILIES:
+        if fam.name not in families:
+            continue
+        if fam.index == "base":  # dhat must satisfy the Leibniz rule
+            tensors[fam.name] = _random_dhat(rng, base, probe.amb, probe.a, density)
+            continue
+        alg = probe.values_algebra(fam)
+        _, index_degrees = probe.index_set(fam)
+        degrees = [d + fam.shift for d in index_degrees]
+        m = fam.bidegree[0]
+        tables = {}
+        for k in range(fam.weight, cap + 1) if fam.weighted else [fam.weight]:
+            words = [
+                w for w in alg.words_of_weight(k)
+                if sum(alg.letter_names[i] in tangent_letters for i in w) == m
+            ]
+            table = _random_table(rng, alg, degrees, words, density)
             if table:
-                curv_perp[k] = table
-    curv_tan = {}
-    if "curv_tan" in families:
-        for p in range(2, cap + 1):
-            table = {}
-            for i in range(a):
-                el = random_normal_valued(
-                    amb.letter_degrees[i] + 1, nor.words_of_weight(p)
-                )
-                if not el.is_zero():
-                    table[i] = el
-            if table:
-                curv_tan[p] = table
-    return GeometricModel(
-        base,
-        tangent,
-        normal,
-        cap=cap,
-        dhat=dhat,
-        gamma=gamma,
-        beta=beta,
-        shape=shape,
-        conn_tan=conn_tan,
-        second_form=second_form,
-        curv_perp=curv_perp,
-        curv_tan=curv_tan,
-    )
+                tables[k] = table
+        tensors[fam.name] = tables if fam.weighted else tables.get(fam.weight, {})
+    return GeometricModel(base, tangent, normal, cap=cap, **tensors)
 
 
 def trivial_model(cap: int = 4):
     """All tensors zero over Lambda[e]: the differential collapses to d0."""
-    from .geometry import GeometricModel
-
     base = lambda_eps()
     tangent = FreeModule(base, [("t0", 0)], name="Tm")
     normal = FreeModule(base, [("n0", 0)], name="Nm")
@@ -596,9 +516,6 @@ def trivial_model(cap: int = 4):
 
 def eps_nilpotent_model(cap: int = 4):
     """Rank-1 curved model over Lambda[e] whose square vanishes by e^2 = 0."""
-    from .geometry import GeometricModel
-    from .symtensor import SymElement
-
     base = lambda_eps()
     tangent = FreeModule(base, [("t0", 0)], name="Tm")
     normal = FreeModule(base, [("n0", 0)], name="Nm")

@@ -3,12 +3,11 @@
 A GeometricModel is a desk-scale stand-in for the Dolbeault data of a
 submanifold sitting inside an ambient manifold: a base dga A (functions/forms
 on the submanifold), free modules Tm and Nm (tangent and normal directions),
-a splitting of the ambient frame, a (1,0)-differential dhat on A valued in
-tangent letters, connection blocks, a shape tensor, and two curvature
-families
-
-    curv_perp[k] : Nm-dual -> S^k(Nm-dual)   (k >= 2, degree +1)
-    Rtan_p       : Tm-dual -> S^p(Nm-dual)   (p >= 1, degree +1).
+a splitting of the ambient frame, and the input tensor families listed, one
+row each, in ``TENSOR_FAMILIES``: what each is indexed by, the letters and
+bidegree of its values, its weights and its degree shift.  Parsing,
+serialization, the constructor, the degree checks and the random generator
+all read that table.
 
 The Rtan family is one map {p: tensor table} (``rtan_tables``): its
 weight-one member Rtan_1 is the dual Kodaira-Spencer tensor beta, the
@@ -54,7 +53,7 @@ the plain transpose.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
@@ -175,6 +174,61 @@ class Splitting:
 
 
 # ---------------------------------------------------------------------------
+# the tensor families
+# ---------------------------------------------------------------------------
+
+
+class TensorFamily(NamedTuple):
+    """One family of input tensors: a table {index: value}, or one such table
+    per weight.
+
+    * name: the constructor keyword, the model attribute and the model-file key.
+    * index: what a table is indexed by: "base" elements, "tangent" or
+      "normal" letters.
+    * values: the letters of the values: "ambient" (tangent, then normal) or
+      "normal".
+    * bidegree: (tangent, normal) letter counts of every word of a value; of
+      a weighted family, at its least weight.
+    * weighted: the family is a map {k: table} over weights k >= the least
+      one, the words of weight k having bidegree (m, k - m).
+    * shift: the degree of a value minus the degree of its index.
+    """
+
+    name: str
+    index: str
+    values: str
+    bidegree: Tuple[int, int]
+    weighted: bool
+    shift: int
+
+    @property
+    def weight(self) -> int:
+        """The weight of every value word (of a weighted family, the least)."""
+        return sum(self.bidegree)
+
+    @property
+    def key(self) -> str:
+        """The model-file field naming an entry's index."""
+        return "basis" if self.index == "base" else "letter"
+
+
+# nabla_hat substitutes the ambient-valued families: dhat on coefficients,
+# conn_tan + shape for tangent letters, second_form + gamma for normal ones.
+# Their bidegrees make it keep or raise the tangent-letter count of a word,
+# and raise it from zero.
+TENSOR_FAMILIES = (
+    TensorFamily("dhat", "base", "ambient", (1, 0), False, 0),  # the (1,0)-differential of A
+    TensorFamily("gamma", "normal", "ambient", (1, 1), False, 0),  # normal connection
+    TensorFamily("beta", "tangent", "normal", (0, 1), False, 1),  # Kodaira-Spencer, Rtan_1
+    TensorFamily("shape", "tangent", "ambient", (1, 1), False, 0),  # shape tensor
+    TensorFamily("conn_tan", "tangent", "ambient", (2, 0), False, 0),  # tangent connection
+    TensorFamily("second_form", "normal", "ambient", (2, 0), False, 0),  # second fundamental form
+    TensorFamily("curv_perp", "normal", "normal", (0, 2), True, 1),  # Rperp_k, k >= 2
+    TensorFamily("curv_tan", "tangent", "normal", (0, 2), True, 1),  # Rtan_p, p >= 2
+)
+
+
+# ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
 
@@ -188,17 +242,13 @@ class GeometricModel:
         tangent: FreeModule,
         normal: FreeModule,
         cap: int = 4,
-        dhat: Optional[Mapping[int, SymElement]] = None,
-        gamma: Optional[Mapping[int, SymElement]] = None,
-        beta: Optional[Mapping[int, SymElement]] = None,
-        shape: Optional[Mapping[int, SymElement]] = None,
-        conn_tan: Optional[Mapping[int, SymElement]] = None,
-        second_form: Optional[Mapping[int, SymElement]] = None,
-        curv_perp: Optional[Mapping[int, Mapping[int, SymElement]]] = None,
-        curv_tan: Optional[Mapping[int, Mapping[int, SymElement]]] = None,
         splitting: Optional[Splitting] = None,
         closed_beta: bool = False,
+        **tensors: Mapping,
     ):
+        """tensors: a table {index: SymElement} per family of
+        ``TENSOR_FAMILIES`` by its name, a map {k: table} for a weighted one;
+        a missing family is zero."""
         if tangent.base is not base or normal.base is not base:
             raise BaseMismatch("tangent and normal modules must live over the base")
         self.base = base
@@ -230,31 +280,31 @@ class GeometricModel:
         self.splitting = splitting if splitting is not None else Splitting(base, self.a, self.b)
         self.closed_beta = closed_beta
 
-        def over(alg: SymAlgebra, table: Optional[Mapping[int, SymElement]],
+        def over(fam: TensorFamily, table: Mapping[int, SymElement],
                  size: Optional[int] = None) -> Dict[int, SymElement]:
-            """The tensors of table over alg; with size, every index below it
-            (zero where table has none)."""
-            table = table or {}
+            """The tensors of table over fam's values algebra; with size,
+            every index below it (zero where table has none)."""
+            alg = self.values_algebra(fam)
             out = {}
             for i in (table if size is None else range(size)):
                 el = table.get(i)
                 if el is None:
                     out[i] = alg.zero()
                 elif el.algebra.letter_names != alg.letter_names or el.algebra.base is not base:
-                    which = "ambient" if alg is self.amb else "normal"
-                    raise BaseMismatch(f"tensor not expressed over the {which} letters")
+                    raise BaseMismatch(f"tensor not expressed over the {fam.values} letters")
                 else:
                     out[i] = SymElement(alg, el.data)
             return out
 
-        self.dhat = over(self.amb, dhat, base.dim)
-        self.gamma = over(self.amb, gamma, self.b)
-        self.beta = over(self.nor, beta, self.a)
-        self.shape = over(self.amb, shape, self.a)
-        self.conn_tan = over(self.amb, conn_tan, self.a)
-        self.second_form = over(self.amb, second_form, self.b)
-        self.curv_perp = {k: over(self.nor, t) for k, t in (curv_perp or {}).items()}
-        self.curv_tan = {p: over(self.nor, t) for p, t in (curv_tan or {}).items()}
+        for fam in TENSOR_FAMILIES:
+            given = tensors.pop(fam.name, None) or {}
+            if fam.weighted:
+                tables = {k: over(fam, t) for k, t in given.items()}
+            else:
+                tables = over(fam, given, len(self.index_set(fam)[0]))
+            setattr(self, fam.name, tables)
+        if tensors:
+            raise TypeError(f"unknown tensor families {sorted(tensors)}")
         if 1 in self.curv_tan:
             raise KitError("curv_tan[1] is reserved: it is the beta tensor")
         # the Rtan family over the normal letters: beta is its weight-one member
@@ -277,6 +327,25 @@ class GeometricModel:
         self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
         self._nabla_bar_iterates: Dict[Tuple[Word, int], List[SymElement]] = {}
 
+    # -- the tensor families ----------------------------------------------------
+
+    def index_set(self, fam: TensorFamily) -> Tuple[Sequence[str], Sequence[int]]:
+        """Names and degrees of what fam's tables are indexed by; an index is
+        a position in them."""
+        if fam.index == "base":
+            return self.base.names, self.base.degrees
+        lo, hi = (0, self.a) if fam.index == "tangent" else (self.a, self.a + self.b)
+        return self.amb.letter_names[lo:hi], self.amb.letter_degrees[lo:hi]
+
+    def values_algebra(self, fam: TensorFamily) -> SymAlgebra:
+        """The algebra fam's values live in."""
+        return self.amb if fam.values == "ambient" else self.nor
+
+    def weight_tables(self, fam: TensorFamily) -> Dict[int, Dict[int, SymElement]]:
+        """fam's tables by weight: {k: table}."""
+        tables = getattr(self, fam.name)
+        return tables if fam.weighted else {fam.weight: tables}
+
     # -- bidegree helpers ----------------------------------------------------
 
     def tangent_count(self, word: Word) -> int:
@@ -291,10 +360,6 @@ class GeometricModel:
             raise BaseMismatch("element is not over the ambient algebra")
         return _normalized(self.amb, {w: c for w, c in el.items() if self.tangent_count(w) == p})
 
-    def p0(self, el: SymElement) -> SymElement:
-        """Projection onto pure normal words (kept inside the ambient algebra)."""
-        return self.project_bidegree(el, 0)
-
     def p1(self, el: SymElement) -> SymElement:
         """Projection onto words with exactly one tangent letter."""
         return self.project_bidegree(el, 1)
@@ -306,17 +371,6 @@ class GeometricModel:
             raise BaseMismatch("element is over neither the ambient nor the normal algebra")
         # the normal letters keep their order and degrees after the tangent ones
         return _normalized(self.amb, {tuple(self.a + i for i in w): c for w, c in el.items()})
-
-    def to_nor(self, el: SymElement) -> SymElement:
-        """Relabel a pure-normal ambient element into the normal algebra."""
-        if not self.amb.compatible(el.algebra):
-            raise BaseMismatch("element is not over the ambient algebra")
-        data = {}
-        for w, c in el.items():
-            if self.tangent_count(w) != 0:
-                raise KitError("element has tangent letters; cannot move to the normal algebra")
-            data[tuple(i - self.a for i in w)] = c
-        return _normalized(self.nor, data)
 
     def rho_dual(self, el: SymElement) -> SymElement:
         """The algebra-map extension of the normal projection: kills every
@@ -415,57 +469,43 @@ class GeometricModel:
 
 
 def geometric_degree_problems(g: GeometricModel) -> List[str]:
-    """Degree and bidegree bookkeeping of every stored tensor."""
+    """Degree and bidegree bookkeeping of every stored tensor against its row
+    of ``TENSOR_FAMILIES``.
+
+    An ambient-valued tensor is checked word by word against the family's
+    bidegree.  A normal-valued one (Rperp_k, or Rtan_p with beta = Rtan_1)
+    has only normal letters, so its bidegree is its weight, checked as a
+    whole.
+    """
     problems: List[str] = []
-    base = g.base
-
-    def check_degree(name, el, want, bidegrees=None):
-        if el.is_zero():
-            return
-        try:
-            got = el.degree()
-        except DegreeError:
-            problems.append(f"{name} is not degree-homogeneous")
-            return
-        if got != want:
-            problems.append(f"{name} has degree {got}, expected {want}")
-        if bidegrees is not None:
-            for w, _ in el.items():
-                if g.bidegree(w) not in bidegrees:
-                    problems.append(f"{name} has a word of bidegree {g.bidegree(w)}")
-
-    for i in range(base.dim):
-        check_degree(f"dhat[{base.names[i]}]", g.dhat[i], base.degrees[i], {(1, 0)})
-    for j in range(g.b):
-        nu_deg = g.amb.letter_degrees[g.a + j]
-        check_degree(f"gamma[{j}]", g.gamma[j], nu_deg, {(1, 1)})
-        check_degree(f"second_form[{j}]", g.second_form[j], nu_deg, {(2, 0)})
-    for i in range(g.a):
-        xi_deg = g.amb.letter_degrees[i]
-        check_degree(f"beta[{i}]", g.to_amb(g.beta[i]), xi_deg + 1, {(0, 1)})
-        check_degree(f"shape[{i}]", g.shape[i], xi_deg, {(1, 1)})
-        check_degree(f"conn_tan[{i}]", g.conn_tan[i], xi_deg, {(2, 0)})
-    for k, table in g.curv_perp.items():
-        if k < 2:
-            problems.append(f"curv_perp arity {k} < 2")
-            continue
-        for j, el in table.items():
-            want = g.nor.letter_degrees[j] + 1
-            if not el.is_zero() and el.weights() != [k]:
-                problems.append(f"curv_perp[{k}][{j}] has weights {el.weights()}")
-            check_degree(f"curv_perp[{k}][{j}]", g.to_amb(el), want, None)
-    for p, table in g.curv_tan.items():
-        if p < 2:
-            problems.append(f"curv_tan arity {p} < 2")
-            continue
-        for i, el in table.items():
-            want = g.amb.letter_degrees[i] + 1
-            if not el.is_zero() and el.weights() != [p]:
-                problems.append(f"curv_tan[{p}][{i}] has weights {el.weights()}")
-            check_degree(f"curv_tan[{p}][{i}]", g.to_amb(el), want, None)
-    for i in range(g.a):
-        if not g.beta[i].is_zero() and g.beta[i].weights() != [1]:
-            problems.append(f"beta[{i}] must have weight 1")
+    for fam in TENSOR_FAMILIES:
+        names, degrees = g.index_set(fam)
+        m = fam.bidegree[0]
+        for k, table in g.weight_tables(fam).items():
+            if k < fam.weight:
+                problems.append(f"{fam.name} arity {k} < {fam.weight}")
+                continue
+            for i, el in table.items():
+                if el.is_zero():
+                    continue
+                index = names[i] if fam.index == "base" else i
+                name = f"{fam.name}[{k}][{index}]" if fam.weighted else f"{fam.name}[{index}]"
+                if fam.values == "normal":
+                    if el.weights() != [k]:
+                        problems.append(f"{name} has weights {el.weights()}")
+                    el = g.to_amb(el)
+                try:
+                    got = el.degree()
+                except DegreeError:
+                    problems.append(f"{name} is not degree-homogeneous")
+                    continue
+                want = degrees[i] + fam.shift
+                if got != want:
+                    problems.append(f"{name} has degree {got}, expected {want}")
+                if fam.values == "ambient":
+                    for w, _ in el.items():
+                        if g.bidegree(w) != (m, k - m):
+                            problems.append(f"{name} has a word of bidegree {g.bidegree(w)}")
     return problems
 
 

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure
 from .errors import KitError, ParseError
-from .geometry import GeometricModel, Splitting
+from .geometry import TENSOR_FAMILIES, GeometricModel, Splitting, TensorFamily, geometric_degree_problems
 from .modules import FreeModule, ModuleElement
 from .scalars import Scalar
 from .symtensor import SymAlgebra, SymElement
@@ -57,6 +57,13 @@ def _expect_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError("expected an integer", path)
     return value
+
+
+def _refuse_duplicate(earlier, key, what: str, path: str) -> None:
+    """An entry whose key is among the keys of the entries before it is
+    refused at path, instead of overwriting the earlier one."""
+    if key in earlier:
+        raise ParseError(f"duplicate entry for {what}", path)
 
 
 def _index_of(space: Union[BaseAlgebra, FreeModule], value, path: str) -> int:
@@ -127,12 +134,15 @@ def _parse_base(value, path: str) -> BaseAlgebra:
         e = _expect_dict(item, f"{path}.products[{k}]", ["left", "right", "terms"], ["left", "right", "terms"])
         left = _index_of(probe, e["left"], f"{path}.products[{k}].left")
         right = _index_of(probe, e["right"], f"{path}.products[{k}].right")
+        what = f"product {e['left']!r} * {e['right']!r}"
+        _refuse_duplicate(products, (left, right), what, f"{path}.products[{k}]")
         val = _parse_terms(e["terms"], f"{path}.products[{k}].terms", probe)
         products[(left, right)] = dict(val.items())
     differential: Dict[int, Dict[int, Scalar]] = {}
     for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):
         e = _expect_dict(item, f"{path}.differential[{k}]", ["basis", "terms"], ["basis", "terms"])
         idx = _index_of(probe, e["basis"], f"{path}.differential[{k}].basis")
+        _refuse_duplicate(differential, idx, f"basis {e['basis']!r}", f"{path}.differential[{k}]")
         val = _parse_terms(e["terms"], f"{path}.differential[{k}].terms", probe)
         differential[idx] = dict(val.items())
     return BaseAlgebra(basis, unit=names.index(unit_name), products=products, differential=differential)
@@ -200,6 +210,7 @@ def _parse_module(value, path: str, base: BaseAlgebra, name: str) -> FreeModule:
     for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):
         e = _expect_dict(item, f"{path}.differential[{k}]", ["generator", "value"], ["generator", "value"])
         idx = _index_of(module, e["generator"], f"{path}.differential[{k}].generator")
+        _refuse_duplicate(differential, idx, f"generator {e['generator']!r}", f"{path}.differential[{k}]")
         differential[idx] = _parse_module_value(e["value"], f"{path}.differential[{k}].value", module)
     module.set_differential(differential)
     return module
@@ -267,6 +278,7 @@ def _parse_matrix(value, path: str, base: BaseAlgebra, n_cols: int) -> list:
         row = _expect_int(e["row"], f"{path}[{k}].row")
         if not (0 <= col < n_cols) or row < 0:
             raise ParseError("matrix index out of range", f"{path}[{k}]")
+        _refuse_duplicate(cols[col], row, f"col {col}, row {row}", f"{path}[{k}]")
         coeff = _parse_scalar(e["coeff"], f"{path}[{k}].coeff")
         cols[col][row] = AlgebraElement(base, {base.unit: coeff})
     return cols
@@ -290,16 +302,55 @@ def _matrix_list(cols) -> list:
 # top level
 # ---------------------------------------------------------------------------
 
-_TENSOR_FIELDS = [
-    "dhat",
-    "gamma",
-    "beta",
-    "shape",
-    "conn_tan",
-    "second_form",
-    "curv_perp",
-    "curv_tan",
-]
+
+def _parse_family(value, path: str, fam: TensorFamily, probe: GeometricModel) -> dict:
+    """The tables of one tensor family ({k: table} for a weighted one); an
+    entry repeating an index (at the same weight) is refused."""
+    key = fam.key
+    fields = (["weight"] if fam.weighted else []) + [key, "value"]
+    names, _ = probe.index_set(fam)
+    position = {name: i for i, name in enumerate(names)}
+    alg = probe.values_algebra(fam)
+    tables: Dict[Optional[int], Dict[int, SymElement]] = {}
+    for k, item in enumerate(_expect_list(value, path)):
+        at = f"{path}[{k}]"
+        e = _expect_dict(item, at, fields, fields)
+        weight = None
+        if fam.weighted:
+            weight = _expect_int(e["weight"], f"{at}.weight")
+            if weight > probe.cap:
+                raise ParseError(
+                    f"curvature weight {weight} overflows the weight cap {probe.cap}", f"{at}.weight"
+                )
+        name = _expect_str(e[key], f"{at}.{key}")
+        if name not in position:
+            if key == "basis":
+                problem = f"no basis element named {name!r}"
+            elif name in probe.amb.letter_names:
+                problem = f"{fam.name} is indexed by {fam.index} letters"
+            else:
+                problem = f"unknown letter {name!r}"
+            raise ParseError(problem, f"{at}.{key}")
+        table = tables.setdefault(weight, {})
+        at_weight = f" at weight {weight}" if fam.weighted else ""
+        _refuse_duplicate(table, position[name], f"{key} {name!r}{at_weight}", at)
+        table[position[name]] = _parse_sym(e["value"], f"{at}.value", alg)
+    return tables if fam.weighted else tables.get(None, {})
+
+
+def _family_list(g: GeometricModel, fam: TensorFamily) -> list:
+    """The entries of one tensor family, sorted by weight and index; zero
+    tensors are left out."""
+    names, _ = g.index_set(fam)
+    out = []
+    for k, table in sorted(g.weight_tables(fam).items()):
+        for i in sorted(table):
+            if not table[i].is_zero():
+                entry = {fam.key: names[i], "value": _sym_list(table[i])}
+                if fam.weighted:
+                    entry["weight"] = k
+                out.append(entry)
+    return out
 
 
 def parse_model(
@@ -357,6 +408,7 @@ def parse_model(
             raise ParseError("missing field 'carrier'", "$")
         carrier = _parse_module(d["carrier"], "$.carrier", base, "L")
         S = AlgebroidStructure(base, carrier, bracket_cap=arity_cap, anchor_cap=arity_cap + 1)
+        seen = set()  # canonical keys: a reordered tuple names the same entry
         for k, item in enumerate(_expect_list(d.get("brackets", []), "$.brackets")):
             e = _expect_dict(item, f"$.brackets[{k}]", ["arity", "args", "value"], ["arity", "args", "value"])
             n = _expect_int(e["arity"], f"$.brackets[{k}].arity")
@@ -366,6 +418,9 @@ def parse_model(
             ]
             if len(args) != n:
                 raise ParseError("args length does not match arity", f"$.brackets[{k}]")
+            key = ("bracket", *sorted(args))
+            _refuse_duplicate(seen, key, f"bracket args {e['args']}", f"$.brackets[{k}]")
+            seen.add(key)
             value = _parse_module_value(e["value"], f"$.brackets[{k}].value", carrier)
             try:
                 S.set_bracket(n, tuple(args), value)
@@ -381,6 +436,9 @@ def parse_model(
             if len(args) != n - 1:
                 raise ParseError("anchor args must have arity-1 entries", f"$.anchors[{k}]")
             bidx = _index_of(base, e["on"], f"$.anchors[{k}].on")
+            key = ("anchor", bidx, *sorted(args))
+            _refuse_duplicate(seen, key, f"anchor args {e['args']} on {e['on']!r}", f"$.anchors[{k}]")
+            seen.add(key)
             value = _parse_terms(e["terms"], f"$.anchors[{k}].terms", base)
             try:
                 S.set_anchor(n, tuple(args), bidx, value)
@@ -404,65 +462,12 @@ def parse_model(
         if not isinstance(closed, bool):
             raise ParseError("closed_beta must be a boolean", "$.closed_beta")
         probe = GeometricModel(base, tangent, normal, cap=weight_cap)
-        tensors = _expect_dict(d.get("tensors", {}), "$.tensors", _TENSOR_FIELDS, [])
-
-        def parse_letter_table(field, alg, letters, path):
-            out = {}
-            for k, item in enumerate(_expect_list(tensors.get(field, []), path)):
-                e = _expect_dict(item, f"{path}[{k}]", ["letter", "value"], ["letter", "value"])
-                nm = _expect_str(e["letter"], f"{path}[{k}].letter")
-                if nm not in letters:
-                    raise ParseError(f"unknown letter {nm!r}", f"{path}[{k}].letter")
-                out[letters.index(nm)] = _parse_sym(e["value"], f"{path}[{k}].value", alg)
-            return out
-
-        amb_letters = list(probe.amb.letter_names)
-        nor_letters = list(probe.nor.letter_names)
-        tan_letters = amb_letters[: probe.a]
-
-        dhat = {}
-        for k, item in enumerate(_expect_list(tensors.get("dhat", []), "$.tensors.dhat")):
-            e = _expect_dict(item, f"$.tensors.dhat[{k}]", ["basis", "value"], ["basis", "value"])
-            idx = _index_of(base, e["basis"], f"$.tensors.dhat[{k}].basis")
-            dhat[idx] = _parse_sym(e["value"], f"$.tensors.dhat[{k}].value", probe.amb)
-        gamma_raw = parse_letter_table("gamma", probe.amb, amb_letters, "$.tensors.gamma")
-        gamma = {}
-        for idx, v in gamma_raw.items():
-            if idx < probe.a:
-                raise ParseError("gamma is indexed by normal letters", "$.tensors.gamma")
-            gamma[idx - probe.a] = v
-        beta = parse_letter_table("beta", probe.nor, tan_letters, "$.tensors.beta")
-        shape = parse_letter_table("shape", probe.amb, tan_letters, "$.tensors.shape")
-        conn_tan = parse_letter_table("conn_tan", probe.amb, tan_letters, "$.tensors.conn_tan")
-        second_raw = parse_letter_table("second_form", probe.amb, amb_letters, "$.tensors.second_form")
-        second_form = {}
-        for idx, v in second_raw.items():
-            if idx < probe.a:
-                raise ParseError("second_form is indexed by normal letters", "$.tensors.second_form")
-            second_form[idx - probe.a] = v
-
-        def parse_weighted(field, alg, letters, path):
-            out: Dict[int, Dict[int, SymElement]] = {}
-            for k, item in enumerate(_expect_list(tensors.get(field, []), path)):
-                e = _expect_dict(item, f"{path}[{k}]", ["weight", "letter", "value"], ["weight", "letter", "value"])
-                w = _expect_int(e["weight"], f"{path}[{k}].weight")
-                nm = _expect_str(e["letter"], f"{path}[{k}].letter")
-                if nm not in letters:
-                    raise ParseError(f"unknown letter {nm!r}", f"{path}[{k}].letter")
-                out.setdefault(w, {})[letters.index(nm)] = _parse_sym(
-                    e["value"], f"{path}[{k}].value", alg
-                )
-            return out
-
-        curv_perp = parse_weighted("curv_perp", probe.nor, nor_letters, "$.tensors.curv_perp")
-        curv_tan = parse_weighted("curv_tan", probe.nor, tan_letters, "$.tensors.curv_tan")
-        for family, tables in (("curv_perp", curv_perp), ("curv_tan", curv_tan)):
-            for w in tables:
-                if w > weight_cap:
-                    raise ParseError(
-                        f"curvature weight {w} overflows the weight cap {weight_cap}",
-                        f"$.tensors.{family}",
-                    )
+        names = [fam.name for fam in TENSOR_FAMILIES]
+        tensors = _expect_dict(d.get("tensors", {}), "$.tensors", names, [])
+        tables = {
+            fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, probe)
+            for fam in TENSOR_FAMILIES
+        }
         splitting = None
         if "splitting" in d:
             sp = _expect_dict(d["splitting"], "$.splitting", ["iota", "p", "tau", "rho"], ["iota", "p", "tau", "rho"])
@@ -477,25 +482,10 @@ def parse_model(
             )
         try:
             model = GeometricModel(
-                base,
-                tangent,
-                normal,
-                cap=weight_cap,
-                dhat=dhat,
-                gamma=gamma,
-                beta=beta,
-                shape=shape,
-                conn_tan=conn_tan,
-                second_form=second_form,
-                curv_perp=curv_perp,
-                curv_tan=curv_tan,
-                splitting=splitting,
-                closed_beta=closed,
+                base, tangent, normal, cap=weight_cap, splitting=splitting, closed_beta=closed, **tables
             )
         except Exception as exc:
             raise ParseError(str(exc), "$") from None
-        from .geometry import geometric_degree_problems
-
         degree_problems = geometric_degree_problems(model)
         if degree_problems:
             raise ParseError("; ".join(degree_problems[:3]), "$.tensors")
@@ -577,57 +567,8 @@ def serialize_model(obj: Union[GeometricModel, AlgebroidStructure], arity_cap: O
             "tau": _matrix_list(g.splitting.tau),
             "rho": _matrix_list(g.splitting.rho),
         }
-    tensors: Dict[str, Any] = {}
-
-    def letter_table(table, letters, offset=0):
-        out = []
-        for idx in sorted(table):
-            el = table[idx]
-            if el.is_zero():
-                continue
-            out.append({"letter": letters[idx + offset], "value": _sym_list(el)})
-        return out
-
-    dhat_entries = []
-    for i in sorted(g.dhat):
-        if not g.dhat[i].is_zero():
-            dhat_entries.append({"basis": g.base.names[i], "value": _sym_list(g.dhat[i])})
-    if dhat_entries:
-        tensors["dhat"] = dhat_entries
-    amb_letters = list(g.amb.letter_names)
-    tan_letters = amb_letters[: g.a]
-    entries = letter_table(g.gamma, amb_letters, offset=g.a)
-    if entries:
-        tensors["gamma"] = entries
-    entries = letter_table(g.beta, tan_letters)
-    if entries:
-        tensors["beta"] = entries
-    entries = letter_table(g.shape, tan_letters)
-    if entries:
-        tensors["shape"] = entries
-    entries = letter_table(g.conn_tan, tan_letters)
-    if entries:
-        tensors["conn_tan"] = entries
-    entries = letter_table(g.second_form, amb_letters, offset=g.a)
-    if entries:
-        tensors["second_form"] = entries
-
-    def weighted_table(tables, letters):
-        out = []
-        for w in sorted(tables):
-            for idx in sorted(tables[w]):
-                el = tables[w][idx]
-                if el.is_zero():
-                    continue
-                out.append({"weight": w, "letter": letters[idx], "value": _sym_list(el)})
-        return out
-
-    entries = weighted_table(g.curv_perp, list(g.nor.letter_names))
-    if entries:
-        tensors["curv_perp"] = entries
-    entries = weighted_table(g.curv_tan, tan_letters)
-    if entries:
-        tensors["curv_tan"] = entries
+    tensors = {fam.name: _family_list(g, fam) for fam in TENSOR_FAMILIES}
+    tensors = {name: entries for name, entries in tensors.items() if entries}
     if tensors:
         doc["tensors"] = tensors
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from algebroidkit.fixtures import (
     trivial_model,
 )
 from algebroidkit.geometry import (
+    TENSOR_FAMILIES,
     GeometricModel,
     Splitting,
     _grid,
@@ -38,6 +40,7 @@ from algebroidkit.geometry import (
     transport_lemma_residual,
     validate_geometric_model,
 )
+from algebroidkit.modelio import load_model, parse_model
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, square_components
@@ -56,8 +59,7 @@ def small_random_model(seed, base=None, families=None, cap=4):
         [0, 1],
         [0, -1],
         cap=cap,
-        families=families
-        or ("dhat", "gamma", "beta", "shape", "conn_tan", "second_form", "curv_perp", "curv_tan"),
+        families=families or tuple(fam.name for fam in TENSOR_FAMILIES),
         seed_modules=seed,
     )
 
@@ -306,10 +308,10 @@ def test_projections_decompose():
     g = small_random_model(8)
     rng = Rng(29)
     pure = g.to_amb(SymElement(g.nor, {(0, 1): g.base.one()}))
-    assert g.p0(pure) == pure and g.p1(pure).is_zero()
+    assert g.project_bidegree(pure, 0) == pure and g.p1(pure).is_zero()
     two_tangent = SymElement(g.amb, {(0, 0, g.a): g.base.one()})
     if not two_tangent.is_zero():
-        assert g.p0(two_tangent).is_zero() and g.p1(two_tangent).is_zero()
+        assert g.project_bidegree(two_tangent, 0).is_zero() and g.p1(two_tangent).is_zero()
     for _ in range(10):
         data = {}
         for r in range(g.cap + 1):
@@ -318,10 +320,10 @@ def test_projections_decompose():
                     continue
                 data[w] = rng.algebra_element(g.base)
         el = SymElement(g.amb, data)
-        rest = el - g.p0(el) - g.p1(el)
+        rest = el - g.project_bidegree(el, 0) - g.p1(el)
         for w, _ in rest.items():
             assert g.tangent_count(w) >= 2
-        assert g.p0(el) + g.p1(el) + rest == el
+        assert g.project_bidegree(el, 0) + g.p1(el) + rest == el
 
 
 # -- pi-tilde and the lemmas ----------------------------------------------------------
@@ -684,7 +686,7 @@ def test_rtan_derivations_built_once():
 
 
 def test_projections_match_public_constructor_and_refuse_other_algebras():
-    """p0/p1/project_bidegree, to_amb and to_nor give what the public
+    """p1/project_bidegree, to_amb and rho_dual give what the public
     constructor gives, over the model's own algebras, also for an element of
     a compatible copy; an element of an algebra with the same letter names but
     another cap or base is refused instead of relabelled."""
@@ -716,7 +718,7 @@ def test_projections_match_public_constructor_and_refuse_other_algebras():
         assert same_as_public(g.to_amb(SymElement(amb_copy, x.data)), g.amb) == x
         moved = same_as_public(g.to_amb(y), g.amb)
         assert moved == SymElement(g.amb, {tuple(g.a + i for i in w): c for w, c in y.items()})
-        assert same_as_public(g.to_nor(moved), g.nor) == y
+        assert same_as_public(g.rho_dual(moved), g.nor) == y
         assert same_as_public(g.rho_dual(x), g.nor) == SymElement(
             g.nor, {tuple(i - g.a for i in w): c for w, c in x.items() if g.tangent_count(w) == 0}
         )
@@ -724,6 +726,37 @@ def test_projections_match_public_constructor_and_refuse_other_algebras():
     taller_nor = SymAlgebra(g.base, list(zip(g.nor.letter_names, g.nor.letter_degrees)), cap=g.cap + 1)
     other_base = SymAlgebra(kodaira_base(), list(zip(g.amb.letter_names, g.amb.letter_degrees)), cap=g.cap)
     for el in (taller.letter(g.a), other_base.one(), taller_nor.letter(0)):
-        for op in (g.p0, g.p1, g.to_amb, g.to_nor, g.rho_dual):
+        for op in (g.p1, g.to_amb, g.rho_dual):
             with pytest.raises(BaseMismatch):
                 op(el)
+
+
+# -- the bidegree invariant ---------------------------------------------------------
+
+
+def test_nabla_hat_keeps_or_raises_the_tangent_count(workloads):
+    """nabla_hat never lowers the tangent-letter count m of a word and raises
+    it from m = 0: statically from the bidegree column of TENSOR_FAMILIES,
+    and on every row of the (word, basis) grid of the shipped generic and
+    rank2 models and of the generated benchmark models."""
+    inputs = [fam for fam in TENSOR_FAMILIES if fam.values == "ambient"]
+    assert {fam.name for fam in inputs} == {"dhat", "gamma", "shape", "conn_tan", "second_form"}
+    for fam in inputs:
+        replaced = 1 if fam.index == "tangent" else 0  # tangent letters of what the value replaces
+        assert fam.bidegree[0] >= replaced and fam.bidegree[0] > 0, fam
+
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    models = [load_model(str(fixtures / f"{name}.geometric.json")) for name in ("generic", "rank2")]
+    models += [parse_model(workloads.generate_model_text(name, 0)) for name in sorted(workloads.GENERATED)]
+    outputs = []
+    for g in models:
+        count = 0
+        for r in range(g.cap + 1):
+            for w in g.amb.words_of_weight(r):
+                m = g.tangent_count(w)
+                for i in range(g.base.dim):
+                    for v, _ in g.nabla_hat()._row(w, i):
+                        assert g.tangent_count(v) >= max(m, 1), (w, i, v)
+                        count += 1
+        outputs.append(count)
+    assert outputs == [256, 313, 1153, 10355]

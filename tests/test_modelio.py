@@ -11,7 +11,7 @@ import pytest
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.errors import ParseError
 from algebroidkit.fixtures import fixture_corpus, write_fixture_corpus
-from algebroidkit.geometry import GeometricModel, duality_residual
+from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
 
 
@@ -155,13 +155,13 @@ GENERIC = Path(__file__).resolve().parent.parent / "fixtures" / "generic.geometr
 # ``generic`` model: (family, fault) -> (path under "tensors", new value,
 # message, JSON path of the refusal).
 TENSOR_FAULTS = {
-    ("dhat", "unknown name"): (
+    ("dhat", "unknown-name"): (
         ("dhat", 0, "basis"), "zz", "no basis element named 'zz'", "$.tensors.dhat[0].basis"
     ),
-    ("dhat", "index set"): (
+    ("dhat", "index-set"): (
         ("dhat", 0, "basis"), "t0^", "no basis element named 't0^'", "$.tensors.dhat[0].basis"
     ),
-    ("dhat", "weight cap"): (
+    ("dhat", "weight-cap"): (
         ("dhat", 0, "value", 0, "word"), ["t0^"] * 5,
         "word of weight 5 overflows the weight cap 4", "$.tensors.dhat[0].value[0].word",
     ),
@@ -171,13 +171,13 @@ TENSOR_FAULTS = {
     ("dhat", "degree"): (
         ("dhat", 0, "value", 0, "word"), ["t1^"], "dhat[e] has degree 0, expected 1", "$.tensors"
     ),
-    ("gamma", "unknown name"): (
+    ("gamma", "unknown-name"): (
         ("gamma", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.gamma[0].letter"
     ),
-    ("gamma", "index set"): (
-        ("gamma", 0, "letter"), "t0^", "gamma is indexed by normal letters", "$.tensors.gamma"
+    ("gamma", "index-set"): (
+        ("gamma", 0, "letter"), "t0^", "gamma is indexed by normal letters", "$.tensors.gamma[0].letter"
     ),
-    ("gamma", "weight cap"): (
+    ("gamma", "weight-cap"): (
         ("gamma", 0, "value", 0, "word"), ["t0^"] + ["n0^"] * 4,
         "word of weight 5 overflows the weight cap 4", "$.tensors.gamma[0].value[0].word",
     ),
@@ -188,13 +188,13 @@ TENSOR_FAULTS = {
     ("gamma", "degree"): (
         ("gamma", 1, "value", 0, "terms", 0, "basis"), "x", "gamma[1] has degree 0, expected 1", "$.tensors"
     ),
-    ("beta", "unknown name"): (
+    ("beta", "unknown-name"): (
         ("beta", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.beta[0].letter"
     ),
-    ("beta", "index set"): (
-        ("beta", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.beta[0].letter"
+    ("beta", "index-set"): (
+        ("beta", 0, "letter"), "n0^", "beta is indexed by tangent letters", "$.tensors.beta[0].letter"
     ),
-    ("beta", "weight cap"): (
+    ("beta", "weight-cap"): (
         ("beta", 0, "value", 0, "word"), ["n0^"] * 5,
         "word of weight 5 overflows the weight cap 4", "$.tensors.beta[0].value[0].word",
     ),
@@ -206,15 +206,15 @@ TENSOR_FAULTS = {
     ),
     ("beta", "weight"): (
         ("beta", 0, "value", 0, "word"), ["n0^", "n0^"],
-        "beta[1] has a word of bidegree (0, 2); beta[1] must have weight 1", "$.tensors",
+        "beta[1] has weights [2]", "$.tensors",
     ),
-    ("shape", "unknown name"): (
+    ("shape", "unknown-name"): (
         ("shape", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.shape[0].letter"
     ),
-    ("shape", "index set"): (
-        ("shape", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.shape[0].letter"
+    ("shape", "index-set"): (
+        ("shape", 0, "letter"), "n0^", "shape is indexed by tangent letters", "$.tensors.shape[0].letter"
     ),
-    ("shape", "weight cap"): (
+    ("shape", "weight-cap"): (
         ("shape", 0, "value", 0, "word"), ["t0^"] + ["n0^"] * 4,
         "word of weight 5 overflows the weight cap 4", "$.tensors.shape[0].value[0].word",
     ),
@@ -225,13 +225,13 @@ TENSOR_FAULTS = {
     ("shape", "degree"): (
         ("shape", 0, "value", 0, "terms", 0, "basis"), "x*e", "shape[0] is not degree-homogeneous", "$.tensors"
     ),
-    ("conn_tan", "unknown name"): (
+    ("conn_tan", "unknown-name"): (
         ("conn_tan", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.conn_tan[0].letter"
     ),
-    ("conn_tan", "index set"): (
-        ("conn_tan", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.conn_tan[0].letter"
+    ("conn_tan", "index-set"): (
+        ("conn_tan", 0, "letter"), "n0^", "conn_tan is indexed by tangent letters", "$.tensors.conn_tan[0].letter"
     ),
-    ("conn_tan", "weight cap"): (
+    ("conn_tan", "weight-cap"): (
         ("conn_tan", 0, "value", 0, "word"), ["t0^"] * 5,
         "word of weight 5 overflows the weight cap 4", "$.tensors.conn_tan[0].value[0].word",
     ),
@@ -243,14 +243,14 @@ TENSOR_FAULTS = {
         ("conn_tan", 0, "value", 0, "terms", 0, "basis"), "e",
         "conn_tan[0] has degree 1, expected 0", "$.tensors",
     ),
-    ("second_form", "unknown name"): (
+    ("second_form", "unknown-name"): (
         ("second_form", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.second_form[0].letter"
     ),
-    ("second_form", "index set"): (
+    ("second_form", "index-set"): (
         ("second_form", 0, "letter"), "t0^",
-        "second_form is indexed by normal letters", "$.tensors.second_form",
+        "second_form is indexed by normal letters", "$.tensors.second_form[0].letter",
     ),
-    ("second_form", "weight cap"): (
+    ("second_form", "weight-cap"): (
         ("second_form", 0, "value", 0, "word"), ["t0^"] * 5,
         "word of weight 5 overflows the weight cap 4", "$.tensors.second_form[0].value[0].word",
     ),
@@ -262,15 +262,15 @@ TENSOR_FAULTS = {
         ("second_form", 0, "value", 0, "terms", 0, "basis"), "e",
         "second_form[0] has degree 1, expected 0", "$.tensors",
     ),
-    ("curv_perp", "unknown name"): (
+    ("curv_perp", "unknown-name"): (
         ("curv_perp", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.curv_perp[0].letter"
     ),
-    ("curv_perp", "index set"): (
-        ("curv_perp", 0, "letter"), "t0^", "unknown letter 't0^'", "$.tensors.curv_perp[0].letter"
+    ("curv_perp", "index-set"): (
+        ("curv_perp", 0, "letter"), "t0^", "curv_perp is indexed by normal letters", "$.tensors.curv_perp[0].letter"
     ),
-    ("curv_perp", "weight cap"): (
+    ("curv_perp", "weight-cap"): (
         ("curv_perp", 0, "weight"), 5,
-        "curvature weight 5 overflows the weight cap 4", "$.tensors.curv_perp",
+        "curvature weight 5 overflows the weight cap 4", "$.tensors.curv_perp[0].weight",
     ),
     ("curv_perp", "bidegree"): (
         ("curv_perp", 0, "value", 0, "word"), ["t0^", "n0^", "n0^", "n0^"],
@@ -283,18 +283,18 @@ TENSOR_FAULTS = {
     ("curv_perp", "weight"): (
         ("curv_perp", 0, "weight"), 3, "curv_perp[3][0] has weights [4]", "$.tensors"
     ),
-    ("curv_perp", "weight below 2"): (
+    ("curv_perp", "weight-below-2"): (
         ("curv_perp", 0, "weight"), 1, "curv_perp arity 1 < 2", "$.tensors"
     ),
-    ("curv_tan", "unknown name"): (
+    ("curv_tan", "unknown-name"): (
         ("curv_tan", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.curv_tan[0].letter"
     ),
-    ("curv_tan", "index set"): (
-        ("curv_tan", 0, "letter"), "n0^", "unknown letter 'n0^'", "$.tensors.curv_tan[0].letter"
+    ("curv_tan", "index-set"): (
+        ("curv_tan", 0, "letter"), "n0^", "curv_tan is indexed by tangent letters", "$.tensors.curv_tan[0].letter"
     ),
-    ("curv_tan", "weight cap"): (
+    ("curv_tan", "weight-cap"): (
         ("curv_tan", 0, "weight"), 5,
-        "curvature weight 5 overflows the weight cap 4", "$.tensors.curv_tan",
+        "curvature weight 5 overflows the weight cap 4", "$.tensors.curv_tan[0].weight",
     ),
     ("curv_tan", "bidegree"): (
         ("curv_tan", 0, "value", 0, "word"), ["t0^", "n0^"],
@@ -307,7 +307,7 @@ TENSOR_FAULTS = {
     ("curv_tan", "weight"): (
         ("curv_tan", 1, "weight"), 3, "curv_tan[3][1] has weights [2]", "$.tensors"
     ),
-    ("curv_tan", "weight below 2"): (
+    ("curv_tan", "weight-below-2"): (
         ("curv_tan", 1, "weight"), 1, "curv_tan[1] is reserved: it is the beta tensor", "$"
     ),
 }
@@ -323,9 +323,104 @@ def _with_tensor(path, value) -> str:
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("family, fault", sorted(TENSOR_FAULTS), ids="-".join)
-def test_tensor_fault_message_and_path(family, fault):
-    path, value, message, location = TENSOR_FAULTS[family, fault]
+@pytest.mark.parametrize("case", sorted(TENSOR_FAULTS), ids="/".join)
+def test_tensor_fault_message_and_path(case):
+    path, value, message, location = TENSOR_FAULTS[case]
     with pytest.raises(ParseError) as err:
         parse_model(_with_tensor(path, value))
     assert (str(err.value), err.value.location) == (f"{message} (at {location})", location)
+
+
+# -- duplicate entries ----------------------------------------------------------------
+
+
+def _refusal(doc) -> ParseError:
+    with pytest.raises(ParseError) as err:
+        parse_model(json.dumps(doc))
+    return err.value
+
+
+def test_duplicate_tensor_entries_refused():
+    # curv_tan[0] moved from weight 2 to 3 collides with the (3, t0^) entry
+    doc = json.loads(GENERIC.read_text())
+    assert [(e["weight"], e["letter"]) for e in doc["tensors"]["curv_tan"]][:3] == [
+        (2, "t0^"), (2, "t1^"), (3, "t0^")
+    ]
+    doc["tensors"]["curv_tan"][0]["weight"] = 3
+    err = _refusal(doc)
+    assert (str(err), err.location) == (
+        "duplicate entry for letter 't0^' at weight 3 (at $.tensors.curv_tan[2])", "$.tensors.curv_tan[2]"
+    )
+    for family, key in (("gamma", "letter"), ("dhat", "basis")):
+        doc = json.loads(GENERIC.read_text())
+        entries = doc["tensors"][family]
+        entries.append(entries[0])
+        err = _refusal(doc)
+        assert str(err) == (
+            f"duplicate entry for {key} {entries[0][key]!r} (at $.tensors.{family}[{len(entries) - 1}])"
+        )
+
+
+def test_duplicate_bracket_and_anchor_entries_refused(corpus):
+    # a reordered tuple has the same canonical key
+    doc = json.loads(serialize_model(corpus["perturbed.algebroid"]))
+    assert doc["brackets"][0]["args"] == ["g0", "g0", "g1"]
+    doc["brackets"].append({**doc["brackets"][0], "args": ["g1", "g0", "g0"]})
+    err = _refusal(doc)
+    assert (str(err), err.location) == (
+        "duplicate entry for bracket args ['g1', 'g0', 'g0'] (at $.brackets[1])", "$.brackets[1]"
+    )
+
+    doc = json.loads(serialize_model(corpus["abelian.algebroid"]))
+    doc["anchors"] = [
+        {"arity": 3, "args": ["g0", "g1"], "on": "x", "terms": []},
+        {"arity": 3, "args": ["g0", "g1"], "on": "e", "terms": []},
+        {"arity": 3, "args": ["g1", "g0"], "on": "x", "terms": []},
+    ]
+    err = _refusal(doc)
+    assert (str(err), err.location) == (
+        "duplicate entry for anchor args ['g1', 'g0'] on 'x' (at $.anchors[2])", "$.anchors[2]"
+    )
+
+
+def test_duplicate_algebra_module_and_splitting_entries_refused():
+    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+    cases = {
+        "$.base.products": ("base", "products"),
+        "$.base.differential": ("base", "differential"),
+        "$.tangent.differential": ("tangent", "differential"),
+    }
+    for path, (section, field) in cases.items():
+        doc = json.loads(GENERIC.read_text())
+        entries = doc[section][field]
+        entries.append(entries[0])
+        err = _refusal(doc)
+        assert err.location == f"{path}[{len(entries) - 1}]"
+        assert str(err).startswith("duplicate entry for ")
+    doc = json.loads(GENERIC.read_text())
+    entry = {"col": 0, "row": 0, "coeff": one}
+    doc["splitting"] = {"iota": [entry, entry], "p": [], "tau": [], "rho": []}
+    err = _refusal(doc)
+    assert (str(err), err.location) == (
+        "duplicate entry for col 0, row 0 (at $.splitting.iota[1])", "$.splitting.iota[1]"
+    )
+
+
+def test_readme_tensor_table_matches_the_schema():
+    def row(fam):
+        index = f"`{fam.key}`: " + ("base element" if fam.index == "base" else fam.index)
+        if fam.weighted:
+            index = f"`weight` k >= {fam.weight}, {index}"
+        m, n = fam.bidegree
+        bidegree = f"({m}, {'k' if m == 0 else f'k - {m}'})" if fam.weighted else f"({m}, {n})"
+        degree = f"index + {fam.shift}" if fam.shift else "index"
+        return [f"`{fam.name}`", index, fam.values, bidegree, degree]
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| key | index field |"):].splitlines()
+    table = []
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        table.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert table == [row(fam) for fam in TENSOR_FAMILIES]

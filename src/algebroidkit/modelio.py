@@ -311,11 +311,11 @@ def _parse_family(value, path: str, fam: TensorFamily, probe: GeometricModel) ->
     names, _ = probe.index_set(fam)
     position = {name: i for i, name in enumerate(names)}
     alg = probe.values_algebra(fam)
-    tables: Dict[Optional[int], Dict[int, SymElement]] = {}
+    tables: Dict[int, Dict[int, SymElement]] = {}
     for k, item in enumerate(_expect_list(value, path)):
         at = f"{path}[{k}]"
         e = _expect_dict(item, at, fields, fields)
-        weight = None
+        weight = fam.weight
         if fam.weighted:
             weight = _expect_int(e["weight"], f"{at}.weight")
             if weight > probe.cap:
@@ -335,7 +335,7 @@ def _parse_family(value, path: str, fam: TensorFamily, probe: GeometricModel) ->
         at_weight = f" at weight {weight}" if fam.weighted else ""
         _refuse_duplicate(table, position[name], f"{key} {name!r}{at_weight}", at)
         table[position[name]] = _parse_sym(e["value"], f"{at}.value", alg)
-    return tables if fam.weighted else tables.get(None, {})
+    return tables if fam.weighted else tables.get(fam.weight, {})
 
 
 def _family_list(g: GeometricModel, fam: TensorFamily) -> list:

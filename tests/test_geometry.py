@@ -731,6 +731,18 @@ def test_projections_match_public_constructor_and_refuse_other_algebras():
                 op(el)
 
 
+def test_constructor_refuses_tensors_over_the_wrong_letters_and_unknown_families():
+    g = small_random_model(19)
+    for fam in TENSOR_FAMILIES:
+        other = g.nor if fam.values == "ambient" else g.amb
+        table = {0: other.letter(0)}
+        tensors = {fam.name: {2: table} if fam.weighted else table}
+        with pytest.raises(BaseMismatch, match=f"over the {fam.values} letters"):
+            GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, **tensors)
+    with pytest.raises(TypeError, match="gama"):
+        GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, gama={})
+
+
 # -- the bidegree invariant ---------------------------------------------------------
 
 

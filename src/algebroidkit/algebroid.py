@@ -38,7 +38,6 @@ from .linfty import (
     LInftyMorphism,
     ShiftedDerDGLA,
     BracketTable,
-    _nonvanishing_keys,
     build_shifted_der_dgla,
     jacobi_residual,
     morphism_residual,
@@ -47,6 +46,7 @@ from .linfty import (
 )
 from .modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend, pair_dual
 from .scalars import Scalar, sign_scalar
+from .signs import _nonvanishing_keys
 from .symtensor import DerivationD, SymAlgebra, SymElement, _evaluate_parts, from_values
 
 GenKey = Tuple[int, ...]

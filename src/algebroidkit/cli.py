@@ -70,13 +70,20 @@ def _require_geometric(model) -> GeometricModel:
 
 def _derivation_entries(D) -> List[ResidualEntry]:
     out: List[ResidualEntry] = []
-    base = D.algebra.base
-    for i in sorted(D.on_algebra):
-        out.extend(residuals_from_sym(f"D({base.names[i]})", D.on_algebra[i]))
-    for i in sorted(D.on_letters):
-        out.extend(
-            residuals_from_sym(f"D({D.algebra.letter_names[i]})", D.on_letters[i])
-        )
+    tables = (D.on_algebra, D.on_letters)
+    for slot, i, label, _ in D.algebra.generators():
+        value = tables[slot].get(i)
+        if value is not None:
+            out.extend(residuals_from_sym(f"D({label})", value))
+    return out
+
+
+def _square_entries(sq) -> List[ResidualEntry]:
+    """The entries of a ``square_components`` result, by shift and label."""
+    out: List[ResidualEntry] = []
+    for n in sorted(sq):
+        for label in sorted(sq[n]):
+            out.extend(residuals_from_sym(f"shift {n} @ {label}", sq[n][label]))
     return out
 
 
@@ -245,12 +252,8 @@ def cmd_frakd_square(model, caps, args) -> Report:
     report = Report("frakd-square", caps)
     with timed_check("square-components") as t:
         sq = frakD_square_report(g)
-        entries = []
-        for n in sorted(sq):
-            for label in sorted(sq[n]):
-                entries.extend(residuals_from_sym(f"shift {n} @ {label}", sq[n][label]))
         detail = "" if not sq else f"lowest violating weight shift: {min(sq)}"
-        report.add(t.finish(not sq, entries, detail=detail))
+        report.add(t.finish(not sq, _square_entries(sq), detail=detail))
     return report
 
 
@@ -262,11 +265,7 @@ def cmd_kapranov(model, caps, args) -> Report:
         report.add(t.finish(True, _derivation_entries(D), detail="derivation table listed below"))
     with timed_check("square (curvature-compatibility residuals)") as t:
         sq = square_components(D)
-        entries = []
-        for n in sorted(sq):
-            for label in sorted(sq[n]):
-                entries.extend(residuals_from_sym(f"shift {n} @ {label}", sq[n][label]))
-        report.add(t.finish(not sq, entries))
+        report.add(t.finish(not sq, _square_entries(sq)))
     return report
 
 
@@ -307,11 +306,7 @@ def cmd_mc(model, caps, args) -> Report:
         report.add(t.finish(not res, entries))
     with timed_check("conjugated differential squares to zero") as t:
         sq = square_components(conjugate(Phi, D0))
-        entries = []
-        for n in sorted(sq):
-            for label in sorted(sq[n]):
-                entries.extend(residuals_from_sym(f"shift {n} @ {label}", sq[n][label]))
-        report.add(t.finish(not sq, entries))
+        report.add(t.finish(not sq, _square_entries(sq)))
     return report
 
 

@@ -15,6 +15,7 @@ from .geometry import TENSOR_FAMILIES, GeometricModel
 from .linfty import LInftyAlgebra, algebra_derivation_basis
 from .modules import FreeModule, ModuleElement
 from .scalars import ONE, Scalar, sign_scalar
+from .signs import _nonvanishing_keys
 from .symtensor import DerivationD, FilteredAutomorphism, SymAlgebra, SymElement
 
 
@@ -320,7 +321,6 @@ def random_algebroid(
     ``validate`` demands; without it the raw tables are filled freely.
     """
     from .algebroid import AlgebroidStructure
-    from .linfty import _nonvanishing_keys
 
     S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
     for n in range(2, bracket_cap + 1):

@@ -58,10 +58,10 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
 from .errors import BaseMismatch, CapError, DegreeError, KitError
-from .linfty import BracketTable, _nonvanishing_keys
+from .linfty import BracketTable
 from .modules import FreeModule, ModuleElement, from_dual_values
 from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
-from .signs import enumerate_unshuffles, sym_sign
+from .signs import _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from .symtensor import (
     DerivationD,
     Row,
@@ -280,13 +280,20 @@ class GeometricModel:
         self.splitting = splitting if splitting is not None else Splitting(base, self.a, self.b)
         self.closed_beta = closed_beta
 
-        def over(fam: TensorFamily, table: Mapping[int, SymElement],
-                 size: Optional[int] = None) -> Dict[int, SymElement]:
-            """The tensors of table over fam's values algebra; with size,
-            every index below it (zero where table has none)."""
+        def over(fam: TensorFamily, table: Mapping[int, SymElement]) -> Dict[int, SymElement]:
+            """The tensors of table over fam's values algebra; a flat family
+            gets every index (zero where table has none)."""
             alg = self.values_algebra(fam)
+            indices = range(len(self.index_set(fam)[0]))
+            for i in table:
+                if i not in indices:
+                    kind = "elements" if fam.index == "base" else "letters"
+                    raise KitError(
+                        f"{fam.name} index {i!r} is out of range "
+                        f"for {len(indices)} {fam.index} {kind}"
+                    )
             out = {}
-            for i in (table if size is None else range(size)):
+            for i in (table if fam.weighted else indices):
                 el = table.get(i)
                 if el is None:
                     out[i] = alg.zero()
@@ -298,10 +305,7 @@ class GeometricModel:
 
         for fam in TENSOR_FAMILIES:
             given = tensors.pop(fam.name, None) or {}
-            if fam.weighted:
-                tables = {k: over(fam, t) for k, t in given.items()}
-            else:
-                tables = over(fam, given, len(self.index_set(fam)[0]))
+            tables = {k: over(fam, t) for k, t in given.items()} if fam.weighted else over(fam, given)
             setattr(self, fam.name, tables)
         if tensors:
             raise TypeError(f"unknown tensor families {sorted(tensors)}")
@@ -995,14 +999,10 @@ def duality_residual(g: GeometricModel) -> Dict[str, SymElement]:
     D_ce = ce_differential(S, weight_cap=g.cap, algebra=g.nor)
     D_geo = build_frakD(g)
     out: Dict[str, SymElement] = {}
-    for bidx in range(g.base.dim):
-        lhs = D_ce.on_algebra.get(bidx, g.nor.zero())
-        rhs = D_geo.on_algebra.get(bidx, g.nor.zero())
+    zero = g.nor.zero()
+    for slot, i, label, _ in g.nor.generators():
+        lhs = (D_ce.on_algebra, D_ce.on_letters)[slot].get(i, zero)
+        rhs = (D_geo.on_algebra, D_geo.on_letters)[slot].get(i, zero)
         if lhs != rhs:
-            out[g.base.names[bidx]] = lhs - rhs
-    for j in range(g.b):
-        lhs = D_ce.on_letters.get(j, g.nor.zero())
-        rhs = D_geo.on_letters.get(j, g.nor.zero())
-        if lhs != rhs:
-            out[g.nor.letter_names[j]] = lhs - rhs
+            out[label] = lhs - rhs
     return out

@@ -7,8 +7,8 @@ graded module in either sign convention, chosen by its ``symmetric`` flag:
 * symmetric: graded symmetric brackets ell_n of degree +1 (alpha signs),
   the shifted picture used everywhere downstream.
 
-Brackets are stored in ``BracketTable``s, whose docstring states the storage
-rule of every graded-symmetric table in the kit, and are extended
+Brackets are stored in ``BracketTable``s, keyed by the word rule of
+``signs`` (sorted tuples, with a Koszul sign), and are extended
 A-multilinearly with Koszul signs; the unary bracket is always the carrier
 differential (a Leibniz derivation, not A-linear).  The degree-shift
 dictionary (decalage) converts between the two conventions with the sign
@@ -20,7 +20,7 @@ where degrees are taken in the unshifted module.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
@@ -29,6 +29,8 @@ from .linalg import nullspace
 from .modules import FreeModule, ModuleElement, multilinear_extend
 from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from .signs import (
+    _sort_word,
+    _vanishes,
     canonical_partitions,
     partition_permutation,
     skew_sign,
@@ -50,46 +52,30 @@ def canonicalize_key(
     """Sort a generator tuple, returning (key, sign, vanishes).
 
     sign is the Koszul factor (ONE or MINUS_ONE) relating the value on the
-    input order to the value on the sorted order; vanishes marks tuples
-    killed by the symmetry (see ``BracketTable``).
+    input order to the value on the sorted order: the sign of
+    ``signs._sort_word``, times the signature of the sort in the skew
+    convention.  vanishes marks tuples killed by the symmetry
+    (``signs._vanishes``, see ``BracketTable``); their sign is not used.
     """
-    items = list(key)
-    exponent = 0
-    swaps = 0
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            exponent += degrees[items[j - 1]] * degrees[items[j]]
-            swaps += 1
-            items[j - 1], items[j] = items[j], items[j - 1]
-            j -= 1
-    sign = sign_scalar(exponent if symmetric else exponent + swaps)
-    return tuple(items), sign, _vanishes(items, degrees, symmetric)
-
-
-def _vanishes(key: Sequence[int], degrees: Sequence[int], symmetric: bool) -> bool:
-    """A sorted tuple repeating an odd generator (symmetric) or an even one (skew)."""
-    killed = 1 if symmetric else 0
-    return any(a == b and degrees[a] % 2 == killed for a, b in zip(key, key[1:]))
-
-
-def _nonvanishing_keys(degrees: Sequence[int], n: int) -> List[GenKey]:
-    """The sorted generator tuples of length n on which a graded-symmetric map
-    can be nonzero, in lexicographic order."""
-    return [
-        key
-        for key in combinations_with_replacement(range(len(degrees)), n)
-        if not _vanishes(key, degrees, True)
-    ]
+    if symmetric:
+        merged = _sort_word(degrees, key)
+        if merged is None:
+            return tuple(sorted(key)), ONE, True
+        return merged[0], sign_scalar(merged[1]), False
+    word = tuple(sorted(key))
+    exponent = sum([1 + degrees[a] * degrees[b] for a, b in combinations(key, 2) if a > b])
+    return word, sign_scalar(exponent), _vanishes(word, degrees, False)
 
 
 class BracketTable(dict):
     """One graded-symmetric (or skew) map on generator tuples, as the dict
     ``{canonical key: value}``.
 
-    This is the storage rule of every such map in the kit: L-infinity
-    brackets, algebroid brackets and multi-anchors, L-infinity morphism
-    components and the alpha_n of ``structure_from_geometry``.
+    Every such map in the kit is stored this way: L-infinity brackets,
+    algebroid brackets and multi-anchors, L-infinity morphism components and
+    the alpha_n of ``structure_from_geometry``.  Keys follow the one word
+    rule of ``signs`` (``_sort_word`` and ``_vanishes``), which the words of
+    ``symtensor.SymAlgebra`` follow too.
 
     * Only sorted generator tuples are keys.  The value on any other order is
       the stored one times the Koszul sign of the sorting permutation (its

@@ -322,6 +322,10 @@ def _parse_family(value, path: str, fam: TensorFamily, probe: GeometricModel) ->
                 raise ParseError(
                     f"curvature weight {weight} overflows the weight cap {probe.cap}", f"{at}.weight"
                 )
+            if weight < fam.weight:
+                raise ParseError(
+                    f"curvature weight {weight} is below the least weight {fam.weight}", f"{at}.weight"
+                )
         name = _expect_str(e[key], f"{at}.{key}")
         if name not in position:
             if key == "basis":

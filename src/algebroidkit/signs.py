@@ -11,14 +11,18 @@ Conventions (fixed once for the whole kit):
   it plays the same role for the graded *exterior* algebra.
 * ``Sh(k_1, ..., k_l)`` is the set of permutations whose images are strictly
   increasing on each consecutive block of the domain.
+* A generator tuple (a word of letters) is stored sorted.  ``_sort_word``
+  sorts one with its Koszul sign and ``_vanishes`` marks the sorted tuples
+  killed by the symmetry; every graded-symmetric table of the kit (words of
+  the symmetric algebra, bracket tables) follows this one rule.
 
 A worked S3 table for both signs ships in the README.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Sequence, Tuple
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import KitError
 
@@ -105,6 +109,44 @@ def sym_sign(sigma: Permutation, degrees: Sequence[int]) -> int:
 def skew_sign(sigma: Permutation, degrees: Sequence[int]) -> int:
     """Koszul sign chi(sigma, v) for graded skew words: signature * alpha."""
     return sigma.signature() * sym_sign(sigma, degrees)
+
+
+def _sort_word(
+    letter_degrees: Sequence[int], letters: Sequence[int]
+) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """Sort letters into a word; returns (word, Koszul sign exponent).
+
+    The exponent counts the pairs of odd letters that the sort moves past
+    each other.  Returns None when an odd letter repeats: the word is zero.
+    """
+    exponent = 0
+    n = len(letters)
+    for p in range(n):
+        x = letters[p]
+        if letter_degrees[x] & 1:
+            for q in range(p + 1, n):
+                y = letters[q]
+                if y == x:
+                    return None
+                if y < x and letter_degrees[y] & 1:
+                    exponent += 1
+    return tuple(sorted(letters)), exponent
+
+
+def _vanishes(key: Sequence[int], degrees: Sequence[int], symmetric: bool) -> bool:
+    """A sorted tuple repeating an odd generator (symmetric) or an even one (skew)."""
+    killed = 1 if symmetric else 0
+    return any(a == b and degrees[a] % 2 == killed for a, b in zip(key, key[1:]))
+
+
+def _nonvanishing_keys(degrees: Sequence[int], n: int) -> List[Tuple[int, ...]]:
+    """The sorted generator tuples of length n on which a graded-symmetric map
+    can be nonzero, in lexicographic order."""
+    return [
+        key
+        for key in combinations_with_replacement(range(len(degrees)), n)
+        if not _vanishes(key, degrees, True)
+    ]
 
 
 def enumerate_unshuffles(*block_sizes: int) -> list[Permutation]:

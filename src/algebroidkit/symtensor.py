@@ -3,7 +3,9 @@
 Elements live in S^0 + S^1 + ... + S^W over a BaseAlgebra, where the weight-r
 piece is spanned by words of r "letters" (dual generators of a free module).
 A word is stored as a sorted tuple of letter indices with a left coefficient
-from the base algebra; words with a repeated odd letter vanish.
+from the base algebra; words with a repeated odd letter vanish.  Sorting and
+vanishing follow the one word rule of ``signs`` (``_sort_word``,
+``_vanishes``), shared with the bracket tables of ``linfty``.
 
 Every word denotes a graded symmetric multilinear map: a single letter pairs
 against module elements, and longer words evaluate through the unshuffle
@@ -29,9 +31,9 @@ element is a map of that degree, extended A-multilinearly by
 ``modules.multilinear_extend``.
 
 The product and the Leibniz rule form each output term once: the
-concatenated letters are sorted with their Koszul sign (``_sort_word``: one
-factor -1 per pair of odd letters moved past each other, zero on a repeated
-odd letter) and the coefficient is added basis element by basis element
+concatenated letters are sorted with their Koszul sign (``signs._sort_word``:
+one factor -1 per pair of odd letters moved past each other, zero on a
+repeated odd letter) and the coefficient is added basis element by basis element
 (``_add_product``).  For base elements e_i, e_j and words w1, w2
 
     (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
@@ -58,14 +60,14 @@ sum_r |words_of_weight(r)| * dim A.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import factorial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .modules import FreeModule, ModuleElement, multilinear_extend, pair_dual
 from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from .signs import _nonvanishing_keys, _sort_word, _vanishes
 
 Word = Tuple[int, ...]
 
@@ -102,18 +104,21 @@ class SymAlgebra:
 
     def words_of_weight(self, r: int) -> List[Word]:
         """All nonzero sorted words of weight r (repeated odd letters dropped)."""
-        out = []
-        for word in combinations_with_replacement(range(self.n_letters), r):
-            if self._word_vanishes(word):
-                continue
-            out.append(word)
-        return out
+        return _nonvanishing_keys(self.letter_degrees, r)
 
-    def _word_vanishes(self, word: Word) -> bool:
-        for a, b in zip(word, word[1:]):
-            if a == b and self.letter_degrees[a] % 2:
-                return True
-        return False
+    def generators(self) -> Iterator[Tuple[int, int, str, "SymElement"]]:
+        """(slot, index, label, element) for every generator of the algebra:
+        the base basis elements (slot 0), then the letters (slot 1).
+
+        An operator is stored by its values on these, in the table
+        ``(on_algebra, on_letters)[slot]``; the slot is also the weight of
+        the generator.
+        """
+        base = self.base
+        for i in range(base.dim):
+            yield 0, i, base.names[i], self.scalar(base.basis_element(i))
+        for j in range(self.n_letters):
+            yield 1, j, self.letter_names[j], self.letter(j)
 
     def zero(self) -> "SymElement":
         return SymElement(self, {})
@@ -156,7 +161,7 @@ class SymElement:
     def __init__(self, algebra: SymAlgebra, data: Mapping[Word, AlgebraElement]):
         cleaned: Dict[Word, AlgebraElement] = {}
         for w, a in data.items():
-            if a.is_zero() or len(w) > algebra.cap or algebra._word_vanishes(w):
+            if a.is_zero() or len(w) > algebra.cap or _vanishes(w, algebra.letter_degrees, True):
                 continue
             cleaned[tuple(w)] = a
         object.__setattr__(self, "algebra", algebra)
@@ -281,26 +286,6 @@ class SymElement:
             word_str = "*".join(names[i] for i in w) if w else "1"
             bits.append(f"[{a}]{word_str}")
         return " + ".join(bits)
-
-
-def _sort_word(letter_degrees: Sequence[int], letters: Word) -> Optional[Tuple[Word, int]]:
-    """Sort letters into a word; returns (word, Koszul sign exponent).
-
-    The exponent counts the pairs of odd letters that the sort moves past
-    each other.  Returns None when an odd letter repeats: the word is zero.
-    """
-    exponent = 0
-    n = len(letters)
-    for p in range(n):
-        x = letters[p]
-        if letter_degrees[x] & 1:
-            for q in range(p + 1, n):
-                y = letters[q]
-                if y == x:
-                    return None
-                if y < x and letter_degrees[y] & 1:
-                    exponent += 1
-    return tuple(sorted(letters)), exponent
 
 
 def _add_product(coeffs: Dict[int, Scalar], base: BaseAlgebra, i: int, j: int, s: Scalar) -> None:
@@ -532,21 +517,17 @@ class DerivationD:
             self._check_degrees()
 
     def _check_degrees(self):
-        base = self.algebra.base
-        for i, v in self.on_algebra.items():
-            want = base.degrees[i] + self.degree
+        tables = (self.on_algebra, self.on_letters)
+        for slot, i, label, x in self.algebra.generators():
+            v = tables[slot].get(i)
+            if v is None:
+                continue
+            want = x.degree() + self.degree
             got = v.degree()
             if got is not None and got != want:
+                kind = ("", "letter ")[slot]
                 raise DegreeError(
-                    f"derivation value on {base.names[i]} has degree {got}, expected {want}"
-                )
-        for i, v in self.on_letters.items():
-            want = self.algebra.letter_degrees[i] + self.degree
-            got = v.degree()
-            if got is not None and got != want:
-                raise DegreeError(
-                    f"derivation value on letter {self.algebra.letter_names[i]} "
-                    f"has degree {got}, expected {want}"
+                    f"derivation value on {kind}{label} has degree {got}, expected {want}"
                 )
 
     # -- component access ----------------------------------------------------
@@ -746,24 +727,11 @@ def square_components(D: DerivationD) -> Dict[int, Dict[str, SymElement]]:
     means D^2 = 0 up to the cap.  For a base element the shift-n part has
     weight n, for a letter weight n+1.
     """
-    alg = D.algebra
-    base = alg.base
     residuals: Dict[int, Dict[str, SymElement]] = {}
-
-    def record(label: str, value: SymElement, base_weight: int):
-        for r in value.weights():
-            part = value.weight_part(r)
-            if not part.is_zero():
-                residuals.setdefault(r - base_weight, {})[label] = part
-
-    for i in range(base.dim):
-        dd = D.apply(D.apply(alg.scalar(base.basis_element(i))))
-        if not dd.is_zero():
-            record(base.names[i], dd, 0)
-    for i in range(alg.n_letters):
-        dd = D.apply(D.apply(alg.letter(i)))
-        if not dd.is_zero():
-            record(alg.letter_names[i], dd, 1)
+    for slot, _, label, x in D.algebra.generators():
+        dd = D.apply(D.apply(x))
+        for r in dd.weights():
+            residuals.setdefault(r - slot, {})[label] = dd.weight_part(r)
     return dict(sorted(residuals.items()))
 
 
@@ -798,23 +766,16 @@ class FilteredAutomorphism:
             self._check_unipotent()
 
     def _check_unipotent(self):
-        alg = self.algebra
-        base = alg.base
-        for i, v in self.on_algebra.items():
-            if v.weight_part(0) != alg.scalar(base.basis_element(i)):
-                raise KitError(
-                    f"automorphism is not the identity on gr at base element {base.names[i]}"
-                )
+        tables = (self.on_algebra, self.on_letters)
+        for slot, i, label, x in self.algebra.generators():
+            v = tables[slot].get(i)
+            if v is None:
+                continue
+            if v.weight_part(slot) != x:
+                kind = ("base element", "letter")[slot]
+                raise KitError(f"automorphism is not the identity on gr at {kind} {label}")
             got = v.degree()
-            if got is not None and got != base.degrees[i]:
-                raise DegreeError("automorphism must preserve degree")
-        for i, v in self.on_letters.items():
-            if v.weight_part(1) != alg.letter(i):
-                raise KitError(
-                    f"automorphism is not the identity on gr at letter {alg.letter_names[i]}"
-                )
-            got = v.degree()
-            if got is not None and got != alg.letter_degrees[i]:
+            if got is not None and got != x.degree():
                 raise DegreeError("automorphism must preserve degree")
 
     @staticmethod
@@ -827,14 +788,7 @@ class FilteredAutomorphism:
         if phi.degree != 0:
             raise DegreeError("exponential needs a degree-0 derivation")
         alg = phi.algebra
-        base = alg.base
-        on_algebra = {}
-        for i in range(base.dim):
-            on_algebra[i] = _exp_apply(phi, alg.scalar(base.basis_element(i)))
-        on_letters = {}
-        for i in range(alg.n_letters):
-            on_letters[i] = _exp_apply(phi, alg.letter(i))
-        return FilteredAutomorphism(alg, on_algebra, on_letters)
+        return FilteredAutomorphism(alg, *_on_generators(alg, lambda x: _exp_apply(phi, x)))
 
     def _check(self, element: SymElement) -> None:
         if not self.algebra.compatible(element.algebra):
@@ -895,6 +849,19 @@ class FilteredAutomorphism:
         return problems
 
 
+def _on_generators(
+    alg: SymAlgebra, fn: Callable[[SymElement], SymElement]
+) -> Tuple[Dict[int, SymElement], Dict[int, SymElement]]:
+    """The operator tables (on_algebra, on_letters) of the values fn(x) on
+    the generators x of alg; zero values are left out."""
+    tables: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
+    for slot, i, _, x in alg.generators():
+        val = fn(x)
+        if not val.is_zero():
+            tables[slot][i] = val
+    return tables
+
+
 def _exp_apply(phi: DerivationD, element: SymElement) -> SymElement:
     acc = element
     term = element
@@ -913,19 +880,8 @@ def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:
     alg = D.algebra
     if not alg.compatible(Phi.algebra):
         raise BaseMismatch("automorphism and derivation over incompatible algebras")
-    base = alg.base
-    on_algebra = {}
-    for i in range(base.dim):
-        x = alg.scalar(base.basis_element(i))
-        val = Phi.apply(D.apply(Phi.apply_inverse(x)))
-        if not val.is_zero():
-            on_algebra[i] = val
-    on_letters = {}
-    for i in range(alg.n_letters):
-        val = Phi.apply(D.apply(Phi.apply_inverse(alg.letter(i))))
-        if not val.is_zero():
-            on_letters[i] = val
-    return DerivationD(alg, on_algebra, on_letters, degree=D.degree, check=False)
+    tables = _on_generators(alg, lambda x: Phi.apply(D.apply(Phi.apply_inverse(x))))
+    return DerivationD(alg, *tables, degree=D.degree, check=False)
 
 
 def mc_residual(D0: DerivationD, Phi: FilteredAutomorphism) -> Dict[str, SymElement]:
@@ -936,8 +892,6 @@ def mc_residual(D0: DerivationD, Phi: FilteredAutomorphism) -> Dict[str, SymElem
     [D0, omega] + omega o omega vanishes identically.  Returns the nonzero
     values of that combination on generators (empty dict == residual zero).
     """
-    alg = D0.algebra
-    base = alg.base
     omega = conjugate(Phi, D0) - D0
 
     def residual_on(x: SymElement) -> SymElement:
@@ -948,13 +902,9 @@ def mc_residual(D0: DerivationD, Phi: FilteredAutomorphism) -> Dict[str, SymElem
         )
 
     out: Dict[str, SymElement] = {}
-    for i in range(base.dim):
-        val = residual_on(alg.scalar(base.basis_element(i)))
+    for _, _, label, x in D0.algebra.generators():
+        val = residual_on(x)
         if not val.is_zero():
-            out[base.names[i]] = val
-    for i in range(alg.n_letters):
-        val = residual_on(alg.letter(i))
-        if not val.is_zero():
-            out[alg.letter_names[i]] = val
+            out[label] = val
     return out
 

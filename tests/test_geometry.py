@@ -739,6 +739,14 @@ def test_constructor_refuses_tensors_over_the_wrong_letters_and_unknown_families
         tensors = {fam.name: {2: table} if fam.weighted else table}
         with pytest.raises(BaseMismatch, match=f"over the {fam.values} letters"):
             GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, **tensors)
+        # an index outside the family's index set
+        size = len(g.index_set(fam)[0])
+        table = {size: g.values_algebra(fam).one()}
+        tensors = {fam.name: {2: table} if fam.weighted else table}
+        kind = "elements" if fam.index == "base" else "letters"
+        with pytest.raises(KitError) as err:
+            GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, **tensors)
+        assert str(err.value) == f"{fam.name} index {size} is out of range for {size} {fam.index} {kind}"
     with pytest.raises(TypeError, match="gama"):
         GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, gama={})
 

@@ -284,7 +284,12 @@ TENSOR_FAULTS = {
         ("curv_perp", 0, "weight"), 3, "curv_perp[3][0] has weights [4]", "$.tensors"
     ),
     ("curv_perp", "weight-below-2"): (
-        ("curv_perp", 0, "weight"), 1, "curv_perp arity 1 < 2", "$.tensors"
+        ("curv_perp", 0, "weight"), 1,
+        "curvature weight 1 is below the least weight 2", "$.tensors.curv_perp[0].weight",
+    ),
+    ("curv_perp", "weight-0"): (
+        ("curv_perp", 0, "weight"), 0,
+        "curvature weight 0 is below the least weight 2", "$.tensors.curv_perp[0].weight",
     ),
     ("curv_tan", "unknown-name"): (
         ("curv_tan", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.curv_tan[0].letter"
@@ -308,7 +313,8 @@ TENSOR_FAULTS = {
         ("curv_tan", 1, "weight"), 3, "curv_tan[3][1] has weights [2]", "$.tensors"
     ),
     ("curv_tan", "weight-below-2"): (
-        ("curv_tan", 1, "weight"), 1, "curv_tan[1] is reserved: it is the beta tensor", "$"
+        ("curv_tan", 1, "weight"), 1,
+        "curvature weight 1 is below the least weight 2", "$.tensors.curv_tan[1].weight",
     ),
 }
 

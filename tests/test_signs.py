@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
 
 from algebroidkit.errors import KitError
+from algebroidkit.linfty import canonicalize_key
+from algebroidkit.scalars import sign_scalar
 from algebroidkit.signs import (
     Permutation,
+    _sort_word,
     canonical_partitions,
     enumerate_unshuffles,
     skew_sign,
@@ -139,3 +142,39 @@ def test_canonical_partitions_counts():
             assert seen == list(range(1, n + 1))
             sizes = [len(b) for b in blocks]
             assert sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize("degrees", [(0, 1, 2, 3), (1, 1, 0, -1)])
+def test_word_rule_matches_the_sign_of_the_sorting_permutation(degrees):
+    """_sort_word and canonicalize_key on every tuple of length <= 4: the
+    sorted key, the sign of the stable sorting permutation (sym_sign, or
+    skew_sign in the skew convention) and vanishing exactly on a repeated
+    odd generator (symmetric) or a repeated even one (skew)."""
+    seen = {True: 0, False: 0}
+    for n in range(5):
+        for key in product(range(len(degrees)), repeat=n):
+            word = tuple(sorted(key))
+            sigma = Permutation(sorted(range(1, n + 1), key=lambda p: key[p - 1]))
+            degs = [degrees[k] for k in key]
+            repeated = {k for k in key if key.count(k) > 1}
+            odd_repeat = any(degrees[k] % 2 for k in repeated)
+            even_repeat = any(degrees[k] % 2 == 0 for k in repeated)
+
+            merged = _sort_word(degrees, key)
+            if odd_repeat:
+                assert merged is None, key
+            else:
+                assert merged[0] == word
+                assert sign_scalar(merged[1]) == sign_scalar(sym_sign(sigma, degs) < 0), key
+
+            for symmetric, vanishes, sign_of in (
+                (True, odd_repeat, sym_sign),
+                (False, even_repeat, skew_sign),
+            ):
+                ckey, sign, got = canonicalize_key(key, degrees, symmetric)
+                assert (ckey, got) == (word, vanishes), (key, symmetric)
+                if not vanishes:
+                    assert sign == sign_scalar(sign_of(sigma, degs) < 0), (key, symmetric)
+                    seen[symmetric] += sign_of(sigma, degs) < 0
+    # both conventions meet both signs
+    assert seen[True] and seen[False]

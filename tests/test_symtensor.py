@@ -963,3 +963,48 @@ def test_nabla_bar_refuses_exactly_the_outputs_the_rescale_refuses():
     with pytest.raises(KitError):
         g.nabla_bar(nu0)
     assert g.nabla_bar(nu0 + nu1) == reference_nabla_bar(g, nu0 + nu1)
+
+
+# -- the generator walk ---------------------------------------------------------
+
+
+def _two_letter_algebra():
+    """nontrivial_dga with letters g0^ (degree 0) and g1^ (degree 1)."""
+    base = nontrivial_dga()
+    module = FreeModule(base, [("g0", 0), ("g1", -1)])
+    return base, SymAlgebra.over_module(module, cap=3)
+
+
+def test_generators_walk_base_elements_then_letters():
+    base, alg = _two_letter_algebra()
+    gens = list(alg.generators())
+    assert [(slot, i, label) for slot, i, label, _ in gens] == [
+        (0, 0, "1"), (0, 1, "e"), (0, 2, "x"), (0, 3, "x*e"), (1, 0, "g0^"), (1, 1, "g1^")
+    ]
+    assert [x for *_, x in gens] == [alg.scalar(base.basis_element(i)) for i in range(4)] + [
+        alg.letter(0), alg.letter(1)
+    ]
+
+
+def test_operator_refusal_texts_name_the_generator():
+    base, alg = _two_letter_algebra()
+    e, x_e = alg.scalar(base.basis_element(1)), alg.scalar(base.basis_element(3))
+    cases = [
+        (lambda: DerivationD(alg, {1: e}, {}), "derivation value on e has degree 1, expected 2"),
+        (
+            lambda: DerivationD(alg, {}, {0: alg.letter(0)}),
+            "derivation value on letter g0^ has degree 0, expected 1",
+        ),
+        (
+            lambda: FilteredAutomorphism(alg, {2: x_e}, {}),
+            "automorphism is not the identity on gr at base element x",
+        ),
+        (
+            lambda: FilteredAutomorphism(alg, {}, {1: alg.letter(0)}),
+            "automorphism is not the identity on gr at letter g1^",
+        ),
+    ]
+    for build, message in cases:
+        with pytest.raises(KitError) as err:
+            build()
+        assert str(err.value) == message

@@ -19,7 +19,6 @@ from .symtensor import (
     conjugate,
     d0_derivation,
     evaluate,
-    extend_derivation,
     from_values,
     mc_residual,
     square_components,
@@ -80,7 +79,6 @@ __all__ = [
     "FilteredAutomorphism",
     "evaluate",
     "from_values",
-    "extend_derivation",
     "d0_derivation",
     "square_components",
     "conjugate",

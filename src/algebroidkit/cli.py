@@ -50,13 +50,13 @@ from .reports import (
     residuals_from_sym,
     timed_check,
 )
-from .symtensor import conjugate, d0_derivation, mc_residual, square_components
+from .symtensor import SymAlgebra, conjugate, d0_derivation, mc_residual, square_components
 
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-def _structure_of(model, caps) -> AlgebroidStructure:
+def _structure_of(model) -> AlgebroidStructure:
     if isinstance(model, AlgebroidStructure):
         return model
     return structure_from_geometry(model)
@@ -124,7 +124,7 @@ def _arities(args, top) -> List[int]:
 
 def cmd_jacobi(model, caps, args) -> Report:
     report = Report("jacobi", caps)
-    S = _structure_of(model, caps)
+    S = _structure_of(model)
     for n in _arities(args, S.bracket_cap):
         with timed_check(f"jacobi[n={n}]") as t:
             res = algebroid_jacobi_residual(S, n)
@@ -138,7 +138,7 @@ def cmd_jacobi(model, caps, args) -> Report:
 
 def cmd_leibniz(model, caps, args) -> Report:
     report = Report("leibniz", caps)
-    S = _structure_of(model, caps)
+    S = _structure_of(model)
     for n in _arities(args, S.bracket_cap):
         with timed_check(f"leibniz[n={n}]") as t:
             res = leibniz_residual(S, n)
@@ -155,7 +155,7 @@ def cmd_leibniz(model, caps, args) -> Report:
 
 def cmd_anchor(model, caps, args) -> Report:
     report = Report("anchor", caps)
-    S = _structure_of(model, caps)
+    S = _structure_of(model)
     top = min(S.bracket_cap - 1, S.anchor_cap - 1)
     for n in _arities(args, max(top, 1)):
         with timed_check(f"anchor-morphism[n={n}]") as t:
@@ -175,7 +175,7 @@ def cmd_anchor(model, caps, args) -> Report:
 
 def cmd_ce_build(model, caps, args) -> Report:
     report = Report("ce-build", caps)
-    S = _structure_of(model, caps)
+    S = _structure_of(model)
     with timed_check("ce-differential") as t:
         D = ce_differential(S, weight_cap=caps["weight"])
         report.add(
@@ -292,8 +292,6 @@ def cmd_mc(model, caps, args) -> Report:
         carrier = model.carrier
     else:
         carrier = model.normal
-    from .symtensor import SymAlgebra
-
     alg = SymAlgebra.over_module(carrier, cap=caps["weight"])
     D0 = d0_derivation(alg, carrier)
     rng = Rng(args.seed)

@@ -6,17 +6,27 @@ randomness flows through a seeded random.Random so every run is reproducible.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
+from .algebroid import AlgebroidStructure, extract_structure
 from .geometry import TENSOR_FAMILIES, GeometricModel
 from .linfty import LInftyAlgebra, algebra_derivation_basis
+from .modelio import serialize_model
 from .modules import FreeModule, ModuleElement
 from .scalars import ONE, Scalar, sign_scalar
 from .signs import _nonvanishing_keys
-from .symtensor import DerivationD, FilteredAutomorphism, SymAlgebra, SymElement
+from .symtensor import (
+    DerivationD,
+    FilteredAutomorphism,
+    SymAlgebra,
+    SymElement,
+    conjugate,
+    d0_derivation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +330,6 @@ def random_algebroid(
     of the base (coefficient times a Der(A) basis element), which is what
     ``validate`` demands; without it the raw tables are filled freely.
     """
-    from .algebroid import AlgebroidStructure
-
     S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
     for n in range(2, bracket_cap + 1):
         for key in _nonvanishing_keys(carrier.degrees, n):
@@ -371,8 +379,6 @@ def random_ce_derivation(rng: Rng, base: BaseAlgebra, carrier: FreeModule, cap: 
     The unit value stays zero, matching what any honest derivation satisfies;
     everything else is free, so the result generally does not square to zero.
     """
-    from .symtensor import DerivationD, SymElement, d0_derivation
-
     alg = SymAlgebra.over_module(carrier, cap=cap)
     D0 = d0_derivation(alg, carrier)
     on_algebra = dict(D0.on_algebra)
@@ -405,9 +411,6 @@ def random_ce_derivation(rng: Rng, base: BaseAlgebra, carrier: FreeModule, cap: 
 
 def conjugation_oracle_structure(rng: Rng, base: BaseAlgebra, carrier: FreeModule, cap: int = 4):
     """A genuinely valid algebroid: extract(Phi D0 Phi^-1) for random unipotent Phi."""
-    from .algebroid import extract_structure
-    from .symtensor import conjugate, d0_derivation
-
     alg = SymAlgebra.over_module(carrier, cap=cap)
     D0 = d0_derivation(alg, carrier)
     Phi = random_unipotent(rng, alg)
@@ -549,8 +552,6 @@ def diagonal_model(rng: Rng, base: BaseAlgebra, degrees: Sequence[int], cap: int
 
 def fixture_corpus():
     """The deterministic model set shipped under fixtures/ (name -> object)."""
-    from .algebroid import AlgebroidStructure
-
     corpus = {}
     corpus["trivial.geometric"] = trivial_model()
     corpus["rank1_curved.geometric"] = eps_nilpotent_model()
@@ -581,10 +582,6 @@ def fixture_corpus():
 
 
 def write_fixture_corpus(directory: str) -> List[str]:
-    import os
-
-    from .modelio import serialize_model
-
     os.makedirs(directory, exist_ok=True)
     written = []
     for name, obj in fixture_corpus().items():

@@ -270,13 +270,13 @@ def _sym_list(el: SymElement) -> list:
     ]
 
 
-def _parse_matrix(value, path: str, base: BaseAlgebra, n_cols: int) -> list:
+def _parse_matrix(value, path: str, base: BaseAlgebra, n_rows: int, n_cols: int) -> list:
     cols = [dict() for _ in range(n_cols)]
     for k, item in enumerate(_expect_list(value, path)):
         e = _expect_dict(item, f"{path}[{k}]", ["col", "row", "coeff"], ["col", "row", "coeff"])
         col = _expect_int(e["col"], f"{path}[{k}].col")
         row = _expect_int(e["row"], f"{path}[{k}].row")
-        if not (0 <= col < n_cols) or row < 0:
+        if not (0 <= col < n_cols and 0 <= row < n_rows):
             raise ParseError("matrix index out of range", f"{path}[{k}]")
         _refuse_duplicate(cols[col], row, f"col {col}, row {row}", f"{path}[{k}]")
         coeff = _parse_scalar(e["coeff"], f"{path}[{k}].coeff")
@@ -475,14 +475,15 @@ def parse_model(
         splitting = None
         if "splitting" in d:
             sp = _expect_dict(d["splitting"], "$.splitting", ["iota", "p", "tau", "rho"], ["iota", "p", "tau", "rho"])
+            n = probe.a + probe.b  # the ambient frame: iota and rho map into it, p and tau out of it
             splitting = Splitting(
                 base,
                 probe.a,
                 probe.b,
-                iota=_parse_matrix(sp["iota"], "$.splitting.iota", base, probe.a),
-                p=_parse_matrix(sp["p"], "$.splitting.p", base, probe.a + probe.b),
-                tau=_parse_matrix(sp["tau"], "$.splitting.tau", base, probe.a + probe.b),
-                rho=_parse_matrix(sp["rho"], "$.splitting.rho", base, probe.b),
+                iota=_parse_matrix(sp["iota"], "$.splitting.iota", base, n, probe.a),
+                p=_parse_matrix(sp["p"], "$.splitting.p", base, probe.b, n),
+                tau=_parse_matrix(sp["tau"], "$.splitting.tau", base, probe.a, n),
+                rho=_parse_matrix(sp["rho"], "$.splitting.rho", base, n, probe.b),
             )
         try:
             model = GeometricModel(

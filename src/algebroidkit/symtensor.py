@@ -504,6 +504,7 @@ class DerivationD:
         degree: int = 1,
         check: bool = True,
     ):
+        _refuse_foreign_keys(algebra, on_algebra, on_letters)
         self.algebra = algebra
         self.degree = degree
         self.on_algebra = {
@@ -668,20 +669,6 @@ class DerivationD:
         return not self.on_algebra and not self.on_letters
 
 
-def extend_derivation(
-    algebra: SymAlgebra,
-    on_algebra: Mapping[int, SymElement],
-    on_letters: Mapping[int, SymElement],
-    degree: int = 1,
-) -> DerivationD:
-    """The unique derivation with the given generator values (degree checked)."""
-    return DerivationD(algebra, on_algebra, on_letters, degree=degree, check=True)
-
-
-def zero_derivation(algebra: SymAlgebra, degree: int = 1) -> DerivationD:
-    return DerivationD(algebra, {}, {}, degree=degree, check=False)
-
-
 def d0_derivation(algebra: SymAlgebra, module: FreeModule) -> DerivationD:
     """The differential induced by (d_A, d_L): d_A on coefficients, d_{L^vee}
     on letters."""
@@ -757,6 +744,7 @@ class FilteredAutomorphism:
         on_letters: Mapping[int, SymElement],
         check: bool = True,
     ):
+        _refuse_foreign_keys(algebra, on_algebra, on_letters)
         self.algebra = algebra
         self.on_algebra = dict(on_algebra)
         self.on_letters = dict(on_letters)
@@ -777,10 +765,6 @@ class FilteredAutomorphism:
             got = v.degree()
             if got is not None and got != x.degree():
                 raise DegreeError("automorphism must preserve degree")
-
-    @staticmethod
-    def identity(algebra: SymAlgebra) -> "FilteredAutomorphism":
-        return FilteredAutomorphism(algebra, {}, {}, check=False)
 
     @staticmethod
     def from_exponential(phi: DerivationD) -> "FilteredAutomorphism":
@@ -847,6 +831,18 @@ class FilteredAutomorphism:
             if self.apply(self.apply_inverse(x)) != x:
                 problems.append(f"inverse fails on letter {alg.letter_names[i]}")
         return problems
+
+
+def _refuse_foreign_keys(
+    alg: SymAlgebra, on_algebra: Mapping[int, SymElement], on_letters: Mapping[int, SymElement]
+) -> None:
+    """Refuse an operator table key that names no generator of alg: nothing
+    would apply its value, yet ``==`` would compare it."""
+    tables = (("base element", on_algebra, alg.base.dim), ("letter", on_letters, alg.n_letters))
+    for kind, table, count in tables:
+        for i in table:
+            if i not in range(count):
+                raise KitError(f"operator key {i!r} names no {kind}: there are {count}")
 
 
 def _on_generators(

@@ -263,6 +263,20 @@ def test_constructor_refusals_name_json_path(model_dir, tmp_path, capsys, site):
     assert err.endswith(f"(at {path})\n"), err
 
 
+@pytest.mark.parametrize("name, row", [("iota", 99), ("rho", 7)])
+def test_splitting_row_out_of_range_exits_2(model_dir, tmp_path, capsys, name, row):
+    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+
+    def mutate(doc):
+        doc["splitting"] = {"iota": [], "p": [], "tau": [], "rho": []}
+        doc["splitting"][name] = [{"col": 0, "row": row, "coeff": one}]
+
+    bad = _mutated(model_dir, tmp_path, "trivial.geometric.json", name, mutate)
+    assert run(["validate", bad]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: matrix index out of range (at $.splitting.{name}[0])\n", err
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_unwritable_json_path_exits_2(model_dir, tmp_path, capsys, command):
     out = tmp_path / "no-such-dir" / "out.json"

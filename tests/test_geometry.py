@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from algebroidkit.algebroid import extract_structure
+from algebroidkit.algebroid import AlgebroidStructure, extract_structure
 from algebroidkit.errors import BaseMismatch, KitError
 from algebroidkit.fixtures import (
     Rng,
@@ -41,9 +41,11 @@ from algebroidkit.geometry import (
     validate_geometric_model,
 )
 from algebroidkit.modelio import load_model, parse_model
-from algebroidkit.modules import FreeModule, ModuleElement
-from algebroidkit.scalars import ONE, Scalar, sign_scalar
-from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, square_components
+from algebroidkit.linfty import BracketTable
+from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from algebroidkit.signs import _nonvanishing_keys, enumerate_unshuffles, sym_sign
+from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, evaluate, square_components
 
 
 def _spanning(alg):
@@ -185,19 +187,13 @@ def test_sym_bar_validates_input():
 
 def test_sym_bar_evaluation_counting():
     """1/m weighting against the multiset count of the evaluation pairing."""
-    from algebroidkit.symtensor import evaluate
-
-    base = trivial_base_module = nontrivial_dga()
+    base = nontrivial_dga()
     Tm = FreeModule(base, [("t0", 0)], name="Tm")
     Nm = FreeModule(base, [("n0", 0)], name="Nm")
     g = GeometricModel(base, Tm, Nm, cap=3)
+    frame = FreeModule(base, [("t0", 0), ("n0", 0)], name="Ym")  # the split ambient frame
     out = sym_bar(g, 2, 2, 0, (0, 1))  # (1/2) t0^ t0^ n0^
-    args = [
-        g.ambient_module.generator(0),
-        g.ambient_module.generator(0),
-        g.ambient_module.generator(1),
-    ]
-    val = evaluate(out, args, g.ambient_module)
+    val = evaluate(out, [frame.generator(0), frame.generator(0), frame.generator(1)], frame)
     assert val == base.one()  # 2 pairings x 1/2
 
 
@@ -572,6 +568,111 @@ def test_duality_holds_for_non_integrable_models():
     g = small_random_model(16)
     assert frakD_square_report(g) != {} or True  # integrability not required
     assert duality_residual(g) == {}
+
+
+def _oracle_structure(g):
+    """The alpha/ell recursion through the general ``evaluate`` path: every
+    argument embedded in a frame module of the split ambient letters, every
+    pairing re-evaluated on the whole tensor, and every Sh(n-1,1) term
+    signed by ``sym_sign`` of its Permutation."""
+    frame = FreeModule(
+        g.base,
+        list(zip(g.tangent.gen_names + g.normal.gen_names, g.tangent.degrees + g.normal.degrees)),
+        name="Ym",
+    )
+
+    def embed(v, offset):
+        return ModuleElement(frame, {offset + i: c for i, c in v.items()})
+
+    def transpose(table, target, twist, key):
+        args = [frame.generator(g.a + i) for i in key]
+        values = {}
+        for i in range(target.rank):
+            el = table.get(i)
+            if el is not None and not el.is_zero():
+                pairing = evaluate(g.to_amb(el), args, frame)
+                values[i] = pairing.scale(sign_scalar(twist - target.degrees[i]))
+        return from_dual_values(target, values)
+
+    def contract(table, target, sign, V, k):
+        args = [embed(V, 0), frame.generator(g.a + k)]
+        values = {i: evaluate(el, args, frame).scale(sign) for i, el in table.items()}
+        return from_dual_values(target, values)
+
+    def vector_action(V, b):
+        acc = g.base.zero()
+        for dv, hv in V.homogeneous_parts().items():
+            for da, ha in g.dhat[b].homogeneous_parts().items():
+                acc = acc + evaluate(ha, [embed(hv, 0)], frame).scale(sign_scalar(dv * da))
+        return acc
+
+    def step(key, curvature, target, twist, table, sign, previous):
+        val = transpose(curvature, target, twist, key)
+        n = len(key)
+        degs = [g.normal.degrees[i] for i in key]
+        for sigma in enumerate_unshuffles(n - 1, 1) if previous is not None else []:
+            perm = sigma.permute(list(range(n)))
+            inner = previous.lookup(tuple(key[p] for p in perm[: n - 1]))
+            if inner is not None:
+                term = contract(table, target, sign, inner, key[perm[n - 1]])
+                val = val + term.scale(Scalar(sym_sign(sigma, degs)))
+        return val
+
+    S = AlgebroidStructure(g.base, g.normal, bracket_cap=g.cap, anchor_cap=g.cap + 1)
+    alpha_tables = {}
+    for n in range(1, g.cap + 1):
+        alpha = alpha_tables[n] = BracketTable(g.normal.degrees)
+        previous = alpha_tables.get(n - 1)
+        for key in _nonvanishing_keys(g.normal.degrees, n):
+            alpha.set(key, step(key, g.rtan_tables.get(n, {}), g.tangent, 0, g.shape, ONE, previous))
+            if n >= 2:
+                ell = step(key, g.curv_perp.get(n, {}), g.normal, 1, g.gamma, MINUS_ONE, previous)
+                S.set_bracket(n, key, ell)
+    for m, alpha in alpha_tables.items():
+        for key, val in alpha.items():
+            for b in range(g.base.dim):
+                S.set_anchor(m + 1, key, b, vector_action(val, b))
+    return S
+
+
+def _two_odd_normals_model():
+    """A generated model with two odd normal generators: the Sh(n-1,1) terms
+    of a key carry different signs."""
+    return random_geometric_model(
+        Rng(5), nontrivial_dga(), [1, 1, 0], [1, 1, -1], cap=4, density=0.6, seed_modules=105
+    )
+
+
+def test_structure_from_geometry_matches_the_evaluate_oracle():
+    """The table reads of structure_from_geometry agree with the evaluate-based
+    recursion on every shipped geometric fixture and on generated models with
+    odd degrees, whose structures have brackets (and anchors, where dhat is
+    not zero) to compare."""
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    models = {path.name: load_model(str(path)) for path in sorted(fixtures.glob("*.geometric.json"))}
+    assert len(models) == 5
+    generated = {
+        "kodaira-a3-b4": random_geometric_model(
+            Rng(0), kodaira_base(), [0, 1, 0], [0, -1, 0, -1], cap=5, seed_modules=1000
+        ),
+        "kodaira-a2-b3": random_geometric_model(
+            Rng(0), kodaira_base(), [-1, 1], [1, 1, 0], cap=5, seed_modules=1000
+        ),
+        "two-odd-normals": _two_odd_normals_model(),
+    }
+    models.update(generated)
+    for name, g in models.items():
+        S = structure_from_geometry(g)
+        assert S == _oracle_structure(g), name
+        if name in generated:
+            assert any(S.brackets.values()), name
+            assert any(S.anchors.values()) == name.startswith("kodaira"), name  # dhat = 0 on the other
+
+
+def test_recursion_sign_is_needed_for_duality():
+    """The CE differential of the emitted structure matches the assembled one
+    only with the Sh(n-1,1) signs."""
+    assert duality_residual(_two_odd_normals_model()) == {}
 
 
 def test_structure_from_geometry_abelian_for_trivial():

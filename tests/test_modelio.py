@@ -412,6 +412,25 @@ def test_duplicate_algebra_module_and_splitting_entries_refused():
     )
 
 
+def test_splitting_rows_out_of_range_refused():
+    """A splitting entry must name a row of its map: iota and rho map into
+    the a + b ambient letters, p onto the b normal ones, tau onto the a
+    tangent ones (a = b = 2 here)."""
+    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+    for name, rows in {"iota": 4, "p": 2, "tau": 2, "rho": 4}.items():
+        for row in (rows - 1, rows, 99, -1):
+            doc = json.loads(GENERIC.read_text())
+            doc["splitting"] = {"iota": [], "p": [], "tau": [], "rho": []}
+            doc["splitting"][name] = [{"col": 0, "row": row, "coeff": one}]
+            if row == rows - 1:
+                parse_model(json.dumps(doc))
+                continue
+            err = _refusal(doc)
+            assert (str(err), err.location) == (
+                f"matrix index out of range (at $.splitting.{name}[0])", f"$.splitting.{name}[0]"
+            ), (name, row)
+
+
 def test_readme_tensor_table_matches_the_schema():
     def row(fam):
         index = f"`{fam.key}`: " + ("base element" if fam.index == "base" else fam.index)

@@ -31,12 +31,10 @@ from algebroidkit.symtensor import (
     conjugate,
     d0_derivation,
     evaluate,
-    extend_derivation,
     from_values,
     mc_residual,
     square_components,
     _word_constant,
-    zero_derivation,
 )
 
 
@@ -440,7 +438,7 @@ def test_d0_squares_to_zero_and_matches_dA():
 
 def test_zero_derivation():
     base, module, alg = make_setup()
-    Z = zero_derivation(alg)
+    Z = DerivationD(alg, {}, {}, check=False)
     x = random_sym_element(Rng(15), alg)
     assert Z.apply(x).is_zero()
 
@@ -456,7 +454,7 @@ def test_derivation_leibniz():
         val = random_sym_element(rng, alg, 3)
         part = val.homogeneous_parts().get(alg.letter_degrees[i] + 1, alg.zero())
         on_letters[i] = SymElement(alg, {w: a for w, a in part.items() if len(w) >= 1})
-    D = D0 + extend_derivation(alg, {}, on_letters)
+    D = D0 + DerivationD(alg, {}, on_letters)
     for _ in range(10):
         x = random_sym_element(rng, alg, 2)
         y = random_sym_element(rng, alg, 2)
@@ -504,7 +502,7 @@ def random_unipotent(rng, alg):
 
 def test_identity_automorphism():
     base, module, alg = make_setup()
-    Phi = FilteredAutomorphism.identity(alg)
+    Phi = FilteredAutomorphism(alg, {}, {}, check=False)
     D0 = d0_derivation(alg, module)
     assert conjugate(Phi, D0) == D0
     assert mc_residual(D0, Phi) == {}
@@ -535,7 +533,7 @@ def test_conjugation_preserves_square_zero_and_gr():
 def test_conjugate_of_zero_is_zero():
     base, module, alg = make_setup()
     Phi = random_unipotent(Rng(26), alg)
-    Z = zero_derivation(alg)
+    Z = DerivationD(alg, {}, {}, check=False)
     assert conjugate(Phi, Z).is_zero()
 
 
@@ -561,7 +559,7 @@ def test_apply_derivation_truncation_consistency():
                     if cands:
                         parts[w] = base.basis_element(cands[0]).scale(rng.scalar())
             on_letters[i] = SymElement(alg, parts)
-        return D0 + extend_derivation(alg, {}, on_letters)
+        return D0 + DerivationD(alg, {}, on_letters)
 
     D_small = build(small, Rng(31))
     D_big = build(big, Rng(31))
@@ -1008,3 +1006,21 @@ def test_operator_refusal_texts_name_the_generator():
         with pytest.raises(KitError) as err:
             build()
         assert str(err.value) == message
+
+
+def test_operators_refuse_keys_that_name_no_generator():
+    """A table key outside the generators is refused whatever check is set
+    to: nothing would apply its value, yet == would compare it."""
+    base, alg = _two_letter_algebra()
+    el, n = alg.letter(0), base.dim
+    cases = [
+        (DerivationD, {}, {99: el}, "operator key 99 names no letter: there are 2"),
+        (DerivationD, {-1: el}, {}, f"operator key -1 names no base element: there are {n}"),
+        (FilteredAutomorphism, {}, {5: el}, "operator key 5 names no letter: there are 2"),
+        (FilteredAutomorphism, {n: el}, {}, f"operator key {n} names no base element: there are {n}"),
+    ]
+    for cls, on_algebra, on_letters, message in cases:
+        for check in (True, False):
+            with pytest.raises(KitError) as err:
+                cls(alg, on_algebra, on_letters, check=check)
+            assert str(err.value) == message

@@ -1,6 +1,6 @@
 """Command-line verification workflows.
 
-Every subcommand loads a model file, runs exact checks and prints one line
+Every command loads a model file, runs exact checks and prints one line
 per check; the process exits 0 when everything passes, 1 when any residual
 is found, 2 on input errors and 3 on an internal error (any other exception,
 reported as one line on stderr, never as a traceback).  Reports are
@@ -20,7 +20,7 @@ from .algebra import validate_base_algebra
 from .algebroid import (
     AlgebroidStructure,
     algebroid_jacobi_residual,
-    anchor_morphism_residual,
+    anchor_morphism,
     ce_differential,
     extract_structure,
     leibniz_residual,
@@ -39,7 +39,7 @@ from .geometry import (
     transport_lemma_residual,
     validate_geometric_model,
 )
-from .linfty import LInftyAlgebra, decalage, decalage_inverse, same_tables
+from .linfty import LInftyAlgebra, decalage, decalage_inverse, morphism_residual, same_tables
 from .modelio import parse_model
 from .modules import validate_module
 from .reports import (
@@ -157,9 +157,11 @@ def cmd_anchor(model, caps, args) -> Report:
     report = Report("anchor", caps)
     S = _structure_of(model)
     top = min(S.bracket_cap - 1, S.anchor_cap - 1)
-    for n in _arities(args, max(top, 1)):
+    arities = _arities(args, max(top, 1))
+    f, target = anchor_morphism(S)
+    for n in arities:
         with timed_check(f"anchor-morphism[n={n}]") as t:
-            res = anchor_morphism_residual(S, n)
+            res = morphism_residual(f, S, target, n)
             entries = []
             for key in sorted(res):
                 label = "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")"
@@ -338,24 +340,28 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser for every command; ``main`` refuses --seed outside mc."""
     parser = argparse.ArgumentParser(
         prog="algebroidkit",
         description="Exact verification of homotopy Lie algebroid structures and their dual differentials.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("model", help="path to a model file (JSON)")
-        p.add_argument("--weight", type=int, default=None, help="override the weight cap")
-        p.add_argument("--arity", type=int, default=None, help="override the arity cap / select one arity")
-        p.add_argument("--json", dest="json_out", default=None, help="write the canonical report here")
-        if name == "mc":
-            p.add_argument("--seed", type=int, default=0, help="seed for the random filtered automorphism")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("model", help="path to a model file (JSON)")
+    parser.add_argument("--weight", type=int, default=None, help="override the weight cap")
+    parser.add_argument("--arity", type=int, default=None, help="override the arity cap / select one arity")
+    parser.add_argument("--json", dest="json_out", default=None, help="write the canonical report here")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for the random filtered automorphism (mc only; default 0)")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = 0
+    elif args.command != "mc":
+        parser.error("--seed applies to mc only")
     try:
         return _run(args)
     except Exception as exc:  # a fault of the kit, not of the input
@@ -390,6 +396,8 @@ def _run(args) -> int:
     report = canonical = None
     try:
         report = COMMANDS[args.command](model, caps, args)
+        if not report.checks:
+            raise KitError(f"{args.command} has no checks to run at these caps")
         lines = report.human_lines()
         canonical = report.canonical_json() if out is not None else None
     except KitError as exc:

@@ -20,17 +20,22 @@ of tangent letters, number of normal letters); P0 keeps (0, *) words, P1
 keeps (1, *) words.
 
 The substitution derivations of the ambient algebra (nabla_hat, nabla_perp,
-Shape and Rtan_p for every p, beta at p = 1) are built once, when the model
-is constructed.  The main constructions:
+Shape, Rtan_p for every p with beta at p = 1, and D1, nabla_hat cut to its
+one-tangent-letter values) are built once, when the model is constructed.
+The main constructions:
 
 * ``nabla_bar``: symmetrized covariant derivative; the unnormalized
   substitution operator is a genuine degree-0 derivation and the 1/m
   weighting is a per-word rescale by the tangent-letter count of the
   output, folded into the rows of the model's nabla_bar row table.
-* ``pi_tilde``: sum of iterated nabla_bar, a right inverse to the normal
-  projection (``retraction_residual`` checks this exactly).  It adds up the
-  iterates of each grid term of its argument, which are computed once per
-  model and also read by the transport iterate.
+* ``pi_tilde``: sum of iterated nabla_bar on the whole argument, a right
+  inverse to the normal projection; it keeps nothing on the model.
+* the lemma checks (``retraction_residual``, ``commutator_lemma_residual``,
+  ``transport_lemma_residual``): decided exactly on the grid words with at
+  most one tangent letter, each residual a signed sum of stored rows, with
+  the nabla_bar iterates kept as their one-tangent-letter parts, which the
+  retraction and the transport iterate both read.  This rests on rule R (a
+  tangent letter in every nabla_hat value word), which they check first.
 * ``build_frakD``: the degree-1 derivation
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
@@ -70,6 +75,7 @@ from .symtensor import (
     SymAlgebra,
     SymElement,
     _apply_rows,
+    _collect,
     _normalized,
     _word_constant,
     d0_derivation,
@@ -325,9 +331,16 @@ class GeometricModel:
                            degree=1, check=False)
             for p, table in self.rtan_tables.items()
         }
+        # D1: nabla_hat with every value cut to its one-tangent-letter words;
+        # under rule R (``_require_rule_r``) P1 nabla_bar is P1 D1 on the
+        # words with at most one tangent letter
+        self._d1 = DerivationD(self.amb, {b: self.p1(v) for b, v in self.dhat.items()},
+                               {k: self.p1(v) for k, v in nabla_letters.items()}, degree=0, check=False)
         # row tables filled on first use
         self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
-        self._nabla_bar_iterates: Dict[Tuple[Word, int], List[SymElement]] = {}
+        self._d1_rows: Dict[Tuple[Word, int], Row] = {}
+        # {(normal word, basis index): [P1 nabla_bar^s of that grid element, s = 1..cap]}
+        self._p1_iterates: Dict[Tuple[Word, int], List[SymElement]] = {}
 
     # -- the tensor families ----------------------------------------------------
 
@@ -419,6 +432,10 @@ class GeometricModel:
                 coeffs = tuple((k, c * inv) for k, c in coeffs)
             row.append((v, coeffs))
         return tuple(row)
+
+    def _d1_row(self, w: Word, i: int) -> Row:
+        """P1 nabla_bar(e_i w) for a word w with at most one tangent letter."""
+        return tuple((v, c) for v, c in self._d1._row(w, i) if self.tangent_count(v) == 1)
 
     def nabla_perp_bar(self, el: SymElement) -> SymElement:
         """Normal-connection derivative: Gamma plus dhat only, no rescale."""
@@ -638,35 +655,59 @@ def sym_bar(g: GeometricModel, m: int, n: int, direction: int, word: Word,
 # ---------------------------------------------------------------------------
 
 
-def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
-    """Sum of iterated symmetrized derivatives, truncated at the weight cap.
+# The three checks rest on rule R: every word of a nabla_hat value (dhat[b],
+# conn_tan[i] + shape[i], second_form[j] + gamma[j]) has a tangent letter.
+# The parser's bidegree rule implies R, and ``_require_rule_r`` refuses a
+# model that breaks it.  Let m count the tangent letters of a word.  Under R
+# nabla_hat never lowers m and raises it from 0, so every residual vanishes
+# on a grid word with m >= 2 (the commutator's even without R: the ambient
+# d0 maps such a word to words that keep a tangent letter), and the checks
+# walk only the words with m <= 1 (``_slice``).  There P1 nabla_bar is P1 of
+# the cut derivation D1 (``GeometricModel._d1``), P1 nabla_bar^s is
+# P1 nabla_bar of P1 nabla_bar^(s-1), and P0 nabla_bar^s = 0.
 
-    pi_tilde is Q(i)-linear: each term s e_i w of mu adds s times e_i w and
-    its iterates nabla_bar^k(e_i w), k = 1..cap, which are made once per
-    model (``_nabla_bar_iterates``) and shared with the transport iterate.
-    So nabla_bar's KitError is raised when an iterate of a single term of mu
-    has a word without tangent letters.
-    """
-    mu = g.to_amb(mu)
-    total = mu
-    for w, a in mu.items():
-        for i, s in a.coeffs:
-            for power in _nabla_bar_iterates(g, w, i):
-                total = total + power.scale(s)
+
+def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
+    """Sum of iterated symmetrized derivatives, truncated at the weight cap:
+    mu + sum_{k = 1..cap} nabla_bar^k(mu), iterated on the whole element.
+
+    nabla_bar's KitError is raised when an iterate of mu has a word without
+    tangent letters."""
+    power = total = g.to_amb(mu)
+    for _ in range(g.cap):
+        power = g.nabla_bar(power)
+        total = total + power
     return total
 
 
-def _nabla_bar_iterates(g: GeometricModel, w: Word, i: int) -> List[SymElement]:
-    """[nabla_bar^k(e_i w) for k = 1..cap], w an ambient word, kept on the model."""
-    key = (w, i)
-    powers = g._nabla_bar_iterates.get(key)
+def _require_rule_r(g: GeometricModel) -> None:
+    """Refuse a model with a nabla_hat value word that has no tangent letter,
+    naming the generator and the word."""
+    nabla_hat = g.nabla_hat()
+    tables = (nabla_hat.on_algebra, nabla_hat.on_letters)
+    names = g.amb.letter_names
+    for slot, i, label, _ in g.amb.generators():
+        value = tables[slot].get(i)
+        if value is None:
+            continue
+        for w in value.data:
+            if not w or w[0] >= g.a:  # sorted: tangent letters come first
+                word = "*".join(names[k] for k in w) or "1"
+                raise KitError(f"nabla_hat value on {label} has the word {word} without tangent letters")
+
+
+def _p1_iterates(g: GeometricModel, w: Word, b: int) -> List[SymElement]:
+    """[P1 nabla_bar^s(e_b w) for s = 1..cap], w a normal word, kept on the
+    model; each is P1 D1 of the one before (rule R)."""
+    key = (w, b)
+    powers = g._p1_iterates.get(key)
     if powers is None:
-        power = _normalized(g.amb, {w: g.base.basis_element(i)})
+        power = _normalized(g.amb, {tuple(g.a + k for k in w): g.base.basis_element(b)})
         powers = []
         for _ in range(g.cap):
-            power = g.nabla_bar(power)
+            power = _apply_rows(g.amb, power, g._d1_rows, g._d1_row)
             powers.append(power)
-        g._nabla_bar_iterates[key] = powers
+        g._p1_iterates[key] = powers
     return powers
 
 
@@ -678,12 +719,57 @@ def _grid(alg: SymAlgebra):
                 yield w, b
 
 
+def _slice(g: GeometricModel):
+    """(word, tangent-letter count m, basis index) of the ambient grid
+    elements with m <= 1, in grid order."""
+    a = g.a
+    for w, b in _grid(g.amb):
+        if len(w) < 2 or w[1] >= a:  # sorted: tangent letters come first
+            yield w, (1 if w and w[0] < a else 0), b
+
+
+def _read_row(rows: Dict[Tuple[Word, int], Row], build, w: Word, i: int) -> Row:
+    """The row of e_i w in a row table, made by build(w, i) on first use."""
+    key = (w, i)
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = build(w, i)
+    return row
+
+
+def _rho_row(a: int, row: Row) -> Row:
+    """rho-dual of a row over the ambient letters: its words without tangent
+    letters, relabelled to the normal letters (which keeps their order)."""
+    return tuple((tuple(k - a for k in v), c) for v, c in row if not v or v[0] >= a)
+
+
+def _difference(alg: SymAlgebra, left: Row, right: Row) -> Optional[SymElement]:
+    """left - right as an element of alg, None where they agree.  Rows are
+    canonical (sorted words, sorted nonzero coefficients), so equal rows are
+    equal elements."""
+    if left == right:
+        return None
+    acc = {v: dict(coeffs) for v, coeffs in left}
+    for v, coeffs in right:
+        out = acc.setdefault(v, {})
+        for k, c in coeffs:
+            old = out.get(k)
+            out[k] = -c if old is None else old - c
+    return _collect(alg, acc)
+
+
 def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
-    """rho-dual o pi-tilde - id on a spanning set of the normal algebra."""
+    """rho-dual o pi-tilde - id on a spanning set of the normal algebra.
+
+    The iterates of pi-tilde enter through their stored P1 parts, which the
+    transport iterate reads too: their P0 parts vanish under rule R."""
+    _require_rule_r(g)
     out = []
     for w, b in _grid(g.nor):
-        el = SymElement(g.nor, {w: g.base.basis_element(b)})
-        residual = g.rho_dual(pi_tilde(g, el)) - el
+        el = _normalized(g.nor, {w: g.base.basis_element(b)})
+        residual = g.rho_dual(g.to_amb(el)) - el
+        for power in _p1_iterates(g, w, b):
+            residual = residual + g.rho_dual(power)
         if not residual.is_zero():
             out.append((repr(el), residual))
     return out
@@ -699,17 +785,27 @@ def commutator_lemma_residual(
     tensor into the single-tangent-letter component.  Passing ambient_beta
     rebuilds the ambient differential from a different tensor, which makes
     the residual a stored-vs-derived consistency diagnostic.
+
+    On a word with no tangent letter the residual is the rho-dual of its
+    ambient d0 row minus its normal d0 row, on one with a single tangent
+    letter the rho-dual of its ambient d0 row minus that of its beta-tilde
+    row.
     """
+    _require_rule_r(g)
     D0a = g.ambient_d0(ambient_beta)
     D0n = g.normal_d0()
+    beta = g._rtan[1]
+    a = g.a
     out = []
-    for w, b in _grid(g.amb):
-        el = SymElement(g.amb, {w: g.base.basis_element(b)})
-        lhs = g.rho_dual(D0a.apply(el)) - D0n.apply(g.rho_dual(el))
-        rhs = g.rho_dual(g.rtan_tilde(1, g.p1(el)))
-        residual = lhs - rhs
-        if not residual.is_zero():
-            out.append((repr(el), residual))
+    for w, m, b in _slice(g):
+        left = _rho_row(a, _read_row(D0a._rows, D0a._row, w, b))
+        if m == 0:
+            right = _read_row(D0n._rows, D0n._row, tuple(k - a for k in w), b)
+        else:
+            right = _rho_row(a, _read_row(beta._rows, beta._row, w, b))
+        residual = _difference(g.nor, left, right)
+        if residual is not None:
+            out.append((repr(_normalized(g.amb, {w: g.base.basis_element(b)})), residual))
     return out
 
 
@@ -720,34 +816,34 @@ def transport_lemma_residual(
 
     With shape_override the substitution side uses different shape values,
     exposing mismatched shape data as a nonzero residual.
+
+    On a word with no tangent letter the residual is its P1 D1 row minus its
+    nabla_perp row, on one with a single tangent letter its P1 D1 row minus
+    its shape row.  Only the left side is projected to P1.
     """
+    _require_rule_r(g)
     if shape_override is None:
-        shape_der = g.shape_tilde
+        shape = g._shape
     else:
-        der = DerivationD(
-            g.amb, {}, {i: v for i, v in shape_override.items()}, degree=0, check=False
-        )
-        shape_der = der.apply
+        shape = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False)
     out = []
-    for w, b in _grid(g.amb):
-        el = SymElement(g.amb, {w: g.base.basis_element(b)})
-        lhs = g.p1(g.nabla_bar(el))
-        rhs = g.nabla_perp_bar(g.rho_dual(el)) + shape_der(g.p1(el))
-        residual = lhs - rhs
-        if not residual.is_zero():
-            out.append((f"operator @ {el!r}", residual))
+    for w, m, b in _slice(g):
+        right = g._nabla_perp if m == 0 else shape
+        residual = _difference(
+            g.amb, _read_row(g._d1_rows, g._d1_row, w, b), _read_row(right._rows, right._row, w, b)
+        )
+        if residual is not None:
+            out.append((f"operator @ {_normalized(g.amb, {w: g.base.basis_element(b)})!r}", residual))
     for w, b in _grid(g.nor):
-        # nabla_bar^s(el), shared with pi_tilde, and shape^(s-1)(nabla_perp(el)),
-        # carried from s - 1; the normal letters follow the a tangent ones
-        el = SymElement(g.nor, {w: g.base.basis_element(b)})
+        # P1 nabla_bar^s(el), shared with the retraction, and
+        # shape^(s-1)(nabla_perp(el)), carried from s - 1
+        el = _normalized(g.nor, {w: g.base.basis_element(b)})
         iterated = g.nabla_perp_bar(el)
-        powers = _nabla_bar_iterates(g, tuple(g.a + k for k in w), b)
-        for s, power in enumerate(powers, start=1):
+        for s, power in enumerate(_p1_iterates(g, w, b), start=1):
             if s > 1:
-                iterated = shape_der(iterated)
-            residual = g.p1(power) - iterated
-            if not residual.is_zero():
-                out.append((f"iterate s={s} @ {el!r}", residual))
+                iterated = shape.apply(iterated)
+            if power != iterated:
+                out.append((f"iterate s={s} @ {el!r}", power - iterated))
     return out
 
 

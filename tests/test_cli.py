@@ -82,6 +82,27 @@ def test_mc_command(model_dir):
     assert run(["mc", model_dir / "rank2.geometric.json"]) == 0
 
 
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"mc"}))
+def test_seed_outside_mc_exits_2(model_dir, capsys, command):
+    with pytest.raises(SystemExit) as done:
+        run([command, model_dir / "trivial.geometric.json", "--seed", "3"])
+    assert done.value.code == 2
+    assert "--seed applies to mc only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["jacobi", "leibniz"])
+def test_report_without_checks_exits_2(model_dir, tmp_path, capsys, command):
+    """At weight cap 0 there is no bracket arity to check: an input error,
+    with no report written."""
+    out = tmp_path / "out.json"
+    out.write_text("stale report of an earlier run")
+    assert run([command, model_dir / "trivial.geometric.json", "--weight", "0", "--json", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} has no checks to run at these caps\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(capsys):
     assert run(["validate", "no-such-file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from algebroidkit.geometry import (
     GeometricModel,
     Splitting,
     _grid,
-    _nabla_bar_iterates,
+    _p1_iterates,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -749,31 +749,169 @@ def test_pi_tilde_matches_whole_element_iteration():
                 assert pi_tilde(g, mu) == reference_pi_tilde(g, mu)
 
 
-def test_nabla_bar_iterates_are_pi_tilde_terms_and_shared():
-    """The kept nabla_bar^k of each normal grid element are pi_tilde's terms,
-    and the transport iterate reads them without adding any."""
+def test_p1_iterates_are_the_p1_parts_and_shared():
+    """The kept P1 nabla_bar^s of each normal grid element are the P1 parts
+    of the full iterates, and the transport iterate reads them without
+    adding any."""
     g = small_random_model(14)
     assert retraction_residual(g) == []
-    stored = dict(g._nabla_bar_iterates)
+    stored = dict(g._p1_iterates)
     assert len(stored) == sum(1 for _ in _grid(g.nor))
     for (w, b), powers in stored.items():
-        manual = SymElement(g.amb, {w: g.base.basis_element(b)})
-        for k in range(g.cap):
-            manual = g.nabla_bar(manual)
-            assert powers[k] == manual
-        assert _nabla_bar_iterates(g, w, b) is powers
+        full = g.to_amb(SymElement(g.nor, {w: g.base.basis_element(b)}))
+        assert len(powers) == g.cap
+        for power in powers:
+            full = g.nabla_bar(full)
+            assert power == g.p1(full)
+            assert g.rho_dual(full).is_zero()
+        assert _p1_iterates(g, w, b) is powers
+    assert any(power for powers in stored.values() for power in powers)
     assert transport_lemma_residual(g) == []
-    assert g._nabla_bar_iterates == stored
+    assert g._p1_iterates == stored
 
 
-def test_retraction_reads_pi_tilde(monkeypatch):
-    """retraction_residual checks the exported pi_tilde itself."""
-    import algebroidkit.geometry as geometry
-
+def test_retraction_reads_the_p1_store():
+    """retraction_residual adds the rho-dual of the stored iterates: a word
+    without tangent letters put into one is reported at its grid element."""
     g = small_random_model(14)
     assert retraction_residual(g) == []
-    monkeypatch.setattr(geometry, "pi_tilde", lambda g, mu: g.to_amb(mu).scale(Scalar(2)))
-    assert len(retraction_residual(g)) == sum(1 for _ in _grid(g.nor))
+    w, b = (0,), 0
+    el = SymElement(g.nor, {w: g.base.basis_element(b)})
+    powers = g._p1_iterates[(w, b)]
+    powers[1] = powers[1] + g.to_amb(el)
+    assert retraction_residual(g) == [(repr(el), el)]
+
+
+# -- the lemma checks against the full-grid oracles -------------------------------
+
+
+def oracle_retraction_residual(g):
+    """rho-dual o pi-tilde - id on the whole normal grid, through the full pi_tilde."""
+    out = []
+    for el in _spanning(g.nor):
+        residual = g.rho_dual(pi_tilde(g, el)) - el
+        if not residual.is_zero():
+            out.append((repr(el), residual))
+    return out
+
+
+def oracle_commutator_lemma_residual(g, ambient_beta=None):
+    """[rho-dual, d] - beta-tilde o P1 on the whole ambient grid."""
+    D0a = g.ambient_d0(ambient_beta)
+    D0n = g.normal_d0()
+    out = []
+    for el in _spanning(g.amb):
+        lhs = g.rho_dual(D0a.apply(el)) - D0n.apply(g.rho_dual(el))
+        rhs = g.rho_dual(g.rtan_tilde(1, g.p1(el)))
+        residual = lhs - rhs
+        if not residual.is_zero():
+            out.append((repr(el), residual))
+    return out
+
+
+def oracle_transport_lemma_residual(g, shape_override=None):
+    """The transport lemma on the whole ambient grid, with the full
+    nabla_bar iterates and shape^(s-1) carried from s - 1."""
+    if shape_override is None:
+        shape_der = g.shape_tilde
+    else:
+        shape_der = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False).apply
+    out = []
+    for el in _spanning(g.amb):
+        lhs = g.p1(g.nabla_bar(el))
+        rhs = g.nabla_perp_bar(g.rho_dual(el)) + shape_der(g.p1(el))
+        residual = lhs - rhs
+        if not residual.is_zero():
+            out.append((f"operator @ {el!r}", residual))
+    for el in _spanning(g.nor):
+        iterated = g.nabla_perp_bar(el)
+        power = g.to_amb(el)
+        for s in range(1, g.cap + 1):
+            power = g.nabla_bar(power)
+            if s > 1:
+                iterated = shape_der(iterated)
+            residual = g.p1(power) - iterated
+            if not residual.is_zero():
+                out.append((f"iterate s={s} @ {el!r}", residual))
+    return out
+
+
+def _one_by_one_model(cap, **tensors):
+    """nontrivial_dga with one tangent letter t0 and one normal letter n0, both
+    of degree 0; tensors maps a family to {index: {word: coefficient}}."""
+    base = nontrivial_dga()
+    tangent = FreeModule(base, [("t0", 0)], name="T")
+    normal = FreeModule(base, [("n0", 0)], name="N")
+    letters = GeometricModel(base, tangent, normal, cap=cap)
+    values = {}
+    for name, table in tensors.items():
+        fam = next(f for f in TENSOR_FAMILIES if f.name == name)
+        alg = letters.values_algebra(fam)
+        values[name] = {
+            i: SymElement(alg, {w: base.from_names({"1": Scalar(c)}) for w, c in value.items()})
+            for i, value in table.items()
+        }
+    return GeometricModel(base, tangent, normal, cap=cap, **values)
+
+
+def _lemma_models(workloads):
+    """The shipped geometric fixtures, the generated benchmark models and the
+    odd-degree models of the structure oracle."""
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    models = {path.name: load_model(str(path)) for path in sorted(fixtures.glob("*.geometric.json"))}
+    assert len(models) == 5
+    for name in sorted(workloads.GENERATED):
+        models[name] = parse_model(workloads.generate_model_text(name, 0))
+    models["kodaira-a3-b4"] = random_geometric_model(
+        Rng(0), kodaira_base(), [0, 1, 0], [0, -1, 0, -1], cap=5, seed_modules=1000
+    )
+    models["kodaira-a2-b3"] = random_geometric_model(
+        Rng(0), kodaira_base(), [-1, 1], [1, 1, 0], cap=5, seed_modules=1000
+    )
+    models["two-odd-normals"] = _two_odd_normals_model()
+    return models
+
+
+def test_lemma_checks_match_the_full_grid_oracles(workloads):
+    """The slice walk and the row differences give the labels, values and
+    order of the full-grid checks: on the shipped and generated models, with
+    a bumped ambient beta and doubled shape data, and on models whose Gamma
+    or dhat has a word with two tangent letters (the nabla_perp rows keep
+    that word, the P1 left side drops it)."""
+    entries = {}
+    for name, g in _lemma_models(workloads).items():
+        assert retraction_residual(g) == oracle_retraction_residual(g), name
+        assert commutator_lemma_residual(g) == oracle_commutator_lemma_residual(g), name
+        assert transport_lemma_residual(g) == oracle_transport_lemma_residual(g), name
+        bumped = {i: v + g.nor.letter(0, g.base.one()).scale(Scalar(i + 1)) for i, v in g.beta.items()}
+        doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
+        got = commutator_lemma_residual(g, ambient_beta=bumped)
+        assert got == oracle_commutator_lemma_residual(g, ambient_beta=bumped), name
+        entries[name, "beta"] = len(got)
+        got = transport_lemma_residual(g, shape_override=doubled)
+        assert got == oracle_transport_lemma_residual(g, shape_override=doubled), name
+        entries[name, "shape"] = len(got)
+    assert all(entries[name, "beta"] for name, _ in entries), entries
+    assert sum(entries[key] for key in entries if key[1] == "shape") > 0, entries
+
+    # a Gamma word, and a dhat word, with two tangent letters
+    for tensors, count in (({"gamma": {0: {(0, 0, 1): 1}}}, 8), ({"dhat": {1: {(0, 0): 1}}}, 4)):
+        g = _one_by_one_model(3, **tensors)
+        got = transport_lemma_residual(g)
+        assert got == oracle_transport_lemma_residual(g)
+        assert len(got) == count
+        assert retraction_residual(g) == oracle_retraction_residual(g) == []
+        assert commutator_lemma_residual(g) == oracle_commutator_lemma_residual(g)
+
+
+def test_lemma_checks_refuse_a_nabla_hat_word_without_tangent_letters():
+    """Rule R: a Gamma word with normal letters only makes each lemma check
+    raise, naming the generator and the word."""
+    g = _one_by_one_model(3, gamma={0: {(1, 1): 1}})
+    for check in (retraction_residual, commutator_lemma_residual, transport_lemma_residual):
+        with pytest.raises(KitError) as err:
+            check(g)
+        assert str(err.value) == "nabla_hat value on n0^ has the word n0^*n0^ without tangent letters"
 
 
 def test_rtan_derivations_built_once():

@@ -52,9 +52,7 @@ from .geometry import (
     frakD_square_report,
     pi_tilde,
     retraction_residual,
-    split_curvature,
     structure_from_geometry,
-    sym_bar,
     transport_lemma_residual,
     validate_geometric_model,
 )
@@ -101,8 +99,6 @@ __all__ = [
     "GeometricModel",
     "Splitting",
     "validate_geometric_model",
-    "split_curvature",
-    "sym_bar",
     "pi_tilde",
     "retraction_residual",
     "commutator_lemma_residual",

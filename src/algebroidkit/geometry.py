@@ -32,9 +32,9 @@ The main constructions:
   inverse to the normal projection; it keeps nothing on the model.
 * the lemma checks (``retraction_residual``, ``commutator_lemma_residual``,
   ``transport_lemma_residual``): decided exactly on the grid words with at
-  most one tangent letter, each residual a signed sum of stored rows, with
-  the nabla_bar iterates kept as their one-tangent-letter parts, which the
-  retraction and the transport iterate both read.  This rests on rule R (a
+  most one tangent letter, each residual a signed sum of stored rows; the
+  transport iterate carries the one-tangent-letter part of each nabla_bar
+  iterate from the one before and keeps none.  This rests on rule R (a
   tangent letter in every nabla_hat value word), which they check first.
 * ``build_frakD``: the degree-1 derivation
 
@@ -64,7 +64,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
-from .errors import BaseMismatch, CapError, DegreeError, KitError
+from .errors import BaseMismatch, DegreeError, KitError
 from .linfty import BracketTable
 from .modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend
 from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
@@ -339,8 +339,6 @@ class GeometricModel:
         # row tables filled on first use
         self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
         self._d1_rows: Dict[Tuple[Word, int], Row] = {}
-        # {(normal word, basis index): [P1 nabla_bar^s of that grid element, s = 1..cap]}
-        self._p1_iterates: Dict[Tuple[Word, int], List[SymElement]] = {}
 
     # -- the tensor families ----------------------------------------------------
 
@@ -567,90 +565,6 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# curvature splitting and the symmetrization helper
-# ---------------------------------------------------------------------------
-
-
-def split_curvature(
-    g: GeometricModel, n: int, full: Mapping[int, SymElement]
-) -> Tuple[Dict[int, SymElement], Dict[int, SymElement]]:
-    """Split an ambient-frame curvature tensor into its two effective blocks.
-
-    full maps each ambient-frame letter to a weight-n element of the frame
-    symmetric algebra; the result is (curv_perp_n, curv_tan_n) over the model
-    letters, computed as rho-dual o R_n o p-dual and rho-dual o R_n o tau-dual.
-    """
-    frame_alg = SymAlgebra(g.base, list(zip(
-        [f"y{j}^" for j in range(g.a + g.b)],
-        g.amb.letter_degrees,
-    )), cap=g.cap)
-
-    def rn_of(el: SymElement) -> SymElement:
-        # A-linear, degree 1: coefficients pick up their parity sign
-        acc = frame_alg.zero()
-        for (j,), c in el.items():
-            val = full.get(j)
-            if val is None or val.is_zero():
-                continue
-            for d, hc in c.homogeneous_parts().items():
-                acc = acc + val.a_mul(hc).scale(sign_scalar(d))
-        return acc
-
-    def rho_dual_letterwise(el: SymElement) -> SymElement:
-        acc = g.nor.zero()
-        for w, c in el.items():
-            term = g.nor.scalar(c)
-            for j in w:
-                letter_image = g.nor.zero()
-                for beta_idx in range(g.b):
-                    entry = g.splitting.rho[beta_idx].get(j)
-                    if entry is not None and not entry.is_zero():
-                        letter_image = letter_image + g.nor.letter(beta_idx, entry)
-                term = term * letter_image
-                if term.is_zero():
-                    break
-            acc = acc + term
-        return acc
-
-    # rho-dual o R_n o p-dual on the normal letters, then o tau-dual on the tangent ones
-    blocks: List[Dict[int, SymElement]] = []
-    for matrix, rank in ((g.splitting.p, g.b), (g.splitting.tau, g.a)):
-        block = {}
-        for idx in range(rank):
-            # the dual of matrix at letter idx: sum_j matrix[j][idx] . y_j
-            arg = frame_alg.zero()
-            for j in range(g.a + g.b):
-                entry = matrix[j].get(idx)
-                if entry is not None and not entry.is_zero():
-                    arg = arg + frame_alg.letter(j, entry)
-            val = rho_dual_letterwise(rn_of(arg))
-            if not val.is_zero():
-                block[idx] = val
-        blocks.append(block)
-    return blocks[0], blocks[1]
-
-
-def sym_bar(g: GeometricModel, m: int, n: int, direction: int, word: Word,
-            coeff: Optional[AlgebraElement] = None) -> SymElement:
-    """Merge a tangent direction slot into a word with the 1/m weighting.
-
-    The input word must have exactly m-1 tangent letters among its n letters
-    and `direction` must be a tangent letter; the output is
-    (1/m) . lambda_direction . word.
-    """
-    if direction >= g.a:
-        raise KitError("direction slot must be a tangent letter")
-    if len(word) != n:
-        raise CapError(f"word has {len(word)} letters, expected n = {n}")
-    if g.tangent_count(word) != m - 1:
-        raise KitError(
-            f"word has {g.tangent_count(word)} tangent letters, expected m-1 = {m - 1}"
-        )
-    el = g.amb.word((direction,) + tuple(word), coeff)
-    return el.scale(Scalar.rational(1, m))
-
-
-# ---------------------------------------------------------------------------
 # pi-tilde, retraction and the two operator lemmas
 # ---------------------------------------------------------------------------
 
@@ -694,21 +608,6 @@ def _require_rule_r(g: GeometricModel) -> None:
             if not w or w[0] >= g.a:  # sorted: tangent letters come first
                 word = "*".join(names[k] for k in w) or "1"
                 raise KitError(f"nabla_hat value on {label} has the word {word} without tangent letters")
-
-
-def _p1_iterates(g: GeometricModel, w: Word, b: int) -> List[SymElement]:
-    """[P1 nabla_bar^s(e_b w) for s = 1..cap], w a normal word, kept on the
-    model; each is P1 D1 of the one before (rule R)."""
-    key = (w, b)
-    powers = g._p1_iterates.get(key)
-    if powers is None:
-        power = _normalized(g.amb, {tuple(g.a + k for k in w): g.base.basis_element(b)})
-        powers = []
-        for _ in range(g.cap):
-            power = _apply_rows(g.amb, power, g._d1_rows, g._d1_row)
-            powers.append(power)
-        g._p1_iterates[key] = powers
-    return powers
 
 
 def _grid(alg: SymAlgebra):
@@ -761,15 +660,14 @@ def _difference(alg: SymAlgebra, left: Row, right: Row) -> Optional[SymElement]:
 def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     """rho-dual o pi-tilde - id on a spanning set of the normal algebra.
 
-    The iterates of pi-tilde enter through their stored P1 parts, which the
-    transport iterate reads too: their P0 parts vanish under rule R."""
+    Under rule R, checked first, every nabla_bar iterate of a normal grid
+    element has a tangent letter in each word, so rho-dual kills it and the
+    check decides rho-dual o iota = id on the normal grid."""
     _require_rule_r(g)
     out = []
     for w, b in _grid(g.nor):
         el = _normalized(g.nor, {w: g.base.basis_element(b)})
         residual = g.rho_dual(g.to_amb(el)) - el
-        for power in _p1_iterates(g, w, b):
-            residual = residual + g.rho_dual(power)
         if not residual.is_zero():
             out.append((repr(el), residual))
     return out
@@ -835,11 +733,13 @@ def transport_lemma_residual(
         if residual is not None:
             out.append((f"operator @ {_normalized(g.amb, {w: g.base.basis_element(b)})!r}", residual))
     for w, b in _grid(g.nor):
-        # P1 nabla_bar^s(el), shared with the retraction, and
-        # shape^(s-1)(nabla_perp(el)), carried from s - 1
+        # P1 nabla_bar^s(el) = P1 D1 of P1 nabla_bar^(s-1)(el) (rule R) and
+        # shape^(s-1)(nabla_perp(el)), both carried from s - 1
         el = _normalized(g.nor, {w: g.base.basis_element(b)})
+        power = g.to_amb(el)
         iterated = g.nabla_perp_bar(el)
-        for s, power in enumerate(_p1_iterates(g, w, b), start=1):
+        for s in range(1, g.cap + 1):
+            power = _apply_rows(g.amb, power, g._d1_rows, g._d1_row)
             if s > 1:
                 iterated = shape.apply(iterated)
             if power != iterated:

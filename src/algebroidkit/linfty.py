@@ -575,13 +575,6 @@ class LInftyMorphism:
         )
 
 
-def identity_morphism(L: LInftyAlgebra) -> LInftyMorphism:
-    f = LInftyMorphism(L, L, L.carrier.zero())
-    for i in range(L.carrier.rank):
-        f.set_component(1, (i,), L.carrier.generator(i))
-    return f
-
-
 def morphism_residual(
     f: LInftyMorphism, L, target, n: int
 ) -> Dict[GenKey, object]:

@@ -26,7 +26,7 @@ from algebroidkit.geometry import (
     GeometricModel,
     Splitting,
     _grid,
-    _p1_iterates,
+    _slice,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -34,9 +34,7 @@ from algebroidkit.geometry import (
     frakD_square_report,
     pi_tilde,
     retraction_residual,
-    split_curvature,
     structure_from_geometry,
-    sym_bar,
     transport_lemma_residual,
     validate_geometric_model,
 )
@@ -99,102 +97,15 @@ def test_dhat_leibniz_violation_reported():
     assert any("Leibniz" in p for p in problems)
 
 
-# -- split_curvature --------------------------------------------------------------
-
-
-def test_split_curvature_zero():
-    g = trivial_model()
-    perp, tan = split_curvature(g, 2, {})
-    assert perp == {} and tan == {}
-
-
-def test_split_curvature_normal_supported():
-    """A tensor supported on the normal dual block has no tangential part."""
-    g = trivial_model()
-    frame_alg = SymAlgebra(
-        g.base,
-        [(f"y{j}^", d) for j, d in enumerate(g.amb.letter_degrees)],
-        cap=g.cap,
-    )
-    e = g.base.from_names({"e": ONE})
-    # frame letter 1 is the normal direction for the block-identity splitting
-    full = {1: SymElement(frame_alg, {(1, 1): e})}
-    perp, tan = split_curvature(g, 2, full)
-    assert tan == {}
-    assert list(perp) == [0]
-    assert perp[0].items() == SymElement(g.nor, {(0, 0): e}).items()
-
-
-def test_split_curvature_matrix_oracle():
-    """Nontrivial block splitting vs a hand-composed matrix computation."""
-    base = lambda_eps()
-    Tm = FreeModule(base, [("t0", 0)], name="Tm")
-    Nm = FreeModule(base, [("n0", 0)], name="Nm")
-    two = Scalar(2)
-    half = Scalar(Fraction(1, 2))
-    one = base.one()
-    # rho(n0) = 2 y1, p = (0, 1/2), tau = (1, 0), iota(t0) = y0: identities hold
-    splitting = Splitting(
-        base,
-        1,
-        1,
-        iota=[{0: one}],
-        p=[{}, {0: one.scale(half)}],
-        tau=[{0: one}, {}],
-        rho=[{1: one.scale(two)}],
-    )
-    assert splitting.validate() == []
-    g = GeometricModel(base, Tm, Nm, cap=3, splitting=splitting)
-    frame_alg = SymAlgebra(g.base, [("y0^", 0), ("y1^", 0)], cap=3)
-    e = base.from_names({"e": ONE})
-    # R_2(y1^) = e . y1^ y1^, R_2(y0^) = e . y0^ y1^
-    full = {
-        1: SymElement(frame_alg, {(1, 1): e}),
-        0: SymElement(frame_alg, {(0, 1): e}),
-    }
-    perp, tan = split_curvature(g, 2, full)
-    # hand composition: p-dual(n0^) = 1/2 y1^; rho-dual(y1^) = 2 n0^,
-    # rho-dual(y0^) = 0; so perp = 1/2 * e * (2 n0^)(2 n0^) = 2 e n0^ n0^
-    assert perp[0].items() == SymElement(g.nor, {(0, 0): e.scale(two)}).items()
-    # tau-dual(t0^) = y0^: R(y0^) = e y0^ y1^ -> rho-dual kills y0^ => 0
-    assert tan == {}
-
-
-# -- sym_bar ---------------------------------------------------------------------
-
-
-def test_sym_bar_m1_plain_multiplication():
-    g = trivial_model()
-    out = sym_bar(g, 1, 1, 0, (1,))
-    assert out.items() == SymElement(g.amb, {(0, 1): g.base.one()}).items()
-
-
-def test_sym_bar_m2_half():
-    g = small_random_model(1)
-    word = (0, g.a)  # one tangent + one normal letter
-    out = sym_bar(g, 2, 2, 1, word)
-    direct = g.amb.word((1,) + word).scale(Scalar(Fraction(1, 2)))
-    assert out == direct
-
-
-def test_sym_bar_validates_input():
-    g = small_random_model(1)
-    with pytest.raises(KitError):
-        sym_bar(g, 2, 1, g.a, (g.a,))  # direction not a tangent letter
-    with pytest.raises(KitError):
-        sym_bar(g, 1, 2, 0, (0, g.a))  # word already has a tangent letter
-
-
-def test_sym_bar_evaluation_counting():
-    """1/m weighting against the multiset count of the evaluation pairing."""
-    base = nontrivial_dga()
-    Tm = FreeModule(base, [("t0", 0)], name="Tm")
-    Nm = FreeModule(base, [("n0", 0)], name="Nm")
-    g = GeometricModel(base, Tm, Nm, cap=3)
-    frame = FreeModule(base, [("t0", 0), ("n0", 0)], name="Ym")  # the split ambient frame
-    out = sym_bar(g, 2, 2, 0, (0, 1))  # (1/2) t0^ t0^ n0^
+def test_nabla_bar_evaluation_counting():
+    """1/m weighting against the multiset count of the evaluation pairing:
+    with nabla_hat(t0^) = t0^ t0^, nabla_bar(t0^ n0^) = (1/2) t0^ t0^ n0^."""
+    g = _one_by_one_model(3, conn_tan={0: {(0, 0): 1}})
+    out = g.nabla_bar(g.amb.word((0, 1)))
+    assert out == g.amb.word((0, 0, 1)).scale(Scalar(Fraction(1, 2)))
+    frame = FreeModule(g.base, [("t0", 0), ("n0", 0)], name="Ym")  # the split ambient frame
     val = evaluate(out, [frame.generator(0), frame.generator(0), frame.generator(1)], frame)
-    assert val == base.one()  # 2 pairings x 1/2
+    assert val == g.base.one()  # 2 pairings x 1/2
 
 
 # -- operators ---------------------------------------------------------------------
@@ -749,39 +660,6 @@ def test_pi_tilde_matches_whole_element_iteration():
                 assert pi_tilde(g, mu) == reference_pi_tilde(g, mu)
 
 
-def test_p1_iterates_are_the_p1_parts_and_shared():
-    """The kept P1 nabla_bar^s of each normal grid element are the P1 parts
-    of the full iterates, and the transport iterate reads them without
-    adding any."""
-    g = small_random_model(14)
-    assert retraction_residual(g) == []
-    stored = dict(g._p1_iterates)
-    assert len(stored) == sum(1 for _ in _grid(g.nor))
-    for (w, b), powers in stored.items():
-        full = g.to_amb(SymElement(g.nor, {w: g.base.basis_element(b)}))
-        assert len(powers) == g.cap
-        for power in powers:
-            full = g.nabla_bar(full)
-            assert power == g.p1(full)
-            assert g.rho_dual(full).is_zero()
-        assert _p1_iterates(g, w, b) is powers
-    assert any(power for powers in stored.values() for power in powers)
-    assert transport_lemma_residual(g) == []
-    assert g._p1_iterates == stored
-
-
-def test_retraction_reads_the_p1_store():
-    """retraction_residual adds the rho-dual of the stored iterates: a word
-    without tangent letters put into one is reported at its grid element."""
-    g = small_random_model(14)
-    assert retraction_residual(g) == []
-    w, b = (0,), 0
-    el = SymElement(g.nor, {w: g.base.basis_element(b)})
-    powers = g._p1_iterates[(w, b)]
-    powers[1] = powers[1] + g.to_amb(el)
-    assert retraction_residual(g) == [(repr(el), el)]
-
-
 # -- the lemma checks against the full-grid oracles -------------------------------
 
 
@@ -912,6 +790,43 @@ def test_lemma_checks_refuse_a_nabla_hat_word_without_tangent_letters():
         with pytest.raises(KitError) as err:
             check(g)
         assert str(err.value) == "nabla_hat value on n0^ has the word n0^*n0^ without tangent letters"
+
+
+def test_lemma_checks_keep_no_iterate_store():
+    """The three lemma checks keep nothing on the model but the D1 rows they
+    read, one per slice grid element: no attribute is added, and no other
+    table of the model grows."""
+    g = small_random_model(14)
+    attributes = set(vars(g))
+    sizes = {name: len(v) for name, v in vars(g).items() if isinstance(v, dict)}
+    assert retraction_residual(g) == []
+    assert commutator_lemma_residual(g) == []
+    assert transport_lemma_residual(g) == []
+    assert set(vars(g)) == attributes
+    grown = {name for name, size in sizes.items() if len(vars(g)[name]) != size}
+    assert grown == {"_d1_rows"}
+    assert len(g._d1_rows) == 92
+    assert set(g._d1_rows) <= {(w, b) for w, _, b in _slice(g)}
+
+
+def test_transport_iterate_follows_the_operator_part():
+    """Doubling one Shape row at a time: an iterate entry never comes without
+    an operator entry (P1 nabla_bar = P1 D1 on the slice, so the iterate is
+    the operator part by induction on s), and some mutation shows both."""
+    counts = []
+    for seed in range(6):
+        g = small_random_model(seed)
+        for i in sorted(g.shape):
+            mutated = dict(g.shape)
+            mutated[i] = mutated[i].scale(Scalar(2))
+            labels = [label for label, _ in transport_lemma_residual(g, shape_override=mutated)]
+            counts.append((
+                sum(label.startswith("operator @") for label in labels),
+                sum(label.startswith("iterate s=") for label in labels),
+            ))
+    assert len(counts) == 12
+    assert any(op and it for op, it in counts), counts
+    assert not any(it and not op for op, it in counts), counts
 
 
 def test_rtan_derivations_built_once():

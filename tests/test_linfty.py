@@ -19,7 +19,6 @@ from algebroidkit.linfty import (
     d_A_derivation,
     decalage,
     decalage_inverse,
-    identity_morphism,
     jacobi_residual,
     morphism_residual,
     sorted_tuples,
@@ -141,6 +140,13 @@ def test_abelian_base_gives_abelian_dgla():
     for P in dgla.basis:
         for Q in dgla.basis:
             assert P.commutator(Q).is_zero()
+
+
+def identity_morphism(L: LInftyAlgebra) -> LInftyMorphism:
+    f = LInftyMorphism(L, L, L.carrier.zero())
+    for i in range(L.carrier.rank):
+        f.set_component(1, (i,), L.carrier.generator(i))
+    return f
 
 
 def test_identity_morphism_residual_zero():

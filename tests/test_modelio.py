@@ -7,10 +7,20 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.errors import ParseError
-from algebroidkit.fixtures import fixture_corpus, write_fixture_corpus
+from algebroidkit.fixtures import (
+    Rng,
+    fixture_corpus,
+    kodaira_base,
+    lambda_eps,
+    nontrivial_dga,
+    random_geometric_model,
+    write_fixture_corpus,
+)
 from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
 
@@ -26,6 +36,25 @@ def test_round_trip_byte_identity(corpus):
         parsed = parse_model(text)
         again = serialize_model(parsed)
         assert again == text, name
+
+
+@pytest.mark.parametrize(
+    "degrees", [([0, 1], [0, -1]), ([0, 1, 0], [0, -1, 0, -1]), ([-1, 1], [1, 1, 0]), ([1], [1])]
+)
+@pytest.mark.parametrize("base", [kodaira_base, nontrivial_dga, lambda_eps])
+@given(
+    seed=st.integers(0, 2**16),
+    cap=st.integers(2, 5),
+    families=st.sets(st.sampled_from([fam.name for fam in TENSOR_FAMILIES])),
+)
+def test_generated_models_round_trip_byte_identically(base, degrees, seed, cap, families):
+    """serialize o parse is the identity on the text of random models over
+    any subset of the tensor families."""
+    g = random_geometric_model(
+        Rng(seed), base(), *degrees, cap=cap, families=tuple(families), seed_modules=seed
+    )
+    text = serialize_model(g)
+    assert serialize_model(parse_model(text)) == text
 
 
 def test_parse_preserves_duality(corpus):

@@ -10,7 +10,7 @@ raising.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BaseMismatch, DegreeError, KitError
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, sign_scalar

@@ -7,7 +7,11 @@ An AlgebroidStructure stores, over a fixed base dga A and free carrier L:
   extended through the anchor Leibniz rule
 
       {v_1..v_{n-1}, a.v_n} = {v_1..v_{n-1}|a}.v_n
-                              + (-1)^{|a|(|v_1|+..+|v_{n-1}|+1)} a.{v_1..v_n};
+                              + (-1)^{|a|(|v_1|+..+|v_{n-1}|+1)} a.{v_1..v_n},
+
+  whose closed form ``bracket`` evaluates: the A-multilinear extension of
+  the table (``modules.multilinear_extend``) plus one anchor term per
+  non-unit coefficient;
 
 * multi-anchors  {v_1..v_{n-1}|-}_n  (n >= 2) of degree +1, A-multilinear in
   the module slots and a derivation in the algebra slot, stored in tables
@@ -44,8 +48,8 @@ from .linfty import (
     same_tables,
     sorted_tuples,
 )
-from .modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend, pair_dual
-from .scalars import Scalar, sign_scalar
+from .modules import FreeModule, ModuleElement, _koszul_twist, from_dual_values, multilinear_extend, pair_dual
+from .scalars import sign_scalar
 from .signs import _nonvanishing_keys
 from .symtensor import DerivationD, SymAlgebra, SymElement, _evaluate_parts, from_values
 
@@ -121,11 +125,16 @@ class AlgebroidStructure:
         )
 
     def bracket(self, n: int, args: Sequence[ModuleElement]) -> ModuleElement:
-        """K-multilinear evaluation via the anchor Leibniz rule.
+        """K-multilinear evaluation: the closed form of the anchor Leibniz rule,
 
-        Coefficients are peeled left to right: the leftmost non-unit slot is
-        rotated to the last position with its alpha sign and the Leibniz rule
-        applied there.
+            {v_1..v_n} = (A-multilinear extension of the table)(v_1..v_n)
+                         + sum_k sum_{a.g} {v_1..v_{k-1}, tau(v_{k+1})..tau(v_n) | a}.g,
+
+        the inner sum running over the non-unit homogeneous coefficient parts
+        a.g of v_k, and tau scaling the part of total degree e of a later
+        argument by (-1)^{e(|a|+|g|)}: v_k is moved past the tail to the last
+        slot, where the Leibniz rule splits off its coefficient.  The unit
+        part of a coefficient adds no anchor term.
         """
         if len(args) != n:
             raise KitError("bracket arity does not match argument count")
@@ -133,61 +142,33 @@ class AlgebroidStructure:
             return args[0].d()
         if n > self.bracket_cap:
             raise CapError(f"bracket arity {n} exceeds cap {self.bracket_cap}")
-        terms_per_arg = []
-        for v in args:
-            terms = []
-            for i, a in v.items():
-                for d, ha in a.homogeneous_parts().items():
-                    for b, c in ha.items():
-                        terms.append((c, b, i))
-            terms_per_arg.append(terms)
-        total = self.carrier.zero()
-
-        def rec(k: int, chosen: List[Tuple[int, int]], scal: Scalar):
-            nonlocal total
-            if k == n:
-                total = total + self._bracket_slots(n, chosen).scale(scal)
-                return
-            for c, b, i in terms_per_arg[k]:
-                rec(k + 1, chosen + [(b, i)], scal * c)
-
-        rec(0, [], Scalar.one())
-        return total
-
-    def _bracket_slots(self, n: int, slots: List[Tuple[int, int]]) -> ModuleElement:
-        """slots = [(coefficient basis index, generator index)] with scalars out."""
-        base = self.base
         carrier = self.carrier
-        unit = base.unit
-
-        def slot_degree(slot):
-            b, i = slot
-            return base.degrees[b] + carrier.degrees[i]
-
-        composite = [k for k, (b, _) in enumerate(slots) if b != unit]
-        if not composite:
-            table = self.brackets.get(n)
-            got = table.lookup(tuple(i for _, i in slots)) if table else None
-            return carrier.zero() if got is None else got
-        k = composite[0]
-        # rotate slot k past the tail
-        tail = slots[k + 1 :]
-        tail_degree = sum(slot_degree(s) for s in tail)
-        exponent = slot_degree(slots[k]) * tail_degree
-        reordered = slots[:k] + tail + [slots[k]]
-        b, g = reordered[-1]
-        head = reordered[:-1]
-        # Leibniz in the last slot: {.., e_b . g} =
-        #   {..|e_b}.g + (-1)^{|e_b|(sum head degrees + 1)} e_b . {.., g}
-        head_degree = sum(slot_degree(s) for s in head)
-        head_args = [ModuleElement(carrier, {gh: base.basis_element(bh)}) for bh, gh in head]
-        anchor_part = self.anchor(n, head_args, base.basis_element(b))
-        term1 = ModuleElement(carrier, {g: anchor_part})
-        bracket_rest = self._bracket_slots(n, head + [(unit, g)])
-        term2 = bracket_rest.a_mul(base.basis_element(b)).scale(
-            sign_scalar(base.degrees[b] * (head_degree + 1))
+        if any(v.is_zero() for v in args):
+            # every term vanishes; no anchor term may reach the anchor cap check
+            return carrier.zero()
+        table = self.brackets.get(n)
+        total = multilinear_extend(
+            table.lookup if table else lambda gens: None, 1, args, carrier.degrees, carrier.zero()
         )
-        return (term1 + term2).scale(sign_scalar(exponent))
+        base = self.base
+        unit = base.unit
+        for k, v in enumerate(args):
+            tail = args[k + 1 :]
+            twisted = None
+            for g, a in v.items():
+                rest = {b: c for b, c in a.items() if b != unit}
+                if not rest:
+                    continue
+                for d, ha in AlgebraElement(base, rest).homogeneous_parts().items():
+                    if (d + carrier.degrees[g]) % 2:
+                        if twisted is None:
+                            twisted = [_koszul_twist(w, 1) for w in tail]
+                        later = twisted
+                    else:
+                        later = tail
+                    anchor = self.anchor(n, list(args[:k]) + list(later), ha)
+                    total = total + ModuleElement(carrier, {g: anchor})
+        return total
 
     def __eq__(self, other) -> bool:
         """Same nonzero tables (arities, keys, coefficients); caps are not compared."""
@@ -427,7 +408,16 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, n: int) -> Dict[GenKey, Mod
 
 
 def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], ModuleElement]:
-    """Defect of the anchor Leibniz rule on generator tuples x basis elements."""
+    """Defect of the anchor Leibniz rule on generator tuples x basis elements.
+
+    Empty by construction at every non-unit basis element: ``bracket`` is
+    defined by the same rule, and {g_1..g_{n-1}, a.g_n} less the signed
+    a.{g_1..g_n} is its last slot's anchor term.  That holds whether or not
+    the anchors are derivations of the base; ``validate`` decides that.  At
+    the unit, which adds no anchor term, the residual is -{g_1..g_{n-1}|1}.g_n:
+    nonzero only where a unit-slot anchor entry is stored, which ``validate``
+    flags as not killing the unit.
+    """
     carrier = S.carrier
     base = S.base
     out: Dict[Tuple[GenKey, int], ModuleElement] = {}

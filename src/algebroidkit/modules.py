@@ -191,14 +191,17 @@ def from_dual_values(module: FreeModule, values: Mapping[int, AlgebraElement]) -
     )
 
 
-def _koszul_twist(a: AlgebraElement, degree: int) -> AlgebraElement:
-    """a with its homogeneous part of degree d scaled by (-1)^{d * degree}."""
+def _koszul_twist(x, degree: int):
+    """x with its homogeneous part of degree d scaled by (-1)^{d * degree}; x is
+    an algebra or a module element (degree d is then the total degree)."""
     if degree % 2 == 0:
-        return a
-    acc = a.algebra.zero()
-    for deg, ha in a.homogeneous_parts().items():
-        acc = acc + (ha if deg % 2 == 0 else -ha)
-    return acc
+        return x
+    acc = None
+    for deg, part in x.homogeneous_parts().items():
+        if deg % 2:
+            part = -part
+        acc = part if acc is None else acc + part
+    return x if acc is None else acc
 
 
 def multilinear_extend(

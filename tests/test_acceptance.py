@@ -12,8 +12,6 @@ import time
 from itertools import permutations
 from math import comb
 
-import pytest
-
 from algebroidkit.algebroid import (
     AlgebroidStructure,
     algebroid_jacobi_residual,
@@ -28,7 +26,6 @@ from algebroidkit.fixtures import (
     cone_dgla,
     fixture_corpus,
     kodaira_base,
-    lambda_eps,
     matrix_dgla,
     mixed_module,
     nontrivial_dga,
@@ -56,7 +53,6 @@ from algebroidkit.linfty import (
     same_tables,
 )
 from algebroidkit.modules import FreeModule, ModuleElement
-from algebroidkit.scalars import ONE
 from algebroidkit.signs import Permutation, enumerate_unshuffles, skew_sign, sym_sign
 from algebroidkit.symtensor import (
     SymAlgebra,
@@ -387,7 +383,6 @@ def test_criterion_7_specializations():
     # weight-zero action reproduced term by term by explicit substitution
     g = corpus["rank2.geometric"]
     from algebroidkit.scalars import sign_scalar
-    from algebroidkit.symtensor import SymElement
 
     def substitute_tangent(el, table, op_degree):
         out = g.amb.zero()

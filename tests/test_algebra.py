@@ -9,16 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algebroidkit.algebra import AlgebraElement, BaseAlgebra, validate_base_algebra
+from algebroidkit.algebra import BaseAlgebra, validate_base_algebra
 from algebroidkit.errors import DegreeError
 from algebroidkit.fixtures import (
     Rng,
     eps_poly_base,
     eps_square_base,
-    exterior_base,
     lambda_eps,
     nontrivial_dga,
-    tensor_base,
     trivial_base,
     truncated_poly,
 )

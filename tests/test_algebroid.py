@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algebroidkit.algebroid import (
     AlgebroidStructure,
@@ -14,7 +16,7 @@ from algebroidkit.algebroid import (
     extract_structure,
     leibniz_residual,
 )
-from algebroidkit.errors import KitError
+from algebroidkit.errors import CapError, KitError
 from algebroidkit.fixtures import (
     Rng,
     conjugation_oracle_structure,
@@ -26,9 +28,9 @@ from algebroidkit.fixtures import (
     sample_bases,
     standard_module,
 )
-from algebroidkit.modules import FreeModule, ModuleElement
-from algebroidkit.scalars import ONE, Scalar
-from algebroidkit.signs import Permutation, enumerate_unshuffles, sym_sign
+from algebroidkit.modules import ModuleElement
+from algebroidkit.scalars import Scalar, sign_scalar
+from algebroidkit.signs import Permutation, _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
     SymAlgebra,
     d0_derivation,
@@ -236,15 +238,34 @@ def test_ce_action_matches_unshuffle_expansion():
                 assert lhs == rhs
 
 
-def test_leibniz_residual_unit_is_zero():
+def test_leibniz_residual_is_empty_by_construction():
+    """The bracket is defined by the anchor Leibniz rule, so its residual is
+    empty on structures whose anchors are no derivations (``validate``
+    decides that), and at the unit, which adds no anchor term, it is minus
+    the stored unit-slot anchor entries."""
     rng = Rng(38)
-    base = nontrivial_dga()
-    carrier = standard_module(base, rank=2, seed=99)
-    S = random_algebroid(rng, base, carrier)
-    for n in range(1, 4):
-        res = leibniz_residual(S, n)
-        for (key, b), val in res.items():
-            assert b != base.unit
+    structures = flagged = unit_slots = 0
+    for base in sample_bases():
+        for seed in range(12):
+            carrier = standard_module(base, rank=rng.randint(1, 2), seed=200 + seed)
+            S = random_algebroid(rng, base, carrier, derivation_anchors=False)
+            structures += 1
+            flagged += any("is not a derivation" in p for p in S.validate())
+            for n in range(1, 5):
+                assert leibniz_residual(S, n) == {}, (base.names, seed, n)
+            value = rng.algebra_element(base, degree=carrier.degrees[0] + 1, zero_chance=0)
+            if value.is_zero():
+                continue
+            unit_slots += 1
+            S.set_anchor(2, (0,), base.unit, value)
+            assert any("does not kill the unit" in p for p in S.validate())
+            want = {
+                ((0, i), base.unit): ModuleElement(carrier, {i: -value})
+                for i in range(carrier.rank)
+            }
+            assert leibniz_residual(S, 2) == want
+    assert structures == 36
+    assert flagged > 0 and unit_slots > 0, (flagged, unit_slots)
 
 
 def test_bracket_with_odd_coefficients_is_graded_symmetric():
@@ -275,3 +296,101 @@ def test_bracket_with_odd_coefficients_is_graded_symmetric():
                         seed, gens, coeffs, sigma
                     )
     assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# the bracket against the Leibniz peel it replaced
+# ---------------------------------------------------------------------------
+
+
+def peel_bracket(S, n, args):
+    """{args}_n by peeling coefficients left to right: the leftmost non-unit
+    slot is rotated to the last position with its Koszul sign and the
+    Leibniz rule applied there.  The oracle of ``AlgebroidStructure.bracket``."""
+    if len(args) != n:
+        raise KitError("bracket arity does not match argument count")
+    if n == 1:
+        return args[0].d()
+    if n > S.bracket_cap:
+        raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
+    terms_per_arg = [
+        [(c, b, i) for i, a in v.items() for b, c in a.items()] for v in args
+    ]
+    total = S.carrier.zero()
+    for terms in itertools.product(*terms_per_arg):
+        scal = Scalar.one()
+        for c, _, _ in terms:
+            scal = scal * c
+        total = total + _peel_slots(S, n, [(b, i) for _, b, i in terms]).scale(scal)
+    return total
+
+
+def _peel_slots(S, n, slots):
+    """slots = [(coefficient basis index, generator index)] with scalars out."""
+    base = S.base
+    carrier = S.carrier
+    unit = base.unit
+
+    def slot_degree(slot):
+        b, i = slot
+        return base.degrees[b] + carrier.degrees[i]
+
+    composite = [k for k, (b, _) in enumerate(slots) if b != unit]
+    if not composite:
+        table = S.brackets.get(n)
+        got = table.lookup(tuple(i for _, i in slots)) if table else None
+        return carrier.zero() if got is None else got
+    k = composite[0]
+    tail = slots[k + 1 :]
+    exponent = slot_degree(slots[k]) * sum(slot_degree(s) for s in tail)
+    reordered = slots[:k] + tail + [slots[k]]
+    b, g = reordered[-1]
+    head = reordered[:-1]
+    head_degree = sum(slot_degree(s) for s in head)
+    head_args = [ModuleElement(carrier, {gh: base.basis_element(bh)}) for bh, gh in head]
+    term1 = ModuleElement(carrier, {g: S.anchor(n, head_args, base.basis_element(b))})
+    term2 = _peel_slots(S, n, head + [(unit, g)]).a_mul(base.basis_element(b)).scale(
+        sign_scalar(base.degrees[b] * (head_degree + 1))
+    )
+    return (term1 + term2).scale(sign_scalar(exponent))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except CapError as err:
+        return f"CapError: {err}"
+
+
+@given(
+    base_index=st.integers(0, 2),
+    degrees=st.sampled_from([[0], [0, 1], [1, -1], [0, -1, 0], [1], [2, 1]]),
+    derivation_anchors=st.booleans(),
+    unit_slot_anchors=st.booleans(),
+    anchor_cap=st.sampled_from([5, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_bracket_matches_the_leibniz_peel(
+    base_index, degrees, derivation_anchors, unit_slot_anchors, anchor_cap, seed
+):
+    """The closed form equals the peel on inhomogeneous arguments of arity
+    1-4, stored unit-slot anchor entries (which no bracket may read) and
+    anchor_cap < n <= bracket_cap (where a non-unit coefficient raises)."""
+    rng = Rng(seed)
+    base = sample_bases()[base_index]
+    carrier = mixed_module(base, degrees, seed=seed % 5)
+    S = random_algebroid(
+        rng, base, carrier, anchor_cap=anchor_cap, derivation_anchors=derivation_anchors
+    )
+    if unit_slot_anchors:
+        for n in range(2, anchor_cap + 1):
+            for key in _nonvanishing_keys(carrier.degrees, n - 1):
+                want = sum(carrier.degrees[i] for i in key) + 1
+                value = rng.algebra_element(base, degree=want, zero_chance=0.3)
+                if not value.is_zero():
+                    S.set_anchor(n, key, base.unit, value)
+    for n in range(1, 5):
+        for _ in range(4):
+            args = [rng.module_element(carrier, zero_chance=0.6) for _ in range(n)]
+            want = _outcome(peel_bracket, S, n, args)
+            assert _outcome(S.bracket, n, args) == want, (n, args)

@@ -18,7 +18,6 @@ from algebroidkit.fixtures import (
     mixed_module,
     nontrivial_dga,
     random_geometric_model,
-    sample_bases,
     trivial_model,
 )
 from algebroidkit.geometry import (
@@ -780,6 +779,20 @@ def test_lemma_checks_match_the_full_grid_oracles(workloads):
         assert len(got) == count
         assert retraction_residual(g) == oracle_retraction_residual(g) == []
         assert commutator_lemma_residual(g) == oracle_commutator_lemma_residual(g)
+
+
+def test_normal_projection_is_a_left_inverse_of_the_inclusion(workloads):
+    """rho-dual o iota = id on the normal grid of the shipped geometric
+    fixtures and the generated benchmark models: the identity that leaves
+    the retraction check nothing to decide after rule R."""
+    models = _lemma_models(workloads)
+    names = [name for name in models if name.endswith(".geometric.json")]
+    names += sorted(workloads.GENERATED)
+    assert len(names) == 7
+    for name in names:
+        g = models[name]
+        for el in _spanning(g.nor):
+            assert g.rho_dual(g.to_amb(el)) == el, (name, el)
 
 
 def test_lemma_checks_refuse_a_nabla_hat_word_without_tangent_letters():

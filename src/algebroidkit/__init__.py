@@ -1,7 +1,7 @@
 """algebroidkit: exact-arithmetic verification and construction kit for
 homotopy Lie algebroids over graded commutative dgas, their dual degree-1
 derivations on truncated symmetric algebras, and the formal-neighborhood
-differential assembled from finite curvature/splitting data.
+differential assembled from finite curvature data.
 
 Everything is computed over the Gaussian rationals; no floating point enters
 any result.
@@ -44,7 +44,6 @@ from .algebroid import (
 )
 from .geometry import (
     GeometricModel,
-    Splitting,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -97,7 +96,6 @@ __all__ = [
     "leibniz_residual",
     "anchor_morphism_residual",
     "GeometricModel",
-    "Splitting",
     "validate_geometric_model",
     "pi_tilde",
     "retraction_residual",

@@ -122,6 +122,11 @@ def _arities(args, top) -> List[int]:
     return [args.arity]
 
 
+def _key_label(names, key) -> str:
+    """A generator tuple as "(g0,g1)"."""
+    return "(" + ",".join(names[i] for i in key) + ")"
+
+
 def cmd_jacobi(model, caps, args) -> Report:
     report = Report("jacobi", caps)
     S = _structure_of(model)
@@ -130,8 +135,7 @@ def cmd_jacobi(model, caps, args) -> Report:
             res = algebroid_jacobi_residual(S, n)
             entries = []
             for key in sorted(res):
-                label = "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")"
-                entries.extend(residuals_from_module(label, res[key]))
+                entries.extend(residuals_from_module(_key_label(S.carrier.gen_names, key), res[key]))
             report.add(t.finish(not res, entries))
     return report
 
@@ -144,10 +148,7 @@ def cmd_leibniz(model, caps, args) -> Report:
             res = leibniz_residual(S, n)
             entries = []
             for (key, b) in sorted(res):
-                label = (
-                    "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")|"
-                    + S.base.names[b]
-                )
+                label = _key_label(S.carrier.gen_names, key) + "|" + S.base.names[b]
                 entries.extend(residuals_from_module(label, res[(key, b)]))
             report.add(t.finish(not res, entries))
     return report
@@ -164,7 +165,7 @@ def cmd_anchor(model, caps, args) -> Report:
             res = morphism_residual(f, S, target, n)
             entries = []
             for key in sorted(res):
-                label = "(" + ",".join(S.carrier.gen_names[i] for i in key) + ")"
+                label = _key_label(S.carrier.gen_names, key)
                 der = res[key]
                 for b, val in enumerate(der.values):
                     if not val.is_zero():
@@ -199,14 +200,11 @@ def cmd_ce_extract(model, caps, args) -> Report:
         entries: List[ResidualEntry] = []
         for n in sorted(S.brackets):
             for key in sorted(S.brackets[n]):
-                label = f"bracket[{n}](" + ",".join(carrier.gen_names[i] for i in key) + ")"
+                label = f"bracket[{n}]" + _key_label(carrier.gen_names, key)
                 entries.extend(residuals_from_module(label, S.brackets[n][key]))
         for n in sorted(S.anchors):
             for key, b in sorted(S.anchors[n]):
-                label = (
-                    f"anchor[{n}](" + ",".join(carrier.gen_names[i] for i in key) + ")|"
-                    + S.base.names[b]
-                )
+                label = f"anchor[{n}]" + _key_label(carrier.gen_names, key) + "|" + S.base.names[b]
                 entries.extend(residuals_from_algebra(label, S.anchors[n][(key, b)]))
         report.add(t.finish(True, entries, detail="extracted tables listed below"))
     return report

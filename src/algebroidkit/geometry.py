@@ -1,10 +1,11 @@
-"""Formal-neighborhood differential from finite curvature/splitting data.
+"""Formal-neighborhood differential from finite curvature data.
 
 A GeometricModel is a desk-scale stand-in for the Dolbeault data of a
 submanifold sitting inside an ambient manifold: a base dga A (functions/forms
-on the submanifold), free modules Tm and Nm (tangent and normal directions),
-a splitting of the ambient frame, and the input tensor families listed, one
-row each, in ``TENSOR_FAMILIES``: what each is indexed by, the letters and
+on the submanifold), free modules Tm and Nm (tangent and normal directions)
+whose generator names are unique across both, and the input tensor families,
+written in the split ambient frame and listed, one row each, in
+``TENSOR_FAMILIES``: what each is indexed by, the letters and
 bidegree of its values, its weights and its degree shift.  Parsing,
 serialization, the constructor, the degree checks and the random generator
 all read that table.
@@ -54,9 +55,6 @@ The main constructions:
   AlgebroidStructure whose Chevalley-Eilenberg derivation coincides with
   ``build_frakD`` identically (the central duality check, valid whether or
   not D squares to zero).
-
-Splitting matrices are restricted to degree-0 entries, so dualizing them is
-the plain transpose.
 """
 
 from __future__ import annotations
@@ -88,101 +86,6 @@ from .symtensor import (
 )
 
 Word = Tuple[int, ...]
-Matrix = List[Dict[int, AlgebraElement]]  # column index -> {row: coeff}
-
-
-# ---------------------------------------------------------------------------
-# splitting data
-# ---------------------------------------------------------------------------
-
-
-class Splitting:
-    """A-linear splitting maps between the abstract ambient frame and the
-    tangent/normal pair, stored column-wise with degree-0 entries.
-
-    iota: Tm -> Ym, p: Ym -> Nm, tau: Ym -> Tm, rho: Nm -> Ym with
-    tau iota = 1, p rho = 1, iota tau + rho p = 1.
-    """
-
-    def __init__(self, base: BaseAlgebra, a: int, b: int,
-                 iota: Optional[Matrix] = None, p: Optional[Matrix] = None,
-                 tau: Optional[Matrix] = None, rho: Optional[Matrix] = None):
-        self.base = base
-        self.a = a
-        self.b = b
-        n = a + b
-        one = base.one()
-        self.iota = iota if iota is not None else [
-            {i: one} for i in range(a)
-        ]
-        self.p = p if p is not None else [
-            ({j - a: one} if j >= a else {}) for j in range(n)
-        ]
-        self.tau = tau if tau is not None else [
-            ({j: one} if j < a else {}) for j in range(n)
-        ]
-        self.rho = rho if rho is not None else [
-            {a + j: one} for j in range(b)
-        ]
-
-    @staticmethod
-    def _compose(left: Matrix, right: Matrix) -> Matrix:
-        out: Matrix = []
-        for col in right:
-            acc: Dict[int, AlgebraElement] = {}
-            for mid, c in col.items():
-                for row, d in left[mid].items():
-                    prod = d * c
-                    if row in acc:
-                        acc[row] = acc[row] + prod
-                    else:
-                        acc[row] = prod
-            out.append({r: v for r, v in acc.items() if not v.is_zero()})
-        return out
-
-    def _is_identity(self, m: Matrix) -> bool:
-        one = self.base.one()
-        for j, col in enumerate(m):
-            cleaned = {r: v for r, v in col.items() if not v.is_zero()}
-            if cleaned != {j: one}:
-                return False
-        return True
-
-    def validate(self) -> List[str]:
-        problems = []
-        for name, m, cols in [
-            ("iota", self.iota, self.a),
-            ("p", self.p, self.a + self.b),
-            ("tau", self.tau, self.a + self.b),
-            ("rho", self.rho, self.b),
-        ]:
-            if len(m) != cols:
-                problems.append(f"splitting map {name} has wrong shape")
-                continue
-            for col in m:
-                for _, v in col.items():
-                    for d in v.homogeneous_parts():
-                        if d != 0:
-                            problems.append(f"splitting map {name} has degree-{d} entry")
-        if problems:
-            return problems
-        if not self._is_identity(self._compose(self.tau, self.iota)):
-            problems.append("tau o iota != id")
-        if not self._is_identity(self._compose(self.p, self.rho)):
-            problems.append("p o rho != id")
-        it = self._compose(self.iota, self.tau)
-        rp = self._compose(self.rho, self.p)
-        n = self.a + self.b
-        combined = [
-            {
-                r: it[j].get(r, self.base.zero()) + rp[j].get(r, self.base.zero())
-                for r in set(it[j]) | set(rp[j])
-            }
-            for j in range(n)
-        ]
-        if not self._is_identity([{r: v for r, v in col.items() if not v.is_zero()} for col in combined]):
-            problems.append("iota o tau + rho o p != id")
-        return problems
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +149,9 @@ TENSOR_FAMILIES = (
 
 
 class GeometricModel:
-    """Finite input tensors for the formal-neighborhood differential."""
+    """Finite input tensors for the formal-neighborhood differential, written
+    in the split frame: the ambient letters are the tangent letters, then the
+    normal ones."""
 
     def __init__(
         self,
@@ -254,7 +159,6 @@ class GeometricModel:
         tangent: FreeModule,
         normal: FreeModule,
         cap: int = 4,
-        splitting: Optional[Splitting] = None,
         closed_beta: bool = False,
         **tensors: Mapping,
     ):
@@ -282,7 +186,6 @@ class GeometricModel:
             [(name + "^", -deg) for name, deg in zip(normal.gen_names, normal.degrees)],
             cap=cap,
         )
-        self.splitting = splitting if splitting is not None else Splitting(base, self.a, self.b)
         self.closed_beta = closed_beta
 
         def over(fam: TensorFamily, table: Mapping[int, SymElement]) -> Dict[int, SymElement]:
@@ -529,7 +432,6 @@ def geometric_degree_problems(g: GeometricModel) -> List[str]:
 
 def validate_geometric_model(g: GeometricModel) -> List[str]:
     problems: List[str] = []
-    problems.extend(g.splitting.validate())
     problems.extend(geometric_degree_problems(g))
     base = g.base
 

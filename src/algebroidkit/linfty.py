@@ -188,22 +188,6 @@ class LInftyAlgebra:
             self.carrier.zero(),
         )
 
-    def validate(self) -> List[str]:
-        problems = []
-        for n, table in self.tables.items():
-            for key, val in table.items():
-                want = sum(self.carrier.degrees[i] for i in key) + self.bracket_degree(n)
-                try:
-                    got = val.degree()
-                except DegreeError:
-                    problems.append(f"bracket {n} value at {key} inhomogeneous")
-                    continue
-                if got is not None and got != want:
-                    problems.append(
-                        f"bracket {n} at {key} has degree {got}, expected {want}"
-                    )
-        return problems
-
 
 # ---------------------------------------------------------------------------
 # Jacobi residuals

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure
 from .errors import KitError, ParseError
-from .geometry import TENSOR_FAMILIES, GeometricModel, Splitting, TensorFamily, geometric_degree_problems
+from .geometry import TENSOR_FAMILIES, GeometricModel, TensorFamily, geometric_degree_problems
 from .modules import FreeModule, ModuleElement
 from .scalars import Scalar
 from .symtensor import SymAlgebra, SymElement
@@ -270,34 +270,6 @@ def _sym_list(el: SymElement) -> list:
     ]
 
 
-def _parse_matrix(value, path: str, base: BaseAlgebra, n_rows: int, n_cols: int) -> list:
-    cols = [dict() for _ in range(n_cols)]
-    for k, item in enumerate(_expect_list(value, path)):
-        e = _expect_dict(item, f"{path}[{k}]", ["col", "row", "coeff"], ["col", "row", "coeff"])
-        col = _expect_int(e["col"], f"{path}[{k}].col")
-        row = _expect_int(e["row"], f"{path}[{k}].row")
-        if not (0 <= col < n_cols and 0 <= row < n_rows):
-            raise ParseError("matrix index out of range", f"{path}[{k}]")
-        _refuse_duplicate(cols[col], row, f"col {col}, row {row}", f"{path}[{k}]")
-        coeff = _parse_scalar(e["coeff"], f"{path}[{k}].coeff")
-        cols[col][row] = AlgebraElement(base, {base.unit: coeff})
-    return cols
-
-
-def _matrix_list(cols) -> list:
-    out = []
-    for col_idx, col in enumerate(cols):
-        for row in sorted(col):
-            coeff = col[row]
-            items = coeff.items()
-            if not items:
-                continue
-            if len(items) != 1 or items[0][0] != coeff.algebra.unit:
-                raise ParseError("splitting entries must be scalar multiples of the unit", "splitting")
-            out.append({"col": col_idx, "row": row, "coeff": _scalar_dict(items[0][1])})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
@@ -384,7 +356,6 @@ def parse_model(
         "anchors",
         "tangent",
         "normal",
-        "splitting",
         "tensors",
         "closed_beta",
     ]
@@ -405,7 +376,7 @@ def parse_model(
     base = _parse_base(d["base"], "$.base")
 
     if kind == "algebroid":
-        for forbidden in ("tangent", "normal", "splitting", "tensors", "closed_beta"):
+        for forbidden in ("tangent", "normal", "tensors", "closed_beta"):
             if forbidden in d:
                 raise ParseError(f"field {forbidden!r} not allowed for kind=algebroid", "$")
         if "carrier" not in d:
@@ -462,6 +433,14 @@ def parse_model(
                 raise ParseError(f"missing field {required!r}", "$")
         tangent = _parse_module(d["tangent"], "$.tangent", base, "Tm")
         normal = _parse_module(d["normal"], "$.normal", base, "Nm")
+        # the ambient frame is split: its letters are the tangent ones, then
+        # the normal ones, so a letter name may name only one of them
+        for k, name in enumerate(normal.gen_names):
+            if name in tangent.gen_names:
+                raise ParseError(
+                    f"normal generator {name!r} has the name of a tangent generator",
+                    f"$.normal.generators[{k}].name",
+                )
         closed = d.get("closed_beta", False)
         if not isinstance(closed, bool):
             raise ParseError("closed_beta must be a boolean", "$.closed_beta")
@@ -472,23 +451,8 @@ def parse_model(
             fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, probe)
             for fam in TENSOR_FAMILIES
         }
-        splitting = None
-        if "splitting" in d:
-            sp = _expect_dict(d["splitting"], "$.splitting", ["iota", "p", "tau", "rho"], ["iota", "p", "tau", "rho"])
-            n = probe.a + probe.b  # the ambient frame: iota and rho map into it, p and tau out of it
-            splitting = Splitting(
-                base,
-                probe.a,
-                probe.b,
-                iota=_parse_matrix(sp["iota"], "$.splitting.iota", base, n, probe.a),
-                p=_parse_matrix(sp["p"], "$.splitting.p", base, probe.b, n),
-                tau=_parse_matrix(sp["tau"], "$.splitting.tau", base, probe.a, n),
-                rho=_parse_matrix(sp["rho"], "$.splitting.rho", base, n, probe.b),
-            )
         try:
-            model = GeometricModel(
-                base, tangent, normal, cap=weight_cap, splitting=splitting, closed_beta=closed, **tables
-            )
+            model = GeometricModel(base, tangent, normal, cap=weight_cap, closed_beta=closed, **tables)
         except Exception as exc:
             raise ParseError(str(exc), "$") from None
         degree_problems = geometric_degree_problems(model)
@@ -547,31 +511,6 @@ def serialize_model(obj: Union[GeometricModel, AlgebroidStructure], arity_cap: O
     }
     if g.closed_beta:
         doc["closed_beta"] = True
-    default_split = Splitting(g.base, g.a, g.b)
-
-    def matrices_equal(m1, m2):
-        if len(m1) != len(m2):
-            return False
-        for c1, c2 in zip(m1, m2):
-            d1 = {r: v for r, v in c1.items() if not v.is_zero()}
-            d2 = {r: v for r, v in c2.items() if not v.is_zero()}
-            if d1 != d2:
-                return False
-        return True
-
-    is_default = (
-        matrices_equal(g.splitting.iota, default_split.iota)
-        and matrices_equal(g.splitting.p, default_split.p)
-        and matrices_equal(g.splitting.tau, default_split.tau)
-        and matrices_equal(g.splitting.rho, default_split.rho)
-    )
-    if not is_default:
-        doc["splitting"] = {
-            "iota": _matrix_list(g.splitting.iota),
-            "p": _matrix_list(g.splitting.p),
-            "tau": _matrix_list(g.splitting.tau),
-            "rho": _matrix_list(g.splitting.rho),
-        }
     tensors = {fam.name: _family_list(g, fam) for fam in TENSOR_FAMILIES}
     tensors = {name: entries for name, entries in tensors.items() if entries}
     if tensors:

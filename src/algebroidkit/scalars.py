@@ -52,12 +52,6 @@ class Scalar:
         return _I
 
     @staticmethod
-    def of(value: Union["Scalar", RationalLike]) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        return Scalar(value)
-
-    @staticmethod
     def rational(num: int, den: int = 1) -> "Scalar":
         """num/den from two ints, without building a Fraction.
 

@@ -60,3 +60,67 @@ def test_no_unused_imports():
             if name not in read:
                 unused.append(f"{path.relative_to(root)}:{line}: {name}")
     assert unused == []
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every name the module reads, imports, reaches as an
+    attribute, or spells as a string constant (a dotted one part by part)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in (node.asname or node.name).split("."):
+                yield part, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if all(part.isidentifier() for part in node.value.split(".")):
+                for part in node.value.split("."):
+                    yield part, node.lineno
+
+
+def _definitions(tree: ast.Module):
+    """(name, node, owning class or None) of every module-level function and
+    class and every method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item, node.name
+
+
+def test_no_dead_definitions():
+    """Every module-level function and class of the package, and every method
+    whose name no other class defines, is named somewhere outside its own
+    definition: in the package, the tests or the benchmark harness."""
+    root = Path(__file__).resolve().parents[1]
+    package = sorted(root.glob("src/algebroidkit/*.py"))
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in package + sorted(root.glob("tests/*.py")) + sorted(root.glob("perfbench/*.py"))
+    }
+    references = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            references.setdefault(name, []).append((path, line))
+    definitions = [(path, *d) for path in package for d in _definitions(trees[path])]
+    classes_defining = {}
+    for _, name, _, owner in definitions:
+        if owner is not None:
+            classes_defining.setdefault(name, set()).add(owner)
+    dead = []
+    for path, name, node, owner in definitions:
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if owner is not None and len(classes_defining[name]) > 1:
+            continue
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        if not any(
+            ref_path != path or not start <= line <= node.end_lineno
+            for ref_path, line in references.get(name, [])
+        ):
+            where = f"{owner}.{name}" if owner else name
+            dead.append(f"{path.relative_to(root)}:{node.lineno}: {where}")
+    assert dead == []

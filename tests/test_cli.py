@@ -284,18 +284,33 @@ def test_constructor_refusals_name_json_path(model_dir, tmp_path, capsys, site):
     assert err.endswith(f"(at {path})\n"), err
 
 
-@pytest.mark.parametrize("name, row", [("iota", 99), ("rho", 7)])
-def test_splitting_row_out_of_range_exits_2(model_dir, tmp_path, capsys, name, row):
-    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_splitting_field_exits_2_without_report(model_dir, tmp_path, capsys, command):
+    """A model is written in its split frame: a ``splitting`` field is refused
+    like any other unknown field, before any report is written."""
 
     def mutate(doc):
         doc["splitting"] = {"iota": [], "p": [], "tau": [], "rho": []}
-        doc["splitting"][name] = [{"col": 0, "row": row, "coeff": one}]
 
-    bad = _mutated(model_dir, tmp_path, "trivial.geometric.json", name, mutate)
-    assert run(["validate", bad]) == 2
+    bad = _mutated(model_dir, tmp_path, "rank2.geometric.json", "splitting", mutate)
+    out = tmp_path / "out.json"
+    assert run([command, bad, "--json", out]) == 2
+    assert capsys.readouterr().err == "error: unknown field 'splitting' (at $)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fixture", ["trivial.geometric.json", "rank2.geometric.json"])
+def test_normal_name_clash_exits_2_without_report(model_dir, tmp_path, capsys, fixture):
+    """n0 renamed t0 would make one ambient letter name stand for two letters."""
+    bad = _mutated(model_dir, tmp_path, fixture, "clash", _set(("normal", "generators", 0, "name"), "t0"))
+    out = tmp_path / "out.json"
+    assert run(["validate", bad, "--json", out]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: matrix index out of range (at $.splitting.{name}[0])\n", err
+    assert err == (
+        "error: normal generator 't0' has the name of a tangent generator"
+        " (at $.normal.generators[0].name)\n"
+    ), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -23,7 +23,6 @@ from algebroidkit.fixtures import (
 from algebroidkit.geometry import (
     TENSOR_FAMILIES,
     GeometricModel,
-    Splitting,
     _grid,
     _slice,
     build_frakD,
@@ -73,15 +72,6 @@ def test_trivial_model_validates():
 def test_random_models_validate():
     for seed in range(4):
         assert validate_geometric_model(small_random_model(seed)) == []
-
-
-def test_broken_splitting_reported():
-    g = trivial_model()
-    bad = Splitting(g.base, g.a, g.b)
-    bad.tau = [{} for _ in range(g.a + g.b)]  # tau o iota != id now
-    g.splitting = bad
-    problems = validate_geometric_model(g)
-    assert any("tau o iota" in p for p in problems)
 
 
 def test_dhat_leibniz_violation_reported():

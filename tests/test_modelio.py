@@ -418,8 +418,7 @@ def test_duplicate_bracket_and_anchor_entries_refused(corpus):
     )
 
 
-def test_duplicate_algebra_module_and_splitting_entries_refused():
-    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+def test_duplicate_algebra_and_module_entries_refused():
     cases = {
         "$.base.products": ("base", "products"),
         "$.base.differential": ("base", "differential"),
@@ -432,32 +431,34 @@ def test_duplicate_algebra_module_and_splitting_entries_refused():
         err = _refusal(doc)
         assert err.location == f"{path}[{len(entries) - 1}]"
         assert str(err).startswith("duplicate entry for ")
-    doc = json.loads(GENERIC.read_text())
-    entry = {"col": 0, "row": 0, "coeff": one}
-    doc["splitting"] = {"iota": [entry, entry], "p": [], "tau": [], "rho": []}
-    err = _refusal(doc)
-    assert (str(err), err.location) == (
-        "duplicate entry for col 0, row 0 (at $.splitting.iota[1])", "$.splitting.iota[1]"
-    )
 
 
-def test_splitting_rows_out_of_range_refused():
-    """A splitting entry must name a row of its map: iota and rho map into
-    the a + b ambient letters, p onto the b normal ones, tau onto the a
-    tangent ones (a = b = 2 here)."""
-    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
-    for name, rows in {"iota": 4, "p": 2, "tau": 2, "rho": 4}.items():
-        for row in (rows - 1, rows, 99, -1):
-            doc = json.loads(GENERIC.read_text())
-            doc["splitting"] = {"iota": [], "p": [], "tau": [], "rho": []}
-            doc["splitting"][name] = [{"col": 0, "row": row, "coeff": one}]
-            if row == rows - 1:
-                parse_model(json.dumps(doc))
-                continue
-            err = _refusal(doc)
-            assert (str(err), err.location) == (
-                f"matrix index out of range (at $.splitting.{name}[0])", f"$.splitting.{name}[0]"
-            ), (name, row)
+def test_splitting_field_refused():
+    """A model is written in its split frame, so a ``splitting`` field is an
+    unknown field, for either kind of model."""
+    for path in (GENERIC, GENERIC.parent / "abelian.algebroid.json"):
+        doc = json.loads(path.read_text())
+        doc["splitting"] = {"iota": [], "p": [], "tau": [], "rho": []}
+        err = _refusal(doc)
+        assert (str(err), err.location) == ("unknown field 'splitting' (at $)", "$"), path
+
+
+def test_normal_generator_named_like_a_tangent_generator_refused():
+    """The ambient letters are the tangent letters, then the normal ones, so
+    a name may not stand for one of each."""
+    for path in sorted(GENERIC.parent.glob("*.geometric.json")):
+        text = path.read_text()
+        doc = json.loads(text)
+        tangent = [g["name"] for g in doc["tangent"]["generators"]]
+        for k in range(len(doc["normal"]["generators"])):
+            for name in tangent:
+                doc = json.loads(text)
+                doc["normal"]["generators"][k]["name"] = name
+                err = _refusal(doc)
+                at = f"$.normal.generators[{k}].name"
+                assert (str(err), err.location) == (
+                    f"normal generator {name!r} has the name of a tangent generator (at {at})", at
+                ), (path.name, k, name)
 
 
 def test_readme_tensor_table_matches_the_schema():

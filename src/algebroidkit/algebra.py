@@ -57,10 +57,13 @@ class AlgebraElement:
         return degs.pop()
 
     def homogeneous_parts(self) -> Dict[int, "AlgebraElement"]:
-        parts: Dict[int, Dict[int, Scalar]] = {}
+        degrees = self.algebra.degrees
+        parts: Dict[int, list] = {}
         for i, c in self.coeffs:
-            parts.setdefault(self.algebra.degrees[i], {})[i] = c
-        return {d: AlgebraElement(self.algebra, m) for d, m in sorted(parts.items())}
+            parts.setdefault(degrees[i], []).append((i, c))
+        if len(parts) == 1:
+            return {d: self for d in parts}
+        return {d: _element(self.algebra, tuple(m)) for d, m in sorted(parts.items())}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -70,6 +73,10 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         acc = dict(self.coeffs)
         for i, c in other.coeffs:
             acc[i] = acc.get(i, Scalar.zero()) + c
@@ -79,14 +86,16 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs})
+        return _element(self.algebra, tuple((i, -c) for i, c in self.coeffs))
 
     def scale(self, s: Scalar) -> "AlgebraElement":
         if s is ONE:
             return self
         if s is MINUS_ONE:
             return -self
-        return AlgebraElement(self.algebra, {i: c * s for i, c in self.coeffs})
+        if s.is_zero():
+            return self.algebra.zero()
+        return _element(self.algebra, tuple((i, c * s) for i, c in self.coeffs))
 
     def a_mul(self, a: "AlgebraElement") -> "AlgebraElement":
         """Left multiplication, mirroring the module-element interface."""
@@ -130,6 +139,20 @@ class AlgebraElement:
             return "0"
         names = self.algebra.names
         return " + ".join(f"({c})*{names[i]}" for i, c in self.coeffs)
+
+
+_new = object.__new__
+
+
+def _element(algebra: "BaseAlgebra", coeffs: Tuple[Tuple[int, Scalar], ...]) -> AlgebraElement:
+    """The AlgebraElement of (index, Scalar) pairs already sorted by index and
+    nonzero, as the constructor would leave them: nothing is checked.  Q(i)
+    is a field, so the negation or a nonzero multiple of a nonzero element's
+    coefficients stays nonzero."""
+    out = _new(AlgebraElement)
+    object.__setattr__(out, "algebra", algebra)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 class BaseAlgebra:
@@ -180,6 +203,10 @@ class BaseAlgebra:
         self._differential: Dict[int, AlgebraElement] = {}
         for i, val in (differential or {}).items():
             self._differential[i] = AlgebraElement(self, dict(val))
+        # elements are immutable, so the zero, the unit and the basis
+        # elements are made once and shared
+        self._zero = AlgebraElement(self, {})
+        self._basis = tuple(AlgebraElement(self, {i: ONE}) for i in range(n))
 
     # -- structural access ---------------------------------------------------
 
@@ -194,13 +221,13 @@ class BaseAlgebra:
             raise KitError(f"no basis element named {name!r}") from None
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, {})
+        return self._zero
 
     def one(self) -> AlgebraElement:
-        return AlgebraElement(self, {self.unit: ONE})
+        return self._basis[self.unit]
 
     def basis_element(self, i: int) -> AlgebraElement:
-        return AlgebraElement(self, {i: ONE})
+        return self._basis[i]
 
     def element(self, mapping: Mapping[int, Scalar]) -> AlgebraElement:
         return AlgebraElement(self, dict(mapping))
@@ -212,7 +239,7 @@ class BaseAlgebra:
         return self._products[(i, j)]
 
     def differential_basis(self, i: int) -> AlgebraElement:
-        return self._differential.get(i, self.zero())
+        return self._differential.get(i, self._zero)
 
     def degree_range(self) -> Tuple[int, int]:
         return min(self.degrees), max(self.degrees)

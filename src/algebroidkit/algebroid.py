@@ -27,16 +27,20 @@ truncated symmetric algebra over the dual generators:
                               - (-1)^{|eta|} eta({v_1..v_{n+1}}_{n+1}),
     theta = |eta|(|v_1|+..+ ^|v_i| ..) + |v_i|(|v_{i+1}|+..+|v_{n+1}|)
 
-and ``extract_structure`` inverts it weight by weight through dual-basis
-evaluation; the two are exact mutual inverses on canonical tables.
+and ``extract_structure`` inverts it.  Both are a key <-> word transpose:
+on generators each side of these formulas is one table entry, and a sorted
+word w takes the value kappa(w) (``symtensor._word_constant``) on its own
+generators and 0 on those of any other word, so every coefficient of D is
+one bracket or anchor entry times a sign over kappa(w), and back.  The two
+are exact mutual inverses on canonical tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
-from .errors import CapError, DegreeError, KitError
+from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .linfty import (
     AlgebraDerivation,
     LInftyMorphism,
@@ -48,10 +52,18 @@ from .linfty import (
     same_tables,
     sorted_tuples,
 )
-from .modules import FreeModule, ModuleElement, _koszul_twist, from_dual_values, multilinear_extend, pair_dual
+from .modules import FreeModule, ModuleElement, _koszul_twist, from_dual_values, multilinear_extend
 from .scalars import sign_scalar
-from .signs import _nonvanishing_keys
-from .symtensor import DerivationD, SymAlgebra, SymElement, _evaluate_parts, from_values
+from .signs import _nonvanishing_keys, _sort_word
+from .symtensor import (
+    DerivationD,
+    SymAlgebra,
+    SymElement,
+    _word_constant,
+    # not called here: perfbench/test_perfbench.py checks that the tracer
+    # wraps this import site of a public function
+    from_values,  # noqa: F401
+)
 
 GenKey = Tuple[int, ...]
 
@@ -237,8 +249,62 @@ class AlgebroidStructure:
 # ---------------------------------------------------------------------------
 
 
+def _arity_tables(S: AlgebroidStructure, m: int):
+    """(brackets, anchors) of arity m as ``{key: value}`` and ``{(key, slot): value}``
+    maps; at arity 1 those of the dga, {g_j}_1 = d_L g_j and {|e_b}_1 = d_A e_b."""
+    if m == 1:
+        carrier, base = S.carrier, S.base
+        return (
+            {(j,): carrier.generator(j).d() for j in range(carrier.rank)},
+            {((), b): base.differential_basis(b) for b in range(base.dim)},
+        )
+    return S.brackets.get(m, {}), S.anchors.get(m, {})
+
+
+def _unit_slot_terms(degrees: Sequence[int], key: GenKey) -> Iterator[Tuple[int, GenKey, int]]:
+    """(i, w, exponent) for every letter i, every position k of the word
+    w = sort(key + (i,)) that holds i, and the sign exponent
+    |g_i| (|w_1| + .. + |w_{k-1}|) of the unit-slot anchor term there; words
+    with a repeated odd letter are skipped.
+
+    This is the theta of the module docstring at eta = g_i^vee, v = w, with
+    v_k = g_i: the two agree mod 2, as |eta| = -|g_i|.
+    """
+    for i in range(len(degrees)):
+        merged = _sort_word(degrees, key + (i,))
+        if merged is None:
+            continue
+        w = merged[0]
+        for k, x in enumerate(w):
+            if x == i:
+                yield i, w, degrees[i] * sum(degrees[q] for q in w[:k])
+
+
+def _add_to(table: Dict, outer, inner, value: AlgebraElement) -> None:
+    """table[outer][inner] += value."""
+    slot = table.setdefault(outer, {})
+    old = slot.get(inner)
+    slot[inner] = value if old is None else old + value
+
+
 def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optional[SymAlgebra] = None) -> DerivationD:
-    """The degree-1 derivation encoding all brackets and anchors of S."""
+    """The degree-1 derivation encoding all brackets and anchors of S.
+
+    Every coefficient is read off one table entry.  A word w evaluates to
+    kappa(w) on its own generators (``symtensor._word_constant``) and to 0
+    on those of any other word, so on generators the formulas of the module
+    docstring give, for w of weight n,
+
+        D(e_b)[w]     = (-1)^{|e_b||w|} {w | e_b}_{n+1} / kappa(w),
+        D(eta_i)[w]   = ( (-1)^{|eta_i|+1} eta_i({w}_n)
+                          + sum_{k: w_k = i} (-1)^theta_k {w minus w_k | 1}_n ) / kappa(w):
+
+    the bracket term, and the anchor term at each position of w that eta_i
+    pairs with, which reads the unit slot of the anchor tables (a model file
+    may store an entry there).  At arity 1 the tables are the dga's
+    differentials (``_arity_tables``): D(e_b) starts with d_A e_b and
+    D(eta_i) with the dual of d_L.
+    """
     carrier = S.carrier
     base = S.base
     if S.max_bracket_arity() > weight_cap or S.max_anchor_arity() > weight_cap + 1:
@@ -251,71 +317,37 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
     elif algebra.cap != weight_cap:
         raise CapError("algebra cap does not match requested weight cap")
     W = weight_cap
+    degrees = carrier.degrees
 
-    on_algebra: Dict[int, object] = {}
-    for b in range(base.dim):
-        val = algebra.scalar(base.differential_basis(b))
-        deg_b = base.degrees[b]
-        for n in range(1, W + 1):
-            if n + 1 > S.anchor_cap:
-                break
+    on_algebra: Dict[int, Dict[GenKey, AlgebraElement]] = {}
+    for m in range(1, min(W + 1, max(S.anchor_cap, 1)) + 1):
+        for (key, b), value in _arity_tables(S, m)[1].items():
+            exponent = base.degrees[b] * sum(degrees[i] for i in key)
+            _add_to(on_algebra, b, key, value.scale(sign_scalar(exponent)))
 
-            def value_fn(word, gens, b=b, n=n, deg_b=deg_b):
-                total_deg = sum(carrier.degrees[i] for i in word)
-                return S.anchor(n + 1, gens, base.basis_element(b)).scale(
-                    sign_scalar(deg_b * total_deg)
-                )
+    on_letters: Dict[int, Dict[GenKey, AlgebraElement]] = {}
+    for m in range(1, min(W, max(1, min(S.bracket_cap, S.anchor_cap))) + 1):
+        brackets, anchors = _arity_tables(S, m)
+        for w, value in brackets.items():
+            for i, c in value.items():
+                _add_to(on_letters, i, w, _koszul_twist(c, degrees[i]).scale(sign_scalar(degrees[i] + 1)))
+        for (key, b), value in anchors.items():
+            if b == base.unit:
+                for i, w, exponent in _unit_slot_terms(degrees, key):
+                    _add_to(on_letters, i, w, value.scale(sign_scalar(exponent)))
 
-            val = val + from_values(algebra, carrier, n, value_fn)
-        if not val.is_zero():
-            on_algebra[b] = val
+    def divided(table):
+        return {
+            i: SymElement(algebra, {w: a.scale(_word_constant(algebra, w).inverse()) for w, a in words.items()})
+            for i, words in table.items()
+        }
 
-    on_letters: Dict[int, object] = {}
-    for i in range(algebra.n_letters):
-        eta_degree = -carrier.degrees[i]
-        val = algebra.zero()
-        for n in range(0, W):
-            if n >= 1 and (n + 1 > S.bracket_cap or n + 1 > S.anchor_cap):
-                break
-
-            def value_fn(word, gens, i=i, n=n, eta_degree=eta_degree):
-                degs = [carrier.degrees[g] for g in word]
-                total = S.base.zero()
-                for k in range(len(gens)):
-                    eta_vk = pair_dual(carrier, i, gens[k])
-                    if eta_vk.is_zero():
-                        continue
-                    theta = eta_degree * (sum(degs) - degs[k]) + degs[k] * sum(
-                        degs[k + 1 :]
-                    )
-                    rest = gens[:k] + gens[k + 1 :]
-                    total = total + S.anchor(n + 1, rest, eta_vk).scale(
-                        sign_scalar(theta)
-                    )
-                bracket_val = S.bracket(n + 1, gens)
-                total = total + pair_dual(carrier, i, bracket_val).scale(
-                    sign_scalar(eta_degree + 1)
-                )
-                return total
-
-            val = val + from_values(algebra, carrier, n + 1, value_fn)
-        if not val.is_zero():
-            on_letters[i] = val
-
-    return DerivationD(algebra, on_algebra, on_letters)
+    return DerivationD(algebra, divided(on_algebra), divided(on_letters))
 
 
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg: derivation -> structure
 # ---------------------------------------------------------------------------
-
-
-def _component_parts(component, n: int, count: int) -> Dict[int, Dict[int, SymElement]]:
-    """{i: total-degree parts of component(n, i)} for i < count, the zero ones
-    left out.  A component has one weight, and each is split once here for
-    the many ``_evaluate_parts`` calls on that many arguments."""
-    parts = {i: component(n, i).homogeneous_parts() for i in range(count)}
-    return {i: p for i, p in parts.items() if p}
 
 
 def extract_structure(
@@ -324,10 +356,19 @@ def extract_structure(
     bracket_cap: int = 4,
     anchor_cap: int = 5,
 ) -> AlgebroidStructure:
-    """Recover brackets and anchors from a degree-1 derivation, weight by weight.
+    """Recover brackets and anchors from a degree-1 derivation: the inverse
+    read of ``ce_differential``, one table entry per word.
 
     Requires D_0 to restrict to d_A on the base; the carrier must be the free
-    module whose dual generators are the algebra letters.
+    module whose dual generators are the algebra letters.  With every word w
+    times kappa(w),
+
+        {w | e_b}_{n+1} = (-1)^{|e_b||w|} kappa(w) D(e_b)[w],
+        eta_i({w}_n)    = (-1)^{|eta_i|} ( sum_{k: w_k = i} (-1)^theta_k
+                              kappa(w minus w_k) D(1)[w minus w_k] - kappa(w) D(eta_i)[w] ):
+
+    the first sum reads D on the unit, where ``ce_differential`` writes the
+    unit-slot anchors.
     """
     algebra = D.algebra
     base = algebra.base
@@ -338,60 +379,42 @@ def extract_structure(
             raise KitError(
                 f"weight-0 action on {base.names[b]} is not d_A; extraction undefined"
             )
+    if carrier.rank != algebra.n_letters:
+        raise BaseMismatch("module generators do not match algebra letters")
     S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
+    degrees = carrier.degrees
 
-    for n in range(2, anchor_cap + 1):
-        weight = n - 1
-        if weight > algebra.cap:
-            break
-        on_algebra = _component_parts(D.component_on_algebra, weight, base.dim)
-        for key in _nonvanishing_keys(carrier.degrees, weight):
-            gens = [carrier.generator(i) for i in key]
-            total_deg = sum(carrier.degrees[i] for i in key)
-            for b, parts in on_algebra.items():
-                value = _evaluate_parts(algebra, parts, gens, carrier).scale(
-                    sign_scalar(base.degrees[b] * total_deg)
-                )
-                if not value.is_zero():
-                    S.set_anchor(n, key, b, value)
+    def read(el: SymElement, w: GenKey) -> AlgebraElement:
+        return el.data[w].scale(_word_constant(algebra, w))
 
-    for n in range(2, bracket_cap + 1):
-        weight = n
-        if weight > algebra.cap:
-            break
-        on_algebra = _component_parts(D.component_on_algebra, n - 1, base.dim)
-        on_letter = _component_parts(D.component_on_letter, n - 1, carrier.rank)
-        for key in _nonvanishing_keys(carrier.degrees, n):
-            gens = [carrier.generator(i) for i in key]
-            degs = [carrier.degrees[i] for i in key]
-            paired: Dict[int, AlgebraElement] = {}
-            for i in range(carrier.rank):
-                eta_degree = -carrier.degrees[i]
-                # first sum of the recovery formula: D_{n-1}(eta(v_k)) terms
-                first = base.zero()
-                for k in range(n):
-                    eta_vk = pair_dual(carrier, i, gens[k])
-                    if eta_vk.is_zero():
-                        continue
-                    inner = base.zero()
-                    for b, c in eta_vk.items():
-                        parts = on_algebra.get(b)
-                        if parts is None:
-                            continue
-                        inner = inner + _evaluate_parts(
-                            algebra, parts, gens[:k] + gens[k + 1 :], carrier
-                        ).scale(c)
-                    first = first + inner.scale(
-                        sign_scalar(degs[k] * sum(degs[:k]))
-                    )
-                parts = on_letter.get(i)
-                second = (
-                    _evaluate_parts(algebra, parts, gens, carrier) if parts is not None else base.zero()
-                )
-                paired[i] = (first - second).scale(sign_scalar(eta_degree))
-            value = from_dual_values(carrier, paired)
-            if not value.is_zero():
-                S.set_bracket(n, key, value)
+    anchors = []
+    for b, el in D.on_algebra.items():
+        for w in el.data:
+            if 2 <= len(w) + 1 <= anchor_cap:
+                exponent = base.degrees[b] * sum(degrees[i] for i in w)
+                anchors.append((len(w) + 1, w, b, read(el, w).scale(sign_scalar(exponent))))
+    for n, w, b, value in sorted(anchors, key=lambda e: e[:3]):
+        S.set_anchor(n, w, b, value)
+
+    top = min(bracket_cap, algebra.cap)
+    paired: Dict[GenKey, Dict[int, AlgebraElement]] = {}
+    for i, el in D.on_letters.items():
+        for w in el.data:
+            if 2 <= len(w) <= top:
+                _add_to(paired, w, i, -read(el, w))
+    unit_el = D.on_algebra.get(base.unit)
+    if unit_el is not None:
+        for key in unit_el.data:
+            if 1 <= len(key) < top:
+                value = read(unit_el, key)
+                for i, w, exponent in _unit_slot_terms(degrees, key):
+                    _add_to(paired, w, i, value.scale(sign_scalar(exponent)))
+    for w in sorted(paired, key=lambda w: (len(w), w)):
+        value = from_dual_values(
+            carrier, {i: v.scale(sign_scalar(degrees[i])) for i, v in paired[w].items()}
+        )
+        if not value.is_zero():
+            S.set_bracket(len(w), w, value)
     return S
 
 
@@ -424,15 +447,14 @@ def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], 
     for key in sorted_tuples(carrier.rank, n):
         degs = [carrier.degrees[i] for i in key]
         gens = [carrier.generator(i) for i in key]
+        on_gens = S.bracket(n, gens)
         for b in range(base.dim):
             a = base.basis_element(b)
             scaled = gens[-1].a_mul(a)
             lhs = S.bracket(n, gens[:-1] + [scaled])
             anchor_coeff = S.anchor(n, gens[:-1], a)
             mid = ModuleElement(carrier, {key[-1]: anchor_coeff})
-            rhs = S.bracket(n, gens).a_mul(a).scale(
-                sign_scalar(base.degrees[b] * (sum(degs[:-1]) + 1))
-            )
+            rhs = on_gens.a_mul(a).scale(sign_scalar(base.degrees[b] * (sum(degs[:-1]) + 1)))
             residual = lhs - mid - rhs
             if not residual.is_zero():
                 out[(key, b)] = residual

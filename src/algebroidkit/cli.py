@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .algebra import validate_base_algebra
@@ -337,8 +338,10 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """One flat parser for every command; ``main`` refuses --seed outside mc."""
+    """One flat parser for every command; ``main`` refuses --seed outside mc.
+    Made once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="algebroidkit",
         description="Exact verification of homotopy Lie algebroid structures and their dual differentials.",

@@ -644,6 +644,8 @@ def transport_lemma_residual(
                 iterated = shape.apply(iterated)
             if power != iterated:
                 out.append((f"iterate s={s} @ {el!r}", power - iterated))
+            elif power.is_zero():  # both stay zero from here on
+                break
     return out
 
 

@@ -164,6 +164,9 @@ class LInftyAlgebra:
     def bracket_degree(self, n: int) -> int:
         return 1 if self.symmetric else 2 - n
 
+    def max_bracket_arity(self) -> int:
+        return max((n for n, t in self.tables.items() if t), default=1)
+
     def set_bracket(self, n: int, key: Sequence[int], value: ModuleElement):
         if n < 2 or n > self.arity_cap:
             raise CapError(f"bracket arity {n} outside 2..{self.arity_cap}")
@@ -208,37 +211,46 @@ def jacobi_residual(L, n: int) -> Dict[GenKey, ModuleElement]:
     if n > getattr(L, "arity_cap", n):
         raise CapError(f"arity {n} exceeds cap")
     carrier = L.carrier
+    gens = [carrier.generator(i) for i in range(carrier.rank)]
     out: Dict[GenKey, ModuleElement] = {}
     for key in sorted_tuples(carrier.rank, n):
-        degs = [carrier.degrees[i] for i in key]
-        gens = [carrier.generator(i) for i in key]
-        total = _unshuffle_sum(degs, gens, L.bracket, L.bracket, carrier.zero(), L.symmetric)
+        total = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, L.bracket, carrier.zero(), L.symmetric)
         if not total.is_zero():
             out[key] = total
     return out
 
 
-def _unshuffle_sum(degs: Sequence[int], gens: Sequence, inner: Callable, outer: Callable,
-                   zero, symmetric: bool):
+def _unshuffle_sum(key: GenKey, degrees: Sequence[int], elements: Sequence, inner: Callable,
+                   outer: Callable, zero, symmetric: bool):
     """sum_{i=1..n} sum_{Sh(i,n-i)} sign(sigma) outer(n-i+1, [inner(i, first i), rest])
 
-    on the arguments gens (of degrees degs) permuted by sigma: first i is
-    gens at sigma(1..i), rest the others in order.  inner(k, args) and
-    outer(k, args) are k-ary maps.  sign is alpha(sigma) in the symmetric
-    convention and (-1)^{i(n-i)} chi(sigma) in the skew one.
+    on the generators of key (elements[g] of degree degrees[g] for the index
+    g) permuted by sigma: first i is key at sigma(1..i), rest the others in
+    order.  inner(k, args) and outer(k, args) are k-ary maps.  sign is
+    alpha(sigma) in the symmetric convention and (-1)^{i(n-i)} chi(sigma) in
+    the skew one.
+
+    Where key repeats a generator, several unshuffles give the same argument
+    tuple: their signs are added up first, and each tuple with a nonzero sum
+    is evaluated once, times that sum.
     """
-    n = len(gens)
-    total = zero
+    n = len(key)
+    degs = [degrees[g] for g in key]
+    counts: Dict[Tuple[int, GenKey], int] = {}
     for i in range(1, n + 1):
         for sigma in unshuffles_with_tail(n, i):
-            perm = sigma.permute(list(range(n)))
             if symmetric:
-                exponent = 0 if sym_sign(sigma, degs) == 1 else 1
+                sign = sym_sign(sigma, degs)
             else:
-                exponent = i * (n - i) + (0 if skew_sign(sigma, degs) == 1 else 1)
-            first = inner(i, [gens[p] for p in perm[:i]])
-            term = outer(n - i + 1, [first] + [gens[p] for p in perm[i:]])
-            total = total + term.scale(sign_scalar(exponent))
+                sign = (-1) ** (i * (n - i)) * skew_sign(sigma, degs)
+            group = (i, sigma.permute(key))
+            counts[group] = counts.get(group, 0) + sign
+    total = zero
+    for (i, args), count in counts.items():
+        if count:
+            first = inner(i, [elements[g] for g in args[:i]])
+            term = outer(n - i + 1, [first] + [elements[g] for g in args[i:]])
+            total = total + (term if count == 1 else term.scale(Scalar.rational(count)))
     return total
 
 
@@ -307,10 +319,9 @@ class AlgebraDerivation:
     __slots__ = ("base", "values")
 
     def __init__(self, base: BaseAlgebra, values: Mapping[int, AlgebraElement]):
+        zero = base.zero()
         object.__setattr__(self, "base", base)
-        object.__setattr__(
-            self, "values", tuple(values.get(i, base.zero()) for i in range(base.dim))
-        )
+        object.__setattr__(self, "values", tuple(values.get(i, zero) for i in range(base.dim)))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraDerivation is immutable")
@@ -334,6 +345,8 @@ class AlgebraDerivation:
                 k = d - self.base.degrees[i]
                 slot = parts.setdefault(k, {})
                 slot[i] = slot.get(i, self.base.zero()) + hv
+        if len(parts) == 1:
+            return {k: self for k in parts}
         return {k: AlgebraDerivation(self.base, vals) for k, vals in sorted(parts.items())}
 
     def degree(self) -> Optional[int]:
@@ -345,9 +358,7 @@ class AlgebraDerivation:
         return next(iter(parts))
 
     def __add__(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
-        return AlgebraDerivation(
-            self.base, {i: self.values[i] + other.values[i] for i in range(self.base.dim)}
-        )
+        return _derivation(self.base, tuple(p + q for p, q in zip(self.values, other.values)))
 
     def __sub__(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
         return self + other.scale(MINUS_ONE)
@@ -356,16 +367,14 @@ class AlgebraDerivation:
         return self.scale(MINUS_ONE)
 
     def scale(self, s: Scalar) -> "AlgebraDerivation":
-        return AlgebraDerivation(self.base, {i: self.values[i].scale(s) for i in range(self.base.dim)})
+        return _derivation(self.base, tuple(v.scale(s) for v in self.values))
 
     def a_mul(self, a: AlgebraElement) -> "AlgebraDerivation":
         """a.P, again a derivation (left module structure on Der(A))."""
-        return AlgebraDerivation(self.base, {i: a * self.values[i] for i in range(self.base.dim)})
+        return _derivation(self.base, tuple(a * v for v in self.values))
 
     def compose(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
-        return AlgebraDerivation(
-            self.base, {i: self.apply(other.values[i]) for i in range(self.base.dim)}
-        )
+        return _derivation(self.base, tuple(self.apply(v) for v in other.values))
 
     def commutator(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
         """[P, Q] = P Q - (-1)^{|P||Q|} Q P, computed per homogeneous part."""
@@ -409,6 +418,15 @@ class AlgebraDerivation:
         return "AlgebraDerivation(" + "; ".join(bits) + ")"
 
 
+def _derivation(base: BaseAlgebra, values: Tuple[AlgebraElement, ...]) -> AlgebraDerivation:
+    """The AlgebraDerivation with the value tuple values (one per basis
+    element), without the constructor's lookups."""
+    out = object.__new__(AlgebraDerivation)
+    object.__setattr__(out, "base", base)
+    object.__setattr__(out, "values", values)
+    return out
+
+
 def d_A_derivation(base: BaseAlgebra) -> AlgebraDerivation:
     return AlgebraDerivation(
         base, {i: base.differential_basis(i) for i in range(base.dim)}
@@ -417,43 +435,32 @@ def d_A_derivation(base: BaseAlgebra) -> AlgebraDerivation:
 
 def algebra_derivation_basis(base: BaseAlgebra, degree: int) -> List[AlgebraDerivation]:
     """Exact basis of the degree-k derivations of the base algebra."""
-    vars_: List[Tuple[int, int]] = []
-    for i in range(base.dim):
-        for j in range(base.dim):
-            if base.degrees[j] == base.degrees[i] + degree:
-                vars_.append((i, j))
+    dim, degrees = base.dim, base.degrees
+    vars_ = [(i, j) for i in range(dim) for j in range(dim) if degrees[j] == degrees[i] + degree]
     if not vars_:
         return []
     var_index = {v: k for k, v in enumerate(vars_)}
+    # the unknowns P(e_i)_j of each e_i, as (j, unknown index)
+    unknowns = [[(j, var_index[(i, j)]) for j in range(dim) if (i, j) in var_index] for i in range(dim)]
+    zero = Scalar.zero()
     rows: List[List[Scalar]] = []
-    for i1 in range(base.dim):
-        for i2 in range(base.dim):
+    for i1 in range(dim):
+        sign = sign_scalar(degree * degrees[i1])
+        for i2 in range(dim):
             # P(e_i1 e_i2) - P(e_i1) e_i2 - (-1)^{k |e_i1|} e_i1 P(e_i2) = 0,
             # one linear equation per output basis component t
-            out_rows: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
-
-            def acc(t, var, scal):
-                if var in var_index:
-                    slot = out_rows.setdefault(t, {})
-                    slot[var] = slot.get(var, Scalar.zero()) + scal
-
-            for m, c in base.product_basis(i1, i2).items():
-                for j in range(base.dim):
-                    if (m, j) in var_index:
-                        acc(j, (m, j), c)
-            for j in range(base.dim):
-                if (i1, j) in var_index:
-                    for t, q in base.product_basis(j, i2).items():
-                        acc(t, (i1, j), -q)
-            sign = sign_scalar(degree * base.degrees[i1])
-            for j in range(base.dim):
-                if (i2, j) in var_index:
-                    for t, q in base.product_basis(i1, j).items():
-                        acc(t, (i2, j), -(q * sign))
-            for t, coeff_map in out_rows.items():
-                row = [Scalar.zero()] * len(vars_)
-                for var, scal in coeff_map.items():
-                    row[var_index[var]] = scal
+            terms = [(j, k, c) for m, c in base.product_basis(i1, i2).items() for j, k in unknowns[m]]
+            terms += [(t, k, -q) for j, k in unknowns[i1] for t, q in base.product_basis(j, i2).items()]
+            terms += [(t, k, q if sign is MINUS_ONE else -q) for j, k in unknowns[i2] for t, q in base.product_basis(i1, j).items()]
+            out_rows: Dict[int, Dict[int, Scalar]] = {}
+            for t, k, scal in terms:
+                slot = out_rows.setdefault(t, {})
+                old = slot.get(k)
+                slot[k] = scal if old is None else old + scal
+            for coeff_map in out_rows.values():
+                row = [zero] * len(vars_)
+                for k, scal in coeff_map.items():
+                    row[k] = scal
                 rows.append(row)
     basis_vectors = nullspace(rows, len(vars_))
     out = []
@@ -490,6 +497,9 @@ class ShiftedDerDGLA:
     def zero(self) -> AlgebraDerivation:
         return AlgebraDerivation(self.base, {})
 
+    def max_bracket_arity(self) -> int:
+        return 2
+
     def bracket(self, n: int, args: Sequence[AlgebraDerivation]) -> AlgebraDerivation:
         if n == 1:
             return self.dA.commutator(args[0])
@@ -505,9 +515,7 @@ class ShiftedDerDGLA:
         out: Dict[GenKey, AlgebraDerivation] = {}
         shifted = self.shifted_degrees()
         for key in sorted_tuples(len(self.basis), n):
-            degs = [shifted[i] for i in key]
-            elems = [self.basis[i] for i in key]
-            total = _unshuffle_sum(degs, elems, self.bracket, self.bracket, self.zero(), True)
+            total = _unshuffle_sum(key, shifted, self.basis, self.bracket, self.bracket, self.zero(), True)
             if not total.is_zero():
                 out[key] = total
         return out
@@ -566,23 +574,39 @@ def morphism_residual(
 
     Left side: unshuffle sum feeding source brackets into components.
     Right side: canonical-partition sum feeding component blocks into the
-    target brackets.
+    target brackets.  As in ``_unshuffle_sum``, partitions that give the same
+    blocks of generators are counted with their signs and evaluated once;
+    partitions into more blocks than ``target.max_bracket_arity()`` are
+    skipped, as the target bracket vanishes on them.  A target with an
+    ``arity_cap`` refuses n above it, as its bracket on n blocks would.
     """
+    if n > getattr(target, "arity_cap", n):
+        raise CapError(f"arity {n} exceeds cap {target.arity_cap}")
     carrier = L.carrier
+    gens = [carrier.generator(i) for i in range(carrier.rank)]
+    partitions = [
+        (blocks, partition_permutation(blocks))
+        for blocks in canonical_partitions(n)
+        if len(blocks) <= target.max_bracket_arity()
+    ]
     out: Dict[GenKey, object] = {}
     for key in sorted_tuples(carrier.rank, n):
         degs = [carrier.degrees[i] for i in key]
-        gens = [carrier.generator(i) for i in key]
-        lhs = _unshuffle_sum(degs, gens, L.bracket, f.component, f.zero_value, True)
+        lhs = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, f.component, f.zero_value, True)
+        counts: Dict[Tuple[GenKey, ...], int] = {}
+        for blocks, sigma in partitions:
+            group = tuple(tuple(key[x - 1] for x in b) for b in blocks)
+            counts[group] = counts.get(group, 0) + sym_sign(sigma, degs)
+        values: Dict[GenKey, object] = {}
         rhs = f.zero_value
-        for blocks in canonical_partitions(n):
-            sigma = partition_permutation(blocks)
-            sign = sym_sign(sigma, degs)
-            values = [
-                f.component(len(b), [gens[x - 1] for x in b]) for b in blocks
-            ]
-            term = target.bracket(len(blocks), values)
-            rhs = rhs + term.scale(Scalar(sign))
+        for group, count in counts.items():
+            if not count:
+                continue
+            for block in group:
+                if block not in values:
+                    values[block] = f.component(len(block), [gens[g] for g in block])
+            term = target.bracket(len(group), [values[block] for block in group])
+            rhs = rhs + (term if count == 1 else term.scale(Scalar.rational(count)))
         residual = lhs + rhs.scale(MINUS_ONE)
         if not residual.is_zero():
             out[key] = residual

@@ -19,6 +19,7 @@ from .errors import KitError, ParseError
 from .geometry import TENSOR_FAMILIES, GeometricModel, TensorFamily, geometric_degree_problems
 from .modules import FreeModule, ModuleElement
 from .scalars import Scalar
+from .signs import _sort_word
 from .symtensor import SymAlgebra, SymElement
 
 SCHEMA = "algebroidkit/1"
@@ -100,7 +101,8 @@ def _parse_terms(value, path: str, base: BaseAlgebra) -> AlgebraElement:
         d = _expect_dict(item, f"{path}[{k}]", ["basis", "coeff"], ["basis", "coeff"])
         idx = _index_of(base, d["basis"], f"{path}[{k}].basis")
         coeff = _parse_scalar(d["coeff"], f"{path}[{k}].coeff")
-        out[idx] = out.get(idx, Scalar.zero()) + coeff
+        old = out.get(idx)
+        out[idx] = coeff if old is None else old + coeff
     return AlgebraElement(base, out)
 
 
@@ -256,9 +258,14 @@ def _parse_sym(value, path: str, alg: SymAlgebra) -> SymElement:
                 f"{path}[{k}].word",
             )
         coeff = _parse_terms(d["terms"], f"{path}[{k}].terms", alg.base)
-        element = alg.word(tuple(word), coeff)
-        for w, a in element.items():
-            data[w] = data.get(w, alg.base.zero()) + a
+        merged = _sort_word(alg.letter_degrees, word)
+        if merged is None:  # a repeated odd letter: the word is zero
+            continue
+        w, exponent = merged
+        if exponent & 1:
+            coeff = -coeff
+        old = data.get(w)
+        data[w] = coeff if old is None else old + coeff
     return SymElement(alg, data)
 
 

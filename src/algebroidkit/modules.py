@@ -10,11 +10,11 @@ Koszul rule  g^vee(a.g') = (-1)^{|a||g^vee|} a delta_{g,g'}.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import BaseMismatch, DegreeError, KitError
-from .scalars import Scalar, sign_scalar
+from .scalars import ONE, Scalar, sign_scalar
 
 
 class ModuleElement:
@@ -68,6 +68,10 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         acc = {i: a for i, a in self.coeffs}
         for i, a in other.coeffs:
             acc[i] = acc.get(i, self.module.base.zero()) + a
@@ -77,14 +81,19 @@ class ModuleElement:
         return self + (-other)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.module, {i: -a for i, a in self.coeffs})
+        return _module_element(self.module, tuple((i, -a) for i, a in self.coeffs))
 
     def scale(self, s: Scalar) -> "ModuleElement":
-        return ModuleElement(self.module, {i: a.scale(s) for i, a in self.coeffs})
+        if s is ONE:
+            return self
+        if s.is_zero():
+            return self.module.zero()
+        return _module_element(self.module, tuple((i, a.scale(s)) for i, a in self.coeffs))
 
     def a_mul(self, a: AlgebraElement) -> "ModuleElement":
         """Left action a.v (no sign: coefficients already sit on the left)."""
-        return ModuleElement(self.module, {i: a * c for i, c in self.coeffs})
+        products = ((i, a * c) for i, c in self.coeffs)
+        return _module_element(self.module, tuple((i, p) for i, p in products if p.coeffs))
 
     def d(self) -> "ModuleElement":
         """Leibniz extension of d_L over d_A."""
@@ -117,6 +126,18 @@ class ModuleElement:
             return "0"
         names = self.module.gen_names
         return " + ".join(f"[{a}]*{names[i]}" for i, a in self.coeffs)
+
+
+_new = object.__new__
+
+
+def _module_element(module: "FreeModule", coeffs: Tuple[Tuple[int, AlgebraElement], ...]) -> ModuleElement:
+    """The ModuleElement of (index, coefficient) pairs already sorted by index
+    and nonzero: nothing is checked (as ``algebra._element``)."""
+    out = _new(ModuleElement)
+    object.__setattr__(out, "module", module)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 class FreeModule:
@@ -230,40 +251,41 @@ def multilinear_extend(
     vanishes; values must support ``a_mul``, negation and addition, and zero
     is returned when no term survives.  A unit coefficient is not multiplied
     in: that is exact under the unit law of the base algebra, and it keeps a
-    call on unit generators a plain table read.
+    call on unit generators a plain table read.  The coefficients of a term
+    are multiplied, left to right, only where the table has a value.
     """
-    slots = []
+    # (exponent, coefficient parts, generators, prefix degree) of every
+    # choice of one term per argument so far, in slot-by-slot order
+    partial: List[Tuple[int, Tuple[AlgebraElement, ...], Tuple[int, ...], int]] = [(0, (), (), 0)]
     for v in args:
         one = v.module.base.one()
         terms = []
-        for i, a in v.items():
+        for i, a in v.coeffs:
+            if a == one:
+                terms.append((None, 0, i))
+                continue
             for d, ha in a.homogeneous_parts().items():
                 terms.append((None if ha == one else ha, d, i))
-        slots.append(terms)
-    n = len(slots)
+        partial = [
+            (exponent, parts, gens + (i,), prefix + gen_degrees[i])
+            if ha is None
+            else (exponent + d * (op_degree + prefix), parts + (ha,), gens + (i,), prefix + gen_degrees[i])
+            for exponent, parts, gens, prefix in partial
+            for ha, d, i in terms
+        ]
     total = None
-
-    def rec(k: int, exponent: int, coeff: Optional[AlgebraElement], gens: Tuple[int, ...], prefix: int):
-        nonlocal total
-        if k == n:
-            val = table_fn(gens)
-            if val is None:
-                return
-            if coeff is not None:
-                val = val.a_mul(coeff)
-            if exponent & 1:
-                val = -val
-            total = val if total is None else total + val
-            return
-        for ha, d, i in slots[k]:
-            if ha is not None:
-                exponent_k = exponent + d * (op_degree + prefix)
-                coeff_k = ha if coeff is None else coeff * ha
-            else:
-                exponent_k, coeff_k = exponent, coeff
-            rec(k + 1, exponent_k, coeff_k, gens + (i,), prefix + gen_degrees[i])
-
-    rec(0, 0, None, (), 0)
+    for exponent, parts, gens, _ in partial:
+        val = table_fn(gens)
+        if val is None:
+            continue
+        if parts:
+            coeff = parts[0]
+            for ha in parts[1:]:
+                coeff = coeff * ha
+            val = val.a_mul(coeff)
+        if exponent & 1:
+            val = -val
+        total = val if total is None else total + val
     return zero if total is None else total
 
 

@@ -595,12 +595,15 @@ class DerivationD:
                 if merged is None:
                     continue
                 word, exponent = merged
-                coeffs = acc.setdefault(word, {})
+                coeffs = acc.get(word)
+                if coeffs is None:
+                    coeffs = acc[word] = {}
                 for k, ck in c.coeffs:
                     t = -ck if exponent & 1 else ck
                     old = coeffs.get(k)
                     coeffs[k] = t if old is None else old + t
         pos = 0
+        prefix_degree = 0
         while pos < n:
             x = w[pos]
             end = pos + 1
@@ -609,8 +612,8 @@ class DerivationD:
             val = self.on_letters.get(x)
             if val is not None:
                 prefix, rest = w[:pos], w[pos + 1 :]
-                prefix_degree = alg.word_degree(prefix)
-                m = Scalar.rational(end - pos)
+                m = ONE if end == pos + 1 else Scalar.rational(end - pos)
+                shift = self.degree * (degrees[i] + prefix_degree)
                 for v, c in val.data.items():
                     if len(v) + n - 1 > cap:
                         continue
@@ -618,13 +621,16 @@ class DerivationD:
                     if merged is None:
                         continue
                     word, exponent = merged
-                    coeffs = acc.setdefault(word, {})
-                    exponent += self.degree * (degrees[i] + prefix_degree)
+                    coeffs = acc.get(word)
+                    if coeffs is None:
+                        coeffs = acc[word] = {}
+                    exponent += shift
                     for j, cj in c.coeffs:
                         t = cj if m is ONE else cj * m
                         if (exponent + degrees[j] * prefix_degree) & 1:
                             t = -t
                         _add_product(coeffs, base, i, j, t)
+            prefix_degree += letter_degrees[x] * (end - pos)
             pos = end
         return _row_from(acc)
 

@@ -25,16 +25,21 @@ from algebroidkit.fixtures import (
     mixed_module,
     nontrivial_dga,
     random_algebroid,
+    random_ce_derivation,
     sample_bases,
     standard_module,
 )
-from algebroidkit.modules import ModuleElement
+from algebroidkit.modules import ModuleElement, from_dual_values, pair_dual
 from algebroidkit.scalars import Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
+    DerivationD,
     SymAlgebra,
+    SymElement,
+    _evaluate_parts,
     d0_derivation,
     evaluate,
+    from_values,
     square_components,
 )
 
@@ -394,3 +399,201 @@ def test_bracket_matches_the_leibniz_peel(
             args = [rng.module_element(carrier, zero_chance=0.6) for _ in range(n)]
             want = _outcome(peel_bracket, S, n, args)
             assert _outcome(S.bracket, n, args) == want, (n, args)
+
+
+# ---------------------------------------------------------------------------
+# the CE dictionary against the evaluation bodies it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_ce_differential(S, weight_cap):
+    """``ce_differential`` by evaluation: every word value is S.anchor or
+    S.bracket on its generators, turned into words by ``from_values``."""
+    carrier = S.carrier
+    base = S.base
+    algebra = SymAlgebra.over_module(carrier, cap=weight_cap)
+    W = weight_cap
+    on_algebra = {}
+    for b in range(base.dim):
+        val = algebra.scalar(base.differential_basis(b))
+        deg_b = base.degrees[b]
+        for n in range(1, W + 1):
+            if n + 1 > S.anchor_cap:
+                break
+
+            def value_fn(word, gens, b=b, n=n, deg_b=deg_b):
+                total_deg = sum(carrier.degrees[i] for i in word)
+                return S.anchor(n + 1, gens, base.basis_element(b)).scale(sign_scalar(deg_b * total_deg))
+
+            val = val + from_values(algebra, carrier, n, value_fn)
+        if not val.is_zero():
+            on_algebra[b] = val
+    on_letters = {}
+    for i in range(algebra.n_letters):
+        eta_degree = -carrier.degrees[i]
+        val = algebra.zero()
+        for n in range(0, W):
+            if n >= 1 and (n + 1 > S.bracket_cap or n + 1 > S.anchor_cap):
+                break
+
+            def value_fn(word, gens, i=i, n=n, eta_degree=eta_degree):
+                degs = [carrier.degrees[g] for g in word]
+                total = base.zero()
+                for k in range(len(gens)):
+                    eta_vk = pair_dual(carrier, i, gens[k])
+                    if eta_vk.is_zero():
+                        continue
+                    theta = eta_degree * (sum(degs) - degs[k]) + degs[k] * sum(degs[k + 1 :])
+                    rest = gens[:k] + gens[k + 1 :]
+                    total = total + S.anchor(n + 1, rest, eta_vk).scale(sign_scalar(theta))
+                bracket_val = S.bracket(n + 1, gens)
+                return total + pair_dual(carrier, i, bracket_val).scale(sign_scalar(eta_degree + 1))
+
+            val = val + from_values(algebra, carrier, n + 1, value_fn)
+        if not val.is_zero():
+            on_letters[i] = val
+    return DerivationD(algebra, on_algebra, on_letters)
+
+
+def oracle_extract_structure(D, carrier, bracket_cap, anchor_cap):
+    """``extract_structure`` by evaluating the components of D on every
+    generator tuple (``_evaluate_parts``)."""
+    algebra = D.algebra
+    base = algebra.base
+    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
+
+    def component_parts(component, n, count):
+        parts = {i: component(n, i).homogeneous_parts() for i in range(count)}
+        return {i: p for i, p in parts.items() if p}
+
+    for n in range(2, anchor_cap + 1):
+        if n - 1 > algebra.cap:
+            break
+        on_algebra = component_parts(D.component_on_algebra, n - 1, base.dim)
+        for key in _nonvanishing_keys(carrier.degrees, n - 1):
+            gens = [carrier.generator(i) for i in key]
+            total_deg = sum(carrier.degrees[i] for i in key)
+            for b, parts in on_algebra.items():
+                value = _evaluate_parts(algebra, parts, gens, carrier).scale(
+                    sign_scalar(base.degrees[b] * total_deg)
+                )
+                if not value.is_zero():
+                    S.set_anchor(n, key, b, value)
+    for n in range(2, bracket_cap + 1):
+        if n > algebra.cap:
+            break
+        on_algebra = component_parts(D.component_on_algebra, n - 1, base.dim)
+        on_letter = component_parts(D.component_on_letter, n - 1, carrier.rank)
+        for key in _nonvanishing_keys(carrier.degrees, n):
+            gens = [carrier.generator(i) for i in key]
+            degs = [carrier.degrees[i] for i in key]
+            paired = {}
+            for i in range(carrier.rank):
+                first = base.zero()
+                for k in range(n):
+                    eta_vk = pair_dual(carrier, i, gens[k])
+                    for b, c in eta_vk.items():
+                        parts = on_algebra.get(b)
+                        if parts is not None:
+                            inner = _evaluate_parts(algebra, parts, gens[:k] + gens[k + 1 :], carrier)
+                            first = first + inner.scale(c).scale(sign_scalar(degs[k] * sum(degs[:k])))
+                parts = on_letter.get(i)
+                second = _evaluate_parts(algebra, parts, gens, carrier) if parts is not None else base.zero()
+                paired[i] = (first - second).scale(sign_scalar(-carrier.degrees[i]))
+            value = from_dual_values(carrier, paired)
+            if not value.is_zero():
+                S.set_bracket(n, key, value)
+    return S
+
+
+def store_unit_slot_anchors(rng, S):
+    """Random entries {key | 1}_n of the right degree at every arity: what a
+    model file may store and ``validate`` flags."""
+    base, carrier = S.base, S.carrier
+    for n in range(2, S.anchor_cap + 1):
+        for key in _nonvanishing_keys(carrier.degrees, n - 1):
+            want = sum(carrier.degrees[i] for i in key) + 1
+            value = rng.algebra_element(base, degree=want, zero_chance=0.3)
+            if not value.is_zero():
+                S.set_anchor(n, key, base.unit, value)
+
+
+CE_DEGREES = [[0], [0, 1], [1, -1], [0, -1, 0], [1], [2, 1], [0, 0]]
+
+
+def drawn_algebroid(base_index, degrees, derivation_anchors, unit_slot_anchors, seed):
+    rng = Rng(seed)
+    base = sample_bases()[base_index]
+    carrier = mixed_module(base, degrees, seed=seed % 5)
+    S = random_algebroid(rng, base, carrier, derivation_anchors=derivation_anchors)
+    if unit_slot_anchors:
+        store_unit_slot_anchors(rng, S)
+    return rng, S
+
+
+@given(
+    base_index=st.integers(0, 2),
+    degrees=st.sampled_from(CE_DEGREES),
+    derivation_anchors=st.booleans(),
+    unit_slot_anchors=st.booleans(),
+    weight_cap=st.integers(4, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_ce_differential_matches_the_evaluation_oracle(
+    base_index, degrees, derivation_anchors, unit_slot_anchors, weight_cap, seed
+):
+    _, S = drawn_algebroid(base_index, degrees, derivation_anchors, unit_slot_anchors, seed)
+    assert ce_differential(S, weight_cap=weight_cap) == oracle_ce_differential(S, weight_cap)
+
+
+@given(
+    base_index=st.integers(0, 2),
+    degrees=st.sampled_from(CE_DEGREES),
+    derivation_anchors=st.booleans(),
+    unit_slot_anchors=st.booleans(),
+    caps=st.sampled_from([(4, 4, 5), (5, 4, 5), (4, 3, 4), (3, 2, 3)]),
+    seed=st.integers(0, 2**16),
+)
+def test_extract_structure_matches_the_evaluation_oracle(
+    base_index, degrees, derivation_anchors, unit_slot_anchors, caps, seed
+):
+    """On the CE differential of a drawn structure and on free random word
+    data with a nonzero value on the unit, at caps above and below the
+    weight cap."""
+    rng, S = drawn_algebroid(base_index, degrees, derivation_anchors, unit_slot_anchors, seed)
+    weight_cap, bracket_cap, anchor_cap = caps
+    carrier, base = S.carrier, S.base
+    D = ce_differential(S, weight_cap=4)
+    free = random_ce_derivation(rng, base, carrier, cap=weight_cap)
+    alg = free.algebra
+    on_unit = {}
+    for w in [w for r in range(1, weight_cap + 1) for w in alg.words_of_weight(r)]:
+        need = 1 - alg.word_degree(w)
+        cands = [b for b in range(base.dim) if base.degrees[b] == need]
+        if cands and rng.random() < 0.5:
+            on_unit[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
+    on_algebra = dict(free.on_algebra)
+    on_algebra[base.unit] = free.component_on_algebra(0, base.unit) + SymElement(alg, on_unit)
+    free = DerivationD(alg, on_algebra, free.on_letters)
+    for derivation in (D, free):
+        got = extract_structure(derivation, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
+        want = oracle_extract_structure(derivation, carrier, bracket_cap, anchor_cap)
+        assert structures_equal(got, want)
+    assert structures_equal(extract_structure(D, carrier, bracket_cap=4, anchor_cap=5), S)
+
+
+def test_unit_slot_anchor_enters_the_letter_value():
+    """{g0 | 1}_2 = c on the abelian fixture puts c.g0^g0^ into D(g0^): the
+    anchor term at both positions of the word (g0, g0), over kappa = 2."""
+    from algebroidkit.fixtures import fixture_corpus
+
+    S = fixture_corpus()["abelian.algebroid"]
+    base, carrier = S.base, S.carrier
+    assert carrier.degrees[0] == 0
+    odd = [b for b in range(base.dim) if base.degrees[b] == 1]
+    value = base.basis_element(odd[0])
+    S.set_anchor(2, (0,), base.unit, value)
+    D = ce_differential(S, weight_cap=4)
+    assert D == oracle_ce_differential(S, 4)
+    assert D.component_on_letter(1, 0).data[(0, 0)] == value
+    assert structures_equal(extract_structure(D, carrier), S)

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from algebroidkit.algebroid import anchor_morphism
+from algebroidkit.errors import CapError
 from algebroidkit.fixtures import (
     Rng,
     cone_dgla,
+    kodaira_base,
     lambda_eps,
     matrix_dgla,
+    mixed_module,
     nontrivial_dga,
+    random_algebroid,
+    sample_bases,
     trivial_base,
 )
 from algebroidkit.linfty import (
     LInftyAlgebra,
     LInftyMorphism,
+    _unshuffle_sum,
     algebra_derivation_basis,
     build_shifted_der_dgla,
     canonicalize_key,
@@ -24,7 +34,14 @@ from algebroidkit.linfty import (
     sorted_tuples,
 )
 from algebroidkit.modules import FreeModule, ModuleElement
-from algebroidkit.scalars import ONE, Scalar
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from algebroidkit.signs import (
+    canonical_partitions,
+    partition_permutation,
+    skew_sign,
+    sym_sign,
+    unshuffles_with_tail,
+)
 
 
 def test_matrix_dgla_jacobi_skew():
@@ -219,3 +236,179 @@ def test_decalage_conjugates_jacobi_failure():
     L.set_bracket(2, (0, 1), L.tables[2].get((0, 1)) + bad)
     assert jacobi_residual(L, 3) != {}
     assert jacobi_residual(decalage(L), 3) != {}
+
+
+# ---------------------------------------------------------------------------
+# the grouped unshuffle and partition sums against per-permutation sums
+# ---------------------------------------------------------------------------
+
+
+def per_permutation_unshuffle_sum(degs, gens, inner, outer, zero, symmetric):
+    """The oracle of ``_unshuffle_sum``: every unshuffle evaluated on its own."""
+    n = len(gens)
+    total = zero
+    for i in range(1, n + 1):
+        for sigma in unshuffles_with_tail(n, i):
+            perm = sigma.permute(list(range(n)))
+            if symmetric:
+                exponent = 0 if sym_sign(sigma, degs) == 1 else 1
+            else:
+                exponent = i * (n - i) + (0 if skew_sign(sigma, degs) == 1 else 1)
+            first = inner(i, [gens[p] for p in perm[:i]])
+            term = outer(n - i + 1, [first] + [gens[p] for p in perm[i:]])
+            total = total + term.scale(sign_scalar(exponent))
+    return total
+
+
+def oracle_jacobi_residual(L, n):
+    carrier = L.carrier
+    out = {}
+    for key in sorted_tuples(carrier.rank, n):
+        degs = [carrier.degrees[i] for i in key]
+        gens = [carrier.generator(i) for i in key]
+        total = per_permutation_unshuffle_sum(degs, gens, L.bracket, L.bracket, carrier.zero(), L.symmetric)
+        if not total.is_zero():
+            out[key] = total
+    return out
+
+
+def oracle_morphism_residual(f, L, target, n):
+    """Every unshuffle and every partition evaluated on its own, blocks
+    beyond the target's top arity included."""
+    carrier = L.carrier
+    out = {}
+    for key in sorted_tuples(carrier.rank, n):
+        degs = [carrier.degrees[i] for i in key]
+        gens = [carrier.generator(i) for i in key]
+        lhs = per_permutation_unshuffle_sum(degs, gens, L.bracket, f.component, f.zero_value, True)
+        rhs = f.zero_value
+        for blocks in canonical_partitions(n):
+            sign = sym_sign(partition_permutation(blocks), degs)
+            values = [f.component(len(b), [gens[x - 1] for x in b]) for b in blocks]
+            rhs = rhs + target.bracket(len(blocks), values).scale(Scalar(sign))
+        residual = lhs + rhs.scale(MINUS_ONE)
+        if not residual.is_zero():
+            out[key] = residual
+    return out
+
+
+DEGREE_PATTERNS = [[0], [1], [0, 1], [1, -1], [0, 0, 1], [2, 1], [0, -1, 1]]
+
+
+@given(
+    degrees=st.sampled_from(DEGREE_PATTERNS),
+    base_index=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_jacobi_residual_matches_the_per_permutation_sum(degrees, base_index, seed):
+    """Random skew tables and their symmetric decalage: residuals on every
+    generator tuple, repeated generators included, at arities 1-4."""
+    rng = Rng(seed)
+    base = sample_bases()[base_index]
+    carrier = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    L = random_skew_tables(rng, carrier)
+    for structure in (L, decalage(L)):
+        for n in range(1, 5):
+            assert jacobi_residual(structure, n) == oracle_jacobi_residual(structure, n)
+
+
+def bent_dgla_bracket(dgla):
+    """The bracket of Der(A)[1] plus the composition at arity 2: no longer a
+    DGLA, so its Jacobi sums are nonzero."""
+
+    def bracket(n, args):
+        value = dgla.bracket(n, args)
+        return value + args[0].compose(args[1]) if n == 2 else value
+
+    return bracket
+
+
+def test_der_dgla_unshuffle_sum_matches_the_per_permutation_sum():
+    checked = 0
+    for base in sample_bases():
+        dgla = build_shifted_der_dgla(base)
+        shifted = dgla.shifted_degrees()
+        for n in range(1, 4):
+            assert dgla.jacobi_residual(n) == {}
+            bent = bent_dgla_bracket(dgla)
+            for key in sorted_tuples(len(dgla.basis), n):
+                got = _unshuffle_sum(key, shifted, dgla.basis, bent, bent, dgla.zero(), True)
+                want = per_permutation_unshuffle_sum(
+                    [shifted[i] for i in key], [dgla.basis[i] for i in key], bent, bent, dgla.zero(), True
+                )
+                assert got == want, (base.names, key)
+                checked += not got.is_zero()
+    assert checked > 0
+
+
+@given(
+    degrees=st.sampled_from([[0, 1], [0, -1], [1, -1, 0], [0, 0]]),
+    base_index=st.integers(0, 2),
+    derivation_anchors=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_anchor_morphism_residual_matches_the_per_permutation_sum(
+    degrees, base_index, derivation_anchors, seed
+):
+    base = sample_bases()[base_index]
+    carrier = mixed_module(base, degrees, seed=seed % 5)
+    S = random_algebroid(Rng(seed), base, carrier, derivation_anchors=derivation_anchors)
+    f, target = anchor_morphism(S)
+    for n in range(1, 4):
+        assert morphism_residual(f, S, target, n) == oracle_morphism_residual(f, S, target, n)
+
+
+@given(degrees=st.sampled_from(DEGREE_PATTERNS), seed=st.integers(0, 2**16))
+def test_linfty_morphism_residual_matches_the_per_permutation_sum(degrees, seed):
+    """Random symmetric source and target tables (the target's top arity
+    drawn, so that partitions into more blocks are skipped, and arities above
+    its cap refused) and random degree-0 components."""
+    rng = Rng(seed)
+    base = kodaira_base()
+    carrier = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    source = decalage(random_skew_tables(rng, carrier))
+    target = decalage(random_skew_tables(rng, carrier, arity_cap=rng.randint(2, 4)))
+    f = LInftyMorphism(source, target, target.carrier.zero())
+    for m in range(1, 4):
+        for key in sorted_tuples(carrier.rank, m):
+            if canonicalize_key(key, source.carrier.degrees, True)[2]:
+                continue
+            want = sum(source.carrier.degrees[i] for i in key)
+            value = rng.module_element(target.carrier, degree=want, zero_chance=0.5)
+            if not value.is_zero():
+                f.set_component(m, key, value)
+    for n in range(1, 5):
+        assert _outcome(morphism_residual, f, source, target, n) == _outcome(
+            oracle_morphism_residual, f, source, target, n
+        )
+
+
+def _outcome(residual, *args):
+    try:
+        return residual(*args)
+    except CapError:
+        return "CapError"
+
+
+def test_outer_map_runs_once_per_argument_tuple_with_a_nonzero_count():
+    """On key (0,0,0,0) every unshuffle in Sh(i, 4-i) gives the same argument
+    tuple.  For an even generator their signs add up to C(4, i) > 0, so the
+    outer map runs once per i: 4 times instead of 15.  For an odd one they
+    add up to the Gaussian binomial at q = -1: 0 at i = 1 and 3, 2 at i = 2
+    and 1 at i = 4, so it runs twice."""
+    for degree, arities in ((0, [4, 3, 2, 1]), (1, [3, 1])):
+        carrier = FreeModule(trivial_base(), [("g0", degree)])
+        g = carrier.generator(0)
+        calls = []
+
+        def inner(k, args):
+            return g
+
+        def outer(k, args):
+            calls.append(k)
+            return g.scale(Scalar(k))
+
+        total = _unshuffle_sum((0, 0, 0, 0), carrier.degrees, [g], inner, outer, carrier.zero(), True)
+        assert calls == arities
+        want = per_permutation_unshuffle_sum([degree] * 4, [g] * 4, inner, outer, carrier.zero(), True)
+        assert total == want

@@ -261,6 +261,20 @@ def test_word_constant_matches_unshuffle_oracle(degrees):
             assert oracle == base.one().scale(_word_constant(alg, word)), word
 
 
+@given(degrees=st.lists(st.integers(-2, 3), min_size=1, max_size=4), cap=st.integers(0, 5))
+def test_word_constant_matches_unshuffle_oracle_on_drawn_degrees(degrees, cap):
+    """The same on drawn degree patterns and caps."""
+    base = nontrivial_dga()
+    module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    alg = SymAlgebra.over_module(module, cap=cap)
+    for weight in range(cap + 1):
+        for word in alg.words_of_weight(weight):
+            gens = [module.generator(i) for i in word]
+            degs = [module.degrees[i] for i in word]
+            oracle = _eval_word(alg, module, word, gens, degs)
+            assert oracle == base.one().scale(_word_constant(alg, word)), word
+
+
 def dense_sym_element(rng, alg):
     """Every word up to the cap, each with a nonzero random coefficient."""
     data = {}

@@ -33,11 +33,11 @@ The main constructions:
   inverse to the normal projection; it keeps nothing on the model.
 * the lemma checks (``retraction_residual``, ``commutator_lemma_residual``,
   ``transport_lemma_residual``): decided exactly on the grid words with at
-  most one tangent letter, each residual a signed sum of stored rows; the
-  transport iterate carries the one-tangent-letter part of each nabla_bar
-  iterate from the one before and keeps none.  This rests on rule R (a
-  tangent letter in every nabla_hat value word), which they check first;
-  the retraction has nothing left to decide after it.
+  most one tangent letter, each residual a difference of stored rows; no
+  check applies an operator, and the rows decide the transport iterate by
+  induction on its power.  This rests on rule R (a tangent letter in every
+  nabla_hat value word), which they check first; the retraction has nothing
+  left to decide after it.
 * ``build_frakD``: the degree-1 derivation
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
@@ -148,7 +148,41 @@ TENSOR_FAMILIES = (
 # ---------------------------------------------------------------------------
 
 
-class GeometricModel:
+class SplitFrame:
+    """The letters of a geometric model, in its split frame: the ambient
+    algebra over the tangent letters, then the normal ones, and the normal
+    algebra over the normal letters alone, each letter named and graded as
+    ``SymAlgebra.over_module`` does it.  What the model-file parser reads
+    before any tensor is known."""
+
+    def __init__(self, base: BaseAlgebra, tangent: FreeModule, normal: FreeModule, cap: int = 4):
+        if tangent.base is not base or normal.base is not base:
+            raise BaseMismatch("tangent and normal modules must live over the base")
+        self.base = base
+        self.tangent = tangent
+        self.normal = normal
+        self.cap = cap
+        self.a = tangent.rank
+        self.b = normal.rank
+        tan = SymAlgebra.over_module(tangent, cap=cap)
+        self.nor = SymAlgebra.over_module(normal, cap=cap)
+        letters = zip(tan.letter_names + self.nor.letter_names, tan.letter_degrees + self.nor.letter_degrees)
+        self.amb = SymAlgebra(base, list(letters), cap=cap)
+
+    def index_set(self, fam: TensorFamily) -> Tuple[Sequence[str], Sequence[int]]:
+        """Names and degrees of what fam's tables are indexed by; an index is
+        a position in them."""
+        if fam.index == "base":
+            return self.base.names, self.base.degrees
+        lo, hi = (0, self.a) if fam.index == "tangent" else (self.a, self.a + self.b)
+        return self.amb.letter_names[lo:hi], self.amb.letter_degrees[lo:hi]
+
+    def values_algebra(self, fam: TensorFamily) -> SymAlgebra:
+        """The algebra fam's values live in."""
+        return self.amb if fam.values == "ambient" else self.nor
+
+
+class GeometricModel(SplitFrame):
     """Finite input tensors for the formal-neighborhood differential, written
     in the split frame: the ambient letters are the tangent letters, then the
     normal ones."""
@@ -165,27 +199,7 @@ class GeometricModel:
         """tensors: a table {index: SymElement} per family of
         ``TENSOR_FAMILIES`` by its name, a map {k: table} for a weighted one;
         a missing family is zero."""
-        if tangent.base is not base or normal.base is not base:
-            raise BaseMismatch("tangent and normal modules must live over the base")
-        self.base = base
-        self.tangent = tangent
-        self.normal = normal
-        self.cap = cap
-        self.a = tangent.rank
-        self.b = normal.rank
-        amb_letters = [
-            (name + "^", -deg)
-            for name, deg in zip(tangent.gen_names, tangent.degrees)
-        ] + [
-            (name + "^", -deg)
-            for name, deg in zip(normal.gen_names, normal.degrees)
-        ]
-        self.amb = SymAlgebra(base, amb_letters, cap=cap)
-        self.nor = SymAlgebra(
-            base,
-            [(name + "^", -deg) for name, deg in zip(normal.gen_names, normal.degrees)],
-            cap=cap,
-        )
+        super().__init__(base, tangent, normal, cap)
         self.closed_beta = closed_beta
 
         def over(fam: TensorFamily, table: Mapping[int, SymElement]) -> Dict[int, SymElement]:
@@ -245,18 +259,6 @@ class GeometricModel:
         self._d1_rows: Dict[Tuple[Word, int], Row] = {}
 
     # -- the tensor families ----------------------------------------------------
-
-    def index_set(self, fam: TensorFamily) -> Tuple[Sequence[str], Sequence[int]]:
-        """Names and degrees of what fam's tables are indexed by; an index is
-        a position in them."""
-        if fam.index == "base":
-            return self.base.names, self.base.degrees
-        lo, hi = (0, self.a) if fam.index == "tangent" else (self.a, self.a + self.b)
-        return self.amb.letter_names[lo:hi], self.amb.letter_degrees[lo:hi]
-
-    def values_algebra(self, fam: TensorFamily) -> SymAlgebra:
-        """The algebra fam's values live in."""
-        return self.amb if fam.values == "ambient" else self.nor
 
     def weight_tables(self, fam: TensorFamily) -> Dict[int, Dict[int, SymElement]]:
         """fam's tables by weight: {k: table}."""
@@ -338,12 +340,6 @@ class GeometricModel:
     def _d1_row(self, w: Word, i: int) -> Row:
         """P1 nabla_bar(e_i w) for a word w with at most one tangent letter."""
         return tuple((v, c) for v, c in self._d1._row(w, i) if self.tangent_count(v) == 1)
-
-    def nabla_perp_bar(self, el: SymElement) -> SymElement:
-        """Normal-connection derivative: Gamma plus dhat only, no rescale."""
-        if el.algebra.letter_names == self.nor.letter_names:
-            el = self.to_amb(el)
-        return self._nabla_perp.apply(el)
 
     def shape_tilde(self, el: SymElement) -> SymElement:
         """Shape-operator substitution on the single tangent letter."""
@@ -479,9 +475,11 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 # nabla_hat never lowers m and raises it from 0, so every residual vanishes
 # on a grid word with m >= 2 (the commutator's even without R: the ambient
 # d0 maps such a word to words that keep a tangent letter), and the checks
-# walk only the words with m <= 1 (``_slice``).  There P1 nabla_bar is P1 of
-# the cut derivation D1 (``GeometricModel._d1``), P1 nabla_bar^s is
-# P1 nabla_bar of P1 nabla_bar^(s-1), and P0 nabla_bar^s = 0.
+# walk only the words with m <= 1 (``_slice``), each residual the difference
+# of two stored rows (``_difference``).  There P1 nabla_bar is P1 of the cut
+# derivation D1 (``GeometricModel._d1``), P1 nabla_bar^s is P1 nabla_bar of
+# P1 nabla_bar^(s-1), and P0 nabla_bar^s = 0: the rows of the walk are all
+# that any power of nabla_bar reads there.
 
 
 def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
@@ -610,7 +608,8 @@ def commutator_lemma_residual(
 def transport_lemma_residual(
     g: GeometricModel, shape_override: Optional[Mapping[int, SymElement]] = None
 ) -> List[Tuple[str, SymElement]]:
-    """P1 o nabla_bar = nabla_perp o P0 + shape o P1, plus its iterate.
+    """P1 o nabla_bar = nabla_perp o P0 + shape o P1, and with it the iterate
+    P1 nabla_bar^s = shape^(s-1) o nabla_perp on the normal algebra.
 
     With shape_override the substitution side uses different shape values,
     exposing mismatched shape data as a nonzero residual.
@@ -618,6 +617,13 @@ def transport_lemma_residual(
     On a word with no tangent letter the residual is its P1 D1 row minus its
     nabla_perp row, on one with a single tangent letter its P1 D1 row minus
     its shape row.  Only the left side is projected to P1.
+
+    The rows decide the iterate: on a normal element P1 nabla_bar reads only
+    P0 rows of D1, compared here with the nabla_perp rows, and every later
+    power reads only one-tangent-letter rows (rule R), compared here with the
+    shape rows.  So when no row differs the iterate holds for every s, by
+    linearity and induction on s, and a failing iterate shows as a differing
+    row.
     """
     _require_rule_r(g)
     if shape_override is None:
@@ -632,20 +638,6 @@ def transport_lemma_residual(
         )
         if residual is not None:
             out.append((f"operator @ {_normalized(g.amb, {w: g.base.basis_element(b)})!r}", residual))
-    for w, b in _grid(g.nor):
-        # P1 nabla_bar^s(el) = P1 D1 of P1 nabla_bar^(s-1)(el) (rule R) and
-        # shape^(s-1)(nabla_perp(el)), both carried from s - 1
-        el = _normalized(g.nor, {w: g.base.basis_element(b)})
-        power = g.to_amb(el)
-        iterated = g.nabla_perp_bar(el)
-        for s in range(1, g.cap + 1):
-            power = _apply_rows(g.amb, power, g._d1_rows, g._d1_row)
-            if s > 1:
-                iterated = shape.apply(iterated)
-            if power != iterated:
-                out.append((f"iterate s={s} @ {el!r}", power - iterated))
-            elif power.is_zero():  # both stay zero from here on
-                break
     return out
 
 

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure
 from .errors import KitError, ParseError
-from .geometry import TENSOR_FAMILIES, GeometricModel, TensorFamily, geometric_degree_problems
+from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily, geometric_degree_problems
 from .modules import FreeModule, ModuleElement
 from .scalars import Scalar
 from .signs import _sort_word
@@ -282,14 +282,14 @@ def _sym_list(el: SymElement) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _parse_family(value, path: str, fam: TensorFamily, probe: GeometricModel) -> dict:
+def _parse_family(value, path: str, fam: TensorFamily, frame: SplitFrame) -> dict:
     """The tables of one tensor family ({k: table} for a weighted one); an
     entry repeating an index (at the same weight) is refused."""
     key = fam.key
     fields = (["weight"] if fam.weighted else []) + [key, "value"]
-    names, _ = probe.index_set(fam)
+    names, _ = frame.index_set(fam)
     position = {name: i for i, name in enumerate(names)}
-    alg = probe.values_algebra(fam)
+    alg = frame.values_algebra(fam)
     tables: Dict[int, Dict[int, SymElement]] = {}
     for k, item in enumerate(_expect_list(value, path)):
         at = f"{path}[{k}]"
@@ -297,9 +297,9 @@ def _parse_family(value, path: str, fam: TensorFamily, probe: GeometricModel) ->
         weight = fam.weight
         if fam.weighted:
             weight = _expect_int(e["weight"], f"{at}.weight")
-            if weight > probe.cap:
+            if weight > frame.cap:
                 raise ParseError(
-                    f"curvature weight {weight} overflows the weight cap {probe.cap}", f"{at}.weight"
+                    f"curvature weight {weight} overflows the weight cap {frame.cap}", f"{at}.weight"
                 )
             if weight < fam.weight:
                 raise ParseError(
@@ -309,7 +309,7 @@ def _parse_family(value, path: str, fam: TensorFamily, probe: GeometricModel) ->
         if name not in position:
             if key == "basis":
                 problem = f"no basis element named {name!r}"
-            elif name in probe.amb.letter_names:
+            elif name in frame.amb.letter_names:
                 problem = f"{fam.name} is indexed by {fam.index} letters"
             else:
                 problem = f"unknown letter {name!r}"
@@ -451,11 +451,11 @@ def parse_model(
         closed = d.get("closed_beta", False)
         if not isinstance(closed, bool):
             raise ParseError("closed_beta must be a boolean", "$.closed_beta")
-        probe = GeometricModel(base, tangent, normal, cap=weight_cap)
+        frame = SplitFrame(base, tangent, normal, cap=weight_cap)
         names = [fam.name for fam in TENSOR_FAMILIES]
         tensors = _expect_dict(d.get("tensors", {}), "$.tensors", names, [])
         tables = {
-            fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, probe)
+            fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, frame)
             for fam in TENSOR_FAMILIES
         }
         try:

@@ -461,6 +461,27 @@ def test_normal_generator_named_like_a_tangent_generator_refused():
                 ), (path.name, k, name)
 
 
+def test_a_geometric_parse_builds_one_model(monkeypatch, workloads):
+    """The tensor families are parsed against the model's split frame, not
+    against a probe model, so each geometric parse runs the GeometricModel
+    constructor once."""
+    calls = []
+    init = GeometricModel.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeometricModel, "__init__", counted)
+    texts = [path.read_text() for path in sorted(GENERIC.parent.glob("*.geometric.json"))]
+    texts += [workloads.generate_model_text(name, 0) for name in sorted(workloads.GENERATED)]
+    assert len(texts) == 7
+    for text in texts:
+        calls.clear()
+        assert isinstance(parse_model(text), GeometricModel)
+        assert len(calls) == 1
+
+
 def test_readme_tensor_table_matches_the_schema():
     def row(fam):
         index = f"`{fam.key}`: " + ("base element" if fam.index == "base" else fam.index)

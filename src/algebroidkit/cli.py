@@ -262,7 +262,7 @@ def cmd_kapranov(model, caps, args) -> Report:
     g = _require_geometric(model)
     report = Report("kapranov", caps)
     with timed_check("diagonal-regime derivation") as t:
-        D = build_kapranov(g.curv_perp, g.base, g.normal, cap=g.cap)
+        D = build_kapranov(g.curv_perp, g.normal, cap=g.cap)
         report.add(t.finish(True, _derivation_entries(D), detail="derivation table listed below"))
     with timed_check("square (curvature-compatibility residuals)") as t:
         sq = square_components(D)

@@ -409,7 +409,7 @@ def random_ce_derivation(rng: Rng, base: BaseAlgebra, carrier: FreeModule, cap: 
     return DerivationD(alg, on_algebra, on_letters)
 
 
-def conjugation_oracle_structure(rng: Rng, base: BaseAlgebra, carrier: FreeModule, cap: int = 4):
+def conjugation_oracle_structure(rng: Rng, carrier: FreeModule, cap: int = 4):
     """A genuinely valid algebroid: extract(Phi D0 Phi^-1) for random unipotent Phi."""
     alg = SymAlgebra.over_module(carrier, cap=cap)
     D0 = d0_derivation(alg, carrier)
@@ -568,12 +568,12 @@ def fixture_corpus():
     abelian = AlgebroidStructure(base, carrier, bracket_cap=4, anchor_cap=5)
     corpus["abelian.algebroid"] = abelian
 
-    S, _, _ = conjugation_oracle_structure(Rng(36), base, mixed_module(base, [0, 1], seed=5), cap=4)
+    S, _, _ = conjugation_oracle_structure(Rng(36), mixed_module(base, [0, 1], seed=5), cap=4)
     corpus["conjugated.algebroid"] = S
 
     # a one-entry bump chosen so that the higher Jacobi identity fails
     carrier2 = mixed_module(base, [0, -1], seed=11)
-    S2, _, _ = conjugation_oracle_structure(Rng(35), base, carrier2, cap=4)
+    S2, _, _ = conjugation_oracle_structure(Rng(35), carrier2, cap=4)
     bump = ModuleElement(carrier2, {0: base.basis_element(0)})
     old = S2.brackets.get(3, {}).get((0, 0, 1), carrier2.zero())
     S2.set_bracket(3, (0, 0, 1), old + bump)

@@ -33,11 +33,11 @@ The main constructions:
   inverse to the normal projection; it keeps nothing on the model.
 * the lemma checks (``retraction_residual``, ``commutator_lemma_residual``,
   ``transport_lemma_residual``): decided exactly on the grid words with at
-  most one tangent letter, each residual a difference of stored rows; no
-  check applies an operator, and the rows decide the transport iterate by
-  induction on its power.  This rests on rule R (a tangent letter in every
-  nabla_hat value word), which they check first; the retraction has nothing
-  left to decide after it.
+  most one tangent letter, each residual a difference of two rows built
+  where they are read and kept nowhere; no check applies an operator, and
+  the rows decide the transport iterate by induction on its power.  This
+  rests on rule R (a tangent letter in every nabla_hat value word), which
+  they check first; the retraction has nothing left to decide after it.
 * ``build_frakD``: the degree-1 derivation
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
@@ -254,9 +254,8 @@ class GeometricModel(SplitFrame):
         # words with at most one tangent letter
         self._d1 = DerivationD(self.amb, {b: self.p1(v) for b, v in self.dhat.items()},
                                {k: self.p1(v) for k, v in nabla_letters.items()}, degree=0, check=False)
-        # row tables filled on first use
+        # the nabla_bar row table, filled by ``nabla_bar`` on first use
         self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
-        self._d1_rows: Dict[Tuple[Word, int], Row] = {}
 
     # -- the tensor families ----------------------------------------------------
 
@@ -353,27 +352,18 @@ class GeometricModel(SplitFrame):
 
     def ambient_d0(self, beta_override: Optional[Mapping[int, SymElement]] = None) -> DerivationD:
         """The ambient differential: d_A on coefficients, block-triangular on
-        letters with the Kodaira-Spencer tensor as the off-diagonal block."""
+        letters with the Kodaira-Spencer tensor as the off-diagonal block.
+        On the base and the normal letters it is the normal d0."""
         beta = beta_override if beta_override is not None else self.beta
-        tan_alg = SymAlgebra.over_module(self.tangent, cap=self.cap)
-        nor_alg = self.nor
         on_letters: Dict[int, SymElement] = {}
-        for i in range(self.a):
-            dt = dual_differential_letter(tan_alg, self.tangent, i)
-            val = SymElement(self.amb, {w: c for w, c in dt.items()})
+        for i in range(self.a):  # the tangent letters are the first letters of amb
+            val = dual_differential_letter(self.amb, self.tangent, i)
             val = val + self.to_amb(beta.get(i, self.nor.zero()))
             if not val.is_zero():
                 on_letters[i] = val
-        for j in range(self.b):
-            dn = dual_differential_letter(nor_alg, self.normal, j)
-            val = self.to_amb(dn)
-            if not val.is_zero():
-                on_letters[self.a + j] = val
-        on_algebra = {
-            i: self.amb.scalar(self.base.differential_basis(i))
-            for i in range(self.base.dim)
-            if not self.base.differential_basis(i).is_zero()
-        }
+        D0n = self.normal_d0()
+        on_letters.update({self.a + j: self.to_amb(v) for j, v in D0n.on_letters.items()})
+        on_algebra = {i: self.to_amb(v) for i, v in D0n.on_algebra.items()}
         return DerivationD(self.amb, on_algebra, on_letters, degree=1, check=False)
 
     def normal_d0(self) -> DerivationD:
@@ -453,11 +443,9 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
     # optional: beta anticommutes with the differentials
     if g.closed_beta:
         D0n = g.normal_d0()
-        tan_alg = SymAlgebra.over_module(g.tangent, cap=g.cap)
         for i in range(g.a):
-            dt = dual_differential_letter(tan_alg, g.tangent, i)
-            dt_amb = SymElement(g.amb, {w: c for w, c in dt.items()})
-            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.rtan_tilde(1, dt_amb))
+            dt = dual_differential_letter(g.amb, g.tangent, i)
+            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.rtan_tilde(1, dt))
             if not residual.is_zero():
                 problems.append(f"closed flag set but d(beta) != 0 at tangent letter {i}")
     return problems
@@ -476,10 +464,12 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 # on a grid word with m >= 2 (the commutator's even without R: the ambient
 # d0 maps such a word to words that keep a tangent letter), and the checks
 # walk only the words with m <= 1 (``_slice``), each residual the difference
-# of two stored rows (``_difference``).  There P1 nabla_bar is P1 of the cut
+# of two rows (``_difference``).  There P1 nabla_bar is P1 of the cut
 # derivation D1 (``GeometricModel._d1``), P1 nabla_bar^s is P1 nabla_bar of
 # P1 nabla_bar^(s-1), and P0 nabla_bar^s = 0: the rows of the walk are all
-# that any power of nabla_bar reads there.
+# that any power of nabla_bar reads there.  The walk reads each row once, so
+# it builds the row where it reads it (a derivation's ``_row``) and keeps
+# none.
 
 
 def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
@@ -526,15 +516,6 @@ def _slice(g: GeometricModel):
     for w, b in _grid(g.amb):
         if len(w) < 2 or w[1] >= a:  # sorted: tangent letters come first
             yield w, (1 if w and w[0] < a else 0), b
-
-
-def _read_row(rows: Dict[Tuple[Word, int], Row], build, w: Word, i: int) -> Row:
-    """The row of e_i w in a row table, made by build(w, i) on first use."""
-    key = (w, i)
-    row = rows.get(key)
-    if row is None:
-        row = rows[key] = build(w, i)
-    return row
 
 
 def _rho_row(a: int, row: Row) -> Row:
@@ -594,11 +575,8 @@ def commutator_lemma_residual(
     a = g.a
     out = []
     for w, m, b in _slice(g):
-        left = _rho_row(a, _read_row(D0a._rows, D0a._row, w, b))
-        if m == 0:
-            right = _read_row(D0n._rows, D0n._row, tuple(k - a for k in w), b)
-        else:
-            right = _rho_row(a, _read_row(beta._rows, beta._row, w, b))
+        left = _rho_row(a, D0a._row(w, b))
+        right = D0n._row(tuple(k - a for k in w), b) if m == 0 else _rho_row(a, beta._row(w, b))
         residual = _difference(g.nor, left, right)
         if residual is not None:
             out.append((repr(_normalized(g.amb, {w: g.base.basis_element(b)})), residual))
@@ -633,9 +611,7 @@ def transport_lemma_residual(
     out = []
     for w, m, b in _slice(g):
         right = g._nabla_perp if m == 0 else shape
-        residual = _difference(
-            g.amb, _read_row(g._d1_rows, g._d1_row, w, b), _read_row(right._rows, right._row, w, b)
-        )
+        residual = _difference(g.amb, g._d1_row(w, b), right._row(w, b))
         if residual is not None:
             out.append((f"operator @ {_normalized(g.amb, {w: g.base.basis_element(b)})!r}", residual))
     return out
@@ -702,7 +678,6 @@ def frakD_square_report(g: GeometricModel) -> Dict[int, Dict[str, SymElement]]:
 
 def build_kapranov(
     rlist: Mapping[int, Mapping[int, SymElement]],
-    base: BaseAlgebra,
     tangent: FreeModule,
     cap: int = 4,
 ) -> DerivationD:

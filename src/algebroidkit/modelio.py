@@ -470,7 +470,7 @@ def parse_model(
     raise ParseError(f"unknown kind {kind!r}", "$.kind")
 
 
-def serialize_model(obj: Union[GeometricModel, AlgebroidStructure], arity_cap: Optional[int] = None) -> str:
+def serialize_model(obj: Union[GeometricModel, AlgebroidStructure]) -> str:
     """Canonical JSON text for a model object."""
     if isinstance(obj, AlgebroidStructure):
         doc = {

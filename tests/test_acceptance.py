@@ -260,7 +260,7 @@ def test_criterion_3_ce_duality():
     # equivalence both ways with single-entry perturbations
     base = nontrivial_dga()
     carrier = mixed_module(base, [0, -1], seed=11)
-    S, D, _ = conjugation_oracle_structure(Rng(35), base, carrier, cap=4)
+    S, D, _ = conjugation_oracle_structure(Rng(35), carrier, cap=4)
     if square_components(ce_differential(S, weight_cap=4)) != {} or not all_residuals_empty(S):
         ok = False
     broke = 0
@@ -367,7 +367,7 @@ def test_criterion_7_specializations():
     if S_diag.anchors != {}:
         ok = False
     D = build_frakD(diagonal)
-    DK = build_kapranov(diagonal.curv_perp, diagonal.base, diagonal.normal, cap=diagonal.cap)
+    DK = build_kapranov(diagonal.curv_perp, diagonal.normal, cap=diagonal.cap)
     if set(D.on_letters) != set(DK.on_letters) or set(D.on_algebra) != set(DK.on_algebra):
         ok = False
     else:

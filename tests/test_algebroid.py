@@ -100,7 +100,7 @@ def test_round_trip_derivation_to_structure():
     rng = Rng(34)
     for base in sample_bases():
         carrier = standard_module(base, rank=2, seed=55)
-        S, D, Phi = conjugation_oracle_structure(rng, base, carrier, cap=4)
+        S, D, Phi = conjugation_oracle_structure(rng, carrier, cap=4)
         D2 = ce_differential(S, weight_cap=4, algebra=D.algebra)
         assert D2 == D
 
@@ -130,7 +130,7 @@ def test_conjugation_oracle_passes_all_residuals():
     rng = Rng(35)
     for base in sample_bases():
         carrier = standard_module(base, rank=2, seed=66)
-        S, D, Phi = conjugation_oracle_structure(rng, base, carrier, cap=4)
+        S, D, Phi = conjugation_oracle_structure(rng, carrier, cap=4)
         assert square_components(D) == {}
         for n in range(1, 5):
             assert algebroid_jacobi_residual(S, n) == {}
@@ -175,7 +175,7 @@ def test_equivalence_square_iff_residuals():
     rng = Rng(36)
     base = nontrivial_dga()
     carrier = mixed_module(base, [0, 1], seed=5)
-    S, D, Phi = conjugation_oracle_structure(rng, base, carrier, cap=4)
+    S, D, Phi = conjugation_oracle_structure(rng, carrier, cap=4)
     assert square_components(ce_differential(S, weight_cap=4)) == {}
     assert all_residuals_empty(S)
 

@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 
 import algebroidkit
+from algebroidkit import cli
 
 
 def test_every_exported_name_resolves():
@@ -124,3 +125,48 @@ def test_no_dead_definitions():
             where = f"{owner}.{name}" if owner else name
             dead.append(f"{path.relative_to(root)}:{node.lineno}: {where}")
     assert dead == []
+
+
+def _functions(tree: ast.Module):
+    """(function node, its parameters) of every function and method of the
+    module, nested ones included; a method's receiver (its first parameter,
+    bound by the call) is left out."""
+    methods = {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            yield node, params[1:] if id(node) in methods else params
+
+
+def test_no_unread_parameters():
+    """Every parameter of a function or method of the package is read by its
+    body.  Dunder methods, whose signature the language sets, lambdas, and the
+    (model, caps, args) signature that ``cli.COMMANDS`` dispatches with are
+    exempt."""
+    root = Path(__file__).resolve().parents[1]
+    commands = {f.__name__ for f in cli.COMMANDS.values()}
+    unread = []
+    for path in sorted(root.glob("src/algebroidkit/*.py")):
+        tree = ast.parse(path.read_text())
+        for node, params in _functions(tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if path.name == "cli.py" and node.name in commands:
+                assert params == ["model", "caps", "args"], node.name
+                continue
+            read = {
+                n.id
+                for statement in node.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [f"{path.relative_to(root)}:{node.lineno}: {node.name}({p})" for p in params if p not in read]
+    assert unread == []

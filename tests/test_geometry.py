@@ -25,7 +25,6 @@ from algebroidkit.geometry import (
     TENSOR_FAMILIES,
     GeometricModel,
     _grid,
-    _slice,
     build_frakD,
     build_kapranov,
     commutator_lemma_residual,
@@ -372,7 +371,7 @@ def test_kapranov_zero_curvature_is_d0():
     Tm = mixed_module(base, [0, 1], prefix="t", seed=2)
     from algebroidkit.symtensor import d0_derivation
 
-    D = build_kapranov({}, base, Tm, cap=4)
+    D = build_kapranov({}, Tm, cap=4)
     alg = D.algebra
     assert D == d0_derivation(alg, Tm)
 
@@ -383,7 +382,7 @@ def test_kapranov_eps_nilpotent_squares_to_zero():
     alg = SymAlgebra.over_module(Tm, cap=4)
     e = base.from_names({"e": ONE})
     r2 = SymElement(alg, {(0, 0): e})
-    D = build_kapranov({2: {0: r2}}, base, Tm, cap=4)
+    D = build_kapranov({2: {0: r2}}, Tm, cap=4)
     assert square_components(D) == {}
 
 
@@ -394,7 +393,7 @@ def test_kapranov_square_sees_bianchi_defect():
     alg = SymAlgebra.over_module(Tm, cap=4)
     c = base.from_names({"e|1": ONE})  # d(e|1) = 1|u != 0
     r2 = SymElement(alg, {(0, 0): c})
-    D = build_kapranov({2: {0: r2}}, base, Tm, cap=4)
+    D = build_kapranov({2: {0: r2}}, Tm, cap=4)
     sq = square_components(D)
     assert sq and min(sq) == 1
 
@@ -409,7 +408,7 @@ def test_diagonal_regime_matches_kapranov():
     rlist = {
         k: {j: v for j, v in table.items()} for k, table in g.curv_perp.items()
     }
-    DK = build_kapranov(rlist, g.base, g.normal, cap=g.cap)
+    DK = build_kapranov(rlist, g.normal, cap=g.cap)
     # same module shape: letter tables must agree index-by-index
     assert set(D.on_letters) == set(DK.on_letters)
     for j, v in D.on_letters.items():
@@ -791,12 +790,12 @@ def test_lemma_checks_refuse_a_nabla_hat_word_without_tangent_letters():
         assert str(err.value) == "nabla_hat value on n0^ has the word n0^*n0^ without tangent letters"
 
 
-def test_lemma_checks_keep_no_iterate_store(monkeypatch):
-    """The three lemma checks keep nothing on the model but the D1 rows they
-    read, one per slice grid element: no attribute is added, and no other
-    table of the model grows.  Every residual is a difference of stored
-    rows: no check applies an operator, on a passing model or with doubled
-    shape data."""
+def test_lemma_checks_keep_no_rows(monkeypatch):
+    """The three lemma checks keep nothing on the model: no attribute is
+    added, no table of the model grows, and the row table of every model
+    derivation stays empty, since each slice row is built where it is read.
+    No check applies an operator, on a passing model or with doubled shape
+    data."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a lemma check applied an operator")
@@ -807,16 +806,18 @@ def test_lemma_checks_keep_no_iterate_store(monkeypatch):
     g = small_random_model(14)
     attributes = set(vars(g))
     sizes = {name: len(v) for name, v in vars(g).items() if isinstance(v, dict)}
+    derivations = {"_nabla_hat": g._nabla_hat, "_nabla_perp": g._nabla_perp, "_shape": g._shape, "_d1": g._d1}
+    derivations.update({f"_rtan[{p}]": d for p, d in g._rtan.items()})
+    assert "_rtan[1]" in derivations
     assert retraction_residual(g) == []
     assert commutator_lemma_residual(g) == []
     assert transport_lemma_residual(g) == []
     assert set(vars(g)) == attributes
-    grown = {name for name, size in sizes.items() if len(vars(g)[name]) != size}
-    assert grown == {"_d1_rows"}
-    assert len(g._d1_rows) == 92
-    assert set(g._d1_rows) <= {(w, b) for w, _, b in _slice(g)}
+    assert {name: len(vars(g)[name]) for name in sizes} == sizes
+    assert {name: len(d._rows) for name, d in derivations.items()} == dict.fromkeys(derivations, 0)
     doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
     assert len(transport_lemma_residual(g, shape_override=doubled)) == 30
+    assert {name: len(d._rows) for name, d in derivations.items()} == dict.fromkeys(derivations, 0)
 
 
 def test_transport_check_decides_the_iterate_on_single_row_shape_mutations():

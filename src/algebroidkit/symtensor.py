@@ -48,14 +48,19 @@ substituted once with weight m.  The untouched letters of the Leibniz rule
 carry the unit coefficient, and multiplying by it is left out: that is exact
 under the unit law of the base algebra.
 
-The operators (``DerivationD``, ``FilteredAutomorphism`` and its inverse)
-are Q(i)-linear, so each reads a row table that it owns: a row is the image
-of one grid element e_i w (basis element e_i, sorted word w), kept as its
-(word, coefficients) pairs and made the first time it is read.  ``apply``
-adds s times the row of (w, i) for every term s e_i w of its argument
-(``_apply_rows``).  Rows are exact values, so results do not depend on which
-rows were made before, and a table holds at most one row per grid element:
-sum_r |words_of_weight(r)| * dim A.
+The operators (``DerivationD`` and ``FilteredAutomorphism``, of which
+Phi^{-1} is one too) are Q(i)-linear, so each reads a row table that it
+owns: a row is the image of one grid element e_i w (basis element e_i,
+sorted word w), kept as its (word, coefficients) pairs and made the first
+time it is read.  ``apply`` adds s times the row of (w, i) for every term
+s e_i w of its argument (``_apply_rows``).  Rows are exact values, so
+results do not depend on which rows were made before, and a table holds at
+most one row per grid element: sum_r |words_of_weight(r)| * dim A.  An
+automorphism builds the row of e_i w as Phi(e_i) Phi(w) from a word image
+Phi(w) that it keeps once per nonempty word, sum_{r >= 1}
+|words_of_weight(r)| images at most.  Phi^{-1} is an automorphism too:
+exp(-phi) for Phi = exp(phi), else the Neumann series of Phi run on the
+generators only; no series runs on a grid element.
 """
 
 from __future__ import annotations
@@ -240,28 +245,37 @@ class SymElement:
         (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
         where s is the Koszul sign exponent of sorting the letters of w1 w2;
         a sorted word with a repeated odd letter is zero.  Each output term is
-        accumulated basis element by basis element.
+        accumulated basis element by basis element.  The right factor's words
+        are grouped by length, so a pair over the cap is never formed: in the
+        large products of Phi's word images most pairs are over it.
         """
         self._check(other)
         alg = self.algebra
         base = alg.base
         degrees = base.degrees
+        letter_degrees = alg.letter_degrees
+        by_length: Dict[int, List[Tuple[Word, AlgebraElement]]] = {}
+        for w2, a2 in other.data.items():
+            by_length.setdefault(len(w2), []).append((w2, a2))
+        lengths = sorted(by_length)
         acc: Dict[Word, Dict[int, Scalar]] = {}
         for w1, a1 in self.data.items():
+            room = alg.cap - len(w1)
             d1 = alg.word_degree(w1)
-            for w2, a2 in other.data.items():
-                if len(w1) + len(w2) > alg.cap:
-                    continue
-                merged = _sort_word(alg.letter_degrees, w1 + w2)
-                if merged is None:
-                    continue
-                word, exponent = merged
-                coeffs = acc.setdefault(word, {})
-                for j, bj in a2.coeffs:
-                    negative = (exponent + degrees[j] * d1) & 1
-                    for i, ai in a1.coeffs:
-                        s = ai * bj
-                        _add_product(coeffs, base, i, j, -s if negative else s)
+            for n in lengths:
+                if n > room:
+                    break
+                for w2, a2 in by_length[n]:
+                    merged = _sort_word(letter_degrees, w1 + w2)
+                    if merged is None:
+                        continue
+                    word, exponent = merged
+                    coeffs = acc.setdefault(word, {})
+                    for j, bj in a2.coeffs:
+                        negative = (exponent + degrees[j] * d1) & 1
+                        for i, ai in a1.coeffs:
+                            s = ai * bj
+                            _add_product(coeffs, base, i, j, -s if negative else s)
         return _collect(alg, acc)
 
     def truncate(self, cap: int) -> "SymElement":
@@ -734,13 +748,17 @@ class FilteredAutomorphism:
 
     Stored by images of base basis elements and letters; each image is the
     element itself plus terms of strictly higher weight, and they are never
-    changed after construction.  Phi and Phi^{-1} are Q(i)-linear, so each
-    is read from its own row table (``_apply_rows``): the row of e_i w is
-    Phi(e_i) Phi(w_1) ... Phi(w_r), and the inverse row is the Neumann
-    series sum_{k <= cap + 1} (id - Phi)^k run on e_i w alone.  Phi - id
-    raises the weight, so the series is Phi^{-1} under the cap; it is a
-    linear map (it stops early only where every later term is zero), so
-    summing the rows of the terms of an element gives its value exactly.
+    changed after construction.  Phi is Q(i)-linear, so it is read from its
+    row table (``_apply_rows``): the row of e_i w is Phi(e_i) Phi(w), and the
+    word image Phi(w) = Phi(w[:-1]) Phi(w[-1]) is kept per word, so words
+    with a common prefix and the basis indices of one word share it.
+
+    Phi^{-1} is a filtered automorphism too (``inverse``), read through its
+    own rows and word images in the same way.  exp(phi) is made with its
+    inverse exp(-phi) (``from_exponential``).  An automorphism built from
+    its images alone gets the inverse images from the Neumann series
+    sum_{k <= cap + 1} (id - Phi)^k run on each generator: Phi - id raises
+    the weight, so the series is Phi^{-1} under the cap.
     """
 
     def __init__(
@@ -755,7 +773,8 @@ class FilteredAutomorphism:
         self.on_algebra = dict(on_algebra)
         self.on_letters = dict(on_letters)
         self._rows: Dict[Tuple[Word, int], Row] = {}
-        self._inverse_rows: Dict[Tuple[Word, int], Row] = {}
+        self._word_images: Dict[Word, SymElement] = {}
+        self._inverse: Optional[FilteredAutomorphism] = None
         if check:
             self._check_unipotent()
 
@@ -774,11 +793,25 @@ class FilteredAutomorphism:
 
     @staticmethod
     def from_exponential(phi: DerivationD) -> "FilteredAutomorphism":
-        """exp(phi) for a degree-0, weight-raising derivation phi."""
+        """exp(phi) for a degree-0, weight-raising derivation phi.
+
+        phi is nilpotent on the truncated algebra, so exp(-phi) is exactly
+        the inverse; it is made here, its generator images summed from the
+        same powers phi^k x as those of exp(phi).
+        """
         if phi.degree != 0:
             raise DegreeError("exponential needs a degree-0 derivation")
         alg = phi.algebra
-        return FilteredAutomorphism(alg, *_on_generators(alg, lambda x: _exp_apply(phi, x)))
+        plus: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
+        minus: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
+        for slot, i, _, x in alg.generators():
+            for tables, image in zip((plus, minus), _exp_pair(phi, x)):
+                if not image.is_zero():
+                    tables[slot][i] = image
+        Phi = FilteredAutomorphism(alg, *plus)
+        Phi._inverse = FilteredAutomorphism(alg, *minus, check=False)
+        Phi._inverse._inverse = Phi
+        return Phi
 
     def _check(self, element: SymElement) -> None:
         if not self.algebra.compatible(element.algebra):
@@ -790,53 +823,48 @@ class FilteredAutomorphism:
         return _apply_rows(self.algebra, element, self._rows, self._row)
 
     def _row(self, w: Word, i: int) -> Row:
-        """Phi(e_i w) = Phi(e_i) Phi(w_1) ... Phi(w_r)."""
+        """Phi(e_i w) = Phi(e_i) Phi(w)."""
         alg = self.algebra
-        term = self.on_algebra.get(i)
-        if term is None:
-            term = alg.scalar(alg.base.basis_element(i))
-        for letter in w:
-            img = self.on_letters.get(letter)
-            term = term * (img if img is not None else alg.letter(letter))
-        return _row_of(term)
+        head = self.on_algebra.get(i)
+        if head is None:
+            head = alg.scalar(alg.base.basis_element(i))
+        return _row_of(head * self._word_image(w) if w else head)
 
-    def apply_inverse(self, element: SymElement) -> SymElement:
-        """Phi^{-1} = sum_k (id - Phi)^k, finite under the cap."""
-        self._check(element)
-        return _apply_rows(self.algebra, element, self._inverse_rows, self._inverse_row)
+    def _word_image(self, w: Word) -> SymElement:
+        """Phi(w_1 ... w_r) for a nonempty sorted word, made once per word as
+        Phi(w[:-1]) Phi(w[-1])."""
+        img = self._word_images.get(w)
+        if img is None:
+            if len(w) == 1:
+                img = self.on_letters.get(w[0])
+                if img is None:
+                    img = self.algebra.letter(w[0])
+            else:
+                img = self._word_image(w[:-1]) * self._word_image(w[-1:])
+            self._word_images[w] = img
+        return img
 
-    def _inverse_row(self, w: Word, i: int) -> Row:
-        """The Neumann series on the single grid element e_i w."""
-        alg = self.algebra
-        current = _normalized(alg, {w: alg.base.basis_element(i)})
-        acc = current
-        for _ in range(alg.cap + 1):
+    def inverse(self) -> "FilteredAutomorphism":
+        """Phi^{-1}, made once; its inverse is Phi again."""
+        if self._inverse is None:
+            alg = self.algebra
+            inverse = FilteredAutomorphism(alg, *_on_generators(alg, self._neumann), check=False)
+            self._inverse, inverse._inverse = inverse, self
+        return self._inverse
+
+    def _neumann(self, x: SymElement) -> SymElement:
+        """Phi^{-1}(x) = sum_k (id - Phi)^k x, finite under the cap."""
+        acc = current = x
+        for _ in range(self.algebra.cap + 1):
             current = current - self.apply(current)
             if current.is_zero():
                 break
             acc = acc + current
-        return _row_of(acc)
+        return acc
 
-    def validate(self) -> list[str]:
-        """Spot-check multiplicativity on base basis pairs and invertibility."""
-        problems = []
-        alg = self.algebra
-        base = alg.base
-        for i in range(base.dim):
-            for j in range(base.dim):
-                lhs = self.apply(alg.scalar(base.product_basis(i, j)))
-                rhs = self.apply(alg.scalar(base.basis_element(i))) * self.apply(
-                    alg.scalar(base.basis_element(j))
-                )
-                if lhs != rhs:
-                    problems.append(
-                        f"multiplicativity fails on ({base.names[i]}, {base.names[j]})"
-                    )
-        for i in range(alg.n_letters):
-            x = alg.letter(i)
-            if self.apply(self.apply_inverse(x)) != x:
-                problems.append(f"inverse fails on letter {alg.letter_names[i]}")
-        return problems
+    def apply_inverse(self, element: SymElement) -> SymElement:
+        """Phi^{-1}(element), read from the rows of ``inverse()``."""
+        return self.inverse().apply(element)
 
 
 def _refuse_foreign_keys(
@@ -864,17 +892,20 @@ def _on_generators(
     return tables
 
 
-def _exp_apply(phi: DerivationD, element: SymElement) -> SymElement:
-    acc = element
-    term = element
+def _exp_pair(phi: DerivationD, element: SymElement) -> Tuple[SymElement, SymElement]:
+    """exp(phi)(element) and exp(-phi)(element), both summed from the powers
+    phi^k(element) / k!, each power computed once."""
+    plus = minus = term = element
     k = 1
     while k <= phi.algebra.cap + 1:
         term = phi.apply(term)
         if term.is_zero():
             break
-        acc = acc + term.scale(Scalar.rational(1, factorial(k)))
+        scaled = term.scale(Scalar.rational(1, factorial(k)))
+        plus = plus + scaled
+        minus = minus - scaled if k & 1 else minus + scaled
         k += 1
-    return acc
+    return plus, minus
 
 
 def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:

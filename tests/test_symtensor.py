@@ -17,12 +17,13 @@ from algebroidkit.fixtures import (
     kodaira_base,
     lambda_eps,
     nontrivial_dga,
+    sample_bases,
     standard_module,
 )
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
-from algebroidkit.signs import Permutation, enumerate_unshuffles, sym_sign
+from algebroidkit.signs import Permutation, _sort_word, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
     DerivationD,
     FilteredAutomorphism,
@@ -34,6 +35,8 @@ from algebroidkit.symtensor import (
     from_values,
     mc_residual,
     square_components,
+    _add_product,
+    _collect,
     _word_constant,
 )
 
@@ -515,18 +518,40 @@ def random_unipotent(rng, alg):
 
 
 def test_identity_automorphism():
+    """Built from (no) images, so its inverse comes from the Neumann series."""
     base, module, alg = make_setup()
     Phi = FilteredAutomorphism(alg, {}, {}, check=False)
     D0 = d0_derivation(alg, module)
     assert conjugate(Phi, D0) == D0
     assert mc_residual(D0, Phi) == {}
+    x = random_sym_element(Rng(19), alg)
+    assert Phi.apply_inverse(x) == x
+    assert Phi.inverse().inverse() is Phi
+
+
+def automorphism_problems(Phi):
+    """Multiplicativity on base basis pairs and invertibility on letters."""
+    problems = []
+    alg = Phi.algebra
+    base = alg.base
+    for i in range(base.dim):
+        for j in range(base.dim):
+            lhs = Phi.apply(alg.scalar(base.product_basis(i, j)))
+            rhs = Phi.apply(alg.scalar(base.basis_element(i))) * Phi.apply(alg.scalar(base.basis_element(j)))
+            if lhs != rhs:
+                problems.append(f"multiplicativity fails on ({base.names[i]}, {base.names[j]})")
+    for i in range(alg.n_letters):
+        x = alg.letter(i)
+        if Phi.apply(Phi.apply_inverse(x)) != x:
+            problems.append(f"inverse fails on letter {alg.letter_names[i]}")
+    return problems
 
 
 def test_unipotent_validates_and_inverts():
     base, module, alg = make_setup(seed=20)
     rng = Rng(23)
     Phi = random_unipotent(rng, alg)
-    assert Phi.validate() == []
+    assert automorphism_problems(Phi) == []
     x = random_sym_element(rng, alg)
     assert Phi.apply_inverse(Phi.apply(x)) == x
     assert Phi.apply(Phi.apply_inverse(x)) == x
@@ -732,6 +757,64 @@ def test_product_matches_homogeneous_term_oracle(base_name, degrees):
         assert x * y == reference_mul(x, y)
 
 
+def pairwise_mul(x, y):
+    """Every left word paired with every right word, the cap checked per pair:
+    the oracle for the length-bucketed ``SymElement.__mul__``."""
+    alg = x.algebra
+    base = alg.base
+    acc = {}
+    for w1, a1 in x.items():
+        d1 = alg.word_degree(w1)
+        for w2, a2 in y.items():
+            if len(w1) + len(w2) > alg.cap:
+                continue
+            merged = _sort_word(alg.letter_degrees, w1 + w2)
+            if merged is None:
+                continue
+            word, exponent = merged
+            coeffs = acc.setdefault(word, {})
+            for j, bj in a2.items():
+                negative = (exponent + base.degrees[j] * d1) & 1
+                for i, ai in a1.items():
+                    s = ai * bj
+                    _add_product(coeffs, base, i, j, -s if negative else s)
+    return _collect(alg, acc)
+
+
+PRODUCT_BASES = sample_bases()
+
+
+@st.composite
+def drawn_algebras(draw, max_cap):
+    """A SymAlgebra over one of ``sample_bases()``, with up to three letters of
+    drawn degrees (odd, even and repeated ones) and a cap in 0..max_cap."""
+    base = draw(st.sampled_from(PRODUCT_BASES))
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3))
+    cap = draw(st.integers(0, max_cap))
+    return SymAlgebra(base, [(f"x{i}", d) for i, d in enumerate(degrees)], cap)
+
+
+def drawn_elements(alg):
+    """Words of every weight up to the cap, with inhomogeneous coefficients."""
+    words = [w for r in range(alg.cap + 1) for w in alg.words_of_weight(r)]
+    return st.dictionaries(st.sampled_from(words), algebra_elements(alg.base), max_size=5).map(
+        lambda data: SymElement(alg, data)
+    )
+
+
+@given(data=st.data())
+def test_bucketed_product_matches_pairwise_oracle(data):
+    """The right factor always carries the words of weight cap, so every
+    nonempty left word meets words that overflow cap - |w1|."""
+    alg = data.draw(drawn_algebras(5))
+    x = data.draw(drawn_elements(alg))
+    y = data.draw(drawn_elements(alg))
+    top = SymElement(alg, {w: alg.base.one() for w in alg.words_of_weight(alg.cap)})
+    assert x * y == pairwise_mul(x, y)
+    assert x * (y + top) == pairwise_mul(x, y + top)
+    assert (y + top) * x == pairwise_mul(y + top, x)
+
+
 @pytest.mark.parametrize("derivation_degree", [-1, 0, 1])
 @pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
 @pytest.mark.parametrize("degrees", DEGREE_PATTERNS)
@@ -801,8 +884,43 @@ def test_automorphism_rows_match_whole_element_oracles(base_name, degrees):
             x = sparse_sym_element(rng, alg, 0.4)
             assert Phi.apply(x) == reference_automorphism_apply(Phi, x)
             assert Phi.apply_inverse(x) == reference_apply_inverse(Phi, x)
-        assert len(Phi._rows) <= grid_bound(alg)
-        assert len(Phi._inverse_rows) <= grid_bound(alg)
+        for op in (Phi, Phi.inverse()):
+            assert len(op._rows) <= grid_bound(alg)
+            assert len(op._word_images) <= sum(len(alg.words_of_weight(r)) for r in range(1, alg.cap + 1))
+
+
+@given(data=st.data())
+def test_word_image_rows_and_exp_minus_phi_match_oracles(data):
+    """Phi from word images against the letter-by-letter product, and the
+    exp(-phi) images of Phi^{-1} against the Neumann series, on every
+    generator and on drawn elements."""
+    alg = data.draw(drawn_algebras(4))
+    Phi = random_unipotent(Rng(data.draw(st.integers(0, 2**16))), alg)
+    inverse = Phi.inverse()
+    tables = (inverse.on_algebra, inverse.on_letters)
+    for slot, i, _, x in alg.generators():
+        assert tables[slot].get(i, alg.zero()) == reference_apply_inverse(Phi, x)  # a letter is 0 at cap 0
+        assert Phi.apply(x) == reference_automorphism_apply(Phi, x)
+    for _ in range(2):
+        x = data.draw(drawn_elements(alg))
+        assert Phi.apply(x) == reference_automorphism_apply(Phi, x)
+        assert Phi.apply_inverse(x) == reference_apply_inverse(Phi, x)
+        assert Phi.apply(Phi.apply_inverse(x)) == x
+
+
+def test_automorphism_built_from_images_inverts_by_neumann_series():
+    """Without phi the inverse images come from the Neumann series on the
+    generators; they are the exp(-phi) images of the same automorphism."""
+    base, module, alg = make_setup(seed=58, cap=4)
+    rng = Rng(59)
+    Phi = random_unipotent(rng, alg)
+    direct = FilteredAutomorphism(alg, Phi.on_algebra, Phi.on_letters)
+    assert direct.inverse().on_algebra == Phi.inverse().on_algebra
+    assert direct.inverse().on_letters == Phi.inverse().on_letters
+    assert direct.inverse().inverse() is direct
+    x = sparse_sym_element(rng, alg, 0.4)
+    assert direct.apply_inverse(x) == reference_apply_inverse(direct, x)
+    assert direct.apply_inverse(direct.apply(x)) == x
 
 
 def test_apply_sums_rows_with_their_scalars():
@@ -827,10 +945,15 @@ def test_second_conjugate_builds_no_rows():
     D0 = d0_derivation(alg, module)
     Phi = random_unipotent(Rng(64), alg)
     first = conjugate(Phi, D0)
-    sizes = (len(Phi._rows), len(Phi._inverse_rows), len(D0._rows))
-    assert all(sizes)
+    inverse = Phi.inverse()
+
+    def sizes():
+        return (len(Phi._rows), len(Phi._word_images), len(inverse._rows), len(inverse._word_images), len(D0._rows))
+
+    built = sizes()
+    assert all(built)
     assert conjugate(Phi, D0) == first
-    assert (len(Phi._rows), len(Phi._inverse_rows), len(D0._rows)) == sizes
+    assert sizes() == built
 
 
 def test_mc_check_builds_one_row_per_touched_grid_element(workloads):
@@ -853,12 +976,47 @@ def test_mc_check_builds_one_row_per_touched_grid_element(workloads):
                 reads += 1
         return apply(element)
 
-    Phi.apply = recording  # the inverse rows reach Phi.apply through the instance too
+    Phi.apply = recording  # apply_inverse reads the rows of Phi.inverse(), not these
     assert mc_residual(D0, Phi) == {}
     assert square_components(conjugate(Phi, D0)) == {}
     assert set(Phi._rows) == touched
     assert len(Phi._rows) <= grid_bound(alg)
     assert reads > 2 * len(touched)
+
+
+def multiplying_entries(op):
+    """The entries of an automorphism's tables whose making calls
+    ``SymElement.__mul__`` once each: rows of a nonempty word, Phi(e_i) Phi(w),
+    and word images of length >= 2, Phi(w[:-1]) Phi(w[-1])."""
+    return sum(1 for w, _ in op._rows if w) + sum(1 for w in op._word_images if len(w) > 1)
+
+
+def test_mc_checks_multiply_once_per_word_image_and_row(workloads, monkeypatch):
+    """On gen_a3_b4_w5 (seed 0) Phi^{-1} builds no Phi row or word image, and
+    the two checks of ``mc`` call ``SymElement.__mul__`` exactly once per
+    multiplying row and word image that Phi and Phi^{-1} build during them."""
+    g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
+    alg = SymAlgebra.over_module(g.normal, cap=g.cap)
+    D0 = d0_derivation(alg, g.normal)
+    Phi = random_unipotent(Rng(0), alg)
+    inverse = Phi.inverse()
+    for _, _, _, x in alg.generators():
+        Phi.apply_inverse(x)
+    Phi.apply_inverse(random_sym_element(Rng(1), alg))
+    assert (Phi._rows, Phi._word_images) == ({}, {})
+    before = multiplying_entries(Phi) + multiplying_entries(inverse)
+    calls = 0
+    mul = SymElement.__mul__
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(SymElement, "__mul__", counting)
+    assert mc_residual(D0, Phi) == {}
+    assert square_components(conjugate(Phi, D0)) == {}
+    assert calls == multiplying_entries(Phi) + multiplying_entries(inverse) - before > 0
 
 
 def test_private_constructor_agrees_with_public_one():

@@ -32,12 +32,14 @@ The main constructions:
 * ``pi_tilde``: sum of iterated nabla_bar on the whole argument, a right
   inverse to the normal projection; it keeps nothing on the model.
 * the lemma checks (``retraction_residual``, ``commutator_lemma_residual``,
-  ``transport_lemma_residual``): decided exactly on the grid words with at
-  most one tangent letter, each residual a difference of two rows built
-  where they are read and kept nowhere; no check applies an operator, and
-  the rows decide the transport iterate by induction on its power.  This
-  rests on rule R (a tangent letter in every nabla_hat value word), which
-  they check first; the retraction has nothing left to decide after it.
+  ``transport_lemma_residual``): the two operator lemmas are identities
+  between derivations, decided exactly on the generator grid elements and
+  listed on the grid words with at most one tangent letter only where they
+  fail, each residual a difference of two rows built where they are read
+  and kept nowhere; no check applies an operator, and the rows decide the
+  transport iterate by induction on its power.  This rests on rule R (a
+  tangent letter in every nabla_hat value word), which they check first;
+  the retraction has nothing left to decide after it.
 * ``build_frakD``: the degree-1 derivation
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
@@ -59,7 +61,7 @@ The main constructions:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
@@ -462,14 +464,32 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 # model that breaks it.  Let m count the tangent letters of a word.  Under R
 # nabla_hat never lowers m and raises it from 0, so every residual vanishes
 # on a grid word with m >= 2 (the commutator's even without R: the ambient
-# d0 maps such a word to words that keep a tangent letter), and the checks
-# walk only the words with m <= 1 (``_slice``), each residual the difference
+# d0 maps such a word to words that keep a tangent letter), and the lemmas
+# live on the words with m <= 1 (``_slice``), each residual the difference
 # of two rows (``_difference``).  There P1 nabla_bar is P1 of the cut
 # derivation D1 (``GeometricModel._d1``), P1 nabla_bar^s is P1 nabla_bar of
-# P1 nabla_bar^(s-1), and P0 nabla_bar^s = 0: the rows of the walk are all
-# that any power of nabla_bar reads there.  The walk reads each row once, so
-# it builds the row where it reads it (a derivation's ``_row``) and keeps
-# none.
+# P1 nabla_bar^(s-1), and P0 nabla_bar^s = 0: the rows of the slice are all
+# that any power of nabla_bar reads there.
+#
+# Both lemmas are identities between derivations, so each is decided on the
+# generator grid elements (``_generators``): e_b with the empty word, and
+# each ambient letter with the unit coefficient.  The slice is walked only
+# to list the residuals of a lemma that fails there (``_lemma_residual``).
+# Zero on the generators is zero on the slice:
+#
+# * m = 0: the ambient d0 keeps such a word at m = 0 and D1 sends it to m = 1
+#   words only, so the residual map is a derivation along rho-dual (the
+#   commutator) or along the inclusion (the transport), fixed by its values
+#   on the base basis and the normal letters.
+# * m = 1, e_b t u with t the tangent letter: every other Leibniz term has a
+#   second tangent letter, which rho-dual or P1 kills, or hits beta-tilde or
+#   Shape, which vanish on the base and on the normal letters.  So the
+#   residual of e_b t u is +-e_b R(t) u, R(t) the residual of the letter t.
+# * truncation: a word dropped over the cap stays over it after any
+#   multiplication.
+#
+# The walk reads each row once, so it builds the row where it reads it (a
+# derivation's ``_row``) and keeps none.
 
 
 def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
@@ -518,6 +538,43 @@ def _slice(g: GeometricModel):
             yield w, (1 if w and w[0] < a else 0), b
 
 
+def _generators(g: GeometricModel):
+    """(word, tangent-letter count m, basis index) of the generator grid
+    elements: e_b with the empty word for every basis index b, then each
+    ambient letter with the unit coefficient."""
+    for b in range(g.base.dim):
+        yield (), 0, b
+    a = g.a
+    unit = g.base.unit
+    for j in range(g.amb.n_letters):
+        yield (j,), (1 if j < a else 0), unit
+
+
+def _lemma_residual(
+    g: GeometricModel, residual_at: Callable[[Word, int, int], Optional[SymElement]], prefix: str
+) -> List[Tuple[str, SymElement]]:
+    """The residuals of a lemma, residual_at(word, m, basis index) being its
+    residual on one slice element (None where it vanishes): [] when it
+    vanishes on every generator, else every nonzero residual of the slice,
+    in slice order, labelled prefix + the grid element."""
+    if all(residual_at(w, m, b) is None for w, m, b in _generators(g)):
+        return []
+    out = []
+    for w, m, b in _slice(g):
+        residual = residual_at(w, m, b)
+        if residual is not None:
+            out.append((f"{prefix}{_normalized(g.amb, {w: g.base.basis_element(b)})!r}", residual))
+    return out
+
+
+def _refuse_non_tangent_keys(g: GeometricModel, name: str, table: Mapping[int, SymElement]) -> None:
+    """Refuse an override table with a key that is not a tangent letter:
+    the lemma it overrides reads it on the tangent letters only."""
+    for i in table:
+        if i not in range(g.a):
+            raise KitError(f"{name} index {i!r} is out of range for {g.a} tangent letters")
+
+
 def _rho_row(a: int, row: Row) -> Row:
     """rho-dual of a row over the ambient letters: its words without tangent
     letters, relabelled to the normal letters (which keeps their order)."""
@@ -560,27 +617,35 @@ def commutator_lemma_residual(
     The left side commutes the normal projection with the ambient and normal
     differentials; the right side substitutes the stored Kodaira-Spencer
     tensor into the single-tangent-letter component.  Passing ambient_beta
-    rebuilds the ambient differential from a different tensor, which makes
-    the residual a stored-vs-derived consistency diagnostic.
+    (keyed by tangent letters; any other key is refused) rebuilds the
+    ambient differential from a different tensor, which makes the residual
+    a stored-vs-derived consistency diagnostic.
 
     On a word with no tangent letter the residual is the rho-dual of its
     ambient d0 row minus its normal d0 row, on one with a single tangent
     letter the rho-dual of its ambient d0 row minus that of its beta-tilde
     row.
+
+    Decided on the generators, and listed on the slice only where a
+    generator row differs: on m = 0 words the residual is a derivation along
+    rho-dual (the ambient d0 keeps them at m = 0), and on e_b t u it is
+    +-e_b R(t) u, since rho-dual kills every other Leibniz term but those of
+    u, and beta-tilde vanishes on the base and the normal letters.
     """
     _require_rule_r(g)
+    if ambient_beta is not None:
+        _refuse_non_tangent_keys(g, "ambient_beta", ambient_beta)
     D0a = g.ambient_d0(ambient_beta)
     D0n = g.normal_d0()
     beta = g._rtan[1]
     a = g.a
-    out = []
-    for w, m, b in _slice(g):
+
+    def residual_at(w: Word, m: int, b: int) -> Optional[SymElement]:
         left = _rho_row(a, D0a._row(w, b))
         right = D0n._row(tuple(k - a for k in w), b) if m == 0 else _rho_row(a, beta._row(w, b))
-        residual = _difference(g.nor, left, right)
-        if residual is not None:
-            out.append((repr(_normalized(g.amb, {w: g.base.basis_element(b)})), residual))
-    return out
+        return _difference(g.nor, left, right)
+
+    return _lemma_residual(g, residual_at, "")
 
 
 def transport_lemma_residual(
@@ -589,12 +654,19 @@ def transport_lemma_residual(
     """P1 o nabla_bar = nabla_perp o P0 + shape o P1, and with it the iterate
     P1 nabla_bar^s = shape^(s-1) o nabla_perp on the normal algebra.
 
-    With shape_override the substitution side uses different shape values,
-    exposing mismatched shape data as a nonzero residual.
+    With shape_override (keyed by tangent letters; any other key is refused)
+    the substitution side uses different shape values, exposing mismatched
+    shape data as a nonzero residual.
 
     On a word with no tangent letter the residual is its P1 D1 row minus its
     nabla_perp row, on one with a single tangent letter its P1 D1 row minus
     its shape row.  Only the left side is projected to P1.
+
+    Decided on the generators, and listed on the slice only where a
+    generator row differs: on m = 0 words the residual is a derivation along
+    the inclusion (D1 sends them to m = 1 words only), and on e_b t u it is
+    +-e_b R(t) u, since P1 kills every other D1 Leibniz term and Shape
+    vanishes on the base and the normal letters.
 
     The rows decide the iterate: on a normal element P1 nabla_bar reads only
     P0 rows of D1, compared here with the nabla_perp rows, and every later
@@ -607,14 +679,14 @@ def transport_lemma_residual(
     if shape_override is None:
         shape = g._shape
     else:
+        _refuse_non_tangent_keys(g, "shape_override", shape_override)
         shape = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False)
-    out = []
-    for w, m, b in _slice(g):
+
+    def residual_at(w: Word, m: int, b: int) -> Optional[SymElement]:
         right = g._nabla_perp if m == 0 else shape
-        residual = _difference(g.amb, g._d1_row(w, b), right._row(w, b))
-        if residual is not None:
-            out.append((f"operator @ {_normalized(g.amb, {w: g.base.basis_element(b)})!r}", residual))
-    return out
+        return _difference(g.amb, g._d1_row(w, b), right._row(w, b))
+
+    return _lemma_residual(g, residual_at, "operator @ ")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
 from algebroidkit.modelio import serialize_model
-from algebroidkit.scalars import Scalar
+from algebroidkit.symtensor import DerivationD
 
 
 @pytest.fixture(scope="module")
@@ -382,14 +382,15 @@ def test_internal_error_exits_3_with_one_line(model_dir, tmp_path, capsys, monke
     assert captured.out == ""
     assert not out.exists()
 
-    def divide_by_zero(self, other):
-        raise ZeroDivisionError("scalar product")
+    # an exception from inside a check: the operator-lemma checks build derivation rows
+    def divide_by_zero(self, w, i):
+        raise ZeroDivisionError("derivation row")
 
-    monkeypatch.setattr(Scalar, "__mul__", divide_by_zero)
+    monkeypatch.setattr(DerivationD, "_row", divide_by_zero)
     out = tmp_path / "lemmas.json"
     assert run(["lemmas", model_dir / "generic.geometric.json", "--json", out]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "internal error: ZeroDivisionError: scalar product\n"
+    assert captured.err == "internal error: ZeroDivisionError: derivation row\n"
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
 

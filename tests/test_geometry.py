@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algebroidkit import geometry, symtensor
 from algebroidkit.algebroid import AlgebroidStructure, extract_structure
@@ -19,6 +22,7 @@ from algebroidkit.fixtures import (
     mixed_module,
     nontrivial_dga,
     random_geometric_model,
+    sample_bases,
     trivial_model,
 )
 from algebroidkit.geometry import (
@@ -834,6 +838,163 @@ def test_transport_check_decides_the_iterate_on_single_row_shape_mutations():
             counts.append(transport_against_the_oracle(g, mutated))
     assert len(counts) == 12
     assert any(op and it for op, it in counts), counts
+
+
+# -- the generator pass against the slice walk ----------------------------------------
+
+
+def slice_commutator_lemma_residual(g, ambient_beta=None):
+    """The commutator check as a walk over the whole one-tangent-letter
+    slice, with no generator pass."""
+    D0a = g.ambient_d0(ambient_beta)
+    D0n = g.normal_d0()
+    beta = g._rtan[1]
+    a = g.a
+    out = []
+    for w, m, b in geometry._slice(g):
+        left = geometry._rho_row(a, D0a._row(w, b))
+        right = D0n._row(tuple(k - a for k in w), b) if m == 0 else geometry._rho_row(a, beta._row(w, b))
+        residual = geometry._difference(g.nor, left, right)
+        if residual is not None:
+            out.append((repr(symtensor._normalized(g.amb, {w: g.base.basis_element(b)})), residual))
+    return out
+
+
+def slice_transport_lemma_residual(g, shape_override=None):
+    """The transport check as a walk over the whole one-tangent-letter
+    slice, with no generator pass."""
+    if shape_override is None:
+        shape = g._shape
+    else:
+        shape = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False)
+    out = []
+    for w, m, b in geometry._slice(g):
+        right = g._nabla_perp if m == 0 else shape
+        residual = geometry._difference(g.amb, g._d1_row(w, b), right._row(w, b))
+        if residual is not None:
+            label = f"operator @ {symtensor._normalized(g.amb, {w: g.base.basis_element(b)})!r}"
+            out.append((label, residual))
+    return out
+
+
+def lemmas_against_the_slice_walk(g):
+    """Check both lemma checks against the slice walk on g, with its own
+    tensors, a bumped ambient beta, doubled Shape and each Shape row doubled
+    alone; return the number of listed residuals of each input."""
+    bumped = {i: v + g.nor.letter(0, g.base.one()).scale(Scalar(i + 1)) for i, v in g.beta.items()}
+    shapes = [None, {i: v.scale(Scalar(2)) for i, v in g.shape.items()}]
+    for i in sorted(g.shape):
+        mutated = dict(g.shape)
+        mutated[i] = mutated[i].scale(Scalar(2))
+        shapes.append(mutated)
+    counts = []
+    for beta in (None, bumped):
+        got = commutator_lemma_residual(g, ambient_beta=beta)
+        assert got == slice_commutator_lemma_residual(g, ambient_beta=beta)
+        counts.append(len(got))
+    for shape in shapes:
+        got = transport_lemma_residual(g, shape_override=shape)
+        assert got == slice_transport_lemma_residual(g, shape_override=shape)
+        counts.append(len(got))
+    return counts
+
+
+@given(
+    base=st.sampled_from(range(3)),
+    tangent=st.lists(st.integers(-1, 1), min_size=1, max_size=2),
+    normal=st.lists(st.integers(-1, 1), min_size=1, max_size=2),
+    cap=st.integers(1, 4),
+    density=st.sampled_from([0.3, 0.6, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_generator_pass_matches_the_slice_walk_on_random_models(base, tangent, normal, cap, density, seed):
+    """On random models over the sample bases, with mixed-degree letters and
+    caps 1-4, the checks list what the slice walk lists (labels, values,
+    order): with the model's tensors, a bumped beta, doubled Shape and every
+    single-row Shape mutation."""
+    g = random_geometric_model(
+        Rng(seed), sample_bases()[base], tangent, normal, cap=cap, density=density, seed_modules=seed
+    )
+    counts = lemmas_against_the_slice_walk(g)
+    assert counts[0] == 0 and counts[2] == 0  # the parser's bidegrees make both lemmas hold
+
+
+def test_generator_pass_matches_the_slice_walk_on_fixed_models():
+    """The same on a Gamma or dhat word with two tangent letters (the
+    nabla_perp rows keep it, the P1 left side drops it: only the slice
+    walk lists where) and on the model with two odd normal letters."""
+    models = {
+        "gamma": _one_by_one_model(3, gamma={0: {(0, 0, 1): 1}}),
+        "dhat": _one_by_one_model(3, dhat={1: {(0, 0): 1}}),
+        "two-odd-normals": _two_odd_normals_model(),
+    }
+    counts = {name: lemmas_against_the_slice_walk(g) for name, g in models.items()}
+    assert counts["gamma"][2] == 4 and counts["dhat"][2] == 2, counts
+    two_odd = counts["two-odd-normals"]
+    assert two_odd[0] == two_odd[2] == 0 and two_odd[1] > 0 and two_odd[3] > 0, counts
+
+
+def test_passing_lemmas_build_one_row_per_generator_on_each_side(workloads, monkeypatch):
+    """On gen_a2_b3_w5 at seed 0 a passing check builds exactly one row per
+    generator grid element on each side of each lemma; with doubled Shape
+    the transport check also walks the slice, two rows per element."""
+    g = parse_model(workloads.generate_model_text("gen_a2_b3_w5.geometric", 0))
+    calls = []
+    row = DerivationD._row
+
+    def counting(self, w, i):
+        calls.append((self, w, i))
+        return row(self, w, i)
+
+    monkeypatch.setattr(DerivationD, "_row", counting)
+    generators = list(geometry._generators(g))
+    normal_generators = g.base.dim + g.b
+    assert len(generators) == normal_generators + g.a
+    assert commutator_lemma_residual(g) == []
+    counts = Counter(id(der) for der, _, _ in calls)
+    assert sorted(counts.values()) == sorted([len(generators), normal_generators, g.a])
+    assert counts[id(g._rtan[1])] == g.a
+    calls.clear()
+    assert transport_lemma_residual(g) == []
+    assert Counter(id(der) for der, _, _ in calls) == {
+        id(g._d1): len(generators), id(g._nabla_perp): normal_generators, id(g._shape): g.a
+    }
+    assert [(w, i) for der, w, i in calls if der is g._d1] == [(w, b) for w, _, b in generators]
+    calls.clear()
+    doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
+    assert transport_lemma_residual(g, shape_override=doubled) != []
+    # the generator pass up to the first differing row, then the whole slice
+    d1_calls = [(w, i) for der, w, i in calls if der is g._d1]
+    walked = [(w, b) for w, _, b in geometry._slice(g)]
+    passed = len(d1_calls) - len(walked)
+    assert len(calls) == 2 * len(d1_calls)
+    assert 0 < passed <= len(generators)
+    assert d1_calls == [(w, b) for w, _, b in generators[:passed]] + walked
+
+
+def test_commutator_check_refuses_ambient_beta_off_the_tangent_letters():
+    """An ambient_beta key that is not a tangent letter is refused: the
+    ambient d0 reads beta on the tangent letters only, so the check used to
+    ignore the entry and pass."""
+    g = small_random_model(12)
+    assert g.a == 2
+    override = dict(g.beta)
+    override[g.a] = g.nor.letter(0, g.base.one())
+    with pytest.raises(KitError) as err:
+        commutator_lemma_residual(g, ambient_beta=override)
+    assert str(err.value) == "ambient_beta index 2 is out of range for 2 tangent letters"
+
+
+def test_transport_check_refuses_shape_override_off_the_tangent_letters():
+    """A shape_override key that is not a tangent letter (here a normal
+    letter, which the derivation would accept) is refused: the generator
+    pass rests on Shape vanishing on the normal letters."""
+    g = small_random_model(13)
+    override = dict(g.shape)
+    override[g.a] = SymElement(g.amb, {(0, g.a): g.base.one()})
+    with pytest.raises(KitError) as err:
+        transport_lemma_residual(g, shape_override=override)
+    assert str(err.value) == "shape_override index 2 is out of range for 2 tangent letters"
 
 
 def test_rtan_derivations_built_once():

@@ -221,6 +221,8 @@ class GeometricModel(SplitFrame):
                 el = table.get(i)
                 if el is None:
                     out[i] = alg.zero()
+                elif alg.compatible(el.algebra):
+                    out[i] = el
                 elif el.algebra.letter_names != alg.letter_names or el.algebra.base is not base:
                     raise BaseMismatch(f"tensor not expressed over the {fam.values} letters")
                 else:
@@ -384,7 +386,8 @@ def geometric_degree_problems(g: GeometricModel) -> List[str]:
     An ambient-valued tensor is checked word by word against the family's
     bidegree.  A normal-valued one (Rperp_k, or Rtan_p with beta = Rtan_1)
     has only normal letters, so its bidegree is its weight, checked as a
-    whole.
+    whole; its degree is read on the normal algebra, whose letters have the
+    degrees of the ambient normal letters.
     """
     problems: List[str] = []
     for fam in TENSOR_FAMILIES:
@@ -399,10 +402,8 @@ def geometric_degree_problems(g: GeometricModel) -> List[str]:
                     continue
                 index = names[i] if fam.index == "base" else i
                 name = f"{fam.name}[{k}][{index}]" if fam.weighted else f"{fam.name}[{index}]"
-                if fam.values == "normal":
-                    if el.weights() != [k]:
-                        problems.append(f"{name} has weights {el.weights()}")
-                    el = g.to_amb(el)
+                if fam.values == "normal" and el.weights() != [k]:
+                    problems.append(f"{name} has weights {el.weights()}")
                 try:
                     got = el.degree()
                 except DegreeError:

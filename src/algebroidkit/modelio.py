@@ -2,25 +2,36 @@
 
 The interchange format is JSON with a fixed schema tag; every number is an
 exact integer quadruple {num, den, inum, iden} encoding num/den + (inum/iden)i,
-so no floating point can enter a model file.  Parsing is strict: unknown
-fields are rejected and every error carries the JSON path of the offending
-field.  Serialization is canonical (sorted keys, fixed separators, stable
-entry order), and parse -> serialize is byte-identical on canonical files.
+so no floating point can enter a model file.  Serialization is canonical
+(sorted keys, fixed separators, stable entry order), and parse -> serialize
+is byte-identical on canonical files.
+
+Parsing is strict and takes one pass over the decoded JSON.  Every node gets
+one structural test: its type, and for an object its exact key set (or keys
+within the allowed ones and including the required ones).  Unknown fields
+are rejected and every refusal carries the JSON path of the offending field.
+The path is not formatted on the way down: a node's path is passed as the
+parts it is made of (see ``_at``), and only a node that fails its test is
+looked at again, by a refusal helper that names its first bad field (an
+unknown field before a missing one, then the fields in schema order) and
+formats the path.  Names resolve through {name: index} maps, and the words
+of a tensor are sorted by ``_sort_word`` inside the weight cap, so the
+tensors are built without the checks of the public constructors.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure
-from .errors import KitError, ParseError
+from .errors import ParseError
 from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily, geometric_degree_problems
 from .modules import FreeModule, ModuleElement
 from .scalars import Scalar
 from .signs import _sort_word
-from .symtensor import SymAlgebra, SymElement
+from .symtensor import SymAlgebra, SymElement, _normalized
 
 SCHEMA = "algebroidkit/1"
 
@@ -29,61 +40,124 @@ SCHEMA = "algebroidkit/1"
 # strict traversal helpers
 # ---------------------------------------------------------------------------
 
+# A JSON path as passed down the traversal: a str is path text, an int the
+# index of a list entry, and a tuple the concatenation of its parts, e.g.
+# ("$.base.products", 3, ".terms") for $.base.products[3].terms.
+JsonPath = Union[str, int, tuple]
 
-def _expect_dict(value, path: str, allowed: Sequence[str], required: Sequence[str]) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError("expected an object", path)
+
+def _at(path: JsonPath) -> str:
+    """The text of a JSON path."""
+    if type(path) is str:
+        return path
+    if type(path) is int:
+        return f"[{path}]"
+    return "".join(_at(part) for part in path)
+
+
+def _refuse(message: str, path: JsonPath) -> NoReturn:
+    raise ParseError(message, _at(path))
+
+
+def _keys(*names: str):
+    """The fields of one kind of object, in schema order, as a set-like view:
+    ``node.keys() == fields`` is the exact-key test."""
+    return dict.fromkeys(names).keys()
+
+
+_SCALAR = _keys("num", "den", "inum", "iden")
+_TERM = _keys("basis", "coeff")
+_NAMED = _keys("name", "degree")
+_PRODUCT = _keys("left", "right", "terms")
+_BASE_DIFFERENTIAL = _keys("basis", "terms")
+_MODULE_TERM = _keys("generator", "terms")
+_MODULE_DIFFERENTIAL = _keys("generator", "value")
+_WORD = _keys("word", "terms")
+_BRACKET = _keys("arity", "args", "value")
+_ANCHOR = _keys("arity", "args", "on", "terms")
+_CAPS = _keys("weight", "arity")
+_BASE = _keys("basis", "unit", "products", "differential")
+_MODULE = _keys("generators", "differential")
+_TOP = _keys(
+    "schema", "kind", "caps", "base", "carrier", "brackets", "anchors", "tangent", "normal", "tensors", "closed_beta"
+)
+
+_NO_BASIS = "no basis element named {!r}"
+_NO_GENERATOR = "no generator named {!r}"
+_NO_LETTER = "unknown letter {!r}"
+
+
+def _object(value, path: JsonPath, fields, required: Optional[Sequence[str]] = None) -> dict:
+    """value, if it is an object whose fields are among fields and include
+    required (by default all of fields); otherwise the refusal of its first
+    fault: not an object, else its first unknown field in file order, else
+    its first missing field in schema order.  A loop over many entries tests
+    the key set itself and calls this only when that test fails."""
+    if type(value) is not dict:
+        _refuse("expected an object", path)
     for key in value:
-        if key not in allowed:
-            raise ParseError(f"unknown field {key!r}", path)
-    for key in required:
+        if key not in fields:
+            _refuse(f"unknown field {key!r}", path)
+    for key in fields if required is None else required:
         if key not in value:
-            raise ParseError(f"missing field {key!r}", path)
+            _refuse(f"missing field {key!r}", path)
     return value
 
 
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError("expected a list", path)
+def _list(value, path: JsonPath) -> list:
+    if type(value) is not list:
+        _refuse("expected a list", path)
     return value
 
 
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError("expected a string", path)
+def _str(value, path: JsonPath) -> str:
+    if type(value) is not str:
+        _refuse("expected a string", path)
     return value
 
 
-def _expect_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError("expected an integer", path)
+def _int(value, path: JsonPath) -> int:
+    # a JSON true or false is a bool, which this test refuses
+    if type(value) is not int:
+        _refuse("expected an integer", path)
     return value
 
 
-def _refuse_duplicate(earlier, key, what: str, path: str) -> None:
-    """An entry whose key is among the keys of the entries before it is
-    refused at path, instead of overwriting the earlier one."""
-    if key in earlier:
-        raise ParseError(f"duplicate entry for {what}", path)
+def _name(index: Dict[str, int], value, path: JsonPath, unknown: str) -> int:
+    """The index of the name value; a value that is not a string, or not a
+    key of index (refused with the message unknown, formatted with it), is
+    refused at path."""
+    i = index.get(value) if type(value) is str else None
+    if i is None:
+        _refuse(unknown.format(_str(value, path)), path)
+    return i
 
 
-def _index_of(space: Union[BaseAlgebra, FreeModule], value, path: str) -> int:
-    """The index in space of the name given by the string at path; an unknown
-    name is a ParseError at path."""
-    name = _expect_str(value, path)
+def _names(index: Dict[str, int], values, path: JsonPath, unknown: str) -> list:
+    """The indices of the list of names values; the first bad one is
+    refused at its entry of path."""
     try:
-        return space.index_of(name)
-    except KitError as exc:
-        raise ParseError(str(exc), path) from None
+        return [index[name] for name in _list(values, path)]
+    except (KeyError, TypeError):  # an unknown or unhashable name
+        return [_name(index, name, (path, m), unknown) for m, name in enumerate(values)]
 
 
-def _parse_scalar(value, path: str) -> Scalar:
-    d = _expect_dict(value, path, ["num", "den", "inum", "iden"], ["num", "den", "inum", "iden"])
-    for k in ("num", "den", "inum", "iden"):
-        _expect_int(d[k], f"{path}.{k}")
-    if d["den"] == 0 or d["iden"] == 0:
-        raise ParseError("zero denominator", path)
-    return Scalar.from_quadruple(d)
+def _scalar(value) -> Optional[Scalar]:
+    """The Scalar of a {num, den, inum, iden} node, or None if the node is
+    not one (see ``_refuse_scalar``)."""
+    if type(value) is dict and value.keys() == _SCALAR:
+        num, den, inum, iden = value["num"], value["den"], value["inum"], value["iden"]
+        if type(num) is int and type(den) is int and type(inum) is int and type(iden) is int and den and iden:
+            return Scalar.from_quadruple(value)
+    return None
+
+
+def _refuse_scalar(value, path: JsonPath) -> NoReturn:
+    """The refusal of a node ``_scalar`` rejects."""
+    _object(value, path, _SCALAR)
+    for key in _SCALAR:
+        _int(value[key], (path, "." + key))
+    _refuse("zero denominator", path)
 
 
 def _scalar_dict(s: Scalar) -> dict:
@@ -95,15 +169,23 @@ def _scalar_dict(s: Scalar) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _parse_terms(value, path: str, base: BaseAlgebra) -> AlgebraElement:
+def _parse_terms(value, path: JsonPath, index: Dict[str, int]) -> Dict[int, Scalar]:
+    """{basis index: coefficient} of a list of {basis, coeff} entries; a
+    repeated basis element adds up, so a coefficient may be zero."""
     out: Dict[int, Scalar] = {}
-    for k, item in enumerate(_expect_list(value, path)):
-        d = _expect_dict(item, f"{path}[{k}]", ["basis", "coeff"], ["basis", "coeff"])
-        idx = _index_of(base, d["basis"], f"{path}[{k}].basis")
-        coeff = _parse_scalar(d["coeff"], f"{path}[{k}].coeff")
+    for k, item in enumerate(_list(value, path)):
+        if type(item) is not dict or item.keys() != _TERM:
+            _object(item, (path, k), _TERM)
+        name = item["basis"]
+        idx = index.get(name) if type(name) is str else None
+        if idx is None:
+            _name(index, name, (path, k, ".basis"), _NO_BASIS)
+        coeff = _scalar(item["coeff"])
+        if coeff is None:
+            _refuse_scalar(item["coeff"], (path, k, ".coeff"))
         old = out.get(idx)
         out[idx] = coeff if old is None else old + coeff
-    return AlgebraElement(base, out)
+    return out
 
 
 def _terms_list(a: AlgebraElement) -> list:
@@ -113,41 +195,49 @@ def _terms_list(a: AlgebraElement) -> list:
     ]
 
 
-def _parse_base(value, path: str) -> BaseAlgebra:
-    d = _expect_dict(
-        value, path, ["basis", "unit", "products", "differential"], ["basis", "unit", "products"]
-    )
-    basis = []
-    for k, item in enumerate(_expect_list(d["basis"], f"{path}.basis")):
-        e = _expect_dict(item, f"{path}.basis[{k}]", ["name", "degree"], ["name", "degree"])
-        basis.append((_expect_str(e["name"], f"{path}.basis[{k}].name"),
-                      _expect_int(e["degree"], f"{path}.basis[{k}].degree")))
-    names = [n for n, _ in basis]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate basis names", f"{path}.basis")
-    unit_name = _expect_str(d["unit"], f"{path}.unit")
-    if unit_name not in names:
-        raise ParseError(f"unit {unit_name!r} is not a basis element", f"{path}.unit")
-    if basis[names.index(unit_name)][1] != 0:
-        raise ParseError("unit must have degree 0", f"{path}.unit")
-    probe = BaseAlgebra(basis, unit=names.index(unit_name), products={})
+def _parse_named(value, path: str) -> list:
+    """The (name, degree) pairs of a list of {name, degree} entries."""
+    out = []
+    for k, item in enumerate(_list(value, path)):
+        if type(item) is not dict or item.keys() != _NAMED:
+            _object(item, (path, k), _NAMED)
+        out.append((_str(item["name"], (path, k, ".name")), _int(item["degree"], (path, k, ".degree"))))
+    return out
+
+
+def _parse_base(value, path: str) -> Tuple[BaseAlgebra, Dict[str, int]]:
+    """The base algebra and its {basis name: index} map."""
+    d = _object(value, path, _BASE, ("basis", "unit", "products"))
+    basis = _parse_named(d["basis"], f"{path}.basis")
+    index = {name: i for i, (name, _) in enumerate(basis)}
+    if len(index) != len(basis):
+        _refuse("duplicate basis names", f"{path}.basis")
+    unit_name = _str(d["unit"], f"{path}.unit")
+    unit = index.get(unit_name)
+    if unit is None:
+        _refuse(f"unit {unit_name!r} is not a basis element", f"{path}.unit")
+    if basis[unit][1] != 0:
+        _refuse("unit must have degree 0", f"{path}.unit")
     products: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for k, item in enumerate(_expect_list(d["products"], f"{path}.products")):
-        e = _expect_dict(item, f"{path}.products[{k}]", ["left", "right", "terms"], ["left", "right", "terms"])
-        left = _index_of(probe, e["left"], f"{path}.products[{k}].left")
-        right = _index_of(probe, e["right"], f"{path}.products[{k}].right")
-        what = f"product {e['left']!r} * {e['right']!r}"
-        _refuse_duplicate(products, (left, right), what, f"{path}.products[{k}]")
-        val = _parse_terms(e["terms"], f"{path}.products[{k}].terms", probe)
-        products[(left, right)] = dict(val.items())
+    at = f"{path}.products"
+    for k, item in enumerate(_list(d["products"], at)):
+        if type(item) is not dict or item.keys() != _PRODUCT:
+            _object(item, (at, k), _PRODUCT)
+        left = _name(index, item["left"], (at, k, ".left"), _NO_BASIS)
+        right = _name(index, item["right"], (at, k, ".right"), _NO_BASIS)
+        if (left, right) in products:
+            _refuse(f"duplicate entry for product {item['left']!r} * {item['right']!r}", (at, k))
+        products[(left, right)] = _parse_terms(item["terms"], (at, k, ".terms"), index)
     differential: Dict[int, Dict[int, Scalar]] = {}
-    for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):
-        e = _expect_dict(item, f"{path}.differential[{k}]", ["basis", "terms"], ["basis", "terms"])
-        idx = _index_of(probe, e["basis"], f"{path}.differential[{k}].basis")
-        _refuse_duplicate(differential, idx, f"basis {e['basis']!r}", f"{path}.differential[{k}]")
-        val = _parse_terms(e["terms"], f"{path}.differential[{k}].terms", probe)
-        differential[idx] = dict(val.items())
-    return BaseAlgebra(basis, unit=names.index(unit_name), products=products, differential=differential)
+    at = f"{path}.differential"
+    for k, item in enumerate(_list(d.get("differential", []), at)):
+        if type(item) is not dict or item.keys() != _BASE_DIFFERENTIAL:
+            _object(item, (at, k), _BASE_DIFFERENTIAL)
+        idx = _name(index, item["basis"], (at, k, ".basis"), _NO_BASIS)
+        if idx in differential:
+            _refuse(f"duplicate entry for basis {item['basis']!r}", (at, k))
+        differential[idx] = _parse_terms(item["terms"], (at, k, ".terms"), index)
+    return BaseAlgebra(basis, unit=unit, products=products, differential=differential), index
 
 
 def _base_dict(base: BaseAlgebra) -> dict:
@@ -181,13 +271,19 @@ def _base_dict(base: BaseAlgebra) -> dict:
     return out
 
 
-def _parse_module_value(value, path: str, module: FreeModule) -> ModuleElement:
+def _parse_module_value(
+    value, path: JsonPath, module: FreeModule, index: Dict[str, int], base_index: Dict[str, int]
+) -> ModuleElement:
+    """A module element from a list of {generator, terms} entries; index maps
+    the generator names."""
+    base = module.base
     out: Dict[int, AlgebraElement] = {}
-    for k, item in enumerate(_expect_list(value, path)):
-        d = _expect_dict(item, f"{path}[{k}]", ["generator", "terms"], ["generator", "terms"])
-        idx = _index_of(module, d["generator"], f"{path}[{k}].generator")
-        coeff = _parse_terms(d["terms"], f"{path}[{k}].terms", module.base)
-        out[idx] = out.get(idx, module.base.zero()) + coeff
+    for k, item in enumerate(_list(value, path)):
+        if type(item) is not dict or item.keys() != _MODULE_TERM:
+            _object(item, (path, k), _MODULE_TERM)
+        idx = _name(index, item["generator"], (path, k, ".generator"), _NO_GENERATOR)
+        coeff = AlgebraElement(base, _parse_terms(item["terms"], (path, k, ".terms"), base_index))
+        out[idx] = out.get(idx, base.zero()) + coeff
     return ModuleElement(module, out)
 
 
@@ -198,24 +294,27 @@ def _module_value_list(v: ModuleElement) -> list:
     ]
 
 
-def _parse_module(value, path: str, base: BaseAlgebra, name: str) -> FreeModule:
-    d = _expect_dict(value, path, ["generators", "differential"], ["generators"])
-    gens = []
-    for k, item in enumerate(_expect_list(d["generators"], f"{path}.generators")):
-        e = _expect_dict(item, f"{path}.generators[{k}]", ["name", "degree"], ["name", "degree"])
-        gens.append((_expect_str(e["name"], f"{path}.generators[{k}].name"),
-                     _expect_int(e["degree"], f"{path}.generators[{k}].degree")))
-    if len({n for n, _ in gens}) != len(gens):
-        raise ParseError("duplicate generator names", f"{path}.generators")
+def _parse_module(
+    value, path: str, base: BaseAlgebra, base_index: Dict[str, int], name: str
+) -> Tuple[FreeModule, Dict[str, int]]:
+    """The free module and its {generator name: index} map."""
+    d = _object(value, path, _MODULE, ("generators",))
+    gens = _parse_named(d["generators"], f"{path}.generators")
+    index = {n: i for i, (n, _) in enumerate(gens)}
+    if len(index) != len(gens):
+        _refuse("duplicate generator names", f"{path}.generators")
     module = FreeModule(base, gens, name=name)
     differential = {}
-    for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):
-        e = _expect_dict(item, f"{path}.differential[{k}]", ["generator", "value"], ["generator", "value"])
-        idx = _index_of(module, e["generator"], f"{path}.differential[{k}].generator")
-        _refuse_duplicate(differential, idx, f"generator {e['generator']!r}", f"{path}.differential[{k}]")
-        differential[idx] = _parse_module_value(e["value"], f"{path}.differential[{k}].value", module)
+    at = f"{path}.differential"
+    for k, item in enumerate(_list(d.get("differential", []), at)):
+        if type(item) is not dict or item.keys() != _MODULE_DIFFERENTIAL:
+            _object(item, (at, k), _MODULE_DIFFERENTIAL)
+        idx = _name(index, item["generator"], (at, k, ".generator"), _NO_GENERATOR)
+        if idx in differential:
+            _refuse(f"duplicate entry for generator {item['generator']!r}", (at, k))
+        differential[idx] = _parse_module_value(item["value"], (at, k, ".value"), module, index, base_index)
     module.set_differential(differential)
-    return module
+    return module, index
 
 
 def _module_dict(module: FreeModule) -> dict:
@@ -241,24 +340,23 @@ def _module_dict(module: FreeModule) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _parse_sym(value, path: str, alg: SymAlgebra) -> SymElement:
+def _parse_sym(
+    value, path: JsonPath, alg: SymAlgebra, letter_index: Dict[str, int], base_index: Dict[str, int]
+) -> SymElement:
+    """An element of alg from a list of {word, terms} entries; letter_index
+    maps alg's letter names.  Each word is checked against the cap and then
+    sorted by ``_sort_word``, which drops a word with a repeated odd letter,
+    so the element is built by ``_normalized``."""
+    base, cap, degrees = alg.base, alg.cap, alg.letter_degrees
     data: Dict[Tuple[int, ...], AlgebraElement] = {}
-    letter_index = {n: i for i, n in enumerate(alg.letter_names)}
-    for k, item in enumerate(_expect_list(value, path)):
-        d = _expect_dict(item, f"{path}[{k}]", ["word", "terms"], ["word", "terms"])
-        word = []
-        for m, letter in enumerate(_expect_list(d["word"], f"{path}[{k}].word")):
-            nm = _expect_str(letter, f"{path}[{k}].word[{m}]")
-            if nm not in letter_index:
-                raise ParseError(f"unknown letter {nm!r}", f"{path}[{k}].word[{m}]")
-            word.append(letter_index[nm])
-        if len(word) > alg.cap:
-            raise ParseError(
-                f"word of weight {len(word)} overflows the weight cap {alg.cap}",
-                f"{path}[{k}].word",
-            )
-        coeff = _parse_terms(d["terms"], f"{path}[{k}].terms", alg.base)
-        merged = _sort_word(alg.letter_degrees, word)
+    for k, item in enumerate(_list(value, path)):
+        if type(item) is not dict or item.keys() != _WORD:
+            _object(item, (path, k), _WORD)
+        word = _names(letter_index, item["word"], (path, k, ".word"), _NO_LETTER)
+        if len(word) > cap:
+            _refuse(f"word of weight {len(word)} overflows the weight cap {cap}", (path, k, ".word"))
+        coeff = AlgebraElement(base, _parse_terms(item["terms"], (path, k, ".terms"), base_index))
+        merged = _sort_word(degrees, word)
         if merged is None:  # a repeated odd letter: the word is zero
             continue
         w, exponent = merged
@@ -266,7 +364,7 @@ def _parse_sym(value, path: str, alg: SymAlgebra) -> SymElement:
             coeff = -coeff
         old = data.get(w)
         data[w] = coeff if old is None else old + coeff
-    return SymElement(alg, data)
+    return _normalized(alg, data)
 
 
 def _sym_list(el: SymElement) -> list:
@@ -282,42 +380,42 @@ def _sym_list(el: SymElement) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _parse_family(value, path: str, fam: TensorFamily, frame: SplitFrame) -> dict:
+def _parse_family(value, path: str, fam: TensorFamily, frame: SplitFrame, base_index: Dict[str, int]) -> dict:
     """The tables of one tensor family ({k: table} for a weighted one); an
     entry repeating an index (at the same weight) is refused."""
     key = fam.key
-    fields = (["weight"] if fam.weighted else []) + [key, "value"]
+    fields = _keys("weight", key, "value") if fam.weighted else _keys(key, "value")
     names, _ = frame.index_set(fam)
     position = {name: i for i, name in enumerate(names)}
     alg = frame.values_algebra(fam)
+    letter_index = {name: i for i, name in enumerate(alg.letter_names)}
     tables: Dict[int, Dict[int, SymElement]] = {}
-    for k, item in enumerate(_expect_list(value, path)):
-        at = f"{path}[{k}]"
-        e = _expect_dict(item, at, fields, fields)
+    for k, item in enumerate(_list(value, path)):
+        if type(item) is not dict or item.keys() != fields:
+            _object(item, (path, k), fields)
         weight = fam.weight
         if fam.weighted:
-            weight = _expect_int(e["weight"], f"{at}.weight")
+            weight = _int(item["weight"], (path, k, ".weight"))
             if weight > frame.cap:
-                raise ParseError(
-                    f"curvature weight {weight} overflows the weight cap {frame.cap}", f"{at}.weight"
-                )
+                _refuse(f"curvature weight {weight} overflows the weight cap {frame.cap}", (path, k, ".weight"))
             if weight < fam.weight:
-                raise ParseError(
-                    f"curvature weight {weight} is below the least weight {fam.weight}", f"{at}.weight"
-                )
-        name = _expect_str(e[key], f"{at}.{key}")
-        if name not in position:
+                _refuse(f"curvature weight {weight} is below the least weight {fam.weight}", (path, k, ".weight"))
+        name = item[key]
+        i = position.get(name) if type(name) is str else None
+        if i is None:
+            name = _str(name, (path, k, "." + key))
             if key == "basis":
-                problem = f"no basis element named {name!r}"
+                problem = _NO_BASIS.format(name)
             elif name in frame.amb.letter_names:
                 problem = f"{fam.name} is indexed by {fam.index} letters"
             else:
-                problem = f"unknown letter {name!r}"
-            raise ParseError(problem, f"{at}.{key}")
+                problem = _NO_LETTER.format(name)
+            _refuse(problem, (path, k, "." + key))
         table = tables.setdefault(weight, {})
-        at_weight = f" at weight {weight}" if fam.weighted else ""
-        _refuse_duplicate(table, position[name], f"{key} {name!r}{at_weight}", at)
-        table[position[name]] = _parse_sym(e["value"], f"{at}.value", alg)
+        if i in table:
+            at_weight = f" at weight {weight}" if fam.weighted else ""
+            _refuse(f"duplicate entry for {key} {name!r}{at_weight}", (path, k))
+        table[i] = _parse_sym(item["value"], (path, k, ".value"), alg, letter_index, base_index)
     return tables if fam.weighted else tables.get(fam.weight, {})
 
 
@@ -353,109 +451,93 @@ def parse_model(
         raise ParseError("invalid JSON: nested too deeply") from None
     except ValueError as exc:  # e.g. an integer literal past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
-    top_allowed = [
-        "schema",
-        "kind",
-        "caps",
-        "base",
-        "carrier",
-        "brackets",
-        "anchors",
-        "tangent",
-        "normal",
-        "tensors",
-        "closed_beta",
-    ]
-    d = _expect_dict(raw, "$", top_allowed, ["schema", "kind", "caps", "base"])
-    schema = _expect_str(d["schema"], "$.schema")
+    d = _object(raw, "$", _TOP, ("schema", "kind", "caps", "base"))
+    schema = _str(d["schema"], "$.schema")
     if schema != SCHEMA:
-        raise ParseError(f"unsupported schema {schema!r}", "$.schema")
-    kind = _expect_str(d["kind"], "$.kind")
-    caps = _expect_dict(d["caps"], "$.caps", ["weight", "arity"], ["weight", "arity"])
-    weight_cap = _expect_int(caps["weight"], "$.caps.weight")
-    arity_cap = _expect_int(caps["arity"], "$.caps.arity")
+        _refuse(f"unsupported schema {schema!r}", "$.schema")
+    kind = _str(d["kind"], "$.kind")
+    caps = _object(d["caps"], "$.caps", _CAPS)
+    weight_cap = _int(caps["weight"], "$.caps.weight")
+    arity_cap = _int(caps["arity"], "$.caps.arity")
     if weight_override is not None:
         weight_cap = weight_override
     if arity_override is not None:
         arity_cap = arity_override
     if weight_cap < 0 or arity_cap < 1:
-        raise ParseError("caps out of range", "$.caps")
-    base = _parse_base(d["base"], "$.base")
+        _refuse("caps out of range", "$.caps")
+    base, base_index = _parse_base(d["base"], "$.base")
 
     if kind == "algebroid":
         for forbidden in ("tangent", "normal", "tensors", "closed_beta"):
             if forbidden in d:
-                raise ParseError(f"field {forbidden!r} not allowed for kind=algebroid", "$")
+                _refuse(f"field {forbidden!r} not allowed for kind=algebroid", "$")
         if "carrier" not in d:
-            raise ParseError("missing field 'carrier'", "$")
-        carrier = _parse_module(d["carrier"], "$.carrier", base, "L")
+            _refuse("missing field 'carrier'", "$")
+        carrier, index = _parse_module(d["carrier"], "$.carrier", base, base_index, "L")
         S = AlgebroidStructure(base, carrier, bracket_cap=arity_cap, anchor_cap=arity_cap + 1)
         seen = set()  # canonical keys: a reordered tuple names the same entry
-        for k, item in enumerate(_expect_list(d.get("brackets", []), "$.brackets")):
-            e = _expect_dict(item, f"$.brackets[{k}]", ["arity", "args", "value"], ["arity", "args", "value"])
-            n = _expect_int(e["arity"], f"$.brackets[{k}].arity")
-            args = [
-                _index_of(carrier, x, f"$.brackets[{k}].args[{m}]")
-                for m, x in enumerate(_expect_list(e["args"], f"$.brackets[{k}].args"))
-            ]
+        for k, item in enumerate(_list(d.get("brackets", []), "$.brackets")):
+            if type(item) is not dict or item.keys() != _BRACKET:
+                _object(item, ("$.brackets", k), _BRACKET)
+            n = _int(item["arity"], ("$.brackets", k, ".arity"))
+            args = _names(index, item["args"], ("$.brackets", k, ".args"), _NO_GENERATOR)
             if len(args) != n:
-                raise ParseError("args length does not match arity", f"$.brackets[{k}]")
+                _refuse("args length does not match arity", ("$.brackets", k))
             key = ("bracket", *sorted(args))
-            _refuse_duplicate(seen, key, f"bracket args {e['args']}", f"$.brackets[{k}]")
+            if key in seen:
+                _refuse(f"duplicate entry for bracket args {item['args']}", ("$.brackets", k))
             seen.add(key)
-            value = _parse_module_value(e["value"], f"$.brackets[{k}].value", carrier)
+            value = _parse_module_value(item["value"], ("$.brackets", k, ".value"), carrier, index, base_index)
             try:
                 S.set_bracket(n, tuple(args), value)
             except Exception as exc:
-                raise ParseError(str(exc), f"$.brackets[{k}]") from None
-        for k, item in enumerate(_expect_list(d.get("anchors", []), "$.anchors")):
-            e = _expect_dict(item, f"$.anchors[{k}]", ["arity", "args", "on", "terms"], ["arity", "args", "on", "terms"])
-            n = _expect_int(e["arity"], f"$.anchors[{k}].arity")
-            args = [
-                _index_of(carrier, x, f"$.anchors[{k}].args[{m}]")
-                for m, x in enumerate(_expect_list(e["args"], f"$.anchors[{k}].args"))
-            ]
+                raise ParseError(str(exc), _at(("$.brackets", k))) from None
+        for k, item in enumerate(_list(d.get("anchors", []), "$.anchors")):
+            if type(item) is not dict or item.keys() != _ANCHOR:
+                _object(item, ("$.anchors", k), _ANCHOR)
+            n = _int(item["arity"], ("$.anchors", k, ".arity"))
+            args = _names(index, item["args"], ("$.anchors", k, ".args"), _NO_GENERATOR)
             if len(args) != n - 1:
-                raise ParseError("anchor args must have arity-1 entries", f"$.anchors[{k}]")
-            bidx = _index_of(base, e["on"], f"$.anchors[{k}].on")
+                _refuse("anchor args must have arity-1 entries", ("$.anchors", k))
+            bidx = _name(base_index, item["on"], ("$.anchors", k, ".on"), _NO_BASIS)
             key = ("anchor", bidx, *sorted(args))
-            _refuse_duplicate(seen, key, f"anchor args {e['args']} on {e['on']!r}", f"$.anchors[{k}]")
+            if key in seen:
+                _refuse(f"duplicate entry for anchor args {item['args']} on {item['on']!r}", ("$.anchors", k))
             seen.add(key)
-            value = _parse_terms(e["terms"], f"$.anchors[{k}].terms", base)
+            value = AlgebraElement(base, _parse_terms(item["terms"], ("$.anchors", k, ".terms"), base_index))
             try:
                 S.set_anchor(n, tuple(args), bidx, value)
             except Exception as exc:
-                raise ParseError(str(exc), f"$.anchors[{k}]") from None
+                raise ParseError(str(exc), _at(("$.anchors", k))) from None
         degree_problems = S.degree_problems()
         if degree_problems:
-            raise ParseError("; ".join(degree_problems[:3]), "$")
+            _refuse("; ".join(degree_problems[:3]), "$")
         return S
 
     if kind == "geometric":
         for forbidden in ("carrier", "brackets", "anchors"):
             if forbidden in d:
-                raise ParseError(f"field {forbidden!r} not allowed for kind=geometric", "$")
+                _refuse(f"field {forbidden!r} not allowed for kind=geometric", "$")
         for required in ("tangent", "normal"):
             if required not in d:
-                raise ParseError(f"missing field {required!r}", "$")
-        tangent = _parse_module(d["tangent"], "$.tangent", base, "Tm")
-        normal = _parse_module(d["normal"], "$.normal", base, "Nm")
+                _refuse(f"missing field {required!r}", "$")
+        tangent, _ = _parse_module(d["tangent"], "$.tangent", base, base_index, "Tm")
+        normal, _ = _parse_module(d["normal"], "$.normal", base, base_index, "Nm")
         # the ambient frame is split: its letters are the tangent ones, then
         # the normal ones, so a letter name may name only one of them
         for k, name in enumerate(normal.gen_names):
             if name in tangent.gen_names:
-                raise ParseError(
+                _refuse(
                     f"normal generator {name!r} has the name of a tangent generator",
                     f"$.normal.generators[{k}].name",
                 )
         closed = d.get("closed_beta", False)
-        if not isinstance(closed, bool):
-            raise ParseError("closed_beta must be a boolean", "$.closed_beta")
+        if type(closed) is not bool:
+            _refuse("closed_beta must be a boolean", "$.closed_beta")
         frame = SplitFrame(base, tangent, normal, cap=weight_cap)
-        names = [fam.name for fam in TENSOR_FAMILIES]
-        tensors = _expect_dict(d.get("tensors", {}), "$.tensors", names, [])
+        tensors = _object(d.get("tensors", {}), "$.tensors", [fam.name for fam in TENSOR_FAMILIES], ())
         tables = {
-            fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, frame)
+            fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, frame, base_index)
             for fam in TENSOR_FAMILIES
         }
         try:
@@ -464,10 +546,10 @@ def parse_model(
             raise ParseError(str(exc), "$") from None
         degree_problems = geometric_degree_problems(model)
         if degree_problems:
-            raise ParseError("; ".join(degree_problems[:3]), "$.tensors")
+            _refuse("; ".join(degree_problems[:3]), "$.tensors")
         return model
 
-    raise ParseError(f"unknown kind {kind!r}", "$.kind")
+    _refuse(f"unknown kind {kind!r}", "$.kind")
 
 
 def serialize_model(obj: Union[GeometricModel, AlgebroidStructure]) -> str:

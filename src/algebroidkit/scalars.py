@@ -128,16 +128,14 @@ class Scalar:
     # -- presentation --------------------------------------------------------
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        re, im = self.re, self.im
-        parts = []
-        if re:
-            parts.append(str(re))
-        if im:
-            sign = "-" if im < 0 else ("+" if parts else "")
-            parts.append(f"{sign}{abs(im)}i" if parts or sign == "-" else f"{im}i")
-        return "".join(parts)
+        # each part as str(Fraction) writes it: "n" or "n/d", reduced
+        n_re, n_im, den = self.n_re, self.n_im, self.den
+        if not n_im:
+            return _part(n_re, den)
+        im = _part(n_im, den) + "i"
+        if not n_re:
+            return im
+        return _part(n_re, den) + ("+" if n_im > 0 else "") + im
 
     def as_quadruple(self) -> dict:
         """Serialize as the {num, den, inum, iden} integer quadruple.
@@ -169,6 +167,14 @@ def _triple(n_re: int, n_im: int, den: int) -> Scalar:
     out.n_im = n_im
     out.den = den
     return out
+
+
+def _part(n: int, den: int) -> str:
+    """n/den in lowest terms, as text, for den > 0: one gcd, none when den == 1."""
+    if den == 1:
+        return str(n)
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _reduce(n_re: int, n_im: int, den: int) -> Scalar:

@@ -92,6 +92,7 @@ class SymAlgebra:
         self.letter_names = tuple(n for n, _ in letters)
         self.letter_degrees = tuple(int(d) for _, d in letters)
         self.cap = cap
+        self._words: Dict[int, Tuple[Word, ...]] = {}
 
     @staticmethod
     def over_module(module: FreeModule, cap: int = 4) -> "SymAlgebra":
@@ -107,9 +108,14 @@ class SymAlgebra:
     def word_degree(self, word: Word) -> int:
         return sum(self.letter_degrees[i] for i in word)
 
-    def words_of_weight(self, r: int) -> List[Word]:
-        """All nonzero sorted words of weight r (repeated odd letters dropped)."""
-        return _nonvanishing_keys(self.letter_degrees, r)
+    def words_of_weight(self, r: int) -> Tuple[Word, ...]:
+        """All nonzero sorted words of weight r (repeated odd letters dropped),
+        in lexicographic order; listed once per weight, and a tuple, since
+        every caller shares it."""
+        words = self._words.get(r)
+        if words is None:
+            words = self._words[r] = tuple(_nonvanishing_keys(self.letter_degrees, r))
+        return words
 
     def generators(self) -> Iterator[Tuple[int, int, str, "SymElement"]]:
         """(slot, index, label, element) for every generator of the algebra:
@@ -190,11 +196,9 @@ class SymElement:
         return _normalized(self.algebra, {w: a for w, a in self.data.items() if len(w) == r})
 
     def degree(self) -> Optional[int]:
-        degs = set()
-        for w, a in self.data.items():
-            wd = self.algebra.word_degree(w)
-            for d in a.homogeneous_parts():
-                degs.add(d + wd)
+        alg = self.algebra
+        degrees = alg.base.degrees
+        degs = {degrees[i] + alg.word_degree(w) for w, a in self.data.items() for i, _ in a.coeffs}
         if not degs:
             return None
         if len(degs) > 1:

@@ -150,6 +150,22 @@ def test_scalar_triple_matches_fraction_oracle(x, y, k):
         assert (same.n_re, same.n_im, same.den) == (a.n_re, a.n_im, a.den)
 
 
+_QUAD_NUM = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-(10**15), 10**15))
+_QUAD_DEN = st.one_of(st.integers(-12, 12), st.integers(-(10**12), 10**12)).filter(bool)
+
+
+@settings(max_examples=300)
+@given(num=_QUAD_NUM, den=_QUAD_DEN, inum=_QUAD_NUM, iden=_QUAD_DEN)
+@example(num=0, den=5, inum=0, iden=-7)  # zero
+@example(num=6, den=-4, inum=0, iden=1)  # real only, unreduced, negative denominator
+@example(num=0, den=1, inum=-10**12, iden=3 * 10**12)  # imaginary only, negative
+@example(num=-2, den=10**12, inum=5, iden=10**12)  # both parts over a large denominator
+def test_scalar_repr_matches_fraction_formatting(num, den, inum, iden):
+    """repr formats the parts from the reduced triple, each as str(Fraction)
+    writes it; the oracle reduces each part of the quadruple on its own."""
+    q = {"num": num, "den": den, "inum": inum, "iden": iden}
+    assert repr(Scalar.from_quadruple(q)) == _oracle_repr((Fraction(num, den), Fraction(inum, iden)))
+
 def test_standard_bases_validate():
     for base in [trivial_base(), lambda_eps(), eps_square_base(), truncated_poly(), eps_poly_base(), nontrivial_dga()]:
         assert validate_base_algebra(base) == []

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from algebroidkit.algebroid import AlgebroidStructure
+from algebroidkit.algebra import BaseAlgebra
 from algebroidkit.errors import ParseError
 from algebroidkit.fixtures import (
     Rng,
@@ -23,6 +27,7 @@ from algebroidkit.fixtures import (
 )
 from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
+from modelio_oracle import oracle_parse_model
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +486,184 @@ def test_a_geometric_parse_builds_one_model(monkeypatch, workloads):
         assert isinstance(parse_model(text), GeometricModel)
         assert len(calls) == 1
 
+
+def test_a_parse_builds_one_base_algebra(monkeypatch, workloads):
+    """Base names are resolved through a {name: index} map, so a parse builds
+    the base algebra once, with no probe algebra before it."""
+    calls = []
+    init = BaseAlgebra.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BaseAlgebra, "__init__", counted)
+    texts = [path.read_text() for path in sorted(GENERIC.parent.glob("*.json"))]
+    texts += [workloads.generate_model_text(name, 0) for name in sorted(workloads.GENERATED)]
+    assert len(texts) == 10
+    for text in texts:
+        calls.clear()
+        parse_model(text)
+        assert len(calls) == 1
+
+
+# -- the single-pass parser against the former traversal -------------------------
+#
+# ``oracle_parse_model`` (tests/modelio_oracle.py) is the parser as it was
+# before the single pass.  On every document below and on single mutations of
+# it, both parsers must refuse with the same message and location, or accept
+# with byte-equal canonical output.
+
+
+def _oracle_documents():
+    docs = {path.name: path.read_text() for path in sorted(GENERIC.parent.glob("*.json"))}
+    for seed, (tangent, normal) in enumerate([((0, 1), (0, -1, 0)), ((0, 1, 0), (0, -1, 0, -1))]):
+        g = random_geometric_model(Rng(seed), kodaira_base(), tangent, normal, cap=4, seed_modules=seed)
+        docs[f"random_{len(tangent)}x{len(normal)}"] = serialize_model(g)
+    return docs
+
+
+ORACLE_DOCUMENTS = _oracle_documents()
+
+_NAME_FIELDS = ("basis", "letter", "generator", "left", "right", "on", "unit")
+
+
+def _nodes(doc):
+    """(container, key, value) for every node below the root, depth first."""
+    out = []
+
+    def walk(node):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            out.append((node, key, value))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(doc)
+    return out
+
+
+def _other_type(rng, value):
+    """A JSON value of another type than value; a bool half the time for an int."""
+    if type(value) is int and rng.random() < 0.5:
+        return rng.choice([True, False])
+    return rng.choice([v for v in ([], {}, "zz", 7, True, None, 1.5) if type(v) is not type(value)])
+
+
+def _mutate(rng, doc, kind) -> bool:
+    """Apply one mutation of the given kind to doc in place; False if doc has
+    no node it applies to."""
+    nodes = _nodes(doc)
+    objects = [doc] + [v for _, _, v in nodes if isinstance(v, dict)]
+    if kind == "drop-key":
+        node = rng.choice([o for o in objects if o])
+        del node[rng.choice(sorted(node))]
+    elif kind == "unknown-key":
+        rng.choice(objects)["zz"] = 0
+    elif kind == "wrong-type":
+        node, key, value = rng.choice(nodes)
+        node[key] = _other_type(rng, value)
+    elif kind == "zero-denominator":
+        scalars = [o for o in objects if "den" in o]
+        if not scalars:
+            return False
+        rng.choice(scalars)[rng.choice(["den", "iden"])] = 0
+    elif kind == "unknown-name":
+        names = [
+            (node, key) for node, key, value in nodes
+            if isinstance(value, str) and (key in _NAME_FIELDS or isinstance(node, list))
+        ]
+        node, key = rng.choice(names)
+        node[key] = rng.choice(["zz", "x", "t0^", "n0^", "g0", "1"])
+    elif kind == "word-over-cap":
+        words = [v for node, key, v in nodes if key == "word"]
+        if not words:
+            return False
+        word = rng.choice(words)
+        letters = list(word) or [rng.choice([v for _, key, v in nodes if key == "letter"] or ["zz"])]
+        word.extend(letters[i % len(letters)] for i in range(doc["caps"]["weight"] + 1 - len(word)))
+    elif kind == "duplicate-entry":
+        lists = [v for _, _, v in nodes if isinstance(v, list) and v and isinstance(v[0], dict)]
+        entries = rng.choice(lists)
+        entries.append(copy.deepcopy(rng.choice(entries)))
+    elif kind == "bad-weight":
+        node = rng.choice([n for n, key, _ in nodes if key == "weight"])
+        node["weight"] = rng.choice([-1, 0, 1, 2, 3, 5, 6])
+    return True
+
+
+def _outcome(parse, text):
+    try:
+        return serialize_model(parse(text))
+    except ParseError as err:
+        return ("refused", str(err), err.location)
+
+
+MUTATIONS = (
+    "drop-key", "unknown-key", "wrong-type", "zero-denominator",
+    "unknown-name", "word-over-cap", "duplicate-entry", "bad-weight",
+)
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("name", sorted(ORACLE_DOCUMENTS))
+def test_parser_matches_the_former_traversal(name, kind):
+    text = ORACLE_DOCUMENTS[name]
+    assert _outcome(parse_model, text) == _outcome(oracle_parse_model, text) == serialize_model(parse_model(text))
+    rng = random.Random(f"{name}/{kind}")
+    refused = 0
+    for _ in range(8):
+        doc = json.loads(text)
+        if not _mutate(rng, doc, kind):
+            return
+        mutated = json.dumps(doc)
+        got = _outcome(parse_model, mutated)
+        assert got == _outcome(oracle_parse_model, mutated), mutated
+        refused += isinstance(got, tuple)
+    if kind not in ("duplicate-entry", "bad-weight", "wrong-type"):
+        assert refused, "no mutation was refused"
+
+
+def _fault(rng, doc, node, key, fault) -> None:
+    if fault == "drop":
+        del node[key]
+    elif fault == "type":
+        node[key] = _other_type(rng, node[key])
+    elif key == "word":
+        node[key] = node[key] + ["n0^"] * (doc["caps"]["weight"] + 1)
+    elif key in ("den", "iden"):
+        node[key] = 0
+    elif key == "weight":
+        node[key] = rng.choice([-1, doc["caps"]["weight"] + 1])
+    else:
+        node[key] = "zz"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE_DOCUMENTS if n.endswith(".json")))
+def test_parser_reports_the_same_first_of_two_faults(name):
+    """Two faults in one object, of every kind of object in the document
+    (the shipped files have every kind the generated ones have): both
+    parsers report the same one first, so they check the fields of a node
+    in the same order."""
+    text = ORACLE_DOCUMENTS[name]
+    doc = json.loads(text)
+    kinds = {}
+    for node in [doc] + [v for _, _, v in _nodes(doc) if isinstance(v, dict)]:
+        kinds.setdefault(tuple(sorted(node)), []).append(node)
+    rng = random.Random(name)
+    for keys in sorted(kinds):
+        spot = rng.randrange(len(kinds[keys]))
+        for i, first in enumerate(keys):
+            for second in keys[i + 1:]:
+                for faults in itertools.product(("drop", "type", "value"), repeat=2):
+                    doc = json.loads(text)
+                    node = [v for v in [doc] + [v for _, _, v in _nodes(doc) if isinstance(v, dict)]
+                            if tuple(sorted(v)) == keys][spot]
+                    for key, fault in zip((first, second), faults):
+                        _fault(rng, doc, node, key, fault)
+                    if rng.random() < 0.5:
+                        node["zz"] = 0
+                    mutated = json.dumps(doc)
+                    assert _outcome(parse_model, mutated) == _outcome(oracle_parse_model, mutated), mutated
 
 def test_readme_tensor_table_matches_the_schema():
     def row(fam):

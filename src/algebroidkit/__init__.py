@@ -28,7 +28,6 @@ from .linfty import (
     LInftyAlgebra,
     LInftyMorphism,
     ShiftedDerDGLA,
-    build_shifted_der_dgla,
     decalage,
     decalage_inverse,
     jacobi_residual,
@@ -49,7 +48,6 @@ from .geometry import (
     commutator_lemma_residual,
     duality_residual,
     frakD_square_report,
-    pi_tilde,
     retraction_residual,
     structure_from_geometry,
     transport_lemma_residual,
@@ -84,7 +82,6 @@ __all__ = [
     "LInftyMorphism",
     "AlgebraDerivation",
     "ShiftedDerDGLA",
-    "build_shifted_der_dgla",
     "decalage",
     "decalage_inverse",
     "jacobi_residual",
@@ -97,7 +94,6 @@ __all__ = [
     "anchor_morphism_residual",
     "GeometricModel",
     "validate_geometric_model",
-    "pi_tilde",
     "retraction_residual",
     "commutator_lemma_residual",
     "transport_lemma_residual",

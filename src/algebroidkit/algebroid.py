@@ -46,7 +46,6 @@ from .linfty import (
     LInftyMorphism,
     ShiftedDerDGLA,
     BracketTable,
-    build_shifted_der_dgla,
     jacobi_residual,
     morphism_residual,
     same_tables,
@@ -431,39 +430,38 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, n: int) -> Dict[GenKey, Mod
 
 
 def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], ModuleElement]:
-    """Defect of the anchor Leibniz rule on generator tuples x basis elements.
+    """Defect of the anchor Leibniz rule on generator tuples x basis elements,
+    read off the unit slot of the anchor table.
 
-    Empty by construction at every non-unit basis element: ``bracket`` is
-    defined by the same rule, and {g_1..g_{n-1}, a.g_n} less the signed
-    a.{g_1..g_n} is its last slot's anchor term.  That holds whether or not
-    the anchors are derivations of the base; ``validate`` decides that.  At
-    the unit, which adds no anchor term, the residual is -{g_1..g_{n-1}|1}.g_n:
-    nonzero only where a unit-slot anchor entry is stored, which ``validate``
-    flags as not killing the unit.
+    Empty at every non-unit basis element: ``bracket`` is defined by the same
+    rule, and {g_1..g_{n-1}, a.g_n} less the signed a.{g_1..g_n} is its last
+    slot's anchor term.  That holds whether or not the anchors are
+    derivations of the base; ``validate`` decides that.  At the unit, which
+    adds no anchor term, the residual is -{g_1..g_{n-1}|1}.g_n: nonzero only
+    where a unit-slot anchor entry is stored, which ``validate`` flags as not
+    killing the unit.  An arity over a cap is refused as the bracket, then
+    the anchor, would refuse it.
     """
     carrier = S.carrier
-    base = S.base
+    keys = sorted_tuples(carrier.rank, n)
+    for kind, cap in (("bracket", S.bracket_cap), ("anchor", S.anchor_cap)):
+        if keys and 1 < n and cap < n:
+            raise CapError(f"{kind} arity {n} exceeds cap {cap}")
+    table = S.anchors.get(n)
+    if not table:
+        return {}
+    unit = S.base.unit
     out: Dict[Tuple[GenKey, int], ModuleElement] = {}
-    for key in sorted_tuples(carrier.rank, n):
-        degs = [carrier.degrees[i] for i in key]
-        gens = [carrier.generator(i) for i in key]
-        on_gens = S.bracket(n, gens)
-        for b in range(base.dim):
-            a = base.basis_element(b)
-            scaled = gens[-1].a_mul(a)
-            lhs = S.bracket(n, gens[:-1] + [scaled])
-            anchor_coeff = S.anchor(n, gens[:-1], a)
-            mid = ModuleElement(carrier, {key[-1]: anchor_coeff})
-            rhs = on_gens.a_mul(a).scale(sign_scalar(base.degrees[b] * (sum(degs[:-1]) + 1)))
-            residual = lhs - mid - rhs
-            if not residual.is_zero():
-                out[(key, b)] = residual
+    for key in keys:
+        value = table.lookup(key[:-1], unit)
+        if value is not None:
+            out[(key, unit)] = ModuleElement(carrier, {key[-1]: -value})
     return out
 
 
 def anchor_morphism(S: AlgebroidStructure) -> Tuple[LInftyMorphism, ShiftedDerDGLA]:
     """The anchor components as a morphism into the shifted derivation DGLA."""
-    target = build_shifted_der_dgla(S.base)
+    target = ShiftedDerDGLA(S.base)
     f = LInftyMorphism(S, target, target.zero())
     for m in range(1, S.anchor_cap):
         for key in _nonvanishing_keys(S.carrier.degrees, m):

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, extract_structure
-from .geometry import TENSOR_FAMILIES, GeometricModel
+from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame
 from .linfty import LInftyAlgebra, algebra_derivation_basis
 from .modelio import serialize_model
 from .modules import FreeModule, ModuleElement
@@ -483,17 +483,17 @@ def random_geometric_model(
     weight by weight up to the cap."""
     tangent = mixed_module(base, tangent_degrees, name="Tm", seed=seed_modules, prefix="t")
     normal = mixed_module(base, normal_degrees, name="Nm", seed=seed_modules + 1, prefix="n")
-    probe = GeometricModel(base, tangent, normal, cap=cap)
-    tangent_letters = set(probe.amb.letter_names[: probe.a])
+    frame = SplitFrame(base, tangent, normal, cap=cap)
+    tangent_letters = set(frame.amb.letter_names[: frame.a])
     tensors = {}
     for fam in TENSOR_FAMILIES:
         if fam.name not in families:
             continue
         if fam.index == "base":  # dhat must satisfy the Leibniz rule
-            tensors[fam.name] = _random_dhat(rng, base, probe.amb, probe.a, density)
+            tensors[fam.name] = _random_dhat(rng, base, frame.amb, frame.a, density)
             continue
-        alg = probe.values_algebra(fam)
-        _, index_degrees = probe.index_set(fam)
+        alg = frame.values_algebra(fam)
+        _, index_degrees = frame.index_set(fam)
         degrees = [d + fam.shift for d in index_degrees]
         m = fam.bidegree[0]
         tables = {}
@@ -522,9 +522,9 @@ def eps_nilpotent_model(cap: int = 4):
     base = lambda_eps()
     tangent = FreeModule(base, [("t0", 0)], name="Tm")
     normal = FreeModule(base, [("n0", 0)], name="Nm")
-    probe = GeometricModel(base, tangent, normal, cap=cap)
+    frame = SplitFrame(base, tangent, normal, cap=cap)
     e = base.from_names({"e": ONE})
-    r2 = SymElement(probe.nor, {(0, 0): e})
+    r2 = SymElement(frame.nor, {(0, 0): e})
     return GeometricModel(
         base, tangent, normal, cap=cap, curv_perp={2: {0: r2}}
     )

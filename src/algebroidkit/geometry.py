@@ -26,11 +26,10 @@ one-tangent-letter values) are built once, when the model is constructed.
 The main constructions:
 
 * ``nabla_bar``: symmetrized covariant derivative; the unnormalized
-  substitution operator is a genuine degree-0 derivation and the 1/m
-  weighting is a per-word rescale by the tangent-letter count of the
-  output, folded into the rows of the model's nabla_bar row table.
-* ``pi_tilde``: sum of iterated nabla_bar on the whole argument, a right
-  inverse to the normal projection; it keeps nothing on the model.
+  substitution operator nabla_hat is a genuine degree-0 derivation and the
+  1/m weighting is a per-word rescale of its output by the tangent-letter
+  count.  The lemma checks read its cut D1 on generators instead, so no
+  command calls it.
 * the lemma checks (``retraction_residual``, ``commutator_lemma_residual``,
   ``transport_lemma_residual``): the two operator lemmas are identities
   between derivations, decided exactly on the generator grid elements and
@@ -75,7 +74,6 @@ from .symtensor import (
     Row,
     SymAlgebra,
     SymElement,
-    _apply_rows,
     _collect,
     _normalized,
     _word_constant,
@@ -222,7 +220,7 @@ class GeometricModel(SplitFrame):
                 if el is None:
                     out[i] = alg.zero()
                 elif alg.compatible(el.algebra):
-                    out[i] = el
+                    out[i] = el if el.algebra is alg else _normalized(alg, el.data)
                 elif el.algebra.letter_names != alg.letter_names or el.algebra.base is not base:
                     raise BaseMismatch(f"tensor not expressed over the {fam.values} letters")
                 else:
@@ -258,8 +256,6 @@ class GeometricModel(SplitFrame):
         # words with at most one tangent letter
         self._d1 = DerivationD(self.amb, {b: self.p1(v) for b, v in self.dhat.items()},
                                {k: self.p1(v) for k, v in nabla_letters.items()}, degree=0, check=False)
-        # the nabla_bar row table, filled by ``nabla_bar`` on first use
-        self._nabla_bar_rows: Dict[Tuple[Word, int], Row] = {}
 
     # -- the tensor families ----------------------------------------------------
 
@@ -314,31 +310,16 @@ class GeometricModel(SplitFrame):
         return self._nabla_hat
 
     def nabla_bar(self, el: SymElement) -> SymElement:
-        """Symmetrized covariant derivative with the 1/m output weighting.
-
-        Read from a row table: the row of e_i w is the nabla_hat row with the
-        coefficients of each word divided by its tangent-letter count m.  A
-        word with m = 0 keeps its coefficients, and a summed output that
-        still has one is refused.
-        """
-        if not self.amb.compatible(el.algebra):
-            raise BaseMismatch("derivation and element over incompatible algebras")
-        out = _apply_rows(self.amb, el, self._nabla_bar_rows, self._nabla_bar_row)
-        for w in out.data:
-            if not w or w[0] >= self.a:  # sorted: tangent letters come first
+        """Symmetrized covariant derivative with the 1/m output weighting:
+        nabla_hat(el) with the coefficient of each word divided by its
+        tangent-letter count m.  An output word with m = 0 is refused."""
+        out = {}
+        for w, c in self._nabla_hat.apply(el).data.items():
+            m = self.tangent_count(w)
+            if m == 0:
                 raise KitError("nabla_bar produced a word without tangent letters")
-        return out
-
-    def _nabla_bar_row(self, w: Word, i: int) -> Row:
-        """nabla_hat(e_i w) with each word's coefficients divided by m (m > 1)."""
-        row = []
-        for v, coeffs in self._nabla_hat._row(w, i):
-            m = self.tangent_count(v)
-            if m > 1:
-                inv = Scalar.rational(1, m)
-                coeffs = tuple((k, c * inv) for k, c in coeffs)
-            row.append((v, coeffs))
-        return tuple(row)
+            out[w] = c if m == 1 else c.scale(Scalar.rational(1, m))
+        return _normalized(self.amb, out)
 
     def _d1_row(self, w: Word, i: int) -> Row:
         """P1 nabla_bar(e_i w) for a word w with at most one tangent letter."""
@@ -354,15 +335,14 @@ class GeometricModel(SplitFrame):
         der = self._rtan.get(p)
         return der.apply(el) if der is not None else self.amb.zero()
 
-    def ambient_d0(self, beta_override: Optional[Mapping[int, SymElement]] = None) -> DerivationD:
+    def ambient_d0(self) -> DerivationD:
         """The ambient differential: d_A on coefficients, block-triangular on
         letters with the Kodaira-Spencer tensor as the off-diagonal block.
         On the base and the normal letters it is the normal d0."""
-        beta = beta_override if beta_override is not None else self.beta
         on_letters: Dict[int, SymElement] = {}
         for i in range(self.a):  # the tangent letters are the first letters of amb
             val = dual_differential_letter(self.amb, self.tangent, i)
-            val = val + self.to_amb(beta.get(i, self.nor.zero()))
+            val = val + self.to_amb(self.beta.get(i, self.nor.zero()))
             if not val.is_zero():
                 on_letters[i] = val
         D0n = self.normal_d0()
@@ -455,7 +435,7 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# pi-tilde, retraction and the two operator lemmas
+# retraction and the two operator lemmas
 # ---------------------------------------------------------------------------
 
 
@@ -491,19 +471,6 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 #
 # The walk reads each row once, so it builds the row where it reads it (a
 # derivation's ``_row``) and keeps none.
-
-
-def pi_tilde(g: GeometricModel, mu: SymElement) -> SymElement:
-    """Sum of iterated symmetrized derivatives, truncated at the weight cap:
-    mu + sum_{k = 1..cap} nabla_bar^k(mu), iterated on the whole element.
-
-    nabla_bar's KitError is raised when an iterate of mu has a word without
-    tangent letters."""
-    power = total = g.to_amb(mu)
-    for _ in range(g.cap):
-        power = g.nabla_bar(power)
-        total = total + power
-    return total
 
 
 def _require_rule_r(g: GeometricModel) -> None:
@@ -568,14 +535,6 @@ def _lemma_residual(
     return out
 
 
-def _refuse_non_tangent_keys(g: GeometricModel, name: str, table: Mapping[int, SymElement]) -> None:
-    """Refuse an override table with a key that is not a tangent letter:
-    the lemma it overrides reads it on the tangent letters only."""
-    for i in table:
-        if i not in range(g.a):
-            raise KitError(f"{name} index {i!r} is out of range for {g.a} tangent letters")
-
-
 def _rho_row(a: int, row: Row) -> Row:
     """rho-dual of a row over the ambient letters: its words without tangent
     letters, relabelled to the normal letters (which keeps their order)."""
@@ -610,17 +569,12 @@ def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     return []
 
 
-def commutator_lemma_residual(
-    g: GeometricModel, ambient_beta: Optional[Mapping[int, SymElement]] = None
-) -> List[Tuple[str, SymElement]]:
+def commutator_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     """[rho-dual, d] - beta-tilde o P1 on an ambient spanning set.
 
     The left side commutes the normal projection with the ambient and normal
     differentials; the right side substitutes the stored Kodaira-Spencer
-    tensor into the single-tangent-letter component.  Passing ambient_beta
-    (keyed by tangent letters; any other key is refused) rebuilds the
-    ambient differential from a different tensor, which makes the residual
-    a stored-vs-derived consistency diagnostic.
+    tensor into the single-tangent-letter component.
 
     On a word with no tangent letter the residual is the rho-dual of its
     ambient d0 row minus its normal d0 row, on one with a single tangent
@@ -634,9 +588,7 @@ def commutator_lemma_residual(
     u, and beta-tilde vanishes on the base and the normal letters.
     """
     _require_rule_r(g)
-    if ambient_beta is not None:
-        _refuse_non_tangent_keys(g, "ambient_beta", ambient_beta)
-    D0a = g.ambient_d0(ambient_beta)
+    D0a = g.ambient_d0()
     D0n = g.normal_d0()
     beta = g._rtan[1]
     a = g.a
@@ -649,15 +601,9 @@ def commutator_lemma_residual(
     return _lemma_residual(g, residual_at, "")
 
 
-def transport_lemma_residual(
-    g: GeometricModel, shape_override: Optional[Mapping[int, SymElement]] = None
-) -> List[Tuple[str, SymElement]]:
+def transport_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     """P1 o nabla_bar = nabla_perp o P0 + shape o P1, and with it the iterate
     P1 nabla_bar^s = shape^(s-1) o nabla_perp on the normal algebra.
-
-    With shape_override (keyed by tangent letters; any other key is refused)
-    the substitution side uses different shape values, exposing mismatched
-    shape data as a nonzero residual.
 
     On a word with no tangent letter the residual is its P1 D1 row minus its
     nabla_perp row, on one with a single tangent letter its P1 D1 row minus
@@ -677,14 +623,9 @@ def transport_lemma_residual(
     row.
     """
     _require_rule_r(g)
-    if shape_override is None:
-        shape = g._shape
-    else:
-        _refuse_non_tangent_keys(g, "shape_override", shape_override)
-        shape = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False)
 
     def residual_at(w: Word, m: int, b: int) -> Optional[SymElement]:
-        right = g._nabla_perp if m == 0 else shape
+        right = g._nabla_perp if m == 0 else g._shape
         return _difference(g.amb, g._d1_row(w, b), right._row(w, b))
 
     return _lemma_residual(g, residual_at, "operator @ ")

@@ -482,17 +482,19 @@ class ShiftedDerDGLA:
 
     ell_1(P) = [d_A, P];  ell_2(P, Q) = (-1)^{|P|} [P, Q]  (degrees in Der(A),
     i.e. unshifted); all higher brackets vanish.  Elements carry their shifted
-    degree |P| - 1 in all alpha-sign bookkeeping.
+    degree |P| - 1 in all alpha-sign bookkeeping.  The brackets act on any
+    derivation, so the structure holds d_A only; an exact basis of Der(A) is
+    solved for where it is read (``basis``).
     """
 
-    def __init__(self, base: BaseAlgebra, degrees: Sequence[int], basis: Sequence[AlgebraDerivation]):
+    def __init__(self, base: BaseAlgebra):
         self.base = base
-        self.der_degrees = tuple(degrees)
-        self.basis = tuple(basis)
         self.dA = d_A_derivation(base)
 
-    def shifted_degrees(self) -> Tuple[int, ...]:
-        return tuple(d - 1 for d in self.der_degrees)
+    def basis(self) -> List[Tuple[int, AlgebraDerivation]]:
+        """(degree in Der(A), derivation) of an exact basis of Der(A), by degree."""
+        lo, hi = self.base.degree_range()
+        return [(k, der) for k in range(lo - hi, hi - lo + 1) for der in algebra_derivation_basis(self.base, k)]
 
     def zero(self) -> AlgebraDerivation:
         return AlgebraDerivation(self.base, {})
@@ -512,25 +514,16 @@ class ShiftedDerDGLA:
         return self.zero()
 
     def jacobi_residual(self, n: int) -> Dict[GenKey, AlgebraDerivation]:
+        """The Jacobi residual on the tuples of basis derivations (``basis``)."""
+        basis = self.basis()
+        shifted = [k - 1 for k, _ in basis]
+        elements = [der for _, der in basis]
         out: Dict[GenKey, AlgebraDerivation] = {}
-        shifted = self.shifted_degrees()
-        for key in sorted_tuples(len(self.basis), n):
-            total = _unshuffle_sum(key, shifted, self.basis, self.bracket, self.bracket, self.zero(), True)
+        for key in sorted_tuples(len(basis), n):
+            total = _unshuffle_sum(key, shifted, elements, self.bracket, self.bracket, self.zero(), True)
             if not total.is_zero():
                 out[key] = total
         return out
-
-
-def build_shifted_der_dgla(base: BaseAlgebra) -> ShiftedDerDGLA:
-    """Compute Der(A) exactly and package it as the shifted DGLA."""
-    lo, hi = base.degree_range()
-    degrees: List[int] = []
-    basis: List[AlgebraDerivation] = []
-    for k in range(lo - hi, hi - lo + 1):
-        for der in algebra_derivation_basis(base, k):
-            degrees.append(k)
-            basis.append(der)
-    return ShiftedDerDGLA(base, degrees, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,6 @@ class FreeModule:
         self,
         base: BaseAlgebra,
         generators: Sequence[Tuple[str, int]],
-        differential: Optional[Mapping[int, Mapping[int, AlgebraElement]]] = None,
         name: str = "L",
     ):
         self.base = base
@@ -157,8 +156,6 @@ class FreeModule:
         if len(set(self.gen_names)) != len(self.gen_names):
             raise KitError("duplicate generator names")
         self._differential: Dict[int, ModuleElement] = {}
-        for i, val in (differential or {}).items():
-            self._differential[i] = ModuleElement(self, dict(val))
 
     @property
     def rank(self) -> int:

@@ -345,9 +345,8 @@ def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> SymEl
 # The image of one grid element e_i w under a Q(i)-linear operator: its
 # (word, coefficients) pairs in word order, the coefficients as the sorted
 # (basis index, Scalar) pairs of an AlgebraElement.  Plain tuples rather than
-# SymElements: building the derivation and nabla_bar rows as SymElements
-# (an AlgebraElement per word) measured about 4 % slower on the operator
-# checks.
+# SymElements: building the derivation rows as SymElements (an
+# AlgebraElement per word) measured about 4 % slower on the operator checks.
 Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -29,7 +30,8 @@ from algebroidkit.fixtures import (
     sample_bases,
     standard_module,
 )
-from algebroidkit.modules import ModuleElement, from_dual_values, pair_dual
+from algebroidkit.linfty import sorted_tuples
+from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, pair_dual
 from algebroidkit.scalars import Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
@@ -271,6 +273,75 @@ def test_leibniz_residual_is_empty_by_construction():
             assert leibniz_residual(S, 2) == want
     assert structures == 36
     assert flagged > 0 and unit_slots > 0, (flagged, unit_slots)
+
+
+def oracle_leibniz_residual(S, n):
+    """The anchor Leibniz defect evaluated bracket by bracket, on every sorted
+    generator tuple and basis element a:
+
+        {g_1..g_{n-1}, a.g_n} - {g_1..g_{n-1}|a}.g_n
+                              - (-1)^{|a|(|g_1|+..+|g_{n-1}|+1)} a.{g_1..g_n}."""
+    carrier = S.carrier
+    base = S.base
+    out = {}
+    for key in sorted_tuples(carrier.rank, n):
+        degs = [carrier.degrees[i] for i in key]
+        gens = [carrier.generator(i) for i in key]
+        on_gens = S.bracket(n, gens)
+        for b in range(base.dim):
+            a = base.basis_element(b)
+            scaled = gens[-1].a_mul(a)
+            lhs = S.bracket(n, gens[:-1] + [scaled])
+            anchor_coeff = S.anchor(n, gens[:-1], a)
+            mid = ModuleElement(carrier, {key[-1]: anchor_coeff})
+            rhs = on_gens.a_mul(a).scale(sign_scalar(base.degrees[b] * (sum(degs[:-1]) + 1)))
+            residual = lhs - mid - rhs
+            if not residual.is_zero():
+                out[(key, b)] = residual
+    return out
+
+
+def _result_or_refusal(residual, S, n):
+    try:
+        return residual(S, n)
+    except KitError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_leibniz_residual_matches_the_bracket_oracle():
+    """Reading the unit slot of the anchor table gives the bracket-by-bracket
+    residual, or the same refusal, at every arity up to one above both caps:
+    on the shipped fixtures and on drawn structures with derivation or free
+    anchors, with and without stored unit-slot entries, whose caps put
+    either one first or are both below the unary arity, which no cap
+    refuses, and on a carrier of rank 0, which has no tuple to refuse."""
+    from algebroidkit.cli import _structure_of
+    from algebroidkit.modelio import load_model
+
+    fixtures = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
+    assert len(fixtures) == 8
+    structures = [_structure_of(load_model(str(path))) for path in fixtures]
+    base = lambda_eps()
+    structures.append(AlgebroidStructure(base, FreeModule(base, []), bracket_cap=2, anchor_cap=2))
+    rng = Rng(39)
+    for base, derivation_anchors, caps, _ in itertools.product(
+        sample_bases(), (True, False), ((4, 5), (4, 3), (3, 4), (2, 2), (0, 0)), range(3)
+    ):
+        carrier = mixed_module(base, rng.choice(CE_DEGREES), seed=rng.randint(0, 4))
+        S = random_algebroid(rng, base, carrier, *caps, derivation_anchors=derivation_anchors)
+        structures.append(S)
+        if rng.random() < 0.5:
+            store_unit_slot_anchors(rng, S)
+    seen = {"nonzero": 0, "bracket": 0, "anchor": 0}
+    for S in structures:
+        for n in range(1, max(S.bracket_cap, S.anchor_cap) + 2):
+            want = _result_or_refusal(oracle_leibniz_residual, S, n)
+            assert _result_or_refusal(leibniz_residual, S, n) == want, (S.base.names, n)
+            if isinstance(want, str):
+                seen[want.split()[1]] += 1
+            else:
+                seen["nonzero"] += len(want)
+    assert all(seen.values()), seen
 
 
 def test_bracket_with_odd_coefficients_is_graded_symmetric():

@@ -170,3 +170,59 @@ def test_no_unread_parameters():
             }
             unread += [f"{path.relative_to(root)}:{node.lineno}: {node.name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+def _calls_by_name(trees):
+    """{callee name: [call node]} of every call in the trees, the callee
+    named by a plain name or by the attribute of a method call."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: "int | None") -> bool:
+    """Whether call binds param, the function's positional parameter at
+    position (None for a keyword-only one), or might through * or **."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_no_unpassed_optional_parameters():
+    """Every parameter of the package that defaults to None is passed by some
+    call in the package: an option that no caller sets is a knob only the
+    tests turn.  A constructor is called by its class name.  ``cli.main``,
+    whose argv only the tests and the console entry point set, is exempt."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text()) for path in sorted(root.glob("src/algebroidkit/*.py"))}
+    calls = _calls_by_name(trees.values())
+    unpassed = []
+    for path, tree in trees.items():
+        owners = {
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node, params in _functions(tree):
+            if path.name == "cli.py" and node.name == "main":
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            defaults.update((p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            callee = owners[id(node)] if node.name == "__init__" else node.name
+            for p, default in defaults.items():
+                if p.arg not in params or not (isinstance(default, ast.Constant) and default.value is None):
+                    continue
+                position = params.index(p.arg) if p in positional else None
+                if not any(_passes(call, p.arg, position) for call in calls.get(callee, [])):
+                    unpassed.append(f"{path.relative_to(root)}:{node.lineno}: {node.name}({p.arg})")
+    assert unpassed == []

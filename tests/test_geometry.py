@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from algebroidkit.geometry import (
     commutator_lemma_residual,
     duality_residual,
     frakD_square_report,
-    pi_tilde,
     retraction_residual,
     structure_from_geometry,
     transport_lemma_residual,
@@ -51,6 +51,34 @@ from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, evaluate
 def _spanning(alg):
     for w, b in _grid(alg):
         yield SymElement(alg, {w: alg.base.basis_element(b)})
+
+
+def pi_tilde(g, mu):
+    """Sum of iterated symmetrized derivatives, truncated at the weight cap:
+    mu + sum_{k = 1..cap} nabla_bar^k(mu), iterated on the whole element.
+
+    nabla_bar's KitError is raised when an iterate of mu has a word without
+    tangent letters."""
+    power = total = g.to_amb(mu)
+    for _ in range(g.cap):
+        power = g.nabla_bar(power)
+        total = total + power
+    return total
+
+
+@contextmanager
+def mutated(g, beta=None, shape=None):
+    """g with its beta table replaced by beta, or its Shape derivation by the
+    one of the table shape, restored on exit: code mutations of the two
+    operator lemmas.  The ambient d0 reads g.beta when it is built, while
+    beta-tilde (g._rtan[1]) and the cut D1 were built with the model, so each
+    mutation moves one side of its lemma only."""
+    with pytest.MonkeyPatch.context() as patch:
+        if beta is not None:
+            patch.setattr(g, "beta", beta)
+        if shape is not None:
+            patch.setattr(g, "_shape", DerivationD(g.amb, {}, dict(shape), degree=0, check=False))
+        yield g
 
 
 def nabla_perp_bar(g, el):
@@ -287,7 +315,8 @@ def test_commutator_lemma_zero_and_inconsistent_beta():
     bump = SymElement(g.nor, {(0,): e})
     override[0] = override.get(0, g.nor.zero()) + bump
     if override[0].degree() == g.amb.letter_degrees[0] + 1:
-        assert commutator_lemma_residual(g, ambient_beta=override) != []
+        with mutated(g, beta=override):
+            assert commutator_lemma_residual(g) != []
 
 
 def test_transport_lemma_zero_and_mismatched_shape():
@@ -300,7 +329,8 @@ def test_transport_lemma_zero_and_mismatched_shape():
     cand = override.get(0, g.amb.zero()) + bump
     if cand.degree() == g.amb.letter_degrees[0]:
         override[0] = cand
-        assert transport_lemma_residual(g, shape_override=override) != []
+        with mutated(g, shape=override):
+            assert transport_lemma_residual(g) != []
 
 
 # -- the main differential -------------------------------------------------------------
@@ -638,9 +668,9 @@ def oracle_retraction_residual(g):
     return out
 
 
-def oracle_commutator_lemma_residual(g, ambient_beta=None):
+def oracle_commutator_lemma_residual(g):
     """[rho-dual, d] - beta-tilde o P1 on the whole ambient grid."""
-    D0a = g.ambient_d0(ambient_beta)
+    D0a = g.ambient_d0()
     D0n = g.normal_d0()
     out = []
     for el in _spanning(g.amb):
@@ -652,19 +682,15 @@ def oracle_commutator_lemma_residual(g, ambient_beta=None):
     return out
 
 
-def oracle_transport_lemma_residual(g, shape_override=None):
+def oracle_transport_lemma_residual(g):
     """The transport lemma on the whole ambient grid ("operator @" entries)
     and its iterate P1 nabla_bar^s = shape^(s-1) o nabla_perp on the normal
     grid ("iterate s=" entries), with the full nabla_bar iterates and
     shape^(s-1) carried from s - 1."""
-    if shape_override is None:
-        shape_der = g.shape_tilde
-    else:
-        shape_der = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False).apply
     out = []
     for el in _spanning(g.amb):
         lhs = g.p1(g.nabla_bar(el))
-        rhs = nabla_perp_bar(g, g.rho_dual(el)) + shape_der(g.p1(el))
+        rhs = nabla_perp_bar(g, g.rho_dual(el)) + g.shape_tilde(g.p1(el))
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((f"operator @ {el!r}", residual))
@@ -674,23 +700,26 @@ def oracle_transport_lemma_residual(g, shape_override=None):
         for s in range(1, g.cap + 1):
             power = g.nabla_bar(power)
             if s > 1:
-                iterated = shape_der(iterated)
+                iterated = g.shape_tilde(iterated)
             residual = g.p1(power) - iterated
             if not residual.is_zero():
                 out.append((f"iterate s={s} @ {el!r}", residual))
     return out
 
 
-def transport_against_the_oracle(g, shape_override=None):
-    """Check the transport check against the oracle and return the oracle's
-    (operator, iterate) entry counts: the check reports exactly the
-    operator entries (labels, values, order), and the iterate has entries
-    only where the operator part has some, so the rows decide it."""
-    oracle = oracle_transport_lemma_residual(g, shape_override)
+def transport_against_the_oracle(g, shape=None):
+    """Check the transport check against the oracle, on g with its Shape
+    derivation built from the table shape if given, and return the
+    oracle's (operator, iterate) entry counts: the check reports exactly
+    the operator entries (labels, values, order), and the iterate has
+    entries only where the operator part has some, so the rows decide it."""
+    with mutated(g, shape=shape):
+        oracle = oracle_transport_lemma_residual(g)
+        got = transport_lemma_residual(g)
     operator = [entry for entry in oracle if entry[0].startswith("operator @ ")]
     iterate = [entry for entry in oracle if entry[0].startswith("iterate s=")]
     assert len(operator) + len(iterate) == len(oracle)
-    assert transport_lemma_residual(g, shape_override=shape_override) == operator
+    assert got == operator
     assert operator or not iterate
     return len(operator), len(iterate)
 
@@ -755,8 +784,9 @@ def test_lemma_checks_match_the_full_grid_oracles(workloads):
         assert transport_against_the_oracle(g) == (0, 0), name
         bumped = {i: v + g.nor.letter(0, g.base.one()).scale(Scalar(i + 1)) for i, v in g.beta.items()}
         doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
-        got = commutator_lemma_residual(g, ambient_beta=bumped)
-        assert got == oracle_commutator_lemma_residual(g, ambient_beta=bumped), name
+        with mutated(g, beta=bumped):
+            got = commutator_lemma_residual(g)
+            assert got == oracle_commutator_lemma_residual(g), name
         entries[name, "beta"] = len(got)
         entries[name, "shape"], _ = transport_against_the_oracle(g, doubled)
     assert all(entries[name, "beta"] for name, _ in entries), entries
@@ -805,7 +835,6 @@ def test_lemma_checks_keep_no_rows(monkeypatch):
         raise AssertionError("a lemma check applied an operator")
 
     monkeypatch.setattr(symtensor, "_apply_rows", refuse)
-    monkeypatch.setattr(geometry, "_apply_rows", refuse)
     monkeypatch.setattr(DerivationD, "apply", refuse)
     g = small_random_model(14)
     attributes = set(vars(g))
@@ -820,7 +849,8 @@ def test_lemma_checks_keep_no_rows(monkeypatch):
     assert {name: len(vars(g)[name]) for name in sizes} == sizes
     assert {name: len(d._rows) for name, d in derivations.items()} == dict.fromkeys(derivations, 0)
     doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
-    assert len(transport_lemma_residual(g, shape_override=doubled)) == 30
+    with mutated(g, shape=doubled):
+        assert len(transport_lemma_residual(g)) == 30
     assert {name: len(d._rows) for name, d in derivations.items()} == dict.fromkeys(derivations, 0)
 
 
@@ -833,9 +863,9 @@ def test_transport_check_decides_the_iterate_on_single_row_shape_mutations():
     for seed in range(6):
         g = small_random_model(seed)
         for i in sorted(g.shape):
-            mutated = dict(g.shape)
-            mutated[i] = mutated[i].scale(Scalar(2))
-            counts.append(transport_against_the_oracle(g, mutated))
+            one_row = dict(g.shape)
+            one_row[i] = one_row[i].scale(Scalar(2))
+            counts.append(transport_against_the_oracle(g, one_row))
     assert len(counts) == 12
     assert any(op and it for op, it in counts), counts
 
@@ -843,10 +873,10 @@ def test_transport_check_decides_the_iterate_on_single_row_shape_mutations():
 # -- the generator pass against the slice walk ----------------------------------------
 
 
-def slice_commutator_lemma_residual(g, ambient_beta=None):
+def slice_commutator_lemma_residual(g):
     """The commutator check as a walk over the whole one-tangent-letter
     slice, with no generator pass."""
-    D0a = g.ambient_d0(ambient_beta)
+    D0a = g.ambient_d0()
     D0n = g.normal_d0()
     beta = g._rtan[1]
     a = g.a
@@ -860,16 +890,12 @@ def slice_commutator_lemma_residual(g, ambient_beta=None):
     return out
 
 
-def slice_transport_lemma_residual(g, shape_override=None):
+def slice_transport_lemma_residual(g):
     """The transport check as a walk over the whole one-tangent-letter
     slice, with no generator pass."""
-    if shape_override is None:
-        shape = g._shape
-    else:
-        shape = DerivationD(g.amb, {}, dict(shape_override), degree=0, check=False)
     out = []
     for w, m, b in geometry._slice(g):
-        right = g._nabla_perp if m == 0 else shape
+        right = g._nabla_perp if m == 0 else g._shape
         residual = geometry._difference(g.amb, g._d1_row(w, b), right._row(w, b))
         if residual is not None:
             label = f"operator @ {symtensor._normalized(g.amb, {w: g.base.basis_element(b)})!r}"
@@ -884,17 +910,19 @@ def lemmas_against_the_slice_walk(g):
     bumped = {i: v + g.nor.letter(0, g.base.one()).scale(Scalar(i + 1)) for i, v in g.beta.items()}
     shapes = [None, {i: v.scale(Scalar(2)) for i, v in g.shape.items()}]
     for i in sorted(g.shape):
-        mutated = dict(g.shape)
-        mutated[i] = mutated[i].scale(Scalar(2))
-        shapes.append(mutated)
+        one_row = dict(g.shape)
+        one_row[i] = one_row[i].scale(Scalar(2))
+        shapes.append(one_row)
     counts = []
     for beta in (None, bumped):
-        got = commutator_lemma_residual(g, ambient_beta=beta)
-        assert got == slice_commutator_lemma_residual(g, ambient_beta=beta)
+        with mutated(g, beta=beta):
+            got = commutator_lemma_residual(g)
+            assert got == slice_commutator_lemma_residual(g)
         counts.append(len(got))
     for shape in shapes:
-        got = transport_lemma_residual(g, shape_override=shape)
-        assert got == slice_transport_lemma_residual(g, shape_override=shape)
+        with mutated(g, shape=shape):
+            got = transport_lemma_residual(g)
+            assert got == slice_transport_lemma_residual(g)
         counts.append(len(got))
     return counts
 
@@ -962,7 +990,8 @@ def test_passing_lemmas_build_one_row_per_generator_on_each_side(workloads, monk
     assert [(w, i) for der, w, i in calls if der is g._d1] == [(w, b) for w, _, b in generators]
     calls.clear()
     doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
-    assert transport_lemma_residual(g, shape_override=doubled) != []
+    with mutated(g, shape=doubled):
+        assert transport_lemma_residual(g) != []
     # the generator pass up to the first differing row, then the whole slice
     d1_calls = [(w, i) for der, w, i in calls if der is g._d1]
     walked = [(w, b) for w, _, b in geometry._slice(g)]
@@ -972,29 +1001,25 @@ def test_passing_lemmas_build_one_row_per_generator_on_each_side(workloads, monk
     assert d1_calls == [(w, b) for w, _, b in generators[:passed]] + walked
 
 
-def test_commutator_check_refuses_ambient_beta_off_the_tangent_letters():
-    """An ambient_beta key that is not a tangent letter is refused: the
-    ambient d0 reads beta on the tangent letters only, so the check used to
-    ignore the entry and pass."""
+def test_each_lemma_mutation_moves_one_side():
+    """The code mutations the lemma tests use: a replaced beta table reaches
+    the ambient d0 and not beta-tilde, a replaced Shape derivation is read
+    by the transport check and leaves the cut D1 as built, and the model is
+    as before on exit, where both checks pass again."""
     g = small_random_model(12)
-    assert g.a == 2
-    override = dict(g.beta)
-    override[g.a] = g.nor.letter(0, g.base.one())
-    with pytest.raises(KitError) as err:
-        commutator_lemma_residual(g, ambient_beta=override)
-    assert str(err.value) == "ambient_beta index 2 is out of range for 2 tangent letters"
-
-
-def test_transport_check_refuses_shape_override_off_the_tangent_letters():
-    """A shape_override key that is not a tangent letter (here a normal
-    letter, which the derivation would accept) is refused: the generator
-    pass rests on Shape vanishing on the normal letters."""
-    g = small_random_model(13)
-    override = dict(g.shape)
-    override[g.a] = SymElement(g.amb, {(0, g.a): g.base.one()})
-    with pytest.raises(KitError) as err:
-        transport_lemma_residual(g, shape_override=override)
-    assert str(err.value) == "shape_override index 2 is out of range for 2 tangent letters"
+    beta_tilde, d1, shape = g._rtan[1], g._d1, g._shape
+    bumped = {i: v + g.nor.letter(0, g.base.one()) for i, v in g.beta.items()}
+    doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
+    want = g.ambient_d0().on_letters
+    with mutated(g, beta=bumped):
+        assert g.ambient_d0().on_letters != want
+        assert g._rtan[1] is beta_tilde
+        assert commutator_lemma_residual(g) != []
+    with mutated(g, shape=doubled):
+        assert g._shape is not shape and g._d1 is d1
+        assert transport_lemma_residual(g) != []
+    assert g._shape is shape and g.ambient_d0().on_letters == want
+    assert commutator_lemma_residual(g) == transport_lemma_residual(g) == []
 
 
 def test_rtan_derivations_built_once():

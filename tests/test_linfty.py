@@ -10,6 +10,7 @@ from algebroidkit.errors import CapError
 from algebroidkit.fixtures import (
     Rng,
     cone_dgla,
+    conjugation_oracle_structure,
     kodaira_base,
     lambda_eps,
     matrix_dgla,
@@ -20,11 +21,12 @@ from algebroidkit.fixtures import (
     trivial_base,
 )
 from algebroidkit.linfty import (
+    AlgebraDerivation,
     LInftyAlgebra,
     LInftyMorphism,
+    ShiftedDerDGLA,
     _unshuffle_sum,
     algebra_derivation_basis,
-    build_shifted_der_dgla,
     canonicalize_key,
     d_A_derivation,
     decalage,
@@ -135,12 +137,25 @@ def test_derivation_space_of_lambda_eps():
 
 def test_der_dgla_jacobi():
     for base in [lambda_eps(), nontrivial_dga()]:
-        dgla = build_shifted_der_dgla(base)
-        assert len(dgla.basis) >= 1
-        for der in dgla.basis:
+        dgla = ShiftedDerDGLA(base)
+        assert len(dgla.basis()) >= 1
+        for _, der in dgla.basis():
             assert der.leibniz_defects() == []
         for n in range(1, 5):
             assert dgla.jacobi_residual(n) == {}
+
+
+def test_der_dgla_binary_bracket_sign_by_hand():
+    """l_2(P, Q) = (-1)^{|P|} [P, Q] on Lambda[e] with P = e d/de (degree 0)
+    and Q = d/de (degree -1): [P, Q] = -Q, and l_2 is graded symmetric in
+    the shifted degrees -1 and -2, so both orders give -Q.  Rescaling l_2 by
+    -1 keeps every Jacobi identity, so this pins the stated sign."""
+    base = lambda_eps()
+    e = base.index_of("e")
+    P = AlgebraDerivation(base, {e: base.from_names({"e": ONE})})
+    Q = AlgebraDerivation(base, {e: base.one()})
+    dgla = ShiftedDerDGLA(base)
+    assert dgla.bracket(2, [P, Q]) == dgla.bracket(2, [Q, P]) == -Q
 
 
 def test_dA_commutator_with_itself_vanishes():
@@ -153,9 +168,9 @@ def test_abelian_base_gives_abelian_dgla():
     # trivial products beyond the unit: every linear map with unit -> 0 is a
     # derivation and all commutators of degree-shifting maps vanish only if
     # compositions vanish; the 1-dimensional base is genuinely abelian
-    dgla = build_shifted_der_dgla(trivial_base())
-    for P in dgla.basis:
-        for Q in dgla.basis:
+    basis = [der for _, der in ShiftedDerDGLA(trivial_base()).basis()]
+    for P in basis:
+        for Q in basis:
             assert P.commutator(Q).is_zero()
 
 
@@ -326,15 +341,16 @@ def bent_dgla_bracket(dgla):
 def test_der_dgla_unshuffle_sum_matches_the_per_permutation_sum():
     checked = 0
     for base in sample_bases():
-        dgla = build_shifted_der_dgla(base)
-        shifted = dgla.shifted_degrees()
+        dgla = ShiftedDerDGLA(base)
+        shifted = [k - 1 for k, _ in dgla.basis()]
+        basis = [der for _, der in dgla.basis()]
         for n in range(1, 4):
             assert dgla.jacobi_residual(n) == {}
             bent = bent_dgla_bracket(dgla)
-            for key in sorted_tuples(len(dgla.basis), n):
-                got = _unshuffle_sum(key, shifted, dgla.basis, bent, bent, dgla.zero(), True)
+            for key in sorted_tuples(len(basis), n):
+                got = _unshuffle_sum(key, shifted, basis, bent, bent, dgla.zero(), True)
                 want = per_permutation_unshuffle_sum(
-                    [shifted[i] for i in key], [dgla.basis[i] for i in key], bent, bent, dgla.zero(), True
+                    [shifted[i] for i in key], [basis[i] for i in key], bent, bent, dgla.zero(), True
                 )
                 assert got == want, (base.names, key)
                 checked += not got.is_zero()
@@ -356,6 +372,22 @@ def test_anchor_morphism_residual_matches_the_per_permutation_sum(
     f, target = anchor_morphism(S)
     for n in range(1, 4):
         assert morphism_residual(f, S, target, n) == oracle_morphism_residual(f, S, target, n)
+
+
+def test_anchor_morphism_sign_on_a_genuine_structure():
+    """A conjugation-built algebroid whose unshuffle side is nonzero, at
+    n = 3 on (g0, g0, g1), where it is x -> -x*e: the target brackets must
+    cancel it exactly, which pins the signs of Der(A)[1] (held as d_A alone)
+    on a structure whose residual is known to vanish."""
+    base = nontrivial_dga()
+    carrier = mixed_module(base, [0, -1], name="L", seed=3)
+    S, _, _ = conjugation_oracle_structure(Rng(3), carrier, cap=4)
+    f, target = anchor_morphism(S)
+    gens = [carrier.generator(i) for i in range(carrier.rank)]
+    unshuffle_side = _unshuffle_sum((0, 0, 1), carrier.degrees, gens, S.bracket, f.component, f.zero_value, True)
+    x, e = (base.from_names({name: ONE}) for name in ("x", "e"))
+    assert unshuffle_side == AlgebraDerivation(base, {base.index_of("x"): -(x * e)})
+    assert morphism_residual(f, S, target, 3) == {}
 
 
 @given(degrees=st.sampled_from(DEGREE_PATTERNS), seed=st.integers(0, 2**16))

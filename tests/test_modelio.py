@@ -507,6 +507,21 @@ def test_a_parse_builds_one_base_algebra(monkeypatch, workloads):
         assert len(calls) == 1
 
 
+def test_parsed_tensors_live_on_the_model_algebras():
+    """A parsed geometric model's tensors, given ones and zero fill alike, are
+    elements of the model's own ambient or normal algebra, not of the
+    parser's split-frame twins."""
+    paths = sorted(GENERIC.parent.glob("*.geometric.json"))
+    assert len(paths) == 5
+    for path in paths:
+        g = parse_model(path.read_text())
+        for fam in TENSOR_FAMILIES:
+            alg = g.values_algebra(fam)
+            for table in g.weight_tables(fam).values():
+                assert all(el.algebra is alg for el in table.values()), (path.name, fam.name)
+        assert g.gamma[0].algebra is g.amb and g.beta[0].algebra is g.nor, path.name
+
+
 # -- the single-pass parser against the former traversal -------------------------
 #
 # ``oracle_parse_model`` (tests/modelio_oracle.py) is the parser as it was

@@ -1091,18 +1091,22 @@ def reference_nabla_bar(g, el):
     return SymElement(g.amb, out)
 
 
-def test_nabla_bar_rows_match_rescaled_nabla_hat():
+def test_nabla_bar_matches_rescaled_nabla_hat():
+    """nabla_bar keeps no table of its own: the only rows it builds are the
+    nabla_hat rows, at most one per grid element."""
     from algebroidkit.fixtures import random_geometric_model
 
     for seed in range(2):
         g = random_geometric_model(
             Rng(70 + seed), nontrivial_dga(), [0, 1], [0, -1, 0], cap=4, seed_modules=70 + seed
         )
+        attributes = set(vars(g))
         rng = Rng(72 + seed)
         for _ in range(6):
             x = sparse_sym_element(rng, g.amb, 0.3)
             assert g.nabla_bar(x) == reference_nabla_bar(g, x)
-        assert 0 < len(g._nabla_bar_rows) <= grid_bound(g.amb)
+        assert set(vars(g)) == attributes
+        assert 0 < len(g._nabla_hat._rows) <= grid_bound(g.amb)
 
 
 def test_nabla_bar_refuses_exactly_the_outputs_the_rescale_refuses():

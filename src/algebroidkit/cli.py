@@ -55,6 +55,8 @@ from .symtensor import SymAlgebra, conjugate, d0_derivation, mc_residual, square
 
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+# the commands whose --arity selects one arity to check instead of overriding the arity cap
+ARITY_SELECTORS = ("jacobi", "leibniz", "anchor")
 
 
 def _structure_of(model) -> AlgebroidStructure:
@@ -160,6 +162,9 @@ def cmd_anchor(model, caps, args) -> Report:
     S = _structure_of(model)
     top = min(S.bracket_cap - 1, S.anchor_cap - 1)
     arities = _arities(args, max(top, 1))
+    for n in arities:  # before any work: the identity's bracket at arity n would refuse it
+        if S.carrier.rank and n > S.bracket_cap:
+            raise KitError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
     f, target = anchor_morphism(S)
     for n in arities:
         with timed_check(f"anchor-morphism[n={n}]") as t:
@@ -298,13 +303,14 @@ def cmd_mc(model, caps, args) -> Report:
     rng = Rng(args.seed)
     Phi = random_unipotent(rng, alg)
     with timed_check(f"maurer-cartan residual (seed={args.seed})") as t:
-        res = mc_residual(D0, Phi)
+        conjugated = conjugate(Phi, D0)  # both checks read this one Phi D0 Phi^{-1}
+        res = mc_residual(D0, conjugated)
         entries = []
         for label in sorted(res):
             entries.extend(residuals_from_sym(label, res[label]))
         report.add(t.finish(not res, entries))
     with timed_check("conjugated differential squares to zero") as t:
-        sq = square_components(conjugate(Phi, D0))
+        sq = square_components(conjugated)
         report.add(t.finish(not sq, _square_entries(sq)))
     return report
 
@@ -378,11 +384,15 @@ def _run(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.model}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    arity_override = args.arity if args.command not in ("jacobi", "leibniz", "anchor") else None
+    arity_override = args.arity if args.command not in ARITY_SELECTORS else None
     try:
         model = parse_model(text, weight_override=args.weight, arity_override=arity_override)
     except KitError as exc:  # ParseError, or a model the constructors refuse
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if arity_override is not None and isinstance(model, GeometricModel):
+        # a geometric model's arity cap is its weight cap: the override would be ignored
+        print("error: --arity applies to a geometric model only in jacobi, leibniz and anchor", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if isinstance(model, GeometricModel):
         caps = {"weight": model.cap, "arity": model.cap}

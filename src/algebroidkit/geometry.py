@@ -21,7 +21,8 @@ of tangent letters, number of normal letters); P0 keeps (0, *) words, P1
 keeps (1, *) words.
 
 The substitution derivations of the ambient algebra (nabla_hat, nabla_perp,
-Shape, Rtan_p for every p with beta at p = 1, and D1, nabla_hat cut to its
+Shape, beta-tilde = Rtan_1, Rtan = sum_p Rtan_p, which substitutes each
+tangent letter by its whole Rtan family, and D1, nabla_hat cut to its
 one-tangent-letter values) are built once, when the model is constructed.
 The main constructions:
 
@@ -43,7 +44,9 @@ The main constructions:
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
 
-  on the normal algebra; its square is reported, never assumed.
+  on the normal algebra, each Rtan o Shape^q series read as the one
+  substitution Rtan(sum_q Shape^q(start)), cut by the weight cap alone;
+  its square is reported, never assumed.
 * ``structure_from_geometry``: the recursive anchors/brackets
 
       alpha_1 = beta,   alpha_n = Rtan_n + sum_{Sh(n-1,1)} Shape o (alpha_{n-1} x 1) o sigma
@@ -52,7 +55,8 @@ The main constructions:
   one recursion step applied to the two (curvature family, contraction)
   pairs (Rtan, Shape) and (Rperp, nabla_perp), with every map read on
   generators: the curvature transposes off the stored words, Shape, Gamma
-  and dhat off tables on the tangent generators.  The result is an
+  and dhat off rows on the tangent generators, and each alpha_n, ell_n and
+  anchor value summed in one coefficient table.  The result is an
   AlgebroidStructure whose Chevalley-Eilenberg derivation coincides with
   ``build_frakD`` identically (the central duality check, valid whether or
   not D squares to zero).
@@ -66,7 +70,7 @@ from .algebra import AlgebraElement, BaseAlgebra
 from .algebroid import AlgebroidStructure, ce_differential
 from .errors import BaseMismatch, DegreeError, KitError
 from .linfty import BracketTable
-from .modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend
+from .modules import FreeModule, ModuleElement, from_dual_values
 from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from .signs import _nonvanishing_keys
 from .symtensor import (
@@ -74,6 +78,7 @@ from .symtensor import (
     Row,
     SymAlgebra,
     SymElement,
+    _add_product,
     _collect,
     _normalized,
     _word_constant,
@@ -246,11 +251,16 @@ class GeometricModel(SplitFrame):
         self._nabla_hat = DerivationD(self.amb, self.dhat, nabla_letters, degree=0, check=False)
         self._nabla_perp = DerivationD(self.amb, self.dhat, perp_letters, degree=0, check=False)
         self._shape = DerivationD(self.amb, {}, self.shape, degree=0, check=False)
-        self._rtan = {
-            p: DerivationD(self.amb, {}, {i: self.to_amb(v) for i, v in table.items()},
-                           degree=1, check=False)
-            for p, table in self.rtan_tables.items()
-        }
+        # beta-tilde = Rtan_1 alone, and Rtan = sum_p Rtan_p: each tangent
+        # letter substituted by its whole Rtan family at once
+        self._beta_tilde = DerivationD(self.amb, {}, {i: self.to_amb(v) for i, v in self.beta.items()},
+                                       degree=1, check=False)
+        rtan_letters = {}
+        for i, v in self.beta.items():
+            for table in self.curv_tan.values():
+                v = v + table.get(i, self.nor.zero())
+            rtan_letters[i] = self.to_amb(v)
+        self._rtan = DerivationD(self.amb, {}, rtan_letters, degree=1, check=False)
         # D1: nabla_hat with every value cut to its one-tangent-letter words;
         # under rule R (``_require_rule_r``) P1 nabla_bar is P1 D1 on the
         # words with at most one tangent letter
@@ -329,11 +339,9 @@ class GeometricModel(SplitFrame):
         """Shape-operator substitution on the single tangent letter."""
         return self._shape.apply(el)
 
-    def rtan_tilde(self, p: int, el: SymElement) -> SymElement:
-        """Curvature substitution of the tangent letter by p normal letters;
-        p = 1 substitutes beta."""
-        der = self._rtan.get(p)
-        return der.apply(el) if der is not None else self.amb.zero()
+    def beta_tilde(self, el: SymElement) -> SymElement:
+        """Kodaira-Spencer substitution of the tangent letter by beta (Rtan_1)."""
+        return self._beta_tilde.apply(el)
 
     def ambient_d0(self) -> DerivationD:
         """The ambient differential: d_A on coefficients, block-triangular on
@@ -428,7 +436,7 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
         D0n = g.normal_d0()
         for i in range(g.a):
             dt = dual_differential_letter(g.amb, g.tangent, i)
-            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.rtan_tilde(1, dt))
+            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.beta_tilde(dt))
             if not residual.is_zero():
                 problems.append(f"closed flag set but d(beta) != 0 at tangent letter {i}")
     return problems
@@ -590,7 +598,7 @@ def commutator_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]
     _require_rule_r(g)
     D0a = g.ambient_d0()
     D0n = g.normal_d0()
-    beta = g._rtan[1]
+    beta = g._beta_tilde
     a = g.a
 
     def residual_at(w: Word, m: int, b: int) -> Optional[SymElement]:
@@ -636,46 +644,49 @@ def transport_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
 # ---------------------------------------------------------------------------
 
 
-def _tangent_series(g: GeometricModel, start: SymElement, top: int) -> SymElement:
-    """rho-dual of sum_{q >= 0} sum_{p = 1..top - q} Rtan_p(Shape^q(start))."""
-    val = g.nor.zero()
-    current = start  # Shape^q applied cumulatively
-    for q in range(g.cap):
+def _tangent_series(g: GeometricModel, start: SymElement) -> SymElement:
+    """rho-dual of Rtan(sum_{q >= 0} Shape^q(start)), Rtan = sum_p Rtan_p.
+
+    Rtan is linear, so the Shape powers are summed first and substituted
+    once: at most cap - 1 Shape applies and one Rtan apply per start."""
+    if start.is_zero():
+        return g.nor.zero()
+    total = current = start
+    for _ in range(g.cap - 1):
+        current = g.shape_tilde(current)
         if current.is_zero():
             break
-        for p in range(1, top - q + 1):
-            term = g.rtan_tilde(p, current)
-            if not term.is_zero():
-                val = val + g.rho_dual(term)
-        current = g.shape_tilde(current)
-    return val
+        total = total + current
+    return g.rho_dual(g._rtan.apply(total))
 
 
 def build_frakD(g: GeometricModel) -> DerivationD:
     """Assemble the normal-direction differential from the three families.
 
-    Both Rtan o Shape^q series stop at weight cap: the one from dhat on the
-    base, and the one from Gamma on the normal letters, whose words already
-    carry one normal letter (so p + q stops at cap - 1)."""
+    Both Rtan o Shape^q series stop at weight cap, where the algebra drops
+    every longer word: Shape keeps the one tangent letter of a word and
+    raises its weight by one, and Rtan_p replaces that letter by p normal
+    letters.  So the series from dhat on the base (weight-1 starts) keeps
+    p + q <= cap, and the one from Gamma on the normal letters (weight-2
+    starts) keeps p + q <= cap - 1, with no bound of its own."""
     cap = g.cap
     base = g.base
     on_algebra: Dict[int, SymElement] = {}
     for bidx in range(base.dim):
-        val = g.nor.scalar(base.differential_basis(bidx)) + _tangent_series(g, g.dhat[bidx], cap)
+        val = g.nor.scalar(base.differential_basis(bidx)) + _tangent_series(g, g.dhat[bidx])
         if not val.is_zero():
             on_algebra[bidx] = val
 
     on_letters: Dict[int, SymElement] = {}
-    D0n = g.normal_d0()
     for j in range(g.b):
-        val = D0n.on_letters.get(j, g.nor.zero())
+        val = dual_differential_letter(g.nor, g.normal, j)
         for k in sorted(g.curv_perp):
             if k > cap:
                 continue
             entry = g.curv_perp[k].get(j)
             if entry is not None:
                 val = val + entry
-        val = val + _tangent_series(g, g.gamma[j], cap - 1)
+        val = val + _tangent_series(g, g.gamma[j])
         if not val.is_zero():
             on_letters[j] = val
     return DerivationD(g.nor, on_algebra, on_letters, degree=1, check=True)
@@ -715,50 +726,90 @@ def build_kapranov(
 # ---------------------------------------------------------------------------
 
 
-def _transpose(
-    g: GeometricModel,
-    table: Mapping[int, SymElement],
-    target: FreeModule,
-    twist: int,
-    key: Word,
-) -> ModuleElement:
-    """Module-side value on the normal generators of the sorted key of a
-    letter-substitution tensor over the normal letters, table[i] being the
-    image of target letter i: the coefficient of the word key times its
-    value kappa(key) on its own generators.
+# A coefficient table {index: {basis index: Scalar}} holds one module or
+# algebra value while its terms are summed; it becomes one ModuleElement or
+# AlgebraElement when complete.
+Coefficients = Dict[int, Dict[int, Scalar]]
+# The image of each tangent generator t_j under a map read on generators:
+# {j: ((index, AlgebraElement), ...)}, the value's (index, coefficient) pairs.
+GeneratorRows = Dict[int, Tuple[Tuple[int, AlgebraElement], ...]]
+
+
+def _transposes(
+    g: GeometricModel, table: Mapping[int, SymElement], target: FreeModule, twist: int
+) -> Dict[Word, Coefficients]:
+    """{key: coefficient table}: the module-side value on the normal
+    generators of every sorted key of a letter-substitution tensor over the
+    normal letters, table[i] being the image of target letter i: the
+    coefficient of the word key times its value kappa(key) on its own
+    generators, made by one pass over the stored words.
 
     Pairing i is scaled by (-1)^{|letter i| + twist}: twist 0 for the tangent
     families (beta, Rtan), twist 1 for Rperp, which carries the -(-1)^{|eta|}
     twist that relates letter substitution to the bracket recovery formula.
+    The basis element e_b then takes the ``from_dual_values`` twist
+    (-1)^{|e_b| |letter i|}.
     """
-    kappa = _word_constant(g.nor, key)
-    values = {}
+    base_degrees = g.base.degrees
+    out: Dict[Word, Coefficients] = {}
     for i, el in table.items():
-        c = el.data.get(key)
-        if c is not None:
-            values[i] = c.scale(kappa * sign_scalar(twist - target.degrees[i]))
-    return from_dual_values(target, values)
+        degree = target.degrees[i]
+        for key, c in el.data.items():
+            scale = _word_constant(g.nor, key) * sign_scalar(twist - degree)
+            out.setdefault(key, {})[i] = {
+                b: -x * scale if base_degrees[b] * degree & 1 else x * scale for b, x in c.coeffs
+            }
+    return out
 
 
-def _contraction_table(
+def _contraction_rows(
     g: GeometricModel, table: Mapping[int, SymElement], target: FreeModule, sign: Scalar
-) -> Dict[int, Dict[Word, ModuleElement]]:
-    """{k: {(j,): value}}: the (1,1)-contraction on (t_j, nu_k) of an ambient
-    tensor table, table[i] being the image of target letter i, times sign.
+) -> Dict[int, GeneratorRows]:
+    """{k: rows}: the (1,1)-contraction on (t_j, nu_k) of an ambient tensor
+    table, table[i] being the image of target letter i, times sign.
 
     Shape takes sign 1: the anchor-recursion bookkeeping cancels every Koszul
     factor there.  Gamma (nabla^perp_V nu) takes -1, the -(-1)^{|eta|}
     bracket-recovery twist it shares with the Rperp transpose."""
-    out: Dict[int, Dict[Word, ModuleElement]] = {}
+    out: Dict[int, GeneratorRows] = {}
     for k in range(g.b):
-        row = out[k] = {}
+        rows = out[k] = {}
         for j in range(g.a):
             w = (j, g.a + k)
             scale = _word_constant(g.amb, w) * sign
             values = {i: el.data[w].scale(scale) for i, el in table.items() if w in el.data}
             if values:
-                row[(j,)] = from_dual_values(target, values)
+                rows[j] = from_dual_values(target, values).coeffs
     return out
+
+
+def _add_contraction(
+    acc: Coefficients, base: BaseAlgebra, inner: ModuleElement, rows: GeneratorRows, negative: bool
+) -> None:
+    """acc += (-1)^negative sum_j a_j . rows[j] for inner = sum_j a_j t_j.
+
+    This is the A-linear extension of a map read on generators: a one-slot
+    map of operator degree 0 has Koszul exponent 0, so each coefficient a_j
+    only multiplies the image of t_j from the left, basis element by basis
+    element (``_add_product``)."""
+    for j, a in inner.coeffs:
+        row = rows.get(j)
+        if row is None:
+            continue
+        for k, value in row:
+            out = acc.get(k)
+            if out is None:
+                out = acc[k] = {}
+            for i, x in a.coeffs:
+                if negative:
+                    x = -x
+                for m, y in value.coeffs:
+                    _add_product(out, base, i, m, x * y)
+
+
+def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
+    base = module.base
+    return ModuleElement(module, {i: AlgebraElement(base, coeffs) for i, coeffs in acc.items()})
 
 
 def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
@@ -771,56 +822,61 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     pairings of alpha_n with dhat.
 
     Every map is read on generators: the transposes off the stored words,
-    Shape, Gamma and dhat off tables on the tangent generators t_j, made
-    once per call (dhat e_b on t_j signed (-1)^{|e_b| |t_j|}) and extended
-    A-linearly in the coefficients of alpha_n by ``multilinear_extend`` with
-    operator degree 0.  That is the Koszul extension of the pairings on the
-    degree-homogeneous tensors that ``geometric_degree_problems`` admits:
-    the Koszul sign of a coefficient cancels against the ``from_dual_values``
-    twist, or against the anchor twist.  On a sorted key the unshuffle that
-    puts position p last has alpha(sigma) = (-1)^{|v_p| sum_{q > p} |v_q|}.
+    Shape, Gamma and dhat off rows on the tangent generators t_j, made once
+    per call (dhat e_b on t_j signed (-1)^{|e_b| |t_j|}).  Each alpha_n(key),
+    ell_n(key) and anchor value is summed in one coefficient table and made
+    one element when complete; the coefficients of alpha_{n-1} multiply the
+    rows from the left (``_add_contraction``).  That is the Koszul extension
+    of the pairings on the degree-homogeneous tensors that
+    ``geometric_degree_problems`` admits: the Koszul sign of a coefficient
+    cancels against the ``from_dual_values`` twist, or against the anchor
+    twist.  On a sorted key the unshuffle that puts position p last has
+    alpha(sigma) = (-1)^{|v_p| sum_{q > p} |v_q|}.
     """
     cap = g.cap
-    S = AlgebroidStructure(g.base, g.normal, bracket_cap=cap, anchor_cap=cap + 1)
+    base = g.base
+    S = AlgebroidStructure(base, g.normal, bracket_cap=cap, anchor_cap=cap + 1)
     degrees = g.normal.degrees
-    tangent_degrees = g.tangent.degrees
-    shape = _contraction_table(g, g.shape, g.tangent, ONE)
-    gamma = _contraction_table(g, g.gamma, g.normal, MINUS_ONE)
+    shape = _contraction_rows(g, g.shape, g.tangent, ONE)
+    gamma = _contraction_rows(g, g.gamma, g.normal, MINUS_ONE)
 
     alpha_tables: Dict[int, BracketTable] = {}
     for n in range(1, cap + 1):
         alpha = alpha_tables[n] = BracketTable(degrees)
         previous = alpha_tables.get(n - 1, {})
+        rtan = _transposes(g, g.rtan_tables.get(n, {}), g.tangent, 0)
+        rperp = _transposes(g, g.curv_perp.get(n, {}), g.normal, 1)
         for key in _nonvanishing_keys(degrees, n):
-            alpha_val = _transpose(g, g.rtan_tables.get(n, {}), g.tangent, 0, key)
-            ell = _transpose(g, g.curv_perp.get(n, {}), g.normal, 1, key)
+            alpha_acc = rtan.get(key, {})
+            ell_acc = rperp.get(key, {})
             for p, last in enumerate(key):
                 inner = previous.get(key[:p] + key[p + 1:])
                 if inner is None:
                     continue
-                sign = sign_scalar(degrees[last] * sum(degrees[q] for q in key[p + 1:]))
-                alpha_val = alpha_val + multilinear_extend(
-                    shape[last].get, 0, [inner], tangent_degrees, g.tangent.zero()
-                ).scale(sign)
-                ell = ell + multilinear_extend(
-                    gamma[last].get, 0, [inner], tangent_degrees, g.normal.zero()
-                ).scale(sign)
-            alpha.set(key, alpha_val)
-            if n >= 2 and not ell.is_zero():
-                S.set_bracket(n, key, ell)
+                negative = degrees[last] * sum(degrees[q] for q in key[p + 1:]) & 1
+                _add_contraction(alpha_acc, base, inner, shape[last], negative)
+                _add_contraction(ell_acc, base, inner, gamma[last], negative)
+            alpha.set(key, _module_value(g.tangent, alpha_acc))
+            if n >= 2:
+                ell = _module_value(g.normal, ell_acc)
+                if not ell.is_zero():
+                    S.set_bracket(n, key, ell)
 
-    dhat = {
-        b: {
-            (j,): el.data[(j,)].scale(sign_scalar(g.base.degrees[b] * tangent_degrees[j]))
-            for j in range(g.a)
+    tangent_degrees = g.tangent.degrees
+    dhat: GeneratorRows = {
+        j: tuple(
+            (b, el.data[(j,)].scale(sign_scalar(base.degrees[b] * tangent_degrees[j])))
+            for b, el in g.dhat.items()
             if (j,) in el.data
-        }
-        for b, el in g.dhat.items()
+        )
+        for j in range(g.a)
     }
     for m, alpha in alpha_tables.items():
         for key, alpha_val in alpha.items():
-            for b, table in dhat.items():
-                paired = multilinear_extend(table.get, 0, [alpha_val], tangent_degrees, g.base.zero())
+            acc: Coefficients = {}
+            _add_contraction(acc, base, alpha_val, dhat, False)
+            for b in sorted(acc):
+                paired = AlgebraElement(base, acc[b])
                 if not paired.is_zero():
                     S.set_anchor(m + 1, key, b, paired)
     return S

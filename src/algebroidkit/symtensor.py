@@ -920,15 +920,17 @@ def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:
     return DerivationD(alg, *tables, degree=D.degree, check=False)
 
 
-def mc_residual(D0: DerivationD, Phi: FilteredAutomorphism) -> Dict[str, SymElement]:
-    """Residual of the Maurer-Cartan identity for the deficiency of Phi.
+def mc_residual(D0: DerivationD, conjugated: DerivationD) -> Dict[str, SymElement]:
+    """Residual of the Maurer-Cartan identity for the deficiency of Phi,
+    given D0 and conjugated = Phi o D0 o Phi^{-1} (``conjugate``), which
+    the caller builds once and may read again.
 
     omega := Phi o D0 o Phi^{-1} - D0 measures how far Phi is from
     intertwining D0 with itself; when D0^2 = 0 the combination
     [D0, omega] + omega o omega vanishes identically.  Returns the nonzero
     values of that combination on generators (empty dict == residual zero).
     """
-    omega = conjugate(Phi, D0) - D0
+    omega = conjugated - D0
 
     def residual_on(x: SymElement) -> SymElement:
         return (

@@ -1,0 +1,164 @@
+"""Both sides of the central duality as they stood before each became one
+pass, kept as test oracles.
+
+* ``oracle_build_frakD(g)`` rebuilds the assembled differential term by term,
+  by explicit substitution of the single tangent letter, with the per-p
+  bounds of the Rtan_p o Shape^q series: p <= cap - q from dhat on the base,
+  p <= cap - 1 - q from Gamma on the normal letters.
+* ``oracle_structure_from_geometry(g)`` is the alpha/ell recursion with
+  every generator map extended by ``multilinear_extend`` and summed as
+  ``ModuleElement`` values position by position.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Mapping, Tuple
+
+from algebroidkit.algebroid import AlgebroidStructure
+from algebroidkit.linfty import BracketTable
+from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from algebroidkit.signs import _nonvanishing_keys
+from algebroidkit.symtensor import SymElement, _word_constant
+
+Word = Tuple[int, ...]
+
+
+# -- the assembled differential -------------------------------------------------------
+
+
+def _substitute_tangent(g, el: SymElement, table: Mapping[int, SymElement], op_degree: int) -> SymElement:
+    """The degree-op_degree substitution of the one tangent letter (always
+    in front) of every word of el by its value in table: c t rest goes to
+    (-1)^{op_degree |c|} c table[t] rest, one homogeneous part of c at a time."""
+    out = g.amb.zero()
+    for w, c in el.items():
+        assert w and w[0] < g.a and g.tangent_count(w) == 1, w
+        val = table.get(w[0])
+        if val is None or val.is_zero():
+            continue
+        for d, hc in c.homogeneous_parts().items():
+            term = g.amb.word((), hc.scale(sign_scalar(op_degree * d)))
+            out = out + term * g.to_amb(val) * g.amb.word(w[1:])
+    return out
+
+
+def _oracle_series(g, start: SymElement, top: int) -> SymElement:
+    """rho-dual of sum_{q >= 0} sum_{p = 1..top - q} Rtan_p(Shape^q(start))."""
+    val = g.nor.zero()
+    current = start
+    for q in range(g.cap):
+        if current.is_zero():
+            break
+        for p in range(1, top - q + 1):
+            table = g.beta if p == 1 else g.curv_tan.get(p, {})
+            val = val + g.rho_dual(_substitute_tangent(g, current, table, 1))
+        current = _substitute_tangent(g, current, g.shape, 0)
+    return val
+
+
+def oracle_build_frakD(g) -> Tuple[Dict[int, SymElement], Dict[int, SymElement]]:
+    """(on_algebra, on_letters) of the assembled differential, zero values
+    left out:
+
+        D(e_b)  = d_A e_b + sum_q sum_{p <= cap - q} rho Rtan_p Shape^q dhat(e_b)
+        D(nu_j) = d0(nu_j) + sum_{k <= cap} Rperp_k(nu_j)
+                  + sum_q sum_{p <= cap - 1 - q} rho Rtan_p Shape^q Gamma(nu_j)
+    """
+    base = g.base
+    on_algebra = {}
+    for b in range(base.dim):
+        val = g.nor.scalar(base.differential_basis(b)) + _oracle_series(g, g.dhat[b], g.cap)
+        if not val.is_zero():
+            on_algebra[b] = val
+    on_letters = {}
+    d0 = g.normal_d0()
+    for j in range(g.b):
+        val = d0.on_letters.get(j, g.nor.zero())
+        for k, table in g.curv_perp.items():
+            if k <= g.cap and j in table:
+                val = val + table[j]
+        val = val + _oracle_series(g, g.gamma[j], g.cap - 1)
+        if not val.is_zero():
+            on_letters[j] = val
+    return on_algebra, on_letters
+
+
+# -- the recursive structure -------------------------------------------------------------
+
+
+def _transpose(g, table: Mapping[int, SymElement], target: FreeModule, twist: int, key: Word) -> ModuleElement:
+    kappa = _word_constant(g.nor, key)
+    values = {}
+    for i, el in table.items():
+        c = el.data.get(key)
+        if c is not None:
+            values[i] = c.scale(kappa * sign_scalar(twist - target.degrees[i]))
+    return from_dual_values(target, values)
+
+
+def _contraction_table(
+    g, table: Mapping[int, SymElement], target: FreeModule, sign: Scalar
+) -> Dict[int, Dict[Word, ModuleElement]]:
+    out: Dict[int, Dict[Word, ModuleElement]] = {}
+    for k in range(g.b):
+        row = out[k] = {}
+        for j in range(g.a):
+            w = (j, g.a + k)
+            scale = _word_constant(g.amb, w) * sign
+            values = {i: el.data[w].scale(scale) for i, el in table.items() if w in el.data}
+            if values:
+                row[(j,)] = from_dual_values(target, values)
+    return out
+
+
+def oracle_structure_from_geometry(g) -> AlgebroidStructure:
+    """alpha_1 = beta-transpose; for n >= 2
+        alpha_n = Rtan_n + sum_{Sh(n-1,1)} alpha(sigma) Shape(alpha_{n-1}(first), last)
+        ell_n   = Rperp_n + sum_{Sh(n-1,1)} alpha(sigma) Gamma(alpha_{n-1}(first), last)
+    and the anchors the dhat pairings of alpha_n, every pairing a
+    ``multilinear_extend`` call of operator degree 0."""
+    cap = g.cap
+    S = AlgebroidStructure(g.base, g.normal, bracket_cap=cap, anchor_cap=cap + 1)
+    degrees = g.normal.degrees
+    tangent_degrees = g.tangent.degrees
+    shape = _contraction_table(g, g.shape, g.tangent, ONE)
+    gamma = _contraction_table(g, g.gamma, g.normal, MINUS_ONE)
+
+    alpha_tables: Dict[int, BracketTable] = {}
+    for n in range(1, cap + 1):
+        alpha = alpha_tables[n] = BracketTable(degrees)
+        previous = alpha_tables.get(n - 1, {})
+        for key in _nonvanishing_keys(degrees, n):
+            alpha_val = _transpose(g, g.rtan_tables.get(n, {}), g.tangent, 0, key)
+            ell = _transpose(g, g.curv_perp.get(n, {}), g.normal, 1, key)
+            for p, last in enumerate(key):
+                inner = previous.get(key[:p] + key[p + 1:])
+                if inner is None:
+                    continue
+                sign = sign_scalar(degrees[last] * sum(degrees[q] for q in key[p + 1:]))
+                alpha_val = alpha_val + multilinear_extend(
+                    shape[last].get, 0, [inner], tangent_degrees, g.tangent.zero()
+                ).scale(sign)
+                ell = ell + multilinear_extend(
+                    gamma[last].get, 0, [inner], tangent_degrees, g.normal.zero()
+                ).scale(sign)
+            alpha.set(key, alpha_val)
+            if n >= 2 and not ell.is_zero():
+                S.set_bracket(n, key, ell)
+
+    dhat = {
+        b: {
+            (j,): el.data[(j,)].scale(sign_scalar(g.base.degrees[b] * tangent_degrees[j]))
+            for j in range(g.a)
+            if (j,) in el.data
+        }
+        for b, el in g.dhat.items()
+    }
+    for m, alpha in alpha_tables.items():
+        for key, alpha_val in alpha.items():
+            for b, table in dhat.items():
+                paired = multilinear_extend(table.get, 0, [alpha_val], tangent_degrees, g.base.zero())
+                if not paired.is_zero():
+                    S.set_anchor(m + 1, key, b, paired)
+    return S

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from algebroidkit import cli, linfty
 from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
 from algebroidkit.modelio import serialize_model
@@ -80,6 +81,66 @@ def test_ce_build_and_extract_and_kapranov(model_dir, capsys):
 def test_mc_command(model_dir):
     assert run(["mc", model_dir / "conjugated.algebroid.json", "--seed", "3"]) == 0
     assert run(["mc", model_dir / "rank2.geometric.json"]) == 0
+
+
+def test_mc_conjugates_once(model_dir, monkeypatch):
+    """Both checks of mc read one Phi D0 Phi^{-1}."""
+    calls = []
+    conjugate = cli.conjugate
+
+    def counting(Phi, D):
+        calls.append(D)
+        return conjugate(Phi, D)
+
+    monkeypatch.setattr(cli, "conjugate", counting)
+    assert run(["mc", model_dir / "conjugated.algebroid.json", "--seed", "3"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("arity", [5, 12])
+def test_anchor_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, capsys, monkeypatch, arity):
+    """Refused with the arity asked for, before the morphism is built or a
+    partition listed: Bell(12) is 4.2 million partitions."""
+
+    def refuse(*args):
+        raise AssertionError("work started on a refused arity")
+
+    monkeypatch.setattr(linfty, "canonical_partitions", refuse)
+    monkeypatch.setattr(cli, "anchor_morphism", refuse)
+    assert run(["anchor", model_dir / "perturbed.algebroid.json", "--arity", arity]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bracket arity {arity} exceeds cap 4\n"
+    assert captured.out == ""
+
+
+def test_anchor_arity_at_the_bracket_cap_runs(model_dir, capsys):
+    assert run(["anchor", model_dir / "perturbed.algebroid.json", "--arity", 4]) in (0, 1)
+    assert "anchor-morphism[n=4]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - set(cli.ARITY_SELECTORS)))
+def test_arity_on_a_geometric_model_exits_2_where_it_is_ignored(model_dir, tmp_path, capsys, command):
+    """A geometric model's arity cap is its weight cap, so --arity would
+    leave the report unchanged: refused, with no report written."""
+    out = tmp_path / "out.json"
+    assert run([command, model_dir / "rank2.geometric.json", "--arity", "3", "--json", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --arity applies to a geometric model only in jacobi, leibniz and anchor\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", cli.ARITY_SELECTORS)
+def test_arity_selects_one_arity_on_a_geometric_model(model_dir, capsys, command):
+    assert run([command, model_dir / "rank2.geometric.json", "--arity", "2"]) in (0, 1)
+    out = capsys.readouterr().out
+    assert "[n=2]" in out and "[n=1]" not in out and "[n=3]" not in out
+
+
+def test_arity_overrides_the_cap_of_an_algebroid_model(model_dir, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["ce-build", model_dir / "conjugated.algebroid.json", "--arity", "3", "--json", out]) == 0
+    assert json.loads(out.read_text())["caps"]["arity"] == 3
 
 
 @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"mc"}))

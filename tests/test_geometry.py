@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algebroidkit import geometry, symtensor
+from algebroidkit import algebroid, geometry, linfty, modules, symtensor
 from algebroidkit.algebroid import AlgebroidStructure, extract_structure
 from algebroidkit.errors import BaseMismatch, KitError
 from algebroidkit.fixtures import (
@@ -46,6 +46,7 @@ from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, evaluate, square_components
+from geometry_oracle import oracle_build_frakD, oracle_structure_from_geometry
 
 
 def _spanning(alg):
@@ -71,7 +72,7 @@ def mutated(g, beta=None, shape=None):
     """g with its beta table replaced by beta, or its Shape derivation by the
     one of the table shape, restored on exit: code mutations of the two
     operator lemmas.  The ambient d0 reads g.beta when it is built, while
-    beta-tilde (g._rtan[1]) and the cut D1 were built with the model, so each
+    beta-tilde (g._beta_tilde) and the cut D1 were built with the model, so each
     mutation moves one side of its lemma only."""
     with pytest.MonkeyPatch.context() as patch:
         if beta is not None:
@@ -354,39 +355,82 @@ def test_frakd_eps_nilpotent():
     assert frakD_square_report(g) == {}
 
 
-def test_frakd_weight_zero_formula_term_by_term():
-    """D(a) assembled independently by explicit letter substitution."""
-    g = small_random_model(14)
-    base = g.base
-    D = build_frakD(g)
+def _odd_letter_draws():
+    """Generated models with odd tangent and odd normal letters, over each
+    sample base."""
+    profiles = [([1, 0], [1, -1]), ([-1], [1, 1, 0]), ([1, 1], [-1, 0])]
+    draws = {
+        f"odd-draw-{k}": random_geometric_model(
+            Rng(60 + k), base, tangent, normal, cap=4, density=0.6, seed_modules=600 + k
+        )
+        for k, (base, (tangent, normal)) in enumerate(zip(sample_bases(), profiles))
+    }
+    draws["two-odd-normals"] = _two_odd_normals_model()
+    return draws
 
-    def substitute_tangent(el, table, op_degree):
-        # replace the unique tangent letter (always in front) by its value
-        out = g.amb.zero()
-        for w, c in el.items():
-            assert w and w[0] < g.a and g.tangent_count(w) == 1
-            val = table.get(w[0])
-            if val is None or val.is_zero():
-                continue
-            for d, hc in c.homogeneous_parts().items():
-                term = g.amb.word((), hc.scale(sign_scalar(op_degree * d)))
-                term = term * g.to_amb(val) * g.amb.word(w[1:])
-                out = out + term
+
+def _duality_models(workloads):
+    """The models both sides of the duality are compared with their oracles
+    on: the five geometric fixtures at their stored cap and at cap + 1, both
+    generated benchmark models at seeds 0 and 5, and the odd-letter draws."""
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    models = {}
+    for path in sorted(fixtures.glob("*.geometric.json")):
+        text = path.read_text()
+        g = parse_model(text)
+        models[f"{path.name}@W={g.cap}"] = g
+        models[f"{path.name}@W={g.cap + 1}"] = parse_model(text, weight_override=g.cap + 1)
+    assert len(models) == 10
+    for name in workloads.GENERATED:
+        for seed in (0, 5):
+            models[f"{name}@seed={seed}"] = parse_model(workloads.generate_model_text(name, seed))
+    models.update(_odd_letter_draws())
+    return models
+
+
+def test_build_frakD_matches_the_term_by_term_oracle(workloads):
+    """Both sides of the assembled differential, D(e_b) and D(nu_j), equal
+    their term-by-term substitution with the per-p bounds of the Rtan_p o
+    Shape^q series, on every duality model; some model has an Rtan_p term
+    with p >= 2 behind a Shape power on each side."""
+    reached = set()
+    for name, g in _duality_models(workloads).items():
+        D = build_frakD(g)
+        assert (D.on_algebra, D.on_letters) == oracle_build_frakD(g), name
+        if g.curv_tan and any(not g.shape_tilde(g.dhat[b]).is_zero() for b in range(g.base.dim)):
+            reached.add("base")
+        if g.curv_tan and any(not g.shape_tilde(g.gamma[j]).is_zero() for j in range(g.b)):
+            reached.add("letters")
+    assert reached == {"base", "letters"}
+
+
+def test_build_frakD_applies_each_series_once_per_shape_power(workloads, monkeypatch):
+    """build_frakD makes at most cap + 1 DerivationD.apply calls per series
+    start (dhat of a basis element, Gamma of a normal letter), and none
+    outside the series."""
+    g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
+    calls = []
+    counts = []
+    apply = DerivationD.apply
+    series = geometry._tangent_series
+
+    def counting_apply(self, element):
+        calls.append(self)
+        return apply(self, element)
+
+    def counting_series(model, start):
+        before = len(calls)
+        out = series(model, start)
+        counts.append(len(calls) - before)
         return out
 
-    for bidx in range(base.dim):
-        expected = g.nor.scalar(base.differential_basis(bidx))
-        current = g.dhat[bidx]
-        for q in range(0, g.cap):
-            if current.is_zero():
-                break
-            for p in range(1, g.cap - q + 1):
-                table = g.curv_tan.get(p, {}) if p != 1 else g.beta
-                term = substitute_tangent(current, table, 1)
-                expected = expected + g.rho_dual(term)
-            current = substitute_tangent(current, {i: g.shape[i] for i in range(g.a)}, 0).truncate(g.cap)
-        got = D.on_algebra.get(bidx, g.nor.zero())
-        assert got == expected
+    monkeypatch.setattr(DerivationD, "apply", counting_apply)
+    monkeypatch.setattr(geometry, "_tangent_series", counting_series)
+    build_frakD(g)
+    assert len(counts) == g.base.dim + g.b
+    assert 0 < max(counts) <= g.cap + 1
+    assert len(calls) == sum(counts)
+    assert {id(der) for der in calls} <= {id(g._shape), id(g._rtan)}
 
 
 def test_frakd_square_random_localizes():
@@ -575,10 +619,89 @@ def test_structure_from_geometry_matches_the_evaluate_oracle():
             assert any(S.anchors.values()) == name.startswith("kodaira"), name  # dhat = 0 on the other
 
 
+def test_structure_from_geometry_matches_its_oracle(workloads):
+    """The coefficient-table recursion emits the structure of the
+    position-by-position recursion through ``multilinear_extend``, on every
+    duality model, some with brackets and anchors to compare."""
+    with_anchors = 0
+    for name, g in _duality_models(workloads).items():
+        S = structure_from_geometry(g)
+        assert S == oracle_structure_from_geometry(g), name
+        with_anchors += any(S.anchors.values()) and any(S.brackets.values())
+    assert with_anchors >= 4
+
+
+@given(
+    base=st.sampled_from(range(3)),
+    tangent=st.lists(st.integers(-1, 1), min_size=1, max_size=2),
+    normal=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+    cap=st.integers(1, 4),
+    density=st.sampled_from([0.3, 0.6, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_structure_from_geometry_matches_its_oracle_on_random_models(base, tangent, normal, cap, density, seed):
+    g = random_geometric_model(
+        Rng(seed), sample_bases()[base], tangent, normal, cap=cap, density=density, seed_modules=seed
+    )
+    assert structure_from_geometry(g) == oracle_structure_from_geometry(g)
+
+
+def test_structure_from_geometry_makes_no_multilinear_extend_call(monkeypatch):
+    g = _two_odd_normals_model()
+    want = oracle_structure_from_geometry(g)
+
+    def refuse(*args):
+        raise AssertionError("multilinear_extend called")
+
+    for module in (modules, algebroid, linfty, symtensor, geometry):
+        if hasattr(module, "multilinear_extend"):
+            monkeypatch.setattr(module, "multilinear_extend", refuse)
+    assert structure_from_geometry(g) == want
+
+
+def _position_sign_model():
+    """A generated model whose structure reads the Sh(n-1,1) position sign
+    of a Shape term: two odd normal letters, and dhat, Shape and Gamma
+    tables that carry alpha_2 of the two into brackets and anchors."""
+    return random_geometric_model(Rng(0), sample_bases()[2], [0], [1, 1, 0], cap=4, density=0.6, seed_modules=0)
+
+
+@pytest.mark.parametrize("mutation", ["flipped", "dropped"])
+def test_a_wrong_shape_position_sign_fails_the_oracle_comparison(monkeypatch, mutation):
+    """Code mutations: the Sh(n-1,1) position sign of every Shape term
+    flipped, or dropped, the Gamma and dhat terms as they are.  The
+    comparison with the oracle fails, and so does the duality."""
+    g = _position_sign_model()
+    want = oracle_structure_from_geometry(g)
+    assert structure_from_geometry(g) == want and duality_residual(g) == {}
+    shape_rows = []
+    contraction_rows = geometry._contraction_rows
+    add_contraction = geometry._add_contraction
+
+    def recording(model, table, target, sign):
+        out = contraction_rows(model, table, target, sign)
+        if table is model.shape:
+            shape_rows.extend(out.values())
+        return out
+
+    def mutated_sign(acc, base, inner, rows, negative):
+        if any(rows is shape for shape in shape_rows):
+            negative = not negative if mutation == "flipped" else False
+        add_contraction(acc, base, inner, rows, negative)
+
+    monkeypatch.setattr(geometry, "_contraction_rows", recording)
+    monkeypatch.setattr(geometry, "_add_contraction", mutated_sign)
+    assert structure_from_geometry(g) != want
+    assert duality_residual(g) != {}
+
+
 def test_recursion_sign_is_needed_for_duality():
     """The CE differential of the emitted structure matches the assembled one
-    only with the Sh(n-1,1) signs."""
+    on models with two odd normal letters, where the Sh(n-1,1) signs of a
+    key differ; on the position-sign model it fails without them
+    (``test_a_wrong_shape_position_sign_fails_the_oracle_comparison``)."""
     assert duality_residual(_two_odd_normals_model()) == {}
+    assert duality_residual(_position_sign_model()) == {}
 
 
 def test_structure_from_geometry_abelian_for_trivial():
@@ -675,7 +798,7 @@ def oracle_commutator_lemma_residual(g):
     out = []
     for el in _spanning(g.amb):
         lhs = g.rho_dual(D0a.apply(el)) - D0n.apply(g.rho_dual(el))
-        rhs = g.rho_dual(g.rtan_tilde(1, g.p1(el)))
+        rhs = g.rho_dual(g.beta_tilde(g.p1(el)))
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((repr(el), residual))
@@ -840,8 +963,7 @@ def test_lemma_checks_keep_no_rows(monkeypatch):
     attributes = set(vars(g))
     sizes = {name: len(v) for name, v in vars(g).items() if isinstance(v, dict)}
     derivations = {"_nabla_hat": g._nabla_hat, "_nabla_perp": g._nabla_perp, "_shape": g._shape, "_d1": g._d1}
-    derivations.update({f"_rtan[{p}]": d for p, d in g._rtan.items()})
-    assert "_rtan[1]" in derivations
+    derivations.update({"_beta_tilde": g._beta_tilde, "_rtan": g._rtan})
     assert retraction_residual(g) == []
     assert commutator_lemma_residual(g) == []
     assert transport_lemma_residual(g) == []
@@ -878,7 +1000,7 @@ def slice_commutator_lemma_residual(g):
     slice, with no generator pass."""
     D0a = g.ambient_d0()
     D0n = g.normal_d0()
-    beta = g._rtan[1]
+    beta = g._beta_tilde
     a = g.a
     out = []
     for w, m, b in geometry._slice(g):
@@ -981,7 +1103,7 @@ def test_passing_lemmas_build_one_row_per_generator_on_each_side(workloads, monk
     assert commutator_lemma_residual(g) == []
     counts = Counter(id(der) for der, _, _ in calls)
     assert sorted(counts.values()) == sorted([len(generators), normal_generators, g.a])
-    assert counts[id(g._rtan[1])] == g.a
+    assert counts[id(g._beta_tilde)] == g.a
     calls.clear()
     assert transport_lemma_residual(g) == []
     assert Counter(id(der) for der, _, _ in calls) == {
@@ -1007,13 +1129,13 @@ def test_each_lemma_mutation_moves_one_side():
     by the transport check and leaves the cut D1 as built, and the model is
     as before on exit, where both checks pass again."""
     g = small_random_model(12)
-    beta_tilde, d1, shape = g._rtan[1], g._d1, g._shape
+    beta_tilde, d1, shape = g._beta_tilde, g._d1, g._shape
     bumped = {i: v + g.nor.letter(0, g.base.one()) for i, v in g.beta.items()}
     doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
     want = g.ambient_d0().on_letters
     with mutated(g, beta=bumped):
         assert g.ambient_d0().on_letters != want
-        assert g._rtan[1] is beta_tilde
+        assert g._beta_tilde is beta_tilde
         assert commutator_lemma_residual(g) != []
     with mutated(g, shape=doubled):
         assert g._shape is not shape and g._d1 is d1
@@ -1022,14 +1144,24 @@ def test_each_lemma_mutation_moves_one_side():
     assert commutator_lemma_residual(g) == transport_lemma_residual(g) == []
 
 
-def test_rtan_derivations_built_once():
+def test_rtan_is_one_derivation_built_once():
+    """Rtan is one derivation built with the model: on each tangent letter
+    its value is beta plus every curv_tan weight, beta-tilde is its
+    weight-one part, and build_frakD reads both as built."""
     g = small_random_model(15)
+    assert g.curv_tan
+    rtan, beta_tilde = g._rtan, g._beta_tilde
     first = build_frakD(g)
-    ders = dict(g._rtan)
-    assert ders
-    assert set(ders) == {1} | set(g.curv_tan)
+    zero = g.amb.zero()
+    for i in range(g.a):
+        family = g.beta[i]
+        for table in g.curv_tan.values():
+            family = family + table.get(i, g.nor.zero())
+        assert rtan.on_letters.get(i, zero) == g.to_amb(family)
+        assert beta_tilde.on_letters.get(i, zero) == g.to_amb(g.beta[i])
+    assert rtan.on_algebra == beta_tilde.on_algebra == {}
     assert build_frakD(g) == first
-    assert all(g._rtan[p] is der for p, der in ders.items())
+    assert g._rtan is rtan and g._beta_tilde is beta_tilde
 
 
 def test_projections_match_public_constructor_and_refuse_other_algebras():

@@ -30,7 +30,6 @@ from .linfty import (
     ShiftedDerDGLA,
     decalage,
     decalage_inverse,
-    jacobi_residual,
     morphism_residual,
 )
 from .algebroid import (
@@ -84,7 +83,6 @@ __all__ = [
     "ShiftedDerDGLA",
     "decalage",
     "decalage_inverse",
-    "jacobi_residual",
     "morphism_residual",
     "AlgebroidStructure",
     "ce_differential",

@@ -32,7 +32,9 @@ on generators each side of these formulas is one table entry, and a sorted
 word w takes the value kappa(w) (``symtensor._word_constant``) on its own
 generators and 0 on those of any other word, so every coefficient of D is
 one bracket or anchor entry times a sign over kappa(w), and back.  The two
-are exact mutual inverses on canonical tables.
+are exact mutual inverses on canonical tables.  D squares to zero exactly
+when the tables form an L-infinity algebroid, and ``algebroid_jacobi_residual``
+reads the higher Jacobi residuals off D^2 on the letters.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .linfty import (
     LInftyMorphism,
     ShiftedDerDGLA,
     BracketTable,
-    jacobi_residual,
     morphism_residual,
     same_tables,
     sorted_tuples,
@@ -69,8 +70,6 @@ GenKey = Tuple[int, ...]
 
 class AlgebroidStructure:
     """Brackets plus multi-anchors over a fixed dga; one side of the duality."""
-
-    symmetric = True  # bracket sign convention, read by linfty.jacobi_residual
 
     def __init__(
         self,
@@ -302,7 +301,9 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
     pairs with, which reads the unit slot of the anchor tables (a model file
     may store an entry there).  At arity 1 the tables are the dga's
     differentials (``_arity_tables``): D(e_b) starts with d_A e_b and
-    D(eta_i) with the dual of d_L.
+    D(eta_i) with the dual of d_L.  D(eta_i) stops at weight min(W, bracket
+    cap): a unit-slot anchor of higher arity enters D(1) only, where
+    ``extract_structure`` reads it back.
     """
     carrier = S.carrier
     base = S.base
@@ -325,7 +326,7 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
             _add_to(on_algebra, b, key, value.scale(sign_scalar(exponent)))
 
     on_letters: Dict[int, Dict[GenKey, AlgebraElement]] = {}
-    for m in range(1, min(W, max(1, min(S.bracket_cap, S.anchor_cap))) + 1):
+    for m in range(1, min(W, max(1, S.bracket_cap)) + 1):
         brackets, anchors = _arity_tables(S, m)
         for w, value in brackets.items():
             for i, c in value.items():
@@ -422,11 +423,44 @@ def extract_structure(
 # ---------------------------------------------------------------------------
 
 
-def algebroid_jacobi_residual(S: AlgebroidStructure, n: int) -> Dict[GenKey, ModuleElement]:
-    """Symmetric higher Jacobi residual using the algebroid extension policy."""
-    if n > S.bracket_cap:
-        raise CapError(f"arity {n} exceeds cap")
-    return jacobi_residual(S, n)
+def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> Dict[int, Dict[GenKey, ModuleElement]]:
+    """The higher Jacobi residuals {n: {sorted key: value}} at the given
+    arities, read off the square of one D = ``ce_differential(S)``.
+
+    D squares to zero exactly when S is an L-infinity algebroid: for a word w
+    of weight n and each homogeneous part c of D^2(eta_i)[w], the transpose
+    of the bracket term of ``ce_differential`` gives
+
+        Jac_n(w)_i = -(-1)^{|g_i||c|} kappa(w) c,
+
+    the symmetric unshuffle sum of ``bracket`` up to arity n.  D is built
+    without the unit-slot anchor entries, which no bracket reads
+    (``leibniz_residual`` reports them).  An arity over a cap is refused
+    before any work, as ``leibniz_residual`` refuses it.
+    """
+    carrier = S.carrier
+    for n in arities:
+        if n > S.bracket_cap:
+            raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
+        if 1 < n and carrier.rank and n > S.anchor_cap:
+            raise CapError(f"anchor arity {n} exceeds cap {S.anchor_cap}")
+    out: Dict[int, Dict[GenKey, ModuleElement]] = {n: {} for n in arities}
+    if not out:
+        return out
+    bare = AlgebroidStructure(S.base, carrier, S.bracket_cap, S.anchor_cap)
+    bare.brackets = S.brackets
+    bare.anchors = {m: {k: v for k, v in t.items() if k[1] != S.base.unit} for m, t in S.anchors.items()}
+    D = ce_differential(bare, max(max(out), S.max_bracket_arity(), S.max_anchor_arity() - 1))
+    algebra = D.algebra
+    paired: Dict[GenKey, Dict[int, AlgebraElement]] = {}
+    for i in range(carrier.rank):
+        for w, c in D.apply(D.apply(algebra.letter(i))).data.items():
+            if len(w) in out:
+                value = _koszul_twist(c.scale(_word_constant(algebra, w)), carrier.degrees[i])
+                paired.setdefault(w, {})[i] = -value
+    for w, values in paired.items():
+        out[len(w)][w] = ModuleElement(carrier, values)
+    return out
 
 
 def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], ModuleElement]:

@@ -118,11 +118,7 @@ def cmd_validate(model, caps, args) -> Report:
 
 
 def _arities(args, top) -> List[int]:
-    if args.arity is None:
-        return list(range(1, top + 1))
-    if args.arity < 1:
-        raise KitError(f"--arity must be at least 1, got {args.arity}")
-    return [args.arity]
+    return list(range(1, top + 1)) if args.arity is None else [args.arity]
 
 
 def _key_label(names, key) -> str:
@@ -133,9 +129,8 @@ def _key_label(names, key) -> str:
 def cmd_jacobi(model, caps, args) -> Report:
     report = Report("jacobi", caps)
     S = _structure_of(model)
-    for n in _arities(args, S.bracket_cap):
+    for n, res in algebroid_jacobi_residual(S, _arities(args, S.bracket_cap)).items():
         with timed_check(f"jacobi[n={n}]") as t:
-            res = algebroid_jacobi_residual(S, n)
             entries = []
             for key in sorted(res):
                 entries.extend(residuals_from_module(_key_label(S.carrier.gen_names, key), res[key]))
@@ -378,6 +373,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args) -> int:
+    for flag, value, least in (("--weight", args.weight, 0), ("--arity", args.arity, 1)):
+        if value is not None and value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -1,21 +1,21 @@
 """Homotopy Lie structures on free modules and the shifted derivation DGLA.
 
-``LInftyAlgebra`` stores the brackets of one homotopy Lie structure on a free
-graded module in either sign convention, chosen by its ``symmetric`` flag:
+``LInftyAlgebra`` stores the bracket tables of one homotopy Lie structure on a
+free graded module in either sign convention, chosen by its ``symmetric`` flag:
 
 * skew (the default): graded skew brackets l_n of degree 2-n (chi signs);
 * symmetric: graded symmetric brackets ell_n of degree +1 (alpha signs),
   the shifted picture used everywhere downstream.
 
 Brackets are stored in ``BracketTable``s, keyed by the word rule of
-``signs`` (sorted tuples, with a Koszul sign), and are extended
-A-multilinearly with Koszul signs; the unary bracket is always the carrier
-differential (a Leibniz derivation, not A-linear).  The degree-shift
-dictionary (decalage) converts between the two conventions with the sign
+``signs`` (sorted tuples, with a Koszul sign); the unary bracket is always
+the carrier differential.  The degree-shift dictionary (decalage) converts
+between the two conventions with the sign
 
     {v_1..v_n} = (-1)^{(n-1)|v_1| + (n-2)|v_2| + ... + |v_{n-1}|} [v_1..v_n]
 
-where degrees are taken in the unshifted module.
+where degrees are taken in the unshifted module.  An algebroid's Jacobi
+residual is read off its CE square (``algebroid.algebroid_jacobi_residual``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .signs import (
     _vanishes,
     canonical_partitions,
     partition_permutation,
-    skew_sign,
     sym_sign,
     unshuffles_with_tail,
 )
@@ -149,7 +148,7 @@ def sorted_tuples(rank: int, n: int) -> List[GenKey]:
 
 
 class LInftyAlgebra:
-    """Brackets on a free module; l_1 = d_L.
+    """Bracket tables on a free module; l_1 = d_L.
 
     Skew brackets of degree 2-n by default; with symmetric=True, graded
     symmetric brackets of degree +1.
@@ -161,74 +160,26 @@ class LInftyAlgebra:
         self.symmetric = symmetric
         self.tables: Dict[int, BracketTable] = {}
 
-    def bracket_degree(self, n: int) -> int:
-        return 1 if self.symmetric else 2 - n
-
-    def max_bracket_arity(self) -> int:
-        return max((n for n, t in self.tables.items() if t), default=1)
-
     def set_bracket(self, n: int, key: Sequence[int], value: ModuleElement):
         if n < 2 or n > self.arity_cap:
             raise CapError(f"bracket arity {n} outside 2..{self.arity_cap}")
         table = self.tables.setdefault(n, BracketTable(self.carrier.degrees, self.symmetric))
         table.set(key, value)
 
-    def bracket(self, n: int, args: Sequence[ModuleElement]) -> ModuleElement:
-        if len(args) != n:
-            raise KitError("bracket arity does not match argument count")
-        if n == 1:
-            return args[0].d()
-        if n > self.arity_cap:
-            raise CapError(f"arity {n} exceeds cap {self.arity_cap}")
-        table = self.tables.get(n)
-        if table is None:
-            return self.carrier.zero()
-        return multilinear_extend(
-            table.lookup,
-            self.bracket_degree(n) % 2,
-            args,
-            self.carrier.degrees,
-            self.carrier.zero(),
-        )
-
 
 # ---------------------------------------------------------------------------
-# Jacobi residuals
+# unshuffle sums
 # ---------------------------------------------------------------------------
-
-
-def jacobi_residual(L, n: int) -> Dict[GenKey, ModuleElement]:
-    """Higher Jacobi residual at total arity n on generator tuples.
-
-    L is any structure with ``carrier``, ``symmetric`` and ``bracket``.  In
-    the symmetric convention
-
-    sum_{i+j=n} sum_{Sh(i,j)} alpha(sigma, v)
-        { {v_s(1)..v_s(i)}, v_s(i+1), ..., v_s(n) } = 0 for genuine structures;
-
-    the skew convention uses chi signs and an extra (-1)^{i j} factor.
-    """
-    if n > getattr(L, "arity_cap", n):
-        raise CapError(f"arity {n} exceeds cap")
-    carrier = L.carrier
-    gens = [carrier.generator(i) for i in range(carrier.rank)]
-    out: Dict[GenKey, ModuleElement] = {}
-    for key in sorted_tuples(carrier.rank, n):
-        total = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, L.bracket, carrier.zero(), L.symmetric)
-        if not total.is_zero():
-            out[key] = total
-    return out
 
 
 def _unshuffle_sum(key: GenKey, degrees: Sequence[int], elements: Sequence, inner: Callable,
-                   outer: Callable, zero, symmetric: bool):
-    """sum_{i=1..n} sum_{Sh(i,n-i)} sign(sigma) outer(n-i+1, [inner(i, first i), rest])
+                   outer: Callable, zero):
+    """sum_{i=1..n} sum_{Sh(i,n-i)} alpha(sigma) outer(n-i+1, [inner(i, first i), rest])
 
     on the generators of key (elements[g] of degree degrees[g] for the index
     g) permuted by sigma: first i is key at sigma(1..i), rest the others in
-    order.  inner(k, args) and outer(k, args) are k-ary maps.  sign is
-    alpha(sigma) in the symmetric convention and (-1)^{i(n-i)} chi(sigma) in
-    the skew one.
+    order.  inner(k, args) and outer(k, args) are k-ary maps, in the
+    symmetric convention.
 
     Where key repeats a generator, several unshuffles give the same argument
     tuple: their signs are added up first, and each tuple with a nonzero sum
@@ -239,12 +190,8 @@ def _unshuffle_sum(key: GenKey, degrees: Sequence[int], elements: Sequence, inne
     counts: Dict[Tuple[int, GenKey], int] = {}
     for i in range(1, n + 1):
         for sigma in unshuffles_with_tail(n, i):
-            if symmetric:
-                sign = sym_sign(sigma, degs)
-            else:
-                sign = (-1) ** (i * (n - i)) * skew_sign(sigma, degs)
             group = (i, sigma.permute(key))
-            counts[group] = counts.get(group, 0) + sign
+            counts[group] = counts.get(group, 0) + sym_sign(sigma, degs)
     total = zero
     for (i, args), count in counts.items():
         if count:
@@ -520,7 +467,7 @@ class ShiftedDerDGLA:
         elements = [der for _, der in basis]
         out: Dict[GenKey, AlgebraDerivation] = {}
         for key in sorted_tuples(len(basis), n):
-            total = _unshuffle_sum(key, shifted, elements, self.bracket, self.bracket, self.zero(), True)
+            total = _unshuffle_sum(key, shifted, elements, self.bracket, self.bracket, self.zero())
             if not total.is_zero():
                 out[key] = total
         return out
@@ -534,8 +481,8 @@ class ShiftedDerDGLA:
 class LInftyMorphism:
     """Degree-0 graded symmetric components f_n from a symmetric structure.
 
-    The source is anything symmetric with a ``carrier`` and ``bracket``: an
-    ``LInftyAlgebra`` with symmetric=True or an ``AlgebroidStructure``.
+    The source is anything with a ``carrier`` and a ``bracket`` in the
+    symmetric convention, such as an ``AlgebroidStructure``.
     Component values live in the target structure's element type: module
     elements for a module-carried target, concrete algebra derivations for
     the shifted derivation DGLA.
@@ -585,7 +532,7 @@ def morphism_residual(
     out: Dict[GenKey, object] = {}
     for key in sorted_tuples(carrier.rank, n):
         degs = [carrier.degrees[i] for i in key]
-        lhs = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, f.component, f.zero_value, True)
+        lhs = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, f.component, f.zero_value)
         counts: Dict[Tuple[GenKey, ...], int] = {}
         for blocks, sigma in partitions:
             group = tuple(tuple(key[x - 1] for x in b) for b in blocks)

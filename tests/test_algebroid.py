@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from algebroidkit import algebroid
 from algebroidkit.algebroid import (
     AlgebroidStructure,
     algebroid_jacobi_residual,
@@ -30,7 +31,9 @@ from algebroidkit.fixtures import (
     sample_bases,
     standard_module,
 )
+from algebroidkit.geometry import structure_from_geometry
 from algebroidkit.linfty import sorted_tuples
+from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, pair_dual
 from algebroidkit.scalars import Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _nonvanishing_keys, enumerate_unshuffles, sym_sign
@@ -44,6 +47,9 @@ from algebroidkit.symtensor import (
     from_values,
     square_components,
 )
+from linfty_oracle import oracle_jacobi_residual
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def structures_equal(S1, S2) -> bool:
@@ -134,8 +140,8 @@ def test_conjugation_oracle_passes_all_residuals():
         carrier = standard_module(base, rank=2, seed=66)
         S, D, Phi = conjugation_oracle_structure(rng, carrier, cap=4)
         assert square_components(D) == {}
+        assert not any(algebroid_jacobi_residual(S, range(1, 5)).values())
         for n in range(1, 5):
-            assert algebroid_jacobi_residual(S, n) == {}
             assert leibniz_residual(S, n) == {}
         for n in range(1, 4):
             assert anchor_morphism_residual(S, n) == {}
@@ -166,7 +172,7 @@ def single_entry_perturbations(S, limit=40):
 
 
 def all_residuals_empty(S):
-    jac = all(algebroid_jacobi_residual(S, m) == {} for m in range(1, 5))
+    jac = not any(algebroid_jacobi_residual(S, range(1, 5)).values())
     lei = all(leibniz_residual(S, m) == {} for m in range(1, 5))
     anc = all(anchor_morphism_residual(S, m) == {} for m in range(1, 4))
     return jac and lei and anc
@@ -318,7 +324,7 @@ def test_leibniz_residual_matches_the_bracket_oracle():
     from algebroidkit.cli import _structure_of
     from algebroidkit.modelio import load_model
 
-    fixtures = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
+    fixtures = sorted(FIXTURES.glob("*.json"))
     assert len(fixtures) == 8
     structures = [_structure_of(load_model(str(path))) for path in fixtures]
     base = lambda_eps()
@@ -504,7 +510,7 @@ def oracle_ce_differential(S, weight_cap):
         eta_degree = -carrier.degrees[i]
         val = algebra.zero()
         for n in range(0, W):
-            if n >= 1 and (n + 1 > S.bracket_cap or n + 1 > S.anchor_cap):
+            if n >= 1 and n + 1 > S.bracket_cap:
                 break
 
             def value_fn(word, gens, i=i, n=n, eta_degree=eta_degree):
@@ -512,7 +518,7 @@ def oracle_ce_differential(S, weight_cap):
                 total = base.zero()
                 for k in range(len(gens)):
                     eta_vk = pair_dual(carrier, i, gens[k])
-                    if eta_vk.is_zero():
+                    if eta_vk.is_zero() or n + 1 > S.anchor_cap:  # no anchor above its cap
                         continue
                     theta = eta_degree * (sum(degs) - degs[k]) + degs[k] * sum(degs[k + 1 :])
                     rest = gens[:k] + gens[k + 1 :]
@@ -668,3 +674,94 @@ def test_unit_slot_anchor_enters_the_letter_value():
     assert D == oracle_ce_differential(S, 4)
     assert D.component_on_letter(1, 0).data[(0, 0)] == value
     assert structures_equal(extract_structure(D, carrier), S)
+
+
+def test_brackets_above_the_anchor_cap_enter_the_ce_differential():
+    """With bracket cap 4 over anchor cap 3, every 4-ary bracket is a word of
+    D(eta_i): the evaluation oracle and the round trip keep it."""
+    rng = Rng(41)
+    for base in sample_bases():
+        carrier = mixed_module(base, [0, -1], seed=2)
+        S = random_algebroid(rng, base, carrier, bracket_cap=4, anchor_cap=3)
+        assert S.brackets.get(4), base.names
+        D = ce_differential(S, weight_cap=4)
+        assert D == oracle_ce_differential(S, 4)
+        assert extract_structure(D, carrier, bracket_cap=4, anchor_cap=3) == S
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi residual read off D^2 against the per-permutation sum
+# ---------------------------------------------------------------------------
+
+
+def oracle_algebroid_jacobi_residual(S, n):
+    """Every unshuffle of ``AlgebroidStructure.bracket`` on its own, refused
+    over the bracket cap."""
+    if n > S.bracket_cap:
+        raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
+    return oracle_jacobi_residual(S, n, True)
+
+
+@given(
+    base_index=st.integers(0, 2),
+    degrees=st.sampled_from(CE_DEGREES),
+    derivation_anchors=st.booleans(),
+    unit_slot_anchors=st.booleans(),
+    caps=st.sampled_from([(4, 5), (3, 4), (2, 2), (0, 0)]),
+    seed=st.integers(0, 2**16),
+)
+def test_jacobi_residual_matches_the_per_permutation_oracle(
+    base_index, degrees, derivation_anchors, unit_slot_anchors, caps, seed
+):
+    """The same residual, or the same refusal, at every arity up to one above
+    both caps, on drawn structures with derivation or free anchors, stored
+    unit-slot anchor entries and odd letters."""
+    rng = Rng(seed)
+    base = sample_bases()[base_index]
+    carrier = mixed_module(base, degrees, seed=seed % 5)
+    S = random_algebroid(rng, base, carrier, *caps, derivation_anchors=derivation_anchors)
+    if unit_slot_anchors:
+        store_unit_slot_anchors(rng, S)
+    for n in range(1, max(caps) + 2):
+        got = _result_or_refusal(lambda S, n: algebroid_jacobi_residual(S, [n])[n], S, n)
+        assert got == _result_or_refusal(oracle_algebroid_jacobi_residual, S, n), n
+
+
+def test_jacobi_residual_of_the_geometric_models_matches_the_oracle(workloads):
+    """On the five geometric fixtures at their stored cap and at cap + 1 and
+    on both generated benchmark models, all arities at once."""
+    models = {}
+    for path in sorted(FIXTURES.glob("*.geometric.json")):
+        text = path.read_text()
+        g = parse_model(text)
+        models[f"{path.name}@W={g.cap}"] = g
+        models[f"{path.name}@W={g.cap + 1}"] = parse_model(text, weight_override=g.cap + 1)
+    for name in sorted(workloads.GENERATED):
+        models[name] = parse_model(workloads.generate_model_text(name, 0))
+    assert len(models) == 12
+    failing = 0
+    for name, g in models.items():
+        S = structure_from_geometry(g)
+        arities = range(1, S.bracket_cap + 1)
+        got = algebroid_jacobi_residual(S, arities)
+        assert got == {n: oracle_jacobi_residual(S, n, True) for n in arities}, name
+        failing += any(got.values())
+    assert failing > 0
+
+
+def test_jacobi_refuses_an_arity_over_a_cap_before_any_work(monkeypatch):
+    """Over the bracket cap, then (on a carrier with letters, above the unary
+    arity) over the anchor cap, before D is built."""
+    base = nontrivial_dga()
+    empty = AlgebroidStructure(base, FreeModule(base, []), bracket_cap=4, anchor_cap=3)
+    assert algebroid_jacobi_residual(empty, [4]) == {4: {}}
+    S = random_algebroid(Rng(42), base, mixed_module(base, [0, 1], seed=1), bracket_cap=4, anchor_cap=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a refused arity")
+
+    monkeypatch.setattr(algebroid, "ce_differential", refuse)
+    with pytest.raises(CapError, match="^bracket arity 5 exceeds cap 4$"):
+        algebroid_jacobi_residual(S, [2, 5])
+    with pytest.raises(CapError, match="^anchor arity 4 exceeds cap 3$"):
+        algebroid_jacobi_residual(S, [1, 4])

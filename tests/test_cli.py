@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from algebroidkit import cli, linfty
+from algebroidkit import algebroid, cli, linfty
+from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
 from algebroidkit.modelio import serialize_model
@@ -110,6 +111,55 @@ def test_anchor_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, ca
     assert run(["anchor", model_dir / "perturbed.algebroid.json", "--arity", arity]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: bracket arity {arity} exceeds cap 4\n"
+    assert captured.out == ""
+
+
+def test_jacobi_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a refused arity")
+
+    monkeypatch.setattr(algebroid, "ce_differential", refuse)
+    assert run(["jacobi", model_dir / "perturbed.algebroid.json", "--arity", 7]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bracket arity 7 exceeds cap 4\n"
+    assert captured.out == ""
+
+
+def test_jacobi_evaluates_no_bracket_and_no_unshuffle_sum(model_dir, tmp_path, monkeypatch):
+    """Every arity is read off the square of one CE differential."""
+    paths = sorted(model_dir.iterdir())
+    assert len(paths) == 8
+
+    def reports(tag):
+        out = {}
+        for path in paths:
+            report = tmp_path / f"{path.stem}.{tag}.json"
+            out[path.name] = (run(["jacobi", path, "--json", report]), report.read_bytes())
+        return out
+
+    want = reports("free")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("jacobi evaluated a bracket")
+
+    monkeypatch.setattr(linfty, "_unshuffle_sum", refuse)
+    monkeypatch.setattr(AlgebroidStructure, "bracket", refuse)
+    assert reports("patched") == want
+
+
+@pytest.mark.parametrize("command", ["jacobi", "ce-extract"])
+@pytest.mark.parametrize("flag, value, least", [("--weight", -1, 0), ("--arity", 0, 1)])
+def test_an_out_of_range_flag_is_refused_as_the_flag(model_dir, capsys, monkeypatch, command, flag, value, least):
+    """Before the model file is parsed, so the refusal names the flag and
+    not the stored caps it would override."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model was parsed")
+
+    monkeypatch.setattr(cli, "parse_model", refuse)
+    assert run([command, model_dir / "rank2.geometric.json", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
     assert captured.out == ""
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algebroidkit.algebroid import anchor_morphism
+from algebroidkit.algebroid import AlgebroidStructure, algebroid_jacobi_residual, anchor_morphism
 from algebroidkit.errors import CapError
 from algebroidkit.fixtures import (
     Rng,
@@ -31,31 +31,30 @@ from algebroidkit.linfty import (
     d_A_derivation,
     decalage,
     decalage_inverse,
-    jacobi_residual,
     morphism_residual,
     sorted_tuples,
 )
 from algebroidkit.modules import FreeModule, ModuleElement
-from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
-from algebroidkit.signs import (
-    canonical_partitions,
-    partition_permutation,
-    skew_sign,
-    sym_sign,
-    unshuffles_with_tail,
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar
+from algebroidkit.signs import canonical_partitions, partition_permutation, sym_sign
+from linfty_oracle import (
+    LInftyBrackets,
+    linfty_jacobi_residual,
+    oracle_jacobi_residual,
+    per_permutation_unshuffle_sum,
 )
 
 
 def test_matrix_dgla_jacobi_skew():
     L = matrix_dgla()
     for n in range(1, 5):
-        assert jacobi_residual(L, n) == {}
+        assert linfty_jacobi_residual(L, n) == {}
 
 
 def test_cone_dgla_jacobi_skew():
     L = cone_dgla()
     for n in range(1, 5):
-        assert jacobi_residual(L, n) == {}
+        assert linfty_jacobi_residual(L, n) == {}
 
 
 def test_perturbed_matrix_dgla_fails_jacobi():
@@ -64,17 +63,17 @@ def test_perturbed_matrix_dgla_fails_jacobi():
     # plant a wrong entry: [E11, E12] += E21
     bad = ModuleElement(L.carrier, {2: base.one()})
     L.set_bracket(2, (0, 1), L.tables[2].get((0, 1)) + bad)
-    assert jacobi_residual(L, 3) != {}
+    assert linfty_jacobi_residual(L, 3) != {}
 
 
 def test_decalage_preserves_jacobi_both_ways():
     for L in [matrix_dgla(), cone_dgla()]:
         L1 = decalage(L)
         for n in range(1, 5):
-            assert jacobi_residual(L1, n) == {}
+            assert linfty_jacobi_residual(L1, n) == {}
         back = decalage_inverse(L1)
         for n in range(1, 5):
-            assert jacobi_residual(back, n) == {}
+            assert linfty_jacobi_residual(back, n) == {}
 
 
 def random_skew_tables(rng, carrier, arity_cap=4):
@@ -174,7 +173,7 @@ def test_abelian_base_gives_abelian_dgla():
             assert P.commutator(Q).is_zero()
 
 
-def identity_morphism(L: LInftyAlgebra) -> LInftyMorphism:
+def identity_morphism(L: LInftyBrackets) -> LInftyMorphism:
     f = LInftyMorphism(L, L, L.carrier.zero())
     for i in range(L.carrier.rank):
         f.set_component(1, (i,), L.carrier.generator(i))
@@ -182,14 +181,14 @@ def identity_morphism(L: LInftyAlgebra) -> LInftyMorphism:
 
 
 def test_identity_morphism_residual_zero():
-    L = decalage(cone_dgla())
+    L = LInftyBrackets(decalage(cone_dgla()))
     f = identity_morphism(L)
     for n in range(1, 5):
         assert morphism_residual(f, L, L, n) == {}
 
 
 def test_zero_morphism_residual_tracks_brackets():
-    L = decalage(matrix_dgla())
+    L = LInftyBrackets(decalage(matrix_dgla()))
     f = LInftyMorphism(L, L, L.carrier.zero())
     # with f = 0 the residual reduces to f(brackets) = 0 vs brackets of 0 = 0
     for n in range(1, 5):
@@ -199,8 +198,7 @@ def test_zero_morphism_residual_tracks_brackets():
 def test_transported_structure_morphism_residual():
     """An invertible degree-0 change of frame transports brackets to zero residual."""
     rng = Rng(77)
-    base = trivial_base()
-    L = decalage(matrix_dgla())
+    L = LInftyBrackets(decalage(matrix_dgla()))
     carrier = L.carrier
     # target: same module, brackets transported through f1(g_i) = c_i g_i
     scalars = [Scalar(rng.randint(1, 3)) for _ in range(carrier.rank)]
@@ -216,6 +214,7 @@ def test_transported_structure_morphism_residual():
             },
         )
         target.set_bracket(2, key, transported)
+    target = LInftyBrackets(target)
     f = LInftyMorphism(L, target, carrier.zero())
     for i in range(carrier.rank):
         f.set_component(1, (i,), carrier.generator(i).scale(scalars[i]))
@@ -249,42 +248,13 @@ def test_decalage_conjugates_jacobi_failure():
     base = L.carrier.base
     bad = ModuleElement(L.carrier, {2: base.one()})
     L.set_bracket(2, (0, 1), L.tables[2].get((0, 1)) + bad)
-    assert jacobi_residual(L, 3) != {}
-    assert jacobi_residual(decalage(L), 3) != {}
+    assert linfty_jacobi_residual(L, 3) != {}
+    assert linfty_jacobi_residual(decalage(L), 3) != {}
 
 
 # ---------------------------------------------------------------------------
 # the grouped unshuffle and partition sums against per-permutation sums
 # ---------------------------------------------------------------------------
-
-
-def per_permutation_unshuffle_sum(degs, gens, inner, outer, zero, symmetric):
-    """The oracle of ``_unshuffle_sum``: every unshuffle evaluated on its own."""
-    n = len(gens)
-    total = zero
-    for i in range(1, n + 1):
-        for sigma in unshuffles_with_tail(n, i):
-            perm = sigma.permute(list(range(n)))
-            if symmetric:
-                exponent = 0 if sym_sign(sigma, degs) == 1 else 1
-            else:
-                exponent = i * (n - i) + (0 if skew_sign(sigma, degs) == 1 else 1)
-            first = inner(i, [gens[p] for p in perm[:i]])
-            term = outer(n - i + 1, [first] + [gens[p] for p in perm[i:]])
-            total = total + term.scale(sign_scalar(exponent))
-    return total
-
-
-def oracle_jacobi_residual(L, n):
-    carrier = L.carrier
-    out = {}
-    for key in sorted_tuples(carrier.rank, n):
-        degs = [carrier.degrees[i] for i in key]
-        gens = [carrier.generator(i) for i in key]
-        total = per_permutation_unshuffle_sum(degs, gens, L.bracket, L.bracket, carrier.zero(), L.symmetric)
-        if not total.is_zero():
-            out[key] = total
-    return out
 
 
 def oracle_morphism_residual(f, L, target, n):
@@ -315,16 +285,19 @@ DEGREE_PATTERNS = [[0], [1], [0, 1], [1, -1], [0, 0, 1], [2, 1], [0, -1, 1]]
     base_index=st.integers(0, 2),
     seed=st.integers(0, 2**16),
 )
-def test_jacobi_residual_matches_the_per_permutation_sum(degrees, base_index, seed):
-    """Random skew tables and their symmetric decalage: residuals on every
-    generator tuple, repeated generators included, at arities 1-4."""
+def test_jacobi_residual_of_a_decalage_matches_the_per_permutation_sum(degrees, base_index, seed):
+    """The symmetric decalage of random skew tables, as an algebroid with no
+    anchors: its residual read off D^2 equals the per-permutation sum over
+    the evaluated tables on every generator tuple, repeated generators
+    included, at arities 1-4."""
     rng = Rng(seed)
     base = sample_bases()[base_index]
     carrier = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
-    L = random_skew_tables(rng, carrier)
-    for structure in (L, decalage(L)):
-        for n in range(1, 5):
-            assert jacobi_residual(structure, n) == oracle_jacobi_residual(structure, n)
+    L1 = decalage(random_skew_tables(rng, carrier))
+    S = AlgebroidStructure(base, L1.carrier)
+    S.brackets = L1.tables
+    want = {n: oracle_jacobi_residual(LInftyBrackets(L1), n, True) for n in range(1, 5)}
+    assert algebroid_jacobi_residual(S, range(1, 5)) == want
 
 
 def bent_dgla_bracket(dgla):
@@ -348,7 +321,7 @@ def test_der_dgla_unshuffle_sum_matches_the_per_permutation_sum():
             assert dgla.jacobi_residual(n) == {}
             bent = bent_dgla_bracket(dgla)
             for key in sorted_tuples(len(basis), n):
-                got = _unshuffle_sum(key, shifted, basis, bent, bent, dgla.zero(), True)
+                got = _unshuffle_sum(key, shifted, basis, bent, bent, dgla.zero())
                 want = per_permutation_unshuffle_sum(
                     [shifted[i] for i in key], [basis[i] for i in key], bent, bent, dgla.zero(), True
                 )
@@ -384,7 +357,7 @@ def test_anchor_morphism_sign_on_a_genuine_structure():
     S, _, _ = conjugation_oracle_structure(Rng(3), carrier, cap=4)
     f, target = anchor_morphism(S)
     gens = [carrier.generator(i) for i in range(carrier.rank)]
-    unshuffle_side = _unshuffle_sum((0, 0, 1), carrier.degrees, gens, S.bracket, f.component, f.zero_value, True)
+    unshuffle_side = _unshuffle_sum((0, 0, 1), carrier.degrees, gens, S.bracket, f.component, f.zero_value)
     x, e = (base.from_names({name: ONE}) for name in ("x", "e"))
     assert unshuffle_side == AlgebraDerivation(base, {base.index_of("x"): -(x * e)})
     assert morphism_residual(f, S, target, 3) == {}
@@ -398,8 +371,8 @@ def test_linfty_morphism_residual_matches_the_per_permutation_sum(degrees, seed)
     rng = Rng(seed)
     base = kodaira_base()
     carrier = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
-    source = decalage(random_skew_tables(rng, carrier))
-    target = decalage(random_skew_tables(rng, carrier, arity_cap=rng.randint(2, 4)))
+    source = LInftyBrackets(decalage(random_skew_tables(rng, carrier)))
+    target = LInftyBrackets(decalage(random_skew_tables(rng, carrier, arity_cap=rng.randint(2, 4))))
     f = LInftyMorphism(source, target, target.carrier.zero())
     for m in range(1, 4):
         for key in sorted_tuples(carrier.rank, m):
@@ -440,7 +413,7 @@ def test_outer_map_runs_once_per_argument_tuple_with_a_nonzero_count():
             calls.append(k)
             return g.scale(Scalar(k))
 
-        total = _unshuffle_sum((0, 0, 0, 0), carrier.degrees, [g], inner, outer, carrier.zero(), True)
+        total = _unshuffle_sum((0, 0, 0, 0), carrier.degrees, [g], inner, outer, carrier.zero())
         assert calls == arities
         want = per_permutation_unshuffle_sum([degree] * 4, [g] * 4, inner, outer, carrier.zero(), True)
         assert total == want

@@ -46,7 +46,6 @@ from .geometry import (
     build_kapranov,
     commutator_lemma_residual,
     duality_residual,
-    frakD_square_report,
     retraction_residual,
     structure_from_geometry,
     transport_lemma_residual,
@@ -96,7 +95,6 @@ __all__ = [
     "commutator_lemma_residual",
     "transport_lemma_residual",
     "build_frakD",
-    "frakD_square_report",
     "build_kapranov",
     "structure_from_geometry",
     "duality_residual",

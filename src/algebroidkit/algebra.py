@@ -2,10 +2,11 @@
 
 A BaseAlgebra is given by a named, graded basis, a sparse multiplication
 table, a distinguished unit basis element and a degree-1 differential d_A.
-Elements are immutable sparse coefficient vectors.  All invariants
-(commutativity, associativity, unit law, Leibniz, d^2 = 0) are checked by
-``validate_base_algebra`` which reports violations with witnesses instead of
-raising.
+Elements are immutable sparse coefficient vectors.  The unit is structural:
+the constructor refuses a product that breaks the unit law and a nonzero
+d_A(1).  The other invariants (commutativity, associativity, Leibniz,
+d^2 = 0) are checked by ``validate_base_algebra``, which reports violations
+with witnesses instead of raising.
 """
 
 from __future__ import annotations
@@ -163,7 +164,9 @@ class BaseAlgebra:
     validator checks graded commutativity).  Missing pairs multiply to zero,
     except pairs involving the unit which default to the unit law, and pairs
     whose mirror (j, i) is given, which follow graded commutativity.  The
-    table of all dim^2 basis products is filled once, here.
+    table of all dim^2 basis products is filled once, here.  A given pair
+    with the unit that breaks the unit law, and a nonzero differential of
+    the unit, are refused: the kernels of the kit assume both.
     """
 
     def __init__(
@@ -183,6 +186,9 @@ class BaseAlgebra:
             raise DegreeError("unit must have degree 0")
         self.unit = unit
         stored = {key: dict(val) for key, val in products.items()}
+        differential = differential or {}
+        if any(not c.is_zero() for c in differential.get(unit, {}).values()):
+            raise KitError(f"differential of the unit {self.names[unit]!r} is not zero")
         n = len(self.names)
         self._products: Dict[Tuple[int, int], AlgebraElement] = {}
         for i in range(n):
@@ -198,10 +204,12 @@ class BaseAlgebra:
                         coeffs = {k: c * sign for k, c in stored[(j, i)].items()}
                     else:
                         coeffs = {}
+                elif breaks_unit_law(unit, i, j, coeffs):
+                    raise KitError(f"product {self.names[i]!r} * {self.names[j]!r} breaks the unit law")
                 marked = {k: _SIGNS.get(c, c) for k, c in coeffs.items()}
                 self._products[(i, j)] = AlgebraElement(self, marked)
         self._differential: Dict[int, AlgebraElement] = {}
-        for i, val in (differential or {}).items():
+        for i, val in differential.items():
             self._differential[i] = AlgebraElement(self, dict(val))
         # elements are immutable, so the zero, the unit and the basis
         # elements are made once and shared
@@ -248,8 +256,16 @@ class BaseAlgebra:
         return f"BaseAlgebra(dim={self.dim}, basis={self.names})"
 
 
+def breaks_unit_law(unit: int, i: int, j: int, coeffs: Mapping[int, Scalar]) -> bool:
+    """Whether coeffs, given as the product of basis elements i and j, breaks
+    the unit law: a product with the unit is the other factor."""
+    nonzero = {k: c for k, c in coeffs.items() if not c.is_zero()}
+    return unit in (i, j) and nonzero != {j if i == unit else i: ONE}
+
+
 def validate_base_algebra(algebra: BaseAlgebra) -> list[str]:
-    """Check every BaseAlgebra invariant; returns a list of violation strings."""
+    """Check the BaseAlgebra invariants the constructor does not refuse;
+    returns a list of violation strings."""
     problems: list[str] = []
     n = algebra.dim
     names = algebra.names
@@ -270,10 +286,6 @@ def validate_base_algebra(algebra: BaseAlgebra) -> list[str]:
             flipped = algebra.product_basis(j, i).scale(sign_scalar(degs[i] * degs[j]))
             if prod != flipped:
                 problems.append(f"graded commutativity fails on ({names[i]}, {names[j]})")
-
-    for i in range(n):
-        if algebra.product_basis(algebra.unit, i) != algebra.basis_element(i):
-            problems.append(f"unit law fails on {names[i]}")
 
     for i in range(n):
         for j in range(n):

@@ -15,7 +15,8 @@ An AlgebroidStructure stores, over a fixed base dga A and free carrier L:
 
 * multi-anchors  {v_1..v_{n-1}|-}_n  (n >= 2) of degree +1, A-multilinear in
   the module slots and a derivation in the algebra slot, stored in tables
-  keyed by (sorted generator tuple, basis element) pairs.
+  keyed by (sorted generator tuple, basis element) pairs.  A derivation
+  kills the unit, so a nonzero value on the unit is refused (``set_anchor``).
 
 The unary operations are fixed by the dga: {|-}_1 = d_A, {.}_1 = d_L.
 
@@ -28,7 +29,8 @@ truncated symmetric algebra over the dual generators:
     theta = |eta|(|v_1|+..+ ^|v_i| ..) + |v_i|(|v_{i+1}|+..+|v_{n+1}|)
 
 and ``extract_structure`` inverts it.  Both are a key <-> word transpose:
-on generators each side of these formulas is one table entry, and a sorted
+on generators eta(v_i) is a multiple of the unit, which every anchor kills,
+so each side of these formulas is one table entry, and a sorted
 word w takes the value kappa(w) (``symtensor._word_constant``) on its own
 generators and 0 on those of any other word, so every coefficient of D is
 one bracket or anchor entry times a sign over kappa(w), and back.  The two
@@ -39,7 +41,7 @@ reads the higher Jacobi residuals off D^2 on the letters.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
 from .errors import BaseMismatch, CapError, DegreeError, KitError
@@ -50,11 +52,10 @@ from .linfty import (
     BracketTable,
     morphism_residual,
     same_tables,
-    sorted_tuples,
 )
 from .modules import FreeModule, ModuleElement, _koszul_twist, from_dual_values, multilinear_extend
 from .scalars import sign_scalar
-from .signs import _nonvanishing_keys, _sort_word
+from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
     SymAlgebra,
@@ -95,10 +96,14 @@ class AlgebroidStructure:
         self.brackets.setdefault(n, BracketTable(self.carrier.degrees)).set(key, value)
 
     def set_anchor(self, n: int, key: Sequence[int], basis_idx: int, value: AlgebraElement):
+        """{key | e_basis_idx}_n = value; a nonzero value on the unit is refused,
+        as an anchor is a derivation of the base and kills the unit."""
         if n < 2 or n > self.anchor_cap:
             raise CapError(f"anchor arity {n} outside 2..{self.anchor_cap}")
         if len(key) != n - 1:
             raise KitError("anchor key must have n-1 generators")
+        if basis_idx == self.base.unit and not value.is_zero():
+            raise KitError(f"anchor on the unit {self.base.names[basis_idx]!r} is not zero")
         self.anchors.setdefault(n, BracketTable(self.carrier.degrees)).set(key, value, basis_idx)
 
     # -- evaluation -------------------------------------------------------------
@@ -227,14 +232,10 @@ class AlgebroidStructure:
 
     def validate(self) -> List[str]:
         problems: List[str] = list(self.degree_problems())
-        base = self.base
         for n, table in self.anchors.items():
             seen_keys = {key for key, _ in table}
             for key in seen_keys:
-                der = self.anchor_derivation(n, key)
-                if not der.value_on(base.unit).is_zero():
-                    problems.append(f"anchor {n} at {key} does not kill the unit")
-                defects = der.leibniz_defects()
+                defects = self.anchor_derivation(n, key).leibniz_defects()
                 if defects:
                     problems.append(
                         f"anchor {n} at {key} is not a derivation: {defects[0]}"
@@ -259,25 +260,6 @@ def _arity_tables(S: AlgebroidStructure, m: int):
     return S.brackets.get(m, {}), S.anchors.get(m, {})
 
 
-def _unit_slot_terms(degrees: Sequence[int], key: GenKey) -> Iterator[Tuple[int, GenKey, int]]:
-    """(i, w, exponent) for every letter i, every position k of the word
-    w = sort(key + (i,)) that holds i, and the sign exponent
-    |g_i| (|w_1| + .. + |w_{k-1}|) of the unit-slot anchor term there; words
-    with a repeated odd letter are skipped.
-
-    This is the theta of the module docstring at eta = g_i^vee, v = w, with
-    v_k = g_i: the two agree mod 2, as |eta| = -|g_i|.
-    """
-    for i in range(len(degrees)):
-        merged = _sort_word(degrees, key + (i,))
-        if merged is None:
-            continue
-        w = merged[0]
-        for k, x in enumerate(w):
-            if x == i:
-                yield i, w, degrees[i] * sum(degrees[q] for q in w[:k])
-
-
 def _add_to(table: Dict, outer, inner, value: AlgebraElement) -> None:
     """table[outer][inner] += value."""
     slot = table.setdefault(outer, {})
@@ -293,17 +275,14 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
     on those of any other word, so on generators the formulas of the module
     docstring give, for w of weight n,
 
-        D(e_b)[w]     = (-1)^{|e_b||w|} {w | e_b}_{n+1} / kappa(w),
-        D(eta_i)[w]   = ( (-1)^{|eta_i|+1} eta_i({w}_n)
-                          + sum_{k: w_k = i} (-1)^theta_k {w minus w_k | 1}_n ) / kappa(w):
+        D(e_b)[w]   = (-1)^{|e_b||w|} {w | e_b}_{n+1} / kappa(w),
+        D(eta_i)[w] = (-1)^{|eta_i|+1} eta_i({w}_n) / kappa(w):
 
-    the bracket term, and the anchor term at each position of w that eta_i
-    pairs with, which reads the unit slot of the anchor tables (a model file
-    may store an entry there).  At arity 1 the tables are the dga's
-    differentials (``_arity_tables``): D(e_b) starts with d_A e_b and
-    D(eta_i) with the dual of d_L.  D(eta_i) stops at weight min(W, bracket
-    cap): a unit-slot anchor of higher arity enters D(1) only, where
-    ``extract_structure`` reads it back.
+    the anchor term of D(eta_i) reads the anchors on the unit, which vanish
+    (``AlgebroidStructure.set_anchor``), so the letters read no anchor.  At
+    arity 1 the tables are the dga's differentials (``_arity_tables``):
+    D(e_b) starts with d_A e_b and D(eta_i) with the dual of d_L.  D(eta_i)
+    stops at weight min(W, bracket cap).
     """
     carrier = S.carrier
     base = S.base
@@ -327,14 +306,9 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
 
     on_letters: Dict[int, Dict[GenKey, AlgebraElement]] = {}
     for m in range(1, min(W, max(1, S.bracket_cap)) + 1):
-        brackets, anchors = _arity_tables(S, m)
-        for w, value in brackets.items():
+        for w, value in _arity_tables(S, m)[0].items():
             for i, c in value.items():
                 _add_to(on_letters, i, w, _koszul_twist(c, degrees[i]).scale(sign_scalar(degrees[i] + 1)))
-        for (key, b), value in anchors.items():
-            if b == base.unit:
-                for i, w, exponent in _unit_slot_terms(degrees, key):
-                    _add_to(on_letters, i, w, value.scale(sign_scalar(exponent)))
 
     def divided(table):
         return {
@@ -364,11 +338,10 @@ def extract_structure(
     times kappa(w),
 
         {w | e_b}_{n+1} = (-1)^{|e_b||w|} kappa(w) D(e_b)[w],
-        eta_i({w}_n)    = (-1)^{|eta_i|} ( sum_{k: w_k = i} (-1)^theta_k
-                              kappa(w minus w_k) D(1)[w minus w_k] - kappa(w) D(eta_i)[w] ):
+        eta_i({w}_n)    = (-1)^{|eta_i|+1} kappa(w) D(eta_i)[w].
 
-    the first sum reads D on the unit, where ``ce_differential`` writes the
-    unit-slot anchors.
+    D(1) is read as the anchors on the unit, so a D with D(1) != 0 (at an
+    arity within the anchor cap) is refused there, by ``set_anchor``.
     """
     algebra = D.algebra
     base = algebra.base
@@ -402,13 +375,6 @@ def extract_structure(
         for w in el.data:
             if 2 <= len(w) <= top:
                 _add_to(paired, w, i, -read(el, w))
-    unit_el = D.on_algebra.get(base.unit)
-    if unit_el is not None:
-        for key in unit_el.data:
-            if 1 <= len(key) < top:
-                value = read(unit_el, key)
-                for i, w, exponent in _unit_slot_terms(degrees, key):
-                    _add_to(paired, w, i, value.scale(sign_scalar(exponent)))
     for w in sorted(paired, key=lambda w: (len(w), w)):
         value = from_dual_values(
             carrier, {i: v.scale(sign_scalar(degrees[i])) for i, v in paired[w].items()}
@@ -433,10 +399,8 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
 
         Jac_n(w)_i = -(-1)^{|g_i||c|} kappa(w) c,
 
-    the symmetric unshuffle sum of ``bracket`` up to arity n.  D is built
-    without the unit-slot anchor entries, which no bracket reads
-    (``leibniz_residual`` reports them).  An arity over a cap is refused
-    before any work, as ``leibniz_residual`` refuses it.
+    the symmetric unshuffle sum of ``bracket`` up to arity n.  An arity over
+    a cap is refused before any work, as ``leibniz_residual`` refuses it.
     """
     carrier = S.carrier
     for n in arities:
@@ -447,10 +411,7 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
     out: Dict[int, Dict[GenKey, ModuleElement]] = {n: {} for n in arities}
     if not out:
         return out
-    bare = AlgebroidStructure(S.base, carrier, S.bracket_cap, S.anchor_cap)
-    bare.brackets = S.brackets
-    bare.anchors = {m: {k: v for k, v in t.items() if k[1] != S.base.unit} for m, t in S.anchors.items()}
-    D = ce_differential(bare, max(max(out), S.max_bracket_arity(), S.max_anchor_arity() - 1))
+    D = ce_differential(S, max(max(out), S.max_bracket_arity(), S.max_anchor_arity() - 1))
     algebra = D.algebra
     paired: Dict[GenKey, Dict[int, AlgebraElement]] = {}
     for i in range(carrier.rank):
@@ -464,33 +425,20 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
 
 
 def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], ModuleElement]:
-    """Defect of the anchor Leibniz rule on generator tuples x basis elements,
-    read off the unit slot of the anchor table.
+    """Defect of the anchor Leibniz rule on generator tuples x basis elements:
+    empty, as the rule holds by construction.
 
-    Empty at every non-unit basis element: ``bracket`` is defined by the same
-    rule, and {g_1..g_{n-1}, a.g_n} less the signed a.{g_1..g_n} is its last
-    slot's anchor term.  That holds whether or not the anchors are
-    derivations of the base; ``validate`` decides that.  At the unit, which
-    adds no anchor term, the residual is -{g_1..g_{n-1}|1}.g_n: nonzero only
-    where a unit-slot anchor entry is stored, which ``validate`` flags as not
-    killing the unit.  An arity over a cap is refused as the bracket, then
-    the anchor, would refuse it.
+    ``bracket`` is defined by the same rule: {g_1..g_{n-1}, a.g_n} less the
+    signed a.{g_1..g_n} is its last slot's anchor term at every non-unit
+    basis element a, whether or not the anchors are derivations of the base
+    (``validate`` decides that), and at the unit it is -{g_1..g_{n-1}|1}.g_n,
+    which vanishes (``AlgebroidStructure.set_anchor``).  An arity over a cap
+    is refused as the bracket, then the anchor, would refuse it.
     """
-    carrier = S.carrier
-    keys = sorted_tuples(carrier.rank, n)
     for kind, cap in (("bracket", S.bracket_cap), ("anchor", S.anchor_cap)):
-        if keys and 1 < n and cap < n:
+        if S.carrier.rank and 1 < n and cap < n:
             raise CapError(f"{kind} arity {n} exceeds cap {cap}")
-    table = S.anchors.get(n)
-    if not table:
-        return {}
-    unit = S.base.unit
-    out: Dict[Tuple[GenKey, int], ModuleElement] = {}
-    for key in keys:
-        value = table.lookup(key[:-1], unit)
-        if value is not None:
-            out[(key, unit)] = ModuleElement(carrier, {key[-1]: -value})
-    return out
+    return {}
 
 
 def anchor_morphism(S: AlgebroidStructure) -> Tuple[LInftyMorphism, ShiftedDerDGLA]:

@@ -34,7 +34,6 @@ from .geometry import (
     build_kapranov,
     commutator_lemma_residual,
     duality_residual,
-    frakD_square_report,
     retraction_residual,
     structure_from_geometry,
     transport_lemma_residual,
@@ -252,7 +251,7 @@ def cmd_frakd_square(model, caps, args) -> Report:
     g = _require_geometric(model)
     report = Report("frakd-square", caps)
     with timed_check("square-components") as t:
-        sq = frakD_square_report(g)
+        sq = square_components(build_frakD(g))
         detail = "" if not sq else f"lowest violating weight shift: {min(sq)}"
         report.add(t.finish(not sq, _square_entries(sq), detail=detail))
     return report

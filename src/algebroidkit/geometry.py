@@ -87,7 +87,6 @@ from .symtensor import (
     # not called here: perfbench/test_perfbench.py checks that the tracer
     # wraps this import site of a public function
     evaluate,  # noqa: F401
-    square_components,
 )
 
 Word = Tuple[int, ...]
@@ -240,6 +239,8 @@ class GeometricModel(SplitFrame):
             raise TypeError(f"unknown tensor families {sorted(tensors)}")
         if 1 in self.curv_tan:
             raise KitError("curv_tan[1] is reserved: it is the beta tensor")
+        if not self.dhat[base.unit].is_zero():  # dhat is a derivation: it kills the unit
+            raise KitError(f"dhat on the unit {base.names[base.unit]!r} is not zero")
         # the Rtan family over the normal letters: beta is its weight-one member
         self.rtan_tables = {1: self.beta, **self.curv_tan}
 
@@ -690,15 +691,6 @@ def build_frakD(g: GeometricModel) -> DerivationD:
         if not val.is_zero():
             on_letters[j] = val
     return DerivationD(g.nor, on_algebra, on_letters, degree=1, check=True)
-
-
-def frakD_square_report(g: GeometricModel) -> Dict[int, Dict[str, SymElement]]:
-    """Square residuals of the assembled differential, localized by weight.
-
-    Nonzero entries are the model's integrability defect; the lowest key is
-    the first violating weight shift.
-    """
-    return square_components(build_frakD(g))
 
 
 def build_kapranov(

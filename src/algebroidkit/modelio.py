@@ -14,7 +14,9 @@ The path is not formatted on the way down: a node's path is passed as the
 parts it is made of (see ``_at``), and only a node that fails its test is
 looked at again, by a refusal helper that names its first bad field (an
 unknown field before a missing one, then the fields in schema order) and
-formats the path.  Names resolve through {name: index} maps, and the words
+formats the path.  A value on the unit that the constructors would refuse
+(a product that breaks the unit law, a nonzero differential, anchor or
+dhat on the unit) is refused at its entry.  Names resolve through {name: index} maps, and the words
 of a tensor are sorted by ``_sort_word`` inside the weight cap, so the
 tensors are built without the checks of the public constructors.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraElement, BaseAlgebra
+from .algebra import AlgebraElement, BaseAlgebra, breaks_unit_law
 from .algebroid import AlgebroidStructure
 from .errors import ParseError
 from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily, geometric_degree_problems
@@ -227,7 +229,9 @@ def _parse_base(value, path: str) -> Tuple[BaseAlgebra, Dict[str, int]]:
         right = _name(index, item["right"], (at, k, ".right"), _NO_BASIS)
         if (left, right) in products:
             _refuse(f"duplicate entry for product {item['left']!r} * {item['right']!r}", (at, k))
-        products[(left, right)] = _parse_terms(item["terms"], (at, k, ".terms"), index)
+        terms = products[(left, right)] = _parse_terms(item["terms"], (at, k, ".terms"), index)
+        if breaks_unit_law(unit, left, right, terms):
+            _refuse(f"product {item['left']!r} * {item['right']!r} breaks the unit law", (at, k))
     differential: Dict[int, Dict[int, Scalar]] = {}
     at = f"{path}.differential"
     for k, item in enumerate(_list(d.get("differential", []), at)):
@@ -237,6 +241,8 @@ def _parse_base(value, path: str) -> Tuple[BaseAlgebra, Dict[str, int]]:
         if idx in differential:
             _refuse(f"duplicate entry for basis {item['basis']!r}", (at, k))
         differential[idx] = _parse_terms(item["terms"], (at, k, ".terms"), index)
+        if idx == unit and any(not c.is_zero() for c in differential[idx].values()):
+            _refuse(f"differential of the unit {unit_name!r} is not zero", (at, k))
     return BaseAlgebra(basis, unit=unit, products=products, differential=differential), index
 
 
@@ -245,11 +251,7 @@ def _base_dict(base: BaseAlgebra) -> dict:
     for i in range(base.dim):
         for j in range(base.dim):
             val = base.product_basis(i, j)
-            default_unit = (
-                (i == base.unit and val == base.basis_element(j))
-                or (j == base.unit and val == base.basis_element(i))
-            )
-            if default_unit or val.is_zero():
+            if base.unit in (i, j) or val.is_zero():  # the unit law is the default
                 continue
             products.append(
                 {"left": base.names[i], "right": base.names[j], "terms": _terms_list(val)}
@@ -415,7 +417,9 @@ def _parse_family(value, path: str, fam: TensorFamily, frame: SplitFrame, base_i
         if i in table:
             at_weight = f" at weight {weight}" if fam.weighted else ""
             _refuse(f"duplicate entry for {key} {name!r}{at_weight}", (path, k))
-        table[i] = _parse_sym(item["value"], (path, k, ".value"), alg, letter_index, base_index)
+        value = table[i] = _parse_sym(item["value"], (path, k, ".value"), alg, letter_index, base_index)
+        if key == "basis" and i == frame.base.unit and not value.is_zero():
+            _refuse(f"{fam.name} on the unit {name!r} is not zero", (path, k))
     return tables if fam.weighted else tables.get(fam.weight, {})
 
 

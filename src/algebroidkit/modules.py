@@ -247,9 +247,10 @@ def multilinear_extend(
     sign).  table_fn(gens) returns f(g_1, ..., g_n), or None where it
     vanishes; values must support ``a_mul``, negation and addition, and zero
     is returned when no term survives.  A unit coefficient is not multiplied
-    in: that is exact under the unit law of the base algebra, and it keeps a
-    call on unit generators a plain table read.  The coefficients of a term
-    are multiplied, left to right, only where the table has a value.
+    in: that is exact, as ``BaseAlgebra`` refuses a break of the unit law,
+    and it keeps a call on unit generators a plain table read.  The
+    coefficients of a term are multiplied, left to right, only where the
+    table has a value.
     """
     # (exponent, coefficient parts, generators, prefix degree) of every
     # choice of one term per argument so far, in slot-by-slot order

@@ -45,8 +45,8 @@ x of w = prefix x rest as
 
 s the sort sign exponent.  A run of m equal letters (necessarily even) is
 substituted once with weight m.  The untouched letters of the Leibniz rule
-carry the unit coefficient, and multiplying by it is left out: that is exact
-under the unit law of the base algebra.
+carry the unit coefficient, and multiplying by it is left out: that is exact,
+as ``BaseAlgebra`` refuses a product that breaks the unit law.
 
 The operators (``DerivationD`` and ``FilteredAutomorphism``, of which
 Phi^{-1} is one too) are Q(i)-linear, so each reads a row table that it
@@ -594,7 +594,7 @@ class DerivationD:
         at its first position, with weight m.  Words over the cap or with a
         repeated odd letter are dropped.  The Leibniz rule multiplies each term
         by the unit coefficient of the untouched letters; that factor is left
-        out, which is exact under the unit law of the base algebra.
+        out, which is exact: ``BaseAlgebra`` refuses a break of the unit law.
         """
         alg = self.algebra
         base = alg.base
@@ -650,31 +650,6 @@ class DerivationD:
             prefix_degree += letter_degrees[x] * (end - pos)
             pos = end
         return _row_from(acc)
-
-    # -- algebra of derivations --------------------------------------------------
-
-    def __add__(self, other: "DerivationD") -> "DerivationD":
-        if self.degree != other.degree:
-            raise DegreeError("adding derivations of different degree")
-        on_a = dict(self.on_algebra)
-        for i, v in other.on_algebra.items():
-            on_a[i] = on_a.get(i, self.algebra.zero()) + v
-        on_l = dict(self.on_letters)
-        for i, v in other.on_letters.items():
-            on_l[i] = on_l.get(i, self.algebra.zero()) + v
-        return DerivationD(self.algebra, on_a, on_l, degree=self.degree, check=False)
-
-    def __sub__(self, other: "DerivationD") -> "DerivationD":
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, s: Scalar) -> "DerivationD":
-        return DerivationD(
-            self.algebra,
-            {i: v.scale(s) for i, v in self.on_algebra.items()},
-            {i: v.scale(s) for i, v in self.on_letters.items()},
-            degree=self.degree,
-            check=False,
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -927,22 +902,15 @@ def mc_residual(D0: DerivationD, conjugated: DerivationD) -> Dict[str, SymElemen
 
     omega := Phi o D0 o Phi^{-1} - D0 measures how far Phi is from
     intertwining D0 with itself; when D0^2 = 0 the combination
-    [D0, omega] + omega o omega vanishes identically.  Returns the nonzero
-    values of that combination on generators (empty dict == residual zero).
+    [D0, omega] + omega o omega vanishes identically.  By bilinearity it is
+    C o C - D0 o D0 for C = conjugated, which is evaluated here, so the
+    square of C is read through the row table that ``square_components(C)``
+    reads too.  Returns the nonzero values of that combination on generators
+    (empty dict == residual zero).
     """
-    omega = conjugated - D0
-
-    def residual_on(x: SymElement) -> SymElement:
-        return (
-            D0.apply(omega.apply(x))
-            + omega.apply(D0.apply(x))
-            + omega.apply(omega.apply(x))
-        )
-
     out: Dict[str, SymElement] = {}
     for _, _, label, x in D0.algebra.generators():
-        val = residual_on(x)
+        val = conjugated.apply(conjugated.apply(x)) - D0.apply(D0.apply(x))
         if not val.is_zero():
             out[label] = val
     return out
-

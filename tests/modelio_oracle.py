@@ -4,7 +4,11 @@ JSON path formatted up front, the base names are resolved through a probe
 ``BaseAlgebra`` and every tensor is rebuilt by the public ``SymElement``
 constructor.  ``oracle_parse_model(text)`` must refuse exactly what
 ``modelio.parse_model`` refuses, with the same message and location, and
-accept exactly what it accepts."""
+accept exactly what it accepts.  That includes the four values on the unit
+that are refused at their entry: a product with the unit that breaks the
+unit law, a nonzero differential of the unit, a nonzero anchor on the unit
+(refused by ``AlgebroidStructure.set_anchor``) and a nonzero dhat on the
+unit."""
 
 from __future__ import annotations
 
@@ -115,6 +119,9 @@ def _parse_base(value, path: str) -> BaseAlgebra:
         what = f"product {e['left']!r} * {e['right']!r}"
         _refuse_duplicate(products, (left, right), what, f"{path}.products[{k}]")
         val = _parse_terms(e["terms"], f"{path}.products[{k}].terms", probe)
+        unit = probe.unit
+        if unit in (left, right) and val != probe.basis_element(right if left == unit else left):
+            raise ParseError(f"{what} breaks the unit law", f"{path}.products[{k}]")
         products[(left, right)] = dict(val.items())
     differential: Dict[int, Dict[int, Scalar]] = {}
     for k, item in enumerate(_expect_list(d.get("differential", []), f"{path}.differential")):
@@ -122,6 +129,8 @@ def _parse_base(value, path: str) -> BaseAlgebra:
         idx = _index_of(probe, e["basis"], f"{path}.differential[{k}].basis")
         _refuse_duplicate(differential, idx, f"basis {e['basis']!r}", f"{path}.differential[{k}]")
         val = _parse_terms(e["terms"], f"{path}.differential[{k}].terms", probe)
+        if idx == probe.unit and not val.is_zero():
+            raise ParseError(f"differential of the unit {unit_name!r} is not zero", f"{path}.differential[{k}]")
         differential[idx] = dict(val.items())
     return BaseAlgebra(basis, unit=names.index(unit_name), products=products, differential=differential)
 
@@ -219,7 +228,9 @@ def _parse_family(value, path: str, fam: TensorFamily, frame: SplitFrame) -> dic
         table = tables.setdefault(weight, {})
         at_weight = f" at weight {weight}" if fam.weighted else ""
         _refuse_duplicate(table, position[name], f"{key} {name!r}{at_weight}", at)
-        table[position[name]] = _parse_sym(e["value"], f"{at}.value", alg)
+        table[position[name]] = value = _parse_sym(e["value"], f"{at}.value", alg)
+        if fam.index == "base" and position[name] == frame.base.unit and not value.is_zero():
+            raise ParseError(f"{fam.name} on the unit {name!r} is not zero", at)
     return tables if fam.weighted else tables.get(fam.weight, {})
 
 
@@ -356,3 +367,49 @@ def oracle_parse_model(
 
     raise ParseError(f"unknown kind {kind!r}", "$.kind")
 
+
+
+def put_value_on_unit(doc: dict, where: str, pick=lambda options: options[0]) -> Optional[str]:
+    """Append to the model document doc one entry with a nonzero value on the
+    unit, of the kind where: "products" (the unit times a basis element b is
+    2b, breaking the unit law), "differential" (d_A(1) = b), "anchors"
+    ({g|1}_2 = b) or "dhat" (dhat(1) = b.t^).  b is a basis element other
+    than the unit, of the degree the value must have where there is one, so
+    only the unit rule can refuse the entry; pick chooses among the options
+    it is given (b, the unit's side of the product, g and t).  Returns the
+    JSON path of the new entry, or None if doc's kind has no such field
+    (anchors are algebroid fields, dhat a geometric one)."""
+    base = doc["base"]
+    unit = base["unit"]
+    degree = {e["name"]: e["degree"] for e in base["basis"]}
+    others = [name for name in degree if name != unit] or [unit]
+    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+
+    def terms(want):
+        return [{"basis": pick([b for b in others if degree[b] == want] or others), "coeff": one}]
+
+    algebroid = doc["kind"] == "algebroid"
+    if where == "products":
+        b = pick(others)
+        left, right = pick([(unit, b), (b, unit)])
+        entries = base["products"]
+        entries.append({"left": left, "right": right, "terms": [{"basis": b, "coeff": dict(one, num=2)}]})
+        return f"$.base.products[{len(entries) - 1}]"
+    if where == "differential":
+        entries = base.setdefault("differential", [])
+        entries.append({"basis": unit, "terms": terms(1)})
+        return f"$.base.differential[{len(entries) - 1}]"
+    if where == "anchors" and algebroid:
+        g = pick(doc["carrier"]["generators"])
+        entries = doc.setdefault("anchors", [])
+        entries.append({"arity": 2, "args": [g["name"]], "on": unit, "terms": terms(g["degree"] + 1)})
+        return f"$.anchors[{len(entries) - 1}]"
+    if where == "dhat" and not algebroid:
+        # dhat(1) has degree 0 and bidegree (1, 0), and t^ has the degree -|t|
+        letters = doc["tangent"]["generators"]
+        fitting = [t for t in letters if t["degree"] in map(degree.get, others)]
+        t = pick(fitting or letters + doc["normal"]["generators"])
+        entries = doc.setdefault("tensors", {}).setdefault("dhat", [])
+        entries.append({"basis": unit, "value": [{"word": [t["name"] + "^"], "terms": terms(t["degree"])}]})
+        return f"$.tensors.dhat[{len(entries) - 1}]"
+    return None

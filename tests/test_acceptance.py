@@ -40,7 +40,6 @@ from algebroidkit.geometry import (
     build_frakD,
     build_kapranov,
     duality_residual,
-    frakD_square_report,
     retraction_residual,
     structure_from_geometry,
     transport_lemma_residual,
@@ -379,7 +378,7 @@ def test_criterion_7_specializations():
             if v.data != DK.on_algebra[b].data:
                 ok = False
     nilpotent = corpus["rank1_curved.geometric"]
-    if frakD_square_report(nilpotent) != {}:
+    if square_components(build_frakD(nilpotent)) != {}:
         ok = False
     # both sides reproduced term by term by explicit substitution
     g = corpus["rank2.geometric"]
@@ -401,7 +400,7 @@ def test_criterion_8_negative_controls():
         g = random_geometric_model(
             rng, base, [0, 1], [0, -1], cap=4, density=0.7, seed_modules=900 + k
         )
-        report = frakD_square_report(g)
+        report = square_components(build_frakD(g))
         if report:
             nonempty += 1
             lowest = min(report)

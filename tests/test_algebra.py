@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algebroidkit.algebra import BaseAlgebra, validate_base_algebra
-from algebroidkit.errors import DegreeError
+from algebroidkit.errors import DegreeError, KitError
 from algebroidkit.fixtures import (
     Rng,
     eps_poly_base,
@@ -202,6 +203,26 @@ def test_broken_leibniz_reported():
     bad = BaseAlgebra(basis, unit=0, products={(1, 1): {}}, differential={1: {0: ONE}})
     problems = validate_base_algebra(bad)
     assert problems
+
+
+def test_constructor_refuses_values_on_the_unit():
+    """A given product with the unit must be the other factor, and d_A(1)
+    must be zero; a pair that states the unit law, or a zero differential of
+    the unit, is accepted."""
+    basis = [("1", 0), ("e", 1)]
+    two = Scalar(2)
+    for products, message in (
+        ({(0, 1): {1: two}}, "product '1' * 'e' breaks the unit law"),
+        ({(1, 0): {}}, "product 'e' * '1' breaks the unit law"),
+        ({(0, 0): {0: ONE, 1: ONE}}, "product '1' * '1' breaks the unit law"),
+    ):
+        with pytest.raises(KitError, match=f"^{re.escape(message)}$"):
+            BaseAlgebra(basis, unit=0, products=products)
+    with pytest.raises(KitError, match="^differential of the unit '1' is not zero$"):
+        BaseAlgebra(basis, unit=0, products={}, differential={0: {1: ONE}})
+    stated = BaseAlgebra(basis, unit=0, products={(0, 1): {1: ONE, 0: Scalar(0)}, (1, 0): {1: ONE}},
+                         differential={0: {1: Scalar(0)}})
+    assert validate_base_algebra(stated) == []
 
 
 def test_element_degree_decomposition():

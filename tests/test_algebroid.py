@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,6 @@ from algebroidkit.signs import Permutation, _nonvanishing_keys, enumerate_unshuf
 from algebroidkit.symtensor import (
     DerivationD,
     SymAlgebra,
-    SymElement,
     _evaluate_parts,
     d0_derivation,
     evaluate,
@@ -254,11 +254,13 @@ def test_ce_action_matches_unshuffle_expansion():
 def test_leibniz_residual_is_empty_by_construction():
     """The bracket is defined by the anchor Leibniz rule, so its residual is
     empty on structures whose anchors are no derivations (``validate``
-    decides that), and at the unit, which adds no anchor term, it is minus
-    the stored unit-slot anchor entries."""
+    decides that).  At the unit, which adds no anchor term, it would be
+    minus an anchor entry on the unit, and ``set_anchor`` refuses a nonzero
+    one: an anchor is a derivation of the base, so it kills the unit."""
     rng = Rng(38)
-    structures = flagged = unit_slots = 0
+    structures = flagged = refused = 0
     for base in sample_bases():
+        unit_name = base.names[base.unit]
         for seed in range(12):
             carrier = standard_module(base, rank=rng.randint(1, 2), seed=200 + seed)
             S = random_algebroid(rng, base, carrier, derivation_anchors=False)
@@ -269,16 +271,13 @@ def test_leibniz_residual_is_empty_by_construction():
             value = rng.algebra_element(base, degree=carrier.degrees[0] + 1, zero_chance=0)
             if value.is_zero():
                 continue
-            unit_slots += 1
-            S.set_anchor(2, (0,), base.unit, value)
-            assert any("does not kill the unit" in p for p in S.validate())
-            want = {
-                ((0, i), base.unit): ModuleElement(carrier, {i: -value})
-                for i in range(carrier.rank)
-            }
-            assert leibniz_residual(S, 2) == want
+            with pytest.raises(KitError, match=f"^anchor on the unit {re.escape(repr(unit_name))} is not zero$"):
+                S.set_anchor(2, (0,), base.unit, value)
+            refused += 1
+            S.set_anchor(2, (0,), base.unit, base.zero())  # a zero value is no entry
+            assert ((0,), base.unit) not in S.anchors.get(2, {})
     assert structures == 36
-    assert flagged > 0 and unit_slots > 0, (flagged, unit_slots)
+    assert flagged > 0 and refused > 0, (flagged, refused)
 
 
 def oracle_leibniz_residual(S, n):
@@ -315,12 +314,11 @@ def _result_or_refusal(residual, S, n):
 
 
 def test_leibniz_residual_matches_the_bracket_oracle():
-    """Reading the unit slot of the anchor table gives the bracket-by-bracket
-    residual, or the same refusal, at every arity up to one above both caps:
-    on the shipped fixtures and on drawn structures with derivation or free
-    anchors, with and without stored unit-slot entries, whose caps put
-    either one first or are both below the unary arity, which no cap
-    refuses, and on a carrier of rank 0, which has no tuple to refuse."""
+    """The bracket-by-bracket residual is empty, or the same refusal, at
+    every arity up to one above both caps: on the shipped fixtures and on
+    drawn structures with derivation or free anchors, whose caps put either
+    one first or are both below the unary arity, which no cap refuses, and
+    on a carrier of rank 0, which has no tuple to refuse."""
     from algebroidkit.cli import _structure_of
     from algebroidkit.modelio import load_model
 
@@ -334,11 +332,8 @@ def test_leibniz_residual_matches_the_bracket_oracle():
         sample_bases(), (True, False), ((4, 5), (4, 3), (3, 4), (2, 2), (0, 0)), range(3)
     ):
         carrier = mixed_module(base, rng.choice(CE_DEGREES), seed=rng.randint(0, 4))
-        S = random_algebroid(rng, base, carrier, *caps, derivation_anchors=derivation_anchors)
-        structures.append(S)
-        if rng.random() < 0.5:
-            store_unit_slot_anchors(rng, S)
-    seen = {"nonzero": 0, "bracket": 0, "anchor": 0}
+        structures.append(random_algebroid(rng, base, carrier, *caps, derivation_anchors=derivation_anchors))
+    seen = {"empty": 0, "bracket": 0, "anchor": 0}
     for S in structures:
         for n in range(1, max(S.bracket_cap, S.anchor_cap) + 2):
             want = _result_or_refusal(oracle_leibniz_residual, S, n)
@@ -346,7 +341,8 @@ def test_leibniz_residual_matches_the_bracket_oracle():
             if isinstance(want, str):
                 seen[want.split()[1]] += 1
             else:
-                seen["nonzero"] += len(want)
+                assert want == {}, (S.base.names, n)
+                seen["empty"] += 1
     assert all(seen.values()), seen
 
 
@@ -448,29 +444,19 @@ def _outcome(f, *args):
     base_index=st.integers(0, 2),
     degrees=st.sampled_from([[0], [0, 1], [1, -1], [0, -1, 0], [1], [2, 1]]),
     derivation_anchors=st.booleans(),
-    unit_slot_anchors=st.booleans(),
     anchor_cap=st.sampled_from([5, 3]),
     seed=st.integers(0, 2**16),
 )
-def test_bracket_matches_the_leibniz_peel(
-    base_index, degrees, derivation_anchors, unit_slot_anchors, anchor_cap, seed
-):
+def test_bracket_matches_the_leibniz_peel(base_index, degrees, derivation_anchors, anchor_cap, seed):
     """The closed form equals the peel on inhomogeneous arguments of arity
-    1-4, stored unit-slot anchor entries (which no bracket may read) and
-    anchor_cap < n <= bracket_cap (where a non-unit coefficient raises)."""
+    1-4 and anchor_cap < n <= bracket_cap (where a non-unit coefficient
+    raises)."""
     rng = Rng(seed)
     base = sample_bases()[base_index]
     carrier = mixed_module(base, degrees, seed=seed % 5)
     S = random_algebroid(
         rng, base, carrier, anchor_cap=anchor_cap, derivation_anchors=derivation_anchors
     )
-    if unit_slot_anchors:
-        for n in range(2, anchor_cap + 1):
-            for key in _nonvanishing_keys(carrier.degrees, n - 1):
-                want = sum(carrier.degrees[i] for i in key) + 1
-                value = rng.algebra_element(base, degree=want, zero_chance=0.3)
-                if not value.is_zero():
-                    S.set_anchor(n, key, base.unit, value)
     for n in range(1, 5):
         for _ in range(4):
             args = [rng.module_element(carrier, zero_chance=0.6) for _ in range(n)]
@@ -583,43 +569,25 @@ def oracle_extract_structure(D, carrier, bracket_cap, anchor_cap):
     return S
 
 
-def store_unit_slot_anchors(rng, S):
-    """Random entries {key | 1}_n of the right degree at every arity: what a
-    model file may store and ``validate`` flags."""
-    base, carrier = S.base, S.carrier
-    for n in range(2, S.anchor_cap + 1):
-        for key in _nonvanishing_keys(carrier.degrees, n - 1):
-            want = sum(carrier.degrees[i] for i in key) + 1
-            value = rng.algebra_element(base, degree=want, zero_chance=0.3)
-            if not value.is_zero():
-                S.set_anchor(n, key, base.unit, value)
-
-
 CE_DEGREES = [[0], [0, 1], [1, -1], [0, -1, 0], [1], [2, 1], [0, 0]]
 
 
-def drawn_algebroid(base_index, degrees, derivation_anchors, unit_slot_anchors, seed):
+def drawn_algebroid(base_index, degrees, derivation_anchors, seed):
     rng = Rng(seed)
     base = sample_bases()[base_index]
     carrier = mixed_module(base, degrees, seed=seed % 5)
-    S = random_algebroid(rng, base, carrier, derivation_anchors=derivation_anchors)
-    if unit_slot_anchors:
-        store_unit_slot_anchors(rng, S)
-    return rng, S
+    return rng, random_algebroid(rng, base, carrier, derivation_anchors=derivation_anchors)
 
 
 @given(
     base_index=st.integers(0, 2),
     degrees=st.sampled_from(CE_DEGREES),
     derivation_anchors=st.booleans(),
-    unit_slot_anchors=st.booleans(),
     weight_cap=st.integers(4, 5),
     seed=st.integers(0, 2**16),
 )
-def test_ce_differential_matches_the_evaluation_oracle(
-    base_index, degrees, derivation_anchors, unit_slot_anchors, weight_cap, seed
-):
-    _, S = drawn_algebroid(base_index, degrees, derivation_anchors, unit_slot_anchors, seed)
+def test_ce_differential_matches_the_evaluation_oracle(base_index, degrees, derivation_anchors, weight_cap, seed):
+    _, S = drawn_algebroid(base_index, degrees, derivation_anchors, seed)
     assert ce_differential(S, weight_cap=weight_cap) == oracle_ce_differential(S, weight_cap)
 
 
@@ -627,31 +595,17 @@ def test_ce_differential_matches_the_evaluation_oracle(
     base_index=st.integers(0, 2),
     degrees=st.sampled_from(CE_DEGREES),
     derivation_anchors=st.booleans(),
-    unit_slot_anchors=st.booleans(),
     caps=st.sampled_from([(4, 4, 5), (5, 4, 5), (4, 3, 4), (3, 2, 3)]),
     seed=st.integers(0, 2**16),
 )
-def test_extract_structure_matches_the_evaluation_oracle(
-    base_index, degrees, derivation_anchors, unit_slot_anchors, caps, seed
-):
+def test_extract_structure_matches_the_evaluation_oracle(base_index, degrees, derivation_anchors, caps, seed):
     """On the CE differential of a drawn structure and on free random word
-    data with a nonzero value on the unit, at caps above and below the
-    weight cap."""
-    rng, S = drawn_algebroid(base_index, degrees, derivation_anchors, unit_slot_anchors, seed)
+    data, at caps above and below the weight cap."""
+    rng, S = drawn_algebroid(base_index, degrees, derivation_anchors, seed)
     weight_cap, bracket_cap, anchor_cap = caps
     carrier, base = S.carrier, S.base
     D = ce_differential(S, weight_cap=4)
     free = random_ce_derivation(rng, base, carrier, cap=weight_cap)
-    alg = free.algebra
-    on_unit = {}
-    for w in [w for r in range(1, weight_cap + 1) for w in alg.words_of_weight(r)]:
-        need = 1 - alg.word_degree(w)
-        cands = [b for b in range(base.dim) if base.degrees[b] == need]
-        if cands and rng.random() < 0.5:
-            on_unit[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
-    on_algebra = dict(free.on_algebra)
-    on_algebra[base.unit] = free.component_on_algebra(0, base.unit) + SymElement(alg, on_unit)
-    free = DerivationD(alg, on_algebra, free.on_letters)
     for derivation in (D, free):
         got = extract_structure(derivation, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
         want = oracle_extract_structure(derivation, carrier, bracket_cap, anchor_cap)
@@ -659,21 +613,41 @@ def test_extract_structure_matches_the_evaluation_oracle(
     assert structures_equal(extract_structure(D, carrier, bracket_cap=4, anchor_cap=5), S)
 
 
-def test_unit_slot_anchor_enters_the_letter_value():
-    """{g0 | 1}_2 = c on the abelian fixture puts c.g0^g0^ into D(g0^): the
-    anchor term at both positions of the word (g0, g0), over kappa = 2."""
-    from algebroidkit.fixtures import fixture_corpus
+def test_anchors_enter_only_the_base_values():
+    """The letters of D read no anchor: the anchor term of D(eta_i) is the
+    anchor on the unit, which vanishes.  So D(eta_i) is the same with the
+    anchors of a drawn structure and without them, and the anchors enter D
+    on the base elements, where ``extract_structure`` reads them back."""
+    rng = Rng(43)
+    anchored = 0
+    for base, derivation_anchors in itertools.product(sample_bases(), (True, False)):
+        carrier = mixed_module(base, [0, 1, -1], seed=3)
+        S = random_algebroid(rng, base, carrier, derivation_anchors=derivation_anchors)
+        bare = AlgebroidStructure(base, carrier)
+        bare.brackets = S.brackets
+        D, D_bare = ce_differential(S), ce_differential(bare)
+        assert D.on_letters == D_bare.on_letters
+        anchored += D.on_algebra != D_bare.on_algebra
+        assert base.unit not in D.on_algebra
+        assert structures_equal(extract_structure(D, carrier), S)
+    assert anchored > 0
 
-    S = fixture_corpus()["abelian.algebroid"]
-    base, carrier = S.base, S.carrier
-    assert carrier.degrees[0] == 0
-    odd = [b for b in range(base.dim) if base.degrees[b] == 1]
-    value = base.basis_element(odd[0])
-    S.set_anchor(2, (0,), base.unit, value)
-    D = ce_differential(S, weight_cap=4)
-    assert D == oracle_ce_differential(S, 4)
-    assert D.component_on_letter(1, 0).data[(0, 0)] == value
-    assert structures_equal(extract_structure(D, carrier), S)
+
+def test_extraction_refuses_a_nonzero_value_on_the_unit():
+    """D(1) != 0 at a word within the anchor cap is an anchor on the unit,
+    which ``set_anchor`` refuses; the evaluation oracle refuses it too."""
+    base = nontrivial_dga()
+    carrier = mixed_module(base, [0, 1], seed=2)
+    free = random_ce_derivation(Rng(44), base, carrier, cap=3)
+    alg = free.algebra
+    odd = next(b for b in range(base.dim) if base.degrees[b] == 1)
+    on_algebra = dict(free.on_algebra)
+    on_algebra[base.unit] = alg.letter(0, base.basis_element(odd))
+    bad = DerivationD(alg, on_algebra, free.on_letters)
+    message = f"^anchor on the unit {re.escape(repr(base.names[base.unit]))} is not zero$"
+    for extract in (extract_structure, oracle_extract_structure):
+        with pytest.raises(KitError, match=message):
+            extract(bad, carrier, 4, 5)
 
 
 def test_brackets_above_the_anchor_cap_enter_the_ce_differential():
@@ -706,22 +680,17 @@ def oracle_algebroid_jacobi_residual(S, n):
     base_index=st.integers(0, 2),
     degrees=st.sampled_from(CE_DEGREES),
     derivation_anchors=st.booleans(),
-    unit_slot_anchors=st.booleans(),
     caps=st.sampled_from([(4, 5), (3, 4), (2, 2), (0, 0)]),
     seed=st.integers(0, 2**16),
 )
-def test_jacobi_residual_matches_the_per_permutation_oracle(
-    base_index, degrees, derivation_anchors, unit_slot_anchors, caps, seed
-):
+def test_jacobi_residual_matches_the_per_permutation_oracle(base_index, degrees, derivation_anchors, caps, seed):
     """The same residual, or the same refusal, at every arity up to one above
-    both caps, on drawn structures with derivation or free anchors, stored
-    unit-slot anchor entries and odd letters."""
+    both caps, on drawn structures with derivation or free anchors and odd
+    letters."""
     rng = Rng(seed)
     base = sample_bases()[base_index]
     carrier = mixed_module(base, degrees, seed=seed % 5)
     S = random_algebroid(rng, base, carrier, *caps, derivation_anchors=derivation_anchors)
-    if unit_slot_anchors:
-        store_unit_slot_anchors(rng, S)
     for n in range(1, max(caps) + 2):
         got = _result_or_refusal(lambda S, n: algebroid_jacobi_residual(S, [n])[n], S, n)
         assert got == _result_or_refusal(oracle_algebroid_jacobi_residual, S, n), n

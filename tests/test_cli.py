@@ -15,6 +15,7 @@ from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
 from algebroidkit.modelio import serialize_model
 from algebroidkit.symtensor import DerivationD
+from modelio_oracle import put_value_on_unit
 
 
 @pytest.fixture(scope="module")
@@ -517,6 +518,42 @@ def test_non_utf8_model_exits_2(tmp_path, capsys):
 # -- seeded mutation fuzz ----------------------------------------------------------
 
 FIXTURES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
+
+# The values on the unit a model file may not hold, by the field that holds
+# them, with the start and the end of their refusal's message.
+UNIT_VALUES = {
+    "products": ("product ", " breaks the unit law"),
+    "differential": ("differential of the unit ", " is not zero"),
+    "anchors": ("anchor on the unit ", " is not zero"),
+    "dhat": ("dhat on the unit ", " is not zero"),
+}
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.name)
+def test_values_on_the_unit_exit_2_on_every_command(fixture, tmp_path, capsys):
+    """A product with the unit that breaks the unit law, a nonzero d_A(1), and
+    by the model's kind a nonzero anchor or dhat on the unit: every command
+    exits 2 with one error line that names the entry, no traceback and no
+    --json report.  On rank2, dhat on the unit and the unit-law break used
+    to be accepted, and then duality exited 1."""
+    tried = 0
+    for where, (start, end) in UNIT_VALUES.items():
+        doc = json.loads(fixture.read_text())
+        at = put_value_on_unit(doc, where)
+        if at is None:
+            continue
+        tried += 1
+        path = tmp_path / f"{where}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        for command in COMMANDS:
+            assert main([command, str(path), "--json", str(out)]) == 2, (where, command)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1, (where, command, captured)
+            assert captured.err.startswith("error: " + start), captured.err
+            assert captured.err.endswith(f"{end} (at {at})\n"), captured.err
+            assert not out.exists()
+    assert tried == 3
 MUTATIONS_PER_FIXTURE = 8
 
 

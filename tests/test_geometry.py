@@ -34,7 +34,6 @@ from algebroidkit.geometry import (
     build_kapranov,
     commutator_lemma_residual,
     duality_residual,
-    frakD_square_report,
     retraction_residual,
     structure_from_geometry,
     transport_lemma_residual,
@@ -47,6 +46,7 @@ from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, evaluate, square_components
 from geometry_oracle import oracle_build_frakD, oracle_structure_from_geometry
+from symtensor_oracle import derivation_sum
 
 
 def _spanning(alg):
@@ -340,7 +340,7 @@ def test_transport_lemma_zero_and_mismatched_shape():
 def test_frakd_trivial_is_d0():
     g = trivial_model()
     assert build_frakD(g) == g.normal_d0()
-    assert frakD_square_report(g) == {}
+    assert square_components(build_frakD(g)) == {}
 
 
 def test_frakd_eps_nilpotent():
@@ -348,11 +348,11 @@ def test_frakd_eps_nilpotent():
     D = build_frakD(g)
     D0 = g.normal_d0()
     # D = D0 + Rperp_2 exactly
-    diff = D - D0
+    diff = derivation_sum(D, D0, MINUS_ONE)
     assert list(diff.on_letters) == [0]
     assert diff.on_letters[0] == g.curv_perp[2][0]
     assert diff.on_algebra == {}
-    assert frakD_square_report(g) == {}
+    assert square_components(build_frakD(g)) == {}
 
 
 def _odd_letter_draws():
@@ -435,7 +435,7 @@ def test_build_frakD_applies_each_series_once_per_shape_power(workloads, monkeyp
 
 def test_frakd_square_random_localizes():
     g = small_random_model(15)
-    report = frakD_square_report(g)
+    report = square_components(build_frakD(g))
     if report:
         lowest = min(report)
         assert all(k >= lowest for k in report)
@@ -516,7 +516,7 @@ def test_central_duality_on_fixture_zoo():
 
 def test_duality_holds_for_non_integrable_models():
     g = small_random_model(16)
-    assert frakD_square_report(g) != {} or True  # integrability not required
+    assert square_components(build_frakD(g)) != {} or True  # integrability not required
     assert duality_residual(g) == {}
 
 
@@ -738,12 +738,12 @@ def test_conditional_identity_square_iff_structure_residuals():
 
     integrable = [trivial_model(), eps_nilpotent_model()]
     for g in integrable:
-        assert frakD_square_report(g) == {}
+        assert square_components(build_frakD(g)) == {}
         assert residuals_empty(structure_from_geometry(g))
     found_defective = False
     for seed in range(4):
         g = small_random_model(seed)
-        sq_empty = frakD_square_report(g) == {}
+        sq_empty = square_components(build_frakD(g)) == {}
         res_empty = residuals_empty(structure_from_geometry(g))
         assert sq_empty == res_empty
         if not sq_empty:
@@ -1228,6 +1228,12 @@ def test_constructor_refuses_tensors_over_the_wrong_letters_and_unknown_families
         assert str(err.value) == f"{fam.name} index {size} is out of range for {size} {fam.index} {kind}"
     with pytest.raises(TypeError, match="gama"):
         GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, gama={})
+    # dhat is a derivation of the base, so it kills the unit; zero there is no entry
+    unit = g.base.unit
+    GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, dhat={unit: g.amb.zero()})
+    with pytest.raises(KitError) as err:
+        GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, dhat={unit: g.amb.letter(0)})
+    assert str(err.value) == f"dhat on the unit {g.base.names[unit]!r} is not zero"
 
 
 # -- the bidegree invariant ---------------------------------------------------------

@@ -27,7 +27,7 @@ from algebroidkit.fixtures import (
 )
 from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
-from modelio_oracle import oracle_parse_model
+from modelio_oracle import oracle_parse_model, put_value_on_unit
 
 
 @pytest.fixture(scope="module")
@@ -603,6 +603,9 @@ def _mutate(rng, doc, kind) -> bool:
     elif kind == "bad-weight":
         node = rng.choice([n for n, key, _ in nodes if key == "weight"])
         node["weight"] = rng.choice([-1, 0, 1, 2, 3, 5, 6])
+    elif kind == "value-on-unit":
+        where = rng.choice(["products", "differential", "anchors" if doc["kind"] == "algebroid" else "dhat"])
+        put_value_on_unit(doc, where, rng.choice)
     return True
 
 
@@ -615,7 +618,7 @@ def _outcome(parse, text):
 
 MUTATIONS = (
     "drop-key", "unknown-key", "wrong-type", "zero-denominator",
-    "unknown-name", "word-over-cap", "duplicate-entry", "bad-weight",
+    "unknown-name", "word-over-cap", "duplicate-entry", "bad-weight", "value-on-unit",
 )
 
 
@@ -634,6 +637,8 @@ def test_parser_matches_the_former_traversal(name, kind):
         got = _outcome(parse_model, mutated)
         assert got == _outcome(oracle_parse_model, mutated), mutated
         refused += isinstance(got, tuple)
+    if kind == "value-on-unit":  # no file may hold one
+        assert refused == 8
     if kind not in ("duplicate-entry", "bad-weight", "wrong-type"):
         assert refused, "no mutation was refused"
 

@@ -16,13 +16,15 @@ from algebroidkit.fixtures import (
     exterior_base,
     kodaira_base,
     lambda_eps,
+    mixed_module,
     nontrivial_dga,
+    random_ce_derivation,
     sample_bases,
     standard_module,
 )
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
-from algebroidkit.scalars import ONE, Scalar, sign_scalar
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _sort_word, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
     DerivationD,
@@ -39,6 +41,7 @@ from algebroidkit.symtensor import (
     _collect,
     _word_constant,
 )
+from symtensor_oracle import derivation_sum, oracle_mc_residual
 
 
 def _eval_word(alg, module, word, args, degs):
@@ -471,7 +474,7 @@ def test_derivation_leibniz():
         val = random_sym_element(rng, alg, 3)
         part = val.homogeneous_parts().get(alg.letter_degrees[i] + 1, alg.zero())
         on_letters[i] = SymElement(alg, {w: a for w, a in part.items() if len(w) >= 1})
-    D = D0 + DerivationD(alg, {}, on_letters)
+    D = derivation_sum(D0, DerivationD(alg, {}, on_letters))
     for _ in range(10):
         x = random_sym_element(rng, alg, 2)
         y = random_sym_element(rng, alg, 2)
@@ -501,7 +504,7 @@ def test_square_components_detects_perturbation():
             break
     assert found is not None
     pert = DerivationD(alg, {}, {letter: found})
-    D = D0 + pert
+    D = derivation_sum(D0, pert)
     # generic perturbations break D^2 = 0 (this specific one must: checked exactly)
     sq = square_components(D)
     assert sq != {} or D.apply(D.apply(alg.letter(letter))).is_zero()
@@ -599,7 +602,7 @@ def test_apply_derivation_truncation_consistency():
                     if cands:
                         parts[w] = base.basis_element(cands[0]).scale(rng.scalar())
             on_letters[i] = SymElement(alg, parts)
-        return D0 + DerivationD(alg, {}, on_letters)
+        return derivation_sum(D0, DerivationD(alg, {}, on_letters))
 
     D_small = build(small, Rng(31))
     D_big = build(big, Rng(31))
@@ -635,7 +638,7 @@ def test_mc_single_planted_term_is_commutator():
     Phi = FilteredAutomorphism.from_exponential(phi)
     D0 = d0_derivation(alg, module)
     conjugated = conjugate(Phi, D0)
-    omega = conjugated - D0
+    omega = derivation_sum(conjugated, D0, MINUS_ONE)
     # commutator [phi, D0] on generators
     def comm_on(x):
         return phi.apply(D0.apply(x)) - D0.apply(phi.apply(x))
@@ -648,6 +651,27 @@ def test_mc_single_planted_term_is_commutator():
         got = omega.on_letters.get(i, alg.zero())
         assert got == comm_on(alg.letter(i))
     assert mc_residual(D0, conjugated) == {}
+
+
+def test_mc_residual_matches_the_three_term_oracle():
+    """C(Cx) - D0(D0x) equals D0(omega x) + omega(D0 x) + omega(omega x) for
+    omega = C - D0, on every generator: on D0 with D0^2 != 0 (free random
+    word data), where both sides are nonzero, with C = Phi D0 Phi^{-1} and
+    with an unrelated C, over each sample base and odd letters."""
+    nonzero = 0
+    for seed, base in enumerate(sample_bases()):
+        for degrees in ([0, 1], [1, -1, 0]):
+            rng = Rng(60 + seed)
+            module = mixed_module(base, degrees, seed=seed)
+            D0 = random_ce_derivation(rng, base, module, cap=3)
+            alg = D0.algebra
+            assert square_components(D0) != {}
+            others = (conjugate(random_unipotent(rng, alg), D0), random_ce_derivation(rng, base, module, cap=3))
+            for C in others:
+                got = mc_residual(D0, C)
+                assert got == oracle_mc_residual(D0, C), (base.names, degrees)
+                nonzero += bool(got)
+    assert nonzero == 12, nonzero
 
 
 # -- the product and apply kernels against the three-product oracles ---------------

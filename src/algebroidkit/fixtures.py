@@ -304,10 +304,9 @@ def random_weight_raising_derivation(rng: Rng, alg: SymAlgebra, density: float =
 
 
 def random_unipotent(rng: Rng, alg: SymAlgebra, density: float = 0.25) -> FilteredAutomorphism:
-    """exp of a random weight-raising degree-0 derivation."""
-    return FilteredAutomorphism.from_exponential(
-        random_weight_raising_derivation(rng, alg, density)
-    )
+    """exp(phi) for a random weight-raising degree-0 derivation phi; Phi and
+    Phi^{-1} are applied as the series of phi's powers."""
+    return FilteredAutomorphism(random_weight_raising_derivation(rng, alg, density))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +409,8 @@ def random_ce_derivation(rng: Rng, base: BaseAlgebra, carrier: FreeModule, cap: 
 
 
 def conjugation_oracle_structure(rng: Rng, carrier: FreeModule, cap: int = 4):
-    """A genuinely valid algebroid: extract(Phi D0 Phi^-1) for random unipotent Phi."""
+    """A genuinely valid algebroid: extract(Phi D0 Phi^-1) for Phi = exp(phi),
+    phi a random weight-raising derivation (``random_unipotent``)."""
     alg = SymAlgebra.over_module(carrier, cap=cap)
     D0 = d0_derivation(alg, carrier)
     Phi = random_unipotent(rng, alg)

@@ -48,24 +48,19 @@ substituted once with weight m.  The untouched letters of the Leibniz rule
 carry the unit coefficient, and multiplying by it is left out: that is exact,
 as ``BaseAlgebra`` refuses a product that breaks the unit law.
 
-The operators (``DerivationD`` and ``FilteredAutomorphism``, of which
-Phi^{-1} is one too) are Q(i)-linear, so each reads a row table that it
-owns: a row is the image of one grid element e_i w (basis element e_i,
-sorted word w), kept as its (word, coefficients) pairs and made the first
-time it is read.  ``apply`` adds s times the row of (w, i) for every term
-s e_i w of its argument (``_apply_rows``).  Rows are exact values, so
-results do not depend on which rows were made before, and a table holds at
-most one row per grid element: sum_r |words_of_weight(r)| * dim A.  An
-automorphism builds the row of e_i w as Phi(e_i) Phi(w) from a word image
-Phi(w) that it keeps once per nonempty word, sum_{r >= 1}
-|words_of_weight(r)| images at most.  Phi^{-1} is an automorphism too:
-exp(-phi) for Phi = exp(phi), else the Neumann series of Phi run on the
-generators only; no series runs on a grid element.
+A ``DerivationD`` is Q(i)-linear, so it reads a row table that it owns: a
+row is the image of one grid element e_i w (basis element e_i, sorted word
+w), kept as its (word, coefficients) pairs and made the first time it is
+read.  ``apply`` adds s times the row of (w, i) for every term s e_i w of
+its argument.  Rows are exact values, so results do not depend on which rows
+were made before, and a table holds at most one row per grid element:
+sum_r |words_of_weight(r)| * dim A.  A ``FilteredAutomorphism`` is exp(phi)
+for a weight-raising derivation phi and keeps no table: it sums the series
+of phi's powers, each read through phi's own rows.
 """
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
@@ -249,37 +244,31 @@ class SymElement:
         (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
         where s is the Koszul sign exponent of sorting the letters of w1 w2;
         a sorted word with a repeated odd letter is zero.  Each output term is
-        accumulated basis element by basis element.  The right factor's words
-        are grouped by length, so a pair over the cap is never formed: in the
-        large products of Phi's word images most pairs are over it.
+        accumulated basis element by basis element; a pair over the cap is
+        skipped before its letters are sorted.
         """
         self._check(other)
         alg = self.algebra
         base = alg.base
         degrees = base.degrees
         letter_degrees = alg.letter_degrees
-        by_length: Dict[int, List[Tuple[Word, AlgebraElement]]] = {}
-        for w2, a2 in other.data.items():
-            by_length.setdefault(len(w2), []).append((w2, a2))
-        lengths = sorted(by_length)
         acc: Dict[Word, Dict[int, Scalar]] = {}
         for w1, a1 in self.data.items():
             room = alg.cap - len(w1)
             d1 = alg.word_degree(w1)
-            for n in lengths:
-                if n > room:
-                    break
-                for w2, a2 in by_length[n]:
-                    merged = _sort_word(letter_degrees, w1 + w2)
-                    if merged is None:
-                        continue
-                    word, exponent = merged
-                    coeffs = acc.setdefault(word, {})
-                    for j, bj in a2.coeffs:
-                        negative = (exponent + degrees[j] * d1) & 1
-                        for i, ai in a1.coeffs:
-                            s = ai * bj
-                            _add_product(coeffs, base, i, j, -s if negative else s)
+            for w2, a2 in other.data.items():
+                if len(w2) > room:
+                    continue
+                merged = _sort_word(letter_degrees, w1 + w2)
+                if merged is None:
+                    continue
+                word, exponent = merged
+                coeffs = acc.setdefault(word, {})
+                for j, bj in a2.coeffs:
+                    negative = (exponent + degrees[j] * d1) & 1
+                    for i, ai in a1.coeffs:
+                        s = ai * bj
+                        _add_product(coeffs, base, i, j, -s if negative else s)
         return _collect(alg, acc)
 
     def truncate(self, cap: int) -> "SymElement":
@@ -350,10 +339,6 @@ def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> SymEl
 Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
 
 
-def _row_of(el: SymElement) -> Row:
-    return tuple((w, a.coeffs) for w, a in el.data.items())
-
-
 def _row_from(acc: Mapping[Word, Mapping[int, Scalar]]) -> Row:
     """The row of a {word: {basis index: Scalar}} accumulator (as ``_collect``)."""
     row = []
@@ -362,36 +347,6 @@ def _row_from(acc: Mapping[Word, Mapping[int, Scalar]]) -> Row:
         if coeffs:
             row.append((w, coeffs))
     return tuple(row)
-
-
-def _apply_rows(
-    alg: SymAlgebra,
-    element: SymElement,
-    rows: Dict[Tuple[Word, int], Row],
-    build: Callable[[Word, int], Row],
-) -> SymElement:
-    """A Q(i)-linear operator on element, read from its row table.
-
-    rows maps grid elements (w, i) to their images; a missing row is made by
-    build(w, i) and kept.  Each term s e_i w of element adds s times the row
-    of (w, i) into one {word: {basis index: Scalar}} accumulator.
-    """
-    acc: Dict[Word, Dict[int, Scalar]] = {}
-    for w, a in element.data.items():
-        for i, s in a.coeffs:
-            key = (w, i)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = build(w, i)
-            for v, coeffs in row:
-                out = acc.get(v)
-                if out is None:
-                    out = acc[v] = {}
-                for k, c in coeffs:
-                    t = c if s is ONE else c * s
-                    old = out.get(k)
-                    out[k] = t if old is None else old + t
-    return _collect(alg, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +527,30 @@ class DerivationD:
     def apply(self, element: SymElement) -> SymElement:
         """Graded Leibniz extension, truncated at the weight cap.
 
-        D is Q(i)-linear, so it is read from the row table (``_apply_rows``):
-        the row of e_i w is D(e_i w), made once by ``_row``.
+        D is Q(i)-linear, so it is read from the row table: the row of e_i w
+        is D(e_i w), made once by ``_row`` and kept.  Each term s e_i w of
+        element adds s times that row into one {word: {basis index: Scalar}}
+        accumulator.
         """
         if not self.algebra.compatible(element.algebra):
             raise BaseMismatch("derivation and element over incompatible algebras")
-        return _apply_rows(self.algebra, element, self._rows, self._row)
+        rows = self._rows
+        acc: Dict[Word, Dict[int, Scalar]] = {}
+        for w, a in element.data.items():
+            for i, s in a.coeffs:
+                key = (w, i)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = self._row(w, i)
+                for v, coeffs in row:
+                    out = acc.get(v)
+                    if out is None:
+                        out = acc[v] = {}
+                    for k, c in coeffs:
+                        t = c if s is ONE else c * s
+                        old = out.get(k)
+                        out[k] = t if old is None else old + t
+        return _collect(self.algebra, acc)
 
     def _row(self, w: Word, i: int) -> Row:
         """D(e_i w) by the Leibniz rule.
@@ -721,128 +694,51 @@ def square_components(D: DerivationD) -> Dict[int, Dict[str, SymElement]]:
 
 
 class FilteredAutomorphism:
-    """Algebra automorphism of the truncated symmetric algebra which is the
+    """Phi = exp(phi) for a degree-0 derivation phi that raises the weight:
+    an algebra automorphism of the truncated symmetric algebra which is the
     identity on the associated weight-graded algebra.
 
-    Stored by images of base basis elements and letters; each image is the
-    element itself plus terms of strictly higher weight, and they are never
-    changed after construction.  Phi is Q(i)-linear, so it is read from its
-    row table (``_apply_rows``): the row of e_i w is Phi(e_i) Phi(w), and the
-    word image Phi(w) = Phi(w[:-1]) Phi(w[-1]) is kept per word, so words
-    with a common prefix and the basis indices of one word share it.
-
-    Phi^{-1} is a filtered automorphism too (``inverse``), read through its
-    own rows and word images in the same way.  exp(phi) is made with its
-    inverse exp(-phi) (``from_exponential``).  An automorphism built from
-    its images alone gets the inverse images from the Neumann series
-    sum_{k <= cap + 1} (id - Phi)^k run on each generator: Phi - id raises
-    the weight, so the series is Phi^{-1} under the cap.
+    Each power of phi raises the weight by at least one, so phi is nilpotent
+    under the cap and both Phi = sum_k phi^k / k! and its inverse
+    Phi^{-1} = exp(-phi) are finite series, each at most cap + 1
+    applications of phi.  Every power is read through phi's own row table;
+    Phi keeps no table of its own.
     """
 
-    def __init__(
-        self,
-        algebra: SymAlgebra,
-        on_algebra: Mapping[int, SymElement],
-        on_letters: Mapping[int, SymElement],
-        check: bool = True,
-    ):
-        _refuse_foreign_keys(algebra, on_algebra, on_letters)
-        self.algebra = algebra
-        self.on_algebra = dict(on_algebra)
-        self.on_letters = dict(on_letters)
-        self._rows: Dict[Tuple[Word, int], Row] = {}
-        self._word_images: Dict[Word, SymElement] = {}
-        self._inverse: Optional[FilteredAutomorphism] = None
-        if check:
-            self._check_unipotent()
-
-    def _check_unipotent(self):
-        tables = (self.on_algebra, self.on_letters)
-        for slot, i, label, x in self.algebra.generators():
+    def __init__(self, phi: DerivationD):
+        if phi.degree != 0:
+            raise DegreeError(f"automorphism exp(phi) needs a degree-0 derivation, not degree {phi.degree}")
+        phi._check_degrees()
+        tables = (phi.on_algebra, phi.on_letters)
+        for slot, i, label, _ in phi.algebra.generators():
             v = tables[slot].get(i)
-            if v is None:
-                continue
-            if v.weight_part(slot) != x:
+            if v is not None and min(v.weights()) <= slot:
                 kind = ("base element", "letter")[slot]
                 raise KitError(f"automorphism is not the identity on gr at {kind} {label}")
-            got = v.degree()
-            if got is not None and got != x.degree():
-                raise DegreeError("automorphism must preserve degree")
-
-    @staticmethod
-    def from_exponential(phi: DerivationD) -> "FilteredAutomorphism":
-        """exp(phi) for a degree-0, weight-raising derivation phi.
-
-        phi is nilpotent on the truncated algebra, so exp(-phi) is exactly
-        the inverse; it is made here, its generator images summed from the
-        same powers phi^k x as those of exp(phi).
-        """
-        if phi.degree != 0:
-            raise DegreeError("exponential needs a degree-0 derivation")
-        alg = phi.algebra
-        plus: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
-        minus: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
-        for slot, i, _, x in alg.generators():
-            for tables, image in zip((plus, minus), _exp_pair(phi, x)):
-                if not image.is_zero():
-                    tables[slot][i] = image
-        Phi = FilteredAutomorphism(alg, *plus)
-        Phi._inverse = FilteredAutomorphism(alg, *minus, check=False)
-        Phi._inverse._inverse = Phi
-        return Phi
-
-    def _check(self, element: SymElement) -> None:
-        if not self.algebra.compatible(element.algebra):
-            raise BaseMismatch("automorphism and element over incompatible algebras")
+        self.algebra = phi.algebra
+        self.phi = phi
 
     def apply(self, element: SymElement) -> SymElement:
-        """Multiplicative extension, truncated at the cap."""
-        self._check(element)
-        return _apply_rows(self.algebra, element, self._rows, self._row)
-
-    def _row(self, w: Word, i: int) -> Row:
-        """Phi(e_i w) = Phi(e_i) Phi(w)."""
-        alg = self.algebra
-        head = self.on_algebra.get(i)
-        if head is None:
-            head = alg.scalar(alg.base.basis_element(i))
-        return _row_of(head * self._word_image(w) if w else head)
-
-    def _word_image(self, w: Word) -> SymElement:
-        """Phi(w_1 ... w_r) for a nonempty sorted word, made once per word as
-        Phi(w[:-1]) Phi(w[-1])."""
-        img = self._word_images.get(w)
-        if img is None:
-            if len(w) == 1:
-                img = self.on_letters.get(w[0])
-                if img is None:
-                    img = self.algebra.letter(w[0])
-            else:
-                img = self._word_image(w[:-1]) * self._word_image(w[-1:])
-            self._word_images[w] = img
-        return img
-
-    def inverse(self) -> "FilteredAutomorphism":
-        """Phi^{-1}, made once; its inverse is Phi again."""
-        if self._inverse is None:
-            alg = self.algebra
-            inverse = FilteredAutomorphism(alg, *_on_generators(alg, self._neumann), check=False)
-            self._inverse, inverse._inverse = inverse, self
-        return self._inverse
-
-    def _neumann(self, x: SymElement) -> SymElement:
-        """Phi^{-1}(x) = sum_k (id - Phi)^k x, finite under the cap."""
-        acc = current = x
-        for _ in range(self.algebra.cap + 1):
-            current = current - self.apply(current)
-            if current.is_zero():
-                break
-            acc = acc + current
-        return acc
+        """exp(phi)(element) = sum_k phi^k(element) / k!."""
+        return self._series(element, 1)
 
     def apply_inverse(self, element: SymElement) -> SymElement:
-        """Phi^{-1}(element), read from the rows of ``inverse()``."""
-        return self.inverse().apply(element)
+        """exp(-phi)(element) = sum_k (-1)^k phi^k(element) / k!."""
+        return self._series(element, -1)
+
+    def _series(self, element: SymElement, sign: int) -> SymElement:
+        """sum_k (sign phi)^k(element) / k!, each term sign/k times phi of the
+        one before; it stops at the first zero term, by cap + 1 at the latest."""
+        if not self.algebra.compatible(element.algebra):
+            raise BaseMismatch("automorphism and element over incompatible algebras")
+        total = term = element
+        for k in range(1, self.algebra.cap + 2):
+            term = self.phi.apply(term)
+            if term.is_zero():
+                break
+            term = term.scale(Scalar.rational(sign, k))
+            total = total + term
+        return total
 
 
 def _refuse_foreign_keys(
@@ -857,48 +753,25 @@ def _refuse_foreign_keys(
                 raise KitError(f"operator key {i!r} names no {kind}: there are {count}")
 
 
-def _on_generators(
-    alg: SymAlgebra, fn: Callable[[SymElement], SymElement]
-) -> Tuple[Dict[int, SymElement], Dict[int, SymElement]]:
-    """The operator tables (on_algebra, on_letters) of the values fn(x) on
-    the generators x of alg; zero values are left out."""
-    tables: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
-    for slot, i, _, x in alg.generators():
-        val = fn(x)
-        if not val.is_zero():
-            tables[slot][i] = val
-    return tables
-
-
-def _exp_pair(phi: DerivationD, element: SymElement) -> Tuple[SymElement, SymElement]:
-    """exp(phi)(element) and exp(-phi)(element), both summed from the powers
-    phi^k(element) / k!, each power computed once."""
-    plus = minus = term = element
-    k = 1
-    while k <= phi.algebra.cap + 1:
-        term = phi.apply(term)
-        if term.is_zero():
-            break
-        scaled = term.scale(Scalar.rational(1, factorial(k)))
-        plus = plus + scaled
-        minus = minus - scaled if k & 1 else minus + scaled
-        k += 1
-    return plus, minus
-
-
 def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:
-    """Phi o D o Phi^{-1}, assembled from values on generators."""
+    """Phi o D o Phi^{-1}, stored by its values on the generators (zero values
+    left out).  Each value reads rows of phi and D only: Phi and Phi^{-1}
+    are series of phi's powers, so no ``SymElement`` is multiplied."""
     alg = D.algebra
     if not alg.compatible(Phi.algebra):
         raise BaseMismatch("automorphism and derivation over incompatible algebras")
-    tables = _on_generators(alg, lambda x: Phi.apply(D.apply(Phi.apply_inverse(x))))
+    tables: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
+    for slot, i, _, x in alg.generators():
+        val = Phi.apply(D.apply(Phi.apply_inverse(x)))
+        if not val.is_zero():
+            tables[slot][i] = val
     return DerivationD(alg, *tables, degree=D.degree, check=False)
 
 
 def mc_residual(D0: DerivationD, conjugated: DerivationD) -> Dict[str, SymElement]:
-    """Residual of the Maurer-Cartan identity for the deficiency of Phi,
-    given D0 and conjugated = Phi o D0 o Phi^{-1} (``conjugate``), which
-    the caller builds once and may read again.
+    """Residual of the Maurer-Cartan identity for the deficiency of
+    Phi = exp(phi), given D0 and conjugated = Phi o D0 o Phi^{-1}
+    (``conjugate``), which the caller builds once and may read again.
 
     omega := Phi o D0 o Phi^{-1} - D0 measures how far Phi is from
     intertwining D0 with itself; when D0^2 = 0 the combination

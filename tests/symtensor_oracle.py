@@ -1,13 +1,22 @@
-"""The Maurer-Cartan residual in its three-term form, kept as a test oracle,
-and the sum of two derivations it is built from.
+"""Test oracles for the operators of ``symtensor``.
 
-``symtensor.mc_residual`` evaluates C(Cx) - D0(D0x) for C = Phi D0 Phi^{-1};
-by bilinearity that equals D0(omega x) + omega(D0 x) + omega(omega x) for the
-deficiency omega = C - D0, which ``oracle_mc_residual`` evaluates."""
+The Maurer-Cartan residual in its three-term form, and the sum of two
+derivations it is built from: ``symtensor.mc_residual`` evaluates
+C(Cx) - D0(D0x) for C = Phi D0 Phi^{-1}; by bilinearity that equals
+D0(omega x) + omega(D0 x) + omega(omega x) for the deficiency omega = C - D0,
+which ``oracle_mc_residual`` evaluates.
+
+The multiplicative Phi = exp(phi): ``symtensor.FilteredAutomorphism`` sums
+the series of phi's powers on every element it is given.  The oracle sums it
+on the generators only (``exp_images``), extends those images letter by
+letter as an algebra map (``reference_automorphism_apply``) and inverts that
+map by its Neumann series (``reference_apply_inverse``)."""
 
 from __future__ import annotations
 
-from algebroidkit.scalars import MINUS_ONE, ONE
+from math import factorial
+
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar
 from algebroidkit.symtensor import DerivationD
 
 
@@ -35,3 +44,54 @@ def oracle_mc_residual(D0, conjugated):
         if not val.is_zero():
             out[label] = val
     return out
+
+
+def exp_images(phi):
+    """The (on_algebra, on_letters) tables of exp(phi) on the generators:
+    x + sum_k phi^k(x) / k!, each power computed once, for at most cap + 1
+    powers; the images equal to their generator are left out."""
+    alg = phi.algebra
+    tables = ({}, {})
+    for slot, i, _, x in alg.generators():
+        image = term = x
+        for k in range(1, alg.cap + 2):
+            term = phi.apply(term)
+            if term.is_zero():
+                break
+            image = image + term.scale(Scalar.rational(1, factorial(k)))
+        if image != x:
+            tables[slot][i] = image
+    return tables
+
+
+def reference_automorphism_apply(images, element):
+    """Phi(a) Phi(w_1) ... Phi(w_r) formed term by term, one letter at a time,
+    from the generator images (on_algebra, on_letters) of Phi."""
+    alg = element.algebra
+    on_algebra, on_letters = images
+    acc = alg.zero()
+    for w, a in element.items():
+        term = alg.zero()
+        for i, c in a.items():
+            img = on_algebra.get(i)
+            if img is None:
+                img = alg.scalar(alg.base.basis_element(i))
+            term = term + img.scale(c)
+        for letter in w:
+            img = on_letters.get(letter)
+            term = term * (img if img is not None else alg.letter(letter))
+        acc = acc + term
+    return acc
+
+
+def reference_apply_inverse(images, element):
+    """Phi^{-1}(element) as the Neumann series sum_k (id - Phi)^k(element) of
+    ``reference_automorphism_apply``: Phi - id raises the weight, so the
+    series ends by cap + 1."""
+    acc = current = element
+    for _ in range(element.algebra.cap + 1):
+        current = current - reference_automorphism_apply(images, current)
+        if current.is_zero():
+            break
+        acc = acc + current
+    return acc

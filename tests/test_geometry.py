@@ -957,7 +957,6 @@ def test_lemma_checks_keep_no_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a lemma check applied an operator")
 
-    monkeypatch.setattr(symtensor, "_apply_rows", refuse)
     monkeypatch.setattr(DerivationD, "apply", refuse)
     g = small_random_model(14)
     attributes = set(vars(g))

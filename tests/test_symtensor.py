@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -25,7 +26,7 @@ from algebroidkit.fixtures import (
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
-from algebroidkit.signs import Permutation, _sort_word, enumerate_unshuffles, sym_sign
+from algebroidkit.signs import Permutation, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
     DerivationD,
     FilteredAutomorphism,
@@ -37,11 +38,15 @@ from algebroidkit.symtensor import (
     from_values,
     mc_residual,
     square_components,
-    _add_product,
-    _collect,
     _word_constant,
 )
-from symtensor_oracle import derivation_sum, oracle_mc_residual
+from symtensor_oracle import (
+    derivation_sum,
+    exp_images,
+    oracle_mc_residual,
+    reference_apply_inverse,
+    reference_automorphism_apply,
+)
 
 
 def _eval_word(alg, module, word, args, degs):
@@ -521,16 +526,16 @@ def random_unipotent(rng, alg):
 
 
 def test_identity_automorphism():
-    """Built from (no) images, so its inverse comes from the Neumann series."""
+    """exp of the zero derivation: both series stop at their first term."""
     base, module, alg = make_setup()
-    Phi = FilteredAutomorphism(alg, {}, {}, check=False)
+    Phi = FilteredAutomorphism(DerivationD(alg, {}, {}, degree=0))
     D0 = d0_derivation(alg, module)
     conjugated = conjugate(Phi, D0)
     assert conjugated == D0
     assert mc_residual(D0, conjugated) == {}
     x = random_sym_element(Rng(19), alg)
+    assert Phi.apply(x) == x
     assert Phi.apply_inverse(x) == x
-    assert Phi.inverse().inverse() is Phi
 
 
 def automorphism_problems(Phi):
@@ -635,7 +640,7 @@ def test_mc_single_planted_term_is_commutator():
     )
     # phi^2 = 0: the value word only contains the letter phi kills
     assert phi.apply(phi.apply(alg.letter(0))).is_zero()
-    Phi = FilteredAutomorphism.from_exponential(phi)
+    Phi = FilteredAutomorphism(phi)
     D0 = d0_derivation(alg, module)
     conjugated = conjugate(Phi, D0)
     omega = derivation_sum(conjugated, D0, MINUS_ONE)
@@ -783,30 +788,6 @@ def test_product_matches_homogeneous_term_oracle(base_name, degrees):
         assert x * y == reference_mul(x, y)
 
 
-def pairwise_mul(x, y):
-    """Every left word paired with every right word, the cap checked per pair:
-    the oracle for the length-bucketed ``SymElement.__mul__``."""
-    alg = x.algebra
-    base = alg.base
-    acc = {}
-    for w1, a1 in x.items():
-        d1 = alg.word_degree(w1)
-        for w2, a2 in y.items():
-            if len(w1) + len(w2) > alg.cap:
-                continue
-            merged = _sort_word(alg.letter_degrees, w1 + w2)
-            if merged is None:
-                continue
-            word, exponent = merged
-            coeffs = acc.setdefault(word, {})
-            for j, bj in a2.items():
-                negative = (exponent + base.degrees[j] * d1) & 1
-                for i, ai in a1.items():
-                    s = ai * bj
-                    _add_product(coeffs, base, i, j, -s if negative else s)
-    return _collect(alg, acc)
-
-
 PRODUCT_BASES = sample_bases()
 
 
@@ -829,16 +810,16 @@ def drawn_elements(alg):
 
 
 @given(data=st.data())
-def test_bucketed_product_matches_pairwise_oracle(data):
+def test_product_skips_pairs_over_the_cap_on_drawn_algebras(data):
     """The right factor always carries the words of weight cap, so every
     nonempty left word meets words that overflow cap - |w1|."""
     alg = data.draw(drawn_algebras(5))
     x = data.draw(drawn_elements(alg))
     y = data.draw(drawn_elements(alg))
     top = SymElement(alg, {w: alg.base.one() for w in alg.words_of_weight(alg.cap)})
-    assert x * y == pairwise_mul(x, y)
-    assert x * (y + top) == pairwise_mul(x, y + top)
-    assert (y + top) * x == pairwise_mul(y + top, x)
+    assert x * y == reference_mul(x, y)
+    assert x * (y + top) == reference_mul(x, y + top)
+    assert (y + top) * x == reference_mul(y + top, x)
 
 
 @pytest.mark.parametrize("derivation_degree", [-1, 0, 1])
@@ -856,38 +837,7 @@ def test_apply_matches_three_product_oracle(base_name, degrees, derivation_degre
         assert D.apply(x) == reference_apply(D, x)
 
 
-# -- row tables against the whole-element oracles ------------------------------------
-
-
-def reference_automorphism_apply(Phi, element):
-    """Phi(a) Phi(w_1) ... Phi(w_r) formed term by term, one letter at a time:
-    the oracle for ``FilteredAutomorphism.apply``."""
-    alg = Phi.algebra
-    acc = alg.zero()
-    for w, a in element.items():
-        term = alg.zero()
-        for i, c in a.items():
-            img = Phi.on_algebra.get(i)
-            if img is None:
-                img = alg.scalar(alg.base.basis_element(i))
-            term = term + img.scale(c)
-        for letter in w:
-            img = Phi.on_letters.get(letter)
-            term = term * (img if img is not None else alg.letter(letter))
-        acc = acc + term
-    return acc
-
-
-def reference_apply_inverse(Phi, element):
-    """The Neumann series sum_k (id - Phi)^k run on the whole element: the
-    oracle for ``FilteredAutomorphism.apply_inverse``."""
-    acc = current = element
-    for _ in range(Phi.algebra.cap + 1):
-        current = current - reference_automorphism_apply(Phi, current)
-        if current.is_zero():
-            break
-        acc = acc + current
-    return acc
+# -- exp(phi) against the multiplicative oracle ---------------------------------------
 
 
 def grid_bound(alg):
@@ -897,56 +847,49 @@ def grid_bound(alg):
 
 @pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
 @pytest.mark.parametrize("degrees", DEGREE_PATTERNS)
-def test_automorphism_rows_match_whole_element_oracles(base_name, degrees):
+def test_exp_series_matches_the_multiplicative_oracle(base_name, degrees):
     """Inhomogeneous elements with non-unit Gaussian-rational coefficients,
-    several per automorphism, so later elements read rows built for earlier ones."""
+    several per automorphism, so later elements read phi rows built for
+    earlier ones; Phi keeps nothing but phi."""
     base = KERNEL_BASES[base_name]()
     module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
     alg = SymAlgebra.over_module(module, cap=4)
     rng = Rng(60 + len(degrees))
     for _ in range(2):
         Phi = random_unipotent(rng, alg)
+        images = exp_images(Phi.phi)
         for _ in range(3):
             x = sparse_sym_element(rng, alg, 0.4)
-            assert Phi.apply(x) == reference_automorphism_apply(Phi, x)
-            assert Phi.apply_inverse(x) == reference_apply_inverse(Phi, x)
-        for op in (Phi, Phi.inverse()):
-            assert len(op._rows) <= grid_bound(alg)
-            assert len(op._word_images) <= sum(len(alg.words_of_weight(r)) for r in range(1, alg.cap + 1))
+            assert Phi.apply(x) == reference_automorphism_apply(images, x)
+            assert Phi.apply_inverse(x) == reference_apply_inverse(images, x)
+        assert vars(Phi) == {"algebra": alg, "phi": Phi.phi}
+        assert len(Phi.phi._rows) <= grid_bound(alg)
 
 
 @given(data=st.data())
-def test_word_image_rows_and_exp_minus_phi_match_oracles(data):
-    """Phi from word images against the letter-by-letter product, and the
-    exp(-phi) images of Phi^{-1} against the Neumann series, on every
-    generator and on drawn elements."""
+def test_exp_series_and_conjugate_match_the_oracle_on_drawn_algebras(data):
+    """Phi and Phi^{-1} as series against the letter-by-letter product of the
+    exp(phi) images and its Neumann series, on every generator and on drawn
+    elements, with odd letters, caps 0..4 and a dense phi among them, so
+    that third and fourth powers occur; and Phi D Phi^{-1} against the same
+    oracle on every generator."""
     alg = data.draw(drawn_algebras(4))
-    Phi = random_unipotent(Rng(data.draw(st.integers(0, 2**16))), alg)
-    inverse = Phi.inverse()
-    tables = (inverse.on_algebra, inverse.on_letters)
+    rng = Rng(data.draw(st.integers(0, 2**16)))
+    Phi = _random_unipotent(rng, alg, density=data.draw(st.sampled_from([0.25, 0.7])))
+    images = exp_images(Phi.phi)
+    D = random_derivation(rng, alg, 1)
+    C = conjugate(Phi, D)
+    tables = (C.on_algebra, C.on_letters)
     for slot, i, _, x in alg.generators():
-        assert tables[slot].get(i, alg.zero()) == reference_apply_inverse(Phi, x)  # a letter is 0 at cap 0
-        assert Phi.apply(x) == reference_automorphism_apply(Phi, x)
+        assert Phi.apply(x) == reference_automorphism_apply(images, x)
+        assert Phi.apply_inverse(x) == reference_apply_inverse(images, x)
+        want = reference_automorphism_apply(images, D.apply(reference_apply_inverse(images, x)))
+        assert tables[slot].get(i, alg.zero()) == want
     for _ in range(2):
         x = data.draw(drawn_elements(alg))
-        assert Phi.apply(x) == reference_automorphism_apply(Phi, x)
-        assert Phi.apply_inverse(x) == reference_apply_inverse(Phi, x)
+        assert Phi.apply(x) == reference_automorphism_apply(images, x)
+        assert Phi.apply_inverse(x) == reference_apply_inverse(images, x)
         assert Phi.apply(Phi.apply_inverse(x)) == x
-
-
-def test_automorphism_built_from_images_inverts_by_neumann_series():
-    """Without phi the inverse images come from the Neumann series on the
-    generators; they are the exp(-phi) images of the same automorphism."""
-    base, module, alg = make_setup(seed=58, cap=4)
-    rng = Rng(59)
-    Phi = random_unipotent(rng, alg)
-    direct = FilteredAutomorphism(alg, Phi.on_algebra, Phi.on_letters)
-    assert direct.inverse().on_algebra == Phi.inverse().on_algebra
-    assert direct.inverse().on_letters == Phi.inverse().on_letters
-    assert direct.inverse().inverse() is direct
-    x = sparse_sym_element(rng, alg, 0.4)
-    assert direct.apply_inverse(x) == reference_apply_inverse(direct, x)
-    assert direct.apply_inverse(direct.apply(x)) == x
 
 
 def test_apply_sums_rows_with_their_scalars():
@@ -971,10 +914,9 @@ def test_second_conjugate_builds_no_rows():
     D0 = d0_derivation(alg, module)
     Phi = random_unipotent(Rng(64), alg)
     first = conjugate(Phi, D0)
-    inverse = Phi.inverse()
 
     def sizes():
-        return (len(Phi._rows), len(Phi._word_images), len(inverse._rows), len(inverse._word_images), len(D0._rows))
+        return len(Phi.phi._rows), len(D0._rows)
 
     built = sizes()
     assert all(built)
@@ -983,16 +925,17 @@ def test_second_conjugate_builds_no_rows():
 
 
 def test_mc_check_builds_one_row_per_touched_grid_element(workloads):
-    """The two checks of ``mc`` on gen_a3_b4_w5 (seed 0) build exactly one Phi
-    row per distinct grid element that Phi is applied to, read some rows more
-    than once, and apply Phi only inside the one conjugation they share."""
+    """The two checks of ``mc`` on gen_a3_b4_w5 (seed 0) build exactly one phi
+    row per distinct grid element that phi is applied to, read some rows more
+    than once, and apply phi only inside the one conjugation they share."""
     g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
     alg = SymAlgebra.over_module(g.normal, cap=g.cap)
     D0 = d0_derivation(alg, g.normal)
     Phi = random_unipotent(Rng(0), alg)
+    phi = Phi.phi
     touched = set()
     reads = 0
-    apply = Phi.apply
+    apply = phi.apply
 
     def recording(element):
         nonlocal reads
@@ -1002,38 +945,25 @@ def test_mc_check_builds_one_row_per_touched_grid_element(workloads):
                 reads += 1
         return apply(element)
 
-    Phi.apply = recording  # apply_inverse reads the rows of Phi.inverse(), not these
+    phi.apply = recording
     conjugated = conjugate(Phi, D0)
     conjugation_reads = reads
     assert mc_residual(D0, conjugated) == {}
     assert square_components(conjugated) == {}
     assert reads == conjugation_reads
-    assert set(Phi._rows) == touched
-    assert len(Phi._rows) <= grid_bound(alg)
+    assert set(phi._rows) == touched
+    assert len(phi._rows) <= grid_bound(alg)
     assert reads > len(touched)
 
 
-def multiplying_entries(op):
-    """The entries of an automorphism's tables whose making calls
-    ``SymElement.__mul__`` once each: rows of a nonempty word, Phi(e_i) Phi(w),
-    and word images of length >= 2, Phi(w[:-1]) Phi(w[-1])."""
-    return sum(1 for w, _ in op._rows if w) + sum(1 for w in op._word_images if len(w) > 1)
-
-
-def test_mc_checks_multiply_once_per_word_image_and_row(workloads, monkeypatch):
-    """On gen_a3_b4_w5 (seed 0) Phi^{-1} builds no Phi row or word image, and
-    the two checks of ``mc`` call ``SymElement.__mul__`` exactly once per
-    multiplying row and word image that Phi and Phi^{-1} build during them."""
+def test_mc_checks_multiply_no_sym_elements(workloads, monkeypatch):
+    """On gen_a3_b4_w5 (seed 0) the two checks of ``mc`` call
+    ``SymElement.__mul__`` not once, and every object of the package that
+    holds a row table is a ``DerivationD``: phi, D0 and the conjugate."""
     g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
     alg = SymAlgebra.over_module(g.normal, cap=g.cap)
     D0 = d0_derivation(alg, g.normal)
     Phi = random_unipotent(Rng(0), alg)
-    inverse = Phi.inverse()
-    for _, _, _, x in alg.generators():
-        Phi.apply_inverse(x)
-    Phi.apply_inverse(random_sym_element(Rng(1), alg))
-    assert (Phi._rows, Phi._word_images) == ({}, {})
-    before = multiplying_entries(Phi) + multiplying_entries(inverse)
     calls = 0
     mul = SymElement.__mul__
 
@@ -1046,7 +976,14 @@ def test_mc_checks_multiply_once_per_word_image_and_row(workloads, monkeypatch):
     conjugated = conjugate(Phi, D0)
     assert mc_residual(D0, conjugated) == {}
     assert square_components(conjugated) == {}
-    assert calls == multiplying_entries(Phi) + multiplying_entries(inverse) - before > 0
+    assert calls == 0
+    holders = [
+        o for o in gc.get_objects()
+        if type(o).__module__.startswith("algebroidkit.") and "_rows" in getattr(o, "__dict__", {})
+    ]
+    assert {type(o) for o in holders} == {DerivationD}
+    assert all(any(o is d for o in holders) for d in (Phi.phi, D0, conjugated))
+    assert all(d._rows for d in (Phi.phi, D0, conjugated))
 
 
 def test_private_constructor_agrees_with_public_one():
@@ -1199,14 +1136,6 @@ def test_operator_refusal_texts_name_the_generator():
             lambda: DerivationD(alg, {}, {0: alg.letter(0)}),
             "derivation value on letter g0^ has degree 0, expected 1",
         ),
-        (
-            lambda: FilteredAutomorphism(alg, {2: x_e}, {}),
-            "automorphism is not the identity on gr at base element x",
-        ),
-        (
-            lambda: FilteredAutomorphism(alg, {}, {1: alg.letter(0)}),
-            "automorphism is not the identity on gr at letter g1^",
-        ),
     ]
     for build, message in cases:
         with pytest.raises(KitError) as err:
@@ -1216,17 +1145,41 @@ def test_operator_refusal_texts_name_the_generator():
 
 def test_operators_refuse_keys_that_name_no_generator():
     """A table key outside the generators is refused whatever check is set
-    to: nothing would apply its value, yet == would compare it."""
+    to: nothing would apply its value, yet == would compare it.  exp(phi)
+    takes its tables from phi, so phi's own refusal covers it."""
     base, alg = _two_letter_algebra()
     el, n = alg.letter(0), base.dim
     cases = [
         (DerivationD, {}, {99: el}, "operator key 99 names no letter: there are 2"),
         (DerivationD, {-1: el}, {}, f"operator key -1 names no base element: there are {n}"),
-        (FilteredAutomorphism, {}, {5: el}, "operator key 5 names no letter: there are 2"),
-        (FilteredAutomorphism, {n: el}, {}, f"operator key {n} names no base element: there are {n}"),
     ]
     for cls, on_algebra, on_letters, message in cases:
         for check in (True, False):
             with pytest.raises(KitError) as err:
                 cls(alg, on_algebra, on_letters, check=check)
             assert str(err.value) == message
+
+
+def test_exp_refuses_a_phi_that_is_not_a_weight_raising_degree_0_derivation():
+    """The degree of phi, a value of the wrong degree and a value that does
+    not raise the weight, on a base element and on a letter: one line each,
+    naming the generator."""
+    base, alg = _two_letter_algebra()
+    e, x = base.basis_element(1), base.basis_element(2)
+    g0, g1 = alg.letter(0), alg.letter(1)
+
+    def phi(on_algebra, on_letters, degree=0):
+        return DerivationD(alg, on_algebra, on_letters, degree=degree, check=False)
+
+    cases = [
+        (phi({}, {}, degree=1), "automorphism exp(phi) needs a degree-0 derivation, not degree 1"),
+        (phi({1: g1.a_mul(e)}, {}), "derivation value on e has degree 2, expected 1"),
+        (phi({}, {0: g0 * g1}), "derivation value on letter g0^ has degree 1, expected 0"),
+        (phi({2: alg.scalar(x)}, {}), "automorphism is not the identity on gr at base element x"),
+        (phi({}, {0: g0 * g0 + g0.a_mul(x)}), "automorphism is not the identity on gr at letter g0^"),
+        (phi({}, {1: g1 * g0 + g0.a_mul(e)}), "automorphism is not the identity on gr at letter g1^"),
+    ]
+    for derivation, message in cases:
+        with pytest.raises(KitError) as err:
+            FilteredAutomorphism(derivation)
+        assert str(err.value) == message

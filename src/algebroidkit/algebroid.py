@@ -18,7 +18,9 @@ An AlgebroidStructure stores, over a fixed base dga A and free carrier L:
   keyed by (sorted generator tuple, basis element) pairs.  A derivation
   kills the unit, so a nonzero value on the unit is refused (``set_anchor``).
 
-The unary operations are fixed by the dga: {|-}_1 = d_A, {.}_1 = d_L.
+The unary operations are fixed by the dga: {|-}_1 = d_A, {.}_1 = d_L.  A
+structure has one arity cap N: brackets stop at arity N and anchors at
+arity N + 1, the arities that a CE cut at word weight N keeps.
 
 ``ce_differential`` packages a structure as a degree-1 derivation of the
 truncated symmetric algebra over the dual generators:
@@ -72,19 +74,14 @@ GenKey = Tuple[int, ...]
 class AlgebroidStructure:
     """Brackets plus multi-anchors over a fixed dga; one side of the duality."""
 
-    def __init__(
-        self,
-        base: BaseAlgebra,
-        carrier: FreeModule,
-        bracket_cap: int = 4,
-        anchor_cap: int = 5,
-    ):
+    def __init__(self, base: BaseAlgebra, carrier: FreeModule, bracket_cap: int = 4):
+        """Brackets up to arity bracket_cap, anchors up to bracket_cap + 1."""
         if carrier.base is not base:
             raise KitError("carrier must be a module over the given base")
         self.base = base
         self.carrier = carrier
         self.bracket_cap = bracket_cap
-        self.anchor_cap = anchor_cap
+        self.anchor_cap = bracket_cap + 1
         self.brackets: Dict[int, BracketTable] = {}
         self.anchors: Dict[int, BracketTable] = {}
 
@@ -98,7 +95,7 @@ class AlgebroidStructure:
     def set_anchor(self, n: int, key: Sequence[int], basis_idx: int, value: AlgebraElement):
         """{key | e_basis_idx}_n = value; a nonzero value on the unit is refused,
         as an anchor is a derivation of the base and kills the unit."""
-        if n < 2 or n > self.anchor_cap:
+        if n < 2 or self.anchor_cap < n:
             raise CapError(f"anchor arity {n} outside 2..{self.anchor_cap}")
         if len(key) != n - 1:
             raise KitError("anchor key must have n-1 generators")
@@ -114,7 +111,7 @@ class AlgebroidStructure:
             raise KitError("anchor expects n-1 module arguments")
         if n == 1:
             return a.d()
-        if n > self.anchor_cap:
+        if self.anchor_cap < n:
             raise CapError(f"anchor arity {n} exceeds cap {self.anchor_cap}")
         total = self.base.zero()
         table = self.anchors.get(n)
@@ -159,7 +156,7 @@ class AlgebroidStructure:
             raise CapError(f"bracket arity {n} exceeds cap {self.bracket_cap}")
         carrier = self.carrier
         if any(v.is_zero() for v in args):
-            # every term vanishes; no anchor term may reach the anchor cap check
+            # every term vanishes
             return carrier.zero()
         table = self.brackets.get(n)
         total = multilinear_extend(
@@ -299,7 +296,7 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
     degrees = carrier.degrees
 
     on_algebra: Dict[int, Dict[GenKey, AlgebraElement]] = {}
-    for m in range(1, min(W + 1, max(S.anchor_cap, 1)) + 1):
+    for m in range(1, min(W + 1, S.anchor_cap) + 1):
         for (key, b), value in _arity_tables(S, m)[1].items():
             exponent = base.degrees[b] * sum(degrees[i] for i in key)
             _add_to(on_algebra, b, key, value.scale(sign_scalar(exponent)))
@@ -328,7 +325,6 @@ def extract_structure(
     D: DerivationD,
     carrier: FreeModule,
     bracket_cap: int = 4,
-    anchor_cap: int = 5,
 ) -> AlgebroidStructure:
     """Recover brackets and anchors from a degree-1 derivation: the inverse
     read of ``ce_differential``, one table entry per word.
@@ -354,7 +350,7 @@ def extract_structure(
             )
     if carrier.rank != algebra.n_letters:
         raise BaseMismatch("module generators do not match algebra letters")
-    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
+    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
     degrees = carrier.degrees
 
     def read(el: SymElement, w: GenKey) -> AlgebraElement:
@@ -363,7 +359,7 @@ def extract_structure(
     anchors = []
     for b, el in D.on_algebra.items():
         for w in el.data:
-            if 2 <= len(w) + 1 <= anchor_cap:
+            if 1 <= len(w) <= bracket_cap:
                 exponent = base.degrees[b] * sum(degrees[i] for i in w)
                 anchors.append((len(w) + 1, w, b, read(el, w).scale(sign_scalar(exponent))))
     for n, w, b, value in sorted(anchors, key=lambda e: e[:3]):
@@ -400,14 +396,13 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
         Jac_n(w)_i = -(-1)^{|g_i||c|} kappa(w) c,
 
     the symmetric unshuffle sum of ``bracket`` up to arity n.  An arity over
-    a cap is refused before any work, as ``leibniz_residual`` refuses it.
+    the bracket cap is refused before any work, as ``leibniz_residual``
+    refuses it.
     """
     carrier = S.carrier
     for n in arities:
         if n > S.bracket_cap:
             raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
-        if 1 < n and carrier.rank and n > S.anchor_cap:
-            raise CapError(f"anchor arity {n} exceeds cap {S.anchor_cap}")
     out: Dict[int, Dict[GenKey, ModuleElement]] = {n: {} for n in arities}
     if not out:
         return out
@@ -432,12 +427,12 @@ def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], 
     signed a.{g_1..g_n} is its last slot's anchor term at every non-unit
     basis element a, whether or not the anchors are derivations of the base
     (``validate`` decides that), and at the unit it is -{g_1..g_{n-1}|1}.g_n,
-    which vanishes (``AlgebroidStructure.set_anchor``).  An arity over a cap
-    is refused as the bracket, then the anchor, would refuse it.
+    which vanishes (``AlgebroidStructure.set_anchor``).  An arity over the
+    bracket cap is refused as the bracket would refuse it; the anchor cap is
+    one above it.
     """
-    for kind, cap in (("bracket", S.bracket_cap), ("anchor", S.anchor_cap)):
-        if S.carrier.rank and 1 < n and cap < n:
-            raise CapError(f"{kind} arity {n} exceeds cap {cap}")
+    if S.carrier.rank and 1 < n and S.bracket_cap < n:
+        raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
     return {}
 
 

@@ -319,7 +319,6 @@ def random_algebroid(
     base: BaseAlgebra,
     carrier: FreeModule,
     bracket_cap: int = 4,
-    anchor_cap: int = 5,
     derivation_anchors: bool = True,
     density: float = 0.5,
 ):
@@ -329,7 +328,7 @@ def random_algebroid(
     of the base (coefficient times a Der(A) basis element), which is what
     ``validate`` demands; without it the raw tables are filled freely.
     """
-    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
+    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
     for n in range(2, bracket_cap + 1):
         for key in _nonvanishing_keys(carrier.degrees, n):
             if rng.random() > density:
@@ -340,7 +339,7 @@ def random_algebroid(
                 S.set_bracket(n, key, val)
     lo, hi = base.degree_range()
     der_cache = {}
-    for n in range(2, anchor_cap + 1):
+    for n in range(2, S.anchor_cap + 1):
         for key in _nonvanishing_keys(carrier.degrees, n - 1):
             if rng.random() > density:
                 continue
@@ -415,7 +414,7 @@ def conjugation_oracle_structure(rng: Rng, carrier: FreeModule, cap: int = 4):
     D0 = d0_derivation(alg, carrier)
     Phi = random_unipotent(rng, alg)
     D = conjugate(Phi, D0)
-    return extract_structure(D, carrier, bracket_cap=cap, anchor_cap=cap + 1), D, Phi
+    return extract_structure(D, carrier, bracket_cap=cap), D, Phi
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +531,8 @@ def eps_nilpotent_model(cap: int = 4):
 
 def diagonal_model(rng: Rng, base: BaseAlgebra, degrees: Sequence[int], cap: int = 4):
     """Diagonal regime: normal = tangent copy, beta = shape = 0, only
-    normal curvature; anchors vanish and the differential matches the
-    tangent-algebra construction."""
+    normal curvature; anchors vanish and the differential is Kapranov's
+    (``geometry.build_kapranov``)."""
     g = random_geometric_model(
         rng,
         base,
@@ -565,7 +564,7 @@ def fixture_corpus():
 
     base = nontrivial_dga()
     carrier = mixed_module(base, [0, 1], seed=5)
-    abelian = AlgebroidStructure(base, carrier, bracket_cap=4, anchor_cap=5)
+    abelian = AlgebroidStructure(base, carrier, bracket_cap=4)
     corpus["abelian.algebroid"] = abelian
 
     S, _, _ = conjugation_oracle_structure(Rng(36), mixed_module(base, [0, 1], seed=5), cap=4)

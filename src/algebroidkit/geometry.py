@@ -8,7 +8,10 @@ written in the split ambient frame and listed, one row each, in
 ``TENSOR_FAMILIES``: what each is indexed by, the letters and
 bidegree of its values, its weights and its degree shift.  Parsing,
 serialization, the constructor, the degree checks and the random generator
-all read that table.
+all read that table, and the constructor enforces it
+(``geometric_degree_problems``), so a model is one a model file could
+describe.  Every ambient-valued row has a tangent letter, so rule R (a
+tangent letter in every nabla_hat value word) holds on every model.
 
 The Rtan family is one map {p: tensor table} (``rtan_tables``): its
 weight-one member Rtan_1 is the dual Kodaira-Spencer tensor beta, the
@@ -37,16 +40,17 @@ The main constructions:
   listed on the grid words with at most one tangent letter only where they
   fail, each residual a difference of two rows built where they are read
   and kept nowhere; no check applies an operator, and the rows decide the
-  transport iterate by induction on its power.  This rests on rule R (a
-  tangent letter in every nabla_hat value word), which they check first;
-  the retraction has nothing left to decide after it.
+  transport iterate by induction on its power.  This rests on rule R;
+  after it the retraction is left with rho-dual o iota = id, which it
+  decides on the normal generators.
 * ``build_frakD``: the degree-1 derivation
 
       D = d0 + sum_{k>=2} Rperp_k + sum_{p>=1, q>=0} Rtan_p o Shape^q o nabla_perp
 
-  on the normal algebra, each Rtan o Shape^q series read as the one
-  substitution Rtan(sum_q Shape^q(start)), cut by the weight cap alone;
-  its square is reported, never assumed.
+  on the normal algebra: Kapranov's d0 + sum_k Rperp_k (``build_kapranov``,
+  the part the tangent tensors leave alone) plus each Rtan o Shape^q series
+  read as the one substitution Rtan(sum_q Shape^q(start)), cut by the
+  weight cap alone; its square is reported, never assumed.
 * ``structure_from_geometry``: the recursive anchors/brackets
 
       alpha_1 = beta,   alpha_n = Rtan_n + sum_{Sh(n-1,1)} Shape o (alpha_{n-1} x 1) o sigma
@@ -202,7 +206,8 @@ class GeometricModel(SplitFrame):
     ):
         """tensors: a table {index: SymElement} per family of
         ``TENSOR_FAMILIES`` by its name, a map {k: table} for a weighted one;
-        a missing family is zero."""
+        a missing family is zero.  A tensor that breaks its family's row is
+        refused (``geometric_degree_problems``, the first three problems)."""
         super().__init__(base, tangent, normal, cap)
         self.closed_beta = closed_beta
 
@@ -241,6 +246,9 @@ class GeometricModel(SplitFrame):
             raise KitError("curv_tan[1] is reserved: it is the beta tensor")
         if not self.dhat[base.unit].is_zero():  # dhat is a derivation: it kills the unit
             raise KitError(f"dhat on the unit {base.names[base.unit]!r} is not zero")
+        problems = geometric_degree_problems(self)
+        if problems:
+            raise DegreeError("; ".join(problems[:3]))
         # the Rtan family over the normal letters: beta is its weight-one member
         self.rtan_tables = {1: self.beta, **self.curv_tan}
 
@@ -263,8 +271,8 @@ class GeometricModel(SplitFrame):
             rtan_letters[i] = self.to_amb(v)
         self._rtan = DerivationD(self.amb, {}, rtan_letters, degree=1, check=False)
         # D1: nabla_hat with every value cut to its one-tangent-letter words;
-        # under rule R (``_require_rule_r``) P1 nabla_bar is P1 D1 on the
-        # words with at most one tangent letter
+        # under rule R P1 nabla_bar is P1 D1 on the words with at most one
+        # tangent letter
         self._d1 = DerivationD(self.amb, {b: self.p1(v) for b, v in self.dhat.items()},
                                {k: self.p1(v) for k, v in nabla_letters.items()}, degree=0, check=False)
 
@@ -323,12 +331,10 @@ class GeometricModel(SplitFrame):
     def nabla_bar(self, el: SymElement) -> SymElement:
         """Symmetrized covariant derivative with the 1/m output weighting:
         nabla_hat(el) with the coefficient of each word divided by its
-        tangent-letter count m.  An output word with m = 0 is refused."""
+        tangent-letter count m, which rule R makes at least 1."""
         out = {}
         for w, c in self._nabla_hat.apply(el).data.items():
             m = self.tangent_count(w)
-            if m == 0:
-                raise KitError("nabla_bar produced a word without tangent letters")
             out[w] = c if m == 1 else c.scale(Scalar.rational(1, m))
         return _normalized(self.amb, out)
 
@@ -409,8 +415,10 @@ def geometric_degree_problems(g: GeometricModel) -> List[str]:
 
 
 def validate_geometric_model(g: GeometricModel) -> List[str]:
+    """What a model's rows leave to check: dhat obeys the Leibniz rule, and
+    with ``closed_beta`` beta is closed.  The rows themselves hold on every
+    model (the constructor refuses ``geometric_degree_problems``)."""
     problems: List[str] = []
-    problems.extend(geometric_degree_problems(g))
     base = g.base
 
     # dhat Leibniz on all basis pairs
@@ -450,16 +458,16 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 
 # The three checks rest on rule R: every word of a nabla_hat value (dhat[b],
 # conn_tan[i] + shape[i], second_form[j] + gamma[j]) has a tangent letter.
-# The parser's bidegree rule implies R, and ``_require_rule_r`` refuses a
-# model that breaks it.  Let m count the tangent letters of a word.  Under R
-# nabla_hat never lowers m and raises it from 0, so every residual vanishes
-# on a grid word with m >= 2 (the commutator's even without R: the ambient
-# d0 maps such a word to words that keep a tangent letter), and the lemmas
-# live on the words with m <= 1 (``_slice``), each residual the difference
-# of two rows (``_difference``).  There P1 nabla_bar is P1 of the cut
-# derivation D1 (``GeometricModel._d1``), P1 nabla_bar^s is P1 nabla_bar of
-# P1 nabla_bar^(s-1), and P0 nabla_bar^s = 0: the rows of the slice are all
-# that any power of nabla_bar reads there.
+# Every ambient-valued row of ``TENSOR_FAMILIES`` has one in its bidegree
+# and the constructor enforces the rows, so R holds on every model.  Let m
+# count the tangent letters of a word.  Under R nabla_hat never lowers m and
+# raises it from 0, so every residual vanishes on a grid word with m >= 2
+# (the commutator's even without R: the ambient d0 maps such a word to words
+# that keep a tangent letter), and the lemmas live on the words with m <= 1
+# (``_slice``), each residual the difference of two rows (``_difference``).
+# There P1 nabla_bar is P1 of the cut derivation D1 (``GeometricModel._d1``),
+# P1 nabla_bar^s is P1 nabla_bar of P1 nabla_bar^(s-1), and P0 nabla_bar^s
+# = 0: the rows of the slice are all that any power of nabla_bar reads there.
 #
 # Both lemmas are identities between derivations, so each is decided on the
 # generator grid elements (``_generators``): e_b with the empty word, and
@@ -480,22 +488,6 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 #
 # The walk reads each row once, so it builds the row where it reads it (a
 # derivation's ``_row``) and keeps none.
-
-
-def _require_rule_r(g: GeometricModel) -> None:
-    """Refuse a model with a nabla_hat value word that has no tangent letter,
-    naming the generator and the word."""
-    nabla_hat = g.nabla_hat()
-    tables = (nabla_hat.on_algebra, nabla_hat.on_letters)
-    names = g.amb.letter_names
-    for slot, i, label, _ in g.amb.generators():
-        value = tables[slot].get(i)
-        if value is None:
-            continue
-        for w in value.data:
-            if not w or w[0] >= g.a:  # sorted: tangent letters come first
-                word = "*".join(names[k] for k in w) or "1"
-                raise KitError(f"nabla_hat value on {label} has the word {word} without tangent letters")
 
 
 def _grid(alg: SymAlgebra):
@@ -566,16 +558,19 @@ def _difference(alg: SymAlgebra, left: Row, right: Row) -> Optional[SymElement]:
 
 
 def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
-    """rho-dual o pi-tilde - id on a spanning set of the normal algebra: empty
-    once rule R holds, which is what this checks.
+    """rho-dual o pi-tilde - id on the normal algebra, as (generator,
+    residual) pairs; empty when the retraction holds.
 
-    Under rule R every nabla_bar iterate of a normal grid element has a
-    tangent letter in each word, so rho-dual kills it, and what is left,
-    rho-dual o iota = id, holds by construction: ``to_amb`` moves the normal
-    letters past the tangent ones and ``rho_dual`` keeps exactly those words
-    and moves them back."""
-    _require_rule_r(g)
-    return []
+    Under rule R every nabla_bar iterate of a normal element has a tangent
+    letter in each word, so rho-dual kills it, and what is left is
+    rho-dual o iota = id, iota = ``to_amb``.  Both maps are algebra maps, so
+    that is decided on the normal generators."""
+    out = []
+    for _, _, _, x in g.nor.generators():
+        back = g.rho_dual(g.to_amb(x))
+        if back != x:
+            out.append((repr(x), back - x))
+    return out
 
 
 def commutator_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
@@ -596,7 +591,6 @@ def commutator_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]
     +-e_b R(t) u, since rho-dual kills every other Leibniz term but those of
     u, and beta-tilde vanishes on the base and the normal letters.
     """
-    _require_rule_r(g)
     D0a = g.ambient_d0()
     D0n = g.normal_d0()
     beta = g._beta_tilde
@@ -631,7 +625,6 @@ def transport_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
     linearity and induction on s, and a failing iterate shows as a differing
     row.
     """
-    _require_rule_r(g)
 
     def residual_at(w: Word, m: int, b: int) -> Optional[SymElement]:
         right = g._nabla_perp if m == 0 else g._shape
@@ -661,56 +654,34 @@ def _tangent_series(g: GeometricModel, start: SymElement) -> SymElement:
     return g.rho_dual(g._rtan.apply(total))
 
 
-def build_frakD(g: GeometricModel) -> DerivationD:
-    """Assemble the normal-direction differential from the three families.
-
-    Both Rtan o Shape^q series stop at weight cap, where the algebra drops
-    every longer word: Shape keeps the one tangent letter of a word and
-    raises its weight by one, and Rtan_p replaces that letter by p normal
-    letters.  So the series from dhat on the base (weight-1 starts) keeps
-    p + q <= cap, and the one from Gamma on the normal letters (weight-2
-    starts) keeps p + q <= cap - 1, with no bound of its own."""
-    cap = g.cap
-    base = g.base
-    on_algebra: Dict[int, SymElement] = {}
-    for bidx in range(base.dim):
-        val = g.nor.scalar(base.differential_basis(bidx)) + _tangent_series(g, g.dhat[bidx])
-        if not val.is_zero():
-            on_algebra[bidx] = val
-
-    on_letters: Dict[int, SymElement] = {}
-    for j in range(g.b):
-        val = dual_differential_letter(g.nor, g.normal, j)
-        for k in sorted(g.curv_perp):
-            if k > cap:
-                continue
-            entry = g.curv_perp[k].get(j)
-            if entry is not None:
-                val = val + entry
-        val = val + _tangent_series(g, g.gamma[j])
-        if not val.is_zero():
-            on_letters[j] = val
-    return DerivationD(g.nor, on_algebra, on_letters, degree=1, check=True)
-
-
-def build_kapranov(
-    rlist: Mapping[int, Mapping[int, SymElement]],
-    tangent: FreeModule,
-    cap: int = 4,
-) -> DerivationD:
-    """The diagonal-regime differential d0 + sum_n R_n on the tangent algebra."""
-    alg = SymAlgebra.over_module(tangent, cap=cap)
-    D0 = d0_derivation(alg, tangent)
+def build_kapranov(g: GeometricModel) -> DerivationD:
+    """Kapranov's differential d0 + sum_k Rperp_k on the normal algebra: the
+    part of ``build_frakD`` that the tangent tensors leave alone, and all of
+    it in the diagonal regime."""
+    D0 = g.normal_d0()
     on_letters = dict(D0.on_letters)
-    for n, table in rlist.items():
-        if n < 2:
-            raise KitError("curvature components start at weight 2")
-        if n > cap:
-            continue
-        for i, el in table.items():
-            val = SymElement(alg, dict(el.items()))
-            on_letters[i] = on_letters.get(i, alg.zero()) + val
-    return DerivationD(alg, dict(D0.on_algebra), on_letters, degree=1, check=True)
+    for table in g.curv_perp.values():
+        for j, entry in table.items():
+            on_letters[j] = on_letters[j] + entry if j in on_letters else entry
+    return DerivationD(g.nor, D0.on_algebra, on_letters, degree=1, check=True)
+
+
+def build_frakD(g: GeometricModel) -> DerivationD:
+    """The normal-direction differential: Kapranov's d0 + sum_k Rperp_k
+    (``build_kapranov``) plus the two Rtan o Shape^q series, from dhat on the
+    base and from Gamma on the normal letters.
+
+    Both series stop at weight cap, where the algebra drops every longer
+    word: Shape keeps the one tangent letter of a word and raises its weight
+    by one, and Rtan_p replaces that letter by p normal letters.  So the
+    series from dhat (weight-1 starts) keeps p + q <= cap, and the one from
+    Gamma (weight-2 starts) keeps p + q <= cap - 1, with no bound of its
+    own."""
+    kapranov = build_kapranov(g)
+    zero = g.nor.zero()
+    on_algebra = {b: kapranov.on_algebra.get(b, zero) + _tangent_series(g, v) for b, v in g.dhat.items()}
+    on_letters = {j: kapranov.on_letters.get(j, zero) + _tangent_series(g, v) for j, v in g.gamma.items()}
+    return DerivationD(g.nor, on_algebra, on_letters, degree=1, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +798,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     """
     cap = g.cap
     base = g.base
-    S = AlgebroidStructure(base, g.normal, bracket_cap=cap, anchor_cap=cap + 1)
+    S = AlgebroidStructure(base, g.normal, bracket_cap=cap)
     degrees = g.normal.degrees
     shape = _contraction_rows(g, g.shape, g.tangent, ONE)
     gamma = _contraction_rows(g, g.gamma, g.normal, MINUS_ONE)

@@ -517,11 +517,8 @@ def morphism_residual(
     target brackets.  As in ``_unshuffle_sum``, partitions that give the same
     blocks of generators are counted with their signs and evaluated once;
     partitions into more blocks than ``target.max_bracket_arity()`` are
-    skipped, as the target bracket vanishes on them.  A target with an
-    ``arity_cap`` refuses n above it, as its bracket on n blocks would.
+    skipped, as the target bracket vanishes on them.
     """
-    if n > getattr(target, "arity_cap", n):
-        raise CapError(f"arity {n} exceeds cap {target.arity_cap}")
     carrier = L.carrier
     gens = [carrier.generator(i) for i in range(carrier.rank)]
     partitions = [

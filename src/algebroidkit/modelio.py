@@ -18,7 +18,9 @@ formats the path.  A value on the unit that the constructors would refuse
 (a product that breaks the unit law, a nonzero differential, anchor or
 dhat on the unit) is refused at its entry.  Names resolve through {name: index} maps, and the words
 of a tensor are sorted by ``_sort_word`` inside the weight cap, so the
-tensors are built without the checks of the public constructors.
+tensors are built without the checks of the public constructors.  The
+model constructor refuses a tensor that breaks its family's row, which is
+refused at $.tensors.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Any, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, BaseAlgebra, breaks_unit_law
 from .algebroid import AlgebroidStructure
-from .errors import ParseError
-from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily, geometric_degree_problems
+from .errors import DegreeError, ParseError
+from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily
 from .modules import FreeModule, ModuleElement
 from .scalars import Scalar
 from .signs import _sort_word
@@ -478,7 +480,7 @@ def parse_model(
         if "carrier" not in d:
             _refuse("missing field 'carrier'", "$")
         carrier, index = _parse_module(d["carrier"], "$.carrier", base, base_index, "L")
-        S = AlgebroidStructure(base, carrier, bracket_cap=arity_cap, anchor_cap=arity_cap + 1)
+        S = AlgebroidStructure(base, carrier, bracket_cap=arity_cap)
         seen = set()  # canonical keys: a reordered tuple names the same entry
         for k, item in enumerate(_list(d.get("brackets", []), "$.brackets")):
             if type(item) is not dict or item.keys() != _BRACKET:
@@ -545,13 +547,11 @@ def parse_model(
             for fam in TENSOR_FAMILIES
         }
         try:
-            model = GeometricModel(base, tangent, normal, cap=weight_cap, closed_beta=closed, **tables)
+            return GeometricModel(base, tangent, normal, cap=weight_cap, closed_beta=closed, **tables)
+        except DegreeError as exc:  # a tensor that breaks its family's row
+            raise ParseError(str(exc), "$.tensors") from None
         except Exception as exc:
             raise ParseError(str(exc), "$") from None
-        degree_problems = geometric_degree_problems(model)
-        if degree_problems:
-            _refuse("; ".join(degree_problems[:3]), "$.tensors")
-        return model
 
     _refuse(f"unknown kind {kind!r}", "$.kind")
 

@@ -5,6 +5,10 @@ pass, kept as test oracles.
   by explicit substitution of the single tangent letter, with the per-p
   bounds of the Rtan_p o Shape^q series: p <= cap - q from dhat on the base,
   p <= cap - 1 - q from Gamma on the normal letters.
+* ``oracle_build_kapranov(g)`` builds Kapranov's d0 + sum_k Rperp_k as the
+  diagonal-regime construction stood before it read the model: on a
+  symmetric algebra of its own over the normal module, each curvature value
+  copied over word by word.
 * ``oracle_structure_from_geometry(g)`` is the alpha/ell recursion with
   every generator map extended by ``multilinear_extend`` and summed as
   ``ModuleElement`` values position by position.
@@ -19,7 +23,7 @@ from algebroidkit.linfty import BracketTable
 from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys
-from algebroidkit.symtensor import SymElement, _word_constant
+from algebroidkit.symtensor import SymAlgebra, SymElement, _word_constant, d0_derivation
 
 Word = Tuple[int, ...]
 
@@ -84,6 +88,24 @@ def oracle_build_frakD(g) -> Tuple[Dict[int, SymElement], Dict[int, SymElement]]
     return on_algebra, on_letters
 
 
+def oracle_build_kapranov(g) -> Tuple[Dict[int, Dict[Word, object]], Dict[int, Dict[Word, object]]]:
+    """(on_algebra, on_letters) of d0 + sum_{2 <= k <= cap} Rperp_k as word
+    tables {index: {word: coefficient}}, zero values left out."""
+    alg = SymAlgebra.over_module(g.normal, cap=g.cap)
+    D0 = d0_derivation(alg, g.normal)
+    on_letters = dict(D0.on_letters)
+    for k, table in g.curv_perp.items():
+        assert k >= 2, k
+        if k > g.cap:
+            continue
+        for i, el in table.items():
+            on_letters[i] = on_letters.get(i, alg.zero()) + SymElement(alg, dict(el.items()))
+    return (
+        {b: v.data for b, v in D0.on_algebra.items()},
+        {i: v.data for i, v in on_letters.items() if not v.is_zero()},
+    )
+
+
 # -- the recursive structure -------------------------------------------------------------
 
 
@@ -119,7 +141,7 @@ def oracle_structure_from_geometry(g) -> AlgebroidStructure:
     and the anchors the dhat pairings of alpha_n, every pairing a
     ``multilinear_extend`` call of operator degree 0."""
     cap = g.cap
-    S = AlgebroidStructure(g.base, g.normal, bracket_cap=cap, anchor_cap=cap + 1)
+    S = AlgebroidStructure(g.base, g.normal, bracket_cap=cap)
     degrees = g.normal.degrees
     tangent_degrees = g.tangent.degrees
     shape = _contraction_table(g, g.shape, g.tangent, ONE)

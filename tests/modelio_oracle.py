@@ -17,8 +17,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from algebroidkit.algebra import AlgebraElement, BaseAlgebra
 from algebroidkit.algebroid import AlgebroidStructure
-from algebroidkit.errors import KitError, ParseError
-from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily, geometric_degree_problems
+from algebroidkit.errors import DegreeError, KitError, ParseError
+from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily
 from algebroidkit.modelio import SCHEMA
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import Scalar
@@ -287,7 +287,7 @@ def oracle_parse_model(
         if "carrier" not in d:
             raise ParseError("missing field 'carrier'", "$")
         carrier = _parse_module(d["carrier"], "$.carrier", base, "L")
-        S = AlgebroidStructure(base, carrier, bracket_cap=arity_cap, anchor_cap=arity_cap + 1)
+        S = AlgebroidStructure(base, carrier, bracket_cap=arity_cap)
         seen = set()  # canonical keys: a reordered tuple names the same entry
         for k, item in enumerate(_expect_list(d.get("brackets", []), "$.brackets")):
             e = _expect_dict(item, f"$.brackets[{k}]", ["arity", "args", "value"], ["arity", "args", "value"])
@@ -357,13 +357,11 @@ def oracle_parse_model(
             for fam in TENSOR_FAMILIES
         }
         try:
-            model = GeometricModel(base, tangent, normal, cap=weight_cap, closed_beta=closed, **tables)
+            return GeometricModel(base, tangent, normal, cap=weight_cap, closed_beta=closed, **tables)
+        except DegreeError as exc:  # the constructor's family-row check
+            raise ParseError(str(exc), "$.tensors") from None
         except Exception as exc:
             raise ParseError(str(exc), "$") from None
-        degree_problems = geometric_degree_problems(model)
-        if degree_problems:
-            raise ParseError("; ".join(degree_problems[:3]), "$.tensors")
-        return model
 
     raise ParseError(f"unknown kind {kind!r}", "$.kind")
 

@@ -59,7 +59,7 @@ from algebroidkit.symtensor import (
     mc_residual,
     square_components,
 )
-from geometry_oracle import oracle_build_frakD
+from geometry_oracle import oracle_build_frakD, oracle_build_kapranov
 from linfty_oracle import linfty_jacobi_residual
 
 
@@ -181,7 +181,7 @@ def all_residuals_empty(S):
 
 
 def copy_structure(S, with_anchors=True):
-    out = AlgebroidStructure(S.base, S.carrier, S.bracket_cap, S.anchor_cap)
+    out = AlgebroidStructure(S.base, S.carrier, S.bracket_cap)
     out.brackets = {n: dict(t) for n, t in S.brackets.items()}
     if with_anchors:
         out.anchors = {n: dict(t) for n, t in S.anchors.items()}
@@ -244,7 +244,7 @@ def test_criterion_3_ce_duality():
         carrier = mixed_module(base, degrees, seed=500 + trial)
         S = random_algebroid(rng, base, carrier, derivation_anchors=False)
         D = ce_differential(S, weight_cap=4)
-        if not structures_equal(S, extract_structure(D, carrier, 4, 5)):
+        if not structures_equal(S, extract_structure(D, carrier, 4)):
             ok = False
     # 25 random derivations: ce(extract(D)) == D
     for trial in range(25):
@@ -253,7 +253,7 @@ def test_criterion_3_ce_duality():
         degrees = [rng.randint(-1, 2) for _ in range(rank)]
         carrier = mixed_module(base, degrees, seed=600 + trial)
         D = random_ce_derivation(rng, base, carrier, cap=4)
-        S = extract_structure(D, carrier, bracket_cap=4, anchor_cap=5)
+        S = extract_structure(D, carrier, bracket_cap=4)
         D2 = ce_differential(S, weight_cap=4, algebra=D.algebra)
         if not derivations_equal(D, D2):
             ok = False
@@ -311,7 +311,7 @@ def test_criterion_4_conjugation_oracle():
                 ok = False
             if mc_residual(D0, D) != {}:
                 ok = False
-            S = extract_structure(D, carrier, bracket_cap=4, anchor_cap=5)
+            S = extract_structure(D, carrier, bracket_cap=4)
             if not all_residuals_empty(S):
                 ok = False
     announce(4, ok and count >= 25, f"{count} random filtered automorphisms over 3 base dgas: conjugates square to zero, extracted structures pass all residuals, Maurer-Cartan residual vanishes", time.perf_counter() - t0, 30)
@@ -366,17 +366,10 @@ def test_criterion_7_specializations():
     S_diag = structure_from_geometry(diagonal)
     if S_diag.anchors != {}:
         ok = False
-    D = build_frakD(diagonal)
-    DK = build_kapranov(diagonal.curv_perp, diagonal.normal, cap=diagonal.cap)
-    if set(D.on_letters) != set(DK.on_letters) or set(D.on_algebra) != set(DK.on_algebra):
-        ok = False
-    else:
-        for j, v in D.on_letters.items():
-            if v.data != DK.on_letters[j].data:
-                ok = False
-        for b, v in D.on_algebra.items():
-            if v.data != DK.on_algebra[b].data:
-                ok = False
+    kapranov = oracle_build_kapranov(diagonal)
+    for D in (build_frakD(diagonal), build_kapranov(diagonal)):
+        if ({b: v.data for b, v in D.on_algebra.items()}, {j: v.data for j, v in D.on_letters.items()}) != kapranov:
+            ok = False
     nilpotent = corpus["rank1_curved.geometric"]
     if square_components(build_frakD(nilpotent)) != {}:
         ok = False
@@ -385,7 +378,7 @@ def test_criterion_7_specializations():
     Dg = build_frakD(g)
     if (Dg.on_algebra, Dg.on_letters) != oracle_build_frakD(g):
         ok = False
-    announce(7, ok, "zero tensors give the bare differential; diagonal regime has no anchors and matches the tangent construction; nilpotent fixture squares to zero; base and letter actions reproduced term by term", time.perf_counter() - t0, 10)
+    announce(7, ok, "zero tensors give the bare differential; diagonal regime has no anchors and matches Kapranov's construction; nilpotent fixture squares to zero; base and letter actions reproduced term by term", time.perf_counter() - t0, 10)
 
 
 def test_criterion_8_negative_controls():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import re
 from pathlib import Path
@@ -34,9 +35,9 @@ from algebroidkit.fixtures import (
 )
 from algebroidkit.geometry import structure_from_geometry
 from algebroidkit.linfty import sorted_tuples
-from algebroidkit.modelio import parse_model
+from algebroidkit.modelio import parse_model, serialize_model
 from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, pair_dual
-from algebroidkit.scalars import Scalar, sign_scalar
+from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
     DerivationD,
@@ -100,7 +101,7 @@ def test_round_trip_structure_to_derivation():
             carrier = standard_module(base, rank=rng.randint(1, 2), seed=100 + trial)
             S = random_algebroid(rng, base, carrier, derivation_anchors=False)
             D = ce_differential(S, weight_cap=4)
-            S2 = extract_structure(D, carrier, bracket_cap=4, anchor_cap=5)
+            S2 = extract_structure(D, carrier, bracket_cap=4)
             assert structures_equal(S, S2)
 
 
@@ -315,10 +316,10 @@ def _result_or_refusal(residual, S, n):
 
 def test_leibniz_residual_matches_the_bracket_oracle():
     """The bracket-by-bracket residual is empty, or the same refusal, at
-    every arity up to one above both caps: on the shipped fixtures and on
-    drawn structures with derivation or free anchors, whose caps put either
-    one first or are both below the unary arity, which no cap refuses, and
-    on a carrier of rank 0, which has no tuple to refuse."""
+    every arity up to one above the anchor cap: on the shipped fixtures and
+    on drawn structures with derivation or free anchors, whose bracket cap
+    may be below the unary arity, which no cap refuses, and on a carrier of
+    rank 0, which has no tuple to refuse."""
     from algebroidkit.cli import _structure_of
     from algebroidkit.modelio import load_model
 
@@ -326,16 +327,16 @@ def test_leibniz_residual_matches_the_bracket_oracle():
     assert len(fixtures) == 8
     structures = [_structure_of(load_model(str(path))) for path in fixtures]
     base = lambda_eps()
-    structures.append(AlgebroidStructure(base, FreeModule(base, []), bracket_cap=2, anchor_cap=2))
+    structures.append(AlgebroidStructure(base, FreeModule(base, []), bracket_cap=2))
     rng = Rng(39)
-    for base, derivation_anchors, caps, _ in itertools.product(
-        sample_bases(), (True, False), ((4, 5), (4, 3), (3, 4), (2, 2), (0, 0)), range(3)
+    for base, derivation_anchors, cap, _ in itertools.product(
+        sample_bases(), (True, False), (4, 3, 2, 0), range(3)
     ):
         carrier = mixed_module(base, rng.choice(CE_DEGREES), seed=rng.randint(0, 4))
-        structures.append(random_algebroid(rng, base, carrier, *caps, derivation_anchors=derivation_anchors))
-    seen = {"empty": 0, "bracket": 0, "anchor": 0}
+        structures.append(random_algebroid(rng, base, carrier, cap, derivation_anchors=derivation_anchors))
+    seen = {"empty": 0, "bracket": 0}
     for S in structures:
-        for n in range(1, max(S.bracket_cap, S.anchor_cap) + 2):
+        for n in range(1, S.anchor_cap + 2):
             want = _result_or_refusal(oracle_leibniz_residual, S, n)
             assert _result_or_refusal(leibniz_residual, S, n) == want, (S.base.names, n)
             if isinstance(want, str):
@@ -444,18 +445,17 @@ def _outcome(f, *args):
     base_index=st.integers(0, 2),
     degrees=st.sampled_from([[0], [0, 1], [1, -1], [0, -1, 0], [1], [2, 1]]),
     derivation_anchors=st.booleans(),
-    anchor_cap=st.sampled_from([5, 3]),
+    bracket_cap=st.sampled_from([4, 2]),
     seed=st.integers(0, 2**16),
 )
-def test_bracket_matches_the_leibniz_peel(base_index, degrees, derivation_anchors, anchor_cap, seed):
+def test_bracket_matches_the_leibniz_peel(base_index, degrees, derivation_anchors, bracket_cap, seed):
     """The closed form equals the peel on inhomogeneous arguments of arity
-    1-4 and anchor_cap < n <= bracket_cap (where a non-unit coefficient
-    raises)."""
+    1-4, or both refuse the arity over the bracket cap."""
     rng = Rng(seed)
     base = sample_bases()[base_index]
     carrier = mixed_module(base, degrees, seed=seed % 5)
     S = random_algebroid(
-        rng, base, carrier, anchor_cap=anchor_cap, derivation_anchors=derivation_anchors
+        rng, base, carrier, bracket_cap=bracket_cap, derivation_anchors=derivation_anchors
     )
     for n in range(1, 5):
         for _ in range(4):
@@ -518,18 +518,18 @@ def oracle_ce_differential(S, weight_cap):
     return DerivationD(algebra, on_algebra, on_letters)
 
 
-def oracle_extract_structure(D, carrier, bracket_cap, anchor_cap):
+def oracle_extract_structure(D, carrier, bracket_cap):
     """``extract_structure`` by evaluating the components of D on every
     generator tuple (``_evaluate_parts``)."""
     algebra = D.algebra
     base = algebra.base
-    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
+    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
 
     def component_parts(component, n, count):
         parts = {i: component(n, i).homogeneous_parts() for i in range(count)}
         return {i: p for i, p in parts.items() if p}
 
-    for n in range(2, anchor_cap + 1):
+    for n in range(2, S.anchor_cap + 1):
         if n - 1 > algebra.cap:
             break
         on_algebra = component_parts(D.component_on_algebra, n - 1, base.dim)
@@ -595,22 +595,22 @@ def test_ce_differential_matches_the_evaluation_oracle(base_index, degrees, deri
     base_index=st.integers(0, 2),
     degrees=st.sampled_from(CE_DEGREES),
     derivation_anchors=st.booleans(),
-    caps=st.sampled_from([(4, 4, 5), (5, 4, 5), (4, 3, 4), (3, 2, 3)]),
+    caps=st.sampled_from([(4, 4), (5, 4), (4, 3), (3, 2)]),
     seed=st.integers(0, 2**16),
 )
 def test_extract_structure_matches_the_evaluation_oracle(base_index, degrees, derivation_anchors, caps, seed):
     """On the CE differential of a drawn structure and on free random word
     data, at caps above and below the weight cap."""
     rng, S = drawn_algebroid(base_index, degrees, derivation_anchors, seed)
-    weight_cap, bracket_cap, anchor_cap = caps
+    weight_cap, bracket_cap = caps
     carrier, base = S.carrier, S.base
     D = ce_differential(S, weight_cap=4)
     free = random_ce_derivation(rng, base, carrier, cap=weight_cap)
     for derivation in (D, free):
-        got = extract_structure(derivation, carrier, bracket_cap=bracket_cap, anchor_cap=anchor_cap)
-        want = oracle_extract_structure(derivation, carrier, bracket_cap, anchor_cap)
+        got = extract_structure(derivation, carrier, bracket_cap=bracket_cap)
+        want = oracle_extract_structure(derivation, carrier, bracket_cap)
         assert structures_equal(got, want)
-    assert structures_equal(extract_structure(D, carrier, bracket_cap=4, anchor_cap=5), S)
+    assert structures_equal(extract_structure(D, carrier, bracket_cap=4), S)
 
 
 def test_anchors_enter_only_the_base_values():
@@ -647,20 +647,48 @@ def test_extraction_refuses_a_nonzero_value_on_the_unit():
     message = f"^anchor on the unit {re.escape(repr(base.names[base.unit]))} is not zero$"
     for extract in (extract_structure, oracle_extract_structure):
         with pytest.raises(KitError, match=message):
-            extract(bad, carrier, 4, 5)
+            extract(bad, carrier, 4)
 
 
-def test_brackets_above_the_anchor_cap_enter_the_ce_differential():
-    """With bracket cap 4 over anchor cap 3, every 4-ary bracket is a word of
+def test_brackets_at_the_bracket_cap_enter_the_ce_differential():
+    """With bracket cap 4 at weight cap 4, every 4-ary bracket is a word of
     D(eta_i): the evaluation oracle and the round trip keep it."""
     rng = Rng(41)
     for base in sample_bases():
         carrier = mixed_module(base, [0, -1], seed=2)
-        S = random_algebroid(rng, base, carrier, bracket_cap=4, anchor_cap=3)
+        S = random_algebroid(rng, base, carrier, bracket_cap=4)
         assert S.brackets.get(4), base.names
         D = ce_differential(S, weight_cap=4)
         assert D == oracle_ce_differential(S, 4)
-        assert extract_structure(D, carrier, bracket_cap=4, anchor_cap=3) == S
+        assert extract_structure(D, carrier, bracket_cap=4) == S
+
+
+def test_an_algebroid_stores_anchors_one_arity_above_its_bracket_cap():
+    """One cap N: an anchor of arity N + 1 is stored, one of arity N + 2 is
+    refused with the text of the anchor cap N + 1."""
+    base = nontrivial_dga()
+    carrier = mixed_module(base, [0, 1], seed=1)
+    S = AlgebroidStructure(base, carrier, bracket_cap=3)
+    x = base.index_of("x")
+    e = base.from_names({"e": ONE})  # degree |g0 g0 g0| + |x| + 1 = 1
+    S.set_anchor(4, (0, 0, 0), x, e)
+    assert S.anchor_cap == 4 and S.anchors[4].lookup((0, 0, 0), x) == e
+    assert S.anchor(4, [carrier.generator(0)] * 3, base.basis_element(x)) == e
+    with pytest.raises(CapError, match="^anchor arity 5 outside 2..4$"):
+        S.set_anchor(5, (0, 0, 0, 0), x, e)
+
+
+def test_the_regression_model_of_the_anchor_residual_keeps_its_text():
+    """The accepted model whose anchor residual differs from D^2, drawn with
+    bracket cap 3, serializes to the text it had when drawn with bracket cap
+    3 and anchor cap 4 spelled out."""
+    base = nontrivial_dga()
+    carrier = mixed_module(base, [1, -1, 0], seed=7)
+    S = random_algebroid(Rng(1183), base, carrier, bracket_cap=3, derivation_anchors=True, density=0.9)
+    text = serialize_model(S)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "816adc1c5785589cdfbce205ddad34fffeaa6fdd37becb3911bbc9d0a1fbe79b"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -680,18 +708,18 @@ def oracle_algebroid_jacobi_residual(S, n):
     base_index=st.integers(0, 2),
     degrees=st.sampled_from(CE_DEGREES),
     derivation_anchors=st.booleans(),
-    caps=st.sampled_from([(4, 5), (3, 4), (2, 2), (0, 0)]),
+    cap=st.sampled_from([4, 3, 2, 0]),
     seed=st.integers(0, 2**16),
 )
-def test_jacobi_residual_matches_the_per_permutation_oracle(base_index, degrees, derivation_anchors, caps, seed):
+def test_jacobi_residual_matches_the_per_permutation_oracle(base_index, degrees, derivation_anchors, cap, seed):
     """The same residual, or the same refusal, at every arity up to one above
-    both caps, on drawn structures with derivation or free anchors and odd
-    letters."""
+    the anchor cap, on drawn structures with derivation or free anchors and
+    odd letters."""
     rng = Rng(seed)
     base = sample_bases()[base_index]
     carrier = mixed_module(base, degrees, seed=seed % 5)
-    S = random_algebroid(rng, base, carrier, *caps, derivation_anchors=derivation_anchors)
-    for n in range(1, max(caps) + 2):
+    S = random_algebroid(rng, base, carrier, cap, derivation_anchors=derivation_anchors)
+    for n in range(1, S.anchor_cap + 2):
         got = _result_or_refusal(lambda S, n: algebroid_jacobi_residual(S, [n])[n], S, n)
         assert got == _result_or_refusal(oracle_algebroid_jacobi_residual, S, n), n
 
@@ -718,13 +746,12 @@ def test_jacobi_residual_of_the_geometric_models_matches_the_oracle(workloads):
     assert failing > 0
 
 
-def test_jacobi_refuses_an_arity_over_a_cap_before_any_work(monkeypatch):
-    """Over the bracket cap, then (on a carrier with letters, above the unary
-    arity) over the anchor cap, before D is built."""
+def test_jacobi_refuses_an_arity_over_the_cap_before_any_work(monkeypatch):
+    """Over the bracket cap, before D is built."""
     base = nontrivial_dga()
-    empty = AlgebroidStructure(base, FreeModule(base, []), bracket_cap=4, anchor_cap=3)
+    empty = AlgebroidStructure(base, FreeModule(base, []), bracket_cap=4)
     assert algebroid_jacobi_residual(empty, [4]) == {4: {}}
-    S = random_algebroid(Rng(42), base, mixed_module(base, [0, 1], seed=1), bracket_cap=4, anchor_cap=3)
+    S = random_algebroid(Rng(42), base, mixed_module(base, [0, 1], seed=1), bracket_cap=4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started on a refused arity")
@@ -732,5 +759,3 @@ def test_jacobi_refuses_an_arity_over_a_cap_before_any_work(monkeypatch):
     monkeypatch.setattr(algebroid, "ce_differential", refuse)
     with pytest.raises(CapError, match="^bracket arity 5 exceeds cap 4$"):
         algebroid_jacobi_residual(S, [2, 5])
-    with pytest.raises(CapError, match="^anchor arity 4 exceeds cap 3$"):
-        algebroid_jacobi_residual(S, [1, 4])

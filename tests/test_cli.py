@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,22 @@ def test_jacobi_single_arity_flag(model_dir, capsys):
     assert run(["jacobi", model_dir / "perturbed.algebroid.json", "--arity", "2"]) == 0
     out = capsys.readouterr().out
     assert "jacobi[n=2]" in out and "n=3" not in out
+
+
+def test_jacobi_times_the_one_square_on_its_first_line(model_dir, capsys, monkeypatch):
+    """The one D^2 that every arity reads is timed on the first jacobi line;
+    each later line times only its own read."""
+    residual = cli.algebroid_jacobi_residual
+
+    def slow(S, arities):
+        time.sleep(0.05)
+        return residual(S, arities)
+
+    monkeypatch.setattr(cli, "algebroid_jacobi_residual", slow)
+    assert run(["jacobi", model_dir / "perturbed.algebroid.json"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if " jacobi[n=" in line]
+    times = [float(m.group(1)) if m else 0.0 for m in (re.search(r"\((\d+\.\d) ms\)$", line) for line in lines)]
+    assert len(times) == 4 and times[0] >= 50 and max(times[1:]) < 50, lines
 
 
 def test_roundtrip_and_lemmas_and_anchor(model_dir):

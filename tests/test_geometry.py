@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 
 from algebroidkit import algebroid, geometry, linfty, modules, symtensor
 from algebroidkit.algebroid import AlgebroidStructure, extract_structure
-from algebroidkit.errors import BaseMismatch, KitError
+from algebroidkit.cli import main
+from algebroidkit.errors import BaseMismatch, DegreeError, KitError, ParseError
 from algebroidkit.fixtures import (
     Rng,
     diagonal_model,
     eps_nilpotent_model,
+    fixture_corpus,
     kodaira_base,
     lambda_eps,
     mixed_module,
@@ -39,13 +42,13 @@ from algebroidkit.geometry import (
     transport_lemma_residual,
     validate_geometric_model,
 )
-from algebroidkit.modelio import load_model, parse_model
+from algebroidkit.modelio import load_model, parse_model, serialize_model
 from algebroidkit.linfty import BracketTable
 from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys, enumerate_unshuffles, sym_sign
-from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, evaluate, square_components
-from geometry_oracle import oracle_build_frakD, oracle_structure_from_geometry
+from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, d0_derivation, evaluate, square_components
+from geometry_oracle import oracle_build_frakD, oracle_build_kapranov, oracle_structure_from_geometry
 from symtensor_oracle import derivation_sum
 
 
@@ -56,10 +59,7 @@ def _spanning(alg):
 
 def pi_tilde(g, mu):
     """Sum of iterated symmetrized derivatives, truncated at the weight cap:
-    mu + sum_{k = 1..cap} nabla_bar^k(mu), iterated on the whole element.
-
-    nabla_bar's KitError is raised when an iterate of mu has a word without
-    tangent letters."""
+    mu + sum_{k = 1..cap} nabla_bar^k(mu), iterated on the whole element."""
     power = total = g.to_amb(mu)
     for _ in range(g.cap):
         power = g.nabla_bar(power)
@@ -154,13 +154,13 @@ def test_nabla_bar_single_normal_letter():
     Tm = FreeModule(base, [("t0", 0)], name="Tm")
     Nm = FreeModule(base, [("n0", 0)], name="Nm")
     probe = GeometricModel(base, Tm, Nm, cap=3)
-    e = base.from_names({"e": ONE})
+    x = base.from_names({"x": ONE})
     gamma = {0: SymElement(probe.amb, {(0, 1): base.one()})}
-    second = {0: SymElement(probe.amb, {(0, 0): e})}
+    second = {0: SymElement(probe.amb, {(0, 0): x})}
     g = GeometricModel(base, Tm, Nm, cap=3, gamma=gamma, second_form=second)
     out = g.nabla_bar(g.amb.letter(1))
     want = SymElement(
-        g.amb, {(0, 1): base.one(), (0, 0): e.scale(Scalar(Fraction(1, 2)))}
+        g.amb, {(0, 1): base.one(), (0, 0): x.scale(Scalar(Fraction(1, 2)))}
     )
     assert out == want
 
@@ -444,59 +444,61 @@ def test_frakd_square_random_localizes():
 # -- Kapranov regime ----------------------------------------------------------------
 
 
+def kapranov_model(base, normal, curv_perp=None):
+    """Kapranov's regime as a model at cap 4: no tangent letters, and the
+    curvature R_n stored as Rperp_n."""
+    return GeometricModel(base, FreeModule(base, [], name="Tm"), normal, cap=4, curv_perp=curv_perp or {})
+
+
 def test_kapranov_zero_curvature_is_d0():
     base = nontrivial_dga()
-    Tm = mixed_module(base, [0, 1], prefix="t", seed=2)
-    from algebroidkit.symtensor import d0_derivation
-
-    D = build_kapranov({}, Tm, cap=4)
-    alg = D.algebra
-    assert D == d0_derivation(alg, Tm)
+    Nm = mixed_module(base, [0, 1], prefix="n", seed=2)
+    D = build_kapranov(kapranov_model(base, Nm))
+    assert D == d0_derivation(D.algebra, Nm)
 
 
 def test_kapranov_eps_nilpotent_squares_to_zero():
     base = lambda_eps()
-    Tm = FreeModule(base, [("t0", 0)], name="Tm")
-    alg = SymAlgebra.over_module(Tm, cap=4)
+    Nm = FreeModule(base, [("n0", 0)], name="Nm")
+    alg = SymAlgebra.over_module(Nm, cap=4)
     e = base.from_names({"e": ONE})
     r2 = SymElement(alg, {(0, 0): e})
-    D = build_kapranov({2: {0: r2}}, Tm, cap=4)
+    D = build_kapranov(kapranov_model(base, Nm, {2: {0: r2}}))
     assert square_components(D) == {}
 
 
 def test_kapranov_square_sees_bianchi_defect():
     """d_A-noncompatible curvature shows up in the square at weight shift 1."""
     base = kodaira_base()
-    Tm = FreeModule(base, [("t0", 0)], name="Tm")
-    alg = SymAlgebra.over_module(Tm, cap=4)
+    Nm = FreeModule(base, [("n0", 0)], name="Nm")
+    alg = SymAlgebra.over_module(Nm, cap=4)
     c = base.from_names({"e|1": ONE})  # d(e|1) = 1|u != 0
     r2 = SymElement(alg, {(0, 0): c})
-    D = build_kapranov({2: {0: r2}}, Tm, cap=4)
+    D = build_kapranov(kapranov_model(base, Nm, {2: {0: r2}}))
     sq = square_components(D)
     assert sq and min(sq) == 1
 
 
+def _word_tables(D):
+    return {b: v.data for b, v in D.on_algebra.items()}, {j: v.data for j, v in D.on_letters.items()}
+
+
 def test_diagonal_regime_matches_kapranov():
+    """In the diagonal regime (beta = shape = 0, only Rperp) the assembled
+    differential is Kapranov's; both match d0 + sum_k Rperp_k built on an
+    algebra of its own, and on a model with tangent tensors Kapranov's part
+    reads none of them."""
     rng = Rng(41)
     g = diagonal_model(rng, nontrivial_dga(), [0, 1], cap=4)
-    assert g.beta == {i: g.nor.zero() for i in range(g.a)} or all(
-        v.is_zero() for v in g.beta.values()
-    )
-    D = build_frakD(g)
-    rlist = {
-        k: {j: v for j, v in table.items()} for k, table in g.curv_perp.items()
-    }
-    DK = build_kapranov(rlist, g.normal, cap=g.cap)
-    # same module shape: letter tables must agree index-by-index
-    assert set(D.on_letters) == set(DK.on_letters)
-    for j, v in D.on_letters.items():
-        assert v.data == DK.on_letters[j].data
-    assert set(D.on_algebra) == set(DK.on_algebra)
-    for bidx, v in D.on_algebra.items():
-        assert v.data == DK.on_algebra[bidx].data
+    assert all(v.is_zero() for v in g.beta.values())
+    assert g.curv_perp
+    want = oracle_build_kapranov(g)
+    assert _word_tables(build_frakD(g)) == _word_tables(build_kapranov(g)) == want
     # anchors of the emitted structure vanish
     S = structure_from_geometry(g)
     assert S.anchors == {}
+    g = fixture_corpus()["rank2.geometric"]
+    assert _word_tables(build_kapranov(g)) == oracle_build_kapranov(g) != _word_tables(build_frakD(g))
 
 
 # -- central duality ----------------------------------------------------------------
@@ -568,7 +570,7 @@ def _oracle_structure(g):
                 val = val + term.scale(Scalar(sym_sign(sigma, degs)))
         return val
 
-    S = AlgebroidStructure(g.base, g.normal, bracket_cap=g.cap, anchor_cap=g.cap + 1)
+    S = AlgebroidStructure(g.base, g.normal, bracket_cap=g.cap)
     alpha_tables = {}
     for n in range(1, g.cap + 1):
         alpha = alpha_tables[n] = BracketTable(g.normal.degrees)
@@ -713,7 +715,7 @@ def test_structure_matches_extraction_on_integrable_model():
     g = eps_nilpotent_model()
     D = build_frakD(g)
     S_geo = structure_from_geometry(g)
-    S_ext = extract_structure(D, g.normal, bracket_cap=g.cap, anchor_cap=g.cap + 1)
+    S_ext = extract_structure(D, g.normal, bracket_cap=g.cap)
     assert set(S_geo.brackets) == set(S_ext.brackets)
     for n in S_geo.brackets:
         assert S_geo.brackets[n].keys() == S_ext.brackets[n].keys()
@@ -897,9 +899,7 @@ def _lemma_models(workloads):
 def test_lemma_checks_match_the_full_grid_oracles(workloads):
     """The slice walk and the row differences give the labels, values and
     order of the full-grid checks: on the shipped and generated models, with
-    a bumped ambient beta and doubled shape data, and on models whose Gamma
-    or dhat has a word with two tangent letters (the nabla_perp rows keep
-    that word, the P1 left side drops it)."""
+    a bumped ambient beta and doubled shape data."""
     entries = {}
     for name, g in _lemma_models(workloads).items():
         assert retraction_residual(g) == oracle_retraction_residual(g), name
@@ -914,13 +914,6 @@ def test_lemma_checks_match_the_full_grid_oracles(workloads):
         entries[name, "shape"], _ = transport_against_the_oracle(g, doubled)
     assert all(entries[name, "beta"] for name, _ in entries), entries
     assert sum(entries[key] for key in entries if key[1] == "shape") > 0, entries
-
-    # a Gamma word, and a dhat word, with two tangent letters
-    for tensors, counts in (({"gamma": {0: {(0, 0, 1): 1}}}, (4, 4)), ({"dhat": {1: {(0, 0): 1}}}, (2, 2))):
-        g = _one_by_one_model(3, **tensors)
-        assert transport_against_the_oracle(g) == counts
-        assert retraction_residual(g) == oracle_retraction_residual(g) == []
-        assert commutator_lemma_residual(g) == oracle_commutator_lemma_residual(g)
 
 
 def test_normal_projection_is_a_left_inverse_of_the_inclusion(workloads):
@@ -937,14 +930,44 @@ def test_normal_projection_is_a_left_inverse_of_the_inclusion(workloads):
             assert g.rho_dual(g.to_amb(el)) == el, (name, el)
 
 
-def test_lemma_checks_refuse_a_nabla_hat_word_without_tangent_letters():
-    """Rule R: a Gamma word with normal letters only makes each lemma check
-    raise, naming the generator and the word."""
-    g = _one_by_one_model(3, gamma={0: {(1, 1): 1}})
-    for check in (retraction_residual, commutator_lemma_residual, transport_lemma_residual):
-        with pytest.raises(KitError) as err:
-            check(g)
-        assert str(err.value) == "nabla_hat value on n0^ has the word n0^*n0^ without tangent letters"
+def test_model_refuses_a_gamma_word_without_tangent_letters():
+    """Rule R holds on every model: a Gamma word with normal letters only
+    breaks Gamma's row, and the constructor refuses it with the text the
+    parser gives at $.tensors."""
+    message = "gamma[0] has a word of bidegree (0, 2)"
+    with pytest.raises(DegreeError) as err:
+        _one_by_one_model(3, gamma={0: {(1, 1): 1}})
+    assert str(err.value) == message
+    doc = json.loads(serialize_model(_one_by_one_model(3)))
+    one = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+    word = {"word": ["n0^", "n0^"], "terms": [{"basis": "1", "coeff": one}]}
+    doc["tensors"] = {"gamma": [{"letter": "n0^", "value": [word]}]}
+    with pytest.raises(ParseError) as err:
+        parse_model(json.dumps(doc))
+    assert (str(err.value), err.value.location) == (f"{message} (at $.tensors)", "$.tensors")
+
+
+def test_retraction_line_reports_a_to_amb_that_drops_a_letter(monkeypatch, capsys):
+    """The retraction check decides rho-dual o iota = id on the normal
+    generators: with iota patched to drop the first normal letter, the
+    lemmas line of the retraction fails on that letter alone."""
+    g = fixture_corpus()["rank2.geometric"]
+    assert retraction_residual(g) == []
+    original = GeometricModel.to_amb
+
+    def dropping(self, el):
+        return SymElement(self.amb, {w: c for w, c in original(self, el).items() if self.a not in w})
+
+    monkeypatch.setattr(GeometricModel, "to_amb", dropping)
+    n0 = g.nor.letter(0)
+    assert retraction_residual(g) == [(repr(n0), -n0)]
+    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "rank2.geometric.json"
+    assert main(["lemmas", str(fixture)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    head = next(i for i, line in enumerate(lines) if "retraction" in line)
+    assert lines[head].startswith("[FAIL] retraction: ")
+    assert lines[head + 1] == "       residual @ [(1)*1|1]n0^: weight=1 word=n0^ coeff=(-1)*1|1"
+    assert not lines[head + 2].startswith("       residual")
 
 
 def test_lemma_checks_keep_no_rows(monkeypatch):
@@ -1069,18 +1092,9 @@ def test_generator_pass_matches_the_slice_walk_on_random_models(base, tangent, n
 
 
 def test_generator_pass_matches_the_slice_walk_on_fixed_models():
-    """The same on a Gamma or dhat word with two tangent letters (the
-    nabla_perp rows keep it, the P1 left side drops it: only the slice
-    walk lists where) and on the model with two odd normal letters."""
-    models = {
-        "gamma": _one_by_one_model(3, gamma={0: {(0, 0, 1): 1}}),
-        "dhat": _one_by_one_model(3, dhat={1: {(0, 0): 1}}),
-        "two-odd-normals": _two_odd_normals_model(),
-    }
-    counts = {name: lemmas_against_the_slice_walk(g) for name, g in models.items()}
-    assert counts["gamma"][2] == 4 and counts["dhat"][2] == 2, counts
-    two_odd = counts["two-odd-normals"]
-    assert two_odd[0] == two_odd[2] == 0 and two_odd[1] > 0 and two_odd[3] > 0, counts
+    """The same on the model with two odd normal letters."""
+    two_odd = lemmas_against_the_slice_walk(_two_odd_normals_model())
+    assert two_odd[0] == two_odd[2] == 0 and two_odd[1] > 0 and two_odd[3] > 0, two_odd
 
 
 def test_passing_lemmas_build_one_row_per_generator_on_each_side(workloads, monkeypatch):

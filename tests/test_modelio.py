@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.algebra import BaseAlgebra
-from algebroidkit.errors import ParseError
+from algebroidkit import modelio
+from algebroidkit.errors import DegreeError, ParseError
 from algebroidkit.fixtures import (
     Rng,
     fixture_corpus,
@@ -369,6 +370,28 @@ def test_tensor_fault_message_and_path(case):
     with pytest.raises(ParseError) as err:
         parse_model(_with_tensor(path, value))
     assert (str(err.value), err.value.location) == (f"{message} (at {location})", location)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case, fault in TENSOR_FAULTS.items() if fault[3] == "$.tensors"), ids="/".join
+)
+def test_model_constructor_refuses_a_tensor_fault_with_the_parser_text(case, monkeypatch):
+    """The constructor enforces the family rows: handed the tensors that the
+    parser reads from a file with a row fault, it refuses them with the text
+    the parser gives at $.tensors."""
+    path, value, message, _ = TENSOR_FAULTS[case]
+    captured = {}
+
+    def capture(*args, **kwargs):
+        captured.update(args=args, kwargs=kwargs)
+        raise RuntimeError("arguments captured")
+
+    monkeypatch.setattr(modelio, "GeometricModel", capture)
+    with pytest.raises(ParseError):
+        parse_model(_with_tensor(path, value))
+    with pytest.raises(DegreeError) as err:
+        GeometricModel(*captured["args"], **captured["kwargs"])
+    assert str(err.value) == message
 
 
 # -- duplicate entries ----------------------------------------------------------------

@@ -11,7 +11,7 @@ with witnesses instead of raising.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BaseMismatch, DegreeError, KitError
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, sign_scalar
@@ -263,6 +263,39 @@ def breaks_unit_law(unit: int, i: int, j: int, coeffs: Mapping[int, Scalar]) -> 
     return unit in (i, j) and nonzero != {j if i == unit else i: ONE}
 
 
+def _degree_problem(label: str, value, want: int) -> Optional[str]:
+    """The degree fault of value, which should have degree want, as one
+    message about label, or None.  A zero value has no degree and passes.
+    Every degree check of the kit goes through here."""
+    try:
+        got = value.degree()
+    except DegreeError:
+        return f"{label} is not homogeneous"
+    if got is not None and got != want:
+        return f"{label} has degree {got}, expected {want}"
+    return None
+
+
+def _leibniz_failures(base: BaseAlgebra, values: Sequence, degree: int, lift: Callable) -> List[Tuple[int, int]]:
+    """The basis pairs (i, j) on which the degree-``degree`` map P given by
+    its basis values (values[i] = P(e_i)) breaks the Leibniz rule
+
+        P(e_i e_j) = P(e_i) e_j + (-1)^{degree |e_i|} e_i P(e_j),
+
+    the values living where lift sends the base."""
+    failures = []
+    zero = lift(base.zero())
+    for i in range(base.dim):
+        e_i = lift(base.basis_element(i).scale(sign_scalar(degree * base.degrees[i])))
+        for j in range(base.dim):
+            lhs = zero
+            for k, c in base.product_basis(i, j).items():
+                lhs = lhs + values[k].scale(c)
+            if lhs != values[i] * lift(base.basis_element(j)) + e_i * values[j]:
+                failures.append((i, j))
+    return failures
+
+
 def validate_base_algebra(algebra: BaseAlgebra) -> list[str]:
     """Check the BaseAlgebra invariants the constructor does not refuse;
     returns a list of violation strings."""
@@ -274,15 +307,9 @@ def validate_base_algebra(algebra: BaseAlgebra) -> list[str]:
     for i in range(n):
         for j in range(n):
             prod = algebra.product_basis(i, j)
-            try:
-                pd = prod.degree()
-            except DegreeError:
-                problems.append(f"product {names[i]}*{names[j]} is not homogeneous")
-                continue
-            if pd is not None and pd != degs[i] + degs[j]:
-                problems.append(
-                    f"product {names[i]}*{names[j]} has degree {pd}, expected {degs[i] + degs[j]}"
-                )
+            problem = _degree_problem(f"product {names[i]}*{names[j]}", prod, degs[i] + degs[j])
+            if problem:
+                problems.append(problem)
             flipped = algebra.product_basis(j, i).scale(sign_scalar(degs[i] * degs[j]))
             if prod != flipped:
                 problems.append(f"graded commutativity fails on ({names[i]}, {names[j]})")
@@ -297,25 +324,15 @@ def validate_base_algebra(algebra: BaseAlgebra) -> list[str]:
                         f"associativity fails on ({names[i]}, {names[j]}, {names[k]})"
                     )
 
-    for i in range(n):
-        di = algebra.differential_basis(i)
-        if not di.is_zero():
-            try:
-                dd = di.degree()
-            except DegreeError:
-                problems.append(f"d({names[i]}) is not homogeneous")
-                dd = None
-            if dd is not None and dd != degs[i] + 1:
-                problems.append(f"d({names[i]}) has degree {dd}, expected {degs[i] + 1}")
+    differentials = [algebra.differential_basis(i) for i in range(n)]
+    for i, di in enumerate(differentials):
+        problem = _degree_problem(f"d({names[i]})", di, degs[i] + 1)
+        if problem:
+            problems.append(problem)
         if not di.d().is_zero():
             problems.append(f"d^2 != 0 on {names[i]}")
 
-    for i in range(n):
-        for j in range(n):
-            lhs = algebra.product_basis(i, j).d()
-            rhs = algebra.differential_basis(i) * algebra.basis_element(j)
-            rhs = rhs + algebra.basis_element(i).scale(sign_scalar(degs[i])) * algebra.differential_basis(j)
-            if lhs != rhs:
-                problems.append(f"Leibniz fails on ({names[i]}, {names[j]})")
+    for i, j in _leibniz_failures(algebra, differentials, 1, lambda a: a):
+        problems.append(f"Leibniz fails on ({names[i]}, {names[j]})")
 
     return problems

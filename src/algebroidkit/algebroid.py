@@ -38,15 +38,18 @@ generators and 0 on those of any other word, so every coefficient of D is
 one bracket or anchor entry times a sign over kappa(w), and back.  The two
 are exact mutual inverses on canonical tables.  D squares to zero exactly
 when the tables form an L-infinity algebroid, and ``algebroid_jacobi_residual``
-reads the higher Jacobi residuals off D^2 on the letters.
+reads the higher Jacobi residuals off D^2 on the letters.  The read of a
+module value off letter words is written once, ``_letter_transpose``: the
+brackets of ``extract_structure``, those residuals and the curvature terms
+of ``geometry.structure_from_geometry`` all go through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra
-from .errors import BaseMismatch, CapError, DegreeError, KitError
+from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
+from .errors import BaseMismatch, CapError, KitError
 from .linfty import (
     AlgebraDerivation,
     LInftyMorphism,
@@ -55,8 +58,8 @@ from .linfty import (
     morphism_residual,
     same_tables,
 )
-from .modules import FreeModule, ModuleElement, _koszul_twist, from_dual_values, multilinear_extend
-from .scalars import sign_scalar
+from .modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
+from .scalars import Scalar, sign_scalar
 from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
@@ -200,32 +203,20 @@ class AlgebroidStructure:
 
     def degree_problems(self) -> List[str]:
         """Degree bookkeeping of the stored tables (structural validity)."""
-        problems: List[str] = []
         base = self.base
-        carrier = self.carrier
-        for n, table in self.brackets.items():
-            for key, val in table.items():
-                want = sum(carrier.degrees[i] for i in key) + 1
-                try:
-                    got = val.degree()
-                except DegreeError:
-                    problems.append(f"bracket {n} at {key} inhomogeneous")
-                    continue
-                if got is not None and got != want:
-                    problems.append(f"bracket {n} at {key} degree {got}, expected {want}")
-        for n, table in self.anchors.items():
-            for (key, b), val in table.items():
-                want = sum(carrier.degrees[i] for i in key) + base.degrees[b] + 1
-                try:
-                    got = val.degree()
-                except DegreeError:
-                    problems.append(f"anchor {n} at {key}|{base.names[b]} inhomogeneous")
-                    continue
-                if got is not None and got != want:
-                    problems.append(
-                        f"anchor {n} at {key}|{base.names[b]} degree {got}, expected {want}"
-                    )
-        return problems
+        degrees = self.carrier.degrees
+        problems = [
+            _degree_problem(f"bracket {n} at {key}", val, sum(degrees[i] for i in key) + 1)
+            for n, table in self.brackets.items()
+            for key, val in table.items()
+        ] + [
+            _degree_problem(
+                f"anchor {n} at {key}|{base.names[b]}", val, sum(degrees[i] for i in key) + base.degrees[b] + 1
+            )
+            for n, table in self.anchors.items()
+            for (key, b), val in table.items()
+        ]
+        return [p for p in problems if p]
 
     def validate(self) -> List[str]:
         problems: List[str] = list(self.degree_problems())
@@ -264,7 +255,7 @@ def _add_to(table: Dict, outer, inner, value: AlgebraElement) -> None:
     slot[inner] = value if old is None else old + value
 
 
-def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optional[SymAlgebra] = None) -> DerivationD:
+def ce_differential(S: AlgebroidStructure, weight_cap: int = 4) -> DerivationD:
     """The degree-1 derivation encoding all brackets and anchors of S.
 
     Every coefficient is read off one table entry.  A word w evaluates to
@@ -288,10 +279,7 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
             f"weight cap {weight_cap} too small for bracket arity "
             f"{S.max_bracket_arity()} / anchor arity {S.max_anchor_arity()}"
         )
-    if algebra is None:
-        algebra = SymAlgebra.over_module(carrier, cap=weight_cap)
-    elif algebra.cap != weight_cap:
-        raise CapError("algebra cap does not match requested weight cap")
+    algebra = SymAlgebra.over_module(carrier, cap=weight_cap)
     W = weight_cap
     degrees = carrier.degrees
 
@@ -319,6 +307,52 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4, algebra: Optiona
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg: derivation -> structure
 # ---------------------------------------------------------------------------
+
+
+# A coefficient table {index: {basis index: Scalar}} holds one module or
+# algebra value while its terms are summed; it becomes one ModuleElement or
+# AlgebraElement when complete.
+Coefficients = Dict[int, Dict[int, Scalar]]
+
+
+def _letter_transpose(
+    alg: SymAlgebra,
+    table: Mapping[int, SymElement],
+    degrees: Sequence[int],
+    exponents: Sequence[int],
+    weights: Container[int],
+) -> Dict[GenKey, Coefficients]:
+    """{word: {letter: {basis index: Scalar}}}: the module values that the
+    words of table (table[i] paired with module generator i, of degree
+    degrees[i]) take on the generators, for every word of a weight in weights.
+
+    A word w takes the value kappa(w) on its own generators and 0 on those
+    of any other word (``symtensor._word_constant``), so one pass over the
+    stored words reads them: the coefficient x e_b of w in table[i] gives
+
+        out[w][i][b] = (-1)^{exponents[i] + |e_b| degrees[i]} kappa(w) x,
+
+    exponents[i] being the sign of the read at letter i and (-1)^{|e_b||g_i|}
+    the ``from_dual_values`` twist of the basis element e_b.
+    """
+    base_degrees = alg.base.degrees
+    out: Dict[GenKey, Coefficients] = {}
+    for i, el in table.items():
+        degree = degrees[i]
+        for w, c in el.data.items():
+            if len(w) not in weights:
+                continue
+            scale = _word_constant(alg, w) * sign_scalar(exponents[i])
+            out.setdefault(w, {})[i] = {
+                b: -x * scale if base_degrees[b] * degree & 1 else x * scale for b, x in c.coeffs
+            }
+    return out
+
+
+def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
+    """The element of module with the coefficients of acc."""
+    base = module.base
+    return ModuleElement(module, {i: AlgebraElement(base, coeffs) for i, coeffs in acc.items()})
 
 
 def extract_structure(
@@ -353,28 +387,19 @@ def extract_structure(
     S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
     degrees = carrier.degrees
 
-    def read(el: SymElement, w: GenKey) -> AlgebraElement:
-        return el.data[w].scale(_word_constant(algebra, w))
-
     anchors = []
     for b, el in D.on_algebra.items():
-        for w in el.data:
+        for w, c in el.data.items():
             if 1 <= len(w) <= bracket_cap:
-                exponent = base.degrees[b] * sum(degrees[i] for i in w)
-                anchors.append((len(w) + 1, w, b, read(el, w).scale(sign_scalar(exponent))))
+                scale = _word_constant(algebra, w) * sign_scalar(base.degrees[b] * sum(degrees[i] for i in w))
+                anchors.append((len(w) + 1, w, b, c.scale(scale)))
     for n, w, b, value in sorted(anchors, key=lambda e: e[:3]):
         S.set_anchor(n, w, b, value)
 
-    top = min(bracket_cap, algebra.cap)
-    paired: Dict[GenKey, Dict[int, AlgebraElement]] = {}
-    for i, el in D.on_letters.items():
-        for w in el.data:
-            if 2 <= len(w) <= top:
-                _add_to(paired, w, i, -read(el, w))
-    for w in sorted(paired, key=lambda w: (len(w), w)):
-        value = from_dual_values(
-            carrier, {i: v.scale(sign_scalar(degrees[i])) for i, v in paired[w].items()}
-        )
+    weights = range(2, min(bracket_cap, algebra.cap) + 1)
+    values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], weights)
+    for w in sorted(values, key=lambda w: (len(w), w)):
+        value = _module_value(carrier, values[w])
         if not value.is_zero():
             S.set_bracket(len(w), w, value)
     return S
@@ -408,14 +433,9 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
         return out
     D = ce_differential(S, max(max(out), S.max_bracket_arity(), S.max_anchor_arity() - 1))
     algebra = D.algebra
-    paired: Dict[GenKey, Dict[int, AlgebraElement]] = {}
-    for i in range(carrier.rank):
-        for w, c in D.apply(D.apply(algebra.letter(i))).data.items():
-            if len(w) in out:
-                value = _koszul_twist(c.scale(_word_constant(algebra, w)), carrier.degrees[i])
-                paired.setdefault(w, {})[i] = -value
-    for w, values in paired.items():
-        out[len(w)][w] = ModuleElement(carrier, values)
+    squares = {i: D.apply(D.apply(algebra.letter(i))) for i in range(carrier.rank)}
+    for w, values in _letter_transpose(algebra, squares, carrier.degrees, [1] * carrier.rank, out).items():
+        out[len(w)][w] = _module_value(carrier, values)
     return out
 
 

@@ -18,7 +18,7 @@ from .linfty import LInftyAlgebra, algebra_derivation_basis
 from .modelio import serialize_model
 from .modules import FreeModule, ModuleElement
 from .scalars import ONE, Scalar, sign_scalar
-from .signs import _nonvanishing_keys
+from .signs import _nonvanishing_keys, _sort_word
 from .symtensor import (
     DerivationD,
     FilteredAutomorphism,
@@ -57,20 +57,14 @@ def exterior_base(generators: Sequence[Tuple[str, int]]) -> BaseAlgebra:
     def label(s):
         return "*".join(generators[i][0] for i in s) if s else "1"
 
-    basis = [(label(s), sum(generators[i][1] for i in s)) for s in subsets]
+    degrees = [deg for _, deg in generators]
+    basis = [(label(s), sum(degrees[i] for i in s)) for s in subsets]
     products = {}
     for s1 in subsets:
         for s2 in subsets:
             if set(s1) & set(s2):
                 continue
-            merged = tuple(sorted(s1 + s2))
-            # sign: sort the concatenation, generators all odd
-            perm = list(s1 + s2)
-            exponent = 0
-            for i in range(len(perm)):
-                for j in range(i + 1, len(perm)):
-                    if perm[i] > perm[j]:
-                        exponent += generators[perm[i]][1] * generators[perm[j]][1]
+            merged, exponent = _sort_word(degrees, s1 + s2)
             products[(index[s1], index[s2])] = {index[merged]: sign_scalar(exponent)}
     return BaseAlgebra(basis, unit=index[()], products=products)
 
@@ -97,12 +91,12 @@ def truncated_poly(name: str = "u", degree: int = 2, power: int = 2) -> BaseAlge
     return BaseAlgebra(basis, unit=0, products=products)
 
 
-def tensor_base(a: BaseAlgebra, b: BaseAlgebra, sep: str = "|") -> BaseAlgebra:
+def tensor_base(a: BaseAlgebra, b: BaseAlgebra) -> BaseAlgebra:
     """Graded tensor product a (x) b with the Koszul product sign."""
     basis = []
     for i, (na, da) in enumerate(zip(a.names, a.degrees)):
         for j, (nb, db) in enumerate(zip(b.names, b.degrees)):
-            basis.append((f"{na}{sep}{nb}", da + db))
+            basis.append((f"{na}|{nb}", da + db))
 
     def idx(i, j):
         return i * b.dim + j
@@ -199,14 +193,14 @@ class Rng:
     def __init__(self, seed: int):
         self.r = random.Random(seed)
 
-    def scalar(self, zero_chance: float = 0.0, gaussian: bool = True) -> Scalar:
+    def scalar(self, zero_chance: float = 0.0) -> Scalar:
         if zero_chance and self.r.random() < zero_chance:
             return Scalar.zero()
         num = self.r.randint(-3, 3)
         den = self.r.randint(1, 3)
         re = Fraction(num, den)
         im = Fraction(0)
-        if gaussian and self.r.random() < 0.3:
+        if self.r.random() < 0.3:
             im = Fraction(self.r.randint(-2, 2), self.r.randint(1, 2))
         if re == 0 and im == 0:
             re = Fraction(1)
@@ -237,9 +231,6 @@ class Rng:
                 coeffs[i] = a
         return ModuleElement(module, coeffs)
 
-    def degrees(self, n: int, lo: int = -2, hi: int = 4) -> List[int]:
-        return [self.r.randint(lo, hi) for _ in range(n)]
-
     def choice(self, seq):
         return self.r.choice(seq)
 
@@ -253,6 +244,27 @@ class Rng:
 def sample_bases() -> List[BaseAlgebra]:
     """The standard trio of base dgas used across acceptance fixtures."""
     return [lambda_eps(), nontrivial_dga(), kodaira_base()]
+
+
+def _random_words(rng: Rng, alg: SymAlgebra, words, degree: int, density: float) -> SymElement:
+    """A random element of the given degree on the given words: each word,
+    kept with chance density, takes a random basis element of the degree it
+    needs times a random scalar; a word no basis element fits stays zero."""
+    base = alg.base
+    parts = {}
+    for w in words:
+        if rng.random() > density:
+            continue
+        need = degree - alg.word_degree(w)
+        cands = [b for b in range(base.dim) if base.degrees[b] == need]
+        if cands:
+            parts[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
+    return SymElement(alg, parts)
+
+
+def _words_from(alg: SymAlgebra, weight: int):
+    """The words of alg from the given weight up to its cap, by weight."""
+    return [w for r in range(weight, alg.cap + 1) for w in alg.words_of_weight(r)]
 
 
 def random_weight_raising_derivation(rng: Rng, alg: SymAlgebra, density: float = 0.7) -> DerivationD:
@@ -288,18 +300,8 @@ def random_weight_raising_derivation(rng: Rng, alg: SymAlgebra, density: float =
                         if val.is_zero():
                             continue
                         on_algebra[i] = on_algebra[i] + u * alg.scalar(val)
-    on_letters: Dict[int, SymElement] = {}
-    for i in range(alg.n_letters):
-        parts: Dict[Tuple[int, ...], AlgebraElement] = {}
-        for r in range(2, alg.cap + 1):
-            for w in alg.words_of_weight(r):
-                if rng.random() > density:
-                    continue
-                need = alg.letter_degrees[i] - alg.word_degree(w)
-                cands = [k for k in range(base.dim) if base.degrees[k] == need]
-                if cands:
-                    parts[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
-        on_letters[i] = SymElement(alg, parts)
+    words = _words_from(alg, 2)
+    on_letters = {i: _random_words(rng, alg, words, alg.letter_degrees[i], density) for i in range(alg.n_letters)}
     return DerivationD(alg, on_algebra, on_letters, degree=0, check=False)
 
 
@@ -382,26 +384,14 @@ def random_ce_derivation(rng: Rng, base: BaseAlgebra, carrier: FreeModule, cap: 
     on_algebra = dict(D0.on_algebra)
     on_letters = dict(D0.on_letters)
 
-    def random_words(target_degree, min_weight):
-        parts = {}
-        for r in range(min_weight, cap + 1):
-            for w in alg.words_of_weight(r):
-                if rng.random() > density:
-                    continue
-                need = target_degree - alg.word_degree(w)
-                cands = [b for b in range(base.dim) if base.degrees[b] == need]
-                if cands:
-                    parts[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
-        return SymElement(alg, parts)
-
     for b in range(base.dim):
         if b == base.unit:
             continue
-        extra = random_words(base.degrees[b] + 1, 1)
+        extra = _random_words(rng, alg, _words_from(alg, 1), base.degrees[b] + 1, density)
         if not extra.is_zero():
             on_algebra[b] = on_algebra.get(b, alg.zero()) + extra
     for i in range(alg.n_letters):
-        extra = random_words(alg.letter_degrees[i] + 1, 2)
+        extra = _random_words(rng, alg, _words_from(alg, 2), alg.letter_degrees[i] + 1, density)
         if not extra.is_zero():
             on_letters[i] = on_letters.get(i, alg.zero()) + extra
     return DerivationD(alg, on_algebra, on_letters)
@@ -452,15 +442,7 @@ def _random_table(
     degrees[i]; zero values are left out."""
     out = {}
     for i, want in enumerate(degrees):
-        parts = {}
-        for w in words:
-            if rng.random() > density:
-                continue
-            need = want - alg.word_degree(w)
-            cands = [b for b in range(alg.base.dim) if alg.base.degrees[b] == need]
-            if cands:
-                parts[w] = alg.base.basis_element(rng.choice(cands)).scale(rng.scalar())
-        el = SymElement(alg, parts)
+        el = _random_words(rng, alg, words, want, density)
         if not el.is_zero():
             out[i] = el
     return out
@@ -702,15 +684,13 @@ def mixed_module(
     base: BaseAlgebra,
     degrees: Sequence[int],
     name: str = "L",
-    with_differential: bool = True,
     seed: int = 3,
     prefix: str = "g",
 ) -> FreeModule:
     """Free module with prescribed generator degrees and a valid differential."""
     rng = Rng(seed)
     module = FreeModule(base, [(f"{prefix}{i}", d) for i, d in enumerate(degrees)], name=name)
-    if with_differential:
-        _random_square_zero_differential(rng, base, module)
+    _random_square_zero_differential(rng, base, module)
     return module
 
 

@@ -70,8 +70,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra
-from .algebroid import AlgebroidStructure, ce_differential
+from .algebra import AlgebraElement, BaseAlgebra, _degree_problem, _leibniz_failures
+from .algebroid import AlgebroidStructure, Coefficients, _letter_transpose, _module_value, ce_differential
 from .errors import BaseMismatch, DegreeError, KitError
 from .linfty import BracketTable
 from .modules import FreeModule, ModuleElement, from_dual_values
@@ -399,14 +399,9 @@ def geometric_degree_problems(g: GeometricModel) -> List[str]:
                 name = f"{fam.name}[{k}][{index}]" if fam.weighted else f"{fam.name}[{index}]"
                 if fam.values == "normal" and el.weights() != [k]:
                     problems.append(f"{name} has weights {el.weights()}")
-                try:
-                    got = el.degree()
-                except DegreeError:
-                    problems.append(f"{name} is not degree-homogeneous")
-                    continue
-                want = degrees[i] + fam.shift
-                if got != want:
-                    problems.append(f"{name} has degree {got}, expected {want}")
+                problem = _degree_problem(name, el, degrees[i] + fam.shift)
+                if problem:
+                    problems.append(problem)
                 if fam.values == "ambient":
                     for w, _ in el.items():
                         if g.bidegree(w) != (m, k - m):
@@ -418,27 +413,11 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
     """What a model's rows leave to check: dhat obeys the Leibniz rule, and
     with ``closed_beta`` beta is closed.  The rows themselves hold on every
     model (the constructor refuses ``geometric_degree_problems``)."""
-    problems: List[str] = []
     base = g.base
-
-    # dhat Leibniz on all basis pairs
-    def dhat_of(a: AlgebraElement) -> SymElement:
-        acc = g.amb.zero()
-        for idx, c in a.items():
-            acc = acc + g.dhat[idx].scale(c)
-        return acc
-
-    for i in range(base.dim):
-        for j in range(base.dim):
-            prod = base.product_basis(i, j)
-            lhs = dhat_of(prod)
-            rhs = g.dhat[i] * g.amb.scalar(base.basis_element(j)) + g.amb.scalar(
-                base.basis_element(i)
-            ) * g.dhat[j]
-            if lhs != rhs:
-                problems.append(
-                    f"dhat violates Leibniz on ({base.names[i]}, {base.names[j]})"
-                )
+    problems = [
+        f"dhat violates Leibniz on ({base.names[i]}, {base.names[j]})"
+        for i, j in _leibniz_failures(base, g.dhat, 0, g.amb.scalar)
+    ]
 
     # optional: beta anticommutes with the differentials
     if g.closed_beta:
@@ -689,40 +668,9 @@ def build_frakD(g: GeometricModel) -> DerivationD:
 # ---------------------------------------------------------------------------
 
 
-# A coefficient table {index: {basis index: Scalar}} holds one module or
-# algebra value while its terms are summed; it becomes one ModuleElement or
-# AlgebraElement when complete.
-Coefficients = Dict[int, Dict[int, Scalar]]
 # The image of each tangent generator t_j under a map read on generators:
 # {j: ((index, AlgebraElement), ...)}, the value's (index, coefficient) pairs.
 GeneratorRows = Dict[int, Tuple[Tuple[int, AlgebraElement], ...]]
-
-
-def _transposes(
-    g: GeometricModel, table: Mapping[int, SymElement], target: FreeModule, twist: int
-) -> Dict[Word, Coefficients]:
-    """{key: coefficient table}: the module-side value on the normal
-    generators of every sorted key of a letter-substitution tensor over the
-    normal letters, table[i] being the image of target letter i: the
-    coefficient of the word key times its value kappa(key) on its own
-    generators, made by one pass over the stored words.
-
-    Pairing i is scaled by (-1)^{|letter i| + twist}: twist 0 for the tangent
-    families (beta, Rtan), twist 1 for Rperp, which carries the -(-1)^{|eta|}
-    twist that relates letter substitution to the bracket recovery formula.
-    The basis element e_b then takes the ``from_dual_values`` twist
-    (-1)^{|e_b| |letter i|}.
-    """
-    base_degrees = g.base.degrees
-    out: Dict[Word, Coefficients] = {}
-    for i, el in table.items():
-        degree = target.degrees[i]
-        for key, c in el.data.items():
-            scale = _word_constant(g.nor, key) * sign_scalar(twist - degree)
-            out.setdefault(key, {})[i] = {
-                b: -x * scale if base_degrees[b] * degree & 1 else x * scale for b, x in c.coeffs
-            }
-    return out
 
 
 def _contraction_rows(
@@ -770,11 +718,6 @@ def _add_contraction(
                     _add_product(out, base, i, m, x * y)
 
 
-def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
-    base = module.base
-    return ModuleElement(module, {i: AlgebraElement(base, coeffs) for i, coeffs in acc.items()})
-
-
 def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     """Emit the recursive anchors and brackets of the model.
 
@@ -784,12 +727,13 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     and the anchor tables are {v_1..v_n | a} = (-1)^{|a| |alpha_n(v)|}-twisted
     pairings of alpha_n with dhat.
 
-    Every map is read on generators: the transposes off the stored words,
-    Shape, Gamma and dhat off rows on the tangent generators t_j, made once
-    per call (dhat e_b on t_j signed (-1)^{|e_b| |t_j|}).  Each alpha_n(key),
-    ell_n(key) and anchor value is summed in one coefficient table and made
-    one element when complete; the coefficients of alpha_{n-1} multiply the
-    rows from the left (``_add_contraction``).  That is the Koszul extension
+    Every map is read on generators: the curvature families off their
+    stored words (``algebroid._letter_transpose``), Shape, Gamma and dhat off
+    rows on the tangent generators t_j, made once per call (dhat e_b on t_j
+    signed (-1)^{|e_b| |t_j|}).  Each alpha_n(key), ell_n(key) and anchor
+    value is summed in one coefficient table and made one element when
+    complete; the coefficients of alpha_{n-1} multiply the rows from the
+    left (``_add_contraction``).  That is the Koszul extension
     of the pairings on the degree-homogeneous tensors that
     ``geometric_degree_problems`` admits: the Koszul sign of a coefficient
     cancels against the ``from_dual_values`` twist, or against the anchor
@@ -800,6 +744,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     base = g.base
     S = AlgebroidStructure(base, g.normal, bracket_cap=cap)
     degrees = g.normal.degrees
+    tangent_degrees = g.tangent.degrees
     shape = _contraction_rows(g, g.shape, g.tangent, ONE)
     gamma = _contraction_rows(g, g.gamma, g.normal, MINUS_ONE)
 
@@ -807,8 +752,11 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     for n in range(1, cap + 1):
         alpha = alpha_tables[n] = BracketTable(degrees)
         previous = alpha_tables.get(n - 1, {})
-        rtan = _transposes(g, g.rtan_tables.get(n, {}), g.tangent, 0)
-        rperp = _transposes(g, g.curv_perp.get(n, {}), g.normal, 1)
+        # Rtan pairing i is signed (-1)^{|t_i|}; Rperp carries the
+        # -(-1)^{|eta|} twist that relates letter substitution to the
+        # bracket recovery formula
+        rtan = _letter_transpose(g.nor, g.rtan_tables.get(n, {}), tangent_degrees, tangent_degrees, (n,))
+        rperp = _letter_transpose(g.nor, g.curv_perp.get(n, {}), degrees, [d + 1 for d in degrees], (n,))
         for key in _nonvanishing_keys(degrees, n):
             alpha_acc = rtan.get(key, {})
             ell_acc = rperp.get(key, {})
@@ -825,7 +773,6 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
                 if not ell.is_zero():
                     S.set_bracket(n, key, ell)
 
-    tangent_degrees = g.tangent.degrees
     dhat: GeneratorRows = {
         j: tuple(
             (b, el.data[(j,)].scale(sign_scalar(base.degrees[b] * tangent_degrees[j])))
@@ -849,7 +796,7 @@ def duality_residual(g: GeometricModel) -> Dict[str, SymElement]:
     """Difference between the CE derivation of the emitted structure and the
     directly assembled differential; empty means the central duality holds."""
     S = structure_from_geometry(g)
-    D_ce = ce_differential(S, weight_cap=g.cap, algebra=g.nor)
+    D_ce = ce_differential(S, weight_cap=g.cap)
     D_geo = build_frakD(g)
     out: Dict[str, SymElement] = {}
     zero = g.nor.zero()

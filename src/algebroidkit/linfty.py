@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra
+from .algebra import AlgebraElement, BaseAlgebra, _leibniz_failures
 from .errors import CapError, DegreeError, KitError
 from .linalg import nullspace
 from .modules import FreeModule, ModuleElement, multilinear_extend
@@ -332,21 +332,12 @@ class AlgebraDerivation:
         return out
 
     def leibniz_defects(self) -> List[str]:
-        problems = []
-        base = self.base
-        for part_deg, P in self.degree_parts().items():
-            for i in range(base.dim):
-                for j in range(base.dim):
-                    lhs = P.apply(base.product_basis(i, j))
-                    rhs = P.values[i] * base.basis_element(j) + (
-                        base.basis_element(i).scale(sign_scalar(part_deg * base.degrees[i]))
-                        * P.values[j]
-                    )
-                    if lhs != rhs:
-                        problems.append(
-                            f"Leibniz fails on ({base.names[i]}, {base.names[j]}) in degree {part_deg}"
-                        )
-        return problems
+        names = self.base.names
+        return [
+            f"Leibniz fails on ({names[i]}, {names[j]}) in degree {part_deg}"
+            for part_deg, P in self.degree_parts().items()
+            for i, j in _leibniz_failures(self.base, P.values, part_deg, lambda a: a)
+        ]
 
     def __eq__(self, other) -> bool:
         return (

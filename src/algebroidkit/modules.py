@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra
+from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
 from .errors import BaseMismatch, DegreeError, KitError
 from .scalars import ONE, Scalar, sign_scalar
 
@@ -292,16 +292,9 @@ def validate_module(module: FreeModule) -> list[str]:
     problems: list[str] = []
     for i in range(module.rank):
         dv = module.differential_basis(i)
-        if not dv.is_zero():
-            try:
-                dd = dv.degree()
-            except DegreeError:
-                problems.append(f"d({module.gen_names[i]}) is not homogeneous")
-                dd = None
-            if dd is not None and dd != module.degrees[i] + 1:
-                problems.append(
-                    f"d({module.gen_names[i]}) has degree {dd}, expected {module.degrees[i] + 1}"
-                )
+        problem = _degree_problem(f"d({module.gen_names[i]})", dv, module.degrees[i] + 1)
+        if problem:
+            problems.append(problem)
         if not dv.d().is_zero():
             problems.append(f"d^2 != 0 on generator {module.gen_names[i]}")
     return problems

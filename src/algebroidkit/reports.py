@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .algebra import AlgebraElement
 from .symtensor import SymElement
@@ -98,20 +98,13 @@ class Report:
         return lines
 
 
-def coefficient_entries(a: AlgebraElement) -> str:
-    if a.is_zero():
-        return "0"
-    names = a.algebra.names
-    return " + ".join(f"({c})*{names[i]}" for i, c in a.items())
-
-
 def residuals_from_sym(location: str, el: SymElement) -> List[ResidualEntry]:
     """Flatten a nonzero SymElement into deterministic residual entries."""
     out = []
     names = el.algebra.letter_names
     for w, a in sorted(el.items()):
         word = "*".join(names[i] for i in w) if w else "1"
-        out.append(ResidualEntry(location, len(w), word, coefficient_entries(a)))
+        out.append(ResidualEntry(location, len(w), word, repr(a)))
     return out
 
 
@@ -119,12 +112,12 @@ def residuals_from_module(location: str, el) -> List[ResidualEntry]:
     out = []
     names = el.module.gen_names
     for i, a in el.items():
-        out.append(ResidualEntry(location, 0, names[i], coefficient_entries(a)))
+        out.append(ResidualEntry(location, 0, names[i], repr(a)))
     return out
 
 
 def residuals_from_algebra(location: str, a: AlgebraElement) -> List[ResidualEntry]:
-    return [ResidualEntry(location, 0, "1", coefficient_entries(a))]
+    return [ResidualEntry(location, 0, "1", repr(a))]
 
 
 class timed_check:
@@ -132,7 +125,6 @@ class timed_check:
 
     def __init__(self, name: str):
         self.name = name
-        self.result: Optional[CheckResult] = None
 
     def __enter__(self):
         self._t0 = time.perf_counter()
@@ -140,10 +132,7 @@ class timed_check:
 
     def finish(self, passed: bool, residuals=None, detail: str = "") -> CheckResult:
         elapsed = (time.perf_counter() - self._t0) * 1000.0
-        self.result = CheckResult(
-            self.name, passed, list(residuals or []), detail, elapsed
-        )
-        return self.result
+        return CheckResult(self.name, passed, list(residuals or []), detail, elapsed)
 
     def __exit__(self, exc_type, exc, tb):
         return False

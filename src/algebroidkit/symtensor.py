@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra
+from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .modules import FreeModule, ModuleElement, multilinear_extend, pair_dual
 from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
@@ -495,13 +495,10 @@ class DerivationD:
             v = tables[slot].get(i)
             if v is None:
                 continue
-            want = x.degree() + self.degree
-            got = v.degree()
-            if got is not None and got != want:
-                kind = ("", "letter ")[slot]
-                raise DegreeError(
-                    f"derivation value on {kind}{label} has degree {got}, expected {want}"
-                )
+            kind = ("", "letter ")[slot]
+            problem = _degree_problem(f"derivation value on {kind}{label}", v, x.degree() + self.degree)
+            if problem:
+                raise DegreeError(problem)
 
     # -- component access ----------------------------------------------------
 

@@ -254,7 +254,7 @@ def test_criterion_3_ce_duality():
         carrier = mixed_module(base, degrees, seed=600 + trial)
         D = random_ce_derivation(rng, base, carrier, cap=4)
         S = extract_structure(D, carrier, bracket_cap=4)
-        D2 = ce_differential(S, weight_cap=4, algebra=D.algebra)
+        D2 = ce_differential(S, weight_cap=4)
         if not derivations_equal(D, D2):
             ok = False
     # equivalence both ways with single-entry perturbations

@@ -184,7 +184,54 @@ def test_fabricated_square_reported():
     basis = [("1", 0), ("e", 1)]
     bad = BaseAlgebra(basis, unit=0, products={(1, 1): {0: ONE}})
     problems = validate_base_algebra(bad)
-    assert any("commutativity" in p for p in problems)
+    assert problems == ["product e*e has degree 0, expected 2", "graded commutativity fails on (e, e)"]
+
+
+# One input per message of ``validate_base_algebra``: (basis, products,
+# differential, the whole list of problems).  Every non-unit product not
+# given is zero, so d_A obeys Leibniz unless a product says otherwise.
+BASE_ALGEBRA_WITNESSES = {
+    "inhomogeneous product": (
+        [("1", 0), ("a", 0), ("b", 1)], {(1, 1): {1: ONE, 2: ONE}}, {},
+        ["product a*a is not homogeneous"],
+    ),
+    "product degree": (
+        [("1", 0), ("a", 0), ("c", 2)], {(1, 1): {2: ONE}}, {},
+        ["product a*a has degree 2, expected 0"],
+    ),
+    "commutativity": (
+        [("1", 0), ("e", 1), ("u", 2)], {(1, 1): {2: ONE}}, {},
+        ["graded commutativity fails on (e, e)"],
+    ),
+    # a.a = b and a.b = b.a = b: a(ab) = b but (aa)b = bb = 0, and mirrored
+    "associativity": (
+        [("1", 0), ("a", 0), ("b", 0)], {(1, 1): {2: ONE}, (1, 2): {2: ONE}}, {},
+        ["associativity fails on (a, a, b)", "associativity fails on (b, a, a)"],
+    ),
+    "inhomogeneous differential": (
+        [("1", 0), ("x", 0), ("y", 1), ("z", 2)], {}, {1: {2: ONE, 3: ONE}},
+        ["d(x) is not homogeneous"],
+    ),
+    "differential degree": (
+        [("1", 0), ("x", 0), ("z", 2)], {}, {1: {2: ONE}},
+        ["d(x) has degree 2, expected 1"],
+    ),
+    "square": (
+        [("1", 0), ("x", 0), ("y", 1), ("z", 2)], {}, {1: {2: ONE}, 2: {3: ONE}},
+        ["d^2 != 0 on x"],
+    ),
+    # x idempotent and x.y = 0: d(x.x) = y but d(x).x + x.d(x) = 0
+    "leibniz": (
+        [("1", 0), ("x", 0), ("y", 1)], {(1, 1): {1: ONE}}, {1: {2: ONE}},
+        ["Leibniz fails on (x, x)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BASE_ALGEBRA_WITNESSES)
+def test_base_algebra_message_witness(case):
+    basis, products, differential, problems = BASE_ALGEBRA_WITNESSES[case]
+    assert validate_base_algebra(BaseAlgebra(basis, 0, products, differential)) == problems
 
 
 def test_twisted_differential_passes():
@@ -197,12 +244,14 @@ def test_twisted_differential_passes():
     assert x.d().d().is_zero()
 
 
-def test_broken_leibniz_reported():
-    # d(e) = 1 has wrong degree and breaks Leibniz on (e, e)
+def test_differential_of_the_wrong_degree_reported():
+    # d(e) = 1 has the wrong degree but keeps Leibniz on (e, e): d(e).e - e.d(e)
+    # = e - e = 0, so the degree alone is reported (a broken Leibniz rule is
+    # the "leibniz" case of BASE_ALGEBRA_WITNESSES)
     basis = [("1", 0), ("e", 1)]
     bad = BaseAlgebra(basis, unit=0, products={(1, 1): {}}, differential={1: {0: ONE}})
     problems = validate_base_algebra(bad)
-    assert problems
+    assert problems == ["d(e) has degree 0, expected 2"]
 
 
 def test_constructor_refuses_values_on_the_unit():
@@ -284,8 +333,25 @@ def test_module_bad_differential_reported():
     u = base.from_names({"u": ONE})
     mod.set_differential({0: ModuleElement(mod, {0: u})})
     problems = validate_module(mod)
-    assert any("d^2" in p for p in problems)
-    assert any("degree" in p for p in problems)  # |u| = 2 != |g| + 1
+    assert problems == ["d(g) has degree 2, expected 1", "d^2 != 0 on generator g"]
+
+
+@pytest.mark.parametrize(
+    "degrees, differential, problems",
+    [
+        ([0, 1, 2], {0: [1, 2]}, ["d(g0) is not homogeneous"]),
+        ([0, 2], {0: [1]}, ["d(g0) has degree 2, expected 1"]),
+        ([0, 1, 2], {0: [1], 1: [2]}, ["d^2 != 0 on generator g0"]),
+    ],
+    ids=["inhomogeneous", "degree", "square"],
+)
+def test_module_message_witness(degrees, differential, problems):
+    """One input per message of ``validate_module``, over the ground field:
+    d(g_i) is the sum of the generators differential[i] lists."""
+    base = trivial_base()
+    mod = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    mod.set_differential({i: ModuleElement(mod, {j: base.one() for j in js}) for i, js in differential.items()})
+    assert validate_module(mod) == problems
 
 
 def test_module_leibniz_of_d():

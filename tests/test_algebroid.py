@@ -32,6 +32,7 @@ from algebroidkit.fixtures import (
     random_ce_derivation,
     sample_bases,
     standard_module,
+    truncated_poly,
 )
 from algebroidkit.geometry import structure_from_geometry
 from algebroidkit.linfty import sorted_tuples
@@ -110,7 +111,7 @@ def test_round_trip_derivation_to_structure():
     for base in sample_bases():
         carrier = standard_module(base, rank=2, seed=55)
         S, D, Phi = conjugation_oracle_structure(rng, carrier, cap=4)
-        D2 = ce_differential(S, weight_cap=4, algebra=D.algebra)
+        D2 = ce_differential(S, weight_cap=4)
         assert D2 == D
 
 
@@ -250,6 +251,42 @@ def test_ce_action_matches_unshuffle_expansion():
                             Scalar(-1 if eta_degree % 2 else 1) * Scalar(sign)
                         )
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "case, problems",
+    [
+        ("bracket inhomogeneous", ["bracket 2 at (0, 0) is not homogeneous"]),
+        ("bracket degree", ["bracket 2 at (0, 0) has degree 0, expected 1"]),
+        ("anchor inhomogeneous", ["anchor 2 at (0,)|e is not homogeneous"]),
+        ("anchor degree", ["anchor 2 at (0,)|e has degree 0, expected 2"]),
+        ("anchor derivation", ["anchor 2 at (0,) is not a derivation: Leibniz fails on (u, u) in degree 0"]),
+    ],
+)
+def test_structure_message_witness(case, problems):
+    """One input per message of ``AlgebroidStructure.validate`` and of its
+    ``degree_problems``: one generator g and one table entry, the bracket
+    {g, g}_2 = value.g or the anchor {g | e_1}_2 = value.  Over Lambda[e] the
+    anchor value 1 + e on e splits into derivations of degrees -1 and 0, so
+    only its degree is reported; over K[u]/(u^3) the anchor u on u, 0 on
+    u^2, breaks Leibniz on (u, u)."""
+    base = truncated_poly("u", 2, 3) if case == "anchor derivation" else lambda_eps()
+    u_or_e = base.basis_element(1)
+    degree, value = {
+        "bracket inhomogeneous": (0, base.one() + u_or_e),
+        "bracket degree": (0, base.one()),
+        "anchor inhomogeneous": (0, base.one() + u_or_e),
+        "anchor degree": (0, base.one()),
+        "anchor derivation": (-1, u_or_e),
+    }[case]
+    carrier = FreeModule(base, [("g", degree)])
+    S = AlgebroidStructure(base, carrier, bracket_cap=2)
+    if case.startswith("bracket"):
+        S.set_bracket(2, (0, 0), ModuleElement(carrier, {0: value}))
+    else:
+        S.set_anchor(2, (0,), 1, value)
+    assert S.validate() == problems
+    assert S.degree_problems() == [p for p in problems if "derivation" not in p]
 
 
 def test_leibniz_residual_is_empty_by_construction():

@@ -195,14 +195,15 @@ def _passes(call: ast.Call, param: str, position: "int | None") -> bool:
     return position is not None and len(call.args) > position
 
 
-def test_no_unpassed_optional_parameters():
-    """Every parameter of the package that defaults to None is passed by some
-    call in the package: an option that no caller sets is a knob only the
-    tests turn.  A constructor is called by its class name.  ``cli.main``,
-    whose argv only the tests and the console entry point set, is exempt."""
+def _unpassed(call_globs, is_knob):
+    """The parameters of the package whose default is_knob accepts and that
+    no call in the files of call_globs passes.  A constructor is called by
+    its class name.  ``cli.main``, whose argv only the tests and the console
+    entry point set, is exempt."""
     root = Path(__file__).resolve().parents[1]
     trees = {path: ast.parse(path.read_text()) for path in sorted(root.glob("src/algebroidkit/*.py"))}
-    calls = _calls_by_name(trees.values())
+    callers = [ast.parse(path.read_text()) for pattern in call_globs for path in sorted(root.glob(pattern))]
+    calls = _calls_by_name(callers)
     unpassed = []
     for path, tree in trees.items():
         owners = {
@@ -220,9 +221,59 @@ def test_no_unpassed_optional_parameters():
             defaults.update((p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
             callee = owners[id(node)] if node.name == "__init__" else node.name
             for p, default in defaults.items():
-                if p.arg not in params or not (isinstance(default, ast.Constant) and default.value is None):
+                if p.arg not in params or not is_knob(default):
                     continue
                 position = params.index(p.arg) if p in positional else None
                 if not any(_passes(call, p.arg, position) for call in calls.get(callee, [])):
                     unpassed.append(f"{path.relative_to(root)}:{node.lineno}: {node.name}({p.arg})")
-    assert unpassed == []
+    return unpassed
+
+
+def test_no_unpassed_optional_parameters():
+    """Every parameter of the package that defaults to None is passed by some
+    call in the package: an option that no caller sets is a knob only the
+    tests turn."""
+    assert _unpassed(["src/algebroidkit/*.py"], lambda d: isinstance(d, ast.Constant) and d.value is None) == []
+
+
+def test_no_unpassed_boolean_parameters():
+    """Every parameter of the package that defaults to a boolean is passed by
+    some call in the package, the tests or the benchmark harness: a switch
+    that nothing sets is dead code behind its other value."""
+    calls = ["src/algebroidkit/*.py", "tests/*.py", "perfbench/*.py"]
+    assert _unpassed(calls, lambda d: isinstance(d, ast.Constant) and isinstance(d.value, bool)) == []
+
+
+def _degree_error_handlers(tree: ast.Module):
+    """(innermost enclosing function, try statement) of every handler of the
+    module that catches DegreeError, alone or in a tuple."""
+    def catches(handler):
+        kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(isinstance(k, ast.Name) and k.id == "DegreeError" for k in kinds)
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node
+        if isinstance(node, ast.Try) and any(h.type is not None and catches(h) for h in node.handlers):
+            yield function, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_degree_errors_are_caught_in_one_place():
+    """The degree rule is written once: ``algebra._degree_problem`` turns a
+    ``DegreeError`` of ``.degree()`` into a message, and the only other
+    handler is the parser's refusal around the model constructor."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted(root.glob("src/algebroidkit/*.py")):
+        for function, node in _degree_error_handlers(ast.parse(path.read_text())):
+            calls = [n for s in node.body for n in ast.walk(s) if isinstance(n, ast.Call)]
+            called = {n.func.id for n in calls if isinstance(n.func, ast.Name)}
+            found.append((path.name, function.name if function else None, sorted(called)))
+    assert found == [
+        ("algebra.py", "_degree_problem", []),
+        ("modelio.py", "parse_model", ["GeometricModel"]),
+    ]

@@ -39,6 +39,23 @@ def test_validate_all_fixtures(model_dir, capsys):
         assert "all checks passed" in out
 
 
+def test_validate_reports_a_closed_flag_on_an_unclosed_beta(model_dir, tmp_path, capsys):
+    """rank2's beta is not closed: the file validates until it sets
+    closed_beta, and then only the geometric-tensors check fails."""
+    doc = json.loads((model_dir / "rank2.geometric.json").read_text())
+    doc["closed_beta"] = True
+    path = tmp_path / "closed.geometric.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", path, "--json", tmp_path / "report.json"]) == 1
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [(c["name"], c["status"], c.get("detail")) for c in checks] == [
+        ("base-algebra", "pass", None),
+        ("tangent-and-normal-modules", "pass", None),
+        ("geometric-tensors", "fail", "closed flag set but d(beta) != 0 at tangent letter 0"),
+    ]
+    capsys.readouterr()
+
+
 def test_frakd_square_exit_codes(model_dir, capsys):
     assert run(["frakd-square", model_dir / "trivial.geometric.json"]) == 0
     assert run(["frakd-square", model_dir / "rank1_curved.geometric.json"]) == 0

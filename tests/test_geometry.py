@@ -28,6 +28,7 @@ from algebroidkit.fixtures import (
     random_geometric_model,
     sample_bases,
     trivial_model,
+    truncated_poly,
 )
 from algebroidkit.geometry import (
     TENSOR_FAMILIES,
@@ -124,7 +125,32 @@ def test_dhat_leibniz_violation_reported():
     dhat = {base.index_of("x"): SymElement(probe.amb, {(0,): base.one()})}
     g = GeometricModel(base, Tm, Nm, cap=3, dhat=dhat)
     problems = validate_geometric_model(g)
-    assert any("Leibniz" in p for p in problems)
+    assert problems == [
+        f"dhat violates Leibniz on ({a}, {b})"
+        for a, b in (("e", "x"), ("x", "e"), ("x", "x"), ("x", "x*e"), ("x*e", "x"))
+    ]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("case", ["dhat", "closed_beta"])
+def test_geometric_model_message_witness(case, closed):
+    """One input per message of ``validate_geometric_model``, one tangent
+    letter t0 and one normal letter n0 of degree 0.  Over K[u]/(u^3),
+    dhat(u) = u.t0^ and dhat(u^2) = 0 break Leibniz on (u, u) alone.  Over
+    the Kodaira base, where d(e) = u, beta(t0) = e.n0^ is not closed, which
+    only the closed flag asks about."""
+    base = truncated_poly("u", 2, 3) if case == "dhat" else kodaira_base()
+    Tm = FreeModule(base, [("t0", 0)], name="Tm")
+    Nm = FreeModule(base, [("n0", 0)], name="Nm")
+    frame = GeometricModel(base, Tm, Nm, cap=3)
+    if case == "dhat":
+        tensors = {"dhat": {1: SymElement(frame.amb, {(0,): base.basis_element(1)})}}
+        problems = ["dhat violates Leibniz on (u, u)"]
+    else:
+        tensors = {"beta": {0: SymElement(frame.nor, {(0,): base.from_names({"e|1": ONE})})}}
+        problems = ["closed flag set but d(beta) != 0 at tangent letter 0"] if closed else []
+    g = GeometricModel(base, Tm, Nm, cap=3, closed_beta=closed, **tensors)
+    assert validate_geometric_model(g) == problems
 
 
 def test_nabla_bar_evaluation_counting():

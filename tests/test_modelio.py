@@ -258,7 +258,7 @@ TENSOR_FAULTS = {
         "shape[0] has a word of bidegree (0, 2)", "$.tensors",
     ),
     ("shape", "degree"): (
-        ("shape", 0, "value", 0, "terms", 0, "basis"), "x*e", "shape[0] is not degree-homogeneous", "$.tensors"
+        ("shape", 0, "value", 0, "terms", 0, "basis"), "x*e", "shape[0] is not homogeneous", "$.tensors"
     ),
     ("conn_tan", "unknown-name"): (
         ("conn_tan", 0, "letter"), "zz", "unknown letter 'zz'", "$.tensors.conn_tan[0].letter"
@@ -444,6 +444,24 @@ def test_duplicate_bracket_and_anchor_entries_refused(corpus):
     assert (str(err), err.location) == (
         "duplicate entry for anchor args ['g1', 'g0'] on 'x' (at $.anchors[2])", "$.anchors[2]"
     )
+
+
+def test_algebroid_degree_faults_refused_with_the_degree_texts(corpus):
+    """A bracket or anchor entry of the wrong degree, or of mixed degrees, is
+    refused at $ with the two degree texts that every degree check writes."""
+    one = {"den": 1, "iden": 1, "inum": 0, "num": 1}
+    doc = json.loads(serialize_model(corpus["conjugated.algebroid"]))
+    assert doc["brackets"][0]["args"] == ["g0", "g0", "g0"]
+    terms = doc["brackets"][0]["value"][0]["terms"]
+    assert [t["basis"] for t in terms] == ["x*e"]
+    terms.append({"basis": "x", "coeff": one})
+    assert str(_refusal(doc)) == "bracket 3 at (0, 0, 0) is not homogeneous (at $)"
+    del terms[0]
+    assert str(_refusal(doc)) == "bracket 3 at (0, 0, 0) has degree 0, expected 1 (at $)"
+
+    doc = json.loads(serialize_model(corpus["abelian.algebroid"]))
+    doc["anchors"] = [{"arity": 2, "args": ["g0"], "on": "x", "terms": [{"basis": "1", "coeff": one}]}]
+    assert str(_refusal(doc)) == "anchor 2 at (0,)|x has degree 0, expected 1 (at $)"
 
 
 def test_duplicate_algebra_and_module_entries_refused():

@@ -1107,6 +1107,7 @@ def test_operator_refusal_texts_name_the_generator():
             lambda: DerivationD(alg, {}, {0: alg.letter(0)}),
             "derivation value on letter g0^ has degree 0, expected 1",
         ),
+        (lambda: DerivationD(alg, {1: e + alg.one()}, {}), "derivation value on e is not homogeneous"),
     ]
     for build, message in cases:
         with pytest.raises(KitError) as err:

@@ -21,6 +21,7 @@ from .symtensor import (
     evaluate,
     from_values,
     mc_residual,
+    square,
     square_components,
 )
 from .linfty import (
@@ -73,6 +74,7 @@ __all__ = [
     "evaluate",
     "from_values",
     "d0_derivation",
+    "square",
     "square_components",
     "conjugate",
     "mc_residual",

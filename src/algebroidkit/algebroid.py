@@ -456,8 +456,16 @@ def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], 
     return {}
 
 
-def anchor_morphism(S: AlgebroidStructure) -> Tuple[LInftyMorphism, ShiftedDerDGLA]:
-    """The anchor components as a morphism into the shifted derivation DGLA."""
+def anchor_morphism_residual(
+    S: AlgebroidStructure, arities: Sequence[int]
+) -> Dict[int, Dict[GenKey, AlgebraDerivation]]:
+    """The defects {n: {sorted key: derivation}} of the anchors forming a
+    structure morphism into Der(A)[1] at the given arities, all read off one
+    morphism.  An arity over the bracket cap is refused before any work: the
+    identity's bracket at that arity would refuse it."""
+    for n in arities:
+        if S.carrier.rank and n > S.bracket_cap:
+            raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
     target = ShiftedDerDGLA(S.base)
     f = LInftyMorphism(S, target, target.zero())
     for m in range(1, S.anchor_cap):
@@ -465,10 +473,4 @@ def anchor_morphism(S: AlgebroidStructure) -> Tuple[LInftyMorphism, ShiftedDerDG
             der = S.anchor_derivation(m + 1, key)
             if not der.is_zero():
                 f.set_component(m, key, der)
-    return f, target
-
-
-def anchor_morphism_residual(S: AlgebroidStructure, n: int):
-    """Defect of the anchors forming a structure morphism into Der(A)[1]."""
-    f, target = anchor_morphism(S)
-    return morphism_residual(f, f.source, target, n)
+    return {n: morphism_residual(f, S, target, n) for n in arities}

@@ -21,7 +21,7 @@ from .algebra import validate_base_algebra
 from .algebroid import (
     AlgebroidStructure,
     algebroid_jacobi_residual,
-    anchor_morphism,
+    anchor_morphism_residual,
     ce_differential,
     extract_structure,
     leibniz_residual,
@@ -39,7 +39,7 @@ from .geometry import (
     transport_lemma_residual,
     validate_geometric_model,
 )
-from .linfty import LInftyAlgebra, decalage, decalage_inverse, morphism_residual, same_tables
+from .linfty import LInftyAlgebra, decalage, decalage_inverse, same_tables
 from .modelio import parse_model
 from .modules import validate_module
 from .reports import (
@@ -71,13 +71,7 @@ def _require_geometric(model) -> GeometricModel:
 
 
 def _derivation_entries(D) -> List[ResidualEntry]:
-    out: List[ResidualEntry] = []
-    tables = (D.on_algebra, D.on_letters)
-    for slot, i, label, _ in D.algebra.generators():
-        value = tables[slot].get(i)
-        if value is not None:
-            out.extend(residuals_from_sym(f"D({label})", value))
-    return out
+    return [e for _, label, _, value in D.labelled() for e in residuals_from_sym(f"D({label})", value)]
 
 
 def _square_entries(sq) -> List[ResidualEntry]:
@@ -125,59 +119,57 @@ def _key_label(names, key) -> str:
     return "(" + ",".join(names[i] for i in key) + ")"
 
 
-def cmd_jacobi(model, caps, args) -> Report:
-    report = Report("jacobi", caps)
-    S = _structure_of(model)
-    arities = _arities(args, S.bracket_cap)
+def _per_arity(report: Report, S: AlgebroidStructure, arities, title: str, family, entries) -> Report:
+    """One line per arity: every arity is read off one family(S, arities)
+    call, timed on the first line; entries(S, key, value) lists one residual."""
     residuals = None
     for n in arities:
-        with timed_check(f"jacobi[n={n}]") as t:
-            if residuals is None:  # the one D^2 every arity reads, timed on the first line
-                residuals = algebroid_jacobi_residual(S, arities)
+        with timed_check(f"{title}[n={n}]") as t:
+            if residuals is None:
+                residuals = family(S, arities)
             res = residuals[n]
-            entries = []
-            for key in sorted(res):
-                entries.extend(residuals_from_module(_key_label(S.carrier.gen_names, key), res[key]))
-            report.add(t.finish(not res, entries))
+            report.add(t.finish(not res, [e for key in sorted(res) for e in entries(S, key, res[key])]))
     return report
+
+
+def _jacobi_entries(S, key, value) -> List[ResidualEntry]:
+    return residuals_from_module(_key_label(S.carrier.gen_names, key), value)
+
+
+def _leibniz_entries(S, key_and_slot, value) -> List[ResidualEntry]:
+    key, b = key_and_slot
+    return residuals_from_module(_key_label(S.carrier.gen_names, key) + "|" + S.base.names[b], value)
+
+
+def _anchor_entries(S, key, der) -> List[ResidualEntry]:
+    label = _key_label(S.carrier.gen_names, key)
+    return [
+        e
+        for b, val in enumerate(der.values)
+        if not val.is_zero()
+        for e in residuals_from_algebra(f"{label} on {S.base.names[b]}", val)
+    ]
+
+
+def cmd_jacobi(model, caps, args) -> Report:
+    S = _structure_of(model)
+    arities = _arities(args, S.bracket_cap)
+    return _per_arity(Report("jacobi", caps), S, arities, "jacobi", algebroid_jacobi_residual, _jacobi_entries)
 
 
 def cmd_leibniz(model, caps, args) -> Report:
-    report = Report("leibniz", caps)
     S = _structure_of(model)
-    for n in _arities(args, S.bracket_cap):
-        with timed_check(f"leibniz[n={n}]") as t:
-            res = leibniz_residual(S, n)
-            entries = []
-            for (key, b) in sorted(res):
-                label = _key_label(S.carrier.gen_names, key) + "|" + S.base.names[b]
-                entries.extend(residuals_from_module(label, res[(key, b)]))
-            report.add(t.finish(not res, entries))
-    return report
+    arities = _arities(args, S.bracket_cap)
+    return _per_arity(
+        Report("leibniz", caps), S, arities, "leibniz",
+        lambda S, arities: {n: leibniz_residual(S, n) for n in arities}, _leibniz_entries,
+    )
 
 
 def cmd_anchor(model, caps, args) -> Report:
-    report = Report("anchor", caps)
     S = _structure_of(model)
     arities = _arities(args, max(S.bracket_cap - 1, 1))
-    for n in arities:  # before any work: the identity's bracket at arity n would refuse it
-        if S.carrier.rank and n > S.bracket_cap:
-            raise KitError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
-    f, target = anchor_morphism(S)
-    for n in arities:
-        with timed_check(f"anchor-morphism[n={n}]") as t:
-            res = morphism_residual(f, S, target, n)
-            entries = []
-            for key in sorted(res):
-                label = _key_label(S.carrier.gen_names, key)
-                der = res[key]
-                for b, val in enumerate(der.values):
-                    if not val.is_zero():
-                        entries.extend(
-                            residuals_from_algebra(f"{label} on {S.base.names[b]}", val)
-                        )
-            report.add(t.finish(not res, entries))
-    return report
+    return _per_arity(Report("anchor", caps), S, arities, "anchor-morphism", anchor_morphism_residual, _anchor_entries)
 
 
 def cmd_ce_build(model, caps, args) -> Report:

@@ -88,6 +88,7 @@ from .symtensor import (
     _word_constant,
     d0_derivation,
     dual_differential_letter,
+    generator_differences,
     # not called here: perfbench/test_perfbench.py checks that the tracer
     # wraps this import site of a public function
     evaluate,  # noqa: F401
@@ -795,14 +796,4 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
 def duality_residual(g: GeometricModel) -> Dict[str, SymElement]:
     """Difference between the CE derivation of the emitted structure and the
     directly assembled differential; empty means the central duality holds."""
-    S = structure_from_geometry(g)
-    D_ce = ce_differential(S, weight_cap=g.cap)
-    D_geo = build_frakD(g)
-    out: Dict[str, SymElement] = {}
-    zero = g.nor.zero()
-    for slot, i, label, _ in g.nor.generators():
-        lhs = (D_ce.on_algebra, D_ce.on_letters)[slot].get(i, zero)
-        rhs = (D_geo.on_algebra, D_geo.on_letters)[slot].get(i, zero)
-        if lhs != rhs:
-            out[label] = lhs - rhs
-    return out
+    return generator_differences(ce_differential(structure_from_geometry(g), weight_cap=g.cap), build_frakD(g))

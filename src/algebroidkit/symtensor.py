@@ -489,12 +489,15 @@ class DerivationD:
         if check:
             self._check_degrees()
 
-    def _check_degrees(self):
+    def labelled(self) -> Iterator[Tuple[int, str, SymElement, SymElement]]:
+        """(slot, label, generator, value) of every stored value, in generator order."""
         tables = (self.on_algebra, self.on_letters)
         for slot, i, label, x in self.algebra.generators():
-            v = tables[slot].get(i)
-            if v is None:
-                continue
+            if i in tables[slot]:
+                yield slot, label, x, tables[slot][i]
+
+    def _check_degrees(self):
+        for slot, label, x, v in self.labelled():
             kind = ("", "letter ")[slot]
             problem = _degree_problem(f"derivation value on {kind}{label}", v, x.degree() + self.degree)
             if problem:
@@ -675,16 +678,37 @@ def dual_differential_letter(algebra: SymAlgebra, module: FreeModule, letter: in
 # ---------------------------------------------------------------------------
 
 
-def square_components(D: DerivationD) -> Dict[int, Dict[str, SymElement]]:
-    """Per-weight-shift residuals of D*D on all generators.
+def _on_generators(alg: SymAlgebra, value: Callable[[SymElement], SymElement], degree: int) -> DerivationD:
+    """The operator of the given degree that takes value(x) on every generator x of alg."""
+    tables: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
+    for slot, i, _, x in alg.generators():
+        tables[slot][i] = value(x)
+    return DerivationD(alg, *tables, degree=degree, check=False)
 
-    Returns {n: {generator label: nonzero weight component}}; empty dict
-    means D^2 = 0 up to the cap.  For a base element the shift-n part has
-    weight n, for a letter weight n+1.
-    """
+
+def square(D: DerivationD) -> DerivationD:
+    """D o D on every generator: for an odd D the derivation [D, D]/2."""
+    return _on_generators(D.algebra, lambda x: D.apply(D.apply(x)), 2 * D.degree)
+
+
+def generator_differences(A: DerivationD, B: DerivationD) -> Dict[str, SymElement]:
+    """{generator label: A(x) - B(x)} on every generator x where A and B differ."""
+    out: Dict[str, SymElement] = {}
+    zero = A.algebra.zero()
+    for slot, i, label, _ in A.algebra.generators():
+        lhs = (A.on_algebra, A.on_letters)[slot].get(i, zero)
+        rhs = (B.on_algebra, B.on_letters)[slot].get(i, zero)
+        if lhs != rhs:
+            out[label] = lhs - rhs
+    return out
+
+
+def square_components(D: DerivationD) -> Dict[int, Dict[str, SymElement]]:
+    """``square(D)`` split by weight shift: {n: {generator label: nonzero
+    part}}, empty when D^2 = 0 up to the cap.  For a base element the
+    shift-n part has weight n, for a letter weight n+1."""
     residuals: Dict[int, Dict[str, SymElement]] = {}
-    for slot, _, label, x in D.algebra.generators():
-        dd = D.apply(D.apply(x))
+    for slot, label, _, dd in square(D).labelled():
         for r in dd.weights():
             residuals.setdefault(r - slot, {})[label] = dd.weight_part(r)
     return dict(sorted(residuals.items()))
@@ -706,10 +730,8 @@ class FilteredAutomorphism:
         if phi.degree != 0:
             raise DegreeError(f"automorphism exp(phi) needs a degree-0 derivation, not degree {phi.degree}")
         phi._check_degrees()
-        tables = (phi.on_algebra, phi.on_letters)
-        for slot, i, label, _ in phi.algebra.generators():
-            v = tables[slot].get(i)
-            if v is not None and min(v.weights()) <= slot:
+        for slot, label, _, v in phi.labelled():
+            if min(v.weights()) <= slot:
                 kind = ("base element", "letter")[slot]
                 raise KitError(f"automorphism is not the identity on gr at {kind} {label}")
         self.algebra = phi.algebra
@@ -751,18 +773,12 @@ def _refuse_foreign_keys(
 
 
 def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:
-    """Phi o D o Phi^{-1}, stored by its values on the generators (zero values
-    left out).  Each value reads rows of phi and D only: Phi and Phi^{-1}
-    are series of phi's powers, so no ``SymElement`` is multiplied."""
-    alg = D.algebra
-    if not alg.compatible(Phi.algebra):
+    """Phi o D o Phi^{-1}, stored by its values on the generators.  Each value
+    reads rows of phi and D only: Phi and Phi^{-1} are series of phi's
+    powers, so no ``SymElement`` is multiplied."""
+    if not D.algebra.compatible(Phi.algebra):
         raise BaseMismatch("automorphism and derivation over incompatible algebras")
-    tables: Tuple[Dict[int, SymElement], Dict[int, SymElement]] = ({}, {})
-    for slot, i, _, x in alg.generators():
-        val = Phi.apply(D.apply(Phi.apply_inverse(x)))
-        if not val.is_zero():
-            tables[slot][i] = val
-    return DerivationD(alg, *tables, degree=D.degree, check=False)
+    return _on_generators(D.algebra, lambda x: Phi.apply(D.apply(Phi.apply_inverse(x))), D.degree)
 
 
 def mc_residual(D0: DerivationD, conjugated: DerivationD) -> Dict[str, SymElement]:
@@ -773,14 +789,7 @@ def mc_residual(D0: DerivationD, conjugated: DerivationD) -> Dict[str, SymElemen
     omega := Phi o D0 o Phi^{-1} - D0 measures how far Phi is from
     intertwining D0 with itself; when D0^2 = 0 the combination
     [D0, omega] + omega o omega vanishes identically.  By bilinearity it is
-    C o C - D0 o D0 for C = conjugated, which is evaluated here, so the
-    square of C is read through the row table that ``square_components(C)``
-    reads too.  Returns the nonzero values of that combination on generators
-    (empty dict == residual zero).
+    C o C - D0 o D0 for C = conjugated: the nonzero values of that
+    difference on generators (empty dict == residual zero).
     """
-    out: Dict[str, SymElement] = {}
-    for _, _, label, x in D0.algebra.generators():
-        val = conjugated.apply(conjugated.apply(x)) - D0.apply(D0.apply(x))
-        if not val.is_zero():
-            out[label] = val
-    return out
+    return generator_differences(square(conjugated), square(D0))

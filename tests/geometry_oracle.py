@@ -12,13 +12,18 @@ pass, kept as test oracles.
 * ``oracle_structure_from_geometry(g)`` is the alpha/ell recursion with
   every generator map extended by ``multilinear_extend`` and summed as
   ``ModuleElement`` values position by position.
+* ``oracle_duality_residual(g)`` compares the two sides of the duality on
+  the normal generators in a loop of its own, which
+  ``geometry.duality_residual`` shares with ``symtensor.mc_residual`` as
+  ``symtensor.generator_differences``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from algebroidkit.algebroid import AlgebroidStructure
+from algebroidkit.algebroid import AlgebroidStructure, ce_differential
+from algebroidkit.geometry import build_frakD, structure_from_geometry
 from algebroidkit.linfty import BracketTable
 from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
@@ -184,3 +189,21 @@ def oracle_structure_from_geometry(g) -> AlgebroidStructure:
                 if not paired.is_zero():
                     S.set_anchor(m + 1, key, b, paired)
     return S
+
+
+# -- the duality ------------------------------------------------------------------------
+
+
+def oracle_duality_residual(g) -> Dict[str, SymElement]:
+    """{normal generator label: D_ce(x) - D_geo(x)} where the CE derivation of
+    the emitted structure and the assembled differential differ."""
+    D_ce = ce_differential(structure_from_geometry(g), weight_cap=g.cap)
+    D_geo = build_frakD(g)
+    out: Dict[str, SymElement] = {}
+    zero = g.nor.zero()
+    for slot, i, label, _ in g.nor.generators():
+        lhs = (D_ce.on_algebra, D_ce.on_letters)[slot].get(i, zero)
+        rhs = (D_geo.on_algebra, D_geo.on_letters)[slot].get(i, zero)
+        if lhs != rhs:
+            out[label] = lhs - rhs
+    return out

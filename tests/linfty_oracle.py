@@ -1,6 +1,8 @@
 """Bracket evaluation on an ``LInftyAlgebra`` and the per-permutation Jacobi
 sum: the oracles of the Jacobi residual that ``algebroid`` reads off the
-square of the CE differential, and of ``linfty._unshuffle_sum``.
+square of the CE differential, and of ``linfty._unshuffle_sum``.  Also the
+anchor morphism of an algebroid, built on its own and read arity by arity:
+the oracle of ``algebroid.anchor_morphism_residual``.
 
 The package keeps an L-infinity structure as its bracket tables only, which
 is all the degree-shift dictionary reads; the evaluation of those tables on
@@ -10,10 +12,10 @@ elements lives here.
 from __future__ import annotations
 
 from algebroidkit.errors import CapError, KitError
-from algebroidkit.linfty import sorted_tuples
+from algebroidkit.linfty import LInftyMorphism, ShiftedDerDGLA, morphism_residual, sorted_tuples
 from algebroidkit.modules import multilinear_extend
 from algebroidkit.scalars import sign_scalar
-from algebroidkit.signs import skew_sign, sym_sign, unshuffles_with_tail
+from algebroidkit.signs import _nonvanishing_keys, skew_sign, sym_sign, unshuffles_with_tail
 
 
 class LInftyBrackets:
@@ -83,3 +85,27 @@ def oracle_jacobi_residual(L, n, symmetric):
 def linfty_jacobi_residual(L, n):
     """The Jacobi residual of an ``LInftyAlgebra`` in its own convention."""
     return oracle_jacobi_residual(LInftyBrackets(L), n, L.symmetric)
+
+
+def anchor_morphism(S):
+    """The anchor components of S as a morphism f into the shifted derivation
+    DGLA: (f, target)."""
+    target = ShiftedDerDGLA(S.base)
+    f = LInftyMorphism(S, target, target.zero())
+    for m in range(1, S.anchor_cap):
+        for key in _nonvanishing_keys(S.carrier.degrees, m):
+            der = S.anchor_derivation(m + 1, key)
+            if not der.is_zero():
+                f.set_component(m, key, der)
+    return f, target
+
+
+def oracle_anchor_morphism_residual(S, arities):
+    """{n: morphism residual at n} of ``anchor_morphism(S)``, built once and
+    read at each arity in turn, after the same refusal of an arity over the
+    bracket cap."""
+    for n in arities:
+        if S.carrier.rank and n > S.bracket_cap:
+            raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
+    f, target = anchor_morphism(S)
+    return {n: morphism_residual(f, S, target, n) for n in arities}

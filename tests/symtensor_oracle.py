@@ -6,6 +6,12 @@ C(Cx) - D0(D0x) for C = Phi D0 Phi^{-1}; by bilinearity that equals
 D0(omega x) + omega(D0 x) + omega(omega x) for the deficiency omega = C - D0,
 which ``oracle_mc_residual`` evaluates.
 
+The square D o D with one pair of ``apply`` calls per generator, split by
+weight shift (``oracle_square_components``) and compared between two
+derivations (``oracle_squares_difference``): the oracles of
+``symtensor.square_components`` and of the ``mc_residual`` comparison, which
+read one ``symtensor.square``.
+
 The multiplicative Phi = exp(phi): ``symtensor.FilteredAutomorphism`` sums
 the series of phi's powers on every element it is given.  The oracle sums it
 on the generators only (``exp_images``), extends those images letter by
@@ -41,6 +47,26 @@ def oracle_mc_residual(D0, conjugated):
     out = {}
     for _, _, label, x in D0.algebra.generators():
         val = D0.apply(omega.apply(x)) + omega.apply(D0.apply(x)) + omega.apply(omega.apply(x))
+        if not val.is_zero():
+            out[label] = val
+    return out
+
+
+def oracle_square_components(D):
+    """{n: {generator label: weight-shift-n part of D(Dx)}}, the nonzero parts only."""
+    residuals = {}
+    for slot, _, label, x in D.algebra.generators():
+        dd = D.apply(D.apply(x))
+        for r in dd.weights():
+            residuals.setdefault(r - slot, {})[label] = dd.weight_part(r)
+    return dict(sorted(residuals.items()))
+
+
+def oracle_squares_difference(D0, C):
+    """{generator label: C(Cx) - D0(D0x)}, the nonzero values only."""
+    out = {}
+    for _, _, label, x in D0.algebra.generators():
+        val = C.apply(C.apply(x)) - D0.apply(D0.apply(x))
         if not val.is_zero():
             out[label] = val
     return out

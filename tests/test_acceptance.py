@@ -176,7 +176,7 @@ def all_residuals_empty(S):
     return (
         not any(algebroid_jacobi_residual(S, range(1, 5)).values())
         and all(leibniz_residual(S, m) == {} for m in range(1, 5))
-        and all(anchor_morphism_residual(S, m) == {} for m in range(1, 4))
+        and all(anchor_morphism_residual(S, [m])[m] == {} for m in range(1, 4))
     )
 
 

@@ -146,7 +146,7 @@ def test_conjugation_oracle_passes_all_residuals():
         for n in range(1, 5):
             assert leibniz_residual(S, n) == {}
         for n in range(1, 4):
-            assert anchor_morphism_residual(S, n) == {}
+            assert anchor_morphism_residual(S, [n])[n] == {}
 
 
 def single_entry_perturbations(S, limit=40):
@@ -176,7 +176,7 @@ def single_entry_perturbations(S, limit=40):
 def all_residuals_empty(S):
     jac = not any(algebroid_jacobi_residual(S, range(1, 5)).values())
     lei = all(leibniz_residual(S, m) == {} for m in range(1, 5))
-    anc = all(anchor_morphism_residual(S, m) == {} for m in range(1, 4))
+    anc = all(anchor_morphism_residual(S, [m])[m] == {} for m in range(1, 4))
     return jac and lei and anc
 
 

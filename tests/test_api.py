@@ -7,7 +7,7 @@ import ast
 from pathlib import Path
 
 import algebroidkit
-from algebroidkit import cli
+from algebroidkit import algebroid, cli
 
 
 def test_every_exported_name_resolves():
@@ -277,3 +277,58 @@ def test_degree_errors_are_caught_in_one_place():
         ("algebra.py", "_degree_problem", []),
         ("modelio.py", "parse_model", ["GeometricModel"]),
     ]
+
+
+def _self_applications(tree: ast.Module):
+    """The innermost enclosing function of every X.apply(X.apply(...)) of the
+    module: a derivation applied to its own application."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "apply":
+            inner = node.args[0] if node.args else None
+            if (
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "apply"
+                and ast.dump(inner.func.value) == ast.dump(node.func.value)
+            ):
+                yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_d_squared_on_a_generator_is_written_once():
+    """D o D is ``symtensor.square``; only ``algebroid_jacobi_residual``
+    keeps a square of its own, on the letters alone, as it reads no base
+    value."""
+    root = Path(__file__).resolve().parents[1]
+    found = sorted(
+        (path.name, function)
+        for path in sorted(root.glob("src/algebroidkit/*.py"))
+        for function in _self_applications(ast.parse(path.read_text()))
+    )
+    assert found == [("algebroid.py", "algebroid_jacobi_residual"), ("symtensor.py", "square")]
+
+
+def test_cli_reads_the_linfty_layer_only_for_the_decalage_line():
+    """Each residual family is one library call: ``cli`` imports from
+    ``linfty`` only what the decalage line of ``roundtrip`` reads, and
+    reaches no ``linfty`` name as an attribute."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("linfty", "algebroidkit.linfty")
+        for alias in node.names
+    }
+    assert imported == {"LInftyAlgebra", "decalage", "decalage_inverse", "same_tables"}
+    assert not [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "linfty"
+    ]
+    assert "anchor_morphism" not in vars(algebroid)

@@ -143,7 +143,7 @@ def test_anchor_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, ca
         raise AssertionError("work started on a refused arity")
 
     monkeypatch.setattr(linfty, "canonical_partitions", refuse)
-    monkeypatch.setattr(cli, "anchor_morphism", refuse)
+    monkeypatch.setattr(algebroid, "LInftyMorphism", refuse)
     assert run(["anchor", model_dir / "perturbed.algebroid.json", "--arity", arity]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: bracket arity {arity} exceeds cap 4\n"
@@ -650,3 +650,104 @@ def test_mutated_fixtures_never_raise(fixture, tmp_path, capsys):
             if code not in (0, 1, 2):
                 bad.append(f"{command} after {what}: exit {code}: {err.strip()}")
     assert not bad, "\n".join(bad)
+
+
+# ---------------------------------------------------------------------------
+# every check line against an input that makes it report (ROADMAP item 9)
+# ---------------------------------------------------------------------------
+
+ONE = {"num": 1, "den": 1, "inum": 0, "iden": 1}
+LISTING = "a listing, which always passes"
+CROSS_CHECK = "a cross-check that no accepted file can fail"
+
+
+def _nonclosed(module, low, high):
+    """d(low) = high and d(high) = e.high on a module of the file, low of
+    degree 0 and high of degree 1: then d^2(low) = e.high is not zero."""
+
+    def value(basis):
+        return [{"generator": high, "terms": [{"basis": basis, "coeff": ONE}]}]
+
+    differential = [{"generator": low, "value": value("1")}, {"generator": high, "value": value("e")}]
+    return _set((module, "differential"), differential)
+
+
+NONCLOSED_CARRIER = ("abelian.algebroid.json", _nonclosed("carrier", "g0", "g1"))
+RANK2 = ("rank2.geometric.json", None)
+
+# (command, check title) -> the line's witness, a shipped fixture and a
+# mutation of it (None: the fixture as shipped) on which the line reports,
+# or a marker for a line that no accepted file makes report.
+WITNESSES = {
+    ("validate", "base-algebra"): (  # e*x = 2 x*e but x*e = x*e
+        "abelian.algebroid.json", _set(("base", "products", 0, "terms", 0, "coeff", "num"), 2)
+    ),
+    ("validate", "carrier-module"): NONCLOSED_CARRIER,
+    ("validate", "structure-tables"): (  # {g1|e} = e, {g1|x} = 0: not a derivation on x*e
+        "perturbed.algebroid.json",
+        _set(("anchors",), [{"arity": 2, "args": ["g1"], "on": "e", "terms": [{"basis": "e", "coeff": ONE}]}]),
+    ),
+    ("validate", "tangent-and-normal-modules"): ("diagonal.geometric.json", _nonclosed("normal", "n0", "n1")),
+    ("validate", "geometric-tensors"): ("rank2.geometric.json", _set(("closed_beta",), True)),
+    ("jacobi", "jacobi[n=1]"): NONCLOSED_CARRIER,
+    ("jacobi", "jacobi[n=2]"): RANK2,
+    ("jacobi", "jacobi[n=3]"): ("perturbed.algebroid.json", None),
+    ("jacobi", "jacobi[n=4]"): RANK2,
+    **{("leibniz", f"leibniz[n={n}]"): CROSS_CHECK for n in range(1, 5)},
+    **{("anchor", f"anchor-morphism[n={n}]"): RANK2 for n in range(1, 4)},
+    ("ce-build", "ce-differential"): LISTING,
+    ("ce-extract", "extract-structure"): LISTING,
+    ("roundtrip", "extract(ce(S)) == S"): CROSS_CHECK,
+    ("roundtrip", "degree-shift dictionary round trip on the bracket tables"): CROSS_CHECK,
+    ("roundtrip", "recursion == extraction"): CROSS_CHECK,
+    ("frakd-build", "assemble"): LISTING,
+    ("frakd-build", "weight-graded part equals d0"): CROSS_CHECK,
+    ("frakd-square", "square-components"): RANK2,
+    ("kapranov", "diagonal-regime derivation"): LISTING,
+    ("kapranov", "square (curvature-compatibility residuals)"): RANK2,
+    ("lemmas", "retraction: normal projection of the expansion is the identity"): CROSS_CHECK,
+    ("lemmas", "projection commutator equals the Kodaira-Spencer substitution"): CROSS_CHECK,
+    ("lemmas", "single-tangent transport identity and its iterate"): CROSS_CHECK,
+    ("mc", "maurer-cartan residual (seed=0)"): NONCLOSED_CARRIER,
+    ("mc", "conjugated differential squares to zero"): NONCLOSED_CARRIER,
+    ("duality", "ce(structure) == assembled differential"): CROSS_CHECK,
+}
+
+
+def _statuses(command, path, tmp_path):
+    """{check title: status} of command's report on the file at path, or
+    None when the command refuses the file."""
+    out = tmp_path / "report.json"
+    if out.exists():
+        out.unlink()
+    main([command, str(path), "--json", str(out)])
+    if not out.exists():
+        return None
+    return {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+
+
+def test_every_printed_check_line_has_a_witness_or_a_marker(model_dir, tmp_path, capsys):
+    printed = set()
+    for command in COMMANDS:
+        for path in sorted(model_dir.iterdir()):
+            printed.update((command, title) for title in _statuses(command, path, tmp_path) or ())
+    capsys.readouterr()
+    assert sorted(printed - set(WITNESSES)) == []
+    assert sorted(set(WITNESSES) - printed) == []
+
+
+@pytest.mark.parametrize(
+    "line", [line for line, w in WITNESSES.items() if isinstance(w, tuple)], ids=lambda line: ":".join(line)
+)
+def test_each_witness_makes_its_line_report(model_dir, tmp_path, capsys, line):
+    """The line fails on its witness; a mutation is what makes it fail, as
+    the line passes on the shipped fixture."""
+    command, title = line
+    fixture, mutate = WITNESSES[line]
+    if mutate is not None:
+        assert _statuses(command, model_dir / fixture, tmp_path)[title] == "pass"
+        path = _mutated(model_dir, tmp_path, fixture, "witness", mutate)
+    else:
+        path = model_dir / fixture
+    assert _statuses(command, path, tmp_path)[title] == "fail"
+    capsys.readouterr()

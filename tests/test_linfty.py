@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algebroidkit.algebroid import AlgebroidStructure, algebroid_jacobi_residual, anchor_morphism
+from algebroidkit.algebroid import AlgebroidStructure, algebroid_jacobi_residual, anchor_morphism_residual
 from algebroidkit.fixtures import (
     Rng,
     cone_dgla,
@@ -38,6 +38,7 @@ from algebroidkit.scalars import MINUS_ONE, ONE, Scalar
 from algebroidkit.signs import canonical_partitions, partition_permutation, sym_sign
 from linfty_oracle import (
     LInftyBrackets,
+    anchor_morphism,
     linfty_jacobi_residual,
     oracle_jacobi_residual,
     per_permutation_unshuffle_sum,
@@ -342,8 +343,9 @@ def test_anchor_morphism_residual_matches_the_per_permutation_sum(
     carrier = mixed_module(base, degrees, seed=seed % 5)
     S = random_algebroid(Rng(seed), base, carrier, derivation_anchors=derivation_anchors)
     f, target = anchor_morphism(S)
+    residuals = anchor_morphism_residual(S, [1, 2, 3])
     for n in range(1, 4):
-        assert morphism_residual(f, S, target, n) == oracle_morphism_residual(f, S, target, n)
+        assert residuals[n] == morphism_residual(f, S, target, n) == oracle_morphism_residual(f, S, target, n)
 
 
 def test_anchor_morphism_sign_on_a_genuine_structure():

@@ -1,0 +1,168 @@
+"""Each residual family is one library call, checked against the loop it
+replaced: the anchor morphism built once and read arity by arity, D o D with
+one pair of ``apply`` calls per generator, and the generator-by-generator
+comparisons of ``mc`` and ``duality``.  Also the known disagreement of the
+anchor-morphism residual with D^2 (ROADMAP item 14), as a strict xfail."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from algebroidkit.algebroid import AlgebroidStructure, anchor_morphism_residual, ce_differential
+from algebroidkit.errors import CapError
+from algebroidkit.fixtures import Rng, mixed_module, nontrivial_dga, random_algebroid, random_unipotent, sample_bases
+from algebroidkit.geometry import GeometricModel, build_frakD, build_kapranov, duality_residual, structure_from_geometry
+from algebroidkit.modelio import parse_model
+from algebroidkit.modules import FreeModule, ModuleElement
+from algebroidkit.scalars import ONE
+from algebroidkit.symtensor import SymAlgebra, conjugate, d0_derivation, mc_residual, square, square_components
+from geometry_oracle import oracle_duality_residual
+from linfty_oracle import oracle_anchor_morphism_residual
+from symtensor_oracle import oracle_square_components, oracle_squares_difference
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _models(workloads):
+    """The 8 shipped fixtures and both generated benchmark models (seed 0)."""
+    models = {path.name: parse_model(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
+    assert len(models) == 8
+    for name in sorted(workloads.GENERATED):
+        models[name] = parse_model(workloads.generate_model_text(name, 0))
+    return models
+
+
+def _structure(model) -> AlgebroidStructure:
+    return model if isinstance(model, AlgebroidStructure) else structure_from_geometry(model)
+
+
+def _regression_model() -> AlgebroidStructure:
+    """The accepted model whose anchor residual differs from D^2 (pinned by
+    ``tests/test_algebroid.py``): anchors up to arity 4."""
+    base = nontrivial_dga()
+    carrier = mixed_module(base, [1, -1, 0], seed=7)
+    return random_algebroid(Rng(1183), base, carrier, bracket_cap=3, derivation_anchors=True, density=0.9)
+
+
+def _nonclosed_carrier() -> FreeModule:
+    """The carrier of the ``abelian`` fixture with d(g0) = g1 and d(g1) = e.g1,
+    so d^2(g0) = e.g1: a carrier whose d_L does not square to zero."""
+    base = nontrivial_dga()
+    L = FreeModule(base, [("g0", 0), ("g1", 1)])
+    L.set_differential({0: L.generator(1), 1: ModuleElement(L, {1: base.from_names({"e": ONE})})})
+    return L
+
+
+# -- the anchor morphism ----------------------------------------------------------------
+
+
+def test_anchor_morphism_residual_matches_the_morphism_built_once(workloads):
+    """Every arity up to the bracket cap, on the fixtures, the generated
+    models, the regression model and drawn structures with both anchor
+    kinds; some residuals are nonzero."""
+    structures = {name: _structure(m) for name, m in _models(workloads).items()}
+    structures["regression"] = _regression_model()
+    for seed, base in enumerate(sample_bases()):
+        for derivation_anchors in (False, True):
+            carrier = mixed_module(base, [0, 1, -1], seed=seed)
+            S = random_algebroid(Rng(seed), base, carrier, bracket_cap=3, derivation_anchors=derivation_anchors)
+            structures[f"drawn {seed} {derivation_anchors}"] = S
+    nonzero = set()
+    for name, S in structures.items():
+        arities = list(range(1, S.bracket_cap + 1))
+        got = anchor_morphism_residual(S, arities)
+        assert got == oracle_anchor_morphism_residual(S, arities), name
+        if any(got.values()):
+            nonzero.add(name)
+    assert {"rank2.geometric.json", "generic.geometric.json", "regression"} <= nonzero
+
+
+def test_anchor_morphism_residual_refuses_an_arity_over_the_cap_as_the_oracle_does():
+    S = _regression_model()
+    for arities in ([4], [1, 5]):
+        with pytest.raises(CapError, match="^bracket arity [45] exceeds cap 3$"):
+            anchor_morphism_residual(S, arities)
+        with pytest.raises(CapError, match="^bracket arity [45] exceeds cap 3$"):
+            oracle_anchor_morphism_residual(S, arities)
+    empty = AlgebroidStructure(S.base, FreeModule(S.base, []), bracket_cap=3)
+    assert anchor_morphism_residual(empty, [5]) == oracle_anchor_morphism_residual(empty, [5]) == {5: {}}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the anchor residual is not yet read off D^2")
+def test_every_anchor_residual_sits_where_d_squared_has_a_word_of_its_arity():
+    """On the regression model, ``anchor --arity 3`` reports (g1,g2,g2) on x,
+    but D^2(x) has only a weight-2 word.  Once ``anchor`` reads D^2, each
+    residual at arity n sits on a basis element whose D^2 value has a
+    weight-n word."""
+    S = _regression_model()
+    D2 = square(ce_differential(S, S.bracket_cap))
+    residuals = anchor_morphism_residual(S, [1, 2, 3])
+    assert residuals[3]
+    for n, res in residuals.items():
+        for key, der in res.items():
+            for b, val in enumerate(der.values):
+                if not val.is_zero():
+                    value = D2.on_algebra.get(b)
+                    assert value is not None and n in value.weights(), (n, key, S.base.names[b])
+
+
+# -- D o D and the generator comparisons ------------------------------------------------
+
+
+def _derivations(workloads):
+    """name -> a derivation every command squares: the CE differential of each
+    structure, and the assembled and Kapranov differentials of each
+    geometric model."""
+    out = {}
+    for name, model in _models(workloads).items():
+        S = _structure(model)
+        cap = model.cap if isinstance(model, GeometricModel) else S.bracket_cap
+        out[f"ce {name}"] = ce_differential(S, cap)
+        if isinstance(model, GeometricModel):
+            out[f"frakD {name}"] = build_frakD(model)
+            out[f"kapranov {name}"] = build_kapranov(model)
+    return out
+
+
+def test_square_components_match_the_per_generator_loop(workloads):
+    nonzero = 0
+    for name, D in _derivations(workloads).items():
+        got = square_components(D)
+        assert got == oracle_square_components(D), name
+        nonzero += bool(got)
+    assert nonzero >= 3
+
+
+def _mc_inputs(workloads):
+    """name -> (D0, C = Phi D0 Phi^{-1}) as ``mc`` builds them at seed 0, on
+    every model and on the carrier whose d_L does not square to zero."""
+    carriers = {
+        name: (model.carrier, model.bracket_cap) if isinstance(model, AlgebroidStructure) else (model.normal, model.cap)
+        for name, model in _models(workloads).items()
+    }
+    carriers["nonclosed"] = _nonclosed_carrier(), 4
+    out = {}
+    for name, (carrier, cap) in carriers.items():
+        alg = SymAlgebra.over_module(carrier, cap=cap)
+        D0 = d0_derivation(alg, carrier)
+        out[name] = D0, conjugate(random_unipotent(Rng(0), alg), D0)
+    return out
+
+
+def test_mc_residual_matches_the_per_generator_loop(workloads):
+    """Empty on every model, nonzero on the non-closed carrier."""
+    for name, (D0, C) in _mc_inputs(workloads).items():
+        got = mc_residual(D0, C)
+        assert got == oracle_squares_difference(D0, C), name
+        assert bool(got) == (name == "nonclosed"), name
+
+
+def test_duality_residual_matches_the_per_generator_loop(workloads):
+    """Empty on every geometric model.  The nonzero case is a code mutation:
+    ``tests/test_geometry.py::test_a_wrong_shape_position_sign_fails_the_oracle_comparison``
+    flips a sign and compares the two there."""
+    for name, model in _models(workloads).items():
+        if isinstance(model, GeometricModel):
+            assert duality_residual(model) == oracle_duality_residual(model) == {}, name

@@ -17,7 +17,6 @@ from .symtensor import (
     SymAlgebra,
     SymElement,
     conjugate,
-    d0_derivation,
     evaluate,
     from_values,
     mc_residual,
@@ -38,6 +37,7 @@ from .algebroid import (
     algebroid_jacobi_residual,
     anchor_morphism_residual,
     ce_differential,
+    d0_derivation,
     extract_structure,
     leibniz_residual,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "FilteredAutomorphism",
     "evaluate",
     "from_values",
-    "d0_derivation",
     "square",
     "square_components",
     "conjugate",
@@ -87,6 +86,7 @@ __all__ = [
     "morphism_residual",
     "AlgebroidStructure",
     "ce_differential",
+    "d0_derivation",
     "extract_structure",
     "algebroid_jacobi_residual",
     "leibniz_residual",

@@ -38,15 +38,19 @@ generators and 0 on those of any other word, so every coefficient of D is
 one bracket or anchor entry times a sign over kappa(w), and back.  The two
 are exact mutual inverses on canonical tables.  D squares to zero exactly
 when the tables form an L-infinity algebroid, and ``algebroid_jacobi_residual``
-reads the higher Jacobi residuals off D^2 on the letters.  The read of a
-module value off letter words is written once, ``_letter_transpose``: the
-brackets of ``extract_structure``, those residuals and the curvature terms
-of ``geometry.structure_from_geometry`` all go through it.
+reads the higher Jacobi residuals off D^2 on the letters.
+
+The dictionary is written once each way.  ``_word_transpose`` turns tables
+into words: ``ce_differential`` for both slots, and ``d0_derivation``, the
+arity-1 part, whose tables are d_A and d_L.  ``_letter_transpose`` reads
+values off words: the anchors and brackets of ``extract_structure``, the
+Jacobi residuals, and in ``geometry`` the curvature terms, the Shape, Gamma
+and dhat rows of ``structure_from_geometry``.
 """
 
 from __future__ import annotations
 
-from typing import Container, Dict, List, Mapping, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
 from .errors import BaseMismatch, CapError, KitError
@@ -155,8 +159,7 @@ class AlgebroidStructure:
             raise KitError("bracket arity does not match argument count")
         if n == 1:
             return args[0].d()
-        if n > self.bracket_cap:
-            raise CapError(f"bracket arity {n} exceeds cap {self.bracket_cap}")
+        self.refuse_over_cap((n,))
         carrier = self.carrier
         if any(v.is_zero() for v in args):
             # every term vanishes
@@ -194,10 +197,19 @@ class AlgebroidStructure:
         )
 
     def max_bracket_arity(self) -> int:
-        return max((n for n, t in self.brackets.items() if t), default=1)
+        """The highest arity of a stored bracket, 0 when none is stored."""
+        return max((n for n, t in self.brackets.items() if t), default=0)
 
     def max_anchor_arity(self) -> int:
-        return max((n for n, t in self.anchors.items() if t), default=1)
+        """The highest arity of a stored anchor, 0 when none is stored."""
+        return max((n for n, t in self.anchors.items() if t), default=0)
+
+    def refuse_over_cap(self, arities: Sequence[int]) -> None:
+        """Refuse a bracket arity over the cap (CapError), before any work:
+        the one rule of ``bracket`` and of the three residual families."""
+        for n in arities:
+            if n > self.bracket_cap:
+                raise CapError(f"bracket arity {n} exceeds cap {self.bracket_cap}")
 
     # -- validation -------------------------------------------------------------------
 
@@ -236,23 +248,54 @@ class AlgebroidStructure:
 # ---------------------------------------------------------------------------
 
 
-def _arity_tables(S: AlgebroidStructure, m: int):
-    """(brackets, anchors) of arity m as ``{key: value}`` and ``{(key, slot): value}``
-    maps; at arity 1 those of the dga, {g_j}_1 = d_L g_j and {|e_b}_1 = d_A e_b."""
-    if m == 1:
-        carrier, base = S.carrier, S.base
-        return (
-            {(j,): carrier.generator(j).d() for j in range(carrier.rank)},
-            {((), b): base.differential_basis(b) for b in range(base.dim)},
+def _word_transpose(
+    alg: SymAlgebra,
+    entries: Iterable[Tuple[GenKey, int, AlgebraElement]],
+    degrees: Sequence[int],
+    exponents: Sequence[int],
+) -> Dict[int, SymElement]:
+    """{i: element of alg}: the inverse of ``_letter_transpose``.  An entry
+    (w, i, value) is the value that element i takes on the generators of the
+    sorted word w, and its coefficient x e_b gives w the coefficient
+
+        (-1)^{exponents[i] + |e_b| degrees[i]} x / kappa(w)
+
+    in element i; a word over the cap of alg is dropped (``SymElement``)."""
+    base = alg.base
+    base_degrees = base.degrees
+    out: Dict[int, Dict[GenKey, AlgebraElement]] = {}
+    for w, i, value in entries:
+        scale = _word_constant(alg, w).inverse() * sign_scalar(exponents[i])
+        degree = degrees[i]
+        out.setdefault(i, {})[w] = AlgebraElement(
+            base, {b: -x * scale if base_degrees[b] * degree & 1 else x * scale for b, x in value.coeffs}
         )
-    return S.brackets.get(m, {}), S.anchors.get(m, {})
+    return {i: SymElement(alg, words) for i, words in out.items()}
 
 
-def _add_to(table: Dict, outer, inner, value: AlgebraElement) -> None:
-    """table[outer][inner] += value."""
-    slot = table.setdefault(outer, {})
-    old = slot.get(inner)
-    slot[inner] = value if old is None else old + value
+def _ce_derivation(
+    algebra: SymAlgebra, module: FreeModule, brackets: Iterable[Mapping], anchors: Iterable[Mapping]
+) -> DerivationD:
+    """The derivation whose words transpose the bracket tables {key: value}
+    and anchor tables {(key, b): value} given and the arity-1 tables of the
+    dga, {g_j}_1 = d_L g_j and {|e_b}_1 = d_A e_b; the letters of module
+    are the first letters of algebra."""
+    base, degrees = algebra.base, module.degrees
+    anchors = [{((), b): base.differential_basis(b) for b in range(base.dim)}, *anchors]
+    brackets = [{(j,): module.differential_basis(j) for j in range(module.rank)}, *brackets]
+    on_algebra = ((w, b, v) for t in anchors for (w, b), v in t.items())
+    on_letters = ((w, i, c) for t in brackets for w, v in t.items() for i, c in v.items())
+    return DerivationD(
+        algebra,
+        _word_transpose(algebra, on_algebra, base.degrees, [0] * base.dim),
+        _word_transpose(algebra, on_letters, degrees, [d + 1 for d in degrees]),
+    )
+
+
+def d0_derivation(algebra: SymAlgebra, module: FreeModule) -> DerivationD:
+    """The differential induced by (d_A, d_L), the arity-1 part of the CE
+    dictionary: d_A on coefficients, the dual of d_L on the letters."""
+    return _ce_derivation(algebra, module, (), ())
 
 
 def ce_differential(S: AlgebroidStructure, weight_cap: int = 4) -> DerivationD:
@@ -268,40 +311,19 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4) -> DerivationD:
 
     the anchor term of D(eta_i) reads the anchors on the unit, which vanish
     (``AlgebroidStructure.set_anchor``), so the letters read no anchor.  At
-    arity 1 the tables are the dga's differentials (``_arity_tables``):
-    D(e_b) starts with d_A e_b and D(eta_i) with the dual of d_L.  D(eta_i)
-    stops at weight min(W, bracket cap).
+    arity 1 the tables are the dga's differentials (``d0_derivation``).
+    ``_word_transpose`` twists a basis element e_c of an anchor value by
+    (-1)^{|e_c||e_b|}, which is (-1)^{|e_b||w|} on a value of the anchor's
+    degree |e_b| + |w| + 1: the degree check of ``DerivationD`` refuses any
+    other.  A stored table over the weight cap is refused.
     """
-    carrier = S.carrier
-    base = S.base
     if S.max_bracket_arity() > weight_cap or S.max_anchor_arity() > weight_cap + 1:
         raise CapError(
             f"weight cap {weight_cap} too small for bracket arity "
             f"{S.max_bracket_arity()} / anchor arity {S.max_anchor_arity()}"
         )
-    algebra = SymAlgebra.over_module(carrier, cap=weight_cap)
-    W = weight_cap
-    degrees = carrier.degrees
-
-    on_algebra: Dict[int, Dict[GenKey, AlgebraElement]] = {}
-    for m in range(1, min(W + 1, S.anchor_cap) + 1):
-        for (key, b), value in _arity_tables(S, m)[1].items():
-            exponent = base.degrees[b] * sum(degrees[i] for i in key)
-            _add_to(on_algebra, b, key, value.scale(sign_scalar(exponent)))
-
-    on_letters: Dict[int, Dict[GenKey, AlgebraElement]] = {}
-    for m in range(1, min(W, max(1, S.bracket_cap)) + 1):
-        for w, value in _arity_tables(S, m)[0].items():
-            for i, c in value.items():
-                _add_to(on_letters, i, w, _koszul_twist(c, degrees[i]).scale(sign_scalar(degrees[i] + 1)))
-
-    def divided(table):
-        return {
-            i: SymElement(algebra, {w: a.scale(_word_constant(algebra, w).inverse()) for w, a in words.items()})
-            for i, words in table.items()
-        }
-
-    return DerivationD(algebra, divided(on_algebra), divided(on_letters))
+    algebra = SymAlgebra.over_module(S.carrier, cap=weight_cap)
+    return _ce_derivation(algebra, S.carrier, S.brackets.values(), S.anchors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +355,8 @@ def _letter_transpose(
         out[w][i][b] = (-1)^{exponents[i] + |e_b| degrees[i]} kappa(w) x,
 
     exponents[i] being the sign of the read at letter i and (-1)^{|e_b||g_i|}
-    the ``from_dual_values`` twist of the basis element e_b.
+    the Koszul twist of the dual pairing (``modules.pair_dual``) at the
+    basis element e_b.  ``_word_transpose`` is the inverse.
     """
     base_degrees = alg.base.degrees
     out: Dict[GenKey, Coefficients] = {}
@@ -370,6 +393,8 @@ def extract_structure(
         {w | e_b}_{n+1} = (-1)^{|e_b||w|} kappa(w) D(e_b)[w],
         eta_i({w}_n)    = (-1)^{|eta_i|+1} kappa(w) D(eta_i)[w].
 
+    Both are read by ``_letter_transpose``: its twist (-1)^{|e_c||e_b|} of a
+    basis element e_c of D(e_b)[w] is (-1)^{|e_b||w|}, as D has degree 1.
     D(1) is read as the anchors on the unit, so a D with D(1) != 0 (at an
     arity within the anchor cap) is refused there, by ``set_anchor``.
     """
@@ -387,17 +412,12 @@ def extract_structure(
     S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
     degrees = carrier.degrees
 
-    anchors = []
-    for b, el in D.on_algebra.items():
-        for w, c in el.data.items():
-            if 1 <= len(w) <= bracket_cap:
-                scale = _word_constant(algebra, w) * sign_scalar(base.degrees[b] * sum(degrees[i] for i in w))
-                anchors.append((len(w) + 1, w, b, c.scale(scale)))
-    for n, w, b, value in sorted(anchors, key=lambda e: e[:3]):
-        S.set_anchor(n, w, b, value)
+    anchors = _letter_transpose(algebra, D.on_algebra, base.degrees, [0] * base.dim, range(1, bracket_cap + 1))
+    for w in sorted(anchors, key=lambda w: (len(w), w)):
+        for b in sorted(anchors[w]):
+            S.set_anchor(len(w) + 1, w, b, AlgebraElement(base, anchors[w][b]))
 
-    weights = range(2, min(bracket_cap, algebra.cap) + 1)
-    values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], weights)
+    values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], range(2, bracket_cap + 1))
     for w in sorted(values, key=lambda w: (len(w), w)):
         value = _module_value(carrier, values[w])
         if not value.is_zero():
@@ -421,13 +441,11 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
         Jac_n(w)_i = -(-1)^{|g_i||c|} kappa(w) c,
 
     the symmetric unshuffle sum of ``bracket`` up to arity n.  An arity over
-    the bracket cap is refused before any work, as ``leibniz_residual``
-    refuses it.
+    the bracket cap is refused before any work
+    (``AlgebroidStructure.refuse_over_cap``).
     """
     carrier = S.carrier
-    for n in arities:
-        if n > S.bracket_cap:
-            raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
+    S.refuse_over_cap(arities)
     out: Dict[int, Dict[GenKey, ModuleElement]] = {n: {} for n in arities}
     if not out:
         return out
@@ -448,11 +466,11 @@ def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], 
     basis element a, whether or not the anchors are derivations of the base
     (``validate`` decides that), and at the unit it is -{g_1..g_{n-1}|1}.g_n,
     which vanishes (``AlgebroidStructure.set_anchor``).  An arity over the
-    bracket cap is refused as the bracket would refuse it; the anchor cap is
-    one above it.
+    bracket cap is refused as the bracket would refuse it
+    (``AlgebroidStructure.refuse_over_cap``), though the anchor cap is one
+    above it.
     """
-    if S.carrier.rank and 1 < n and S.bracket_cap < n:
-        raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
+    S.refuse_over_cap((n,))
     return {}
 
 
@@ -463,9 +481,7 @@ def anchor_morphism_residual(
     structure morphism into Der(A)[1] at the given arities, all read off one
     morphism.  An arity over the bracket cap is refused before any work: the
     identity's bracket at that arity would refuse it."""
-    for n in arities:
-        if S.carrier.rank and n > S.bracket_cap:
-            raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
+    S.refuse_over_cap(arities)
     target = ShiftedDerDGLA(S.base)
     f = LInftyMorphism(S, target, target.zero())
     for m in range(1, S.anchor_cap):

@@ -23,6 +23,7 @@ from .algebroid import (
     algebroid_jacobi_residual,
     anchor_morphism_residual,
     ce_differential,
+    d0_derivation,
     extract_structure,
     leibniz_residual,
 )
@@ -50,7 +51,7 @@ from .reports import (
     residuals_from_sym,
     timed_check,
 )
-from .symtensor import SymAlgebra, conjugate, d0_derivation, mc_residual, square_components
+from .symtensor import SymAlgebra, conjugate, mc_residual, square_components
 
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra
-from .algebroid import AlgebroidStructure, extract_structure
+from .algebroid import AlgebroidStructure, d0_derivation, extract_structure
 from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame
 from .linfty import LInftyAlgebra, algebra_derivation_basis
 from .modelio import serialize_model
@@ -25,7 +25,6 @@ from .symtensor import (
     SymAlgebra,
     SymElement,
     conjugate,
-    d0_derivation,
 )
 
 

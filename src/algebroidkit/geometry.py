@@ -27,7 +27,10 @@ The substitution derivations of the ambient algebra (nabla_hat, nabla_perp,
 Shape, beta-tilde = Rtan_1, Rtan = sum_p Rtan_p, which substitutes each
 tangent letter by its whole Rtan family, and D1, nabla_hat cut to its
 one-tangent-letter values) are built once, when the model is constructed.
-The main constructions:
+The differentials are d0 of each module (``algebroid.d0_derivation``, the
+arity-1 part of the Chevalley-Eilenberg dictionary): the ambient d0 is the
+tangent d0 plus beta on the tangent letters and the normal d0 on the
+normal ones.  The main constructions:
 
 * ``nabla_bar``: symmetrized covariant derivative; the unnormalized
   substitution operator nabla_hat is a genuine degree-0 derivation and the
@@ -58,9 +61,10 @@ The main constructions:
 
   one recursion step applied to the two (curvature family, contraction)
   pairs (Rtan, Shape) and (Rperp, nabla_perp), with every map read on
-  generators: the curvature transposes off the stored words, Shape, Gamma
-  and dhat off rows on the tangent generators, and each alpha_n, ell_n and
-  anchor value summed in one coefficient table.  The result is an
+  generators off its stored words by ``algebroid._letter_transpose`` (the
+  curvature families, and Shape, Gamma and dhat as rows on the tangent
+  generators), and each alpha_n, ell_n and anchor value summed in one
+  coefficient table.  The result is an
   AlgebroidStructure whose Chevalley-Eilenberg derivation coincides with
   ``build_frakD`` identically (the central duality check, valid whether or
   not D squares to zero).
@@ -71,11 +75,18 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, _degree_problem, _leibniz_failures
-from .algebroid import AlgebroidStructure, Coefficients, _letter_transpose, _module_value, ce_differential
+from .algebroid import (
+    AlgebroidStructure,
+    Coefficients,
+    _letter_transpose,
+    _module_value,
+    ce_differential,
+    d0_derivation,
+)
 from .errors import BaseMismatch, DegreeError, KitError
 from .linfty import BracketTable
-from .modules import FreeModule, ModuleElement, from_dual_values
-from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from .modules import FreeModule, ModuleElement
+from .scalars import Scalar
 from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
@@ -85,9 +96,6 @@ from .symtensor import (
     _add_product,
     _collect,
     _normalized,
-    _word_constant,
-    d0_derivation,
-    dual_differential_letter,
     generator_differences,
     # not called here: perfbench/test_perfbench.py checks that the tracer
     # wraps this import site of a public function
@@ -353,18 +361,14 @@ class GeometricModel(SplitFrame):
 
     def ambient_d0(self) -> DerivationD:
         """The ambient differential: d_A on coefficients, block-triangular on
-        letters with the Kodaira-Spencer tensor as the off-diagonal block.
-        On the base and the normal letters it is the normal d0."""
-        on_letters: Dict[int, SymElement] = {}
-        for i in range(self.a):  # the tangent letters are the first letters of amb
-            val = dual_differential_letter(self.amb, self.tangent, i)
-            val = val + self.to_amb(self.beta.get(i, self.nor.zero()))
-            if not val.is_zero():
-                on_letters[i] = val
-        D0n = self.normal_d0()
-        on_letters.update({self.a + j: self.to_amb(v) for j, v in D0n.on_letters.items()})
-        on_algebra = {i: self.to_amb(v) for i, v in D0n.on_algebra.items()}
-        return DerivationD(self.amb, on_algebra, on_letters, degree=1, check=False)
+        letters: the tangent d0 plus the Kodaira-Spencer tensor beta (the
+        table, not beta-tilde, which the commutator lemma compares it with),
+        then the normal d0."""
+        tangent = d0_derivation(self.amb, self.tangent)
+        zero = self.amb.zero()
+        on_letters = {i: tangent.on_letters.get(i, zero) + self.to_amb(self.beta[i]) for i in range(self.a)}
+        on_letters.update({self.a + j: self.to_amb(v) for j, v in self.normal_d0().on_letters.items()})
+        return DerivationD(self.amb, tangent.on_algebra, on_letters, degree=1, check=False)
 
     def normal_d0(self) -> DerivationD:
         return d0_derivation(self.nor, self.normal)
@@ -423,9 +427,9 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
     # optional: beta anticommutes with the differentials
     if g.closed_beta:
         D0n = g.normal_d0()
+        dt = d0_derivation(g.amb, g.tangent).on_letters
         for i in range(g.a):
-            dt = dual_differential_letter(g.amb, g.tangent, i)
-            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.beta_tilde(dt))
+            residual = D0n.apply(g.beta[i]) + g.rho_dual(g.beta_tilde(dt.get(i, g.amb.zero())))
             if not residual.is_zero():
                 problems.append(f"closed flag set but d(beta) != 0 at tangent letter {i}")
     return problems
@@ -670,29 +674,31 @@ def build_frakD(g: GeometricModel) -> DerivationD:
 
 
 # The image of each tangent generator t_j under a map read on generators:
-# {j: ((index, AlgebraElement), ...)}, the value's (index, coefficient) pairs.
-GeneratorRows = Dict[int, Tuple[Tuple[int, AlgebraElement], ...]]
+# {j: {index: {basis index: Scalar}}}, the coefficients of the value.
+GeneratorRows = Dict[int, Coefficients]
 
 
 def _contraction_rows(
-    g: GeometricModel, table: Mapping[int, SymElement], target: FreeModule, sign: Scalar
+    g: GeometricModel, table: Mapping[int, SymElement], target: FreeModule, exponent: int
 ) -> Dict[int, GeneratorRows]:
     """{k: rows}: the (1,1)-contraction on (t_j, nu_k) of an ambient tensor
-    table, table[i] being the image of target letter i, times sign.
+    table, table[i] being the image of target letter i, signed
+    (-1)^exponent: its words (t_j nu_k) read by ``_letter_transpose``.
 
-    Shape takes sign 1: the anchor-recursion bookkeeping cancels every Koszul
-    factor there.  Gamma (nabla^perp_V nu) takes -1, the -(-1)^{|eta|}
+    Shape takes exponent 0: the anchor-recursion bookkeeping cancels every
+    Koszul factor there.  Gamma (nabla^perp_V nu) takes 1, the -(-1)^{|eta|}
     bracket-recovery twist it shares with the Rperp transpose."""
-    out: Dict[int, GeneratorRows] = {}
-    for k in range(g.b):
-        rows = out[k] = {}
-        for j in range(g.a):
-            w = (j, g.a + k)
-            scale = _word_constant(g.amb, w) * sign
-            values = {i: el.data[w].scale(scale) for i, el in table.items() if w in el.data}
-            if values:
-                rows[j] = from_dual_values(target, values).coeffs
+    out: Dict[int, GeneratorRows] = {k: {} for k in range(g.b)}
+    for (j, n), rows in _letter_transpose(g.amb, table, target.degrees, [exponent] * target.rank, (2,)).items():
+        out[n - g.a][j] = rows
     return out
+
+
+def _dhat_rows(g: GeometricModel) -> GeneratorRows:
+    """dhat e_b on t_j, signed (-1)^{|e_b| |t_j|} = (-1)^{|e_b| + |e_c||e_b|}
+    at each basis element e_c of its value, of degree |e_b| + |t_j|."""
+    base_degrees = g.base.degrees
+    return {j: rows for (j,), rows in _letter_transpose(g.amb, g.dhat, base_degrees, base_degrees, (1,)).items()}
 
 
 def _add_contraction(
@@ -708,14 +714,14 @@ def _add_contraction(
         row = rows.get(j)
         if row is None:
             continue
-        for k, value in row:
+        for k, value in row.items():
             out = acc.get(k)
             if out is None:
                 out = acc[k] = {}
             for i, x in a.coeffs:
                 if negative:
                     x = -x
-                for m, y in value.coeffs:
+                for m, y in value.items():
                     _add_product(out, base, i, m, x * y)
 
 
@@ -728,17 +734,17 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     and the anchor tables are {v_1..v_n | a} = (-1)^{|a| |alpha_n(v)|}-twisted
     pairings of alpha_n with dhat.
 
-    Every map is read on generators: the curvature families off their
-    stored words (``algebroid._letter_transpose``), Shape, Gamma and dhat off
-    rows on the tangent generators t_j, made once per call (dhat e_b on t_j
-    signed (-1)^{|e_b| |t_j|}).  Each alpha_n(key), ell_n(key) and anchor
+    Every map is read on generators, off its stored words by
+    ``algebroid._letter_transpose``: the curvature families, and Shape, Gamma
+    and dhat as rows on the tangent generators t_j, made once per call (dhat
+    e_b on t_j signed (-1)^{|e_b| |t_j|}).  Each alpha_n(key), ell_n(key) and anchor
     value is summed in one coefficient table and made one element when
     complete; the coefficients of alpha_{n-1} multiply the rows from the
     left (``_add_contraction``).  That is the Koszul extension
     of the pairings on the degree-homogeneous tensors that
     ``geometric_degree_problems`` admits: the Koszul sign of a coefficient
-    cancels against the ``from_dual_values`` twist, or against the anchor
-    twist.  On a sorted key the unshuffle that puts position p last has
+    cancels against the transpose's twist (-1)^{|e_c||g_i|} of a basis
+    element e_c, or against the anchor twist.  On a sorted key the unshuffle that puts position p last has
     alpha(sigma) = (-1)^{|v_p| sum_{q > p} |v_q|}.
     """
     cap = g.cap
@@ -746,8 +752,8 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     S = AlgebroidStructure(base, g.normal, bracket_cap=cap)
     degrees = g.normal.degrees
     tangent_degrees = g.tangent.degrees
-    shape = _contraction_rows(g, g.shape, g.tangent, ONE)
-    gamma = _contraction_rows(g, g.gamma, g.normal, MINUS_ONE)
+    shape = _contraction_rows(g, g.shape, g.tangent, 0)
+    gamma = _contraction_rows(g, g.gamma, g.normal, 1)
 
     alpha_tables: Dict[int, BracketTable] = {}
     for n in range(1, cap + 1):
@@ -774,14 +780,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
                 if not ell.is_zero():
                     S.set_bracket(n, key, ell)
 
-    dhat: GeneratorRows = {
-        j: tuple(
-            (b, el.data[(j,)].scale(sign_scalar(base.degrees[b] * tangent_degrees[j])))
-            for b, el in g.dhat.items()
-            if (j,) in el.data
-        )
-        for j in range(g.a)
-    }
+    dhat = _dhat_rows(g)
     for m, alpha in alpha_tables.items():
         for key, alpha_val in alpha.items():
             acc: Coefficients = {}

@@ -197,18 +197,6 @@ def pair_dual(module: FreeModule, letter: int, v: ModuleElement) -> AlgebraEleme
     return _koszul_twist(a, -module.degrees[letter])
 
 
-def from_dual_values(module: FreeModule, values: Mapping[int, AlgebraElement]) -> ModuleElement:
-    """The inverse of ``pair_dual``: the element T with g_i^vee(T) = values[i].
-
-    The pairing multiplies each homogeneous part of degree d by
-    (-1)^{d |g_i^vee|}, and so does its inverse.
-    """
-    return ModuleElement(
-        module,
-        {i: _koszul_twist(a, -module.degrees[i]) for i, a in values.items() if not a.is_zero()},
-    )
-
-
 def _koszul_twist(x, degree: int):
     """x with its homogeneous part of degree d scaled by (-1)^{d * degree}; x is
     an algebra or a module element (degree d is then the total degree)."""

@@ -28,7 +28,12 @@ by kappa(w), and ``evaluate`` on generators is one table read times kappa
 and the Koszul sign of sorting the arguments.  General arguments
 (coefficients, sums) take the same read: each total-degree part of the
 element is a map of that degree, extended A-multilinearly by
-``modules.multilinear_extend``.
+``modules.multilinear_extend``.  Between generator tables and words the
+conversion is one transpose each way, ``algebroid._word_transpose`` and
+``algebroid._letter_transpose``: the Chevalley-Eilenberg dictionary, whose
+arity-1 part is the differential d0 induced by (d_A, d_L)
+(``algebroid.d0_derivation``).  No command calls ``from_values`` or
+``evaluate``.
 
 The product and the Leibniz rule form each output term once: the
 concatenated letters are sorted with their Koszul sign (``signs._sort_word``:
@@ -65,7 +70,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
 from .errors import BaseMismatch, CapError, DegreeError, KitError
-from .modules import FreeModule, ModuleElement, multilinear_extend, pair_dual
+from .modules import FreeModule, ModuleElement, multilinear_extend
 from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from .signs import _nonvanishing_keys, _sort_word, _vanishes
 
@@ -638,39 +643,6 @@ class DerivationD:
 
     def is_zero(self) -> bool:
         return not self.on_algebra and not self.on_letters
-
-
-def d0_derivation(algebra: SymAlgebra, module: FreeModule) -> DerivationD:
-    """The differential induced by (d_A, d_L): d_A on coefficients, d_{L^vee}
-    on letters."""
-    base = algebra.base
-    on_algebra = {
-        i: algebra.scalar(base.differential_basis(i))
-        for i in range(base.dim)
-        if not base.differential_basis(i).is_zero()
-    }
-    on_letters = {}
-    for i in range(algebra.n_letters):
-        val = dual_differential_letter(algebra, module, i)
-        if not val.is_zero():
-            on_letters[i] = val
-    return DerivationD(algebra, on_algebra, on_letters)
-
-
-def dual_differential_letter(algebra: SymAlgebra, module: FreeModule, letter: int) -> SymElement:
-    """d_{L^vee} g^vee = the weight-1 element with (d eta)(v) = d_A(eta(v))
-    - (-1)^{|eta|} eta(d_L v)."""
-    eta_degree = -module.degrees[letter]
-    acc = algebra.zero()
-    for j in range(module.rank):
-        val = -(pair_dual(module, letter, module.differential_basis(j))).scale(
-            sign_scalar(eta_degree)
-        )
-        # d_A(eta(g_j)) = d_A(delta) = 0 on basis duals
-        if val.is_zero():
-            continue
-        acc = acc + algebra.letter(j, val)
-    return acc
 
 
 # ---------------------------------------------------------------------------

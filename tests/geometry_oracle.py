@@ -16,6 +16,12 @@ pass, kept as test oracles.
   the normal generators in a loop of its own, which
   ``geometry.duality_residual`` shares with ``symtensor.mc_residual`` as
   ``symtensor.generator_differences``.
+* The reads that became ``algebroid._letter_transpose`` and
+  ``algebroid.d0_derivation``: ``from_dual_values`` (the inverse of
+  ``modules.pair_dual``), the Shape and Gamma rows of
+  ``oracle_contraction_table``, the dhat rows of ``oracle_dhat_rows`` and the
+  ambient d0 of ``oracle_ambient_d0``, its tangent letters dualized one by
+  one.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from typing import Dict, Mapping, Tuple
 from algebroidkit.algebroid import AlgebroidStructure, ce_differential
 from algebroidkit.geometry import build_frakD, structure_from_geometry
 from algebroidkit.linfty import BracketTable
-from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, multilinear_extend
+from algebroidkit.modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys
-from algebroidkit.symtensor import SymAlgebra, SymElement, _word_constant, d0_derivation
+from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, _word_constant
+from symtensor_oracle import oracle_d0_derivation, oracle_dual_differential_letter
 
 Word = Tuple[int, ...]
 
@@ -97,7 +104,7 @@ def oracle_build_kapranov(g) -> Tuple[Dict[int, Dict[Word, object]], Dict[int, D
     """(on_algebra, on_letters) of d0 + sum_{2 <= k <= cap} Rperp_k as word
     tables {index: {word: coefficient}}, zero values left out."""
     alg = SymAlgebra.over_module(g.normal, cap=g.cap)
-    D0 = d0_derivation(alg, g.normal)
+    D0 = oracle_d0_derivation(alg, g.normal)
     on_letters = dict(D0.on_letters)
     for k, table in g.curv_perp.items():
         assert k >= 2, k
@@ -114,6 +121,18 @@ def oracle_build_kapranov(g) -> Tuple[Dict[int, Dict[Word, object]], Dict[int, D
 # -- the recursive structure -------------------------------------------------------------
 
 
+def from_dual_values(module: FreeModule, values: Mapping[int, object]) -> ModuleElement:
+    """The inverse of ``pair_dual``: the element T with g_i^vee(T) = values[i].
+
+    The pairing multiplies each homogeneous part of degree d by
+    (-1)^{d |g_i^vee|}, and so does its inverse.
+    """
+    return ModuleElement(
+        module,
+        {i: _koszul_twist(a, -module.degrees[i]) for i, a in values.items() if not a.is_zero()},
+    )
+
+
 def _transpose(g, table: Mapping[int, SymElement], target: FreeModule, twist: int, key: Word) -> ModuleElement:
     kappa = _word_constant(g.nor, key)
     values = {}
@@ -124,9 +143,11 @@ def _transpose(g, table: Mapping[int, SymElement], target: FreeModule, twist: in
     return from_dual_values(target, values)
 
 
-def _contraction_table(
+def oracle_contraction_table(
     g, table: Mapping[int, SymElement], target: FreeModule, sign: Scalar
 ) -> Dict[int, Dict[Word, ModuleElement]]:
+    """{k: {(j,): value}}: the (1,1)-contraction on (t_j, nu_k) of an ambient
+    tensor table, times sign, one ``from_dual_values`` per tangent generator."""
     out: Dict[int, Dict[Word, ModuleElement]] = {}
     for k in range(g.b):
         row = out[k] = {}
@@ -139,6 +160,34 @@ def _contraction_table(
     return out
 
 
+def oracle_dhat_rows(g) -> Dict[int, Dict[Word, object]]:
+    """{b: {(j,): value}}: dhat e_b on the tangent generator t_j, signed
+    (-1)^{|e_b| |t_j|}."""
+    return {
+        b: {
+            (j,): el.data[(j,)].scale(sign_scalar(g.base.degrees[b] * g.tangent.degrees[j]))
+            for j in range(g.a)
+            if (j,) in el.data
+        }
+        for b, el in g.dhat.items()
+    }
+
+
+def oracle_ambient_d0(g) -> DerivationD:
+    """d_A on coefficients; on the tangent letter i the dual of d_L of the
+    tangent module plus beta_i, on the normal letters the normal d0."""
+    on_letters = {}
+    for i in range(g.a):  # the tangent letters are the first letters of amb
+        val = oracle_dual_differential_letter(g.amb, g.tangent, i)
+        val = val + g.to_amb(g.beta.get(i, g.nor.zero()))
+        if not val.is_zero():
+            on_letters[i] = val
+    D0n = oracle_d0_derivation(g.nor, g.normal)
+    on_letters.update({g.a + j: g.to_amb(v) for j, v in D0n.on_letters.items()})
+    on_algebra = {i: g.to_amb(v) for i, v in D0n.on_algebra.items()}
+    return DerivationD(g.amb, on_algebra, on_letters, degree=1, check=False)
+
+
 def oracle_structure_from_geometry(g) -> AlgebroidStructure:
     """alpha_1 = beta-transpose; for n >= 2
         alpha_n = Rtan_n + sum_{Sh(n-1,1)} alpha(sigma) Shape(alpha_{n-1}(first), last)
@@ -149,8 +198,8 @@ def oracle_structure_from_geometry(g) -> AlgebroidStructure:
     S = AlgebroidStructure(g.base, g.normal, bracket_cap=cap)
     degrees = g.normal.degrees
     tangent_degrees = g.tangent.degrees
-    shape = _contraction_table(g, g.shape, g.tangent, ONE)
-    gamma = _contraction_table(g, g.gamma, g.normal, MINUS_ONE)
+    shape = oracle_contraction_table(g, g.shape, g.tangent, ONE)
+    gamma = oracle_contraction_table(g, g.gamma, g.normal, MINUS_ONE)
 
     alpha_tables: Dict[int, BracketTable] = {}
     for n in range(1, cap + 1):
@@ -174,14 +223,7 @@ def oracle_structure_from_geometry(g) -> AlgebroidStructure:
             if n >= 2 and not ell.is_zero():
                 S.set_bracket(n, key, ell)
 
-    dhat = {
-        b: {
-            (j,): el.data[(j,)].scale(sign_scalar(g.base.degrees[b] * tangent_degrees[j]))
-            for j in range(g.a)
-            if (j,) in el.data
-        }
-        for b, el in g.dhat.items()
-    }
+    dhat = oracle_dhat_rows(g)
     for m, alpha in alpha_tables.items():
         for key, alpha_val in alpha.items():
             for b, table in dhat.items():

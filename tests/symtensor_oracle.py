@@ -16,13 +16,20 @@ The multiplicative Phi = exp(phi): ``symtensor.FilteredAutomorphism`` sums
 the series of phi's powers on every element it is given.  The oracle sums it
 on the generators only (``exp_images``), extends those images letter by
 letter as an algebra map (``reference_automorphism_apply``) and inverts that
-map by its Neumann series (``reference_apply_inverse``)."""
+map by its Neumann series (``reference_apply_inverse``).
+
+The differential d0 induced by (d_A, d_L) as ``symtensor`` built it before it
+became the arity-1 part of the Chevalley-Eilenberg dictionary
+(``algebroid.d0_derivation``): ``oracle_d0_derivation``, one
+``modules.pair_dual`` per letter and generator
+(``oracle_dual_differential_letter``)."""
 
 from __future__ import annotations
 
 from math import factorial
 
-from algebroidkit.scalars import MINUS_ONE, ONE, Scalar
+from algebroidkit.modules import pair_dual
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.symtensor import DerivationD
 
 
@@ -120,4 +127,35 @@ def reference_apply_inverse(images, element):
         if current.is_zero():
             break
         acc = acc + current
+    return acc
+
+
+def oracle_d0_derivation(algebra, module):
+    """The differential induced by (d_A, d_L): d_A on coefficients, d_{L^vee}
+    on letters."""
+    base = algebra.base
+    on_algebra = {
+        i: algebra.scalar(base.differential_basis(i))
+        for i in range(base.dim)
+        if not base.differential_basis(i).is_zero()
+    }
+    on_letters = {}
+    for i in range(algebra.n_letters):
+        val = oracle_dual_differential_letter(algebra, module, i)
+        if not val.is_zero():
+            on_letters[i] = val
+    return DerivationD(algebra, on_algebra, on_letters)
+
+
+def oracle_dual_differential_letter(algebra, module, letter):
+    """d_{L^vee} g^vee = the weight-1 element with (d eta)(v) = d_A(eta(v))
+    - (-1)^{|eta|} eta(d_L v)."""
+    eta_degree = -module.degrees[letter]
+    acc = algebra.zero()
+    for j in range(module.rank):
+        val = -(pair_dual(module, letter, module.differential_basis(j))).scale(sign_scalar(eta_degree))
+        # d_A(eta(g_j)) = d_A(delta) = 0 on basis duals
+        if val.is_zero():
+            continue
+        acc = acc + algebra.letter(j, val)
     return acc

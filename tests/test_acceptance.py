@@ -17,6 +17,7 @@ from algebroidkit.algebroid import (
     algebroid_jacobi_residual,
     anchor_morphism_residual,
     ce_differential,
+    d0_derivation,
     extract_structure,
     leibniz_residual,
 )
@@ -55,7 +56,6 @@ from algebroidkit.signs import Permutation, enumerate_unshuffles, skew_sign, sym
 from algebroidkit.symtensor import (
     SymAlgebra,
     conjugate,
-    d0_derivation,
     mc_residual,
     square_components,
 )

@@ -17,6 +17,7 @@ from algebroidkit.algebroid import (
     algebroid_jacobi_residual,
     anchor_morphism_residual,
     ce_differential,
+    d0_derivation,
     extract_structure,
     leibniz_residual,
 )
@@ -37,19 +38,20 @@ from algebroidkit.fixtures import (
 from algebroidkit.geometry import structure_from_geometry
 from algebroidkit.linfty import sorted_tuples
 from algebroidkit.modelio import parse_model, serialize_model
-from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values, pair_dual
+from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
 from algebroidkit.scalars import ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _nonvanishing_keys, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
     DerivationD,
     SymAlgebra,
     _evaluate_parts,
-    d0_derivation,
     evaluate,
     from_values,
     square_components,
 )
+from geometry_oracle import from_dual_values
 from linfty_oracle import oracle_jacobi_residual
+from symtensor_oracle import oracle_d0_derivation
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -355,8 +357,10 @@ def test_leibniz_residual_matches_the_bracket_oracle():
     """The bracket-by-bracket residual is empty, or the same refusal, at
     every arity up to one above the anchor cap: on the shipped fixtures and
     on drawn structures with derivation or free anchors, whose bracket cap
-    may be below the unary arity, which no cap refuses, and on a carrier of
-    rank 0, which has no tuple to refuse."""
+    may be below the unary arity, and on a carrier of rank 0.  An arity over
+    the bracket cap is refused even where the oracle evaluates no bracket
+    (the unary arity, a carrier with no tuple): the one rule of
+    ``AlgebroidStructure.refuse_over_cap``."""
     from algebroidkit.cli import _structure_of
     from algebroidkit.modelio import load_model
 
@@ -375,6 +379,8 @@ def test_leibniz_residual_matches_the_bracket_oracle():
     for S in structures:
         for n in range(1, S.anchor_cap + 2):
             want = _result_or_refusal(oracle_leibniz_residual, S, n)
+            if n > S.bracket_cap:
+                want = f"CapError: bracket arity {n} exceeds cap {S.bracket_cap}"
             assert _result_or_refusal(leibniz_residual, S, n) == want, (S.base.names, n)
             if isinstance(want, str):
                 seen[want.split()[1]] += 1
@@ -614,6 +620,21 @@ def drawn_algebroid(base_index, degrees, derivation_anchors, seed):
     base = sample_bases()[base_index]
     carrier = mixed_module(base, degrees, seed=seed % 5)
     return rng, random_algebroid(rng, base, carrier, derivation_anchors=derivation_anchors)
+
+
+@given(
+    base_index=st.integers(0, 4),
+    degrees=st.sampled_from(CE_DEGREES),
+    cap=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_d0_matches_the_dual_differential_oracle(base_index, degrees, cap, seed):
+    """d0, the arity-1 part of the CE dictionary, is d_A on coefficients and
+    the dual of d_L letter by letter, at every weight cap, 0 included."""
+    base = (sample_bases() + [exterior_base([("x", 1), ("y", 1)]), truncated_poly("u", 2, 3)])[base_index]
+    module = mixed_module(base, degrees, seed=seed)
+    alg = SymAlgebra.over_module(module, cap=cap)
+    assert d0_derivation(alg, module) == oracle_d0_derivation(alg, module)
 
 
 @given(

@@ -332,3 +332,34 @@ def test_cli_reads_the_linfty_layer_only_for_the_decalage_line():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "linfty"
     ]
     assert "anchor_morphism" not in vars(algebroid)
+
+
+def _calls_of(tree: ast.Module, callee: str):
+    """The module-level function or class enclosing every call of callee by
+    its plain name."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee:
+                yield getattr(top, "name", None)
+
+
+def test_the_ce_dictionary_is_one_transpose_each_way():
+    """kappa(w) is read by the two transposes of ``algebroid``, tables to
+    words and words to tables, and by the general ``from_values`` and
+    ``evaluate`` (``_evaluate_parts``) of ``symtensor``, which no command
+    calls; d0 is the arity-1 part of the dictionary and lives with it."""
+    root = Path(__file__).resolve().parents[1]
+    found = sorted(
+        (path.name, function)
+        for path in sorted(root.glob("src/algebroidkit/*.py"))
+        for function in _calls_of(ast.parse(path.read_text()), "_word_constant")
+    )
+    assert found == [
+        ("algebroid.py", "_letter_transpose"),
+        ("algebroid.py", "_word_transpose"),
+        ("symtensor.py", "_evaluate_parts"),
+        ("symtensor.py", "from_values"),
+    ]
+    assert algebroidkit.d0_derivation is algebroid.d0_derivation
+    assert not {"d0_derivation", "dual_differential_letter"} & set(vars(algebroidkit.symtensor))
+    assert not hasattr(algebroidkit.modules, "from_dual_values")

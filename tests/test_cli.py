@@ -56,6 +56,20 @@ def test_validate_reports_a_closed_flag_on_an_unclosed_beta(model_dir, tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("module, generator", [("tangent", "t0"), ("normal", "n0")])
+def test_a_module_differential_of_the_wrong_degree_is_refused_by_lemmas(model_dir, tmp_path, capsys, module, generator):
+    """d(g) = 1.g has degree 0: ``validate`` reports it (exit 1), and
+    ``lemmas``, whose ambient d0 holds the d0 of both modules, refuses it
+    (exit 2) with the derivation degree text."""
+    value = [{"generator": generator, "terms": [{"basis": "1|1", "coeff": ONE}]}]  # 1|1 is rank2's unit
+    differential = _set((module, "differential"), [{"generator": generator, "value": value}])
+    path = _mutated(model_dir, tmp_path, "rank2.geometric.json", module, differential)
+    assert run(["validate", path]) == 1
+    capsys.readouterr()
+    assert run(["lemmas", path]) == 2
+    assert capsys.readouterr().err == f"error: derivation value on letter {generator}^ has degree 0, expected 1\n"
+
+
 def test_frakd_square_exit_codes(model_dir, capsys):
     assert run(["frakd-square", model_dir / "trivial.geometric.json"]) == 0
     assert run(["frakd-square", model_dir / "rank1_curved.geometric.json"]) == 0
@@ -513,6 +527,19 @@ def test_zero_bracket_entry_does_not_raise_the_arity(model_dir, tmp_path, capsys
     assert run(["ce-build", model_dir / "abelian.algebroid.json", "--weight", "2", "--json", want]) == 0
     assert got.read_bytes() == want.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["ce-build", "ce-extract", "roundtrip"])
+def test_weight_cap_0_counts_stored_arities_only(model_dir, tmp_path, capsys, command):
+    """The abelian fixture stores no bracket and no anchor, so its CE
+    differential is d0, which weight cap 0 holds (as ``mc --weight 0``
+    builds it); a stored bracket of arity 2 is still refused at cap 1."""
+    assert run([command, model_dir / "abelian.algebroid.json", "--weight", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    value = [{"generator": "g0", "terms": [{"basis": "e", "coeff": ONE}]}]
+    model = _abelian_with(model_dir, tmp_path, "bracket", brackets=[{"arity": 2, "args": ["g0", "g0"], "value": value}])
+    assert run([command, model, "--weight", "1"]) == 2
+    assert capsys.readouterr().err == "error: weight cap 1 too small for bracket arity 2 / anchor arity 0\n"
 
 
 def test_internal_error_exits_3_with_one_line(model_dir, tmp_path, capsys, monkeypatch):

@@ -13,7 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from algebroidkit import algebroid, geometry, linfty, modules, symtensor
-from algebroidkit.algebroid import AlgebroidStructure, extract_structure
+from algebroidkit.algebra import AlgebraElement
+from algebroidkit.algebroid import AlgebroidStructure, _module_value, d0_derivation, extract_structure
 from algebroidkit.cli import main
 from algebroidkit.errors import BaseMismatch, DegreeError, KitError, ParseError
 from algebroidkit.fixtures import (
@@ -45,11 +46,15 @@ from algebroidkit.geometry import (
 )
 from algebroidkit.modelio import load_model, parse_model, serialize_model
 from algebroidkit.linfty import BracketTable
-from algebroidkit.modules import FreeModule, ModuleElement, from_dual_values
+from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys, enumerate_unshuffles, sym_sign
-from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, d0_derivation, evaluate, square_components
+from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, evaluate, square_components
 from geometry_oracle import (
+    from_dual_values,
+    oracle_ambient_d0,
+    oracle_contraction_table,
+    oracle_dhat_rows,
     oracle_build_frakD,
     oracle_build_kapranov,
     oracle_duality_residual,
@@ -662,6 +667,45 @@ def test_structure_from_geometry_matches_its_oracle(workloads):
         assert S == oracle_structure_from_geometry(g), name
         with_anchors += any(S.anchors.values()) and any(S.brackets.values())
     assert with_anchors >= 4
+
+
+def _transposes_match_their_oracles(g) -> bool:
+    """The ambient d0, the Shape and Gamma contraction rows and the dhat rows
+    equal their oracles; whether the model has a contraction or a dhat row."""
+    assert g.ambient_d0() == oracle_ambient_d0(g)
+    read = False
+    for table, target, exponent, sign in ((g.shape, g.tangent, 0, ONE), (g.gamma, g.normal, 1, MINUS_ONE)):
+        rows = geometry._contraction_rows(g, table, target, exponent)
+        got = {k: {(j,): _module_value(target, v) for j, v in r.items()} for k, r in rows.items()}
+        assert got == oracle_contraction_table(g, table, target, sign)
+        read |= any(rows.values())
+    got = {}
+    for j, rows in geometry._dhat_rows(g).items():
+        for b, coeffs in rows.items():
+            got.setdefault(b, {})[(j,)] = AlgebraElement(g.base, coeffs)
+    assert got == {b: rows for b, rows in oracle_dhat_rows(g).items() if rows}
+    return read or bool(got)
+
+
+def test_the_transposes_match_their_oracles(workloads):
+    """On every duality model, some with rows to read."""
+    read = [name for name, g in _duality_models(workloads).items() if _transposes_match_their_oracles(g)]
+    assert len(read) >= 8, read
+
+
+@given(
+    base=st.sampled_from(range(3)),
+    tangent=st.lists(st.integers(-1, 1), min_size=1, max_size=2),
+    normal=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+    cap=st.integers(1, 4),
+    density=st.sampled_from([0.3, 0.6, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_the_transposes_match_their_oracles_on_random_models(base, tangent, normal, cap, density, seed):
+    g = random_geometric_model(
+        Rng(seed), sample_bases()[base], tangent, normal, cap=cap, density=density, seed_modules=seed
+    )
+    _transposes_match_their_oracles(g)
 
 
 @given(

@@ -6,18 +6,27 @@ anchor-morphism residual with D^2 (ROADMAP item 14), as a strict xfail."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from algebroidkit.algebroid import AlgebroidStructure, anchor_morphism_residual, ce_differential
+from algebroidkit.algebroid import (
+    AlgebroidStructure,
+    algebroid_jacobi_residual,
+    anchor_morphism_residual,
+    ce_differential,
+    d0_derivation,
+    leibniz_residual,
+)
+from algebroidkit.cli import main
 from algebroidkit.errors import CapError
 from algebroidkit.fixtures import Rng, mixed_module, nontrivial_dga, random_algebroid, random_unipotent, sample_bases
 from algebroidkit.geometry import GeometricModel, build_frakD, build_kapranov, duality_residual, structure_from_geometry
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE
-from algebroidkit.symtensor import SymAlgebra, conjugate, d0_derivation, mc_residual, square, square_components
+from algebroidkit.symtensor import SymAlgebra, conjugate, mc_residual, square, square_components
 from geometry_oracle import oracle_duality_residual
 from linfty_oracle import oracle_anchor_morphism_residual
 from symtensor_oracle import oracle_square_components, oracle_squares_difference
@@ -86,8 +95,40 @@ def test_anchor_morphism_residual_refuses_an_arity_over_the_cap_as_the_oracle_do
             anchor_morphism_residual(S, arities)
         with pytest.raises(CapError, match="^bracket arity [45] exceeds cap 3$"):
             oracle_anchor_morphism_residual(S, arities)
+    # on a carrier of rank 0 the oracle has no key to refuse; the one rule
+    # of ``AlgebroidStructure.refuse_over_cap`` refuses the arity all the same
     empty = AlgebroidStructure(S.base, FreeModule(S.base, []), bracket_cap=3)
-    assert anchor_morphism_residual(empty, [5]) == oracle_anchor_morphism_residual(empty, [5]) == {5: {}}
+    assert oracle_anchor_morphism_residual(empty, [5]) == {5: {}}
+    with pytest.raises(CapError, match="^bracket arity 5 exceeds cap 3$"):
+        anchor_morphism_residual(empty, [5])
+
+
+@pytest.mark.parametrize("family", ["jacobi", "leibniz", "anchor"])
+def test_every_family_refuses_an_arity_over_the_cap_on_a_rank_0_carrier(tmp_path, capsys, family):
+    """One rule for the three families: an arity over the bracket cap is
+    refused, also on a carrier with no generator, and the arities up to the
+    cap run.  Through the CLI: ``--arity 7`` on the abelian fixture with its
+    carrier emptied exits 2 with the refusal, and ``--arity 4`` exits 0."""
+    call = {
+        "jacobi": lambda S, n: algebroid_jacobi_residual(S, [n])[n],
+        "leibniz": leibniz_residual,
+        "anchor": lambda S, n: anchor_morphism_residual(S, [n])[n],
+    }[family]
+    base = nontrivial_dga()
+    S = AlgebroidStructure(base, FreeModule(base, []), bracket_cap=3)
+    for n in (4, 7):
+        with pytest.raises(CapError, match=f"^bracket arity {n} exceeds cap 3$"):
+            call(S, n)
+    for n in (1, 2, 3):
+        assert call(S, n) == {}
+
+    doc = json.loads((FIXTURES / "abelian.algebroid.json").read_text())
+    doc["carrier"] = {"generators": []}
+    path = tmp_path / "rank0.algebroid.json"
+    path.write_text(json.dumps(doc))
+    assert main([family, str(path), "--arity", "7"]) == 2
+    assert capsys.readouterr().err == "error: bracket arity 7 exceeds cap 4\n"
+    assert main([family, str(path), "--arity", "4"]) == 0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the anchor residual is not yet read off D^2")

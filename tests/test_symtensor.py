@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from algebroidkit.algebroid import d0_derivation
 from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.fixtures import (
     Rng,
@@ -33,7 +34,6 @@ from algebroidkit.symtensor import (
     SymAlgebra,
     SymElement,
     conjugate,
-    d0_derivation,
     evaluate,
     from_values,
     mc_residual,

@@ -290,7 +290,7 @@ def cmd_mc(model, caps, args) -> Report:
     rng = Rng(args.seed)
     Phi = random_unipotent(rng, alg)
     with timed_check(f"maurer-cartan residual (seed={args.seed})") as t:
-        conjugated = conjugate(Phi, D0)  # both checks read this one Phi D0 Phi^{-1}
+        conjugated = conjugate(Phi, D0)  # both checks read this one Phi D0 Phi^{-1} and its one square
         res = mc_residual(D0, conjugated)
         entries = []
         for label in sorted(res):

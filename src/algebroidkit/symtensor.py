@@ -59,19 +59,27 @@ w), kept as its (word, coefficients) pairs and made the first time it is
 read.  ``apply`` adds s times the row of (w, i) for every term s e_i w of
 its argument.  Rows are exact values, so results do not depend on which rows
 were made before, and a table holds at most one row per grid element:
-sum_r |words_of_weight(r)| * dim A.  A ``FilteredAutomorphism`` is exp(phi)
-for a weight-raising derivation phi and keeps no table: it sums the series
-of phi's powers, each read through phi's own rows.
+sum_r |words_of_weight(r)| * dim A.
+
+A row and an ``apply`` result are summed as unreduced Gaussian-integer
+triples (n_re, n_im, den), and each coefficient is reduced once, when the
+sum is complete, so every coefficient of a row is a reduced nonzero Scalar.
+Beside its rows a derivation keeps its values as terms sorted by word
+length, so the Leibniz walk stops at the first term over the cap; the sorted
+word and sign of every concatenation of letters its rows met; and its
+square, made once.  A ``FilteredAutomorphism`` is exp(phi) for a
+weight-raising derivation phi and keeps no table: it sums the series of
+phi's powers, each read through phi's own rows.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
+from .algebra import AlgebraElement, BaseAlgebra, _degree_problem, _element
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from .scalars import MINUS_ONE, ONE, Scalar, _reduce, sign_scalar
 from .signs import _nonvanishing_keys, _sort_word, _vanishes
 
 Word = Tuple[int, ...]
@@ -338,19 +346,54 @@ def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> SymEl
 
 # The image of one grid element e_i w under a Q(i)-linear operator: its
 # (word, coefficients) pairs in word order, the coefficients as the sorted
-# (basis index, Scalar) pairs of an AlgebraElement.  Plain tuples rather than
-# SymElements: building the derivation rows as SymElements (an
-# AlgebraElement per word) measured about 4 % slower on the operator checks.
+# (basis index, Scalar) pairs of an AlgebraElement, every Scalar reduced and
+# nonzero.  Plain tuples rather than SymElements: building the derivation
+# rows as SymElements (an AlgebraElement per word) measured about 4 % slower
+# on the operator checks.
 Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
 
+# A row or an ``apply`` result while it is summed: {word: {basis index:
+# [n_re, n_im, den]}}, each entry the unreduced Gaussian-integer triple of
+# (n_re + n_im i) / den with den > 0.  Entries over one denominator add
+# numerators (``_add_triple``); ``_reduced_row`` reduces each once, at the end.
+Triples = Dict[Word, Dict[int, List[int]]]
 
-def _row_from(acc: Mapping[Word, Mapping[int, Scalar]]) -> Row:
-    """The row of a {word: {basis index: Scalar}} accumulator (as ``_collect``)."""
+# The terms of one stored derivation value, shortest words first: (word,
+# length, ((basis index, n_re, n_im, den), ...)).
+ValueTerms = Tuple[Tuple[Word, int, Tuple[Tuple[int, int, int, int], ...]], ...]
+
+# marks a concatenation the ``_sorted`` memo of a derivation has not met
+_UNSEEN = object()
+
+
+def _add_triple(out: Dict[int, List[int]], k: int, n_re: int, n_im: int, den: int) -> None:
+    """out[k] += (n_re + n_im i) / den, without reducing."""
+    old = out.get(k)
+    if old is None:
+        out[k] = [n_re, n_im, den]
+    elif old[2] == den:
+        old[0] += n_re
+        old[1] += n_im
+    else:
+        d = old[2]
+        old[0] = old[0] * den + n_re * d
+        old[1] = old[1] * den + n_im * d
+        old[2] = d * den
+
+
+def _reduced_row(acc: Triples) -> Row:
+    """The row of a triple accumulator: its words in order, each with its
+    nonzero entries in basis order, each reduced by one ``scalars._reduce``."""
     row = []
     for w in sorted(acc):
-        coeffs = tuple(sorted((k, c) for k, c in acc[w].items() if not c.is_zero()))
+        out = acc[w]
+        coeffs = []
+        for k in sorted(out):
+            n_re, n_im, den = out[k]
+            if n_re or n_im:
+                coeffs.append((k, _reduce(n_re, n_im, den)))
         if coeffs:
-            row.append((w, coeffs))
+            row.append((w, tuple(coeffs)))
     return tuple(row)
 
 
@@ -469,8 +512,8 @@ class DerivationD:
     on_algebra maps base-basis indices to SymElements (all weights mixed);
     on_letters maps letter indices likewise.  The weight-n component D_n acts
     on the base with weight-n values and on letters with weight-(n+1) values.
-    ``apply`` fills a row table from these values, so they are never changed
-    after construction.
+    ``apply`` fills a row table from these values, and ``square`` keeps the
+    square, so they are never changed after construction.
     """
 
     def __init__(
@@ -491,6 +534,12 @@ class DerivationD:
             i: v for i, v in on_letters.items() if not v.is_zero()
         }
         self._rows: Dict[Tuple[Word, int], Row] = {}
+        # beside the rows: the values as length-sorted terms (``_value_terms``),
+        # each concatenation of letters the rows met with its sorted word and
+        # sign (or None where it vanishes), and the square (``square``)
+        self._terms: Optional[Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]] = None
+        self._sorted: Dict[Word, Optional[Tuple[Word, int]]] = {}
+        self._square: Optional[DerivationD] = None
         if check:
             self._check_degrees()
 
@@ -534,28 +583,33 @@ class DerivationD:
 
         D is Q(i)-linear, so it is read from the row table: the row of e_i w
         is D(e_i w), made once by ``_row`` and kept.  Each term s e_i w of
-        element adds s times that row into one {word: {basis index: Scalar}}
-        accumulator.
+        element adds s times that row into one triple accumulator, and each
+        coefficient of the result is reduced once.
         """
         if not self.algebra.compatible(element.algebra):
             raise BaseMismatch("derivation and element over incompatible algebras")
         rows = self._rows
-        acc: Dict[Word, Dict[int, Scalar]] = {}
+        acc: Triples = {}
         for w, a in element.data.items():
             for i, s in a.coeffs:
                 key = (w, i)
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = self._row(w, i)
+                s_re, s_im, s_den = s.n_re, s.n_im, s.den
                 for v, coeffs in row:
                     out = acc.get(v)
                     if out is None:
                         out = acc[v] = {}
                     for k, c in coeffs:
-                        t = c if s is ONE else c * s
-                        old = out.get(k)
-                        out[k] = t if old is None else old + t
-        return _collect(self.algebra, acc)
+                        if s is ONE:
+                            _add_triple(out, k, c.n_re, c.n_im, c.den)
+                        else:
+                            c_re, c_im = c.n_re, c.n_im
+                            t_re, t_im = c_re * s_re - c_im * s_im, c_re * s_im + c_im * s_re
+                            _add_triple(out, k, t_re, t_im, c.den * s_den)
+        base = self.algebra.base
+        return _normalized(self.algebra, {v: _element(base, coeffs) for v, coeffs in _reduced_row(acc)})
 
     def _row(self, w: Word, i: int) -> Row:
         """D(e_i w) by the Leibniz rule.
@@ -569,34 +623,42 @@ class DerivationD:
 
         s the Koszul sign exponent of the sort.  A run of m equal letters (even,
         or the word would vanish) gives m equal terms, so it is substituted once,
-        at its first position, with weight m.  Words over the cap or with a
-        repeated odd letter are dropped.  The Leibniz rule multiplies each term
-        by the unit coefficient of the untouched letters; that factor is left
-        out, which is exact: ``BaseAlgebra`` refuses a break of the unit law.
+        at its first position, with weight m.  The terms of each value are read
+        shortest first (``_value_terms``), so the walk stops at the first one
+        over the cap; each concatenation is sorted once per derivation (the
+        ``_sorted`` memo), and words with a repeated odd letter are dropped.
+        Coefficients are summed as unreduced triples and reduced once each.
+        The Leibniz rule multiplies each term by the unit coefficient of the
+        untouched letters; that factor is left out, which is exact:
+        ``BaseAlgebra`` refuses a break of the unit law.
         """
         alg = self.algebra
         base = alg.base
         degrees = base.degrees
         letter_degrees = alg.letter_degrees
-        cap = alg.cap
+        sorted_words = self._sorted
+        on_algebra, on_letters = self._terms or self._value_terms()
         n = len(w)
-        acc: Dict[Word, Dict[int, Scalar]] = {}
-        val = self.on_algebra.get(i)
-        if val is not None:
-            for v, c in val.data.items():
-                if len(v) + n > cap:
-                    continue
-                merged = _sort_word(letter_degrees, v + w)
-                if merged is None:
-                    continue
-                word, exponent = merged
-                coeffs = acc.get(word)
-                if coeffs is None:
-                    coeffs = acc[word] = {}
-                for k, ck in c.coeffs:
-                    t = -ck if exponent & 1 else ck
-                    old = coeffs.get(k)
-                    coeffs[k] = t if old is None else old + t
+        room = alg.cap - n
+        acc: Triples = {}
+        for v, length, coeffs in on_algebra.get(i, ()):
+            if length > room:
+                break
+            letters = v + w
+            merged = sorted_words.get(letters, _UNSEEN)
+            if merged is _UNSEEN:
+                merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
+            if merged is None:
+                continue
+            word, exponent = merged
+            out = acc.get(word)
+            if out is None:
+                out = acc[word] = {}
+            for k, c_re, c_im, c_den in coeffs:
+                if exponent & 1:
+                    c_re, c_im = -c_re, -c_im
+                _add_triple(out, k, c_re, c_im, c_den)
+        room += 1
         pos = 0
         prefix_degree = 0
         while pos < n:
@@ -604,30 +666,58 @@ class DerivationD:
             end = pos + 1
             while end < n and w[end] == x:
                 end += 1
-            val = self.on_letters.get(x)
-            if val is not None:
+            terms = on_letters.get(x)
+            if terms is not None:
                 prefix, rest = w[:pos], w[pos + 1 :]
-                m = ONE if end == pos + 1 else Scalar.rational(end - pos)
+                m = end - pos
                 shift = self.degree * (degrees[i] + prefix_degree)
-                for v, c in val.data.items():
-                    if len(v) + n - 1 > cap:
-                        continue
-                    merged = _sort_word(letter_degrees, prefix + v + rest)
+                for v, length, coeffs in terms:
+                    if length > room:
+                        break
+                    letters = prefix + v + rest
+                    merged = sorted_words.get(letters, _UNSEEN)
+                    if merged is _UNSEEN:
+                        merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
                     if merged is None:
                         continue
                     word, exponent = merged
-                    coeffs = acc.get(word)
-                    if coeffs is None:
-                        coeffs = acc[word] = {}
+                    out = acc.get(word)
+                    if out is None:
+                        out = acc[word] = {}
                     exponent += shift
-                    for j, cj in c.coeffs:
-                        t = cj if m is ONE else cj * m
+                    for j, c_re, c_im, c_den in coeffs:
+                        if m != 1:
+                            c_re, c_im = c_re * m, c_im * m
                         if (exponent + degrees[j] * prefix_degree) & 1:
-                            t = -t
-                        _add_product(coeffs, base, i, j, t)
+                            c_re, c_im = -c_re, -c_im
+                        for k, ck in base.product_basis(i, j).coeffs:
+                            if ck is ONE:
+                                _add_triple(out, k, c_re, c_im, c_den)
+                            elif ck is MINUS_ONE:
+                                _add_triple(out, k, -c_re, -c_im, c_den)
+                            else:
+                                k_re, k_im = ck.n_re, ck.n_im
+                                t_re, t_im = c_re * k_re - c_im * k_im, c_re * k_im + c_im * k_re
+                                _add_triple(out, k, t_re, t_im, c_den * ck.den)
             prefix_degree += letter_degrees[x] * (end - pos)
             pos = end
-        return _row_from(acc)
+        return _reduced_row(acc)
+
+    def _value_terms(self) -> Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]:
+        """The stored values as (on_algebra, on_letters) term tables, made
+        once, on the first row: {index: ((word, length, coefficients), ...)},
+        shortest words first, each coefficient as (basis index, n_re, n_im,
+        den)."""
+
+        def terms(value: SymElement) -> ValueTerms:
+            listed = [(v, len(v), tuple((k, c.n_re, c.n_im, c.den) for k, c in a.coeffs)) for v, a in value.items()]
+            return tuple(sorted(listed, key=lambda term: term[1]))
+
+        self._terms = (
+            {i: terms(v) for i, v in self.on_algebra.items()},
+            {i: terms(v) for i, v in self.on_letters.items()},
+        )
+        return self._terms
 
     def __eq__(self, other) -> bool:
         return (
@@ -659,8 +749,14 @@ def _on_generators(alg: SymAlgebra, value: Callable[[SymElement], SymElement], d
 
 
 def square(D: DerivationD) -> DerivationD:
-    """D o D on every generator: for an odd D the derivation [D, D]/2."""
-    return _on_generators(D.algebra, lambda x: D.apply(D.apply(x)), 2 * D.degree)
+    """D o D on every generator: for an odd D the derivation [D, D]/2.
+
+    Made once per D and kept beside its rows, so every check that reads the
+    square of one derivation (``mc`` reads that of Phi D0 Phi^{-1} twice)
+    builds it once."""
+    if D._square is None:
+        D._square = _on_generators(D.algebra, lambda x: D.apply(D.apply(x)), 2 * D.degree)
+    return D._square
 
 
 def generator_differences(A: DerivationD, B: DerivationD) -> Dict[str, SymElement]:
@@ -756,7 +852,9 @@ def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:
 def mc_residual(D0: DerivationD, conjugated: DerivationD) -> Dict[str, SymElement]:
     """Residual of the Maurer-Cartan identity for the deficiency of
     Phi = exp(phi), given D0 and conjugated = Phi o D0 o Phi^{-1}
-    (``conjugate``), which the caller builds once and may read again.
+    (``conjugate``), which the caller builds once and may read again: the
+    square of conjugated made here is kept (``square``), so
+    ``square_components(conjugated)`` reads it without a second square.
 
     omega := Phi o D0 o Phi^{-1} - D0 measures how far Phi is from
     intertwining D0 with itself; when D0^2 = 0 the combination

@@ -22,7 +22,14 @@ The differential d0 induced by (d_A, d_L) as ``symtensor`` built it before it
 became the arity-1 part of the Chevalley-Eilenberg dictionary
 (``algebroid.d0_derivation``): ``oracle_d0_derivation``, one
 ``modules.pair_dual`` per letter and generator
-(``oracle_dual_differential_letter``)."""
+(``oracle_dual_differential_letter``).
+
+The Leibniz row kernel as ``DerivationD`` ran it with one ``Scalar`` operation
+per product and per sum: ``oracle_row`` is D(e_i w) with every coefficient
+reduced as it is formed, ``oracle_apply`` sums s times those rows into a
+{word: {basis index: Scalar}} accumulator.  ``oracle_square`` and
+``oracle_conjugate`` are ``symtensor.square`` and ``symtensor.conjugate`` read
+through them, exp(phi) as the series of phi's powers (``oracle_exp_series``)."""
 
 from __future__ import annotations
 
@@ -30,7 +37,8 @@ from math import factorial
 
 from algebroidkit.modules import pair_dual
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
-from algebroidkit.symtensor import DerivationD
+from algebroidkit.signs import _sort_word
+from algebroidkit.symtensor import DerivationD, _add_product, _collect, _on_generators
 
 
 def derivation_sum(D, E, sign=ONE):
@@ -159,3 +167,116 @@ def oracle_dual_differential_letter(algebra, module, letter):
             continue
         acc = acc + algebra.letter(j, val)
     return acc
+
+
+def _row_from(acc):
+    """The row of a {word: {basis index: Scalar}} accumulator: its words in
+    order, each with its sorted nonzero (basis index, Scalar) pairs."""
+    row = []
+    for w in sorted(acc):
+        coeffs = tuple(sorted((k, c) for k, c in acc[w].items() if not c.is_zero()))
+        if coeffs:
+            row.append((w, coeffs))
+    return tuple(row)
+
+
+def oracle_row(D, w, i):
+    """D(e_i w) by the Leibniz rule, one ``Scalar`` product and sum at a time.
+
+    D(e_i) = sum (c e_k) v contributes (c e_k) sort(v w) with the sort sign
+    only; for w = prefix x rest and D(x) = sum (c e_j) v the letter x
+    contributes (-1)^(D.degree (|e_i| + |prefix|) + |e_j| |prefix| + s)
+    (c e_i e_j) sort(prefix v rest), a run of m equal letters once with
+    weight m.  Terms over the cap are skipped one by one."""
+    alg = D.algebra
+    base = alg.base
+    degrees = base.degrees
+    letter_degrees = alg.letter_degrees
+    cap = alg.cap
+    n = len(w)
+    acc = {}
+    val = D.on_algebra.get(i)
+    if val is not None:
+        for v, c in val.data.items():
+            if len(v) + n > cap:
+                continue
+            merged = _sort_word(letter_degrees, v + w)
+            if merged is None:
+                continue
+            word, exponent = merged
+            coeffs = acc.setdefault(word, {})
+            for k, ck in c.coeffs:
+                t = -ck if exponent & 1 else ck
+                old = coeffs.get(k)
+                coeffs[k] = t if old is None else old + t
+    pos = 0
+    prefix_degree = 0
+    while pos < n:
+        x = w[pos]
+        end = pos + 1
+        while end < n and w[end] == x:
+            end += 1
+        val = D.on_letters.get(x)
+        if val is not None:
+            prefix, rest = w[:pos], w[pos + 1 :]
+            m = ONE if end == pos + 1 else Scalar.rational(end - pos)
+            shift = D.degree * (degrees[i] + prefix_degree)
+            for v, c in val.data.items():
+                if len(v) + n - 1 > cap:
+                    continue
+                merged = _sort_word(letter_degrees, prefix + v + rest)
+                if merged is None:
+                    continue
+                word, exponent = merged
+                coeffs = acc.setdefault(word, {})
+                exponent += shift
+                for j, cj in c.coeffs:
+                    t = cj if m is ONE else cj * m
+                    if (exponent + degrees[j] * prefix_degree) & 1:
+                        t = -t
+                    _add_product(coeffs, base, i, j, t)
+        prefix_degree += letter_degrees[x] * (end - pos)
+        pos = end
+    return _row_from(acc)
+
+
+def oracle_apply(D, element):
+    """D(element) as the sum of s times ``oracle_row(D, w, i)`` over the terms
+    s e_i w of element, added one ``Scalar`` at a time."""
+    acc = {}
+    for w, a in element.items():
+        for i, s in a.items():
+            for v, coeffs in oracle_row(D, w, i):
+                out = acc.setdefault(v, {})
+                for k, c in coeffs:
+                    t = c if s is ONE else c * s
+                    old = out.get(k)
+                    out[k] = t if old is None else old + t
+    return _collect(D.algebra, acc)
+
+
+def oracle_square(D):
+    """D o D on every generator, through ``oracle_apply``."""
+    return _on_generators(D.algebra, lambda x: oracle_apply(D, oracle_apply(D, x)), 2 * D.degree)
+
+
+def oracle_exp_series(phi, element, sign):
+    """sum_k (sign phi)^k(element) / k! through ``oracle_apply``, up to cap + 1 powers."""
+    total = term = element
+    for k in range(1, element.algebra.cap + 2):
+        term = oracle_apply(phi, term)
+        if term.is_zero():
+            break
+        term = term.scale(Scalar.rational(sign, k))
+        total = total + term
+    return total
+
+
+def oracle_conjugate(Phi, D):
+    """Phi o D o Phi^{-1} on every generator, through ``oracle_apply``."""
+    phi = Phi.phi
+
+    def value(x):
+        return oracle_exp_series(phi, oracle_apply(D, oracle_exp_series(phi, x, -1)), 1)
+
+    return _on_generators(D.algebra, value, D.degree)

@@ -148,6 +148,32 @@ def test_mc_conjugates_once(model_dir, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mc_squares_the_conjugate_once(model_dir, monkeypatch):
+    """Both checks of mc read one square of C = Phi D0 Phi^{-1}: C is applied
+    twice per generator, for C(Cx), and no more."""
+    conjugates = []
+    applied = []
+    conjugate = cli.conjugate
+    apply = DerivationD.apply
+
+    def keeping(Phi, D):
+        conjugates.append(conjugate(Phi, D))
+        return conjugates[-1]
+
+    def counting(self, element):
+        applied.append(self)
+        return apply(self, element)
+
+    monkeypatch.setattr(cli, "conjugate", keeping)
+    monkeypatch.setattr(DerivationD, "apply", counting)
+    for args in (["conjugated.algebroid.json", "--seed", "3"], ["rank2.geometric.json"]):
+        conjugates.clear()
+        applied.clear()
+        assert run(["mc", model_dir / args[0], *args[1:]]) == 0
+        (C,) = conjugates
+        assert sum(d is C for d in applied) == 2 * len(list(C.algebra.generators())), args[0]
+
+
 @pytest.mark.parametrize("arity", [5, 12])
 def test_anchor_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, capsys, monkeypatch, arity):
     """Refused with the arity asked for, before the morphism is built or a

@@ -6,13 +6,16 @@ import gc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from algebroidkit.algebra import BaseAlgebra, validate_base_algebra
 from algebroidkit.algebroid import d0_derivation
 from algebroidkit.errors import BaseMismatch, CapError, KitError
+from algebroidkit.geometry import _grid
 from algebroidkit.fixtures import (
     Rng,
     exterior_base,
@@ -37,13 +40,18 @@ from algebroidkit.symtensor import (
     evaluate,
     from_values,
     mc_residual,
+    square,
     square_components,
     _word_constant,
 )
 from symtensor_oracle import (
     derivation_sum,
     exp_images,
+    oracle_apply,
+    oracle_conjugate,
     oracle_mc_residual,
+    oracle_row,
+    oracle_square,
     reference_apply_inverse,
     reference_automorphism_apply,
 )
@@ -791,11 +799,21 @@ def test_product_matches_homogeneous_term_oracle(base_name, degrees):
 PRODUCT_BASES = sample_bases()
 
 
+def gaussian_product_base():
+    """1, t, u, ut of degrees 0, 1, 0, 1 with u t = (1/2 - i) ut: a structure
+    constant other than +-1, which no sample base has."""
+    return BaseAlgebra([("1", 0), ("t", 1), ("u", 0), ("ut", 1)], 0, {(2, 1): {3: Scalar(Fraction(1, 2), -1)}})
+
+
+# the sample bases, and one whose product needs a structure-constant multiplication
+ROW_KERNEL_BASES = PRODUCT_BASES + [gaussian_product_base()]
+
+
 @st.composite
-def drawn_algebras(draw, max_cap):
-    """A SymAlgebra over one of ``sample_bases()``, with up to three letters of
-    drawn degrees (odd, even and repeated ones) and a cap in 0..max_cap."""
-    base = draw(st.sampled_from(PRODUCT_BASES))
+def drawn_algebras(draw, max_cap, bases=PRODUCT_BASES):
+    """A SymAlgebra over one of bases, with up to three letters of drawn
+    degrees (odd, even and repeated ones) and a cap in 0..max_cap."""
+    base = draw(st.sampled_from(bases))
     degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3))
     cap = draw(st.integers(0, max_cap))
     return SymAlgebra(base, [(f"x{i}", d) for i, d in enumerate(degrees)], cap)
@@ -890,6 +908,67 @@ def test_exp_series_and_conjugate_match_the_oracle_on_drawn_algebras(data):
         assert Phi.apply(x) == reference_automorphism_apply(images, x)
         assert Phi.apply_inverse(x) == reference_apply_inverse(images, x)
         assert Phi.apply(Phi.apply_inverse(x)) == x
+
+
+# -- the triple row kernel against the Scalar-by-Scalar oracle -------------------
+
+
+@st.composite
+def drawn_derivations(draw):
+    """A derivation of degree 0 or 1 over a drawn algebra (a sample base or
+    ``gaussian_product_base``, cap 0..5, odd and even letters), its values
+    drawn words with Gaussian coefficients over mixed denominators; degrees
+    are not checked, the Leibniz formula is linear in them."""
+    alg = draw(drawn_algebras(5, ROW_KERNEL_BASES))
+    values = drawn_elements(alg)
+    on_algebra = draw(st.dictionaries(st.integers(0, alg.base.dim - 1), values, max_size=alg.base.dim))
+    on_letters = draw(st.dictionaries(st.integers(0, alg.n_letters - 1), values, max_size=alg.n_letters))
+    degree = draw(st.sampled_from([0, 1]))
+    return DerivationD(alg, on_algebra, on_letters, degree=degree, check=False)
+
+
+def test_gaussian_product_base_is_a_valid_dga():
+    assert validate_base_algebra(gaussian_product_base()) == []
+
+
+@given(data=st.data())
+def test_rows_apply_square_and_conjugate_match_the_scalar_oracle(data):
+    """Every row, ``apply`` on drawn elements, the square and Phi D Phi^{-1}
+    equal the kernel that forms and reduces one Scalar per product and sum."""
+    D = data.draw(drawn_derivations())
+    alg = D.algebra
+    for w, i in _grid(alg):
+        assert D._row(w, i) == oracle_row(D, w, i), (w, i)
+    for _ in range(2):
+        x = data.draw(drawn_elements(alg))
+        assert D.apply(x) == oracle_apply(D, x)
+    assert square(D) == oracle_square(D)
+    Phi = _random_unipotent(Rng(data.draw(st.integers(0, 2**16))), alg, density=0.7)
+    assert conjugate(Phi, D) == oracle_conjugate(Phi, D)
+
+
+def _unreduced(row):
+    """The coefficients of a row that are not reduced nonzero triples."""
+    return [
+        (v, k, (c.n_re, c.n_im, c.den))
+        for v, coeffs in row
+        for k, c in coeffs
+        if c.den <= 0 or gcd(c.n_re, c.n_im, c.den) != 1 or c.is_zero()
+    ]
+
+
+@given(data=st.data())
+def test_rows_and_apply_results_hold_reduced_nonzero_scalars(data):
+    """Scalar equality compares triples, so a row or a result that kept an
+    unreduced or zero coefficient would compare unequal to its value."""
+    D = data.draw(drawn_derivations())
+    square(D)
+    for _ in range(2):
+        x = data.draw(drawn_elements(D.algebra))
+        assert _unreduced((w, a.coeffs) for w, a in D.apply(x).items()) == []
+    assert D._rows
+    for key, row in D._rows.items():
+        assert _unreduced(row) == [], key
 
 
 def test_apply_sums_rows_with_their_scalars():

@@ -11,14 +11,10 @@ with witnesses instead of raising.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BaseMismatch, DegreeError, KitError
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, sign_scalar
-
-# A structure constant equal to +-1 is stored as one of these objects, so the
-# products can add +-s instead of multiplying s by it (tested with ``is``).
-_SIGNS = {ONE: ONE, MINUS_ONE: MINUS_ONE}
+from .scalars import MINUS_ONE, ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
 
 
 class AlgebraElement:
@@ -28,6 +24,9 @@ class AlgebraElement:
 
     def __init__(self, algebra: "BaseAlgebra", coeffs: Mapping[int, Scalar]):
         cleaned = tuple(sorted((i, c) for i, c in coeffs.items() if not c.is_zero()))
+        if cleaned and (cleaned[0][0] < 0 or cleaned[-1][0] >= len(algebra.names)):
+            i = cleaned[0][0] if cleaned[0][0] < 0 else cleaned[-1][0]
+            raise KitError(f"coefficient index {i!r} names no basis element: there are {len(algebra.names)}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", cleaned)
 
@@ -103,25 +102,17 @@ class AlgebraElement:
         return a * self
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        """sum c_i c_j e_i e_j through the product rule (``_add_product``)."""
         self._check(other)
-        acc: Dict[int, Scalar] = {}
         alg = self.algebra
-        for i, ci in self.coeffs:
-            for j, cj in other.coeffs:
-                s = ci * cj
-                for k, ck in alg.product_basis(i, j).coeffs:
-                    t = s if ck is ONE else -s if ck is MINUS_ONE else s * ck
-                    acc[k] = acc.get(k, ZERO) + t
-        return AlgebraElement(alg, acc)
+        out: Sums = {}
+        for i, c in self.coeffs:
+            _add_product(out, alg, i, other.coeffs, 0, c.n_re, c.n_im, c.den)
+        return _summed(alg, out)
 
     def d(self) -> "AlgebraElement":
         """Apply the differential d_A (extended linearly from the basis)."""
-        alg = self.algebra
-        acc: Dict[int, Scalar] = {}
-        for i, c in self.coeffs:
-            for k, ck in alg.differential_basis(i).coeffs:
-                acc[k] = acc.get(k, Scalar.zero()) + c * ck
-        return AlgebraElement(alg, acc)
+        return _linear(self, self.algebra.differential_basis)
 
     # -- comparison ----------------------------------------------------------
 
@@ -154,6 +145,38 @@ def _element(algebra: "BaseAlgebra", coeffs: Tuple[Tuple[int, Scalar], ...]) -> 
     object.__setattr__(out, "algebra", algebra)
     object.__setattr__(out, "coeffs", coeffs)
     return out
+
+
+def _summed(algebra: "BaseAlgebra", out: Sums) -> AlgebraElement:
+    """The AlgebraElement of a complete coefficient sum (``scalars.Sums``)."""
+    return _element(algebra, _reduced_items(out))
+
+
+def _linear(a: AlgebraElement, value: Callable[[int], AlgebraElement]) -> AlgebraElement:
+    """sum c_i value(i) for a = sum c_i e_i: a linear map given by its values
+    on the basis, each coefficient of the result reduced once."""
+    out: Sums = {}
+    for i, c in a.coeffs:
+        _add_multiple(out, value(i).coeffs, c.n_re, c.n_im, c.den)
+    return _summed(a.algebra, out)
+
+
+def _add_product(
+    out: Sums, base: "BaseAlgebra", i: int, pairs: Iterable[Tuple[int, Scalar]], twist: int,
+    n_re: int, n_im: int, den: int,
+) -> None:
+    """out += (n_re + n_im i) / den * e_i x for the element x with the
+    (basis index, Scalar) pairs given, each c_j e_j of x signed
+    (-1)^{twist |e_j|} (the Koszul sign of moving it past an element of
+    degree twist): one unreduced triple per structure constant.  The one
+    product rule of the base: every product, derivation row and
+    contraction of the kit is summed through it."""
+    products, degrees = base._products, base.degrees
+    for j, c in pairs:
+        c_re, c_im = c.n_re, c.n_im
+        if twist & degrees[j] & 1:
+            c_re, c_im = -c_re, -c_im
+        _add_multiple(out, products[i, j].coeffs, n_re * c_re - n_im * c_im, n_re * c_im + n_im * c_re, den * c.den)
 
 
 class BaseAlgebra:
@@ -206,8 +229,7 @@ class BaseAlgebra:
                         coeffs = {}
                 elif breaks_unit_law(unit, i, j, coeffs):
                     raise KitError(f"product {self.names[i]!r} * {self.names[j]!r} breaks the unit law")
-                marked = {k: _SIGNS.get(c, c) for k, c in coeffs.items()}
-                self._products[(i, j)] = AlgebraElement(self, marked)
+                self._products[(i, j)] = AlgebraElement(self, coeffs)
         self._differential: Dict[int, AlgebraElement] = {}
         for i, val in differential.items():
             self._differential[i] = AlgebraElement(self, dict(val))

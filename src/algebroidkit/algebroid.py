@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Container, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
+from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _linear, _summed
 from .errors import BaseMismatch, CapError, KitError
 from .linfty import (
     AlgebraDerivation,
@@ -63,7 +63,7 @@ from .linfty import (
     same_tables,
 )
 from .modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
-from .scalars import Scalar, sign_scalar
+from .scalars import Sums
 from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
@@ -120,20 +120,11 @@ class AlgebroidStructure:
             return a.d()
         if self.anchor_cap < n:
             raise CapError(f"anchor arity {n} exceeds cap {self.anchor_cap}")
-        total = self.base.zero()
         table = self.anchors.get(n)
         if not table:
-            return total
-        for b, c in a.items():
-            val = multilinear_extend(
-                lambda gens: table.lookup(gens, b),
-                1,
-                args,
-                self.carrier.degrees,
-                self.base.zero(),
-            )
-            total = total + val.scale(c)
-        return total
+            return self.base.zero()
+        degrees, zero = self.carrier.degrees, self.base.zero()
+        return _linear(a, lambda b: multilinear_extend(lambda gens: table.lookup(gens, b), 1, args, degrees, zero))
 
     def anchor_derivation(self, n: int, key: GenKey) -> AlgebraDerivation:
         """alpha_{n-1}(key) as a concrete derivation of the base algebra; key is
@@ -260,16 +251,18 @@ def _word_transpose(
 
         (-1)^{exponents[i] + |e_b| degrees[i]} x / kappa(w)
 
-    in element i; a word over the cap of alg is dropped (``SymElement``)."""
+    in element i.  The twist (-1)^{|e_b| degrees[i]} is that of the product
+    rule, and kappa(w) is an integer, so the unit times the value, summed by
+    ``algebra._add_product``, gives each coefficient as one triple, reduced
+    once; a word over the cap of alg is dropped (``SymElement``)."""
     base = alg.base
-    base_degrees = base.degrees
     out: Dict[int, Dict[GenKey, AlgebraElement]] = {}
     for w, i, value in entries:
-        scale = _word_constant(alg, w).inverse() * sign_scalar(exponents[i])
-        degree = degrees[i]
-        out.setdefault(i, {})[w] = AlgebraElement(
-            base, {b: -x * scale if base_degrees[b] * degree & 1 else x * scale for b, x in value.coeffs}
-        )
+        kappa = _word_constant(alg, w).n_re
+        sums: Sums = {}
+        sign = -1 if (exponents[i] + (kappa < 0)) & 1 else 1
+        _add_product(sums, base, base.unit, value.coeffs, degrees[i], sign, 0, abs(kappa))
+        out.setdefault(i, {})[w] = _summed(base, sums)
     return {i: SymElement(alg, words) for i, words in out.items()}
 
 
@@ -331,10 +324,10 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4) -> DerivationD:
 # ---------------------------------------------------------------------------
 
 
-# A coefficient table {index: {basis index: Scalar}} holds one module or
-# algebra value while its terms are summed; it becomes one ModuleElement or
-# AlgebraElement when complete.
-Coefficients = Dict[int, Dict[int, Scalar]]
+# A coefficient table {index: coefficient sum (``scalars.Sums``)} holds one
+# module or algebra value while its terms are summed; it becomes one
+# ModuleElement or AlgebraElement when complete, each coefficient reduced once.
+Coefficients = Dict[int, Sums]
 
 
 def _letter_transpose(
@@ -344,7 +337,7 @@ def _letter_transpose(
     exponents: Sequence[int],
     weights: Container[int],
 ) -> Dict[GenKey, Coefficients]:
-    """{word: {letter: {basis index: Scalar}}}: the module values that the
+    """{word: {letter: {basis index: triple}}}: the module values that the
     words of table (table[i] paired with module generator i, of degree
     degrees[i]) take on the generators, for every word of a weight in weights.
 
@@ -356,26 +349,27 @@ def _letter_transpose(
 
     exponents[i] being the sign of the read at letter i and (-1)^{|e_b||g_i|}
     the Koszul twist of the dual pairing (``modules.pair_dual``) at the
-    basis element e_b.  ``_word_transpose`` is the inverse.
+    basis element e_b.  As in ``_word_transpose`` the unit times the value
+    gives each entry as an unreduced triple, which the caller reduces once
+    its sum is complete.
     """
-    base_degrees = alg.base.degrees
+    base = alg.base
     out: Dict[GenKey, Coefficients] = {}
     for i, el in table.items():
         degree = degrees[i]
         for w, c in el.data.items():
             if len(w) not in weights:
                 continue
-            scale = _word_constant(alg, w) * sign_scalar(exponents[i])
-            out.setdefault(w, {})[i] = {
-                b: -x * scale if base_degrees[b] * degree & 1 else x * scale for b, x in c.coeffs
-            }
+            sums = out.setdefault(w, {})[i] = {}
+            kappa = _word_constant(alg, w).n_re
+            _add_product(sums, base, base.unit, c.coeffs, degree, -kappa if exponents[i] & 1 else kappa, 0, 1)
     return out
 
 
 def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
-    """The element of module with the coefficients of acc."""
+    """The element of module with the coefficients of acc, each reduced once."""
     base = module.base
-    return ModuleElement(module, {i: AlgebraElement(base, coeffs) for i, coeffs in acc.items()})
+    return ModuleElement(module, {i: _summed(base, sums) for i, sums in acc.items()})
 
 
 def extract_structure(
@@ -415,7 +409,7 @@ def extract_structure(
     anchors = _letter_transpose(algebra, D.on_algebra, base.degrees, [0] * base.dim, range(1, bracket_cap + 1))
     for w in sorted(anchors, key=lambda w: (len(w), w)):
         for b in sorted(anchors[w]):
-            S.set_anchor(len(w) + 1, w, b, AlgebraElement(base, anchors[w][b]))
+            S.set_anchor(len(w) + 1, w, b, _summed(base, anchors[w][b]))
 
     values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], range(2, bracket_cap + 1))
     for w in sorted(values, key=lambda w: (len(w), w)):

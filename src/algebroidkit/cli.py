@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .algebra import validate_base_algebra
 from .algebroid import (
@@ -51,7 +51,7 @@ from .reports import (
     residuals_from_sym,
     timed_check,
 )
-from .symtensor import SymAlgebra, conjugate, mc_residual, square_components
+from .symtensor import SymAlgebra, SymElement, conjugate, mc_residual, square_components
 
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
@@ -71,17 +71,19 @@ def _require_geometric(model) -> GeometricModel:
     return model
 
 
+def _sym_entries(pairs: Iterable[Tuple[str, SymElement]]) -> List[ResidualEntry]:
+    """The residual entries of (label, element) pairs, in the order given:
+    every listing of symmetric-algebra residuals goes through here."""
+    return [e for label, el in pairs for e in residuals_from_sym(label, el)]
+
+
 def _derivation_entries(D) -> List[ResidualEntry]:
-    return [e for _, label, _, value in D.labelled() for e in residuals_from_sym(f"D({label})", value)]
+    return _sym_entries((f"D({label})", value) for _, label, _, value in D.labelled())
 
 
 def _square_entries(sq) -> List[ResidualEntry]:
     """The entries of a ``square_components`` result, by shift and label."""
-    out: List[ResidualEntry] = []
-    for n in sorted(sq):
-        for label in sorted(sq[n]):
-            out.extend(residuals_from_sym(f"shift {n} @ {label}", sq[n][label]))
-    return out
+    return _sym_entries((f"shift {n} @ {label}", sq[n][label]) for n in sorted(sq) for label in sorted(sq[n]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +274,7 @@ def cmd_lemmas(model, caps, args) -> Report:
     ):
         with timed_check(title) as t:
             res = residual(g)
-            entries = []
-            for label, el in res:
-                entries.extend(residuals_from_sym(label, el))
-            report.add(t.finish(not res, entries))
+            report.add(t.finish(not res, _sym_entries(res)))
     return report
 
 
@@ -292,10 +291,7 @@ def cmd_mc(model, caps, args) -> Report:
     with timed_check(f"maurer-cartan residual (seed={args.seed})") as t:
         conjugated = conjugate(Phi, D0)  # both checks read this one Phi D0 Phi^{-1} and its one square
         res = mc_residual(D0, conjugated)
-        entries = []
-        for label in sorted(res):
-            entries.extend(residuals_from_sym(label, res[label]))
-        report.add(t.finish(not res, entries))
+        report.add(t.finish(not res, _sym_entries(sorted(res.items()))))
     with timed_check("conjugated differential squares to zero") as t:
         sq = square_components(conjugated)
         report.add(t.finish(not sq, _square_entries(sq)))
@@ -307,10 +303,7 @@ def cmd_duality(model, caps, args) -> Report:
     report = Report("duality", caps)
     with timed_check("ce(structure) == assembled differential") as t:
         res = duality_residual(g)
-        entries = []
-        for label in sorted(res):
-            entries.extend(residuals_from_sym(label, res[label]))
-        report.add(t.finish(not res, entries))
+        report.add(t.finish(not res, _sym_entries(sorted(res.items()))))
     return report
 
 

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _degree_problem, _leibniz_failures
+from .algebra import BaseAlgebra, _add_product, _degree_problem, _leibniz_failures, _summed
 from .algebroid import (
     AlgebroidStructure,
     Coefficients,
@@ -86,16 +86,17 @@ from .algebroid import (
 from .errors import BaseMismatch, DegreeError, KitError
 from .linfty import BracketTable
 from .modules import FreeModule, ModuleElement
-from .scalars import Scalar
+from .scalars import Scalar, _add_multiple, _reduced_items
 from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
     Row,
     SymAlgebra,
     SymElement,
-    _add_product,
-    _collect,
+    Triples,
     _normalized,
+    _reduced_row,
+    _row_element,
     generator_differences,
     # not called here: perfbench/test_perfbench.py checks that the tracer
     # wraps this import site of a public function
@@ -532,13 +533,11 @@ def _difference(alg: SymAlgebra, left: Row, right: Row) -> Optional[SymElement]:
     equal elements."""
     if left == right:
         return None
-    acc = {v: dict(coeffs) for v, coeffs in left}
-    for v, coeffs in right:
-        out = acc.setdefault(v, {})
-        for k, c in coeffs:
-            old = out.get(k)
-            out[k] = -c if old is None else old - c
-    return _collect(alg, acc)
+    acc: Triples = {}
+    for sign, row in ((1, left), (-1, right)):
+        for v, coeffs in row:
+            _add_multiple(acc.setdefault(v, {}), coeffs, sign, 0, 1)
+    return _row_element(alg, _reduced_row(acc))
 
 
 def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
@@ -674,8 +673,10 @@ def build_frakD(g: GeometricModel) -> DerivationD:
 
 
 # The image of each tangent generator t_j under a map read on generators:
-# {j: {index: {basis index: Scalar}}}, the coefficients of the value.
-GeneratorRows = Dict[int, Coefficients]
+# {j: {index: coefficients}}, the coefficients of the value as the (basis
+# index, Scalar) pairs of an AlgebraElement, each reduced once from the
+# triples of ``algebroid._letter_transpose``.
+GeneratorRows = Dict[int, Dict[int, Tuple[Tuple[int, Scalar], ...]]]
 
 
 def _contraction_rows(
@@ -690,7 +691,7 @@ def _contraction_rows(
     bracket-recovery twist it shares with the Rperp transpose."""
     out: Dict[int, GeneratorRows] = {k: {} for k in range(g.b)}
     for (j, n), rows in _letter_transpose(g.amb, table, target.degrees, [exponent] * target.rank, (2,)).items():
-        out[n - g.a][j] = rows
+        out[n - g.a][j] = {k: _reduced_items(sums) for k, sums in rows.items()}
     return out
 
 
@@ -698,7 +699,8 @@ def _dhat_rows(g: GeometricModel) -> GeneratorRows:
     """dhat e_b on t_j, signed (-1)^{|e_b| |t_j|} = (-1)^{|e_b| + |e_c||e_b|}
     at each basis element e_c of its value, of degree |e_b| + |t_j|."""
     base_degrees = g.base.degrees
-    return {j: rows for (j,), rows in _letter_transpose(g.amb, g.dhat, base_degrees, base_degrees, (1,)).items()}
+    transposed = _letter_transpose(g.amb, g.dhat, base_degrees, base_degrees, (1,))
+    return {j: {k: _reduced_items(sums) for k, sums in rows.items()} for (j,), rows in transposed.items()}
 
 
 def _add_contraction(
@@ -709,7 +711,8 @@ def _add_contraction(
     This is the A-linear extension of a map read on generators: a one-slot
     map of operator degree 0 has Koszul exponent 0, so each coefficient a_j
     only multiplies the image of t_j from the left, basis element by basis
-    element (``_add_product``)."""
+    element, through the one product rule (``algebra._add_product``)."""
+    t = -1 if negative else 1
     for j, a in inner.coeffs:
         row = rows.get(j)
         if row is None:
@@ -719,10 +722,7 @@ def _add_contraction(
             if out is None:
                 out = acc[k] = {}
             for i, x in a.coeffs:
-                if negative:
-                    x = -x
-                for m, y in value.items():
-                    _add_product(out, base, i, m, x * y)
+                _add_product(out, base, i, value, 0, t * x.n_re, t * x.n_im, x.den)
 
 
 def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
@@ -786,7 +786,7 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
             acc: Coefficients = {}
             _add_contraction(acc, base, alpha_val, dhat, False)
             for b in sorted(acc):
-                paired = AlgebraElement(base, acc[b])
+                paired = _summed(base, acc[b])
                 if not paired.is_zero():
                     S.set_anchor(m + 1, key, b, paired)
     return S

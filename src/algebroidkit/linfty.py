@@ -23,11 +23,11 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _leibniz_failures
+from .algebra import AlgebraElement, BaseAlgebra, _leibniz_failures, _linear
 from .errors import CapError, DegreeError, KitError
 from .linalg import nullspace
 from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from .scalars import MINUS_ONE, ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
 from .signs import (
     _sort_word,
     _vanishes,
@@ -277,10 +277,7 @@ class AlgebraDerivation:
         return self.values[i]
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
-        acc = self.base.zero()
-        for i, c in a.items():
-            acc = acc + self.values[i].scale(c)
-        return acc
+        return _linear(a, self.values.__getitem__)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -383,23 +380,26 @@ def algebra_derivation_basis(base: BaseAlgebra, degree: int) -> List[AlgebraDeri
     zero = Scalar.zero()
     rows: List[List[Scalar]] = []
     for i1 in range(dim):
-        sign = sign_scalar(degree * degrees[i1])
+        sign = -1 if degree * degrees[i1] & 1 else 1
         for i2 in range(dim):
             # P(e_i1 e_i2) - P(e_i1) e_i2 - (-1)^{k |e_i1|} e_i1 P(e_i2) = 0,
-            # one linear equation per output basis component t
-            terms = [(j, k, c) for m, c in base.product_basis(i1, i2).items() for j, k in unknowns[m]]
-            terms += [(t, k, -q) for j, k in unknowns[i1] for t, q in base.product_basis(j, i2).items()]
-            terms += [(t, k, q if sign is MINUS_ONE else -q) for j, k in unknowns[i2] for t, q in base.product_basis(i1, j).items()]
-            out_rows: Dict[int, Dict[int, Scalar]] = {}
-            for t, k, scal in terms:
-                slot = out_rows.setdefault(t, {})
-                old = slot.get(k)
-                slot[k] = scal if old is None else old + scal
-            for coeff_map in out_rows.values():
-                row = [zero] * len(vars_)
-                for k, scal in coeff_map.items():
-                    row[k] = scal
-                rows.append(row)
+            # one linear equation per output basis component t; the column
+            # of unknown k sums its coefficient in each, reduced once
+            columns: Dict[int, Sums] = {}
+            for m, c in base.product_basis(i1, i2).items():
+                for j, k in unknowns[m]:
+                    _add_multiple(columns.setdefault(k, {}), ((j, c),), 1, 0, 1)
+            for j, k in unknowns[i1]:
+                _add_multiple(columns.setdefault(k, {}), base.product_basis(j, i2).items(), -1, 0, 1)
+            for j, k in unknowns[i2]:
+                _add_multiple(columns.setdefault(k, {}), base.product_basis(i1, j).items(), -sign, 0, 1)
+            equations: Dict[int, List[Scalar]] = {}
+            for k, sums in columns.items():
+                for t, c in _reduced_items(sums):
+                    equations.setdefault(t, [zero] * len(vars_))[k] = c
+            rows.extend(equations.values())
+    # the reduced row echelon form of a row space is unique, so the basis
+    # does not depend on the order of the equations
     basis_vectors = nullspace(rows, len(vars_))
     out = []
     for vec in basis_vectors:

@@ -10,13 +10,17 @@ gcd(n_re, n_im, den) == 1.  So every value has exactly one triple (zero is
 (0, 0, 1)), and equality and hashing compare triples.  Arithmetic works on
 ints only and reduces with one three-argument gcd, skipped when the
 denominator is 1.
+
+Every exact sum of the kit goes through one accumulator, a table of
+unreduced triples (``Sums``): ``_add_multiple`` adds terms, and each entry
+is reduced once, when its sum is complete (``_reduced_items``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -205,10 +209,46 @@ _ONE = Scalar(1)
 _I = Scalar(0, 1)
 
 ONE = _ONE
-ZERO = _ZERO
 MINUS_ONE = Scalar(-1)
 
 
 def sign_scalar(exponent: int) -> Scalar:
     """(-1)**exponent as a Scalar."""
     return MINUS_ONE if exponent % 2 else ONE
+
+
+# A coefficient table while its terms are summed: {index: [n_re, n_im, den]},
+# each entry the unreduced Gaussian-integer triple of (n_re + n_im i) / den
+# with den > 0.
+Sums = Dict[int, List[int]]
+
+
+def _add_multiple(out: Sums, pairs: Iterable[Tuple[int, Scalar]], n_re: int, n_im: int, den: int) -> None:
+    """out += (n_re + n_im i) / den * x for the element x with the (index,
+    Scalar) pairs given, without reducing: the one way a term enters a sum.
+    Entries over one denominator add numerators."""
+    for k, c in pairs:
+        c_re, c_im = c.n_re, c.n_im
+        t_re, t_im, t_den = n_re * c_re - n_im * c_im, n_re * c_im + n_im * c_re, den * c.den
+        old = out.get(k)
+        if old is None:
+            out[k] = [t_re, t_im, t_den]
+        elif old[2] == t_den:
+            old[0] += t_re
+            old[1] += t_im
+        else:
+            d = old[2]
+            old[0] = old[0] * t_den + t_re * d
+            old[1] = old[1] * t_den + t_im * d
+            old[2] = d * t_den
+
+
+def _reduced_items(out: Sums) -> Tuple[Tuple[int, Scalar], ...]:
+    """The nonzero entries of out in index order, each reduced by one
+    ``_reduce``."""
+    items = []
+    for k in sorted(out):
+        n_re, n_im, den = out[k]
+        if n_re or n_im:
+            items.append((k, _reduce(n_re, n_im, den)))
+    return tuple(items)

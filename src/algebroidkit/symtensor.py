@@ -38,8 +38,9 @@ arity-1 part is the differential d0 induced by (d_A, d_L)
 The product and the Leibniz rule form each output term once: the
 concatenated letters are sorted with their Koszul sign (``signs._sort_word``:
 one factor -1 per pair of odd letters moved past each other, zero on a
-repeated odd letter) and the coefficient is added basis element by basis element
-(``_add_product``).  For base elements e_i, e_j and words w1, w2
+repeated odd letter) and the coefficient is summed through the one product
+rule of the base (``algebra._add_product``).  For base elements e_i, e_j and
+words w1, w2
 
     (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
 
@@ -61,13 +62,13 @@ its argument.  Rows are exact values, so results do not depend on which rows
 were made before, and a table holds at most one row per grid element:
 sum_r |words_of_weight(r)| * dim A.
 
-A row and an ``apply`` result are summed as unreduced Gaussian-integer
-triples (n_re, n_im, den), and each coefficient is reduced once, when the
-sum is complete, so every coefficient of a row is a reduced nonzero Scalar.
-Beside its rows a derivation keeps its values as terms sorted by word
-length, so the Leibniz walk stops at the first term over the cap; the sorted
-word and sign of every concatenation of letters its rows met; and its
-square, made once.  A ``FilteredAutomorphism`` is exp(phi) for a
+Rows, products and ``apply`` results are summed in the one coefficient
+accumulator of ``scalars`` (unreduced triples, each coefficient reduced
+once, when its sum is complete), so every coefficient of a row is a reduced
+nonzero Scalar.  Beside its rows a derivation keeps its values as terms
+sorted by word length, so the Leibniz walk stops at the first term over the
+cap; the sorted word and sign of every concatenation of letters its rows
+met; and its square, made once.  A ``FilteredAutomorphism`` is exp(phi) for a
 weight-raising derivation phi and keeps no table: it sums the series of
 phi's powers, each read through phi's own rows.
 """
@@ -76,10 +77,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _degree_problem, _element
+from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _element
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import MINUS_ONE, ONE, Scalar, _reduce, sign_scalar
+from .scalars import ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
 from .signs import _nonvanishing_keys, _sort_word, _vanishes
 
 Word = Tuple[int, ...]
@@ -178,11 +179,17 @@ class SymElement:
     __slots__ = ("algebra", "data")
 
     def __init__(self, algebra: SymAlgebra, data: Mapping[Word, AlgebraElement]):
+        """data maps sorted words to coefficients: a word over the cap or with
+        a repeated odd letter is dropped, an unsorted or foreign one refused."""
         cleaned: Dict[Word, AlgebraElement] = {}
+        n = algebra.n_letters
         for w, a in data.items():
+            w = tuple(w)
+            if w != tuple(sorted(w)) or w and (w[0] < 0 or w[-1] >= n):
+                raise KitError(f"word {w!r} is not a sorted tuple of letter indices below {n}")
             if a.is_zero() or len(w) > algebra.cap or _vanishes(w, algebra.letter_degrees, True):
                 continue
-            cleaned[tuple(w)] = a
+            cleaned[w] = a
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "data", dict(sorted(cleaned.items())))
 
@@ -257,15 +264,15 @@ class SymElement:
         (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
         where s is the Koszul sign exponent of sorting the letters of w1 w2;
         a sorted word with a repeated odd letter is zero.  Each output term is
-        accumulated basis element by basis element; a pair over the cap is
-        skipped before its letters are sorted.
+        summed through the product rule (``algebra._add_product``) and each
+        coefficient reduced once; a pair over the cap is skipped before its
+        letters are sorted.
         """
         self._check(other)
         alg = self.algebra
         base = alg.base
-        degrees = base.degrees
         letter_degrees = alg.letter_degrees
-        acc: Dict[Word, Dict[int, Scalar]] = {}
+        acc: Triples = {}
         for w1, a1 in self.data.items():
             room = alg.cap - len(w1)
             d1 = alg.word_degree(w1)
@@ -277,12 +284,10 @@ class SymElement:
                     continue
                 word, exponent = merged
                 coeffs = acc.setdefault(word, {})
-                for j, bj in a2.coeffs:
-                    negative = (exponent + degrees[j] * d1) & 1
-                    for i, ai in a1.coeffs:
-                        s = ai * bj
-                        _add_product(coeffs, base, i, j, -s if negative else s)
-        return _collect(alg, acc)
+                t = -1 if exponent & 1 else 1
+                for i, ai in a1.coeffs:
+                    _add_product(coeffs, base, i, a2.coeffs, d1, t * ai.n_re, t * ai.n_im, ai.den)
+        return _row_element(alg, _reduced_row(acc))
 
     def truncate(self, cap: int) -> "SymElement":
         return _normalized(self.algebra, {w: a for w, a in self.data.items() if len(w) <= cap})
@@ -308,18 +313,6 @@ class SymElement:
         return " + ".join(bits)
 
 
-def _add_product(coeffs: Dict[int, Scalar], base: BaseAlgebra, i: int, j: int, s: Scalar) -> None:
-    """coeffs += s * (e_i e_j), basis element by basis element.
-
-    A structure constant +-1 (marked by the base algebra's product table) adds
-    +-s without a multiplication.
-    """
-    for k, ck in base.product_basis(i, j).coeffs:
-        t = s if ck is ONE else -s if ck is MINUS_ONE else s * ck
-        old = coeffs.get(k)
-        coeffs[k] = t if old is None else old + t
-
-
 _new = object.__new__
 
 
@@ -331,13 +324,6 @@ def _normalized(alg: SymAlgebra, data: Mapping[Word, AlgebraElement]) -> SymElem
     object.__setattr__(out, "algebra", alg)
     object.__setattr__(out, "data", dict(sorted((w, a) for w, a in data.items() if a.coeffs)))
     return out
-
-
-def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> SymElement:
-    """The SymElement of a {word: {basis index: Scalar}} accumulator whose
-    words ``_sort_word`` produced within the cap."""
-    base = alg.base
-    return _normalized(alg, {w: AlgebraElement(base, coeffs) for w, coeffs in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -352,49 +338,34 @@ def _collect(alg: SymAlgebra, acc: Mapping[Word, Mapping[int, Scalar]]) -> SymEl
 # on the operator checks.
 Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
 
-# A row or an ``apply`` result while it is summed: {word: {basis index:
-# [n_re, n_im, den]}}, each entry the unreduced Gaussian-integer triple of
-# (n_re + n_im i) / den with den > 0.  Entries over one denominator add
-# numerators (``_add_triple``); ``_reduced_row`` reduces each once, at the end.
-Triples = Dict[Word, Dict[int, List[int]]]
+# A row, a product or an ``apply`` result while it is summed: one coefficient
+# sum (``scalars.Sums``) per word, each entry reduced once, at the end
+# (``_reduced_row``).
+Triples = Dict[Word, Sums]
 
 # The terms of one stored derivation value, shortest words first: (word,
-# length, ((basis index, n_re, n_im, den), ...)).
-ValueTerms = Tuple[Tuple[Word, int, Tuple[Tuple[int, int, int, int], ...]], ...]
+# length, coefficients as (basis index, Scalar) pairs).
+ValueTerms = Tuple[Tuple[Word, int, Tuple[Tuple[int, Scalar], ...]], ...]
 
 # marks a concatenation the ``_sorted`` memo of a derivation has not met
 _UNSEEN = object()
 
 
-def _add_triple(out: Dict[int, List[int]], k: int, n_re: int, n_im: int, den: int) -> None:
-    """out[k] += (n_re + n_im i) / den, without reducing."""
-    old = out.get(k)
-    if old is None:
-        out[k] = [n_re, n_im, den]
-    elif old[2] == den:
-        old[0] += n_re
-        old[1] += n_im
-    else:
-        d = old[2]
-        old[0] = old[0] * den + n_re * d
-        old[1] = old[1] * den + n_im * d
-        old[2] = d * den
-
-
 def _reduced_row(acc: Triples) -> Row:
     """The row of a triple accumulator: its words in order, each with its
-    nonzero entries in basis order, each reduced by one ``scalars._reduce``."""
+    nonzero entries in basis order (``scalars._reduced_items``)."""
     row = []
     for w in sorted(acc):
-        out = acc[w]
-        coeffs = []
-        for k in sorted(out):
-            n_re, n_im, den = out[k]
-            if n_re or n_im:
-                coeffs.append((k, _reduce(n_re, n_im, den)))
+        coeffs = _reduced_items(acc[w])
         if coeffs:
-            row.append((w, tuple(coeffs)))
+            row.append((w, coeffs))
     return tuple(row)
+
+
+def _row_element(alg: SymAlgebra, row: Row) -> SymElement:
+    """The SymElement of a row whose words are words of alg within its cap."""
+    base = alg.base
+    return _normalized(alg, {w: _element(base, coeffs) for w, coeffs in row})
 
 
 # ---------------------------------------------------------------------------
@@ -601,15 +572,8 @@ class DerivationD:
                     out = acc.get(v)
                     if out is None:
                         out = acc[v] = {}
-                    for k, c in coeffs:
-                        if s is ONE:
-                            _add_triple(out, k, c.n_re, c.n_im, c.den)
-                        else:
-                            c_re, c_im = c.n_re, c.n_im
-                            t_re, t_im = c_re * s_re - c_im * s_im, c_re * s_im + c_im * s_re
-                            _add_triple(out, k, t_re, t_im, c.den * s_den)
-        base = self.algebra.base
-        return _normalized(self.algebra, {v: _element(base, coeffs) for v, coeffs in _reduced_row(acc)})
+                    _add_multiple(out, coeffs, s_re, s_im, s_den)
+        return _row_element(self.algebra, _reduced_row(acc))
 
     def _row(self, w: Word, i: int) -> Row:
         """D(e_i w) by the Leibniz rule.
@@ -654,10 +618,7 @@ class DerivationD:
             out = acc.get(word)
             if out is None:
                 out = acc[word] = {}
-            for k, c_re, c_im, c_den in coeffs:
-                if exponent & 1:
-                    c_re, c_im = -c_re, -c_im
-                _add_triple(out, k, c_re, c_im, c_den)
+            _add_multiple(out, coeffs, -1 if exponent & 1 else 1, 0, 1)
         room += 1
         pos = 0
         prefix_degree = 0
@@ -684,21 +645,8 @@ class DerivationD:
                     out = acc.get(word)
                     if out is None:
                         out = acc[word] = {}
-                    exponent += shift
-                    for j, c_re, c_im, c_den in coeffs:
-                        if m != 1:
-                            c_re, c_im = c_re * m, c_im * m
-                        if (exponent + degrees[j] * prefix_degree) & 1:
-                            c_re, c_im = -c_re, -c_im
-                        for k, ck in base.product_basis(i, j).coeffs:
-                            if ck is ONE:
-                                _add_triple(out, k, c_re, c_im, c_den)
-                            elif ck is MINUS_ONE:
-                                _add_triple(out, k, -c_re, -c_im, c_den)
-                            else:
-                                k_re, k_im = ck.n_re, ck.n_im
-                                t_re, t_im = c_re * k_re - c_im * k_im, c_re * k_im + c_im * k_re
-                                _add_triple(out, k, t_re, t_im, c_den * ck.den)
+                    t = -m if (exponent + shift) & 1 else m
+                    _add_product(out, base, i, coeffs, prefix_degree, t, 0, 1)
             prefix_degree += letter_degrees[x] * (end - pos)
             pos = end
         return _reduced_row(acc)
@@ -706,12 +654,10 @@ class DerivationD:
     def _value_terms(self) -> Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]:
         """The stored values as (on_algebra, on_letters) term tables, made
         once, on the first row: {index: ((word, length, coefficients), ...)},
-        shortest words first, each coefficient as (basis index, n_re, n_im,
-        den)."""
+        shortest words first."""
 
         def terms(value: SymElement) -> ValueTerms:
-            listed = [(v, len(v), tuple((k, c.n_re, c.n_im, c.den) for k, c in a.coeffs)) for v, a in value.items()]
-            return tuple(sorted(listed, key=lambda term: term[1]))
+            return tuple(sorted(((v, len(v), a.coeffs) for v, a in value.items()), key=lambda term: term[1]))
 
         self._terms = (
             {i: terms(v) for i, v in self.on_algebra.items()},

@@ -27,18 +27,24 @@ became the arity-1 part of the Chevalley-Eilenberg dictionary
 The Leibniz row kernel as ``DerivationD`` ran it with one ``Scalar`` operation
 per product and per sum: ``oracle_row`` is D(e_i w) with every coefficient
 reduced as it is formed, ``oracle_apply`` sums s times those rows into a
-{word: {basis index: Scalar}} accumulator.  ``oracle_square`` and
+{word: {basis index: Scalar}} accumulator (``scalar_add_product``,
+``scalar_collect``), the Scalar-by-Scalar path the kit's triple accumulator
+replaced.  ``oracle_square`` and
 ``oracle_conjugate`` are ``symtensor.square`` and ``symtensor.conjugate`` read
-through them, exp(phi) as the series of phi's powers (``oracle_exp_series``)."""
+through them, exp(phi) as the series of phi's powers (``oracle_exp_series``).
+The base product and d_A (``scalar_base_mul``, ``scalar_base_d``) and the
+two Chevalley-Eilenberg transposes (``scalar_letter_transpose``,
+``scalar_word_transpose``) on the same Scalar path."""
 
 from __future__ import annotations
 
 from math import factorial
 
+from algebroidkit.algebra import AlgebraElement
 from algebroidkit.modules import pair_dual
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _sort_word
-from algebroidkit.symtensor import DerivationD, _add_product, _collect, _on_generators
+from algebroidkit.symtensor import DerivationD, SymElement, _normalized, _on_generators, _word_constant
 
 
 def derivation_sum(D, E, sign=ONE):
@@ -169,6 +175,66 @@ def oracle_dual_differential_letter(algebra, module, letter):
     return acc
 
 
+def scalar_add_product(coeffs, base, i, j, s):
+    """coeffs += s * (e_i e_j), one reduced ``Scalar`` product and sum per
+    structure constant."""
+    for k, ck in base.product_basis(i, j).items():
+        t = s * ck
+        old = coeffs.get(k)
+        coeffs[k] = t if old is None else old + t
+
+
+def scalar_collect(alg, acc):
+    """The SymElement of a {word: {basis index: Scalar}} accumulator whose
+    words are sorted words of alg within its cap."""
+    return _normalized(alg, {w: AlgebraElement(alg.base, coeffs) for w, coeffs in acc.items()})
+
+
+def scalar_base_mul(x, y):
+    """x * y in the base, one Scalar product and sum per structure constant."""
+    acc = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            scalar_add_product(acc, x.algebra, i, j, ci * cj)
+    return AlgebraElement(x.algebra, acc)
+
+
+def scalar_base_d(x):
+    """d_A x, one Scalar product and sum per coefficient of a basis differential."""
+    acc = {}
+    for i, c in x.items():
+        for k, ck in x.algebra.differential_basis(i).items():
+            acc[k] = acc.get(k, Scalar.zero()) + c * ck
+    return AlgebraElement(x.algebra, acc)
+
+
+def _scaled(coeffs, base, degree, scale):
+    """{b: (-1)^{|e_b| degree} scale x} for the coefficients x e_b given."""
+    return {b: -x * scale if base.degrees[b] * degree & 1 else x * scale for b, x in coeffs}
+
+
+def scalar_letter_transpose(alg, table, degrees, exponents, weights):
+    """{word: {i: AlgebraElement}}: ``algebroid._letter_transpose`` with one
+    Scalar product per entry, (-1)^{exponents[i] + |e_b| degrees[i]} kappa(w) x."""
+    out = {}
+    for i, el in table.items():
+        for w, c in el.items():
+            if len(w) in weights:
+                scale = _word_constant(alg, w) * sign_scalar(exponents[i])
+                out.setdefault(w, {})[i] = AlgebraElement(alg.base, _scaled(c.items(), alg.base, degrees[i], scale))
+    return out
+
+
+def scalar_word_transpose(alg, entries, degrees, exponents):
+    """``algebroid._word_transpose`` with one Scalar product per entry,
+    (-1)^{exponents[i] + |e_b| degrees[i]} x / kappa(w)."""
+    out = {}
+    for w, i, value in entries:
+        scale = _word_constant(alg, w).inverse() * sign_scalar(exponents[i])
+        out.setdefault(i, {})[w] = AlgebraElement(alg.base, _scaled(value.items(), alg.base, degrees[i], scale))
+    return {i: SymElement(alg, words) for i, words in out.items()}
+
+
 def _row_from(acc):
     """The row of a {word: {basis index: Scalar}} accumulator: its words in
     order, each with its sorted nonzero (basis index, Scalar) pairs."""
@@ -234,7 +300,7 @@ def oracle_row(D, w, i):
                     t = cj if m is ONE else cj * m
                     if (exponent + degrees[j] * prefix_degree) & 1:
                         t = -t
-                    _add_product(coeffs, base, i, j, t)
+                    scalar_add_product(coeffs, base, i, j, t)
         prefix_degree += letter_degrees[x] * (end - pos)
         pos = end
     return _row_from(acc)
@@ -252,7 +318,7 @@ def oracle_apply(D, element):
                     t = c if s is ONE else c * s
                     old = out.get(k)
                     out[k] = t if old is None else old + t
-    return _collect(D.algebra, acc)
+    return scalar_collect(D.algebra, acc)
 
 
 def oracle_square(D):

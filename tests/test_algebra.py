@@ -254,6 +254,15 @@ def test_differential_of_the_wrong_degree_reported():
     assert problems == ["d(e) has degree 0, expected 2"]
 
 
+def test_algebra_element_refuses_an_index_it_does_not_have():
+    """Index 7 of four basis elements would make ``repr`` raise IndexError;
+    -1 would read the last basis element."""
+    base = eps_poly_base()
+    for i in (7, 4, -1):
+        with pytest.raises(KitError, match=f"^coefficient index {i} names no basis element: there are 4$"):
+            base.element({0: ONE, i: ONE})
+
+
 def test_constructor_refuses_values_on_the_unit():
     """A given product with the unit must be the other factor, and d_A(1)
     must be zero; a pair that states the unit law, or a zero differential of

@@ -363,3 +363,41 @@ def test_the_ce_dictionary_is_one_transpose_each_way():
     assert algebroidkit.d0_derivation is algebroid.d0_derivation
     assert not {"d0_derivation", "dual_differential_letter"} & set(vars(algebroidkit.symtensor))
     assert not hasattr(algebroidkit.modules, "from_dual_values")
+
+
+def _attribute_uses(tree: ast.Module, names):
+    """(module-level function or class, name) of every plain name or
+    attribute among names that tree reads, calls included."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in names:
+                yield getattr(top, "name", None), node.id
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                yield getattr(top, "name", None), node.attr
+
+
+def test_sums_are_reduced_in_scalars_and_products_read_by_one_rule():
+    """Every exact sum goes through the accumulator of ``scalars``, which
+    alone reduces (``_reduce``).  The structure constants of the base are
+    read by the product rule and the validators of ``algebra``, by the
+    derivation-basis equations of ``linfty``, by the ``modelio`` serializer
+    and by ``fixtures``: never by ``symtensor``, ``geometry`` or
+    ``algebroid``, which multiply through ``algebra._add_product``."""
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted(root.glob("src/algebroidkit/*.py")):
+        if path.name != "fixtures.py":
+            tree = ast.parse(path.read_text())
+            found |= {(path.name, *use) for use in _attribute_uses(tree, {"_reduce", "product_basis", "_products"})}
+    assert {(module, top) for module, top, name in found if name == "_reduce"} == {
+        ("scalars.py", "Scalar"),
+        ("scalars.py", "_reduced_items"),
+    }
+    assert {(module, top) for module, top, name in found if name != "_reduce"} == {
+        ("algebra.py", "BaseAlgebra"),
+        ("algebra.py", "_add_product"),
+        ("algebra.py", "_leibniz_failures"),
+        ("algebra.py", "validate_base_algebra"),
+        ("linfty.py", "algebra_derivation_basis"),
+        ("modelio.py", "_base_dict"),
+    }

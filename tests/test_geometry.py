@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from algebroidkit import algebroid, geometry, linfty, modules, symtensor
 from algebroidkit.algebra import AlgebraElement
-from algebroidkit.algebroid import AlgebroidStructure, _module_value, d0_derivation, extract_structure
+from algebroidkit.algebroid import AlgebroidStructure, d0_derivation, extract_structure
 from algebroidkit.cli import main
 from algebroidkit.errors import BaseMismatch, DegreeError, KitError, ParseError
 from algebroidkit.fixtures import (
@@ -671,18 +671,22 @@ def test_structure_from_geometry_matches_its_oracle(workloads):
 
 def _transposes_match_their_oracles(g) -> bool:
     """The ambient d0, the Shape and Gamma contraction rows and the dhat rows
-    equal their oracles; whether the model has a contraction or a dhat row."""
+    equal their oracles; whether the model has a contraction or a dhat row.
+    The rows hold (basis index, Scalar) pairs, read as AlgebraElements."""
     assert g.ambient_d0() == oracle_ambient_d0(g)
     read = False
     for table, target, exponent, sign in ((g.shape, g.tangent, 0, ONE), (g.gamma, g.normal, 1, MINUS_ONE)):
         rows = geometry._contraction_rows(g, table, target, exponent)
-        got = {k: {(j,): _module_value(target, v) for j, v in r.items()} for k, r in rows.items()}
+        got = {
+            k: {(j,): target.element({i: AlgebraElement(g.base, dict(c)) for i, c in v.items()}) for j, v in r.items()}
+            for k, r in rows.items()
+        }
         assert got == oracle_contraction_table(g, table, target, sign)
         read |= any(rows.values())
     got = {}
     for j, rows in geometry._dhat_rows(g).items():
         for b, coeffs in rows.items():
-            got.setdefault(b, {})[(j,)] = AlgebraElement(g.base, coeffs)
+            got.setdefault(b, {})[(j,)] = AlgebraElement(g.base, dict(coeffs))
     assert got == {b: rows for b, rows in oracle_dhat_rows(g).items() if rows}
     return read or bool(got)
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algebroidkit.algebra import BaseAlgebra, validate_base_algebra
-from algebroidkit.algebroid import d0_derivation
+from algebroidkit.algebra import BaseAlgebra, _summed, validate_base_algebra
+from algebroidkit.algebroid import _letter_transpose, _word_transpose, d0_derivation
 from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.geometry import _grid
 from algebroidkit.fixtures import (
@@ -54,6 +54,10 @@ from symtensor_oracle import (
     oracle_square,
     reference_apply_inverse,
     reference_automorphism_apply,
+    scalar_base_d,
+    scalar_base_mul,
+    scalar_letter_transpose,
+    scalar_word_transpose,
 )
 
 
@@ -780,7 +784,17 @@ def random_derivation(rng, alg, degree):
     return DerivationD(alg, on_algebra, on_letters, degree=degree, check=False)
 
 
-KERNEL_BASES = {"nontrivial_dga": nontrivial_dga, "kodaira_base": kodaira_base}
+def gaussian_product_base():
+    """1, t, u, ut of degrees 0, 1, 0, 1 with u t = (1/2 - i) ut: a structure
+    constant other than +-1, which no sample base has."""
+    return BaseAlgebra([("1", 0), ("t", 1), ("u", 0), ("ut", 1)], 0, {(2, 1): {3: Scalar(Fraction(1, 2), -1)}})
+
+
+KERNEL_BASES = {
+    "nontrivial_dga": nontrivial_dga,
+    "kodaira_base": kodaira_base,
+    "gaussian_product_base": gaussian_product_base,
+}
 
 
 @pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
@@ -796,21 +810,12 @@ def test_product_matches_homogeneous_term_oracle(base_name, degrees):
         assert x * y == reference_mul(x, y)
 
 
-PRODUCT_BASES = sample_bases()
-
-
-def gaussian_product_base():
-    """1, t, u, ut of degrees 0, 1, 0, 1 with u t = (1/2 - i) ut: a structure
-    constant other than +-1, which no sample base has."""
-    return BaseAlgebra([("1", 0), ("t", 1), ("u", 0), ("ut", 1)], 0, {(2, 1): {3: Scalar(Fraction(1, 2), -1)}})
-
-
 # the sample bases, and one whose product needs a structure-constant multiplication
-ROW_KERNEL_BASES = PRODUCT_BASES + [gaussian_product_base()]
+ROW_KERNEL_BASES = sample_bases() + [gaussian_product_base()]
 
 
 @st.composite
-def drawn_algebras(draw, max_cap, bases=PRODUCT_BASES):
+def drawn_algebras(draw, max_cap, bases=ROW_KERNEL_BASES):
     """A SymAlgebra over one of bases, with up to three letters of drawn
     degrees (odd, even and repeated ones) and a cap in 0..max_cap."""
     base = draw(st.sampled_from(bases))
@@ -919,7 +924,7 @@ def drawn_derivations(draw):
     ``gaussian_product_base``, cap 0..5, odd and even letters), its values
     drawn words with Gaussian coefficients over mixed denominators; degrees
     are not checked, the Leibniz formula is linear in them."""
-    alg = draw(drawn_algebras(5, ROW_KERNEL_BASES))
+    alg = draw(drawn_algebras(5))
     values = drawn_elements(alg)
     on_algebra = draw(st.dictionaries(st.integers(0, alg.base.dim - 1), values, max_size=alg.base.dim))
     on_letters = draw(st.dictionaries(st.integers(0, alg.n_letters - 1), values, max_size=alg.n_letters))
@@ -945,6 +950,40 @@ def test_rows_apply_square_and_conjugate_match_the_scalar_oracle(data):
     assert square(D) == oracle_square(D)
     Phi = _random_unipotent(Rng(data.draw(st.integers(0, 2**16))), alg, density=0.7)
     assert conjugate(Phi, D) == oracle_conjugate(Phi, D)
+
+
+@given(data=st.data())
+def test_base_products_and_differentials_match_the_scalar_oracle(data):
+    """AlgebraElement products and d_A, summed as unreduced triples through
+    the one product rule, equal one reduced Scalar product and sum per
+    structure constant, on the sample bases and ``gaussian_product_base``,
+    with Gaussian coefficients over unequal denominators."""
+    base = data.draw(st.sampled_from(ROW_KERNEL_BASES))
+    x = data.draw(algebra_elements(base))
+    y = data.draw(algebra_elements(base))
+    assert x * y == scalar_base_mul(x, y)
+    assert x.d() == scalar_base_d(x)
+
+
+@given(data=st.data())
+def test_transposes_match_the_scalar_oracle(data):
+    """Both Chevalley-Eilenberg transposes, which read kappa(w) as an integer
+    and sum unreduced triples through the product rule, equal one Scalar
+    product per entry: on drawn algebras over the sample bases and
+    ``gaussian_product_base``, with drawn generator degrees and read signs."""
+    alg = data.draw(drawn_algebras(4))
+    base, n = alg.base, alg.n_letters
+    degrees = data.draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    exponents = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    table = data.draw(st.dictionaries(st.integers(0, n - 1), drawn_elements(alg), max_size=n))
+    weights = range(alg.cap + 1)
+    transposed = _letter_transpose(alg, table, degrees, exponents, weights)
+    got = {w: {i: _summed(base, sums) for i, sums in values.items()} for w, values in transposed.items()}
+    assert got == scalar_letter_transpose(alg, table, degrees, exponents, weights)
+    words = [w for r in weights for w in alg.words_of_weight(r)]
+    keys = st.tuples(st.sampled_from(words), st.integers(0, n - 1))
+    entries = [(w, i, v) for (w, i), v in data.draw(st.dictionaries(keys, algebra_elements(base), max_size=6)).items()]
+    assert _word_transpose(alg, entries, degrees, exponents) == scalar_word_transpose(alg, entries, degrees, exponents)
 
 
 def _unreduced(row):
@@ -1098,8 +1137,8 @@ def test_private_constructor_agrees_with_public_one():
             assert same_as_public(x.truncate(r)) == SymElement(
                 alg, {w: a for w, a in x.items() if len(w) <= r}
             )
-        same_as_public(x * y)  # _collect
-        assert same_as_public(D.apply(x)) == reference_apply(D, x)  # _collect of a row sum
+        same_as_public(x * y)  # _row_element of a product sum
+        assert same_as_public(D.apply(x)) == reference_apply(D, x)  # _row_element of a row sum
 
 
 def test_automorphism_rejects_elements_of_another_algebra():
@@ -1192,6 +1231,46 @@ def test_operator_refusal_texts_name_the_generator():
         with pytest.raises(KitError) as err:
             build()
         assert str(err.value) == message
+
+
+def _odd_first_algebra():
+    """nontrivial_dga with letters x (degree 1) and y (degree 0)."""
+    base = nontrivial_dga()
+    return base, SymAlgebra(base, [("x", 1), ("y", 0)], cap=3)
+
+
+def _refused_word(alg, word):
+    with pytest.raises(KitError) as err:
+        SymElement(alg, {word: alg.base.one()})
+    return str(err.value)
+
+
+def test_sym_element_refuses_an_unsorted_word():
+    """(1, 0) is not kept beside (0, 1), the same element up to sign:
+    ``SymAlgebra.word`` sorts it, with its Koszul sign."""
+    base, alg = _odd_first_algebra()
+    message = "word (1, 0) is not a sorted tuple of letter indices below 2"
+    assert _refused_word(alg, (1, 0)) == message
+    assert alg.word((1, 0)) == SymElement(alg, {(0, 1): base.one()})
+
+
+def test_sym_element_refuses_a_word_repeating_an_odd_letter_out_of_order():
+    """(0, 1, 0) repeats the odd letter x and vanishes; sorted, (0, 0) is
+    dropped as zero."""
+    base, alg = _odd_first_algebra()
+    message = "word (0, 1, 0) is not a sorted tuple of letter indices below 2"
+    assert _refused_word(alg, (0, 1, 0)) == message
+    assert alg.word((0, 1, 0)).is_zero()
+    assert SymElement(alg, {(0, 0): base.one()}).is_zero()
+
+
+def test_sym_element_refuses_a_letter_index_it_does_not_have():
+    """Letter 5 of two letters would make ``degree`` raise IndexError; -1
+    would read the last letter."""
+    _, alg = _odd_first_algebra()
+    for word in ((5,), (0, 5), (-1, 0)):
+        message = f"word {word!r} is not a sorted tuple of letter indices below 2"
+        assert _refused_word(alg, word) == message
 
 
 def test_operators_refuse_keys_that_name_no_generator():

@@ -1,45 +1,203 @@
-"""Finite-dimensional graded commutative unital dgas over the Gaussian rationals.
+"""Finite-dimensional graded commutative unital dgas over the Gaussian
+rationals, and ``Combination``, the one element type of the kit.
+
+Every element the kit computes with is a sparse sum sum_k c_k x_k over a
+graded basis, stored as a ``Combination``, which alone implements the
+element protocol.  Its four kinds: ``AlgebraElement`` (basis index ->
+Scalar), ``modules.ModuleElement`` (generator index -> base coefficient),
+``symtensor.SymElement`` (sorted word -> base coefficient) and
+``linfty.AlgebraDerivation`` (basis index i -> the value P(e_i), a term of
+degree |P(e_i)| - |e_i|, the degree of the map).
 
 A BaseAlgebra is given by a named, graded basis, a sparse multiplication
 table, a distinguished unit basis element and a degree-1 differential d_A.
-Elements are immutable sparse coefficient vectors.  The unit is structural:
-the constructor refuses a product that breaks the unit law and a nonzero
-d_A(1).  The other invariants (commutativity, associativity, Leibniz,
-d^2 = 0) are checked by ``validate_base_algebra``, which reports violations
-with witnesses instead of raising.
+The unit is structural: the constructor refuses a product that breaks the
+unit law, a nonzero d_A(1) and a table index that names no basis element.
+The other invariants (commutativity, associativity, Leibniz, d^2 = 0) are
+checked by ``validate_base_algebra``, which reports violations with
+witnesses instead of raising.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BaseMismatch, DegreeError, KitError
 from .scalars import MINUS_ONE, ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
 
 
-class AlgebraElement:
-    """Sparse element of a BaseAlgebra; immutable, structurally comparable."""
+def _refuse_foreign(label: str, keys: Iterable, count: int, kind: str) -> None:
+    """Refuse a key that names none of the count basis elements of a table:
+    a KitError naming it.  Every table of the kit is checked here."""
+    for k in keys:
+        if k not in range(count):
+            raise KitError(f"{label} {k!r} names no {kind}: there are {count}")
 
-    __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: "BaseAlgebra", coeffs: Mapping[int, Scalar]):
-        cleaned = tuple(sorted((i, c) for i, c in coeffs.items() if not c.is_zero()))
-        if cleaned and (cleaned[0][0] < 0 or cleaned[-1][0] >= len(algebra.names)):
-            i = cleaned[0][0] if cleaned[0][0] < 0 else cleaned[-1][0]
-            raise KitError(f"coefficient index {i!r} names no basis element: there are {len(algebra.names)}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", cleaned)
+class Combination:
+    """An immutable sparse sum sum_k c_k x_k over the graded basis of a space.
+
+    ``coeffs`` holds the (key, coefficient) pairs, sorted by key, every
+    coefficient nonzero; so equal sums have equal ``coeffs``.  A coefficient
+    is a Scalar (``AlgebraElement``) or an AlgebraElement of the base (the
+    other kinds); the degree of a term is the degree of its key
+    (``_key_degree``) plus that of its coefficient.
+
+    A kind supplies its space (the ``space`` slot, read under its own name
+    too), the number and name of its keys, the degree of a key, and its own
+    operations.  The constructor drops zero coefficients and refuses a key
+    that names nothing; results built here go through ``_made``, which
+    checks nothing.
+    """
+
+    __slots__ = ("space", "coeffs")
+
+    # the number of keys of a space, and what a key names, for the
+    # constructor's refusal
+    _key_count = attrgetter("dim")
+    _key_kind = "basis element"
+
+    def __init__(self, space, coeffs: Mapping):
+        pairs = tuple(sorted((k, c) for k, c in coeffs.items() if not c.is_zero()))
+        _set_space(self, space)
+        _set_coeffs(self, self._admitted(space, pairs) if pairs else pairs)
+
+    @classmethod
+    def _made(cls, space, coeffs: tuple):
+        """The element of (key, coefficient) pairs already sorted by key and
+        nonzero, as the constructor would leave them: nothing is checked.
+        Q(i) is a field, so the negation or a nonzero multiple of a nonzero
+        coefficient stays nonzero."""
+        out = _new(cls)
+        _set_space(out, space)
+        _set_coeffs(out, coeffs)
+        return out
+
+    def _admitted(self, space, pairs: tuple) -> tuple:
+        """The nonempty sorted pairs of the constructor, a key that names no
+        basis element of space refused.  Keys are indices below
+        ``_key_count(space)``, so the first and the last decide."""
+        _refuse_foreign("coefficient index", (pairs[0][0], pairs[-1][0]), self._key_count(space), self._key_kind)
+        return pairs
 
     def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def items(self) -> Tuple[Tuple[int, Scalar], ...]:
+    def items(self) -> tuple:
         return self.coeffs
+
+    def _key_degree(self, key) -> int:
+        return self.space.degrees[key]
+
+    def _degrees(self) -> set:
+        """The degrees of the terms: key degree plus the degree of each basis
+        element in the coefficient."""
+        key_degree = self._key_degree
+        return {key_degree(k) + c.space.degrees[j] for k, c in self.coeffs for j, _ in c.coeffs}
+
+    def _degree_terms(self) -> list:
+        """(degree, key, coefficient part) of every homogeneous term, by key."""
+        key_degree = self._key_degree
+        return [(key_degree(k) + d, k, part) for k, c in self.coeffs for d, part in c.homogeneous_parts().items()]
+
+    def degree(self) -> Optional[int]:
+        """Degree if homogeneous (the zero element has no degree), else raises."""
+        degrees = self._degrees()
+        if len(degrees) > 1:
+            raise DegreeError(f"{type(self).__name__} is not homogeneous: degrees {sorted(degrees)}")
+        return degrees.pop() if degrees else None
+
+    def homogeneous_parts(self) -> Dict[int, "Combination"]:
+        """{degree: part}, by degree; a homogeneous element is its own part."""
+        parts: Dict[int, list] = {}
+        for d, k, c in self._degree_terms():
+            parts.setdefault(d, []).append((k, c))
+        if len(parts) == 1:
+            return {d: self for d in parts}
+        return {d: self._made(self.space, tuple(m)) for d, m in sorted(parts.items())}
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _check(self, other: "Combination"):
+        if type(other) is not type(self) or other.space is not self.space and not self._compatible(other.space):
+            raise BaseMismatch(f"{type(self).__name__} with {type(other).__name__} of another space")
+
+    def _compatible(self, space) -> bool:
+        """Whether elements over space mix with those over self.space: here
+        only when it is the same object."""
+        return space is self.space
+
+    def __add__(self, other):
+        self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs and other.space is self.space:
+            return other
+        acc = dict(self.coeffs)
+        for k, c in other.coeffs:
+            old = acc.get(k)
+            acc[k] = c if old is None else old + c
+        return self._made(self.space, tuple(sorted(p for p in acc.items() if not p[1].is_zero())))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._made(self.space, tuple((k, -c) for k, c in self.coeffs))
+
+    def scale(self, s: Scalar):
+        if s is ONE:
+            return self
+        if s is MINUS_ONE:
+            return -self
+        if s.is_zero():
+            return self._made(self.space, ())
+        return self._made(self.space, tuple((k, c.scale(s)) for k, c in self.coeffs))
+
+    def a_mul(self, a: "AlgebraElement"):
+        """Left multiplication of every coefficient by the base element a."""
+        products = ((k, a * c) for k, c in self.coeffs)
+        return self._made(self.space, tuple(p for p in products if p[1].coeffs))
+
+    # -- comparison ----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and (other.space is self.space or self._compatible(other.space))
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+
+_new = object.__new__
+_set_space = Combination.space.__set__
+_set_coeffs = Combination.coeffs.__set__
+
+
+class AlgebraElement(Combination):
+    """Sparse element sum c_i e_i of a BaseAlgebra, c_i Scalars."""
+
+    __slots__ = ()
+    algebra = Combination.space
+
+    # the term-degree hooks: a Scalar coefficient has degree 0
+
+    def _degrees(self) -> set:
+        degrees = self.algebra.degrees
+        return {degrees[i] for i, _ in self.coeffs}
+
+    def _degree_terms(self) -> list:
+        degrees = self.algebra.degrees
+        return [(degrees[i], i, c) for i, c in self.coeffs]
 
     def coefficient(self, idx: int) -> Scalar:
         for i, c in self.coeffs:
@@ -47,58 +205,14 @@ class AlgebraElement:
                 return c
         return Scalar.zero()
 
-    def degree(self) -> Optional[int]:
-        """Degree if homogeneous (zero element has no degree), else raises."""
-        degs = {self.algebra.degrees[i] for i, _ in self.coeffs}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DegreeError(f"element is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def homogeneous_parts(self) -> Dict[int, "AlgebraElement"]:
-        degrees = self.algebra.degrees
-        parts: Dict[int, list] = {}
-        for i, c in self.coeffs:
-            parts.setdefault(degrees[i], []).append((i, c))
-        if len(parts) == 1:
-            return {d: self for d in parts}
-        return {d: _element(self.algebra, tuple(m)) for d, m in sorted(parts.items())}
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "AlgebraElement"):
-        if self.algebra is not other.algebra:
-            raise BaseMismatch("elements of different base algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs:
-            acc[i] = acc.get(i, Scalar.zero()) + c
-        return AlgebraElement(self.algebra, acc)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return _element(self.algebra, tuple((i, -c) for i, c in self.coeffs))
-
     def scale(self, s: Scalar) -> "AlgebraElement":
-        if s is ONE:
-            return self
-        if s is MINUS_ONE:
-            return -self
-        if s.is_zero():
-            return self.algebra.zero()
+        """s times self: each Scalar coefficient times s."""
+        if s is ONE or s is MINUS_ONE or s.is_zero():
+            return Combination.scale(self, s)
         return _element(self.algebra, tuple((i, c * s) for i, c in self.coeffs))
 
     def a_mul(self, a: "AlgebraElement") -> "AlgebraElement":
-        """Left multiplication, mirroring the module-element interface."""
+        """Left multiplication, mirroring the other kinds."""
         return a * self
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -112,19 +226,7 @@ class AlgebraElement:
 
     def d(self) -> "AlgebraElement":
         """Apply the differential d_A (extended linearly from the basis)."""
-        return _linear(self, self.algebra.differential_basis)
-
-    # -- comparison ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.algebra), self.coeffs))
+        return _linear(self, self.algebra._differential.get)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -133,18 +235,7 @@ class AlgebraElement:
         return " + ".join(f"({c})*{names[i]}" for i, c in self.coeffs)
 
 
-_new = object.__new__
-
-
-def _element(algebra: "BaseAlgebra", coeffs: Tuple[Tuple[int, Scalar], ...]) -> AlgebraElement:
-    """The AlgebraElement of (index, Scalar) pairs already sorted by index and
-    nonzero, as the constructor would leave them: nothing is checked.  Q(i)
-    is a field, so the negation or a nonzero multiple of a nonzero element's
-    coefficients stays nonzero."""
-    out = _new(AlgebraElement)
-    object.__setattr__(out, "algebra", algebra)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
+_element = AlgebraElement._made
 
 
 def _summed(algebra: "BaseAlgebra", out: Sums) -> AlgebraElement:
@@ -152,13 +243,16 @@ def _summed(algebra: "BaseAlgebra", out: Sums) -> AlgebraElement:
     return _element(algebra, _reduced_items(out))
 
 
-def _linear(a: AlgebraElement, value: Callable[[int], AlgebraElement]) -> AlgebraElement:
+def _linear(a: AlgebraElement, value: Callable[[int], Optional[AlgebraElement]]) -> AlgebraElement:
     """sum c_i value(i) for a = sum c_i e_i: a linear map given by its values
-    on the basis, each coefficient of the result reduced once."""
+    on the basis (None for a zero value), each coefficient of the result
+    reduced once."""
     out: Sums = {}
     for i, c in a.coeffs:
-        _add_multiple(out, value(i).coeffs, c.n_re, c.n_im, c.den)
-    return _summed(a.algebra, out)
+        v = value(i)
+        if v is not None:
+            _add_multiple(out, v.coeffs, c.n_re, c.n_im, c.den)
+    return _summed(a.space, out)
 
 
 def _add_product(
@@ -189,7 +283,9 @@ class BaseAlgebra:
     whose mirror (j, i) is given, which follow graded commutativity.  The
     table of all dim^2 basis products is filled once, here.  A given pair
     with the unit that breaks the unit law, and a nonzero differential of
-    the unit, are refused: the kernels of the kit assume both.
+    the unit, are refused: the kernels of the kit assume both.  So is a
+    product or differential index that names no basis element, which
+    nothing would read.
     """
 
     def __init__(
@@ -208,11 +304,13 @@ class BaseAlgebra:
         if self.degrees[unit] != 0:
             raise DegreeError("unit must have degree 0")
         self.unit = unit
+        n = len(self.names)
         stored = {key: dict(val) for key, val in products.items()}
         differential = differential or {}
+        _refuse_foreign("product index", (i for key in stored for i in key), n, "basis element")
+        _refuse_foreign("differential index", differential, n, "basis element")
         if any(not c.is_zero() for c in differential.get(unit, {}).values()):
             raise KitError(f"differential of the unit {self.names[unit]!r} is not zero")
-        n = len(self.names)
         self._products: Dict[Tuple[int, int], AlgebraElement] = {}
         for i in range(n):
             for j in range(n):
@@ -298,9 +396,10 @@ def _degree_problem(label: str, value, want: int) -> Optional[str]:
     return None
 
 
-def _leibniz_failures(base: BaseAlgebra, values: Sequence, degree: int, lift: Callable) -> List[Tuple[int, int]]:
+def _leibniz_failures(base: BaseAlgebra, values: Mapping, degree: int, lift: Callable) -> List[Tuple[int, int]]:
     """The basis pairs (i, j) on which the degree-``degree`` map P given by
-    its basis values (values[i] = P(e_i)) breaks the Leibniz rule
+    its basis values (values[i] = P(e_i), zero where missing) breaks the
+    Leibniz rule
 
         P(e_i e_j) = P(e_i) e_j + (-1)^{degree |e_i|} e_i P(e_j),
 
@@ -312,8 +411,8 @@ def _leibniz_failures(base: BaseAlgebra, values: Sequence, degree: int, lift: Ca
         for j in range(base.dim):
             lhs = zero
             for k, c in base.product_basis(i, j).items():
-                lhs = lhs + values[k].scale(c)
-            if lhs != values[i] * lift(base.basis_element(j)) + e_i * values[j]:
+                lhs = lhs + values.get(k, zero).scale(c)
+            if lhs != values.get(i, zero) * lift(base.basis_element(j)) + e_i * values.get(j, zero):
                 failures.append((i, j))
     return failures
 
@@ -354,7 +453,7 @@ def validate_base_algebra(algebra: BaseAlgebra) -> list[str]:
         if not di.d().is_zero():
             problems.append(f"d^2 != 0 on {names[i]}")
 
-    for i, j in _leibniz_failures(algebra, differentials, 1, lambda a: a):
+    for i, j in _leibniz_failures(algebra, dict(enumerate(differentials)), 1, lambda a: a):
         problems.append(f"Leibniz fails on ({names[i]}, {names[j]})")
 
     return problems

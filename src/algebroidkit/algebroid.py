@@ -357,7 +357,7 @@ def _letter_transpose(
     out: Dict[GenKey, Coefficients] = {}
     for i, el in table.items():
         degree = degrees[i]
-        for w, c in el.data.items():
+        for w, c in el.items():
             if len(w) not in weights:
                 continue
             sums = out.setdefault(w, {})[i] = {}

@@ -148,8 +148,7 @@ def _anchor_entries(S, key, der) -> List[ResidualEntry]:
     label = _key_label(S.carrier.gen_names, key)
     return [
         e
-        for b, val in enumerate(der.values)
-        if not val.is_zero()
+        for b, val in der.items()
         for e in residuals_from_algebra(f"{label} on {S.base.names[b]}", val)
     ]
 

@@ -97,6 +97,7 @@ from .symtensor import (
     _normalized,
     _reduced_row,
     _row_element,
+    _sym_element,
     generator_differences,
     # not called here: perfbench/test_perfbench.py checks that the tracer
     # wraps this import site of a public function
@@ -239,7 +240,7 @@ class GeometricModel(SplitFrame):
                 if el is None:
                     out[i] = alg.zero()
                 elif alg.compatible(el.algebra):
-                    out[i] = el if el.algebra is alg else _normalized(alg, el.data)
+                    out[i] = el if el.algebra is alg else _sym_element(alg, el.coeffs)
                 elif el.algebra.letter_names != alg.letter_names or el.algebra.base is not base:
                     raise BaseMismatch(f"tensor not expressed over the {fam.values} letters")
                 else:
@@ -313,7 +314,7 @@ class GeometricModel(SplitFrame):
 
     def to_amb(self, el: SymElement) -> SymElement:
         if self.amb.compatible(el.algebra):
-            return _normalized(self.amb, el.data)
+            return _sym_element(self.amb, el.coeffs)
         if not self.nor.compatible(el.algebra):
             raise BaseMismatch("element is over neither the ambient nor the normal algebra")
         # the normal letters keep their order and degrees after the tangent ones
@@ -329,7 +330,7 @@ class GeometricModel(SplitFrame):
             raise BaseMismatch("element is not over the ambient algebra")
         a = self.a
         return _normalized(
-            self.nor, {tuple(i - a for i in w): c for w, c in el.data.items() if not w or w[0] >= a}
+            self.nor, {tuple(i - a for i in w): c for w, c in el.items() if not w or w[0] >= a}
         )
 
     # -- the substitution derivations ---------------------------------------------
@@ -343,7 +344,7 @@ class GeometricModel(SplitFrame):
         nabla_hat(el) with the coefficient of each word divided by its
         tangent-letter count m, which rule R makes at least 1."""
         out = {}
-        for w, c in self._nabla_hat.apply(el).data.items():
+        for w, c in self._nabla_hat.apply(el).items():
             m = self.tangent_count(w)
             out[w] = c if m == 1 else c.scale(Scalar.rational(1, m))
         return _normalized(self.amb, out)

@@ -16,6 +16,9 @@ between the two conventions with the sign
 
 where degrees are taken in the unshifted module.  An algebroid's Jacobi
 residual is read off its CE square (``algebroid.algebroid_jacobi_residual``).
+
+An ``AlgebraDerivation`` of the base, an element of Der(A), is an
+``algebra.Combination`` of its nonzero values: the pairs (i, P(e_i)).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _leibniz_failures, _linear
-from .errors import CapError, DegreeError, KitError
+from .algebra import AlgebraElement, BaseAlgebra, Combination, _leibniz_failures, _linear
+from .errors import CapError, KitError
 from .linalg import nullspace
 from .modules import FreeModule, ModuleElement, multilinear_extend
 from .scalars import MINUS_ONE, ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
@@ -256,75 +259,41 @@ def decalage_inverse(L1: LInftyAlgebra) -> LInftyAlgebra:
 # ---------------------------------------------------------------------------
 
 
-class AlgebraDerivation:
-    """A graded K-linear map A -> A given by its values on the basis.
+class AlgebraDerivation(Combination):
+    """A graded K-linear map P: A -> A given by its nonzero values on the basis.
 
-    Whether it actually satisfies Leibniz is a property (``leibniz_defects``);
-    the constructors used by the kit only produce genuine derivations.
+    As a ``Combination`` its keys are the basis indices i and its
+    coefficients the values P(e_i), so a zero value is not stored and an
+    index that names no basis element is refused.  The term of e_i has the
+    degree |P(e_i)| - |e_i|, the degree of the map.  Whether it actually
+    satisfies Leibniz is a property (``leibniz_defects``); the constructors
+    used by the kit only produce genuine derivations.
     """
 
-    __slots__ = ("base", "values")
+    __slots__ = ()
+    base = Combination.space
 
-    def __init__(self, base: BaseAlgebra, values: Mapping[int, AlgebraElement]):
-        zero = base.zero()
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "values", tuple(values.get(i, zero) for i in range(base.dim)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraDerivation is immutable")
+    def _key_degree(self, i: int) -> int:
+        return -self.base.degrees[i]
 
     def value_on(self, i: int) -> AlgebraElement:
-        return self.values[i]
+        for k, v in self.coeffs:
+            if k == i:
+                return v
+        return self.base.zero()
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
-        return _linear(a, self.values.__getitem__)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
-    def degree_parts(self) -> Dict[int, "AlgebraDerivation"]:
-        parts: Dict[int, Dict[int, AlgebraElement]] = {}
-        for i, v in enumerate(self.values):
-            for d, hv in v.homogeneous_parts().items():
-                k = d - self.base.degrees[i]
-                slot = parts.setdefault(k, {})
-                slot[i] = slot.get(i, self.base.zero()) + hv
-        if len(parts) == 1:
-            return {k: self for k in parts}
-        return {k: AlgebraDerivation(self.base, vals) for k, vals in sorted(parts.items())}
-
-    def degree(self) -> Optional[int]:
-        parts = self.degree_parts()
-        if not parts:
-            return None
-        if len(parts) > 1:
-            raise DegreeError("derivation is not homogeneous")
-        return next(iter(parts))
-
-    def __add__(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
-        return _derivation(self.base, tuple(p + q for p, q in zip(self.values, other.values)))
-
-    def __sub__(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
-        return self + other.scale(MINUS_ONE)
-
-    def __neg__(self) -> "AlgebraDerivation":
-        return self.scale(MINUS_ONE)
-
-    def scale(self, s: Scalar) -> "AlgebraDerivation":
-        return _derivation(self.base, tuple(v.scale(s) for v in self.values))
-
-    def a_mul(self, a: AlgebraElement) -> "AlgebraDerivation":
-        """a.P, again a derivation (left module structure on Der(A))."""
-        return _derivation(self.base, tuple(a * v for v in self.values))
+        return _linear(a, dict(self.coeffs).get)
 
     def compose(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
-        return _derivation(self.base, tuple(self.apply(v) for v in other.values))
+        values = ((i, self.apply(v)) for i, v in other.coeffs)
+        return self._made(self.base, tuple(p for p in values if p[1].coeffs))
 
     def commutator(self, other: "AlgebraDerivation") -> "AlgebraDerivation":
         """[P, Q] = P Q - (-1)^{|P||Q|} Q P, computed per homogeneous part."""
         out = AlgebraDerivation(self.base, {})
-        for dp, P in self.degree_parts().items():
-            for dq, Q in other.degree_parts().items():
+        for dp, P in self.homogeneous_parts().items():
+            for dq, Q in other.homogeneous_parts().items():
                 out = out + P.compose(Q) + Q.compose(P).scale(sign_scalar(dp * dq + 1))
         return out
 
@@ -332,34 +301,13 @@ class AlgebraDerivation:
         names = self.base.names
         return [
             f"Leibniz fails on ({names[i]}, {names[j]}) in degree {part_deg}"
-            for part_deg, P in self.degree_parts().items()
-            for i, j in _leibniz_failures(self.base, P.values, part_deg, lambda a: a)
+            for part_deg, P in self.homogeneous_parts().items()
+            for i, j in _leibniz_failures(self.base, dict(P.coeffs), part_deg, lambda a: a)
         ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraDerivation)
-            and self.base is other.base
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((id(self.base), self.values))
 
     def __repr__(self) -> str:
-        bits = [
-            f"{self.base.names[i]} -> {v}" for i, v in enumerate(self.values) if not v.is_zero()
-        ]
-        return "AlgebraDerivation(" + "; ".join(bits) + ")"
-
-
-def _derivation(base: BaseAlgebra, values: Tuple[AlgebraElement, ...]) -> AlgebraDerivation:
-    """The AlgebraDerivation with the value tuple values (one per basis
-    element), without the constructor's lookups."""
-    out = object.__new__(AlgebraDerivation)
-    object.__setattr__(out, "base", base)
-    object.__setattr__(out, "values", values)
-    return out
+        names = self.base.names
+        return "AlgebraDerivation(" + "; ".join(f"{names[i]} -> {v}" for i, v in self.coeffs) + ")"
 
 
 def d_A_derivation(base: BaseAlgebra) -> AlgebraDerivation:
@@ -446,7 +394,7 @@ class ShiftedDerDGLA:
         if n == 2:
             P, Q = args
             out = self.zero()
-            for dp, Ppart in P.degree_parts().items():
+            for dp, Ppart in P.homogeneous_parts().items():
                 out = out + Ppart.commutator(Q).scale(sign_scalar(dp))
             return out
         return self.zero()

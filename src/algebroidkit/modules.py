@@ -1,6 +1,8 @@
 """Finitely generated free graded modules over a BaseAlgebra.
 
-Elements are written with coefficients on the left: v = sum_i a_i . g_i.
+Elements are written with coefficients on the left: v = sum_i a_i . g_i,
+an ``algebra.Combination`` keyed by generator index whose coefficients are
+elements of the base; a term a_i . g_i has degree |a_i| + |g_i|.
 The differential d_L is stored on generators and extended by the Leibniz
 rule  d(a.g) = d_A(a).g + (-1)^{|a|} a.d_L(g).
 
@@ -10,31 +12,22 @@ Koszul rule  g^vee(a.g') = (-1)^{|a||g^vee|} a delta_{g,g'}.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _degree_problem
-from .errors import BaseMismatch, DegreeError, KitError
-from .scalars import ONE, Scalar, sign_scalar
+from .algebra import AlgebraElement, BaseAlgebra, Combination, _degree_problem, _refuse_foreign
+from .errors import BaseMismatch, KitError
+from .scalars import sign_scalar
 
 
-class ModuleElement:
-    """Sparse element of a FreeModule: generator index -> left coefficient."""
+class ModuleElement(Combination):
+    """Sparse element sum_i a_i . g_i of a FreeModule: generator index ->
+    left coefficient, an element of the base."""
 
-    __slots__ = ("module", "coeffs")
-
-    def __init__(self, module: "FreeModule", coeffs: Mapping[int, AlgebraElement]):
-        cleaned = tuple(sorted((i, a) for i, a in coeffs.items() if not a.is_zero()))
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleElement is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self) -> Tuple[Tuple[int, AlgebraElement], ...]:
-        return self.coeffs
+    __slots__ = ()
+    module = Combination.space
+    _key_count = attrgetter("rank")
+    _key_kind = "generator"
 
     def coefficient(self, idx: int) -> AlgebraElement:
         for i, a in self.coeffs:
@@ -42,102 +35,20 @@ class ModuleElement:
                 return a
         return self.module.base.zero()
 
-    def degree(self) -> Optional[int]:
-        degs = set()
-        for i, a in self.coeffs:
-            for d in a.homogeneous_parts():
-                degs.add(d + self.module.degrees[i])
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DegreeError(f"module element not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def homogeneous_parts(self) -> Dict[int, "ModuleElement"]:
-        parts: Dict[int, Dict[int, AlgebraElement]] = {}
-        for i, a in self.coeffs:
-            for d, ha in a.homogeneous_parts().items():
-                tot = d + self.module.degrees[i]
-                slot = parts.setdefault(tot, {})
-                slot[i] = slot.get(i, self.module.base.zero()) + ha
-        return {d: ModuleElement(self.module, m) for d, m in sorted(parts.items())}
-
-    def _check(self, other: "ModuleElement"):
-        if self.module is not other.module:
-            raise BaseMismatch("elements of different modules")
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check(other)
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        acc = {i: a for i, a in self.coeffs}
-        for i, a in other.coeffs:
-            acc[i] = acc.get(i, self.module.base.zero()) + a
-        return ModuleElement(self.module, acc)
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ModuleElement":
-        return _module_element(self.module, tuple((i, -a) for i, a in self.coeffs))
-
-    def scale(self, s: Scalar) -> "ModuleElement":
-        if s is ONE:
-            return self
-        if s.is_zero():
-            return self.module.zero()
-        return _module_element(self.module, tuple((i, a.scale(s)) for i, a in self.coeffs))
-
-    def a_mul(self, a: AlgebraElement) -> "ModuleElement":
-        """Left action a.v (no sign: coefficients already sit on the left)."""
-        products = ((i, a * c) for i, c in self.coeffs)
-        return _module_element(self.module, tuple((i, p) for i, p in products if p.coeffs))
-
     def d(self) -> "ModuleElement":
         """Leibniz extension of d_L over d_A."""
         mod = self.module
-        acc: Dict[int, AlgebraElement] = {}
-
-        def add(idx, val):
-            acc[idx] = acc.get(idx, mod.base.zero()) + val
-
+        out = ModuleElement(mod, {i: a.d() for i, a in self.coeffs})
         for i, a in self.coeffs:
-            add(i, a.d())
             for deg, ha in a.homogeneous_parts().items():
-                signed = ha.scale(sign_scalar(deg))
-                for j, b in mod.differential_basis(i).coeffs:
-                    add(j, signed * b)
-        return ModuleElement(mod, acc)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleElement)
-            and self.module is other.module
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.module), self.coeffs))
+                out = out + mod.differential_basis(i).a_mul(ha.scale(sign_scalar(deg)))
+        return out
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
         names = self.module.gen_names
         return " + ".join(f"[{a}]*{names[i]}" for i, a in self.coeffs)
-
-
-_new = object.__new__
-
-
-def _module_element(module: "FreeModule", coeffs: Tuple[Tuple[int, AlgebraElement], ...]) -> ModuleElement:
-    """The ModuleElement of (index, coefficient) pairs already sorted by index
-    and nonzero: nothing is checked (as ``algebra._element``)."""
-    out = _new(ModuleElement)
-    object.__setattr__(out, "module", module)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
 
 
 class FreeModule:
@@ -180,7 +91,9 @@ class FreeModule:
         return self._differential.get(i, self.zero())
 
     def set_differential(self, differential: Mapping[int, ModuleElement]):
-        """Used when a module and its differential must be built in two steps."""
+        """Used when a module and its differential must be built in two steps;
+        an index that names no generator is refused."""
+        _refuse_foreign("differential index", differential, self.rank, "generator")
         self._differential = {i: v for i, v in differential.items() if not v.is_zero()}
 
     def __repr__(self) -> str:

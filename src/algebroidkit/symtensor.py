@@ -2,10 +2,12 @@
 
 Elements live in S^0 + S^1 + ... + S^W over a BaseAlgebra, where the weight-r
 piece is spanned by words of r "letters" (dual generators of a free module).
-A word is stored as a sorted tuple of letter indices with a left coefficient
-from the base algebra; words with a repeated odd letter vanish.  Sorting and
-vanishing follow the one word rule of ``signs`` (``_sort_word``,
-``_vanishes``), shared with the bracket tables of ``linfty``.
+A ``SymElement`` is an ``algebra.Combination`` keyed by word: its (word,
+left coefficient from the base algebra) pairs, sorted by word, a word being
+a sorted tuple of letter indices; ``data`` gives them as a new dict.  Words
+with a repeated odd letter vanish.  Sorting and vanishing follow the one
+word rule of ``signs`` (``_sort_word``, ``_vanishes``), shared with the
+bracket tables of ``linfty``.
 
 Every word denotes a graded symmetric multilinear map: a single letter pairs
 against module elements, and longer words evaluate through the unshuffle
@@ -77,10 +79,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _element
+from .algebra import AlgebraElement, BaseAlgebra, Combination, _add_product, _degree_problem, _element, _refuse_foreign
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
+from .scalars import Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
 from .signs import _nonvanishing_keys, _sort_word, _vanishes
 
 Word = Tuple[int, ...]
@@ -173,90 +175,41 @@ class SymAlgebra:
         )
 
 
-class SymElement:
-    """Element of a SymAlgebra: sorted word -> left coefficient."""
+class SymElement(Combination):
+    """Element of a SymAlgebra: sorted word -> left coefficient, an element of
+    the base; a term a w has degree |a| + |w|."""
 
-    __slots__ = ("algebra", "data")
+    __slots__ = ()
+    algebra = Combination.space
 
-    def __init__(self, algebra: SymAlgebra, data: Mapping[Word, AlgebraElement]):
-        """data maps sorted words to coefficients: a word over the cap or with
-        a repeated odd letter is dropped, an unsorted or foreign one refused."""
-        cleaned: Dict[Word, AlgebraElement] = {}
-        n = algebra.n_letters
-        for w, a in data.items():
-            w = tuple(w)
+    def _admitted(self, algebra: SymAlgebra, pairs: tuple) -> tuple:
+        """A word over the cap or with a repeated odd letter is dropped, an
+        unsorted or foreign one refused."""
+        n, cap, letter_degrees = algebra.n_letters, algebra.cap, algebra.letter_degrees
+        for w, _ in pairs:
             if w != tuple(sorted(w)) or w and (w[0] < 0 or w[-1] >= n):
                 raise KitError(f"word {w!r} is not a sorted tuple of letter indices below {n}")
-            if a.is_zero() or len(w) > algebra.cap or _vanishes(w, algebra.letter_degrees, True):
-                continue
-            cleaned[w] = a
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "data", dict(sorted(cleaned.items())))
+        return tuple(p for p in pairs if len(p[0]) <= cap and not _vanishes(p[0], letter_degrees, True))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymElement is immutable")
+    def _compatible(self, algebra: SymAlgebra) -> bool:
+        return self.algebra.compatible(algebra)
 
-    # -- structure -----------------------------------------------------------
+    def _key_degree(self, w: Word) -> int:
+        return self.algebra.word_degree(w)
 
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def items(self):
-        return self.data.items()
+    @property
+    def data(self) -> Dict[Word, AlgebraElement]:
+        """The terms as a new {word: coefficient} dict, in word order."""
+        return dict(self.coeffs)
 
     def weights(self) -> List[int]:
-        return sorted({len(w) for w in self.data})
+        return sorted({len(w) for w, _ in self.coeffs})
 
     def weight_part(self, r: int) -> "SymElement":
-        return _normalized(self.algebra, {w: a for w, a in self.data.items() if len(w) == r})
+        return _sym_element(self.algebra, tuple(p for p in self.coeffs if len(p[0]) == r))
 
-    def degree(self) -> Optional[int]:
-        alg = self.algebra
-        degrees = alg.base.degrees
-        degs = {degrees[i] + alg.word_degree(w) for w, a in self.data.items() for i, _ in a.coeffs}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DegreeError(f"SymElement not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def homogeneous_parts(self) -> Dict[int, "SymElement"]:
-        """Split by total degree (coefficient degree plus word degree)."""
-        parts: Dict[int, Dict[Word, AlgebraElement]] = {}
-        for w, a in self.data.items():
-            wd = self.algebra.word_degree(w)
-            for d, ha in a.homogeneous_parts().items():
-                parts.setdefault(d + wd, {})[w] = ha
-        return {d: SymElement(self.algebra, m) for d, m in sorted(parts.items())}
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _check(self, other: "SymElement"):
-        if not self.algebra.compatible(other.algebra):
-            raise BaseMismatch("SymElements over incompatible algebras")
-
-    def __add__(self, other: "SymElement") -> "SymElement":
-        self._check(other)
-        acc = dict(self.data)
-        for w, a in other.data.items():
-            old = acc.get(w)
-            acc[w] = a if old is None else old + a
-        return _normalized(self.algebra, acc)
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SymElement":
-        return _normalized(self.algebra, {w: -a for w, a in self.data.items()})
-
-    def scale(self, s: Scalar) -> "SymElement":
-        if s is ONE:
-            return self
-        return _normalized(self.algebra, {w: a.scale(s) for w, a in self.data.items()})
-
-    def a_mul(self, a: AlgebraElement) -> "SymElement":
-        """Left multiplication by a weight-0 coefficient."""
-        return SymElement(self.algebra, {w: a * c for w, c in self.data.items()})
+    def truncate(self, cap: int) -> "SymElement":
+        return _sym_element(self.algebra, tuple(p for p in self.coeffs if len(p[0]) <= cap))
 
     def __mul__(self, other: "SymElement") -> "SymElement":
         """Graded commutative product; weights above the cap are discarded.
@@ -273,10 +226,10 @@ class SymElement:
         base = alg.base
         letter_degrees = alg.letter_degrees
         acc: Triples = {}
-        for w1, a1 in self.data.items():
+        for w1, a1 in self.coeffs:
             room = alg.cap - len(w1)
             d1 = alg.word_degree(w1)
-            for w2, a2 in other.data.items():
+            for w2, a2 in other.coeffs:
                 if len(w2) > room:
                     continue
                 merged = _sort_word(letter_degrees, w1 + w2)
@@ -289,41 +242,25 @@ class SymElement:
                     _add_product(coeffs, base, i, a2.coeffs, d1, t * ai.n_re, t * ai.n_im, ai.den)
         return _row_element(alg, _reduced_row(acc))
 
-    def truncate(self, cap: int) -> "SymElement":
-        return _normalized(self.algebra, {w: a for w, a in self.data.items() if len(w) <= cap})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymElement)
-            and self.algebra.compatible(other.algebra)
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.data.items()))
-
     def __repr__(self) -> str:
-        if not self.data:
+        if not self.coeffs:
             return "0"
         names = self.algebra.letter_names
         bits = []
-        for w, a in self.data.items():
+        for w, a in self.coeffs:
             word_str = "*".join(names[i] for i in w) if w else "1"
             bits.append(f"[{a}]{word_str}")
         return " + ".join(bits)
 
 
-_new = object.__new__
+_sym_element = SymElement._made
 
 
 def _normalized(alg: SymAlgebra, data: Mapping[Word, AlgebraElement]) -> SymElement:
     """The SymElement of {word: coefficient} whose words are already sorted,
     non-vanishing words of alg within its cap: zero coefficients are dropped
     and the words ordered, nothing else is checked."""
-    out = _new(SymElement)
-    object.__setattr__(out, "algebra", alg)
-    object.__setattr__(out, "data", dict(sorted((w, a) for w, a in data.items() if a.coeffs)))
-    return out
+    return _sym_element(alg, tuple(sorted((w, a) for w, a in data.items() if a.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +302,7 @@ def _reduced_row(acc: Triples) -> Row:
 def _row_element(alg: SymAlgebra, row: Row) -> SymElement:
     """The SymElement of a row whose words are words of alg within its cap."""
     base = alg.base
-    return _normalized(alg, {w: _element(base, coeffs) for w, coeffs in row})
+    return _sym_element(alg, tuple((w, _element(base, coeffs)) for w, coeffs in row))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +432,10 @@ class DerivationD:
         degree: int = 1,
         check: bool = True,
     ):
-        _refuse_foreign_keys(algebra, on_algebra, on_letters)
+        # a key that names no generator: nothing would apply its value, yet
+        # == would compare it
+        _refuse_foreign("operator key", on_algebra, algebra.base.dim, "base element")
+        _refuse_foreign("operator key", on_letters, algebra.n_letters, "letter")
         self.algebra = algebra
         self.degree = degree
         self.on_algebra = {
@@ -561,7 +501,7 @@ class DerivationD:
             raise BaseMismatch("derivation and element over incompatible algebras")
         rows = self._rows
         acc: Triples = {}
-        for w, a in element.data.items():
+        for w, a in element.coeffs:
             for i, s in a.coeffs:
                 key = (w, i)
                 row = rows.get(key)
@@ -772,18 +712,6 @@ class FilteredAutomorphism:
             term = term.scale(Scalar.rational(sign, k))
             total = total + term
         return total
-
-
-def _refuse_foreign_keys(
-    alg: SymAlgebra, on_algebra: Mapping[int, SymElement], on_letters: Mapping[int, SymElement]
-) -> None:
-    """Refuse an operator table key that names no generator of alg: nothing
-    would apply its value, yet ``==`` would compare it."""
-    tables = (("base element", on_algebra, alg.base.dim), ("letter", on_letters, alg.n_letters))
-    for kind, table, count in tables:
-        for i in table:
-            if i not in range(count):
-                raise KitError(f"operator key {i!r} names no {kind}: there are {count}")
 
 
 def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:

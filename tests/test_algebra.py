@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algebroidkit.algebra import BaseAlgebra, validate_base_algebra
-from algebroidkit.errors import DegreeError, KitError
+from algebroidkit.errors import BaseMismatch, DegreeError, KitError
 from algebroidkit.fixtures import (
     Rng,
     eps_poly_base,
@@ -21,8 +21,11 @@ from algebroidkit.fixtures import (
     trivial_base,
     truncated_poly,
 )
+from algebroidkit.linfty import AlgebraDerivation
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual, validate_module
-from algebroidkit.scalars import ONE, Scalar, sign_scalar
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from algebroidkit.symtensor import SymAlgebra, SymElement
+from test_symtensor import ROW_KERNEL_BASES
 
 
 def test_scalar_arithmetic():
@@ -263,6 +266,21 @@ def test_algebra_element_refuses_an_index_it_does_not_have():
             base.element({0: ONE, i: ONE})
 
 
+def test_base_algebra_refuses_a_product_index_it_does_not_have():
+    """Nothing reads a product of basis element 5 of two: the pair would be
+    dropped without a word."""
+    basis = [("1", 0), ("e", 1)]
+    with pytest.raises(KitError, match="^product index 5 names no basis element: there are 2$"):
+        BaseAlgebra(basis, 0, {(5, 1): {1: ONE}})
+
+
+def test_base_algebra_refuses_a_differential_index_it_does_not_have():
+    """Nothing reads the differential of basis element 7 of two."""
+    basis = [("1", 0), ("e", 1)]
+    with pytest.raises(KitError, match="^differential index 7 names no basis element: there are 2$"):
+        BaseAlgebra(basis, 0, {}, {7: {1: ONE}})
+
+
 def test_constructor_refuses_values_on_the_unit():
     """A given product with the unit must be the other factor, and d_A(1)
     must be zero; a pair that states the unit law, or a zero differential of
@@ -363,6 +381,28 @@ def test_module_message_witness(degrees, differential, problems):
     assert validate_module(mod) == problems
 
 
+def test_module_differential_refuses_an_index_it_does_not_have():
+    """Nothing reads the differential of generator 5 of two."""
+    module = FreeModule(lambda_eps(), [("g0", 0), ("g1", 1)])
+    with pytest.raises(KitError, match="^differential index 5 names no generator: there are 2$"):
+        module.set_differential({5: module.generator(0)})
+
+
+def test_module_element_refuses_an_index_it_does_not_have():
+    """Generator 7 of two would make ``degree`` and ``repr`` raise IndexError."""
+    base = lambda_eps()
+    module = FreeModule(base, [("g0", 0), ("g1", 1)])
+    with pytest.raises(KitError, match="^coefficient index 7 names no generator: there are 2$"):
+        ModuleElement(module, {7: base.one()})
+
+
+def test_algebra_derivation_refuses_an_index_it_does_not_have():
+    """A value on basis element 9 would be compared by ``==`` yet never applied."""
+    base = lambda_eps()
+    with pytest.raises(KitError, match=f"^coefficient index 9 names no basis element: there are {base.dim}$"):
+        AlgebraDerivation(base, {9: base.one()})
+
+
 def test_module_leibniz_of_d():
     base = nontrivial_dga()
     mod = FreeModule(base, [("g", 1)])
@@ -387,3 +427,67 @@ def test_dual_pairing_signs():
     # letter degree is -1 (odd); coefficient e is odd: sign -1
     assert pair_dual(mod, 0, v) == -e
     assert pair_dual(mod, 0, mod.generator(0)) == base.one()
+
+
+# -- the one element protocol ---------------------------------------------------
+
+
+def _element_kinds(base):
+    """kind -> (space, a space of the same kind that does not mix with it,
+    draw(rng, space) giving a random, in general inhomogeneous, element)."""
+    generators = [("g0", 0), ("g1", 1), ("g2", -1)]
+    letters = [("x0", 0), ("x1", 1), ("x2", -1)]
+
+    def sym_element(rng, alg):
+        words = [w for r in range(alg.cap + 1) for w in alg.words_of_weight(r)]
+        return SymElement(alg, {w: rng.algebra_element(alg.base) for w in words if rng.random() < 0.3})
+
+    def derivation(rng, space):
+        return AlgebraDerivation(space, {i: rng.algebra_element(space) for i in range(space.dim)})
+
+    return {
+        "algebra": (base, trivial_base(), Rng.algebra_element),
+        "module": (FreeModule(base, generators), FreeModule(base, generators), Rng.module_element),
+        "sym": (SymAlgebra(base, letters, cap=3), SymAlgebra(base, letters, cap=2), sym_element),
+        "derivation": (base, trivial_base(), derivation),
+    }
+
+
+@settings(max_examples=120)
+@given(
+    base=st.sampled_from(ROW_KERNEL_BASES),
+    kind=st.sampled_from(["algebra", "module", "sym", "derivation"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_element_type_keeps_the_laws_of_a_sparse_sum(base, kind, seed):
+    """Sums, negation, scaling, left multiplication, degree parts, equality
+    and hashing obey the same laws on all four element types, which share
+    one implementation (``algebra.Combination``).  No command reaches most of
+    these operations on module elements and derivations, so this is what
+    holds them."""
+    space, foreign, draw = _element_kinds(base)[kind]
+    rng = Rng(seed)
+    x, y, z = draw(rng, space), draw(rng, space), draw(rng, space)
+    a = rng.algebra_element(base)
+    zero = x.scale(Scalar.zero())
+    assert zero.is_zero() and (x + (-x)).is_zero()
+    assert x - y == x + (-y)
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    parts = x.homogeneous_parts()
+    assert sorted(parts) == list(parts)
+    total = zero
+    for d, part in parts.items():
+        assert part.degree() == d
+        total = total + part
+    assert total == x
+    if len(parts) > 1:
+        with pytest.raises(DegreeError):
+            x.degree()
+    assert x.scale(ONE) == x and x.scale(MINUS_ONE) == -x
+    assert (x + y).a_mul(a) == x.a_mul(a) + y.a_mul(a)
+    copy = type(x)(x.space, dict(x.items()))
+    assert copy == x and hash(copy) == hash(x)
+    assert hash(x + y) == hash(y + x)
+    with pytest.raises(BaseMismatch):
+        x + draw(rng, foreign)

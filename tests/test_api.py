@@ -7,7 +7,7 @@ import ast
 from pathlib import Path
 
 import algebroidkit
-from algebroidkit import algebroid, cli
+from algebroidkit import algebra, algebroid, cli, linfty, modules, symtensor
 
 
 def test_every_exported_name_resolves():
@@ -312,6 +312,30 @@ def test_d_squared_on_a_generator_is_written_once():
         for function in _self_applications(ast.parse(path.read_text()))
     )
     assert found == [("algebroid.py", "algebroid_jacobi_residual"), ("symtensor.py", "square")]
+
+
+def test_the_element_protocol_is_written_once():
+    """``algebra.Combination`` alone implements the element protocol: the
+    four element types derive from it, and no class body among them defines
+    a protocol method.  Only ``AlgebraElement``, whose coefficients are
+    Scalars, defines ``scale`` (the benchmark counts its calls), ``a_mul``
+    and the term-degree hooks.  The per-type unchecked constructors and
+    ``AlgebraDerivation.degree_parts`` are gone."""
+    kinds = (algebra.AlgebraElement, modules.ModuleElement, symtensor.SymElement, linfty.AlgebraDerivation)
+    protocol = {
+        "__setattr__", "__add__", "__sub__", "__neg__", "__eq__", "__hash__",
+        "is_zero", "items", "_check", "degree", "homogeneous_parts",
+    }
+    on_scalars = {"scale", "a_mul", "_degrees", "_degree_terms"}
+    for cls in kinds:
+        assert issubclass(cls, algebra.Combination), cls
+        assert not protocol & set(vars(cls)), cls
+        if cls is not algebra.AlgebraElement:
+            assert not on_scalars & set(vars(cls)), cls
+    assert on_scalars <= set(vars(algebra.AlgebraElement))
+    assert not hasattr(modules, "_module_element")
+    assert not hasattr(linfty, "_derivation")
+    assert not hasattr(linfty.AlgebraDerivation, "degree_parts")
 
 
 def test_cli_reads_the_linfty_layer_only_for_the_decalage_line():

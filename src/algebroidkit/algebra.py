@@ -199,12 +199,6 @@ class AlgebraElement(Combination):
         degrees = self.algebra.degrees
         return [(degrees[i], i, c) for i, c in self.coeffs]
 
-    def coefficient(self, idx: int) -> Scalar:
-        for i, c in self.coeffs:
-            if i == idx:
-                return c
-        return Scalar.zero()
-
     def scale(self, s: Scalar) -> "AlgebraElement":
         """s times self: each Scalar coefficient times s."""
         if s is ONE or s is MINUS_ONE or s.is_zero():

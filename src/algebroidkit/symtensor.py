@@ -56,23 +56,22 @@ substituted once with weight m.  The untouched letters of the Leibniz rule
 carry the unit coefficient, and multiplying by it is left out: that is exact,
 as ``BaseAlgebra`` refuses a product that breaks the unit law.
 
-A ``DerivationD`` is Q(i)-linear, so it reads a row table that it owns: a
-row is the image of one grid element e_i w (basis element e_i, sorted word
-w), kept as its (word, coefficients) pairs and made the first time it is
-read.  ``apply`` adds s times the row of (w, i) for every term s e_i w of
-its argument.  Rows are exact values, so results do not depend on which rows
-were made before, and a table holds at most one row per grid element:
-sum_r |words_of_weight(r)| * dim A.
+A ``DerivationD`` applies the Leibniz rule in one walk over the terms
+s e_i w of its argument (basis element e_i, sorted word w, scalar s): each
+term of s D(e_i w) is added straight into the one accumulator of the
+result, the scalar s folded into the multiplication of its coefficient, so
+no image of a single grid element is formed or kept.  ``_row(w, i)`` is the
+same walk over the one term e_i w; the lemma checks of ``geometry`` read it.
 
-Rows, products and ``apply`` results are summed in the one coefficient
+Products and ``apply`` results are summed in the one coefficient
 accumulator of ``scalars`` (unreduced triples, each coefficient reduced
-once, when its sum is complete), so every coefficient of a row is a reduced
-nonzero Scalar.  Beside its rows a derivation keeps its values as terms
-sorted by word length, so the Leibniz walk stops at the first term over the
-cap; the sorted word and sign of every concatenation of letters its rows
-met; and its square, made once.  A ``FilteredAutomorphism`` is exp(phi) for a
+once, when its sum is complete), so every coefficient of a result is a
+reduced nonzero Scalar.  A derivation keeps its values as terms sorted by
+word length, so the walk stops at the first term over the cap; the sorted
+word and sign of every concatenation of letters its walks met; and its
+square, made once.  A ``FilteredAutomorphism`` is exp(phi) for a
 weight-raising derivation phi and keeps no table: it sums the series of
-phi's powers, each read through phi's own rows.
+phi's powers, each one walk of phi.
 """
 
 from __future__ import annotations
@@ -264,15 +263,13 @@ def _normalized(alg: SymAlgebra, data: Mapping[Word, AlgebraElement]) -> SymElem
 
 
 # ---------------------------------------------------------------------------
-# row tables
+# rows and accumulators
 # ---------------------------------------------------------------------------
 
-# The image of one grid element e_i w under a Q(i)-linear operator: its
-# (word, coefficients) pairs in word order, the coefficients as the sorted
-# (basis index, Scalar) pairs of an AlgebraElement, every Scalar reduced and
-# nonzero.  Plain tuples rather than SymElements: building the derivation
-# rows as SymElements (an AlgebraElement per word) measured about 4 % slower
-# on the operator checks.
+# A summed image, such as that of one grid element e_i w under a
+# derivation (``DerivationD._row``): its (word, coefficients) pairs in word
+# order, the coefficients as the sorted (basis index, Scalar) pairs of an
+# AlgebraElement, every Scalar reduced and nonzero.
 Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
 
 # A row, a product or an ``apply`` result while it is summed: one coefficient
@@ -420,8 +417,9 @@ class DerivationD:
     on_algebra maps base-basis indices to SymElements (all weights mixed);
     on_letters maps letter indices likewise.  The weight-n component D_n acts
     on the base with weight-n values and on letters with weight-(n+1) values.
-    ``apply`` fills a row table from these values, and ``square`` keeps the
-    square, so they are never changed after construction.
+    ``apply`` walks these values, beside which the derivation keeps their
+    sorted terms and sorted words, and ``square`` keeps the square, so they
+    are never changed after construction.
     """
 
     def __init__(
@@ -444,10 +442,9 @@ class DerivationD:
         self.on_letters = {
             i: v for i, v in on_letters.items() if not v.is_zero()
         }
-        self._rows: Dict[Tuple[Word, int], Row] = {}
-        # beside the rows: the values as length-sorted terms (``_value_terms``),
-        # each concatenation of letters the rows met with its sorted word and
-        # sign (or None where it vanishes), and the square (``square``)
+        # the values as length-sorted terms (``_value_terms``), each
+        # concatenation of letters the walk met with its sorted word and sign
+        # (or None where it vanishes), and the square (``square``)
         self._terms: Optional[Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]] = None
         self._sorted: Dict[Word, Optional[Tuple[Word, int]]] = {}
         self._square: Optional[DerivationD] = None
@@ -490,92 +487,59 @@ class DerivationD:
     # -- application -----------------------------------------------------------
 
     def apply(self, element: SymElement) -> SymElement:
-        """Graded Leibniz extension, truncated at the weight cap.
-
-        D is Q(i)-linear, so it is read from the row table: the row of e_i w
-        is D(e_i w), made once by ``_row`` and kept.  Each term s e_i w of
-        element adds s times that row into one triple accumulator, and each
-        coefficient of the result is reduced once.
-        """
+        """Graded Leibniz extension, truncated at the weight cap: one
+        ``_walk`` over the terms of element, each coefficient of the result
+        reduced once."""
         if not self.algebra.compatible(element.algebra):
             raise BaseMismatch("derivation and element over incompatible algebras")
-        rows = self._rows
-        acc: Triples = {}
-        for w, a in element.coeffs:
-            for i, s in a.coeffs:
-                key = (w, i)
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = self._row(w, i)
-                s_re, s_im, s_den = s.n_re, s.n_im, s.den
-                for v, coeffs in row:
-                    out = acc.get(v)
-                    if out is None:
-                        out = acc[v] = {}
-                    _add_multiple(out, coeffs, s_re, s_im, s_den)
-        return _row_element(self.algebra, _reduced_row(acc))
+        return _row_element(self.algebra, _reduced_row(self._walk(element.coeffs)))
 
     def _row(self, w: Word, i: int) -> Row:
-        """D(e_i w) by the Leibniz rule.
+        """D(e_i w): the walk over the one term e_i w."""
+        return _reduced_row(self._walk(((w, self.algebra.base.basis_element(i)),)))
 
-        D(e_i) = sum (c e_k) v contributes (c e_k) sort(v w) with the sort sign
-        only.  For w = prefix x rest and D(x) = sum (c e_j) v, the letter x
-        contributes
+    def _walk(self, terms: Iterable[Tuple[Word, AlgebraElement]]) -> Triples:
+        """sum s D(e_i w) over the terms s e_i w of the (word, coefficient)
+        pairs given, by the Leibniz rule, as unreduced triples.
 
-            (-1)^(D.degree (|e_i| + |prefix|) + |e_j| |prefix| + s)
-                (c e_i e_j) sort(prefix v rest),
+        D(e_i) = sum (c e_k) v contributes s (c e_k) sort(v w) with the sort
+        sign only.  For w = prefix x rest and D(x) = sum (c e_j) v, the letter
+        x contributes
 
-        s the Koszul sign exponent of the sort.  A run of m equal letters (even,
-        or the word would vanish) gives m equal terms, so it is substituted once,
-        at its first position, with weight m.  The terms of each value are read
-        shortest first (``_value_terms``), so the walk stops at the first one
-        over the cap; each concatenation is sorted once per derivation (the
-        ``_sorted`` memo), and words with a repeated odd letter are dropped.
-        Coefficients are summed as unreduced triples and reduced once each.
-        The Leibniz rule multiplies each term by the unit coefficient of the
-        untouched letters; that factor is left out, which is exact:
-        ``BaseAlgebra`` refuses a break of the unit law.
+            (-1)^(D.degree (|e_i| + |prefix|) + |e_j| |prefix| + s')
+                s (c e_i e_j) sort(prefix v rest),
+
+        s' the Koszul sign exponent of the sort.  A run of m equal letters
+        (even, or the word would vanish) gives m equal terms, so it is
+        substituted once, at its first position, with weight m.  The scalar s
+        and the sign enter the one multiplication of each coefficient
+        (``scalars._add_multiple``, ``algebra._add_product``), so no image of
+        a single term is formed.  The terms of each value are read shortest
+        first (``_value_terms``), so the walk stops at the first one over the
+        cap; each concatenation is sorted once per derivation (the ``_sorted``
+        memo) and looked up once per word of the argument, for all its basis
+        indices, and words with a repeated odd letter are dropped.  The Leibniz rule
+        multiplies each term by the unit coefficient of the untouched letters;
+        that factor is left out, which is exact: ``BaseAlgebra`` refuses a
+        break of the unit law.
         """
         alg = self.algebra
         base = alg.base
         degrees = base.degrees
         letter_degrees = alg.letter_degrees
+        odd = self.degree & 1
         sorted_words = self._sorted
         on_algebra, on_letters = self._terms or self._value_terms()
-        n = len(w)
-        room = alg.cap - n
         acc: Triples = {}
-        for v, length, coeffs in on_algebra.get(i, ()):
-            if length > room:
-                break
-            letters = v + w
-            merged = sorted_words.get(letters, _UNSEEN)
-            if merged is _UNSEEN:
-                merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
-            if merged is None:
-                continue
-            word, exponent = merged
-            out = acc.get(word)
-            if out is None:
-                out = acc[word] = {}
-            _add_multiple(out, coeffs, -1 if exponent & 1 else 1, 0, 1)
-        room += 1
-        pos = 0
-        prefix_degree = 0
-        while pos < n:
-            x = w[pos]
-            end = pos + 1
-            while end < n and w[end] == x:
-                end += 1
-            terms = on_letters.get(x)
-            if terms is not None:
-                prefix, rest = w[:pos], w[pos + 1 :]
-                m = end - pos
-                shift = self.degree * (degrees[i] + prefix_degree)
-                for v, length, coeffs in terms:
+        for w, a in terms:
+            pairs = a.coeffs
+            n = len(w)
+            room = alg.cap - n
+            for i, s in pairs:
+                for v, length, coeffs in on_algebra.get(i, ()):
                     if length > room:
                         break
-                    letters = prefix + v + rest
+                    letters = v + w
                     merged = sorted_words.get(letters, _UNSEEN)
                     if merged is _UNSEEN:
                         merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
@@ -585,11 +549,40 @@ class DerivationD:
                     out = acc.get(word)
                     if out is None:
                         out = acc[word] = {}
-                    t = -m if (exponent + shift) & 1 else m
-                    _add_product(out, base, i, coeffs, prefix_degree, t, 0, 1)
-            prefix_degree += letter_degrees[x] * (end - pos)
-            pos = end
-        return _reduced_row(acc)
+                    t = -1 if exponent & 1 else 1
+                    _add_multiple(out, coeffs, t * s.n_re, t * s.n_im, s.den)
+            room += 1
+            pos = 0
+            prefix_degree = 0
+            while pos < n:
+                x = w[pos]
+                end = pos + 1
+                while end < n and w[end] == x:
+                    end += 1
+                values = on_letters.get(x)
+                if values is not None:
+                    prefix, rest = w[:pos], w[pos + 1 :]
+                    m = end - pos
+                    shift = odd * prefix_degree
+                    for v, length, coeffs in values:
+                        if length > room:
+                            break
+                        letters = prefix + v + rest
+                        merged = sorted_words.get(letters, _UNSEEN)
+                        if merged is _UNSEEN:
+                            merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
+                        if merged is None:
+                            continue
+                        word, exponent = merged
+                        out = acc.get(word)
+                        if out is None:
+                            out = acc[word] = {}
+                        for i, s in pairs:
+                            t = -m if (exponent + shift + odd * degrees[i]) & 1 else m
+                            _add_product(out, base, i, coeffs, prefix_degree, t * s.n_re, t * s.n_im, s.den)
+                prefix_degree += letter_degrees[x] * (end - pos)
+                pos = end
+        return acc
 
     def _value_terms(self) -> Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]:
         """The stored values as (on_algebra, on_letters) term tables, made
@@ -637,7 +630,7 @@ def _on_generators(alg: SymAlgebra, value: Callable[[SymElement], SymElement], d
 def square(D: DerivationD) -> DerivationD:
     """D o D on every generator: for an odd D the derivation [D, D]/2.
 
-    Made once per D and kept beside its rows, so every check that reads the
+    Made once per D and kept beside its values, so every check that reads the
     square of one derivation (``mc`` reads that of Phi D0 Phi^{-1} twice)
     builds it once."""
     if D._square is None:
@@ -676,8 +669,8 @@ class FilteredAutomorphism:
     Each power of phi raises the weight by at least one, so phi is nilpotent
     under the cap and both Phi = sum_k phi^k / k! and its inverse
     Phi^{-1} = exp(-phi) are finite series, each at most cap + 1
-    applications of phi.  Every power is read through phi's own row table;
-    Phi keeps no table of its own.
+    applications of phi.  Every power is one walk of phi (``DerivationD.apply``);
+    neither Phi nor phi keeps a table of images.
     """
 
     def __init__(self, phi: DerivationD):
@@ -716,7 +709,7 @@ class FilteredAutomorphism:
 
 def conjugate(Phi: FilteredAutomorphism, D: DerivationD) -> DerivationD:
     """Phi o D o Phi^{-1}, stored by its values on the generators.  Each value
-    reads rows of phi and D only: Phi and Phi^{-1} are series of phi's
+    is made by walks of phi and D only: Phi and Phi^{-1} are series of phi's
     powers, so no ``SymElement`` is multiplied."""
     if not D.algebra.compatible(Phi.algebra):
         raise BaseMismatch("automorphism and derivation over incompatible algebras")

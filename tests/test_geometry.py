@@ -1052,10 +1052,10 @@ def test_retraction_line_reports_a_to_amb_that_drops_a_letter(monkeypatch, capsy
 
 def test_lemma_checks_keep_no_rows(monkeypatch):
     """The three lemma checks keep nothing on the model: no attribute is
-    added, no table of the model grows, and the row table of every model
-    derivation stays empty, since each slice row is built where it is read.
-    No check applies an operator, on a passing model or with doubled shape
-    data."""
+    added, no table of the model grows, and no model derivation gains an
+    attribute or makes its square, since each slice row is built where it is
+    read.  No check applies an operator, on a passing model or with doubled
+    shape data."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a lemma check applied an operator")
@@ -1066,16 +1066,22 @@ def test_lemma_checks_keep_no_rows(monkeypatch):
     sizes = {name: len(v) for name, v in vars(g).items() if isinstance(v, dict)}
     derivations = {"_nabla_hat": g._nabla_hat, "_nabla_perp": g._nabla_perp, "_shape": g._shape, "_d1": g._d1}
     derivations.update({"_beta_tilde": g._beta_tilde, "_rtan": g._rtan})
+
+    def kept():
+        return {name: (set(vars(d)), d._square) for name, d in derivations.items()}
+
+    before = kept()
+    assert all(square is None for _, square in before.values())
     assert retraction_residual(g) == []
     assert commutator_lemma_residual(g) == []
     assert transport_lemma_residual(g) == []
     assert set(vars(g)) == attributes
     assert {name: len(vars(g)[name]) for name in sizes} == sizes
-    assert {name: len(d._rows) for name, d in derivations.items()} == dict.fromkeys(derivations, 0)
+    assert kept() == before
     doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
     with mutated(g, shape=doubled):
         assert len(transport_lemma_residual(g)) == 30
-    assert {name: len(d._rows) for name, d in derivations.items()} == dict.fromkeys(derivations, 0)
+    assert kept() == before
 
 
 def test_transport_check_decides_the_iterate_on_single_row_shape_mutations():

@@ -863,17 +863,18 @@ def test_apply_matches_three_product_oracle(base_name, degrees, derivation_degre
 # -- exp(phi) against the multiplicative oracle ---------------------------------------
 
 
-def grid_bound(alg):
-    """sum_r |words_of_weight(r)| * dim A: the most rows a table can hold."""
-    return sum(len(alg.words_of_weight(r)) for r in range(alg.cap + 1)) * alg.base.dim
+# all a DerivationD keeps: its values, their length-sorted terms, the
+# sorted-word memo and its square; no table per grid element
+DERIVATION_ATTRIBUTES = {"algebra", "degree", "on_algebra", "on_letters", "_terms", "_sorted", "_square"}
 
 
 @pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
 @pytest.mark.parametrize("degrees", DEGREE_PATTERNS)
 def test_exp_series_matches_the_multiplicative_oracle(base_name, degrees):
     """Inhomogeneous elements with non-unit Gaussian-rational coefficients,
-    several per automorphism, so later elements read phi rows built for
-    earlier ones; Phi keeps nothing but phi."""
+    several per automorphism, so later elements read the sorted words phi's
+    walk met for earlier ones; Phi keeps nothing but phi, and phi no table
+    per grid element."""
     base = KERNEL_BASES[base_name]()
     module = FreeModule(base, [(f"g{i}", d) for i, d in enumerate(degrees)])
     alg = SymAlgebra.over_module(module, cap=4)
@@ -886,7 +887,7 @@ def test_exp_series_matches_the_multiplicative_oracle(base_name, degrees):
             assert Phi.apply(x) == reference_automorphism_apply(images, x)
             assert Phi.apply_inverse(x) == reference_apply_inverse(images, x)
         assert vars(Phi) == {"algebra": alg, "phi": Phi.phi}
-        assert len(Phi.phi._rows) <= grid_bound(alg)
+        assert set(vars(Phi.phi)) == DERIVATION_ATTRIBUTES
 
 
 @given(data=st.data())
@@ -999,15 +1000,29 @@ def _unreduced(row):
 @given(data=st.data())
 def test_rows_and_apply_results_hold_reduced_nonzero_scalars(data):
     """Scalar equality compares triples, so a row or a result that kept an
-    unreduced or zero coefficient would compare unequal to its value."""
+    unreduced or zero coefficient would compare unequal to its value: every
+    ``_row``, ``apply`` on drawn elements and every value of the square."""
     D = data.draw(drawn_derivations())
-    square(D)
-    for _ in range(2):
-        x = data.draw(drawn_elements(D.algebra))
-        assert _unreduced((w, a.coeffs) for w, a in D.apply(x).items()) == []
-    assert D._rows
-    for key, row in D._rows.items():
-        assert _unreduced(row) == [], key
+    alg = D.algebra
+    for w, i in _grid(alg):
+        assert _unreduced(D._row(w, i)) == [], (w, i)
+    results = [D.apply(data.draw(drawn_elements(alg))) for _ in range(2)]
+    results += [value for _, _, _, value in square(D).labelled()]
+    for x in results:
+        assert _unreduced((w, a.coeffs) for w, a in x.items()) == []
+
+
+@given(data=st.data())
+def test_row_is_apply_of_the_one_term_element(data):
+    """The lemma rows and ``apply`` read the same walk: ``_row(w, i)`` is
+    ``apply`` of the one-term element e_i w, on every grid element of a
+    drawn derivation (sample bases and ``gaussian_product_base``, odd and
+    even letters, caps 0..5)."""
+    D = data.draw(drawn_derivations())
+    alg = D.algebra
+    for w, i in _grid(alg):
+        image = D.apply(SymElement(alg, {w: alg.base.basis_element(i)}))
+        assert D._row(w, i) == tuple((v, a.coeffs) for v, a in image.items()), (w, i)
 
 
 def test_apply_sums_rows_with_their_scalars():
@@ -1027,40 +1042,39 @@ def test_apply_sums_rows_with_their_scalars():
             assert op(unit.scale(s) + other) == row.scale(s) + op(other)
 
 
-def test_second_conjugate_builds_no_rows():
-    base, module, alg = make_setup(seed=63, cap=4)
+def test_second_conjugate_sorts_no_new_concatenation():
+    """The walks of a second conjugation meet only concatenations of letters
+    the first one sorted: the ``_sorted`` memos of phi and D0 do not grow."""
+    base, module, alg = make_setup(seed=55, cap=4)
     D0 = d0_derivation(alg, module)
-    Phi = random_unipotent(Rng(64), alg)
+    Phi = random_unipotent(Rng(56), alg)
+    assert not Phi.phi.is_zero()
     first = conjugate(Phi, D0)
 
     def sizes():
-        return len(Phi.phi._rows), len(D0._rows)
+        return len(Phi.phi._sorted), len(D0._sorted)
 
-    built = sizes()
-    assert all(built)
+    met = sizes()
+    assert all(met)
     assert conjugate(Phi, D0) == first
-    assert sizes() == built
+    assert sizes() == met
 
 
-def test_mc_check_builds_one_row_per_touched_grid_element(workloads):
-    """The two checks of ``mc`` on gen_a3_b4_w5 (seed 0) build exactly one phi
-    row per distinct grid element that phi is applied to, read some rows more
-    than once, and apply phi only inside the one conjugation they share."""
+def test_mc_check_applies_phi_only_inside_the_shared_conjugation(workloads):
+    """The two checks of ``mc`` on gen_a3_b4_w5 (seed 0) apply phi only
+    inside the one conjugation they share: after it, neither the residual
+    nor the square components reads one more grid element through phi."""
     g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
     alg = SymAlgebra.over_module(g.normal, cap=g.cap)
     D0 = d0_derivation(alg, g.normal)
     Phi = random_unipotent(Rng(0), alg)
     phi = Phi.phi
-    touched = set()
     reads = 0
     apply = phi.apply
 
     def recording(element):
         nonlocal reads
-        for w, a in element.items():
-            for i, _ in a.items():
-                touched.add((w, i))
-                reads += 1
+        reads += sum(len(a.coeffs) for _, a in element.coeffs)
         return apply(element)
 
     phi.apply = recording
@@ -1068,16 +1082,14 @@ def test_mc_check_builds_one_row_per_touched_grid_element(workloads):
     conjugation_reads = reads
     assert mc_residual(D0, conjugated) == {}
     assert square_components(conjugated) == {}
-    assert reads == conjugation_reads
-    assert set(phi._rows) == touched
-    assert len(phi._rows) <= grid_bound(alg)
-    assert reads > len(touched)
+    assert reads == conjugation_reads > 0
 
 
 def test_mc_checks_multiply_no_sym_elements(workloads, monkeypatch):
     """On gen_a3_b4_w5 (seed 0) the two checks of ``mc`` call
-    ``SymElement.__mul__`` not once, and every object of the package that
-    holds a row table is a ``DerivationD``: phi, D0 and the conjugate."""
+    ``SymElement.__mul__`` not once, and no object of the package holds a
+    row table: phi, D0, the conjugate and its square keep no table per grid
+    element."""
     g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
     alg = SymAlgebra.over_module(g.normal, cap=g.cap)
     D0 = d0_derivation(alg, g.normal)
@@ -1099,9 +1111,9 @@ def test_mc_checks_multiply_no_sym_elements(workloads, monkeypatch):
         o for o in gc.get_objects()
         if type(o).__module__.startswith("algebroidkit.") and "_rows" in getattr(o, "__dict__", {})
     ]
-    assert {type(o) for o in holders} == {DerivationD}
-    assert all(any(o is d for o in holders) for d in (Phi.phi, D0, conjugated))
-    assert all(d._rows for d in (Phi.phi, D0, conjugated))
+    assert holders == []
+    for d in (Phi.phi, D0, conjugated, square(conjugated)):
+        assert set(vars(d)) == DERIVATION_ATTRIBUTES
 
 
 def test_private_constructor_agrees_with_public_one():
@@ -1178,8 +1190,8 @@ def reference_nabla_bar(g, el):
 
 
 def test_nabla_bar_matches_rescaled_nabla_hat():
-    """nabla_bar keeps no table of its own: the only rows it builds are the
-    nabla_hat rows, at most one per grid element."""
+    """nabla_bar keeps no table of its own, and nabla_hat none per grid
+    element."""
     from algebroidkit.fixtures import random_geometric_model
 
     for seed in range(2):
@@ -1192,7 +1204,7 @@ def test_nabla_bar_matches_rescaled_nabla_hat():
             x = sparse_sym_element(rng, g.amb, 0.3)
             assert g.nabla_bar(x) == reference_nabla_bar(g, x)
         assert set(vars(g)) == attributes
-        assert 0 < len(g._nabla_hat._rows) <= grid_bound(g.amb)
+        assert set(vars(g._nabla_hat)) == DERIVATION_ATTRIBUTES
 
 
 # -- the generator walk ---------------------------------------------------------

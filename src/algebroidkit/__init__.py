@@ -26,11 +26,9 @@ from .symtensor import (
 from .linfty import (
     AlgebraDerivation,
     LInftyAlgebra,
-    LInftyMorphism,
     ShiftedDerDGLA,
     decalage,
     decalage_inverse,
-    morphism_residual,
 )
 from .algebroid import (
     AlgebroidStructure,
@@ -78,12 +76,10 @@ __all__ = [
     "conjugate",
     "mc_residual",
     "LInftyAlgebra",
-    "LInftyMorphism",
     "AlgebraDerivation",
     "ShiftedDerDGLA",
     "decalage",
     "decalage_inverse",
-    "morphism_residual",
     "AlgebroidStructure",
     "ce_differential",
     "d0_derivation",

@@ -46,6 +46,9 @@ arity-1 part, whose tables are d_A and d_L.  ``_letter_transpose`` reads
 values off words: the anchors and brackets of ``extract_structure``, the
 Jacobi residuals, and in ``geometry`` the curvature terms, the Shape, Gamma
 and dhat rows of ``structure_from_geometry``.
+
+``anchor_morphism_residual`` reads each term of the identity making the
+anchors a structure morphism L[1] -> Der(A)[1] off the tables too.
 """
 
 from __future__ import annotations
@@ -54,16 +57,9 @@ from typing import Container, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _linear, _summed
 from .errors import BaseMismatch, CapError, KitError
-from .linfty import (
-    AlgebraDerivation,
-    LInftyMorphism,
-    ShiftedDerDGLA,
-    BracketTable,
-    morphism_residual,
-    same_tables,
-)
+from .linfty import AlgebraDerivation, BracketTable, ShiftedDerDGLA, _unshuffles, same_tables, sorted_tuples
 from .modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
-from .scalars import Sums
+from .scalars import Scalar, Sums
 from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
@@ -472,15 +468,56 @@ def anchor_morphism_residual(
     S: AlgebroidStructure, arities: Sequence[int]
 ) -> Dict[int, Dict[GenKey, AlgebraDerivation]]:
     """The defects {n: {sorted key: derivation}} of the anchors forming a
-    structure morphism into Der(A)[1] at the given arities, all read off one
-    morphism.  An arity over the bracket cap is refused before any work: the
-    identity's bracket at that arity would refuse it."""
+    structure morphism f: L[1] -> Der(A)[1], f_m(key) = {key | -}_{m+1}, at
+    the given arities.  Over the unshuffles of key (``linfty._unshuffles``),
+    first and rest its generators at sigma(1..i) and the others,
+
+        Res_n(key) = sum alpha(sigma) sum_j a_j f_{n-i+1}(g_j, rest)
+                     - l_1(f_n(key)) - sum' alpha(sigma) l_2(f(first), f(rest)),
+
+    where {first}_i = sum_j a_j g_j is one bracket entry (d_L g at i = 1):
+    f has degree 0, so a_j stands outside it.  sum' runs over the canonical
+    unshuffles, one per split of key into two blocks, and l_1, l_2 are those
+    of ``ShiftedDerDGLA``.  Unshuffles giving the same blocks of generators
+    are counted with their signs and evaluated once.  An arity over the
+    bracket cap is refused before any work: the identity's bracket at that
+    arity would refuse it."""
     S.refuse_over_cap(arities)
+    carrier, one = S.carrier, S.base.one()
+    degrees, d_L = carrier.degrees, carrier.differential_basis
     target = ShiftedDerDGLA(S.base)
-    f = LInftyMorphism(S, target, target.zero())
-    for m in range(1, S.anchor_cap):
-        for key in _nonvanishing_keys(S.carrier.degrees, m):
-            der = S.anchor_derivation(m + 1, key)
-            if not der.is_zero():
-                f.set_component(m, key, der)
-    return {n: morphism_residual(f, S, target, n) for n in arities}
+    zero = target.zero()
+    f = {m: BracketTable(degrees) for m in range(1, S.anchor_cap)}
+    for m, table in f.items():
+        for key in _nonvanishing_keys(degrees, m):
+            table.set(key, S.anchor_derivation(m + 1, key))
+
+    def read(tables, gens, default):
+        value = tables[len(gens)].lookup(gens) if len(gens) in tables else None
+        return default if value is None else value
+
+    out: Dict[int, Dict[GenKey, AlgebraDerivation]] = {}
+    for n in arities:
+        residuals = out[n] = {}
+        for key in sorted_tuples(carrier.rank, n):
+            left: Dict[Tuple[GenKey, GenKey], int] = {}
+            right: Dict[Tuple[GenKey, GenKey], int] = {}
+            for first, rest, canonical, sign in _unshuffles(key, degrees):
+                left[first, rest] = left.get((first, rest), 0) + sign
+                if canonical:
+                    right[first, rest] = right.get((first, rest), 0) + sign
+            total = -target.bracket(1, [read(f, key, zero)])
+            for (first, rest), count in left.items():
+                if not count:
+                    continue
+                inside = read(S.brackets, first, carrier.zero()) if len(first) > 1 else d_L(first[0])
+                for j, a in inside.items():
+                    term = read(f, (j,) + rest, zero)
+                    total = total + (term if a == one else term.a_mul(a)).scale(Scalar.rational(count))
+            for (first, rest), count in right.items():
+                if count:
+                    term = target.bracket(2, [read(f, first, zero), read(f, rest, zero)])
+                    total = total - term.scale(Scalar.rational(count))
+            if not total.is_zero():
+                residuals[key] = total
+    return out

@@ -17,6 +17,9 @@ between the two conventions with the sign
 where degrees are taken in the unshifted module.  An algebroid's Jacobi
 residual is read off its CE square (``algebroid.algebroid_jacobi_residual``).
 
+``_unshuffles`` is the one unshuffle enumeration on generator tuples, read
+by ``_unshuffle_sum`` and ``algebroid.anchor_morphism_residual``.
+
 An ``AlgebraDerivation`` of the base, an element of Der(A), is an
 ``algebra.Combination`` of its nonzero values: the pairs (i, P(e_i)).
 """
@@ -24,21 +27,14 @@ An ``AlgebraDerivation`` of the base, an element of Der(A), is an
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, Combination, _leibniz_failures, _linear
 from .errors import CapError, KitError
 from .linalg import nullspace
-from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import MINUS_ONE, ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
-from .signs import (
-    _sort_word,
-    _vanishes,
-    canonical_partitions,
-    partition_permutation,
-    sym_sign,
-    unshuffles_with_tail,
-)
+from .modules import FreeModule, ModuleElement
+from .scalars import ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
+from .signs import _sort_word, _vanishes, sym_sign, unshuffles_with_tail
 
 GenKey = Tuple[int, ...]
 
@@ -175,31 +171,42 @@ class LInftyAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _unshuffles(key: GenKey, degrees: Sequence[int]) -> Iterator[Tuple[GenKey, GenKey, bool, int]]:
+    """(first, rest, canonical, sign) of every sigma in Sh(i, n-i), i = 1..n,
+    on key: first is key at sigma(1..i), rest the others, sign alpha(sigma)
+    on the degrees of key.  Of the two unshuffles that split key into the
+    same two blocks of positions, canonical marks the one whose first block
+    sorts first by (size, least position); i = n is not marked."""
+    n = len(key)
+    degs = [degrees[g] for g in key]
+    for i in range(1, n + 1):
+        for sigma in unshuffles_with_tail(n, i):
+            images, args = sigma.images, sigma.permute(key)
+            canonical = i < n and (i, images[0]) < (n - i, images[i])
+            yield args[:i], args[i:], canonical, sym_sign(sigma, degs)
+
+
 def _unshuffle_sum(key: GenKey, degrees: Sequence[int], elements: Sequence, inner: Callable,
                    outer: Callable, zero):
     """sum_{i=1..n} sum_{Sh(i,n-i)} alpha(sigma) outer(n-i+1, [inner(i, first i), rest])
 
     on the generators of key (elements[g] of degree degrees[g] for the index
-    g) permuted by sigma: first i is key at sigma(1..i), rest the others in
-    order.  inner(k, args) and outer(k, args) are k-ary maps, in the
-    symmetric convention.
+    g), over ``_unshuffles``.  inner(k, args) and outer(k, args) are k-ary
+    maps, in the symmetric convention.
 
     Where key repeats a generator, several unshuffles give the same argument
     tuple: their signs are added up first, and each tuple with a nonzero sum
     is evaluated once, times that sum.
     """
     n = len(key)
-    degs = [degrees[g] for g in key]
-    counts: Dict[Tuple[int, GenKey], int] = {}
-    for i in range(1, n + 1):
-        for sigma in unshuffles_with_tail(n, i):
-            group = (i, sigma.permute(key))
-            counts[group] = counts.get(group, 0) + sym_sign(sigma, degs)
+    counts: Dict[Tuple[GenKey, GenKey], int] = {}
+    for first, rest, _, sign in _unshuffles(key, degrees):
+        counts[first, rest] = counts.get((first, rest), 0) + sign
     total = zero
-    for (i, args), count in counts.items():
+    for (first, rest), count in counts.items():
         if count:
-            first = inner(i, [elements[g] for g in args[:i]])
-            term = outer(n - i + 1, [first] + [elements[g] for g in args[i:]])
+            inside = inner(len(first), [elements[g] for g in first])
+            term = outer(n - len(first) + 1, [inside] + [elements[g] for g in rest])
             total = total + (term if count == 1 else term.scale(Scalar.rational(count)))
     return total
 
@@ -385,9 +392,6 @@ class ShiftedDerDGLA:
     def zero(self) -> AlgebraDerivation:
         return AlgebraDerivation(self.base, {})
 
-    def max_bracket_arity(self) -> int:
-        return 2
-
     def bracket(self, n: int, args: Sequence[AlgebraDerivation]) -> AlgebraDerivation:
         if n == 1:
             return self.dA.commutator(args[0])
@@ -410,80 +414,3 @@ class ShiftedDerDGLA:
             if not total.is_zero():
                 out[key] = total
         return out
-
-
-# ---------------------------------------------------------------------------
-# morphisms
-# ---------------------------------------------------------------------------
-
-
-class LInftyMorphism:
-    """Degree-0 graded symmetric components f_n from a symmetric structure.
-
-    The source is anything with a ``carrier`` and a ``bracket`` in the
-    symmetric convention, such as an ``AlgebroidStructure``.
-    Component values live in the target structure's element type: module
-    elements for a module-carried target, concrete algebra derivations for
-    the shifted derivation DGLA.
-    """
-
-    def __init__(self, source, target, zero_value):
-        self.source = source
-        self.target = target
-        self.zero_value = zero_value
-        self.tables: Dict[int, BracketTable] = {}
-
-    def set_component(self, n: int, key: Sequence[int], value):
-        table = self.tables.setdefault(n, BracketTable(self.source.carrier.degrees))
-        table.set(key, value)
-
-    def component(self, n: int, args: Sequence[ModuleElement]):
-        table = self.tables.get(n)
-        if table is None:
-            return self.zero_value
-        return multilinear_extend(
-            table.lookup, 0, args, self.source.carrier.degrees, self.zero_value
-        )
-
-
-def morphism_residual(
-    f: LInftyMorphism, L, target, n: int
-) -> Dict[GenKey, object]:
-    """Defect of the structure-morphism identity at total arity n.
-
-    Left side: unshuffle sum feeding source brackets into components.
-    Right side: canonical-partition sum feeding component blocks into the
-    target brackets.  As in ``_unshuffle_sum``, partitions that give the same
-    blocks of generators are counted with their signs and evaluated once;
-    partitions into more blocks than ``target.max_bracket_arity()`` are
-    skipped, as the target bracket vanishes on them.
-    """
-    carrier = L.carrier
-    gens = [carrier.generator(i) for i in range(carrier.rank)]
-    partitions = [
-        (blocks, partition_permutation(blocks))
-        for blocks in canonical_partitions(n)
-        if len(blocks) <= target.max_bracket_arity()
-    ]
-    out: Dict[GenKey, object] = {}
-    for key in sorted_tuples(carrier.rank, n):
-        degs = [carrier.degrees[i] for i in key]
-        lhs = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, f.component, f.zero_value)
-        counts: Dict[Tuple[GenKey, ...], int] = {}
-        for blocks, sigma in partitions:
-            group = tuple(tuple(key[x - 1] for x in b) for b in blocks)
-            counts[group] = counts.get(group, 0) + sym_sign(sigma, degs)
-        values: Dict[GenKey, object] = {}
-        rhs = f.zero_value
-        for group, count in counts.items():
-            if not count:
-                continue
-            for block in group:
-                if block not in values:
-                    values[block] = f.component(len(block), [gens[g] for g in block])
-            term = target.bracket(len(group), [values[block] for block in group])
-            rhs = rhs + (term if count == 1 else term.scale(Scalar.rational(count)))
-        residual = lhs + rhs.scale(MINUS_ONE)
-        if not residual.is_zero():
-            out[key] = residual
-    return out

@@ -182,36 +182,3 @@ def unshuffles_with_tail(n: int, i: int) -> list[Permutation]:
     if i == n:
         return [Permutation.identity(n)]
     return enumerate_unshuffles(i, n - i)
-
-
-def canonical_partitions(n: int) -> list[Tuple[Tuple[int, ...], ...]]:
-    """Unordered partitions of {1..n} into blocks, one representative each.
-
-    Blocks are returned with ascending contents, ordered by (size, first
-    element); this enumerates the unshuffle representatives appearing in the
-    morphism identity exactly once per unordered partition.
-    """
-    items = list(range(1, n + 1))
-
-    def rec(rest: list[int]):
-        if not rest:
-            yield ()
-            return
-        first = rest[0]
-        others = rest[1:]
-        for r in range(len(others) + 1):
-            for rest_of_block in combinations(others, r):
-                block = (first,) + rest_of_block
-                remaining = [x for x in others if x not in rest_of_block]
-                for tail in rec(remaining):
-                    yield (block,) + tail
-
-    parts = [tuple(sorted(p, key=lambda b: (len(b), b[0]))) for p in rec(items)]
-    parts.sort()
-    return parts
-
-
-def partition_permutation(blocks: Sequence[Tuple[int, ...]]) -> Permutation:
-    """The unshuffle whose image tuple is the blocks concatenated in order."""
-    flat = tuple(x for block in blocks for x in block)
-    return Permutation(flat)

@@ -1,8 +1,10 @@
 """Bracket evaluation on an ``LInftyAlgebra`` and the per-permutation Jacobi
 sum: the oracles of the Jacobi residual that ``algebroid`` reads off the
 square of the CE differential, and of ``linfty._unshuffle_sum``.  Also the
-anchor morphism of an algebroid, built on its own and read arity by arity:
-the oracle of ``algebroid.anchor_morphism_residual``.
+general L-infinity morphism, its structure-morphism residual over the
+canonical set partitions, and the anchor morphism of an algebroid built on
+its own and read arity by arity through them: the oracle of the closed form
+``algebroid.anchor_morphism_residual``.
 
 The package keeps an L-infinity structure as its bracket tables only, which
 is all the degree-shift dictionary reads; the evaluation of those tables on
@@ -11,11 +13,14 @@ elements lives here.
 
 from __future__ import annotations
 
+from itertools import combinations
+from typing import Dict, Sequence, Tuple
+
 from algebroidkit.errors import CapError, KitError
-from algebroidkit.linfty import LInftyMorphism, ShiftedDerDGLA, morphism_residual, sorted_tuples
-from algebroidkit.modules import multilinear_extend
-from algebroidkit.scalars import sign_scalar
-from algebroidkit.signs import _nonvanishing_keys, skew_sign, sym_sign, unshuffles_with_tail
+from algebroidkit.linfty import BracketTable, GenKey, ShiftedDerDGLA, _unshuffle_sum, sorted_tuples
+from algebroidkit.modules import ModuleElement, multilinear_extend
+from algebroidkit.scalars import MINUS_ONE, Scalar, sign_scalar
+from algebroidkit.signs import Permutation, _nonvanishing_keys, skew_sign, sym_sign, unshuffles_with_tail
 
 
 class LInftyBrackets:
@@ -87,10 +92,122 @@ def linfty_jacobi_residual(L, n):
     return oracle_jacobi_residual(LInftyBrackets(L), n, L.symmetric)
 
 
+def canonical_partitions(n: int) -> list[Tuple[Tuple[int, ...], ...]]:
+    """Unordered partitions of {1..n} into blocks, one representative each.
+
+    Blocks are returned with ascending contents, ordered by (size, first
+    element); this enumerates the unshuffle representatives appearing in the
+    morphism identity exactly once per unordered partition.
+    """
+    items = list(range(1, n + 1))
+
+    def rec(rest: list[int]):
+        if not rest:
+            yield ()
+            return
+        first = rest[0]
+        others = rest[1:]
+        for r in range(len(others) + 1):
+            for rest_of_block in combinations(others, r):
+                block = (first,) + rest_of_block
+                remaining = [x for x in others if x not in rest_of_block]
+                for tail in rec(remaining):
+                    yield (block,) + tail
+
+    parts = [tuple(sorted(p, key=lambda b: (len(b), b[0]))) for p in rec(items)]
+    parts.sort()
+    return parts
+
+
+def partition_permutation(blocks: Sequence[Tuple[int, ...]]) -> Permutation:
+    """The unshuffle whose image tuple is the blocks concatenated in order."""
+    flat = tuple(x for block in blocks for x in block)
+    return Permutation(flat)
+
+
+class LInftyMorphism:
+    """Degree-0 graded symmetric components f_n from a symmetric structure.
+
+    The source is anything with a ``carrier`` and a ``bracket`` in the
+    symmetric convention, such as an ``AlgebroidStructure``.
+    Component values live in the target structure's element type: module
+    elements for a module-carried target, concrete algebra derivations for
+    the shifted derivation DGLA.
+    """
+
+    def __init__(self, source, target, zero_value):
+        self.source = source
+        self.target = target
+        self.zero_value = zero_value
+        self.tables: Dict[int, BracketTable] = {}
+
+    def set_component(self, n: int, key: Sequence[int], value):
+        table = self.tables.setdefault(n, BracketTable(self.source.carrier.degrees))
+        table.set(key, value)
+
+    def component(self, n: int, args: Sequence[ModuleElement]):
+        table = self.tables.get(n)
+        if table is None:
+            return self.zero_value
+        return multilinear_extend(
+            table.lookup, 0, args, self.source.carrier.degrees, self.zero_value
+        )
+
+
+def morphism_residual(
+    f: LInftyMorphism, L, target, n: int
+) -> Dict[GenKey, object]:
+    """Defect of the structure-morphism identity at total arity n.
+
+    Left side: unshuffle sum feeding source brackets into components.
+    Right side: canonical-partition sum feeding component blocks into the
+    target brackets.  As in ``_unshuffle_sum``, partitions that give the same
+    blocks of generators are counted with their signs and evaluated once;
+    partitions into more blocks than ``target.max_bracket_arity()`` are
+    skipped, as the target bracket vanishes on them.
+    """
+    carrier = L.carrier
+    gens = [carrier.generator(i) for i in range(carrier.rank)]
+    partitions = [
+        (blocks, partition_permutation(blocks))
+        for blocks in canonical_partitions(n)
+        if len(blocks) <= target.max_bracket_arity()
+    ]
+    out: Dict[GenKey, object] = {}
+    for key in sorted_tuples(carrier.rank, n):
+        degs = [carrier.degrees[i] for i in key]
+        lhs = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, f.component, f.zero_value)
+        counts: Dict[Tuple[GenKey, ...], int] = {}
+        for blocks, sigma in partitions:
+            group = tuple(tuple(key[x - 1] for x in b) for b in blocks)
+            counts[group] = counts.get(group, 0) + sym_sign(sigma, degs)
+        values: Dict[GenKey, object] = {}
+        rhs = f.zero_value
+        for group, count in counts.items():
+            if not count:
+                continue
+            for block in group:
+                if block not in values:
+                    values[block] = f.component(len(block), [gens[g] for g in block])
+            term = target.bracket(len(group), [values[block] for block in group])
+            rhs = rhs + (term if count == 1 else term.scale(Scalar.rational(count)))
+        residual = lhs + rhs.scale(MINUS_ONE)
+        if not residual.is_zero():
+            out[key] = residual
+    return out
+
+
+class DerTarget(ShiftedDerDGLA):
+    """Der(A)[1] as a target of ``morphism_residual``: no bracket above l_2."""
+
+    def max_bracket_arity(self) -> int:
+        return 2
+
+
 def anchor_morphism(S):
     """The anchor components of S as a morphism f into the shifted derivation
     DGLA: (f, target)."""
-    target = ShiftedDerDGLA(S.base)
+    target = DerTarget(S.base)
     f = LInftyMorphism(S, target, target.zero())
     for m in range(1, S.anchor_cap):
         for key in _nonvanishing_keys(S.carrier.degrees, m):

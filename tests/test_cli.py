@@ -6,12 +6,13 @@ import copy
 import json
 import random
 import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from algebroidkit import algebroid, cli, linfty
+from algebroidkit import algebroid, cli, linfty, modules
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
@@ -176,14 +177,15 @@ def test_mc_squares_the_conjugate_once(model_dir, monkeypatch):
 
 @pytest.mark.parametrize("arity", [5, 12])
 def test_anchor_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, capsys, monkeypatch, arity):
-    """Refused with the arity asked for, before the morphism is built or a
-    partition listed: Bell(12) is 4.2 million partitions."""
+    """Refused with the arity asked for, before the anchor components are
+    tabled or an unshuffle listed: at arity 12 that is 4095 unshuffles per key."""
 
     def refuse(*args):
         raise AssertionError("work started on a refused arity")
 
-    monkeypatch.setattr(linfty, "canonical_partitions", refuse)
-    monkeypatch.setattr(algebroid, "LInftyMorphism", refuse)
+    for module in (linfty, algebroid):
+        monkeypatch.setattr(module, "_unshuffles", refuse)
+    monkeypatch.setattr(AlgebroidStructure, "anchor_derivation", refuse)
     assert run(["anchor", model_dir / "perturbed.algebroid.json", "--arity", arity]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: bracket arity {arity} exceeds cap 4\n"
@@ -221,6 +223,36 @@ def test_jacobi_evaluates_no_bracket_and_no_unshuffle_sum(model_dir, tmp_path, m
     monkeypatch.setattr(linfty, "_unshuffle_sum", refuse)
     monkeypatch.setattr(AlgebroidStructure, "bracket", refuse)
     assert reports("patched") == want
+
+
+def test_no_command_evaluates_a_bracket_an_anchor_or_a_multilinear_extension(model_dir, capsys, monkeypatch):
+    """Every command reads the stored tables directly: none of the 13, on
+    any of the 8 fixtures, calls ``AlgebroidStructure.bracket``,
+    ``AlgebroidStructure.anchor`` or ``modules.multilinear_extend``."""
+    paths = sorted(model_dir.iterdir())
+    assert len(paths) == 8 and len(COMMANDS) == 13
+    where = []
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[where[-1], name] = calls.get((where[-1], name), 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("bracket", "anchor"):
+        monkeypatch.setattr(AlgebroidStructure, name, counting(name, getattr(AlgebroidStructure, name)))
+    extend = counting("multilinear_extend", modules.multilinear_extend)
+    for module in list(sys.modules.values()):
+        if getattr(module, "multilinear_extend", None) is modules.multilinear_extend:
+            monkeypatch.setattr(module, "multilinear_extend", extend)
+    for command in COMMANDS:
+        for path in paths:
+            where.append(f"{command} {path.name}")
+            assert run([command, path]) in (0, 1, 2)
+    capsys.readouterr()
+    assert calls == {}
 
 
 @pytest.mark.parametrize("command", ["jacobi", "ce-extract"])

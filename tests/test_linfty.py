@@ -22,25 +22,28 @@ from algebroidkit.fixtures import (
 from algebroidkit.linfty import (
     AlgebraDerivation,
     LInftyAlgebra,
-    LInftyMorphism,
     ShiftedDerDGLA,
     _unshuffle_sum,
+    _unshuffles,
     algebra_derivation_basis,
     canonicalize_key,
     d_A_derivation,
     decalage,
     decalage_inverse,
-    morphism_residual,
     sorted_tuples,
 )
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar
-from algebroidkit.signs import canonical_partitions, partition_permutation, sym_sign
+from algebroidkit.signs import sym_sign
 from linfty_oracle import (
     LInftyBrackets,
+    LInftyMorphism,
     anchor_morphism,
+    canonical_partitions,
     linfty_jacobi_residual,
+    morphism_residual,
     oracle_jacobi_residual,
+    partition_permutation,
     per_permutation_unshuffle_sum,
 )
 
@@ -411,3 +414,25 @@ def test_outer_map_runs_once_per_argument_tuple_with_a_nonzero_count():
         assert calls == arities
         want = per_permutation_unshuffle_sum([degree] * 4, [g] * 4, inner, outer, carrier.zero(), True)
         assert total == want
+
+
+def test_canonical_unshuffles_are_the_two_block_partitions():
+    """The unshuffles ``_unshuffles`` marks canonical are the representatives
+    that ``canonical_partitions`` keeps of the splits into two blocks, each
+    once and with the sign of its ``partition_permutation``: on a key of
+    distinct generators 0..n-1, first and rest are the two blocks of
+    positions."""
+    for degrees in ((0, 1, 1, 0, 1), (1, 1, 1, 1, 1), (0, 2, -1, 0, 0)):
+        for n in range(1, 6):
+            got = {
+                (first, rest): sign
+                for first, rest, canonical, sign in _unshuffles(tuple(range(n)), degrees)
+                if canonical
+            }
+            want = {
+                tuple(tuple(x - 1 for x in b) for b in blocks): sym_sign(partition_permutation(blocks), degrees[:n])
+                for blocks in canonical_partitions(n)
+                if len(blocks) == 2
+            }
+            assert len(got) == 2 ** (n - 1) - 1
+            assert got == want

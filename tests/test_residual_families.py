@@ -10,6 +10,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroidkit.algebroid import (
     AlgebroidStructure,
@@ -86,6 +88,29 @@ def test_anchor_morphism_residual_matches_the_morphism_built_once(workloads):
         if any(got.values()):
             nonzero.add(name)
     assert {"rank2.geometric.json", "generic.geometric.json", "regression"} <= nonzero
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base_index=st.integers(0, 2),
+    degrees=st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+    derivation_anchors=st.booleans(),
+    bracket_cap=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_anchor_morphism_residual_matches_the_morphism_on_drawn_structures(
+    base_index, degrees, derivation_anchors, bracket_cap, seed
+):
+    """The closed form equals the morphism built once and read through the
+    partition sum, at every arity up to the cap, on drawn carriers (odd and
+    even generators) with both anchor kinds."""
+    base = sample_bases()[base_index]
+    carrier = mixed_module(base, degrees, seed=seed % 5)
+    S = random_algebroid(
+        Rng(seed), base, carrier, bracket_cap=bracket_cap, derivation_anchors=derivation_anchors, density=0.7
+    )
+    arities = list(range(1, bracket_cap + 1))
+    assert anchor_morphism_residual(S, arities) == oracle_anchor_morphism_residual(S, arities)
 
 
 def test_anchor_morphism_residual_refuses_an_arity_over_the_cap_as_the_oracle_does():

@@ -14,11 +14,11 @@ from algebroidkit.scalars import sign_scalar
 from algebroidkit.signs import (
     Permutation,
     _sort_word,
-    canonical_partitions,
     enumerate_unshuffles,
     skew_sign,
     sym_sign,
 )
+from linfty_oracle import canonical_partitions
 
 
 def bubble_sign(images, degrees, include_signature):

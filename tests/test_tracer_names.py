@@ -37,7 +37,6 @@ STAGES = (
     "algebroid.algebroid_jacobi_residual",
     "algebroid.leibniz_residual",
     "algebroid.anchor_morphism_residual",
-    "linfty.morphism_residual",
 )
 
 

@@ -385,8 +385,8 @@ def extract_structure(
 
     Both are read by ``_letter_transpose``: its twist (-1)^{|e_c||e_b|} of a
     basis element e_c of D(e_b)[w] is (-1)^{|e_b||w|}, as D has degree 1.
-    D(1) is read as the anchors on the unit, so a D with D(1) != 0 (at an
-    arity within the anchor cap) is refused there, by ``set_anchor``.
+    D(1) would be read as the anchors on the unit; it is zero, as
+    ``DerivationD`` refuses a value on the unit.
     """
     algebra = D.algebra
     base = algebra.base
@@ -440,9 +440,9 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
     if not out:
         return out
     D = ce_differential(S, max(max(out), S.max_bracket_arity(), S.max_anchor_arity() - 1))
-    algebra = D.algebra
-    squares = {i: D.apply(D.apply(algebra.letter(i))) for i in range(carrier.rank)}
-    for w, values in _letter_transpose(algebra, squares, carrier.degrees, [1] * carrier.rank, out).items():
+    # D(eta_i) is the stored value, as D kills the unit (``symtensor.square``)
+    squares = {i: D.apply(v) for i, v in sorted(D.on_letters.items())}
+    for w, values in _letter_transpose(D.algebra, squares, carrier.degrees, [1] * carrier.rank, out).items():
         out[len(w)][w] = _module_value(carrier, values)
     return out
 

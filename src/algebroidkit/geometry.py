@@ -625,17 +625,20 @@ def transport_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
 def _tangent_series(g: GeometricModel, start: SymElement) -> SymElement:
     """rho-dual of Rtan(sum_{q >= 0} Shape^q(start)), Rtan = sum_p Rtan_p.
 
-    Rtan is linear, so the Shape powers are summed first and substituted
-    once: at most cap - 1 Shape applies and one Rtan apply per start."""
+    Rtan is linear, so the terms of start, Shape(start), Shape^2(start), ...
+    are walked once through Rtan (``DerivationD._walk``) into one
+    accumulator, unsummed: at most cap - 1 Shape applies and one Rtan walk
+    per start, each coefficient reduced once."""
     if start.is_zero():
         return g.nor.zero()
-    total = current = start
+    terms = list(start.items())
+    current = start
     for _ in range(g.cap - 1):
         current = g.shape_tilde(current)
         if current.is_zero():
             break
-        total = total + current
-    return g.rho_dual(g._rtan.apply(total))
+        terms.extend(current.items())
+    return g.rho_dual(_row_element(g.amb, _reduced_row(g._rtan._walk(terms))))
 
 
 def build_kapranov(g: GeometricModel) -> DerivationD:

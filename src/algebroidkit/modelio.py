@@ -28,14 +28,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraElement, BaseAlgebra, breaks_unit_law
+from .algebra import AlgebraElement, BaseAlgebra, _element, breaks_unit_law
 from .algebroid import AlgebroidStructure
 from .errors import DegreeError, ParseError
 from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily
 from .modules import FreeModule, ModuleElement
-from .scalars import Scalar
+from .scalars import Scalar, _reduced, _triple
 from .signs import _sort_word
-from .symtensor import SymAlgebra, SymElement, _normalized
+from .symtensor import SymAlgebra, SymElement, _sym_element
 
 SCHEMA = "algebroidkit/1"
 
@@ -152,7 +152,7 @@ def _scalar(value) -> Optional[Scalar]:
     if type(value) is dict and value.keys() == _SCALAR:
         num, den, inum, iden = value["num"], value["den"], value["inum"], value["iden"]
         if type(num) is int and type(den) is int and type(inum) is int and type(iden) is int and den and iden:
-            return Scalar.from_quadruple(value)
+            return _triple(*_reduced(num * iden, inum * den, den * iden))
     return None
 
 
@@ -349,26 +349,38 @@ def _parse_sym(
 ) -> SymElement:
     """An element of alg from a list of {word, terms} entries; letter_index
     maps alg's letter names.  Each word is checked against the cap and then
-    sorted by ``_sort_word``, which drops a word with a repeated odd letter,
-    so the element is built by ``_normalized``."""
+    sorted by ``_sort_word``, which drops a word with a repeated odd letter.
+    The terms of each sorted word are summed as {basis index: Scalar}, the
+    sort sign on the Scalars, and each word becomes one AlgebraElement, in
+    word order, at the end."""
     base, cap, degrees = alg.base, alg.cap, alg.letter_degrees
-    data: Dict[Tuple[int, ...], AlgebraElement] = {}
+    data: Dict[Tuple[int, ...], Dict[int, Scalar]] = {}
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _WORD:
             _object(item, (path, k), _WORD)
         word = _names(letter_index, item["word"], (path, k, ".word"), _NO_LETTER)
         if len(word) > cap:
             _refuse(f"word of weight {len(word)} overflows the weight cap {cap}", (path, k, ".word"))
-        coeff = AlgebraElement(base, _parse_terms(item["terms"], (path, k, ".terms"), base_index))
+        terms = _parse_terms(item["terms"], (path, k, ".terms"), base_index)
         merged = _sort_word(degrees, word)
         if merged is None:  # a repeated odd letter: the word is zero
             continue
         w, exponent = merged
-        if exponent & 1:
-            coeff = -coeff
         old = data.get(w)
-        data[w] = coeff if old is None else old + coeff
-    return _normalized(alg, data)
+        if old is None:
+            data[w] = {i: -c for i, c in terms.items()} if exponent & 1 else terms
+            continue
+        for i, c in terms.items():
+            if exponent & 1:
+                c = -c
+            was = old.get(i)
+            old[i] = c if was is None else was + c
+    pairs = []
+    for w in sorted(data):
+        coeffs = tuple(sorted(p for p in data[w].items() if p[1].n_re or p[1].n_im))
+        if coeffs:
+            pairs.append((w, _element(base, coeffs)))
+    return _sym_element(alg, tuple(pairs))
 
 
 def _sym_list(el: SymElement) -> list:

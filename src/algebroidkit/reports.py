@@ -99,10 +99,11 @@ class Report:
 
 
 def residuals_from_sym(location: str, el: SymElement) -> List[ResidualEntry]:
-    """Flatten a nonzero SymElement into deterministic residual entries."""
+    """Flatten a nonzero SymElement into deterministic residual entries, in
+    its stored word order."""
     out = []
     names = el.algebra.letter_names
-    for w, a in sorted(el.items()):
+    for w, a in el.items():
         word = "*".join(names[i] for i in w) if w else "1"
         out.append(ResidualEntry(location, len(w), word, repr(a)))
     return out

@@ -69,7 +69,9 @@ once, when its sum is complete), so every coefficient of a result is a
 reduced nonzero Scalar.  A derivation keeps its values as terms sorted by
 word length, so the walk stops at the first term over the cap; the sorted
 word and sign of every concatenation of letters its walks met; and its
-square, made once.  A ``FilteredAutomorphism`` is exp(phi) for a
+square, made once, one walk per stored value: D(x) on a generator is read
+off the table, as a derivation kills the unit (``DerivationD`` refuses a
+value there).  A ``FilteredAutomorphism`` is exp(phi) for a
 weight-raising derivation phi and keeps no table: it sums the series of
 phi's powers, each one walk of phi.
 """
@@ -103,6 +105,7 @@ class SymAlgebra:
         self.letter_degrees = tuple(int(d) for _, d in letters)
         self.cap = cap
         self._words: Dict[int, Tuple[Word, ...]] = {}
+        self._generators: Optional[Tuple[Tuple[int, int, str, SymElement], ...]] = None
 
     @staticmethod
     def over_module(module: FreeModule, cap: int = 4) -> "SymAlgebra":
@@ -127,19 +130,23 @@ class SymAlgebra:
             words = self._words[r] = tuple(_nonvanishing_keys(self.letter_degrees, r))
         return words
 
-    def generators(self) -> Iterator[Tuple[int, int, str, "SymElement"]]:
+    def generators(self) -> Tuple[Tuple[int, int, str, "SymElement"], ...]:
         """(slot, index, label, element) for every generator of the algebra:
         the base basis elements (slot 0), then the letters (slot 1).
 
         An operator is stored by its values on these, in the table
         ``(on_algebra, on_letters)[slot]``; the slot is also the weight of
-        the generator.
+        the generator.  Made once per algebra, and a tuple, since every
+        caller shares it.
         """
-        base = self.base
-        for i in range(base.dim):
-            yield 0, i, base.names[i], self.scalar(base.basis_element(i))
-        for j in range(self.n_letters):
-            yield 1, j, self.letter_names[j], self.letter(j)
+        gens = self._generators
+        if gens is None:
+            base = self.base
+            gens = self._generators = tuple(
+                [(0, i, base.names[i], self.scalar(base.basis_element(i))) for i in range(base.dim)]
+                + [(1, j, self.letter_names[j], self.letter(j)) for j in range(self.n_letters)]
+            )
+        return gens
 
     def zero(self) -> "SymElement":
         return SymElement(self, {})
@@ -419,7 +426,8 @@ class DerivationD:
     on the base with weight-n values and on letters with weight-(n+1) values.
     ``apply`` walks these values, beside which the derivation keeps their
     sorted terms and sorted words, and ``square`` keeps the square, so they
-    are never changed after construction.
+    are never changed after construction.  A nonzero value on the unit is
+    refused: a derivation kills it.
     """
 
     def __init__(
@@ -442,6 +450,11 @@ class DerivationD:
         self.on_letters = {
             i: v for i, v in on_letters.items() if not v.is_zero()
         }
+        # D(1) = 0: the walk leaves out the unit coefficient of untouched
+        # letters, and ``square`` reads D(x) as the stored value
+        unit = algebra.base.unit
+        if unit in self.on_algebra:
+            raise KitError(f"derivation value on the unit {algebra.base.names[unit]!r} is not zero")
         # the values as length-sorted terms (``_value_terms``), each
         # concatenation of letters the walk met with its sorted word and sign
         # (or None where it vanishes), and the square (``square``)
@@ -630,11 +643,22 @@ def _on_generators(alg: SymAlgebra, value: Callable[[SymElement], SymElement], d
 def square(D: DerivationD) -> DerivationD:
     """D o D on every generator: for an odd D the derivation [D, D]/2.
 
-    Made once per D and kept beside its values, so every check that reads the
-    square of one derivation (``mc`` reads that of Phi D0 Phi^{-1} twice)
-    builds it once."""
+    D(x) is read off D's table, so the square is one ``apply`` per stored
+    value: D(e_i) is the stored value, and so is D(x) for a letter x, the
+    unit coefficient of x contributing D(1) x = 0 (``DerivationD`` refuses a
+    value on the unit).  Where no value is stored D(x) = 0, and at cap 0
+    every letter is zero.  Made once per D and kept beside its values, so
+    every check that reads the square of one derivation (``mc`` reads that
+    of Phi D0 Phi^{-1} twice) builds it once."""
     if D._square is None:
-        D._square = _on_generators(D.algebra, lambda x: D.apply(D.apply(x)), 2 * D.degree)
+        on_letters = D.on_letters if D.algebra.cap else {}
+        D._square = DerivationD(
+            D.algebra,
+            {i: D.apply(v) for i, v in D.on_algebra.items()},
+            {j: D.apply(v) for j, v in on_letters.items()},
+            degree=2 * D.degree,
+            check=False,
+        )
     return D._square
 
 

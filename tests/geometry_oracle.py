@@ -5,6 +5,9 @@ pass, kept as test oracles.
   by explicit substitution of the single tangent letter, with the per-p
   bounds of the Rtan_p o Shape^q series: p <= cap - q from dhat on the base,
   p <= cap - 1 - q from Gamma on the normal letters.
+* ``oracle_tangent_series(g, start)`` is ``geometry._tangent_series`` as it
+  stood before it walked the terms of the Shape powers once through Rtan:
+  the powers summed as ``SymElement`` values, then one Rtan ``apply``.
 * ``oracle_build_kapranov(g)`` builds Kapranov's d0 + sum_k Rperp_k as the
   diagonal-regime construction stood before it read the model: on a
   symmetric algebra of its own over the normal module, each curvature value
@@ -71,6 +74,20 @@ def _oracle_series(g, start: SymElement, top: int) -> SymElement:
             val = val + g.rho_dual(_substitute_tangent(g, current, table, 1))
         current = _substitute_tangent(g, current, g.shape, 0)
     return val
+
+
+def oracle_tangent_series(g, start: SymElement) -> SymElement:
+    """rho-dual of Rtan(sum_{q >= 0} Shape^q(start)): the Shape powers summed
+    first, at most cap - 1 of them, then one Rtan apply."""
+    if start.is_zero():
+        return g.nor.zero()
+    total = current = start
+    for _ in range(g.cap - 1):
+        current = g.shape_tilde(current)
+        if current.is_zero():
+            break
+        total = total + current
+    return g.rho_dual(g._rtan.apply(total))
 
 
 def oracle_build_frakD(g) -> Tuple[Dict[int, SymElement], Dict[int, SymElement]]:

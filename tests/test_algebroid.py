@@ -123,8 +123,10 @@ def test_extraction_requires_dA():
     alg = SymAlgebra.over_module(carrier, cap=3)
     from algebroidkit.symtensor import DerivationD
 
-    bad = DerivationD(alg, {base.unit: alg.scalar(base.one())}, {}, check=False)
-    with pytest.raises(KitError):
+    odd = next(b for b in range(base.dim) if base.degrees[b] == 1)
+    assert base.basis_element(odd).d() != base.one()
+    bad = DerivationD(alg, {odd: alg.scalar(base.one())}, {}, check=False)
+    with pytest.raises(KitError, match=f"^weight-0 action on {re.escape(base.names[odd])} is not d_A"):
         extract_structure(bad, carrier)
 
 
@@ -692,8 +694,9 @@ def test_anchors_enter_only_the_base_values():
 
 
 def test_extraction_refuses_a_nonzero_value_on_the_unit():
-    """D(1) != 0 at a word within the anchor cap is an anchor on the unit,
-    which ``set_anchor`` refuses; the evaluation oracle refuses it too."""
+    """D(1) != 0 at a word within the anchor cap would be an anchor on the
+    unit, which ``set_anchor`` refuses: no extraction sees it, as the
+    derivation is refused first, naming the unit."""
     base = nontrivial_dga()
     carrier = mixed_module(base, [0, 1], seed=2)
     free = random_ce_derivation(Rng(44), base, carrier, cap=3)
@@ -701,11 +704,10 @@ def test_extraction_refuses_a_nonzero_value_on_the_unit():
     odd = next(b for b in range(base.dim) if base.degrees[b] == 1)
     on_algebra = dict(free.on_algebra)
     on_algebra[base.unit] = alg.letter(0, base.basis_element(odd))
-    bad = DerivationD(alg, on_algebra, free.on_letters)
-    message = f"^anchor on the unit {re.escape(repr(base.names[base.unit]))} is not zero$"
-    for extract in (extract_structure, oracle_extract_structure):
+    message = f"^derivation value on the unit {re.escape(repr(base.names[base.unit]))} is not zero$"
+    for check in (True, False):
         with pytest.raises(KitError, match=message):
-            extract(bad, carrier, 4)
+            DerivationD(alg, on_algebra, free.on_letters, check=check)
 
 
 def test_brackets_at_the_bracket_cap_enter_the_ce_differential():

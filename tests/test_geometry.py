@@ -59,6 +59,7 @@ from geometry_oracle import (
     oracle_build_kapranov,
     oracle_duality_residual,
     oracle_structure_from_geometry,
+    oracle_tangent_series,
 )
 from symtensor_oracle import derivation_sum
 
@@ -440,33 +441,80 @@ def test_build_frakD_matches_the_term_by_term_oracle(workloads):
     assert reached == {"base", "letters"}
 
 
+def _series_starts(g):
+    """The starts ``build_frakD`` gives ``_tangent_series`` (dhat of every
+    basis element, Gamma of every normal letter), and each start less its
+    Shape image, whose Shape powers cancel against each other in the sum."""
+    starts = [g.dhat[b] for b in range(g.base.dim)] + [g.gamma[j] for j in range(g.b)]
+    return starts + [v - g.shape_tilde(v) for v in starts]
+
+
+def test_tangent_series_matches_the_two_step_oracle(workloads):
+    """One Rtan walk over the unsummed terms of the Shape powers equals the
+    powers summed first and substituted by one Rtan apply, on every duality
+    model; some series is nonzero and some has a Shape power."""
+    nonzero = powers = 0
+    for name, g in _duality_models(workloads).items():
+        for start in _series_starts(g):
+            got = geometry._tangent_series(g, start)
+            assert got == oracle_tangent_series(g, start), name
+            nonzero += not got.is_zero()
+            powers += not g.shape_tilde(start).is_zero()
+    assert nonzero and powers
+
+
+@given(
+    base=st.sampled_from(sample_bases()),
+    tangent=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+    normal=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+    cap=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_tangent_series_matches_the_two_step_oracle_on_drawn_models(base, tangent, normal, cap, seed):
+    """The same on ``random_geometric_model`` draws: odd and even tangent and
+    normal letters, caps 1..5."""
+    g = random_geometric_model(Rng(seed), base, tangent, normal, cap=cap, density=0.7, seed_modules=seed % 7)
+    for start in _series_starts(g):
+        assert geometry._tangent_series(g, start) == oracle_tangent_series(g, start)
+
+
 def test_build_frakD_applies_each_series_once_per_shape_power(workloads, monkeypatch):
-    """build_frakD makes at most cap + 1 DerivationD.apply calls per series
-    start (dhat of a basis element, Gamma of a normal letter), and none
-    outside the series."""
+    """build_frakD makes at most cap - 1 Shape applies and one Rtan walk per
+    series start (dhat of a basis element, Gamma of a normal letter), none
+    for a zero start, and no other apply or walk: Rtan is never applied."""
     g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
     calls = []
+    walks = []
     counts = []
     apply = DerivationD.apply
+    walk = DerivationD._walk
     series = geometry._tangent_series
 
     def counting_apply(self, element):
         calls.append(self)
         return apply(self, element)
 
+    def counting_walk(self, terms):
+        if self is g._rtan:
+            walks.append(self)
+        return walk(self, terms)
+
     def counting_series(model, start):
-        before = len(calls)
+        before = len(calls), len(walks)
         out = series(model, start)
-        counts.append(len(calls) - before)
+        counts.append((len(calls) - before[0], len(walks) - before[1], start.is_zero()))
         return out
 
     monkeypatch.setattr(DerivationD, "apply", counting_apply)
+    monkeypatch.setattr(DerivationD, "_walk", counting_walk)
     monkeypatch.setattr(geometry, "_tangent_series", counting_series)
     build_frakD(g)
     assert len(counts) == g.base.dim + g.b
-    assert 0 < max(counts) <= g.cap + 1
-    assert len(calls) == sum(counts)
-    assert {id(der) for der in calls} <= {id(g._shape), id(g._rtan)}
+    assert 0 < max(applies for applies, _, _ in counts) <= g.cap - 1
+    assert all(walked == (not zero) for _, walked, zero in counts)
+    assert len(calls) == sum(applies for applies, _, _ in counts)
+    assert {id(der) for der in calls} == {id(g._shape)}
+    assert len(walks) == sum(walked for _, walked, _ in counts)
 
 
 def test_frakd_square_random_localizes():

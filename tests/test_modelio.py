@@ -28,6 +28,7 @@ from algebroidkit.fixtures import (
 )
 from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
+from algebroidkit.scalars import Scalar
 from modelio_oracle import oracle_parse_model, put_value_on_unit
 
 
@@ -576,7 +577,25 @@ def _oracle_documents():
     for seed, (tangent, normal) in enumerate([((0, 1), (0, -1, 0)), ((0, 1, 0), (0, -1, 0, -1))]):
         g = random_geometric_model(Rng(seed), kodaira_base(), tangent, normal, cap=4, seed_modules=seed)
         docs[f"random_{len(tangent)}x{len(normal)}"] = serialize_model(g)
+    docs["random_3x4_vanishing_words"] = _with_extra_words(docs["random_3x4"], _VANISHING_WORDS)
     return docs
+
+
+# Words of the normal letters n1^ and n3^, both odd, added to the first
+# curv_perp value of random_3x4: one word listed in both letter orders, whose
+# sort signs cancel its coefficient, and a word repeating an odd letter.
+# Both vanish, so the document parses to random_3x4.
+_VANISHING_WORDS = (["n1^", "n3^"], ["n3^", "n1^"], ["n1^", "n1^"])
+
+
+def _with_extra_words(text: str, words) -> str:
+    """text with one entry per word added to its first curv_perp value, each
+    with the terms of that value's first entry."""
+    doc = json.loads(text)
+    value = doc["tensors"]["curv_perp"][0]["value"]
+    terms = value[0]["terms"]
+    value.extend({"word": list(word), "terms": copy.deepcopy(terms)} for word in words)
+    return json.dumps(doc)
 
 
 ORACLE_DOCUMENTS = _oracle_documents()
@@ -682,6 +701,22 @@ def test_parser_matches_the_former_traversal(name, kind):
         assert refused == 8
     if kind not in ("duplicate-entry", "bad-weight", "wrong-type"):
         assert refused, "no mutation was refused"
+
+
+def test_words_whose_sort_signs_cancel_or_that_repeat_an_odd_letter_vanish():
+    """Each word's terms are summed with its sort sign before the word becomes
+    an element: n1^ n3^ and n3^ n1^ with equal terms cancel, and so does
+    n1^ n1^ on its own; the even letters n0^ n2^ listed in both orders add up
+    instead."""
+    plain = ORACLE_DOCUMENTS["random_3x4"]
+    want = serialize_model(parse_model(plain))
+    assert serialize_model(parse_model(ORACLE_DOCUMENTS["random_3x4_vanishing_words"])) == want
+    for words in (_VANISHING_WORDS[:2], _VANISHING_WORDS[2:]):
+        assert serialize_model(parse_model(_with_extra_words(plain, words))) == want
+    twice = parse_model(_with_extra_words(plain, [["n0^", "n2^"], ["n2^", "n0^"]])).curv_perp[2][0]
+    first = parse_model(plain).curv_perp[2][0]
+    assert (0, 2) not in first.data
+    assert twice.data[(0, 2)].coeffs == first.data[(0, 0)].scale(Scalar(2)).coeffs
 
 
 def _fault(rng, doc, node, key, fault) -> None:

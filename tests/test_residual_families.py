@@ -1,6 +1,7 @@
 """Each residual family is one library call, checked against the loop it
 replaced: the anchor morphism built once and read arity by arity, D o D with
-one pair of ``apply`` calls per generator, and the generator-by-generator
+one pair of ``apply`` calls per generator (``square`` reads D(x) off D's
+table and applies D once), and the generator-by-generator
 comparisons of ``mc`` and ``duality``.  Also the known disagreement of the
 anchor-morphism residual with D^2 (ROADMAP item 14), as a strict xfail."""
 
@@ -23,7 +24,15 @@ from algebroidkit.algebroid import (
 )
 from algebroidkit.cli import main
 from algebroidkit.errors import CapError
-from algebroidkit.fixtures import Rng, mixed_module, nontrivial_dga, random_algebroid, random_unipotent, sample_bases
+from algebroidkit.fixtures import (
+    Rng,
+    mixed_module,
+    nontrivial_dga,
+    random_algebroid,
+    random_geometric_model,
+    random_unipotent,
+    sample_bases,
+)
 from algebroidkit.geometry import GeometricModel, build_frakD, build_kapranov, duality_residual, structure_from_geometry
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement
@@ -198,6 +207,34 @@ def test_square_components_match_the_per_generator_loop(workloads):
         assert got == oracle_square_components(D), name
         nonzero += bool(got)
     assert nonzero >= 3
+
+
+@settings(max_examples=100)
+@given(
+    base_index=st.integers(0, 2),
+    tangent=st.lists(st.integers(-1, 1), min_size=1, max_size=2),
+    normal=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+    cap=st.integers(1, 4),
+    bracket_cap=st.integers(2, 4),
+    derivation_anchors=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_square_components_match_the_per_generator_loop_on_drawn_models(
+    base_index, tangent, normal, cap, bracket_cap, derivation_anchors, seed
+):
+    """``square`` reads D(x) off D's table and applies D once; the oracle
+    applies D twice to every generator.  They agree on ``build_frakD`` and
+    ``build_kapranov`` of drawn geometric models (odd and even tangent and
+    normal letters, caps 1..4) and on ``ce_differential`` of drawn
+    structures with both anchor kinds."""
+    base = sample_bases()[base_index]
+    g = random_geometric_model(Rng(seed), base, tangent, normal, cap=cap, density=0.6, seed_modules=seed % 5)
+    carrier = mixed_module(base, normal, seed=seed % 5)
+    S = random_algebroid(
+        Rng(seed), base, carrier, bracket_cap=bracket_cap, derivation_anchors=derivation_anchors, density=0.7
+    )
+    for D in (build_frakD(g), build_kapranov(g), ce_differential(S, bracket_cap)):
+        assert square_components(D) == oracle_square_components(D)
 
 
 def _mc_inputs(workloads):

@@ -777,10 +777,14 @@ def sparse_sym_element(rng, alg, density, min_weight=0):
 
 
 def random_derivation(rng, alg, degree):
-    """Random values on every base element and letter; degrees are not checked,
-    the Leibniz formula is linear in them."""
+    """Random values on every base element but the unit, which a derivation
+    kills (``DerivationD`` refuses a value there), and on every letter;
+    degrees are not checked, the Leibniz formula is linear in them.  A value
+    is drawn for the unit too and dropped, so the draws after it stay as
+    they were."""
     base = alg.base
     on_algebra = {i: sparse_sym_element(rng, alg, 0.3) for i in range(base.dim)}
+    del on_algebra[base.unit]
     on_letters = {i: sparse_sym_element(rng, alg, 0.3) for i in range(alg.n_letters)}
     return DerivationD(alg, on_algebra, on_letters, degree=degree, check=False)
 
@@ -925,10 +929,15 @@ def drawn_derivations(draw):
     """A derivation of degree 0 or 1 over a drawn algebra (a sample base or
     ``gaussian_product_base``, cap 0..5, odd and even letters), its values
     drawn words with Gaussian coefficients over mixed denominators; degrees
-    are not checked, the Leibniz formula is linear in them."""
+    are not checked, the Leibniz formula is linear in them.  No value is
+    drawn on the unit, which ``DerivationD`` refuses
+    (``test_a_derivation_refuses_a_value_on_the_unit``); at cap 0 the letter
+    values are drawn, and every letter is zero."""
     alg = draw(drawn_algebras(5))
     values = drawn_elements(alg)
-    on_algebra = draw(st.dictionaries(st.integers(0, alg.base.dim - 1), values, max_size=alg.base.dim))
+    base = alg.base
+    non_unit = st.sampled_from([i for i in range(base.dim) if i != base.unit])
+    on_algebra = draw(st.dictionaries(non_unit, values, max_size=base.dim - 1))
     on_letters = draw(st.dictionaries(st.integers(0, alg.n_letters - 1), values, max_size=alg.n_letters))
     degree = draw(st.sampled_from([0, 1]))
     return DerivationD(alg, on_algebra, on_letters, degree=degree, check=False)
@@ -952,6 +961,20 @@ def test_rows_apply_square_and_conjugate_match_the_scalar_oracle(data):
     assert square(D) == oracle_square(D)
     Phi = _random_unipotent(Rng(data.draw(st.integers(0, 2**16))), alg, density=0.7)
     assert conjugate(Phi, D) == oracle_conjugate(Phi, D)
+
+
+def test_the_square_at_cap_0_vanishes_on_every_letter():
+    """At cap 0 every letter is zero, so D(D(x)) = 0 on a letter whatever
+    value D stores there, though D applied to that value is not zero; on the
+    base the square is read as at any cap."""
+    base = nontrivial_dga()
+    alg = SymAlgebra(base, [("y", 0)], cap=0)
+    e, x = (alg.scalar(base.basis_element(i)) for i in (1, 2))
+    D = DerivationD(alg, {1: x, 2: alg.scalar(base.basis_element(3))}, {0: e}, degree=0, check=False)
+    assert alg.letter(0).is_zero() and not D.apply(D.on_letters[0]).is_zero()
+    sq = square(D)
+    assert sq == oracle_square(D)
+    assert sq.on_letters == {} and sq.on_algebra == {1: D.apply(x)} != {}
 
 
 @given(data=st.data())
@@ -1245,6 +1268,23 @@ def test_operator_refusal_texts_name_the_generator():
         with pytest.raises(KitError) as err:
             build()
         assert str(err.value) == message
+
+
+def test_a_derivation_refuses_a_value_on_the_unit():
+    """A derivation kills the unit, D(1) = D(1 * 1) = 2 D(1), and ``square``
+    reads D(x) off the table on that ground: a nonzero value on the unit is
+    refused, naming it, with or without the degree check, whatever its
+    degree; a zero value there is no value."""
+    base, alg = _two_letter_algebra()
+    e = alg.scalar(base.basis_element(1))
+    message = f"derivation value on the unit {base.names[base.unit]!r} is not zero"
+    for value in (alg.one(), e, alg.letter(0, base.basis_element(1))):
+        for check in (True, False):
+            for degree in (0, 1):
+                with pytest.raises(KitError) as err:
+                    DerivationD(alg, {base.unit: value}, {}, degree=degree, check=check)
+                assert str(err.value) == message
+    assert DerivationD(alg, {base.unit: alg.zero()}, {}).is_zero()
 
 
 def _odd_first_algebra():

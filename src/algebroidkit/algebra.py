@@ -275,7 +275,8 @@ class BaseAlgebra:
     validator checks graded commutativity).  Missing pairs multiply to zero,
     except pairs involving the unit which default to the unit law, and pairs
     whose mirror (j, i) is given, which follow graded commutativity.  The
-    table of all dim^2 basis products is filled once, here.  A given pair
+    table of all dim^2 basis products is filled once, here, after one index
+    check of the given coefficients.  A given pair
     with the unit that breaks the unit law, and a nonzero differential of
     the unit, are refused: the kernels of the kit assume both.  So is a
     product or differential index that names no basis element, which
@@ -299,36 +300,41 @@ class BaseAlgebra:
             raise DegreeError("unit must have degree 0")
         self.unit = unit
         n = len(self.names)
-        stored = {key: dict(val) for key, val in products.items()}
+        stored = {key: {k: c for k, c in val.items() if not c.is_zero()} for key, val in products.items()}
         differential = differential or {}
         _refuse_foreign("product index", (i for key in stored for i in key), n, "basis element")
         _refuse_foreign("differential index", differential, n, "basis element")
         if any(not c.is_zero() for c in differential.get(unit, {}).values()):
             raise KitError(f"differential of the unit {self.names[unit]!r} is not zero")
+        # one index check of every given coefficient, so the dim^2 products
+        # are made without the checks of the element constructor
+        _refuse_foreign("coefficient index", (k for val in stored.values() for k in val), n, "basis element")
         self._products: Dict[Tuple[int, int], AlgebraElement] = {}
         for i in range(n):
             for j in range(n):
                 coeffs = stored.get((i, j))
                 if coeffs is None:
                     if i == unit:
-                        coeffs = {j: ONE}
+                        pairs = ((j, ONE),)
                     elif j == unit:
-                        coeffs = {i: ONE}
+                        pairs = ((i, ONE),)
                     elif (j, i) in stored:
-                        sign = sign_scalar(self.degrees[i] * self.degrees[j])
-                        coeffs = {k: c * sign for k, c in stored[(j, i)].items()}
+                        odd = self.degrees[i] * self.degrees[j] & 1
+                        pairs = tuple(sorted((k, -c if odd else c) for k, c in stored[(j, i)].items()))
                     else:
-                        coeffs = {}
+                        pairs = ()
                 elif breaks_unit_law(unit, i, j, coeffs):
                     raise KitError(f"product {self.names[i]!r} * {self.names[j]!r} breaks the unit law")
-                self._products[(i, j)] = AlgebraElement(self, coeffs)
+                else:
+                    pairs = tuple(sorted(coeffs.items()))
+                self._products[(i, j)] = _element(self, pairs)
         self._differential: Dict[int, AlgebraElement] = {}
         for i, val in differential.items():
             self._differential[i] = AlgebraElement(self, dict(val))
         # elements are immutable, so the zero, the unit and the basis
         # elements are made once and shared
-        self._zero = AlgebraElement(self, {})
-        self._basis = tuple(AlgebraElement(self, {i: ONE}) for i in range(n))
+        self._zero = _element(self, ())
+        self._basis = tuple(_element(self, ((i, ONE),)) for i in range(n))
 
     # -- structural access ---------------------------------------------------
 

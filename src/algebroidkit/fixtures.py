@@ -246,24 +246,34 @@ def sample_bases() -> List[BaseAlgebra]:
 
 
 def _random_words(rng: Rng, alg: SymAlgebra, words, degree: int, density: float) -> SymElement:
-    """A random element of the given degree on the given words: each word,
-    kept with chance density, takes a random basis element of the degree it
-    needs times a random scalar; a word no basis element fits stays zero."""
+    """A random element of the given degree on the given (word, word degree)
+    pairs: each word, kept with chance density, takes a random basis element
+    of the degree it needs times a random scalar; a word no basis element
+    fits stays zero."""
     base = alg.base
+    of_degree = _of_degree(base)
     parts = {}
-    for w in words:
+    for w, d in words:
         if rng.random() > density:
             continue
-        need = degree - alg.word_degree(w)
-        cands = [b for b in range(base.dim) if base.degrees[b] == need]
+        cands = of_degree.get(degree - d)
         if cands:
             parts[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
     return SymElement(alg, parts)
 
 
-def _words_from(alg: SymAlgebra, weight: int):
-    """The words of alg from the given weight up to its cap, by weight."""
-    return [w for r in range(weight, alg.cap + 1) for w in alg.words_of_weight(r)]
+def _of_degree(base: BaseAlgebra) -> Dict[int, List[int]]:
+    """{degree: the basis indices of that degree, in order}."""
+    out: Dict[int, List[int]] = {}
+    for b, d in enumerate(base.degrees):
+        out.setdefault(d, []).append(b)
+    return out
+
+
+def _words_from(alg: SymAlgebra, weight: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """The words of alg from the given weight up to its cap, by weight, each
+    with its degree."""
+    return [(w, alg.word_degree(w)) for r in range(weight, alg.cap + 1) for w in alg.words_of_weight(r)]
 
 
 def random_weight_raising_derivation(rng: Rng, alg: SymAlgebra, density: float = 0.7) -> DerivationD:
@@ -272,34 +282,34 @@ def random_weight_raising_derivation(rng: Rng, alg: SymAlgebra, density: float =
     Letter values are free; base values are built as sums u . delta(a) with
     u a degree (-|delta|) element of positive weight and delta an honest
     derivation of the base algebra, which keeps the table Leibniz-compatible.
+    The derivations of degree k are solved only when some word w has a basis
+    element of the degree -k - |w| its coefficient needs: no other degree
+    is read, and it would draw nothing.
     """
     base = alg.base
     on_algebra: Dict[int, SymElement] = {i: alg.zero() for i in range(base.dim)}
+    of_degree = _of_degree(base)
+    word_degrees = _words_from(alg, 1)
     lo, hi = base.degree_range()
     for k in range(lo - hi, hi - lo + 1):
-        ders = algebra_derivation_basis(base, k)
+        # each word a coefficient fits, with the basis elements that fit it
+        fitting = [(w, of_degree[-k - d]) for w, d in word_degrees if -k - d in of_degree]
+        ders = algebra_derivation_basis(base, k) if fitting else None
         if not ders:
             continue
-        for r in range(1, alg.cap + 1):
-            for w in alg.words_of_weight(r):
-                coeff_degree = -k - alg.word_degree(w)
-                cands = [
-                    b for b in range(base.dim) if base.degrees[b] == coeff_degree
-                ]
-                if not cands or rng.random() > density:
+        for w, cands in fitting:
+            if rng.random() > density:
+                continue
+            for delta in ders:
+                if rng.random() > density:
                     continue
-                for delta in ders:
-                    if rng.random() > density:
+                u = alg.word(w, base.basis_element(rng.choice(cands)).scale(rng.scalar()))
+                for i in range(base.dim):
+                    val = delta.value_on(i)
+                    if val.is_zero():
                         continue
-                    u = alg.word(
-                        w, base.basis_element(rng.choice(cands)).scale(rng.scalar())
-                    )
-                    for i in range(base.dim):
-                        val = delta.value_on(i)
-                        if val.is_zero():
-                            continue
-                        on_algebra[i] = on_algebra[i] + u * alg.scalar(val)
-    words = _words_from(alg, 2)
+                    on_algebra[i] = on_algebra[i] + u * alg.scalar(val)
+    words = [(w, d) for w, d in word_degrees if len(w) >= 2]
     on_letters = {i: _random_words(rng, alg, words, alg.letter_degrees[i], density) for i in range(alg.n_letters)}
     return DerivationD(alg, on_algebra, on_letters, degree=0, check=False)
 
@@ -434,11 +444,11 @@ def _random_table(
     rng: Rng,
     alg: SymAlgebra,
     degrees: Sequence[int],
-    words: Sequence[Tuple[int, ...]],
+    words: Sequence[Tuple[Tuple[int, ...], int]],
     density: float,
 ):
-    """Random A-linear table: index i -> span of the given words, of degree
-    degrees[i]; zero values are left out."""
+    """Random A-linear table: index i -> span of the given (word, word
+    degree) pairs, of degree degrees[i]; zero values are left out."""
     out = {}
     for i, want in enumerate(degrees):
         el = _random_words(rng, alg, words, want, density)
@@ -479,7 +489,7 @@ def random_geometric_model(
         tables = {}
         for k in range(fam.weight, cap + 1) if fam.weighted else [fam.weight]:
             words = [
-                w for w in alg.words_of_weight(k)
+                (w, alg.word_degree(w)) for w in alg.words_of_weight(k)
                 if sum(alg.letter_names[i] in tangent_letters for i in w) == m
             ]
             table = _random_table(rng, alg, degrees, words, density)

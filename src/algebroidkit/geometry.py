@@ -72,6 +72,9 @@ normal ones.  The main constructions:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BaseAlgebra, _add_product, _degree_problem, _leibniz_failures, _summed
@@ -263,29 +266,31 @@ class GeometricModel(SplitFrame):
         # the Rtan family over the normal letters: beta is its weight-one member
         self.rtan_tables = {1: self.beta, **self.curv_tan}
 
-        # the substitution derivations, each built once
-        a = self.a
-        nabla_letters = {i: self.conn_tan[i] + self.shape[i] for i in range(a)}
-        nabla_letters.update({a + j: self.second_form[j] + self.gamma[j] for j in range(self.b)})
+        # the substitution derivations, each built once.  The rows hold, so
+        # the words of a value have its family's bidegree: a sum of values
+        # of two families of other bidegrees, or of Rtan members of other
+        # weights, has no word in both, and is one merge (``_merged``)
+        a, amb = self.a, self.amb
+        nabla_letters = {i: _merged(amb, self.conn_tan[i], self.shape[i]) for i in range(a)}
+        nabla_letters.update({a + j: _merged(amb, self.second_form[j], self.gamma[j]) for j in range(self.b)})
         perp_letters = {a + j: self.gamma[j] for j in range(self.b)}
-        self._nabla_hat = DerivationD(self.amb, self.dhat, nabla_letters, degree=0, check=False)
-        self._nabla_perp = DerivationD(self.amb, self.dhat, perp_letters, degree=0, check=False)
-        self._shape = DerivationD(self.amb, {}, self.shape, degree=0, check=False)
+        self._nabla_hat = DerivationD(amb, self.dhat, nabla_letters, degree=0, check=False)
+        self._nabla_perp = DerivationD(amb, self.dhat, perp_letters, degree=0, check=False)
+        self._shape = DerivationD(amb, {}, self.shape, degree=0, check=False)
         # beta-tilde = Rtan_1 alone, and Rtan = sum_p Rtan_p: each tangent
         # letter substituted by its whole Rtan family at once
-        self._beta_tilde = DerivationD(self.amb, {}, {i: self.to_amb(v) for i, v in self.beta.items()},
-                                       degree=1, check=False)
-        rtan_letters = {}
-        for i, v in self.beta.items():
-            for table in self.curv_tan.values():
-                v = v + table.get(i, self.nor.zero())
-            rtan_letters[i] = self.to_amb(v)
-        self._rtan = DerivationD(self.amb, {}, rtan_letters, degree=1, check=False)
-        # D1: nabla_hat with every value cut to its one-tangent-letter words;
-        # under rule R P1 nabla_bar is P1 D1 on the words with at most one
-        # tangent letter
-        self._d1 = DerivationD(self.amb, {b: self.p1(v) for b, v in self.dhat.items()},
-                               {k: self.p1(v) for k, v in nabla_letters.items()}, degree=0, check=False)
+        beta = {i: self.to_amb(v) for i, v in self.beta.items()}
+        self._beta_tilde = DerivationD(amb, {}, beta, degree=1, check=False)
+        rtan_letters = {
+            i: _merged(amb, v, *(self.to_amb(table[i]) for table in self.curv_tan.values() if i in table))
+            for i, v in beta.items()
+        }
+        self._rtan = DerivationD(amb, {}, rtan_letters, degree=1, check=False)
+        # D1: nabla_hat with every value cut to its one-tangent-letter words,
+        # which by the rows are dhat (bidegree (1, 0)) and the shape and
+        # gamma parts of the letter values; under rule R P1 nabla_bar is
+        # P1 D1 on the words with at most one tangent letter
+        self._d1 = DerivationD(amb, self.dhat, {**self.shape, **perp_letters}, degree=0, check=False)
 
     # -- the tensor families ----------------------------------------------------
 
@@ -317,8 +322,10 @@ class GeometricModel(SplitFrame):
             return _sym_element(self.amb, el.coeffs)
         if not self.nor.compatible(el.algebra):
             raise BaseMismatch("element is over neither the ambient nor the normal algebra")
-        # the normal letters keep their order and degrees after the tangent ones
-        return _normalized(self.amb, {tuple(self.a + i for i in w): c for w, c in el.items()})
+        # the normal letters keep their order and degrees after the tangent
+        # ones, so the shifted words keep their order
+        a = self.a
+        return _sym_element(self.amb, tuple((tuple(a + i for i in w), c) for w, c in el.coeffs))
 
     def rho_dual(self, el: SymElement) -> SymElement:
         """The algebra-map extension of the normal projection: kills every
@@ -385,28 +392,36 @@ def geometric_degree_problems(g: GeometricModel) -> List[str]:
     """Degree and bidegree bookkeeping of every stored tensor against its row
     of ``TENSOR_FAMILIES``.
 
-    An ambient-valued tensor is checked word by word against the family's
-    bidegree.  A normal-valued one (Rperp_k, or Rtan_p with beta = Rtan_1)
-    has only normal letters, so its bidegree is its weight, checked as a
-    whole; its degree is read on the normal algebra, whose letters have the
-    degrees of the ambient normal letters.
+    Each stored value is decided in one walk of its terms (``_fits_row``):
+    every word has the weight of its table and, for an ambient-valued
+    family, the family's tangent-letter count, and every term has the degree
+    of the index plus the shift.  Only a value that fails is looked at
+    again, to write its messages: its weights (normal-valued), its degree,
+    then each word of another bidegree (ambient-valued).  A normal-valued
+    tensor (Rperp_k, or Rtan_p with beta = Rtan_1) has only normal letters,
+    so its bidegree is its weight; its degree is read on the normal algebra,
+    whose letters have the degrees of the ambient normal letters.
     """
     problems: List[str] = []
+    base_degrees = g.base.degrees
     for fam in TENSOR_FAMILIES:
         names, degrees = g.index_set(fam)
+        letter_degrees = g.values_algebra(fam).letter_degrees
         m = fam.bidegree[0]
+        tangents = m if fam.values == "ambient" else None
         for k, table in g.weight_tables(fam).items():
             if k < fam.weight:
                 problems.append(f"{fam.name} arity {k} < {fam.weight}")
                 continue
             for i, el in table.items():
-                if el.is_zero():
+                want = degrees[i] + fam.shift
+                if _fits_row(el, k, tangents, g.a, letter_degrees, base_degrees, want):
                     continue
                 index = names[i] if fam.index == "base" else i
                 name = f"{fam.name}[{k}][{index}]" if fam.weighted else f"{fam.name}[{index}]"
                 if fam.values == "normal" and el.weights() != [k]:
                     problems.append(f"{name} has weights {el.weights()}")
-                problem = _degree_problem(name, el, degrees[i] + fam.shift)
+                problem = _degree_problem(name, el, want)
                 if problem:
                     problems.append(problem)
                 if fam.values == "ambient":
@@ -414,6 +429,23 @@ def geometric_degree_problems(g: GeometricModel) -> List[str]:
                         if g.bidegree(w) != (m, k - m):
                             problems.append(f"{name} has a word of bidegree {g.bidegree(w)}")
     return problems
+
+
+def _fits_row(
+    el: SymElement, k: int, m: Optional[int], a: int, letter_degrees: Sequence[int], base_degrees: Sequence[int],
+    want: int,
+) -> bool:
+    """Whether every word of el has weight k and, unless m is None, m
+    tangent letters (sorted words put them first: those below a), and every
+    term has degree want."""
+    for w, c in el.coeffs:
+        if len(w) != k or m is not None and bisect_left(w, a) != m:
+            return False
+        need = want - sum(map(letter_degrees.__getitem__, w))
+        for j, _ in c.coeffs:
+            if base_degrees[j] != need:
+                return False
+    return True
 
 
 def validate_geometric_model(g: GeometricModel) -> List[str]:
@@ -622,6 +654,12 @@ def transport_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
 # ---------------------------------------------------------------------------
 
 
+def _merged(alg: SymAlgebra, *parts: SymElement) -> SymElement:
+    """The sum of elements of alg no two of which have a word in common:
+    their terms, merged in word order."""
+    return _sym_element(alg, tuple(sorted(chain.from_iterable(p.coeffs for p in parts), key=itemgetter(0))))
+
+
 def _tangent_series(g: GeometricModel, start: SymElement) -> SymElement:
     """rho-dual of Rtan(sum_{q >= 0} Shape^q(start)), Rtan = sum_p Rtan_p.
 
@@ -641,16 +679,28 @@ def _tangent_series(g: GeometricModel, start: SymElement) -> SymElement:
     return g.rho_dual(_row_element(g.amb, _reduced_row(g._rtan._walk(terms))))
 
 
+def _table_sum(left: Mapping[int, SymElement], right: Mapping[int, SymElement]) -> Dict[int, SymElement]:
+    """{index: left + right} of two value tables, a missing value zero."""
+    out = dict(left)
+    for i, v in right.items():
+        out[i] = out[i] + v if i in out else v
+    return out
+
+
 def build_kapranov(g: GeometricModel) -> DerivationD:
     """Kapranov's differential d0 + sum_k Rperp_k on the normal algebra: the
     part of ``build_frakD`` that the tangent tensors leave alone, and all of
-    it in the diagonal regime."""
+    it in the diagonal regime.
+
+    d0 is checked where it is built (``algebroid.d0_derivation``) and each
+    Rperp_k value has the degree of its row, one more than its letter (the
+    model refuses any other), so the sum has degree 1 on every generator
+    and is not checked again."""
     D0 = g.normal_d0()
     on_letters = dict(D0.on_letters)
     for table in g.curv_perp.values():
-        for j, entry in table.items():
-            on_letters[j] = on_letters[j] + entry if j in on_letters else entry
-    return DerivationD(g.nor, D0.on_algebra, on_letters, degree=1, check=True)
+        on_letters = _table_sum(on_letters, table)
+    return DerivationD(g.nor, D0.on_algebra, on_letters, degree=1, check=False)
 
 
 def build_frakD(g: GeometricModel) -> DerivationD:
@@ -663,12 +713,26 @@ def build_frakD(g: GeometricModel) -> DerivationD:
     by one, and Rtan_p replaces that letter by p normal letters.  So the
     series from dhat (weight-1 starts) keeps p + q <= cap, and the one from
     Gamma (weight-2 starts) keeps p + q <= cap - 1, with no bound of its
-    own."""
+    own.
+
+    The two series are checked where they are built, and the Kapranov part
+    has degree 1 on every generator (``build_kapranov``): a sum of two such
+    derivations has degree 1 there too, so the sum is not checked again."""
     kapranov = build_kapranov(g)
-    zero = g.nor.zero()
-    on_algebra = {b: kapranov.on_algebra.get(b, zero) + _tangent_series(g, v) for b, v in g.dhat.items()}
-    on_letters = {j: kapranov.on_letters.get(j, zero) + _tangent_series(g, v) for j, v in g.gamma.items()}
-    return DerivationD(g.nor, on_algebra, on_letters, degree=1, check=True)
+    series = DerivationD(
+        g.nor,
+        {b: _tangent_series(g, v) for b, v in g.dhat.items()},
+        {j: _tangent_series(g, v) for j, v in g.gamma.items()},
+        degree=1,
+        check=True,
+    )
+    return DerivationD(
+        g.nor,
+        _table_sum(kapranov.on_algebra, series.on_algebra),
+        _table_sum(kapranov.on_letters, series.on_letters),
+        degree=1,
+        check=False,
+    )
 
 
 # ---------------------------------------------------------------------------

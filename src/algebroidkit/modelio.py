@@ -16,11 +16,16 @@ looked at again, by a refusal helper that names its first bad field (an
 unknown field before a missing one, then the fields in schema order) and
 formats the path.  A value on the unit that the constructors would refuse
 (a product that breaks the unit law, a nonzero differential, anchor or
-dhat on the unit) is refused at its entry.  Names resolve through {name: index} maps, and the words
-of a tensor are sorted by ``_sort_word`` inside the weight cap, so the
-tensors are built without the checks of the public constructors.  The
-model constructor refuses a tensor that breaks its family's row, which is
-refused at $.tensors.
+dhat on the unit) is refused at its entry.  Names resolve through
+{name: index} maps, and the words of a tensor are sorted by ``_sort_word``
+inside the weight cap, each tuple of letter names once per parse, so the
+tensors are built without the checks of the public constructors.  No
+coefficient is made term by term: every list of {basis, coeff} entries is
+added to a coefficient accumulator as unreduced triples (``_add_terms``,
+``scalars.Sums``), a tensor's word with its sort sign, and each
+coefficient is reduced once, when its element is made.  The model
+constructor refuses a tensor that breaks its family's row, which is refused
+at $.tensors.
 """
 
 from __future__ import annotations
@@ -28,14 +33,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraElement, BaseAlgebra, _element, breaks_unit_law
+from .algebra import AlgebraElement, BaseAlgebra, _summed, breaks_unit_law
 from .algebroid import AlgebroidStructure
 from .errors import DegreeError, ParseError
 from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily
 from .modules import FreeModule, ModuleElement
-from .scalars import Scalar, _reduced, _triple
+from .scalars import ONE, Scalar, Sums, _add_multiple, _reduced_items
 from .signs import _sort_word
-from .symtensor import SymAlgebra, SymElement, _sym_element
+from .symtensor import SymAlgebra, SymElement, Triples, Word, _reduced_row, _row_element
 
 SCHEMA = "algebroidkit/1"
 
@@ -146,18 +151,9 @@ def _names(index: Dict[str, int], values, path: JsonPath, unknown: str) -> list:
         return [_name(index, name, (path, m), unknown) for m, name in enumerate(values)]
 
 
-def _scalar(value) -> Optional[Scalar]:
-    """The Scalar of a {num, den, inum, iden} node, or None if the node is
-    not one (see ``_refuse_scalar``)."""
-    if type(value) is dict and value.keys() == _SCALAR:
-        num, den, inum, iden = value["num"], value["den"], value["inum"], value["iden"]
-        if type(num) is int and type(den) is int and type(inum) is int and type(iden) is int and den and iden:
-            return _triple(*_reduced(num * iden, inum * den, den * iden))
-    return None
-
-
 def _refuse_scalar(value, path: JsonPath) -> NoReturn:
-    """The refusal of a node ``_scalar`` rejects."""
+    """The refusal of a {num, den, inum, iden} node that ``_add_terms``
+    rejects: the wrong type or fields, a non-integer or a zero denominator."""
     _object(value, path, _SCALAR)
     for key in _SCALAR:
         _int(value[key], (path, "." + key))
@@ -173,10 +169,12 @@ def _scalar_dict(s: Scalar) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _parse_terms(value, path: JsonPath, index: Dict[str, int]) -> Dict[int, Scalar]:
-    """{basis index: coefficient} of a list of {basis, coeff} entries; a
-    repeated basis element adds up, so a coefficient may be zero."""
-    out: Dict[int, Scalar] = {}
+def _add_terms(out: Optional[Sums], value, path: JsonPath, index: Dict[str, int], sign: int) -> None:
+    """out += sign times the list of {basis, coeff} entries value, as
+    unreduced triples (``scalars._add_multiple``), so no Scalar is made; a
+    repeated basis element adds up.  With out None the entries are only
+    checked.  The quadruple num/den + (inum/iden)i is the triple
+    (num iden + inum den i) / (den iden), its denominator made positive."""
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _TERM:
             _object(item, (path, k), _TERM)
@@ -184,12 +182,22 @@ def _parse_terms(value, path: JsonPath, index: Dict[str, int]) -> Dict[int, Scal
         idx = index.get(name) if type(name) is str else None
         if idx is None:
             _name(index, name, (path, k, ".basis"), _NO_BASIS)
-        coeff = _scalar(item["coeff"])
-        if coeff is None:
-            _refuse_scalar(item["coeff"], (path, k, ".coeff"))
-        old = out.get(idx)
-        out[idx] = coeff if old is None else old + coeff
-    return out
+        coeff = item["coeff"]
+        if type(coeff) is not dict or coeff.keys() != _SCALAR:
+            _refuse_scalar(coeff, (path, k, ".coeff"))
+        num, den, inum, iden = coeff["num"], coeff["den"], coeff["inum"], coeff["iden"]
+        if not (type(num) is int and type(den) is int and type(inum) is int and type(iden) is int and den and iden):
+            _refuse_scalar(coeff, (path, k, ".coeff"))
+        if out is not None:
+            t = -sign if den * iden < 0 else sign
+            _add_multiple(out, ((idx, ONE),), t * num * iden, t * inum * den, abs(den * iden))
+
+
+def _parse_terms(value, path: JsonPath, index: Dict[str, int]) -> Dict[int, Scalar]:
+    """{basis index: nonzero coefficient} of a list of {basis, coeff} entries."""
+    out: Sums = {}
+    _add_terms(out, value, path, index, 1)
+    return dict(_reduced_items(out))
 
 
 def _terms_list(a: AlgebraElement) -> list:
@@ -243,7 +251,7 @@ def _parse_base(value, path: str) -> Tuple[BaseAlgebra, Dict[str, int]]:
         if idx in differential:
             _refuse(f"duplicate entry for basis {item['basis']!r}", (at, k))
         differential[idx] = _parse_terms(item["terms"], (at, k, ".terms"), index)
-        if idx == unit and any(not c.is_zero() for c in differential[idx].values()):
+        if idx == unit and differential[idx]:
             _refuse(f"differential of the unit {unit_name!r} is not zero", (at, k))
     return BaseAlgebra(basis, unit=unit, products=products, differential=differential), index
 
@@ -280,15 +288,13 @@ def _parse_module_value(
 ) -> ModuleElement:
     """A module element from a list of {generator, terms} entries; index maps
     the generator names."""
-    base = module.base
-    out: Dict[int, AlgebraElement] = {}
+    sums: Dict[int, Sums] = {}
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _MODULE_TERM:
             _object(item, (path, k), _MODULE_TERM)
         idx = _name(index, item["generator"], (path, k, ".generator"), _NO_GENERATOR)
-        coeff = AlgebraElement(base, _parse_terms(item["terms"], (path, k, ".terms"), base_index))
-        out[idx] = out.get(idx, base.zero()) + coeff
-    return ModuleElement(module, out)
+        _add_terms(sums.setdefault(idx, {}), item["terms"], (path, k, ".terms"), base_index, 1)
+    return ModuleElement(module, {i: _summed(module.base, out) for i, out in sums.items()})
 
 
 def _module_value_list(v: ModuleElement) -> list:
@@ -344,43 +350,51 @@ def _module_dict(module: FreeModule) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _word(names, path: JsonPath, alg: SymAlgebra, letter_index: Dict[str, int]) -> Optional[Tuple[Word, int]]:
+    """The sorted word of a list of letter names of alg and its sort sign
+    exponent (``_sort_word``), None for a word with a repeated odd letter; a
+    word over the cap is refused."""
+    word = _names(letter_index, names, path, _NO_LETTER)
+    if len(word) > alg.cap:
+        _refuse(f"word of weight {len(word)} overflows the weight cap {alg.cap}", path)
+    return _sort_word(alg.letter_degrees, word)
+
+
 def _parse_sym(
-    value, path: JsonPath, alg: SymAlgebra, letter_index: Dict[str, int], base_index: Dict[str, int]
+    value,
+    path: JsonPath,
+    alg: SymAlgebra,
+    letter_index: Dict[str, int],
+    words: Dict[tuple, Optional[Tuple[Word, int]]],
+    base_index: Dict[str, int],
 ) -> SymElement:
     """An element of alg from a list of {word, terms} entries; letter_index
-    maps alg's letter names.  Each word is checked against the cap and then
-    sorted by ``_sort_word``, which drops a word with a repeated odd letter.
-    The terms of each sorted word are summed as {basis index: Scalar}, the
-    sort sign on the Scalars, and each word becomes one AlgebraElement, in
-    word order, at the end."""
-    base, cap, degrees = alg.base, alg.cap, alg.letter_degrees
-    data: Dict[Tuple[int, ...], Dict[int, Scalar]] = {}
+    maps alg's letter names.  Each word is resolved, checked against the cap
+    and sorted by ``_word`` once per parse: words keeps what it gave for each
+    tuple of names met.  A word with a repeated odd letter is zero, but its
+    terms are checked.  The terms of each sorted word are summed as
+    unreduced triples in one accumulator, the sort sign on each, so no
+    Scalar is made per term; each coefficient is reduced once, when the
+    element is made."""
+    acc: Triples = {}
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _WORD:
             _object(item, (path, k), _WORD)
-        word = _names(letter_index, item["word"], (path, k, ".word"), _NO_LETTER)
-        if len(word) > cap:
-            _refuse(f"word of weight {len(word)} overflows the weight cap {cap}", (path, k, ".word"))
-        terms = _parse_terms(item["terms"], (path, k, ".terms"), base_index)
-        merged = _sort_word(degrees, word)
+        names = item["word"]
+        key = tuple(names) if type(names) is list else names
+        try:
+            merged = words[key]
+        except (KeyError, TypeError):  # not met before, or not a list of names
+            merged = words[key] = _word(names, (path, k, ".word"), alg, letter_index)
         if merged is None:  # a repeated odd letter: the word is zero
+            _add_terms(None, item["terms"], (path, k, ".terms"), base_index, 1)
             continue
         w, exponent = merged
-        old = data.get(w)
-        if old is None:
-            data[w] = {i: -c for i, c in terms.items()} if exponent & 1 else terms
-            continue
-        for i, c in terms.items():
-            if exponent & 1:
-                c = -c
-            was = old.get(i)
-            old[i] = c if was is None else was + c
-    pairs = []
-    for w in sorted(data):
-        coeffs = tuple(sorted(p for p in data[w].items() if p[1].n_re or p[1].n_im))
-        if coeffs:
-            pairs.append((w, _element(base, coeffs)))
-    return _sym_element(alg, tuple(pairs))
+        out = acc.get(w)
+        if out is None:
+            out = acc[w] = {}
+        _add_terms(out, item["terms"], (path, k, ".terms"), base_index, -1 if exponent & 1 else 1)
+    return _row_element(alg, _reduced_row(acc))
 
 
 def _sym_list(el: SymElement) -> list:
@@ -396,26 +410,32 @@ def _sym_list(el: SymElement) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _parse_family(value, path: str, fam: TensorFamily, frame: SplitFrame, base_index: Dict[str, int]) -> dict:
+def _parse_family(
+    value, path: str, fam: TensorFamily, frame: SplitFrame, words: dict, base_index: Dict[str, int]
+) -> dict:
     """The tables of one tensor family ({k: table} for a weighted one); an
-    entry repeating an index (at the same weight) is refused."""
+    entry repeating an index (at the same weight) is refused.  words[values
+    algebra] keeps the sorted words of ``_parse_sym`` for every family with
+    values there."""
     key = fam.key
     fields = _keys("weight", key, "value") if fam.weighted else _keys(key, "value")
     names, _ = frame.index_set(fam)
     position = {name: i for i, name in enumerate(names)}
     alg = frame.values_algebra(fam)
     letter_index = {name: i for i, name in enumerate(alg.letter_names)}
+    memo = words.setdefault(alg, {})
+    least = fam.weight
     tables: Dict[int, Dict[int, SymElement]] = {}
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != fields:
             _object(item, (path, k), fields)
-        weight = fam.weight
+        weight = least
         if fam.weighted:
             weight = _int(item["weight"], (path, k, ".weight"))
             if weight > frame.cap:
                 _refuse(f"curvature weight {weight} overflows the weight cap {frame.cap}", (path, k, ".weight"))
-            if weight < fam.weight:
-                _refuse(f"curvature weight {weight} is below the least weight {fam.weight}", (path, k, ".weight"))
+            if weight < least:
+                _refuse(f"curvature weight {weight} is below the least weight {least}", (path, k, ".weight"))
         name = item[key]
         i = position.get(name) if type(name) is str else None
         if i is None:
@@ -431,10 +451,10 @@ def _parse_family(value, path: str, fam: TensorFamily, frame: SplitFrame, base_i
         if i in table:
             at_weight = f" at weight {weight}" if fam.weighted else ""
             _refuse(f"duplicate entry for {key} {name!r}{at_weight}", (path, k))
-        value = table[i] = _parse_sym(item["value"], (path, k, ".value"), alg, letter_index, base_index)
+        value = table[i] = _parse_sym(item["value"], (path, k, ".value"), alg, letter_index, memo, base_index)
         if key == "basis" and i == frame.base.unit and not value.is_zero():
             _refuse(f"{fam.name} on the unit {name!r} is not zero", (path, k))
-    return tables if fam.weighted else tables.get(fam.weight, {})
+    return tables if fam.weighted else tables.get(least, {})
 
 
 def _family_list(g: GeometricModel, fam: TensorFamily) -> list:
@@ -554,8 +574,9 @@ def parse_model(
             _refuse("closed_beta must be a boolean", "$.closed_beta")
         frame = SplitFrame(base, tangent, normal, cap=weight_cap)
         tensors = _object(d.get("tensors", {}), "$.tensors", [fam.name for fam in TENSOR_FAMILIES], ())
+        words: dict = {}
         tables = {
-            fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, frame, base_index)
+            fam.name: _parse_family(tensors.get(fam.name, []), f"$.tensors.{fam.name}", fam, frame, words, base_index)
             for fam in TENSOR_FAMILIES
         }
         try:

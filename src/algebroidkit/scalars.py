@@ -245,9 +245,9 @@ def _add_multiple(out: Sums, pairs: Iterable[Tuple[int, Scalar]], n_re: int, n_i
 
 def _reduced_items(out: Sums) -> Tuple[Tuple[int, Scalar], ...]:
     """The nonzero entries of out in index order, each reduced by one
-    ``_reduce``."""
+    ``_reduce``; a single entry is not sorted."""
     items = []
-    for k in sorted(out):
+    for k in sorted(out) if len(out) > 1 else out:
         n_re, n_im, den = out[k]
         if n_re or n_im:
             items.append((k, _reduce(n_re, n_im, den)))

@@ -106,6 +106,8 @@ class SymAlgebra:
         self.cap = cap
         self._words: Dict[int, Tuple[Word, ...]] = {}
         self._generators: Optional[Tuple[Tuple[int, int, str, SymElement], ...]] = None
+        # elements are immutable, so the zero is made once and shared
+        self._zero = _sym_element(self, ())
 
     @staticmethod
     def over_module(module: FreeModule, cap: int = 4) -> "SymAlgebra":
@@ -149,7 +151,7 @@ class SymAlgebra:
         return gens
 
     def zero(self) -> "SymElement":
-        return SymElement(self, {})
+        return self._zero
 
     def one(self) -> "SymElement":
         return SymElement(self, {(): self.base.one()})

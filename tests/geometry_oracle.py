@@ -25,14 +25,19 @@ pass, kept as test oracles.
   ``oracle_contraction_table``, the dhat rows of ``oracle_dhat_rows`` and the
   ambient d0 of ``oracle_ambient_d0``, its tangent letters dualized one by
   one.
+* ``oracle_geometric_degree_problems(g)`` is ``geometry.geometric_degree_problems``
+  as it stood before it decided each value in one walk of its terms: the
+  weights, degree and word bidegrees of every stored value read by the
+  element methods, whether or not the value fits its row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
+from algebroidkit.algebra import _degree_problem
 from algebroidkit.algebroid import AlgebroidStructure, ce_differential
-from algebroidkit.geometry import build_frakD, structure_from_geometry
+from algebroidkit.geometry import TENSOR_FAMILIES, build_frakD, structure_from_geometry
 from algebroidkit.linfty import BracketTable
 from algebroidkit.modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
@@ -266,3 +271,34 @@ def oracle_duality_residual(g) -> Dict[str, SymElement]:
         if lhs != rhs:
             out[label] = lhs - rhs
     return out
+
+
+# -- the row check of the model constructor -----------------------------------------
+
+
+def oracle_geometric_degree_problems(g) -> List[str]:
+    """Degree and bidegree bookkeeping of every stored tensor against its row
+    of ``TENSOR_FAMILIES``, value by value through the element methods."""
+    problems: List[str] = []
+    for fam in TENSOR_FAMILIES:
+        names, degrees = g.index_set(fam)
+        m = fam.bidegree[0]
+        for k, table in g.weight_tables(fam).items():
+            if k < fam.weight:
+                problems.append(f"{fam.name} arity {k} < {fam.weight}")
+                continue
+            for i, el in table.items():
+                if el.is_zero():
+                    continue
+                index = names[i] if fam.index == "base" else i
+                name = f"{fam.name}[{k}][{index}]" if fam.weighted else f"{fam.name}[{index}]"
+                if fam.values == "normal" and el.weights() != [k]:
+                    problems.append(f"{name} has weights {el.weights()}")
+                problem = _degree_problem(name, el, degrees[i] + fam.shift)
+                if problem:
+                    problems.append(problem)
+                if fam.values == "ambient":
+                    for w, _ in el.items():
+                        if g.bidegree(w) != (m, k - m):
+                            problems.append(f"{name} has a word of bidegree {g.bidegree(w)}")
+    return problems

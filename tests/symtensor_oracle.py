@@ -34,13 +34,19 @@ replaced.  ``oracle_square`` and
 through them, exp(phi) as the series of phi's powers (``oracle_exp_series``).
 The base product and d_A (``scalar_base_mul``, ``scalar_base_d``) and the
 two Chevalley-Eilenberg transposes (``scalar_letter_transpose``,
-``scalar_word_transpose``) on the same Scalar path."""
+``scalar_word_transpose``) on the same Scalar path.
+
+The random phi of ``mc`` as ``fixtures.random_weight_raising_derivation``
+drew it before it solved only the degrees of Der(A) that some word reads:
+``oracle_weight_raising_derivation`` solves every degree k and reads the
+degree of a word wherever it needs it.  Both must make the same rng draws."""
 
 from __future__ import annotations
 
 from math import factorial
 
 from algebroidkit.algebra import AlgebraElement
+from algebroidkit.linfty import algebra_derivation_basis
 from algebroidkit.modules import pair_dual
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _sort_word
@@ -346,3 +352,43 @@ def oracle_conjugate(Phi, D):
         return oracle_exp_series(phi, oracle_apply(D, oracle_exp_series(phi, x, -1)), 1)
 
     return _on_generators(D.algebra, value, D.degree)
+
+
+def oracle_weight_raising_derivation(rng, alg, density: float = 0.7) -> DerivationD:
+    """A random degree-0 derivation raising weight by at least one, drawn
+    with a Der(A) solve for every degree k in the base's degree span."""
+    base = alg.base
+    on_algebra = {i: alg.zero() for i in range(base.dim)}
+    lo, hi = base.degree_range()
+    for k in range(lo - hi, hi - lo + 1):
+        ders = algebra_derivation_basis(base, k)
+        if not ders:
+            continue
+        for r in range(1, alg.cap + 1):
+            for w in alg.words_of_weight(r):
+                coeff_degree = -k - alg.word_degree(w)
+                cands = [b for b in range(base.dim) if base.degrees[b] == coeff_degree]
+                if not cands or rng.random() > density:
+                    continue
+                for delta in ders:
+                    if rng.random() > density:
+                        continue
+                    u = alg.word(w, base.basis_element(rng.choice(cands)).scale(rng.scalar()))
+                    for i in range(base.dim):
+                        val = delta.value_on(i)
+                        if val.is_zero():
+                            continue
+                        on_algebra[i] = on_algebra[i] + u * alg.scalar(val)
+    words = [w for r in range(2, alg.cap + 1) for w in alg.words_of_weight(r)]
+    on_letters = {}
+    for i in range(alg.n_letters):
+        parts = {}
+        for w in words:
+            if rng.random() > density:
+                continue
+            need = alg.letter_degrees[i] - alg.word_degree(w)
+            cands = [b for b in range(base.dim) if base.degrees[b] == need]
+            if cands:
+                parts[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
+        on_letters[i] = SymElement(alg, parts)
+    return DerivationD(alg, on_algebra, on_letters, degree=0, check=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -39,6 +40,7 @@ from algebroidkit.geometry import (
     build_kapranov,
     commutator_lemma_residual,
     duality_residual,
+    geometric_degree_problems,
     retraction_residual,
     structure_from_geometry,
     transport_lemma_residual,
@@ -58,6 +60,7 @@ from geometry_oracle import (
     oracle_build_frakD,
     oracle_build_kapranov,
     oracle_duality_residual,
+    oracle_geometric_degree_problems,
     oracle_structure_from_geometry,
     oracle_tangent_series,
 )
@@ -515,6 +518,52 @@ def test_build_frakD_applies_each_series_once_per_shape_power(workloads, monkeyp
     assert len(calls) == sum(applies for applies, _, _ in counts)
     assert {id(der) for der in calls} == {id(g._shape)}
     assert len(walks) == sum(walked for _, walked, _ in counts)
+
+
+def test_build_frakD_checks_each_part_once(workloads, monkeypatch, tmp_path):
+    """A frakd-square checks the degree of each stored value once, where it
+    is built: the normal d0 in ``d0_derivation`` and the two tangent series
+    in ``build_frakD``, whose sums with the Rperp values (which the model's
+    rows fix) are not checked again.  So no stored value of the
+    differential is read twice."""
+    text = workloads.generate_model_text("gen_a3_b4_w5.geometric", 0)
+    g = parse_model(text)
+    d0 = g.normal_d0()
+    series = [(g.base.names[b], geometry._tangent_series(g, g.dhat[b])) for b in range(g.base.dim)]
+    series += [(g.nor.letter_names[j], geometry._tangent_series(g, g.gamma[j])) for j in range(g.b)]
+    parts = [(label, repr(v)) for _, label, _, v in d0.labelled()]
+    parts += [(label, repr(v)) for label, v in series if v.coeffs]
+    D = build_frakD(g)
+    stored = [label for _, label, _, _ in D.labelled()]
+    assert len(d0.on_algebra) and len(stored) == len(parts)
+    read = []
+    check = DerivationD._check_degrees
+
+    def counting(self):
+        read.extend((label, repr(v)) for _, label, _, v in self.labelled())
+        check(self)
+
+    monkeypatch.setattr(DerivationD, "_check_degrees", counting)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["frakd-square", str(path), "--json", str(tmp_path / "report.json")]) in (0, 1)
+    assert read == parts
+    assert sorted(label for label, _ in read) == sorted(stored)
+
+
+def test_build_frakD_refuses_a_series_of_the_wrong_degree(workloads, monkeypatch):
+    """The tangent series are checked where they are built: one that has
+    degree 0 instead of the degree 1 of the differential is refused."""
+    g = parse_model(workloads.generate_model_text("gen_a3_b4_w5.geometric", 0))
+    series = geometry._tangent_series
+
+    def wrong(model, start):
+        out = series(model, start)
+        return out if out.is_zero() else model.nor.one()
+
+    monkeypatch.setattr(geometry, "_tangent_series", wrong)
+    with pytest.raises(DegreeError, match="has degree 0, expected"):
+        build_frakD(g)
 
 
 def test_frakd_square_random_localizes():
@@ -1056,6 +1105,55 @@ def test_normal_projection_is_a_left_inverse_of_the_inclusion(workloads):
         g = models[name]
         for el in _spanning(g.nor):
             assert g.rho_dual(g.to_amb(el)) == el, (name, el)
+
+
+def _inject_row_fault(rng, g) -> None:
+    """One fault in a table of g, in place: a table below its family's least
+    weight, a weighted table moved to the next weight, or a value given an
+    extra term on a random word and basis element (of any weight, bidegree
+    and degree, so that it may fit the row too)."""
+    fam = rng.choice(TENSOR_FAMILIES)
+    alg = g.values_algebra(fam)
+    base = g.base
+    kind = rng.choice(["arity", "move", "term", "term"]) if fam.weighted else "term"
+    tables = getattr(g, fam.name)
+    if kind == "arity":
+        tables[rng.randrange(fam.weight)] = {}
+    elif kind == "move" and tables:
+        k = rng.choice(sorted(tables))
+        tables[k + 1] = {**tables.get(k + 1, {}), **tables.pop(k)}
+    else:
+        if fam.weighted:
+            table = tables.setdefault(rng.randrange(fam.weight, g.cap + 1), {})
+        else:
+            table = tables
+        i = rng.randrange(len(g.index_set(fam)[0]))
+        word = rng.choice(alg.words_of_weight(rng.randrange(g.cap + 1)) or [()])
+        extra = SymElement(alg, {word: base.basis_element(rng.randrange(base.dim))})
+        table[i] = table.get(i, alg.zero()) + extra
+
+
+def test_degree_problems_match_the_former_value_walk(workloads):
+    """``geometric_degree_problems`` walks each value once and writes
+    messages only for the values that fail there: on models with one to
+    three injected degree, bidegree, weight and arity faults it gives the
+    problems of ``oracle_geometric_degree_problems``, texts and order."""
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    texts = [path.read_text() for path in sorted(fixtures.glob("*.geometric.json"))]
+    texts += [workloads.generate_model_text(name, 0) for name in sorted(workloads.GENERATED)]
+    rng = random.Random(43)
+    seen = Counter()
+    for text in texts:
+        assert geometric_degree_problems(parse_model(text)) == []
+        for _ in range(25):
+            g = parse_model(text)
+            for _ in range(rng.randint(1, 3)):
+                _inject_row_fault(rng, g)
+            problems = geometric_degree_problems(g)
+            assert problems == oracle_geometric_degree_problems(g)
+            for kind in ("has degree", "is not homogeneous", "has weights", "of bidegree", "arity"):
+                seen[kind] += sum(kind in problem for problem in problems)
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 def test_model_refuses_a_gamma_word_without_tangent_letters():

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.algebra import BaseAlgebra
-from algebroidkit import modelio
+from algebroidkit import modelio, scalars
 from algebroidkit.errors import DegreeError, ParseError
 from algebroidkit.fixtures import (
     Rng,
@@ -578,7 +579,58 @@ def _oracle_documents():
         g = random_geometric_model(Rng(seed), kodaira_base(), tangent, normal, cap=4, seed_modules=seed)
         docs[f"random_{len(tangent)}x{len(normal)}"] = serialize_model(g)
     docs["random_3x4_vanishing_words"] = _with_extra_words(docs["random_3x4"], _VANISHING_WORDS)
+    for name in ("random_3x4", "generic.geometric.json"):
+        docs[name.split(".")[0] + "_noncanonical"] = _noncanonical(docs[name], seed=43)
     return docs
+
+
+def _noncanonical(text: str, seed: int) -> str:
+    """The model of text written the long way, term by term and word by word
+    as a seeded rng picks: quadruples unreduced, with a negative den, or
+    with negative den and iden; a term split into two halves on its basis
+    element; a word entry split into two entries of half the terms; and
+    words listed in reverse order, their terms negated where the reversal
+    moves an odd number of pairs of odd letters past each other."""
+    doc = json.loads(text)
+    rng = random.Random(seed)
+    odd = {g["name"] + "^" for side in ("tangent", "normal") for g in doc[side]["generators"] if g["degree"] % 2}
+
+    def half(q):
+        return {**q, "den": 2 * q["den"], "iden": 2 * q["iden"]}
+
+    def halves(terms):
+        return [{"basis": t["basis"], "coeff": half(t["coeff"])} for t in terms]
+
+    for entries in doc["tensors"].values():
+        for entry in entries:
+            value = []
+            for item in entry["value"]:
+                terms = []
+                for term in item["terms"]:
+                    q, kind = term["coeff"], rng.randrange(5)
+                    if kind == 0:
+                        q = {"num": 3 * q["num"], "den": 3 * q["den"], "inum": 5 * q["inum"], "iden": 5 * q["iden"]}
+                    elif kind == 1:
+                        q = {**q, "num": -q["num"], "den": -q["den"]}
+                    elif kind == 2:
+                        q = {"num": -q["num"], "den": -q["den"], "inum": -q["inum"], "iden": -q["iden"]}
+                    elif kind == 3:
+                        q = half(q)
+                        terms.append({"basis": term["basis"], "coeff": q})
+                    terms.append({"basis": term["basis"], "coeff": q})
+                word = item["word"]
+                if len(word) > 1 and rng.random() < 0.5:
+                    word = word[::-1]
+                    o = sum(name in odd for name in word)
+                    if o * (o - 1) // 2 % 2:
+                        terms = [{"basis": t["basis"], "coeff": {**t["coeff"], "num": -t["coeff"]["num"],
+                                                                 "inum": -t["coeff"]["inum"]}} for t in terms]
+                if rng.random() < 0.3:
+                    terms = halves(terms)
+                    value.append({"word": word, "terms": terms})
+                value.append({"word": word, "terms": terms})
+            entry["value"] = value
+    return json.dumps(doc)
 
 
 # Words of the normal letters n1^ and n3^, both odd, added to the first
@@ -717,6 +769,75 @@ def test_words_whose_sort_signs_cancel_or_that_repeat_an_odd_letter_vanish():
     first = parse_model(plain).curv_perp[2][0]
     assert (0, 2) not in first.data
     assert twice.data[(0, 2)].coeffs == first.data[(0, 0)].scale(Scalar(2)).coeffs
+
+
+def test_noncanonical_words_and_quadruples_parse_to_the_canonical_model():
+    """Unreduced quadruples, negative denominators, a basis element twice in
+    a word, a word twice in a value and unsorted words with odd letters are
+    summed to the model they write the long way."""
+    for name, plain in (("random_3x4", ORACLE_DOCUMENTS["random_3x4"]),
+                        ("generic", ORACLE_DOCUMENTS["generic.geometric.json"])):
+        text = ORACLE_DOCUMENTS[f"{name}_noncanonical"]
+        doc = json.loads(text)
+        letters = [g for side in ("tangent", "normal") for g in doc[side]["generators"]]
+        position = {g["name"] + "^": k for k, g in enumerate(letters)}
+        odd = {g["name"] + "^" for g in letters if g["degree"] % 2}
+        values = [e["value"] for entries in doc["tensors"].values() for e in entries]
+        words = [item for value in values for item in value]
+        quadruples = [t["coeff"] for item in words for t in item["terms"]]
+        assert any(q["den"] < 0 < q["iden"] for q in quadruples) and any(q["den"] < 0 > q["iden"] for q in quadruples)
+        assert any(q["num"] % 3 == q["den"] % 3 == 0 != q["num"] for q in quadruples)
+        assert any(len({t["basis"] for t in item["terms"]}) < len(item["terms"]) for item in words)
+        assert any(len({json.dumps(item["word"]) for item in value}) < len(value) for value in values)
+        assert any(
+            sorted(item["word"], key=position.get) != item["word"] and len(odd.intersection(item["word"])) > 1
+            for item in words
+        )
+        assert serialize_model(parse_model(text)) == serialize_model(parse_model(plain)), name
+
+
+def test_each_coefficient_of_a_parsed_tensor_is_reduced_once(monkeypatch, workloads):
+    """The terms of a word are summed as unreduced triples, so a ``_parse_sym``
+    call makes at most one Scalar per nonzero coefficient of the element it
+    returns: none per term, none for a sum of two Scalars, none for a word
+    that vanishes.  On all 10 model files and the oracle documents, which
+    repeat basis elements, words and odd letters."""
+    made = []
+    triple = scalars._triple
+    init = Scalar.__init__
+
+    def counting_triple(*args):
+        made.append(args)
+        return triple(*args)
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    # every name the package binds to the one Scalar factory
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("algebroidkit"):
+            for name, value in list(vars(module).items()):
+                if value is triple:
+                    monkeypatch.setattr(module, name, counting_triple)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    parse_sym = modelio._parse_sym
+    calls = []
+
+    def counted(*args):
+        before = len(made)
+        el = parse_sym(*args)
+        calls.append((len(made) - before, sum(len(a.coeffs) for _, a in el.items())))
+        return el
+
+    monkeypatch.setattr(modelio, "_parse_sym", counted)
+    texts = [path.read_text() for path in sorted(GENERIC.parent.glob("*.json"))]
+    texts += [workloads.generate_model_text(name, 0) for name in sorted(workloads.GENERATED)]
+    assert len(texts) == 10
+    for text in texts + list(ORACLE_DOCUMENTS.values()):
+        parse_model(text)
+    assert calls and all(scalars_made <= coefficients for scalars_made, coefficients in calls)
+    assert sum(n for n, _ in calls) == sum(c for _, c in calls)
 
 
 def _fault(rng, doc, node, key, fault) -> None:

@@ -7,13 +7,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from algebroidkit.algebra import BaseAlgebra, _summed, validate_base_algebra
-from algebroidkit.algebroid import _letter_transpose, _word_transpose, d0_derivation
+from algebroidkit.algebroid import AlgebroidStructure, _letter_transpose, _word_transpose, d0_derivation
 from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.geometry import _grid
 from algebroidkit.fixtures import (
@@ -51,6 +52,7 @@ from symtensor_oracle import (
     oracle_conjugate,
     oracle_mc_residual,
     oracle_row,
+    oracle_weight_raising_derivation,
     oracle_square,
     reference_apply_inverse,
     reference_automorphism_apply,
@@ -588,6 +590,35 @@ def test_conjugation_preserves_square_zero_and_gr():
         assert square_components(D) == {}
         assert D.weight_component(0) == D0  # gr-invariance: weight part is D0
         assert mc_residual(D0, D) == {}
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def test_the_mc_draw_matches_the_draw_that_solved_every_degree(workloads):
+    """phi of ``mc`` (``random_unipotent``) solves only the degrees of Der(A)
+    some word reads, yet draws what the draw that solved every degree drew,
+    with the same rng draws after it: seeds 0-20 on the carrier algebra of
+    every shipped fixture and generated model, at its stored cap."""
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.json"))]
+    texts += [workloads.generate_model_text(name, 0) for name in sorted(workloads.GENERATED)]
+    assert len(texts) == 10
+    solved = 0
+    for text in texts:
+        model = parse_model(text)
+        if isinstance(model, AlgebroidStructure):
+            carrier, cap = model.carrier, model.bracket_cap
+        else:
+            carrier, cap = model.normal, model.cap
+        alg = SymAlgebra.over_module(carrier, cap=cap)
+        for seed in range(21):
+            rng, oracle_rng = Rng(seed), Rng(seed)
+            phi = _random_unipotent(rng, alg).phi
+            want = oracle_weight_raising_derivation(oracle_rng, alg, 0.25)
+            assert (phi.on_algebra, phi.on_letters) == (want.on_algebra, want.on_letters)
+            assert rng.random() == oracle_rng.random()
+            solved += any(phi.on_algebra.values())
+    assert solved
 
 
 def test_conjugate_of_zero_is_zero():

@@ -308,15 +308,6 @@ class GeometricModel(SplitFrame):
         p = self.tangent_count(word)
         return p, len(word) - p
 
-    def project_bidegree(self, el: SymElement, p: int) -> SymElement:
-        if not self.amb.compatible(el.algebra):
-            raise BaseMismatch("element is not over the ambient algebra")
-        return _normalized(self.amb, {w: c for w, c in el.items() if self.tangent_count(w) == p})
-
-    def p1(self, el: SymElement) -> SymElement:
-        """Projection onto words with exactly one tangent letter."""
-        return self.project_bidegree(el, 1)
-
     def to_amb(self, el: SymElement) -> SymElement:
         if self.amb.compatible(el.algebra):
             return _sym_element(self.amb, el.coeffs)

@@ -37,12 +37,11 @@ arity-1 part is the differential d0 induced by (d_A, d_L)
 (``algebroid.d0_derivation``).  No command calls ``from_values`` or
 ``evaluate``.
 
-The product and the Leibniz rule form each output term once: the
-concatenated letters are sorted with their Koszul sign (``signs._sort_word``:
-one factor -1 per pair of odd letters moved past each other, zero on a
-repeated odd letter) and the coefficient is summed through the one product
-rule of the base (``algebra._add_product``).  For base elements e_i, e_j and
-words w1, w2
+The product and the Leibniz rule form each output term once: the letters
+are merged into a sorted word with their Koszul sign (one factor -1 per pair
+of odd letters moved past each other, zero on a repeated odd letter) and the
+coefficient is summed through the one product rule of the base
+(``algebra._add_product``).  For base elements e_i, e_j and words w1, w2
 
     (a e_i) w1 * (b e_j) w2 = (-1)^(|e_j||w1| + s) (a b e_i e_j) sort(w1 w2),
 
@@ -56,6 +55,24 @@ substituted once with weight m.  The untouched letters of the Leibniz rule
 carry the unit coefficient, and multiplying by it is left out: that is exact,
 as ``BaseAlgebra`` refuses a product that breaks the unit law.
 
+The product sorts the concatenated letters (``signs._sort_word``).  The
+Leibniz walk concatenates and sorts nothing: it keys every word by a packed
+integer, the sum of unit[x] = 1 << B x over its letters x (B = cap.bit_length()
++ 1 bits of exponent per letter), beside the bitmask of its odd letters.  A
+substitution of v for the letter x of w is then one integer add,
+
+    key(sort(prefix v rest)) = key(w) - unit[x] + key(v),
+
+zero exactly when odd(v) & (P | C), P and C the odd masks of prefix and rest,
+with sort sign exponent s = popcount((P & above(v)) ^ (C & below(v))), where
+above(v) / below(v) is the XOR, over the odd letters y of v, of the odd
+letters greater / less than y; D(e_i) = sum (c e_k) v gives key(w) + key(v),
+zero when odd(v) & odd(w), and s = popcount(odd(w) & below(v)).  The value
+terms are packed once per derivation; the words of an argument, and the words
+of the result keys, once per ``SymAlgebra``, whose {word: key} and
+{key: word} tables hold words of the algebra only.  Elements, the parser, the
+serializer and the reports keep sorted tuples.
+
 A ``DerivationD`` applies the Leibniz rule in one walk over the terms
 s e_i w of its argument (basis element e_i, sorted word w, scalar s): each
 term of s D(e_i w) is added straight into the one accumulator of the
@@ -66,18 +83,18 @@ same walk over the one term e_i w; the lemma checks of ``geometry`` read it.
 Products and ``apply`` results are summed in the one coefficient
 accumulator of ``scalars`` (unreduced triples, each coefficient reduced
 once, when its sum is complete), so every coefficient of a result is a
-reduced nonzero Scalar.  A derivation keeps its values as terms sorted by
-word length, so the walk stops at the first term over the cap; the sorted
-word and sign of every concatenation of letters its walks met; and its
-square, made once, one walk per stored value: D(x) on a generator is read
-off the table, as a derivation kills the unit (``DerivationD`` refuses a
-value there).  A ``FilteredAutomorphism`` is exp(phi) for a
-weight-raising derivation phi and keeps no table: it sums the series of
-phi's powers, each one walk of phi.
+reduced nonzero Scalar.  A derivation keeps its values as packed terms
+sorted by word length, so the walk stops at the first term over the cap,
+and its square, made once, one walk per stored value: D(x) on a generator
+is read off the table, as a derivation kills the unit (``DerivationD``
+refuses a value there).  It keeps no state of its walks.  A
+``FilteredAutomorphism`` is exp(phi) for a weight-raising derivation phi and
+keeps no table: it sums the series of phi's powers, each one walk of phi.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, Combination, _add_product, _degree_problem, _element, _refuse_foreign
@@ -105,6 +122,14 @@ class SymAlgebra:
         self.letter_degrees = tuple(int(d) for _, d in letters)
         self.cap = cap
         self._words: Dict[int, Tuple[Word, ...]] = {}
+        # the packed words of the Leibniz walk (``DerivationD._walk``): B bits
+        # of exponent per letter, unit[x] = 1 << B x, and the bit of each odd
+        # letter; each word met is packed, and each key met unpacked, once
+        self._bits = cap.bit_length() + 1
+        self._unit = tuple(1 << self._bits * x for x in range(len(letters)))
+        self._odd_bit = tuple((d & 1) << x for x, d in enumerate(self.letter_degrees))
+        self._packed: Dict[Word, Tuple[int, int]] = {}
+        self._unpacked: Dict[int, Word] = {}
         self._generators: Optional[Tuple[Tuple[int, int, str, SymElement], ...]] = None
         # elements are immutable, so the zero is made once and shared
         self._zero = _sym_element(self, ())
@@ -173,6 +198,28 @@ class SymAlgebra:
             return self.zero()
         w, exponent = merged
         return SymElement(self, {w: c.scale(sign_scalar(exponent))})
+
+    def _pack(self, word: Word) -> Tuple[int, int]:
+        """The packed key of a word, the sum of unit[x] over its letters x,
+        and the mask of its odd letters; packed once per algebra."""
+        unit, odd_bit = self._unit, self._odd_bit
+        key = mask = 0
+        for x in word:
+            key += unit[x]
+            mask |= odd_bit[x]
+        packed = self._packed[word] = key, mask
+        return packed
+
+    def _unpack(self, key: int) -> Word:
+        """The sorted word of a packed key; unpacked once per algebra."""
+        bits, letters, x, rest = self._bits, [], 0, key
+        field = (1 << bits) - 1
+        while rest:
+            letters.extend((x,) * (rest & field))
+            rest >>= bits
+            x += 1
+        word = self._unpacked[key] = tuple(letters)
+        return word
 
     def compatible(self, other: "SymAlgebra") -> bool:
         return self is other or (
@@ -286,12 +333,11 @@ Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
 # (``_reduced_row``).
 Triples = Dict[Word, Sums]
 
-# The terms of one stored derivation value, shortest words first: (word,
-# length, coefficients as (basis index, Scalar) pairs).
-ValueTerms = Tuple[Tuple[Word, int, Tuple[Tuple[int, Scalar], ...]], ...]
-
-# marks a concatenation the ``_sorted`` memo of a derivation has not met
-_UNSEEN = object()
+# The terms of one stored derivation value, shortest words first: (length,
+# packed key, odd mask, above, below, coefficients as (basis index, Scalar)
+# pairs), above / below the XOR over the odd letters y of the word of the
+# odd letters greater / less than y (``DerivationD._value_terms``).
+ValueTerms = Tuple[Tuple[int, int, int, int, int, Tuple[Tuple[int, Scalar], ...]], ...]
 
 
 def _reduced_row(acc: Triples) -> Row:
@@ -427,7 +473,7 @@ class DerivationD:
     on_letters maps letter indices likewise.  The weight-n component D_n acts
     on the base with weight-n values and on letters with weight-(n+1) values.
     ``apply`` walks these values, beside which the derivation keeps their
-    sorted terms and sorted words, and ``square`` keeps the square, so they
+    packed terms, and ``square`` keeps the square, so they
     are never changed after construction.  A nonzero value on the unit is
     refused: a derivation kills it.
     """
@@ -457,11 +503,9 @@ class DerivationD:
         unit = algebra.base.unit
         if unit in self.on_algebra:
             raise KitError(f"derivation value on the unit {algebra.base.names[unit]!r} is not zero")
-        # the values as length-sorted terms (``_value_terms``), each
-        # concatenation of letters the walk met with its sorted word and sign
-        # (or None where it vanishes), and the square (``square``)
+        # the values as packed length-sorted terms (``_value_terms``) and the
+        # square (``square``)
         self._terms: Optional[Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]] = None
-        self._sorted: Dict[Word, Optional[Tuple[Word, int]]] = {}
         self._square: Optional[DerivationD] = None
         if check:
             self._check_degrees()
@@ -531,81 +575,107 @@ class DerivationD:
         (``scalars._add_multiple``, ``algebra._add_product``), so no image of
         a single term is formed.  The terms of each value are read shortest
         first (``_value_terms``), so the walk stops at the first one over the
-        cap; each concatenation is sorted once per derivation (the ``_sorted``
-        memo) and looked up once per word of the argument, for all its basis
-        indices, and words with a repeated odd letter are dropped.  The Leibniz rule
-        multiplies each term by the unit coefficient of the untouched letters;
-        that factor is left out, which is exact: ``BaseAlgebra`` refuses a
-        break of the unit law.
+        cap.  The Leibniz rule multiplies each term by the unit coefficient of
+        the untouched letters; that factor is left out, which is exact:
+        ``BaseAlgebra`` refuses a break of the unit law.
+
+        No letters are concatenated or sorted: each word is a packed key (the
+        sum of unit[x] = 1 << B x over its letters x, B = cap.bit_length() + 1
+        bits of exponent per letter) with the mask of its odd letters.  The
+        words of the argument are packed once each, those of the values once
+        per derivation.  With P and C the odd masks of prefix and rest, and
+        above_v / below_v the XOR over the odd letters y of v of the odd
+        letters greater / less than y, sort(prefix v rest) has the key
+        key(w) - unit[x] + key(v), vanishes iff odd(v) & (P | C), and has
+        s' = popcount((P & above_v) ^ (C & below_v)); sort(v w) has the key
+        key(w) + key(v), vanishes iff odd(v) & odd(w), and has
+        s' = popcount(odd(w) & below_v).  Each result key is unpacked once,
+        through the algebra's {key: word} table (``SymAlgebra._unpack``).
         """
         alg = self.algebra
         base = alg.base
         degrees = base.degrees
         letter_degrees = alg.letter_degrees
+        unit, odd_bit = alg._unit, alg._odd_bit
         odd = self.degree & 1
-        sorted_words = self._sorted
         on_algebra, on_letters = self._terms or self._value_terms()
-        acc: Triples = {}
+        packed = alg._packed
+        acc: Dict[int, Sums] = {}
         for w, a in terms:
             pairs = a.coeffs
             n = len(w)
             room = alg.cap - n
+            key, mask = packed.get(w) or alg._pack(w)
             for i, s in pairs:
-                for v, length, coeffs in on_algebra.get(i, ()):
+                for length, key_v, odd_v, _, below, coeffs in on_algebra.get(i, ()):
                     if length > room:
                         break
-                    letters = v + w
-                    merged = sorted_words.get(letters, _UNSEEN)
-                    if merged is _UNSEEN:
-                        merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
-                    if merged is None:
+                    if odd_v & mask:
                         continue
-                    word, exponent = merged
-                    out = acc.get(word)
+                    out = acc.get(key + key_v)
                     if out is None:
-                        out = acc[word] = {}
-                    t = -1 if exponent & 1 else 1
+                        out = acc[key + key_v] = {}
+                    t = -1 if (mask & below).bit_count() & 1 else 1
                     _add_multiple(out, coeffs, t * s.n_re, t * s.n_im, s.den)
             room += 1
             pos = 0
             prefix_degree = 0
+            prefix_odd = 0
             while pos < n:
                 x = w[pos]
                 end = pos + 1
                 while end < n and w[end] == x:
                     end += 1
                 values = on_letters.get(x)
-                if values is not None:
-                    prefix, rest = w[:pos], w[pos + 1 :]
+                if values is not None and values[0][0] <= room:
+                    others = mask ^ odd_bit[x]
+                    rest_odd = others ^ prefix_odd
+                    key_x = key - unit[x]
                     m = end - pos
                     shift = odd * prefix_degree
-                    for v, length, coeffs in values:
+                    for length, key_v, odd_v, above, below, coeffs in values:
                         if length > room:
                             break
-                        letters = prefix + v + rest
-                        merged = sorted_words.get(letters, _UNSEEN)
-                        if merged is _UNSEEN:
-                            merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
-                        if merged is None:
+                        if odd_v & others:
                             continue
-                        word, exponent = merged
-                        out = acc.get(word)
+                        out = acc.get(key_x + key_v)
                         if out is None:
-                            out = acc[word] = {}
+                            out = acc[key_x + key_v] = {}
+                        exponent = ((prefix_odd & above) ^ (rest_odd & below)).bit_count() + shift
                         for i, s in pairs:
-                            t = -m if (exponent + shift + odd * degrees[i]) & 1 else m
+                            t = -m if (exponent + odd * degrees[i]) & 1 else m
                             _add_product(out, base, i, coeffs, prefix_degree, t * s.n_re, t * s.n_im, s.den)
                 prefix_degree += letter_degrees[x] * (end - pos)
+                prefix_odd |= odd_bit[x]
                 pos = end
-        return acc
+        unpacked = alg._unpacked
+        triples: Triples = {}
+        for k, sums in acc.items():
+            w = unpacked.get(k)
+            triples[alg._unpack(k) if w is None else w] = sums
+        return triples
 
     def _value_terms(self) -> Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]:
         """The stored values as (on_algebra, on_letters) term tables, made
-        once, on the first row: {index: ((word, length, coefficients), ...)},
-        shortest words first."""
+        once, on the first walk: {index: ((length, key, odd, above, below,
+        coefficients), ...)}, shortest words first."""
+        unit, odd_bit = self.algebra._unit, self.algebra._odd_bit
+        odd_letters = sum(odd_bit)
 
         def terms(value: SymElement) -> ValueTerms:
-            return tuple(sorted(((v, len(v), a.coeffs) for v, a in value.items()), key=lambda term: term[1]))
+            out = []
+            for v, a in value.coeffs:
+                key = odd = above = below = 0
+                for y in v:
+                    key += unit[y]
+                    bit = odd_bit[y]
+                    if bit:
+                        odd |= bit
+                        above ^= odd_letters & -(bit << 1)
+                        below ^= odd_letters & (bit - 1)
+                out.append((len(v), key, odd, above, below, a.coeffs))
+            out.sort(key=itemgetter(0))
+            return tuple(out)
 
         self._terms = (
             {i: terms(v) for i, v in self.on_algebra.items()},

@@ -25,6 +25,9 @@ pass, kept as test oracles.
   ``oracle_contraction_table``, the dhat rows of ``oracle_dhat_rows`` and the
   ambient d0 of ``oracle_ambient_d0``, its tangent letters dualized one by
   one.
+* ``project_bidegree(g, el, p)`` and ``p1(g, el)``, the projections of an
+  ambient element onto its words with p tangent letters and with one, which
+  the tests read and no check does.
 * ``oracle_geometric_degree_problems(g)`` is ``geometry.geometric_degree_problems``
   as it stood before it decided each value in one walk of its terms: the
   weights, degree and word bidegrees of every stored value read by the
@@ -37,18 +40,31 @@ from typing import Dict, List, Mapping, Tuple
 
 from algebroidkit.algebra import _degree_problem
 from algebroidkit.algebroid import AlgebroidStructure, ce_differential
+from algebroidkit.errors import BaseMismatch
 from algebroidkit.geometry import TENSOR_FAMILIES, build_frakD, structure_from_geometry
 from algebroidkit.linfty import BracketTable
 from algebroidkit.modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys
-from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, _word_constant
+from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, _normalized, _word_constant
 from symtensor_oracle import oracle_d0_derivation, oracle_dual_differential_letter
 
 Word = Tuple[int, ...]
 
 
 # -- the assembled differential -------------------------------------------------------
+
+
+def project_bidegree(g, el: SymElement, p: int) -> SymElement:
+    """The words of an ambient element with exactly p tangent letters."""
+    if not g.amb.compatible(el.algebra):
+        raise BaseMismatch("element is not over the ambient algebra")
+    return _normalized(g.amb, {w: c for w, c in el.items() if g.tangent_count(w) == p})
+
+
+def p1(g, el: SymElement) -> SymElement:
+    """Projection onto words with exactly one tangent letter."""
+    return project_bidegree(g, el, 1)
 
 
 def _substitute_tangent(g, el: SymElement, table: Mapping[int, SymElement], op_degree: int) -> SymElement:

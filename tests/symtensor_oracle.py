@@ -36,6 +36,11 @@ The base product and d_A (``scalar_base_mul``, ``scalar_base_d``) and the
 two Chevalley-Eilenberg transposes (``scalar_letter_transpose``,
 ``scalar_word_transpose``) on the same Scalar path.
 
+The Leibniz walk as ``DerivationD._walk`` ran it before it packed words:
+``oracle_walk`` concatenates the letters of every substitution and sorts
+them through a memo of the sorted word and sign of each concatenation
+(``signs._sort_word``), over the value terms of ``oracle_value_terms``.
+
 The random phi of ``mc`` as ``fixtures.random_weight_raising_derivation``
 drew it before it solved only the degrees of Der(A) that some word reads:
 ``oracle_weight_raising_derivation`` solves every degree k and reads the
@@ -45,10 +50,10 @@ from __future__ import annotations
 
 from math import factorial
 
-from algebroidkit.algebra import AlgebraElement
+from algebroidkit.algebra import AlgebraElement, _add_product
 from algebroidkit.linfty import algebra_derivation_basis
 from algebroidkit.modules import pair_dual
-from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
+from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, _add_multiple, sign_scalar
 from algebroidkit.signs import _sort_word
 from algebroidkit.symtensor import DerivationD, SymElement, _normalized, _on_generators, _word_constant
 
@@ -352,6 +357,83 @@ def oracle_conjugate(Phi, D):
         return oracle_exp_series(phi, oracle_apply(D, oracle_exp_series(phi, x, -1)), 1)
 
     return _on_generators(D.algebra, value, D.degree)
+
+
+def oracle_value_terms(D):
+    """The stored values of D as (on_algebra, on_letters) term tables:
+    {index: ((word, length, coefficients), ...)}, shortest words first."""
+
+    def terms(value):
+        return tuple(sorted(((v, len(v), a.coeffs) for v, a in value.items()), key=lambda term: term[1]))
+
+    return {i: terms(v) for i, v in D.on_algebra.items()}, {i: terms(v) for i, v in D.on_letters.items()}
+
+
+# marks a concatenation the memo of ``oracle_walk`` has not met
+_UNSEEN = object()
+
+
+def oracle_walk(D, terms):
+    """sum s D(e_i w) over the (word, coefficient) pairs s e_i w given, as
+    the unreduced triples {word: Sums} of ``DerivationD._walk``: every
+    substitution concatenates prefix + v + rest (v + w on the base) and
+    sorts it with its sign, each concatenation once per call."""
+    alg = D.algebra
+    base = alg.base
+    degrees = base.degrees
+    letter_degrees = alg.letter_degrees
+    odd = D.degree & 1
+    sorted_words = {}
+    on_algebra, on_letters = oracle_value_terms(D)
+    acc = {}
+    for w, a in terms:
+        pairs = a.coeffs
+        n = len(w)
+        room = alg.cap - n
+        for i, s in pairs:
+            for v, length, coeffs in on_algebra.get(i, ()):
+                if length > room:
+                    break
+                letters = v + w
+                merged = sorted_words.get(letters, _UNSEEN)
+                if merged is _UNSEEN:
+                    merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
+                if merged is None:
+                    continue
+                word, exponent = merged
+                out = acc.setdefault(word, {})
+                t = -1 if exponent & 1 else 1
+                _add_multiple(out, coeffs, t * s.n_re, t * s.n_im, s.den)
+        room += 1
+        pos = 0
+        prefix_degree = 0
+        while pos < n:
+            x = w[pos]
+            end = pos + 1
+            while end < n and w[end] == x:
+                end += 1
+            values = on_letters.get(x)
+            if values is not None:
+                prefix, rest = w[:pos], w[pos + 1 :]
+                m = end - pos
+                shift = odd * prefix_degree
+                for v, length, coeffs in values:
+                    if length > room:
+                        break
+                    letters = prefix + v + rest
+                    merged = sorted_words.get(letters, _UNSEEN)
+                    if merged is _UNSEEN:
+                        merged = sorted_words[letters] = _sort_word(letter_degrees, letters)
+                    if merged is None:
+                        continue
+                    word, exponent = merged
+                    out = acc.setdefault(word, {})
+                    for i, s in pairs:
+                        t = -m if (exponent + shift + odd * degrees[i]) & 1 else m
+                        _add_product(out, base, i, coeffs, prefix_degree, t * s.n_re, t * s.n_im, s.den)
+            prefix_degree += letter_degrees[x] * (end - pos)
+            pos = end
+    return acc
 
 
 def oracle_weight_raising_derivation(rng, alg, density: float = 0.7) -> DerivationD:

@@ -63,6 +63,8 @@ from geometry_oracle import (
     oracle_geometric_degree_problems,
     oracle_structure_from_geometry,
     oracle_tangent_series,
+    p1,
+    project_bidegree,
 )
 from symtensor_oracle import derivation_sum
 
@@ -240,7 +242,7 @@ def test_nabla_perp_matches_p1_nabla_on_normals():
         for w in g.nor.words_of_weight(r):
             for bidx in range(g.base.dim):
                 mu = SymElement(g.nor, {w: g.base.basis_element(bidx)})
-                lhs = g.p1(g.nabla_bar(g.to_amb(mu)))
+                lhs = p1(g, g.nabla_bar(g.to_amb(mu)))
                 rhs = nabla_perp_bar(g, mu)
                 assert lhs == rhs
 
@@ -261,7 +263,7 @@ def test_shape_derivation_zero_and_products():
     rng = Rng(23)
     for _ in range(10):
         # u has exactly one tangent letter, mu is pure normal
-        u = g.p1(g.nabla_bar(g.to_amb(SymElement(g.nor, {(0,): g.base.one()}))))
+        u = p1(g, g.nabla_bar(g.to_amb(SymElement(g.nor, {(0,): g.base.one()}))))
         wmu = rng.choice(g.nor.words_of_weight(1) + g.nor.words_of_weight(2))
         mu = g.to_amb(SymElement(g.nor, {wmu: rng.algebra_element(g.base, zero_chance=0.0)}))
         lhs = g.shape_tilde(u * mu)
@@ -285,10 +287,10 @@ def test_projections_decompose():
     g = small_random_model(8)
     rng = Rng(29)
     pure = g.to_amb(SymElement(g.nor, {(0, 1): g.base.one()}))
-    assert g.project_bidegree(pure, 0) == pure and g.p1(pure).is_zero()
+    assert project_bidegree(g, pure, 0) == pure and p1(g, pure).is_zero()
     two_tangent = SymElement(g.amb, {(0, 0, g.a): g.base.one()})
     if not two_tangent.is_zero():
-        assert g.project_bidegree(two_tangent, 0).is_zero() and g.p1(two_tangent).is_zero()
+        assert project_bidegree(g, two_tangent, 0).is_zero() and p1(g, two_tangent).is_zero()
     for _ in range(10):
         data = {}
         for r in range(g.cap + 1):
@@ -297,10 +299,10 @@ def test_projections_decompose():
                     continue
                 data[w] = rng.algebra_element(g.base)
         el = SymElement(g.amb, data)
-        rest = el - g.project_bidegree(el, 0) - g.p1(el)
+        rest = el - project_bidegree(g, el, 0) - p1(g, el)
         for w, _ in rest.items():
             assert g.tangent_count(w) >= 2
-        assert g.project_bidegree(el, 0) + g.p1(el) + rest == el
+        assert project_bidegree(g, el, 0) + p1(g, el) + rest == el
 
 
 # -- pi-tilde and the lemmas ----------------------------------------------------------
@@ -977,7 +979,7 @@ def oracle_commutator_lemma_residual(g):
     out = []
     for el in _spanning(g.amb):
         lhs = g.rho_dual(D0a.apply(el)) - D0n.apply(g.rho_dual(el))
-        rhs = g.rho_dual(g.beta_tilde(g.p1(el)))
+        rhs = g.rho_dual(g.beta_tilde(p1(g, el)))
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((repr(el), residual))
@@ -991,8 +993,8 @@ def oracle_transport_lemma_residual(g):
     shape^(s-1) carried from s - 1."""
     out = []
     for el in _spanning(g.amb):
-        lhs = g.p1(g.nabla_bar(el))
-        rhs = nabla_perp_bar(g, g.rho_dual(el)) + g.shape_tilde(g.p1(el))
+        lhs = p1(g, g.nabla_bar(el))
+        rhs = nabla_perp_bar(g, g.rho_dual(el)) + g.shape_tilde(p1(g, el))
         residual = lhs - rhs
         if not residual.is_zero():
             out.append((f"operator @ {el!r}", residual))
@@ -1003,7 +1005,7 @@ def oracle_transport_lemma_residual(g):
             power = g.nabla_bar(power)
             if s > 1:
                 iterated = g.shape_tilde(iterated)
-            residual = g.p1(power) - iterated
+            residual = p1(g, power) - iterated
             if not residual.is_zero():
                 out.append((f"iterate s={s} @ {el!r}", residual))
     return out
@@ -1435,7 +1437,7 @@ def test_projections_match_public_constructor_and_refuse_other_algebras():
         x = random_element(g.amb)
         y = random_element(g.nor)
         for p in range(g.cap + 1):
-            assert same_as_public(g.project_bidegree(x, p), g.amb) == SymElement(
+            assert same_as_public(project_bidegree(g, x, p), g.amb) == SymElement(
                 g.amb, {w: c for w, c in x.items() if g.tangent_count(w) == p}
             )
         assert same_as_public(g.to_amb(x), g.amb) == x
@@ -1450,7 +1452,7 @@ def test_projections_match_public_constructor_and_refuse_other_algebras():
     taller_nor = SymAlgebra(g.base, list(zip(g.nor.letter_names, g.nor.letter_degrees)), cap=g.cap + 1)
     other_base = SymAlgebra(kodaira_base(), list(zip(g.amb.letter_names, g.amb.letter_degrees)), cap=g.cap)
     for el in (taller.letter(g.a), other_base.one(), taller_nor.letter(0)):
-        for op in (g.p1, g.to_amb, g.rho_dual):
+        for op in (lambda el: p1(g, el), g.to_amb, g.rho_dual):
             with pytest.raises(BaseMismatch):
                 op(el)
 

@@ -10,7 +10,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algebroidkit.algebra import BaseAlgebra, _summed, validate_base_algebra
@@ -31,7 +31,7 @@ from algebroidkit.fixtures import (
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
-from algebroidkit.signs import Permutation, enumerate_unshuffles, sym_sign
+from algebroidkit.signs import Permutation, _sort_word, enumerate_unshuffles, sym_sign
 from algebroidkit.symtensor import (
     DerivationD,
     FilteredAutomorphism,
@@ -43,6 +43,7 @@ from algebroidkit.symtensor import (
     mc_residual,
     square,
     square_components,
+    _reduced_row,
     _word_constant,
 )
 from symtensor_oracle import (
@@ -52,6 +53,7 @@ from symtensor_oracle import (
     oracle_conjugate,
     oracle_mc_residual,
     oracle_row,
+    oracle_walk,
     oracle_weight_raising_derivation,
     oracle_square,
     reference_apply_inverse,
@@ -899,9 +901,9 @@ def test_apply_matches_three_product_oracle(base_name, degrees, derivation_degre
 # -- exp(phi) against the multiplicative oracle ---------------------------------------
 
 
-# all a DerivationD keeps: its values, their length-sorted terms, the
-# sorted-word memo and its square; no table per grid element
-DERIVATION_ATTRIBUTES = {"algebra", "degree", "on_algebra", "on_letters", "_terms", "_sorted", "_square"}
+# all a DerivationD keeps: its values, their packed length-sorted terms and
+# its square; no table per grid element and no memo of its walks
+DERIVATION_ATTRIBUTES = {"algebra", "degree", "on_algebra", "on_letters", "_terms", "_square"}
 
 
 @pytest.mark.parametrize("base_name", sorted(KERNEL_BASES))
@@ -956,15 +958,15 @@ def test_exp_series_and_conjugate_match_the_oracle_on_drawn_algebras(data):
 
 
 @st.composite
-def drawn_derivations(draw):
+def drawn_derivations(draw, max_cap=5):
     """A derivation of degree 0 or 1 over a drawn algebra (a sample base or
-    ``gaussian_product_base``, cap 0..5, odd and even letters), its values
+    ``gaussian_product_base``, cap 0..max_cap, odd and even letters), its values
     drawn words with Gaussian coefficients over mixed denominators; degrees
     are not checked, the Leibniz formula is linear in them.  No value is
     drawn on the unit, which ``DerivationD`` refuses
     (``test_a_derivation_refuses_a_value_on_the_unit``); at cap 0 the letter
     values are drawn, and every letter is zero."""
-    alg = draw(drawn_algebras(5))
+    alg = draw(drawn_algebras(max_cap))
     values = drawn_elements(alg)
     base = alg.base
     non_unit = st.sampled_from([i for i in range(base.dim) if i != base.unit])
@@ -992,6 +994,86 @@ def test_rows_apply_square_and_conjugate_match_the_scalar_oracle(data):
     assert square(D) == oracle_square(D)
     Phi = _random_unipotent(Rng(data.draw(st.integers(0, 2**16))), alg, density=0.7)
     assert conjugate(Phi, D) == oracle_conjugate(Phi, D)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_packed_walk_matches_the_sorting_oracle_walk(data):
+    """``_walk`` over packed words sums the triples of ``oracle_walk``, which
+    concatenates and sorts every substitution: on every grid element and on
+    drawn elements, alone and concatenated (so a word repeats among the
+    terms), for derivations of degree 0 and 1 over odd and even letters,
+    caps 0..6, with coefficients on odd base elements among them."""
+    D = data.draw(drawn_derivations(6))
+    alg = D.algebra
+    for w, i in _grid(alg):
+        terms = ((w, alg.base.basis_element(i)),)
+        assert _reduced_row(D._walk(terms)) == _reduced_row(oracle_walk(D, terms)), (w, i)
+    x = data.draw(drawn_elements(alg))
+    y = data.draw(drawn_elements(alg))
+    for terms in (x.coeffs, x.coeffs + y.coeffs):
+        assert _reduced_row(D._walk(terms)) == _reduced_row(oracle_walk(D, terms))
+
+
+@st.composite
+def packed_substitutions(draw):
+    """(algebra, word w, position in w, word v): up to five letters of drawn
+    degrees, cap 0..12, w and v sorted non-vanishing words such that v in
+    place of one letter of w fits the cap (v before w may pass it by one
+    letter, which the spare bit of each exponent field holds); their letters
+    may repeat an odd letter between them."""
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=5))
+    cap = draw(st.integers(0, 12))
+    alg = SymAlgebra(nontrivial_dga(), [(f"x{i}", d) for i, d in enumerate(degrees)], cap)
+    letters = st.integers(0, len(degrees) - 1)
+
+    def word(max_size):
+        merged = _sort_word(alg.letter_degrees, draw(st.lists(letters, max_size=max_size)))
+        assume(merged is not None)
+        return merged[0]
+
+    w = word(cap)
+    v = word(cap - max(len(w) - 1, 0))
+    pos = draw(st.integers(0, len(w) - 1)) if w else None
+    return alg, w, pos, v
+
+
+@settings(max_examples=300)
+@given(case=packed_substitutions())
+def test_one_packed_substitution_sorts_and_signs_as_sort_word(case):
+    """Pack w and the value term v (``DerivationD._value_terms``), substitute
+    v for w[pos] by the walk's rule (key(w) - unit[x] + key(v), zero iff
+    odd(v) & (P | C), sign parity popcount((P & above) ^ (C & below))) and
+    for the base (key(w) + key(v), zero iff odd(v) & odd(w), parity
+    popcount(odd(w) & below)), and unpack: the word and sign parity are those
+    of ``signs._sort_word`` on the concatenated letters, and the result
+    vanishes exactly where it returns None."""
+    alg, w, pos, v = case
+    one = alg.base.one()
+    value = SymElement(alg, {v: one})
+    x = w[pos] if w else 0
+    D = DerivationD(alg, {1: value}, {x: value}, check=False)
+    on_algebra, on_letters = D._value_terms()
+    ((length, key_v, odd_v, above, below, _),) = on_letters[x]
+    assert on_algebra[1] == on_letters[x] and length == len(v)
+    key, mask = alg._pack(w)
+    assert alg._unpack(key) == w and alg._unpack(key_v) == v
+
+    def agrees(letters, packed_key, vanishes, parity):
+        merged = _sort_word(alg.letter_degrees, letters)
+        assert vanishes == (merged is None), letters
+        if merged is not None:
+            assert (alg._unpack(packed_key), parity) == (merged[0], merged[1] & 1), letters
+
+    agrees(v + w, key + key_v, bool(odd_v & mask), (mask & below).bit_count() & 1)
+    if w:
+        prefix_odd, rest_odd = alg._pack(w[:pos])[1], alg._pack(w[pos + 1 :])[1]
+        agrees(
+            w[:pos] + v + w[pos + 1 :],
+            key - alg._unit[x] + key_v,
+            bool(odd_v & (prefix_odd | rest_odd)),
+            ((prefix_odd & above) ^ (rest_odd & below)).bit_count() & 1,
+        )
 
 
 def test_the_square_at_cap_0_vanishes_on_every_letter():
@@ -1097,22 +1179,33 @@ def test_apply_sums_rows_with_their_scalars():
             assert op(unit.scale(s) + other) == row.scale(s) + op(other)
 
 
-def test_second_conjugate_sorts_no_new_concatenation():
-    """The walks of a second conjugation meet only concatenations of letters
-    the first one sorted: the ``_sorted`` memos of phi and D0 do not grow."""
+def _held_sizes(D):
+    """The size of everything a derivation holds: its value tables, the
+    number of its packed value terms and whether it keeps its square."""
+    terms = sum(len(t) for table in D._terms for t in table.values()) if D._terms is not None else None
+    return len(D.on_algebra), len(D.on_letters), terms, D._square is not None
+
+
+def test_second_conjugate_grows_no_per_walk_state():
+    """A second conjugation holds nothing more than the first: every attribute
+    of phi and D0 has the same size after it, so no state of the walks grows
+    with the grid elements they read, and the algebra's table of unpacked
+    words holds words of the algebra only."""
     base, module, alg = make_setup(seed=55, cap=4)
     D0 = d0_derivation(alg, module)
     Phi = random_unipotent(Rng(56), alg)
     assert not Phi.phi.is_zero()
     first = conjugate(Phi, D0)
-
-    def sizes():
-        return len(Phi.phi._sorted), len(D0._sorted)
-
-    met = sizes()
-    assert all(met)
+    met = _held_sizes(Phi.phi), _held_sizes(D0)
+    unpacked = dict(alg._unpacked)
+    assert all(terms for _, _, terms, _ in met)
     assert conjugate(Phi, D0) == first
-    assert sizes() == met
+    assert (_held_sizes(Phi.phi), _held_sizes(D0)) == met
+    assert alg._unpacked == unpacked
+    words = {w for r in range(alg.cap + 1) for w in alg.words_of_weight(r)}
+    assert set(unpacked.values()) <= words
+    for d in (Phi.phi, D0):
+        assert set(vars(d)) == DERIVATION_ATTRIBUTES
 
 
 def test_mc_check_applies_phi_only_inside_the_shared_conjugation(workloads):

@@ -56,22 +56,13 @@ carry the unit coefficient, and multiplying by it is left out: that is exact,
 as ``BaseAlgebra`` refuses a product that breaks the unit law.
 
 The product sorts the concatenated letters (``signs._sort_word``).  The
-Leibniz walk concatenates and sorts nothing: it keys every word by a packed
-integer, the sum of unit[x] = 1 << B x over its letters x (B = cap.bit_length()
-+ 1 bits of exponent per letter), beside the bitmask of its odd letters.  A
-substitution of v for the letter x of w is then one integer add,
-
-    key(sort(prefix v rest)) = key(w) - unit[x] + key(v),
-
-zero exactly when odd(v) & (P | C), P and C the odd masks of prefix and rest,
-with sort sign exponent s = popcount((P & above(v)) ^ (C & below(v))), where
-above(v) / below(v) is the XOR, over the odd letters y of v, of the odd
-letters greater / less than y; D(e_i) = sum (c e_k) v gives key(w) + key(v),
-zero when odd(v) & odd(w), and s = popcount(odd(w) & below(v)).  The value
-terms are packed once per derivation; the words of an argument, and the words
-of the result keys, once per ``SymAlgebra``, whose {word: key} and
-{key: word} tables hold words of the algebra only.  Elements, the parser, the
-serializer and the reports keep sorted tuples.
+Leibniz walk sorts nothing: a word is a packed integer key with B =
+cap.bit_length() + 1 bits of exponent per letter, beside the bitmask of its
+odd letters, so sort(prefix v rest) has the key key(w) - unit[x] + key(v),
+vanishes when its odd masks overlap and has s = popcount((P & above(v)) ^
+(C & below(v))) for the odd masks P, C of prefix and rest (``_walk`` gives
+the rule).  Each word is packed, and each key unpacked, once per
+``SymAlgebra``; elements, the parser and the reports keep sorted tuples.
 
 A ``DerivationD`` applies the Leibniz rule in one walk over the terms
 s e_i w of its argument (basis element e_i, sorted word w, scalar s): each
@@ -581,9 +572,9 @@ class DerivationD:
 
         No letters are concatenated or sorted: each word is a packed key (the
         sum of unit[x] = 1 << B x over its letters x, B = cap.bit_length() + 1
-        bits of exponent per letter) with the mask of its odd letters.  The
-        words of the argument are packed once each, those of the values once
-        per derivation.  With P and C the odd masks of prefix and rest, and
+        bits of exponent per letter) with the mask of its odd letters, packed
+        once per algebra (``SymAlgebra._pack``); the value terms are packed
+        once per derivation.  With P and C the odd masks of prefix and rest, and
         above_v / below_v the XOR over the odd letters y of v of the odd
         letters greater / less than y, sort(prefix v rest) has the key
         key(w) - unit[x] + key(v), vanishes iff odd(v) & (P | C), and has

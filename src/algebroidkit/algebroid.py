@@ -55,16 +55,17 @@ from __future__ import annotations
 
 from typing import Container, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _linear, _summed
+from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _element, _linear, _summed
 from .errors import BaseMismatch, CapError, KitError
 from .linfty import AlgebraDerivation, BracketTable, ShiftedDerDGLA, _unshuffles, same_tables, sorted_tuples
 from .modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
-from .scalars import Scalar, Sums
+from .scalars import Scalar, Sums, _reduced_items
 from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
     SymAlgebra,
     SymElement,
+    _sym_element,
     _word_constant,
     # not called here: perfbench/test_perfbench.py checks that the tracer
     # wraps this import site of a public function
@@ -72,6 +73,8 @@ from .symtensor import (
 )
 
 GenKey = Tuple[int, ...]
+
+_module_element = ModuleElement._made
 
 
 class AlgebroidStructure:
@@ -250,16 +253,26 @@ def _word_transpose(
     in element i.  The twist (-1)^{|e_b| degrees[i]} is that of the product
     rule, and kappa(w) is an integer, so the unit times the value, summed by
     ``algebra._add_product``, gives each coefficient as one triple, reduced
-    once; a word over the cap of alg is dropped (``SymElement``)."""
-    base = alg.base
+    once.
+
+    Every w is a canonical table key (``linfty.BracketTable``): a sorted
+    word of alg that does not vanish.  So each element is made from its
+    words as they are (``SymElement._made``), in word order; only a word
+    over the cap of alg is dropped, and a zero value."""
+    base, cap = alg.base, alg.cap
     out: Dict[int, Dict[GenKey, AlgebraElement]] = {}
     for w, i, value in entries:
-        kappa = _word_constant(alg, w).n_re
+        words = out.setdefault(i, {})
+        if len(w) > cap:
+            continue
+        kappa = _word_constant(alg, w)
         sums: Sums = {}
         sign = -1 if (exponents[i] + (kappa < 0)) & 1 else 1
         _add_product(sums, base, base.unit, value.coeffs, degrees[i], sign, 0, abs(kappa))
-        out.setdefault(i, {})[w] = _summed(base, sums)
-    return {i: SymElement(alg, words) for i, words in out.items()}
+        coeff = _summed(base, sums)
+        if coeff.coeffs:
+            words[w] = coeff
+    return {i: _sym_element(alg, tuple(sorted(words.items()))) for i, words in out.items()}
 
 
 def _ce_derivation(
@@ -268,7 +281,10 @@ def _ce_derivation(
     """The derivation whose words transpose the bracket tables {key: value}
     and anchor tables {(key, b): value} given and the arity-1 tables of the
     dga, {g_j}_1 = d_L g_j and {|e_b}_1 = d_A e_b; the letters of module
-    are the first letters of algebra."""
+    are the first letters of algebra, refused if there are more of them
+    (``_word_transpose`` makes its words without a check)."""
+    if module.rank > algebra.n_letters:
+        raise BaseMismatch("module generators do not match algebra letters")
     base, degrees = algebra.base, module.degrees
     anchors = [{((), b): base.differential_basis(b) for b in range(base.dim)}, *anchors]
     brackets = [{(j,): module.differential_basis(j) for j in range(module.rank)}, *brackets]
@@ -357,15 +373,22 @@ def _letter_transpose(
             if len(w) not in weights:
                 continue
             sums = out.setdefault(w, {})[i] = {}
-            kappa = _word_constant(alg, w).n_re
+            kappa = _word_constant(alg, w)
             _add_product(sums, base, base.unit, c.coeffs, degree, -kappa if exponents[i] & 1 else kappa, 0, 1)
     return out
 
 
 def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
-    """The element of module with the coefficients of acc, each reduced once."""
+    """The element of module with the coefficients of acc, each reduced once;
+    the indices of acc are generators of module, so the element is made
+    from its nonzero coefficients as they are (``Combination._made``)."""
     base = module.base
-    return ModuleElement(module, {i: _summed(base, sums) for i, sums in acc.items()})
+    pairs = []
+    for i in sorted(acc):
+        coeffs = _reduced_items(acc[i])
+        if coeffs:
+            pairs.append((i, _element(base, coeffs)))
+    return _module_element(module, tuple(pairs))
 
 
 def extract_structure(

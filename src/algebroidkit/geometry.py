@@ -77,7 +77,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import BaseAlgebra, _add_product, _degree_problem, _leibniz_failures, _summed
+from .algebra import BaseAlgebra, _add_product, _degree_problem, _element, _leibniz_failures
 from .algebroid import (
     AlgebroidStructure,
     Coefficients,
@@ -763,15 +763,15 @@ def _dhat_rows(g: GeometricModel) -> GeneratorRows:
 
 
 def _add_contraction(
-    acc: Coefficients, base: BaseAlgebra, inner: ModuleElement, rows: GeneratorRows, negative: bool
+    acc: Coefficients, base: BaseAlgebra, inner: ModuleElement, rows: GeneratorRows, factor: int
 ) -> None:
-    """acc += (-1)^negative sum_j a_j . rows[j] for inner = sum_j a_j t_j.
+    """acc += factor sum_j a_j . rows[j] for inner = sum_j a_j t_j, factor an
+    integer.
 
     This is the A-linear extension of a map read on generators: a one-slot
     map of operator degree 0 has Koszul exponent 0, so each coefficient a_j
     only multiplies the image of t_j from the left, basis element by basis
     element, through the one product rule (``algebra._add_product``)."""
-    t = -1 if negative else 1
     for j, a in inner.coeffs:
         row = rows.get(j)
         if row is None:
@@ -781,7 +781,7 @@ def _add_contraction(
             if out is None:
                 out = acc[k] = {}
             for i, x in a.coeffs:
-                _add_product(out, base, i, value, 0, t * x.n_re, t * x.n_im, x.den)
+                _add_product(out, base, i, value, 0, factor * x.n_re, factor * x.n_im, x.den)
 
 
 def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
@@ -803,12 +803,28 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
     of the pairings on the degree-homogeneous tensors that
     ``geometric_degree_problems`` admits: the Koszul sign of a coefficient
     cancels against the transpose's twist (-1)^{|e_c||g_i|} of a basis
-    element e_c, or against the anchor twist.  On a sorted key the unshuffle that puts position p last has
-    alpha(sigma) = (-1)^{|v_p| sum_{q > p} |v_q|}.
+    element e_c, or against the anchor twist.
+
+    On a sorted key the unshuffle that puts position p last has
+    alpha(sigma) = (-1)^{|v_p| sum_{q > p} |v_q|}.  A run of m equal letters
+    x of the key gives m equal terms: removing any of its positions leaves
+    the same first, the key less one x, and for m >= 2 the sign is +1 at
+    each, as x is even (a key repeats no odd letter) and so is the exponent.
+    So a run is contracted once, at its last position, scaled by m, as
+    ``DerivationD._walk`` substitutes a run once: one Shape and one Gamma
+    contraction per (key, distinct letter).
+
+    The keys come canonical from ``_nonvanishing_keys``, so each nonzero
+    alpha_n, ell_n and anchor value is stored under its key as it is, with
+    no ``BracketTable.set`` re-sort.  Nor can a check of ``set_bracket`` or
+    ``set_anchor`` fail: ell_n has n <= cap, the anchors have arity
+    m + 1 <= cap + 1, and the model refuses dhat on the unit, whose row is
+    then empty.  An accumulator with no term makes no element.
     """
     cap = g.cap
     base = g.base
     S = AlgebroidStructure(base, g.normal, bracket_cap=cap)
+    brackets, anchors = S.brackets, S.anchors
     degrees = g.normal.degrees
     tangent_degrees = g.tangent.degrees
     shape = _contraction_rows(g, g.shape, g.tangent, 0)
@@ -826,28 +842,36 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
         for key in _nonvanishing_keys(degrees, n):
             alpha_acc = rtan.get(key, {})
             ell_acc = rperp.get(key, {})
+            start = 0
             for p, last in enumerate(key):
+                if p + 1 < n and key[p + 1] == last:
+                    continue  # the run of last ends further on
                 inner = previous.get(key[:p] + key[p + 1:])
-                if inner is None:
-                    continue
-                negative = degrees[last] * sum(degrees[q] for q in key[p + 1:]) & 1
-                _add_contraction(alpha_acc, base, inner, shape[last], negative)
-                _add_contraction(ell_acc, base, inner, gamma[last], negative)
-            alpha.set(key, _module_value(g.tangent, alpha_acc))
-            if n >= 2:
+                if inner is not None:
+                    factor = p + 1 - start
+                    if degrees[last] * sum(degrees[q] for q in key[p + 1:]) & 1:
+                        factor = -factor
+                    _add_contraction(alpha_acc, base, inner, shape[last], factor)
+                    _add_contraction(ell_acc, base, inner, gamma[last], factor)
+                start = p + 1
+            if alpha_acc:
+                value = _module_value(g.tangent, alpha_acc)
+                if value.coeffs:
+                    alpha[key] = value
+            if ell_acc and n >= 2:
                 ell = _module_value(g.normal, ell_acc)
-                if not ell.is_zero():
-                    S.set_bracket(n, key, ell)
+                if ell.coeffs:
+                    brackets.setdefault(n, BracketTable(degrees))[key] = ell
 
     dhat = _dhat_rows(g)
     for m, alpha in alpha_tables.items():
         for key, alpha_val in alpha.items():
             acc: Coefficients = {}
-            _add_contraction(acc, base, alpha_val, dhat, False)
+            _add_contraction(acc, base, alpha_val, dhat, 1)
             for b in sorted(acc):
-                paired = _summed(base, acc[b])
-                if not paired.is_zero():
-                    S.set_anchor(m + 1, key, b, paired)
+                coeffs = _reduced_items(acc[b])
+                if coeffs:
+                    anchors.setdefault(m + 1, BracketTable(degrees))[key, b] = _element(base, coeffs)
     return S
 
 

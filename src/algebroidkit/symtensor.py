@@ -398,21 +398,24 @@ def _evaluate_parts(
             a = data.get(w)
             if a is None:
                 return None
-            value = a.scale(_word_constant(alg, w))
+            value = a.scale(Scalar.rational(_word_constant(alg, w)))
             return -value if exponent & 1 else value
 
         total = total + multilinear_extend(read, degree, args, module.degrees, base.zero())
     return total
 
 
-def _word_constant(alg: SymAlgebra, word: Word) -> Scalar:
-    """kappa(w): the sorted word w evaluated on its own generators, in order.
+def _word_constant(alg: SymAlgebra, word: Word) -> int:
+    """kappa(w): the sorted word w evaluated on its own generators, in order,
+    a nonzero integer.
 
     kappa(w) = prod_j m_j! * (-1)^{o(o-1)/2}, where m_j is the multiplicity
     of letter j in w and o the number of odd letters.  A run of m equal
     letters (even, or the word would vanish) pairs with its m generators in
     m! ways, all with the same sign, and each letter's generator is moved
-    past the later letters, one sign for every pair of odd letters.
+    past the later letters, one sign for every pair of odd letters.  The
+    transposes of ``algebroid`` use the integer as it is; ``from_values``
+    and ``evaluate`` make it a Scalar.
     """
     kappa = 1
     run = 0
@@ -421,7 +424,7 @@ def _word_constant(alg: SymAlgebra, word: Word) -> Scalar:
         run = run + 1 if k and word[k - 1] == letter else 1
         kappa *= run
         odd += alg.letter_degrees[letter] % 2
-    return Scalar.rational(-kappa if odd * (odd - 1) // 2 % 2 else kappa)
+    return -kappa if odd * (odd - 1) // 2 % 2 else kappa
 
 
 def from_values(
@@ -448,7 +451,7 @@ def from_values(
         value = value_fn(word, [module.generator(i) for i in word])
         if value.is_zero():
             continue
-        acc[word] = value.scale(_word_constant(alg, word).inverse())
+        acc[word] = value.scale(Scalar.rational(1, _word_constant(alg, word)))
     return SymElement(alg, acc)
 
 

@@ -172,7 +172,7 @@ def from_dual_values(module: FreeModule, values: Mapping[int, object]) -> Module
 
 
 def _transpose(g, table: Mapping[int, SymElement], target: FreeModule, twist: int, key: Word) -> ModuleElement:
-    kappa = _word_constant(g.nor, key)
+    kappa = Scalar.rational(_word_constant(g.nor, key))
     values = {}
     for i, el in table.items():
         c = el.data.get(key)
@@ -191,7 +191,7 @@ def oracle_contraction_table(
         row = out[k] = {}
         for j in range(g.a):
             w = (j, g.a + k)
-            scale = _word_constant(g.amb, w) * sign
+            scale = Scalar.rational(_word_constant(g.amb, w)) * sign
             values = {i: el.data[w].scale(scale) for i, el in table.items() if w in el.data}
             if values:
                 row[(j,)] = from_dual_values(target, values)

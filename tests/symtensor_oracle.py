@@ -231,7 +231,7 @@ def scalar_letter_transpose(alg, table, degrees, exponents, weights):
     for i, el in table.items():
         for w, c in el.items():
             if len(w) in weights:
-                scale = _word_constant(alg, w) * sign_scalar(exponents[i])
+                scale = Scalar.rational(_word_constant(alg, w)) * sign_scalar(exponents[i])
                 out.setdefault(w, {})[i] = AlgebraElement(alg.base, _scaled(c.items(), alg.base, degrees[i], scale))
     return out
 
@@ -241,7 +241,7 @@ def scalar_word_transpose(alg, entries, degrees, exponents):
     (-1)^{exponents[i] + |e_b| degrees[i]} x / kappa(w)."""
     out = {}
     for w, i, value in entries:
-        scale = _word_constant(alg, w).inverse() * sign_scalar(exponents[i])
+        scale = Scalar.rational(1, _word_constant(alg, w)) * sign_scalar(exponents[i])
         out.setdefault(i, {})[w] = AlgebraElement(alg.base, _scaled(value.items(), alg.base, degrees[i], scale))
     return {i: SymElement(alg, words) for i, words in out.items()}
 

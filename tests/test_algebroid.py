@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from algebroidkit import algebroid
 from algebroidkit.algebroid import (
     AlgebroidStructure,
+    _word_transpose,
     algebroid_jacobi_residual,
     anchor_morphism_residual,
     ce_differential,
@@ -21,7 +22,7 @@ from algebroidkit.algebroid import (
     extract_structure,
     leibniz_residual,
 )
-from algebroidkit.errors import CapError, KitError
+from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.fixtures import (
     Rng,
     conjugation_oracle_structure,
@@ -51,7 +52,7 @@ from algebroidkit.symtensor import (
 )
 from geometry_oracle import from_dual_values
 from linfty_oracle import oracle_jacobi_residual
-from symtensor_oracle import oracle_d0_derivation
+from symtensor_oracle import oracle_d0_derivation, scalar_word_transpose
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -637,6 +638,53 @@ def test_d0_matches_the_dual_differential_oracle(base_index, degrees, cap, seed)
     module = mixed_module(base, degrees, seed=seed)
     alg = SymAlgebra.over_module(module, cap=cap)
     assert d0_derivation(alg, module) == oracle_d0_derivation(alg, module)
+
+
+def _ce_entries(S):
+    """The (word, index, value) entries that ``ce_differential(S)`` transposes
+    on the base and on the letters, the arity-1 tables d_A and d_L first."""
+    base, carrier = S.base, S.carrier
+    on_algebra = [((), b, base.differential_basis(b)) for b in range(base.dim)]
+    on_algebra += [(w, b, v) for t in S.anchors.values() for (w, b), v in t.items()]
+    on_letters = [((j,), i, c) for j in range(carrier.rank) for i, c in carrier.differential_basis(j).items()]
+    on_letters += [(w, i, c) for t in S.brackets.values() for w, v in t.items() for i, c in v.items()]
+    return on_algebra, on_letters
+
+
+def test_word_transpose_drops_the_words_over_the_cap():
+    """``_word_transpose`` makes its elements from the table words as they
+    are and drops a word over the cap by its own filter.  At cap 0, d0 and
+    the CE differential of a structure with no stored table keep no letter
+    word, though d_L is not zero, and a module with more generators than the
+    algebra has letters is refused; on every shipped fixture, at its cap and
+    two below, both slots equal the elements the SymElement constructor
+    makes of the same words (``scalar_word_transpose``)."""
+    base = nontrivial_dga()
+    module = mixed_module(base, [0, 1], seed=2)
+    assert all(not module.differential_basis(j).is_zero() for j in range(module.rank))
+    alg = SymAlgebra.over_module(module, cap=0)
+    D0 = d0_derivation(alg, module)
+    assert D0.on_letters == {} and D0 == oracle_d0_derivation(alg, module)
+    assert D0.on_algebra == {2: alg.scalar(base.differential_basis(2))}
+    assert ce_differential(AlgebroidStructure(base, module), weight_cap=0) == D0
+    with pytest.raises(BaseMismatch):  # a word of the module would name no letter
+        d0_derivation(SymAlgebra(base, [("y", 0)], cap=1), module)
+    dropped = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        model = parse_model(path.read_text())
+        S = model if isinstance(model, AlgebroidStructure) else structure_from_geometry(model)
+        on_algebra, on_letters = _ce_entries(S)
+        degrees = S.carrier.degrees
+        for cap in (S.bracket_cap, S.bracket_cap - 2):
+            alg = SymAlgebra.over_module(S.carrier, cap=cap)
+            for entries, degs, exponents in (
+                (on_algebra, S.base.degrees, [0] * S.base.dim),
+                (on_letters, degrees, [d + 1 for d in degrees]),
+            ):
+                want = scalar_word_transpose(alg, entries, degs, exponents)
+                assert _word_transpose(alg, entries, degs, exponents) == want, (path.name, cap)
+                dropped += sum(len(w) > cap for w, _, _ in entries)
+    assert dropped >= 10, dropped
 
 
 @given(

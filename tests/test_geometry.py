@@ -756,12 +756,24 @@ def test_structure_from_geometry_matches_the_evaluate_oracle():
             assert any(S.anchors.values()) == name.startswith("kodaira"), name  # dhat = 0 on the other
 
 
+def _fixture_at(name: str, weight: int):
+    """The shipped fixture ``name`` parsed at the given weight cap."""
+    path = Path(__file__).resolve().parents[1] / "fixtures" / f"{name}.json"
+    return parse_model(path.read_text(), weight_override=weight)
+
+
 def test_structure_from_geometry_matches_its_oracle(workloads):
-    """The coefficient-table recursion emits the structure of the
-    position-by-position recursion through ``multilinear_extend``, on every
-    duality model, some with brackets and anchors to compare."""
+    """The coefficient-table recursion, one contraction per run of equal
+    letters, emits the structure of the position-by-position recursion
+    through ``multilinear_extend``, on every duality model, some with
+    brackets and anchors to compare, and on the ``ce_dictionary`` inputs
+    rank2 at W=6 and rank1_curved at W=7, whose keys hold runs of up to six
+    and seven equal even letters."""
+    models = _duality_models(workloads)
+    models["rank2.geometric@W=6"] = _fixture_at("rank2.geometric", 6)
+    models["rank1_curved.geometric@W=7"] = _fixture_at("rank1_curved.geometric", 7)
     with_anchors = 0
-    for name, g in _duality_models(workloads).items():
+    for name, g in models.items():
         S = structure_from_geometry(g)
         assert S == oracle_structure_from_geometry(g), name
         with_anchors += any(S.anchors.values()) and any(S.brackets.values())
@@ -815,7 +827,7 @@ def test_the_transposes_match_their_oracles_on_random_models(base, tangent, norm
     base=st.sampled_from(range(3)),
     tangent=st.lists(st.integers(-1, 1), min_size=1, max_size=2),
     normal=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
-    cap=st.integers(1, 4),
+    cap=st.integers(1, 5),
     density=st.sampled_from([0.3, 0.6, 1.0]),
     seed=st.integers(0, 2**16),
 )
@@ -837,6 +849,27 @@ def test_structure_from_geometry_makes_no_multilinear_extend_call(monkeypatch):
         if hasattr(module, "multilinear_extend"):
             monkeypatch.setattr(module, "multilinear_extend", refuse)
     assert structure_from_geometry(g) == want
+
+
+@pytest.mark.parametrize("weight, calls", [(5, 34), (6, 42)])
+def test_structure_from_geometry_contracts_each_run_once(monkeypatch, weight, calls):
+    """rank2 at W=5 and W=6 (the ``ce_dictionary`` inputs) makes one Shape and
+    one Gamma contraction per (key, distinct letter) and one dhat contraction
+    per alpha value: 34 and 42 ``_add_contraction`` calls, where one per
+    position made 66 and 92."""
+    g = _fixture_at("rank2.geometric", weight)
+    want = oracle_structure_from_geometry(g)
+    made = []
+    add_contraction = geometry._add_contraction
+
+    def counting(*args):
+        made.append(args[-1])
+        add_contraction(*args)
+
+    monkeypatch.setattr(geometry, "_add_contraction", counting)
+    assert structure_from_geometry(g) == want
+    assert len(made) == calls
+    assert max(made) >= 2  # a run of equal letters contracted once, scaled
 
 
 def _position_sign_model():
@@ -865,10 +898,10 @@ def test_a_wrong_shape_position_sign_fails_the_oracle_comparison(monkeypatch, mu
             shape_rows.extend(out.values())
         return out
 
-    def mutated_sign(acc, base, inner, rows, negative):
+    def mutated_sign(acc, base, inner, rows, factor):
         if any(rows is shape for shape in shape_rows):
-            negative = not negative if mutation == "flipped" else False
-        add_contraction(acc, base, inner, rows, negative)
+            factor = -factor if mutation == "flipped" else abs(factor)
+        add_contraction(acc, base, inner, rows, factor)
 
     monkeypatch.setattr(geometry, "_contraction_rows", recording)
     monkeypatch.setattr(geometry, "_add_contraction", mutated_sign)

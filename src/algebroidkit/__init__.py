@@ -50,7 +50,7 @@ from .geometry import (
     transport_lemma_residual,
     validate_geometric_model,
 )
-from .modelio import load_model, parse_model, serialize_model
+from .modelio import parse_model, serialize_model
 from .reports import CheckResult, Report
 
 __all__ = [
@@ -98,7 +98,6 @@ __all__ = [
     "duality_residual",
     "parse_model",
     "serialize_model",
-    "load_model",
     "Report",
     "CheckResult",
 ]

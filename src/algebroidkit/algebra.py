@@ -357,9 +357,6 @@ class BaseAlgebra:
     def basis_element(self, i: int) -> AlgebraElement:
         return self._basis[i]
 
-    def element(self, mapping: Mapping[int, Scalar]) -> AlgebraElement:
-        return AlgebraElement(self, dict(mapping))
-
     def from_names(self, mapping: Mapping[str, Scalar]) -> AlgebraElement:
         return AlgebraElement(self, {self.index_of(n): c for n, c in mapping.items()})
 

@@ -244,9 +244,13 @@ class GeometricModel(SplitFrame):
                     out[i] = alg.zero()
                 elif alg.compatible(el.algebra):
                     out[i] = el if el.algebra is alg else _sym_element(alg, el.coeffs)
-                elif el.algebra.letter_names != alg.letter_names or el.algebra.base is not base:
+                elif (
+                    el.algebra.letter_names != alg.letter_names
+                    or el.algebra.letter_degrees != alg.letter_degrees
+                    or el.algebra.base is not base
+                ):
                     raise BaseMismatch(f"tensor not expressed over the {fam.values} letters")
-                else:
+                else:  # another cap: the words over this one drop
                     out[i] = SymElement(alg, el.data)
             return out
 
@@ -332,10 +336,6 @@ class GeometricModel(SplitFrame):
         )
 
     # -- the substitution derivations ---------------------------------------------
-
-    def nabla_hat(self) -> DerivationD:
-        """Unnormalized symmetrized connection: a degree-0 derivation."""
-        return self._nabla_hat
 
     def nabla_bar(self, el: SymElement) -> SymElement:
         """Symmetrized covariant derivative with the 1/m output weighting:

@@ -642,8 +642,3 @@ def serialize_model(obj: Union[GeometricModel, AlgebroidStructure]) -> str:
     if tensors:
         doc["tensors"] = tensors
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def load_model(path: str) -> Union[GeometricModel, AlgebroidStructure]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())

@@ -72,20 +72,11 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.gen_names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.gen_names.index(name)
-        except ValueError:
-            raise KitError(f"no generator named {name!r}") from None
-
     def zero(self) -> ModuleElement:
         return ModuleElement(self, {})
 
     def generator(self, i: int) -> ModuleElement:
         return ModuleElement(self, {i: self.base.one()})
-
-    def element(self, mapping: Mapping[int, AlgebraElement]) -> ModuleElement:
-        return ModuleElement(self, dict(mapping))
 
     def differential_basis(self, i: int) -> ModuleElement:
         return self._differential.get(i, self.zero())

@@ -29,8 +29,7 @@ class Scalar:
     """A Gaussian rational a + b*i, hashable and never mutated.
 
     The fields n_re, n_im, den hold the reduced triple and are not assigned
-    after construction (the hash depends on them); ``re`` and ``im`` are
-    read-only views as Fractions.
+    after construction (the hash depends on them).
     """
 
     __slots__ = ("n_re", "n_im", "den")
@@ -52,10 +51,6 @@ class Scalar:
         return _ONE
 
     @staticmethod
-    def i() -> "Scalar":
-        return _I
-
-    @staticmethod
     def rational(num: int, den: int = 1) -> "Scalar":
         """num/den from two ints, without building a Fraction.
 
@@ -66,16 +61,6 @@ class Scalar:
         if den == 1 and n_re * n_re == 1:
             return ONE if n_re == 1 else MINUS_ONE
         return _triple(n_re, 0, den)
-
-    # -- parts ---------------------------------------------------------------
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.n_re, self.den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.n_im, self.den)
 
     # -- predicates --------------------------------------------------------
 
@@ -113,9 +98,6 @@ class Scalar:
             raise ZeroDivisionError("inverse of zero Scalar")
         return _reduce(d * a, -d * b, n)
 
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        return self * other.inverse()
-
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -127,7 +109,7 @@ class Scalar:
         # the hash of the (re, im) Fraction pair; hash(Fraction(n)) == hash(n)
         if self.den == 1:
             return hash((self.n_re, self.n_im))
-        return hash((self.re, self.im))
+        return hash((Fraction(self.n_re, self.den), Fraction(self.n_im, self.den)))
 
     # -- presentation --------------------------------------------------------
 
@@ -154,11 +136,6 @@ class Scalar:
             "inum": self.n_im // h,
             "iden": self.den // h,
         }
-
-    @staticmethod
-    def from_quadruple(q: dict) -> "Scalar":
-        den, iden = q["den"], q["iden"]
-        return _triple(*_reduced(q["num"] * iden, q["inum"] * den, den * iden))
 
 
 _new = object.__new__
@@ -206,7 +183,6 @@ def _reduced(n_re: int, n_im: int, den: int) -> Tuple[int, int, int]:
 
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
-_I = Scalar(0, 1)
 
 ONE = _ONE
 MINUS_ONE = Scalar(-1)

@@ -46,21 +46,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        if self.size != other.size:
-            raise KitError("size mismatch in composition")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for pos, img in enumerate(self.images, start=1):
-            inv[img - 1] = pos
-        return Permutation(inv)
-
     def permute(self, values: Sequence) -> tuple:
         """Reorders values so slot i receives values[sigma(i)]."""
         if len(values) != self.size:

@@ -169,9 +169,6 @@ class SymAlgebra:
     def zero(self) -> "SymElement":
         return self._zero
 
-    def one(self) -> "SymElement":
-        return SymElement(self, {(): self.base.one()})
-
     def scalar(self, a: AlgebraElement) -> "SymElement":
         return SymElement(self, {(): a})
 
@@ -253,9 +250,6 @@ class SymElement(Combination):
 
     def weight_part(self, r: int) -> "SymElement":
         return _sym_element(self.algebra, tuple(p for p in self.coeffs if len(p[0]) == r))
-
-    def truncate(self, cap: int) -> "SymElement":
-        return _sym_element(self.algebra, tuple(p for p in self.coeffs if len(p[0]) <= cap))
 
     def __mul__(self, other: "SymElement") -> "SymElement":
         """Graded commutative product; weights above the cap are discarded.
@@ -524,10 +518,6 @@ class DerivationD:
         got = self.on_algebra.get(i)
         return got.weight_part(n) if got is not None else self.algebra.zero()
 
-    def component_on_letter(self, n: int, i: int) -> SymElement:
-        got = self.on_letters.get(i)
-        return got.weight_part(n + 1) if got is not None else self.algebra.zero()
-
     def weight_component(self, n: int) -> "DerivationD":
         return DerivationD(
             self.algebra,
@@ -688,9 +678,6 @@ class DerivationD:
 
     def __hash__(self):
         raise TypeError("DerivationD is not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.on_algebra and not self.on_letters
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from algebroidkit.errors import DegreeError, KitError, ParseError
 from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily
 from algebroidkit.modelio import SCHEMA
 from algebroidkit.modules import FreeModule, ModuleElement
-from algebroidkit.scalars import Scalar
+from algebroidkit.scalars import Scalar, _reduced, _triple
 from algebroidkit.signs import _sort_word
 from algebroidkit.symtensor import SymAlgebra, SymElement
 
@@ -67,10 +67,14 @@ def _index_of(space: Union[BaseAlgebra, FreeModule], value, path: str) -> int:
     """The index in space of the name given by the string at path; an unknown
     name is a ParseError at path."""
     name = _expect_str(value, path)
-    try:
-        return space.index_of(name)
-    except KitError as exc:
-        raise ParseError(str(exc), path) from None
+    if isinstance(space, BaseAlgebra):
+        try:
+            return space.index_of(name)
+        except KitError as exc:
+            raise ParseError(str(exc), path) from None
+    if name not in space.gen_names:
+        raise ParseError(f"no generator named {name!r}", path)
+    return space.gen_names.index(name)
 
 
 def _parse_scalar(value, path: str) -> Scalar:
@@ -79,7 +83,14 @@ def _parse_scalar(value, path: str) -> Scalar:
         _expect_int(d[k], f"{path}.{k}")
     if d["den"] == 0 or d["iden"] == 0:
         raise ParseError("zero denominator", path)
-    return Scalar.from_quadruple(d)
+    return scalar_from_quadruple(d)
+
+
+def scalar_from_quadruple(q: dict) -> Scalar:
+    """The Scalar num/den + (inum/iden) i of a {num, den, inum, iden}
+    quadruple with nonzero denominators."""
+    den, iden = q["den"], q["iden"]
+    return _triple(*_reduced(q["num"] * iden, q["inum"] * den, den * iden))
 
 
 def _parse_terms(value, path: str, base: BaseAlgebra) -> AlgebraElement:

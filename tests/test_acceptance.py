@@ -22,19 +22,13 @@ from algebroidkit.algebroid import (
     leibniz_residual,
 )
 from algebroidkit.fixtures import (
-    Rng,
     conjugation_oracle_structure,
-    cone_dgla,
     fixture_corpus,
     kodaira_base,
-    matrix_dgla,
     mixed_module,
     nontrivial_dga,
-    random_algebroid,
-    random_ce_derivation,
     random_geometric_model,
     random_unipotent,
-    sample_bases,
 )
 from algebroidkit.geometry import (
     GeometricModel,
@@ -58,6 +52,14 @@ from algebroidkit.symtensor import (
     conjugate,
     mc_residual,
     square_components,
+)
+from builders import (
+    Rng,
+    cone_dgla,
+    matrix_dgla,
+    random_algebroid,
+    random_ce_derivation,
+    sample_bases,
 )
 from geometry_oracle import oracle_build_frakD, oracle_build_kapranov
 from linfty_oracle import linfty_jacobi_residual

@@ -24,16 +24,11 @@ from algebroidkit.algebroid import (
 )
 from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.fixtures import (
-    Rng,
     conjugation_oracle_structure,
     exterior_base,
     lambda_eps,
     mixed_module,
     nontrivial_dga,
-    random_algebroid,
-    random_ce_derivation,
-    sample_bases,
-    standard_module,
     truncated_poly,
 )
 from algebroidkit.geometry import structure_from_geometry
@@ -50,6 +45,7 @@ from algebroidkit.symtensor import (
     from_values,
     square_components,
 )
+from builders import Rng, random_algebroid, random_ce_derivation, sample_bases, standard_module
 from geometry_oracle import from_dual_values
 from linfty_oracle import oracle_jacobi_residual
 from symtensor_oracle import oracle_d0_derivation, scalar_word_transpose
@@ -365,11 +361,11 @@ def test_leibniz_residual_matches_the_bracket_oracle():
     (the unary arity, a carrier with no tuple): the one rule of
     ``AlgebroidStructure.refuse_over_cap``."""
     from algebroidkit.cli import _structure_of
-    from algebroidkit.modelio import load_model
+    from algebroidkit.modelio import parse_model
 
     fixtures = sorted(FIXTURES.glob("*.json"))
     assert len(fixtures) == 8
-    structures = [_structure_of(load_model(str(path))) for path in fixtures]
+    structures = [_structure_of(parse_model(path.read_text())) for path in fixtures]
     base = lambda_eps()
     structures.append(AlgebroidStructure(base, FreeModule(base, []), bracket_cap=2))
     rng = Rng(39)
@@ -592,7 +588,9 @@ def oracle_extract_structure(D, carrier, bracket_cap):
         if n > algebra.cap:
             break
         on_algebra = component_parts(D.component_on_algebra, n - 1, base.dim)
-        on_letter = component_parts(D.component_on_letter, n - 1, carrier.rank)
+        on_letter = component_parts(
+            lambda m, i: D.on_letters.get(i, algebra.zero()).weight_part(m + 1), n - 1, carrier.rank
+        )
         for key in _nonvanishing_keys(carrier.degrees, n):
             gens = [carrier.generator(i) for i in key]
             degs = [carrier.degrees[i] for i in key]

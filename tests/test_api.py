@@ -1,13 +1,16 @@
-"""The public API: every exported name exists, and no module imports a name
-it never reads."""
+"""The public API: every exported name exists, no module imports a name it
+never reads, and every function of the package is entered by a command run
+or has a stated reason not to be."""
 
 from __future__ import annotations
 
 import ast
+import sys
+import tempfile
 from pathlib import Path
 
 import algebroidkit
-from algebroidkit import algebra, algebroid, cli, linfty, modules, symtensor
+from algebroidkit import algebra, algebroid, cli, fixtures, linfty, modules, symtensor
 
 
 def test_every_exported_name_resolves():
@@ -80,22 +83,11 @@ def _references(tree: ast.Module):
                     yield part, node.lineno
 
 
-def _definitions(tree: ast.Module):
-    """(name, node, owning class or None) of every module-level function and
-    class and every method of a module-level class."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node, None
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item.name, item, node.name
-
-
-def test_no_dead_definitions():
-    """Every module-level function and class of the package, and every method
-    whose name no other class defines, is named somewhere outside its own
-    definition: in the package, the tests or the benchmark harness."""
+def test_no_dead_classes():
+    """Every module-level class of the package is named somewhere outside its
+    own definition: in the package, the tests or the benchmark harness.
+    Functions and methods are held by ``test_every_src_function_is_reached``,
+    which asks for more: that a run enters them."""
     root = Path(__file__).resolve().parents[1]
     package = sorted(root.glob("src/algebroidkit/*.py"))
     trees = {
@@ -106,25 +98,138 @@ def test_no_dead_definitions():
     for path, tree in trees.items():
         for name, line in _references(tree):
             references.setdefault(name, []).append((path, line))
-    definitions = [(path, *d) for path in package for d in _definitions(trees[path])]
-    classes_defining = {}
-    for _, name, _, owner in definitions:
-        if owner is not None:
-            classes_defining.setdefault(name, set()).add(owner)
     dead = []
-    for path, name, node, owner in definitions:
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        if owner is not None and len(classes_defining[name]) > 1:
-            continue
-        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        if not any(
-            ref_path != path or not start <= line <= node.end_lineno
-            for ref_path, line in references.get(name, [])
-        ):
-            where = f"{owner}.{name}" if owner else name
-            dead.append(f"{path.relative_to(root)}:{node.lineno}: {where}")
+    for path in package:
+        for node in trees[path].body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if not any(
+                ref_path != path or not start <= line <= node.end_lineno
+                for ref_path, line in references.get(node.name, [])
+            ):
+                dead.append(f"{path.relative_to(root)}:{node.lineno}: {node.name}")
     assert dead == []
+
+
+# The benchmark harness reads these by name: ``perfbench/tracer.py`` wraps
+# them and ``layer_metrics`` reads their call counts.  They leave with
+# ROADMAP items 1 and 14, which change the harness.
+PERFBENCH = "read by perfbench; leaves with ROADMAP item 1/14"
+
+# module.qualified name -> why no run needs to enter it
+ALLOWED_UNREACHED = {
+    # read by the benchmark harness, and the helpers they alone call
+    "algebroid.AlgebroidStructure.anchor": PERFBENCH,
+    "algebroid.AlgebroidStructure.bracket": PERFBENCH,
+    "geometry.GeometricModel.nabla_bar": PERFBENCH,
+    "linfty.ShiftedDerDGLA.jacobi_residual": PERFBENCH,
+    "linfty.ShiftedDerDGLA.basis": PERFBENCH + " (ShiftedDerDGLA.jacobi_residual reads it)",
+    "linfty._unshuffle_sum": PERFBENCH + " (ShiftedDerDGLA.jacobi_residual reads it)",
+    "modules.pair_dual": PERFBENCH,
+    "modules.ModuleElement.coefficient": PERFBENCH + " (pair_dual reads it)",
+    "modules._koszul_twist": PERFBENCH + " (pair_dual reads it)",
+    "modules.multilinear_extend": PERFBENCH,
+    "algebra.AlgebraElement.a_mul": PERFBENCH
+    + " (multilinear_extend reads it; anchor_morphism_residual only on a non-unit bracket coefficient)",
+    "symtensor.evaluate": PERFBENCH,
+    "symtensor._evaluate_parts": PERFBENCH + " (evaluate reads it)",
+    "symtensor._evaluate_parts.<locals>.read": PERFBENCH + " (evaluate reads it)",
+    "symtensor.from_values": PERFBENCH,
+    "modules.FreeModule.generator": PERFBENCH + " (from_values reads it)",
+    "symtensor.SymElement.data": PERFBENCH + " (its tracer counts terms with it)",
+    "signs.skew_sign": PERFBENCH,
+    "signs.Permutation.signature": PERFBENCH + " (skew_sign reads it)",
+    # the object protocol: what a debugger, a set or an assignment calls
+    "algebra.BaseAlgebra.__repr__": "repr, for debugging",
+    "algebra.Combination.__hash__": "hash, for a set of elements",
+    "algebra.Combination.__setattr__": "refuses a write to an immutable element",
+    "algebra.Combination._compatible": "refuses an element of another space",
+    "linfty.AlgebraDerivation.__repr__": "repr, for debugging",
+    "linfty.BracketTable.__ne__": "!=, kept consistent with the table's __eq__",
+    "modules.FreeModule.__repr__": "repr, for debugging",
+    "modules.ModuleElement.__repr__": "repr, for debugging",
+    "scalars.Scalar.__hash__": "hash, for a set of scalars",
+    "signs.Permutation.__eq__": "==, for comparing permutations",
+    "signs.Permutation.__hash__": "hash, for a set of permutations",
+    "signs.Permutation.__repr__": "repr, for debugging",
+    "signs.Permutation.__setattr__": "refuses a write to an immutable permutation",
+    "symtensor.DerivationD.__hash__": "refuses to hash a mutable-table operator",
+    "symtensor.SymElement.__repr__": "repr, and the label of a failing lemma's residual",
+    # failure paths that no shipped model meets
+    "geometry.GeometricModel.bidegree": "names the bidegree of a refused tensor word",
+    "geometry._grid": "lists the residuals of a failing lemma",
+    "geometry._slice": "lists the residuals of a failing lemma",
+    "cli._leibniz_entries": "the leibniz lines are empty by construction (ROADMAP item 9)",
+}
+
+
+def _src_functions():
+    """{module.qualified name: (file, line)} of every def of the package,
+    methods and nested functions included, each named as its code object's
+    ``co_qualname``."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                found[f"{path.stem}.{name}"] = (path.name, child.lineno)
+                visit(child, path, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(Path(algebroidkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return found
+
+
+def _entered_in_contract_runs(workloads):
+    """{module.qualified name} of every package function that the shipped
+    corpus writer and the report-contract runs (generated models included)
+    enter, as ``sys.setprofile`` sees them."""
+    from report_contract import replay, runs
+
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            fixtures.write_fixture_corpus(directory)
+        replay(runs(workloads))
+    finally:
+        sys.setprofile(None)
+    root = Path(algebroidkit.__file__).parent
+    return {
+        f"{Path(code.co_filename).stem}.{code.co_qualname}"
+        for code in codes
+        if Path(code.co_filename).parent == root
+    }
+
+
+def test_every_src_function_is_reached(workloads):
+    """Every function of the package is entered by a command or by the
+    benchmark's model set-up: the shipped corpus writer and the report-contract
+    runs, which cover every command on every fixture and generated model,
+    the witnesses and the refusals.  ``ALLOWED_UNREACHED`` names the rest,
+    each with its reason, and names only functions that exist and that no
+    run enters, so it cannot outlive the code."""
+    defined = _src_functions()
+    entered = _entered_in_contract_runs(workloads)
+    unreached = sorted(
+        f"{file}:{line}: {name}"
+        for name, (file, line) in defined.items()
+        if name not in entered and name not in ALLOWED_UNREACHED
+    )
+    assert unreached == []
+    assert sorted(name for name in ALLOWED_UNREACHED if name not in defined) == []
+    assert sorted(name for name in ALLOWED_UNREACHED if name in entered) == []
 
 
 def _functions(tree: ast.Module):

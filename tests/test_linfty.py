@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 
 from algebroidkit.algebroid import AlgebroidStructure, algebroid_jacobi_residual, anchor_morphism_residual
 from algebroidkit.fixtures import (
-    Rng,
-    cone_dgla,
     conjugation_oracle_structure,
     kodaira_base,
     lambda_eps,
-    matrix_dgla,
     mixed_module,
     nontrivial_dga,
-    random_algebroid,
-    sample_bases,
-    trivial_base,
 )
 from algebroidkit.linfty import (
     AlgebraDerivation,
@@ -35,6 +29,7 @@ from algebroidkit.linfty import (
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar
 from algebroidkit.signs import sym_sign
+from builders import Rng, cone_dgla, matrix_dgla, random_algebroid, sample_bases, trivial_base
 from linfty_oracle import (
     LInftyBrackets,
     LInftyMorphism,

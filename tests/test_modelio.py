@@ -19,7 +19,6 @@ from algebroidkit.algebra import BaseAlgebra
 from algebroidkit import modelio, scalars
 from algebroidkit.errors import DegreeError, ParseError
 from algebroidkit.fixtures import (
-    Rng,
     fixture_corpus,
     kodaira_base,
     lambda_eps,
@@ -30,6 +29,7 @@ from algebroidkit.fixtures import (
 from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
 from algebroidkit.scalars import Scalar
+from builders import Rng
 from modelio_oracle import oracle_parse_model, put_value_on_unit
 
 

@@ -25,19 +25,17 @@ from algebroidkit.algebroid import (
 from algebroidkit.cli import main
 from algebroidkit.errors import CapError
 from algebroidkit.fixtures import (
-    Rng,
     mixed_module,
     nontrivial_dga,
-    random_algebroid,
     random_geometric_model,
     random_unipotent,
-    sample_bases,
 )
 from algebroidkit.geometry import GeometricModel, build_frakD, build_kapranov, duality_residual, structure_from_geometry
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE
 from algebroidkit.symtensor import SymAlgebra, conjugate, mc_residual, square, square_components
+from builders import Rng, random_algebroid, sample_bases
 from geometry_oracle import oracle_duality_residual
 from linfty_oracle import oracle_anchor_morphism_residual
 from symtensor_oracle import oracle_square_components, oracle_squares_difference

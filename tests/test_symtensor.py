@@ -13,20 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algebroidkit.algebra import BaseAlgebra, _summed, validate_base_algebra
+from algebroidkit.algebra import AlgebraElement, BaseAlgebra, _summed, validate_base_algebra
 from algebroidkit.algebroid import AlgebroidStructure, _letter_transpose, _word_transpose, d0_derivation
 from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.geometry import _grid
 from algebroidkit.fixtures import (
-    Rng,
     exterior_base,
     kodaira_base,
     lambda_eps,
     mixed_module,
     nontrivial_dga,
-    random_ce_derivation,
-    sample_bases,
-    standard_module,
 )
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
@@ -115,7 +111,7 @@ def random_sym_element(rng, alg, max_weight=None):
 def test_unit_and_commutativity():
     base, module, alg = make_setup()
     rng = Rng(1)
-    one = alg.one()
+    one = alg.scalar(base.one())
     for _ in range(15):
         x = random_sym_element(rng, alg)
         y = random_sym_element(rng, alg)
@@ -398,13 +394,13 @@ def algebra_elements(base):
     """Nonzero, inhomogeneous in general: any basis elements, any degrees."""
     return st.dictionaries(
         st.integers(0, base.dim - 1), SCALARS, min_size=1, max_size=3
-    ).map(base.element)
+    ).map(lambda coeffs: AlgebraElement(base, coeffs))
 
 
 def module_elements(module):
     return st.dictionaries(
         st.integers(0, module.rank - 1), algebra_elements(module.base), min_size=1, max_size=3
-    ).map(module.element)
+    ).map(lambda coeffs: ModuleElement(module, coeffs))
 
 
 def sym_elements(alg, weight):
@@ -470,7 +466,7 @@ def test_evaluate_rejects_other_module_where_the_weight_part_is_zero():
 def test_evaluate_arity_above_cap():
     base, module, alg = make_setup(cap=2)
     with pytest.raises(CapError):
-        evaluate(alg.one(), [module.generator(0)] * 3, module)
+        evaluate(alg.scalar(base.one()), [module.generator(0)] * 3, module)
 
 
 # -- derivations ---------------------------------------------------------------
@@ -543,6 +539,7 @@ def test_square_components_detects_perturbation():
 
 
 from algebroidkit.fixtures import random_unipotent as _random_unipotent
+from builders import Rng, random_ce_derivation, sample_bases, standard_module
 
 
 def random_unipotent(rng, alg):
@@ -634,9 +631,9 @@ def test_the_mc_draw_matches_the_draw_that_solved_every_degree(workloads):
 def test_conjugate_of_zero_is_zero():
     base, module, alg = make_setup(seed=1)
     Phi = random_unipotent(Rng(1), alg)
-    assert not Phi.phi.is_zero()
+    assert Phi.phi.on_algebra or Phi.phi.on_letters
     Z = DerivationD(alg, {}, {}, check=False)
-    assert conjugate(Phi, Z).is_zero()
+    assert conjugate(Phi, Z) == Z
 
 
 def test_apply_derivation_truncation_consistency():
@@ -676,8 +673,8 @@ def test_apply_derivation_truncation_consistency():
     el_small = SymElement(small, data)
     el_big = SymElement(big, data)
     got_small = D_small.apply(el_small)
-    got_big = D_big.apply(el_big).truncate(3)
-    assert got_small.data == got_big.data
+    got_big = D_big.apply(el_big)
+    assert got_small.data == {w: c for w, c in got_big.items() if len(w) <= 3}
 
 
 def test_mc_single_planted_term_is_commutator():
@@ -1202,7 +1199,7 @@ def test_second_conjugate_grows_no_per_walk_state():
     base, module, alg = make_setup(seed=55, cap=4)
     D0 = d0_derivation(alg, module)
     Phi = random_unipotent(Rng(56), alg)
-    assert not Phi.phi.is_zero()
+    assert Phi.phi.on_algebra or Phi.phi.on_letters
     first = conjugate(Phi, D0)
     met = _held_sizes(Phi.phi), _held_sizes(D0)
     unpacked = dict(alg._unpacked)
@@ -1302,9 +1299,6 @@ def test_private_constructor_agrees_with_public_one():
             assert same_as_public(x.weight_part(r)) == SymElement(
                 alg, {w: a for w, a in x.items() if len(w) == r}
             )
-            assert same_as_public(x.truncate(r)) == SymElement(
-                alg, {w: a for w, a in x.items() if len(w) <= r}
-            )
         same_as_public(x * y)  # _row_element of a product sum
         assert same_as_public(D.apply(x)) == reference_apply(D, x)  # _row_element of a row sum
 
@@ -1314,15 +1308,15 @@ def test_automorphism_rejects_elements_of_another_algebra():
     letter past Phi's letters and another cap are refused, not misread."""
     base, module, alg = make_setup(seed=1, cap=3)
     Phi = random_unipotent(Rng(1), alg)
-    assert not Phi.phi.is_zero()
+    assert Phi.phi.on_algebra or Phi.phi.on_letters
     wider = SymAlgebra(base, [(n, d) for n, d in zip(alg.letter_names, alg.letter_degrees)] + [("h^", 0)], cap=3)
     taller = SymAlgebra(base, list(zip(alg.letter_names, alg.letter_degrees)), cap=4)
     other_base = SymAlgebra(kodaira_base(), list(zip(alg.letter_names, alg.letter_degrees)), cap=3)
     for el in (
-        wider.one(),
+        wider.scalar(base.one()),
         wider.letter(alg.n_letters),
         taller.letter(0),
-        other_base.one(),
+        other_base.scalar(other_base.base.one()),
     ):
         with pytest.raises(BaseMismatch):
             Phi.apply(el)
@@ -1336,7 +1330,7 @@ def test_automorphism_rejects_elements_of_another_algebra():
 def reference_nabla_bar(g, el):
     """nabla_hat on the whole element, then the 1/m rescale of every output
     word; a word without tangent letters, which rule R rules out, raises."""
-    raw = g.nabla_hat().apply(el)
+    raw = g._nabla_hat.apply(el)
     out = {}
     for w, c in raw.items():
         m = g.tangent_count(w)
@@ -1394,7 +1388,7 @@ def test_operator_refusal_texts_name_the_generator():
             lambda: DerivationD(alg, {}, {0: alg.letter(0)}),
             "derivation value on letter g0^ has degree 0, expected 1",
         ),
-        (lambda: DerivationD(alg, {1: e + alg.one()}, {}), "derivation value on e is not homogeneous"),
+        (lambda: DerivationD(alg, {1: e + alg.scalar(base.one())}, {}), "derivation value on e is not homogeneous"),
     ]
     for build, message in cases:
         with pytest.raises(KitError) as err:
@@ -1410,13 +1404,13 @@ def test_a_derivation_refuses_a_value_on_the_unit():
     base, alg = _two_letter_algebra()
     e = alg.scalar(base.basis_element(1))
     message = f"derivation value on the unit {base.names[base.unit]!r} is not zero"
-    for value in (alg.one(), e, alg.letter(0, base.basis_element(1))):
+    for value in (alg.scalar(base.one()), e, alg.letter(0, base.basis_element(1))):
         for check in (True, False):
             for degree in (0, 1):
                 with pytest.raises(KitError) as err:
                     DerivationD(alg, {base.unit: value}, {}, degree=degree, check=check)
                 assert str(err.value) == message
-    assert DerivationD(alg, {base.unit: alg.zero()}, {}).is_zero()
+    assert DerivationD(alg, {base.unit: alg.zero()}, {}) == DerivationD(alg, {}, {})
 
 
 def _odd_first_algebra():

@@ -48,19 +48,23 @@ Jacobi residuals, and in ``geometry`` the curvature terms, the Shape, Gamma
 and dhat rows of ``structure_from_geometry``.
 
 ``anchor_morphism_residual`` reads each term of the identity making the
-anchors a structure morphism L[1] -> Der(A)[1] off the tables too.
+anchors a structure morphism L[1] -> Der(A)[1] off the tables too, as rows
+f_m(w)(e_b) of the anchor entries, and sums the residual at each basis
+element in one coefficient table, with l_1 and l_2 of Der(A)[1] written out
+on the rows.
 """
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, List, Mapping, Sequence, Tuple
+from itertools import combinations
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _element, _linear, _summed
 from .errors import BaseMismatch, CapError, KitError
-from .linfty import AlgebraDerivation, BracketTable, ShiftedDerDGLA, _unshuffles, same_tables, sorted_tuples
+from .linfty import AlgebraDerivation, BracketTable, same_tables, sorted_tuples
 from .modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
 from .scalars import Scalar, Sums, _reduced_items
-from .signs import _nonvanishing_keys
+from .signs import _sort_word
 from .symtensor import (
     DerivationD,
     SymAlgebra,
@@ -251,9 +255,9 @@ def _word_transpose(
         (-1)^{exponents[i] + |e_b| degrees[i]} x / kappa(w)
 
     in element i.  The twist (-1)^{|e_b| degrees[i]} is that of the product
-    rule, and kappa(w) is an integer, so the unit times the value, summed by
-    ``algebra._add_product``, gives each coefficient as one triple, reduced
-    once.
+    rule, and kappa(w) is an integer, computed once per word, so the unit
+    times the value, summed by ``algebra._add_product``, gives each
+    coefficient as one triple, reduced once.
 
     Every w is a canonical table key (``linfty.BracketTable``): a sorted
     word of alg that does not vanish.  So each element is made from its
@@ -261,11 +265,14 @@ def _word_transpose(
     over the cap of alg is dropped, and a zero value."""
     base, cap = alg.base, alg.cap
     out: Dict[int, Dict[GenKey, AlgebraElement]] = {}
+    kappas: Dict[GenKey, int] = {}
     for w, i, value in entries:
         words = out.setdefault(i, {})
         if len(w) > cap:
             continue
-        kappa = _word_constant(alg, w)
+        kappa = kappas.get(w)
+        if kappa is None:
+            kappa = kappas[w] = _word_constant(alg, w)
         sums: Sums = {}
         sign = -1 if (exponents[i] + (kappa < 0)) & 1 else 1
         _add_product(sums, base, base.unit, value.coeffs, degrees[i], sign, 0, abs(kappa))
@@ -361,19 +368,22 @@ def _letter_transpose(
 
     exponents[i] being the sign of the read at letter i and (-1)^{|e_b||g_i|}
     the Koszul twist of the dual pairing (``modules.pair_dual``) at the
-    basis element e_b.  As in ``_word_transpose`` the unit times the value
-    gives each entry as an unreduced triple, which the caller reduces once
-    its sum is complete.
+    basis element e_b.  As in ``_word_transpose`` kappa(w) is computed once
+    per word, and the unit times the value gives each entry as an unreduced
+    triple, which the caller reduces once its sum is complete.
     """
     base = alg.base
     out: Dict[GenKey, Coefficients] = {}
+    kappas: Dict[GenKey, int] = {}
     for i, el in table.items():
         degree = degrees[i]
         for w, c in el.items():
             if len(w) not in weights:
                 continue
             sums = out.setdefault(w, {})[i] = {}
-            kappa = _word_constant(alg, w)
+            kappa = kappas.get(w)
+            if kappa is None:
+                kappa = kappas[w] = _word_constant(alg, w)
             _add_product(sums, base, base.unit, c.coeffs, degree, -kappa if exponents[i] & 1 else kappa, 0, 1)
     return out
 
@@ -409,7 +419,14 @@ def extract_structure(
     Both are read by ``_letter_transpose``: its twist (-1)^{|e_c||e_b|} of a
     basis element e_c of D(e_b)[w] is (-1)^{|e_b||w|}, as D has degree 1.
     D(1) would be read as the anchors on the unit; it is zero, as
-    ``DerivationD`` refuses a value on the unit.
+    ``DerivationD`` refuses a value on the unit, and a nonzero one would be
+    refused as ``AlgebroidStructure.set_anchor`` refuses it.
+
+    The words of D are sorted and do not vanish on the letter degrees, and
+    each carrier degree has the parity of its letter's degree (a carrier
+    that does not is refused), so a word is a canonical table key
+    (``linfty.BracketTable``) of the carrier, and every nonzero value is
+    stored under its word as it is, with no ``BracketTable.set`` re-sort.
     """
     algebra = D.algebra
     base = algebra.base
@@ -422,19 +439,26 @@ def extract_structure(
             )
     if carrier.rank != algebra.n_letters:
         raise BaseMismatch("module generators do not match algebra letters")
-    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
     degrees = carrier.degrees
+    if any((d - e) & 1 for d, e in zip(degrees, algebra.letter_degrees)):
+        raise BaseMismatch("module generator degrees do not have the parities of the algebra letters")
+    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
 
     anchors = _letter_transpose(algebra, D.on_algebra, base.degrees, [0] * base.dim, range(1, bracket_cap + 1))
     for w in sorted(anchors, key=lambda w: (len(w), w)):
         for b in sorted(anchors[w]):
-            S.set_anchor(len(w) + 1, w, b, _summed(base, anchors[w][b]))
+            coeffs = _reduced_items(anchors[w][b])
+            if not coeffs:
+                continue
+            if b == base.unit:
+                raise KitError(f"anchor on the unit {base.names[b]!r} is not zero")
+            S.anchors.setdefault(len(w) + 1, BracketTable(degrees))[w, b] = _element(base, coeffs)
 
     values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], range(2, bracket_cap + 1))
     for w in sorted(values, key=lambda w: (len(w), w)):
         value = _module_value(carrier, values[w])
-        if not value.is_zero():
-            S.set_bracket(len(w), w, value)
+        if value.coeffs:
+            S.brackets.setdefault(len(w), BracketTable(degrees))[w] = value
     return S
 
 
@@ -487,60 +511,159 @@ def leibniz_residual(S: AlgebroidStructure, n: int) -> Dict[Tuple[GenKey, int], 
     return {}
 
 
+# The (basis index, Scalar) pairs of one AlgebraElement: a derivation row
+# P(e_b) as ``anchor_morphism_residual`` reads it off a table entry.
+Pairs = Tuple[Tuple[int, Scalar], ...]
+
+
+def _add_composite(
+    out: Sums, base: BaseAlgebra, i: int, inner: Pairs, outer: Mapping[int, Pairs], rule: Tuple[int, int, int],
+    factor: int,
+) -> None:
+    """out += factor (Y o X)(e_i), signed term by term, for inner = X(e_i) and
+    outer = {m: Y(e_m)} the rows of two maps of the base: each term
+    x_m y_k e_k of x_m e_m in X(e_i) and y_k e_k in Y(e_m) is signed
+
+        (-1)^{a dp + b dq + c dp dq},  (a, b, c) = rule,
+
+    with dp = |e_m| - |e_i| and dq = |e_k| - |e_m| the degrees of the parts
+    of X and Y that the term runs through.  (-1)^{t dq} is
+    (-1)^{t |e_m|} times the twist (-1)^{t |e_k|} of the product rule, so
+    each row Y(e_m) is added as the unit times it (``algebra._add_product``)."""
+    degrees, unit = base.degrees, base.unit
+    a, b, c = rule
+    for m, x in inner:
+        row = outer.get(m)
+        if row is None:
+            continue
+        p = degrees[m] - degrees[i]
+        twist = (b + c * p) & 1
+        sign = -factor if (a * p + twist * degrees[m]) & 1 else factor
+        _add_product(out, base, unit, row, twist, sign * x.n_re, sign * x.n_im, x.den)
+
+
+# The rules of ``_add_composite`` that l_1 and l_2 of ``ShiftedDerDGLA`` take
+# apart into: Y o X, (-1)^{|X||Y|} Y o X, (-1)^{|Y|} Y o X and
+# (-1)^{|X| + |X||Y|} Y o X.
+_PLAIN, _KOSZUL, _OUTER, _INNER_KOSZUL = (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)
+
+
 def anchor_morphism_residual(
     S: AlgebroidStructure, arities: Sequence[int]
 ) -> Dict[int, Dict[GenKey, AlgebraDerivation]]:
     """The defects {n: {sorted key: derivation}} of the anchors forming a
     structure morphism f: L[1] -> Der(A)[1], f_m(key) = {key | -}_{m+1}, at
-    the given arities.  Over the unshuffles of key (``linfty._unshuffles``),
-    first and rest its generators at sigma(1..i) and the others,
+    the given arities.  Over the splits of the positions of key into C, of
+    i = 1..n positions, and the others R, first and rest the generators at C
+    and at R,
 
-        Res_n(key) = sum alpha(sigma) sum_j a_j f_{n-i+1}(g_j, rest)
-                     - l_1(f_n(key)) - sum' alpha(sigma) l_2(f(first), f(rest)),
+        Res_n(key) = sum alpha(C) sum_j a_j f_{n-i+1}(g_j, rest)
+                     - l_1(f_n(key)) - sum' alpha(C) l_2(f(first), f(rest)),
 
-    where {first}_i = sum_j a_j g_j is one bracket entry (d_L g at i = 1):
-    f has degree 0, so a_j stands outside it.  sum' runs over the canonical
-    unshuffles, one per split of key into two blocks, and l_1, l_2 are those
-    of ``ShiftedDerDGLA``.  Unshuffles giving the same blocks of generators
-    are counted with their signs and evaluated once.  An arity over the
-    bracket cap is refused before any work: the identity's bracket at that
-    arity would refuse it."""
+        alpha(C) = (-1)^{sum |g_p||g_q|, p in R, q in C, p < q},
+
+    the Koszul sign of the unshuffle that puts C first.  {first}_i =
+    sum_j a_j g_j is one bracket entry (d_L g at i = 1): f has degree 0, so
+    a_j stands outside it.  sum' runs over the canonical splits, i < n and
+    (i, C[0]) < (n - i, R[0]), one per split of key into two blocks.  Splits
+    giving the same blocks of generators are counted with their signs and
+    evaluated once.
+
+    Every map is read as rows: f_m(w)(e_b) is the anchor entry at (w, b),
+    an unsorted (j,) + rest sorted with its sign by ``signs._sort_word``,
+    and l_1(P) = [d_A, P], l_2(P, Q) = sum_dp (-1)^dp [P_dp, Q] of
+    ``ShiftedDerDGLA`` are, with dp = |e_m| - |e_i| and dq = |e_k| - |e_m|,
+
+        l_1(P)(e_i)    = d_A(P(e_i)) - sum (-1)^{dp dq} d_A(e_i)_m P(e_m)_k e_k,
+        l_2(P, Q)(e_i) = sum (-1)^dq Q(e_i)_m P(e_m)_k e_k
+                         - sum (-1)^{dp + dp dq} P(e_i)_m Q(e_m)_k e_k,
+
+    and (-1)^{dp dq} = (-1)^dq on the terms of a d_A of degree 1.  Each
+    Res_n(key)(e_i) is summed in one coefficient table (``scalars.Sums``),
+    the a_j f(g_j, rest) terms as left products by a_j, and reduced once.
+    An arity over the bracket cap is refused before any work: the identity's
+    bracket at that arity would refuse it."""
     S.refuse_over_cap(arities)
-    carrier, one = S.carrier, S.base.one()
-    degrees, d_L = carrier.degrees, carrier.differential_basis
-    target = ShiftedDerDGLA(S.base)
-    zero = target.zero()
-    f = {m: BracketTable(degrees) for m in range(1, S.anchor_cap)}
-    for m, table in f.items():
-        for key in _nonvanishing_keys(degrees, m):
-            table.set(key, S.anchor_derivation(m + 1, key))
+    base, carrier = S.base, S.carrier
+    degrees = carrier.degrees
+    # the rows f_m(w)(e_b) of every stored anchor, by word w (m = len(w)),
+    # the rows of d_A, and {first}_i by word, d_L at i = 1
+    rows: Dict[GenKey, Dict[int, Pairs]] = {}
+    for table in S.anchors.values():
+        for (w, b), value in table.items():
+            rows.setdefault(w, {})[b] = value.coeffs
+    d_A = {b: v.coeffs for b in range(base.dim) if (v := base.differential_basis(b)).coeffs}
+    inside = {(j,): carrier.differential_basis(j).coeffs for j in range(carrier.rank)}
+    for table in S.brackets.values():
+        inside.update((w, v.coeffs) for w, v in table.items())
 
-    def read(tables, gens, default):
-        value = tables[len(gens)].lookup(gens) if len(gens) in tables else None
-        return default if value is None else value
-
+    # (j,) + rest sorted with its sign exponent, or None where it vanishes
+    sorted_words: Dict[GenKey, Optional[Tuple[GenKey, int]]] = {}
     out: Dict[int, Dict[GenKey, AlgebraDerivation]] = {}
     for n in arities:
         residuals = out[n] = {}
+        splits = [
+            (C, R, i < n and (i, C[0]) < (n - i, R[0]))
+            for i in range(1, n + 1)
+            for C in combinations(range(n), i)
+            for R in [tuple(p for p in range(n) if p not in C)]
+        ]
+        # alpha(C) of every split, by the positions of the odd generators
+        signs: Dict[int, List[int]] = {}
         for key in sorted_tuples(carrier.rank, n):
+            odd = sum(1 << p for p, g in enumerate(key) if degrees[g] & 1)
+            alphas = signs.get(odd)
+            if alphas is None:
+                alphas = signs[odd] = [
+                    -1 if sum(odd >> p & odd >> q & 1 for p in R for q in C if p < q) & 1 else 1
+                    for C, R, _ in splits
+                ]
             left: Dict[Tuple[GenKey, GenKey], int] = {}
             right: Dict[Tuple[GenKey, GenKey], int] = {}
-            for first, rest, canonical, sign in _unshuffles(key, degrees):
-                left[first, rest] = left.get((first, rest), 0) + sign
+            for (C, R, canonical), alpha in zip(splits, alphas):
+                blocks = tuple(map(key.__getitem__, C)), tuple(map(key.__getitem__, R))
+                left[blocks] = left.get(blocks, 0) + alpha
                 if canonical:
-                    right[first, rest] = right.get((first, rest), 0) + sign
-            total = -target.bracket(1, [read(f, key, zero)])
+                    right[blocks] = right.get(blocks, 0) + alpha
+
+            acc: Coefficients = {}
+            P = rows.get(key)
+            if P is not None:
+                for i, x in P.items():
+                    _add_composite(acc.setdefault(i, {}), base, i, x, d_A, _PLAIN, -1)
+                for i, x in d_A.items():
+                    _add_composite(acc.setdefault(i, {}), base, i, x, P, _KOSZUL, 1)
             for (first, rest), count in left.items():
-                if not count:
+                bracket = inside.get(first)
+                if not count or bracket is None:
                     continue
-                inside = read(S.brackets, first, carrier.zero()) if len(first) > 1 else d_L(first[0])
-                for j, a in inside.items():
-                    term = read(f, (j,) + rest, zero)
-                    total = total + (term if a == one else term.a_mul(a)).scale(Scalar.rational(count))
+                for j, a in bracket:
+                    args = (j,) + rest
+                    if args not in sorted_words:
+                        sorted_words[args] = _sort_word(degrees, args)
+                    word = sorted_words[args]
+                    row = rows.get(word[0]) if word else None
+                    if row is None:
+                        continue
+                    factor = -count if word[1] & 1 else count
+                    for b, value in row.items():
+                        sums = acc.setdefault(b, {})
+                        for k, x in a.coeffs:
+                            _add_product(sums, base, k, value, 0, factor * x.n_re, factor * x.n_im, x.den)
             for (first, rest), count in right.items():
-                if count:
-                    term = target.bracket(2, [read(f, first, zero), read(f, rest, zero)])
-                    total = total - term.scale(Scalar.rational(count))
-            if not total.is_zero():
-                residuals[key] = total
+                P, Q = rows.get(first), rows.get(rest)
+                if not count or P is None or Q is None:
+                    continue
+                for i, x in Q.items():
+                    _add_composite(acc.setdefault(i, {}), base, i, x, P, _OUTER, -count)
+                for i, x in P.items():
+                    _add_composite(acc.setdefault(i, {}), base, i, x, Q, _INNER_KOSZUL, count)
+
+            values = []
+            for i in sorted(acc):
+                coeffs = _reduced_items(acc[i])
+                if coeffs:
+                    values.append((i, _element(base, coeffs)))
+            if values:
+                residuals[key] = AlgebraDerivation._made(base, tuple(values))
     return out

@@ -3,8 +3,9 @@ sum: the oracles of the Jacobi residual that ``algebroid`` reads off the
 square of the CE differential, and of ``linfty._unshuffle_sum``.  Also the
 general L-infinity morphism, its structure-morphism residual over the
 canonical set partitions, and the anchor morphism of an algebroid built on
-its own and read arity by arity through them: the oracle of the closed form
-``algebroid.anchor_morphism_residual``.
+its own and read arity by arity through them, and the closed form that
+sums its terms as derivations of the base (``closed_form_anchor_morphism_residual``):
+the two oracles of ``algebroid.anchor_morphism_residual``.
 
 The package keeps an L-infinity structure as its bracket tables only, which
 is all the degree-shift dictionary reads; the evaluation of those tables on
@@ -17,7 +18,7 @@ from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
 from algebroidkit.errors import CapError, KitError
-from algebroidkit.linfty import BracketTable, GenKey, ShiftedDerDGLA, _unshuffle_sum, sorted_tuples
+from algebroidkit.linfty import BracketTable, GenKey, ShiftedDerDGLA, _unshuffle_sum, _unshuffles, sorted_tuples
 from algebroidkit.modules import ModuleElement, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _nonvanishing_keys, skew_sign, sym_sign, unshuffles_with_tail
@@ -226,3 +227,50 @@ def oracle_anchor_morphism_residual(S, arities):
             raise CapError(f"bracket arity {n} exceeds cap {S.bracket_cap}")
     f, target = anchor_morphism(S)
     return {n: morphism_residual(f, S, target, n) for n in arities}
+
+
+def closed_form_anchor_morphism_residual(S, arities):
+    """The oracle of the row sums of ``algebroid.anchor_morphism_residual``:
+    the same closed form, over the unshuffle permutations of
+    ``linfty._unshuffles``, each term an ``AlgebraDerivation`` sum, l_1 and
+    l_2 those of ``ShiftedDerDGLA`` (commutators of homogeneous parts), the
+    a_j f(g_j, rest) terms by ``a_mul``."""
+    S.refuse_over_cap(arities)
+    carrier, one = S.carrier, S.base.one()
+    degrees, d_L = carrier.degrees, carrier.differential_basis
+    target = ShiftedDerDGLA(S.base)
+    zero = target.zero()
+    f = {m: BracketTable(degrees) for m in range(1, S.anchor_cap)}
+    for m, table in f.items():
+        for key in _nonvanishing_keys(degrees, m):
+            table.set(key, S.anchor_derivation(m + 1, key))
+
+    def read(tables, gens, default):
+        value = tables[len(gens)].lookup(gens) if len(gens) in tables else None
+        return default if value is None else value
+
+    out: Dict[int, Dict[GenKey, object]] = {}
+    for n in arities:
+        residuals = out[n] = {}
+        for key in sorted_tuples(carrier.rank, n):
+            left: Dict[Tuple[GenKey, GenKey], int] = {}
+            right: Dict[Tuple[GenKey, GenKey], int] = {}
+            for first, rest, canonical, sign in _unshuffles(key, degrees):
+                left[first, rest] = left.get((first, rest), 0) + sign
+                if canonical:
+                    right[first, rest] = right.get((first, rest), 0) + sign
+            total = -target.bracket(1, [read(f, key, zero)])
+            for (first, rest), count in left.items():
+                if not count:
+                    continue
+                inside = read(S.brackets, first, carrier.zero()) if len(first) > 1 else d_L(first[0])
+                for j, a in inside.items():
+                    term = read(f, (j,) + rest, zero)
+                    total = total + (term if a == one else term.a_mul(a)).scale(Scalar.rational(count))
+            for (first, rest), count in right.items():
+                if count:
+                    term = target.bracket(2, [read(f, first, zero), read(f, rest, zero)])
+                    total = total - term.scale(Scalar.rational(count))
+            if not total.is_zero():
+                residuals[key] = total
+    return out

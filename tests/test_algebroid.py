@@ -12,8 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from algebroidkit import algebroid
+from algebroidkit.algebra import _summed
 from algebroidkit.algebroid import (
     AlgebroidStructure,
+    _letter_transpose,
+    _module_value,
     _word_transpose,
     algebroid_jacobi_residual,
     anchor_morphism_residual,
@@ -31,7 +34,7 @@ from algebroidkit.fixtures import (
     nontrivial_dga,
     truncated_poly,
 )
-from algebroidkit.geometry import structure_from_geometry
+from algebroidkit.geometry import build_frakD, structure_from_geometry
 from algebroidkit.linfty import sorted_tuples
 from algebroidkit.modelio import parse_model, serialize_model
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual
@@ -613,6 +616,26 @@ def oracle_extract_structure(D, carrier, bracket_cap):
     return S
 
 
+def resorting_extract_structure(D, carrier, bracket_cap):
+    """``extract_structure`` as it stored its values before it kept the
+    words as keys: each through ``set_anchor`` / ``set_bracket``, which
+    re-sort the key (``BracketTable.set``) and check the arity and the unit."""
+    algebra = D.algebra
+    base = algebra.base
+    degrees = carrier.degrees
+    S = AlgebroidStructure(base, carrier, bracket_cap=bracket_cap)
+    anchors = _letter_transpose(algebra, D.on_algebra, base.degrees, [0] * base.dim, range(1, bracket_cap + 1))
+    for w in sorted(anchors, key=lambda w: (len(w), w)):
+        for b in sorted(anchors[w]):
+            S.set_anchor(len(w) + 1, w, b, _summed(base, anchors[w][b]))
+    values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], range(2, bracket_cap + 1))
+    for w in sorted(values, key=lambda w: (len(w), w)):
+        value = _module_value(carrier, values[w])
+        if not value.is_zero():
+            S.set_bracket(len(w), w, value)
+    return S
+
+
 CE_DEGREES = [[0], [0, 1], [1, -1], [0, -1, 0], [1], [2, 1], [0, 0]]
 
 
@@ -865,3 +888,95 @@ def test_jacobi_refuses_an_arity_over_the_cap_before_any_work(monkeypatch):
     monkeypatch.setattr(algebroid, "ce_differential", refuse)
     with pytest.raises(CapError, match="^bracket arity 5 exceeds cap 4$"):
         algebroid_jacobi_residual(S, [2, 5])
+
+
+def _fixture_derivations():
+    """(name, D, carrier, bracket cap) of what ``ce-extract`` reads on every
+    shipped fixture: the CE differential of an algebroid file, and the
+    assembled differential of a geometric one."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        model = parse_model(path.read_text())
+        if isinstance(model, AlgebroidStructure):
+            yield path.name, ce_differential(model, model.bracket_cap), model.carrier, model.bracket_cap
+        else:
+            yield path.name, build_frakD(model), model.normal, model.cap
+
+
+def _same_stores(S1, S2) -> bool:
+    """Equal structures whose tables hold their entries in the same order."""
+    return S1 == S2 and all(
+        [list(t.items()) for _, t in sorted(mine.items())] == [list(t.items()) for _, t in sorted(theirs.items())]
+        for mine, theirs in ((S1.anchors, S2.anchors), (S1.brackets, S2.brackets))
+    )
+
+
+def test_extract_structure_stores_as_the_set_path_does():
+    """The words are stored as keys as they are, with no re-sort, and give
+    the structure that storing through ``set_anchor`` / ``set_bracket``
+    gives, table by table and in the same order: on every fixture, at its
+    cap and one below, and on free random word data with mixed parities."""
+    stored = 0
+    for name, D, carrier, cap in _fixture_derivations():
+        for bracket_cap in (cap, cap - 1):
+            got = extract_structure(D, carrier, bracket_cap=bracket_cap)
+            assert _same_stores(got, resorting_extract_structure(D, carrier, bracket_cap)), (name, bracket_cap)
+            stored += sum(len(t) for t in got.brackets.values())
+    rng = Rng(47)
+    for base_index, degrees in itertools.product(range(3), CE_DEGREES):
+        base = sample_bases()[base_index]
+        carrier = mixed_module(base, degrees, seed=base_index)
+        free = random_ce_derivation(rng, base, carrier, cap=4, density=0.7)
+        for bracket_cap in (2, 4):
+            got = extract_structure(free, carrier, bracket_cap=bracket_cap)
+            assert _same_stores(got, resorting_extract_structure(free, carrier, bracket_cap)), (degrees, bracket_cap)
+            stored += sum(len(t) for t in got.brackets.values())
+    assert stored > 100, stored
+
+
+def test_extraction_refuses_a_carrier_whose_parities_are_not_the_letters():
+    """A word is a canonical key of the carrier only when each generator has
+    the parity of its letter: a carrier of the right rank but another parity
+    is refused before any value is read; one of the same parities is read."""
+    base = nontrivial_dga()
+    carrier = mixed_module(base, [0, 1], seed=2)
+    D = ce_differential(random_algebroid(Rng(45), base, carrier), weight_cap=4)
+    for degrees in ([1, 1], [0, 2], [-1, 0]):
+        other = FreeModule(base, [("h0", degrees[0]), ("h1", degrees[1])])
+        with pytest.raises(BaseMismatch, match="^module generator degrees do not have the parities of the algebra"):
+            extract_structure(D, other)
+    shifted = FreeModule(base, [("h0", 2), ("h1", -1)])
+    assert extract_structure(D, shifted).brackets.keys() == extract_structure(D, carrier).brackets.keys()
+
+
+def test_each_transpose_computes_kappa_once_per_word(monkeypatch):
+    """On rank2, each transpose of a ``ce_differential`` (the base values
+    and the letters) and of an ``extract_structure`` (anchors and brackets)
+    computes kappa(w) once for each distinct word it reads, not once per
+    entry: its words are read at several letters or basis elements."""
+    model = parse_model((FIXTURES / "rank2.geometric.json").read_text())
+    S = structure_from_geometry(model)
+    calls = []
+    original = algebroid._word_constant
+    monkeypatch.setattr(algebroid, "_word_constant", lambda alg, w: calls[-1].append(w) or original(alg, w))
+    for name in ("_word_transpose", "_letter_transpose"):
+
+        def opening(*args, transpose=getattr(algebroid, name)):
+            calls.append([])
+            return transpose(*args)
+
+        monkeypatch.setattr(algebroid, name, opening)
+
+    D = ce_differential(S, model.cap)
+    entries = [[(w, i) for w, i, _ in slot if len(w) <= model.cap] for slot in _ce_entries(S)]
+    assert [sorted(c) for c in calls] == [sorted({w for w, _ in slot}) for slot in entries]
+    assert all(len(slot) > len(c) for slot, c in zip(entries, calls))
+
+    calls.clear()
+    extract_structure(D, S.carrier, bracket_cap=model.cap)
+    read = [
+        {w for v in D.on_algebra.values() for w, _ in v.items() if 1 <= len(w) <= model.cap},
+        {w for v in D.on_letters.values() for w, _ in v.items() if 2 <= len(w) <= model.cap},
+    ]
+    assert [sorted(c) for c in calls] == [sorted(words) for words in read]
+    for table, words in zip((D.on_algebra, D.on_letters), read):
+        assert sum(w in words for v in table.values() for w, _ in v.items()) > len(words)

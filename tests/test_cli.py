@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from algebroidkit import algebroid, cli, linfty, modules
+from algebroidkit import algebroid, cli, linfty, modules, signs
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
+from algebroidkit.linfty import AlgebraDerivation, ShiftedDerDGLA
 from algebroidkit.modelio import serialize_model
 from algebroidkit.symtensor import DerivationD
 from modelio_oracle import put_value_on_unit
@@ -180,15 +181,14 @@ def test_mc_squares_the_conjugate_once(model_dir, monkeypatch):
 
 @pytest.mark.parametrize("arity", [5, 12])
 def test_anchor_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, capsys, monkeypatch, arity):
-    """Refused with the arity asked for, before the anchor components are
-    tabled or an unshuffle listed: at arity 12 that is 4095 unshuffles per key."""
+    """Refused with the arity asked for, before a key or a split of its
+    positions is listed: at arity 12 that is 4095 splits per key."""
 
     def refuse(*args):
         raise AssertionError("work started on a refused arity")
 
-    for module in (linfty, algebroid):
-        monkeypatch.setattr(module, "_unshuffles", refuse)
-    monkeypatch.setattr(AlgebroidStructure, "anchor_derivation", refuse)
+    for name in ("combinations", "sorted_tuples"):
+        monkeypatch.setattr(algebroid, name, refuse)
     assert run(["anchor", model_dir / "perturbed.algebroid.json", "--arity", arity]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: bracket arity {arity} exceeds cap 4\n"
@@ -228,10 +228,11 @@ def test_jacobi_evaluates_no_bracket_and_no_unshuffle_sum(model_dir, tmp_path, m
     assert reports("patched") == want
 
 
-def test_no_command_evaluates_a_bracket_an_anchor_or_a_multilinear_extension(model_dir, capsys, monkeypatch):
-    """Every command reads the stored tables directly: none of the 13, on
-    any of the 8 fixtures, calls ``AlgebroidStructure.bracket``,
-    ``AlgebroidStructure.anchor`` or ``modules.multilinear_extend``."""
+def _calls_of_every_command(model_dir, monkeypatch, methods, functions):
+    """{(command and fixture, name): calls} of the given methods
+    {class: names} and module functions {module: names} over the 13
+    commands on the 8 fixtures; a function is counted at every module that
+    imports it."""
     paths = sorted(model_dir.iterdir())
     assert len(paths) == 8 and len(COMMANDS) == 13
     where = []
@@ -244,18 +245,42 @@ def test_no_command_evaluates_a_bracket_an_anchor_or_a_multilinear_extension(mod
 
         return wrapper
 
-    for name in ("bracket", "anchor"):
-        monkeypatch.setattr(AlgebroidStructure, name, counting(name, getattr(AlgebroidStructure, name)))
-    extend = counting("multilinear_extend", modules.multilinear_extend)
-    for module in list(sys.modules.values()):
-        if getattr(module, "multilinear_extend", None) is modules.multilinear_extend:
-            monkeypatch.setattr(module, "multilinear_extend", extend)
+    for cls, names in methods.items():
+        for name in names:
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    for home, names in functions.items():
+        for name in names:
+            original = getattr(home, name)
+            wrapped = counting(name, original)
+            for module in list(sys.modules.values()):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapped)
     for command in COMMANDS:
         for path in paths:
             where.append(f"{command} {path.name}")
             assert run([command, path]) in (0, 1, 2)
+    return calls
+
+
+def test_no_command_evaluates_a_bracket_an_anchor_or_a_multilinear_extension(model_dir, capsys, monkeypatch):
+    """Every command reads the stored tables directly: none of the 13, on
+    any of the 8 fixtures, calls ``AlgebroidStructure.bracket``,
+    ``AlgebroidStructure.anchor`` or ``modules.multilinear_extend``."""
+    methods = {AlgebroidStructure: ("bracket", "anchor")}
+    assert _calls_of_every_command(model_dir, monkeypatch, methods, {modules: ("multilinear_extend",)}) == {}
     capsys.readouterr()
-    assert calls == {}
+
+
+def test_no_command_takes_a_commutator_a_shifted_bracket_or_an_unshuffle_permutation(
+    model_dir, capsys, monkeypatch
+):
+    """``anchor`` sums its residual row by row over position subsets: none
+    of the 13 commands, on any of the 8 fixtures, calls
+    ``AlgebraDerivation.commutator``, ``ShiftedDerDGLA.bracket`` or
+    ``signs.unshuffles_with_tail``."""
+    methods = {AlgebraDerivation: ("commutator",), ShiftedDerDGLA: ("bracket",)}
+    assert _calls_of_every_command(model_dir, monkeypatch, methods, {signs: ("unshuffles_with_tail",)}) == {}
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["jacobi", "ce-extract"])

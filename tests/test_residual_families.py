@@ -37,7 +37,7 @@ from algebroidkit.scalars import ONE
 from algebroidkit.symtensor import SymAlgebra, conjugate, mc_residual, square, square_components
 from builders import Rng, random_algebroid, sample_bases
 from geometry_oracle import oracle_duality_residual
-from linfty_oracle import oracle_anchor_morphism_residual
+from linfty_oracle import closed_form_anchor_morphism_residual, oracle_anchor_morphism_residual
 from symtensor_oracle import oracle_square_components, oracle_squares_difference
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -79,7 +79,8 @@ def _nonclosed_carrier() -> FreeModule:
 def test_anchor_morphism_residual_matches_the_morphism_built_once(workloads):
     """Every arity up to the bracket cap, on the fixtures, the generated
     models, the regression model and drawn structures with both anchor
-    kinds; some residuals are nonzero."""
+    kinds, equal to the morphism and to the closed form summed as
+    derivations; some residuals are nonzero."""
     structures = {name: _structure(m) for name, m in _models(workloads).items()}
     structures["regression"] = _regression_model()
     for seed, base in enumerate(sample_bases()):
@@ -92,6 +93,7 @@ def test_anchor_morphism_residual_matches_the_morphism_built_once(workloads):
         arities = list(range(1, S.bracket_cap + 1))
         got = anchor_morphism_residual(S, arities)
         assert got == oracle_anchor_morphism_residual(S, arities), name
+        assert got == closed_form_anchor_morphism_residual(S, arities), name
         if any(got.values()):
             nonzero.add(name)
     assert {"rank2.geometric.json", "generic.geometric.json", "regression"} <= nonzero
@@ -108,16 +110,19 @@ def test_anchor_morphism_residual_matches_the_morphism_built_once(workloads):
 def test_anchor_morphism_residual_matches_the_morphism_on_drawn_structures(
     base_index, degrees, derivation_anchors, bracket_cap, seed
 ):
-    """The closed form equals the morphism built once and read through the
-    partition sum, at every arity up to the cap, on drawn carriers (odd and
-    even generators) with both anchor kinds."""
+    """The row sums equal the morphism built once and read through the
+    partition sum, and the closed form summed as derivations, at every arity
+    up to the cap, on drawn carriers (odd and even generators) with both
+    anchor kinds."""
     base = sample_bases()[base_index]
     carrier = mixed_module(base, degrees, seed=seed % 5)
     S = random_algebroid(
         Rng(seed), base, carrier, bracket_cap=bracket_cap, derivation_anchors=derivation_anchors, density=0.7
     )
     arities = list(range(1, bracket_cap + 1))
-    assert anchor_morphism_residual(S, arities) == oracle_anchor_morphism_residual(S, arities)
+    got = anchor_morphism_residual(S, arities)
+    assert got == oracle_anchor_morphism_residual(S, arities)
+    assert got == closed_form_anchor_morphism_residual(S, arities)
 
 
 def test_anchor_morphism_residual_refuses_an_arity_over_the_cap_as_the_oracle_does():

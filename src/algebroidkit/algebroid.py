@@ -56,15 +56,14 @@ on the rows.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _element, _linear, _summed
 from .errors import BaseMismatch, CapError, KitError
-from .linfty import AlgebraDerivation, BracketTable, same_tables, sorted_tuples
+from .linfty import AlgebraDerivation, BracketTable, same_tables
 from .modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
 from .scalars import Scalar, Sums, _reduced_items
-from .signs import _sort_word
+from .signs import _nonvanishing_keys, _sort_word, _unshuffle_splits
 from .symtensor import (
     DerivationD,
     SymAlgebra,
@@ -388,17 +387,22 @@ def _letter_transpose(
     return out
 
 
-def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
-    """The element of module with the coefficients of acc, each reduced once;
-    the indices of acc are generators of module, so the element is made
-    from its nonzero coefficients as they are (``Combination._made``)."""
-    base = module.base
+def _reduced_values(base: BaseAlgebra, acc: Coefficients) -> Tuple[Tuple[int, AlgebraElement], ...]:
+    """The nonzero (index, value) pairs of acc in index order, each value
+    the element of base whose coefficients are those of acc, reduced once."""
     pairs = []
     for i in sorted(acc):
         coeffs = _reduced_items(acc[i])
         if coeffs:
             pairs.append((i, _element(base, coeffs)))
-    return _module_element(module, tuple(pairs))
+    return tuple(pairs)
+
+
+def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
+    """The element of module with the coefficients of acc, each reduced once;
+    the indices of acc are generators of module, so the element is made
+    from its nonzero coefficients as they are (``Combination._made``)."""
+    return _module_element(module, _reduced_values(module.base, acc))
 
 
 def extract_structure(
@@ -446,13 +450,10 @@ def extract_structure(
 
     anchors = _letter_transpose(algebra, D.on_algebra, base.degrees, [0] * base.dim, range(1, bracket_cap + 1))
     for w in sorted(anchors, key=lambda w: (len(w), w)):
-        for b in sorted(anchors[w]):
-            coeffs = _reduced_items(anchors[w][b])
-            if not coeffs:
-                continue
+        for b, value in _reduced_values(base, anchors[w]):
             if b == base.unit:
                 raise KitError(f"anchor on the unit {base.names[b]!r} is not zero")
-            S.anchors.setdefault(len(w) + 1, BracketTable(degrees))[w, b] = _element(base, coeffs)
+            S.anchors.setdefault(len(w) + 1, BracketTable(degrees))[w, b] = value
 
     values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], range(2, bracket_cap + 1))
     for w in sorted(values, key=lambda w: (len(w), w)):
@@ -553,21 +554,20 @@ def anchor_morphism_residual(
 ) -> Dict[int, Dict[GenKey, AlgebraDerivation]]:
     """The defects {n: {sorted key: derivation}} of the anchors forming a
     structure morphism f: L[1] -> Der(A)[1], f_m(key) = {key | -}_{m+1}, at
-    the given arities.  Over the splits of the positions of key into C, of
-    i = 1..n positions, and the others R, first and rest the generators at C
-    and at R,
+    the given arities.  Over the unshuffle splits of key into first and rest,
+    with their signs alpha (``signs._unshuffle_splits``, which counts the
+    splits giving the same blocks of generators together),
 
-        Res_n(key) = sum alpha(C) sum_j a_j f_{n-i+1}(g_j, rest)
-                     - l_1(f_n(key)) - sum' alpha(C) l_2(f(first), f(rest)),
+        Res_n(key) = sum alpha sum_j a_j f_{n-i+1}(g_j, rest)
+                     - l_1(f_n(key)) - sum' alpha l_2(f(first), f(rest)),
 
-        alpha(C) = (-1)^{sum |g_p||g_q|, p in R, q in C, p < q},
-
-    the Koszul sign of the unshuffle that puts C first.  {first}_i =
-    sum_j a_j g_j is one bracket entry (d_L g at i = 1): f has degree 0, so
-    a_j stands outside it.  sum' runs over the canonical splits, i < n and
-    (i, C[0]) < (n - i, R[0]), one per split of key into two blocks.  Splits
-    giving the same blocks of generators are counted with their signs and
-    evaluated once.
+    i = len(first).  {first}_i = sum_j a_j g_j is one bracket entry (d_L g
+    at i = 1): f has degree 0, so a_j stands outside it.  sum' runs over the
+    canonical splits, one per split of key into two blocks.  The keys are
+    those of ``signs._nonvanishing_keys``: every table is degree-correct
+    (the parser refuses any other, and ``structure_from_geometry`` makes
+    none), so the residual is graded symmetric and vanishes on a key that
+    repeats an odd generator.
 
     Every map is read as rows: f_m(w)(e_b) is the anchor entry at (w, b),
     an unsorted (j,) + rest sorted with its sign by ``signs._sort_word``,
@@ -580,9 +580,9 @@ def anchor_morphism_residual(
 
     and (-1)^{dp dq} = (-1)^dq on the terms of a d_A of degree 1.  Each
     Res_n(key)(e_i) is summed in one coefficient table (``scalars.Sums``),
-    the a_j f(g_j, rest) terms as left products by a_j, and reduced once.
-    An arity over the bracket cap is refused before any work: the identity's
-    bracket at that arity would refuse it."""
+    the a_j f(g_j, rest) terms as left products by a_j, and reduced once
+    (``_reduced_values``).  An arity over the bracket cap is refused before
+    any work: the identity's bracket at that arity would refuse it."""
     S.refuse_over_cap(arities)
     base, carrier = S.base, S.carrier
     degrees = carrier.degrees
@@ -602,30 +602,9 @@ def anchor_morphism_residual(
     out: Dict[int, Dict[GenKey, AlgebraDerivation]] = {}
     for n in arities:
         residuals = out[n] = {}
-        splits = [
-            (C, R, i < n and (i, C[0]) < (n - i, R[0]))
-            for i in range(1, n + 1)
-            for C in combinations(range(n), i)
-            for R in [tuple(p for p in range(n) if p not in C)]
-        ]
-        # alpha(C) of every split, by the positions of the odd generators
-        signs: Dict[int, List[int]] = {}
-        for key in sorted_tuples(carrier.rank, n):
-            odd = sum(1 << p for p, g in enumerate(key) if degrees[g] & 1)
-            alphas = signs.get(odd)
-            if alphas is None:
-                alphas = signs[odd] = [
-                    -1 if sum(odd >> p & odd >> q & 1 for p in R for q in C if p < q) & 1 else 1
-                    for C, R, _ in splits
-                ]
-            left: Dict[Tuple[GenKey, GenKey], int] = {}
-            right: Dict[Tuple[GenKey, GenKey], int] = {}
-            for (C, R, canonical), alpha in zip(splits, alphas):
-                blocks = tuple(map(key.__getitem__, C)), tuple(map(key.__getitem__, R))
-                left[blocks] = left.get(blocks, 0) + alpha
-                if canonical:
-                    right[blocks] = right.get(blocks, 0) + alpha
-
+        split = _unshuffle_splits(n, degrees)
+        for key in _nonvanishing_keys(degrees, n):
+            left, right = split(key)
             acc: Coefficients = {}
             P = rows.get(key)
             if P is not None:
@@ -659,11 +638,7 @@ def anchor_morphism_residual(
                 for i, x in P.items():
                     _add_composite(acc.setdefault(i, {}), base, i, x, Q, _INNER_KOSZUL, count)
 
-            values = []
-            for i in sorted(acc):
-                coeffs = _reduced_items(acc[i])
-                if coeffs:
-                    values.append((i, _element(base, coeffs)))
+            values = _reduced_values(base, acc)
             if values:
-                residuals[key] = AlgebraDerivation._made(base, tuple(values))
+                residuals[key] = AlgebraDerivation._made(base, values)
     return out

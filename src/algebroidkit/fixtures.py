@@ -88,7 +88,11 @@ def truncated_poly(name: str = "u", degree: int = 2, power: int = 2) -> BaseAlge
 
 
 def tensor_base(a: BaseAlgebra, b: BaseAlgebra) -> BaseAlgebra:
-    """Graded tensor product a (x) b with the Koszul product sign."""
+    """Graded tensor product a (x) b of two algebras with d = 0, with the
+    Koszul product sign."""
+    for factor in (a, b):
+        if any(factor.differential_basis(i).coeffs for i in range(factor.dim)):
+            raise ValueError("tensor factors must have zero differential")
     basis = []
     for i, (na, da) in enumerate(zip(a.names, a.degrees)):
         for j, (nb, db) in enumerate(zip(b.names, b.degrees)):
@@ -112,18 +116,7 @@ def tensor_base(a: BaseAlgebra, b: BaseAlgebra) -> BaseAlgebra:
                         for kb, cb in pb.items():
                             out[idx(ka, kb)] = ca * cb * sign
                     products[(idx(i1, j1), idx(i2, j2))] = out
-    differential: Dict[int, Dict[int, Scalar]] = {}
-    for i in range(a.dim):
-        for j in range(b.dim):
-            out: Dict[int, Scalar] = {}
-            for k, c in a.differential_basis(i).items():
-                out[idx(k, j)] = out.get(idx(k, j), Scalar.zero()) + c
-            for k, c in b.differential_basis(j).items():
-                key = idx(i, k)
-                out[key] = out.get(key, Scalar.zero()) + c * sign_scalar(a.degrees[i])
-            if out:
-                differential[idx(i, j)] = out
-    return BaseAlgebra(basis, unit=idx(a.unit, b.unit), products=products, differential=differential)
+    return BaseAlgebra(basis, unit=idx(a.unit, b.unit), products=products)
 
 
 def eps_poly_base() -> BaseAlgebra:
@@ -184,9 +177,7 @@ class Rng:
     def __init__(self, seed: int):
         self.r = random.Random(seed)
 
-    def scalar(self, zero_chance: float = 0.0) -> Scalar:
-        if zero_chance and self.r.random() < zero_chance:
-            return Scalar.zero()
+    def scalar(self) -> Scalar:
         num = self.r.randint(-3, 3)
         den = self.r.randint(1, 3)
         re = Fraction(num, den)
@@ -273,10 +264,10 @@ def random_weight_raising_derivation(rng: Rng, alg: SymAlgebra, density: float =
     return DerivationD(alg, on_algebra, on_letters, degree=0, check=False)
 
 
-def random_unipotent(rng: Rng, alg: SymAlgebra, density: float = 0.25) -> FilteredAutomorphism:
-    """exp(phi) for a random weight-raising degree-0 derivation phi; Phi and
-    Phi^{-1} are applied as the series of phi's powers."""
-    return FilteredAutomorphism(random_weight_raising_derivation(rng, alg, density))
+def random_unipotent(rng: Rng, alg: SymAlgebra) -> FilteredAutomorphism:
+    """exp(phi) for a random weight-raising degree-0 derivation phi (density
+    0.25); Phi and Phi^{-1} are applied as the series of phi's powers."""
+    return FilteredAutomorphism(random_weight_raising_derivation(rng, alg, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +368,24 @@ def random_geometric_model(
     return GeometricModel(base, tangent, normal, cap=cap, **tensors)
 
 
-def trivial_model(cap: int = 4):
-    """All tensors zero over Lambda[e]: the differential collapses to d0."""
+def trivial_model():
+    """All tensors zero over Lambda[e], cap 4: the differential is d0."""
     base = lambda_eps()
     tangent = FreeModule(base, [("t0", 0)], name="Tm")
     normal = FreeModule(base, [("n0", 0)], name="Nm")
-    return GeometricModel(base, tangent, normal, cap=cap)
+    return GeometricModel(base, tangent, normal, cap=4)
 
 
-def eps_nilpotent_model(cap: int = 4):
-    """Rank-1 curved model over Lambda[e] whose square vanishes by e^2 = 0."""
+def eps_nilpotent_model():
+    """Rank-1 curved model over Lambda[e], cap 4, squaring to 0 by e^2 = 0."""
     base = lambda_eps()
     tangent = FreeModule(base, [("t0", 0)], name="Tm")
     normal = FreeModule(base, [("n0", 0)], name="Nm")
-    frame = SplitFrame(base, tangent, normal, cap=cap)
+    frame = SplitFrame(base, tangent, normal, cap=4)
     e = base.from_names({"e": ONE})
     r2 = SymElement(frame.nor, {(0, 0): e})
     return GeometricModel(
-        base, tangent, normal, cap=cap, curv_perp={2: {0: r2}}
+        base, tangent, normal, cap=4, curv_perp={2: {0: r2}}
     )
 
 

@@ -77,12 +77,13 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import BaseAlgebra, _add_product, _degree_problem, _element, _leibniz_failures
+from .algebra import BaseAlgebra, _add_product, _degree_problem, _leibniz_failures
 from .algebroid import (
     AlgebroidStructure,
     Coefficients,
     _letter_transpose,
     _module_value,
+    _reduced_values,
     ce_differential,
     d0_derivation,
 )
@@ -868,10 +869,8 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
         for key, alpha_val in alpha.items():
             acc: Coefficients = {}
             _add_contraction(acc, base, alpha_val, dhat, 1)
-            for b in sorted(acc):
-                coeffs = _reduced_items(acc[b])
-                if coeffs:
-                    anchors.setdefault(m + 1, BracketTable(degrees))[key, b] = _element(base, coeffs)
+            for b, value in _reduced_values(base, acc):
+                anchors.setdefault(m + 1, BracketTable(degrees))[key, b] = value
     return S
 
 

@@ -17,8 +17,10 @@ between the two conventions with the sign
 where degrees are taken in the unshifted module.  An algebroid's Jacobi
 residual is read off its CE square (``algebroid.algebroid_jacobi_residual``).
 
-``_unshuffles`` is the one unshuffle enumeration on generator tuples, read
-by ``_unshuffle_sum`` and ``algebroid.anchor_morphism_residual``.
+``ShiftedDerDGLA.jacobi_residual`` and ``algebroid.anchor_morphism_residual``
+walk the sorted tuples of ``signs._nonvanishing_keys`` and sum over the one
+unshuffle enumeration, ``signs._unshuffle_splits``; ``_unshuffle_sum`` is
+that sum on maps of elements.
 
 An ``AlgebraDerivation`` of the base, an element of Der(A), is an
 ``algebra.Combination`` of its nonzero values: the pairs (i, P(e_i)).
@@ -26,15 +28,15 @@ An ``AlgebraDerivation`` of the base, an element of Der(A), is an
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, BaseAlgebra, Combination, _leibniz_failures, _linear
 from .errors import CapError, KitError
 from .linalg import nullspace
 from .modules import FreeModule, ModuleElement
 from .scalars import ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
-from .signs import _sort_word, _vanishes, sym_sign, unshuffles_with_tail
+from .signs import _nonvanishing_keys, _sort_word, _unshuffle_splits, _vanishes
 
 GenKey = Tuple[int, ...]
 
@@ -137,10 +139,6 @@ def same_tables(t1: Mapping[int, Mapping], t2: Mapping[int, Mapping]) -> bool:
     return {n: t for n, t in t1.items() if t} == {n: t for n, t in t2.items() if t}
 
 
-def sorted_tuples(rank: int, n: int) -> List[GenKey]:
-    return list(combinations_with_replacement(range(rank), n))
-
-
 # ---------------------------------------------------------------------------
 # the structure, in either sign convention
 # ---------------------------------------------------------------------------
@@ -171,37 +169,20 @@ class LInftyAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _unshuffles(key: GenKey, degrees: Sequence[int]) -> Iterator[Tuple[GenKey, GenKey, bool, int]]:
-    """(first, rest, canonical, sign) of every sigma in Sh(i, n-i), i = 1..n,
-    on key: first is key at sigma(1..i), rest the others, sign alpha(sigma)
-    on the degrees of key.  Of the two unshuffles that split key into the
-    same two blocks of positions, canonical marks the one whose first block
-    sorts first by (size, least position); i = n is not marked."""
-    n = len(key)
-    degs = [degrees[g] for g in key]
-    for i in range(1, n + 1):
-        for sigma in unshuffles_with_tail(n, i):
-            images, args = sigma.images, sigma.permute(key)
-            canonical = i < n and (i, images[0]) < (n - i, images[i])
-            yield args[:i], args[i:], canonical, sym_sign(sigma, degs)
-
-
 def _unshuffle_sum(key: GenKey, degrees: Sequence[int], elements: Sequence, inner: Callable,
                    outer: Callable, zero):
     """sum_{i=1..n} sum_{Sh(i,n-i)} alpha(sigma) outer(n-i+1, [inner(i, first i), rest])
 
     on the generators of key (elements[g] of degree degrees[g] for the index
-    g), over ``_unshuffles``.  inner(k, args) and outer(k, args) are k-ary
-    maps, in the symmetric convention.
+    g), over ``signs._unshuffle_splits``.  inner(k, args) and outer(k, args)
+    are k-ary maps, in the symmetric convention.
 
     Where key repeats a generator, several unshuffles give the same argument
     tuple: their signs are added up first, and each tuple with a nonzero sum
     is evaluated once, times that sum.
     """
     n = len(key)
-    counts: Dict[Tuple[GenKey, GenKey], int] = {}
-    for first, rest, _, sign in _unshuffles(key, degrees):
-        counts[first, rest] = counts.get((first, rest), 0) + sign
+    counts, _ = _unshuffle_splits(n, degrees)(key)
     total = zero
     for (first, rest), count in counts.items():
         if count:
@@ -404,12 +385,14 @@ class ShiftedDerDGLA:
         return self.zero()
 
     def jacobi_residual(self, n: int) -> Dict[GenKey, AlgebraDerivation]:
-        """The Jacobi residual on the tuples of basis derivations (``basis``)."""
+        """The Jacobi residual on the sorted tuples of basis derivations
+        (``basis``) that repeat no odd one: on those, graded symmetric
+        brackets leave none."""
         basis = self.basis()
         shifted = [k - 1 for k, _ in basis]
         elements = [der for _, der in basis]
         out: Dict[GenKey, AlgebraDerivation] = {}
-        for key in sorted_tuples(len(basis), n):
+        for key in _nonvanishing_keys(shifted, n):
             total = _unshuffle_sum(key, shifted, elements, self.bracket, self.bracket, self.zero())
             if not total.is_zero():
                 out[key] = total

@@ -15,6 +15,8 @@ Conventions (fixed once for the whole kit):
   sorts one with its Koszul sign and ``_vanishes`` marks the sorted tuples
   killed by the symmetry; every graded-symmetric table of the kit (words of
   the symmetric algebra, bracket tables) follows this one rule.
+* The kit sums over one unshuffle enumeration, ``_unshuffle_splits``: blocks
+  of positions with the sign alpha, and no ``Permutation`` made.
 
 A worked S3 table for both signs ships in the README.
 """
@@ -22,7 +24,7 @@ A worked S3 table for both signs ships in the README.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import KitError
 
@@ -45,12 +47,6 @@ class Permutation:
     @property
     def size(self) -> int:
         return len(self.images)
-
-    def permute(self, values: Sequence) -> tuple:
-        """Reorders values so slot i receives values[sigma(i)]."""
-        if len(values) != self.size:
-            raise KitError("size mismatch in permute")
-        return tuple(values[img - 1] for img in self.images)
 
     def signature(self) -> int:
         sgn = 1
@@ -132,6 +128,55 @@ def _nonvanishing_keys(degrees: Sequence[int], n: int) -> List[Tuple[int, ...]]:
         for key in combinations_with_replacement(range(len(degrees)), n)
         if not _vanishes(key, degrees, True)
     ]
+
+
+# {(first, rest): summed sign} of the unshuffles of one generator tuple
+SplitCounts = Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]
+
+
+def _unshuffle_splits(n: int, degrees: Sequence[int]) -> Callable[[Tuple[int, ...]], Tuple[SplitCounts, SplitCounts]]:
+    """split(key) -> (every, canonical) on the generator tuples of length n,
+    degrees[g] the degree of the generator g.
+
+    Each sigma in Sh(i, n-i), i = 1..n, splits the positions of key into
+    C = sigma(1..i) and the others R; first and rest are the generators of
+    key at C and at R, and the sign of sigma is the Koszul sign of the
+    reordering that puts C first,
+
+        alpha(C) = (-1)^{sum |g_p||g_q|, p in R, q in C, p < q}.
+
+    every sums the signs of all splits by (first, rest), so a key that
+    repeats a generator gives each pair of blocks once; canonical sums those
+    of the canonical splits, i < n and (i, C[0]) < (n - i, R[0]): one of the
+    two unshuffles that split key into the same two blocks of positions.
+    The splits are listed once, their signs once per set of odd positions.
+    """
+    splits = [
+        (C, R, i < n and (i, C[0]) < (n - i, R[0]))
+        for i in range(1, n + 1)
+        for C in combinations(range(n), i)
+        for R in [tuple(p for p in range(n) if p not in C)]
+    ]
+    alphas: Dict[int, List[int]] = {}
+
+    def split(key: Tuple[int, ...]) -> Tuple[SplitCounts, SplitCounts]:
+        odd = sum(1 << p for p, g in enumerate(key) if degrees[g] & 1)
+        signs = alphas.get(odd)
+        if signs is None:
+            signs = alphas[odd] = [
+                -1 if sum(odd >> p & odd >> q & 1 for p in R for q in C if p < q) & 1 else 1
+                for C, R, _ in splits
+            ]
+        every: SplitCounts = {}
+        canonical: SplitCounts = {}
+        for (C, R, marked), alpha in zip(splits, signs):
+            blocks = tuple(map(key.__getitem__, C)), tuple(map(key.__getitem__, R))
+            every[blocks] = every.get(blocks, 0) + alpha
+            if marked:
+                canonical[blocks] = canonical.get(blocks, 0) + alpha
+        return every, canonical
+
+    return split
 
 
 def enumerate_unshuffles(*block_sizes: int) -> list[Permutation]:

@@ -1,11 +1,13 @@
 """Bracket evaluation on an ``LInftyAlgebra`` and the per-permutation Jacobi
 sum: the oracles of the Jacobi residual that ``algebroid`` reads off the
-square of the CE differential, and of ``linfty._unshuffle_sum``.  Also the
-general L-infinity morphism, its structure-morphism residual over the
-canonical set partitions, and the anchor morphism of an algebroid built on
-its own and read arity by arity through them, and the closed form that
-sums its terms as derivations of the base (``closed_form_anchor_morphism_residual``):
-the two oracles of ``algebroid.anchor_morphism_residual``.
+square of the CE differential, and of ``linfty._unshuffle_sum``, over
+``Permutation``s (``permutation_unshuffles``, the oracle of
+``signs._unshuffle_splits``).  Also the general L-infinity morphism, its
+structure-morphism residual over the canonical set partitions, and the
+anchor morphism of an algebroid built on its own and read arity by arity
+through them, and the closed form that sums its terms as derivations of the
+base (``closed_form_anchor_morphism_residual``): the two oracles of
+``algebroid.anchor_morphism_residual``.
 
 The package keeps an L-infinity structure as its bracket tables only, which
 is all the degree-shift dictionary reads; the evaluation of those tables on
@@ -14,11 +16,11 @@ elements lives here.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, Sequence, Tuple
 
 from algebroidkit.errors import CapError, KitError
-from algebroidkit.linfty import BracketTable, GenKey, ShiftedDerDGLA, _unshuffle_sum, _unshuffles, sorted_tuples
+from algebroidkit.linfty import BracketTable, GenKey, ShiftedDerDGLA, _unshuffle_sum
 from algebroidkit.modules import ModuleElement, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, Scalar, sign_scalar
 from algebroidkit.signs import Permutation, _nonvanishing_keys, skew_sign, sym_sign, unshuffles_with_tail
@@ -59,7 +61,7 @@ def per_permutation_unshuffle_sum(degs, gens, inner, outer, zero, symmetric):
     total = zero
     for i in range(1, n + 1):
         for sigma in unshuffles_with_tail(n, i):
-            perm = sigma.permute(list(range(n)))
+            perm = [p - 1 for p in sigma.images]
             if symmetric:
                 exponent = 0 if sym_sign(sigma, degs) == 1 else 1
             else:
@@ -68,6 +70,24 @@ def per_permutation_unshuffle_sum(degs, gens, inner, outer, zero, symmetric):
             term = outer(n - i + 1, [first] + [gens[p] for p in perm[i:]])
             total = total + term.scale(sign_scalar(exponent))
     return total
+
+
+def permutation_unshuffles(key, degrees):
+    """(first, rest, canonical, sign) of every sigma in Sh(i, n-i), i = 1..n,
+    on key, made as ``Permutation``s: first is key at sigma(1..i), rest the
+    others, sign alpha(sigma) on the degrees of key (``sym_sign``).  Of the
+    two unshuffles that split key into the same two blocks of positions,
+    canonical marks the one whose first block sorts first by (size, least
+    position); i = n is not marked.  The oracle of
+    ``signs._unshuffle_splits``."""
+    n = len(key)
+    degs = [degrees[g] for g in key]
+    for i in range(1, n + 1):
+        for sigma in unshuffles_with_tail(n, i):
+            images = sigma.images
+            args = tuple(key[p - 1] for p in images)
+            canonical = i < n and (i, images[0]) < (n - i, images[i])
+            yield args[:i], args[i:], canonical, sym_sign(sigma, degs)
 
 
 def oracle_jacobi_residual(L, n, symmetric):
@@ -79,7 +99,7 @@ def oracle_jacobi_residual(L, n, symmetric):
     sign as in ``per_permutation_unshuffle_sum``."""
     carrier = L.carrier
     out = {}
-    for key in sorted_tuples(carrier.rank, n):
+    for key in combinations_with_replacement(range(carrier.rank), n):
         degs = [carrier.degrees[i] for i in key]
         gens = [carrier.generator(i) for i in key]
         total = per_permutation_unshuffle_sum(degs, gens, L.bracket, L.bracket, carrier.zero(), symmetric)
@@ -175,7 +195,7 @@ def morphism_residual(
         if len(blocks) <= target.max_bracket_arity()
     ]
     out: Dict[GenKey, object] = {}
-    for key in sorted_tuples(carrier.rank, n):
+    for key in combinations_with_replacement(range(carrier.rank), n):
         degs = [carrier.degrees[i] for i in key]
         lhs = _unshuffle_sum(key, carrier.degrees, gens, L.bracket, f.component, f.zero_value)
         counts: Dict[Tuple[GenKey, ...], int] = {}
@@ -231,10 +251,11 @@ def oracle_anchor_morphism_residual(S, arities):
 
 def closed_form_anchor_morphism_residual(S, arities):
     """The oracle of the row sums of ``algebroid.anchor_morphism_residual``:
-    the same closed form, over the unshuffle permutations of
-    ``linfty._unshuffles``, each term an ``AlgebraDerivation`` sum, l_1 and
-    l_2 those of ``ShiftedDerDGLA`` (commutators of homogeneous parts), the
-    a_j f(g_j, rest) terms by ``a_mul``."""
+    the same closed form, over every sorted tuple and the unshuffle
+    permutations of ``permutation_unshuffles``, each term an
+    ``AlgebraDerivation`` sum, l_1 and l_2 those of ``ShiftedDerDGLA``
+    (commutators of homogeneous parts), the a_j f(g_j, rest) terms by
+    ``a_mul``."""
     S.refuse_over_cap(arities)
     carrier, one = S.carrier, S.base.one()
     degrees, d_L = carrier.degrees, carrier.differential_basis
@@ -252,10 +273,10 @@ def closed_form_anchor_morphism_residual(S, arities):
     out: Dict[int, Dict[GenKey, object]] = {}
     for n in arities:
         residuals = out[n] = {}
-        for key in sorted_tuples(carrier.rank, n):
+        for key in combinations_with_replacement(range(carrier.rank), n):
             left: Dict[Tuple[GenKey, GenKey], int] = {}
             right: Dict[Tuple[GenKey, GenKey], int] = {}
-            for first, rest, canonical, sign in _unshuffles(key, degrees):
+            for first, rest, canonical, sign in permutation_unshuffles(key, degrees):
                 left[first, rest] = left.get((first, rest), 0) + sign
                 if canonical:
                     right[first, rest] = right.get((first, rest), 0) + sign

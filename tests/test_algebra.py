@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from algebroidkit.algebra import AlgebraElement, BaseAlgebra, validate_base_algebra
 from algebroidkit.errors import BaseMismatch, DegreeError, KitError
-from algebroidkit.fixtures import eps_poly_base, lambda_eps, nontrivial_dga, truncated_poly
+from algebroidkit.fixtures import eps_poly_base, kodaira_base, lambda_eps, nontrivial_dga, tensor_base, truncated_poly
 from algebroidkit.linfty import AlgebraDerivation
 from algebroidkit.modules import FreeModule, ModuleElement, pair_dual, validate_module
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
@@ -175,6 +175,15 @@ def test_exterior_square_zero():
     e = base.from_names({"e": ONE})
     assert (e * e).is_zero()
     assert e * base.one() == e
+
+
+def test_tensor_base_refuses_a_factor_with_a_differential():
+    """The tensor product is made of factors with d = 0 only, as
+    ``exterior_base`` is made of odd generators only."""
+    for a, b in ((nontrivial_dga(), lambda_eps()), (lambda_eps(), kodaira_base())):
+        with pytest.raises(ValueError, match="^tensor factors must have zero differential$"):
+            tensor_base(a, b)
+    assert validate_base_algebra(tensor_base(lambda_eps(), truncated_poly("u", 2, 2))) == []
 
 
 def test_fabricated_square_reported():

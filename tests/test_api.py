@@ -133,7 +133,6 @@ ALLOWED_UNREACHED = {
     "linfty.AlgebraDerivation.compose": PERFBENCH + " (SPAN_METHODS: AlgebraDerivation.commutator reads it)",
     "linfty.AlgebraDerivation.apply": PERFBENCH + " (SPAN_METHODS: AlgebraDerivation.compose reads it)",
     "linfty._unshuffle_sum": PERFBENCH + " (SPAN_METHODS: ShiftedDerDGLA.jacobi_residual reads it)",
-    "linfty._unshuffles": PERFBENCH + " (SPAN_METHODS: _unshuffle_sum reads it)",
     "linfty.BracketTable.lookup": PERFBENCH + " (COUNT_METHODS: AlgebroidStructure.anchor and .bracket read it)",
     "modules.pair_dual": PERFBENCH,
     "modules.ModuleElement.coefficient": PERFBENCH + " (pair_dual reads it)",
@@ -154,7 +153,6 @@ ALLOWED_UNREACHED = {
     "signs.Permutation.__init__": PERFBENCH + " (COUNT_ONLY_FUNCTIONS: enumerate_unshuffles makes them)",
     "signs.Permutation.identity": PERFBENCH + " (COUNT_ONLY_FUNCTIONS: unshuffles_with_tail reads it)",
     "signs.Permutation.size": PERFBENCH + " (COUNT_ONLY_FUNCTIONS: sym_sign reads it)",
-    "signs.Permutation.permute": PERFBENCH + " (SPAN_METHODS: _unshuffles reads it)",
     "signs.Permutation.signature": PERFBENCH + " (COUNT_ONLY_FUNCTIONS: skew_sign reads it)",
     # the object protocol: what a debugger, a set or an assignment calls
     "algebra.BaseAlgebra.__repr__": "repr, for debugging",
@@ -357,12 +355,13 @@ def test_no_unpassed_optional_parameters():
     assert _unpassed(["src/algebroidkit/*.py"], lambda d: isinstance(d, ast.Constant) and d.value is None) == []
 
 
-def test_no_unpassed_boolean_parameters():
-    """Every parameter of the package that defaults to a boolean is passed by
-    some call in the package, the tests or the benchmark harness: a switch
-    that nothing sets is dead code behind its other value."""
+def test_no_unpassed_defaulted_parameters():
+    """Every parameter of the package that has a default is passed by some
+    call in the package, the tests or the benchmark harness: a parameter
+    that nothing sets is a constant, and a switch that nothing sets is dead
+    code behind its other value."""
     calls = ["src/algebroidkit/*.py", "tests/*.py", "perfbench/*.py"]
-    assert _unpassed(calls, lambda d: isinstance(d, ast.Constant) and isinstance(d.value, bool)) == []
+    assert _unpassed(calls, lambda d: True) == []
 
 
 def _degree_error_handlers(tree: ast.Module):

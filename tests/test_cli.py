@@ -182,12 +182,13 @@ def test_mc_squares_the_conjugate_once(model_dir, monkeypatch):
 @pytest.mark.parametrize("arity", [5, 12])
 def test_anchor_arity_over_the_bracket_cap_exits_2_before_any_work(model_dir, capsys, monkeypatch, arity):
     """Refused with the arity asked for, before a key or a split of its
-    positions is listed: at arity 12 that is 4095 splits per key."""
+    positions is listed (``signs._nonvanishing_keys`` and
+    ``signs._unshuffle_splits``): at arity 12 that is 4095 splits per key."""
 
     def refuse(*args):
         raise AssertionError("work started on a refused arity")
 
-    for name in ("combinations", "sorted_tuples"):
+    for name in ("_nonvanishing_keys", "_unshuffle_splits"):
         monkeypatch.setattr(algebroid, name, refuse)
     assert run(["anchor", model_dir / "perturbed.algebroid.json", "--arity", arity]) == 2
     captured = capsys.readouterr()

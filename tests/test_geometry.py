@@ -697,7 +697,7 @@ def _oracle_structure(g):
         n = len(key)
         degs = [g.normal.degrees[i] for i in key]
         for sigma in enumerate_unshuffles(n - 1, 1) if previous is not None else []:
-            perm = sigma.permute(list(range(n)))
+            perm = [p - 1 for p in sigma.images]
             inner = previous.lookup(tuple(key[p] for p in perm[: n - 1]))
             if inner is not None:
                 term = contract(table, target, sign, inner, key[perm[n - 1]])

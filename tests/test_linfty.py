@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,17 +20,15 @@ from algebroidkit.linfty import (
     LInftyAlgebra,
     ShiftedDerDGLA,
     _unshuffle_sum,
-    _unshuffles,
     algebra_derivation_basis,
     canonicalize_key,
     d_A_derivation,
     decalage,
     decalage_inverse,
-    sorted_tuples,
 )
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar
-from algebroidkit.signs import sym_sign
+from algebroidkit.signs import _unshuffle_splits, sym_sign
 from builders import Rng, cone_dgla, matrix_dgla, random_algebroid, sample_bases, trivial_base
 from linfty_oracle import (
     LInftyBrackets,
@@ -40,6 +40,7 @@ from linfty_oracle import (
     oracle_jacobi_residual,
     partition_permutation,
     per_permutation_unshuffle_sum,
+    permutation_unshuffles,
 )
 
 
@@ -77,7 +78,7 @@ def test_decalage_preserves_jacobi_both_ways():
 def random_skew_tables(rng, carrier, arity_cap=4):
     L = LInftyAlgebra(carrier, arity_cap=arity_cap)
     for n in range(2, arity_cap + 1):
-        for key in sorted_tuples(carrier.rank, n):
+        for key in combinations_with_replacement(range(carrier.rank), n):
             _, _, vanishes = canonicalize_key(key, carrier.degrees, symmetric=False)
             if vanishes:
                 continue
@@ -260,7 +261,7 @@ def oracle_morphism_residual(f, L, target, n):
     beyond the target's top arity included."""
     carrier = L.carrier
     out = {}
-    for key in sorted_tuples(carrier.rank, n):
+    for key in combinations_with_replacement(range(carrier.rank), n):
         degs = [carrier.degrees[i] for i in key]
         gens = [carrier.generator(i) for i in key]
         lhs = per_permutation_unshuffle_sum(degs, gens, L.bracket, f.component, f.zero_value, True)
@@ -318,7 +319,7 @@ def test_der_dgla_unshuffle_sum_matches_the_per_permutation_sum():
         for n in range(1, 4):
             assert dgla.jacobi_residual(n) == {}
             bent = bent_dgla_bracket(dgla)
-            for key in sorted_tuples(len(basis), n):
+            for key in combinations_with_replacement(range(len(basis)), n):
                 got = _unshuffle_sum(key, shifted, basis, bent, bent, dgla.zero())
                 want = per_permutation_unshuffle_sum(
                     [shifted[i] for i in key], [basis[i] for i in key], bent, bent, dgla.zero(), True
@@ -376,7 +377,7 @@ def test_linfty_morphism_residual_matches_the_per_permutation_sum(degrees, seed)
     target.arity_cap = 4
     f = LInftyMorphism(source, target, target.carrier.zero())
     for m in range(1, 4):
-        for key in sorted_tuples(carrier.rank, m):
+        for key in combinations_with_replacement(range(carrier.rank), m):
             if canonicalize_key(key, source.carrier.degrees, True)[2]:
                 continue
             want = sum(source.carrier.degrees[i] for i in key)
@@ -412,18 +413,14 @@ def test_outer_map_runs_once_per_argument_tuple_with_a_nonzero_count():
 
 
 def test_canonical_unshuffles_are_the_two_block_partitions():
-    """The unshuffles ``_unshuffles`` marks canonical are the representatives
-    that ``canonical_partitions`` keeps of the splits into two blocks, each
-    once and with the sign of its ``partition_permutation``: on a key of
-    distinct generators 0..n-1, first and rest are the two blocks of
-    positions."""
+    """The splits ``signs._unshuffle_splits`` marks canonical are the
+    representatives that ``canonical_partitions`` keeps of the splits into
+    two blocks, each once and with the sign of its ``partition_permutation``:
+    on a key of distinct generators 0..n-1, first and rest are the two blocks
+    of positions."""
     for degrees in ((0, 1, 1, 0, 1), (1, 1, 1, 1, 1), (0, 2, -1, 0, 0)):
         for n in range(1, 6):
-            got = {
-                (first, rest): sign
-                for first, rest, canonical, sign in _unshuffles(tuple(range(n)), degrees)
-                if canonical
-            }
+            _, got = _unshuffle_splits(n, degrees)(tuple(range(n)))
             want = {
                 tuple(tuple(x - 1 for x in b) for b in blocks): sym_sign(partition_permutation(blocks), degrees[:n])
                 for blocks in canonical_partitions(n)
@@ -431,3 +428,25 @@ def test_canonical_unshuffles_are_the_two_block_partitions():
             }
             assert len(got) == 2 ** (n - 1) - 1
             assert got == want
+
+
+@given(
+    degrees=st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+    keys=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6), min_size=1, max_size=4),
+)
+def test_unshuffle_splits_sum_the_signs_of_the_unshuffle_permutations(degrees, keys):
+    """Both sums of ``signs._unshuffle_splits`` are those of the unshuffle
+    ``Permutation``s and their ``sym_sign``s, grouped by blocks of
+    generators, on tuples that repeat generators, in any order; one split
+    function serves every key of its length."""
+    splits = {}
+    for key in keys:
+        key = tuple(g % len(degrees) for g in key)
+        every_want, canonical_want = {}, {}
+        for first, rest, canonical, sign in permutation_unshuffles(key, degrees):
+            every_want[first, rest] = every_want.get((first, rest), 0) + sign
+            if canonical:
+                canonical_want[first, rest] = canonical_want.get((first, rest), 0) + sign
+        if len(key) not in splits:
+            splits[len(key)] = _unshuffle_splits(len(key), degrees)
+        assert splits[len(key)](key) == (every_want, canonical_want), key

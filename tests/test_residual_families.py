@@ -8,6 +8,7 @@ anchor-morphism residual with D^2 (ROADMAP item 14), as a strict xfail."""
 from __future__ import annotations
 
 import json
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from algebroidkit.geometry import GeometricModel, build_frakD, build_kapranov, d
 from algebroidkit.modelio import parse_model
 from algebroidkit.modules import FreeModule, ModuleElement
 from algebroidkit.scalars import ONE
+from algebroidkit.signs import _vanishes
 from algebroidkit.symtensor import SymAlgebra, conjugate, mc_residual, square, square_components
 from builders import Rng, random_algebroid, sample_bases
 from geometry_oracle import oracle_duality_residual
@@ -123,6 +125,39 @@ def test_anchor_morphism_residual_matches_the_morphism_on_drawn_structures(
     got = anchor_morphism_residual(S, arities)
     assert got == oracle_anchor_morphism_residual(S, arities)
     assert got == closed_form_anchor_morphism_residual(S, arities)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base_index=st.integers(0, 2),
+    odd=st.sampled_from([-1, 1]),
+    others=st.lists(st.integers(-1, 2), max_size=2),
+    derivation_anchors=st.booleans(),
+    bracket_cap=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_vanishing_keys_carry_no_anchor_morphism_residual(
+    base_index, odd, others, derivation_anchors, bracket_cap, seed
+):
+    """On drawn structures with an odd generator, the closed form summed over
+    every sorted tuple is zero on each tuple that repeats an odd generator,
+    the keys that ``anchor_morphism_residual`` does not walk, and equals the
+    residual on every other tuple."""
+    base = sample_bases()[base_index]
+    carrier = mixed_module(base, [odd] + others, seed=seed % 5)
+    S = random_algebroid(
+        Rng(seed), base, carrier, bracket_cap=bracket_cap, derivation_anchors=derivation_anchors, density=0.7
+    )
+    arities = list(range(1, bracket_cap + 1))
+    want = closed_form_anchor_morphism_residual(S, arities)
+    got = anchor_morphism_residual(S, arities)
+    degrees = carrier.degrees
+    for n in arities:
+        for key in combinations_with_replacement(range(carrier.rank), n):
+            if _vanishes(key, degrees, True):
+                assert key not in want[n], key
+            else:
+                assert got[n].get(key) == want[n].get(key), key
 
 
 def test_anchor_morphism_residual_refuses_an_arity_over_the_cap_as_the_oracle_does():

@@ -78,11 +78,13 @@ def test_sign_composition_law():
             sigma = Permutation(rng.sample(range(1, n + 1), n))
             tau = Permutation(rng.sample(range(1, n + 1), n))
             degs = [rng.randint(-2, 4) for _ in range(n)]
-            lhs = sym_sign(Permutation(tau.permute(sigma.images)), degs)
-            rhs = sym_sign(tau, sigma.permute(degs)) * sym_sign(sigma, degs)
+            composed = Permutation(sigma.images[p - 1] for p in tau.images)
+            permuted = [degs[p - 1] for p in sigma.images]
+            lhs = sym_sign(composed, degs)
+            rhs = sym_sign(tau, permuted) * sym_sign(sigma, degs)
             assert lhs == rhs
-            lhs = skew_sign(Permutation(tau.permute(sigma.images)), degs)
-            rhs = skew_sign(tau, sigma.permute(degs)) * skew_sign(sigma, degs)
+            lhs = skew_sign(composed, degs)
+            rhs = skew_sign(tau, permuted) * skew_sign(sigma, degs)
             assert lhs == rhs
 
 

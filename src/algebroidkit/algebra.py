@@ -24,7 +24,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BaseMismatch, DegreeError, KitError
-from .scalars import MINUS_ONE, ONE, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
+from .scalars import MINUS_ONE, ONE, Coefficients, Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
 
 
 def _refuse_foreign(label: str, keys: Iterable, count: int, kind: str) -> None:
@@ -235,6 +235,21 @@ _element = AlgebraElement._made
 def _summed(algebra: "BaseAlgebra", out: Sums) -> AlgebraElement:
     """The AlgebraElement of a complete coefficient sum (``scalars.Sums``)."""
     return _element(algebra, _reduced_items(out))
+
+
+def _reduced_values(base: "BaseAlgebra", acc: Coefficients) -> tuple:
+    """The one finisher of a coefficient table (``scalars.Coefficients``):
+    its nonzero (key, value) pairs in key order, each value the element of
+    base whose coefficients are those of acc[key], reduced once; a key whose
+    sum is zero is dropped.  Every element made from a table (a SymElement,
+    a ModuleElement, an AlgebraDerivation) is made from these pairs as they
+    are (``Combination._made``)."""
+    pairs = []
+    for k in sorted(acc):
+        coeffs = _reduced_items(acc[k])
+        if coeffs:
+            pairs.append((k, _element(base, coeffs)))
+    return tuple(pairs)
 
 
 def _linear(a: AlgebraElement, value: Callable[[int], Optional[AlgebraElement]]) -> AlgebraElement:

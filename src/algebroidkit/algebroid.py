@@ -58,11 +58,11 @@ from __future__ import annotations
 
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _element, _linear, _summed
+from .algebra import AlgebraElement, BaseAlgebra, _add_product, _degree_problem, _linear, _reduced_values
 from .errors import BaseMismatch, CapError, KitError
 from .linfty import AlgebraDerivation, BracketTable, same_tables
 from .modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
-from .scalars import Scalar, Sums, _reduced_items
+from .scalars import Coefficients, Scalar, Sums
 from .signs import _nonvanishing_keys, _sort_word, _unshuffle_splits
 from .symtensor import (
     DerivationD,
@@ -259,11 +259,12 @@ def _word_transpose(
     coefficient as one triple, reduced once.
 
     Every w is a canonical table key (``linfty.BracketTable``): a sorted
-    word of alg that does not vanish.  So each element is made from its
-    words as they are (``SymElement._made``), in word order; only a word
-    over the cap of alg is dropped, and a zero value."""
+    word of alg that does not vanish.  So each element is summed in one
+    {word: Sums} table and made from its words as they are, by the one
+    finisher (``algebra._reduced_values``); only a word over the cap of alg
+    is dropped, and a zero value."""
     base, cap = alg.base, alg.cap
-    out: Dict[int, Dict[GenKey, AlgebraElement]] = {}
+    out: Dict[int, Coefficients] = {}
     kappas: Dict[GenKey, int] = {}
     for w, i, value in entries:
         words = out.setdefault(i, {})
@@ -272,13 +273,9 @@ def _word_transpose(
         kappa = kappas.get(w)
         if kappa is None:
             kappa = kappas[w] = _word_constant(alg, w)
-        sums: Sums = {}
         sign = -1 if (exponents[i] + (kappa < 0)) & 1 else 1
-        _add_product(sums, base, base.unit, value.coeffs, degrees[i], sign, 0, abs(kappa))
-        coeff = _summed(base, sums)
-        if coeff.coeffs:
-            words[w] = coeff
-    return {i: _sym_element(alg, tuple(sorted(words.items()))) for i, words in out.items()}
+        _add_product(words.setdefault(w, {}), base, base.unit, value.coeffs, degrees[i], sign, 0, abs(kappa))
+    return {i: _sym_element(alg, _reduced_values(base, words)) for i, words in out.items()}
 
 
 def _ce_derivation(
@@ -342,12 +339,6 @@ def ce_differential(S: AlgebroidStructure, weight_cap: int = 4) -> DerivationD:
 # ---------------------------------------------------------------------------
 
 
-# A coefficient table {index: coefficient sum (``scalars.Sums``)} holds one
-# module or algebra value while its terms are summed; it becomes one
-# ModuleElement or AlgebraElement when complete, each coefficient reduced once.
-Coefficients = Dict[int, Sums]
-
-
 def _letter_transpose(
     alg: SymAlgebra,
     table: Mapping[int, SymElement],
@@ -385,24 +376,6 @@ def _letter_transpose(
                 kappa = kappas[w] = _word_constant(alg, w)
             _add_product(sums, base, base.unit, c.coeffs, degree, -kappa if exponents[i] & 1 else kappa, 0, 1)
     return out
-
-
-def _reduced_values(base: BaseAlgebra, acc: Coefficients) -> Tuple[Tuple[int, AlgebraElement], ...]:
-    """The nonzero (index, value) pairs of acc in index order, each value
-    the element of base whose coefficients are those of acc, reduced once."""
-    pairs = []
-    for i in sorted(acc):
-        coeffs = _reduced_items(acc[i])
-        if coeffs:
-            pairs.append((i, _element(base, coeffs)))
-    return tuple(pairs)
-
-
-def _module_value(module: FreeModule, acc: Coefficients) -> ModuleElement:
-    """The element of module with the coefficients of acc, each reduced once;
-    the indices of acc are generators of module, so the element is made
-    from its nonzero coefficients as they are (``Combination._made``)."""
-    return _module_element(module, _reduced_values(module.base, acc))
 
 
 def extract_structure(
@@ -457,7 +430,7 @@ def extract_structure(
 
     values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], range(2, bracket_cap + 1))
     for w in sorted(values, key=lambda w: (len(w), w)):
-        value = _module_value(carrier, values[w])
+        value = _module_element(carrier, _reduced_values(base, values[w]))
         if value.coeffs:
             S.brackets.setdefault(len(w), BracketTable(degrees))[w] = value
     return S
@@ -491,7 +464,7 @@ def algebroid_jacobi_residual(S: AlgebroidStructure, arities: Sequence[int]) -> 
     # D(eta_i) is the stored value, as D kills the unit (``symtensor.square``)
     squares = {i: D.apply(v) for i, v in sorted(D.on_letters.items())}
     for w, values in _letter_transpose(D.algebra, squares, carrier.degrees, [1] * carrier.rank, out).items():
-        out[len(w)][w] = _module_value(carrier, values)
+        out[len(w)][w] = _module_element(carrier, _reduced_values(S.base, values))
     return out
 
 
@@ -543,6 +516,22 @@ def _add_composite(
         _add_product(out, base, unit, row, twist, sign * x.n_re, sign * x.n_im, x.den)
 
 
+def _add_left_product(
+    acc: Coefficients, base: BaseAlgebra, a: AlgebraElement, row: Mapping[int, Pairs], factor: int
+) -> None:
+    """acc += factor a . row for a row {index: value} of base elements, given
+    as (basis index, Scalar) pairs, factor an integer: the A-linear left
+    product of a map of operator degree 0, whose Koszul exponent is 0, so a
+    multiplies each value from the left, basis element by basis element,
+    through the one product rule (``algebra._add_product``)."""
+    for k, value in row.items():
+        out = acc.get(k)
+        if out is None:
+            out = acc[k] = {}
+        for i, x in a.coeffs:
+            _add_product(out, base, i, value, 0, factor * x.n_re, factor * x.n_im, x.den)
+
+
 # The rules of ``_add_composite`` that l_1 and l_2 of ``ShiftedDerDGLA`` take
 # apart into: Y o X, (-1)^{|X||Y|} Y o X, (-1)^{|Y|} Y o X and
 # (-1)^{|X| + |X||Y|} Y o X.
@@ -579,10 +568,11 @@ def anchor_morphism_residual(
                          - sum (-1)^{dp + dp dq} P(e_i)_m Q(e_m)_k e_k,
 
     and (-1)^{dp dq} = (-1)^dq on the terms of a d_A of degree 1.  Each
-    Res_n(key)(e_i) is summed in one coefficient table (``scalars.Sums``),
-    the a_j f(g_j, rest) terms as left products by a_j, and reduced once
-    (``_reduced_values``).  An arity over the bracket cap is refused before
-    any work: the identity's bracket at that arity would refuse it."""
+    Res_n(key)(e_i) is summed in one coefficient table
+    (``scalars.Coefficients``), the a_j f(g_j, rest) terms as left products
+    by a_j (``_add_left_product``), and reduced once
+    (``algebra._reduced_values``).  An arity over the bracket cap is refused
+    before any work: the identity's bracket at that arity would refuse it."""
     S.refuse_over_cap(arities)
     base, carrier = S.base, S.carrier
     degrees = carrier.degrees
@@ -624,11 +614,7 @@ def anchor_morphism_residual(
                     row = rows.get(word[0]) if word else None
                     if row is None:
                         continue
-                    factor = -count if word[1] & 1 else count
-                    for b, value in row.items():
-                        sums = acc.setdefault(b, {})
-                        for k, x in a.coeffs:
-                            _add_product(sums, base, k, value, 0, factor * x.n_re, factor * x.n_im, x.den)
+                    _add_left_product(acc, base, a, row, -count if word[1] & 1 else count)
             for (first, rest), count in right.items():
                 P, Q = rows.get(first), rows.get(rest)
                 if not count or P is None or Q is None:

@@ -77,30 +77,24 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import BaseAlgebra, _add_product, _degree_problem, _leibniz_failures
+from .algebra import BaseAlgebra, _degree_problem, _leibniz_failures, _reduced_values
 from .algebroid import (
     AlgebroidStructure,
-    Coefficients,
+    _add_left_product,
     _letter_transpose,
-    _module_value,
-    _reduced_values,
+    _module_element,
     ce_differential,
     d0_derivation,
 )
 from .errors import BaseMismatch, DegreeError, KitError
 from .linfty import BracketTable
 from .modules import FreeModule, ModuleElement
-from .scalars import Scalar, _add_multiple, _reduced_items
+from .scalars import Coefficients, Scalar, _reduced_items
 from .signs import _nonvanishing_keys
 from .symtensor import (
     DerivationD,
-    Row,
     SymAlgebra,
     SymElement,
-    Triples,
-    _normalized,
-    _reduced_row,
-    _row_element,
     _sym_element,
     generator_differences,
     # not called here: perfbench/test_perfbench.py checks that the tracer
@@ -328,29 +322,30 @@ class GeometricModel(SplitFrame):
         word containing a tangent letter.
 
         Words are sorted with the tangent letters first, so the kept words are
-        the empty one and those that start with a normal letter."""
+        the empty one and those that start with a normal letter, and
+        relabelled to the normal letters they keep their order."""
         if not self.amb.compatible(el.algebra):
             raise BaseMismatch("element is not over the ambient algebra")
         a = self.a
-        return _normalized(
-            self.nor, {tuple(i - a for i in w): c for w, c in el.items() if not w or w[0] >= a}
-        )
+        return _sym_element(self.nor, tuple((tuple(i - a for i in w), c) for w, c in el.coeffs if not w or w[0] >= a))
 
     # -- the substitution derivations ---------------------------------------------
 
     def nabla_bar(self, el: SymElement) -> SymElement:
         """Symmetrized covariant derivative with the 1/m output weighting:
         nabla_hat(el) with the coefficient of each word divided by its
-        tangent-letter count m, which rule R makes at least 1."""
-        out = {}
+        tangent-letter count m, which rule R makes at least 1, so every
+        coefficient stays nonzero and the words keep their order."""
+        out = []
         for w, c in self._nabla_hat.apply(el).items():
             m = self.tangent_count(w)
-            out[w] = c if m == 1 else c.scale(Scalar.rational(1, m))
-        return _normalized(self.amb, out)
+            out.append((w, c if m == 1 else c.scale(Scalar.rational(1, m))))
+        return _sym_element(self.amb, tuple(out))
 
-    def _d1_row(self, w: Word, i: int) -> Row:
+    def _d1_row(self, w: Word, i: int) -> SymElement:
         """P1 nabla_bar(e_i w) for a word w with at most one tangent letter."""
-        return tuple((v, c) for v, c in self._d1._row(w, i) if self.tangent_count(v) == 1)
+        terms = self._d1._row(w, i).coeffs
+        return _sym_element(self.amb, tuple(p for p in terms if self.tangent_count(p[0]) == 1))
 
     def shape_tilde(self, el: SymElement) -> SymElement:
         """Shape-operator substitution on the single tangent letter."""
@@ -474,7 +469,8 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 # raises it from 0, so every residual vanishes on a grid word with m >= 2
 # (the commutator's even without R: the ambient d0 maps such a word to words
 # that keep a tangent letter), and the lemmas live on the words with m <= 1
-# (``_slice``), each residual the difference of two rows (``_difference``).
+# (``_slice``), each residual the difference of two rows (``_difference``),
+# a row being the element D(e_b w) of one grid element.
 # There P1 nabla_bar is P1 of the cut derivation D1 (``GeometricModel._d1``),
 # P1 nabla_bar^s is P1 nabla_bar of P1 nabla_bar^(s-1), and P0 nabla_bar^s
 # = 0: the rows of the slice are all that any power of nabla_bar reads there.
@@ -497,7 +493,7 @@ def validate_geometric_model(g: GeometricModel) -> List[str]:
 #   multiplication.
 #
 # The walk reads each row once, so it builds the row where it reads it (a
-# derivation's ``_row``) and keeps none.
+# derivation's ``_row``, an element) and keeps none.
 
 
 def _grid(alg: SymAlgebra):
@@ -542,27 +538,13 @@ def _lemma_residual(
     for w, m, b in _slice(g):
         residual = residual_at(w, m, b)
         if residual is not None:
-            out.append((f"{prefix}{_normalized(g.amb, {w: g.base.basis_element(b)})!r}", residual))
+            out.append((f"{prefix}{_sym_element(g.amb, ((w, g.base.basis_element(b)),))!r}", residual))
     return out
 
 
-def _rho_row(a: int, row: Row) -> Row:
-    """rho-dual of a row over the ambient letters: its words without tangent
-    letters, relabelled to the normal letters (which keeps their order)."""
-    return tuple((tuple(k - a for k in v), c) for v, c in row if not v or v[0] >= a)
-
-
-def _difference(alg: SymAlgebra, left: Row, right: Row) -> Optional[SymElement]:
-    """left - right as an element of alg, None where they agree.  Rows are
-    canonical (sorted words, sorted nonzero coefficients), so equal rows are
-    equal elements."""
-    if left == right:
-        return None
-    acc: Triples = {}
-    for sign, row in ((1, left), (-1, right)):
-        for v, coeffs in row:
-            _add_multiple(acc.setdefault(v, {}), coeffs, sign, 0, 1)
-    return _row_element(alg, _reduced_row(acc))
+def _difference(left: SymElement, right: SymElement) -> Optional[SymElement]:
+    """left - right, None where the two rows agree."""
+    return None if left == right else left - right
 
 
 def retraction_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
@@ -605,9 +587,9 @@ def commutator_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]
     a = g.a
 
     def residual_at(w: Word, m: int, b: int) -> Optional[SymElement]:
-        left = _rho_row(a, D0a._row(w, b))
-        right = D0n._row(tuple(k - a for k in w), b) if m == 0 else _rho_row(a, beta._row(w, b))
-        return _difference(g.nor, left, right)
+        left = g.rho_dual(D0a._row(w, b))
+        right = D0n._row(tuple(k - a for k in w), b) if m == 0 else g.rho_dual(beta._row(w, b))
+        return _difference(left, right)
 
     return _lemma_residual(g, residual_at, "")
 
@@ -636,7 +618,7 @@ def transport_lemma_residual(g: GeometricModel) -> List[Tuple[str, SymElement]]:
 
     def residual_at(w: Word, m: int, b: int) -> Optional[SymElement]:
         right = g._nabla_perp if m == 0 else g._shape
-        return _difference(g.amb, g._d1_row(w, b), right._row(w, b))
+        return _difference(g._d1_row(w, b), right._row(w, b))
 
     return _lemma_residual(g, residual_at, "operator @ ")
 
@@ -657,8 +639,8 @@ def _tangent_series(g: GeometricModel, start: SymElement) -> SymElement:
 
     Rtan is linear, so the terms of start, Shape(start), Shape^2(start), ...
     are walked once through Rtan (``DerivationD._walk``) into one
-    accumulator, unsummed: at most cap - 1 Shape applies and one Rtan walk
-    per start, each coefficient reduced once."""
+    coefficient table, unsummed: at most cap - 1 Shape applies and one Rtan
+    walk per start, each coefficient reduced once."""
     if start.is_zero():
         return g.nor.zero()
     terms = list(start.items())
@@ -668,7 +650,7 @@ def _tangent_series(g: GeometricModel, start: SymElement) -> SymElement:
         if current.is_zero():
             break
         terms.extend(current.items())
-    return g.rho_dual(_row_element(g.amb, _reduced_row(g._rtan._walk(terms))))
+    return g.rho_dual(g._rtan._walk(terms))
 
 
 def _table_sum(left: Mapping[int, SymElement], right: Mapping[int, SymElement]) -> Dict[int, SymElement]:
@@ -767,22 +749,13 @@ def _add_contraction(
     acc: Coefficients, base: BaseAlgebra, inner: ModuleElement, rows: GeneratorRows, factor: int
 ) -> None:
     """acc += factor sum_j a_j . rows[j] for inner = sum_j a_j t_j, factor an
-    integer.
-
-    This is the A-linear extension of a map read on generators: a one-slot
-    map of operator degree 0 has Koszul exponent 0, so each coefficient a_j
-    only multiplies the image of t_j from the left, basis element by basis
-    element, through the one product rule (``algebra._add_product``)."""
+    integer: the A-linear extension of a map read on generators, each
+    coefficient a_j multiplying the image of t_j from the left
+    (``algebroid._add_left_product``)."""
     for j, a in inner.coeffs:
         row = rows.get(j)
-        if row is None:
-            continue
-        for k, value in row.items():
-            out = acc.get(k)
-            if out is None:
-                out = acc[k] = {}
-            for i, x in a.coeffs:
-                _add_product(out, base, i, value, 0, factor * x.n_re, factor * x.n_im, x.den)
+        if row is not None:
+            _add_left_product(acc, base, a, row, factor)
 
 
 def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
@@ -856,11 +829,11 @@ def structure_from_geometry(g: GeometricModel) -> AlgebroidStructure:
                     _add_contraction(ell_acc, base, inner, gamma[last], factor)
                 start = p + 1
             if alpha_acc:
-                value = _module_value(g.tangent, alpha_acc)
+                value = _module_element(g.tangent, _reduced_values(base, alpha_acc))
                 if value.coeffs:
                     alpha[key] = value
             if ell_acc and n >= 2:
-                ell = _module_value(g.normal, ell_acc)
+                ell = _module_element(g.normal, _reduced_values(base, ell_acc))
                 if ell.coeffs:
                     brackets.setdefault(n, BracketTable(degrees))[key] = ell
 

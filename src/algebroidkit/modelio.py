@@ -23,9 +23,12 @@ tensors are built without the checks of the public constructors.  No
 coefficient is made term by term: every list of {basis, coeff} entries is
 added to a coefficient accumulator as unreduced triples (``_add_terms``,
 ``scalars.Sums``), a tensor's word with its sort sign, and each
-coefficient is reduced once, when its element is made.  The model
-constructor refuses a tensor that breaks its family's row, which is refused
-at $.tensors.
+coefficient is reduced once, when its element is made, a module value or a
+tensor by the one finisher of a coefficient table
+(``algebra._reduced_values``).  The model constructor refuses a tensor
+that breaks its family's row, which is refused at $.tensors; a refusal of
+a constructor is a ``KitError``, and any other exception there is a fault
+of the kit, not of the file, and is not made a ParseError.
 """
 
 from __future__ import annotations
@@ -33,14 +36,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraElement, BaseAlgebra, _summed, breaks_unit_law
+from .algebra import AlgebraElement, BaseAlgebra, _reduced_values, breaks_unit_law
 from .algebroid import AlgebroidStructure
-from .errors import DegreeError, ParseError
+from .errors import DegreeError, KitError, ParseError
 from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily
 from .modules import FreeModule, ModuleElement
-from .scalars import ONE, Scalar, Sums, _add_multiple, _reduced_items
+from .scalars import ONE, Coefficients, Scalar, Sums, _add_multiple, _reduced_items
 from .signs import _sort_word
-from .symtensor import SymAlgebra, SymElement, Triples, Word, _reduced_row, _row_element
+from .symtensor import SymAlgebra, SymElement, Word, _sym_element
 
 SCHEMA = "algebroidkit/1"
 
@@ -287,14 +290,14 @@ def _parse_module_value(
     value, path: JsonPath, module: FreeModule, index: Dict[str, int], base_index: Dict[str, int]
 ) -> ModuleElement:
     """A module element from a list of {generator, terms} entries; index maps
-    the generator names."""
-    sums: Dict[int, Sums] = {}
+    the generator names, so every key of the table is a generator."""
+    sums: Coefficients = {}
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _MODULE_TERM:
             _object(item, (path, k), _MODULE_TERM)
         idx = _name(index, item["generator"], (path, k, ".generator"), _NO_GENERATOR)
         _add_terms(sums.setdefault(idx, {}), item["terms"], (path, k, ".terms"), base_index, 1)
-    return ModuleElement(module, {i: _summed(module.base, out) for i, out in sums.items()})
+    return ModuleElement._made(module, _reduced_values(module.base, sums))
 
 
 def _module_value_list(v: ModuleElement) -> list:
@@ -376,7 +379,7 @@ def _parse_sym(
     unreduced triples in one accumulator, the sort sign on each, so no
     Scalar is made per term; each coefficient is reduced once, when the
     element is made."""
-    acc: Triples = {}
+    acc: Coefficients = {}
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _WORD:
             _object(item, (path, k), _WORD)
@@ -394,7 +397,7 @@ def _parse_sym(
         if out is None:
             out = acc[w] = {}
         _add_terms(out, item["terms"], (path, k, ".terms"), base_index, -1 if exponent & 1 else 1)
-    return _row_element(alg, _reduced_row(acc))
+    return _sym_element(alg, _reduced_values(alg.base, acc))
 
 
 def _sym_list(el: SymElement) -> list:
@@ -528,7 +531,7 @@ def parse_model(
             value = _parse_module_value(item["value"], ("$.brackets", k, ".value"), carrier, index, base_index)
             try:
                 S.set_bracket(n, tuple(args), value)
-            except Exception as exc:
+            except KitError as exc:
                 raise ParseError(str(exc), _at(("$.brackets", k))) from None
         for k, item in enumerate(_list(d.get("anchors", []), "$.anchors")):
             if type(item) is not dict or item.keys() != _ANCHOR:
@@ -545,7 +548,7 @@ def parse_model(
             value = AlgebraElement(base, _parse_terms(item["terms"], ("$.anchors", k, ".terms"), base_index))
             try:
                 S.set_anchor(n, tuple(args), bidx, value)
-            except Exception as exc:
+            except KitError as exc:
                 raise ParseError(str(exc), _at(("$.anchors", k))) from None
         degree_problems = S.degree_problems()
         if degree_problems:
@@ -583,7 +586,7 @@ def parse_model(
             return GeometricModel(base, tangent, normal, cap=weight_cap, closed_beta=closed, **tables)
         except DegreeError as exc:  # a tensor that breaks its family's row
             raise ParseError(str(exc), "$.tensors") from None
-        except Exception as exc:
+        except KitError as exc:
             raise ParseError(str(exc), "$") from None
 
     _refuse(f"unknown kind {kind!r}", "$.kind")

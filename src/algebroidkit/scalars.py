@@ -13,14 +13,16 @@ denominator is 1.
 
 Every exact sum of the kit goes through one accumulator, a table of
 unreduced triples (``Sums``): ``_add_multiple`` adds terms, and each entry
-is reduced once, when its sum is complete (``_reduced_items``).
+is reduced once, when its sum is complete (``_reduced_items``).  A value
+with many such sums, one per key, is a ``Coefficients`` table, which
+``algebra._reduced_values`` finishes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -197,6 +199,11 @@ def sign_scalar(exponent: int) -> Scalar:
 # each entry the unreduced Gaussian-integer triple of (n_re + n_im i) / den
 # with den > 0.
 Sums = Dict[int, List[int]]
+
+# A value while its terms are summed: one coefficient sum per key, a key
+# being a basis, generator or letter index or a word.  Every element made
+# from it is made by the one finisher, ``algebra._reduced_values``.
+Coefficients = Dict[Hashable, Sums]
 
 
 def _add_multiple(out: Sums, pairs: Iterable[Tuple[int, Scalar]], n_re: int, n_im: int, den: int) -> None:

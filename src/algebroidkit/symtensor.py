@@ -69,11 +69,13 @@ s e_i w of its argument (basis element e_i, sorted word w, scalar s): each
 term of s D(e_i w) is added straight into the one accumulator of the
 result, the scalar s folded into the multiplication of its coefficient, so
 no image of a single grid element is formed or kept.  ``_row(w, i)`` is the
-same walk over the one term e_i w; the lemma checks of ``geometry`` read it.
+element D(e_i w), the same walk over the one term e_i w; the lemma checks of
+``geometry`` read it.
 
-Products and ``apply`` results are summed in the one coefficient
-accumulator of ``scalars`` (unreduced triples, each coefficient reduced
-once, when its sum is complete), so every coefficient of a result is a
+Products and ``apply`` results are summed in one coefficient table
+(``scalars.Coefficients``, unreduced triples per word) and made elements by
+the one finisher, ``algebra._reduced_values``, each coefficient reduced
+once, when its sum is complete, so every coefficient of a result is a
 reduced nonzero Scalar.  A derivation keeps its values as packed terms
 sorted by word length, so the walk stops at the first term over the cap,
 and its square, made once, one walk per stored value: D(x) on a generator
@@ -88,10 +90,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, BaseAlgebra, Combination, _add_product, _degree_problem, _element, _refuse_foreign
+from .algebra import (
+    AlgebraElement, BaseAlgebra, Combination, _add_product, _degree_problem, _reduced_values, _refuse_foreign
+)
 from .errors import BaseMismatch, CapError, DegreeError, KitError
 from .modules import FreeModule, ModuleElement, multilinear_extend
-from .scalars import Scalar, Sums, _add_multiple, _reduced_items, sign_scalar
+from .scalars import Coefficients, Scalar, _add_multiple, sign_scalar
 from .signs import _nonvanishing_keys, _sort_word, _vanishes
 
 Word = Tuple[int, ...]
@@ -258,14 +262,14 @@ class SymElement(Combination):
         where s is the Koszul sign exponent of sorting the letters of w1 w2;
         a sorted word with a repeated odd letter is zero.  Each output term is
         summed through the product rule (``algebra._add_product``) and each
-        coefficient reduced once; a pair over the cap is skipped before its
-        letters are sorted.
+        coefficient reduced once (``algebra._reduced_values``); a pair over
+        the cap is skipped before its letters are sorted.
         """
         self._check(other)
         alg = self.algebra
         base = alg.base
         letter_degrees = alg.letter_degrees
-        acc: Triples = {}
+        acc: Coefficients = {}
         for w1, a1 in self.coeffs:
             room = alg.cap - len(w1)
             d1 = alg.word_degree(w1)
@@ -280,7 +284,7 @@ class SymElement(Combination):
                 t = -1 if exponent & 1 else 1
                 for i, ai in a1.coeffs:
                     _add_product(coeffs, base, i, a2.coeffs, d1, t * ai.n_re, t * ai.n_im, ai.den)
-        return _row_element(alg, _reduced_row(acc))
+        return _sym_element(alg, _reduced_values(base, acc))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -296,50 +300,11 @@ class SymElement(Combination):
 _sym_element = SymElement._made
 
 
-def _normalized(alg: SymAlgebra, data: Mapping[Word, AlgebraElement]) -> SymElement:
-    """The SymElement of {word: coefficient} whose words are already sorted,
-    non-vanishing words of alg within its cap: zero coefficients are dropped
-    and the words ordered, nothing else is checked."""
-    return _sym_element(alg, tuple(sorted((w, a) for w, a in data.items() if a.coeffs)))
-
-
-# ---------------------------------------------------------------------------
-# rows and accumulators
-# ---------------------------------------------------------------------------
-
-# A summed image, such as that of one grid element e_i w under a
-# derivation (``DerivationD._row``): its (word, coefficients) pairs in word
-# order, the coefficients as the sorted (basis index, Scalar) pairs of an
-# AlgebraElement, every Scalar reduced and nonzero.
-Row = Tuple[Tuple[Word, Tuple[Tuple[int, Scalar], ...]], ...]
-
-# A row, a product or an ``apply`` result while it is summed: one coefficient
-# sum (``scalars.Sums``) per word, each entry reduced once, at the end
-# (``_reduced_row``).
-Triples = Dict[Word, Sums]
-
 # The terms of one stored derivation value, shortest words first: (length,
 # packed key, odd mask, above, below, coefficients as (basis index, Scalar)
 # pairs), above / below the XOR over the odd letters y of the word of the
 # odd letters greater / less than y (``DerivationD._value_terms``).
 ValueTerms = Tuple[Tuple[int, int, int, int, int, Tuple[Tuple[int, Scalar], ...]], ...]
-
-
-def _reduced_row(acc: Triples) -> Row:
-    """The row of a triple accumulator: its words in order, each with its
-    nonzero entries in basis order (``scalars._reduced_items``)."""
-    row = []
-    for w in sorted(acc):
-        coeffs = _reduced_items(acc[w])
-        if coeffs:
-            row.append((w, coeffs))
-    return tuple(row)
-
-
-def _row_element(alg: SymAlgebra, row: Row) -> SymElement:
-    """The SymElement of a row whose words are words of alg within its cap."""
-    base = alg.base
-    return _sym_element(alg, tuple((w, _element(base, coeffs)) for w, coeffs in row))
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +500,16 @@ class DerivationD:
         reduced once."""
         if not self.algebra.compatible(element.algebra):
             raise BaseMismatch("derivation and element over incompatible algebras")
-        return _row_element(self.algebra, _reduced_row(self._walk(element.coeffs)))
+        return self._walk(element.coeffs)
 
-    def _row(self, w: Word, i: int) -> Row:
+    def _row(self, w: Word, i: int) -> SymElement:
         """D(e_i w): the walk over the one term e_i w."""
-        return _reduced_row(self._walk(((w, self.algebra.base.basis_element(i)),)))
+        return self._walk(((w, self.algebra.base.basis_element(i)),))
 
-    def _walk(self, terms: Iterable[Tuple[Word, AlgebraElement]]) -> Triples:
+    def _walk(self, terms: Iterable[Tuple[Word, AlgebraElement]]) -> SymElement:
         """sum s D(e_i w) over the terms s e_i w of the (word, coefficient)
-        pairs given, by the Leibniz rule, as unreduced triples.
+        pairs given, by the Leibniz rule: unreduced triples summed in one
+        coefficient table, which ``algebra._reduced_values`` finishes.
 
         D(e_i) = sum (c e_k) v contributes s (c e_k) sort(v w) with the sort
         sign only.  For w = prefix x rest and D(x) = sum (c e_j) v, the letter
@@ -584,7 +550,7 @@ class DerivationD:
         odd = self.degree & 1
         on_algebra, on_letters = self._terms or self._value_terms()
         packed = alg._packed
-        acc: Dict[int, Sums] = {}
+        acc: Coefficients = {}
         for w, a in terms:
             pairs = a.coeffs
             n = len(w)
@@ -633,11 +599,11 @@ class DerivationD:
                 prefix_odd |= odd_bit[x]
                 pos = end
         unpacked = alg._unpacked
-        triples: Triples = {}
+        table: Coefficients = {}
         for k, sums in acc.items():
             w = unpacked.get(k)
-            triples[alg._unpack(k) if w is None else w] = sums
-        return triples
+            table[alg._unpack(k) if w is None else w] = sums
+        return _sym_element(alg, _reduced_values(base, table))
 
     def _value_terms(self) -> Tuple[Dict[int, ValueTerms], Dict[int, ValueTerms]]:
         """The stored values as (on_algebra, on_letters) term tables, made

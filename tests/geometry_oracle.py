@@ -46,8 +46,8 @@ from algebroidkit.linfty import BracketTable
 from algebroidkit.modules import FreeModule, ModuleElement, _koszul_twist, multilinear_extend
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, sign_scalar
 from algebroidkit.signs import _nonvanishing_keys
-from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, _normalized, _word_constant
-from symtensor_oracle import oracle_d0_derivation, oracle_dual_differential_letter
+from algebroidkit.symtensor import DerivationD, SymAlgebra, SymElement, _word_constant
+from symtensor_oracle import _normalized, oracle_d0_derivation, oracle_dual_differential_letter
 
 Word = Tuple[int, ...]
 

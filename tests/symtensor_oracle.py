@@ -55,7 +55,7 @@ from algebroidkit.linfty import algebra_derivation_basis
 from algebroidkit.modules import pair_dual
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, _add_multiple, sign_scalar
 from algebroidkit.signs import _sort_word
-from algebroidkit.symtensor import DerivationD, SymElement, _normalized, _on_generators, _word_constant
+from algebroidkit.symtensor import DerivationD, SymElement, _on_generators, _sym_element, _word_constant
 
 
 def derivation_sum(D, E, sign=ONE):
@@ -195,6 +195,13 @@ def scalar_add_product(coeffs, base, i, j, s):
         coeffs[k] = t if old is None else old + t
 
 
+def _normalized(alg, data):
+    """The SymElement of {word: coefficient} whose words are already sorted,
+    non-vanishing words of alg within its cap: zero coefficients are dropped
+    and the words ordered, nothing else is checked."""
+    return _sym_element(alg, tuple(sorted((w, a) for w, a in data.items() if a.coeffs)))
+
+
 def scalar_collect(alg, acc):
     """The SymElement of a {word: {basis index: Scalar}} accumulator whose
     words are sorted words of alg within its cap."""
@@ -244,17 +251,6 @@ def scalar_word_transpose(alg, entries, degrees, exponents):
         scale = Scalar.rational(1, _word_constant(alg, w)) * sign_scalar(exponents[i])
         out.setdefault(i, {})[w] = AlgebraElement(alg.base, _scaled(value.items(), alg.base, degrees[i], scale))
     return {i: SymElement(alg, words) for i, words in out.items()}
-
-
-def _row_from(acc):
-    """The row of a {word: {basis index: Scalar}} accumulator: its words in
-    order, each with its sorted nonzero (basis index, Scalar) pairs."""
-    row = []
-    for w in sorted(acc):
-        coeffs = tuple(sorted((k, c) for k, c in acc[w].items() if not c.is_zero()))
-        if coeffs:
-            row.append((w, coeffs))
-    return tuple(row)
 
 
 def oracle_row(D, w, i):
@@ -314,7 +310,7 @@ def oracle_row(D, w, i):
                     scalar_add_product(coeffs, base, i, j, t)
         prefix_degree += letter_degrees[x] * (end - pos)
         pos = end
-    return _row_from(acc)
+    return scalar_collect(alg, acc)
 
 
 def oracle_apply(D, element):
@@ -323,9 +319,9 @@ def oracle_apply(D, element):
     acc = {}
     for w, a in element.items():
         for i, s in a.items():
-            for v, coeffs in oracle_row(D, w, i):
+            for v, coeffs in oracle_row(D, w, i).items():
                 out = acc.setdefault(v, {})
-                for k, c in coeffs:
+                for k, c in coeffs.items():
                     t = c if s is ONE else c * s
                     old = out.get(k)
                     out[k] = t if old is None else old + t
@@ -375,7 +371,7 @@ _UNSEEN = object()
 
 def oracle_walk(D, terms):
     """sum s D(e_i w) over the (word, coefficient) pairs s e_i w given, as
-    the unreduced triples {word: Sums} of ``DerivationD._walk``: every
+    the unreduced triples {word: Sums} that ``DerivationD._walk`` sums: every
     substitution concatenates prefix + v + rest (v + w on the base) and
     sorts it with its sign, each concatenation once per call."""
     alg = D.algebra

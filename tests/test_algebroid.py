@@ -16,7 +16,6 @@ from algebroidkit.algebra import _summed
 from algebroidkit.algebroid import (
     AlgebroidStructure,
     _letter_transpose,
-    _module_value,
     _word_transpose,
     algebroid_jacobi_residual,
     anchor_morphism_residual,
@@ -629,7 +628,7 @@ def resorting_extract_structure(D, carrier, bracket_cap):
             S.set_anchor(len(w) + 1, w, b, _summed(base, anchors[w][b]))
     values = _letter_transpose(algebra, D.on_letters, degrees, [d + 1 for d in degrees], range(2, bracket_cap + 1))
     for w in sorted(values, key=lambda w: (len(w), w)):
-        value = _module_value(carrier, values[w])
+        value = ModuleElement(carrier, {i: _summed(base, sums) for i, sums in values[w].items()})
         if not value.is_zero():
             S.set_bracket(len(w), w, value)
     return S

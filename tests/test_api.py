@@ -580,3 +580,50 @@ def test_sums_are_reduced_in_scalars_and_products_read_by_one_rule():
         ("linfty.py", "algebra_derivation_basis"),
         ("modelio.py", "_base_dict"),
     }
+
+
+# The src/ functions beside the one finisher (``algebra._summed`` for one
+# sum, ``algebra._reduced_values`` for a {key: Sums} table) that reduce a
+# coefficient sum themselves, each with the reason it makes no element.
+REDUCED_OUTSIDE_THE_FINISHER = {
+    ("linfty.py", "algebra_derivation_basis"): "equation rows for nullspace",
+    ("modelio.py", "_parse_terms"): "the {index: Scalar} dicts that BaseAlgebra takes",
+    ("geometry.py", "_contraction_rows"): "(basis index, Scalar) pair rows for _add_product",
+    ("geometry.py", "_dhat_rows"): "(basis index, Scalar) pair rows for _add_product",
+}
+
+# How the symmetric algebra once finished its rows beside the finisher.
+_SECOND_FINISHER = """
+def _reduced_row(acc):
+    row = []
+    for w in sorted(acc):
+        coeffs = _reduced_items(acc[w])
+        if coeffs:
+            row.append((w, coeffs))
+    return tuple(row)
+"""
+
+
+def _second_finishers(name: str, source: str) -> set:
+    """(module, function) of every module-level function or class of source
+    that calls ``scalars._reduced_items`` and is neither a finisher nor
+    allowed by ``REDUCED_OUTSIDE_THE_FINISHER``."""
+    finishers = {("algebra.py", "_summed"), ("algebra.py", "_reduced_values")}
+    found = {(name, top) for top in _calls_of(ast.parse(source), "_reduced_items")}
+    return found - finishers - set(REDUCED_OUTSIDE_THE_FINISHER)
+
+
+def test_every_coefficient_table_is_finished_in_one_place():
+    """An element made from summed coefficients is made by the one finisher:
+    no other src/ function reduces a sum, unless the allowlist names it with
+    a reason.  Every allowlist entry still reduces, and the scan flags a
+    second finisher such as the former rows of ``symtensor``."""
+    root = Path(__file__).resolve().parents[1]
+    found, calls = set(), set()
+    for path in sorted(root.glob("src/algebroidkit/*.py")):
+        source = path.read_text()
+        found |= _second_finishers(path.name, source)
+        calls |= {(path.name, top) for top in _calls_of(ast.parse(source), "_reduced_items")}
+    assert found == set()
+    assert set(REDUCED_OUTSIDE_THE_FINISHER) <= calls
+    assert _second_finishers("symtensor.py", _SECOND_FINISHER) == {("symtensor.py", "_reduced_row")}

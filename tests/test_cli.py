@@ -16,6 +16,7 @@ from algebroidkit import algebroid, cli, linfty, modules, signs
 from algebroidkit.algebroid import AlgebroidStructure
 from algebroidkit.cli import COMMANDS, main
 from algebroidkit.fixtures import fixture_corpus
+from algebroidkit.geometry import GeometricModel
 from algebroidkit.linfty import AlgebraDerivation, ShiftedDerDGLA
 from algebroidkit.modelio import serialize_model
 from algebroidkit.symtensor import DerivationD
@@ -653,6 +654,32 @@ def test_internal_error_exits_3_with_one_line(model_dir, tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.err == "internal error: ZeroDivisionError: derivation row\n"
     assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, name, fixture, fault",
+    [
+        (GeometricModel, "__init__", "rank2.geometric.json", ZeroDivisionError("model constructor")),
+        (AlgebroidStructure, "set_bracket", "perturbed.algebroid.json", AttributeError("bracket store")),
+    ],
+)
+def test_a_kit_fault_inside_a_model_constructor_exits_3(
+    model_dir, tmp_path, capsys, monkeypatch, target, name, fixture, fault
+):
+    """The parser makes a refusal of a model constructor (a KitError) an
+    input error at a JSON path; any other exception raised there is a fault
+    of the kit, which exits 3 with one internal-error line and no report."""
+
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(target, name, broken)
+    out = tmp_path / "validate.json"
+    assert run(["validate", model_dir / fixture, "--json", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"internal error: {type(fault).__name__}: {fault}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

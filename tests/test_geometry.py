@@ -65,7 +65,7 @@ from geometry_oracle import (
     p1,
     project_bidegree,
 )
-from symtensor_oracle import derivation_sum
+from symtensor_oracle import _normalized, derivation_sum
 
 
 def _spanning(alg):
@@ -1292,11 +1292,11 @@ def slice_commutator_lemma_residual(g):
     a = g.a
     out = []
     for w, m, b in geometry._slice(g):
-        left = geometry._rho_row(a, D0a._row(w, b))
-        right = D0n._row(tuple(k - a for k in w), b) if m == 0 else geometry._rho_row(a, beta._row(w, b))
-        residual = geometry._difference(g.nor, left, right)
+        left = g.rho_dual(D0a._row(w, b))
+        right = D0n._row(tuple(k - a for k in w), b) if m == 0 else g.rho_dual(beta._row(w, b))
+        residual = geometry._difference(left, right)
         if residual is not None:
-            out.append((repr(symtensor._normalized(g.amb, {w: g.base.basis_element(b)})), residual))
+            out.append((repr(_normalized(g.amb, {w: g.base.basis_element(b)})), residual))
     return out
 
 
@@ -1306,9 +1306,9 @@ def slice_transport_lemma_residual(g):
     out = []
     for w, m, b in geometry._slice(g):
         right = g._nabla_perp if m == 0 else g._shape
-        residual = geometry._difference(g.amb, g._d1_row(w, b), right._row(w, b))
+        residual = geometry._difference(g._d1_row(w, b), right._row(w, b))
         if residual is not None:
-            label = f"operator @ {symtensor._normalized(g.amb, {w: g.base.basis_element(b)})!r}"
+            label = f"operator @ {_normalized(g.amb, {w: g.base.basis_element(b)})!r}"
             out.append((label, residual))
     return out
 
@@ -1563,7 +1563,7 @@ def test_nabla_hat_keeps_or_raises_the_tangent_count(workloads):
             for w in g.amb.words_of_weight(r):
                 m = g.tangent_count(w)
                 for i in range(g.base.dim):
-                    for v, _ in g._nabla_hat._row(w, i):
+                    for v, _ in g._nabla_hat._row(w, i).items():
                         assert g.tangent_count(v) >= max(m, 1), (w, i, v)
                         count += 1
         outputs.append(count)

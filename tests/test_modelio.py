@@ -389,7 +389,7 @@ def test_model_constructor_refuses_a_tensor_fault_with_the_parser_text(case, mon
         raise RuntimeError("arguments captured")
 
     monkeypatch.setattr(modelio, "GeometricModel", capture)
-    with pytest.raises(ParseError):
+    with pytest.raises(RuntimeError, match="arguments captured"):  # not a KitError: no ParseError
         parse_model(_with_tensor(path, value))
     with pytest.raises(DegreeError) as err:
         GeometricModel(*captured["args"], **captured["kwargs"])

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -64,3 +65,44 @@ def test_reports_do_not_depend_on_the_hash_seed(workloads, seed):
     assert done.returncode == 0, done.stderr.decode()
     got = json.loads(done.stdout)
     assert {run_id: got[run_id] for run_id in subset} == {run_id: table[run_id] for run_id in subset}
+
+
+# The lists of a model file whose order carries meaning: the order of the
+# basis and of the generators gives the indices, and that of a word or of a
+# bracket's or anchor's args the Koszul sign of sorting it.
+ORDERED_LISTS = {"basis", "generators", "word", "args"}
+
+
+def _shuffled(node, rng, key=None):
+    """node with the key order of every object and the order of every list
+    not in ``ORDERED_LISTS`` (by the field that holds it) shuffled."""
+    if type(node) is dict:
+        items = [(k, _shuffled(v, rng, k)) for k, v in node.items()]
+        rng.shuffle(items)
+        return dict(items)
+    if type(node) is list:
+        items = [_shuffled(v, rng) for v in node]
+        if key not in ORDERED_LISTS:
+            rng.shuffle(items)
+        return items
+    return node
+
+
+def test_entry_order_changes_no_run():
+    """Every command on each of the 8 shipped fixtures at the stored caps,
+    with the file's object keys and unordered lists shuffled under a fixed
+    seed, gives the exit code, report digest and stderr of the file as it
+    is shipped."""
+    from algebroidkit.cli import COMMANDS
+
+    rng = random.Random(20)
+    plain, shuffled = {}, {}
+    for path in sorted((TESTS.parent / "fixtures").glob("*.json")):
+        text = path.read_bytes()
+        moved = json.dumps(_shuffled(json.loads(text), rng)).encode()
+        assert moved != text
+        for command in COMMANDS:
+            plain[f"{command}:{path.name}"] = ([command], "m.json", text)
+            shuffled[f"{command}:{path.name}"] = ([command], "m.json", moved)
+    assert len(plain) == 8 * len(COMMANDS)
+    assert replay(shuffled) == replay(plain)

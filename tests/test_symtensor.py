@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algebroidkit.algebra import AlgebraElement, BaseAlgebra, _summed, validate_base_algebra
+from algebroidkit.algebra import AlgebraElement, BaseAlgebra, _reduced_values, _summed, validate_base_algebra
 from algebroidkit.algebroid import AlgebroidStructure, _letter_transpose, _word_transpose, d0_derivation
 from algebroidkit.errors import BaseMismatch, CapError, KitError
 from algebroidkit.geometry import _grid
@@ -39,7 +39,7 @@ from algebroidkit.symtensor import (
     mc_residual,
     square,
     square_components,
-    _reduced_row,
+    _sym_element,
     _word_constant,
 )
 from symtensor_oracle import (
@@ -226,33 +226,55 @@ def test_evaluation_a_multilinearity_first_slot():
         assert lhs == rhs
 
 
+def _homogeneous_draw(rng, alg, weight):
+    """A nonzero homogeneous part of the weight-`weight` piece of a random
+    element, its lowest degree; redrawn until there is one."""
+    while True:
+        parts = random_sym_element(rng, alg, weight).weight_part(weight).homogeneous_parts()
+        if parts:
+            return parts[min(parts)]
+
+
+def _nonzero_argument(rng, module, g):
+    """a . g_g for a nonzero homogeneous base element a of a random degree in
+    0..1; redrawn until there is one."""
+    while True:
+        a = rng.algebra_element(module.base, rng.randint(0, 1))
+        if not a.is_zero():
+            return ModuleElement(module, {g: a})
+
+
 def test_product_formula_consistency():
-    """evaluate(x*y) equals the unshuffle-sum expansion of evaluate(x), evaluate(y)."""
+    """evaluate(x*y) equals the unshuffle-sum expansion of evaluate(x),
+    evaluate(y) for homogeneous nonzero x, y on nonzero homogeneous
+    arguments, multiples of the generators of a word of x*y in shuffled
+    order: every draw reaches the comparison, most with nonzero values."""
     base, module, alg = make_setup(seed=10)
     rng = Rng(11)
-    for _ in range(8):
-        r, rp = 1, 2
-        x = random_sym_element(rng, alg, r).weight_part(r)
-        y = random_sym_element(rng, alg, rp).weight_part(rp)
-        if x.is_zero() or y.is_zero():
-            continue
-        try:
-            y_deg = y.degree()
-        except Exception:
-            continue
-        args = [rng.module_element(module, degree=rng.randint(-1, 2)) for _ in range(r + rp)]
-        degs = [v.degree() if not v.is_zero() else 0 for v in args]
+    r, rp = 1, 2
+    compared = nonzero = 0
+    for _ in range(16):
+        x = _homogeneous_draw(rng, alg, r)
+        y = _homogeneous_draw(rng, alg, rp)
+        y_deg = y.degree()
+        words = [w for w, _ in (x * y).items()] or [(0,) * (r + rp)]
+        word = list(rng.choice(words))
+        rng.r.shuffle(word)
+        args = [_nonzero_argument(rng, module, g) for g in word]
+        degs = [v.degree() for v in args]
         lhs = evaluate(x * y, args, module)
         rhs = base.zero()
         for sigma in enumerate_unshuffles(r, rp):
             perm_args = [args[p - 1] for p in sigma.images]
-            first = list(perm_args[:r])
-            second = list(perm_args[rp - 1 :][1:]) if False else list(perm_args[r:])
-            exponent = y_deg * sum(degs[sigma(k + 1) - 1] for k in range(r))
+            first, second = perm_args[:r], perm_args[r:]
+            exponent = y_deg * sum(degs[sigma.images[k] - 1] for k in range(r))
             sign = sym_sign(sigma, degs)
             term = evaluate(x, first, module) * evaluate(y, second, module)
             rhs = rhs + term.scale(sign_scalar(exponent + (0 if sign == 1 else 1)))
         assert lhs == rhs
+        compared += 1
+        nonzero += not lhs.is_zero()
+    assert compared >= 5 and nonzero >= 5, (compared, nonzero)
 
 
 def test_representation_round_trip():
@@ -1000,20 +1022,24 @@ def test_rows_apply_square_and_conjugate_match_the_scalar_oracle(data):
 @settings(max_examples=60)
 @given(data=st.data())
 def test_packed_walk_matches_the_sorting_oracle_walk(data):
-    """``_walk`` over packed words sums the triples of ``oracle_walk``, which
-    concatenates and sorts every substitution: on every grid element and on
+    """``_walk`` over packed words gives the element of the triples that
+    ``oracle_walk`` sums, concatenating and sorting every substitution: on every grid element and on
     drawn elements, alone and concatenated (so a word repeats among the
     terms), for derivations of degree 0 and 1 over odd and even letters,
     caps 0..6, with coefficients on odd base elements among them."""
     D = data.draw(drawn_derivations(6))
     alg = D.algebra
+
+    def finished(table):
+        return _sym_element(alg, _reduced_values(alg.base, table))
+
     for w, i in _grid(alg):
         terms = ((w, alg.base.basis_element(i)),)
-        assert _reduced_row(D._walk(terms)) == _reduced_row(oracle_walk(D, terms)), (w, i)
+        assert D._walk(terms) == finished(oracle_walk(D, terms)), (w, i)
     x = data.draw(drawn_elements(alg))
     y = data.draw(drawn_elements(alg))
     for terms in (x.coeffs, x.coeffs + y.coeffs):
-        assert _reduced_row(D._walk(terms)) == _reduced_row(oracle_walk(D, terms))
+        assert D._walk(terms) == finished(oracle_walk(D, terms))
 
 
 @st.composite
@@ -1125,12 +1151,12 @@ def test_transposes_match_the_scalar_oracle(data):
     assert _word_transpose(alg, entries, degrees, exponents) == scalar_word_transpose(alg, entries, degrees, exponents)
 
 
-def _unreduced(row):
-    """The coefficients of a row that are not reduced nonzero triples."""
+def _unreduced(element):
+    """The coefficients of an element that are not reduced nonzero triples."""
     return [
         (v, k, (c.n_re, c.n_im, c.den))
-        for v, coeffs in row
-        for k, c in coeffs
+        for v, a in element.items()
+        for k, c in a.items()
         if c.den <= 0 or gcd(c.n_re, c.n_im, c.den) != 1 or c.is_zero()
     ]
 
@@ -1147,7 +1173,7 @@ def test_rows_and_apply_results_hold_reduced_nonzero_scalars(data):
     results = [D.apply(data.draw(drawn_elements(alg))) for _ in range(2)]
     results += [value for _, _, _, value in square(D).labelled()]
     for x in results:
-        assert _unreduced((w, a.coeffs) for w, a in x.items()) == []
+        assert _unreduced(x) == []
 
 
 @given(data=st.data())
@@ -1160,7 +1186,7 @@ def test_row_is_apply_of_the_one_term_element(data):
     alg = D.algebra
     for w, i in _grid(alg):
         image = D.apply(SymElement(alg, {w: alg.base.basis_element(i)}))
-        assert D._row(w, i) == tuple((v, a.coeffs) for v, a in image.items()), (w, i)
+        assert D._row(w, i) == image, (w, i)
 
 
 def test_apply_sums_rows_with_their_scalars():
@@ -1295,8 +1321,8 @@ def test_private_constructor_agrees_with_public_one():
             assert same_as_public(x.weight_part(r)) == SymElement(
                 alg, {w: a for w, a in x.items() if len(w) == r}
             )
-        same_as_public(x * y)  # _row_element of a product sum
-        assert same_as_public(D.apply(x)) == reference_apply(D, x)  # _row_element of a row sum
+        same_as_public(x * y)  # the finisher of a product table
+        assert same_as_public(D.apply(x)) == reference_apply(D, x)  # the finisher of a walk table
 
 
 def test_automorphism_rejects_elements_of_another_algebra():

@@ -365,7 +365,7 @@ def random_geometric_model(
             if table:
                 tables[k] = table
         tensors[fam.name] = tables if fam.weighted else tables.get(fam.weight, {})
-    return GeometricModel(base, tangent, normal, cap=cap, **tensors)
+    return GeometricModel(frame, **tensors)
 
 
 def trivial_model():
@@ -373,7 +373,7 @@ def trivial_model():
     base = lambda_eps()
     tangent = FreeModule(base, [("t0", 0)], name="Tm")
     normal = FreeModule(base, [("n0", 0)], name="Nm")
-    return GeometricModel(base, tangent, normal, cap=4)
+    return GeometricModel(SplitFrame(base, tangent, normal, cap=4))
 
 
 def eps_nilpotent_model():
@@ -384,9 +384,7 @@ def eps_nilpotent_model():
     frame = SplitFrame(base, tangent, normal, cap=4)
     e = base.from_names({"e": ONE})
     r2 = SymElement(frame.nor, {(0, 0): e})
-    return GeometricModel(
-        base, tangent, normal, cap=4, curv_perp={2: {0: r2}}
-    )
+    return GeometricModel(frame, curv_perp={2: {0: r2}})
 
 
 def diagonal_model(rng: Rng, base: BaseAlgebra, degrees: Sequence[int], cap: int = 4):

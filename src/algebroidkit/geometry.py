@@ -26,11 +26,11 @@ keeps (1, *) words.
 The substitution derivations of the ambient algebra (nabla_hat, nabla_perp,
 Shape, beta-tilde = Rtan_1, Rtan = sum_p Rtan_p, which substitutes each
 tangent letter by its whole Rtan family, and D1, nabla_hat cut to its
-one-tangent-letter values) are built once, when the model is constructed.
-The differentials are d0 of each module (``algebroid.d0_derivation``, the
-arity-1 part of the Chevalley-Eilenberg dictionary): the ambient d0 is the
-tangent d0 plus beta on the tangent letters and the normal d0 on the
-normal ones.  The main constructions:
+one-tangent-letter values) are built on first read and kept, so a check
+builds only those it reads.  The differentials are d0 of each module
+(``algebroid.d0_derivation``, the arity-1 part of the Chevalley-Eilenberg
+dictionary): the ambient d0 is the tangent d0 plus beta on the tangent
+letters and the normal d0 on the normal ones.  The main constructions:
 
 * ``nabla_bar``: symmetrized covariant derivative; the unnormalized
   substitution operator nabla_hat is a genuine degree-0 derivation and the
@@ -73,6 +73,7 @@ normal ones.  The main constructions:
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -95,6 +96,7 @@ from .symtensor import (
     DerivationD,
     SymAlgebra,
     SymElement,
+    _has_degree,
     _sym_element,
     generator_differences,
     # not called here: perfbench/test_perfbench.py checks that the tracer
@@ -202,23 +204,23 @@ class SplitFrame:
 class GeometricModel(SplitFrame):
     """Finite input tensors for the formal-neighborhood differential, written
     in the split frame: the ambient letters are the tangent letters, then the
-    normal ones."""
+    normal ones.
 
-    def __init__(
-        self,
-        base: BaseAlgebra,
-        tangent: FreeModule,
-        normal: FreeModule,
-        cap: int = 4,
-        closed_beta: bool = False,
-        **tensors: Mapping,
-    ):
-        """tensors: a table {index: SymElement} per family of
-        ``TENSOR_FAMILIES`` by its name, a map {k: table} for a weighted one;
-        a missing family is zero.  A tensor that breaks its family's row is
-        refused (``geometric_degree_problems``, the first three problems)."""
-        super().__init__(base, tangent, normal, cap)
+    The substitution derivations (``_nabla_hat``, ``_nabla_perp``,
+    ``_shape``, ``_beta_tilde``, ``_rtan`` and ``_d1``) are built on first
+    read and kept, so a check builds only those it reads."""
+
+    def __init__(self, frame: SplitFrame, *, closed_beta: bool = False, **tensors: Mapping):
+        """frame: the letters and algebras of the model, shared with it, so a
+        tensor over them is kept as it is.  tensors: a table {index:
+        SymElement} per family of ``TENSOR_FAMILIES`` by its name, a map {k:
+        table} for a weighted one; a missing family is zero.  A tensor that
+        breaks its family's row is refused (``geometric_degree_problems``,
+        the first three problems)."""
+        self.base, self.tangent, self.normal, self.cap = frame.base, frame.tangent, frame.normal, frame.cap
+        self.a, self.b, self.nor, self.amb = frame.a, frame.b, frame.nor, frame.amb
         self.closed_beta = closed_beta
+        base = self.base
 
         def over(fam: TensorFamily, table: Mapping[int, SymElement]) -> Dict[int, SymElement]:
             """The tensors of table over fam's values algebra; a flat family
@@ -265,31 +267,63 @@ class GeometricModel(SplitFrame):
         # the Rtan family over the normal letters: beta is its weight-one member
         self.rtan_tables = {1: self.beta, **self.curv_tan}
 
-        # the substitution derivations, each built once.  The rows hold, so
-        # the words of a value have its family's bidegree: a sum of values
-        # of two families of other bidegrees, or of Rtan members of other
-        # weights, has no word in both, and is one merge (``_merged``)
+    # -- the substitution derivations, each built on first read ------------------
+    #
+    # The rows hold, so the words of a value have its family's bidegree: a sum
+    # of values of two families of other bidegrees, or of Rtan members of
+    # other weights, has no word in both, and is one merge (``_merged``).
+
+    @cached_property
+    def _nabla_hat(self) -> DerivationD:
+        """nabla_hat: dhat on the base, conn_tan + shape on the tangent
+        letters, second_form + gamma on the normal ones."""
         a, amb = self.a, self.amb
-        nabla_letters = {i: _merged(amb, self.conn_tan[i], self.shape[i]) for i in range(a)}
-        nabla_letters.update({a + j: _merged(amb, self.second_form[j], self.gamma[j]) for j in range(self.b)})
-        perp_letters = {a + j: self.gamma[j] for j in range(self.b)}
-        self._nabla_hat = DerivationD(amb, self.dhat, nabla_letters, degree=0, check=False)
-        self._nabla_perp = DerivationD(amb, self.dhat, perp_letters, degree=0, check=False)
-        self._shape = DerivationD(amb, {}, self.shape, degree=0, check=False)
-        # beta-tilde = Rtan_1 alone, and Rtan = sum_p Rtan_p: each tangent
-        # letter substituted by its whole Rtan family at once
-        beta = {i: self.to_amb(v) for i, v in self.beta.items()}
-        self._beta_tilde = DerivationD(amb, {}, beta, degree=1, check=False)
-        rtan_letters = {
+        letters = {i: _merged(amb, self.conn_tan[i], self.shape[i]) for i in range(a)}
+        letters.update({a + j: _merged(amb, self.second_form[j], self.gamma[j]) for j in range(self.b)})
+        return DerivationD(amb, self.dhat, letters, degree=0, check=False)
+
+    @cached_property
+    def _nabla_perp(self) -> DerivationD:
+        """nabla_perp: dhat on the base, gamma on the normal letters."""
+        return DerivationD(self.amb, self.dhat, self._perp_letters(), degree=0, check=False)
+
+    @cached_property
+    def _shape(self) -> DerivationD:
+        """Shape on the tangent letters."""
+        return DerivationD(self.amb, {}, self.shape, degree=0, check=False)
+
+    @cached_property
+    def _beta_tilde(self) -> DerivationD:
+        """beta-tilde = Rtan_1 alone."""
+        return DerivationD(self.amb, {}, self._beta_letters(), degree=1, check=False)
+
+    @cached_property
+    def _rtan(self) -> DerivationD:
+        """Rtan = sum_p Rtan_p: each tangent letter substituted by its whole
+        Rtan family at once."""
+        amb = self.amb
+        letters = {
             i: _merged(amb, v, *(self.to_amb(table[i]) for table in self.curv_tan.values() if i in table))
-            for i, v in beta.items()
+            for i, v in self._beta_letters().items()
         }
-        self._rtan = DerivationD(amb, {}, rtan_letters, degree=1, check=False)
-        # D1: nabla_hat with every value cut to its one-tangent-letter words,
-        # which by the rows are dhat (bidegree (1, 0)) and the shape and
-        # gamma parts of the letter values; under rule R P1 nabla_bar is
-        # P1 D1 on the words with at most one tangent letter
-        self._d1 = DerivationD(amb, self.dhat, {**self.shape, **perp_letters}, degree=0, check=False)
+        return DerivationD(amb, {}, letters, degree=1, check=False)
+
+    @cached_property
+    def _d1(self) -> DerivationD:
+        """D1: nabla_hat with every value cut to its one-tangent-letter words,
+        which by the rows are dhat (bidegree (1, 0)) and the shape and gamma
+        parts of the letter values; under rule R P1 nabla_bar is P1 D1 on the
+        words with at most one tangent letter."""
+        return DerivationD(self.amb, self.dhat, {**self.shape, **self._perp_letters()}, degree=0, check=False)
+
+    def _perp_letters(self) -> Dict[int, SymElement]:
+        """gamma on the normal letters of the ambient algebra."""
+        a = self.a
+        return {a + j: self.gamma[j] for j in range(self.b)}
+
+    def _beta_letters(self) -> Dict[int, SymElement]:
+        """beta on the tangent letters, over the ambient algebra."""
+        return {i: self.to_amb(v) for i, v in self.beta.items()}
 
     # -- the tensor families ----------------------------------------------------
 
@@ -424,15 +458,11 @@ def _fits_row(
 ) -> bool:
     """Whether every word of el has weight k and, unless m is None, m
     tangent letters (sorted words put them first: those below a), and every
-    term has degree want."""
-    for w, c in el.coeffs:
+    term has degree want (``symtensor._has_degree``)."""
+    for w, _ in el.coeffs:
         if len(w) != k or m is not None and bisect_left(w, a) != m:
             return False
-        need = want - sum(map(letter_degrees.__getitem__, w))
-        for j, _ in c.coeffs:
-            if base_degrees[j] != need:
-                return False
-    return True
+    return _has_degree(el, want, letter_degrees, base_degrees)
 
 
 def validate_geometric_model(g: GeometricModel) -> List[str]:

@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .algebra import AlgebraElement
 from .symtensor import SymElement
 
+# Plain classes, not dataclasses: importing ``dataclasses`` loads ``inspect``
+# and the modules it reads, a large share of a command's start-up.
 
-@dataclass
+
 class ResidualEntry:
-    location: str
-    weight: int
-    word: str
-    coefficient: str
+    def __init__(self, location: str, weight: int, word: str, coefficient: str):
+        self.location = location
+        self.weight = weight
+        self.word = word
+        self.coefficient = coefficient
 
     def as_dict(self) -> dict:
         return {
@@ -33,13 +35,13 @@ class ResidualEntry:
         }
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    residuals: List[ResidualEntry] = field(default_factory=list)
-    detail: str = ""
-    elapsed_ms: float = 0.0
+    def __init__(self, name: str, passed: bool, residuals: List[ResidualEntry], detail: str, elapsed_ms: float):
+        self.name = name
+        self.passed = passed
+        self.residuals = residuals
+        self.detail = detail
+        self.elapsed_ms = elapsed_ms
 
     def as_dict(self) -> dict:
         out = {
@@ -52,11 +54,11 @@ class CheckResult:
         return out
 
 
-@dataclass
 class Report:
-    command: str
-    caps: Dict[str, int]
-    checks: List[CheckResult] = field(default_factory=list)
+    def __init__(self, command: str, caps: Dict[str, int]):
+        self.command = command
+        self.caps = caps
+        self.checks: List[CheckResult] = []
 
     def add(self, check: CheckResult):
         self.checks.append(check)

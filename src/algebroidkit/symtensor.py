@@ -300,6 +300,19 @@ class SymElement(Combination):
 _sym_element = SymElement._made
 
 
+def _has_degree(el: SymElement, want: int, letter_degrees: Sequence[int], base_degrees: Sequence[int]) -> bool:
+    """Whether every term of el has degree want, read in one walk: a word's
+    degree off letter_degrees, and that of each basis element of its
+    coefficient off base_degrees.  A zero el passes, as in
+    ``algebra._degree_problem``, whose messages a failing value gets."""
+    for w, c in el.coeffs:
+        need = want - sum(map(letter_degrees.__getitem__, w))
+        for j, _ in c.coeffs:
+            if base_degrees[j] != need:
+                return False
+    return True
+
+
 # The terms of one stored derivation value, shortest words first: (length,
 # packed key, odd mask, above, below, coefficients as (basis index, Scalar)
 # pairs), above / below the XOR over the odd letters y of the word of the
@@ -471,11 +484,28 @@ class DerivationD:
                 yield slot, label, x, tables[slot][i]
 
     def _check_degrees(self):
-        for slot, label, x, v in self.labelled():
-            kind = ("", "letter ")[slot]
-            problem = _degree_problem(f"derivation value on {kind}{label}", v, x.degree() + self.degree)
-            if problem:
-                raise DegreeError(problem)
+        """Refuse a stored value that is not homogeneous of the degree of its
+        generator plus the derivation's.  Each value is decided in one walk of
+        its terms (``_has_degree``); only when one fails are the values read
+        again, in generator order, for the ``_degree_problem`` message of the
+        first that fails."""
+        alg = self.algebra
+        base_degrees, letter_degrees = alg.base.degrees, alg.letter_degrees
+        d = self.degree
+        tables = ((base_degrees, self.on_algebra), (letter_degrees, self.on_letters))
+        if all(
+            _has_degree(v, degrees[i] + d, letter_degrees, base_degrees)
+            for degrees, table in tables
+            for i, v in table.items()
+        ):
+            return
+        for slot, i, label, _ in alg.generators():
+            degrees, table = tables[slot]
+            if i in table:
+                kind = ("", "letter ")[slot]
+                problem = _degree_problem(f"derivation value on {kind}{label}", table[i], degrees[i] + d)
+                if problem:
+                    raise DegreeError(problem)
 
     # -- component access ----------------------------------------------------
 

@@ -368,7 +368,7 @@ def oracle_parse_model(
             for fam in TENSOR_FAMILIES
         }
         try:
-            return GeometricModel(base, tangent, normal, cap=weight_cap, closed_beta=closed, **tables)
+            return GeometricModel(frame, closed_beta=closed, **tables)
         except DegreeError as exc:  # the constructor's family-row check
             raise ParseError(str(exc), "$.tensors") from None
         except Exception as exc:

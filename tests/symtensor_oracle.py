@@ -44,13 +44,18 @@ them through a memo of the sorted word and sign of each concatenation
 The random phi of ``mc`` as ``fixtures.random_weight_raising_derivation``
 drew it before it solved only the degrees of Der(A) that some word reads:
 ``oracle_weight_raising_derivation`` solves every degree k and reads the
-degree of a word wherever it needs it.  Both must make the same rng draws."""
+degree of a word wherever it needs it.  Both must make the same rng draws.
+
+The degree check of ``DerivationD`` as it ran before it decided each value
+in one walk of its terms: ``oracle_check_degrees`` asks every stored value,
+in generator order, for its ``_degree_problem`` and raises the first."""
 
 from __future__ import annotations
 
 from math import factorial
 
-from algebroidkit.algebra import AlgebraElement, _add_product
+from algebroidkit.algebra import AlgebraElement, _add_product, _degree_problem
+from algebroidkit.errors import DegreeError
 from algebroidkit.linfty import algebra_derivation_basis
 from algebroidkit.modules import pair_dual
 from algebroidkit.scalars import MINUS_ONE, ONE, Scalar, _add_multiple, sign_scalar
@@ -470,3 +475,13 @@ def oracle_weight_raising_derivation(rng, alg, density: float = 0.7) -> Derivati
                 parts[w] = base.basis_element(rng.choice(cands)).scale(rng.scalar())
         on_letters[i] = SymElement(alg, parts)
     return DerivationD(alg, on_algebra, on_letters, degree=0, check=False)
+
+
+def oracle_check_degrees(D):
+    """Refuse the first stored value of D, in generator order, that is not
+    homogeneous of the degree of its generator plus D's."""
+    for slot, label, x, v in D.labelled():
+        kind = ("", "letter ")[slot]
+        problem = _degree_problem(f"derivation value on {kind}{label}", v, x.degree() + D.degree)
+        if problem:
+            raise DegreeError(problem)

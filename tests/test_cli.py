@@ -285,6 +285,47 @@ def test_no_command_takes_a_commutator_a_shifted_bracket_or_an_unshuffle_permuta
     capsys.readouterr()
 
 
+# The substitution derivations of a geometric model, each built on its first
+# read, and the commands that read them: build_frakD reads Shape and Rtan,
+# the lemma checks Shape, nabla_perp, D1 and beta-tilde.
+MODEL_DERIVATIONS = ("_nabla_hat", "_nabla_perp", "_shape", "_beta_tilde", "_rtan", "_d1")
+_FRAKD_READS = ("_shape", "_rtan")
+DERIVATIONS_READ = {
+    **dict.fromkeys(["frakd-build", "frakd-square", "duality", "ce-extract", "roundtrip"], _FRAKD_READS),
+    "lemmas": ("_shape", "_nabla_perp", "_d1", "_beta_tilde"),
+}
+
+
+def test_each_command_builds_only_the_model_derivations_it_reads(model_dir, tmp_path, capsys, monkeypatch):
+    """A geometric model builds each substitution derivation on its first
+    read, once: on rank2.geometric each of the 13 commands builds exactly
+    the ones it reads (``DERIVATIONS_READ``), none builds nabla_hat, which
+    only ``GeometricModel.nabla_bar`` reads, and ``validate`` builds
+    beta-tilde only for a file that sets ``closed_beta``."""
+    built = {}
+    where = []
+    for name in MODEL_DERIVATIONS:
+        prop = GeometricModel.__dict__[name]
+
+        def counting(g, build=prop.func, name=name):
+            built[where[-1], name] = built.get((where[-1], name), 0) + 1
+            return build(g)
+
+        monkeypatch.setattr(prop, "func", counting)
+    path = model_dir / "rank2.geometric.json"
+    closed = tmp_path / "closed.geometric.json"
+    closed.write_text(json.dumps({**json.loads(path.read_text()), "closed_beta": True}))
+    for command in COMMANDS:
+        where.append(command)
+        assert run([command, path]) in (0, 1), command
+    where.append("validate closed_beta")
+    assert run(["validate", closed]) in (0, 1)
+    want = {(command, name): 1 for command, names in DERIVATIONS_READ.items() for name in names}
+    want["validate closed_beta", "_beta_tilde"] = 1
+    assert built == want
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["jacobi", "ce-extract"])
 @pytest.mark.parametrize("flag, value, least", [("--weight", -1, 0), ("--arity", 0, 1)])
 def test_an_out_of_range_flag_is_refused_as_the_flag(model_dir, capsys, monkeypatch, command, flag, value, least):

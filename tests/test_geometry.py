@@ -33,6 +33,7 @@ from algebroidkit.fixtures import (
 from algebroidkit.geometry import (
     TENSOR_FAMILIES,
     GeometricModel,
+    SplitFrame,
     _grid,
     build_frakD,
     build_kapranov,
@@ -88,10 +89,12 @@ def mutated(g, beta=None, shape=None):
     """g with its beta table replaced by beta, or its Shape derivation by the
     one of the table shape, restored on exit: code mutations of the two
     operator lemmas.  The ambient d0 reads g.beta when it is built, while
-    beta-tilde (g._beta_tilde) and the cut D1 were built with the model, so each
+    beta-tilde (g._beta_tilde) is built on its first read, here before the
+    mutation, and the cut D1 does not read Shape's derivation, so each
     mutation moves one side of its lemma only."""
     with pytest.MonkeyPatch.context() as patch:
         if beta is not None:
+            g._beta_tilde  # built from the model's own beta
             patch.setattr(g, "beta", beta)
         if shape is not None:
             patch.setattr(g, "_shape", DerivationD(g.amb, {}, dict(shape), degree=0, check=False))
@@ -135,10 +138,10 @@ def test_dhat_leibniz_violation_reported():
     base = nontrivial_dga()
     Tm = FreeModule(base, [("t0", 0)], name="Tm")
     Nm = FreeModule(base, [("n0", 0)], name="Nm")
-    probe = GeometricModel(base, Tm, Nm, cap=3)
+    probe = SplitFrame(base, Tm, Nm, cap=3)
     # dhat(x) = t0^ alone is not a Leibniz map because x*x = 0
     dhat = {base.index_of("x"): SymElement(probe.amb, {(0,): base.one()})}
-    g = GeometricModel(base, Tm, Nm, cap=3, dhat=dhat)
+    g = GeometricModel(probe, dhat=dhat)
     problems = validate_geometric_model(g)
     assert problems == [
         f"dhat violates Leibniz on ({a}, {b})"
@@ -157,14 +160,14 @@ def test_geometric_model_message_witness(case, closed):
     base = truncated_poly("u", 2, 3) if case == "dhat" else kodaira_base()
     Tm = FreeModule(base, [("t0", 0)], name="Tm")
     Nm = FreeModule(base, [("n0", 0)], name="Nm")
-    frame = GeometricModel(base, Tm, Nm, cap=3)
+    frame = SplitFrame(base, Tm, Nm, cap=3)
     if case == "dhat":
         tensors = {"dhat": {1: SymElement(frame.amb, {(0,): base.basis_element(1)})}}
         problems = ["dhat violates Leibniz on (u, u)"]
     else:
         tensors = {"beta": {0: SymElement(frame.nor, {(0,): base.from_names({"e|1": ONE})})}}
         problems = ["closed flag set but d(beta) != 0 at tangent letter 0"] if closed else []
-    g = GeometricModel(base, Tm, Nm, cap=3, closed_beta=closed, **tensors)
+    g = GeometricModel(frame, closed_beta=closed, **tensors)
     assert validate_geometric_model(g) == problems
 
 
@@ -194,11 +197,11 @@ def test_nabla_bar_single_normal_letter():
     base = nontrivial_dga()
     Tm = FreeModule(base, [("t0", 0)], name="Tm")
     Nm = FreeModule(base, [("n0", 0)], name="Nm")
-    probe = GeometricModel(base, Tm, Nm, cap=3)
+    probe = SplitFrame(base, Tm, Nm, cap=3)
     x = base.from_names({"x": ONE})
     gamma = {0: SymElement(probe.amb, {(0, 1): base.one()})}
     second = {0: SymElement(probe.amb, {(0, 0): x})}
-    g = GeometricModel(base, Tm, Nm, cap=3, gamma=gamma, second_form=second)
+    g = GeometricModel(probe, gamma=gamma, second_form=second)
     out = g.nabla_bar(g.amb.letter(1))
     want = SymElement(
         g.amb, {(0, 1): base.one(), (0, 0): x.scale(Scalar(Fraction(1, 2)))}
@@ -274,9 +277,9 @@ def test_shape_rank_one_hand_expansion():
     base = lambda_eps()
     Tm = FreeModule(base, [("t0", 0)], name="Tm")
     Nm = FreeModule(base, [("n0", 0)], name="Nm")
-    probe = GeometricModel(base, Tm, Nm, cap=3)
+    probe = SplitFrame(base, Tm, Nm, cap=3)
     shape = {0: SymElement(probe.amb, {(0, 1): base.one()})}
-    g = GeometricModel(base, Tm, Nm, cap=3, shape=shape)
+    g = GeometricModel(probe, shape=shape)
     xi_nu = SymElement(g.amb, {(0, 1): base.one()})
     out = g.shape_tilde(xi_nu)
     assert out == SymElement(g.amb, {(0, 1, 1): base.one()})
@@ -581,7 +584,8 @@ def test_frakd_square_random_localizes():
 def kapranov_model(base, normal, curv_perp=None):
     """Kapranov's regime as a model at cap 4: no tangent letters, and the
     curvature R_n stored as Rperp_n."""
-    return GeometricModel(base, FreeModule(base, [], name="Tm"), normal, cap=4, curv_perp=curv_perp or {})
+    frame = SplitFrame(base, FreeModule(base, [], name="Tm"), normal, cap=4)
+    return GeometricModel(frame, curv_perp=curv_perp or {})
 
 
 def test_kapranov_zero_curvature_is_d0():
@@ -1077,7 +1081,7 @@ def _one_by_one_model(cap, **tensors):
     base = nontrivial_dga()
     tangent = FreeModule(base, [("t0", 0)], name="T")
     normal = FreeModule(base, [("n0", 0)], name="N")
-    letters = GeometricModel(base, tangent, normal, cap=cap)
+    letters = SplitFrame(base, tangent, normal, cap=cap)
     values = {}
     for name, table in tensors.items():
         fam = next(f for f in TENSOR_FAMILIES if f.name == name)
@@ -1086,7 +1090,7 @@ def _one_by_one_model(cap, **tensors):
             i: SymElement(alg, {w: base.from_names({"1": Scalar(c)}) for w, c in value.items()})
             for i, value in table.items()
         }
-    return GeometricModel(base, tangent, normal, cap=cap, **values)
+    return GeometricModel(letters, **values)
 
 
 def _lemma_models(workloads):
@@ -1232,10 +1236,11 @@ def test_retraction_line_reports_a_to_amb_that_drops_a_letter(monkeypatch, capsy
 
 def test_lemma_checks_keep_no_rows(monkeypatch):
     """The three lemma checks keep nothing on the model: no attribute is
-    added, no table of the model grows, and no model derivation gains an
-    attribute or makes its square, since each slice row is built where it is
-    read.  No check applies an operator, on a passing model or with doubled
-    shape data."""
+    added but the substitution derivations they read, each built on its
+    first read, no table of the model grows, and no model derivation gains
+    an attribute or makes its square, since each slice row is built where it
+    is read.  No check applies an operator, on a passing model or with
+    doubled shape data."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a lemma check applied an operator")
@@ -1244,8 +1249,8 @@ def test_lemma_checks_keep_no_rows(monkeypatch):
     g = small_random_model(14)
     attributes = set(vars(g))
     sizes = {name: len(v) for name, v in vars(g).items() if isinstance(v, dict)}
-    derivations = {"_nabla_hat": g._nabla_hat, "_nabla_perp": g._nabla_perp, "_shape": g._shape, "_d1": g._d1}
-    derivations.update({"_beta_tilde": g._beta_tilde, "_rtan": g._rtan})
+    read = {"_nabla_perp", "_shape", "_d1", "_beta_tilde"}
+    derivations = {name: getattr(g, name) for name in sorted(read | {"_nabla_hat", "_rtan"})}
 
     def kept():
         return {name: (set(vars(d)), d._square) for name, d in derivations.items()}
@@ -1255,9 +1260,13 @@ def test_lemma_checks_keep_no_rows(monkeypatch):
     assert retraction_residual(g) == []
     assert commutator_lemma_residual(g) == []
     assert transport_lemma_residual(g) == []
-    assert set(vars(g)) == attributes
+    assert set(vars(g)) == attributes | set(derivations)
     assert {name: len(vars(g)[name]) for name in sizes} == sizes
     assert kept() == before
+    fresh = small_random_model(14)
+    for residual in (retraction_residual, commutator_lemma_residual, transport_lemma_residual):
+        assert residual(fresh) == []
+    assert set(vars(fresh)) == attributes | read
     doubled = {i: v.scale(Scalar(2)) for i, v in g.shape.items()}
     with mutated(g, shape=doubled):
         assert len(transport_lemma_residual(g)) == 30
@@ -1496,22 +1505,22 @@ def test_constructor_refuses_tensors_over_the_wrong_letters_and_unknown_families
         table = {0: other.letter(0)}
         tensors = {fam.name: {2: table} if fam.weighted else table}
         with pytest.raises(BaseMismatch, match=f"over the {fam.values} letters"):
-            GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, **tensors)
+            GeometricModel(g, **tensors)
         # an index outside the family's index set
         size = len(g.index_set(fam)[0])
         table = {size: g.values_algebra(fam).scalar(g.base.one())}
         tensors = {fam.name: {2: table} if fam.weighted else table}
         kind = "elements" if fam.index == "base" else "letters"
         with pytest.raises(KitError) as err:
-            GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, **tensors)
+            GeometricModel(g, **tensors)
         assert str(err.value) == f"{fam.name} index {size} is out of range for {size} {fam.index} {kind}"
     with pytest.raises(TypeError, match="gama"):
-        GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, gama={})
+        GeometricModel(g, gama={})
     # dhat is a derivation of the base, so it kills the unit; zero there is no entry
     unit = g.base.unit
-    GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, dhat={unit: g.amb.zero()})
+    GeometricModel(g, dhat={unit: g.amb.zero()})
     with pytest.raises(KitError) as err:
-        GeometricModel(g.base, g.tangent, g.normal, cap=g.cap, dhat={unit: g.amb.letter(0)})
+        GeometricModel(g, dhat={unit: g.amb.letter(0)})
     assert str(err.value) == f"dhat on the unit {g.base.names[unit]!r} is not zero"
 
 
@@ -1525,16 +1534,17 @@ def test_constructor_refuses_tensors_over_letters_of_other_degrees():
     base = trivial_base()
     tangent = FreeModule(base, [("t", 0)], name="T")
     normal = FreeModule(base, [("n", -1)], name="N")
-    amb = GeometricModel(base, tangent, normal, cap=3).amb
+    frame = SplitFrame(base, tangent, normal, cap=3)
+    amb = frame.amb
     assert amb.letter_names == ("t^", "n^") and amb.letter_degrees == (0, 1)
     even = SymAlgebra(base, [("t^", 0), ("n^", 0)], cap=3)
     word = even.letter(1) * even.letter(1)
     assert not word.is_zero()
     with pytest.raises(BaseMismatch, match="not expressed over the ambient letters"):
-        GeometricModel(base, tangent, normal, cap=3, gamma={0: word})
+        GeometricModel(frame, gamma={0: word})
     taller = SymAlgebra(base, list(zip(amb.letter_names, amb.letter_degrees)), cap=4)
     t, n = taller.letter(0), taller.letter(1)
-    g = GeometricModel(base, tangent, normal, cap=3, gamma={0: t * n + t * t * t * n})
+    g = GeometricModel(frame, gamma={0: t * n + t * t * t * n})
     assert g.gamma[0].algebra is g.amb
     assert g.gamma[0] == g.amb.letter(0) * g.amb.letter(1)
 

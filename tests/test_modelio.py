@@ -26,7 +26,7 @@ from algebroidkit.fixtures import (
     random_geometric_model,
     write_fixture_corpus,
 )
-from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, duality_residual
+from algebroidkit.geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, duality_residual
 from algebroidkit.modelio import parse_model, serialize_model
 from algebroidkit.scalars import Scalar
 from builders import Rng
@@ -69,6 +69,43 @@ def test_parse_preserves_duality(corpus):
     g = parse_model(serialize_model(corpus["generic.geometric"]))
     assert isinstance(g, GeometricModel)
     assert duality_residual(g) == {}
+
+
+def test_a_parsed_model_keeps_its_tensors_on_the_one_frame(corpus, monkeypatch):
+    """A geometric parse makes one ``SplitFrame``, and the model is built on
+    it: the model's ambient and normal algebras are the frame's, and every
+    parsed tensor is kept as it was handed over, on g.amb or g.nor, with
+    no copy onto a second frame."""
+    frames, handed = [], {}
+    make_frame, make_model = SplitFrame.__init__, GeometricModel.__init__
+
+    def frame_init(self, *args, **kwargs):
+        frames.append(self)
+        make_frame(self, *args, **kwargs)
+
+    def model_init(self, frame, **kwargs):
+        handed.update(kwargs)
+        make_model(self, frame, **kwargs)
+
+    monkeypatch.setattr(SplitFrame, "__init__", frame_init)
+    monkeypatch.setattr(GeometricModel, "__init__", model_init)
+    kept = 0
+    for name in sorted(n for n in corpus if n.endswith(".geometric")):
+        text = serialize_model(corpus[name])
+        frames.clear()
+        g = parse_model(text)
+        assert len(frames) == 1 and frames[0] is not g, name
+        assert g.amb is frames[0].amb and g.nor is frames[0].nor, name
+        for fam in TENSOR_FAMILIES:
+            given = handed[fam.name]
+            for k, table in g.weight_tables(fam).items():
+                parsed = given[k] if fam.weighted else given
+                for i, el in table.items():
+                    assert el.algebra is g.values_algebra(fam), (name, fam.name, i)
+                    if i in parsed:
+                        assert el is parsed[i], (name, fam.name, i)
+                        kept += 1
+    assert kept > 0
 
 
 def test_parse_algebroid_tables(corpus):

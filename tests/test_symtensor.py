@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from algebroidkit.algebra import AlgebraElement, BaseAlgebra, _reduced_values, _summed, validate_base_algebra
 from algebroidkit.algebroid import AlgebroidStructure, _letter_transpose, _word_transpose, d0_derivation
-from algebroidkit.errors import BaseMismatch, CapError, KitError
+from algebroidkit.errors import BaseMismatch, CapError, DegreeError, KitError
 from algebroidkit.geometry import _grid
 from algebroidkit.fixtures import (
     exterior_base,
@@ -46,6 +46,7 @@ from symtensor_oracle import (
     derivation_sum,
     exp_images,
     oracle_apply,
+    oracle_check_degrees,
     oracle_conjugate,
     oracle_mc_residual,
     oracle_row,
@@ -187,43 +188,56 @@ def test_dual_letter_evaluates_to_unit():
 
 
 def test_evaluation_graded_symmetry():
-    base, module, alg = make_setup(seed=5)
+    """Permuting the arguments of evaluate scales its value by their Koszul
+    sign, for homogeneous nonzero eta of weight 3 on nonzero homogeneous
+    arguments, multiples of the generators of each word of eta in shuffled
+    order: every draw reaches the comparison, and enough values are nonzero
+    on words with two odd letters, where the sort sign of the word shows."""
+    base, module, alg = make_setup(seed=1, rank=3)  # letters of degrees 0, 1, -1
     rng = Rng(8)
-    for _ in range(10):
-        eta = random_sym_element(rng, alg, 3).weight_part(3)
-        if eta.is_zero():
-            continue
-        args = [rng.module_element(module, degree=rng.randint(-1, 2)) for _ in range(3)]
-        degs = [v.degree() if not v.is_zero() else 0 for v in args]
-        base_val = evaluate(eta, args, module)
-        for sigma_images in [(2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1)]:
-            sigma = Permutation(sigma_images)
-            permuted = [args[p - 1] for p in sigma.images]
-            sign = sym_sign(sigma, degs)
-            assert evaluate(eta, permuted, module) == base_val.scale(Scalar(sign))
+    compared = signed = 0
+    for _ in range(60):
+        eta = _homogeneous_draw(rng, alg, 3)
+        for w, _ in eta.items():
+            word = list(w)
+            rng.r.shuffle(word)
+            args = [_nonzero_argument(rng, module, g) for g in word]
+            degs = [v.degree() for v in args]
+            base_val = evaluate(eta, args, module)
+            for sigma_images in [(2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1)]:
+                sigma = Permutation(sigma_images)
+                permuted = [args[p - 1] for p in sigma.images]
+                sign = sym_sign(sigma, degs)
+                assert evaluate(eta, permuted, module) == base_val.scale(Scalar(sign))
+                compared += 1
+            signed += not base_val.is_zero() and sum(alg.letter_degrees[i] & 1 for i in w) == 2
+    assert compared >= 240 and signed >= 5, (compared, signed)
 
 
 def test_evaluation_a_multilinearity_first_slot():
-    base, module, alg = make_setup(seed=6)
+    """eta(a v1, v2) = (-1)^{|a||eta|} a eta(v1, v2) for homogeneous nonzero
+    eta of weight 2, a nonzero base element a of each degree 0 and 1, and
+    arguments with nonzero coefficients of degree 0 on the generators of
+    each word of eta in shuffled order: every draw reaches the comparison,
+    and enough values are nonzero with an odd a, where the Koszul sign
+    shows."""
+    base, module, alg = make_setup(seed=6)  # letters of degrees 1 and -2
     rng = Rng(9)
-    for _ in range(10):
-        eta = random_sym_element(rng, alg, 2).weight_part(2)
-        if eta.is_zero():
-            continue
-        try:
-            eta_deg = eta.degree()
-        except Exception:
-            continue
-        a = rng.algebra_element(base, degree=rng.randint(0, 1))
-        if a.is_zero():
-            continue
-        v1 = rng.module_element(module, degree=rng.randint(-1, 2))
-        v2 = rng.module_element(module, degree=rng.randint(-1, 2))
-        lhs = evaluate(eta, [v1.a_mul(a), v2], module)
-        rhs = (a * evaluate(eta, [v1, v2], module)).scale(
-            sign_scalar(a.degree() * eta_deg if not a.is_zero() else 0)
-        )
-        assert lhs == rhs
+    compared = signed = 0
+    for _ in range(30):
+        eta = _homogeneous_draw(rng, alg, 2)
+        for w, _ in eta.items():
+            for degree in (0, 1):
+                a = _nonzero_base_element(rng, base, degree)
+                word = list(w)
+                rng.r.shuffle(word)
+                v1, v2 = (ModuleElement(module, {g: _nonzero_base_element(rng, base, 0)}) for g in word)
+                lhs = evaluate(eta, [v1.a_mul(a), v2], module)
+                rhs = (a * evaluate(eta, [v1, v2], module)).scale(sign_scalar(degree * eta.degree()))
+                assert lhs == rhs
+                compared += 1
+                signed += degree and not lhs.is_zero()
+    assert compared >= 60 and signed >= 5, (compared, signed)
 
 
 def _homogeneous_draw(rng, alg, weight):
@@ -233,6 +247,14 @@ def _homogeneous_draw(rng, alg, weight):
         parts = random_sym_element(rng, alg, weight).weight_part(weight).homogeneous_parts()
         if parts:
             return parts[min(parts)]
+
+
+def _nonzero_base_element(rng, base, degree):
+    """A nonzero base element of the given degree; redrawn until there is one."""
+    while True:
+        a = rng.algebra_element(base, degree)
+        if not a.is_zero():
+            return a
 
 
 def _nonzero_argument(rng, module, g):
@@ -999,6 +1021,57 @@ def drawn_derivations(draw, max_cap=5):
     return DerivationD(alg, on_algebra, on_letters, degree=degree, check=False)
 
 
+def _degree_refusal(check, D):
+    """The text of the DegreeError that check(D) raises, or None."""
+    try:
+        check(D)
+    except DegreeError as exc:
+        return str(exc)
+    return None
+
+
+@given(data=st.data())
+def test_check_degrees_matches_the_generator_order_oracle(data):
+    """``DerivationD._check_degrees`` decides each value in one walk and
+    refuses with the text of the former generator-order loop
+    (``oracle_check_degrees``), or passes where it passes: on drawn
+    derivations with values of any degrees, with every value cut to its
+    right degree, and so cut with one value of another degree or one
+    inhomogeneous value put at a drawn generator."""
+    D = data.draw(drawn_derivations())
+    alg = D.algebra
+    mode = data.draw(st.sampled_from(["drawn", "right", "wrong", "inhomogeneous"]))
+    tables = (dict(D.on_algebra), dict(D.on_letters))
+    degrees = (alg.base.degrees, alg.letter_degrees)
+    if mode != "drawn":
+        for slot, i, _, _ in alg.generators():
+            part = tables[slot].pop(i, alg.zero()).homogeneous_parts().get(degrees[slot][i] + D.degree)
+            if part is not None:
+                tables[slot][i] = part
+    if mode in ("wrong", "inhomogeneous"):
+        gens = [(slot, i) for slot, i, _, _ in alg.generators() if slot or i != alg.base.unit]
+        slot, i = data.draw(st.sampled_from(gens))
+        want = degrees[slot][i] + D.degree
+        monomials = [m for *_, m in alg.generators() if not m.is_zero()]
+        if mode == "wrong":
+            values = [m for m in monomials if m.degree() != want]
+        else:
+            values = [m + n for m in monomials for n in monomials if m.degree() < n.degree()]
+        assume(values)
+        tables[slot][i] = data.draw(st.sampled_from(values))
+    E = DerivationD(alg, *tables, degree=D.degree, check=False)
+    got = _degree_refusal(DerivationD._check_degrees, E)
+    if alg.cap == 0 and E.on_letters:
+        # every letter is zero at cap 0: the former loop read no degree off
+        # its generator element, where the check reads the letter's
+        with pytest.raises(TypeError):
+            oracle_check_degrees(E)
+    else:
+        assert got == _degree_refusal(oracle_check_degrees, E)
+    if mode != "drawn":
+        assert (got is None) == (mode == "right"), got
+
+
 def test_gaussian_product_base_is_a_valid_dga():
     assert validate_base_algebra(gaussian_product_base()) == []
 
@@ -1364,7 +1437,7 @@ def reference_nabla_bar(g, el):
 
 def test_nabla_bar_matches_rescaled_nabla_hat():
     """nabla_bar keeps no table of its own, and nabla_hat none per grid
-    element."""
+    element: the model gains only nabla_hat, built on the first read."""
     from algebroidkit.fixtures import random_geometric_model
 
     for seed in range(2):
@@ -1376,7 +1449,7 @@ def test_nabla_bar_matches_rescaled_nabla_hat():
         for _ in range(6):
             x = sparse_sym_element(rng, g.amb, 0.3)
             assert g.nabla_bar(x) == reference_nabla_bar(g, x)
-        assert set(vars(g)) == attributes
+        assert set(vars(g)) == attributes | {"_nabla_hat"}
         assert set(vars(g._nabla_hat)) == DERIVATION_ATTRIBUTES
 
 

@@ -96,7 +96,6 @@ from .symtensor import (
     DerivationD,
     SymAlgebra,
     SymElement,
-    _has_degree,
     _sym_element,
     generator_differences,
     # not called here: perfbench/test_perfbench.py checks that the tracer
@@ -212,13 +211,14 @@ class GeometricModel(SplitFrame):
 
     def __init__(self, frame: SplitFrame, *, closed_beta: bool = False, **tensors: Mapping):
         """frame: the letters and algebras of the model, shared with it, so a
-        tensor over them is kept as it is.  tensors: a table {index:
+        tensor over them is kept as it is (a model given as the frame lends
+        the frame it was built on, kept as ``frame``).  tensors: a table {index:
         SymElement} per family of ``TENSOR_FAMILIES`` by its name, a map {k:
         table} for a weighted one; a missing family is zero.  A tensor that
         breaks its family's row is refused (``geometric_degree_problems``,
         the first three problems)."""
-        self.base, self.tangent, self.normal, self.cap = frame.base, frame.tangent, frame.normal, frame.cap
-        self.a, self.b, self.nor, self.amb = frame.a, frame.b, frame.nor, frame.amb
+        self.frame = frame = getattr(frame, "frame", frame)  # a model lends its own frame
+        vars(self).update(vars(frame))
         self.closed_beta = closed_beta
         base = self.base
 
@@ -458,11 +458,15 @@ def _fits_row(
 ) -> bool:
     """Whether every word of el has weight k and, unless m is None, m
     tangent letters (sorted words put them first: those below a), and every
-    term has degree want (``symtensor._has_degree``)."""
-    for w, _ in el.coeffs:
+    term has degree want."""
+    for w, c in el.coeffs:
         if len(w) != k or m is not None and bisect_left(w, a) != m:
             return False
-    return _has_degree(el, want, letter_degrees, base_degrees)
+        need = want - sum(map(letter_degrees.__getitem__, w))
+        for j, _ in c.coeffs:
+            if base_degrees[j] != need:
+                return False
+    return True
 
 
 def validate_geometric_model(g: GeometricModel) -> List[str]:

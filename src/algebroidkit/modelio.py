@@ -22,11 +22,10 @@ inside the weight cap, each tuple of letter names once per parse, so the
 tensors are built without the checks of the public constructors.  No
 coefficient is made term by term: every list of {basis, coeff} entries is
 added to a coefficient accumulator as unreduced triples (``_add_terms``,
-``scalars.Sums``; the terms of a tensor in one loop of ``_parse_sym``,
-each word's with its sort sign, which hands a bad term to ``_add_terms``
-for its refusal), and each coefficient is reduced once, when its element
-is made, a module value or a tensor by the one finisher of a coefficient
-table (``algebra._reduced_values``).  A geometric model is built on the
+``scalars.Sums``), a tensor's word with its sort sign, and each
+coefficient is reduced once, when its element is made, a module value or a
+tensor by the one finisher of a coefficient table
+(``algebra._reduced_values``).  A geometric model is built on the
 ``SplitFrame`` its tensors were parsed over, so it keeps them as they are
 and builds its substitution derivations only when a check reads them.
 The model constructor refuses a tensor that breaks its family's row,
@@ -45,7 +44,7 @@ from .algebroid import AlgebroidStructure
 from .errors import DegreeError, KitError, ParseError
 from .geometry import TENSOR_FAMILIES, GeometricModel, SplitFrame, TensorFamily
 from .modules import FreeModule, ModuleElement
-from .scalars import ONE, Coefficients, Scalar, Sums, _add_multiple, _reduced_items
+from .scalars import Coefficients, Scalar, Sums, _reduced_items
 from .signs import _sort_word
 from .symtensor import SymAlgebra, SymElement, Word, _sym_element
 
@@ -176,11 +175,14 @@ def _scalar_dict(s: Scalar) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_terms(out: Optional[Sums], value, path: JsonPath, index: Dict[str, int]) -> None:
-    """out += the list of {basis, coeff} entries value, as unreduced triples
-    (``scalars._add_multiple``), so no Scalar is made; a repeated basis
-    element adds up.  With out None the entries are only checked.  The quadruple num/den + (inum/iden)i is the triple
-    (num iden + inum den i) / (den iden), its denominator made positive."""
+def _add_terms(out: Optional[Sums], value, path: JsonPath, index: Dict[str, int], sign: int) -> None:
+    """out += sign times the list of {basis, coeff} entries value, as
+    unreduced triples, so no Scalar is made; a repeated basis element adds
+    up.  With out None the entries are only checked.  The quadruple
+    num/den + (inum/iden)i is the triple (num iden + inum den i) / (den iden),
+    its denominator made positive; it is added to out as
+    ``scalars._add_multiple`` adds a term, written out here since a parsed
+    term has no Scalar to multiply by."""
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _TERM:
             _object(item, (path, k), _TERM)
@@ -195,14 +197,26 @@ def _add_terms(out: Optional[Sums], value, path: JsonPath, index: Dict[str, int]
         if not (type(num) is int and type(den) is int and type(inum) is int and type(iden) is int and den and iden):
             _refuse_scalar(coeff, (path, k, ".coeff"))
         if out is not None:
-            t = -1 if den * iden < 0 else 1
-            _add_multiple(out, ((idx, ONE),), t * num * iden, t * inum * den, abs(den * iden))
+            d = den * iden
+            t = -sign if d < 0 else sign
+            n_re, n_im, d = t * num * iden, t * inum * den, abs(d)
+            old = out.get(idx)
+            if old is None:
+                out[idx] = [n_re, n_im, d]
+            elif old[2] == d:
+                old[0] += n_re
+                old[1] += n_im
+            else:
+                e = old[2]
+                old[0] = old[0] * d + n_re * e
+                old[1] = old[1] * d + n_im * e
+                old[2] = e * d
 
 
 def _parse_terms(value, path: JsonPath, index: Dict[str, int]) -> Dict[int, Scalar]:
     """{basis index: nonzero coefficient} of a list of {basis, coeff} entries."""
     out: Sums = {}
-    _add_terms(out, value, path, index)
+    _add_terms(out, value, path, index, 1)
     return dict(_reduced_items(out))
 
 
@@ -299,7 +313,7 @@ def _parse_module_value(
         if type(item) is not dict or item.keys() != _MODULE_TERM:
             _object(item, (path, k), _MODULE_TERM)
         idx = _name(index, item["generator"], (path, k, ".generator"), _NO_GENERATOR)
-        _add_terms(sums.setdefault(idx, {}), item["terms"], (path, k, ".terms"), base_index)
+        _add_terms(sums.setdefault(idx, {}), item["terms"], (path, k, ".terms"), base_index, 1)
     return ModuleElement._made(module, _reduced_values(module.base, sums))
 
 
@@ -378,15 +392,10 @@ def _parse_sym(
     maps alg's letter names.  Each word is resolved, checked against the cap
     and sorted by ``_word`` once per parse: words keeps what it gave for each
     tuple of names met.  A word with a repeated odd letter is zero, but its
-    terms are checked.
-
-    The terms of every word are read in one loop, which tests each term as
-    ``_add_terms`` does and adds it to the sum of its sorted word as an
-    unreduced triple, the sort sign on it, as ``scalars._add_multiple`` adds
-    one (a Scalar made per term would cost more than the term); at the first
-    term it does not admit, ``_add_terms`` reads the word's terms again and
-    refuses that term.  Each coefficient is reduced once, when the element
-    is made."""
+    terms are checked.  The terms of each sorted word are summed as
+    unreduced triples in one accumulator, the sort sign on each, so no
+    Scalar is made per term; each coefficient is reduced once, when the
+    element is made."""
     acc: Coefficients = {}
     for k, item in enumerate(_list(value, path)):
         if type(item) is not dict or item.keys() != _WORD:
@@ -397,47 +406,14 @@ def _parse_sym(
             merged = words[key]
         except (KeyError, TypeError):  # not met before, or not a list of names
             merged = words[key] = _word(names, (path, k, ".word"), alg, letter_index)
-        terms = item["terms"]
-        out = None
-        if merged is not None:  # else a repeated odd letter: the word is zero
-            w, exponent = merged
-            sign = -1 if exponent & 1 else 1
-            out = acc.get(w)
-            if out is None:
-                out = acc[w] = {}
-        if type(terms) is list:
-            for term in terms:
-                if type(term) is not dict or term.keys() != _TERM:
-                    break
-                name = term["basis"]
-                idx = base_index.get(name) if type(name) is str else None
-                coeff = term["coeff"]
-                if idx is None or type(coeff) is not dict or coeff.keys() != _SCALAR:
-                    break
-                num, den, inum, iden = coeff["num"], coeff["den"], coeff["inum"], coeff["iden"]
-                if not (type(num) is int and type(den) is int and type(inum) is int and type(iden) is int):
-                    break
-                d = den * iden
-                if not d:
-                    break
-                if out is not None:
-                    t = -sign if d < 0 else sign
-                    n_re, n_im, d = t * num * iden, t * inum * den, abs(d)
-                    old = out.get(idx)
-                    if old is None:
-                        out[idx] = [n_re, n_im, d]
-                    elif old[2] == d:
-                        old[0] += n_re
-                        old[1] += n_im
-                    else:
-                        e = old[2]
-                        old[0] = old[0] * d + n_re * e
-                        old[1] = old[1] * d + n_im * e
-                        old[2] = e * d
-            else:
-                continue
-        # terms not a list, or a term the loop does not admit: refused at its path
-        _add_terms(None, terms, (path, k, ".terms"), base_index)
+        if merged is None:  # a repeated odd letter: the word is zero
+            _add_terms(None, item["terms"], (path, k, ".terms"), base_index, 1)
+            continue
+        w, exponent = merged
+        out = acc.get(w)
+        if out is None:
+            out = acc[w] = {}
+        _add_terms(out, item["terms"], (path, k, ".terms"), base_index, -1 if exponent & 1 else 1)
     return _sym_element(alg, _reduced_values(alg.base, acc))
 
 

@@ -10,16 +10,31 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .algebra import AlgebraElement
 from .symtensor import SymElement
 
 # Plain classes, not dataclasses: importing ``dataclasses`` loads ``inspect``
-# and the modules it reads, a large share of a command's start-up.
+# and the modules it reads, a large share of a command's start-up.  _Record
+# keeps what a dataclass gave them: equality and repr over the fields, in
+# the order ``__init__`` sets them, and no hash.
 
 
-class ResidualEntry:
+class _Record:
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ResidualEntry(_Record):
     def __init__(self, location: str, weight: int, word: str, coefficient: str):
         self.location = location
         self.weight = weight
@@ -35,11 +50,18 @@ class ResidualEntry:
         }
 
 
-class CheckResult:
-    def __init__(self, name: str, passed: bool, residuals: List[ResidualEntry], detail: str, elapsed_ms: float):
+class CheckResult(_Record):
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        residuals: Optional[List[ResidualEntry]] = None,
+        detail: str = "",
+        elapsed_ms: float = 0.0,
+    ):
         self.name = name
         self.passed = passed
-        self.residuals = residuals
+        self.residuals = [] if residuals is None else residuals
         self.detail = detail
         self.elapsed_ms = elapsed_ms
 
@@ -54,7 +76,7 @@ class CheckResult:
         return out
 
 
-class Report:
+class Report(_Record):
     def __init__(self, command: str, caps: Dict[str, int]):
         self.command = command
         self.caps = caps

@@ -208,8 +208,10 @@ Coefficients = Dict[Hashable, Sums]
 
 def _add_multiple(out: Sums, pairs: Iterable[Tuple[int, Scalar]], n_re: int, n_im: int, den: int) -> None:
     """out += (n_re + n_im i) / den * x for the element x with the (index,
-    Scalar) pairs given, without reducing: the one way a term enters a sum.
-    Entries over one denominator add numerators."""
+    Scalar) pairs given, without reducing: the one way a term enters a sum
+    (a term parsed from a model file, which has no Scalar, is added the same
+    way by ``modelio._add_terms``).  Entries over one denominator add
+    numerators."""
     for k, c in pairs:
         c_re, c_im = c.n_re, c.n_im
         t_re, t_im, t_den = n_re * c_re - n_im * c_im, n_re * c_im + n_im * c_re, den * c.den

@@ -11,6 +11,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 import algebroidkit
 from algebroidkit import algebra, algebroid, cli, fixtures, linfty, modules, symtensor
 
@@ -39,6 +41,30 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_report_records_keep_their_former_dataclass_behaviour():
+    """The report classes are plain classes, with what their dataclasses
+    gave: the optional fields' defaults, a fresh list per instance,
+    equality and repr over the fields, and no hash."""
+    from algebroidkit.reports import CheckResult, Report, ResidualEntry
+
+    a, b = CheckResult("c", True), CheckResult("c", True)
+    assert (a.residuals, a.detail, a.elapsed_ms) == ([], "", 0.0)
+    assert a == b and a.residuals is not b.residuals
+    assert a != CheckResult("c", True, detail="d") and a != Report("c", {})
+    assert repr(a) == "CheckResult(name='c', passed=True, residuals=[], detail='', elapsed_ms=0.0)"
+    entry = ResidualEntry("D^2", 1, "x", "1")
+    assert repr(entry) == "ResidualEntry(location='D^2', weight=1, word='x', coefficient='1')"
+    left, right = Report("r", {"weight": 2}), Report("r", {"weight": 2})
+    assert left.checks == [] and left.checks is not right.checks
+    left.add(a)
+    assert left != right
+    right.add(b)
+    assert left == right
+    for record in (a, entry, Report("r", {})):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def _imported_names(tree: ast.Module, lines):
@@ -180,6 +206,8 @@ ALLOWED_UNREACHED = {
     "modules.FreeModule.__repr__": "repr, for debugging",
     "modules.ModuleElement.__repr__": "repr, for debugging",
     "scalars.Scalar.__hash__": "hash, for a set of scalars",
+    "reports._Record.__eq__": "==, for comparing reports and their entries",
+    "reports._Record.__repr__": "repr, for debugging",
     "signs.Permutation.__eq__": "==, for comparing permutations",
     "signs.Permutation.__hash__": "hash, for a set of permutations",
     "signs.Permutation.__repr__": "repr, for debugging",

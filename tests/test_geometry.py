@@ -1525,6 +1525,20 @@ def test_constructor_refuses_tensors_over_the_wrong_letters_and_unknown_families
 
 
 
+def test_a_model_given_as_the_frame_lends_its_frame_not_its_state():
+    """A model built on another model shares that model's frame, every field
+    of it, and none of its tensors or built derivations."""
+    g = small_random_model(19)
+    assert g._shape is g._shape  # built on first read, then kept
+    h = GeometricModel(g)
+    assert type(h.frame) is SplitFrame and h.frame is g.frame
+    assert all(vars(h)[k] is v for k, v in vars(g.frame).items())
+    assert "_shape" not in vars(h)
+    assert any(not el.is_zero() for el in g.shape.values())
+    assert all(el.is_zero() for el in h.shape.values())
+    assert h._shape is not g._shape
+
+
 def test_constructor_refuses_tensors_over_letters_of_other_degrees():
     """A tensor over letters with the ambient names but other degrees is
     refused, not re-read: n^ n^ is a nonzero word where n^ is even, and

@@ -7,6 +7,12 @@ reported as one line on stderr, never as a traceback).  Reports are
 deterministic: exact coefficients, canonical ordering, and the
 (non-deterministic) timings are excluded from the canonical JSON written by
 --json.
+
+``_run`` alone makes the report.  A command ``cmd_*(model, caps, args,
+check)`` reports each line with one ``check(name, passed, residuals,
+detail)`` call, and a line's time runs from the end of the line before it
+(the first line's from the command's start): work done before a line's
+check counts on that line.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
@@ -44,12 +51,12 @@ from .linfty import LInftyAlgebra, decalage, decalage_inverse, same_tables
 from .modelio import parse_model
 from .modules import validate_module
 from .reports import (
+    CheckResult,
     Report,
     ResidualEntry,
     residuals_from_algebra,
     residuals_from_module,
     residuals_from_sym,
-    timed_check,
 )
 from .symtensor import SymAlgebra, SymElement, conjugate, mc_residual, square_components
 
@@ -91,26 +98,20 @@ def _square_entries(sq) -> List[ResidualEntry]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(model, caps, args) -> Report:
-    report = Report("validate", caps)
-    with timed_check("base-algebra") as t:
-        problems = validate_base_algebra(model.base)
-        report.add(t.finish(not problems, detail="; ".join(problems[:5])))
+def _validation_problems(model):
+    """(line name, problems) of every validate line, each found when read."""
+    yield "base-algebra", validate_base_algebra(model.base)
     if isinstance(model, AlgebroidStructure):
-        with timed_check("carrier-module") as t:
-            problems = validate_module(model.carrier)
-            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
-        with timed_check("structure-tables") as t:
-            problems = model.validate()
-            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
+        yield "carrier-module", validate_module(model.carrier)
+        yield "structure-tables", model.validate()
     else:
-        with timed_check("tangent-and-normal-modules") as t:
-            problems = validate_module(model.tangent) + validate_module(model.normal)
-            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
-        with timed_check("geometric-tensors") as t:
-            problems = validate_geometric_model(model)
-            report.add(t.finish(not problems, detail="; ".join(problems[:5])))
-    return report
+        yield "tangent-and-normal-modules", validate_module(model.tangent) + validate_module(model.normal)
+        yield "geometric-tensors", validate_geometric_model(model)
+
+
+def cmd_validate(model, caps, args, check):
+    for name, problems in _validation_problems(model):
+        check(name, not problems, detail="; ".join(problems[:5]))
 
 
 def _arities(args, top) -> List[int]:
@@ -122,17 +123,14 @@ def _key_label(names, key) -> str:
     return "(" + ",".join(names[i] for i in key) + ")"
 
 
-def _per_arity(report: Report, S: AlgebroidStructure, arities, title: str, family, entries) -> Report:
+def _per_arity(check, S: AlgebroidStructure, arities, title: str, family, entries):
     """One line per arity: every arity is read off one family(S, arities)
-    call, timed on the first line; entries(S, key, value) lists one residual."""
-    residuals = None
+    call, made before the first line and so timed on it; entries(S, key,
+    value) lists one residual."""
+    residuals = family(S, arities) if arities else {}
     for n in arities:
-        with timed_check(f"{title}[n={n}]") as t:
-            if residuals is None:
-                residuals = family(S, arities)
-            res = residuals[n]
-            report.add(t.finish(not res, [e for key in sorted(res) for e in entries(S, key, res[key])]))
-    return report
+        res = residuals[n]
+        check(f"{title}[n={n}]", not res, [e for key in sorted(res) for e in entries(S, key, res[key])])
 
 
 def _jacobi_entries(S, key, value) -> List[ResidualEntry]:
@@ -153,157 +151,110 @@ def _anchor_entries(S, key, der) -> List[ResidualEntry]:
     ]
 
 
-def cmd_jacobi(model, caps, args) -> Report:
+def cmd_jacobi(model, caps, args, check):
     S = _structure_of(model)
-    arities = _arities(args, S.bracket_cap)
-    return _per_arity(Report("jacobi", caps), S, arities, "jacobi", algebroid_jacobi_residual, _jacobi_entries)
+    _per_arity(check, S, _arities(args, S.bracket_cap), "jacobi", algebroid_jacobi_residual, _jacobi_entries)
 
 
-def cmd_leibniz(model, caps, args) -> Report:
+def cmd_leibniz(model, caps, args, check):
     S = _structure_of(model)
-    arities = _arities(args, S.bracket_cap)
-    return _per_arity(
-        Report("leibniz", caps), S, arities, "leibniz",
+    _per_arity(
+        check, S, _arities(args, S.bracket_cap), "leibniz",
         lambda S, arities: {n: leibniz_residual(S, n) for n in arities}, _leibniz_entries,
     )
 
 
-def cmd_anchor(model, caps, args) -> Report:
+def cmd_anchor(model, caps, args, check):
     S = _structure_of(model)
     arities = _arities(args, max(S.bracket_cap - 1, 1))
-    return _per_arity(Report("anchor", caps), S, arities, "anchor-morphism", anchor_morphism_residual, _anchor_entries)
+    _per_arity(check, S, arities, "anchor-morphism", anchor_morphism_residual, _anchor_entries)
 
 
-def cmd_ce_build(model, caps, args) -> Report:
-    report = Report("ce-build", caps)
-    S = _structure_of(model)
-    with timed_check("ce-differential") as t:
-        D = ce_differential(S, weight_cap=caps["weight"])
-        report.add(
-            t.finish(True, _derivation_entries(D), detail="derivation table listed below")
-        )
-    return report
+def cmd_ce_build(model, caps, args, check):
+    D = ce_differential(_structure_of(model), weight_cap=caps["weight"])
+    check("ce-differential", True, _derivation_entries(D), detail="derivation table listed below")
 
 
-def cmd_ce_extract(model, caps, args) -> Report:
-    report = Report("ce-extract", caps)
+def cmd_ce_extract(model, caps, args, check):
     if isinstance(model, GeometricModel):
-        D = build_frakD(model)
-        carrier = model.normal
+        D, carrier = build_frakD(model), model.normal
     else:
-        D = ce_differential(model, weight_cap=caps["weight"])
-        carrier = model.carrier
-    with timed_check("extract-structure") as t:
-        S = extract_structure(D, carrier, bracket_cap=caps["arity"])
-        entries: List[ResidualEntry] = []
-        for n in sorted(S.brackets):
-            for key in sorted(S.brackets[n]):
-                label = f"bracket[{n}]" + _key_label(carrier.gen_names, key)
-                entries.extend(residuals_from_module(label, S.brackets[n][key]))
-        for n in sorted(S.anchors):
-            for key, b in sorted(S.anchors[n]):
-                label = f"anchor[{n}]" + _key_label(carrier.gen_names, key) + "|" + S.base.names[b]
-                entries.extend(residuals_from_algebra(label, S.anchors[n][(key, b)]))
-        report.add(t.finish(True, entries, detail="extracted tables listed below"))
-    return report
+        D, carrier = ce_differential(model, weight_cap=caps["weight"]), model.carrier
+    S = extract_structure(D, carrier, bracket_cap=caps["arity"])
+    entries: List[ResidualEntry] = []
+    for n in sorted(S.brackets):
+        for key in sorted(S.brackets[n]):
+            label = f"bracket[{n}]" + _key_label(carrier.gen_names, key)
+            entries.extend(residuals_from_module(label, S.brackets[n][key]))
+    for n in sorted(S.anchors):
+        for key, b in sorted(S.anchors[n]):
+            label = f"anchor[{n}]" + _key_label(carrier.gen_names, key) + "|" + S.base.names[b]
+            entries.extend(residuals_from_algebra(label, S.anchors[n][(key, b)]))
+    check("extract-structure", True, entries, detail="extracted tables listed below")
 
 
-def cmd_roundtrip(model, caps, args) -> Report:
-    report = Report("roundtrip", caps)
+def cmd_roundtrip(model, caps, args, check):
     if isinstance(model, AlgebroidStructure):
-        with timed_check("extract(ce(S)) == S") as t:
-            D = ce_differential(model, weight_cap=caps["weight"])
-            S2 = extract_structure(D, model.carrier, bracket_cap=model.bracket_cap)
-            report.add(t.finish(model == S2))
-        with timed_check("degree-shift dictionary round trip on the bracket tables") as t:
-            view = LInftyAlgebra(model.carrier, arity_cap=model.bracket_cap, symmetric=True)
-            for n, table in model.brackets.items():
-                for key, val in table.items():
-                    view.set_bracket(n, key, val)
-            back = decalage(decalage_inverse(view))
-            report.add(t.finish(same_tables(back.tables, view.tables)))
+        D = ce_differential(model, weight_cap=caps["weight"])
+        check("extract(ce(S)) == S", model == extract_structure(D, model.carrier, bracket_cap=model.bracket_cap))
+        view = LInftyAlgebra(model.carrier, arity_cap=model.bracket_cap, symmetric=True)
+        for n, table in model.brackets.items():
+            for key, val in table.items():
+                view.set_bracket(n, key, val)
+        back = decalage(decalage_inverse(view))
+        check("degree-shift dictionary round trip on the bracket tables", same_tables(back.tables, view.tables))
     else:
-        with timed_check("recursion == extraction") as t:
-            S1 = structure_from_geometry(model)
-            S2 = extract_structure(build_frakD(model), model.normal, bracket_cap=model.cap)
-            report.add(t.finish(S1 == S2))
-    return report
+        S1 = structure_from_geometry(model)
+        S2 = extract_structure(build_frakD(model), model.normal, bracket_cap=model.cap)
+        check("recursion == extraction", S1 == S2)
 
 
-def cmd_frakd_build(model, caps, args) -> Report:
+def cmd_frakd_build(model, caps, args, check):
     g = _require_geometric(model)
-    report = Report("frakd-build", caps)
-    with timed_check("assemble") as t:
-        D = build_frakD(g)
-        report.add(t.finish(True, _derivation_entries(D), detail="derivation table listed below"))
-    with timed_check("weight-graded part equals d0") as t:
-        report.add(t.finish(D.weight_component(0) == g.normal_d0()))
-    return report
+    D = build_frakD(g)
+    check("assemble", True, _derivation_entries(D), detail="derivation table listed below")
+    check("weight-graded part equals d0", D.weight_component(0) == g.normal_d0())
 
 
-def cmd_frakd_square(model, caps, args) -> Report:
+def cmd_frakd_square(model, caps, args, check):
+    sq = square_components(build_frakD(_require_geometric(model)))
+    detail = "" if not sq else f"lowest violating weight shift: {min(sq)}"
+    check("square-components", not sq, _square_entries(sq), detail=detail)
+
+
+def cmd_kapranov(model, caps, args, check):
+    D = build_kapranov(_require_geometric(model))
+    check("diagonal-regime derivation", True, _derivation_entries(D), detail="derivation table listed below")
+    sq = square_components(D)
+    check("square (curvature-compatibility residuals)", not sq, _square_entries(sq))
+
+
+def cmd_lemmas(model, caps, args, check):
     g = _require_geometric(model)
-    report = Report("frakd-square", caps)
-    with timed_check("square-components") as t:
-        sq = square_components(build_frakD(g))
-        detail = "" if not sq else f"lowest violating weight shift: {min(sq)}"
-        report.add(t.finish(not sq, _square_entries(sq), detail=detail))
-    return report
-
-
-def cmd_kapranov(model, caps, args) -> Report:
-    g = _require_geometric(model)
-    report = Report("kapranov", caps)
-    with timed_check("diagonal-regime derivation") as t:
-        D = build_kapranov(g)
-        report.add(t.finish(True, _derivation_entries(D), detail="derivation table listed below"))
-    with timed_check("square (curvature-compatibility residuals)") as t:
-        sq = square_components(D)
-        report.add(t.finish(not sq, _square_entries(sq)))
-    return report
-
-
-def cmd_lemmas(model, caps, args) -> Report:
-    g = _require_geometric(model)
-    report = Report("lemmas", caps)
     for title, residual in (
         ("retraction: normal projection of the expansion is the identity", retraction_residual),
         ("projection commutator equals the Kodaira-Spencer substitution", commutator_lemma_residual),
         ("single-tangent transport identity and its iterate", transport_lemma_residual),
     ):
-        with timed_check(title) as t:
-            res = residual(g)
-            report.add(t.finish(not res, _sym_entries(res)))
-    return report
+        res = residual(g)
+        check(title, not res, _sym_entries(res))
 
 
-def cmd_mc(model, caps, args) -> Report:
-    report = Report("mc", caps)
-    if isinstance(model, AlgebroidStructure):
-        carrier = model.carrier
-    else:
-        carrier = model.normal
+def cmd_mc(model, caps, args, check):
+    carrier = model.carrier if isinstance(model, AlgebroidStructure) else model.normal
     alg = SymAlgebra.over_module(carrier, cap=caps["weight"])
     D0 = d0_derivation(alg, carrier)
-    rng = Rng(args.seed)
-    Phi = random_unipotent(rng, alg)
-    with timed_check(f"maurer-cartan residual (seed={args.seed})") as t:
-        conjugated = conjugate(Phi, D0)  # both checks read this one Phi D0 Phi^{-1} and its one square
-        res = mc_residual(D0, conjugated)
-        report.add(t.finish(not res, _sym_entries(sorted(res.items()))))
-    with timed_check("conjugated differential squares to zero") as t:
-        sq = square_components(conjugated)
-        report.add(t.finish(not sq, _square_entries(sq)))
-    return report
+    Phi = random_unipotent(Rng(args.seed), alg)
+    conjugated = conjugate(Phi, D0)  # both checks read this one Phi D0 Phi^{-1} and its one square
+    res = mc_residual(D0, conjugated)
+    check(f"maurer-cartan residual (seed={args.seed})", not res, _sym_entries(sorted(res.items())))
+    sq = square_components(conjugated)
+    check("conjugated differential squares to zero", not sq, _square_entries(sq))
 
 
-def cmd_duality(model, caps, args) -> Report:
-    g = _require_geometric(model)
-    report = Report("duality", caps)
-    with timed_check("ce(structure) == assembled differential") as t:
-        res = duality_residual(g)
-        report.add(t.finish(not res, _sym_entries(sorted(res.items()))))
-    return report
+def cmd_duality(model, caps, args, check):
+    res = duality_residual(_require_geometric(model))
+    check("ce(structure) == assembled differential", not res, _sym_entries(sorted(res.items())))
 
 
 COMMANDS = {
@@ -387,9 +338,19 @@ def _run(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = canonical = None
+    report, canonical = Report(args.command, caps), None
+    last = time.perf_counter()
+
+    def check(name: str, passed: bool, residuals: Iterable[ResidualEntry] = (), detail: str = ""):
+        """Report one line, timed from the end of the line before it (the
+        first from the command's start)."""
+        nonlocal last
+        now = time.perf_counter()
+        report.add(CheckResult(name, passed, list(residuals), detail, (now - last) * 1000.0))
+        last = now
+
     try:
-        report = COMMANDS[args.command](model, caps, args)
+        COMMANDS[args.command](model, caps, args, check)
         if not report.checks:
             raise KitError(f"{args.command} has no checks to run at these caps")
         lines = report.human_lines()

@@ -9,7 +9,6 @@ are emitted in a fixed order and timing is kept out of it.
 from __future__ import annotations
 
 import json
-import time
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraElement
@@ -18,12 +17,11 @@ from .symtensor import SymElement
 # Plain classes, not dataclasses: importing ``dataclasses`` loads ``inspect``
 # and the modules it reads, a large share of a command's start-up.  _Record
 # keeps what a dataclass gave them: equality and repr over the fields, in
-# the order ``__init__`` sets them, and no hash.
+# the order ``__init__`` sets them, and no hash (a class that defines
+# ``__eq__`` alone is unhashable, and so are its subclasses).
 
 
 class _Record:
-    __hash__ = None
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -143,21 +141,3 @@ def residuals_from_module(location: str, el) -> List[ResidualEntry]:
 
 def residuals_from_algebra(location: str, a: AlgebraElement) -> List[ResidualEntry]:
     return [ResidualEntry(location, 0, "1", repr(a))]
-
-
-class timed_check:
-    """Context helper: build a CheckResult with wall-clock timing attached."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def finish(self, passed: bool, residuals=None, detail: str = "") -> CheckResult:
-        elapsed = (time.perf_counter() - self._t0) * 1000.0
-        return CheckResult(self.name, passed, list(residuals or []), detail, elapsed)
-
-    def __exit__(self, exc_type, exc, tb):
-        return False

@@ -672,9 +672,6 @@ class DerivationD:
             and self.on_letters == other.on_letters
         )
 
-    def __hash__(self):
-        raise TypeError("DerivationD is not hashable")
-
 
 # ---------------------------------------------------------------------------
 # squares, automorphisms, conjugation, Maurer-Cartan

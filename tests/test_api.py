@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import algebroidkit
-from algebroidkit import algebra, algebroid, cli, fixtures, linfty, modules, symtensor
+from algebroidkit import algebra, algebroid, cli, fixtures, linfty, modules, reports, symtensor
 
 
 def test_every_exported_name_resolves():
@@ -155,8 +155,8 @@ def test_no_dead_classes():
 
 # The benchmark harness reads these by name: ``perfbench/tracer.py`` wraps
 # them and ``layer_metrics`` reads their call counts.  They leave with
-# ROADMAP items 1 and 14, which change the harness.
-PERFBENCH = "read by perfbench; leaves with ROADMAP item 1/14"
+# ROADMAP item 26, which changes the harness.
+PERFBENCH = "read by perfbench; leaves with ROADMAP item 26"
 
 # module.qualified name -> why no run needs to enter it
 ALLOWED_UNREACHED = {
@@ -212,7 +212,6 @@ ALLOWED_UNREACHED = {
     "signs.Permutation.__hash__": "hash, for a set of permutations",
     "signs.Permutation.__repr__": "repr, for debugging",
     "signs.Permutation.__setattr__": "refuses a write to an immutable permutation",
-    "symtensor.DerivationD.__hash__": "refuses to hash a mutable-table operator",
     "symtensor.SymElement.__repr__": "repr, and the label of a failing lemma's residual",
     # failure paths that no shipped model meets
     "geometry.GeometricModel.bidegree": "names the bidegree of a refused tensor word",
@@ -248,9 +247,11 @@ def _src_functions():
 def _entered_in_contract_runs(workloads):
     """{module.qualified name} of every package function that the shipped
     corpus writer and the report-contract runs (generated models included)
-    enter, as ``sys.setprofile`` sees them."""
+    enter, as ``sys.setprofile`` sees them.  The cached parser is dropped
+    first, so the runs build it whatever ran before them."""
     from report_contract import replay, runs
 
+    cli.build_parser.cache_clear()
     codes = set()
 
     def profile(frame, event, arg):
@@ -313,8 +314,8 @@ def _functions(tree: ast.Module):
 def test_no_unread_parameters():
     """Every parameter of a function or method of the package is read by its
     body.  Dunder methods, whose signature the language sets, lambdas, and the
-    (model, caps, args) signature that ``cli.COMMANDS`` dispatches with are
-    exempt."""
+    (model, caps, args, check) signature that ``cli.COMMANDS`` dispatches with
+    are exempt."""
     root = Path(__file__).resolve().parents[1]
     commands = {f.__name__ for f in cli.COMMANDS.values()}
     unread = []
@@ -324,7 +325,7 @@ def test_no_unread_parameters():
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             if path.name == "cli.py" and node.name in commands:
-                assert params == ["model", "caps", "args"], node.name
+                assert params == ["model", "caps", "args", "check"], node.name
                 continue
             read = {
                 n.id
@@ -556,6 +557,57 @@ def test_cli_reads_the_linfty_layer_only_for_the_decalage_line():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "linfty"
     ]
     assert "anchor_morphism" not in vars(algebroid)
+
+
+# How a command once made its report, beside ``cli._run``.
+_REPORT_IN_A_COMMAND = """
+def cmd_duality(model, caps, args):
+    g = _require_geometric(model)
+    report = Report("duality", caps)
+    with timed_check("ce(structure) == assembled differential") as t:
+        res = duality_residual(g)
+        report.add(t.finish(not res, _sym_entries(sorted(res.items()))))
+    return report
+"""
+
+
+def _report_makers(source: str) -> set:
+    """(module-level function, what) of every ``Report`` or ``CheckResult``
+    that source constructs, by plain name or as an attribute, and of every
+    ``with`` block and valued ``return`` of a ``cmd_*`` function."""
+    found = set()
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if callee in ("Report", "CheckResult"):
+                    found.add((name, callee))
+            elif name.startswith("cmd_") and isinstance(node, ast.With):
+                found.add((name, "with"))
+            elif name.startswith("cmd_") and isinstance(node, ast.Return) and node.value is not None:
+                found.add((name, "return"))
+    return found
+
+
+def test_a_report_is_made_in_one_place():
+    """``cli._run`` alone makes a report: it builds the ``Report`` and hands
+    each command a ``check`` callback that adds one timed ``CheckResult``
+    per line.  No other src/ function constructs either record, and no
+    command opens a ``with`` block or returns a value.  ``timed_check`` is
+    gone, and the scan flags a command written with it."""
+    root = Path(__file__).resolve().parents[1]
+    found = {
+        (path.name, *use)
+        for path in sorted(root.glob("src/algebroidkit/*.py"))
+        for use in _report_makers(path.read_text())
+    }
+    assert found == {("cli.py", "_run", "Report"), ("cli.py", "_run", "CheckResult")}
+    assert all(f.__name__.startswith("cmd_") for f in cli.COMMANDS.values())
+    assert not hasattr(reports, "timed_check")
+    assert _report_makers(_REPORT_IN_A_COMMAND) == {
+        ("cmd_duality", "Report"), ("cmd_duality", "with"), ("cmd_duality", "return")
+    }
 
 
 def _calls_of(tree: ast.Module, callee: str):

@@ -116,6 +116,34 @@ def test_jacobi_times_the_one_square_on_its_first_line(model_dir, capsys, monkey
     assert len(times) == 4 and times[0] >= 50 and max(times[1:]) < 50, lines
 
 
+def _line_times(out: str) -> list:
+    """The times in ms of the check lines of a human report, in order."""
+    return [float(t) for t in re.findall(r"^\[(?:pass|FAIL)\] .* \((\d+\.\d) ms\)$", out, re.M)]
+
+
+def test_each_line_is_timed_from_the_end_of_the_line_before(model_dir, capsys, monkeypatch):
+    """A line's time runs from the end of the line before it, the first
+    line's from the command's start: a slowed second lemma shows on the
+    second lemmas line only, and the D that ce-extract builds before its one
+    line shows on that line."""
+
+    def slowed(f):
+        def slow(*args):
+            time.sleep(0.05)
+            return f(*args)
+
+        return slow
+
+    monkeypatch.setattr(cli, "commutator_lemma_residual", slowed(cli.commutator_lemma_residual))
+    assert run(["lemmas", model_dir / "rank2.geometric.json"]) == 0
+    times = _line_times(capsys.readouterr().out)
+    assert len(times) == 3 and times[1] >= 50 and max(times[0], times[2]) < 50, times
+    monkeypatch.setattr(cli, "build_frakD", slowed(cli.build_frakD))
+    assert run(["ce-extract", model_dir / "rank2.geometric.json"]) == 0
+    times = _line_times(capsys.readouterr().out)
+    assert len(times) == 1 and times[0] >= 50, times
+
+
 def test_roundtrip_and_lemmas_and_anchor(model_dir):
     assert run(["roundtrip", model_dir / "conjugated.algebroid.json"]) == 0
     assert run(["roundtrip", model_dir / "rank2.geometric.json"]) == 0

@@ -4,6 +4,8 @@ whatever the interpreter's hash seed."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pickle
@@ -106,3 +108,43 @@ def test_entry_order_changes_no_run():
             shuffled[f"{command}:{path.name}"] = ([command], "m.json", moved)
     assert len(plain) == 8 * len(COMMANDS)
     assert replay(shuffled) == replay(plain)
+
+
+# The commands whose lines list residuals by weight.  The listings
+# (ce-build, ce-extract, frakd-build), validate and roundtrip stay out: the
+# ce-extract listing is keyed by arity, with weight 0.
+TRUNCATED = ("frakd-square", "kapranov", "duality", "lemmas", "jacobi", "anchor", "leibniz", "mc")
+
+
+def _report_at(directory: Path, command: str, model: Path, weight: int):
+    """The --json report of one in-process run at --weight, or None when the
+    run is refused."""
+    from algebroidkit.cli import main
+
+    report = directory / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(model), "--weight", str(weight), "--json", str(report)])
+    return json.loads(report.read_text()) if code in (0, 1) else None
+
+
+def test_a_report_at_w_is_the_report_at_w_plus_1_cut_at_w(tmp_path):
+    """Cap truncation: for every line of a report at weight cap W, the
+    report at W + 1 has a line of that name, and its residual entries of
+    weight <= W are the line's entries at W, in order.  Every command of
+    ``TRUNCATED`` on the 8 shipped fixtures at W = 2, 3, 4; a run refused at
+    W (a cap below a stored table's arity) is compared from the next W."""
+    compared = 0
+    for model in sorted((TESTS.parent / "fixtures").glob("*.json")):
+        for command in TRUNCATED:
+            reports = {w: _report_at(tmp_path, command, model, w) for w in (2, 3, 4, 5)}
+            for w in (2, 3, 4):
+                if reports[w] is None:
+                    continue
+                assert reports[w + 1] is not None, (command, model.name, w)
+                lines = {c["name"]: c["residuals"] for c in reports[w + 1]["checks"]}
+                for c in reports[w]["checks"]:
+                    assert c["name"] in lines, (command, model.name, w, c["name"])
+                    cut = [e for e in lines[c["name"]] if e["weight"] <= w]
+                    assert cut == c["residuals"], (command, model.name, w, c["name"])
+                compared += 1
+    assert compared == 108

@@ -530,6 +530,8 @@ def test_zero_derivation():
     Z = DerivationD(alg, {}, {}, check=False)
     x = random_sym_element(Rng(15), alg)
     assert Z.apply(x).is_zero()
+    with pytest.raises(TypeError):  # compared by its tables, so not hashable
+        hash(Z)
 
 
 def test_derivation_leibniz():
